@@ -25,19 +25,20 @@ from .grassmann import (
     DpGenerator,
     Plane,
     Signature,
-    cartan_embed0,
-    dp_log0,
+    _cs_rotation,
+    _embed_matrix,
+    _generator_svd,
+    _principal_pairs,
     rho0,
     rotate_plane,
 )
 from .liegroup import (
     Motion,
     Screw,
+    _half_angle_factor,
     check_motion,
-    se_exp,
     se_inv,
     se_mul,
-    y_omega,
 )
 from .matcore import check_special_orthogonal, complete_to_special_orthogonal
 
@@ -85,7 +86,7 @@ class CartanMotion:
         check_motion(motion, tol)
         if motion.n != sig.n:
             raise DimensionMismatchError("motion dimension does not match signature")
-        CartanRotation.certify(motion.R, sig, tol)
+        CartanRotation._from_special_orthogonal(motion.R, sig, tol)
         diff = se_mul(sigma(motion, sig), motion).homogeneous() - np.eye(sig.n + 1)
         scale = 1.0 + np.linalg.norm(motion.X)
         if np.linalg.norm(diff) > tol.invol * sig.n * scale:
@@ -219,10 +220,9 @@ def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
 
 
 def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
-    """Inverse of rho: embed the plane and reuse the fiber as translation."""
-    tol = tol or default_tolerances()
-    cr = cartan_embed0(b.plane, tol)
-    return CartanMotion.certify(Motion(cr.mat, np.asarray(b.fiber, float)), cr.sig, tol)
+    """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation."""
+    R, sig = _embed_matrix(b.plane)
+    return CartanMotion.certify(Motion(R, np.asarray(b.fiber, float)), sig, tol)
 
 
 def bundle_act(
@@ -255,19 +255,38 @@ def find_transporter(
     return Motion(A, X)
 
 
+def _dp_translation(
+    V: np.ndarray, s: np.ndarray, U: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Y_omega applied to (v, 0) for omega the embedding of B = U diag(s) V^T.
+
+    Y_omega turns each principal pair (V_i, U_i) by s_i/2 and scales it by
+    f_i = 2 sin(s_i/2)/s_i; the kernel of B passes through unchanged.
+    """
+    f = np.array([_half_angle_factor(x) for x in s])
+    a = V.T @ v
+    top = v + V @ ((f * np.cos(0.5 * s) - 1.0) * a)
+    return np.concatenate([top, U @ (f * np.sin(0.5 * s) * a)])
+
+
+def _dp_motion(V, s, U, v) -> Motion:
+    return Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, v))
+
+
 def dp_exp_full(
     xi: DpElement, tol: Tolerances | None = None
 ) -> CartanMotion:
     """Exponential of a d_p element, cross-checked against the tau route.
 
-    exp(xi) must equal tau(exp(xi/2)); both are computed and compared.
+    One thin SVD B = U diag(s) V^T gives exp(xi) in closed form, and
+    exp(xi/2) from s/2 and v/2. exp(xi) must equal tau(exp(xi/2)); both are
+    computed and compared, which checks the closed form's doubling identity.
     """
     tol = tol or default_tolerances()
     sig = Signature(xi.gen.p, xi.gen.q)
-    screw = xi.screw()
-    g = se_exp(screw, tol)
-    half = se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v), tol)
-    via_tau = tau(half, sig, tol)
+    V, s, U = _generator_svd(xi.gen)
+    g = _dp_motion(V, s, U, xi.v)
+    via_tau = tau(_dp_motion(V, 0.5 * s, U, 0.5 * xi.v), sig, tol)
     if np.linalg.norm(g.homogeneous() - via_tau.motion.homogeneous()) > 1e-10 * sig.n * (
         1.0 + np.linalg.norm(g.X)
     ):
@@ -278,26 +297,22 @@ def dp_exp_full(
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     """Inverse of dp_exp_full on generic Cartan-model motions.
 
-    The rotation part fixes the generator; the fiber is pulled back through
-    the restriction of Y_omega to the span of the first p basis vectors,
-    solved in the least-squares sense with a residual check.
+    The rotation part fixes the principal pairs (V_i, U_i) and angles s_i.
+    The fiber is pulled back pair by pair, dividing by the half-angle factor
+    f_i = 2 sin(s_i/2)/s_i, which lies in (2/pi, 1] inside the cut locus;
+    a residual check rejects a fiber outside the image.
     """
     tol = tol or default_tolerances()
     p = s.sig.p
-    gen = dp_log0(CartanRotation.certify(s.motion.R, s.sig, tol), tol)
-    omega = gen.embed()
-    M = np.column_stack(
-        [y_omega(omega, np.eye(s.n)[:, k], tol) for k in range(p)]
-    )
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e8:
-        raise NearSingularIsomorphismError(
-            "near-singular isomorphism", condition=float(svals[0] / max(svals[-1], 1e-300))
-        )
-    v, *_ = np.linalg.lstsq(M, s.motion.X, rcond=None)
-    residual = np.linalg.norm(M @ v - s.motion.X)
-    if residual > 1e-8 * (1.0 + np.linalg.norm(s.motion.X)):
+    V, angles, U = _principal_pairs(CartanRotation.certify(s.motion.R, s.sig, tol), tol)
+    X = s.motion.X
+    top = V.T @ X[:p]
+    f = np.array([_half_angle_factor(x) for x in angles])
+    w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
+    v = X[:p] + V @ (w - top)
+    residual = np.linalg.norm(_dp_translation(V, angles, U, v) - X)
+    if residual > 1e-8 * (1.0 + np.linalg.norm(X)):
         raise NearSingularIsomorphismError(
             "restricted system residual too large", residual=float(residual)
         )
-    return DpElement(gen=gen, v=v)
+    return DpElement(gen=DpGenerator(p=p, q=s.sig.q, B=(U * angles) @ V.T), v=v)

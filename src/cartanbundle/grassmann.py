@@ -20,11 +20,10 @@ from .errors import (
     DimensionMismatchError,
     NotInCartanModelError,
 )
-from .liegroup import so_exp
 from .matcore import (
+    check_finite_matrix,
     check_frame,
     check_special_orthogonal,
-    complete_to_special_orthogonal,
     eigenspace_of_symmetric_involution,
     orthonormalize,
     projector,
@@ -131,7 +130,13 @@ class CartanRotation:
         cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None
     ) -> "CartanRotation":
         tol = tol or default_tolerances()
-        mat = check_special_orthogonal(mat, tol)
+        return cls._from_special_orthogonal(check_special_orthogonal(mat, tol), sig, tol)
+
+    @classmethod
+    def _from_special_orthogonal(
+        cls, mat: np.ndarray, sig: Signature, tol: Tolerances
+    ) -> "CartanRotation":
+        """``certify`` for a matrix already checked to lie in SO(n)."""
         n = sig.n
         if mat.shape != (n, n):
             raise DimensionMismatchError("rotation dimension does not match signature")
@@ -153,18 +158,19 @@ class CartanRotation:
         return self.sig.n
 
 
-def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation:
-    """Embed a plane into S_p0 as A J A^{-1} J with A completing its frame.
-
-    Frame-independent: the result depends on the plane only through its
-    projector (A J A^T = I - 2 P for P the projector onto the plane).
-    """
-    tol = tol or default_tolerances()
+def _embed_matrix(plane: Plane) -> tuple:
+    """(R, sig) with R = (I - 2 P) J for P the projector onto the plane."""
     sig = Signature(plane.p, plane.n - plane.p)
-    A = complete_to_special_orthogonal(plane.frame, tol)
-    J = sig.matrix
-    R = A @ J @ A.T @ J
-    return CartanRotation.certify(R, sig, tol)
+    return (np.eye(plane.n) - 2.0 * plane.projector) @ sig.matrix, sig
+
+
+def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation:
+    """Embed a plane into S_p0 as R = (I - 2 P) J, P its projector.
+
+    This is A J A^{-1} J for any A in SO(n) whose leading p columns span the
+    plane, so the result depends on the plane only through its projector.
+    """
+    return CartanRotation.certify(*_embed_matrix(plane), tol)
 
 
 def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
@@ -206,10 +212,33 @@ class DpGenerator:
         return omega
 
 
+def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """exp of [[0, -B^T], [B, 0]] for B = U diag(s) V^T, in cosine-sine form.
+
+    Each principal pair (V_i, U_i) turns by s_i; the kernel of B and the
+    complement of the range of B are fixed.
+    """
+    c, sn = np.cos(s) - 1.0, np.sin(s)
+    return np.block([
+        [np.eye(V.shape[0]) + (V * c) @ V.T, -(V * sn) @ U.T],
+        [(U * sn) @ V.T, np.eye(U.shape[0]) + (U * c) @ U.T],
+    ])
+
+
+def _generator_svd(gen: DpGenerator) -> tuple:
+    """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block."""
+    B = check_finite_matrix(gen.B, "generator block")
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    return Vt.T, s, U
+
+
 def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
-    """Exponential of a d_p0 generator, certified to land in S_p0."""
+    """Exponential of a d_p0 generator, certified to land in S_p0.
+
+    One thin SVD B = U diag(s) V^T gives the rotation in cosine-sine form.
+    """
     sig = Signature(gen.p, gen.q)
-    return CartanRotation.certify(so_exp(gen.embed(), tol), sig, tol)
+    return CartanRotation.certify(_cs_rotation(*_generator_svd(gen)), sig, tol)
 
 
 def principal_angles(a: Plane, b: Plane) -> np.ndarray:
@@ -220,29 +249,30 @@ def principal_angles(a: Plane, b: Plane) -> np.ndarray:
     return np.arccos(np.clip(s, -1.0, 1.0))
 
 
-def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
-    """Generator with dp_exp(gen) = R, for planes in generic position.
+def _principal_pairs(R: CartanRotation, tol: Tolerances) -> tuple:
+    """(V, s, U) with dp_exp(U diag(s) V^T) = R, read off the rho0 frame.
 
     The plane of exp(omega) is exp(omega/2) applied to the reference plane,
-    so canonical angles are twice the principal angles between rho0(R) and
-    the reference plane. A principal angle at pi/2 is the cut locus.
+    so s is twice the principal angles phi between rho0(R) and the reference
+    plane; V (p x p) and U (q x p) hold the principal pairs. A pair with
+    sin(phi) <= tol.sing gets a zero U column. A principal angle at pi/2 is
+    the cut locus.
     """
-    tol = tol or default_tolerances()
-    p, q = R.sig.p, R.sig.q
-    plane = rho0(R, tol)
-    F = plane.frame
-    U, s, Vt = np.linalg.svd(F[:p, :])
-    phi = np.arccos(np.clip(s, -1.0, 1.0))
+    p = R.sig.p
+    F = rho0(R, tol).frame
+    V, c, Wt = np.linalg.svd(F[:p, :])
+    phi = np.arccos(np.clip(c, -1.0, 1.0))
     if np.any(phi >= 0.5 * math.pi - tol.branch):
         raise CutLocusError(
             "cut locus: generator not unique", max_principal_angle=float(phi.max())
         )
-    aligned = F @ Vt.T
-    lower = aligned[p:, :]
-    W = np.zeros((q, p))
-    for i in range(p):
-        sin_phi = math.sin(phi[i])
-        if sin_phi > tol.sing:
-            W[:, i] = lower[:, i] / sin_phi
-    B = W @ np.diag(2.0 * phi) @ U.T
-    return DpGenerator(p=p, q=q, B=B)
+    sin_phi = np.sin(phi)
+    inv_sin = np.divide(1.0, sin_phi, out=np.zeros(p), where=sin_phi > tol.sing)
+    return V, 2.0 * phi, (F[p:, :] @ Wt.T) * inv_sin
+
+
+def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
+    """Generator with dp_exp(gen) = R, for planes in generic position."""
+    tol = tol or default_tolerances()
+    V, s, U = _principal_pairs(R, tol)
+    return DpGenerator(p=R.sig.p, q=R.sig.q, B=(U * s) @ V.T)

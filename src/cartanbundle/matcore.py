@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels for small ambient dimensions.
 
-Wedge generators, orthonormal frames, projectors, deterministic frame
-completion to SO(n), canonical block forms of rotations and skew matrices,
-and eigenspace extraction for symmetric orthogonal involutions.
+Wedge generators, orthonormal frames, projectors, frame completion to SO(n)
+by a complete QR factorization, canonical block forms of rotations and skew
+matrices, and eigenspace extraction for symmetric orthogonal involutions.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .errors import (
     IllConditionedSpectrumError,
     NotOrthogonalSymmetryError,
 )
-
-# Fixed seed so frame completion is a pure function of the input frame.
-_COMPLETION_SEED = 0x5EB01D2F
 
 
 def basis_vector(i: int, n: int) -> np.ndarray:
@@ -104,31 +101,17 @@ def projector(F: np.ndarray) -> np.ndarray:
 def complete_to_special_orthogonal(
     F: np.ndarray, tol: Tolerances | None = None
 ) -> np.ndarray:
-    """Extend a frame to a full matrix in SO(n) with the same leading span.
+    """Extend a frame to a full matrix in SO(n) with F as its leading block.
 
-    The complement comes from a fixed-seed pseudo-random matrix projected off
-    the frame, so the result is a pure function of F. The last column is
-    negated when needed to land in SO(n).
+    The complement is the trailing n - p columns of the complete QR
+    factorization of F, so the result is a pure function of F. The last
+    column is negated when needed to land in SO(n).
     """
     tol = tol or default_tolerances()
     F = check_frame(F, tol)
-    n, p = F.shape
-    if p == n:
-        A = F.copy()
-    else:
-        seed = _COMPLETION_SEED
-        while True:
-            rng = np.random.default_rng(seed)
-            G = rng.standard_normal((n, n - p))
-            G -= F @ (F.T @ G)
-            try:
-                C = orthonormalize(G, tol)
-                break
-            except DegenerateSpanError:
-                seed += 1  # measure-zero collision with the span; reseed
-        A = np.hstack([F, C])
+    p = F.shape[1]
+    A = np.hstack([F, np.linalg.qr(F, mode="complete")[0][:, p:]])
     if np.linalg.det(A) < 0:
-        A = A.copy()
         A[:, -1] = -A[:, -1]
     return A
 

@@ -396,17 +396,21 @@ def _prop_action_law(cfg, rng):
 
 def _prop_dp_full_routes(cfg, rng):
     err = 0.0
+    ok = True
     q = cfg.n - cfg.p
     for _ in range(cfg.samples):
         xi = sp.sample_dp_element(rng, cfg.p, q, bound=math.pi - 0.1)
         s = bn.dp_exp_full(xi, cfg.tol)  # internally asserts tau route at 1e-10
+        # the closed form against the generic Schur route of se_exp
+        g = lg.se_exp(xi.screw(), cfg.tol)
+        ok = ok and _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
         xi2 = bn.dp_log_full(s, cfg.tol)
         err = max(
             err,
             float(np.linalg.norm(xi2.gen.B - xi.gen.B)),
             float(np.linalg.norm(xi2.v - xi.v)),
         )
-    return cfg.samples, err, err <= 1e-8
+    return cfg.samples, err, ok and err <= 1e-8
 
 
 def _prop_transporter(cfg, rng):

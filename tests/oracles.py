@@ -1,19 +1,15 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the canonical-form code paths they check.
+These deliberately avoid the canonical-form code paths they check. The
+series exponential and the SVD projector are the ones ``cartanbundle.verify``
+ships as its own oracles, re-exported here under the test names.
 """
 
 import numpy as np
 
-
-def series_exp_oracle(M, terms=50):
-    """Plain truncated power series sum_k M^k / k!."""
-    acc = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ M / k
-        acc = acc + term
-    return acc
+from cartanbundle.liegroup import y_omega
+from cartanbundle.verify import series_exp as series_exp_oracle
+from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
 
 
 def y_series_oracle(omega, v, terms=50):
@@ -26,13 +22,6 @@ def y_series_oracle(omega, v, terms=50):
     return acc
 
 
-def svd_projector_oracle(vectors):
-    """Projector onto the column span via SVD range extraction."""
-    U, s, _ = np.linalg.svd(np.asarray(vectors, float), full_matrices=False)
-    r = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return U[:, :r] @ U[:, :r].T
-
-
 def homogeneous_exp_oracle(omega, v, terms=50):
     """Series exponential of the (n+1) x (n+1) screw block matrix."""
     n = omega.shape[0]
@@ -40,3 +29,14 @@ def homogeneous_exp_oracle(omega, v, terms=50):
     M[:n, :n] = omega
     M[:n, n] = v
     return series_exp_oracle(M, terms)
+
+
+def dp_log_v_oracle(omega, X, p):
+    """Least-squares pull-back of X through Y_omega restricted to span(e_1..e_p).
+
+    Builds the restricted map column by column from the generic ``y_omega``.
+    """
+    n = omega.shape[0]
+    M = np.column_stack([y_omega(omega, np.eye(n)[:, k]) for k in range(p)])
+    v, *_ = np.linalg.lstsq(M, X, rcond=None)
+    return v

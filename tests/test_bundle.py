@@ -6,14 +6,17 @@ import pytest
 from cartanbundle import (
     CartanMotion,
     CutLocusError,
+    DimensionMismatchError,
     DpElement,
     DpGenerator,
     Motion,
+    NearSingularIsomorphismError,
     NotInCartanModelError,
     Signature,
     bundle_act,
     bundle_point,
     double_projection,
+    dp_exp,
     dp_exp_full,
     dp_log_full,
     find_transporter,
@@ -37,7 +40,7 @@ from cartanbundle.sampling import (
     sample_rotation,
 )
 
-from oracles import svd_projector_oracle
+from oracles import dp_log_v_oracle, svd_projector_oracle
 
 
 def rot2(theta):
@@ -46,6 +49,26 @@ def rot2(theta):
 
 
 SIG22 = Signature(2, 2)
+
+DP_SHAPES = [(2, 2), (3, 1), (1, 3), (4, 2)]
+
+
+def _dp_cases(rng, p, q, count):
+    return [sample_dp_element(rng, p, q, bound=math.pi - 0.1) for _ in range(count)]
+
+
+def _fixed_dp_cases():
+    """A rank-deficient B, and a B of spectral norm pi - 0.1 off the axes."""
+    B_far = rot2(0.4) @ np.diag([math.pi - 0.1, 1.3]) @ rot2(0.4)
+    return [
+        DpElement(DpGenerator(p=2, q=2, B=np.array([[3.0, 0.0], [0.0, 0.0]])), np.array([0.7, -1.2])),
+        DpElement(DpGenerator(p=2, q=2, B=B_far), np.array([-0.4, 1.9])),
+    ]
+
+
+def _dp_route_cases(rng):
+    cases = [xi for p, q in DP_SHAPES for xi in _dp_cases(rng, p, q, 10)]
+    return cases + _fixed_dp_cases()
 
 
 class TestSigma:
@@ -295,17 +318,46 @@ class TestDpFull:
         assert np.allclose(s.motion.R, -np.eye(2), atol=1e-12)
         assert np.allclose(s.motion.X, [0.0, 2 / math.pi], atol=1e-13)
 
-    def test_routes_agree(self, rng):
+    @pytest.mark.parametrize("p,q", DP_SHAPES)
+    def test_routes_agree(self, rng, p, q):
+        for xi in _dp_cases(rng, p, q, 50):
+            self._check_routes(xi)
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_routes_agree_fixed(self, case):
+        self._check_routes(_fixed_dp_cases()[case])
+
+    @staticmethod
+    def _check_routes(xi):
         from cartanbundle.liegroup import Screw, se_exp
 
-        for _ in range(50):
-            xi = sample_dp_element(rng, 2, 2, bound=math.pi - 0.1)
+        sig = Signature(xi.gen.p, xi.gen.q)
+        s = dp_exp_full(xi)
+        screw = xi.screw()
+        half = se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
+        via_tau = tau(half, sig)
+        d = s.motion.homogeneous() - via_tau.motion.homogeneous()
+        assert np.linalg.norm(d) <= 1e-10
+        generic = se_exp(screw)
+        d = s.motion.homogeneous() - generic.homogeneous()
+        assert np.linalg.norm(d) <= 1e-10 * sig.n * (1.0 + np.linalg.norm(generic.X))
+
+    def test_log_matches_lstsq_oracle(self, rng):
+        for xi in _dp_route_cases(rng):
             s = dp_exp_full(xi)
-            screw = xi.screw()
-            half = se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
-            via_tau = tau(half, SIG22)
-            d = s.motion.homogeneous() - via_tau.motion.homogeneous()
-            assert np.linalg.norm(d) <= 1e-10
+            xi2 = dp_log_full(s)
+            v_ref = dp_log_v_oracle(xi2.gen.embed(), s.motion.X, xi.gen.p)
+            assert np.linalg.norm(xi2.v - v_ref) <= 1e-8
+            assert np.linalg.norm(xi2.v - xi.v) <= 1e-8
+            assert np.linalg.norm(xi2.gen.B - xi.gen.B) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        gen = DpGenerator(p=2, q=2, B=np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            dp_exp(gen)
+        with pytest.raises(DimensionMismatchError):
+            dp_exp_full(DpElement(gen=gen, v=np.zeros(2)))
 
     def test_log_identity(self):
         s = CartanMotion.certify(Motion(np.eye(4), np.zeros(4)), SIG22)
@@ -326,6 +378,13 @@ class TestDpFull:
         sig = Signature(1, 1)
         s = CartanMotion.certify(Motion(-np.eye(2), np.array([0.0, 2 / math.pi])), sig)
         with pytest.raises(CutLocusError):
+            dp_log_full(s)
+
+    def test_log_rejects_fiber_outside_image(self):
+        # Not certified: the fiber e_3 lies outside the reference plane, so no
+        # v maps onto it and only the residual check can catch it.
+        s = CartanMotion(Motion(np.eye(4), np.array([0, 0, 1.0, 0])), SIG22)
+        with pytest.raises(NearSingularIsomorphismError):
             dp_log_full(s)
 
     def test_roundtrip(self, rng):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grassmann import Signature
-from .liegroup import Motion, _half_angle_factor, so_exp
+from .liegroup import Motion, _half_angle_factor
 from .matcore import basis_vector
 
 
@@ -21,21 +21,27 @@ def unit_direction(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     n = U.shape[0]
     if U.ndim != 1 or n < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
-    if abs(np.linalg.norm(U) - 1.0) > tol:
-        raise DimensionMismatchError("direction must be a unit vector")
+    if not np.all(np.isfinite(U)) or abs(np.linalg.norm(U) - 1.0) > tol:
+        raise DimensionMismatchError("direction must be a finite unit vector")
     if abs(U[0]) > tol:
         raise DimensionMismatchError("direction must be orthogonal to e_1")
     return U
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Line:
-    """A line through the origin, stored as a sign-canonicalized unit vector."""
+    """A line through the origin, stored as a sign-canonicalized unit vector.
+
+    Two lines are equal when their vectors have the same shape and agree to
+    within ``np.allclose``. That equality is not transitive, so no hash can
+    be consistent with it: ``hash(Line(...))`` raises ``TypeError``.
+    """
 
     vector: np.ndarray
 
     def __eq__(self, other):
-        return isinstance(other, Line) and np.allclose(self.vector, other.vector)
+        same = isinstance(other, Line) and self.vector.shape == other.vector.shape
+        return same and np.allclose(self.vector, other.vector)
 
 
 def line_from_vector(V: np.ndarray) -> Line:
@@ -51,20 +57,21 @@ def line_from_vector(V: np.ndarray) -> Line:
     return Line(vector=V)
 
 
-def _wedge_e1(U: np.ndarray) -> np.ndarray:
-    n = U.shape[0]
-    E1 = basis_vector(1, n)
-    return np.outer(E1, U) - np.outer(U, E1)
-
-
 def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
     """Rotation by theta in the plane of e_1 and U: exp(-theta e_1 ^ U).
 
     Sends e_1 to cos(theta) e_1 + sin(theta) U and fixes the orthogonal
-    complement of span(e_1, U).
+    complement of span(e_1, U). With K = -(e_1 ^ U), K^2 is minus the
+    projector onto that plane, so Rodrigues' closed form
+    I + sin(theta) K + (1 - cos(theta)) K^2 is the exponential exactly; no
+    canonical form is computed.
     """
     U = unit_direction(U)
-    return so_exp(-theta * _wedge_e1(U))
+    if not math.isfinite(theta):
+        raise DimensionMismatchError("rotation angle must be finite")
+    E1 = basis_vector(1, len(U))
+    K = np.outer(U, E1) - np.outer(E1, U)
+    return np.eye(len(U)) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
 def reflection_about_hyperplane_normal(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -75,23 +82,25 @@ def reflection_about_hyperplane_normal(V: np.ndarray, tol: float = 1e-12) -> np.
     return np.eye(V.shape[0]) - 2.0 * np.outer(V, V)
 
 
+def _half_angle_vector(theta: float, U: np.ndarray) -> np.ndarray:
+    """cos(theta/2) e_1 + sin(theta/2) U for a validated direction U."""
+    return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
 def two_reflections_check(theta: float, U: np.ndarray) -> bool:
     """Whether R_{theta,U} J equals the reflection about the half-angle normal."""
     U = unit_direction(U)
     n = U.shape[0]
     R = rotation_in_plane(theta, U)
     J = Signature(1, n - 1).matrix
-    V = math.cos(0.5 * theta) * basis_vector(1, n) + math.sin(0.5 * theta) * U
+    V = _half_angle_vector(theta, U)
     S2 = reflection_about_hyperplane_normal(V / np.linalg.norm(V))
     return bool(np.linalg.norm(R @ J - S2) <= 1e-10 * n)
 
 
 def half_angle_line(theta: float, U: np.ndarray) -> Line:
     """The line carried by R_{theta,U}: [cos(theta/2) e_1 + sin(theta/2) U]."""
-    U = unit_direction(U)
-    n = U.shape[0]
-    V = math.cos(0.5 * theta) * basis_vector(1, n) + math.sin(0.5 * theta) * U
-    return line_from_vector(V)
+    return line_from_vector(_half_angle_vector(theta, unit_direction(U)))
 
 
 def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
@@ -101,11 +110,8 @@ def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
     direction; the theta -> 0 limit is lam e_1.
     """
     U = unit_direction(U)
-    n = U.shape[0]
     R = rotation_in_plane(theta, U)
-    f = lam * _half_angle_factor(theta)
-    Y = f * (math.cos(0.5 * theta) * basis_vector(1, n) + math.sin(0.5 * theta) * U)
-    return Motion(R, Y)
+    return Motion(R, lam * _half_angle_factor(theta) * _half_angle_vector(theta, U))
 
 
 def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:

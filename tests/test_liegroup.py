@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartanbundle import (
     BranchAmbiguityError,
     DimensionMismatchError,
+    IllConditionedSpectrumError,
     Motion,
     Screw,
     SingularMapError,
     identity_motion,
+    line_bundle_exp,
+    rotation_in_plane,
     se_bracket,
     se_exp,
     se_inv,
@@ -23,6 +27,7 @@ from cartanbundle import (
 from cartanbundle.matcore import skew_wedge
 from cartanbundle.sampling import (
     sample_motion,
+    sample_rotation,
     sample_screw,
     sample_skew,
     sample_skew_bounded,
@@ -231,3 +236,105 @@ class TestSeExpLog:
     def test_branch_error_propagates(self):
         with pytest.raises(BranchAmbiguityError):
             se_log(Motion(-np.eye(2), np.zeros(2)))
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(args[0].shape)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    return calls
+
+
+class TestOneFormPerCall:
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_se_exp_and_se_log_run_one_schur_each(self, rng, n, schur_calls):
+        xi = Screw(sample_skew_bounded(rng, n, math.pi - 0.1), rng.standard_normal(n))
+        g = se_exp(xi)
+        assert len(schur_calls) == 1
+        se_log(g)
+        assert len(schur_calls) == 2
+
+    def test_line_layer_runs_no_schur(self, rng, schur_calls):
+        U = np.array([0.0, 0.6, 0.8])
+        rotation_in_plane(1.3, U)
+        line_bundle_exp(1.3, U, 0.7)
+        assert schur_calls == []
+
+
+def _unit_skew(rng, n):
+    W = sample_skew(rng, n)
+    return W / np.linalg.norm(W, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+class TestTwoFormRouteOracle:
+    """se_exp / se_log against so_exp, so_log, y_omega and y_omega_solve composed."""
+
+    @pytest.mark.parametrize("scale", [0.5e-4, 2e-4, 1.0, 3.0])
+    def test_exp_and_log(self, rng, n, scale):
+        # the largest angle is `scale`; at 2e-4 the smaller ones straddle
+        # the 1e-4 Taylor switch of the half-angle factor
+        omega = scale * _unit_skew(rng, n)
+        v = rng.standard_normal(n)
+        g = se_exp(Screw(omega, v))
+        bound = 1e-10 * n * (1 + np.linalg.norm(g.X))
+        assert np.linalg.norm(g.R - so_exp(omega)) <= bound
+        assert np.linalg.norm(g.X - y_omega(omega, v)) <= bound
+        xi = se_log(g)
+        W = so_log(g.R)
+        assert np.linalg.norm(xi.omega - W) <= bound
+        assert np.linalg.norm(xi.v - y_omega_solve(W, g.X)) <= bound
+
+    def test_log_at_pi(self, rng, n):
+        D = np.eye(n)
+        D[:2, :2] = -np.eye(2)
+        if n > 3:
+            D[2:, 2:] = sample_rotation(rng, n - 2)
+        Q = sample_rotation(rng, n)
+        g = Motion(Q @ D @ Q.T, rng.standard_normal(n))
+        xi = se_log(g, allow_pi=True)
+        W = so_log(g.R, allow_pi=True)
+        bound = 1e-10 * n * (1 + np.linalg.norm(g.X))
+        assert np.linalg.norm(xi.omega - W) <= bound
+        assert np.linalg.norm(xi.v - y_omega_solve(W, g.X)) <= bound
+        assert np.linalg.norm(se_exp(xi).homogeneous() - g.homogeneous()) <= bound
+
+
+_I2, _O2, _NAN = np.eye(2), np.zeros((2, 2)), math.nan
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: se_log(Motion(-_I2, np.array([_NAN, 0.0]))), DimensionMismatchError),
+        (lambda: se_log(Motion(-_I2, np.zeros(3))), DimensionMismatchError),
+        (lambda: se_log(Motion(2 * _I2, np.array([_NAN, 0.0]))), IllConditionedSpectrumError),
+        (
+            lambda: se_log(Motion(-_I2, np.array([math.inf, 0.0])), allow_pi=True),
+            DimensionMismatchError,
+        ),
+        (lambda: se_exp(Screw(_I2, np.zeros(3))), IllConditionedSpectrumError),
+        (lambda: se_exp(Screw(_O2, np.array([_NAN, 0.0]))), DimensionMismatchError),
+        (lambda: se_exp(Screw(_O2, np.zeros(3))), DimensionMismatchError),
+        (lambda: se_exp(Screw(np.full((2, 2), _NAN), np.zeros(2))), DimensionMismatchError),
+    ],
+    ids=[
+        "log-pi-nan-X",
+        "log-pi-short-X",
+        "log-not-orthogonal",
+        "log-allow-pi-inf-X",
+        "exp-not-skew-short-v",
+        "exp-nan-v",
+        "exp-short-v",
+        "exp-nan-omega",
+    ],
+)
+def test_invalid_input_error_class(call, error):
+    with pytest.raises(error):
+        call()

@@ -43,6 +43,18 @@ class TestLine:
         with pytest.raises(DimensionMismatchError):
             line_from_vector(np.zeros(3))
 
+    def test_lines_of_different_dimension_are_unequal(self):
+        a, b = line_from_vector([1.0, 0.0]), line_from_vector([1.0, 0.0, 0.0])
+        assert (a == b) is False and (b == a) is False
+        assert a != b
+
+    def test_equality_is_tolerant(self):
+        assert line_from_vector([1.0, 0.0]) == line_from_vector([1.0, 1e-13])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="Line"):
+            hash(line_from_vector([1.0, 2.0]))
+
 
 class TestRotationInPlane:
     def test_zero_angle(self):
@@ -70,6 +82,20 @@ class TestRotationInPlane:
     def test_rejects_non_orthogonal_direction(self):
         with pytest.raises(DimensionMismatchError):
             rotation_in_plane(1.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "theta, U",
+        [
+            (math.nan, [0.0, 1.0]),
+            (math.inf, [0.0, 1.0]),
+            (1.0, [0.0, math.nan]),
+            (1.0, [math.nan, 1.0]),
+        ],
+        ids=["nan-angle", "inf-angle", "nan-direction", "nan-e1-component"],
+    )
+    def test_rejects_non_finite_input(self, theta, U):
+        with pytest.raises(DimensionMismatchError):
+            rotation_in_plane(theta, np.array(U))
 
 
 class TestReflection:

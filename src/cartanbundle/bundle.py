@@ -5,9 +5,18 @@ space whose Cartan model S_p = {g : sigma(g) = g^{-1}, identity component}
 is diffeomorphic, via rho, to the bundle of pairs (plane, vector in the
 plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
+
+J enters only as sign flips of rows, columns and entries. A motion in S_p is
+checked once per call: SO(n) and a finite translation, then the shared S_p0
+check of grassmann (one ``eigh``), then the sigma residual and the fiber
+condition. The residual of sigma(g) g against the identity is computed from
+the rotation and translation blocks; the last row of the homogeneous
+residual is exactly zero, so no (n+1) x (n+1) matrix is built.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,15 +30,15 @@ from .errors import (
     NumericalFaultError,
 )
 from .grassmann import (
-    CartanRotation,
     DpGenerator,
     Plane,
     Signature,
+    _cartan_frame,
     _cs_rotation,
     _embed_matrix,
     _generator_svd,
     _principal_pairs,
-    rho0,
+    plane_from_frame,
     rotate_plane,
 )
 from .liegroup import (
@@ -86,16 +95,14 @@ class CartanMotion:
         check_motion(motion, tol)
         if motion.n != sig.n:
             raise DimensionMismatchError("motion dimension does not match signature")
-        CartanRotation._from_special_orthogonal(motion.R, sig, tol)
-        diff = se_mul(sigma(motion, sig), motion).homogeneous() - np.eye(sig.n + 1)
+        _cartan_frame(motion.R, sig, tol)
+        residual = _sigma_residual(motion, sig)
         scale = 1.0 + np.linalg.norm(motion.X)
-        if np.linalg.norm(diff) > tol.invol * sig.n * scale:
-            raise NotInCartanModelError(
-                "sigma(g) != g^{-1}", residual=float(np.linalg.norm(diff))
-            )
+        if residual > tol.invol * sig.n * scale:
+            raise NotInCartanModelError("sigma(g) != g^{-1}", residual=residual)
         # Fiber condition J Y = -R^{-1} Y, equivalently Y in rho0(R).
         Y = motion.X
-        fib = np.linalg.norm(sig.matrix @ Y + motion.R.T @ Y)
+        fib = np.linalg.norm(sig._signs * Y + motion.R.T @ Y)
         if fib > tol.invol * sig.n * scale:
             raise NotInCartanModelError(
                 "translation is not in the carried plane", residual=float(fib)
@@ -134,8 +141,16 @@ def sigma(g: Motion, sig: Signature) -> Motion:
     """The involution sigma(R, X) = (J R J, J X) on SE(n)."""
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
-    J = sig.matrix
-    return Motion(J @ g.R @ J, J @ g.X)
+    j = sig._signs
+    return Motion(j[:, None] * g.R * j, j * g.X)
+
+
+def _sigma_residual(g: Motion, sig: Signature) -> float:
+    """|| sigma(g) g - I || over the homogeneous matrix, from its two blocks."""
+    h = sigma(g, sig)
+    return math.hypot(
+        np.linalg.norm(h.R @ g.R - np.eye(sig.n)), np.linalg.norm(h.X + h.R @ g.X)
+    )
 
 
 def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
@@ -164,9 +179,8 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
     """Membership in Q = {g : sigma(g) = g^{-1}}."""
     tol = tol or default_tolerances()
-    diff = se_mul(sigma(g, sig), g).homogeneous() - np.eye(sig.n + 1)
     scale = 1.0 + np.linalg.norm(g.X)
-    return bool(np.linalg.norm(diff) <= tol.invol * scale)
+    return bool(_sigma_residual(g, sig) <= tol.invol * scale)
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
@@ -177,11 +191,11 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     """
     if a.n != g.n or a.n != sig.n:
         raise DimensionMismatchError("operand dimensions differ")
-    J = sig.matrix
+    j = sig._signs
     A, X = a.R, a.X
     R, Y = g.R, g.X
-    core = A @ R @ J @ A.T
-    closed = Motion(core @ J, X + A @ Y - core @ X)
+    core = ((A @ R) * j) @ A.T
+    closed = Motion(core * j, X + A @ Y - core @ X)
     generic = se_mul(se_mul(a, g), sigma(se_inv(a), sig))
     scale = 1.0 + np.linalg.norm(X) + np.linalg.norm(Y)
     if np.linalg.norm(closed.homogeneous() - generic.homogeneous()) > 1e-11 * sig.n * scale:
@@ -204,7 +218,7 @@ def double_projection(
     X = np.asarray(X, dtype=float)
     if A.shape != (sig.n, sig.n) or X.shape != (sig.n,):
         raise DimensionMismatchError("operand dimensions differ")
-    D = X - A @ sig.matrix @ A.T @ X
+    D = X - (A * sig._signs) @ A.T @ X
     F = A[:, : sig.p]
     ref = 2.0 * (F @ (F.T @ X))
     if np.linalg.norm(D - ref) > 1e-10 * (1.0 + np.linalg.norm(X)):
@@ -213,9 +227,14 @@ def double_projection(
 
 
 def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
-    """The bundle point (rho0(R), Y) carried by a Cartan-model motion."""
+    """The bundle point (rho0(R), Y) carried by a Cartan-model motion.
+
+    R is checked once: SO(n), then the S_p0 check, whose ``eigh`` also gives
+    the frame of the plane. The fiber Y must lie in that plane.
+    """
     tol = tol or default_tolerances()
-    plane = rho0(CartanRotation.certify(s.motion.R, s.sig, tol), tol)
+    R = check_special_orthogonal(s.motion.R, tol)
+    plane = plane_from_frame(_cartan_frame(R, s.sig, tol), tol)
     return bundle_point(plane, s.motion.X, tol)
 
 
@@ -286,10 +305,9 @@ def dp_exp_full(
     sig = Signature(xi.gen.p, xi.gen.q)
     V, s, U = _generator_svd(xi.gen)
     g = _dp_motion(V, s, U, xi.v)
-    via_tau = tau(_dp_motion(V, 0.5 * s, U, 0.5 * xi.v), sig, tol)
-    if np.linalg.norm(g.homogeneous() - via_tau.motion.homogeneous()) > 1e-10 * sig.n * (
-        1.0 + np.linalg.norm(g.X)
-    ):
+    via_tau = tau(_dp_motion(V, 0.5 * s, U, 0.5 * xi.v), sig, tol).motion
+    gap = math.hypot(np.linalg.norm(g.R - via_tau.R), np.linalg.norm(g.X - via_tau.X))
+    if gap > 1e-10 * sig.n * (1.0 + np.linalg.norm(g.X)):
         raise NumericalFaultError("exp and tau routes disagree")
     return CartanMotion.certify(g, sig, tol)
 
@@ -297,21 +315,25 @@ def dp_exp_full(
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     """Inverse of dp_exp_full on generic Cartan-model motions.
 
-    The rotation part fixes the principal pairs (V_i, U_i) and angles s_i.
-    The fiber is pulled back pair by pair, dividing by the half-angle factor
-    f_i = 2 sin(s_i/2)/s_i, which lies in (2/pi, 1] inside the cut locus;
-    a residual check rejects a fiber outside the image.
+    The motion is checked once: SO(n) and a finite translation, then the
+    S_p0 check, whose ``eigh`` gives the frame of the plane. That frame fixes
+    the principal pairs (V_i, U_i) and angles s_i. The fiber is pulled back
+    pair by pair, dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i,
+    which lies in (2/pi, 1] inside the cut locus; a residual check rejects a
+    fiber outside the image.
     """
     tol = tol or default_tolerances()
     p = s.sig.p
-    V, angles, U = _principal_pairs(CartanRotation.certify(s.motion.R, s.sig, tol), tol)
+    check_motion(s.motion, tol)
+    F = plane_from_frame(_cartan_frame(s.motion.R, s.sig, tol), tol).frame
+    V, angles, U = _principal_pairs(F, tol)
     X = s.motion.X
     top = V.T @ X[:p]
     f = np.array([_half_angle_factor(x) for x in angles])
     w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
     v = X[:p] + V @ (w - top)
     residual = np.linalg.norm(_dp_translation(V, angles, U, v) - X)
-    if residual > 1e-8 * (1.0 + np.linalg.norm(X)):
+    if not residual <= 1e-8 * (1.0 + np.linalg.norm(X)):
         raise NearSingularIsomorphismError(
             "restricted system residual too large", residual=float(residual)
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 ENV_TOL_SCALE = "CARTAN_BUNDLE_TOL_SCALE"
 
@@ -46,9 +47,16 @@ class Tolerances:
 
 
 def default_tolerances() -> Tolerances:
-    """Default tolerances, scaled by CARTAN_BUNDLE_TOL_SCALE when set."""
+    """Default tolerances, scaled by CARTAN_BUNDLE_TOL_SCALE when set.
+
+    The variable is read on every call; the result is memoized per value.
+    """
+    return _tolerances_for(os.environ.get(ENV_TOL_SCALE))
+
+
+@lru_cache(maxsize=8)
+def _tolerances_for(scale: str | None) -> Tolerances:
     tol = Tolerances()
-    scale = os.environ.get(ENV_TOL_SCALE)
     if scale:
         tol = tol.scaled(float(scale))
     return tol

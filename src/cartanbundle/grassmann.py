@@ -5,12 +5,20 @@ orthonormal frame. The Cartan model S_p0 consists of rotations R with R J
 a symmetric involution whose (-1)-eigenspace has dimension p, where
 J = diag(-I_p, I_q); the correspondence rho0 reads the plane off that
 eigenspace.
+
+J is diagonal, so R J, J R J and J X are column, row-and-column and entry
+sign flips by the diagonal of J; J is built once per (p, q), read-only. One
+private routine checks membership of a rotation already in SO(n): R J
+symmetric, R J involutive, and one ``eigh`` of R J giving the (-1)-eigenspace
+dimension and its frame. ``CartanRotation.certify``, ``CartanMotion.certify``,
+``rho`` and ``dp_log_full`` each run it once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +38,19 @@ from .matcore import (
 )
 
 
+@lru_cache(maxsize=32)
+def _sign_arrays(p: int, q: int) -> tuple:
+    """(j, J): the diagonal of J = diag(-I_p, I_q) and J itself, read-only.
+
+    Shared by every Signature of the same (p, q); read-only because every
+    caller gets the same arrays.
+    """
+    j = np.concatenate([-np.ones(p), np.ones(q)])
+    J = np.diag(j)
+    j.flags.writeable = J.flags.writeable = False
+    return j, J
+
+
 @dataclass(frozen=True)
 class Signature:
     """Block signature (p, q) with matrix J = diag(-I_p, I_q)."""
@@ -47,7 +68,13 @@ class Signature:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag(np.concatenate([-np.ones(self.p), np.ones(self.q)]))
+        """J, read-only."""
+        return _sign_arrays(self.p, self.q)[1]
+
+    @property
+    def _signs(self) -> np.ndarray:
+        """The diagonal of J, read-only: M * j is M J, j[:, None] * M is J M."""
+        return _sign_arrays(self.p, self.q)[0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +124,8 @@ def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
     """The involution sigma0(R) = J R J on SO(n)."""
     if R.shape != (sig.n, sig.n):
         raise DimensionMismatchError("rotation dimension does not match signature")
-    J = sig.matrix
-    return J @ R @ J
+    j = sig._signs
+    return j[:, None] * R * j
 
 
 def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
@@ -106,7 +133,7 @@ def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
     tol = tol or default_tolerances()
     if R.shape != (sig.n, sig.n):
         raise DimensionMismatchError("rotation dimension does not match signature")
-    M = R @ sig.matrix
+    M = R * sig._signs
     return bool(np.linalg.norm(M @ M - np.eye(sig.n)) <= tol.invol)
 
 
@@ -114,8 +141,8 @@ def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
     """Twisted conjugation A . R . sigma0(A)^{-1}."""
     if A.shape != R.shape:
         raise DimensionMismatchError("operand dimensions differ")
-    J = sig.matrix
-    return A @ R @ J @ A.T @ J
+    j = sig._signs
+    return ((A @ R) * j) @ A.T * j
 
 
 @dataclass(frozen=True)
@@ -130,27 +157,8 @@ class CartanRotation:
         cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None
     ) -> "CartanRotation":
         tol = tol or default_tolerances()
-        return cls._from_special_orthogonal(check_special_orthogonal(mat, tol), sig, tol)
-
-    @classmethod
-    def _from_special_orthogonal(
-        cls, mat: np.ndarray, sig: Signature, tol: Tolerances
-    ) -> "CartanRotation":
-        """``certify`` for a matrix already checked to lie in SO(n)."""
-        n = sig.n
-        if mat.shape != (n, n):
-            raise DimensionMismatchError("rotation dimension does not match signature")
-        S = mat @ sig.matrix
-        if np.linalg.norm(S - S.T) > tol.invol * n:
-            raise NotInCartanModelError("R J is not symmetric")
-        if np.linalg.norm(S @ S - np.eye(n)) > tol.invol * n:
-            raise NotInCartanModelError("R J is not an involution")
-        dim = int(np.sum(np.linalg.eigvalsh(S) < 0))
-        if dim != sig.p:
-            raise NotInCartanModelError(
-                "not in the Cartan model: wrong eigenspace dimension",
-                eigenspace_dim=dim,
-            )
+        mat = check_special_orthogonal(mat, tol)
+        _cartan_frame(mat, sig, tol)
         return cls(mat=mat, sig=sig)
 
     @property
@@ -158,10 +166,35 @@ class CartanRotation:
         return self.sig.n
 
 
+def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> np.ndarray:
+    """Frame of the plane of a rotation already checked to lie in SO(n).
+
+    Checks that R J is a symmetric involution whose (-1)-eigenspace has
+    dimension p, raising ``NotInCartanModelError`` if not, and returns that
+    eigenspace's frame from the same ``eigh``.
+    """
+    n = sig.n
+    if mat.shape != (n, n):
+        raise DimensionMismatchError("rotation dimension does not match signature")
+    S = mat * sig._signs
+    if np.linalg.norm(S - S.T) > tol.invol * n:
+        raise NotInCartanModelError("R J is not symmetric")
+    if np.linalg.norm(S @ S - np.eye(n)) > tol.invol * n:
+        raise NotInCartanModelError("R J is not an involution")
+    w, V = np.linalg.eigh(S)
+    F = V[:, w < 0]
+    if F.shape[1] != sig.p:
+        raise NotInCartanModelError(
+            "not in the Cartan model: wrong eigenspace dimension",
+            eigenspace_dim=int(F.shape[1]),
+        )
+    return F
+
+
 def _embed_matrix(plane: Plane) -> tuple:
     """(R, sig) with R = (I - 2 P) J for P the projector onto the plane."""
     sig = Signature(plane.p, plane.n - plane.p)
-    return (np.eye(plane.n) - 2.0 * plane.projector) @ sig.matrix, sig
+    return (np.eye(plane.n) - 2.0 * plane.projector) * sig._signs, sig
 
 
 def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation:
@@ -174,9 +207,12 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
 
 
 def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
-    """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J."""
+    """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J.
+
+    R may be uncertified, so R J is checked as an orthogonal symmetry here.
+    """
     tol = tol or default_tolerances()
-    S = R.mat @ R.sig.matrix
+    S = R.mat * R.sig._signs
     F = eigenspace_of_symmetric_involution(S, -1, tol)
     if F.shape[1] != R.sig.p:
         raise NotInCartanModelError(
@@ -218,11 +254,15 @@ def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
     Each principal pair (V_i, U_i) turns by s_i; the kernel of B and the
     complement of the range of B are fixed.
     """
+    p, n = V.shape[0], V.shape[0] + U.shape[0]
     c, sn = np.cos(s) - 1.0, np.sin(s)
-    return np.block([
-        [np.eye(V.shape[0]) + (V * c) @ V.T, -(V * sn) @ U.T],
-        [(U * sn) @ V.T, np.eye(U.shape[0]) + (U * c) @ U.T],
-    ])
+    R = np.empty((n, n))
+    R[:p, :p] = (V * c) @ V.T
+    R[:p, p:] = -(V * sn) @ U.T
+    R[p:, :p] = (U * sn) @ V.T
+    R[p:, p:] = (U * c) @ U.T
+    R.flat[:: n + 1] += 1.0
+    return R
 
 
 def _generator_svd(gen: DpGenerator) -> tuple:
@@ -249,8 +289,8 @@ def principal_angles(a: Plane, b: Plane) -> np.ndarray:
     return np.arccos(np.clip(s, -1.0, 1.0))
 
 
-def _principal_pairs(R: CartanRotation, tol: Tolerances) -> tuple:
-    """(V, s, U) with dp_exp(U diag(s) V^T) = R, read off the rho0 frame.
+def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
+    """(V, s, U) with dp_exp(U diag(s) V^T) = R, for F a frame of rho0(R).
 
     The plane of exp(omega) is exp(omega/2) applied to the reference plane,
     so s is twice the principal angles phi between rho0(R) and the reference
@@ -258,8 +298,7 @@ def _principal_pairs(R: CartanRotation, tol: Tolerances) -> tuple:
     sin(phi) <= tol.sing gets a zero U column. A principal angle at pi/2 is
     the cut locus.
     """
-    p = R.sig.p
-    F = rho0(R, tol).frame
+    p = F.shape[1]
     V, c, Wt = np.linalg.svd(F[:p, :])
     phi = np.arccos(np.clip(c, -1.0, 1.0))
     if np.any(phi >= 0.5 * math.pi - tol.branch):
@@ -274,5 +313,5 @@ def _principal_pairs(R: CartanRotation, tol: Tolerances) -> tuple:
 def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
     """Generator with dp_exp(gen) = R, for planes in generic position."""
     tol = tol or default_tolerances()
-    V, s, U = _principal_pairs(R, tol)
+    V, s, U = _principal_pairs(rho0(R, tol).frame, tol)
     return DpGenerator(p=R.sig.p, q=R.sig.q, B=(U * s) @ V.T)

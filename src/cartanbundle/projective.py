@@ -66,7 +66,11 @@ def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
     I + sin(theta) K + (1 - cos(theta)) K^2 is the exponential exactly; no
     canonical form is computed.
     """
-    U = unit_direction(U)
+    return _plane_rotation(theta, unit_direction(U))
+
+
+def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
+    """``rotation_in_plane`` for a validated direction U."""
     if not math.isfinite(theta):
         raise DimensionMismatchError("rotation angle must be finite")
     E1 = basis_vector(1, len(U))
@@ -91,11 +95,10 @@ def two_reflections_check(theta: float, U: np.ndarray) -> bool:
     """Whether R_{theta,U} J equals the reflection about the half-angle normal."""
     U = unit_direction(U)
     n = U.shape[0]
-    R = rotation_in_plane(theta, U)
-    J = Signature(1, n - 1).matrix
+    R = _plane_rotation(theta, U)
     V = _half_angle_vector(theta, U)
     S2 = reflection_about_hyperplane_normal(V / np.linalg.norm(V))
-    return bool(np.linalg.norm(R @ J - S2) <= 1e-10 * n)
+    return bool(np.linalg.norm(R * Signature(1, n - 1)._signs - S2) <= 1e-10 * n)
 
 
 def half_angle_line(theta: float, U: np.ndarray) -> Line:
@@ -110,7 +113,7 @@ def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
     direction; the theta -> 0 limit is lam e_1.
     """
     U = unit_direction(U)
-    R = rotation_in_plane(theta, U)
+    R = _plane_rotation(theta, U)
     return Motion(R, lam * _half_angle_factor(theta) * _half_angle_vector(theta, U))
 
 

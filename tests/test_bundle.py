@@ -5,28 +5,34 @@ import pytest
 
 from cartanbundle import (
     CartanMotion,
+    CartanRotation,
     CutLocusError,
     DimensionMismatchError,
     DpElement,
     DpGenerator,
+    IllConditionedSpectrumError,
     Motion,
     NearSingularIsomorphismError,
     NotInCartanModelError,
+    NotOrthogonalSymmetryError,
     Signature,
     bundle_act,
     bundle_point,
     double_projection,
     dp_exp,
     dp_exp_full,
+    dp_log0,
     dp_log_full,
     find_transporter,
     in_Q,
     is_fixed_point,
     rho,
+    rho0,
     rho_inv,
     se_inv,
     se_mul,
     sigma,
+    so_exp,
     tau,
     twisted_act,
     coordinate_plane,
@@ -380,6 +386,12 @@ class TestDpFull:
         with pytest.raises(CutLocusError):
             dp_log_full(s)
 
+    @pytest.mark.parametrize("X", [[math.nan, 0, 0, 0], [0, 0, math.inf, 0]], ids=["nan", "inf"])
+    def test_log_rejects_non_finite_translation(self, X):
+        s = CartanMotion(Motion(np.eye(4), np.array(X)), SIG22)
+        with pytest.raises(DimensionMismatchError):
+            dp_log_full(s)
+
     def test_log_rejects_fiber_outside_image(self):
         # Not certified: the fiber e_3 lies outside the reference plane, so no
         # v maps onto it and only the residual check can catch it.
@@ -407,3 +419,66 @@ class TestCartanMotionValidation:
     def test_rejects_fiber_outside_plane(self):
         with pytest.raises(NotInCartanModelError):
             CartanMotion.certify(Motion(np.eye(4), np.array([0, 0, 1.0, 0])), SIG22)
+
+
+def _certify(s):
+    return CartanMotion.certify(s.motion, s.sig)
+
+
+# Each runs the S_p0 check on a CartanMotion that may be uncertified.
+MOTION_CHECKS = [rho, dp_log_full, _certify]
+
+
+def _nan_on_diagonal():
+    R = np.eye(4)
+    R[1, 1] = math.nan
+    return R
+
+
+_SKEW = np.array([
+    [0.0, 0.3, -0.5, 0.2],
+    [-0.3, 0.0, 0.7, -0.1],
+    [0.5, -0.7, 0.0, 0.4],
+    [-0.2, 0.1, -0.4, 0.0],
+])
+
+# (R, class raised on the uncertified motion (R, 0) by MOTION_CHECKS, class
+# raised on the uncertified rotation by rho0 and dp_log0). The motion route
+# checks SO(n) first; rho0 checks R J as an orthogonal symmetry.
+UNCERTIFIED_CASES = [
+    pytest.param(1.01 * np.eye(4), IllConditionedSpectrumError,
+                 NotOrthogonalSymmetryError, id="scaled-identity"),
+    pytest.param(np.diag([-1.0, 1, 1, 1]), IllConditionedSpectrumError,
+                 NotInCartanModelError, id="reflection"),
+    pytest.param(so_exp(_SKEW), NotInCartanModelError,
+                 NotOrthogonalSymmetryError, id="generic-rotation"),
+    pytest.param(np.diag([1.0, 1, -1, -1]), NotInCartanModelError,
+                 NotInCartanModelError, id="eigenspace-dim-4"),
+    pytest.param(_nan_on_diagonal(), DimensionMismatchError,
+                 DimensionMismatchError, id="nan"),
+]
+
+
+@pytest.mark.parametrize("R, motion_error, rotation_error", UNCERTIFIED_CASES)
+def test_uncertified_input_error_class(R, motion_error, rotation_error):
+    for op in MOTION_CHECKS:
+        with pytest.raises(motion_error):
+            op(CartanMotion(Motion(R, np.zeros(4)), SIG22))
+    for op in (rho0, dp_log0):
+        with pytest.raises(rotation_error):
+            op(CartanRotation(R, SIG22))
+
+
+@pytest.mark.parametrize("op", MOTION_CHECKS, ids=lambda op: op.__name__)
+def test_one_eigen_decomposition_per_call(rng, monkeypatch, op):
+    """The S_p0 check and the plane's frame come from the same eigh."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    s = dp_exp_full(sample_dp_element(rng, 2, 2, bound=2.0))
+    calls.clear()
+    op(s)
+    assert len(calls) == 1

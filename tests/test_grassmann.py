@@ -69,6 +69,14 @@ class TestPlane:
             plane_equal(coordinate_plane(3, 1), coordinate_plane(4, 1))
 
 
+def test_signature_matrix_is_shared_and_read_only():
+    J = Signature(2, 2).matrix
+    assert np.array_equal(J, np.diag([-1.0, -1.0, 1.0, 1.0]))
+    assert Signature(2, 2).matrix is J
+    with pytest.raises(ValueError):
+        J[0, 0] = 1.0
+
+
 class TestSigma0:
     def test_fixes_identity(self):
         sig = Signature(1, 2)

@@ -7,11 +7,14 @@ plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
 J enters only as sign flips of rows, columns and entries. A motion in S_p is
-checked once per call: SO(n) and a finite translation, then the shared S_p0
-check of grassmann (one ``eigh``), then the sigma residual and the fiber
-condition. The residual of sigma(g) g against the identity is computed from
-the rotation and translation blocks; the last row of the homogeneous
-residual is exactly zero, so no (n+1) x (n+1) matrix is built.
+checked once, when its ``CartanMotion`` is constructed: SO(n) and a finite
+translation, then the shared S_p0 check of grassmann (one ``eigh``), then
+the sigma residual and the fiber condition. The instance keeps read-only
+copies of R and X and the frame of the plane that the check found, so
+``rho`` and ``dp_log_full`` check nothing again. The residual of sigma(g) g
+against the identity is computed from the rotation and translation blocks;
+the last row of the homogeneous residual is exactly zero, so no
+(n+1) x (n+1) matrix is built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .config import Tolerances, default_tolerances
 from .errors import (
@@ -38,6 +41,7 @@ from .grassmann import (
     _embed_matrix,
     _generator_svd,
     _principal_pairs,
+    _read_only,
     plane_from_frame,
     rotate_plane,
 )
@@ -82,20 +86,26 @@ def bundle_point(
 
 @dataclass(frozen=True)
 class CartanMotion:
-    """A motion certified to lie in the Cartan model S_p."""
+    """A motion in the Cartan model S_p, checked once, at construction.
+
+    The constructor (``certify`` is an alias) checks SO(n) and a finite
+    translation, then S_p0, the sigma residual and the fiber condition. The
+    instance keeps read-only copies of R and X and the read-only frame of
+    the carried plane that the S_p0 check found; ``dataclasses.replace``
+    runs the check again.
+    """
 
     motion: Motion
     sig: Signature
+    tol: InitVar[Tolerances | None] = None
+    _frame: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def certify(
-        cls, motion: Motion, sig: Signature, tol: Tolerances | None = None
-    ) -> "CartanMotion":
+    def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        check_motion(motion, tol)
-        if motion.n != sig.n:
-            raise DimensionMismatchError("motion dimension does not match signature")
-        _cartan_frame(motion.R, sig, tol)
+        sig, R, X = self.sig, self.motion.R, self.motion.X
+        motion = check_motion(Motion(_read_only(R), _read_only(X)), tol)
+        # The S_p0 check first compares the dimension with the signature.
+        object.__setattr__(self, "_frame", _cartan_frame(motion.R, sig, tol))
         residual = _sigma_residual(motion, sig)
         scale = 1.0 + np.linalg.norm(motion.X)
         if residual > tol.invol * sig.n * scale:
@@ -107,7 +117,13 @@ class CartanMotion:
             raise NotInCartanModelError(
                 "translation is not in the carried plane", residual=float(fib)
             )
-        return cls(motion=motion, sig=sig)
+        object.__setattr__(self, "motion", motion)
+
+    @classmethod
+    def certify(
+        cls, motion: Motion, sig: Signature, tol: Tolerances | None = None
+    ) -> "CartanMotion":
+        return cls(motion, sig, tol)
 
     @property
     def n(self) -> int:
@@ -153,6 +169,12 @@ def _sigma_residual(g: Motion, sig: Signature) -> float:
     )
 
 
+def _check_finite(g: Motion) -> None:
+    """Raise ``DimensionMismatchError`` unless both blocks of g are finite."""
+    if not (np.all(np.isfinite(g.R)) and np.all(np.isfinite(g.X))):
+        raise DimensionMismatchError("motion has non-finite entries")
+
+
 def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
     """Whether g is fixed by sigma, cross-checked against the block structure.
 
@@ -162,6 +184,7 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
     agree.
     """
     tol = tol or default_tolerances()
+    _check_finite(g)
     p = sig.p
     r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())
     off = np.sqrt(
@@ -169,7 +192,7 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
         + np.linalg.norm(g.R[p:, :p]) ** 2
         + np.linalg.norm(g.X[:p]) ** 2
     )
-    if abs(r_sigma - 2.0 * off) > 1e-12 * (1.0 + r_sigma):
+    if not abs(r_sigma - 2.0 * off) <= 1e-12 * (1.0 + r_sigma):
         raise NumericalFaultError(
             "fixed-point tests disagree", sigma_residual=float(r_sigma)
         )
@@ -191,6 +214,8 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     """
     if a.n != g.n or a.n != sig.n:
         raise DimensionMismatchError("operand dimensions differ")
+    _check_finite(a)
+    _check_finite(g)
     j = sig._signs
     A, X = a.R, a.X
     R, Y = g.R, g.X
@@ -198,7 +223,8 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     closed = Motion(core * j, X + A @ Y - core @ X)
     generic = se_mul(se_mul(a, g), sigma(se_inv(a), sig))
     scale = 1.0 + np.linalg.norm(X) + np.linalg.norm(Y)
-    if np.linalg.norm(closed.homogeneous() - generic.homogeneous()) > 1e-11 * sig.n * scale:
+    gap = np.linalg.norm(closed.homogeneous() - generic.homogeneous())
+    if not gap <= 1e-11 * sig.n * scale:
         raise NumericalFaultError("twisted action routes disagree")
     return closed
 
@@ -218,10 +244,12 @@ def double_projection(
     X = np.asarray(X, dtype=float)
     if A.shape != (sig.n, sig.n) or X.shape != (sig.n,):
         raise DimensionMismatchError("operand dimensions differ")
+    if not np.all(np.isfinite(X)):
+        raise DimensionMismatchError("vector has non-finite entries")
     D = X - (A * sig._signs) @ A.T @ X
     F = A[:, : sig.p]
     ref = 2.0 * (F @ (F.T @ X))
-    if np.linalg.norm(D - ref) > 1e-10 * (1.0 + np.linalg.norm(X)):
+    if not np.linalg.norm(D - ref) <= 1e-10 * (1.0 + np.linalg.norm(X)):
         raise NumericalFaultError("projection identity violated")
     return D
 
@@ -229,19 +257,18 @@ def double_projection(
 def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
     """The bundle point (rho0(R), Y) carried by a Cartan-model motion.
 
-    R is checked once: SO(n), then the S_p0 check, whose ``eigh`` also gives
-    the frame of the plane. The fiber Y must lie in that plane.
+    The plane's frame is the one s kept from its construction check; no
+    membership check or eigen decomposition runs here. The fiber Y must lie
+    in that plane.
     """
     tol = tol or default_tolerances()
-    R = check_special_orthogonal(s.motion.R, tol)
-    plane = plane_from_frame(_cartan_frame(R, s.sig, tol), tol)
-    return bundle_point(plane, s.motion.X, tol)
+    return bundle_point(plane_from_frame(s._frame, tol), s.motion.X, tol)
 
 
 def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
     """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation."""
     R, sig = _embed_matrix(b.plane)
-    return CartanMotion.certify(Motion(R, np.asarray(b.fiber, float)), sig, tol)
+    return CartanMotion.certify(Motion(R, b.fiber), sig, tol)
 
 
 def bundle_act(
@@ -307,7 +334,7 @@ def dp_exp_full(
     g = _dp_motion(V, s, U, xi.v)
     via_tau = tau(_dp_motion(V, 0.5 * s, U, 0.5 * xi.v), sig, tol).motion
     gap = math.hypot(np.linalg.norm(g.R - via_tau.R), np.linalg.norm(g.X - via_tau.X))
-    if gap > 1e-10 * sig.n * (1.0 + np.linalg.norm(g.X)):
+    if not gap <= 1e-10 * sig.n * (1.0 + np.linalg.norm(g.X)):
         raise NumericalFaultError("exp and tau routes disagree")
     return CartanMotion.certify(g, sig, tol)
 
@@ -315,18 +342,17 @@ def dp_exp_full(
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     """Inverse of dp_exp_full on generic Cartan-model motions.
 
-    The motion is checked once: SO(n) and a finite translation, then the
-    S_p0 check, whose ``eigh`` gives the frame of the plane. That frame fixes
-    the principal pairs (V_i, U_i) and angles s_i. The fiber is pulled back
-    pair by pair, dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i,
-    which lies in (2/pi, 1] inside the cut locus; a residual check rejects a
-    fiber outside the image.
+    The frame of the plane, kept by s from its construction check, fixes
+    the principal pairs (V_i, U_i) and angles s_i; no membership check or
+    eigen decomposition runs here. The fiber is pulled back pair by pair,
+    dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i, which lies in
+    (2/pi, 1] inside the cut locus. A certified fiber can still lie outside
+    the image, since the construction bound is looser; a residual check
+    rejects it.
     """
     tol = tol or default_tolerances()
     p = s.sig.p
-    check_motion(s.motion, tol)
-    F = plane_from_frame(_cartan_frame(s.motion.R, s.sig, tol), tol).frame
-    V, angles, U = _principal_pairs(F, tol)
+    V, angles, U = _principal_pairs(plane_from_frame(s._frame, tol).frame, tol)
     X = s.motion.X
     top = V.T @ X[:p]
     f = np.array([_half_angle_factor(x) for x in angles])

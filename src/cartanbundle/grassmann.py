@@ -10,14 +10,16 @@ J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
 private routine checks membership of a rotation already in SO(n): R J
 symmetric, R J involutive, and one ``eigh`` of R J giving the (-1)-eigenspace
-dimension and its frame. ``CartanRotation.certify``, ``CartanMotion.certify``,
-``rho`` and ``dp_log_full`` each run it once per call.
+dimension and its frame. It runs once, when a ``CartanRotation`` or a
+``CartanMotion`` is constructed; the instance keeps read-only copies of its
+matrices and that frame, so ``rho0``, ``dp_log0``, ``rho`` and
+``dp_log_full`` read the frame and check nothing again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +34,6 @@ from .matcore import (
     check_finite_matrix,
     check_frame,
     check_special_orthogonal,
-    eigenspace_of_symmetric_involution,
     orthonormalize,
     projector,
 )
@@ -145,21 +146,39 @@ def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
     return ((A @ R) * j) @ A.T * j
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CartanRotation:
-    """A rotation certified to lie in the Cartan model S_p0."""
+    """A rotation in the Cartan model S_p0, checked once, at construction.
+
+    The constructor (``certify`` is an alias) checks SO(n) and then S_p0.
+    The instance keeps a read-only copy of R and the read-only frame of the
+    (-1)-eigenspace of R J that the check found; ``dataclasses.replace``
+    runs the check again.
+    """
 
     mat: np.ndarray
     sig: Signature
+    tol: InitVar[Tolerances | None] = None
+    _frame: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, tol):
+        tol = tol or default_tolerances()
+        mat = _read_only(check_special_orthogonal(self.mat, tol))
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol))
 
     @classmethod
     def certify(
         cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None
     ) -> "CartanRotation":
-        tol = tol or default_tolerances()
-        mat = check_special_orthogonal(mat, tol)
-        _cartan_frame(mat, sig, tol)
-        return cls(mat=mat, sig=sig)
+        return cls(mat, sig, tol)
 
     @property
     def n(self) -> int:
@@ -171,7 +190,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> np.ndarra
 
     Checks that R J is a symmetric involution whose (-1)-eigenspace has
     dimension p, raising ``NotInCartanModelError`` if not, and returns that
-    eigenspace's frame from the same ``eigh``.
+    eigenspace's frame, read-only, from the same ``eigh``.
     """
     n = sig.n
     if mat.shape != (n, n):
@@ -188,6 +207,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> np.ndarra
             "not in the Cartan model: wrong eigenspace dimension",
             eigenspace_dim=int(F.shape[1]),
         )
+    F.flags.writeable = False
     return F
 
 
@@ -209,17 +229,10 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
 def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
     """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J.
 
-    R may be uncertified, so R J is checked as an orthogonal symmetry here.
+    The frame is the one R kept from its construction check; no membership
+    check or eigen decomposition runs here.
     """
-    tol = tol or default_tolerances()
-    S = R.mat * R.sig._signs
-    F = eigenspace_of_symmetric_involution(S, -1, tol)
-    if F.shape[1] != R.sig.p:
-        raise NotInCartanModelError(
-            "not in the Cartan model: wrong eigenspace dimension",
-            eigenspace_dim=int(F.shape[1]),
-        )
-    return plane_from_frame(F, tol)
+    return plane_from_frame(R._frame, tol)
 
 
 @dataclass(frozen=True)

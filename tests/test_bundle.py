@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from cartanbundle import (
     Motion,
     NearSingularIsomorphismError,
     NotInCartanModelError,
-    NotOrthogonalSymmetryError,
     Signature,
     bundle_act,
     bundle_point,
@@ -36,6 +36,7 @@ from cartanbundle import (
     tau,
     twisted_act,
     coordinate_plane,
+    plane_equal,
 )
 from cartanbundle.sampling import (
     sample_bundle_point,
@@ -97,6 +98,15 @@ class TestSigma:
             assert np.linalg.norm(lhs.homogeneous() - rhs.homogeneous()) <= 1e-12 * 4
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+
+
+def _with_entry(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
 class TestFixedPoints:
     def test_block_motion_is_fixed(self, rng):
         for _ in range(30):
@@ -111,6 +121,13 @@ class TestFixedPoints:
     def test_generic_rotation_not_fixed(self):
         sig = Signature(1, 1)
         assert not is_fixed_point(Motion(rot2(0.9), np.zeros(2)), sig)
+
+    @NON_FINITE
+    def test_rejects_non_finite_motion(self, bad):
+        for g in (Motion(np.eye(4), _with_entry(np.zeros(4), 2, bad)),
+                  Motion(_with_entry(np.eye(4), (0, 3), bad), np.zeros(4))):
+            with pytest.raises(DimensionMismatchError):
+                is_fixed_point(g, SIG22)
 
     def test_tau_constant_on_cosets(self, rng):
         g = sample_motion(rng, 4)
@@ -159,6 +176,15 @@ class TestTwistedAction:
             rhs = twisted_act(a1, twisted_act(a2, g, SIG22), SIG22)
             assert np.linalg.norm(lhs.homogeneous() - rhs.homogeneous()) <= 1e-10
 
+    @NON_FINITE
+    def test_rejects_non_finite_motion(self, bad):
+        e = Motion(np.eye(4), np.zeros(4))
+        for a, g in ((e, Motion(np.eye(4), _with_entry(np.zeros(4), 0, bad))),
+                     (Motion(np.eye(4), _with_entry(np.zeros(4), 3, bad)), e),
+                     (Motion(_with_entry(np.eye(4), (1, 2), bad), np.zeros(4)), e)):
+            with pytest.raises(DimensionMismatchError):
+                twisted_act(a, g, SIG22)
+
 
 class TestTau:
     def test_translation(self, rng):
@@ -205,6 +231,13 @@ class TestDoubleProjection:
             D = double_projection(A, X, SIG22)
             P = svd_projector_oracle(A[:, :2])
             assert np.linalg.norm(D - 2 * P @ X) <= 1e-10
+
+    @NON_FINITE
+    def test_rejects_non_finite_vector(self, bad):
+        with pytest.raises(DimensionMismatchError):
+            double_projection(np.eye(4), _with_entry(np.zeros(4), 0, bad), SIG22)
+        with pytest.raises(DimensionMismatchError):
+            double_projection(_with_entry(np.eye(4), (2, 2), bad), np.zeros(4), SIG22)
 
 
 class TestRho:
@@ -388,14 +421,16 @@ class TestDpFull:
 
     @pytest.mark.parametrize("X", [[math.nan, 0, 0, 0], [0, 0, math.inf, 0]], ids=["nan", "inf"])
     def test_log_rejects_non_finite_translation(self, X):
-        s = CartanMotion(Motion(np.eye(4), np.array(X)), SIG22)
+        # No CartanMotion can carry a non-finite translation: construction,
+        # the only membership check, rejects it before dp_log_full runs.
         with pytest.raises(DimensionMismatchError):
-            dp_log_full(s)
+            CartanMotion(Motion(np.eye(4), np.array(X)), SIG22)
 
     def test_log_rejects_fiber_outside_image(self):
-        # Not certified: the fiber e_3 lies outside the reference plane, so no
-        # v maps onto it and only the residual check can catch it.
-        s = CartanMotion(Motion(np.eye(4), np.array([0, 0, 1.0, 0])), SIG22)
+        # The fiber leaks 3e-8 out of the reference plane: inside the
+        # construction bound tol.invol n (1 + |X|), but outside the image of
+        # dp_exp_full, so only the residual check can catch it.
+        s = CartanMotion.certify(Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), SIG22)
         with pytest.raises(NearSingularIsomorphismError):
             dp_log_full(s)
 
@@ -420,13 +455,11 @@ class TestCartanMotionValidation:
         with pytest.raises(NotInCartanModelError):
             CartanMotion.certify(Motion(np.eye(4), np.array([0, 0, 1.0, 0])), SIG22)
 
-
-def _certify(s):
-    return CartanMotion.certify(s.motion, s.sig)
-
-
-# Each runs the S_p0 check on a CartanMotion that may be uncertified.
-MOTION_CHECKS = [rho, dp_log_full, _certify]
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            CartanMotion(Motion(np.eye(3), np.zeros(3)), SIG22)
+        with pytest.raises(DimensionMismatchError):
+            CartanRotation(np.eye(3), SIG22)
 
 
 def _nan_on_diagonal():
@@ -442,36 +475,42 @@ _SKEW = np.array([
     [-0.2, 0.1, -0.4, 0.0],
 ])
 
-# (R, class raised on the uncertified motion (R, 0) by MOTION_CHECKS, class
-# raised on the uncertified rotation by rho0 and dp_log0). The motion route
-# checks SO(n) first; rho0 checks R J as an orthogonal symmetry.
+# (R, class raised when constructing the motion (R, 0) or the rotation R).
+# Both constructors run the one check: SO(n) first, then S_p0.
 UNCERTIFIED_CASES = [
-    pytest.param(1.01 * np.eye(4), IllConditionedSpectrumError,
-                 NotOrthogonalSymmetryError, id="scaled-identity"),
-    pytest.param(np.diag([-1.0, 1, 1, 1]), IllConditionedSpectrumError,
-                 NotInCartanModelError, id="reflection"),
-    pytest.param(so_exp(_SKEW), NotInCartanModelError,
-                 NotOrthogonalSymmetryError, id="generic-rotation"),
-    pytest.param(np.diag([1.0, 1, -1, -1]), NotInCartanModelError,
-                 NotInCartanModelError, id="eigenspace-dim-4"),
-    pytest.param(_nan_on_diagonal(), DimensionMismatchError,
-                 DimensionMismatchError, id="nan"),
+    pytest.param(1.01 * np.eye(4), IllConditionedSpectrumError, id="scaled-identity"),
+    pytest.param(np.diag([-1.0, 1, 1, 1]), IllConditionedSpectrumError, id="reflection"),
+    pytest.param(so_exp(_SKEW), NotInCartanModelError, id="generic-rotation"),
+    pytest.param(np.diag([1.0, 1, -1, -1]), NotInCartanModelError, id="eigenspace-dim-4"),
+    pytest.param(_nan_on_diagonal(), DimensionMismatchError, id="nan"),
 ]
 
 
-@pytest.mark.parametrize("R, motion_error, rotation_error", UNCERTIFIED_CASES)
-def test_uncertified_input_error_class(R, motion_error, rotation_error):
-    for op in MOTION_CHECKS:
-        with pytest.raises(motion_error):
-            op(CartanMotion(Motion(R, np.zeros(4)), SIG22))
-    for op in (rho0, dp_log0):
-        with pytest.raises(rotation_error):
-            op(CartanRotation(R, SIG22))
+@pytest.mark.parametrize("R, error", UNCERTIFIED_CASES)
+def test_uncertified_input_error_class(R, error):
+    for build in (CartanMotion, CartanMotion.certify):
+        with pytest.raises(error):
+            build(Motion(R, np.zeros(4)), SIG22)
+    for build in (CartanRotation, CartanRotation.certify):
+        with pytest.raises(error):
+            build(R, SIG22)
 
 
-@pytest.mark.parametrize("op", MOTION_CHECKS, ids=lambda op: op.__name__)
-def test_one_eigen_decomposition_per_call(rng, monkeypatch, op):
-    """The S_p0 check and the plane's frame come from the same eigh."""
+# (op on a certified motion s and rotation cr, eigh calls it may run).
+# Construction runs the one S_p0 check; its consumers read the kept frame.
+EIGH_CALLS = [
+    pytest.param(lambda s, cr: rho(s), 0, id="rho"),
+    pytest.param(lambda s, cr: dp_log_full(s), 0, id="dp_log_full"),
+    pytest.param(lambda s, cr: rho0(cr), 0, id="rho0"),
+    pytest.param(lambda s, cr: dp_log0(cr), 0, id="dp_log0"),
+    pytest.param(lambda s, cr: CartanMotion.certify(s.motion, s.sig), 1, id="_certify"),
+    pytest.param(lambda s, cr: CartanRotation(cr.mat, cr.sig), 1, id="_certify_rotation"),
+]
+
+
+@pytest.mark.parametrize("op, expected", EIGH_CALLS)
+def test_one_eigen_decomposition_per_call(rng, monkeypatch, op, expected):
+    """Only construction runs the S_p0 check; its eigh also gives the frame."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _real=getattr(np.linalg, name), **kwargs):
@@ -479,6 +518,38 @@ def test_one_eigen_decomposition_per_call(rng, monkeypatch, op):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     s = dp_exp_full(sample_dp_element(rng, 2, 2, bound=2.0))
+    cr = CartanRotation(s.motion.R, s.sig)
     calls.clear()
-    op(s)
-    assert len(calls) == 1
+    op(s, cr)
+    assert len(calls) == expected
+
+
+class TestCertificate:
+    """A certified instance cannot be changed into an unchecked one."""
+
+    def test_replace_runs_the_check(self):
+        s = CartanMotion(Motion(np.eye(4), np.zeros(4)), SIG22)
+        with pytest.raises(NotInCartanModelError):
+            dataclasses.replace(s, motion=Motion(np.eye(4), np.array([0, 0, 1.0, 0])))
+        cr = CartanRotation(np.eye(4), SIG22)
+        with pytest.raises(NotInCartanModelError):
+            dataclasses.replace(cr, mat=so_exp(_SKEW))
+
+    def test_caller_mutation_does_not_reach_the_instance(self):
+        R, X = np.eye(4), np.array([1.0, 0, 0, 0])
+        s = CartanMotion(Motion(R, X), SIG22)
+        cr = CartanRotation(R, SIG22)
+        R[:] = so_exp(_SKEW)
+        X[2] = 5.0
+        assert np.array_equal(s.motion.R, np.eye(4))
+        assert np.array_equal(s.motion.X, [1.0, 0, 0, 0])
+        assert np.array_equal(cr.mat, np.eye(4))
+        assert plane_equal(rho(s).plane, coordinate_plane(4, 2))
+        assert plane_equal(rho0(cr), coordinate_plane(4, 2))
+
+    def test_stored_arrays_are_read_only(self):
+        s = CartanMotion(Motion(np.eye(4), np.zeros(4)), SIG22)
+        cr = CartanRotation(np.eye(4), SIG22)
+        for a in (s.motion.R, s.motion.X, cr.mat, rho0(cr).frame, rho(s).plane.frame):
+            with pytest.raises(ValueError):
+                a[0] = 2.0

@@ -91,14 +91,15 @@ class CartanMotion:
     The constructor (``certify`` is an alias) checks SO(n) and a finite
     translation, then S_p0, the sigma residual and the fiber condition. The
     instance keeps read-only copies of R and X and the read-only frame of
-    the carried plane that the S_p0 check found; ``dataclasses.replace``
-    runs the check again.
+    the carried plane that the S_p0 check found; ``dataclasses.replace``,
+    ``copy`` and ``pickle`` run the check again, under the same tolerances.
     """
 
     motion: Motion
     sig: Signature
     tol: InitVar[Tolerances | None] = None
     _frame: np.ndarray = field(init=False, repr=False, compare=False)
+    _tol: Tolerances = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
@@ -118,6 +119,10 @@ class CartanMotion:
                 "translation is not in the carried plane", residual=float(fib)
             )
         object.__setattr__(self, "motion", motion)
+        object.__setattr__(self, "_tol", tol)
+
+    def __reduce__(self):
+        return type(self), (self.motion, self.sig, self._tol)
 
     @classmethod
     def certify(
@@ -138,9 +143,9 @@ class DpElement:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.v.shape != (self.gen.p,):
+        if self.v.shape != (self.gen.p,) or not np.all(np.isfinite(self.v)):
             raise DimensionMismatchError(
-                f"coefficient vector must have length {self.gen.p}"
+                f"coefficient vector must be a finite vector of length {self.gen.p}"
             )
 
     @property
@@ -200,8 +205,9 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q = {g : sigma(g) = g^{-1}}."""
+    """Membership in Q = {g : sigma(g) = g^{-1}}; a non-finite g raises."""
     tol = tol or default_tolerances()
+    _check_finite(g)
     scale = 1.0 + np.linalg.norm(g.X)
     return bool(_sigma_residual(g, sig) <= tol.invol * scale)
 

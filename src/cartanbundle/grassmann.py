@@ -130,8 +130,9 @@ def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q0 = {R : (R J)^2 = I}."""
+    """Membership in Q0 = {R : (R J)^2 = I}; a non-finite R raises."""
     tol = tol or default_tolerances()
+    R = check_finite_matrix(R, "rotation")
     if R.shape != (sig.n, sig.n):
         raise DimensionMismatchError("rotation dimension does not match signature")
     M = R * sig._signs
@@ -159,20 +160,25 @@ class CartanRotation:
 
     The constructor (``certify`` is an alias) checks SO(n) and then S_p0.
     The instance keeps a read-only copy of R and the read-only frame of the
-    (-1)-eigenspace of R J that the check found; ``dataclasses.replace``
-    runs the check again.
+    (-1)-eigenspace of R J that the check found; ``dataclasses.replace``,
+    ``copy`` and ``pickle`` run the check again, under the same tolerances.
     """
 
     mat: np.ndarray
     sig: Signature
     tol: InitVar[Tolerances | None] = None
     _frame: np.ndarray = field(init=False, repr=False, compare=False)
+    _tol: Tolerances = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
         mat = _read_only(check_special_orthogonal(self.mat, tol))
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol))
+        object.__setattr__(self, "_tol", tol)
+
+    def __reduce__(self):
+        return type(self), (self.mat, self.sig, self._tol)
 
     @classmethod
     def certify(

@@ -1,19 +1,18 @@
 """The groups SO(n) and SE(n), their algebras, and closed-form exp/log.
 
 Motions are pairs (R, X) multiplying as (R1 R2, X1 + R1 X2); screws are
-pairs (omega, v). Every exp/log reads both of its factors off one canonical
-block form Q blockdiag(B(theta_1), ..., B(theta_k), fixed) Q^T:
+pairs (omega, v). exp and log are functions of normal matrices, so each
+reads both of its factors off one symmetric or Hermitian ``eigh``:
 
-- exp(omega, v) = (e^omega, Y_omega v). In the Pi-block form of omega,
-  e^omega rotates pair i by theta_i, and Y_omega turns it by theta_i / 2 and
-  scales it by the half-angle factor f_i = 2 sin(theta_i/2) / theta_i. Fixed
-  coordinates pass through both.
-- log(R, X) = (omega, Y_omega^{-1} X). The rotation form of R is already a
-  Pi-block form of omega = log R, so X is pulled back through the same Q and
-  angles: scale 1/f_i and turn -theta_i / 2.
+- exp(omega, v) = (e^omega, Y_omega v). With i omega = U diag(w) U^H,
+  e^omega = Re U e^{-iw} U^H and Y_omega = Re U f(w) e^{-iw/2} U^H, where
+  f(theta) = 2 sin(theta/2) / theta is the half-angle factor: on each
+  turning plane Y_omega turns by theta/2 and scales by f.
+- log(R, X) = (L, Y_L^{-1} X), from one ``eigh`` of S = (R + R^T)/2 (see
+  ``matcore._rotation_log``). With theta the angle of each eigenvector of
+  S, Y_L^{-1} = V diag(cos(theta/2) / f(theta)) V^T - L/2.
 
-Each call computes one form (one real Schur decomposition) and validates
-each input once: the matrix inside the form, then the vector.
+Each call validates each input once: the matrix, then the vector.
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapError
-from .matcore import (
-    CanonicalRotationForm,
-    canonical_rotation_form,
-    check_special_orthogonal,
-    skew_canonical_form,
-)
+from .matcore import _rotation_log, check_skew, check_special_orthogonal
 
 
 @dataclass(frozen=True)
@@ -109,18 +103,27 @@ def se_bracket(xi1: Screw, xi2: Screw) -> Screw:
     )
 
 
+def _spectrum(omega: np.ndarray) -> tuple:
+    """(w, U) with i omega = U diag(w) U^H, for omega checked skew and finite."""
+    return np.linalg.eigh(1j * check_skew(omega))
+
+
+def _apply(U: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re U diag(d) U^H x."""
+    return (U @ (d * (U.conj().T @ x))).real
+
+
 def so_exp(omega: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """Exponential of a skew matrix via its canonical Pi-block form."""
-    form = skew_canonical_form(omega, tol)
-    return form.rotation_matrix()
+    """Exponential of a skew matrix, Re U e^{-iw} U^H for i omega = U diag(w) U^H."""
+    w, U = _spectrum(omega)
+    return ((U * np.exp(-1j * w)) @ U.conj().T).real
 
 
-def _check_branch(form: CanonicalRotationForm, tol: Tolerances) -> None:
-    for theta in form.angles:
-        if abs(abs(theta) - math.pi) <= tol.branch:
-            raise BranchAmbiguityError(
-                "log branch ambiguity: rotation angle at pi", angle=float(theta)
-            )
+def _check_branch(theta: np.ndarray, tol: Tolerances) -> None:
+    if math.pi - theta.max() <= tol.branch:
+        raise BranchAmbiguityError(
+            "log branch ambiguity: rotation angle at pi", angle=float(theta.max())
+        )
 
 
 def so_log(
@@ -132,10 +135,10 @@ def so_log(
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
     tol = tol or default_tolerances()
-    form = canonical_rotation_form(omega_or_R, tol)
+    L, _, theta = _rotation_log(check_special_orthogonal(omega_or_R, tol))
     if not allow_pi:
-        _check_branch(form, tol)
-    return form.skew_matrix()
+        _check_branch(theta, tol)
+    return L
 
 
 def _half_angle_factor(theta: float) -> float:
@@ -146,32 +149,18 @@ def _half_angle_factor(theta: float) -> float:
     return 2.0 * math.sin(0.5 * theta) / theta
 
 
-def _turn_pairs(form: CanonicalRotationForm, x: np.ndarray, pairs) -> np.ndarray:
-    """Q blockdiag(k_i R(phi_i), I) Q^T x for (k_i, phi_i) in ``pairs``.
-
-    Pair i acts on basis columns 2i, 2i+1 of ``form.Q``; the trailing fixed
-    coordinates pass through.
-    """
-    w = form.Q.T @ x
-    for i, (k, phi) in enumerate(pairs):
-        c, s = k * math.cos(phi), k * math.sin(phi)
-        a, b = w[2 * i], w[2 * i + 1]
-        w[2 * i], w[2 * i + 1] = c * a - s * b, s * a + c * b
-    return form.Q @ w
+def _factors(theta: np.ndarray) -> np.ndarray:
+    """The half-angle factor of each angle."""
+    return np.array([_half_angle_factor(t) for t in theta])
 
 
-def _y_form(form: CanonicalRotationForm, v: np.ndarray) -> np.ndarray:
-    """Y_omega v for omega = Q blockdiag(Pi(theta_i), 0) Q^T."""
-    return _turn_pairs(form, v, [(_half_angle_factor(t), 0.5 * t) for t in form.angles])
-
-
-def _y_form_solve(form: CanonicalRotationForm, Y: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The inverse of ``_y_form``: scale 1/f and turn -theta/2 per pair."""
-    f = [_half_angle_factor(t) for t in form.angles]
-    for theta, fi in zip(form.angles, f):
-        if abs(fi) < tol.sing:
-            raise SingularMapError("Y_omega singular", angle=float(theta))
-    return _turn_pairs(form, Y, [(1.0 / fi, -0.5 * t) for t, fi in zip(form.angles, f)])
+def _inverse_factors(theta: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """1 / f of each angle; a factor below ``tol.sing`` raises."""
+    f = _factors(theta)
+    bad = np.abs(f) < tol.sing
+    if bad.any():
+        raise SingularMapError("Y_omega singular", angle=float(abs(theta[bad][0])))
+    return 1.0 / f
 
 
 def _as_vector(x: np.ndarray, n: int) -> np.ndarray:
@@ -184,11 +173,11 @@ def _as_vector(x: np.ndarray, n: int) -> np.ndarray:
 def y_omega(omega: np.ndarray, v: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     """Translation part Y of exp(omega, v), as a linear map of v.
 
-    In the canonical basis of omega, fixed coordinates pass through and each
-    rotating pair is scaled by 2 sin(theta/2)/theta and rotated by theta/2.
+    On each turning plane of omega, of angle theta, v is scaled by
+    2 sin(theta/2)/theta and rotated by theta/2; the kernel passes through.
     """
-    form = skew_canonical_form(omega, tol)
-    return _y_form(form, _as_vector(v, form.n))
+    w, U = _spectrum(omega)
+    return _apply(U, _factors(w) * np.exp(-0.5j * w), _as_vector(v, w.size))
 
 
 def y_omega_solve(
@@ -196,40 +185,42 @@ def y_omega_solve(
 ) -> np.ndarray:
     """Inverse of ``y_omega`` in its first argument: v with Y_omega(v) = Y.
 
-    In the canonical basis of omega each rotating pair is turned back by
-    theta/2 and divided by 2 sin(theta/2)/theta; an angle where that factor
-    is below ``tol.sing`` (theta near a nonzero multiple of 2 pi) raises
-    ``SingularMapError``.
+    On each turning plane of omega, Y is turned back by theta/2 and divided
+    by 2 sin(theta/2)/theta; an angle where that factor is below ``tol.sing``
+    (theta near a nonzero multiple of 2 pi) raises ``SingularMapError``.
     """
     tol = tol or default_tolerances()
-    form = skew_canonical_form(omega, tol)
-    return _y_form_solve(form, _as_vector(Y, form.n), tol)
+    w, U = _spectrum(omega)
+    d = np.exp(0.5j * w) * _inverse_factors(w, tol)
+    return _apply(U, d, _as_vector(Y, w.size))
 
 
 def se_exp(xi: Screw, tol: Tolerances | None = None) -> Motion:
     """Group exponential exp(omega, v) = (exp(omega), Y_omega(v)).
 
-    One canonical Pi-block form of omega gives both parts: each block of
-    angle theta is a planar rotation by theta in e^omega and, in Y_omega, a
-    turn by theta/2 scaled by 2 sin(theta/2)/theta. omega is checked (skew,
-    finite) before v (a finite n-vector).
+    One Hermitian ``eigh`` of i omega gives both parts: an eigenvalue w
+    turns by w in e^omega and, in Y_omega, by w/2, scaled by
+    2 sin(w/2)/w. omega is checked (skew, finite) before v (a finite
+    n-vector).
     """
-    form = skew_canonical_form(xi.omega, tol)
-    _check_vector(xi.v, form.n, "screw vector")
-    return Motion(form.rotation_matrix(), _y_form(form, xi.v))
+    w, U = _spectrum(xi.omega)
+    _check_vector(xi.v, w.size, "screw vector")
+    half = np.exp(-0.5j * w)
+    return Motion(((U * half**2) @ U.conj().T).real, _apply(U, _factors(w) * half, xi.v))
 
 
 def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> Screw:
     """Principal logarithm on SE(n); branch restrictions as in ``so_log``.
 
-    One canonical rotation form R = Q blockdiag(R(theta_i), I) Q^T is also
-    a Pi-block form of omega = log R, so omega is read off it and X is
-    pulled back through the same Q and angles. The checks run in the order
-    R in SO(n), then X a finite n-vector, then the branch at pi.
+    One ``eigh`` of (R + R^T)/2 gives L = log R, an eigenbasis V and the
+    angle theta of each eigenvector; X is pulled back as
+    V diag(cos(theta/2) / f(theta)) V^T X - L X / 2. The checks run in the
+    order R in SO(n), then X a finite n-vector, then the branch at pi.
     """
     tol = tol or default_tolerances()
-    form = canonical_rotation_form(g.R, tol)
-    _check_vector(g.X, form.n, "translation")
+    L, V, theta = _rotation_log(check_special_orthogonal(g.R, tol))
+    _check_vector(g.X, theta.size, "translation")
     if not allow_pi:
-        _check_branch(form, tol)
-    return Screw(form.skew_matrix(), _y_form_solve(form, g.X, tol))
+        _check_branch(theta, tol)
+    h = np.cos(0.5 * theta) * _inverse_factors(theta, tol)
+    return Screw(L, V @ (h * (V.T @ g.X)) - 0.5 * (L @ g.X))

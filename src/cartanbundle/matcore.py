@@ -3,6 +3,12 @@
 Wedge generators, orthonormal frames, projectors, frame completion to SO(n)
 by a complete QR factorization, canonical block forms of rotations and skew
 matrices, and eigenspace extraction for symmetric orthogonal involutions.
+
+Everything is NumPy. The canonical forms come from one private pairing
+routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
+and one complete QR makes the pairs orthonormal and adds the kernel. The
+rotation form is the pairs of log R. The principal log itself takes one
+symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerances, default_tolerances
 from .errors import (
@@ -178,16 +183,65 @@ def check_skew(W: np.ndarray, n_scale_tol: float = 1e-12) -> np.ndarray:
     return W
 
 
-def _assemble_form(blocks, fixed, n, pi_blocks_swappable):
+def _skew_pairs(W: np.ndarray) -> tuple:
+    """(Q, s): the turning pairs and kernel of a real skew matrix W.
+
+    Q is orthogonal; for each angle s_i > 0, W Q[:, 2i] = s_i Q[:, 2i+1] and
+    W Q[:, 2i+1] = -s_i Q[:, 2i], and the trailing columns span the kernel.
+    An eigenvector u of the Hermitian i W with eigenvalue s > 0 gives the
+    pair (Re u, Im u); one complete QR makes the pairs orthonormal, keeping
+    their signs, and completes them by the kernel. Eigenvalues at most
+    1e-14 max(1, |W|) count as kernel.
+    """
+    w, U = np.linalg.eigh(1j * W)
+    pos = w > 1e-14 * max(1.0, np.linalg.norm(W))
+    U = U[:, pos]
+    pairs = np.stack([U.real, U.imag], axis=2).reshape(W.shape[0], -1)
+    Q, T = np.linalg.qr(pairs, mode="complete")
+    Q[:, : pairs.shape[1]] *= np.copysign(1.0, T.diagonal())
+    return Q, w[pos]
+
+
+def _rotation_log(R: np.ndarray) -> tuple:
+    """(L, V, theta) for R already checked to lie in SO(n).
+
+    L is the principal log of R (the +pi resolution at angle pi), V an
+    orthonormal eigenbasis of S = (R + R^T)/2 and theta the angle in [0, pi]
+    of each column of V. S commutes with K = (R - R^T)/2 and equals
+    cos(theta) on each turning plane. One ``eigh`` of S is split at the
+    widest gap of its spectrum inside [-3/4, -1/4]. Above the split,
+    L = g(S) K with g = theta / sin(theta), which stays below 3.7 there.
+    Below it g blows up near pi, so the pairs of K there give
+    theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi.
+    """
+    S, K = 0.5 * (R + R.T), 0.5 * (R - R.T)
+    c, V = np.linalg.eigh(S)
+    m = int(np.argmax(np.diff(np.concatenate([[-0.75], np.clip(c, -0.75, -0.25), [-0.25]]))))
+    if m % 2:
+        raise IllConditionedSpectrumError(
+            "ill-conditioned spectrum: odd count of angles near pi"
+        )
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    L = (V[:, m:] / np.sinc(theta[m:] / math.pi)) @ (V[:, m:].T @ K)
+    if m:
+        Q, s = _skew_pairs(V[:, :m].T @ K @ V[:, :m])
+        t = np.full(m // 2, math.pi)
+        t[: s.size] = math.pi - np.arcsin(np.minimum(s, 1.0))
+        V[:, :m] = V[:, :m] @ Q
+        A, B = V[:, 0:m:2], V[:, 1:m:2]
+        L += (B * t) @ A.T - (A * t) @ B.T
+        theta[:m] = np.repeat(t, 2)
+    return L, V, theta
+
+
+def _assemble_form(Q, s, pi_blocks_swappable):
     """Shared ordering / determinant / sign fixing for both canonical forms.
 
-    ``blocks`` is a list of [theta, q1, q2]; mutated in place.
+    (Q, s) are the pairs, angles and kernel of ``_skew_pairs``.
     """
-    # Make every angle positive by swapping the basis pair (flips theta).
-    for blk in blocks:
-        if blk[0] < 0:
-            blk[0] = -blk[0]
-            blk[1], blk[2] = blk[2], blk[1]
+    n, k = Q.shape[0], len(s)
+    blocks = [[float(t), Q[:, 2 * i], Q[:, 2 * i + 1]] for i, t in enumerate(s)]
+    fixed = list(Q[:, 2 * k :].T)
     blocks.sort(key=lambda blk: -blk[0])
 
     def columns():
@@ -234,35 +288,14 @@ def canonical_rotation_form(
 
     Returns Q in SO(n), angles in (-pi, pi] \\ {0} sorted descending, and the
     dimension of the fixed subspace, with Q blockdiag(R(theta_i), I) Q^T = R.
+    The blocks are the turning pairs of log R, with the +pi resolution at
+    angle pi.
     """
     tol = tol or default_tolerances()
     R = check_special_orthogonal(R, tol)
     n = R.shape[0]
-    T, S = scipy.linalg.schur(R, output="real")
-    blocks = []
-    fixed = []
-    minus = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-14:
-            theta = math.atan2(T[i + 1, i], T[i, i])
-            blocks.append([theta, S[:, i].copy(), S[:, i + 1].copy()])
-            i += 2
-        else:
-            lam = T[i, i]
-            if abs(abs(lam) - 1.0) > 10 * tol.eig:
-                raise IllConditionedSpectrumError(
-                    "ill-conditioned spectrum", eigenvalue=float(lam)
-                )
-            (fixed if lam > 0 else minus).append(S[:, i].copy())
-            i += 1
-    if len(minus) % 2:
-        raise IllConditionedSpectrumError(
-            "ill-conditioned spectrum: odd count of -1 eigenvalues"
-        )
-    for a, b in zip(minus[0::2], minus[1::2]):
-        blocks.append([math.pi, a, b])
-    form = _assemble_form(blocks, fixed, n, pi_blocks_swappable=True)
+    Q, s = _skew_pairs(_rotation_log(R)[0])
+    form = _assemble_form(Q, np.minimum(s, math.pi), pi_blocks_swappable=True)
     if np.linalg.norm(form.rotation_matrix() - R) > tol.recon * max(1, n):
         raise IllConditionedSpectrumError(
             "ill-conditioned spectrum: reconstruction failed"
@@ -273,24 +306,12 @@ def canonical_rotation_form(
 def skew_canonical_form(
     W: np.ndarray, tol: Tolerances | None = None
 ) -> CanonicalRotationForm:
-    """Canonical Pi-block decomposition of a skew matrix."""
+    """Canonical Pi-block decomposition of a skew matrix, from its turning pairs."""
     tol = tol or default_tolerances()
     W = check_skew(W)
     n = W.shape[0]
-    T, S = scipy.linalg.schur(W, output="real")
     scale = max(1.0, np.linalg.norm(W))
-    blocks = []
-    fixed = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-14 * scale:
-            theta = 0.5 * (T[i + 1, i] - T[i, i + 1])
-            blocks.append([theta, S[:, i].copy(), S[:, i + 1].copy()])
-            i += 2
-        else:
-            fixed.append(S[:, i].copy())
-            i += 1
-    form = _assemble_form(blocks, fixed, n, pi_blocks_swappable=False)
+    form = _assemble_form(*_skew_pairs(W), pi_blocks_swappable=False)
     if np.linalg.norm(form.skew_matrix() - W) > tol.recon * max(1, n) * scale:
         raise IllConditionedSpectrumError(
             "ill-conditioned spectrum: skew reconstruction failed"

@@ -3,7 +3,7 @@
 Every invariant of the library has a named property here; ``run_verification``
 evaluates them on seeded samples and aggregates a report. The truncated
 matrix-power-series exponential lives here purely as a verification oracle --
-the production exponential goes through the canonical block form.
+the production exponential is a function of one Hermitian ``eigh``.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def _prop_dp_full_routes(cfg, rng):
     for _ in range(cfg.samples):
         xi = sp.sample_dp_element(rng, cfg.p, q, bound=math.pi - 0.1)
         s = bn.dp_exp_full(xi, cfg.tol)  # internally asserts tau route at 1e-10
-        # the closed form against the generic Schur route of se_exp
+        # the closed form against the generic eigh route of se_exp
         g = lg.se_exp(xi.screw(), cfg.tol)
         ok = ok and _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
         xi2 = bn.dp_log_full(s, cfg.tol)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cartanbundle import (
     NearSingularIsomorphismError,
     NotInCartanModelError,
     Signature,
+    Tolerances,
     bundle_act,
     bundle_point,
     double_projection,
@@ -152,6 +155,13 @@ class TestQ:
             s = sample_cartan_motion(rng, 4, 2)
             a = sample_motion(rng, 4)
             assert in_Q(twisted_act(a, s.motion, SIG22), SIG22)
+
+    @NON_FINITE
+    def test_rejects_non_finite_motion(self, bad):
+        for g in (Motion(np.eye(4), _with_entry(np.zeros(4), 0, bad)),
+                  Motion(_with_entry(np.eye(4), (0, 0), bad), np.zeros(4))):
+            with pytest.raises(DimensionMismatchError):
+                in_Q(g, SIG22)
 
 
 class TestTwistedAction:
@@ -398,6 +408,12 @@ class TestDpFull:
         with pytest.raises(DimensionMismatchError):
             dp_exp_full(DpElement(gen=gen, v=np.zeros(2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        gen = DpGenerator(p=2, q=2, B=np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            DpElement(gen=gen, v=np.array([bad, 0.0]))
+
     def test_log_identity(self):
         s = CartanMotion.certify(Motion(np.eye(4), np.zeros(4)), SIG22)
         xi = dp_log_full(s)
@@ -553,3 +569,27 @@ class TestCertificate:
         for a in (s.motion.R, s.motion.X, cr.mat, rho0(cr).frame, rho(s).plane.frame):
             with pytest.raises(ValueError):
                 a[0] = 2.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_through_the_check(self, rng, clone):
+        s = sample_cartan_motion(rng, 4, 2)
+        cr = CartanRotation(s.motion.R, SIG22)
+        s2, cr2 = clone(s), clone(cr)
+        assert np.array_equal(s2.motion.R, s.motion.R) and np.array_equal(s2.motion.X, s.motion.X)
+        assert np.array_equal(cr2.mat, cr.mat)
+        for a in (s2.motion.R, s2.motion.X, s2._frame, cr2.mat, cr2._frame):
+            with pytest.raises(ValueError):
+                a[...] = 5.0
+
+    def test_copies_keep_the_tolerances_of_the_check(self, rng):
+        # R is 1e-7 off SO(n): certified only under the loose tolerances,
+        # which a copy must check against again.
+        R = sample_cartan_motion(rng, 4, 2).motion.R + 1e-7 * rng.standard_normal((4, 4))
+        loose = Tolerances().with_overrides({"orth": 1e-4, "invol": 1e-4})
+        with pytest.raises(IllConditionedSpectrumError):
+            CartanMotion(Motion(R, np.zeros(4)), SIG22)
+        s = CartanMotion(Motion(R, np.zeros(4)), SIG22, loose)
+        cr = CartanRotation(R, SIG22, loose)
+        assert np.array_equal(copy.deepcopy(s).motion.R, s.motion.R)
+        assert np.array_equal(pickle.loads(pickle.dumps(cr)).mat, cr.mat)

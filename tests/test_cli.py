@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import cartanbundle
 from cartanbundle.cli import main
 from cartanbundle.serialize import dumps, mat_from_json, mat_to_json
 
@@ -160,3 +165,12 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "moebius", "--tol.recon", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, so modules other tests imported do not count.
+    src = str(Path(cartanbundle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, cartanbundle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,183 @@
+"""Adversarial spectra for exp/log on SE(n) and the canonical forms.
+
+Each case builds a screw or a rotation from chosen angles in a seeded random
+basis, so the hard inputs are hit on purpose: angles across the 1e-4 Taylor
+switch of the half-angle factor, repeated angles and clusters 1e-9 wide
+(one of them at cos(theta) = -1/2), angles just inside and just outside
+``tol.branch`` of pi, exactly pi, angles near 2 pi for ``y_omega_solve``,
+translations from 1e6 to 1e9, and n up to 32.
+
+The decompositions are not unique on these inputs, so every assertion is on
+a product (exp of log, a reconstruction, a roundtrip) or on the typed error.
+The bounds are the ones ``verify`` uses, taken relative to 1 + |translation|
+where the translation is large.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartanbundle import (
+    BranchAmbiguityError,
+    Motion,
+    Screw,
+    SingularMapError,
+    canonical_rotation_form,
+    se_exp,
+    se_log,
+    skew_canonical_form,
+    so_exp,
+    so_log,
+    y_omega,
+    y_omega_solve,
+)
+from cartanbundle.sampling import make_rng, sample_rotation
+
+from oracles import homogeneous_exp_oracle
+
+settings.register_profile("edges", derandomize=True, max_examples=25, deadline=None)
+settings.load_profile("edges")
+
+BRANCH = 1e-6  # the default tol.branch
+SPLIT_EDGE = 2 * math.pi / 3  # cos(theta) = -1/2
+
+
+def _basis(n, seed):
+    return sample_rotation(make_rng(seed, 0), n)
+
+
+def _skew(angles, n, seed):
+    """Q blockdiag(Pi(theta_1), ..., Pi(theta_k), 0) Q^T for a seeded Q in SO(n)."""
+    D = np.zeros((n, n))
+    for i, t in enumerate(angles):
+        D[2 * i + 1, 2 * i], D[2 * i, 2 * i + 1] = t, -t
+    Q = _basis(n, seed)
+    W = Q @ D @ Q.T
+    return 0.5 * (W - W.T)
+
+
+def _rotation(angles, n, seed):
+    """Q blockdiag(R(theta_1), ..., R(theta_k), I) Q^T for a seeded Q in SO(n)."""
+    D = np.eye(n)
+    for i, t in enumerate(angles):
+        c, s = math.cos(t), math.sin(t)
+        D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
+    Q = _basis(n, seed)
+    return Q @ D @ Q.T
+
+
+def _vector(n, scale, seed):
+    x = make_rng(seed, 1).standard_normal(n)
+    return scale * x / np.linalg.norm(x)
+
+
+@st.composite
+def spectra(draw, top):
+    """(n, angles, seed): up to n // 2 angles in (0, top] from one edge family."""
+    n = draw(st.integers(2, 32))
+    k = draw(st.integers(1, n // 2))
+    family = draw(st.sampled_from(["taylor", "repeated", "cluster", "generic"]))
+    if family == "taylor":  # across the 1e-4 switch
+        angles = draw(st.lists(st.floats(5e-5, 2e-4), min_size=1, max_size=k))
+    elif family == "generic":
+        angles = draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=k))
+    else:
+        base = draw(st.sampled_from([1e-4, 1.0, SPLIT_EDGE, top]))
+        step = 0.0 if family == "repeated" else 1e-9
+        angles = [min(base + i * step, top) for i in range(k)]
+    return n, angles, draw(st.integers(0, 2**32 - 1))
+
+
+scales = st.sampled_from([1.0, 1e6, 1e7, 1e8, 1e9])
+
+
+@given(spectra(math.pi), scales)
+def test_exp_matches_series(case, scale):
+    n, angles, seed = case
+    omega, v = _skew(angles, n, seed), _vector(n, scale, seed)
+    g = se_exp(Screw(omega, v))
+    assert np.linalg.norm(g.homogeneous() - homogeneous_exp_oracle(omega, v)) <= 1e-9 * (1 + scale)
+    assert np.linalg.norm(g.R - so_exp(omega)) <= 1e-10 * n
+    assert np.linalg.norm(omega @ y_omega(omega, v) - (g.R - np.eye(n)) @ v) <= 1e-10 * (1 + scale)
+
+
+@given(spectra(math.pi), scales)
+def test_y_omega_roundtrip(case, scale):
+    n, angles, seed = case
+    omega, v = _skew(angles, n, seed), _vector(n, scale, seed)
+    assert np.linalg.norm(y_omega_solve(omega, y_omega(omega, v)) - v) <= 1e-9 * (1 + scale)
+
+
+@given(spectra(math.pi - 1e-3), scales)
+def test_log_exp_roundtrip(case, scale):
+    n, angles, seed = case
+    xi = Screw(_skew(angles, n, seed), _vector(n, scale, seed))
+    g = se_exp(xi)
+    back = se_log(g)
+    # Inside the branch the principal log is unique, so it returns xi itself.
+    assert np.linalg.norm(back.omega - xi.omega) <= 1e-8
+    assert np.linalg.norm(back.v - xi.v) <= 1e-8 * (1 + scale)
+    assert np.linalg.norm(se_exp(back).homogeneous() - g.homogeneous()) <= 1e-8 * (1 + scale)
+
+
+@given(spectra(math.pi))
+def test_canonical_forms_reconstruct(case):
+    n, angles, seed = case
+    W = _skew(angles, n, seed)
+    form = skew_canonical_form(W)
+    assert np.linalg.norm(form.skew_matrix() - W) <= 1e-10 * n * max(1.0, np.linalg.norm(W))
+    R = _rotation(angles, n, seed)
+    form = canonical_rotation_form(R)
+    assert np.linalg.norm(form.rotation_matrix() - R) <= 1e-10 * n
+    assert np.linalg.norm(form.Q.T @ form.Q - np.eye(n)) <= 1e-10 * n
+    assert abs(np.linalg.det(form.Q) - 1.0) <= 1e-10 * n
+
+
+@st.composite
+def near_pi(draw, lo, hi):
+    """(n, angles, seed): one angle pi - delta, delta in [lo, hi] * tol.branch,
+    with up to two more pairs, repeated at it or spread below it."""
+    n = draw(st.integers(2, 32))
+    delta = BRANCH * draw(st.floats(lo, hi))
+    others = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.5]), max_size=min(2, n // 2 - 1)))
+    return n, [math.pi - delta - d for d in [0.0] + others], draw(st.integers(0, 2**32 - 1))
+
+
+@given(near_pi(0.0, 0.9), scales)
+def test_log_raises_just_inside_the_branch(case, scale):
+    n, angles, seed = case
+    g = Motion(_rotation(angles, n, seed), _vector(n, scale, seed))
+    with pytest.raises(BranchAmbiguityError):
+        se_log(g)
+    back = se_log(g, allow_pi=True)
+    assert np.linalg.norm(se_exp(back).homogeneous() - g.homogeneous()) <= 1e-8 * (1 + scale)
+
+
+@given(near_pi(1.1, 100.0), scales)
+def test_log_accepts_just_outside_the_branch(case, scale):
+    n, angles, seed = case
+    g = Motion(_rotation(angles, n, seed), _vector(n, scale, seed))
+    back = se_log(g)
+    assert np.linalg.norm(se_exp(back).homogeneous() - g.homogeneous()) <= 1e-8 * (1 + scale)
+    assert np.linalg.norm(so_exp(so_log(g.R)) - g.R) <= 1e-8
+
+
+@given(st.integers(2, 32), st.integers(1, 16), st.integers(0, 2**32 - 1), scales)
+def test_log_at_exactly_pi(n, pairs, seed, scale):
+    k = min(pairs, n // 2)
+    g = Motion(_rotation([math.pi] * k, n, seed), _vector(n, scale, seed))
+    with pytest.raises(BranchAmbiguityError):
+        se_log(g)
+    back = se_log(g, allow_pi=True)
+    assert np.linalg.norm(se_exp(back).homogeneous() - g.homogeneous()) <= 1e-8 * (1 + scale)
+    assert np.linalg.norm(so_exp(so_log(g.R, allow_pi=True)) - g.R) <= 1e-8
+
+
+@given(st.integers(2, 32), st.floats(0.0, 5e-9), st.integers(0, 2**32 - 1))
+def test_y_omega_solve_singular_near_two_pi(n, delta, seed):
+    omega = _skew([2 * math.pi - delta], n, seed)
+    with pytest.raises(SingularMapError):
+        y_omega_solve(omega, _vector(n, 1.0, seed))

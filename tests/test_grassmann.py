@@ -115,6 +115,13 @@ class TestQ0:
         R[:2, :2] = rot2(0.7)
         assert not in_Q0(R, sig)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_rotation(self, bad):
+        R = np.eye(4)
+        R[0, 0] = bad
+        with pytest.raises(DimensionMismatchError):
+            in_Q0(R, Signature(2, 2))
+
     def test_invariance_under_twisted_action(self, rng):
         sig = Signature(2, 2)
         for _ in range(50):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cartanbundle import (
     BranchAmbiguityError,
@@ -11,6 +10,7 @@ from cartanbundle import (
     Motion,
     Screw,
     SingularMapError,
+    Tolerances,
     identity_motion,
     line_bundle_exp,
     rotation_in_plane,
@@ -148,6 +148,13 @@ class TestSoExpLog:
         W = so_log(-np.eye(2), allow_pi=True)
         assert np.allclose(so_exp(W), -np.eye(2), atol=1e-12)
 
+    def test_reflection_under_loose_tolerance_raises(self):
+        # diag(-1, 1, 1) passes an SO(n) check this loose, but its single -1
+        # eigenvalue cannot be paired at pi
+        R = np.diag([-1.0, 1.0, 1.0])
+        with pytest.raises(IllConditionedSpectrumError):
+            so_log(R, Tolerances(orth=1.0))
+
 
 class TestYOmega:
     def test_zero_omega(self, rng):
@@ -239,32 +246,40 @@ class TestSeExpLog:
 
 
 @pytest.fixture
-def schur_calls(monkeypatch):
+def eigh_calls(monkeypatch):
     calls = []
-    schur = scipy.linalg.schur
+    eigh = np.linalg.eigh
 
-    def counting_schur(*args, **kwargs):
-        calls.append(args[0].shape)
-        return schur(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
 
 
 class TestOneFormPerCall:
     @pytest.mark.parametrize("n", [3, 8])
-    def test_se_exp_and_se_log_run_one_schur_each(self, rng, n, schur_calls):
-        xi = Screw(sample_skew_bounded(rng, n, math.pi - 0.1), rng.standard_normal(n))
+    def test_se_exp_and_se_log_run_one_eigh_each(self, rng, n, eigh_calls):
+        # every angle below arccos(-1/4), so none lies below the log's split
+        xi = Screw(sample_skew_bounded(rng, n, 1.8), rng.standard_normal(n))
         g = se_exp(xi)
-        assert len(schur_calls) == 1
+        assert len(eigh_calls) == 1
         se_log(g)
-        assert len(schur_calls) == 2
+        assert len(eigh_calls) == 2
 
-    def test_line_layer_runs_no_schur(self, rng, schur_calls):
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_se_log_pairs_only_below_the_split(self, rng, n, eigh_calls):
+        # the largest angle is pi - 0.1, below the split: one more eigh pairs it
+        g = se_exp(Screw((math.pi - 0.1) * _unit_skew(rng, n), rng.standard_normal(n)))
+        se_log(g)
+        assert len(eigh_calls) == 3
+
+    def test_line_layer_runs_no_eigh(self, rng, eigh_calls):
         U = np.array([0.0, 0.6, 0.8])
         rotation_in_plane(1.3, U)
         line_bundle_exp(1.3, U, 0.7)
-        assert schur_calls == []
+        assert eigh_calls == []
 
 
 def _unit_skew(rng, n):

@@ -15,6 +15,12 @@ copies of R and X and the frame of the plane that the check found, so
 against the identity is computed from the rotation and translation blocks;
 the last row of the homogeneous residual is exactly zero, so no
 (n+1) x (n+1) matrix is built.
+
+Each map computes one route: the one it returns. The identities that tie
+the routes together -- exp(xi) = tau(exp(xi/2)), the closed form of the
+twisted action, X - A J A^{-1} X as twice a projection, and the block form
+of the fixed points -- are checked by the ``verify`` properties, not on
+every call.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .errors import (
     DimensionMismatchError,
     NearSingularIsomorphismError,
     NotInCartanModelError,
-    NumericalFaultError,
 )
 from .grassmann import (
     DpGenerator,
@@ -181,26 +186,15 @@ def _check_finite(g: Motion) -> None:
 
 
 def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Whether g is fixed by sigma, cross-checked against the block structure.
+    """Whether g is fixed by sigma: |sigma(g) - g| <= ``tol.invol``.
 
     Fixed points are block-diagonal rotations diag(A, B) with no translation
-    in the first p slots. The sigma-comparison residual is exactly twice the
-    structural residual; the two routes are computed independently and must
-    agree.
+    in the first p slots; the residual is exactly twice the norm of the
+    off-block entries, which ``verify`` checks.
     """
     tol = tol or default_tolerances()
     _check_finite(g)
-    p = sig.p
     r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())
-    off = np.sqrt(
-        np.linalg.norm(g.R[:p, p:]) ** 2
-        + np.linalg.norm(g.R[p:, :p]) ** 2
-        + np.linalg.norm(g.X[:p]) ** 2
-    )
-    if not abs(r_sigma - 2.0 * off) <= 1e-12 * (1.0 + r_sigma):
-        raise NumericalFaultError(
-            "fixed-point tests disagree", sigma_residual=float(r_sigma)
-        )
     return bool(r_sigma <= tol.invol)
 
 
@@ -215,8 +209,8 @@ def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     """Twisted conjugation a . g . sigma(a^{-1}), closed form.
 
-    The closed form (A R J A^{-1} J, X + A Y - A R J A^{-1} X) is asserted
-    against plain group arithmetic.
+    The closed form is (A R J A^{-1} J, X + A Y - A R J A^{-1} X); ``verify``
+    checks it against plain group arithmetic.
     """
     if a.n != g.n or a.n != sig.n:
         raise DimensionMismatchError("operand dimensions differ")
@@ -226,13 +220,7 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     A, X = a.R, a.X
     R, Y = g.R, g.X
     core = ((A @ R) * j) @ A.T
-    closed = Motion(core * j, X + A @ Y - core @ X)
-    generic = se_mul(se_mul(a, g), sigma(se_inv(a), sig))
-    scale = 1.0 + np.linalg.norm(X) + np.linalg.norm(Y)
-    gap = np.linalg.norm(closed.homogeneous() - generic.homogeneous())
-    if not gap <= 1e-11 * sig.n * scale:
-        raise NumericalFaultError("twisted action routes disagree")
-    return closed
+    return Motion(core * j, X + A @ Y - core @ X)
 
 
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
@@ -244,7 +232,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
 def double_projection(
     A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances | None = None
 ) -> np.ndarray:
-    """X - A J A^{-1} X, asserted equal to twice the projection onto A.pi0."""
+    """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
     tol = tol or default_tolerances()
     A = check_special_orthogonal(A, tol)
     X = np.asarray(X, dtype=float)
@@ -252,12 +240,7 @@ def double_projection(
         raise DimensionMismatchError("operand dimensions differ")
     if not np.all(np.isfinite(X)):
         raise DimensionMismatchError("vector has non-finite entries")
-    D = X - (A * sig._signs) @ A.T @ X
-    F = A[:, : sig.p]
-    ref = 2.0 * (F @ (F.T @ X))
-    if not np.linalg.norm(D - ref) <= 1e-10 * (1.0 + np.linalg.norm(X)):
-        raise NumericalFaultError("projection identity violated")
-    return D
+    return X - (A * sig._signs) @ A.T @ X
 
 
 def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
@@ -321,28 +304,19 @@ def _dp_translation(
     return np.concatenate([top, U @ (f * np.sin(0.5 * s) * a)])
 
 
-def _dp_motion(V, s, U, v) -> Motion:
-    return Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, v))
-
-
 def dp_exp_full(
     xi: DpElement, tol: Tolerances | None = None
 ) -> CartanMotion:
-    """Exponential of a d_p element, cross-checked against the tau route.
+    """Exponential of a d_p element, in closed form.
 
-    One thin SVD B = U diag(s) V^T gives exp(xi) in closed form, and
-    exp(xi/2) from s/2 and v/2. exp(xi) must equal tau(exp(xi/2)); both are
-    computed and compared, which checks the closed form's doubling identity.
+    One thin SVD B = U diag(s) V^T gives exp(xi): the rotation in
+    cosine-sine form and the translation pair by pair. Building the
+    ``CartanMotion`` is the one membership check. ``verify`` checks the
+    doubling identity exp(xi) = tau(exp(xi/2)).
     """
-    tol = tol or default_tolerances()
-    sig = Signature(xi.gen.p, xi.gen.q)
     V, s, U = _generator_svd(xi.gen)
-    g = _dp_motion(V, s, U, xi.v)
-    via_tau = tau(_dp_motion(V, 0.5 * s, U, 0.5 * xi.v), sig, tol).motion
-    gap = math.hypot(np.linalg.norm(g.R - via_tau.R), np.linalg.norm(g.X - via_tau.X))
-    if not gap <= 1e-10 * sig.n * (1.0 + np.linalg.norm(g.X)):
-        raise NumericalFaultError("exp and tau routes disagree")
-    return CartanMotion.certify(g, sig, tol)
+    g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
+    return CartanMotion.certify(g, Signature(xi.gen.p, xi.gen.q), tol)
 
 
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:

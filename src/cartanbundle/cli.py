@@ -185,9 +185,9 @@ def _dispatch(args, tol) -> int:
     if cmd == "exp":
         obj = _read_input(args)
         if args.so:
-            out = sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj), tol))
+            out = sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj)))
         else:
-            out = sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj), tol))
+            out = sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj)))
         _write_output(args, sz.dumps(out))
         return 0
 

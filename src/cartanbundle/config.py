@@ -20,7 +20,6 @@ class Tolerances:
 
     orth: float = 1e-9       # orthogonality / determinant checks
     invol: float = 1e-8      # symmetric-involution and membership checks
-    eig: float = 1e-7        # eigenvalue clustering
     recon: float = 1e-10     # canonical-form reconstruction, per dimension
     rank: float = 1e-9       # relative smallest-singular-value cutoff
     branch: float = 1e-6     # distance from the log branch boundary at pi

@@ -65,8 +65,3 @@ class CutLocusError(GeometryError):
 class NearSingularIsomorphismError(GeometryError):
     code = "near_singular_isomorphism"
 
-
-class NumericalFaultError(GeometryError):
-    """Two internally-consistent computation routes disagreed beyond tolerance."""
-
-    code = "numerical_fault"

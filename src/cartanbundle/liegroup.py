@@ -113,7 +113,7 @@ def _apply(U: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (U @ (d * (U.conj().T @ x))).real
 
 
-def so_exp(omega: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def so_exp(omega: np.ndarray) -> np.ndarray:
     """Exponential of a skew matrix, Re U e^{-iw} U^H for i omega = U diag(w) U^H."""
     w, U = _spectrum(omega)
     return ((U * np.exp(-1j * w)) @ U.conj().T).real
@@ -170,7 +170,7 @@ def _as_vector(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def y_omega(omega: np.ndarray, v: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Translation part Y of exp(omega, v), as a linear map of v.
 
     On each turning plane of omega, of angle theta, v is scaled by
@@ -195,7 +195,7 @@ def y_omega_solve(
     return _apply(U, d, _as_vector(Y, w.size))
 
 
-def se_exp(xi: Screw, tol: Tolerances | None = None) -> Motion:
+def se_exp(xi: Screw) -> Motion:
     """Group exponential exp(omega, v) = (exp(omega), Y_omega(v)).
 
     One Hermitian ``eigh`` of i omega gives both parts: an eigenvalue w

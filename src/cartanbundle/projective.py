@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import default_tolerances
 from .errors import DimensionMismatchError
 from .grassmann import Signature
 from .liegroup import Motion, _half_angle_factor
@@ -32,16 +33,20 @@ def unit_direction(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 class Line:
     """A line through the origin, stored as a sign-canonicalized unit vector.
 
-    Two lines are equal when their vectors have the same shape and agree to
-    within ``np.allclose``. That equality is not transitive, so no hash can
-    be consistent with it: ``hash(Line(...))`` raises ``TypeError``.
+    Two lines are equal when their vectors have the same shape and their
+    projectors V V^T lie within ``default_tolerances().plane`` of each
+    other, as ``plane_equal`` compares planes; the sign of V does not
+    matter. That equality is not transitive, so no hash can be consistent
+    with it: ``hash(Line(...))`` raises ``TypeError``.
     """
 
     vector: np.ndarray
 
     def __eq__(self, other):
-        same = isinstance(other, Line) and self.vector.shape == other.vector.shape
-        return same and np.allclose(self.vector, other.vector)
+        if not (isinstance(other, Line) and self.vector.shape == other.vector.shape):
+            return False
+        a, b = self.vector, other.vector
+        return bool(np.linalg.norm(np.outer(a, a) - np.outer(b, b)) <= default_tolerances().plane)
 
 
 def line_from_vector(V: np.ndarray) -> Line:

@@ -178,7 +178,7 @@ def _prop_exp_series(cfg, rng):
         xi = sp.sample_screw(rng, nn, norm_bound=4.0)
         err = max(
             err,
-            float(np.linalg.norm(lg.se_exp(xi, cfg.tol).homogeneous() - series_exp(xi.matrix()))),
+            float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix()))),
         )
     return cfg.samples, err, err <= 1e-9
 
@@ -188,10 +188,10 @@ def _prop_y_omega_identity(cfg, rng):
     for _ in range(cfg.samples):
         omega = sp.sample_skew(rng, cfg.n)
         v = rng.standard_normal(cfg.n)
-        Y = lg.y_omega(omega, v, cfg.tol)
+        Y = lg.y_omega(omega, v)
         err = max(
             err,
-            float(np.linalg.norm(omega @ Y - (lg.so_exp(omega, cfg.tol) - np.eye(cfg.n)) @ v)),
+            float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v)),
         )
     return cfg.samples, err, err <= 1e-10
 
@@ -201,7 +201,7 @@ def _prop_y_omega_roundtrip(cfg, rng):
     for _ in range(cfg.samples):
         omega = sp.sample_skew_bounded(rng, cfg.n, math.pi)
         v = rng.standard_normal(cfg.n)
-        v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v, cfg.tol), cfg.tol)
+        v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
         err = max(err, float(np.linalg.norm(v2 - v)))
     return cfg.samples, err, err <= 1e-9
 
@@ -211,9 +211,9 @@ def _prop_log_exp_roundtrip(cfg, rng):
     for _ in range(cfg.samples):
         omega = sp.sample_skew_bounded(rng, cfg.n, math.pi - 1e-3)
         v = rng.standard_normal(cfg.n)
-        g = lg.se_exp(Screw(omega, v), cfg.tol)
+        g = lg.se_exp(Screw(omega, v))
         xi = lg.se_log(g, cfg.tol)
-        err = max(err, _motion_dist(lg.se_exp(xi, cfg.tol), g))
+        err = max(err, _motion_dist(lg.se_exp(xi), g))
     return cfg.samples, err, err <= 1e-8
 
 
@@ -288,18 +288,32 @@ def _prop_dp_log0_roundtrip(cfg, rng):
     return cfg.samples, err, err <= 1e-8
 
 
+def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
+    """(|sigma(g) - g|, whether it is twice the norm of g's off-block entries).
+
+    The off-block entries are R[:p, p:], R[p:, :p] and X[:p]; the two
+    residuals must agree within 1e-12 (1 + r).
+    """
+    p = sig.p
+    r = float(np.linalg.norm(bn.sigma(g, sig).homogeneous() - g.homogeneous()))
+    off = math.sqrt(
+        np.linalg.norm(g.R[:p, p:]) ** 2 + np.linalg.norm(g.R[p:, :p]) ** 2 + np.linalg.norm(g.X[:p]) ** 2
+    )
+    return r, abs(r - 2.0 * off) <= 1e-12 * (1.0 + r)
+
+
 def _prop_fixed_point_characterization(cfg, rng):
     sig = cfg.sig
     err = 0.0
     ok = True
     for _ in range(cfg.samples):
         g = sp.sample_fixed_point(rng, sig)
-        err = max(err, float(np.linalg.norm(bn.sigma(g, sig).homogeneous() - g.homogeneous())))
-        ok = ok and bn.is_fixed_point(g, sig, cfg.tol)
+        r, agree = _fixed_point_residual(g, sig)
+        err = max(err, r)
+        ok = ok and agree and bn.is_fixed_point(g, sig, cfg.tol)
         # generic motions are not fixed
         h = sp.sample_motion(rng, cfg.n)
-        if bn.is_fixed_point(h, sig, cfg.tol):
-            ok = False
+        ok = ok and _fixed_point_residual(h, sig)[1] and not bn.is_fixed_point(h, sig, cfg.tol)
     return cfg.samples, err, ok and err <= 1e-12 * cfg.n
 
 
@@ -314,6 +328,10 @@ def _prop_q_invariance(cfg, rng):
         diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
         err = max(err, float(np.linalg.norm(diff)))
         ok = ok and bn.in_Q(acted, sig, cfg.tol)
+        # the closed form against plain group arithmetic
+        generic = lg.se_mul(lg.se_mul(a, s.motion), bn.sigma(lg.se_inv(a), sig))
+        scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
+        ok = ok and _motion_dist(acted, generic) <= 1e-11 * cfg.n * scale
     return cfg.samples, err, ok
 
 
@@ -339,6 +357,7 @@ def _prop_projection_identity(cfg, rng):
         A = sp.sample_rotation(rng, cfg.n)
         X = rng.standard_normal(cfg.n)
         D = bn.double_projection(A, X, sig, cfg.tol)
+        # twice the projection onto A.pi0, with the projector from an SVD
         P = svd_projector(A[:, : cfg.p])
         err = max(err, float(np.linalg.norm(D - 2.0 * P @ X)))
     return cfg.samples, err, err <= 1e-10
@@ -400,10 +419,16 @@ def _prop_dp_full_routes(cfg, rng):
     q = cfg.n - cfg.p
     for _ in range(cfg.samples):
         xi = sp.sample_dp_element(rng, cfg.p, q, bound=math.pi - 0.1)
-        s = bn.dp_exp_full(xi, cfg.tol)  # internally asserts tau route at 1e-10
-        # the closed form against the generic eigh route of se_exp
-        g = lg.se_exp(xi.screw(), cfg.tol)
+        s = bn.dp_exp_full(xi, cfg.tol)
+        # the closed form against the generic eigh route of se_exp, and
+        # against the doubling identity exp(xi) = tau(exp(xi/2))
+        screw = xi.screw()
+        g = lg.se_exp(screw)
+        half = lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
         ok = ok and _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
+        ok = ok and _motion_dist(s.motion, bn.tau(half, cfg.sig, cfg.tol).motion) <= (
+            1e-10 * cfg.n * (1.0 + np.linalg.norm(s.motion.X))
+        )
         xi2 = bn.dp_log_full(s, cfg.tol)
         err = max(
             err,
@@ -439,7 +464,7 @@ def _prop_line_bundle_exp(cfg, rng):
         m = pj.line_bundle_exp(theta, U, lam)
         E1 = mc.basis_vector(1, nn)
         xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
-        err = max(err, _motion_dist(m, lg.se_exp(xi, cfg.tol)))
+        err = max(err, _motion_dist(m, lg.se_exp(xi)))
         # fiber sits on the half-angle line
         V = pj.half_angle_line(theta, U).vector
         err = max(err, float(np.linalg.norm(m.X - V * (V @ m.X))))

@@ -513,8 +513,10 @@ def test_uncertified_input_error_class(R, error):
 
 
 # (op on a certified motion s and rotation cr, eigh calls it may run).
-# Construction runs the one S_p0 check; its consumers read the kept frame.
+# Construction runs the one S_p0 check; its consumers read the kept frame,
+# and dp_exp_full constructs one CartanMotion.
 EIGH_CALLS = [
+    pytest.param(lambda s, cr: dp_exp_full(_fixed_dp_cases()[1]), 1, id="dp_exp_full"),
     pytest.param(lambda s, cr: rho(s), 0, id="rho"),
     pytest.param(lambda s, cr: dp_log_full(s), 0, id="dp_log_full"),
     pytest.param(lambda s, cr: rho0(cr), 0, id="rho0"),

@@ -161,6 +161,11 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "log", "--se", "--in", infile)
         assert code == 0
 
+    def test_unknown_tol_name(self, capsys):
+        code, _, err = run_cli(capsys, "moebius", "--tol.eig", "1e-7")
+        assert code == 1
+        assert json.loads(err)["error"] == "invalid_input"
+
     def test_bad_tol_value(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "--tol.recon", "abc")
         assert code == 1

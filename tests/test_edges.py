@@ -1,11 +1,15 @@
-"""Adversarial spectra for exp/log on SE(n) and the canonical forms.
+"""Adversarial spectra for exp/log on SE(n), the canonical forms and the bundle.
 
 Each case builds a screw or a rotation from chosen angles in a seeded random
 basis, so the hard inputs are hit on purpose: angles across the 1e-4 Taylor
 switch of the half-angle factor, repeated angles and clusters 1e-9 wide
 (one of them at cos(theta) = -1/2), angles just inside and just outside
 ``tol.branch`` of pi, exactly pi, angles near 2 pi for ``y_omega_solve``,
-translations from 1e6 to 1e9, and n up to 32.
+translations from 1e6 to 1e9, and n up to 32. For the bundle, the
+identities that ``verify`` checks in place of in-call second routes are
+asserted on large translations and fibers, and on generators whose largest
+singular value reaches pi - 3e-6, where the principal angles approach the
+cut locus at pi/2.
 
 The decompositions are not unique on these inputs, so every assertion is on
 a product (exp of log, a reconstruction, a roundtrip) or on the typed error.
@@ -22,15 +26,29 @@ from hypothesis import strategies as st
 
 from cartanbundle import (
     BranchAmbiguityError,
+    CutLocusError,
+    DpElement,
+    DpGenerator,
     Motion,
     Screw,
+    Signature,
     SingularMapError,
+    bundle_point,
     canonical_rotation_form,
+    dp_exp_full,
+    dp_log_full,
+    plane_from_span,
+    rho_inv,
     se_exp,
+    se_inv,
     se_log,
+    se_mul,
+    sigma,
     skew_canonical_form,
     so_exp,
     so_log,
+    tau,
+    twisted_act,
     y_omega,
     y_omega_solve,
 )
@@ -181,3 +199,71 @@ def test_y_omega_solve_singular_near_two_pi(n, delta, seed):
     omega = _skew([2 * math.pi - delta], n, seed)
     with pytest.raises(SingularMapError):
         y_omega_solve(omega, _vector(n, 1.0, seed))
+
+
+CUT = math.pi - 3e-6  # largest |B|_2: principal angles up to pi/2 - 1.5e-6
+seeds = st.integers(0, 2**32 - 1)
+large = st.sampled_from([1e6, 1e7, 1e8, 1e9])
+
+
+@st.composite
+def signatures(draw):
+    n = draw(st.integers(2, 32))
+    p = draw(st.integers(1, n - 1))
+    return Signature(p, n - p)
+
+
+def _dist(a, b):
+    return np.linalg.norm(a.homogeneous() - b.homogeneous())
+
+
+@given(signatures(), seeds, large, large)
+def test_twisted_act_matches_group_arithmetic(sig, seed, x_scale, y_scale):
+    n = sig.n
+    a = Motion(_basis(n, seed), _vector(n, x_scale, seed))
+    plane = plane_from_span(make_rng(seed, 2).standard_normal((n, sig.p)))
+    fiber = plane.projector @ make_rng(seed, 3).standard_normal(n)
+    g = rho_inv(bundle_point(plane, y_scale * fiber / np.linalg.norm(fiber))).motion
+    generic = se_mul(se_mul(a, g), sigma(se_inv(a), sig))
+    bound = 1e-11 * n * (1 + np.linalg.norm(a.X) + np.linalg.norm(g.X))
+    assert _dist(twisted_act(a, g, sig), generic) <= bound
+
+
+def _dp_element(sig, top, v_scale, seed):
+    """A d_p element with |B|_2 = top and |v| = v_scale, in a seeded basis."""
+    B = make_rng(seed, 2).standard_normal((sig.q, sig.p))
+    B *= top / np.linalg.norm(B, 2)
+    return DpElement(DpGenerator(p=sig.p, q=sig.q, B=B), _vector(sig.p, v_scale, seed))
+
+
+dp_cases = st.tuples(
+    signatures(),
+    st.one_of(st.floats(1e-3, CUT), st.just(CUT)),
+    st.sampled_from([1.0, 1e3, 1e6]),
+    seeds,
+)
+
+
+@given(dp_cases)
+def test_dp_exp_full_matches_the_tau_route(case):
+    sig, top, v_scale, seed = case
+    xi = _dp_element(sig, top, v_scale, seed)
+    s = dp_exp_full(xi)
+    screw = xi.screw()
+    via_tau = tau(se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v)), sig)
+    assert _dist(s.motion, via_tau.motion) <= 1e-10 * sig.n * (1 + np.linalg.norm(s.motion.X))
+
+
+@given(dp_cases)
+def test_dp_log_full_roundtrip(case):
+    sig, top, v_scale, seed = case
+    xi = _dp_element(sig, top, v_scale, seed)
+    s = dp_exp_full(xi)
+    try:
+        back = dp_log_full(s)
+    except CutLocusError:
+        # allowed only for a principal angle within tol.branch of pi/2
+        assert 0.5 * top >= 0.5 * math.pi - BRANCH
+        return
+    assert np.linalg.norm(back.gen.B - xi.gen.B) <= 1e-8
+    assert np.linalg.norm(back.v - xi.v) <= 1e-8 * (1 + np.linalg.norm(s.motion.X))

@@ -50,6 +50,9 @@ class TestLine:
 
     def test_equality_is_tolerant(self):
         assert line_from_vector([1.0, 0.0]) == line_from_vector([1.0, 1e-13])
+        # The first entry straddles the 1e-12 sign threshold, so the two
+        # representatives point opposite ways; the lines are 3e-12 apart.
+        assert line_from_vector([1e-13, 1.0, 0.0]) == line_from_vector([-2e-12, 1.0, 0.0])
 
     def test_unhashable(self):
         with pytest.raises(TypeError, match="Line"):

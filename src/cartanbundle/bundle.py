@@ -53,7 +53,7 @@ from .grassmann import (
 from .liegroup import (
     Motion,
     Screw,
-    _half_angle_factor,
+    _factors,
     check_motion,
     se_inv,
     se_mul,
@@ -298,7 +298,7 @@ def _dp_translation(
     Y_omega turns each principal pair (V_i, U_i) by s_i/2 and scales it by
     f_i = 2 sin(s_i/2)/s_i; the kernel of B passes through unchanged.
     """
-    f = np.array([_half_angle_factor(x) for x in s])
+    f = _factors(s)
     a = V.T @ v
     top = v + V @ ((f * np.cos(0.5 * s) - 1.0) * a)
     return np.concatenate([top, U @ (f * np.sin(0.5 * s) * a)])
@@ -332,10 +332,10 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     """
     tol = tol or default_tolerances()
     p = s.sig.p
-    V, angles, U = _principal_pairs(plane_from_frame(s._frame, tol).frame, tol)
+    V, angles, U = _principal_pairs(s._frame, tol)
     X = s.motion.X
     top = V.T @ X[:p]
-    f = np.array([_half_angle_factor(x) for x in angles])
+    f = _factors(angles)
     w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
     v = X[:p] + V @ (w - top)
     residual = np.linalg.norm(_dp_translation(V, angles, U, v) - X)

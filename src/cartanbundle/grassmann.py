@@ -332,5 +332,5 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
 def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
     """Generator with dp_exp(gen) = R, for planes in generic position."""
     tol = tol or default_tolerances()
-    V, s, U = _principal_pairs(rho0(R, tol).frame, tol)
+    V, s, U = _principal_pairs(R._frame, tol)
     return DpGenerator(p=R.sig.p, q=R.sig.q, B=(U * s) @ V.T)

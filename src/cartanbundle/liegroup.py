@@ -70,9 +70,12 @@ def identity_motion(n: int) -> Motion:
     return Motion(np.eye(n), np.zeros(n))
 
 
-def _check_vector(x: np.ndarray, n: int, what: str) -> None:
+def _check_vector(x: np.ndarray, n: int, what: str) -> np.ndarray:
+    """x as a float array, checked to be a finite n-vector."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise DimensionMismatchError(f"{what} must be a finite n-vector")
+    return x
 
 
 def check_motion(g: Motion, tol: Tolerances | None = None) -> Motion:
@@ -163,13 +166,6 @@ def _inverse_factors(theta: np.ndarray, tol: Tolerances) -> np.ndarray:
     return 1.0 / f
 
 
-def _as_vector(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatchError("vector dimension does not match omega")
-    return x
-
-
 def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Translation part Y of exp(omega, v), as a linear map of v.
 
@@ -177,7 +173,7 @@ def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     2 sin(theta/2)/theta and rotated by theta/2; the kernel passes through.
     """
     w, U = _spectrum(omega)
-    return _apply(U, _factors(w) * np.exp(-0.5j * w), _as_vector(v, w.size))
+    return _apply(U, _factors(w) * np.exp(-0.5j * w), _check_vector(v, w.size, "v"))
 
 
 def y_omega_solve(
@@ -192,7 +188,7 @@ def y_omega_solve(
     tol = tol or default_tolerances()
     w, U = _spectrum(omega)
     d = np.exp(0.5j * w) * _inverse_factors(w, tol)
-    return _apply(U, d, _as_vector(Y, w.size))
+    return _apply(U, d, _check_vector(Y, w.size, "Y"))
 
 
 def se_exp(xi: Screw) -> Motion:

@@ -115,10 +115,13 @@ def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
     """Explicit exponential of the line-bundle generator (-theta e_1 ^ U, lam e_1).
 
     The translation part is lam (2 sin(theta/2)/theta) times the half-angle
-    direction; the theta -> 0 limit is lam e_1.
+    direction; the theta -> 0 limit is lam e_1. A non-finite theta or lam
+    raises ``DimensionMismatchError``.
     """
     U = unit_direction(U)
     R = _plane_rotation(theta, U)
+    if not math.isfinite(lam):
+        raise DimensionMismatchError("fiber coordinate lam must be finite")
     return Motion(R, lam * _half_angle_factor(theta) * _half_angle_vector(theta, U))
 
 

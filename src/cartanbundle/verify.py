@@ -1,9 +1,20 @@
 """Randomized property harness.
 
 Every invariant of the library has a named property here; ``run_verification``
-evaluates them on seeded samples and aggregates a report. The truncated
-matrix-power-series exponential lives here purely as a verification oracle --
-the production exponential is a function of one Hermitian ``eigh``.
+evaluates them on seeded samples and aggregates a report. Each entry of
+``PROPERTIES`` is ``fn(cfg, rng) -> (samples, max_error, passed)`` and draws
+from its own stream, whose index is the entry's row.
+
+A sampled property is written as one sample, ``(cfg, rng) -> (error, ok)``:
+``error`` is the sample's worst error, and ``ok`` holds its comparisons with
+the property's bounds and predicates, so a NaN error makes ``ok`` false. One
+runner, ``_sampled``, draws ``cfg.samples`` samples in order, keeps the worst
+error (NaN if any is NaN) and passes only if every sample is ok. The two
+properties that draw nothing, the wedge and the Moebius seam, are written out.
+
+The truncated matrix-power-series exponential lives here purely as a
+verification oracle -- the production exponential is a function of one
+Hermitian ``eigh``.
 """
 
 from __future__ import annotations
@@ -98,6 +109,36 @@ def _motion_dist(a: Motion, b: Motion) -> float:
 # ---------------------------------------------------------------- properties
 
 
+def _worst(*errors: float) -> float:
+    """The largest error, or NaN if any is NaN.
+
+    ``max(0.0, nan)`` is 0.0, so a plain ``max`` would hide a NaN answer.
+    """
+    worst = 0.0
+    for e in errors:
+        if e > worst or e != e:
+            worst = e
+    return worst
+
+
+def _sampled(check):
+    """The property that runs ``check(cfg, rng) -> (error, ok)`` on each sample.
+
+    It draws ``cfg.samples`` samples in order from one stream and returns
+    (samples, worst error, every sample ok).
+    """
+
+    def run(cfg, rng):
+        worst, passed = 0.0, True
+        for _ in range(cfg.samples):
+            error, ok = check(cfg, rng)
+            worst = _worst(worst, error)
+            passed = passed and bool(ok)
+        return cfg.samples, worst, passed
+
+    return run
+
+
 def _prop_wedge_antisymmetry(cfg, rng):
     err, count = 0.0, 0
     for nn in range(2, cfg.n + 1):
@@ -109,183 +150,148 @@ def _prop_wedge_antisymmetry(cfg, rng):
     return count, err, err == 0.0
 
 
+@_sampled
 def _prop_projector(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        P = sp.sample_plane(rng, cfg.n, cfg.p).projector
-        err = max(
-            err,
-            float(np.linalg.norm(P @ P - P)),
-            float(np.linalg.norm(P - P.T)),
-        )
-    return cfg.samples, err, err <= 1e-12 * cfg.n
+    P = sp.sample_plane(rng, cfg.n, cfg.p).projector
+    err = _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
+    return err, err <= 1e-12 * cfg.n
 
 
+@_sampled
 def _prop_canonical_form(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        nn = int(rng.integers(2, min(cfg.n, 8) + 1))
-        R = sp.sample_rotation(rng, nn)
-        form = mc.canonical_rotation_form(R, cfg.tol)
-        err = max(err, float(np.linalg.norm(form.rotation_matrix() - R)))
-    return cfg.samples, err, err <= 1e-10
+    nn = int(rng.integers(2, min(cfg.n, 8) + 1))
+    R = sp.sample_rotation(rng, nn)
+    form = mc.canonical_rotation_form(R, cfg.tol)
+    err = float(np.linalg.norm(form.rotation_matrix() - R))
+    return err, err <= 1e-10
 
 
+@_sampled
 def _prop_completion(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        plane = sp.sample_plane(rng, cfg.n, cfg.p)
-        A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
-        err = max(
-            err,
-            abs(float(np.linalg.det(A)) - 1.0),
-            float(
-                np.linalg.norm(
-                    mc.projector(A[:, : cfg.p]) - plane.projector
-                )
-            ),
-        )
-    return cfg.samples, err, err <= cfg.tol.orth * cfg.n
+    plane = sp.sample_plane(rng, cfg.n, cfg.p)
+    A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
+    err = _worst(
+        abs(float(np.linalg.det(A)) - 1.0),
+        float(np.linalg.norm(mc.projector(A[:, : cfg.p]) - plane.projector)),
+    )
+    return err, err <= cfg.tol.orth * cfg.n
 
 
+@_sampled
 def _prop_involution_eigenspace(cfg, rng):
-    err = 0.0
-    J = cfg.sig.matrix
-    for _ in range(cfg.samples):
-        A = sp.sample_rotation(rng, cfg.n)
-        S = A @ J @ A.T
-        F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
-        err = max(err, float(np.linalg.norm(S @ F + F)))
-    return cfg.samples, err, err <= 1e-10
+    A = sp.sample_rotation(rng, cfg.n)
+    S = A @ cfg.sig.matrix @ A.T
+    F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
+    err = float(np.linalg.norm(S @ F + F))
+    return err, err <= 1e-10
 
 
+@_sampled
 def _prop_group_axioms(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        g1, g2, g3 = (sp.sample_motion(rng, cfg.n) for _ in range(3))
-        err = max(
-            err,
-            _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
-            _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
-        )
-    return cfg.samples, err, err <= 1e-11 * cfg.n
+    g1, g2, g3 = (sp.sample_motion(rng, cfg.n) for _ in range(3))
+    err = _worst(
+        _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
+        _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
+    )
+    return err, err <= 1e-11 * cfg.n
 
 
+@_sampled
 def _prop_exp_series(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        nn = int(rng.integers(2, min(cfg.n, 6) + 1))
-        xi = sp.sample_screw(rng, nn, norm_bound=4.0)
-        err = max(
-            err,
-            float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix()))),
-        )
-    return cfg.samples, err, err <= 1e-9
+    nn = int(rng.integers(2, min(cfg.n, 6) + 1))
+    xi = sp.sample_screw(rng, nn, norm_bound=4.0)
+    err = float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
+    return err, err <= 1e-9
 
 
+@_sampled
 def _prop_y_omega_identity(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        omega = sp.sample_skew(rng, cfg.n)
-        v = rng.standard_normal(cfg.n)
-        Y = lg.y_omega(omega, v)
-        err = max(
-            err,
-            float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v)),
-        )
-    return cfg.samples, err, err <= 1e-10
+    omega = sp.sample_skew(rng, cfg.n)
+    v = rng.standard_normal(cfg.n)
+    Y = lg.y_omega(omega, v)
+    err = float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v))
+    return err, err <= 1e-10
 
 
+@_sampled
 def _prop_y_omega_roundtrip(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        omega = sp.sample_skew_bounded(rng, cfg.n, math.pi)
-        v = rng.standard_normal(cfg.n)
-        v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
-        err = max(err, float(np.linalg.norm(v2 - v)))
-    return cfg.samples, err, err <= 1e-9
+    omega = sp.sample_skew_bounded(rng, cfg.n, math.pi)
+    v = rng.standard_normal(cfg.n)
+    v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
+    err = float(np.linalg.norm(v2 - v))
+    return err, err <= 1e-9
 
 
+@_sampled
 def _prop_log_exp_roundtrip(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        omega = sp.sample_skew_bounded(rng, cfg.n, math.pi - 1e-3)
-        v = rng.standard_normal(cfg.n)
-        g = lg.se_exp(Screw(omega, v))
-        xi = lg.se_log(g, cfg.tol)
-        err = max(err, _motion_dist(lg.se_exp(xi), g))
-    return cfg.samples, err, err <= 1e-8
+    omega = sp.sample_skew_bounded(rng, cfg.n, math.pi - 1e-3)
+    v = rng.standard_normal(cfg.n)
+    g = lg.se_exp(Screw(omega, v))
+    xi = lg.se_log(g, cfg.tol)
+    err = _motion_dist(lg.se_exp(xi), g)
+    return err, err <= 1e-8
 
 
+@_sampled
 def _prop_sigma0_automorphism(cfg, rng):
     sig = cfg.sig
-    err_invol, err_hom = 0.0, 0.0
-    for _ in range(cfg.samples):
-        R1 = sp.sample_rotation(rng, cfg.n)
-        R2 = sp.sample_rotation(rng, cfg.n)
-        err_invol = max(err_invol, float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1)))
-        err_hom = max(
-            err_hom,
-            float(np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))),
-        )
-    return cfg.samples, max(err_invol, err_hom), err_invol == 0.0 and err_hom <= 1e-12 * cfg.n
+    R1 = sp.sample_rotation(rng, cfg.n)
+    R2 = sp.sample_rotation(rng, cfg.n)
+    err_invol = float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1))
+    err_hom = float(
+        np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))
+    )
+    return _worst(err_invol, err_hom), err_invol == 0.0 and err_hom <= 1e-12 * cfg.n
 
 
+@_sampled
 def _prop_q0_invariance(cfg, rng):
     sig = cfg.sig
-    err = 0.0
-    ok = True
-    for _ in range(cfg.samples):
-        R = gr.dp_exp(sp.sample_dp_generator(rng, cfg.p, cfg.n - cfg.p), cfg.tol).mat
-        A = sp.sample_rotation(rng, cfg.n)
-        M = gr.twisted_act0(A, R, sig) @ sig.matrix
-        err = max(err, float(np.linalg.norm(M @ M - np.eye(cfg.n))))
-        ok = ok and gr.in_Q0(gr.twisted_act0(A, R, sig), sig, cfg.tol)
-    return cfg.samples, err, ok and err <= cfg.tol.invol
+    R = gr.dp_exp(sp.sample_dp_generator(rng, cfg.p, cfg.n - cfg.p), cfg.tol).mat
+    A = sp.sample_rotation(rng, cfg.n)
+    acted = gr.twisted_act0(A, R, sig)
+    M = acted @ sig.matrix
+    err = float(np.linalg.norm(M @ M - np.eye(cfg.n)))
+    return err, gr.in_Q0(acted, sig, cfg.tol) and err <= cfg.tol.invol
 
 
+@_sampled
 def _prop_grassmann_roundtrips(cfg, rng):
     sig = cfg.sig
-    err_plane, err_rot = 0.0, 0.0
-    for _ in range(cfg.samples):
-        plane = sp.sample_plane(rng, cfg.n, cfg.p)
-        back = gr.rho0(gr.cartan_embed0(plane, cfg.tol), cfg.tol)
-        err_plane = max(err_plane, float(np.linalg.norm(back.projector - plane.projector)))
-        A = sp.sample_rotation(rng, cfg.n)
-        R = gr.twisted_act0(A, np.eye(cfg.n), sig)
-        cr = gr.CartanRotation.certify(R, sig, cfg.tol)
-        R2 = gr.cartan_embed0(gr.rho0(cr, cfg.tol), cfg.tol).mat
-        err_rot = max(err_rot, float(np.linalg.norm(R2 - R)))
-    return cfg.samples, max(err_plane, err_rot), err_plane <= cfg.tol.plane and err_rot <= 1e-9
+    plane = sp.sample_plane(rng, cfg.n, cfg.p)
+    back = gr.rho0(gr.cartan_embed0(plane, cfg.tol), cfg.tol)
+    err_plane = float(np.linalg.norm(back.projector - plane.projector))
+    A = sp.sample_rotation(rng, cfg.n)
+    R = gr.twisted_act0(A, np.eye(cfg.n), sig)
+    cr = gr.CartanRotation.certify(R, sig, cfg.tol)
+    R2 = gr.cartan_embed0(gr.rho0(cr, cfg.tol), cfg.tol).mat
+    err_rot = float(np.linalg.norm(R2 - R))
+    return _worst(err_plane, err_rot), err_plane <= cfg.tol.plane and err_rot <= 1e-9
 
 
+@_sampled
 def _prop_rho0_equivariance(cfg, rng):
     sig = cfg.sig
-    err = 0.0
-    for _ in range(cfg.samples):
-        plane = sp.sample_plane(rng, cfg.n, cfg.p)
-        cr = gr.cartan_embed0(plane, cfg.tol)
-        A = sp.sample_rotation(rng, cfg.n)
-        acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
-        lhs = gr.rho0(acted, cfg.tol)
-        rhs = gr.rotate_plane(A, gr.rho0(cr, cfg.tol), cfg.tol)
-        err = max(err, float(np.linalg.norm(lhs.projector - rhs.projector)))
-    return cfg.samples, err, err <= cfg.tol.plane
+    plane = sp.sample_plane(rng, cfg.n, cfg.p)
+    cr = gr.cartan_embed0(plane, cfg.tol)
+    A = sp.sample_rotation(rng, cfg.n)
+    acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
+    lhs = gr.rho0(acted, cfg.tol)
+    rhs = gr.rotate_plane(A, gr.rho0(cr, cfg.tol), cfg.tol)
+    err = float(np.linalg.norm(lhs.projector - rhs.projector))
+    return err, err <= cfg.tol.plane
 
 
+@_sampled
 def _prop_dp_log0_roundtrip(cfg, rng):
-    err = 0.0
-    q = cfg.n - cfg.p
-    for _ in range(cfg.samples):
-        gen = sp.sample_dp_generator(rng, cfg.p, q, bound=math.pi - 0.1)
-        cr = gr.dp_exp(gen, cfg.tol)
-        gen2 = gr.dp_log0(cr, cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(gen2.B - gen.B)),
-            float(np.linalg.norm(gr.dp_exp(gen2, cfg.tol).mat - cr.mat)),
-        )
-    return cfg.samples, err, err <= 1e-8
+    gen = sp.sample_dp_generator(rng, cfg.p, cfg.n - cfg.p, bound=math.pi - 0.1)
+    cr = gr.dp_exp(gen, cfg.tol)
+    gen2 = gr.dp_log0(cr, cfg.tol)
+    err = _worst(
+        float(np.linalg.norm(gen2.B - gen.B)),
+        float(np.linalg.norm(gr.dp_exp(gen2, cfg.tol).mat - cr.mat)),
+    )
+    return err, err <= 1e-8
 
 
 def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
@@ -302,187 +308,148 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     return r, abs(r - 2.0 * off) <= 1e-12 * (1.0 + r)
 
 
+@_sampled
 def _prop_fixed_point_characterization(cfg, rng):
     sig = cfg.sig
-    err = 0.0
-    ok = True
-    for _ in range(cfg.samples):
-        g = sp.sample_fixed_point(rng, sig)
-        r, agree = _fixed_point_residual(g, sig)
-        err = max(err, r)
-        ok = ok and agree and bn.is_fixed_point(g, sig, cfg.tol)
-        # generic motions are not fixed
-        h = sp.sample_motion(rng, cfg.n)
-        ok = ok and _fixed_point_residual(h, sig)[1] and not bn.is_fixed_point(h, sig, cfg.tol)
-    return cfg.samples, err, ok and err <= 1e-12 * cfg.n
+    g = sp.sample_fixed_point(rng, sig)
+    r, agree = _fixed_point_residual(g, sig)
+    # generic motions are not fixed
+    h = sp.sample_motion(rng, cfg.n)
+    ok = agree and bn.is_fixed_point(g, sig, cfg.tol)
+    ok = ok and _fixed_point_residual(h, sig)[1] and not bn.is_fixed_point(h, sig, cfg.tol)
+    return r, ok and r <= 1e-12 * cfg.n
 
 
+@_sampled
 def _prop_q_invariance(cfg, rng):
     sig = cfg.sig
-    ok = True
-    err = 0.0
-    for _ in range(cfg.samples):
-        s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-        a = sp.sample_motion(rng, cfg.n)
-        acted = bn.twisted_act(a, s.motion, sig)
-        diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
-        err = max(err, float(np.linalg.norm(diff)))
-        ok = ok and bn.in_Q(acted, sig, cfg.tol)
-        # the closed form against plain group arithmetic
-        generic = lg.se_mul(lg.se_mul(a, s.motion), bn.sigma(lg.se_inv(a), sig))
-        scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
-        ok = ok and _motion_dist(acted, generic) <= 1e-11 * cfg.n * scale
-    return cfg.samples, err, ok
+    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
+    a = sp.sample_motion(rng, cfg.n)
+    acted = bn.twisted_act(a, s.motion, sig)
+    diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
+    err = float(np.linalg.norm(diff))
+    # the closed form against plain group arithmetic
+    generic = lg.se_mul(lg.se_mul(a, s.motion), bn.sigma(lg.se_inv(a), sig))
+    scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
+    routes_ok = _motion_dist(acted, generic) <= 1e-11 * cfg.n * scale
+    return err, bn.in_Q(acted, sig, cfg.tol) and routes_ok
 
 
+@_sampled
 def _prop_tau_properties(cfg, rng):
     sig = cfg.sig
-    ok = True
-    err = 0.0
-    for _ in range(cfg.samples):
-        g = sp.sample_motion(rng, cfg.n)
-        t = bn.tau(g, sig, cfg.tol)
-        ok = ok and bn.in_Q(t.motion, sig, cfg.tol)
-        err = max(
-            err,
-            _motion_dist(bn.sigma(t.motion, sig), lg.se_inv(t.motion)),
-        )
-    return cfg.samples, err, ok and err <= 1e-10
+    t = bn.tau(sp.sample_motion(rng, cfg.n), sig, cfg.tol)
+    err = _motion_dist(bn.sigma(t.motion, sig), lg.se_inv(t.motion))
+    return err, bn.in_Q(t.motion, sig, cfg.tol) and err <= 1e-10
 
 
+@_sampled
 def _prop_projection_identity(cfg, rng):
-    sig = cfg.sig
-    err = 0.0
-    for _ in range(cfg.samples):
-        A = sp.sample_rotation(rng, cfg.n)
-        X = rng.standard_normal(cfg.n)
-        D = bn.double_projection(A, X, sig, cfg.tol)
-        # twice the projection onto A.pi0, with the projector from an SVD
-        P = svd_projector(A[:, : cfg.p])
-        err = max(err, float(np.linalg.norm(D - 2.0 * P @ X)))
-    return cfg.samples, err, err <= 1e-10
+    A = sp.sample_rotation(rng, cfg.n)
+    X = rng.standard_normal(cfg.n)
+    D = bn.double_projection(A, X, cfg.sig, cfg.tol)
+    # twice the projection onto A.pi0, with the projector from an SVD
+    P = svd_projector(A[:, : cfg.p])
+    err = float(np.linalg.norm(D - 2.0 * P @ X))
+    return err, err <= 1e-10
 
 
+def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
+    """The worse of the plane and the fiber distance between two bundle points."""
+    return _worst(
+        float(np.linalg.norm(a.plane.projector - b.plane.projector)),
+        float(np.linalg.norm(a.fiber - b.fiber)),
+    )
+
+
+@_sampled
 def _prop_rho_equivariance(cfg, rng):
     sig = cfg.sig
-    err = 0.0
-    for _ in range(cfg.samples):
-        s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-        a = sp.sample_motion(rng, cfg.n)
-        acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
-        lhs = bn.rho(acted, cfg.tol)
-        rhs = bn.bundle_act(a, bn.rho(s, cfg.tol), sig, cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(lhs.plane.projector - rhs.plane.projector)),
-            float(np.linalg.norm(lhs.fiber - rhs.fiber)),
-        )
-    return cfg.samples, err, err <= 1e-9
+    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
+    a = sp.sample_motion(rng, cfg.n)
+    acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
+    err = _point_dist(bn.rho(acted, cfg.tol), bn.bundle_act(a, bn.rho(s, cfg.tol), sig, cfg.tol))
+    return err, err <= 1e-9
 
 
+@_sampled
 def _prop_rho_bijectivity(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-        s2 = bn.rho_inv(bn.rho(s, cfg.tol), cfg.tol)
-        err = max(err, _motion_dist(s2.motion, s.motion))
-        b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-        b2 = bn.rho(bn.rho_inv(b, cfg.tol), cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(b2.plane.projector - b.plane.projector)),
-            float(np.linalg.norm(b2.fiber - b.fiber)),
-        )
-    return cfg.samples, err, err <= 1e-9
+    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
+    s2 = bn.rho_inv(bn.rho(s, cfg.tol), cfg.tol)
+    b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    b2 = bn.rho(bn.rho_inv(b, cfg.tol), cfg.tol)
+    err = _worst(_motion_dist(s2.motion, s.motion), _point_dist(b2, b))
+    return err, err <= 1e-9
 
 
+@_sampled
 def _prop_action_law(cfg, rng):
     sig = cfg.sig
-    err = 0.0
-    for _ in range(cfg.samples):
-        a1 = sp.sample_motion(rng, cfg.n)
-        a2 = sp.sample_motion(rng, cfg.n)
-        b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-        lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig, cfg.tol)
-        rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig, cfg.tol), sig, cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(lhs.plane.projector - rhs.plane.projector)),
-            float(np.linalg.norm(lhs.fiber - rhs.fiber)),
-        )
-    return cfg.samples, err, err <= 1e-10
+    a1 = sp.sample_motion(rng, cfg.n)
+    a2 = sp.sample_motion(rng, cfg.n)
+    b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig, cfg.tol)
+    rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig, cfg.tol), sig, cfg.tol)
+    err = _point_dist(lhs, rhs)
+    return err, err <= 1e-10
 
 
+@_sampled
 def _prop_dp_full_routes(cfg, rng):
-    err = 0.0
-    ok = True
-    q = cfg.n - cfg.p
-    for _ in range(cfg.samples):
-        xi = sp.sample_dp_element(rng, cfg.p, q, bound=math.pi - 0.1)
-        s = bn.dp_exp_full(xi, cfg.tol)
-        # the closed form against the generic eigh route of se_exp, and
-        # against the doubling identity exp(xi) = tau(exp(xi/2))
-        screw = xi.screw()
-        g = lg.se_exp(screw)
-        half = lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
-        ok = ok and _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
-        ok = ok and _motion_dist(s.motion, bn.tau(half, cfg.sig, cfg.tol).motion) <= (
-            1e-10 * cfg.n * (1.0 + np.linalg.norm(s.motion.X))
-        )
-        xi2 = bn.dp_log_full(s, cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(xi2.gen.B - xi.gen.B)),
-            float(np.linalg.norm(xi2.v - xi.v)),
-        )
-    return cfg.samples, err, ok and err <= 1e-8
+    xi = sp.sample_dp_element(rng, cfg.p, cfg.n - cfg.p, bound=math.pi - 0.1)
+    s = bn.dp_exp_full(xi, cfg.tol)
+    # the closed form against the generic eigh route of se_exp, and
+    # against the doubling identity exp(xi) = tau(exp(xi/2))
+    screw = xi.screw()
+    g = lg.se_exp(screw)
+    half = lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
+    routes_ok = _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
+    routes_ok = routes_ok and _motion_dist(s.motion, bn.tau(half, cfg.sig, cfg.tol).motion) <= (
+        1e-10 * cfg.n * (1.0 + np.linalg.norm(s.motion.X))
+    )
+    xi2 = bn.dp_log_full(s, cfg.tol)
+    err = _worst(
+        float(np.linalg.norm(xi2.gen.B - xi.gen.B)),
+        float(np.linalg.norm(xi2.v - xi.v)),
+    )
+    return err, routes_ok and err <= 1e-8
 
 
+@_sampled
 def _prop_transporter(cfg, rng):
-    sig = cfg.sig
-    err = 0.0
-    for _ in range(cfg.samples):
-        src = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-        dst = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-        a = bn.find_transporter(src, dst, cfg.tol)
-        moved = bn.bundle_act(a, src, sig, cfg.tol)
-        err = max(
-            err,
-            float(np.linalg.norm(moved.plane.projector - dst.plane.projector)),
-            float(np.linalg.norm(moved.fiber - dst.fiber)),
-        )
-    return cfg.samples, err, err <= 1e-9
+    src = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    dst = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    a = bn.find_transporter(src, dst, cfg.tol)
+    err = _point_dist(bn.bundle_act(a, src, cfg.sig, cfg.tol), dst)
+    return err, err <= 1e-9
 
 
+@_sampled
 def _prop_line_bundle_exp(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        nn = int(rng.integers(2, min(cfg.n, 5) + 1))
-        U = sp.sample_unit_direction(rng, nn)
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        lam = float(rng.uniform(-2.0, 2.0))
-        m = pj.line_bundle_exp(theta, U, lam)
-        E1 = mc.basis_vector(1, nn)
-        xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
-        err = max(err, _motion_dist(m, lg.se_exp(xi)))
-        # fiber sits on the half-angle line
-        V = pj.half_angle_line(theta, U).vector
-        err = max(err, float(np.linalg.norm(m.X - V * (V @ m.X))))
-    return cfg.samples, err, err <= 1e-10
+    nn = int(rng.integers(2, min(cfg.n, 5) + 1))
+    U = sp.sample_unit_direction(rng, nn)
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    lam = float(rng.uniform(-2.0, 2.0))
+    m = pj.line_bundle_exp(theta, U, lam)
+    E1 = mc.basis_vector(1, nn)
+    xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
+    # fiber sits on the half-angle line
+    V = pj.half_angle_line(theta, U).vector
+    err = _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
+    return err, err <= 1e-10
 
 
+@_sampled
 def _prop_half_angle_line(cfg, rng):
-    err = 0.0
-    for _ in range(cfg.samples):
-        nn = int(rng.integers(2, min(cfg.n, 5) + 1))
-        U = sp.sample_unit_direction(rng, nn)
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        sig = gr.Signature(1, nn - 1)
-        cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
-        plane = gr.rho0(cr, cfg.tol)
-        V = pj.half_angle_line(theta, U).vector
-        err = max(err, float(np.linalg.norm(plane.projector - np.outer(V, V))))
-    return cfg.samples, err, err <= cfg.tol.plane
+    nn = int(rng.integers(2, min(cfg.n, 5) + 1))
+    U = sp.sample_unit_direction(rng, nn)
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    sig = gr.Signature(1, nn - 1)
+    cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
+    plane = gr.rho0(cr, cfg.tol)
+    V = pj.half_angle_line(theta, U).vector
+    err = float(np.linalg.norm(plane.projector - np.outer(V, V)))
+    return err, err <= cfg.tol.plane
 
 
 def moebius_seam_check(num_theta: int = 128, num_lambda: int = 9, lambda_max: float = 2.0):

@@ -181,6 +181,11 @@ class TestYOmega:
             rhs = (so_exp(W) - np.eye(n)) @ v
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
+    def test_accepts_lists(self):
+        W = pi2(math.pi / 2)
+        assert np.array_equal(y_omega(W, [1.0, 0.0]), y_omega(W, np.array([1.0, 0.0])))
+        assert np.array_equal(y_omega_solve(W, [1.0, 0.0]), y_omega_solve(W, np.array([1.0, 0.0])))
+
     def test_solve_zero_omega(self, rng):
         Y = rng.standard_normal(3)
         assert np.allclose(y_omega_solve(np.zeros((3, 3)), Y), Y)
@@ -338,6 +343,10 @@ _I2, _O2, _NAN = np.eye(2), np.zeros((2, 2)), math.nan
         (lambda: se_exp(Screw(_O2, np.array([_NAN, 0.0]))), DimensionMismatchError),
         (lambda: se_exp(Screw(_O2, np.zeros(3))), DimensionMismatchError),
         (lambda: se_exp(Screw(np.full((2, 2), _NAN), np.zeros(2))), DimensionMismatchError),
+        (lambda: y_omega(pi2(1.0), [_NAN, 0.0]), DimensionMismatchError),
+        (lambda: y_omega(pi2(1.0), [math.inf, 0.0]), DimensionMismatchError),
+        (lambda: y_omega_solve(pi2(1.0), [_NAN, 0.0]), DimensionMismatchError),
+        (lambda: y_omega_solve(pi2(1.0), [0.0, -math.inf]), DimensionMismatchError),
     ],
     ids=[
         "log-pi-nan-X",
@@ -348,6 +357,10 @@ _I2, _O2, _NAN = np.eye(2), np.zeros((2, 2)), math.nan
         "exp-nan-v",
         "exp-short-v",
         "exp-nan-omega",
+        "y-omega-nan-v",
+        "y-omega-inf-v",
+        "y-omega-solve-nan-Y",
+        "y-omega-solve-inf-Y",
     ],
 )
 def test_invalid_input_error_class(call, error):

@@ -189,6 +189,12 @@ class TestLineBundleExp:
             assert np.linalg.norm(m.X - V * (V @ m.X)) <= 1e-10
 
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(DimensionMismatchError):
+            line_bundle_exp(0.5, np.array([0.0, 1.0]), lam)
+
+
 class TestMoebiusGrid:
     def test_single_record_identity(self):
         records = moebius_grid(1, 1, 0.0)

@@ -1,0 +1,62 @@
+"""The verify harness itself: a broken library function must fail its property."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cartanbundle import bundle, liegroup, sampling
+from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
+
+CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
+
+
+def _results(cfg=CFG):
+    return {r.name: r for r in run_verification(cfg).properties}
+
+
+def _run_one(name, cfg=CFG):
+    stream = [entry[0] for entry in PROPERTIES].index(name)
+    return dict(PROPERTIES)[name](cfg, sampling.make_rng(cfg.seed, stream))
+
+
+def test_table_shape():
+    assert len(PROPERTIES) == 27
+    assert len({name for name, _ in PROPERTIES}) == 27
+    for stream, (name, fn) in enumerate(PROPERTIES):
+        out = fn(CFG, sampling.make_rng(CFG.seed, stream))
+        assert isinstance(out, tuple) and len(out) == 3, name
+        samples, max_error, passed = out
+        assert samples >= 1 and math.isfinite(max_error) and passed, name
+
+
+def test_nan_answer_fails_its_property(monkeypatch):
+    monkeypatch.setattr(liegroup, "y_omega", lambda omega, v: np.full(len(v), math.nan))
+    results = _results()
+    for name in ("liegroup.y_omega_identity", "liegroup.y_omega_roundtrip"):
+        assert not results[name].passed, name
+    assert results["liegroup.group_axioms"].passed
+
+
+@pytest.mark.parametrize("bad_call", [0, 2, 4])
+def test_one_nan_sample_fails_the_run(monkeypatch, bad_call):
+    # a NaN in any one sample, first or later, is the reported error
+    calls = []
+    y_omega = liegroup.y_omega
+
+    def flaky(omega, v):
+        calls.append(None)
+        Y = y_omega(omega, v)
+        return np.full_like(Y, math.nan) if len(calls) == bad_call + 1 else Y
+
+    monkeypatch.setattr(liegroup, "y_omega", flaky)
+    samples, max_error, passed = _run_one("liegroup.y_omega_identity")
+    assert len(calls) == samples == CFG.samples
+    assert math.isnan(max_error) and not passed
+
+
+def test_false_predicate_fails_its_property(monkeypatch):
+    assert _run_one("bundle.q_invariance")[2]
+    monkeypatch.setattr(bundle, "in_Q", lambda g, sig, tol=None: False)
+    samples, max_error, passed = _run_one("bundle.q_invariance")
+    assert samples == CFG.samples and math.isfinite(max_error) and not passed

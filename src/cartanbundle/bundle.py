@@ -7,14 +7,19 @@ plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
 J enters only as sign flips of rows, columns and entries. A motion in S_p is
-checked once, when its ``CartanMotion`` is constructed: SO(n) and a finite
-translation, then the shared S_p0 check of grassmann (one ``eigh``), then
-the sigma residual and the fiber condition. The instance keeps read-only
-copies of R and X and the frame of the plane that the check found, so
-``rho`` and ``dp_log_full`` check nothing again. The residual of sigma(g) g
-against the identity is computed from the rotation and translation blocks;
-the last row of the homogeneous residual is exactly zero, so no
-(n+1) x (n+1) matrix is built.
+checked once, in one pass, when its ``CartanMotion`` is constructed: SO(n)
+and a finite translation, then the shared S_p0 check of grassmann (one
+``eigh``), then the sigma residual and the fiber condition. The instance
+keeps read-only copies of R and X and the frame of the plane that the check
+found, so ``rho`` and ``dp_log_full`` check nothing again.
+
+The sigma residual |sigma(g) g - I| reuses the S_p0 check instead of
+building sigma(g). With S = R J, the rotation block J R J R - I equals
+J (S^2 - I) J and the translation block J X + J R J X equals J (X + S X).
+J only flips signs, exactly, so both blocks have the norms of S^2 - I,
+which the S_p0 check has just computed, and of X + S X, term for term the
+same floating-point sums; the residual is bit-identical to building
+sigma(g). The last row of the homogeneous residual is exactly zero.
 
 Each map computes one route: the one it returns. The identities that tie
 the routes together -- exp(xi) = tau(exp(xi/2)), the closed form of the
@@ -45,9 +50,9 @@ from .grassmann import (
     _cs_rotation,
     _embed_matrix,
     _generator_svd,
+    _plane,
     _principal_pairs,
     _read_only,
-    plane_from_frame,
     rotate_plane,
 )
 from .liegroup import (
@@ -55,10 +60,14 @@ from .liegroup import (
     Screw,
     _factors,
     check_motion,
-    se_inv,
-    se_mul,
 )
-from .matcore import check_special_orthogonal, complete_to_special_orthogonal
+from .matcore import (
+    _complete_frames,
+    _eye,
+    _norm,
+    check_frame,
+    check_special_orthogonal,
+)
 
 
 @dataclass(frozen=True)
@@ -79,10 +88,10 @@ def bundle_point(
     """Validated bundle point: the fiber vector must lie in the plane."""
     tol = tol or default_tolerances()
     fiber = np.asarray(fiber, dtype=float)
-    if fiber.shape != (plane.n,) or not np.all(np.isfinite(fiber)):
+    if fiber.shape != (plane.n,) or not np.isfinite(fiber).all():
         raise DimensionMismatchError("fiber must be a finite n-vector")
-    residual = np.linalg.norm(plane.projector @ fiber - fiber)
-    if residual > tol.fiber * (1.0 + np.linalg.norm(fiber)):
+    residual = _norm(plane.projector @ fiber - fiber)
+    if residual > tol.fiber * (1.0 + _norm(fiber)):
         raise NotInCartanModelError(
             "fiber vector does not lie in the plane", residual=float(residual)
         )
@@ -95,9 +104,12 @@ class CartanMotion:
 
     The constructor (``certify`` is an alias) checks SO(n) and a finite
     translation, then S_p0, the sigma residual and the fiber condition. The
-    instance keeps read-only copies of R and X and the read-only frame of
-    the carried plane that the S_p0 check found; ``dataclasses.replace``,
-    ``copy`` and ``pickle`` run the check again, under the same tolerances.
+    sigma residual comes from the S_p0 check's S = R J and |S^2 - I| as
+    hypot(|S^2 - I|, |X + S X|) (see the module docstring); no sigma(g) is
+    built. The instance keeps read-only copies of R and X and the read-only
+    frame of the carried plane that the S_p0 check found;
+    ``dataclasses.replace``, ``copy`` and ``pickle`` run the check again,
+    under the same tolerances.
     """
 
     motion: Motion
@@ -111,14 +123,15 @@ class CartanMotion:
         sig, R, X = self.sig, self.motion.R, self.motion.X
         motion = check_motion(Motion(_read_only(R), _read_only(X)), tol)
         # The S_p0 check first compares the dimension with the signature.
-        object.__setattr__(self, "_frame", _cartan_frame(motion.R, sig, tol))
-        residual = _sigma_residual(motion, sig)
-        scale = 1.0 + np.linalg.norm(motion.X)
+        frame, S, invol = _cartan_frame(motion.R, sig, tol)
+        object.__setattr__(self, "_frame", frame)
+        Y = motion.X
+        residual = _sigma_residual(invol, S, Y)
+        scale = 1.0 + _norm(Y)
         if residual > tol.invol * sig.n * scale:
             raise NotInCartanModelError("sigma(g) != g^{-1}", residual=residual)
         # Fiber condition J Y = -R^{-1} Y, equivalently Y in rho0(R).
-        Y = motion.X
-        fib = np.linalg.norm(sig._signs * Y + motion.R.T @ Y)
+        fib = _norm(sig._signs * Y + motion.R.T @ Y)
         if fib > tol.invol * sig.n * scale:
             raise NotInCartanModelError(
                 "translation is not in the carried plane", residual=float(fib)
@@ -148,7 +161,7 @@ class DpElement:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.v.shape != (self.gen.p,) or not np.all(np.isfinite(self.v)):
+        if self.v.shape != (self.gen.p,) or not np.isfinite(self.v).all():
             raise DimensionMismatchError(
                 f"coefficient vector must be a finite vector of length {self.gen.p}"
             )
@@ -171,17 +184,18 @@ def sigma(g: Motion, sig: Signature) -> Motion:
     return Motion(j[:, None] * g.R * j, j * g.X)
 
 
-def _sigma_residual(g: Motion, sig: Signature) -> float:
-    """|| sigma(g) g - I || over the homogeneous matrix, from its two blocks."""
-    h = sigma(g, sig)
-    return math.hypot(
-        np.linalg.norm(h.R @ g.R - np.eye(sig.n)), np.linalg.norm(h.X + h.R @ g.X)
-    )
+def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
+    """|| sigma(g) g - I || over the homogeneous matrix of g = (R, X).
+
+    S = R J and invol = |S^2 - I|; the two blocks of the residual are
+    J (S^2 - I) J and J (X + S X), of the same norms.
+    """
+    return math.hypot(invol, _norm(X + S @ X))
 
 
 def _check_finite(g: Motion) -> None:
     """Raise ``DimensionMismatchError`` unless both blocks of g are finite."""
-    if not (np.all(np.isfinite(g.R)) and np.all(np.isfinite(g.X))):
+    if not (np.isfinite(g.R).all() and np.isfinite(g.X).all()):
         raise DimensionMismatchError("motion has non-finite entries")
 
 
@@ -202,8 +216,11 @@ def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
     """Membership in Q = {g : sigma(g) = g^{-1}}; a non-finite g raises."""
     tol = tol or default_tolerances()
     _check_finite(g)
-    scale = 1.0 + np.linalg.norm(g.X)
-    return bool(_sigma_residual(g, sig) <= tol.invol * scale)
+    if g.n != sig.n:
+        raise DimensionMismatchError("motion dimension does not match signature")
+    S = g.R * sig._signs
+    residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, g.X)
+    return bool(residual <= tol.invol * (1.0 + _norm(g.X)))
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
@@ -224,8 +241,16 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
 
 
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
-    """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p."""
-    m = se_mul(g, sigma(se_inv(g), sig))
+    """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
+
+    For g = (A, X) this is (A J A^T J, X - A J A^T X), computed as
+    se_mul(g, sigma(se_inv(g))) computes it, product for product, so the
+    result is bit-identical to that route.
+    """
+    if g.n != sig.n:
+        raise DimensionMismatchError("motion dimension does not match signature")
+    A, X, j = g.R, g.X, sig._signs
+    m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
     return CartanMotion.certify(m, sig, tol)
 
 
@@ -238,7 +263,7 @@ def double_projection(
     X = np.asarray(X, dtype=float)
     if A.shape != (sig.n, sig.n) or X.shape != (sig.n,):
         raise DimensionMismatchError("operand dimensions differ")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise DimensionMismatchError("vector has non-finite entries")
     return X - (A * sig._signs) @ A.T @ X
 
@@ -246,12 +271,11 @@ def double_projection(
 def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
     """The bundle point (rho0(R), Y) carried by a Cartan-model motion.
 
-    The plane's frame is the one s kept from its construction check; no
-    membership check or eigen decomposition runs here. The fiber Y must lie
-    in that plane.
+    The plane's frame is the one s kept from its construction check,
+    orthonormal from its ``eigh``; no membership or frame check and no
+    eigen decomposition runs here. The fiber Y must lie in that plane.
     """
-    tol = tol or default_tolerances()
-    return bundle_point(plane_from_frame(s._frame, tol), s.motion.X, tol)
+    return bundle_point(_plane(s._frame), s.motion.X, tol)
 
 
 def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
@@ -279,13 +303,17 @@ def find_transporter(
 
     A maps the source frame onto the destination frame; the translation
     X = (dst.fiber - A src.fiber) / 2 lies in the destination plane, so the
-    doubled projection reproduces the fiber exactly.
+    doubled projection reproduces the fiber exactly. Both frames are
+    completed to SO(n) by one stacked complete QR and one stacked ``det``,
+    each exactly as ``complete_to_special_orthogonal`` completes it.
     """
     tol = tol or default_tolerances()
     if (src.n, src.plane.p) != (dst.n, dst.plane.p):
         raise DimensionMismatchError("bundle points must share (n, p)")
-    A = complete_to_special_orthogonal(dst.plane.frame, tol) @ \
-        complete_to_special_orthogonal(src.plane.frame, tol).T
+    C = _complete_frames(
+        np.stack([check_frame(dst.plane.frame, tol), check_frame(src.plane.frame, tol)])
+    )
+    A = C[0] @ C[1].T
     X = 0.5 * (dst.fiber - A @ src.fiber)
     return Motion(A, X)
 

@@ -8,12 +8,16 @@ eigenspace.
 
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
-private routine checks membership of a rotation already in SO(n): R J
-symmetric, R J involutive, and one ``eigh`` of R J giving the (-1)-eigenspace
+private routine checks membership of a rotation already in SO(n): S = R J
+symmetric, S involutive, and one ``eigh`` of S giving the (-1)-eigenspace
 dimension and its frame. It runs once, when a ``CartanRotation`` or a
 ``CartanMotion`` is constructed; the instance keeps read-only copies of its
 matrices and that frame, so ``rho0``, ``dp_log0``, ``rho`` and
-``dp_log_full`` read the frame and check nothing again.
+``dp_log_full`` read the frame and check nothing again. The eigenvectors of
+``eigh`` are orthonormal, so the plane built from that frame skips the frame
+check. The routine also returns S and |S^2 - I|: the sigma residual of a
+motion (R, X) has blocks J (S^2 - I) J and J (X + S X), so the
+``CartanMotion`` check finishes from them in the same pass.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .errors import (
     NotInCartanModelError,
 )
 from .matcore import (
+    _eye,
+    _norm,
     check_finite_matrix,
     check_frame,
     check_special_orthogonal,
@@ -89,7 +95,11 @@ class Plane:
 
 
 def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
-    F = check_frame(F, tol)
+    return _plane(check_frame(F, tol))
+
+
+def _plane(F: np.ndarray) -> Plane:
+    """The plane of a frame already known to be orthonormal."""
     n, p = F.shape
     return Plane(n=n, p=p, projector=projector(F), frame=F)
 
@@ -174,7 +184,7 @@ class CartanRotation:
         tol = tol or default_tolerances()
         mat = _read_only(check_special_orthogonal(self.mat, tol))
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol))
+        object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol)[0])
         object.__setattr__(self, "_tol", tol)
 
     def __reduce__(self):
@@ -191,20 +201,22 @@ class CartanRotation:
         return self.sig.n
 
 
-def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> np.ndarray:
-    """Frame of the plane of a rotation already checked to lie in SO(n).
+def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n).
 
-    Checks that R J is a symmetric involution whose (-1)-eigenspace has
-    dimension p, raising ``NotInCartanModelError`` if not, and returns that
-    eigenspace's frame, read-only, from the same ``eigh``.
+    Checks that S = R J is a symmetric involution whose (-1)-eigenspace has
+    dimension p, raising ``NotInCartanModelError`` if not. F is that
+    eigenspace's frame, read-only, from the same ``eigh``; S and the
+    involution residual are returned for the sigma residual of a motion.
     """
     n = sig.n
     if mat.shape != (n, n):
         raise DimensionMismatchError("rotation dimension does not match signature")
     S = mat * sig._signs
-    if np.linalg.norm(S - S.T) > tol.invol * n:
+    if _norm(S - S.T) > tol.invol * n:
         raise NotInCartanModelError("R J is not symmetric")
-    if np.linalg.norm(S @ S - np.eye(n)) > tol.invol * n:
+    invol = _norm(S @ S - _eye(n))
+    if invol > tol.invol * n:
         raise NotInCartanModelError("R J is not an involution")
     w, V = np.linalg.eigh(S)
     F = V[:, w < 0]
@@ -214,7 +226,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> np.ndarra
             eigenspace_dim=int(F.shape[1]),
         )
     F.flags.writeable = False
-    return F
+    return F, S, invol
 
 
 def _embed_matrix(plane: Plane) -> tuple:
@@ -235,10 +247,11 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
 def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
     """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J.
 
-    The frame is the one R kept from its construction check; no membership
-    check or eigen decomposition runs here.
+    The frame is the one R kept from its construction check, orthonormal
+    from its ``eigh``; no membership or frame check and no eigen
+    decomposition runs here.
     """
-    return plane_from_frame(R._frame, tol)
+    return _plane(R._frame)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def identity_motion(n: int) -> Motion:
 def _check_vector(x: np.ndarray, n: int, what: str) -> np.ndarray:
     """x as a float array, checked to be a finite n-vector."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,) or not np.all(np.isfinite(x)):
+    if x.shape != (n,) or not np.isfinite(x).all():
         raise DimensionMismatchError(f"{what} must be a finite n-vector")
     return x
 

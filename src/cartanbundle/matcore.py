@@ -9,12 +9,22 @@ routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
 and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R. The principal log itself takes one
 symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
+
+The validation primitives (``check_finite_matrix``, ``check_frame``,
+``check_special_orthogonal``) run on every certified construction. On a 4x4
+check, NumPy's Python-level dispatch costs more than the arithmetic, so they
+read a cached read-only identity per n (``_eye``) instead of building one,
+test finiteness with ``np.isfinite(x).all()``, and take Frobenius norms
+through ``_norm``: NumPy's own fast path for the default norm,
+sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
+every residual stays bit-identical to ``np.linalg.norm``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +35,20 @@ from .errors import (
     IllConditionedSpectrumError,
     NotOrthogonalSymmetryError,
 )
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius (or 2-) norm of a float array, as ``np.linalg.norm`` computes it."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+@lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, cached and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def basis_vector(i: int, n: int) -> np.ndarray:
@@ -54,7 +78,7 @@ def check_finite_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionMismatchError(f"{name} must be a 2-d array, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise DimensionMismatchError(f"{name} has non-finite entries")
     return M
 
@@ -92,7 +116,7 @@ def check_frame(F: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     n, p = F.shape
     if p > n:
         raise DimensionMismatchError(f"frame has {p} columns in dimension {n}")
-    if np.linalg.norm(F.T @ F - np.eye(p)) > tol.orth * max(1, n):
+    if _norm(F.T @ F - _eye(p)) > tol.orth * max(1, n):
         raise DegenerateSpanError("frame columns are not orthonormal")
     return F
 
@@ -112,12 +136,18 @@ def complete_to_special_orthogonal(
     factorization of F, so the result is a pure function of F. The last
     column is negated when needed to land in SO(n).
     """
-    tol = tol or default_tolerances()
-    F = check_frame(F, tol)
-    p = F.shape[1]
-    A = np.hstack([F, np.linalg.qr(F, mode="complete")[0][:, p:]])
-    if np.linalg.det(A) < 0:
-        A[:, -1] = -A[:, -1]
+    return _complete_frames(check_frame(F, tol or default_tolerances()))
+
+
+def _complete_frames(F: np.ndarray) -> np.ndarray:
+    """``complete_to_special_orthogonal`` of each checked frame in a (..., n, p) stack.
+
+    One stacked complete QR gives every complement and one stacked ``det``
+    every sign; each matrix comes out as it would alone.
+    """
+    p = F.shape[-1]
+    A = np.concatenate([F, np.linalg.qr(F, mode="complete")[0][..., p:]], axis=-1)
+    A[..., -1] *= np.where(np.linalg.det(A) < 0, -1.0, 1.0)[..., None]
     return A
 
 
@@ -166,7 +196,7 @@ def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np
     n = R.shape[0]
     if R.shape[0] != R.shape[1]:
         raise DimensionMismatchError("rotation must be square")
-    if np.linalg.norm(R.T @ R - np.eye(n)) > tol.orth * max(1, n):
+    if _norm(R.T @ R - _eye(n)) > tol.orth * max(1, n):
         raise IllConditionedSpectrumError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(R) - 1.0) > tol.orth * max(1, n):
         raise IllConditionedSpectrumError("matrix has determinant != +1")

@@ -86,8 +86,8 @@ def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
 def reflection_about_hyperplane_normal(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Reflection I - 2 V V^T through the hyperplane orthogonal to unit V."""
     V = np.asarray(V, dtype=float)
-    if abs(np.linalg.norm(V) - 1.0) > tol:
-        raise DimensionMismatchError("reflection normal must be a unit vector")
+    if not abs(np.linalg.norm(V) - 1.0) <= tol:
+        raise DimensionMismatchError("reflection normal must be a finite unit vector")
     return np.eye(V.shape[0]) - 2.0 * np.outer(V, V)
 
 

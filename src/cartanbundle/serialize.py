@@ -1,12 +1,15 @@
 """JSON wire formats for matrices, motions, screws, planes, and bundle points.
 
 Matrices serialize as {"rows": n, "cols": m, "data": [row-major doubles]};
-the other types compose that schema.
+the other types compose that schema. Output is strict JSON: a non-finite
+float (a NaN or infinite ``max_error`` in a verify report, say) is written
+as null, never as the non-standard tokens NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -98,6 +101,20 @@ def cartan_motion_from_json(obj: dict, tol: Tolerances | None = None) -> CartanM
     return CartanMotion.certify(motion, sig, tol)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, no trailing whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical strict JSON text: sorted keys, no trailing whitespace, null
+    for each non-finite float."""
+    return json.dumps(
+        _finite_or_null(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
+    )

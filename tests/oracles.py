@@ -5,8 +5,12 @@ series exponential and the SVD projector are the ones ``cartanbundle.verify``
 ships as its own oracles, re-exported here under the test names.
 """
 
+import math
+
 import numpy as np
 
+from cartanbundle.bundle import sigma
+from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
 from cartanbundle.liegroup import y_omega
 from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
@@ -40,3 +44,40 @@ def dp_log_v_oracle(omega, X, p):
     M = np.column_stack([y_omega(omega, np.eye(n)[:, k]) for k in range(p)])
     v, *_ = np.linalg.lstsq(M, X, rcond=None)
     return v
+
+
+def sigma_residual_oracle(g, sig):
+    """|| sigma(g) g - I || from sigma(g) built as a motion, block by block."""
+    h = sigma(g, sig)
+    return math.hypot(
+        np.linalg.norm(h.R @ g.R - np.eye(sig.n)), np.linalg.norm(h.X + h.R @ g.X)
+    )
+
+
+def certificate_residuals_oracle(g, sig):
+    """Each residual a ``CartanMotion`` bounds, in the order it checks them.
+
+    Rows are (name, residual, Tolerances field, factor): a check fails when
+    residual > field * factor.
+    """
+    n, R, X, J = sig.n, g.R, g.X, sig.matrix
+    S = R @ J
+    scale = n * (1.0 + np.linalg.norm(X))
+    return [
+        ("orth", np.linalg.norm(R.T @ R - np.eye(n)), "orth", n),
+        ("det", abs(np.linalg.det(R) - 1.0), "orth", n),
+        ("symmetric", np.linalg.norm(S - S.T), "invol", n),
+        ("involution", np.linalg.norm(S @ S - np.eye(n)), "invol", n),
+        ("sigma", sigma_residual_oracle(g, sig), "invol", scale),
+        ("fiber", np.linalg.norm(J @ X + R.T @ X), "invol", scale),
+    ]
+
+
+def certificate_error_oracle(g, sig, tol):
+    """The error class a ``CartanMotion`` of the finite n x n motion g raises, or None."""
+    for name, residual, field, factor in certificate_residuals_oracle(g, sig):
+        if residual > getattr(tol, field) * factor:
+            return IllConditionedSpectrumError if field == "orth" else NotInCartanModelError
+        if name == "involution" and (np.linalg.eigvalsh(g.R @ sig.matrix) < 0).sum() != sig.p:
+            return NotInCartanModelError
+    return None

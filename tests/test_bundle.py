@@ -50,7 +50,16 @@ from cartanbundle.sampling import (
     sample_rotation,
 )
 
-from oracles import dp_log_v_oracle, svd_projector_oracle
+import cartanbundle.bundle as bundle_module
+import cartanbundle.grassmann as grassmann_module
+import cartanbundle.matcore as matcore_module
+from oracles import (
+    certificate_error_oracle,
+    certificate_residuals_oracle,
+    dp_log_v_oracle,
+    sigma_residual_oracle,
+    svd_projector_oracle,
+)
 
 
 def rot2(theta):
@@ -595,3 +604,131 @@ class TestCertificate:
         cr = CartanRotation(R, SIG22, loose)
         assert np.array_equal(copy.deepcopy(s).motion.R, s.motion.R)
         assert np.array_equal(pickle.loads(pickle.dumps(cr)).mat, cr.mat)
+
+
+# The certificate reads the sigma residual off the S_p0 check (S = R J and
+# |S^2 - I|) instead of building sigma(g); these pin it to the built formula.
+PARITY_SHAPES = [(2, 1), (4, 2), (8, 3), (32, 5)]
+LOOSE = Tolerances().with_overrides({"orth": 1e-3, "invol": 1e-3})
+
+
+def _parity_motions(rng, n, p):
+    """Certified motions, and motions perturbed by 1e-6 to 1e-14 with |X| up to 1e6."""
+    motions = []
+    for scale in (1.0, 1e3, 1e6):
+        g = sample_cartan_motion(rng, n, p).motion
+        motions.append(Motion(g.R.copy(), scale * g.X))
+        for eps in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            motions.append(Motion(g.R + eps * rng.standard_normal((n, n)),
+                                  scale * (g.X + eps * rng.standard_normal(n))))
+    return motions
+
+
+@pytest.fixture
+def sigma_residuals(monkeypatch):
+    """The values ``bundle._sigma_residual`` returns, in call order."""
+    seen = []
+
+    def recorded(*args, _real=bundle_module._sigma_residual):
+        seen.append(_real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bundle_module, "_sigma_residual", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("n, p", PARITY_SHAPES)
+def test_sigma_residual_is_bit_identical_to_building_sigma(rng, sigma_residuals, n, p):
+    sig = Signature(p, n - p)
+    motions = _parity_motions(rng, n, p)
+    sigma_residuals.clear()
+    for g in motions:
+        expected = sigma_residual_oracle(g, sig)
+        CartanMotion(g, sig, LOOSE)
+        in_Q(g, sig)
+        assert sigma_residuals == [expected, expected]
+        sigma_residuals.clear()
+
+
+STRADDLED = ["orth", "det", "symmetric", "involution", "sigma", "fiber"]
+
+
+@pytest.mark.parametrize("bound", STRADDLED)
+def test_error_class_straddling_each_bound(rng, bound):
+    """Just inside and just outside each bound, the class raised (or none) is
+    that of the checks done with sigma(g) built. The fiber residual equals
+    the translation block of the sigma residual up to roundoff, so its bound
+    is matched but may never decide."""
+    sig = Signature(2, 2)
+    flips = 0
+    for g in _parity_motions(rng, 4, 2):
+        rows = {name: (r, field, factor)
+                for name, r, field, factor in certificate_residuals_oracle(g, sig)}
+        residual, field, factor = rows[bound]
+        if residual == 0.0:
+            continue
+        outcomes = []
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            tol = LOOSE.with_overrides({field: residual / factor / side})
+            expected = certificate_error_oracle(g, sig, tol)
+            if expected is None:
+                CartanMotion(g, sig, tol)
+            else:
+                with pytest.raises(expected):
+                    CartanMotion(g, sig, tol)
+            outcomes.append(expected)
+        flips += outcomes[0] != outcomes[1]
+    if bound in ("orth", "symmetric", "sigma"):
+        assert flips > 0
+
+
+@pytest.mark.parametrize("n, p", PARITY_SHAPES)
+def test_tau_is_bit_identical_to_group_arithmetic(rng, n, p):
+    sig = Signature(p, n - p)
+    for scale in (1.0, 1e6):
+        for _ in range(10):
+            g = sample_motion(rng, n, trans_scale=scale)
+            expected = se_mul(g, sigma(se_inv(g), sig))
+            got = tau(g, sig).motion
+            assert np.array_equal(got.R, expected.R) and np.array_equal(got.X, expected.X)
+
+
+def test_transporter_completes_each_frame_as_alone(rng):
+    from cartanbundle import complete_to_special_orthogonal as complete
+
+    for _ in range(20):
+        src, dst = sample_bundle_point(rng, 5, 2), sample_bundle_point(rng, 5, 2)
+        expected = complete(dst.plane.frame) @ complete(src.plane.frame).T
+        assert np.array_equal(find_transporter(src, dst).R, expected)
+
+
+# (op on a certified motion s and bundle points b, b2; the calls it may make).
+LINALG_CALLS = [
+    pytest.param(lambda s, b, b2: CartanMotion(s.motion, s.sig), {"eigh": 1, "det": 1},
+                 id="CartanMotion"),
+    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1},
+                 id="find_transporter"),
+    pytest.param(lambda s, b, b2: rho(s), {"eigh": 0, "check_frame": 0}, id="rho"),
+]
+
+
+@pytest.mark.parametrize("op, expected", LINALG_CALLS)
+def test_linalg_calls_per_call(rng, monkeypatch, op, expected):
+    calls = []
+
+    def counting(module, name):
+        def counted(*args, _real=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("eigh", "eigvalsh", "det", "qr"):
+        counting(np.linalg, name)
+    for module in (matcore_module, grassmann_module, bundle_module):
+        if hasattr(module, "check_frame"):
+            counting(module, "check_frame")
+    s = sample_cartan_motion(rng, 4, 2)
+    b, b2 = sample_bundle_point(rng, 4, 2), sample_bundle_point(rng, 4, 2)
+    calls.clear()
+    op(s, b, b2)
+    assert {name: calls.count(name) for name in expected} == expected

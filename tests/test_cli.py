@@ -117,6 +117,23 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["pass"] is False
 
+    def test_failing_report_is_strict_json(self, capsys):
+        # tol.branch 0.3 makes three properties raise, so their max_error is
+        # infinite; strict JSON has no token for that, so it is written null.
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "8", "--p", "3", "--samples", "10", "--seed", "5",
+            "--tol.branch", "0.3",
+        )
+        assert code == 2
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        raised = [r for r in report["properties"] if r["samples"] == 0]
+        assert len(raised) == 3
+        assert all(r["max_error"] is None and r["pass"] is False for r in raised)
+
 
 class TestMoebius:
     def test_csv_row_count(self, capsys):

@@ -119,6 +119,12 @@ class TestReflection:
             assert np.allclose(S @ V, -V, atol=1e-12)
             assert np.isclose(np.linalg.det(S), -1.0)
 
+    @pytest.mark.parametrize("V", [[math.nan, 0.0], [math.inf, 0.0], [0.6, 0.6]],
+                             ids=["nan", "inf", "not-unit"])
+    def test_rejects_non_unit_normal(self, V):
+        with pytest.raises(DimensionMismatchError):
+            reflection_about_hyperplane_normal(np.array(V))
+
 
 class TestTwoReflections:
     def test_zero_angle(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,11 @@ def test_cartan_motion_validates_membership(rng):
 
 def test_dumps_is_canonical():
     assert dumps({"b": 1, "a": [1.5]}) == '{"a":[1.5],"b":1}'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dumps_writes_non_finite_floats_as_null(bad):
+    assert dumps({"x": bad}) == '{"x":null}'
+    assert dumps({"a": [1.5, bad, (bad, 2)], "b": {"c": np.float64(bad)}}) == (
+        '{"a":[1.5,null,[null,2]],"b":{"c":null}}'
+    )

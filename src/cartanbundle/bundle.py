@@ -366,8 +366,8 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     f = _factors(angles)
     w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
     v = X[:p] + V @ (w - top)
-    residual = np.linalg.norm(_dp_translation(V, angles, U, v) - X)
-    if not residual <= 1e-8 * (1.0 + np.linalg.norm(X)):
+    residual = _norm(_dp_translation(V, angles, U, v) - X)
+    if not residual <= 1e-8 * (1.0 + _norm(X)):
         raise NearSingularIsomorphismError(
             "restricted system residual too large", residual=float(residual)
         )

@@ -2,15 +2,28 @@
 
 Motions are pairs (R, X) multiplying as (R1 R2, X1 + R1 X2); screws are
 pairs (omega, v). exp and log are functions of normal matrices, so each
-reads both of its factors off one symmetric or Hermitian ``eigh``:
+reads both of its factors off one real symmetric ``eigh``:
 
-- exp(omega, v) = (e^omega, Y_omega v). With i omega = U diag(w) U^H,
-  e^omega = Re U e^{-iw} U^H and Y_omega = Re U f(w) e^{-iw/2} U^H, where
-  f(theta) = 2 sin(theta/2) / theta is the half-angle factor: on each
-  turning plane Y_omega turns by theta/2 and scales by f.
+- exp(omega, v) = (e^omega, Y_omega v), from omega^T omega =
+  V diag(theta^2) V^T, theta >= 0. Since omega^T omega = -omega^2 commutes
+  with omega, e^omega = cos(Theta) + sin(Theta)/Theta omega and
+  Y_omega = sin(Theta)/Theta + (1 - cos(Theta))/Theta^2 omega with
+  Theta^2 = omega^T omega. With f(theta) = 2 sin(theta/2) / theta the
+  half-angle factor, sin(theta)/theta = f cos(theta/2) and
+  (1 - cos(theta))/theta^2 = f^2/2: on each turning plane Y_omega turns by
+  theta/2 and scales by f. Y_omega^{-1} = V diag(cos(theta/2) / f) V^T -
+  omega/2, the pull-back of the log. No complex arithmetic runs.
 - log(R, X) = (L, Y_L^{-1} X), from one ``eigh`` of S = (R + R^T)/2 (see
   ``matcore._rotation_log``). With theta the angle of each eigenvector of
   S, Y_L^{-1} = V diag(cos(theta/2) / f(theta)) V^T - L/2.
+
+Accuracy of exp: every factor is an entire function of theta^2, so the
+small angles, which ``eigh`` resolves only to eps |omega|^2 absolutely,
+cost nothing; but the backward error of the ``eigh`` scales with
+|omega|_2^2, not |omega|_2. Against a long-double scaling-and-squaring
+exponential, for |omega|_2 <= pi the error stays within 1.4 times that of
+a Hermitian ``eigh`` of i omega at n = 4, 8 and 32; at |omega|_2 = 30 it
+is 3.5 to 6 times larger (1.8e-13 against 4.4e-14 at n = 32).
 
 Each call validates each input once: the matrix, then the vector.
 """
@@ -107,19 +120,28 @@ def se_bracket(xi1: Screw, xi2: Screw) -> Screw:
 
 
 def _spectrum(omega: np.ndarray) -> tuple:
-    """(w, U) with i omega = U diag(w) U^H, for omega checked skew and finite."""
-    return np.linalg.eigh(1j * check_skew(omega))
+    """(omega, V, theta): omega checked skew and finite, omega^T omega = V diag(theta^2) V^T.
+
+    An eigenvalue that rounds below zero (the kernel at odd n) gets theta = 0.
+    """
+    omega = check_skew(omega)
+    lam, V = np.linalg.eigh(omega.T @ omega)
+    return omega, V, np.sqrt(np.maximum(lam, 0.0))
 
 
-def _apply(U: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re U diag(d) U^H x."""
-    return (U @ (d * (U.conj().T @ x))).real
+def _rotation(V, theta, sinc, Vw) -> np.ndarray:
+    """e^omega = V (cos(theta) . V^T + sinc . V^T omega), each factor scaling rows."""
+    return V @ (np.cos(theta)[:, None] * V.T + sinc[:, None] * Vw)
 
 
 def so_exp(omega: np.ndarray) -> np.ndarray:
-    """Exponential of a skew matrix, Re U e^{-iw} U^H for i omega = U diag(w) U^H."""
-    w, U = _spectrum(omega)
-    return ((U * np.exp(-1j * w)) @ U.conj().T).real
+    """Exponential of a skew matrix, the rotation part of ``se_exp``.
+
+    e^omega = cos(Theta) + sin(Theta)/Theta omega with Theta^2 = omega^T omega,
+    and sin(theta)/theta = f cos(theta/2) for the half-angle factor f.
+    """
+    omega, V, theta = _spectrum(omega)
+    return _rotation(V, theta, _factors(theta) * np.cos(0.5 * theta), V.T @ omega)
 
 
 def _check_branch(theta: np.ndarray, tol: Tolerances) -> None:
@@ -157,23 +179,28 @@ def _factors(theta: np.ndarray) -> np.ndarray:
     return np.array([_half_angle_factor(t) for t in theta])
 
 
-def _inverse_factors(theta: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """1 / f of each angle; a factor below ``tol.sing`` raises."""
+def _pull_back(V, theta, W, x, tol: Tolerances | None) -> np.ndarray:
+    """Y_W^{-1} x = V (cos(theta/2) / f . V^T x) - W x / 2, for W^T W = V diag(theta^2) V^T.
+
+    A half-angle factor f below ``tol.sing`` (default tolerances if None)
+    raises ``SingularMapError``.
+    """
     f = _factors(theta)
-    bad = np.abs(f) < tol.sing
+    bad = np.abs(f) < (tol or default_tolerances()).sing
     if bad.any():
         raise SingularMapError("Y_omega singular", angle=float(abs(theta[bad][0])))
-    return 1.0 / f
+    return V @ ((np.cos(0.5 * theta) * (1.0 / f)) * (V.T @ x)) - 0.5 * (W @ x)
 
 
 def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Translation part Y of exp(omega, v), as a linear map of v.
+    """Translation part Y of exp(omega, v), as a linear map of v (see ``se_exp``).
 
     On each turning plane of omega, of angle theta, v is scaled by
     2 sin(theta/2)/theta and rotated by theta/2; the kernel passes through.
+    It is the translation of ``se_exp``, which also forms e^omega: two
+    n x n products more than Y v alone needs.
     """
-    w, U = _spectrum(omega)
-    return _apply(U, _factors(w) * np.exp(-0.5j * w), _check_vector(v, w.size, "v"))
+    return se_exp(Screw(omega, v)).X
 
 
 def y_omega_solve(
@@ -184,25 +211,29 @@ def y_omega_solve(
     On each turning plane of omega, Y is turned back by theta/2 and divided
     by 2 sin(theta/2)/theta; an angle where that factor is below ``tol.sing``
     (theta near a nonzero multiple of 2 pi) raises ``SingularMapError``.
+    With omega^T omega = V diag(theta^2) V^T this is the pull-back of
+    ``se_log``, v = V (cos(theta/2) / f . V^T Y) - omega Y / 2. The checks
+    run in the order of ``se_log``: omega, then Y, then the factor.
     """
-    tol = tol or default_tolerances()
-    w, U = _spectrum(omega)
-    d = np.exp(0.5j * w) * _inverse_factors(w, tol)
-    return _apply(U, d, _check_vector(Y, w.size, "Y"))
+    omega, V, theta = _spectrum(omega)
+    return _pull_back(V, theta, omega, _check_vector(Y, theta.size, "Y"), tol)
 
 
 def se_exp(xi: Screw) -> Motion:
     """Group exponential exp(omega, v) = (exp(omega), Y_omega(v)).
 
-    One Hermitian ``eigh`` of i omega gives both parts: an eigenvalue w
-    turns by w in e^omega and, in Y_omega, by w/2, scaled by
-    2 sin(w/2)/w. omega is checked (skew, finite) before v (a finite
-    n-vector).
+    One real ``eigh`` of omega^T omega = V diag(theta^2) V^T gives both
+    parts, with f the half-angle factor and each product below scaling rows:
+    e^omega = V (cos(theta) . V^T + f cos(theta/2) . V^T omega) and
+    Y_omega v = V (f cos(theta/2) . V^T v + f^2/2 . V^T omega v), where
+    f cos(theta/2) = sin(theta)/theta and f^2/2 = (1 - cos(theta))/theta^2.
+    omega is checked (skew, finite) before v (a finite n-vector).
     """
-    w, U = _spectrum(xi.omega)
-    _check_vector(xi.v, w.size, "screw vector")
-    half = np.exp(-0.5j * w)
-    return Motion(((U * half**2) @ U.conj().T).real, _apply(U, _factors(w) * half, xi.v))
+    omega, V, theta = _spectrum(xi.omega)
+    v = _check_vector(xi.v, theta.size, "screw vector")
+    f = _factors(theta)
+    sinc, Vw = f * np.cos(0.5 * theta), V.T @ omega
+    return Motion(_rotation(V, theta, sinc, Vw), V @ (sinc * (V.T @ v) + 0.5 * f * f * (Vw @ v)))
 
 
 def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> Screw:
@@ -218,5 +249,4 @@ def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> 
     _check_vector(g.X, theta.size, "translation")
     if not allow_pi:
         _check_branch(theta, tol)
-    h = np.cos(0.5 * theta) * _inverse_factors(theta, tol)
-    return Screw(L, V @ (h * (V.T @ g.X)) - 0.5 * (L @ g.X))
+    return Screw(L, _pull_back(V, theta, L, g.X, tol))

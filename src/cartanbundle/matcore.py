@@ -11,13 +11,14 @@ rotation form is the pairs of log R. The principal log itself takes one
 symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
 
 The validation primitives (``check_finite_matrix``, ``check_frame``,
-``check_special_orthogonal``) run on every certified construction. On a 4x4
-check, NumPy's Python-level dispatch costs more than the arithmetic, so they
-read a cached read-only identity per n (``_eye``) instead of building one,
-test finiteness with ``np.isfinite(x).all()``, and take Frobenius norms
-through ``_norm``: NumPy's own fast path for the default norm,
-sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
-every residual stays bit-identical to ``np.linalg.norm``.
+``check_special_orthogonal``) run on every certified construction, and
+``check_skew`` on every exponential. On a 4x4 check, NumPy's Python-level
+dispatch costs more than the arithmetic, so they read a cached read-only
+identity per n (``_eye``) instead of building one, test finiteness with
+``np.isfinite(x).all()``, and take Frobenius norms through ``_norm``:
+NumPy's own fast path for the default norm, sqrt(x.ravel(order="K").dot(x)),
+without the argument handling around it, so every residual stays
+bit-identical to ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -134,9 +135,14 @@ def complete_to_special_orthogonal(
 
     The complement is the trailing n - p columns of the complete QR
     factorization of F, so the result is a pure function of F. The last
-    column is negated when needed to land in SO(n).
+    column is negated when needed to land in SO(n). At p = n there is no
+    complement to negate, so a frame with det F < 0 raises
+    ``IllConditionedSpectrumError``, as ``check_special_orthogonal`` does.
     """
-    return _complete_frames(check_frame(F, tol or default_tolerances()))
+    F = check_frame(F, tol or default_tolerances())
+    if F.shape[0] == F.shape[1] and np.linalg.det(F) < 0:
+        raise IllConditionedSpectrumError("a frame with det -1 has no completion in SO(n)")
+    return _complete_frames(F)
 
 
 def _complete_frames(F: np.ndarray) -> np.ndarray:
@@ -208,7 +214,7 @@ def check_skew(W: np.ndarray, n_scale_tol: float = 1e-12) -> np.ndarray:
     n = W.shape[0]
     if W.shape[0] != W.shape[1]:
         raise DimensionMismatchError("skew matrix must be square")
-    if np.linalg.norm(W + W.T) > n_scale_tol * n * max(1.0, np.linalg.norm(W)):
+    if _norm(W + W.T) > n_scale_tol * n * max(1.0, _norm(W)):
         raise IllConditionedSpectrumError("matrix is not skew-symmetric")
     return W
 
@@ -224,7 +230,7 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     1e-14 max(1, |W|) count as kernel.
     """
     w, U = np.linalg.eigh(1j * W)
-    pos = w > 1e-14 * max(1.0, np.linalg.norm(W))
+    pos = w > 1e-14 * max(1.0, _norm(W))
     U = U[:, pos]
     pairs = np.stack([U.real, U.imag], axis=2).reshape(W.shape[0], -1)
     Q, T = np.linalg.qr(pairs, mode="complete")

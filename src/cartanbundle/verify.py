@@ -14,7 +14,7 @@ properties that draw nothing, the wedge and the Moebius seam, are written out.
 
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
-Hermitian ``eigh``.
+real symmetric ``eigh``, of omega^T omega.
 """
 
 from __future__ import annotations

@@ -5,16 +5,17 @@ basis, so the hard inputs are hit on purpose: angles across the 1e-4 Taylor
 switch of the half-angle factor, repeated angles and clusters 1e-9 wide
 (one of them at cos(theta) = -1/2), angles just inside and just outside
 ``tol.branch`` of pi, exactly pi, angles near 2 pi for ``y_omega_solve``,
-translations from 1e6 to 1e9, and n up to 32. For the bundle, the
-identities that ``verify`` checks in place of in-call second routes are
-asserted on large translations and fibers, and on generators whose largest
-singular value reaches pi - 3e-6, where the principal angles approach the
-cut locus at pi/2.
+angles beyond pi up to 8 pi, translations from 1e6 to 1e9, and n up to 32.
+For the bundle, the identities that ``verify`` checks in place of in-call
+second routes are asserted on large translations and fibers, and on
+generators whose largest singular value reaches pi - 3e-6, where the
+principal angles approach the cut locus at pi/2.
 
 The decompositions are not unique on these inputs, so every assertion is on
 a product (exp of log, a reconstruction, a roundtrip) or on the typed error.
 The bounds are the ones ``verify`` uses, taken relative to 1 + |translation|
-where the translation is large.
+where the translation is large. Angles beyond pi, which ``verify`` does not
+draw, get a bound scaled by n (1 + theta_max)^2 (``WIDE``).
 """
 
 import math
@@ -199,6 +200,38 @@ def test_y_omega_solve_singular_near_two_pi(n, delta, seed):
     omega = _skew([2 * math.pi - delta], n, seed)
     with pytest.raises(SingularMapError):
         y_omega_solve(omega, _vector(n, 1.0, seed))
+
+
+# The backward error of the eigh of omega^T omega grows with |omega|_2^2, so
+# the bound is WIDE n (1 + theta_max)^2, times 1 + |v| for the translation.
+# Worst seen over 1500 seeded draws from the distribution of wide_spectra,
+# in those units: 2.9e-16 for so_exp, 9.2e-17 for the Y_omega identity and
+# 2.3e-16 for the y_omega_solve roundtrip.
+WIDE = 2e-15
+
+
+@st.composite
+def wide_spectra(draw):
+    """(n, angles, seed): up to n // 2 angles in (0.1, 8 pi - 0.1), each at
+    least 0.1 from every multiple of 2 pi, where Y_omega is singular."""
+    n = draw(st.integers(2, 32))
+    k = draw(st.integers(1, n // 2))
+    turns = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    offsets = draw(st.lists(st.floats(0.1, 2 * math.pi - 0.1), min_size=k, max_size=k))
+    angles = [2 * math.pi * m + t for m, t in zip(turns, offsets)]
+    return n, angles, draw(st.integers(0, 2**32 - 1))
+
+
+@given(wide_spectra(), st.sampled_from([1.0, 1e6]))
+def test_exp_beyond_pi(case, scale):
+    n, angles, seed = case
+    omega, v = _skew(angles, n, seed), _vector(n, scale, seed)
+    bound = WIDE * n * (1 + max(angles)) ** 2
+    R = so_exp(omega)
+    assert np.linalg.norm(R - _rotation(angles, n, seed)) <= bound
+    Y = y_omega(omega, v)
+    assert np.linalg.norm(omega @ Y - (R - np.eye(n)) @ v) <= bound * (1 + scale)
+    assert np.linalg.norm(y_omega_solve(omega, Y) - v) <= bound * (1 + scale)
 
 
 CUT = math.pi - 3e-6  # largest |B|_2: principal angles up to pi/2 - 1.5e-6

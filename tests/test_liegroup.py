@@ -256,7 +256,7 @@ def eigh_calls(monkeypatch):
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append(a)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -285,6 +285,25 @@ class TestOneFormPerCall:
         rotation_in_plane(1.3, U)
         line_bundle_exp(1.3, U, 0.7)
         assert eigh_calls == []
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda omega, v: se_exp(Screw(omega, v)),
+        lambda omega, v: so_exp(omega),
+        y_omega,
+        y_omega_solve,
+    ],
+    ids=["se_exp", "so_exp", "y_omega", "y_omega_solve"],
+)
+def test_exp_side_runs_one_real_eigh_of_omega_t_omega(rng, n, call, eigh_calls):
+    omega = sample_skew_bounded(rng, n, 3.0)
+    call(omega, rng.standard_normal(n))
+    (a,) = eigh_calls
+    assert a.dtype == np.float64
+    assert np.array_equal(a, omega.T @ omega)
 
 
 def _unit_skew(rng, n):

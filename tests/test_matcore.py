@@ -116,9 +116,21 @@ class TestCompletion:
             n = int(rng.integers(2, 8))
             p = int(rng.integers(1, n + 1))
             F = orthonormalize(rng.standard_normal((n, p)))
+            if p == n and np.linalg.det(F) < 0:
+                # no matrix in SO(n) has F as its leading block
+                with pytest.raises(IllConditionedSpectrumError):
+                    complete_to_special_orthogonal(F)
+                continue
             A = complete_to_special_orthogonal(F)
             assert abs(np.linalg.det(A) - 1.0) < 1e-10
             assert np.allclose(projector(A[:, :p]), projector(F), atol=1e-9)
+            assert np.array_equal(A[:, :p], F)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_square_frame_with_negative_det_raises(self, n):
+        F = np.diag([1.0] * (n - 1) + [-1.0])
+        with pytest.raises(IllConditionedSpectrumError):
+            complete_to_special_orthogonal(F)
 
     def test_pure_function_of_frame(self, rng):
         F = orthonormalize(rng.standard_normal((5, 2)))

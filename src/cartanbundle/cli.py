@@ -1,13 +1,37 @@
 """Command-line entry point: JSON I/O, seeded sampling, verification, data emission.
 
-Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 verification failure.
+Each subcommand is one row of ``COMMANDS``: its help text, whether it reads
+JSON input, the flags it reads and a handler. ``main`` reads the input (from
+``--in``, else stdin), runs the handler, writes its output (to ``--out``, else
+stdout) and maps errors to exit codes, the same way for every command. A
+subcommand accepts only the flags it reads:
+
+    command    flags
+    exp        --in --out --se --so
+    log        --in --out --se --so --allow-pi
+    embed      --in --out
+    project    --in --out --n --p
+    act        --in --out --n --p --twisted --bundle
+    transport  --in --out
+    tau        --in --out --n --p
+    sample     --out --n --p --seed --samples --kind
+    verify     --out --n --p --seed --samples
+    moebius    --out --num-theta --num-lambda --lambda-max --format
+
+``--samples`` must be at least 1. Every command also takes tolerance
+overrides, ``--tol.<name> value``.
+
+Exit codes: 0 success; 1 bad arguments or a domain error, with a
+machine-readable JSON object on stderr; 2 verification failure; 141 stdout was
+closed before the output was written (128 + SIGPIPE, as a shell reports for
+``yes | head``), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -59,82 +83,11 @@ def _extract_tol_flags(argv):
     return overrides, rest
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cartan-bundle")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, io=True, dims=True):
-        if dims:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--p", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=500)
-        if io:
-            p.add_argument("--in", dest="infile", default=None)
-            p.add_argument("--out", dest="outfile", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("exp", help="exponential of a screw (--se) or skew matrix (--so)")
-    p.add_argument("--se", action="store_true")
-    p.add_argument("--so", action="store_true")
-    common(p)
-
-    p = sub.add_parser("log", help="logarithm of a motion (--se) or rotation (--so)")
-    p.add_argument("--se", action="store_true")
-    p.add_argument("--so", action="store_true")
-    p.add_argument("--allow-pi", action="store_true")
-    common(p)
-
-    p = sub.add_parser("embed", help="plane -> Cartan rotation, bundle point -> Cartan motion")
-    common(p)
-
-    p = sub.add_parser("project", help="Cartan rotation -> plane, Cartan motion -> bundle point")
-    common(p)
-
-    p = sub.add_parser("act", help="twisted conjugation (--twisted) or bundle action (--bundle)")
-    p.add_argument("--twisted", action="store_true")
-    p.add_argument("--bundle", action="store_true")
-    common(p)
-
-    p = sub.add_parser("transport", help="motion carrying one bundle point to another")
-    common(p)
-
-    p = sub.add_parser("tau", help="orbit map g -> g sigma(g^-1)")
-    common(p)
-
-    p = sub.add_parser("sample", help="seeded sampling of domain types")
-    p.add_argument("--kind", choices=sp.SAMPLE_KINDS, required=True)
-    common(p)
-
-    p = sub.add_parser("verify", help="run the full property harness")
-    common(p)
-
-    p = sub.add_parser("moebius", help="emit the Moebius band point set")
-    p.add_argument("--num-theta", type=int, default=64)
-    p.add_argument("--num-lambda", type=int, default=9)
-    p.add_argument("--lambda-max", type=float, default=2.0)
-    common(p, dims=False)
-
-    return parser
-
-
-def _read_input(args) -> dict:
-    if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
-
-
-def _write_output(args, text: str):
-    if getattr(args, "outfile", None):
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _signature(args) -> gr.Signature:
@@ -145,144 +98,169 @@ def _signature(args) -> gr.Signature:
     return gr.Signature(args.p, args.n - args.p)
 
 
-def _sample_value(kind, rng, args, tol):
-    n, p = args.n, args.p
-    if kind in ("plane", "dp_generator", "dp_element", "bundle_point", "cartan_motion", "fixed_point"):
-        sig = _signature(args)
-        n, p = sig.n, sig.p
-    elif n is None:
+# Flag name (underscores become dashes) -> add_argument keywords.
+_SWITCH = {"action": "store_true"}
+_DIMS = {"n": {"type": int}, "p": {"type": int}}
+_DRAWS = {"seed": {"type": int, "default": 0}, "samples": {"type": _positive_int, "default": 500}}
+
+# name -> (help, reads --in, flags, handler(args, input JSON, tol) -> (JSON or text, exit code))
+COMMANDS = {}
+
+
+def _command(name, summary, reads_input, **flags):
+    def register(handler):
+        COMMANDS[name] = (summary, reads_input, flags, handler)
+        return handler
+
+    return register
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="cartan-bundle")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, reads_input, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if reads_input:
+            p.add_argument("--in", dest="infile")
+        p.add_argument("--out", dest="outfile")
+        for flag, keywords in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), **keywords)
+    return parser
+
+
+@_command("exp", "exponential of a screw (--se) or skew matrix (--so)", True, se=_SWITCH, so=_SWITCH)
+def _exp(args, obj, tol):
+    if args.so:
+        return sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj))), 0
+    return sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj))), 0
+
+
+@_command(
+    "log", "logarithm of a motion (--se) or rotation (--so)", True,
+    se=_SWITCH, so=_SWITCH, allow_pi=_SWITCH,
+)
+def _log(args, obj, tol):
+    if args.so:
+        return sz.mat_to_json(lg.so_log(sz.mat_from_json(obj), tol, allow_pi=args.allow_pi)), 0
+    return sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi)), 0
+
+
+@_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True)
+def _embed(args, obj, tol):
+    if "fiber" in obj:
+        return sz.cartan_motion_to_json(bn.rho_inv(sz.bundle_point_from_json(obj, tol), tol)), 0
+    cr = gr.cartan_embed0(sz.plane_from_json(obj, tol), tol)
+    return {"R": sz.mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}, 0
+
+
+@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS)
+def _project(args, obj, tol):
+    if "X" in obj:
+        return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol), tol)), 0
+    sig = _signature(args)
+    cr = gr.CartanRotation.certify(sz.mat_from_json(obj), sig, tol)
+    return sz.plane_to_json(gr.rho0(cr, tol)), 0
+
+
+@_command(
+    "act", "twisted conjugation (--twisted) or bundle action (--bundle)", True,
+    **_DIMS, twisted=_SWITCH, bundle=_SWITCH,
+)
+def _act(args, obj, tol):
+    sig = _signature(args)
+    a = sz.motion_from_json(obj["a"])
+    if args.bundle:
+        b = sz.bundle_point_from_json(obj["b"], tol)
+        return sz.bundle_point_to_json(bn.bundle_act(a, b, sig, tol)), 0
+    return sz.motion_to_json(bn.twisted_act(a, sz.motion_from_json(obj["g"]), sig)), 0
+
+
+@_command("transport", "motion carrying one bundle point to another", True)
+def _transport(args, obj, tol):
+    src = sz.bundle_point_from_json(obj["src"], tol)
+    dst = sz.bundle_point_from_json(obj["dst"], tol)
+    return sz.motion_to_json(bn.find_transporter(src, dst, tol)), 0
+
+
+@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS)
+def _tau(args, obj, tol):
+    sig = _signature(args)
+    return sz.cartan_motion_to_json(bn.tau(sz.motion_from_json(obj), sig, tol)), 0
+
+
+def _dp_json(x) -> dict:
+    """A DpGenerator as {p, q, B}; a DpElement adds its v."""
+    gen = x.gen if isinstance(x, bn.DpElement) else x
+    out = {"p": gen.p, "q": gen.q, "B": sz.mat_to_json(gen.B)}
+    return out if gen is x else {**out, "v": x.v.tolist()}
+
+
+_DP_BOUND = np.pi - 0.1
+
+# kind -> (needs --p, draw(rng, n, p) -> JSON)
+SAMPLERS = {
+    "rotation": (False, lambda rng, n, p: sz.mat_to_json(sp.sample_rotation(rng, n))),
+    "skew": (False, lambda rng, n, p: sz.mat_to_json(sp.sample_skew(rng, n))),
+    "screw": (False, lambda rng, n, p: sz.screw_to_json(sp.sample_screw(rng, n))),
+    "motion": (False, lambda rng, n, p: sz.motion_to_json(sp.sample_motion(rng, n))),
+    "plane": (True, lambda rng, n, p: sz.plane_to_json(sp.sample_plane(rng, n, p))),
+    "unit_direction": (False, lambda rng, n, p: sp.sample_unit_direction(rng, n).tolist()),
+    "dp_generator": (
+        True, lambda rng, n, p: _dp_json(sp.sample_dp_generator(rng, p, n - p, bound=_DP_BOUND))
+    ),
+    "dp_element": (
+        True, lambda rng, n, p: _dp_json(sp.sample_dp_element(rng, p, n - p, bound=_DP_BOUND))
+    ),
+    "bundle_point": (
+        True, lambda rng, n, p: sz.bundle_point_to_json(sp.sample_bundle_point(rng, n, p))
+    ),
+    "cartan_motion": (
+        True, lambda rng, n, p: sz.cartan_motion_to_json(sp.sample_cartan_motion(rng, n, p))
+    ),
+    "fixed_point": (
+        True, lambda rng, n, p: sz.motion_to_json(sp.sample_fixed_point(rng, gr.Signature(p, n - p)))
+    ),
+}
+
+
+@_command(
+    "sample", "seeded sampling of domain types", False,
+    **_DIMS, **_DRAWS, kind={"choices": tuple(SAMPLERS), "required": True},
+)
+def _sample(args, obj, tol):
+    needs_p, draw = SAMPLERS[args.kind]
+    if needs_p:
+        _signature(args)
+    elif args.n is None:
         raise DimensionMismatchError("sampling requires --n")
-    if kind == "rotation":
-        return sz.mat_to_json(sp.sample_rotation(rng, n))
-    if kind == "skew":
-        return sz.mat_to_json(sp.sample_skew(rng, n))
-    if kind == "screw":
-        return sz.screw_to_json(sp.sample_screw(rng, n))
-    if kind == "motion":
-        return sz.motion_to_json(sp.sample_motion(rng, n))
-    if kind == "plane":
-        return sz.plane_to_json(sp.sample_plane(rng, n, p))
-    if kind == "unit_direction":
-        return sp.sample_unit_direction(rng, n).tolist()
-    if kind == "dp_generator":
-        gen = sp.sample_dp_generator(rng, p, n - p, bound=np.pi - 0.1)
-        return {"p": gen.p, "q": gen.q, "B": sz.mat_to_json(gen.B)}
-    if kind == "dp_element":
-        el = sp.sample_dp_element(rng, p, n - p, bound=np.pi - 0.1)
-        return {"p": el.gen.p, "q": el.gen.q, "B": sz.mat_to_json(el.gen.B), "v": el.v.tolist()}
-    if kind == "bundle_point":
-        return sz.bundle_point_to_json(sp.sample_bundle_point(rng, n, p))
-    if kind == "cartan_motion":
-        return sz.cartan_motion_to_json(sp.sample_cartan_motion(rng, n, p))
-    if kind == "fixed_point":
-        return sz.motion_to_json(sp.sample_fixed_point(rng, gr.Signature(p, n - p)))
-    raise DimensionMismatchError(f"unknown sample kind {kind}")
+    rng = sp.make_rng(args.seed, 0)
+    values = [draw(rng, args.n, args.p) for _ in range(args.samples)]
+    return {"kind": args.kind, "seed": args.seed, "values": values}, 0
 
 
-def _dispatch(args, tol) -> int:
-    cmd = args.command
+@_command("verify", "run the full property harness", False, **_DIMS, **_DRAWS)
+def _verify(args, obj, tol):
+    sig = _signature(args)
+    cfg = VerifyConfig(n=sig.n, p=sig.p, samples=args.samples, seed=args.seed, tol=tol)
+    report = run_verification(cfg)
+    return report.to_json(), (0 if report.passed else 2)
 
-    if cmd == "exp":
-        obj = _read_input(args)
-        if args.so:
-            out = sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj)))
-        else:
-            out = sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj)))
-        _write_output(args, sz.dumps(out))
-        return 0
 
-    if cmd == "log":
-        obj = _read_input(args)
-        if args.so:
-            out = sz.mat_to_json(lg.so_log(sz.mat_from_json(obj), tol, allow_pi=args.allow_pi))
-        else:
-            out = sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi))
-        _write_output(args, sz.dumps(out))
-        return 0
-
-    if cmd == "embed":
-        obj = _read_input(args)
-        if "fiber" in obj:
-            s = bn.rho_inv(sz.bundle_point_from_json(obj, tol), tol)
-            out = sz.cartan_motion_to_json(s)
-        else:
-            cr = gr.cartan_embed0(sz.plane_from_json(obj, tol), tol)
-            out = {"R": sz.mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}
-        _write_output(args, sz.dumps(out))
-        return 0
-
-    if cmd == "project":
-        obj = _read_input(args)
-        if "X" in obj:
-            b = bn.rho(sz.cartan_motion_from_json(obj, tol), tol)
-            out = sz.bundle_point_to_json(b)
-        else:
-            sig = _signature(args)
-            cr = gr.CartanRotation.certify(sz.mat_from_json(obj), sig, tol)
-            out = sz.plane_to_json(gr.rho0(cr, tol))
-        _write_output(args, sz.dumps(out))
-        return 0
-
-    if cmd == "act":
-        obj = _read_input(args)
-        sig = _signature(args)
-        a = sz.motion_from_json(obj["a"])
-        if args.bundle:
-            b = sz.bundle_point_from_json(obj["b"], tol)
-            out = sz.bundle_point_to_json(bn.bundle_act(a, b, sig, tol))
-        else:
-            g = sz.motion_from_json(obj["g"])
-            out = sz.motion_to_json(bn.twisted_act(a, g, sig))
-        _write_output(args, sz.dumps(out))
-        return 0
-
-    if cmd == "transport":
-        obj = _read_input(args)
-        src = sz.bundle_point_from_json(obj["src"], tol)
-        dst = sz.bundle_point_from_json(obj["dst"], tol)
-        _write_output(args, sz.dumps(sz.motion_to_json(bn.find_transporter(src, dst, tol))))
-        return 0
-
-    if cmd == "tau":
-        obj = _read_input(args)
-        sig = _signature(args)
-        s = bn.tau(sz.motion_from_json(obj), sig, tol)
-        _write_output(args, sz.dumps(sz.cartan_motion_to_json(s)))
-        return 0
-
-    if cmd == "sample":
-        rng = sp.make_rng(args.seed, 0)
-        values = [_sample_value(args.kind, rng, args, tol) for _ in range(args.samples)]
-        _write_output(args, sz.dumps({"kind": args.kind, "seed": args.seed, "values": values}))
-        return 0
-
-    if cmd == "verify":
-        if args.n is None or args.p is None:
-            raise DimensionMismatchError("verify requires --n and --p")
-        cfg = VerifyConfig(n=args.n, p=args.p, samples=args.samples, seed=args.seed, tol=tol)
-        report = run_verification(cfg)
-        _write_output(args, sz.dumps(report.to_json()))
-        return 0 if report.passed else 2
-
-    if cmd == "moebius":
-        records = pj.moebius_grid(args.num_theta, args.num_lambda, args.lambda_max)
-        if args.format == "csv":
-            lines = [",".join(pj.MOEBIUS_COLUMNS)]
-            lines += [
-                ",".join(repr(rec[c]) for c in pj.MOEBIUS_COLUMNS) for rec in records
-            ]
-            _write_output(args, "\n".join(lines))
-        else:
-            _write_output(args, "\n".join(sz.dumps(rec) for rec in records))
-        return 0
-
-    raise DimensionMismatchError(f"unknown command {cmd}")
+@_command(
+    "moebius", "emit the Moebius band point set", False,
+    num_theta={"type": int, "default": 64}, num_lambda={"type": int, "default": 9},
+    lambda_max={"type": float, "default": 2.0}, format={"choices": ("json", "csv"), "default": "json"},
+)
+def _moebius(args, obj, tol):
+    records = pj.moebius_grid(args.num_theta, args.num_lambda, args.lambda_max)
+    if args.format == "csv":
+        rows = [pj.MOEBIUS_COLUMNS] + [[repr(rec[c]) for c in pj.MOEBIUS_COLUMNS] for rec in records]
+        return "\n".join(",".join(row) for row in rows), 0
+    return "\n".join(sz.dumps(rec) for rec in records), 0
 
 
 def _emit_error(code: str, detail: str, context=None):
-    sys.stderr.write(
-        sz.dumps({"error": code, "detail": detail, "context": context or {}}) + "\n"
-    )
+    sys.stderr.write(sz.dumps({"error": code, "detail": detail, "context": context or {}}) + "\n")
 
 
 def main(argv=None) -> int:
@@ -292,7 +270,30 @@ def main(argv=None) -> int:
         overrides, rest = _extract_tol_flags(list(argv))
         args = _build_parser().parse_args(rest)
         tol = default_tolerances().with_overrides(overrides)
-        return _dispatch(args, tol)
+        _, reads_input, _, handler = COMMANDS[args.command]
+        obj = None
+        if reads_input and args.infile:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        elif reads_input:
+            obj = json.load(sys.stdin)
+        out, code = handler(args, obj, tol)
+        text = (out if isinstance(out, str) else sz.dumps(out)) + "\n"
+        if args.outfile:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone. Stay silent, as `yes | head` does, and point
+            # stdout at /dev/null so the interpreter's shutdown flush is silent too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        return code
     except _CliArgumentError as exc:
         _emit_error("bad_arguments", str(exc))
         return 1

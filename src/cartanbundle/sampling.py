@@ -127,17 +127,3 @@ def sample_fixed_point(rng: np.random.Generator, sig: Signature) -> Motion:
     X[p:] = rng.standard_normal(q)
     return Motion(R, X)
 
-
-SAMPLE_KINDS = (
-    "rotation",
-    "skew",
-    "screw",
-    "motion",
-    "plane",
-    "unit_direction",
-    "dp_generator",
-    "dp_element",
-    "bundle_point",
-    "cartan_motion",
-    "fixed_point",
-)

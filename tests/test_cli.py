@@ -1,13 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cartanbundle
+from cartanbundle import cli
 from cartanbundle.cli import main
 from cartanbundle.serialize import dumps, mat_from_json, mat_to_json
 
@@ -188,11 +192,73 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exp", "--format", "csv"),
+            ("exp", "--seed", "3"),
+            ("verify", "--in", "x.json"),
+            ("moebius", "--n", "4"),
+            ("transport", "--samples", "2"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "argv", [("sample", "--kind", "rotation", "--n", "2"), ("verify", "--n", "4", "--p", "2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_samples_below_one(self, capsys, argv, samples):
+        code, out, err = run_cli(capsys, *argv, "--samples", samples)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    def test_verify_dimensions_checked_like_every_command(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "4", "--p", "4")
+        assert code == 1
+        assert json.loads(err)["error"] == "dimension_mismatch"
+
+
+def _fresh_env():
+    # A fresh interpreter that imports this checkout of the package.
+    src = str(Path(cartanbundle.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The read end is closed before the child has even imported the package,
+    # so its one write always finds no reader.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cartanbundle.cli", "verify", "--n", "5", "--p", "2",
+         "--samples", "50", "--seed", "5"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("cartan-bundle ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
 
 def test_cli_import_loads_no_scipy():
     # A fresh interpreter, so modules other tests imported do not count.
-    src = str(Path(cartanbundle.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _fresh_env()
     probe = "import sys, cartanbundle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -13,6 +13,12 @@ and a finite translation, then the shared S_p0 check of grassmann (one
 keeps read-only copies of R and X and the frame of the plane that the check
 found, so ``rho`` and ``dp_log_full`` check nothing again.
 
+Each condition has one bound, which every test of it reads: the sigma
+residual is held to ``tol.invol`` (1 + |X|) by ``in_Q`` and
+``CartanMotion`` (``_sigma_holds``), and the part (I - P) Y of a fiber
+outside its plane to ``tol.fiber`` (1 + |Y|) by ``bundle_point``,
+``CartanMotion`` and ``dp_log_full`` (``_fiber_holds``).
+
 The sigma residual |sigma(g) g - I| reuses the S_p0 check instead of
 building sigma(g). With S = R J, the rotation block J R J R - I equals
 J (S^2 - I) J and the translation block J X + J R J X equals J (X + S X).
@@ -70,9 +76,9 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BundlePoint:
-    """A point (plane, fiber vector) of the canonical vector bundle."""
+    """A point (plane, fiber vector) of the canonical vector bundle; ``==`` is identity."""
 
     plane: Plane
     fiber: np.ndarray
@@ -85,54 +91,57 @@ class BundlePoint:
 def bundle_point(
     plane: Plane, fiber: np.ndarray, tol: Tolerances | None = None
 ) -> BundlePoint:
-    """Validated bundle point: the fiber vector must lie in the plane."""
-    tol = tol or default_tolerances()
+    """Validated bundle point: the fiber vector must lie in the plane.
+
+    The residual |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
+    """
     fiber = np.asarray(fiber, dtype=float)
     if fiber.shape != (plane.n,) or not np.isfinite(fiber).all():
         raise DimensionMismatchError("fiber must be a finite n-vector")
     residual = _norm(plane.projector @ fiber - fiber)
-    if residual > tol.fiber * (1.0 + _norm(fiber)):
+    if not _fiber_holds(residual, fiber, tol or default_tolerances()):
         raise NotInCartanModelError(
             "fiber vector does not lie in the plane", residual=float(residual)
         )
     return BundlePoint(plane=plane, fiber=fiber)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanMotion:
     """A motion in the Cartan model S_p, checked once, at construction.
 
     The constructor (``certify`` is an alias) checks SO(n) and a finite
-    translation, then S_p0, the sigma residual and the fiber condition. The
-    sigma residual comes from the S_p0 check's S = R J and |S^2 - I| as
-    hypot(|S^2 - I|, |X + S X|) (see the module docstring); no sigma(g) is
-    built. The instance keeps read-only copies of R and X and the read-only
-    frame of the carried plane that the S_p0 check found;
-    ``dataclasses.replace``, ``copy`` and ``pickle`` run the check again,
-    under the same tolerances.
+    translation, then S_p0, the sigma residual and the fiber condition,
+    each under the one bound that ``in_Q0``, ``in_Q`` and ``bundle_point``
+    also apply. The sigma residual comes from the S_p0 check's S = R J and
+    |S^2 - I| as hypot(|S^2 - I|, |X + S X|) (see the module docstring); no
+    sigma(g) is built. The fiber residual is |(I - P) Y| computed as
+    |J Y + R^T Y| / 2, since J Y + R^T Y = 2 J (I - P) Y on S_p. The
+    instance keeps read-only copies of R and X and the read-only frame of
+    the carried plane that the S_p0 check found; ``dataclasses.replace``,
+    ``copy`` and ``pickle`` run the check again, under the same tolerances.
+    ``==`` is identity.
     """
 
     motion: Motion
     sig: Signature
     tol: InitVar[Tolerances | None] = None
-    _frame: np.ndarray = field(init=False, repr=False, compare=False)
-    _tol: Tolerances = field(init=False, repr=False, compare=False)
+    _frame: np.ndarray = field(init=False, repr=False)
+    _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        sig, R, X = self.sig, self.motion.R, self.motion.X
-        motion = check_motion(Motion(_read_only(R), _read_only(X)), tol)
+        motion = check_motion(Motion(_read_only(self.motion.R), _read_only(self.motion.X)), tol)
         # The S_p0 check first compares the dimension with the signature.
-        frame, S, invol = _cartan_frame(motion.R, sig, tol)
+        frame, S, invol = _cartan_frame(motion.R, self.sig, tol)
         object.__setattr__(self, "_frame", frame)
         Y = motion.X
         residual = _sigma_residual(invol, S, Y)
-        scale = 1.0 + _norm(Y)
-        if residual > tol.invol * sig.n * scale:
+        if not _sigma_holds(residual, Y, tol):
             raise NotInCartanModelError("sigma(g) != g^{-1}", residual=residual)
         # Fiber condition J Y = -R^{-1} Y, equivalently Y in rho0(R).
-        fib = _norm(sig._signs * Y + motion.R.T @ Y)
-        if fib > tol.invol * sig.n * scale:
+        fib = 0.5 * _norm(self.sig._signs * Y + motion.R.T @ Y)
+        if not _fiber_holds(fib, Y, tol):
             raise NotInCartanModelError(
                 "translation is not in the carried plane", residual=float(fib)
             )
@@ -153,9 +162,9 @@ class CartanMotion:
         return self.sig.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpElement:
-    """Element (generator, v) of the (-1)-eigenspace d_p of the involution."""
+    """Element (generator, v) of the (-1)-eigenspace d_p of the involution; ``==`` is identity."""
 
     gen: DpGenerator
     v: np.ndarray
@@ -193,6 +202,16 @@ def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
     return math.hypot(invol, _norm(X + S @ X))
 
 
+def _sigma_holds(residual: float, X: np.ndarray, tol: Tolerances) -> bool:
+    """The one bound on the sigma residual of g = (R, X): ``tol.invol`` (1 + |X|)."""
+    return residual <= tol.invol * (1.0 + _norm(X))
+
+
+def _fiber_holds(residual: float, Y: np.ndarray, tol: Tolerances) -> bool:
+    """The one bound on |(I - P) Y|, the part of Y off its plane: ``tol.fiber`` (1 + |Y|)."""
+    return residual <= tol.fiber * (1.0 + _norm(Y))
+
+
 def _check_finite(g: Motion) -> None:
     """Raise ``DimensionMismatchError`` unless both blocks of g are finite."""
     if not (np.isfinite(g.R).all() and np.isfinite(g.X).all()):
@@ -213,14 +232,16 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q = {g : sigma(g) = g^{-1}}; a non-finite g raises."""
-    tol = tol or default_tolerances()
+    """Membership in Q = {g : sigma(g) = g^{-1}}; a non-finite g raises.
+
+    The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
+    """
     _check_finite(g)
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
     S = g.R * sig._signs
     residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, g.X)
-    return bool(residual <= tol.invol * (1.0 + _norm(g.X)))
+    return _sigma_holds(residual, g.X, tol or default_tolerances())
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
@@ -268,14 +289,15 @@ def double_projection(
     return X - (A * sig._signs) @ A.T @ X
 
 
-def rho(s: CartanMotion, tol: Tolerances | None = None) -> BundlePoint:
+def rho(s: CartanMotion) -> BundlePoint:
     """The bundle point (rho0(R), Y) carried by a Cartan-model motion.
 
     The plane's frame is the one s kept from its construction check,
-    orthonormal from its ``eigh``; no membership or frame check and no
-    eigen decomposition runs here. The fiber Y must lie in that plane.
+    orthonormal from its ``eigh``, and Y passed that check's fiber bound,
+    the one ``bundle_point`` applies; no membership or frame check and no
+    eigen decomposition runs here.
     """
-    return bundle_point(_plane(s._frame), s.motion.X, tol)
+    return BundlePoint(plane=_plane(s._frame), fiber=s.motion.X)
 
 
 def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
@@ -354,9 +376,10 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     the principal pairs (V_i, U_i) and angles s_i; no membership check or
     eigen decomposition runs here. The fiber is pulled back pair by pair,
     dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i, which lies in
-    (2/pi, 1] inside the cut locus. A certified fiber can still lie outside
-    the image, since the construction bound is looser; a residual check
-    rejects it.
+    (2/pi, 1] inside the cut locus. The residual of that pull-back is the
+    part of X off the plane, held to the fiber bound of the construction
+    check (``_fiber_holds``), here under ``tol``; a motion certified under
+    looser tolerances can still fail it, and then the call raises.
     """
     tol = tol or default_tolerances()
     p = s.sig.p
@@ -367,7 +390,7 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
     v = X[:p] + V @ (w - top)
     residual = _norm(_dp_translation(V, angles, U, v) - X)
-    if not residual <= 1e-8 * (1.0 + _norm(X)):
+    if not _fiber_holds(residual, X, tol):
         raise NearSingularIsomorphismError(
             "restricted system residual too large", residual=float(residual)
         )

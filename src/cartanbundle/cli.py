@@ -7,19 +7,20 @@ stdout) and maps errors to exit codes, the same way for every command. A
 subcommand accepts only the flags it reads:
 
     command    flags
-    exp        --in --out --se --so
-    log        --in --out --se --so --allow-pi
+    exp        --in --out --se | --so
+    log        --in --out --se | --so --allow-pi
     embed      --in --out
     project    --in --out --n --p
-    act        --in --out --n --p --twisted --bundle
+    act        --in --out --n --p --twisted | --bundle
     transport  --in --out
     tau        --in --out --n --p
     sample     --out --n --p --seed --samples --kind
     verify     --out --n --p --seed --samples
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
-``--samples`` must be at least 1. Every command also takes tolerance
-overrides, ``--tol.<name> value``.
+``--samples`` must be at least 1, a | joins mode switches that exclude each
+other, and a flag must be spelled out in full. Every command also takes
+tolerance overrides, ``--tol.<name> value``.
 
 Exit codes: 0 success; 1 bad arguments or a domain error, with a
 machine-readable JSON object on stderr; 2 verification failure; 141 stdout was
@@ -100,6 +101,7 @@ def _signature(args) -> gr.Signature:
 
 # Flag name (underscores become dashes) -> add_argument keywords.
 _SWITCH = {"action": "store_true"}
+_MODE = {"action": "store_true"}  # a switch that excludes the other modes of its command
 _DIMS = {"n": {"type": int}, "p": {"type": int}}
 _DRAWS = {"seed": {"type": int, "default": 0}, "samples": {"type": _positive_int, "default": 500}}
 
@@ -116,19 +118,20 @@ def _command(name, summary, reads_input, **flags):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="cartan-bundle")
+    parser = _Parser(prog="cartan-bundle", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, reads_input, flags, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         if reads_input:
             p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
+        modes = p.add_mutually_exclusive_group()
         for flag, keywords in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **keywords)
+            (modes if keywords is _MODE else p).add_argument("--" + flag.replace("_", "-"), **keywords)
     return parser
 
 
-@_command("exp", "exponential of a screw (--se) or skew matrix (--so)", True, se=_SWITCH, so=_SWITCH)
+@_command("exp", "exponential of a screw (--se) or skew matrix (--so)", True, se=_MODE, so=_MODE)
 def _exp(args, obj, tol):
     if args.so:
         return sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj))), 0
@@ -137,7 +140,7 @@ def _exp(args, obj, tol):
 
 @_command(
     "log", "logarithm of a motion (--se) or rotation (--so)", True,
-    se=_SWITCH, so=_SWITCH, allow_pi=_SWITCH,
+    se=_MODE, so=_MODE, allow_pi=_SWITCH,
 )
 def _log(args, obj, tol):
     if args.so:
@@ -156,15 +159,15 @@ def _embed(args, obj, tol):
 @_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS)
 def _project(args, obj, tol):
     if "X" in obj:
-        return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol), tol)), 0
+        return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol))), 0
     sig = _signature(args)
     cr = gr.CartanRotation.certify(sz.mat_from_json(obj), sig, tol)
-    return sz.plane_to_json(gr.rho0(cr, tol)), 0
+    return sz.plane_to_json(gr.rho0(cr)), 0
 
 
 @_command(
     "act", "twisted conjugation (--twisted) or bundle action (--bundle)", True,
-    **_DIMS, twisted=_SWITCH, bundle=_SWITCH,
+    **_DIMS, twisted=_MODE, bundle=_MODE,
 )
 def _act(args, obj, tol):
     sig = _signature(args)

@@ -19,13 +19,13 @@ class Tolerances:
     """
 
     orth: float = 1e-9       # orthogonality / determinant checks
-    invol: float = 1e-8      # symmetric-involution and membership checks
+    invol: float = 1e-8      # |S - S^T|, |S^2 - I| of S = R J; sigma residual / (1 + |X|)
     recon: float = 1e-10     # canonical-form reconstruction, per dimension
     rank: float = 1e-9       # relative smallest-singular-value cutoff
     branch: float = 1e-6     # distance from the log branch boundary at pi
     sing: float = 1e-9       # singularity cutoff for the half-angle factor
-    plane: float = 1e-8      # frame-independent plane comparison
-    fiber: float = 1e-9      # fiber-in-plane membership (relative)
+    plane: float = 1e-8      # projector distance of planes and lines
+    fiber: float = 1e-9      # |(I - P) Y| / (1 + |Y|): bundle_point, CartanMotion, dp_log_full
 
     def scaled(self, factor: float) -> "Tolerances":
         if factor <= 0:

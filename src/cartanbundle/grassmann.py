@@ -9,8 +9,10 @@ eigenspace.
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
 private routine checks membership of a rotation already in SO(n): S = R J
-symmetric, S involutive, and one ``eigh`` of S giving the (-1)-eigenspace
-dimension and its frame. It runs once, when a ``CartanRotation`` or a
+a symmetric involution, with |S - S^T| and |S^2 - I| each at most
+``tol.invol`` (``matcore._symmetric_involution``, the test ``in_Q0`` also
+reads), and one ``eigh`` of S giving the (-1)-eigenspace dimension and its
+frame. It runs once, when a ``CartanRotation`` or a
 ``CartanMotion`` is constructed; the instance keeps read-only copies of its
 matrices and that frame, so ``rho0``, ``dp_log0``, ``rho`` and
 ``dp_log_full`` read the frame and check nothing again. The eigenvectors of
@@ -35,8 +37,8 @@ from .errors import (
     NotInCartanModelError,
 )
 from .matcore import (
-    _eye,
     _norm,
+    _symmetric_involution,
     check_finite_matrix,
     check_frame,
     check_special_orthogonal,
@@ -84,9 +86,12 @@ class Signature:
         return _sign_arrays(self.p, self.q)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane:
-    """A p-dimensional subspace of R^n: projector plus a representative frame."""
+    """A p-dimensional subspace of R^n: projector plus a representative frame.
+
+    ``==`` is identity; ``plane_equal`` compares planes.
+    """
 
     n: int
     p: int
@@ -121,7 +126,12 @@ def plane_equal(a: Plane, b: Plane, tol: Tolerances | None = None) -> bool:
         raise DimensionMismatchError(
             f"plane dimension mismatch: ({a.n},{a.p}) vs ({b.n},{b.p})"
         )
-    return bool(np.linalg.norm(a.projector - b.projector) <= tol.plane)
+    return _same_projector(a.projector, b.projector, tol)
+
+
+def _same_projector(Pa: np.ndarray, Pb: np.ndarray, tol: Tolerances) -> bool:
+    """The one plane-equality test: |Pa - Pb| <= ``tol.plane``."""
+    return _norm(Pa - Pb) <= tol.plane
 
 
 def rotate_plane(A: np.ndarray, plane: Plane, tol: Tolerances | None = None) -> Plane:
@@ -140,13 +150,14 @@ def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q0 = {R : (R J)^2 = I}; a non-finite R raises."""
-    tol = tol or default_tolerances()
+    """Membership in Q0 = {R : R J a symmetric involution}; a non-finite R raises.
+
+    The test is the S_p0 check's, ``matcore._symmetric_involution``.
+    """
     R = check_finite_matrix(R, "rotation")
     if R.shape != (sig.n, sig.n):
         raise DimensionMismatchError("rotation dimension does not match signature")
-    M = R * sig._signs
-    return bool(np.linalg.norm(M @ M - np.eye(sig.n)) <= tol.invol)
+    return _symmetric_involution(R * sig._signs, tol or default_tolerances())[0] is None
 
 
 def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
@@ -164,7 +175,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanRotation:
     """A rotation in the Cartan model S_p0, checked once, at construction.
 
@@ -172,13 +183,14 @@ class CartanRotation:
     The instance keeps a read-only copy of R and the read-only frame of the
     (-1)-eigenspace of R J that the check found; ``dataclasses.replace``,
     ``copy`` and ``pickle`` run the check again, under the same tolerances.
+    ``==`` is identity.
     """
 
     mat: np.ndarray
     sig: Signature
     tol: InitVar[Tolerances | None] = None
-    _frame: np.ndarray = field(init=False, repr=False, compare=False)
-    _tol: Tolerances = field(init=False, repr=False, compare=False)
+    _frame: np.ndarray = field(init=False, repr=False)
+    _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
@@ -204,20 +216,18 @@ class CartanRotation:
 def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n).
 
-    Checks that S = R J is a symmetric involution whose (-1)-eigenspace has
-    dimension p, raising ``NotInCartanModelError`` if not. F is that
-    eigenspace's frame, read-only, from the same ``eigh``; S and the
-    involution residual are returned for the sigma residual of a motion.
+    Checks that S = R J is a symmetric involution (``_symmetric_involution``)
+    whose (-1)-eigenspace has dimension p, raising ``NotInCartanModelError``
+    if not. F is that eigenspace's frame, read-only, from the same ``eigh``;
+    S and the involution residual are returned for the sigma residual of a
+    motion.
     """
-    n = sig.n
-    if mat.shape != (n, n):
+    if mat.shape != (sig.n, sig.n):
         raise DimensionMismatchError("rotation dimension does not match signature")
     S = mat * sig._signs
-    if _norm(S - S.T) > tol.invol * n:
-        raise NotInCartanModelError("R J is not symmetric")
-    invol = _norm(S @ S - _eye(n))
-    if invol > tol.invol * n:
-        raise NotInCartanModelError("R J is not an involution")
+    defect, invol = _symmetric_involution(S, tol)
+    if defect:
+        raise NotInCartanModelError(f"R J is {defect}")
     w, V = np.linalg.eigh(S)
     F = V[:, w < 0]
     if F.shape[1] != sig.p:
@@ -244,7 +254,7 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
     return CartanRotation.certify(*_embed_matrix(plane), tol)
 
 
-def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
+def rho0(R: CartanRotation) -> Plane:
     """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J.
 
     The frame is the one R kept from its construction check, orthonormal
@@ -254,9 +264,9 @@ def rho0(R: CartanRotation, tol: Tolerances | None = None) -> Plane:
     return _plane(R._frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpGenerator:
-    """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]."""
+    """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity."""
 
     p: int
     q: int

@@ -40,9 +40,9 @@ from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapErr
 from .matcore import _rotation_log, check_skew, check_special_orthogonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Motion:
-    """Euclidean motion g = (R, X), i.e. x -> R x + X."""
+    """Euclidean motion g = (R, X), i.e. x -> R x + X; ``==`` is identity."""
 
     R: np.ndarray
     X: np.ndarray
@@ -60,9 +60,9 @@ class Motion:
         return H
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Screw:
-    """Lie-algebra element xi = (omega, v) of se(n)."""
+    """Lie-algebra element xi = (omega, v) of se(n); ``==`` is identity."""
 
     omega: np.ndarray
     v: np.ndarray

@@ -209,12 +209,15 @@ def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np
     return R
 
 
-def check_skew(W: np.ndarray, n_scale_tol: float = 1e-12) -> np.ndarray:
+_SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))
+
+
+def check_skew(W: np.ndarray) -> np.ndarray:
     W = check_finite_matrix(W, "skew matrix")
     n = W.shape[0]
     if W.shape[0] != W.shape[1]:
         raise DimensionMismatchError("skew matrix must be square")
-    if _norm(W + W.T) > n_scale_tol * n * max(1.0, _norm(W)):
+    if _norm(W + W.T) > _SKEW_TOL * n * max(1.0, _norm(W)):
         raise IllConditionedSpectrumError("matrix is not skew-symmetric")
     return W
 
@@ -355,23 +358,36 @@ def skew_canonical_form(
     return form
 
 
+def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:
+    """(defect, |S^2 - I|) for a square S.
+
+    The one test of a symmetric involution: |S - S^T| and |S^2 - I| are each
+    held to ``tol.invol``, with no factor of n. ``defect`` names the first
+    that exceeds it, or is None. ``in_Q0``, the S_p0 check of
+    ``CartanRotation`` and ``CartanMotion``, and
+    ``eigenspace_of_symmetric_involution`` all read it, each raising its own
+    error class.
+    """
+    sym, invol = _norm(S - S.T), _norm(S @ S - _eye(S.shape[0]))
+    ok = sym <= tol.invol, invol <= tol.invol  # a NaN residual fails
+    return (None if all(ok) else "not an involution" if ok[0] else "not symmetric"), invol
+
+
 def eigenspace_of_symmetric_involution(
     S: np.ndarray, eigenvalue: int, tol: Tolerances | None = None
 ) -> np.ndarray:
     """Orthonormal frame spanning the (+1) or (-1) eigenspace of S.
 
-    S must be a symmetric involution (an orthogonal symmetry). The returned
-    frame may have zero columns.
+    S must be a symmetric involution (an orthogonal symmetry), as
+    ``_symmetric_involution`` tests it. The returned frame may have zero
+    columns.
     """
-    tol = tol or default_tolerances()
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
     S = check_finite_matrix(S, "symmetry")
-    n = S.shape[0]
-    if S.shape[0] != S.shape[1] or np.linalg.norm(S - S.T) > tol.invol * max(1, n):
-        raise NotOrthogonalSymmetryError("not an orthogonal symmetry: not symmetric")
-    if np.linalg.norm(S @ S - np.eye(n)) > tol.invol * max(1, n):
-        raise NotOrthogonalSymmetryError("not an orthogonal symmetry: not involutive")
+    square = S.shape[0] == S.shape[1]
+    defect = _symmetric_involution(S, tol or default_tolerances())[0] if square else "not square"
+    if defect:
+        raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
     w, V = np.linalg.eigh(S)
-    mask = np.abs(w - eigenvalue) < 0.5
-    return V[:, mask]
+    return V[:, np.abs(w - eigenvalue) < 0.5]

@@ -11,20 +11,22 @@ import numpy as np
 
 from .config import default_tolerances
 from .errors import DimensionMismatchError
-from .grassmann import Signature
+from .grassmann import Signature, _same_projector
 from .liegroup import Motion, _half_angle_factor
 from .matcore import basis_vector
 
+_UNIT_TOL = 1e-12  # |1 - |V|| of a unit vector, and |U[0]| of a direction
 
-def unit_direction(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+
+def unit_direction(U: np.ndarray) -> np.ndarray:
     """Validate a unit vector orthogonal to e_1."""
     U = np.asarray(U, dtype=float)
     n = U.shape[0]
     if U.ndim != 1 or n < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
-    if not np.all(np.isfinite(U)) or abs(np.linalg.norm(U) - 1.0) > tol:
+    if not np.all(np.isfinite(U)) or abs(np.linalg.norm(U) - 1.0) > _UNIT_TOL:
         raise DimensionMismatchError("direction must be a finite unit vector")
-    if abs(U[0]) > tol:
+    if abs(U[0]) > _UNIT_TOL:
         raise DimensionMismatchError("direction must be orthogonal to e_1")
     return U
 
@@ -35,7 +37,7 @@ class Line:
 
     Two lines are equal when their vectors have the same shape and their
     projectors V V^T lie within ``default_tolerances().plane`` of each
-    other, as ``plane_equal`` compares planes; the sign of V does not
+    other, by the test ``plane_equal`` applies; the sign of V does not
     matter. That equality is not transitive, so no hash can be consistent
     with it: ``hash(Line(...))`` raises ``TypeError``.
     """
@@ -46,7 +48,7 @@ class Line:
         if not (isinstance(other, Line) and self.vector.shape == other.vector.shape):
             return False
         a, b = self.vector, other.vector
-        return bool(np.linalg.norm(np.outer(a, a) - np.outer(b, b)) <= default_tolerances().plane)
+        return _same_projector(np.outer(a, a), np.outer(b, b), default_tolerances())
 
 
 def line_from_vector(V: np.ndarray) -> Line:
@@ -83,10 +85,10 @@ def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
     return np.eye(len(U)) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
-def reflection_about_hyperplane_normal(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def reflection_about_hyperplane_normal(V: np.ndarray) -> np.ndarray:
     """Reflection I - 2 V V^T through the hyperplane orthogonal to unit V."""
     V = np.asarray(V, dtype=float)
-    if not abs(np.linalg.norm(V) - 1.0) <= tol:
+    if not abs(np.linalg.norm(V) - 1.0) <= _UNIT_TOL:
         raise DimensionMismatchError("reflection normal must be a finite unit vector")
     return np.eye(V.shape[0]) - 2.0 * np.outer(V, V)
 

@@ -259,12 +259,12 @@ def _prop_q0_invariance(cfg, rng):
 def _prop_grassmann_roundtrips(cfg, rng):
     sig = cfg.sig
     plane = sp.sample_plane(rng, cfg.n, cfg.p)
-    back = gr.rho0(gr.cartan_embed0(plane, cfg.tol), cfg.tol)
+    back = gr.rho0(gr.cartan_embed0(plane, cfg.tol))
     err_plane = float(np.linalg.norm(back.projector - plane.projector))
     A = sp.sample_rotation(rng, cfg.n)
     R = gr.twisted_act0(A, np.eye(cfg.n), sig)
     cr = gr.CartanRotation.certify(R, sig, cfg.tol)
-    R2 = gr.cartan_embed0(gr.rho0(cr, cfg.tol), cfg.tol).mat
+    R2 = gr.cartan_embed0(gr.rho0(cr), cfg.tol).mat
     err_rot = float(np.linalg.norm(R2 - R))
     return _worst(err_plane, err_rot), err_plane <= cfg.tol.plane and err_rot <= 1e-9
 
@@ -276,8 +276,8 @@ def _prop_rho0_equivariance(cfg, rng):
     cr = gr.cartan_embed0(plane, cfg.tol)
     A = sp.sample_rotation(rng, cfg.n)
     acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
-    lhs = gr.rho0(acted, cfg.tol)
-    rhs = gr.rotate_plane(A, gr.rho0(cr, cfg.tol), cfg.tol)
+    lhs = gr.rho0(acted)
+    rhs = gr.rotate_plane(A, gr.rho0(cr), cfg.tol)
     err = float(np.linalg.norm(lhs.projector - rhs.projector))
     return err, err <= cfg.tol.plane
 
@@ -368,16 +368,16 @@ def _prop_rho_equivariance(cfg, rng):
     s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
     a = sp.sample_motion(rng, cfg.n)
     acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
-    err = _point_dist(bn.rho(acted, cfg.tol), bn.bundle_act(a, bn.rho(s, cfg.tol), sig, cfg.tol))
+    err = _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig, cfg.tol))
     return err, err <= 1e-9
 
 
 @_sampled
 def _prop_rho_bijectivity(cfg, rng):
     s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-    s2 = bn.rho_inv(bn.rho(s, cfg.tol), cfg.tol)
+    s2 = bn.rho_inv(bn.rho(s), cfg.tol)
     b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-    b2 = bn.rho(bn.rho_inv(b, cfg.tol), cfg.tol)
+    b2 = bn.rho(bn.rho_inv(b, cfg.tol))
     err = _worst(_motion_dist(s2.motion, s.motion), _point_dist(b2, b))
     return err, err <= 1e-9
 
@@ -446,7 +446,7 @@ def _prop_half_angle_line(cfg, rng):
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
     sig = gr.Signature(1, nn - 1)
     cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
-    plane = gr.rho0(cr, cfg.tol)
+    plane = gr.rho0(cr)
     V = pj.half_angle_line(theta, U).vector
     err = float(np.linalg.norm(plane.projector - np.outer(V, V)))
     return err, err <= cfg.tol.plane

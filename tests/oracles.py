@@ -62,14 +62,14 @@ def certificate_residuals_oracle(g, sig):
     """
     n, R, X, J = sig.n, g.R, g.X, sig.matrix
     S = R @ J
-    scale = n * (1.0 + np.linalg.norm(X))
+    scale = 1.0 + np.linalg.norm(X)
     return [
         ("orth", np.linalg.norm(R.T @ R - np.eye(n)), "orth", n),
         ("det", abs(np.linalg.det(R) - 1.0), "orth", n),
-        ("symmetric", np.linalg.norm(S - S.T), "invol", n),
-        ("involution", np.linalg.norm(S @ S - np.eye(n)), "invol", n),
+        ("symmetric", np.linalg.norm(S - S.T), "invol", 1),
+        ("involution", np.linalg.norm(S @ S - np.eye(n)), "invol", 1),
         ("sigma", sigma_residual_oracle(g, sig), "invol", scale),
-        ("fiber", np.linalg.norm(J @ X + R.T @ X), "invol", scale),
+        ("fiber", 0.5 * np.linalg.norm(J @ X + R.T @ X), "fiber", scale),
     ]
 
 

@@ -19,6 +19,8 @@ from cartanbundle import (
     NotInCartanModelError,
     Signature,
     Tolerances,
+    BundlePoint,
+    Screw,
     bundle_act,
     bundle_point,
     double_projection,
@@ -39,7 +41,9 @@ from cartanbundle import (
     tau,
     twisted_act,
     coordinate_plane,
+    in_Q0,
     plane_equal,
+    skew_wedge,
 )
 from cartanbundle.sampling import (
     sample_bundle_point,
@@ -452,10 +456,11 @@ class TestDpFull:
             CartanMotion(Motion(np.eye(4), np.array(X)), SIG22)
 
     def test_log_rejects_fiber_outside_image(self):
-        # The fiber leaks 3e-8 out of the reference plane: inside the
-        # construction bound tol.invol n (1 + |X|), but outside the image of
-        # dp_exp_full, so only the residual check can catch it.
-        s = CartanMotion.certify(Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), SIG22)
+        # The fiber leaks 3e-8 out of the reference plane: certified only
+        # under loose tolerances, but outside the fiber bound that
+        # dp_log_full applies at the default tolerances.
+        loose = Tolerances().with_overrides({"invol": 1e-6, "fiber": 1e-6})
+        s = CartanMotion.certify(Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), SIG22, loose)
         with pytest.raises(NearSingularIsomorphismError):
             dp_log_full(s)
 
@@ -609,7 +614,7 @@ class TestCertificate:
 # The certificate reads the sigma residual off the S_p0 check (S = R J and
 # |S^2 - I|) instead of building sigma(g); these pin it to the built formula.
 PARITY_SHAPES = [(2, 1), (4, 2), (8, 3), (32, 5)]
-LOOSE = Tolerances().with_overrides({"orth": 1e-3, "invol": 1e-3})
+LOOSE = Tolerances().with_overrides({"orth": 1e-3, "invol": 1e-3, "fiber": 1e-3})
 
 
 def _parity_motions(rng, n, p):
@@ -656,9 +661,9 @@ STRADDLED = ["orth", "det", "symmetric", "involution", "sigma", "fiber"]
 @pytest.mark.parametrize("bound", STRADDLED)
 def test_error_class_straddling_each_bound(rng, bound):
     """Just inside and just outside each bound, the class raised (or none) is
-    that of the checks done with sigma(g) built. The fiber residual equals
-    the translation block of the sigma residual up to roundoff, so its bound
-    is matched but may never decide."""
+    that of the checks done with sigma(g) built. The fiber check reads its
+    own field, ``fiber``, so its bound decides whether a fiber leak is
+    certified, as the orth, symmetric and sigma bounds decide theirs."""
     sig = Signature(2, 2)
     flips = 0
     for g in _parity_motions(rng, 4, 2):
@@ -678,7 +683,7 @@ def test_error_class_straddling_each_bound(rng, bound):
                     CartanMotion(g, sig, tol)
             outcomes.append(expected)
         flips += outcomes[0] != outcomes[1]
-    if bound in ("orth", "symmetric", "sigma"):
+    if bound in ("orth", "symmetric", "sigma", "fiber"):
         assert flips > 0
 
 
@@ -732,3 +737,74 @@ def test_linalg_calls_per_call(rng, monkeypatch, op, expected):
     calls.clear()
     op(s, b, b2)
     assert {name: calls.count(name) for name in expected} == expected
+
+
+# Each membership condition has one bound, which the certificate and every
+# reader of it apply; a fiber leak of 1e-11 to 1e-7 straddles the fiber bound.
+AGREEMENT_SHAPES = [(4, 2), (8, 3), (5, 2)]
+
+
+def _leaky(rng, n, p):
+    """A Cartan-model motion whose translation leaks 10^U(-11, -7) off its plane, and that plane."""
+    s = sample_cartan_motion(rng, n, p)
+    plane = rho(s).plane
+    u = rng.standard_normal(n)
+    u -= plane.projector @ u
+    leak = 10.0 ** rng.uniform(-11.0, -7.0) * u / np.linalg.norm(u)
+    return Motion(s.motion.R, s.motion.X + leak), plane
+
+
+def test_readers_of_a_certificate_accept_it(rng):
+    certified = 0
+    for n, p in AGREEMENT_SHAPES:
+        sig = Signature(p, n - p)
+        for _ in range(300):
+            g, plane = _leaky(rng, n, p)
+            try:
+                s = CartanMotion(g, sig)
+            except NotInCartanModelError:
+                with pytest.raises(NotInCartanModelError):
+                    bundle_point(plane, g.X)
+                continue
+            certified += 1
+            b = rho(s)
+            bundle_point(b.plane, b.fiber)
+            assert in_Q(s.motion, sig) and in_Q0(s.motion.R, sig)
+            try:
+                dp_log_full(s)
+            except CutLocusError:
+                pass
+    assert certified >= 500
+
+
+def test_certificate_rejects_what_in_q_rejects():
+    g = Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0]))
+    assert not in_Q(g, SIG22)
+    with pytest.raises(NotInCartanModelError):
+        CartanMotion(g, SIG22)
+
+
+def test_certificate_rejects_what_in_q0_rejects():
+    R = so_exp(1e-8 * skew_wedge(1, 2, 4))
+    assert not in_Q0(R, SIG22)
+    with pytest.raises(NotInCartanModelError):
+        CartanRotation(R, SIG22)
+
+
+VALUE_TYPES = [
+    pytest.param(lambda: Motion(np.eye(3), np.zeros(3)), id="Motion"),
+    pytest.param(lambda: Screw(np.zeros((3, 3)), np.zeros(3)), id="Screw"),
+    pytest.param(lambda: coordinate_plane(4, 2), id="Plane"),
+    pytest.param(lambda: bundle_point(coordinate_plane(4, 2), np.zeros(4)), id="BundlePoint"),
+    pytest.param(lambda: CartanMotion(Motion(np.eye(4), np.zeros(4)), SIG22), id="CartanMotion"),
+    pytest.param(lambda: CartanRotation(np.eye(4), SIG22), id="CartanRotation"),
+    pytest.param(lambda: DpGenerator(2, 2, np.zeros((2, 2))), id="DpGenerator"),
+    pytest.param(lambda: DpElement(DpGenerator(2, 2, np.zeros((2, 2))), np.zeros(2)), id="DpElement"),
+]
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES)
+def test_value_types_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2

@@ -208,6 +208,34 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exp", "--se", "--so"),
+            ("log", "--so", "--se", "--allow-pi"),
+            ("act", "--n", "4", "--p", "2", "--twisted", "--bundle"),
+        ],
+        ids=" ".join,
+    )
+    def test_conflicting_mode_switches(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("moebius", "--num-t", "2", "--num-l", "1"),
+            ("verify", "--n", "4", "--p", "2", "--samp", "5"),
+            ("log", "--so", "--allow", "--in", "r.json"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_prefix_is_not_the_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
     @pytest.mark.parametrize("samples", ["0", "-4"])
     @pytest.mark.parametrize(
         "argv", [("sample", "--kind", "rotation", "--n", "2"), ("verify", "--n", "4", "--p", "2")],

@@ -287,8 +287,12 @@ def main(argv=None) -> int:
                 fh.write(text)
             return code
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            # Loop until every byte is out: an unbuffered stdout is a raw
+            # FileIO, whose short write to a closing pipe TextIOWrapper ignores.
+            out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding))
+            while data:
+                data = data[out.write(data):]
+            out.flush()
         except BrokenPipeError:
             # The reader has gone. Stay silent, as `yes | head` does, and point
             # stdout at /dev/null so the interpreter's shutdown flush is silent too.

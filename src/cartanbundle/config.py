@@ -1,13 +1,14 @@
-"""Numerical tolerances, overridable per call and globally via environment."""
+"""Numerical tolerances: one frozen default, overridable per call.
+
+Every numerical predicate reads its bounds from a ``Tolerances``. Callers pass
+their own (the CLI builds one from its ``--tol.NAME`` flags); otherwise the
+predicate uses ``default_tolerances()``.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
-from functools import lru_cache
-
-ENV_TOL_SCALE = "CARTAN_BUNDLE_TOL_SCALE"
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,6 @@ class Tolerances:
     plane: float = 1e-8      # projector distance of planes and lines
     fiber: float = 1e-9      # |(I - P) Y| / (1 + |Y|): bundle_point, CartanMotion, dp_log_full
 
-    def scaled(self, factor: float) -> "Tolerances":
-        if factor <= 0:
-            raise ValueError("tolerance scale must be positive")
-        return Tolerances(
-            **{f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
-        )
-
     def with_overrides(self, overrides: dict) -> "Tolerances":
         names = {f.name for f in dataclasses.fields(self)}
         unknown = set(overrides) - names
@@ -45,17 +39,9 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
 
+_DEFAULT = Tolerances()
+
+
 def default_tolerances() -> Tolerances:
-    """Default tolerances, scaled by CARTAN_BUNDLE_TOL_SCALE when set.
-
-    The variable is read on every call; the result is memoized per value.
-    """
-    return _tolerances_for(os.environ.get(ENV_TOL_SCALE))
-
-
-@lru_cache(maxsize=8)
-def _tolerances_for(scale: str | None) -> Tolerances:
-    tol = Tolerances()
-    if scale:
-        tol = tol.scaled(float(scale))
-    return tol
+    """The default tolerances: one shared frozen ``Tolerances()``."""
+    return _DEFAULT

@@ -1,17 +1,18 @@
 """Closed forms for lines (p = 1): planar rotations, reflections, the
 half-angle correspondence, the line-bundle exponential, and Moebius-band
-sampling for n = 2."""
+sampling for n = 2.
+
+A line is a ``Plane`` with p = 1: G(n, 1) is the Grassmannian at p = 1, and
+C(n, 1) is its tautological line bundle (the Moebius band at n = 2)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import default_tolerances
 from .errors import DimensionMismatchError
-from .grassmann import Signature, _same_projector
+from .grassmann import Plane, plane_from_frame
 from .liegroup import Motion, _half_angle_factor
 from .matcore import basis_vector
 
@@ -21,47 +22,13 @@ _UNIT_TOL = 1e-12  # |1 - |V|| of a unit vector, and |U[0]| of a direction
 def unit_direction(U: np.ndarray) -> np.ndarray:
     """Validate a unit vector orthogonal to e_1."""
     U = np.asarray(U, dtype=float)
-    n = U.shape[0]
-    if U.ndim != 1 or n < 2:
+    if U.ndim != 1 or U.shape[0] < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
     if not np.all(np.isfinite(U)) or abs(np.linalg.norm(U) - 1.0) > _UNIT_TOL:
         raise DimensionMismatchError("direction must be a finite unit vector")
     if abs(U[0]) > _UNIT_TOL:
         raise DimensionMismatchError("direction must be orthogonal to e_1")
     return U
-
-
-@dataclass(frozen=True, eq=False)
-class Line:
-    """A line through the origin, stored as a sign-canonicalized unit vector.
-
-    Two lines are equal when their vectors have the same shape and their
-    projectors V V^T lie within ``default_tolerances().plane`` of each
-    other, by the test ``plane_equal`` applies; the sign of V does not
-    matter. That equality is not transitive, so no hash can be consistent
-    with it: ``hash(Line(...))`` raises ``TypeError``.
-    """
-
-    vector: np.ndarray
-
-    def __eq__(self, other):
-        if not (isinstance(other, Line) and self.vector.shape == other.vector.shape):
-            return False
-        a, b = self.vector, other.vector
-        return _same_projector(np.outer(a, a), np.outer(b, b), default_tolerances())
-
-
-def line_from_vector(V: np.ndarray) -> Line:
-    """Canonical representative: unit norm, first nonzero component positive."""
-    V = np.asarray(V, dtype=float)
-    norm = np.linalg.norm(V)
-    if norm == 0 or not np.all(np.isfinite(V)):
-        raise DimensionMismatchError("line representative must be nonzero and finite")
-    V = V / norm
-    idx = np.flatnonzero(np.abs(V) > 1e-12)
-    if idx.size and V[idx[0]] < 0:
-        V = -V
-    return Line(vector=V)
 
 
 def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
@@ -88,8 +55,8 @@ def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
 def reflection_about_hyperplane_normal(V: np.ndarray) -> np.ndarray:
     """Reflection I - 2 V V^T through the hyperplane orthogonal to unit V."""
     V = np.asarray(V, dtype=float)
-    if not abs(np.linalg.norm(V) - 1.0) <= _UNIT_TOL:
-        raise DimensionMismatchError("reflection normal must be a finite unit vector")
+    if V.ndim != 1 or not abs(np.linalg.norm(V) - 1.0) <= _UNIT_TOL:
+        raise DimensionMismatchError("reflection normal must be a finite 1-d unit vector")
     return np.eye(V.shape[0]) - 2.0 * np.outer(V, V)
 
 
@@ -98,19 +65,14 @@ def _half_angle_vector(theta: float, U: np.ndarray) -> np.ndarray:
     return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
 
 
-def two_reflections_check(theta: float, U: np.ndarray) -> bool:
-    """Whether R_{theta,U} J equals the reflection about the half-angle normal."""
-    U = unit_direction(U)
-    n = U.shape[0]
-    R = _plane_rotation(theta, U)
-    V = _half_angle_vector(theta, U)
-    S2 = reflection_about_hyperplane_normal(V / np.linalg.norm(V))
-    return bool(np.linalg.norm(R * Signature(1, n - 1)._signs - S2) <= 1e-10 * n)
+def half_angle_line(theta: float, U: np.ndarray) -> Plane:
+    """The line carried by R_{theta,U}: [cos(theta/2) e_1 + sin(theta/2) U].
 
-
-def half_angle_line(theta: float, U: np.ndarray) -> Line:
-    """The line carried by R_{theta,U}: [cos(theta/2) e_1 + sin(theta/2) U]."""
-    return line_from_vector(_half_angle_vector(theta, unit_direction(U)))
+    Returned as the ``Plane`` (p = 1) of the normalised half-angle vector V.
+    With J of ``Signature(1, n - 1)``, R_{theta,U} J = I - 2 V V^T.
+    """
+    V = _half_angle_vector(theta, unit_direction(U))
+    return plane_from_frame((V / np.linalg.norm(V))[:, None])
 
 
 def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:

@@ -434,7 +434,7 @@ def _prop_line_bundle_exp(cfg, rng):
     E1 = mc.basis_vector(1, nn)
     xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
     # fiber sits on the half-angle line
-    V = pj.half_angle_line(theta, U).vector
+    V = pj.half_angle_line(theta, U).frame[:, 0]
     err = _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
     return err, err <= 1e-10
 
@@ -447,8 +447,7 @@ def _prop_half_angle_line(cfg, rng):
     sig = gr.Signature(1, nn - 1)
     cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
     plane = gr.rho0(cr)
-    V = pj.half_angle_line(theta, U).vector
-    err = float(np.linalg.norm(plane.projector - np.outer(V, V)))
+    err = float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))
     return err, err <= cfg.tol.plane
 
 

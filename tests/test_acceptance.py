@@ -253,10 +253,9 @@ def test_half_angle_and_line_bundle_forms():
         lam = float(rng.uniform(-2, 2))
         sig = Signature(1, n - 1)
         cr = CartanRotation.certify(rotation_in_plane(theta, U), sig)
-        V = half_angle_line(theta, U).vector
         worst_line = max(
             worst_line,
-            float(np.linalg.norm(rho0(cr).projector - np.outer(V, V))),
+            float(np.linalg.norm(rho0(cr).projector - half_angle_line(theta, U).projector)),
         )
         m = line_bundle_exp(theta, U, lam)
         E1 = np.eye(n)[:, 0]

@@ -272,6 +272,25 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_stdout_closed_mid_write_exits_141_quietly(unbuffered):
+    # The reader takes 10 bytes of a multi-megabyte write and goes away. An
+    # unbuffered stdout then sees a short write rather than an error.
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cartanbundle.cli", "moebius", "--num-theta", "2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

@@ -9,7 +9,10 @@ angles beyond pi up to 8 pi, translations from 1e6 to 1e9, and n up to 32.
 For the bundle, the identities that ``verify`` checks in place of in-call
 second routes are asserted on large translations and fibers, and on
 generators whose largest singular value reaches pi - 3e-6, where the
-principal angles approach the cut locus at pi/2.
+principal angles approach the cut locus at pi/2. ``dp_exp``/``dp_log0`` get
+chosen principal angles: the largest within 10 ``tol.branch`` of pi/2 on
+either side, clusters 1e-9 wide, zeros, angles down to 1e-8, and p = 1 or
+p = n - 1.
 
 The decompositions are not unique on these inputs, so every assertion is on
 a product (exp of log, a reconstruction, a roundtrip) or on the typed error.
@@ -36,7 +39,9 @@ from cartanbundle import (
     SingularMapError,
     bundle_point,
     canonical_rotation_form,
+    dp_exp,
     dp_exp_full,
+    dp_log0,
     dp_log_full,
     plane_from_span,
     rho_inv,
@@ -300,3 +305,43 @@ def test_dp_log_full_roundtrip(case):
         return
     assert np.linalg.norm(back.gen.B - xi.gen.B) <= 1e-8
     assert np.linalg.norm(back.v - xi.v) <= 1e-8 * (1 + np.linalg.norm(s.motion.X))
+
+
+# generic angles, and tiny ones whose cosines lie within a few eps of 1
+phis = st.one_of(st.floats(1e-3, 1.5), st.floats(-8.0, -3.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def principal_angle_cases(draw):
+    """(sig, phi, seed): R = dp_exp(U diag(2 phi) V^T) has principal angles phi."""
+    n = draw(st.integers(2, 32))
+    p = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    k = min(p, n - p)
+    family = draw(st.sampled_from(["cut", "cluster", "zero", "generic"]))
+    if family == "cut":  # the largest angle on either side of the cut locus
+        rest = draw(st.lists(phis, min_size=k - 1, max_size=k - 1))
+        phi = [0.5 * math.pi + draw(st.floats(-10 * BRANCH, 10 * BRANCH))] + rest
+    elif family == "cluster":
+        base = draw(st.sampled_from([1e-4, 0.7, 0.5 * math.pi - 20 * BRANCH]))
+        phi = [base + i * 1e-9 for i in range(k)]
+    else:
+        zeros = draw(st.integers(1 if family == "zero" else 0, k))
+        phi = [0.0] * zeros + draw(st.lists(phis, min_size=k - zeros, max_size=k - zeros))
+    return Signature(p, n - p), np.array(phi), draw(seeds)
+
+
+@settings(max_examples=100)
+@given(principal_angle_cases())
+def test_dp_log0_reproduces_the_rotation(case):
+    sig, phi, seed = case
+    rng = make_rng(seed, 2)
+    U = np.linalg.qr(rng.standard_normal((sig.q, phi.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((sig.p, phi.size)))[0]
+    R = dp_exp(DpGenerator(p=sig.p, q=sig.q, B=(U * (2 * phi)) @ V.T))
+    try:
+        back = dp_log0(R)
+    except CutLocusError:
+        # allowed only where an angle of the plane, min(phi, pi - phi), is within tol.branch of pi/2
+        assert np.max(np.minimum(phi, math.pi - phi)) >= 0.5 * math.pi - BRANCH - 1e-12
+        return
+    assert np.linalg.norm(dp_exp(back).mat - R.mat) <= 1e-8

@@ -278,6 +278,20 @@ class TestDpGenerator:
             assert np.linalg.norm(gen2.B - gen.B) <= 1e-8
             assert np.linalg.norm(dp_exp(gen2).mat - cr.mat) <= 1e-8
 
+    @pytest.mark.parametrize("p, q", [(5, 3), (15, 8)])
+    @pytest.mark.parametrize("tiny", [1e-8, 3e-8, 1e-7])
+    def test_log_roundtrip_with_a_tiny_angle(self, p, q, tiny):
+        # cos(tiny) is within a few eps of 1 and of the cosines of the p - q
+        # zero angles, so the angle must be read off its sine.
+        rng = np.random.default_rng(11)
+        phi = np.r_[tiny, rng.uniform(0.3, 1.4, min(p, q) - 1)]
+        U = np.linalg.qr(rng.standard_normal((q, phi.size)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, phi.size)))[0]
+        gen = DpGenerator(p=p, q=q, B=(U * (2 * phi)) @ V.T)
+        gen2 = dp_log0(dp_exp(gen))
+        assert np.linalg.norm(gen2.B - gen.B) <= 1e-8
+        assert np.linalg.norm(dp_exp(gen2).mat - dp_exp(gen).mat) <= 1e-8
+
     def test_cut_locus(self):
         cr = dp_exp(DpGenerator(p=1, q=1, B=np.array([[math.pi]])))
         with pytest.raises(CutLocusError):

@@ -10,13 +10,11 @@ from cartanbundle import (
     Signature,
     half_angle_line,
     line_bundle_exp,
-    line_from_vector,
     moebius_grid,
     reflection_about_hyperplane_normal,
     rho0,
     rotation_in_plane,
     se_exp,
-    two_reflections_check,
 )
 from cartanbundle.projective import MOEBIUS_COLUMNS
 from cartanbundle.sampling import sample_unit_direction
@@ -25,38 +23,6 @@ from cartanbundle.sampling import sample_unit_direction
 def rot2(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-class TestLine:
-    def test_canonical_sign(self):
-        a = line_from_vector(np.array([-1.0, 2.0]))
-        b = line_from_vector(np.array([1.0, -2.0]))
-        assert np.allclose(a.vector, b.vector)
-        assert a.vector[0] > 0
-
-    def test_unit_norm(self):
-        line = line_from_vector(np.array([0.0, -3.0]))
-        assert np.isclose(np.linalg.norm(line.vector), 1.0)
-        assert line.vector[1] > 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(DimensionMismatchError):
-            line_from_vector(np.zeros(3))
-
-    def test_lines_of_different_dimension_are_unequal(self):
-        a, b = line_from_vector([1.0, 0.0]), line_from_vector([1.0, 0.0, 0.0])
-        assert (a == b) is False and (b == a) is False
-        assert a != b
-
-    def test_equality_is_tolerant(self):
-        assert line_from_vector([1.0, 0.0]) == line_from_vector([1.0, 1e-13])
-        # The first entry straddles the 1e-12 sign threshold, so the two
-        # representatives point opposite ways; the lines are 3e-12 apart.
-        assert line_from_vector([1e-13, 1.0, 0.0]) == line_from_vector([-2e-12, 1.0, 0.0])
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError, match="Line"):
-            hash(line_from_vector([1.0, 2.0]))
 
 
 class TestRotationInPlane:
@@ -101,6 +67,20 @@ class TestRotationInPlane:
             rotation_in_plane(theta, np.array(U))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda U: rotation_in_plane(0.3, U),
+        lambda U: half_angle_line(0.3, U),
+        lambda U: line_bundle_exp(0.3, U, 1.0),
+    ],
+    ids=["rotation_in_plane", "half_angle_line", "line_bundle_exp"],
+)
+def test_scalar_direction_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatchError):
+        call(5.0)
+
+
 class TestReflection:
     def test_e1_is_signature(self):
         S = reflection_about_hyperplane_normal(np.array([1.0, 0.0, 0.0]))
@@ -119,36 +99,45 @@ class TestReflection:
             assert np.allclose(S @ V, -V, atol=1e-12)
             assert np.isclose(np.linalg.det(S), -1.0)
 
-    @pytest.mark.parametrize("V", [[math.nan, 0.0], [math.inf, 0.0], [0.6, 0.6]],
-                             ids=["nan", "inf", "not-unit"])
+    @pytest.mark.parametrize("V", [[math.nan, 0.0], [math.inf, 0.0], [0.6, 0.6], [[0.6, 0.8]], 1.0],
+                             ids=["nan", "inf", "not-unit", "row-matrix", "scalar"])
     def test_rejects_non_unit_normal(self, V):
         with pytest.raises(DimensionMismatchError):
             reflection_about_hyperplane_normal(np.array(V))
 
 
+def two_reflections_residual(theta, U):
+    """|R_{theta,U} J - (I - 2 V V^T)|, V the unit vector of the half-angle line."""
+    n = len(U)
+    J = np.diag([-1.0] + [1.0] * (n - 1))
+    V = half_angle_line(theta, U).frame[:, 0]
+    return np.linalg.norm(rotation_in_plane(theta, U) @ J - reflection_about_hyperplane_normal(V))
+
+
 class TestTwoReflections:
     def test_zero_angle(self):
-        assert two_reflections_check(0.0, np.array([0.0, 1.0]))
+        assert two_reflections_residual(0.0, np.array([0.0, 1.0])) <= 1e-10 * 2
 
     def test_quarter_turn(self):
-        assert two_reflections_check(math.pi / 2, np.array([0.0, 1.0]))
+        assert two_reflections_residual(math.pi / 2, np.array([0.0, 1.0])) <= 1e-10 * 2
 
     def test_random(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 6))
             U = sample_unit_direction(rng, n)
             theta = float(rng.uniform(-3, 3))
-            assert two_reflections_check(theta, U)
+            assert two_reflections_residual(theta, U) <= 1e-10 * n
 
 
 class TestHalfAngleLine:
     def test_zero(self):
         line = half_angle_line(0.0, np.array([0.0, 1.0]))
-        assert np.allclose(line.vector, [1.0, 0.0])
+        assert (line.n, line.p) == (2, 1)
+        assert np.allclose(line.projector, np.outer([1.0, 0.0], [1.0, 0.0]))
 
     def test_pi(self):
         line = half_angle_line(math.pi, np.array([0.0, 1.0]))
-        assert np.allclose(line.vector, [0.0, 1.0], atol=1e-12)
+        assert np.allclose(line.projector, np.outer([0.0, 1.0], [0.0, 1.0]), atol=1e-12)
 
     def test_matches_rho0(self, rng):
         for _ in range(50):
@@ -158,8 +147,7 @@ class TestHalfAngleLine:
             sig = Signature(1, n - 1)
             cr = CartanRotation.certify(rotation_in_plane(theta, U), sig)
             plane = rho0(cr)
-            V = half_angle_line(theta, U).vector
-            assert np.linalg.norm(plane.projector - np.outer(V, V)) <= 1e-8
+            assert np.linalg.norm(plane.projector - half_angle_line(theta, U).projector) <= 1e-8
 
 
 class TestLineBundleExp:
@@ -191,7 +179,7 @@ class TestLineBundleExp:
             theta = float(rng.uniform(0, 2 * math.pi))
             lam = float(rng.uniform(-2, 2))
             m = line_bundle_exp(theta, U, lam)
-            V = half_angle_line(theta, U).vector
+            V = half_angle_line(theta, U).frame[:, 0]
             assert np.linalg.norm(m.X - V * (V @ m.X)) <= 1e-10
 
 

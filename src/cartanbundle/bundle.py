@@ -6,12 +6,22 @@ is diffeomorphic, via rho, to the bundle of pairs (plane, vector in the
 plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
-J enters only as sign flips of rows, columns and entries. A motion in S_p is
-checked once, in one pass, when its ``CartanMotion`` is constructed: SO(n)
-and a finite translation, then the shared S_p0 check of grassmann (one
-``eigh``), then the sigma residual and the fiber condition. The instance
-keeps read-only copies of R and X and the frame of the plane that the check
-found, so ``rho`` and ``dp_log_full`` check nothing again.
+J enters only as sign flips of rows, columns and entries. A motion that a
+caller hands to the public ``CartanMotion`` constructor is checked once, in
+one pass: SO(n) and a finite translation, then the shared S_p0 check of
+grassmann (one ``eigh``), then the sigma residual and the fiber condition.
+The instance keeps read-only copies of R and X and the frame of the plane
+that the check found, so ``rho`` and ``dp_log_full`` check nothing again.
+
+Three maps land in S_p by the paper's construction, and each also gives the
+frame of its plane in closed form, so their motions are certified by
+construction and check nothing: ``tau`` (frame A[:, :p] of g = (A, X),
+which is checked to lie in SE(n) on entry), ``rho_inv`` (the frame of the
+point's plane) and ``dp_exp_full`` (the first p columns of exp(omega/2)).
+Their inputs carry the proof instead: a ``Plane`` and a ``BundlePoint`` are
+checked when constructed, as a ``CartanMotion`` is. ``verify`` passes these
+outputs through the public constructor (``tau_properties``,
+``rho_bijectivity``, ``dp_full_routes``).
 
 Each condition has one bound, which every test of it reads: the sigma
 residual is held to ``tol.invol`` (1 + |X|) by ``in_Q`` and
@@ -53,12 +63,15 @@ from .grassmann import (
     Plane,
     Signature,
     _cartan_frame,
+    _cs_frame,
     _cs_rotation,
     _embed_matrix,
+    _frozen,
     _generator_svd,
     _plane,
     _principal_pairs,
     _read_only,
+    _trusted,
     rotate_plane,
 )
 from .liegroup import (
@@ -71,17 +84,32 @@ from .matcore import (
     _complete_frames,
     _eye,
     _norm,
-    check_frame,
     check_special_orthogonal,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class BundlePoint:
-    """A point (plane, fiber vector) of the canonical vector bundle; ``==`` is identity."""
+    """A point (plane, fiber vector) of the canonical vector bundle, checked once, at construction.
+
+    The plane is a certified ``Plane``. The fiber must be a finite n-vector
+    in the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
+    The instance keeps a read-only copy of it. ``bundle_point`` checks under
+    its ``tol``; the constructor under the defaults. ``rho`` builds its
+    point from a certified motion and checks nothing.
+    ``dataclasses.replace``, ``copy`` and ``pickle`` run the check again,
+    under the tolerances of the original. ``==`` is identity.
+    """
 
     plane: Plane
     fiber: np.ndarray
+    _tol: Tolerances = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.__dict__.update(bundle_point(self.plane, self.fiber).__dict__)
+
+    def __reduce__(self):
+        return bundle_point, (self.plane, self.fiber, self._tol)
 
     @property
     def n(self) -> int:
@@ -91,36 +119,37 @@ class BundlePoint:
 def bundle_point(
     plane: Plane, fiber: np.ndarray, tol: Tolerances | None = None
 ) -> BundlePoint:
-    """Validated bundle point: the fiber vector must lie in the plane.
-
-    The residual |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
-    """
-    fiber = np.asarray(fiber, dtype=float)
+    """The certified bundle point (plane, fiber), checked under ``tol``."""
+    tol = tol or default_tolerances()
+    fiber = _read_only(fiber)
     if fiber.shape != (plane.n,) or not np.isfinite(fiber).all():
         raise DimensionMismatchError("fiber must be a finite n-vector")
     residual = _norm(plane.projector @ fiber - fiber)
-    if not _fiber_holds(residual, fiber, tol or default_tolerances()):
+    if not _fiber_holds(residual, fiber, tol):
         raise NotInCartanModelError(
             "fiber vector does not lie in the plane", residual=float(residual)
         )
-    return BundlePoint(plane=plane, fiber=fiber)
+    return _trusted(BundlePoint, tol, plane=plane, fiber=fiber)
 
 
 @dataclass(frozen=True, eq=False)
 class CartanMotion:
     """A motion in the Cartan model S_p, checked once, at construction.
 
-    The constructor (``certify`` is an alias) checks SO(n) and a finite
-    translation, then S_p0, the sigma residual and the fiber condition,
-    each under the one bound that ``in_Q0``, ``in_Q`` and ``bundle_point``
-    also apply. The sigma residual comes from the S_p0 check's S = R J and
+    The public constructor (``certify`` is an alias) checks SO(n) and a
+    finite translation, then S_p0, the sigma residual and the fiber
+    condition, each under the one bound that ``in_Q0``, ``in_Q`` and
+    ``bundle_point`` also apply. The sigma residual comes from the S_p0 check's S = R J and
     |S^2 - I| as hypot(|S^2 - I|, |X + S X|) (see the module docstring); no
     sigma(g) is built. The fiber residual is |(I - P) Y| computed as
     |J Y + R^T Y| / 2, since J Y + R^T Y = 2 J (I - P) Y on S_p. The
     instance keeps read-only copies of R and X and the read-only frame of
-    the carried plane that the S_p0 check found; ``dataclasses.replace``,
-    ``copy`` and ``pickle`` run the check again, under the same tolerances.
-    ``==`` is identity.
+    the carried plane that the S_p0 check found. ``tau``, ``rho_inv`` and
+    ``dp_exp_full`` build theirs from a motion that lies in S_p by
+    construction, with the frame of its plane in closed form, and check
+    nothing. ``dataclasses.replace``, ``copy`` and ``pickle`` of any
+    instance run the public check again, under the same tolerances. ``==``
+    is identity.
     """
 
     motion: Motion
@@ -264,15 +293,21 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
-    For g = (A, X) this is (A J A^T J, X - A J A^T X), computed as
-    se_mul(g, sigma(se_inv(g))) computes it, product for product, so the
-    result is bit-identical to that route.
+    g is checked to lie in SE(n) (``check_motion``) under ``tol``. For
+    g = (A, X) the result is (A J A^T J, X - A J A^T X), computed as
+    se_mul(g, sigma(se_inv(g))) computes it, product for product, so it is
+    bit-identical to that route. It lies in S_p by construction, and the
+    frame of its plane is A[:, :p], so nothing else is checked.
     """
+    tol = tol or default_tolerances()
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
+    check_motion(g, tol)
     A, X, j = g.R, g.X, sig._signs
-    m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
-    return CartanMotion.certify(m, sig, tol)
+    m = Motion(
+        _frozen(A @ (j[:, None] * A.T.copy() * j)), _frozen(X + A @ (j * -(A.T @ X)))
+    )
+    return _trusted(CartanMotion, tol, motion=m, sig=sig, _frame=_read_only(A[:, : sig.p]))
 
 
 def double_projection(
@@ -292,18 +327,29 @@ def double_projection(
 def rho(s: CartanMotion) -> BundlePoint:
     """The bundle point (rho0(R), Y) carried by a Cartan-model motion.
 
-    The plane's frame is the one s kept from its construction check,
-    orthonormal from its ``eigh``, and Y passed that check's fiber bound,
-    the one ``bundle_point`` applies; no membership or frame check and no
-    eigen decomposition runs here.
+    The plane's frame is the one s carries, orthonormal from the ``eigh``
+    of its construction check or from the closed form it was built by, and
+    Y lies in that plane; no membership or frame check and no eigen
+    decomposition runs here.
     """
-    return BundlePoint(plane=_plane(s._frame), fiber=s.motion.X)
+    return _trusted(BundlePoint, s._tol, plane=_plane(s._frame, s._tol), fiber=s.motion.X)
 
 
 def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
-    """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation."""
+    """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation.
+
+    The motion lies in S_p by construction, with ``b.plane.frame`` the frame
+    of its plane, so nothing is checked: b was checked when it was
+    constructed.
+    """
     R, sig = _embed_matrix(b.plane)
-    return CartanMotion.certify(Motion(R, b.fiber), sig, tol)
+    return _trusted(
+        CartanMotion,
+        tol or default_tolerances(),
+        motion=Motion(_frozen(R), b.fiber),
+        sig=sig,
+        _frame=b.plane.frame,
+    )
 
 
 def bundle_act(
@@ -318,23 +364,19 @@ def bundle_act(
     return bundle_point(plane, fiber, tol)
 
 
-def find_transporter(
-    src: BundlePoint, dst: BundlePoint, tol: Tolerances | None = None
-) -> Motion:
+def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
     """One motion carrying src to dst under the bundle action.
 
     A maps the source frame onto the destination frame; the translation
     X = (dst.fiber - A src.fiber) / 2 lies in the destination plane, so the
-    doubled projection reproduces the fiber exactly. Both frames are
-    completed to SO(n) by one stacked complete QR and one stacked ``det``,
-    each exactly as ``complete_to_special_orthogonal`` completes it.
+    doubled projection reproduces the fiber exactly. Both frames were
+    checked when their planes were constructed; they are completed to SO(n)
+    by one stacked complete QR and one stacked ``det``, each exactly as
+    ``complete_to_special_orthogonal`` completes it.
     """
-    tol = tol or default_tolerances()
     if (src.n, src.plane.p) != (dst.n, dst.plane.p):
         raise DimensionMismatchError("bundle points must share (n, p)")
-    C = _complete_frames(
-        np.stack([check_frame(dst.plane.frame, tol), check_frame(src.plane.frame, tol)])
-    )
+    C = _complete_frames(np.stack([dst.plane.frame, src.plane.frame]))
     A = C[0] @ C[1].T
     X = 0.5 * (dst.fiber - A @ src.fiber)
     return Motion(A, X)
@@ -357,16 +399,23 @@ def _dp_translation(
 def dp_exp_full(
     xi: DpElement, tol: Tolerances | None = None
 ) -> CartanMotion:
-    """Exponential of a d_p element, in closed form.
+    """Exponential of a d_p element, in closed form and in S_p by construction.
 
     One thin SVD B = U diag(s) V^T gives exp(xi): the rotation in
-    cosine-sine form and the translation pair by pair. Building the
-    ``CartanMotion`` is the one membership check. ``verify`` checks the
-    doubling identity exp(xi) = tau(exp(xi/2)).
+    cosine-sine form, the translation pair by pair, and the frame of the
+    plane, the cosine-sine form at half the angles (``_cs_frame``). Nothing
+    is checked. ``verify`` passes these motions through the public
+    constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
     """
     V, s, U = _generator_svd(xi.gen)
-    g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
-    return CartanMotion.certify(g, Signature(xi.gen.p, xi.gen.q), tol)
+    g = Motion(_frozen(_cs_rotation(V, s, U)), _frozen(_dp_translation(V, s, U, xi.v)))
+    return _trusted(
+        CartanMotion,
+        tol or default_tolerances(),
+        motion=g,
+        sig=Signature(xi.gen.p, xi.gen.q),
+        _frame=_cs_frame(V, 0.5 * s, U),
+    )
 
 
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:

@@ -182,7 +182,7 @@ def _act(args, obj, tol):
 def _transport(args, obj, tol):
     src = sz.bundle_point_from_json(obj["src"], tol)
     dst = sz.bundle_point_from_json(obj["dst"], tol)
-    return sz.motion_to_json(bn.find_transporter(src, dst, tol)), 0
+    return sz.motion_to_json(bn.find_transporter(src, dst)), 0
 
 
 @_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS)

@@ -12,14 +12,21 @@ private routine checks membership of a rotation already in SO(n): S = R J
 a symmetric involution, with |S - S^T| and |S^2 - I| each at most
 ``tol.invol`` (``matcore._symmetric_involution``, the test ``in_Q0`` also
 reads), and one ``eigh`` of S giving the (-1)-eigenspace dimension and its
-frame. It runs once, when a ``CartanRotation`` or a
-``CartanMotion`` is constructed; the instance keeps read-only copies of its
-matrices and that frame, so ``rho0``, ``dp_log0``, ``rho`` and
-``dp_log_full`` read the frame and check nothing again. The eigenvectors of
-``eigh`` are orthonormal, so the plane built from that frame skips the frame
-check. The routine also returns S and |S^2 - I|: the sigma residual of a
-motion (R, X) has blocks J (S^2 - I) J and J (X + S X), so the
+frame. It runs once, when a caller hands a matrix to the public
+``CartanRotation`` or ``CartanMotion`` constructor; the instance keeps
+read-only copies of its matrices and that frame, so ``rho0``, ``dp_log0``,
+``rho`` and ``dp_log_full`` read the frame and check nothing again. The
+eigenvectors of ``eigh`` are orthonormal, so the plane built from that frame
+skips the frame check. The routine also returns S and |S^2 - I|: the sigma
+residual of a motion (R, X) has blocks J (S^2 - I) J and J (X + S X), so the
 ``CartanMotion`` check finishes from them in the same pass.
+
+Two maps land in S_p0 by construction and give the frame of their plane in
+closed form, so they check nothing (``_trusted``): ``cartan_embed0``,
+R = (I - 2 P) J with the frame of the plane, and ``dp_exp``, whose frame is
+the first p columns of exp(omega/2) (``_cs_frame``). A ``Plane`` is checked
+once, when constructed (``plane_from_frame`` or the constructor); the frames
+that are orthonormal by construction skip that check (``_plane``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import (
     CutLocusError,
+    DegenerateSpanError,
     DimensionMismatchError,
     NotInCartanModelError,
 )
@@ -86,27 +94,87 @@ class Signature:
         return _sign_arrays(self.p, self.q)[0]
 
 
+def _trusted(cls, tol: Tolerances, **fields):
+    """An instance of a certified class from parts that pass its check by construction.
+
+    Nothing is checked: the caller vouches for every field and passes only
+    read-only arrays that no caller of the library can write to. ``tol`` is
+    kept as the instance's ``_tol``, so a copy reruns the public check under
+    it.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_tol", tol)
+    return obj
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only; for an array just computed, which no caller holds."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Plane:
     """A p-dimensional subspace of R^n: projector plus a representative frame.
 
-    ``==`` is identity; ``plane_equal`` compares planes.
+    Checked once, at construction: the frame is finite, of shape (n, p) and
+    orthonormal within ``tol.orth`` n (``check_frame``), and the projector
+    lies within ``tol.plane`` of F F^T. The instance keeps read-only copies
+    of both. ``plane_from_frame`` checks under its ``tol``; the constructor
+    under the defaults. Planes whose frame is orthonormal by construction
+    (``rho0``, ``rho``, whose frames come from ``eigh`` or a closed form)
+    skip the check. ``dataclasses.replace``, ``copy`` and ``pickle`` run
+    the check again, under the tolerances of the original. ``==`` is
+    identity; ``plane_equal`` compares planes.
     """
 
     n: int
     p: int
     projector: np.ndarray
     frame: np.ndarray
+    _tol: Tolerances = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.__dict__.update(_checked_plane(
+            self.n, self.p, self.projector, self.frame, default_tolerances()
+        ).__dict__)
+
+    def __reduce__(self):
+        return _checked_plane, (self.n, self.p, self.projector, self.frame, self._tol)
+
+
+def _checked_plane(n: int, p: int, P: np.ndarray, F: np.ndarray, tol: Tolerances) -> Plane:
+    """The check of a ``Plane`` under ``tol``, and the certified plane."""
+    F = _read_only(check_frame(F, tol))
+    P = _read_only(check_finite_matrix(P, "projector"))
+    if F.shape != (n, p) or P.shape != (n, n):
+        raise DimensionMismatchError(
+            f"plane ({n}, {p}) has frame {F.shape} and projector {P.shape}"
+        )
+    if not _same_projector(P, projector(F), tol):
+        raise DegenerateSpanError("projector does not match the frame")
+    return _trusted(Plane, tol, n=n, p=p, projector=P, frame=F)
 
 
 def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
-    return _plane(check_frame(F, tol))
+    """The plane of a frame, checked orthonormal under ``tol``; it keeps a read-only copy."""
+    tol = tol or default_tolerances()
+    return _plane(_read_only(check_frame(F, tol)), tol)
 
 
-def _plane(F: np.ndarray) -> Plane:
-    """The plane of a frame already known to be orthonormal."""
+def _plane(F: np.ndarray, tol: Tolerances) -> Plane:
+    """The plane of a read-only frame already known to be orthonormal; nothing is checked."""
     n, p = F.shape
-    return Plane(n=n, p=p, projector=projector(F), frame=F)
+    return _trusted(Plane, tol, n=n, p=p, projector=_frozen(projector(F)), frame=F)
 
 
 def plane_from_span(vectors: np.ndarray, tol: Tolerances | None = None) -> Plane:
@@ -168,22 +236,18 @@ def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
     return ((A @ R) * j) @ A.T * j
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only float copy of ``a``."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class CartanRotation:
     """A rotation in the Cartan model S_p0, checked once, at construction.
 
     The constructor (``certify`` is an alias) checks SO(n) and then S_p0.
     The instance keeps a read-only copy of R and the read-only frame of the
-    (-1)-eigenspace of R J that the check found; ``dataclasses.replace``,
-    ``copy`` and ``pickle`` run the check again, under the same tolerances.
-    ``==`` is identity.
+    (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
+    ``dp_exp`` build theirs from a rotation that lies in S_p0 by
+    construction, with the frame of its plane in closed form, and check
+    nothing. ``dataclasses.replace``, ``copy`` and ``pickle`` of any
+    instance run the check again, under the same tolerances. ``==`` is
+    identity.
     """
 
     mat: np.ndarray
@@ -250,18 +314,24 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
 
     This is A J A^{-1} J for any A in SO(n) whose leading p columns span the
     plane, so the result depends on the plane only through its projector.
+    R lies in S_p0 by construction, with ``plane.frame`` the frame of its
+    (-1)-eigenspace, so nothing is checked: the plane was checked when it
+    was constructed.
     """
-    return CartanRotation.certify(*_embed_matrix(plane), tol)
+    R, sig = _embed_matrix(plane)
+    return _trusted(
+        CartanRotation, tol or default_tolerances(), mat=_frozen(R), sig=sig, _frame=plane.frame
+    )
 
 
 def rho0(R: CartanRotation) -> Plane:
     """The plane carried by a Cartan-model rotation: (-1)-eigenspace of R J.
 
-    The frame is the one R kept from its construction check, orthonormal
-    from its ``eigh``; no membership or frame check and no eigen
-    decomposition runs here.
+    The frame is the one R carries, orthonormal from the ``eigh`` of its
+    construction check or from the closed form it was built by; no
+    membership or frame check and no eigen decomposition runs here.
     """
-    return _plane(R._frame)
+    return _plane(R._frame, R._tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +377,19 @@ def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
     return R
 
 
+def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The first p columns of ``_cs_rotation(V, t, U)``, read-only.
+
+    They are [I_p + V diag(cos t - 1) V^T ; U diag(sin t) V^T]. The plane of
+    exp(omega) is exp(omega/2) applied to the reference plane, so with
+    t = s/2 this is an orthonormal frame of the plane of
+    ``_cs_rotation(V, s, U)``.
+    """
+    top = (V * (np.cos(t) - 1.0)) @ V.T
+    top.flat[:: V.shape[0] + 1] += 1.0
+    return _frozen(np.concatenate([top, (U * np.sin(t)) @ V.T]))
+
+
 def _generator_svd(gen: DpGenerator) -> tuple:
     """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block."""
     B = check_finite_matrix(gen.B, "generator block")
@@ -315,20 +398,41 @@ def _generator_svd(gen: DpGenerator) -> tuple:
 
 
 def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
-    """Exponential of a d_p0 generator, certified to land in S_p0.
+    """Exponential of a d_p0 generator, in S_p0 by construction.
 
-    One thin SVD B = U diag(s) V^T gives the rotation in cosine-sine form.
+    One thin SVD B = U diag(s) V^T gives the rotation in cosine-sine form
+    and the frame of its plane, the same form at half the angles
+    (``_cs_frame``); nothing is checked. ``verify`` passes these rotations
+    through the public constructor.
     """
-    sig = Signature(gen.p, gen.q)
-    return CartanRotation.certify(_cs_rotation(*_generator_svd(gen)), sig, tol)
+    V, s, U = _generator_svd(gen)
+    return _trusted(
+        CartanRotation,
+        tol or default_tolerances(),
+        mat=_frozen(_cs_rotation(V, s, U)),
+        sig=Signature(gen.p, gen.q),
+        _frame=_cs_frame(V, 0.5 * s, U),
+    )
 
 
 def principal_angles(a: Plane, b: Plane) -> np.ndarray:
-    """Principal angles between two planes, from singular values of Fa^T Fb."""
+    """Principal angles between two planes, ascending.
+
+    The cosines are the singular values of Fa^T Fb. Near c = 1, arccos(c) is
+    accurate to eps / phi only, so the angles below 1e-2 are read off the
+    sines instead: the singular values of (I - Pa) Fb = Fb - Fa (Fa^T Fb) on
+    their right singular subspace, as ``_principal_pairs`` reads them.
+    """
     if (a.n, a.p) != (b.n, b.p):
         raise DimensionMismatchError("planes must share (n, p)")
-    s = np.linalg.svd(a.frame.T @ b.frame, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    M = a.frame.T @ b.frame
+    _, c, Wt = np.linalg.svd(M)
+    phi = np.arccos(np.clip(c, -1.0, 1.0))
+    m = int(np.count_nonzero(phi < 1e-2))
+    if m:
+        sines = np.linalg.svd((b.frame - a.frame @ M) @ Wt[:m].T, compute_uv=False)
+        phi[:m] = np.arcsin(np.minimum(sines[::-1], 1.0))
+    return phi
 
 
 def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:

@@ -10,6 +10,7 @@ from cartanbundle import (
     CartanMotion,
     CartanRotation,
     CutLocusError,
+    DegenerateSpanError,
     DimensionMismatchError,
     DpElement,
     DpGenerator,
@@ -17,12 +18,14 @@ from cartanbundle import (
     Motion,
     NearSingularIsomorphismError,
     NotInCartanModelError,
+    Plane,
     Signature,
     Tolerances,
     BundlePoint,
     Screw,
     bundle_act,
     bundle_point,
+    cartan_embed0,
     double_projection,
     dp_exp,
     dp_exp_full,
@@ -43,6 +46,8 @@ from cartanbundle import (
     coordinate_plane,
     in_Q0,
     plane_equal,
+    plane_from_frame,
+    projector,
     skew_wedge,
 )
 from cartanbundle.sampling import (
@@ -527,10 +532,14 @@ def test_uncertified_input_error_class(R, error):
 
 
 # (op on a certified motion s and rotation cr, eigh calls it may run).
-# Construction runs the one S_p0 check; its consumers read the kept frame,
-# and dp_exp_full constructs one CartanMotion.
+# The public constructors run the one S_p0 check; its consumers read the
+# kept frame, and the maps into S_p by construction carry a closed-form frame.
 EIGH_CALLS = [
-    pytest.param(lambda s, cr: dp_exp_full(_fixed_dp_cases()[1]), 1, id="dp_exp_full"),
+    pytest.param(lambda s, cr: dp_exp_full(_fixed_dp_cases()[1]), 0, id="dp_exp_full"),
+    pytest.param(lambda s, cr: rho_inv(rho(s)), 0, id="rho_inv"),
+    pytest.param(lambda s, cr: tau(s.motion, s.sig), 0, id="tau"),
+    pytest.param(lambda s, cr: cartan_embed0(rho0(cr)), 0, id="cartan_embed0"),
+    pytest.param(lambda s, cr: dp_exp(dp_log0(cr)), 0, id="dp_exp"),
     pytest.param(lambda s, cr: rho(s), 0, id="rho"),
     pytest.param(lambda s, cr: dp_log_full(s), 0, id="dp_log_full"),
     pytest.param(lambda s, cr: rho0(cr), 0, id="rho0"),
@@ -609,6 +618,112 @@ class TestCertificate:
         cr = CartanRotation(R, SIG22, loose)
         assert np.array_equal(copy.deepcopy(s).motion.R, s.motion.R)
         assert np.array_equal(pickle.loads(pickle.dumps(cr)).mat, cr.mat)
+
+
+class TestTrustedPath:
+    """The maps into S_p by construction check nothing, so each bad input
+    must be stopped where it enters: at the construction of its ``Plane``
+    or ``BundlePoint``, or at the call."""
+
+    F = np.eye(4, 2)
+
+    def test_fiber_off_its_plane(self):
+        plane = coordinate_plane(4, 2)
+        with pytest.raises(NotInCartanModelError):
+            rho_inv(BundlePoint(plane, np.array([0.0, 0, 1, 0])))
+
+    def test_non_orthonormal_frame(self):
+        F = 1.01 * self.F
+        with pytest.raises(DegenerateSpanError):
+            cartan_embed0(Plane(4, 2, projector(F), F))
+        with pytest.raises(DegenerateSpanError):
+            rho_inv(BundlePoint(Plane(4, 2, projector(F), F), np.zeros(4)))
+
+    def test_projector_that_disagrees_with_its_frame(self):
+        other = np.diag([0.0, 0, 1, 1])
+        with pytest.raises(DegenerateSpanError):
+            cartan_embed0(Plane(4, 2, other, self.F))
+
+    @pytest.mark.parametrize("n, p, P", [(4, 3, np.diag([1.0, 1, 0, 0])), (4, 2, np.eye(3))],
+                             ids=["frame", "projector"])
+    def test_plane_arrays_of_the_wrong_shape(self, n, p, P):
+        with pytest.raises(DimensionMismatchError):
+            Plane(n, p, P, self.F)
+
+    def test_nan_fiber(self):
+        with pytest.raises(DimensionMismatchError):
+            rho_inv(BundlePoint(coordinate_plane(4, 2), np.array([math.nan, 0, 0, 0])))
+
+    def test_caller_mutation_does_not_reach_plane_or_point(self):
+        F, Y = np.eye(4, 2), np.array([1.0, 2.0, 0, 0])
+        b = bundle_point(plane_from_frame(F), Y)
+        F[:, 0] = [0.0, 0, 5, 0]
+        Y[2] = 7.0
+        assert np.array_equal(b.plane.frame, np.eye(4, 2))
+        assert np.array_equal(b.plane.projector, b.plane.frame @ b.plane.frame.T)
+        assert np.array_equal(b.fiber, [1.0, 2.0, 0, 0])
+        s = rho_inv(b)
+        CartanMotion(s.motion, s.sig)
+        for a in (b.plane.frame, b.plane.projector, b.fiber):
+            with pytest.raises(ValueError):
+                a[0] = 3.0
+
+    def test_tau_rejects_a_reflection(self):
+        with pytest.raises(IllConditionedSpectrumError):
+            tau(Motion(np.diag([-1.0, 1, 1, 1]), np.zeros(4)), SIG22)
+
+
+def _by_construction(rng):
+    """(name, output) of every map that builds its output without a check."""
+    s = sample_cartan_motion(rng, 4, 2)
+    b = sample_bundle_point(rng, 4, 2)
+    gen = DpGenerator(p=2, q=2, B=0.5 * rng.standard_normal((2, 2)))
+    return [
+        ("tau", s),
+        ("rho_inv", rho_inv(b)),
+        ("dp_exp_full", dp_exp_full(DpElement(gen, rng.standard_normal(2)))),
+        ("cartan_embed0", cartan_embed0(b.plane)),
+        ("dp_exp", dp_exp(gen)),
+        ("plane", b.plane),
+        ("bundle_point", b),
+        ("rho", rho(s)),
+    ]
+
+
+CLONES = [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle"),
+    pytest.param(dataclasses.replace, id="replace"),
+]
+
+
+@pytest.mark.parametrize("clone", CLONES)
+def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clone):
+    """Each copy runs its class's check: the S_p0 eigh of a Cartan type, the
+    frame check of a plane, the fiber bound of a bundle point."""
+    calls = []
+
+    def counting(module, name):
+        def counted(*args, _real=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (grassmann_module, bundle_module):
+        counting(module, "_cartan_frame")
+    counting(grassmann_module, "check_frame")
+    counting(bundle_module, "_fiber_holds")
+    checks = {
+        CartanMotion: "_cartan_frame", CartanRotation: "_cartan_frame",
+        Plane: "check_frame", BundlePoint: "_fiber_holds",
+    }
+    for name, out in _by_construction(rng):
+        calls.clear()
+        twin = clone(out)
+        assert calls.count(checks[type(out)]) == 1, name
+        assert type(twin) is type(out) and twin is not out
+        assert twin._tol == out._tol
 
 
 # The certificate reads the sigma residual off the S_p0 check (S = R J and
@@ -713,6 +828,8 @@ LINALG_CALLS = [
                  id="CartanMotion"),
     pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1},
                  id="find_transporter"),
+    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"check_frame": 0},
+                 id="find_transporter_reads_certified_frames"),
     pytest.param(lambda s, b, b2: rho(s), {"eigh": 0, "check_frame": 0}, id="rho"),
 ]
 

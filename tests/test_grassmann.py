@@ -16,6 +16,7 @@ from cartanbundle import (
     dp_log0,
     in_Q0,
     plane_equal,
+    plane_from_frame,
     plane_from_span,
     principal_angles,
     rho0,
@@ -304,4 +305,18 @@ def test_principal_angles(rng):
     phi = principal_angles(a, b)
     assert phi.shape == (2,)
     assert np.all(phi >= -1e-12) and np.all(phi <= math.pi / 2 + 1e-12)
-    assert np.allclose(principal_angles(a, a), 0, atol=1e-7)
+    for c in (a, b):
+        assert np.allclose(principal_angles(c, c), 0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (15, 8)])
+@pytest.mark.parametrize("phi", [1e-8, 1e-6, 1e-3])
+def test_principal_angles_read_small_angles(rng, n, p, phi):
+    Q = sample_rotation(rng, n)
+    F = np.eye(n, p)
+    F[:, 0] = 0.0
+    F[0, 0], F[p, 0] = math.cos(phi), math.sin(phi)
+    angles = principal_angles(plane_from_frame(Q[:, :p]), plane_from_frame(Q @ F))
+    assert np.all(np.diff(angles) >= 0)
+    assert abs(angles[-1] - phi) <= 1e-6 * phi
+    assert np.all(angles[:-1] <= 1e-14)

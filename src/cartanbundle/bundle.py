@@ -14,14 +14,17 @@ The instance keeps read-only copies of R and X and the frame of the plane
 that the check found, so ``rho`` and ``dp_log_full`` check nothing again.
 
 Three maps land in S_p by the paper's construction, and each also gives the
-frame of its plane in closed form, so their motions are certified by
-construction and check nothing: ``tau`` (frame A[:, :p] of g = (A, X),
+frame of its plane in closed form: ``tau`` (frame A[:, :p] of g = (A, X),
 which is checked to lie in SE(n) on entry), ``rho_inv`` (the frame of the
 point's plane) and ``dp_exp_full`` (the first p columns of exp(omega/2)).
-Their inputs carry the proof instead: a ``Plane`` and a ``BundlePoint`` are
-checked when constructed, as a ``CartanMotion`` is. ``verify`` passes these
-outputs through the public constructor (``tau_properties``,
-``rho_bijectivity``, ``dp_full_routes``).
+Each bounds the residuals of its motion from those of its input, measured
+on the way, and rounding; when the bounds meet the tolerances
+(``grassmann._sure``), the motion is certified by construction and checks
+nothing, and otherwise it goes through the public constructor. The inputs
+carry the rest of the proof: a ``Plane`` and a ``BundlePoint`` are checked
+when constructed, as a ``CartanMotion`` is. ``verify`` passes these outputs
+through the public constructor (``tau_properties``, ``rho_bijectivity``,
+``dp_full_routes``).
 
 Each condition has one bound, which every test of it reads: the sigma
 residual is held to ``tol.invol`` (1 + |X|) by ``in_Q`` and
@@ -71,16 +74,20 @@ from .grassmann import (
     _plane,
     _principal_pairs,
     _read_only,
+    _ROUND,
+    _sure,
     _trusted,
     rotate_plane,
 )
 from .liegroup import (
     Motion,
     Screw,
+    _check_vector,
     _factors,
     check_motion,
 )
 from .matcore import (
+    _checked_rotation,
     _complete_frames,
     _eye,
     _norm,
@@ -96,9 +103,9 @@ class BundlePoint:
     in the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
     The instance keeps a read-only copy of it. ``bundle_point`` checks under
     its ``tol``; the constructor under the defaults. ``rho`` builds its
-    point from a certified motion and checks nothing.
-    ``dataclasses.replace``, ``copy`` and ``pickle`` run the check again,
-    under the tolerances of the original. ``==`` is identity.
+    point from a certified motion and checks nothing. ``copy`` and
+    ``pickle`` run the check again under the tolerances of the original,
+    ``dataclasses.replace`` under the defaults. ``==`` is identity.
     """
 
     plane: Plane
@@ -147,9 +154,10 @@ class CartanMotion:
     the carried plane that the S_p0 check found. ``tau``, ``rho_inv`` and
     ``dp_exp_full`` build theirs from a motion that lies in S_p by
     construction, with the frame of its plane in closed form, and check
-    nothing. ``dataclasses.replace``, ``copy`` and ``pickle`` of any
-    instance run the public check again, under the same tolerances. ``==``
-    is identity.
+    nothing when their bounds are sure of the check (``_sure``). ``copy``
+    and ``pickle`` of any instance run the public check again under the
+    same tolerances, ``dataclasses.replace`` under the defaults. ``==`` is
+    identity.
     """
 
     motion: Motion
@@ -293,20 +301,27 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
-    g is checked to lie in SE(n) (``check_motion``) under ``tol``. For
-    g = (A, X) the result is (A J A^T J, X - A J A^T X), computed as
+    g is checked to lie in SE(n) under ``tol``, as ``check_motion`` checks
+    it. For g = (A, X) the result is (A J A^T J, X - A J A^T X), computed as
     se_mul(g, sigma(se_inv(g))) computes it, product for product, so it is
     bit-identical to that route. It lies in S_p by construction, and the
-    frame of its plane is A[:, :p], so nothing else is checked.
+    frame of its plane is A[:, :p]. With e = |A^T A - I| and S = A J A^T,
+    |R^T R - I| and |S^2 - I| are at most (2 + e) e and det R = det(A^T A)
+    is within exp(sqrt(n) e) - 1 of 1, all below 4 sqrt(n) e; the sigma and
+    fiber residuals come from (I - S^2) X, at most that times |X|. When
+    these bounds make the result sure of its check (``_sure``), nothing
+    else is checked; otherwise it goes through the public constructor.
     """
     tol = tol or default_tolerances()
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
-    check_motion(g, tol)
-    A, X, j = g.R, g.X, sig._signs
-    m = Motion(
-        _frozen(A @ (j[:, None] * A.T.copy() * j)), _frozen(X + A @ (j * -(A.T @ X)))
-    )
+    A, e = _checked_rotation(g.R, tol)
+    X, j = _check_vector(g.X, g.n, "translation"), sig._signs
+    m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
+    rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
+    if not _sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))):
+        return CartanMotion(m, sig, tol)
+    m = Motion(_frozen(m.R), _frozen(m.X))
     return _trusted(CartanMotion, tol, motion=m, sig=sig, _frame=_read_only(A[:, : sig.p]))
 
 
@@ -339,17 +354,19 @@ def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
     """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation.
 
     The motion lies in S_p by construction, with ``b.plane.frame`` the frame
-    of its plane, so nothing is checked: b was checked when it was
-    constructed.
+    of its plane. Its rotation is bounded as ``cartan_embed0``'s; with
+    S = I - 2 P, its sigma and fiber residuals are 2 |(I - P) Y| and
+    |(I - P) Y|, measured here. When these make the motion sure of its
+    check (``_sure``), nothing is checked; otherwise it goes through the
+    public constructor.
     """
-    R, sig = _embed_matrix(b.plane)
-    return _trusted(
-        CartanMotion,
-        tol or default_tolerances(),
-        motion=Motion(_frozen(R), b.fiber),
-        sig=sig,
-        _frame=b.plane.frame,
-    )
+    tol = tol or default_tolerances()
+    R, sig, rot = _embed_matrix(b.plane)
+    Y = b.fiber
+    fib = _norm(b.plane.projector @ Y - Y) / (1.0 + _norm(Y)) + sig.n * _ROUND
+    if not _sure(tol, rot, fib):
+        return CartanMotion(Motion(R, Y), sig, tol)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=b.plane.frame)
 
 
 def bundle_act(
@@ -403,19 +420,22 @@ def dp_exp_full(
 
     One thin SVD B = U diag(s) V^T gives exp(xi): the rotation in
     cosine-sine form, the translation pair by pair, and the frame of the
-    plane, the cosine-sine form at half the angles (``_cs_frame``). Nothing
-    is checked. ``verify`` passes these motions through the public
-    constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
+    plane, the cosine-sine form at half the angles (``_cs_frame``). Its
+    residuals are rounding only, so nothing is checked unless ``tol`` is
+    below that or the translation overflows (``_sure``); then the motion
+    goes through the public constructor. ``verify`` passes these motions
+    through the public constructor and checks the doubling identity
+    exp(xi) = tau(exp(xi/2)).
     """
+    tol = tol or default_tolerances()
     V, s, U = _generator_svd(xi.gen)
-    g = Motion(_frozen(_cs_rotation(V, s, U)), _frozen(_dp_translation(V, s, U, xi.v)))
-    return _trusted(
-        CartanMotion,
-        tol or default_tolerances(),
-        motion=g,
-        sig=Signature(xi.gen.p, xi.gen.q),
-        _frame=_cs_frame(V, 0.5 * s, U),
-    )
+    g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
+    sig = Signature(xi.gen.p, xi.gen.q)
+    rot = sig.n * _ROUND
+    if not _sure(tol, rot, rot if math.isfinite(_norm(g.X)) else math.nan):
+        return CartanMotion(g, sig, tol)
+    g = Motion(_frozen(g.R), _frozen(g.X))
+    return _trusted(CartanMotion, tol, motion=g, sig=sig, _frame=_cs_frame(V, 0.5 * s, U))
 
 
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:

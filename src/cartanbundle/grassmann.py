@@ -22,11 +22,16 @@ residual of a motion (R, X) has blocks J (S^2 - I) J and J (X + S X), so the
 ``CartanMotion`` check finishes from them in the same pass.
 
 Two maps land in S_p0 by construction and give the frame of their plane in
-closed form, so they check nothing (``_trusted``): ``cartan_embed0``,
-R = (I - 2 P) J with the frame of the plane, and ``dp_exp``, whose frame is
-the first p columns of exp(omega/2) (``_cs_frame``). A ``Plane`` is checked
-once, when constructed (``plane_from_frame`` or the constructor); the frames
-that are orthonormal by construction skip that check (``_plane``).
+closed form: ``cartan_embed0``, R = (I - 2 P) J with the frame of the plane,
+and ``dp_exp``, whose frame is the first p columns of exp(omega/2)
+(``_cs_frame``). Each bounds the residuals of its R from the residuals of
+its input, measured on the way, and rounding (``_ROUND``). When those
+bounds meet the tolerances (``_sure``), it checks nothing (``_trusted``);
+otherwise R goes through the public constructor, which accepts or raises as
+for the same matrix from a caller. A ``Plane`` is checked once, when
+constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
+its projector; the frames that are orthonormal by construction skip that
+check (``_plane``).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .errors import (
     NotInCartanModelError,
 )
 from .matcore import (
+    _eye,
     _norm,
     _symmetric_involution,
     check_finite_matrix,
@@ -122,6 +128,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Rounding allowance per dimension. The worst residual of a by-construction
+# output with orthonormal inputs, over 3000 random cases at n <= 32 with
+# |B|_2 up to 3 pi and translations up to 1e6, was 6.4 n eps.
+_ROUND = 16 * np.finfo(float).eps
+
+
+def _sure(tol: Tolerances, rot: float, fib: float = 0.0) -> bool:
+    """Whether a by-construction output passes its public check under ``tol``.
+
+    ``rot`` bounds the output's orthogonality, determinant, symmetry and
+    involution residuals, and ``fib`` its fiber residual per 1 + |Y|; its
+    sigma residual is then at most (rot + 2 fib)(1 + |Y|). Each is held to
+    its tolerance without the factor n. The bounds are first order in the
+    inputs' residuals, so rot must also stay below 1e-6. A NaN fails. An
+    output that is not sure of its check goes through the public
+    constructor, which accepts or raises as it does for the same matrices
+    from a caller.
+    """
+    return rot <= min(tol.orth, tol.invol, 1e-6) and fib <= tol.fiber and rot + 2.0 * fib <= tol.invol
+
+
 @dataclass(frozen=True, eq=False)
 class Plane:
     """A p-dimensional subspace of R^n: projector plus a representative frame.
@@ -132,8 +159,9 @@ class Plane:
     of both. ``plane_from_frame`` checks under its ``tol``; the constructor
     under the defaults. Planes whose frame is orthonormal by construction
     (``rho0``, ``rho``, whose frames come from ``eigh`` or a closed form)
-    skip the check. ``dataclasses.replace``, ``copy`` and ``pickle`` run
-    the check again, under the tolerances of the original. ``==`` is
+    skip the check. The projector kept is F F^T, not the caller's. ``copy``
+    and ``pickle`` run the check again under the tolerances of the
+    original, ``dataclasses.replace`` under the defaults. ``==`` is
     identity; ``plane_equal`` compares planes.
     """
 
@@ -153,16 +181,20 @@ class Plane:
 
 
 def _checked_plane(n: int, p: int, P: np.ndarray, F: np.ndarray, tol: Tolerances) -> Plane:
-    """The check of a ``Plane`` under ``tol``, and the certified plane."""
+    """The check of a ``Plane`` under ``tol``, and the certified plane.
+
+    The plane keeps F F^T, not the caller's P, which only has to agree with it.
+    """
     F = _read_only(check_frame(F, tol))
-    P = _read_only(check_finite_matrix(P, "projector"))
+    P = check_finite_matrix(P, "projector")
     if F.shape != (n, p) or P.shape != (n, n):
         raise DimensionMismatchError(
             f"plane ({n}, {p}) has frame {F.shape} and projector {P.shape}"
         )
-    if not _same_projector(P, projector(F), tol):
+    FF = _frozen(projector(F))
+    if not _same_projector(P, FF, tol):
         raise DegenerateSpanError("projector does not match the frame")
-    return _trusted(Plane, tol, n=n, p=p, projector=P, frame=F)
+    return _trusted(Plane, tol, n=n, p=p, projector=FF, frame=F)
 
 
 def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
@@ -245,8 +277,9 @@ class CartanRotation:
     (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
     ``dp_exp`` build theirs from a rotation that lies in S_p0 by
     construction, with the frame of its plane in closed form, and check
-    nothing. ``dataclasses.replace``, ``copy`` and ``pickle`` of any
-    instance run the check again, under the same tolerances. ``==`` is
+    nothing when their bounds are sure of the check (``_sure``).
+    ``copy`` and ``pickle`` of any instance run the check again under the
+    same tolerances, ``dataclasses.replace`` under the defaults. ``==`` is
     identity.
     """
 
@@ -304,9 +337,20 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
 
 
 def _embed_matrix(plane: Plane) -> tuple:
-    """(R, sig) with R = (I - 2 P) J for P the projector onto the plane."""
-    sig = Signature(plane.p, plane.n - plane.p)
-    return (np.eye(plane.n) - 2.0 * plane.projector) * sig._signs, sig
+    """(R, sig, rot): R = (I - 2 P) J for P = F F^T the projector of the plane.
+
+    ``rot`` bounds the residuals of R for ``_sure``. With E = F^T F - I and
+    e = |E|, S = R J = I - 2 P has S^2 - I = 4 F E F^T, so |R^T R - I| and
+    |S^2 - I| are at most 4 (1 + e) e, and det R is the product of
+    1 + 2 lambda over the eigenvalues lambda of E, within
+    exp(2 sqrt(p) e) - 1 of 1. Both are below 4 sqrt(n) e while that is
+    below 1e-6; the rest is rounding.
+    """
+    F, n = plane.frame, plane.n
+    sig = Signature(plane.p, n - plane.p)
+    e = _norm(F.T @ F - _eye(plane.p))
+    rot = 4.0 * math.sqrt(n) * e + n * _ROUND
+    return (np.eye(n) - 2.0 * plane.projector) * sig._signs, sig, rot
 
 
 def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation:
@@ -315,13 +359,15 @@ def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation
     This is A J A^{-1} J for any A in SO(n) whose leading p columns span the
     plane, so the result depends on the plane only through its projector.
     R lies in S_p0 by construction, with ``plane.frame`` the frame of its
-    (-1)-eigenspace, so nothing is checked: the plane was checked when it
-    was constructed.
+    (-1)-eigenspace. When the orthonormality residual of that frame makes R
+    sure of its check (``_sure``), nothing is checked; otherwise R goes
+    through the public constructor.
     """
-    R, sig = _embed_matrix(plane)
-    return _trusted(
-        CartanRotation, tol or default_tolerances(), mat=_frozen(R), sig=sig, _frame=plane.frame
-    )
+    tol = tol or default_tolerances()
+    R, sig, rot = _embed_matrix(plane)
+    if not _sure(tol, rot):
+        return CartanRotation(R, sig, tol)
+    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=plane.frame)
 
 
 def rho0(R: CartanRotation) -> Plane:
@@ -402,17 +448,17 @@ def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
 
     One thin SVD B = U diag(s) V^T gives the rotation in cosine-sine form
     and the frame of its plane, the same form at half the angles
-    (``_cs_frame``); nothing is checked. ``verify`` passes these rotations
-    through the public constructor.
+    (``_cs_frame``). Its residuals are rounding only, so nothing is checked
+    unless ``tol`` is below that (``_sure``); then the rotation goes through
+    the public constructor. ``verify`` passes these rotations through the
+    public constructor.
     """
+    tol = tol or default_tolerances()
     V, s, U = _generator_svd(gen)
-    return _trusted(
-        CartanRotation,
-        tol or default_tolerances(),
-        mat=_frozen(_cs_rotation(V, s, U)),
-        sig=Signature(gen.p, gen.q),
-        _frame=_cs_frame(V, 0.5 * s, U),
-    )
+    R, sig = _cs_rotation(V, s, U), Signature(gen.p, gen.q)
+    if not _sure(tol, sig.n * _ROUND):
+        return CartanRotation(R, sig, tol)
+    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_cs_frame(V, 0.5 * s, U))
 
 
 def principal_angles(a: Plane, b: Plane) -> np.ndarray:

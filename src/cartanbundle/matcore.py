@@ -197,16 +197,21 @@ class CanonicalRotationForm:
 
 
 def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    tol = tol or default_tolerances()
+    return _checked_rotation(R, tol or default_tolerances())[0]
+
+
+def _checked_rotation(R: np.ndarray, tol: Tolerances) -> tuple:
+    """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual."""
     R = check_finite_matrix(R, "rotation")
     n = R.shape[0]
     if R.shape[0] != R.shape[1]:
         raise DimensionMismatchError("rotation must be square")
-    if _norm(R.T @ R - _eye(n)) > tol.orth * max(1, n):
+    defect = _norm(R.T @ R - _eye(n))
+    if defect > tol.orth * max(1, n):
         raise IllConditionedSpectrumError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(R) - 1.0) > tol.orth * max(1, n):
         raise IllConditionedSpectrumError("matrix has determinant != +1")
-    return R
+    return R, defect
 
 
 _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))

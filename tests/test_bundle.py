@@ -14,6 +14,7 @@ from cartanbundle import (
     DimensionMismatchError,
     DpElement,
     DpGenerator,
+    GeometryError,
     IllConditionedSpectrumError,
     Motion,
     NearSingularIsomorphismError,
@@ -644,6 +645,51 @@ class TestTrustedPath:
         with pytest.raises(DegenerateSpanError):
             cartan_embed0(Plane(4, 2, other, self.F))
 
+    def test_plane_keeps_the_projector_of_its_frame(self, rng):
+        # Within tol.plane of F F^T, but |P - P^T| = 1.3e-8 > tol.invol: a
+        # plane that kept it would embed as a rotation off S_p0.
+        F = sample_rotation(rng, 4)[:, :2]
+        P = projector(F)
+        P[0, 2] += 9e-9
+        plane = Plane(4, 2, P, F)
+        assert np.array_equal(plane.projector, projector(F))
+        CartanRotation(cartan_embed0(plane).mat, SIG22)
+        s = rho_inv(BundlePoint(plane, np.zeros(4)))
+        CartanMotion(s.motion, s.sig)
+
+    # Scaled by 1 + 6e-10 or more, the frame passes its check (|F^T F - I| up
+    # to tol.orth n) but the embedding misses SO(n) by about 4 |F^T F - I|;
+    # tau's output misses it by about twice the residual of A.
+    @pytest.mark.parametrize("c", [1 + 1e-11, 1 + 1e-10, 1 + 3e-10, 1 + 6e-10, 1 + 1e-9])
+    def test_nearly_orthonormal_inputs_fare_as_at_the_public_check(self, rng, c):
+        """The output passes the public check, or the call raises what the
+        public constructor raises on the same matrices."""
+        Q = sample_rotation(rng, 4)
+        R = (np.eye(4) - 2.0 * projector(c * Q[:, :2])) * SIG22._signs
+        plane = plane_from_frame(c * Q[:, :2])
+        g = Motion(c * Q, rng.standard_normal(4))
+        cases = [
+            (lambda: cartan_embed0(plane), lambda: CartanRotation(R, SIG22)),
+            (lambda: rho_inv(bundle_point(plane, np.zeros(4))),
+             lambda: CartanMotion(Motion(R, np.zeros(4)), SIG22)),
+            (lambda: tau(g, SIG22), lambda: CartanMotion(se_mul(g, sigma(se_inv(g), SIG22)), SIG22)),
+        ]
+        raised = 0
+        for build, public in cases:
+            try:
+                public()
+            except GeometryError as exc:
+                raised += 1
+                with pytest.raises(type(exc)):
+                    build()
+                continue
+            out = build()
+            if isinstance(out, CartanMotion):
+                CartanMotion(out.motion, out.sig)
+            else:
+                CartanRotation(out.mat, out.sig)
+        assert raised == (3 if c >= 1 + 6e-10 else 0)
+
     @pytest.mark.parametrize("n, p, P", [(4, 3, np.diag([1.0, 1, 0, 0])), (4, 2, np.eye(3))],
                              ids=["frame", "projector"])
     def test_plane_arrays_of_the_wrong_shape(self, n, p, P):
@@ -673,17 +719,18 @@ class TestTrustedPath:
             tau(Motion(np.diag([-1.0, 1, 1, 1]), np.zeros(4)), SIG22)
 
 
-def _by_construction(rng):
-    """(name, output) of every map that builds its output without a check."""
-    s = sample_cartan_motion(rng, 4, 2)
-    b = sample_bundle_point(rng, 4, 2)
+def _by_construction(rng, tol):
+    """(name, output) of every map that builds its output without a check, under ``tol``."""
+    s = tau(sample_motion(rng, 4), SIG22, tol)
+    plane = plane_from_frame(sample_rotation(rng, 4)[:, :2], tol)
+    b = bundle_point(plane, plane.projector @ rng.standard_normal(4), tol)
     gen = DpGenerator(p=2, q=2, B=0.5 * rng.standard_normal((2, 2)))
     return [
         ("tau", s),
-        ("rho_inv", rho_inv(b)),
-        ("dp_exp_full", dp_exp_full(DpElement(gen, rng.standard_normal(2)))),
-        ("cartan_embed0", cartan_embed0(b.plane)),
-        ("dp_exp", dp_exp(gen)),
+        ("rho_inv", rho_inv(b, tol)),
+        ("dp_exp_full", dp_exp_full(DpElement(gen, rng.standard_normal(2)), tol)),
+        ("cartan_embed0", cartan_embed0(b.plane, tol)),
+        ("dp_exp", dp_exp(gen, tol)),
         ("plane", b.plane),
         ("bundle_point", b),
         ("rho", rho(s)),
@@ -698,10 +745,19 @@ CLONES = [
 ]
 
 
+CLONE_TOLS = [
+    pytest.param(Tolerances(), id="default"),
+    pytest.param(Tolerances().with_overrides({"orth": 1e-7, "invol": 1e-6, "fiber": 1e-7}), id="loose"),
+]
+
+
+@pytest.mark.parametrize("tol", CLONE_TOLS)
 @pytest.mark.parametrize("clone", CLONES)
-def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clone):
+def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clone, tol):
     """Each copy runs its class's check: the S_p0 eigh of a Cartan type, the
-    frame check of a plane, the fiber bound of a bundle point."""
+    frame check of a plane, the fiber bound of a bundle point. ``copy``,
+    ``deepcopy`` and ``pickle`` check under the original's tolerances;
+    ``dataclasses.replace`` under the defaults."""
     calls = []
 
     def counting(module, name):
@@ -718,12 +774,79 @@ def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clon
         CartanMotion: "_cartan_frame", CartanRotation: "_cartan_frame",
         Plane: "check_frame", BundlePoint: "_fiber_holds",
     }
-    for name, out in _by_construction(rng):
+    for name, out in _by_construction(rng, tol):
         calls.clear()
         twin = clone(out)
         assert calls.count(checks[type(out)]) == 1, name
         assert type(twin) is type(out) and twin is not out
-        assert twin._tol == out._tol
+        assert out._tol == tol
+        assert twin._tol == (Tolerances() if clone is dataclasses.replace else tol)
+
+
+def _sure_cases(rng, n, p, c, scale):
+    """(name, build(tol)) for each map that trusts its output when ``_sure``."""
+    sig = Signature(p, n - p)
+    plane = plane_from_frame(c * sample_rotation(rng, n)[:, :p])
+    b = bundle_point(plane, scale * plane.projector @ rng.standard_normal(n))
+    g = Motion(c * sample_rotation(rng, n), scale * rng.standard_normal(n))
+    xi = DpElement(DpGenerator(p=p, q=n - p, B=rng.standard_normal((n - p, p))),
+                   scale * rng.standard_normal(p))
+    return [
+        ("cartan_embed0", lambda tol: cartan_embed0(plane, tol)),
+        ("rho_inv", lambda tol: rho_inv(b, tol)),
+        ("tau", lambda tol: tau(g, sig, tol)),
+        ("dp_exp", lambda tol: dp_exp(xi.gen, tol)),
+        ("dp_exp_full", lambda tol: dp_exp_full(xi, tol)),
+    ]
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (4, 2), (8, 3), (32, 5)])
+@pytest.mark.parametrize("c", [1.0, 1 + 1e-11])
+def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n, p, c):
+    """Under the tightest tolerances that ``_sure`` still trusts (its bounds
+    rot and fib, each met with equality), the output skips its check and
+    passes the public constructor. The inputs are orthonormal, or scaled by
+    1 + 1e-11 so that the bounds' first-order terms dominate."""
+    seen, checked = [], []
+
+    def recorded(tol, rot, fib=0.0, _real=grassmann_module._sure):
+        seen.append((rot, fib))
+        return _real(tol, rot, fib)
+
+    def counted(*args, _real=grassmann_module._cartan_frame):
+        checked.append(1)
+        return _real(*args)
+
+    for module in (grassmann_module, bundle_module):
+        monkeypatch.setattr(module, "_sure", recorded)
+        monkeypatch.setattr(module, "_cartan_frame", counted)
+    for scale in (1.0, 1e3):
+        for name, build in _sure_cases(rng, n, p, c, scale):
+            build(Tolerances())
+            rot, fib = seen[-1]
+            tight = Tolerances().with_overrides(
+                {"orth": rot, "invol": rot + 2.0 * fib, "fiber": fib or 1.0}
+            )
+            checked.clear()
+            out = build(tight)
+            assert not checked, name
+            if isinstance(out, CartanMotion):
+                CartanMotion(out.motion, out.sig, tight)
+            else:
+                CartanRotation(out.mat, out.sig, tight)
+
+
+def test_copies_of_a_plane_keep_its_tolerances(rng):
+    # |F^T F - I| = 4e-8 passes only the loose frame check.
+    F = (1 + 1e-8) * sample_rotation(rng, 4)[:, :2]
+    loose = Tolerances().with_overrides({"orth": 1e-7})
+    with pytest.raises(DegenerateSpanError):
+        plane_from_frame(F)
+    plane = plane_from_frame(F, loose)
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert np.array_equal(clone(plane).frame, plane.frame)
+    with pytest.raises(DegenerateSpanError):
+        dataclasses.replace(plane)
 
 
 # The certificate reads the sigma residual off the S_p0 check (S = R J and
@@ -826,10 +949,8 @@ def test_transporter_completes_each_frame_as_alone(rng):
 LINALG_CALLS = [
     pytest.param(lambda s, b, b2: CartanMotion(s.motion, s.sig), {"eigh": 1, "det": 1},
                  id="CartanMotion"),
-    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1},
+    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1, "check_frame": 0},
                  id="find_transporter"),
-    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"check_frame": 0},
-                 id="find_transporter_reads_certified_frames"),
     pytest.param(lambda s, b, b2: rho(s), {"eigh": 0, "check_frame": 0}, id="rho"),
 ]
 

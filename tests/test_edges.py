@@ -13,8 +13,9 @@ principal angles approach the cut locus at pi/2. ``dp_exp``/``dp_log0`` get
 chosen principal angles: the largest within 10 ``tol.branch`` of pi/2 on
 either side, clusters 1e-9 wide, zeros, angles down to 1e-8, and p = 1 or
 p = n - 1. The maps into S_p by construction (``tau``, ``rho_inv``,
-``cartan_embed0``, ``dp_exp_full``, ``dp_exp``), which check nothing, are
-rebuilt by the public constructors on these inputs and on |B|_2 up to 3 pi.
+``cartan_embed0``, ``dp_exp_full``, ``dp_exp``), which check nothing when
+their residual bounds meet the tolerances, are rebuilt by the public
+constructors on these inputs and on |B|_2 up to 3 pi.
 
 The decompositions are not unique on these inputs, so every assertion is on
 a product (exp of log, a reconstruction, a roundtrip) or on the typed error.

@@ -1,89 +1,221 @@
-"""Seeded deterministic samplers for every domain type.
+"""Seeded deterministic samplers for every domain type, drawn as stacks.
 
 Streams are derived from a counter-based Philox generator keyed by
 (seed, stream id), so samples are reproducible across runs and independent
 across parallel workers.
+
+Each kind but Cartan motions (which ``tau`` builds from sampled motions)
+has a stacked sampler, ``sample_<kind>s(rng, ..., count)``. It draws the
+normals of every sample in one call and runs each kernel (``qr``, ``det``,
+the norms, the uniforms) once over the stack. It returns NumPy arrays whose
+leading axes are ``count``: an int, or a tuple for a grid of samples.
+Sample i is index i of each array. Draws are grouped by kind (all
+rotations, then all translations, then the uniforms), so a stack of N is in
+general not the first N of a stack of more. Each single sampler,
+``sample_<kind>(rng, ...)``, is the stack of one, wrapped in its library
+type.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
-from .grassmann import DpGenerator, Plane, Signature, plane_from_span
+from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic counter-based generator for (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
-def sample_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-style rotation via sign-fixed QR of a Gaussian matrix."""
-    M = rng.standard_normal((n, n))
+def _shape(count) -> tuple:
+    return count if isinstance(count, tuple) else (count,)
+
+
+def _require(n: int, least: int, kind: str) -> None:
+    if n < least:
+        raise DimensionMismatchError(f"{kind} sampling requires n >= {least}", n=n)
+
+
+def _norms(x: np.ndarray, axes: int) -> np.ndarray:
+    """The 2-norms of ``x`` over its trailing ``axes`` axes, flattened.
+
+    Each is the square root of a row-by-column product, which NumPy takes
+    with the dot that ``np.linalg.norm`` of one flattened sample takes, so
+    the stack agrees with it bit for bit.
+    """
+    flat = x.reshape(*x.shape[: x.ndim - axes], 1, math.prod(x.shape[x.ndim - axes :]))
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
+    """The Q of each matrix's QR with the signs that make R's diagonal positive."""
     Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, -1] = -Q[:, -1]
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _factors(top: np.ndarray, bound: float, rng) -> np.ndarray:
+    """bound u / top per sample, u uniform on [0.05, 1); a zero sample (top 0) stays zero."""
+    return bound * rng.uniform(0.05, 1.0, top.shape) / np.where(top > 0, top, 1.0)
+
+
+def sample_rotations(rng: np.random.Generator, n: int, count) -> np.ndarray:
+    """Haar rotations (*count, n, n).
+
+    Each is the sign-fixed QR of a Gaussian matrix, with its last column
+    negated where the determinant is -1.
+    """
+    _require(n, 1, "rotation")
+    Q = _sign_fixed_qr(rng.standard_normal((*_shape(count), n, n)))
+    Q[np.linalg.det(Q) < 0, :, -1] *= -1
     return Q
 
 
-def sample_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    A = rng.standard_normal((n, n))
-    return scale * 0.5 * (A - A.T)
+def sample_skews(rng: np.random.Generator, n: int, count, scale: float = 1.0) -> np.ndarray:
+    """Skew matrices (*count, n, n), the skew parts of Gaussian matrices times ``scale``."""
+    _require(n, 1, "skew")
+    A = rng.standard_normal((*_shape(count), n, n))
+    return scale * 0.5 * (A - A.swapaxes(-1, -2))
 
 
-def sample_skew_bounded(
-    rng: np.random.Generator, n: int, max_angle: float
+def sample_skews_bounded(
+    rng: np.random.Generator, n: int, count, max_angle: float
 ) -> np.ndarray:
+    """Skew matrices with spectral norm (largest canonical angle) <= max_angle."""
+    W = sample_skews(rng, n, count)
+    return W * _factors(np.linalg.norm(W, 2, axis=(-2, -1)), max_angle, rng)[..., None, None]
+
+
+def sample_screws(rng: np.random.Generator, n: int, count, norm_bound: float = 4.0) -> tuple:
+    """Screws (omega, v), with homogeneous-block Frobenius norm at most norm_bound."""
+    omega = sample_skews(rng, n, count)
+    v = rng.standard_normal((*_shape(count), n))
+    factor = _factors(np.sqrt(_norms(omega, 2) ** 2 + _norms(v, 1) ** 2), norm_bound, rng)
+    return omega * factor[..., None, None], v * factor[..., None]
+
+
+def sample_motions(rng: np.random.Generator, n: int, count, trans_scale: float = 1.0) -> tuple:
+    """Motions (R, X): Haar rotations, then Gaussian translations times ``trans_scale``."""
+    R = sample_rotations(rng, n, count)
+    return R, trans_scale * rng.standard_normal((*_shape(count), n))
+
+
+def sample_frames(rng: np.random.Generator, n: int, p: int, count) -> np.ndarray:
+    """Orthonormal frames (*count, n, p) of uniform random p-planes.
+
+    Each is the sign-fixed QR of a Gaussian (n, p) matrix: the Gram-Schmidt
+    frame of its columns, in their order, up to rounding.
+    """
+    if not 1 <= p < n:
+        raise DimensionMismatchError("plane sampling requires 1 <= p < n")
+    return _sign_fixed_qr(rng.standard_normal((*_shape(count), n, p)))
+
+
+def sample_unit_directions(rng: np.random.Generator, n: int, count) -> np.ndarray:
+    """Unit vectors (*count, n) orthogonal to e_1."""
+    _require(n, 2, "unit direction")
+    U = np.zeros((*_shape(count), n))
+    U[..., 1:] = rng.standard_normal((*_shape(count), n - 1))
+    return U / _norms(U, 1)[..., None]
+
+
+def sample_dp_generators(
+    rng: np.random.Generator, p: int, q: int, count, bound: float | None = None
+) -> np.ndarray:
+    """Generator blocks B (*count, q, p), Gaussian, or rescaled to |B|_2 <= bound."""
+    if min(p, q) < 1:
+        raise DimensionMismatchError("generator sampling requires p, q >= 1", p=p, q=q)
+    B = rng.standard_normal((*_shape(count), q, p))
+    if bound is None:
+        return B
+    return B * _factors(np.linalg.norm(B, 2, axis=(-2, -1)), bound, rng)[..., None, None]
+
+
+def sample_dp_elements(
+    rng: np.random.Generator,
+    p: int,
+    q: int,
+    count,
+    bound: float | None = None,
+    v_scale: float = 1.0,
+) -> tuple:
+    """Elements (B, v) of d_p: generator blocks, then Gaussian v times ``v_scale``."""
+    B = sample_dp_generators(rng, p, q, count, bound)
+    return B, v_scale * rng.standard_normal((*_shape(count), p))
+
+
+def sample_bundle_points(rng: np.random.Generator, n: int, p: int, count) -> tuple:
+    """Bundle points (F, Y): plane frames, and Gaussian vectors projected into each plane."""
+    F = sample_frames(rng, n, p, count)
+    y = rng.standard_normal((*_shape(count), n))
+    return F, (F @ (F.swapaxes(-1, -2) @ y[..., None]))[..., 0]
+
+
+def sample_fixed_points(rng: np.random.Generator, sig: Signature, count) -> tuple:
+    """Motions (R, X) in the fixed subgroup: block-diagonal, translation in the last q."""
+    p, shape = sig.p, _shape(count)
+    R = np.zeros((*shape, sig.n, sig.n))
+    R[..., :p, :p] = sample_rotations(rng, p, count) if p > 1 else 1.0
+    R[..., p:, p:] = sample_rotations(rng, sig.q, count) if sig.q > 1 else 1.0
+    # negate the first column of both blocks of half the samples: both O(p)
+    # components are drawn, and det A det B stays 1
+    flip = rng.uniform(size=shape) < 0.5
+    R[flip, :p, 0] *= -1
+    R[flip, p:, p] *= -1
+    X = np.zeros((*shape, sig.n))
+    X[..., p:] = rng.standard_normal((*shape, sig.q))
+    return R, X
+
+
+def _one(stacks: tuple) -> tuple:
+    return tuple(s[0] for s in stacks)
+
+
+def sample_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar rotation: the stack of one of ``sample_rotations``."""
+    return sample_rotations(rng, n, 1)[0]
+
+
+def sample_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    """Skew matrix: the stack of one of ``sample_skews``."""
+    return sample_skews(rng, n, 1, scale)[0]
+
+
+def sample_skew_bounded(rng: np.random.Generator, n: int, max_angle: float) -> np.ndarray:
     """Skew matrix with spectral norm (largest canonical angle) <= max_angle."""
-    W = sample_skew(rng, n)
-    top = np.linalg.norm(W, 2)
-    if top > 0:
-        W *= max_angle * rng.uniform(0.05, 1.0) / top
-    return W
+    return sample_skews_bounded(rng, n, 1, max_angle)[0]
 
 
 def sample_screw(rng: np.random.Generator, n: int, norm_bound: float = 4.0) -> Screw:
     """Screw with homogeneous-block Frobenius norm at most norm_bound."""
-    omega = sample_skew(rng, n)
-    v = rng.standard_normal(n)
-    total = np.sqrt(np.linalg.norm(omega) ** 2 + np.linalg.norm(v) ** 2)
-    if total > 0:
-        factor = norm_bound * rng.uniform(0.05, 1.0) / total
-        omega, v = omega * factor, v * factor
-    return Screw(omega, v)
+    return Screw(*_one(sample_screws(rng, n, 1, norm_bound)))
 
 
 def sample_motion(rng: np.random.Generator, n: int, trans_scale: float = 1.0) -> Motion:
-    return Motion(sample_rotation(rng, n), trans_scale * rng.standard_normal(n))
+    """Motion: the stack of one of ``sample_motions``."""
+    return Motion(*_one(sample_motions(rng, n, 1, trans_scale)))
 
 
 def sample_plane(rng: np.random.Generator, n: int, p: int) -> Plane:
-    if not 1 <= p < n:
-        raise DimensionMismatchError("plane sampling requires 1 <= p < n")
-    return plane_from_span(rng.standard_normal((n, p)))
+    """Plane of the frame drawn by ``sample_frames``."""
+    return plane_from_frame(sample_frames(rng, n, p, 1)[0])
 
 
 def sample_unit_direction(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit vector orthogonal to e_1."""
-    U = np.zeros(n)
-    U[1:] = rng.standard_normal(n - 1)
-    U /= np.linalg.norm(U)
-    return U
+    return sample_unit_directions(rng, n, 1)[0]
 
 
 def sample_dp_generator(
     rng: np.random.Generator, p: int, q: int, bound: float | None = None
 ) -> DpGenerator:
-    B = rng.standard_normal((q, p))
-    if bound is not None:
-        top = np.linalg.norm(B, 2)
-        if top > 0:
-            B *= bound * rng.uniform(0.05, 1.0) / top
-    return DpGenerator(p=p, q=q, B=B)
+    """Generator of d_p0: the stack of one of ``sample_dp_generators``."""
+    return DpGenerator(p=p, q=q, B=sample_dp_generators(rng, p, q, 1, bound)[0])
 
 
 def sample_dp_element(
@@ -93,37 +225,22 @@ def sample_dp_element(
     bound: float | None = None,
     v_scale: float = 1.0,
 ) -> DpElement:
-    gen = sample_dp_generator(rng, p, q, bound)
-    return DpElement(gen=gen, v=v_scale * rng.standard_normal(p))
+    """Element of d_p: the stack of one of ``sample_dp_elements``."""
+    B, v = _one(sample_dp_elements(rng, p, q, 1, bound, v_scale))
+    return DpElement(gen=DpGenerator(p=p, q=q, B=B), v=v)
 
 
 def sample_bundle_point(rng: np.random.Generator, n: int, p: int) -> BundlePoint:
-    plane = sample_plane(rng, n, p)
-    fiber = plane.projector @ rng.standard_normal(n)
-    return bundle_point(plane, fiber)
+    """Bundle point: the stack of one of ``sample_bundle_points``."""
+    F, Y = _one(sample_bundle_points(rng, n, p, 1))
+    return bundle_point(plane_from_frame(F), Y)
 
 
 def sample_cartan_motion(rng: np.random.Generator, n: int, p: int) -> CartanMotion:
     """Cartan-model motion produced constructively through the orbit map."""
-    sig = Signature(p, n - p)
-    return tau(sample_motion(rng, n), sig)
+    return tau(sample_motion(rng, n), Signature(p, n - p))
 
 
 def sample_fixed_point(rng: np.random.Generator, sig: Signature) -> Motion:
     """Motion in the fixed subgroup: block-diagonal, translation in the last q."""
-    p, q = sig.p, sig.q
-    A = sample_rotation(rng, p) if p > 1 else np.ones((1, 1))
-    B = sample_rotation(rng, q) if q > 1 else np.ones((1, 1))
-    # flip signs to exercise both O(p) components while keeping det A det B = 1
-    if rng.uniform() < 0.5:
-        A = A.copy()
-        B = B.copy()
-        A[:, 0] = -A[:, 0]
-        B[:, 0] = -B[:, 0]
-    R = np.zeros((sig.n, sig.n))
-    R[:p, :p] = A
-    R[p:, p:] = B
-    X = np.zeros(sig.n)
-    X[p:] = rng.standard_normal(q)
-    return Motion(R, X)
-
+    return Motion(*_one(sample_fixed_points(rng, sig, 1)))

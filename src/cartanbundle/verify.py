@@ -5,12 +5,17 @@ evaluates them on seeded samples and aggregates a report. Each entry of
 ``PROPERTIES`` is ``fn(cfg, rng) -> (samples, max_error, passed)`` and draws
 from its own stream, whose index is the entry's row.
 
-A sampled property is written as one sample, ``(cfg, rng) -> (error, ok)``:
-``error`` is the sample's worst error, and ``ok`` holds its comparisons with
-the property's bounds and predicates, so a NaN error makes ``ok`` false. One
-runner, ``_sampled``, draws ``cfg.samples`` samples in order, keeps the worst
-error (NaN if any is NaN) and passes only if every sample is ok. The two
-properties that draw nothing, the wedge and the Moebius seam, are written out.
+A sampled property is written in two parts. ``draw(cfg, rng, count)``
+draws all of its samples at once, as stacks from ``sampling``, and
+``check(cfg, *sample) -> (error, ok)`` judges one: ``error`` is the sample's
+worst error, and ``ok`` holds its comparisons with the property's bounds and
+predicates, so a NaN error makes ``ok`` false. Sample i is index i of each
+stack, and ``check`` builds the library objects of that sample alone. One
+runner, ``_sampled``, draws ``cfg.samples`` samples, keeps the worst error
+(NaN if any is NaN) and passes only if every sample is ok. Because each
+property draws its samples grouped by kind, the samples of a run of N are in
+general not the first N samples of a longer run. The two properties that
+draw nothing, the wedge and the Moebius seam, are written out.
 
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
@@ -121,22 +126,58 @@ def _worst(*errors: float) -> float:
     return worst
 
 
-def _sampled(check):
-    """The property that runs ``check(cfg, rng) -> (error, ok)`` on each sample.
+def _sampled(draw):
+    """The property that runs ``check(cfg, *sample) -> (error, ok)`` on each sample.
 
-    It draws ``cfg.samples`` samples in order from one stream and returns
-    (samples, worst error, every sample ok).
+    ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from one
+    stream, and returns a tuple of stacks (arrays or lists) whose index i is
+    sample i. The runner passes index i of each stack to ``check`` and
+    returns (samples, worst error, every sample ok).
     """
 
-    def run(cfg, rng):
-        worst, passed = 0.0, True
-        for _ in range(cfg.samples):
-            error, ok = check(cfg, rng)
-            worst = _worst(worst, error)
-            passed = passed and bool(ok)
-        return cfg.samples, worst, passed
+    def property_of(check):
+        def run(cfg, rng):
+            worst, passed = 0.0, True
+            for sample in zip(*draw(cfg, rng, cfg.samples)):
+                error, ok = check(cfg, *sample)
+                worst = _worst(worst, error)
+                passed = passed and bool(ok)
+            return cfg.samples, worst, passed
 
-    return run
+        return run
+
+    return property_of
+
+
+def _per_dimension(dims: np.ndarray, draw) -> tuple:
+    """Stacks for samples whose dimension is ``dims[i]``: one ``draw(nn, count)`` per dimension.
+
+    ``draw`` returns a tuple of stacks for ``count`` samples of dimension
+    ``nn``; the result holds, for each of them, the tuple of every sample's
+    entry in sample order.
+    """
+    samples = [None] * len(dims)
+    for nn in np.unique(dims):
+        at = np.flatnonzero(dims == nn)
+        for i, sample in zip(at, zip(*draw(int(nn), len(at)))):
+            samples[i] = sample
+    return tuple(zip(*samples))
+
+
+def _frames(cfg, rng, count):
+    return (sp.sample_frames(rng, cfg.n, cfg.p, count),)
+
+
+def _rotations(cfg, rng, count):
+    return (sp.sample_rotations(rng, cfg.n, count),)
+
+
+def _motion_pairs(cfg, rng, count):
+    return sp.sample_motions(rng, cfg.n, (count, 2))
+
+
+def _point(F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
+    return bn.bundle_point(gr.plane_from_frame(F), Y)
 
 
 def _prop_wedge_antisymmetry(cfg, rng):
@@ -150,25 +191,26 @@ def _prop_wedge_antisymmetry(cfg, rng):
     return count, err, err == 0.0
 
 
-@_sampled
-def _prop_projector(cfg, rng):
-    P = sp.sample_plane(rng, cfg.n, cfg.p).projector
+@_sampled(_frames)
+def _prop_projector(cfg, F):
+    P = gr.plane_from_frame(F).projector
     err = _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
     return err, err <= 1e-12 * cfg.n
 
 
-@_sampled
-def _prop_canonical_form(cfg, rng):
-    nn = int(rng.integers(2, min(cfg.n, 8) + 1))
-    R = sp.sample_rotation(rng, nn)
+@_sampled(lambda cfg, rng, count: _per_dimension(
+    rng.integers(2, min(cfg.n, 8) + 1, size=count),
+    lambda nn, k: (sp.sample_rotations(rng, nn, k),),
+))
+def _prop_canonical_form(cfg, R):
     form = mc.canonical_rotation_form(R, cfg.tol)
     err = float(np.linalg.norm(form.rotation_matrix() - R))
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_completion(cfg, rng):
-    plane = sp.sample_plane(rng, cfg.n, cfg.p)
+@_sampled(_frames)
+def _prop_completion(cfg, F):
+    plane = gr.plane_from_frame(F)
     A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
     err = _worst(
         abs(float(np.linalg.det(A)) - 1.0),
@@ -177,18 +219,17 @@ def _prop_completion(cfg, rng):
     return err, err <= cfg.tol.orth * cfg.n
 
 
-@_sampled
-def _prop_involution_eigenspace(cfg, rng):
-    A = sp.sample_rotation(rng, cfg.n)
+@_sampled(_rotations)
+def _prop_involution_eigenspace(cfg, A):
     S = A @ cfg.sig.matrix @ A.T
     F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
     err = float(np.linalg.norm(S @ F + F))
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_group_axioms(cfg, rng):
-    g1, g2, g3 = (sp.sample_motion(rng, cfg.n) for _ in range(3))
+@_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))
+def _prop_group_axioms(cfg, R, X):
+    g1, g2, g3 = map(Motion, R, X)
     err = _worst(
         _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
         _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
@@ -196,47 +237,51 @@ def _prop_group_axioms(cfg, rng):
     return err, err <= 1e-11 * cfg.n
 
 
-@_sampled
-def _prop_exp_series(cfg, rng):
-    nn = int(rng.integers(2, min(cfg.n, 6) + 1))
-    xi = sp.sample_screw(rng, nn, norm_bound=4.0)
+@_sampled(lambda cfg, rng, count: _per_dimension(
+    rng.integers(2, min(cfg.n, 6) + 1, size=count),
+    lambda nn, k: sp.sample_screws(rng, nn, k, norm_bound=4.0),
+))
+def _prop_exp_series(cfg, omega, v):
+    xi = Screw(omega, v)
     err = float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
     return err, err <= 1e-9
 
 
-@_sampled
-def _prop_y_omega_identity(cfg, rng):
-    omega = sp.sample_skew(rng, cfg.n)
-    v = rng.standard_normal(cfg.n)
+@_sampled(lambda cfg, rng, count: (
+    sp.sample_skews(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
+))
+def _prop_y_omega_identity(cfg, omega, v):
     Y = lg.y_omega(omega, v)
     err = float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v))
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_y_omega_roundtrip(cfg, rng):
-    omega = sp.sample_skew_bounded(rng, cfg.n, math.pi)
-    v = rng.standard_normal(cfg.n)
+def _bounded_skews_and_vectors(max_angle: float):
+    def draw(cfg, rng, count):
+        return sp.sample_skews_bounded(rng, cfg.n, count, max_angle), rng.standard_normal((count, cfg.n))
+
+    return draw
+
+
+@_sampled(_bounded_skews_and_vectors(math.pi))
+def _prop_y_omega_roundtrip(cfg, omega, v):
     v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
     err = float(np.linalg.norm(v2 - v))
     return err, err <= 1e-9
 
 
-@_sampled
-def _prop_log_exp_roundtrip(cfg, rng):
-    omega = sp.sample_skew_bounded(rng, cfg.n, math.pi - 1e-3)
-    v = rng.standard_normal(cfg.n)
+@_sampled(_bounded_skews_and_vectors(math.pi - 1e-3))
+def _prop_log_exp_roundtrip(cfg, omega, v):
     g = lg.se_exp(Screw(omega, v))
     xi = lg.se_log(g, cfg.tol)
     err = _motion_dist(lg.se_exp(xi), g)
     return err, err <= 1e-8
 
 
-@_sampled
-def _prop_sigma0_automorphism(cfg, rng):
+@_sampled(lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))
+def _prop_sigma0_automorphism(cfg, R):
     sig = cfg.sig
-    R1 = sp.sample_rotation(rng, cfg.n)
-    R2 = sp.sample_rotation(rng, cfg.n)
+    R1, R2 = R
     err_invol = float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1))
     err_hom = float(
         np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))
@@ -244,24 +289,29 @@ def _prop_sigma0_automorphism(cfg, rng):
     return _worst(err_invol, err_hom), err_invol == 0.0 and err_hom <= 1e-12 * cfg.n
 
 
-@_sampled
-def _prop_q0_invariance(cfg, rng):
+@_sampled(lambda cfg, rng, count: (
+    sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count),
+    sp.sample_rotations(rng, cfg.n, count),
+))
+def _prop_q0_invariance(cfg, B, A):
     sig = cfg.sig
-    R = gr.dp_exp(sp.sample_dp_generator(rng, cfg.p, cfg.n - cfg.p), cfg.tol).mat
-    A = sp.sample_rotation(rng, cfg.n)
+    R = gr.dp_exp(gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), cfg.tol).mat
     acted = gr.twisted_act0(A, R, sig)
     M = acted @ sig.matrix
     err = float(np.linalg.norm(M @ M - np.eye(cfg.n)))
     return err, gr.in_Q0(acted, sig, cfg.tol) and err <= cfg.tol.invol
 
 
-@_sampled
-def _prop_grassmann_roundtrips(cfg, rng):
+def _frames_and_rotations(cfg, rng, count):
+    return _frames(cfg, rng, count) + _rotations(cfg, rng, count)
+
+
+@_sampled(_frames_and_rotations)
+def _prop_grassmann_roundtrips(cfg, F, A):
     sig = cfg.sig
-    plane = sp.sample_plane(rng, cfg.n, cfg.p)
+    plane = gr.plane_from_frame(F)
     back = gr.rho0(gr.cartan_embed0(plane, cfg.tol))
     err_plane = float(np.linalg.norm(back.projector - plane.projector))
-    A = sp.sample_rotation(rng, cfg.n)
     R = gr.twisted_act0(A, np.eye(cfg.n), sig)
     cr = gr.CartanRotation.certify(R, sig, cfg.tol)
     R2 = gr.cartan_embed0(gr.rho0(cr), cfg.tol).mat
@@ -269,12 +319,10 @@ def _prop_grassmann_roundtrips(cfg, rng):
     return _worst(err_plane, err_rot), err_plane <= cfg.tol.plane and err_rot <= 1e-9
 
 
-@_sampled
-def _prop_rho0_equivariance(cfg, rng):
+@_sampled(_frames_and_rotations)
+def _prop_rho0_equivariance(cfg, F, A):
     sig = cfg.sig
-    plane = sp.sample_plane(rng, cfg.n, cfg.p)
-    cr = gr.cartan_embed0(plane, cfg.tol)
-    A = sp.sample_rotation(rng, cfg.n)
+    cr = gr.cartan_embed0(gr.plane_from_frame(F), cfg.tol)
     acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
     lhs = gr.rho0(acted)
     rhs = gr.rotate_plane(A, gr.rho0(cr), cfg.tol)
@@ -282,9 +330,11 @@ def _prop_rho0_equivariance(cfg, rng):
     return err, err <= cfg.tol.plane
 
 
-@_sampled
-def _prop_dp_log0_roundtrip(cfg, rng):
-    gen = sp.sample_dp_generator(rng, cfg.p, cfg.n - cfg.p, bound=math.pi - 0.1)
+@_sampled(lambda cfg, rng, count: (
+    sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
+))
+def _prop_dp_log0_roundtrip(cfg, B):
+    gen = gr.DpGenerator(cfg.p, cfg.n - cfg.p, B)
     cr = gr.dp_exp(gen, cfg.tol)
     gen2 = gr.dp_log0(cr, cfg.tol)
     err = _worst(
@@ -308,23 +358,25 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     return r, abs(r - 2.0 * off) <= 1e-12 * (1.0 + r)
 
 
-@_sampled
-def _prop_fixed_point_characterization(cfg, rng):
+@_sampled(lambda cfg, rng, count: (
+    *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
+))
+def _prop_fixed_point_characterization(cfg, R, X, Rh, Xh):
     sig = cfg.sig
-    g = sp.sample_fixed_point(rng, sig)
+    g = Motion(R, X)
     r, agree = _fixed_point_residual(g, sig)
     # generic motions are not fixed
-    h = sp.sample_motion(rng, cfg.n)
+    h = Motion(Rh, Xh)
     ok = agree and bn.is_fixed_point(g, sig, cfg.tol)
     ok = ok and _fixed_point_residual(h, sig)[1] and not bn.is_fixed_point(h, sig, cfg.tol)
     return r, ok and r <= 1e-12 * cfg.n
 
 
-@_sampled
-def _prop_q_invariance(cfg, rng):
+@_sampled(_motion_pairs)
+def _prop_q_invariance(cfg, R, X):
     sig = cfg.sig
-    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-    a = sp.sample_motion(rng, cfg.n)
+    s = bn.tau(Motion(R[0], X[0]), sig)
+    a = Motion(R[1], X[1])
     acted = bn.twisted_act(a, s.motion, sig)
     diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
     err = float(np.linalg.norm(diff))
@@ -346,20 +398,20 @@ def _carried_frame_drift(s: bn.CartanMotion) -> float:
     return float(np.linalg.norm(mc.projector(s._frame) - mc.projector(checked._frame)))
 
 
-@_sampled
-def _prop_tau_properties(cfg, rng):
+@_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))
+def _prop_tau_properties(cfg, R, X):
     sig = cfg.sig
-    t = bn.tau(sp.sample_motion(rng, cfg.n), sig, cfg.tol)
+    t = bn.tau(Motion(R, X), sig, cfg.tol)
     err = _worst(
         _motion_dist(bn.sigma(t.motion, sig), lg.se_inv(t.motion)), _carried_frame_drift(t)
     )
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_projection_identity(cfg, rng):
-    A = sp.sample_rotation(rng, cfg.n)
-    X = rng.standard_normal(cfg.n)
+@_sampled(lambda cfg, rng, count: (
+    sp.sample_rotations(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
+))
+def _prop_projection_identity(cfg, A, X):
     D = bn.double_projection(A, X, cfg.sig, cfg.tol)
     # twice the projection onto A.pi0, with the projector from an SVD
     P = svd_projector(A[:, : cfg.p])
@@ -375,42 +427,47 @@ def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
     )
 
 
-@_sampled
-def _prop_rho_equivariance(cfg, rng):
+@_sampled(_motion_pairs)
+def _prop_rho_equivariance(cfg, R, X):
     sig = cfg.sig
-    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
-    a = sp.sample_motion(rng, cfg.n)
+    s = bn.tau(Motion(R[0], X[0]), sig)
+    a = Motion(R[1], X[1])
     acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
     err = _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig, cfg.tol))
     return err, err <= 1e-9
 
 
-@_sampled
-def _prop_rho_bijectivity(cfg, rng):
-    s = sp.sample_cartan_motion(rng, cfg.n, cfg.p)
+@_sampled(lambda cfg, rng, count: (
+    *sp.sample_motions(rng, cfg.n, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
+))
+def _prop_rho_bijectivity(cfg, R, X, F, Y):
+    s = bn.tau(Motion(R, X), cfg.sig)
     s2 = bn.rho_inv(bn.rho(s), cfg.tol)
-    b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    b = _point(F, Y)
     s3 = bn.rho_inv(b, cfg.tol)
     drift = _worst(_carried_frame_drift(s2), _carried_frame_drift(s3))
     err = _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b))
     return _worst(err, drift), err <= 1e-9 and drift <= 1e-10
 
 
-@_sampled
-def _prop_action_law(cfg, rng):
+@_sampled(lambda cfg, rng, count: (
+    *_motion_pairs(cfg, rng, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
+))
+def _prop_action_law(cfg, R, X, F, Y):
     sig = cfg.sig
-    a1 = sp.sample_motion(rng, cfg.n)
-    a2 = sp.sample_motion(rng, cfg.n)
-    b = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+    a1, a2 = map(Motion, R, X)
+    b = _point(F, Y)
     lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig, cfg.tol)
     rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig, cfg.tol), sig, cfg.tol)
     err = _point_dist(lhs, rhs)
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_dp_full_routes(cfg, rng):
-    xi = sp.sample_dp_element(rng, cfg.p, cfg.n - cfg.p, bound=math.pi - 0.1)
+@_sampled(lambda cfg, rng, count: sp.sample_dp_elements(
+    rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
+))
+def _prop_dp_full_routes(cfg, B, v):
+    xi = bn.DpElement(gen=gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), v=v)
     s = bn.dp_exp_full(xi, cfg.tol)
     # the closed form against the generic eigh route of se_exp, and
     # against the doubling identity exp(xi) = tau(exp(xi/2))
@@ -430,21 +487,26 @@ def _prop_dp_full_routes(cfg, rng):
     return _worst(err, drift), routes_ok and err <= 1e-8 and drift <= 1e-10
 
 
-@_sampled
-def _prop_transporter(cfg, rng):
-    src = sp.sample_bundle_point(rng, cfg.n, cfg.p)
-    dst = sp.sample_bundle_point(rng, cfg.n, cfg.p)
+@_sampled(lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))
+def _prop_transporter(cfg, F, Y):
+    src, dst = map(_point, F, Y)
     a = bn.find_transporter(src, dst)
     err = _point_dist(bn.bundle_act(a, src, cfg.sig, cfg.tol), dst)
     return err, err <= 1e-9
 
 
-@_sampled
-def _prop_line_bundle_exp(cfg, rng):
-    nn = int(rng.integers(2, min(cfg.n, 5) + 1))
-    U = sp.sample_unit_direction(rng, nn)
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    lam = float(rng.uniform(-2.0, 2.0))
+def _directions(cfg, rng, count):
+    """Unit directions U of dimensions 2 to min(n, 5), and angles theta in [0, 2 pi)."""
+    (U,) = _per_dimension(
+        rng.integers(2, min(cfg.n, 5) + 1, size=count),
+        lambda nn, k: (sp.sample_unit_directions(rng, nn, k),),
+    )
+    return U, rng.uniform(0.0, 2.0 * math.pi, count)
+
+
+@_sampled(lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))
+def _prop_line_bundle_exp(cfg, U, theta, lam):
+    nn, theta, lam = len(U), float(theta), float(lam)
     m = pj.line_bundle_exp(theta, U, lam)
     E1 = mc.basis_vector(1, nn)
     xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
@@ -454,12 +516,9 @@ def _prop_line_bundle_exp(cfg, rng):
     return err, err <= 1e-10
 
 
-@_sampled
-def _prop_half_angle_line(cfg, rng):
-    nn = int(rng.integers(2, min(cfg.n, 5) + 1))
-    U = sp.sample_unit_direction(rng, nn)
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    sig = gr.Signature(1, nn - 1)
+@_sampled(_directions)
+def _prop_half_angle_line(cfg, U, theta):
+    theta, sig = float(theta), gr.Signature(1, len(U) - 1)
     cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
     plane = gr.rho0(cr)
     err = float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))

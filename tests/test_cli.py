@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "sample_streams.json").read_text())
+
+
+def _floats(obj) -> list:
+    """Every float of a JSON value, in key order."""
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in _floats(obj[key])]
+    if isinstance(obj, list):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
 
 
 def write_json(tmp_path, name, obj):
@@ -103,6 +116,26 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--kind", "rotation")
         assert code == 1
         assert json.loads(err)["error"] == "dimension_mismatch"
+
+    @pytest.mark.parametrize(
+        "kind, n", [("unit_direction", 1), ("rotation", 0), ("skew", 0), ("screw", 0), ("motion", 0)]
+    )
+    def test_too_small_n(self, capsys, kind, n):
+        code, out, err = run_cli(capsys, "sample", "--kind", kind, "--n", str(n))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "dimension_mismatch"
+
+    @pytest.mark.parametrize("kind", sorted(cli.SAMPLERS))
+    def test_streams_are_pinned(self, capsys, kind):
+        # Planes and bundle points are pinned within rounding: their pinned
+        # frames came from Gram-Schmidt, today's from a sign-fixed QR.
+        code, out, _ = run_cli(capsys, "sample", "--kind", kind, *PINNED["argv"][1:])
+        assert code == 0
+        if kind in PINNED["sha256"]:
+            assert hashlib.sha256(out.encode()).hexdigest() == PINNED["sha256"][kind]
+        else:
+            got, want = _floats(json.loads(out)["values"]), _floats(PINNED["values"][kind])
+            assert len(got) == len(want) and np.abs(np.subtract(got, want)).max() <= 1e-14
 
 
 class TestVerify:

@@ -60,3 +60,21 @@ def test_false_predicate_fails_its_property(monkeypatch):
     monkeypatch.setattr(bundle, "in_Q", lambda g, sig, tol=None: False)
     samples, max_error, passed = _run_one("bundle.q_invariance")
     assert samples == CFG.samples and math.isfinite(max_error) and not passed
+
+
+def test_one_qr_per_property(monkeypatch):
+    # the samples are drawn as one stack, so the QR count does not grow with them
+    qr = np.linalg.qr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    counts = []
+    for samples in (5, 50):
+        calls.clear()
+        assert _run_one("bundle.tau_properties", VerifyConfig(n=4, p=2, samples=samples, seed=5))[2]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1

@@ -8,8 +8,9 @@ SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
 J enters only as sign flips of rows, columns and entries. A motion that a
 caller hands to the public ``CartanMotion`` constructor is checked once, in
-one pass: SO(n) and a finite translation, then the shared S_p0 check of
-grassmann (one ``eigh``), then the sigma residual and the fiber condition.
+one pass: SO(n) and a translation in the input domain of ``matcore``, then
+the shared S_p0 check of grassmann (one ``eigh``), then the sigma residual
+and the fiber condition.
 The instance keeps read-only copies of R and X and the frame of the plane
 that the check found, so ``rho`` and ``dp_log_full`` check nothing again.
 
@@ -82,7 +83,6 @@ from .grassmann import (
 from .liegroup import (
     Motion,
     Screw,
-    _check_vector,
     _factors,
     check_motion,
 )
@@ -91,6 +91,8 @@ from .matcore import (
     _complete_frames,
     _eye,
     _norm,
+    check_finite_matrix,
+    check_finite_vector,
     check_special_orthogonal,
 )
 
@@ -99,8 +101,9 @@ from .matcore import (
 class BundlePoint:
     """A point (plane, fiber vector) of the canonical vector bundle, checked once, at construction.
 
-    The plane is a certified ``Plane``. The fiber must be a finite n-vector
-    in the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
+    The plane is a certified ``Plane``. The fiber must be an n-vector in
+    the input domain of ``matcore`` (entries finite, at most 1e150) and in
+    the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
     The instance keeps a read-only copy of it. ``bundle_point`` checks under
     its ``tol``; the constructor under the defaults. ``rho`` builds its
     point from a certified motion and checks nothing. ``copy`` and
@@ -128,9 +131,7 @@ def bundle_point(
 ) -> BundlePoint:
     """The certified bundle point (plane, fiber), checked under ``tol``."""
     tol = tol or default_tolerances()
-    fiber = _read_only(fiber)
-    if fiber.shape != (plane.n,) or not np.isfinite(fiber).all():
-        raise DimensionMismatchError("fiber must be a finite n-vector")
+    fiber = check_finite_vector(_read_only(fiber), plane.n, "fiber")
     residual = _norm(plane.projector @ fiber - fiber)
     if not _fiber_holds(residual, fiber, tol):
         raise NotInCartanModelError(
@@ -144,11 +145,12 @@ class CartanMotion:
     """A motion in the Cartan model S_p, checked once, at construction.
 
     The public constructor (``certify`` is an alias) checks SO(n) and a
-    finite translation, then S_p0, the sigma residual and the fiber
-    condition, each under the one bound that ``in_Q0``, ``in_Q`` and
-    ``bundle_point`` also apply. The sigma residual comes from the S_p0 check's S = R J and
-    |S^2 - I| as hypot(|S^2 - I|, |X + S X|) (see the module docstring); no
-    sigma(g) is built. The fiber residual is |(I - P) Y| computed as
+    translation in the input domain of ``matcore``, then S_p0, the sigma
+    residual and the fiber condition, each under the one bound that
+    ``in_Q0``, ``in_Q`` and ``bundle_point`` also apply. The sigma residual
+    comes from the S_p0 check's S = R J and |S^2 - I| as
+    hypot(|S^2 - I|, |X + S X|) (see the module docstring); no sigma(g) is
+    built. The fiber residual is |(I - P) Y| computed as
     |J Y + R^T Y| / 2, since J Y + R^T Y = 2 J (I - P) Y on S_p. The
     instance keeps read-only copies of R and X and the read-only frame of
     the carried plane that the S_p0 check found. ``tau``, ``rho_inv`` and
@@ -207,10 +209,7 @@ class DpElement:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.v.shape != (self.gen.p,) or not np.isfinite(self.v).all():
-            raise DimensionMismatchError(
-                f"coefficient vector must be a finite vector of length {self.gen.p}"
-            )
+        check_finite_vector(self.v, self.gen.p, "coefficient vector")
 
     @property
     def n(self) -> int:
@@ -249,12 +248,6 @@ def _fiber_holds(residual: float, Y: np.ndarray, tol: Tolerances) -> bool:
     return residual <= tol.fiber * (1.0 + _norm(Y))
 
 
-def _check_finite(g: Motion) -> None:
-    """Raise ``DimensionMismatchError`` unless both blocks of g are finite."""
-    if not (np.isfinite(g.R).all() and np.isfinite(g.X).all()):
-        raise DimensionMismatchError("motion has non-finite entries")
-
-
 def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
     """Whether g is fixed by sigma: |sigma(g) - g| <= ``tol.invol``.
 
@@ -263,17 +256,19 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
     off-block entries, which ``verify`` checks.
     """
     tol = tol or default_tolerances()
-    _check_finite(g)
+    check_finite_matrix(g.R, "rotation")
+    check_finite_vector(g.X, g.n, "translation")
     r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())
     return bool(r_sigma <= tol.invol)
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q = {g : sigma(g) = g^{-1}}; a non-finite g raises.
+    """Membership in Q = {g : sigma(g) = g^{-1}}; a g outside the input domain raises.
 
     The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
     """
-    _check_finite(g)
+    check_finite_matrix(g.R, "rotation")
+    check_finite_vector(g.X, g.n, "translation")
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
     S = g.R * sig._signs
@@ -289,8 +284,9 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     """
     if a.n != g.n or a.n != sig.n:
         raise DimensionMismatchError("operand dimensions differ")
-    _check_finite(a)
-    _check_finite(g)
+    for m in (a, g):
+        check_finite_matrix(m.R, "rotation")
+        check_finite_vector(m.X, m.n, "translation")
     j = sig._signs
     A, X = a.R, a.X
     R, Y = g.R, g.X
@@ -316,7 +312,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     if g.n != sig.n:
         raise DimensionMismatchError("motion dimension does not match signature")
     A, e = _checked_rotation(g.R, tol)
-    X, j = _check_vector(g.X, g.n, "translation"), sig._signs
+    X, j = check_finite_vector(g.X, g.n, "translation"), sig._signs
     m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
     if not _sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))):
@@ -331,11 +327,9 @@ def double_projection(
     """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
     tol = tol or default_tolerances()
     A = check_special_orthogonal(A, tol)
-    X = np.asarray(X, dtype=float)
-    if A.shape != (sig.n, sig.n) or X.shape != (sig.n,):
+    if A.shape != (sig.n, sig.n):
         raise DimensionMismatchError("operand dimensions differ")
-    if not np.isfinite(X).all():
-        raise DimensionMismatchError("vector has non-finite entries")
+    X = check_finite_vector(X, sig.n, "vector")
     return X - (A * sig._signs) @ A.T @ X
 
 
@@ -422,17 +416,16 @@ def dp_exp_full(
     cosine-sine form, the translation pair by pair, and the frame of the
     plane, the cosine-sine form at half the angles (``_cs_frame``). Its
     residuals are rounding only, so nothing is checked unless ``tol`` is
-    below that or the translation overflows (``_sure``); then the motion
-    goes through the public constructor. ``verify`` passes these motions
-    through the public constructor and checks the doubling identity
-    exp(xi) = tau(exp(xi/2)).
+    below that (``_sure``); then the motion goes through the public
+    constructor. ``verify`` passes these motions through the public
+    constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
     """
     tol = tol or default_tolerances()
     V, s, U = _generator_svd(xi.gen)
     g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
     sig = Signature(xi.gen.p, xi.gen.q)
     rot = sig.n * _ROUND
-    if not _sure(tol, rot, rot if math.isfinite(_norm(g.X)) else math.nan):
+    if not _sure(tol, rot, rot):
         return CartanMotion(g, sig, tol)
     g = Motion(_frozen(g.R), _frozen(g.X))
     return _trusted(CartanMotion, tol, motion=g, sig=sig, _frame=_cs_frame(V, 0.5 * s, U))

@@ -250,7 +250,7 @@ def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q0 = {R : R J a symmetric involution}; a non-finite R raises.
+    """Membership in Q0 = {R : R J a symmetric involution}; an R outside the input domain raises.
 
     The test is the S_p0 check's, ``matcore._symmetric_involution``.
     """

@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapError
-from .matcore import _rotation_log, check_skew, check_special_orthogonal
+from .matcore import _rotation_log, check_finite_vector, check_skew, check_special_orthogonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,17 +83,9 @@ def identity_motion(n: int) -> Motion:
     return Motion(np.eye(n), np.zeros(n))
 
 
-def _check_vector(x: np.ndarray, n: int, what: str) -> np.ndarray:
-    """x as a float array, checked to be a finite n-vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,) or not np.isfinite(x).all():
-        raise DimensionMismatchError(f"{what} must be a finite n-vector")
-    return x
-
-
 def check_motion(g: Motion, tol: Tolerances | None = None) -> Motion:
     check_special_orthogonal(g.R, tol)
-    _check_vector(g.X, g.n, "translation")
+    check_finite_vector(g.X, g.n, "translation")
     return g
 
 
@@ -216,7 +208,7 @@ def y_omega_solve(
     run in the order of ``se_log``: omega, then Y, then the factor.
     """
     omega, V, theta = _spectrum(omega)
-    return _pull_back(V, theta, omega, _check_vector(Y, theta.size, "Y"), tol)
+    return _pull_back(V, theta, omega, check_finite_vector(Y, theta.size, "Y"), tol)
 
 
 def se_exp(xi: Screw) -> Motion:
@@ -230,7 +222,7 @@ def se_exp(xi: Screw) -> Motion:
     omega is checked (skew, finite) before v (a finite n-vector).
     """
     omega, V, theta = _spectrum(xi.omega)
-    v = _check_vector(xi.v, theta.size, "screw vector")
+    v = check_finite_vector(xi.v, theta.size, "screw vector")
     f = _factors(theta)
     sinc, Vw = f * np.cos(0.5 * theta), V.T @ omega
     return Motion(_rotation(V, theta, sinc, Vw), V @ (sinc * (V.T @ v) + 0.5 * f * f * (Vw @ v)))
@@ -246,7 +238,7 @@ def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> 
     """
     tol = tol or default_tolerances()
     L, V, theta = _rotation_log(check_special_orthogonal(g.R, tol))
-    _check_vector(g.X, theta.size, "translation")
+    check_finite_vector(g.X, theta.size, "translation")
     if not allow_pi:
         _check_branch(theta, tol)
     return Screw(L, _pull_back(V, theta, L, g.X, tol))

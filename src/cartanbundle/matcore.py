@@ -10,15 +10,24 @@ and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R. The principal log itself takes one
 symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
 
-The validation primitives (``check_finite_matrix``, ``check_frame``,
-``check_special_orthogonal``) run on every certified construction, and
-``check_skew`` on every exponential. On a 4x4 check, NumPy's Python-level
-dispatch costs more than the arithmetic, so they read a cached read-only
-identity per n (``_eye``) instead of building one, test finiteness with
-``np.isfinite(x).all()``, and take Frobenius norms through ``_norm``:
-NumPy's own fast path for the default norm, sqrt(x.ravel(order="K").dot(x)),
-without the argument handling around it, so every residual stays
-bit-identical to ``np.linalg.norm``.
+Input domain. Every array the library accepts, matrix or vector, passes
+``check_finite_matrix`` or ``check_finite_vector``: the right shape, and
+every entry finite and at most ``_MAX_ABS`` = 1e150 in magnitude. Anything
+else raises ``DimensionMismatchError`` (code ``dimension_mismatch``), whose
+context carries the largest magnitude; this holds for the predicates
+``in_Q`` and ``in_Q0`` too. The ceiling keeps every residual norm finite:
+past about 1.3e154 a Frobenius norm overflows to inf, and a bound of the
+form tol (1 + |x|) would then hold for any x.
+
+The validation primitives (``check_finite_matrix``, ``check_finite_vector``,
+``check_frame``, ``check_special_orthogonal``) run on every certified
+construction, and ``check_skew`` on every exponential. On a 4x4 check,
+NumPy's Python-level dispatch costs more than the arithmetic, so they read a
+cached read-only identity per n (``_eye``) instead of building one, test the
+domain with one reduction (``_in_domain``), and take Frobenius norms through
+``_norm``: NumPy's own fast path for the default norm,
+sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
+every residual stays bit-identical to ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -75,13 +84,46 @@ def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
     return w
 
 
+# The input domain: every entry of an accepted array is at most this in
+# magnitude. Below it, a Frobenius norm of any array the library builds from
+# its inputs stays far from overflow (sqrt of the largest double is 1.3e154),
+# so no residual reads inf and no bound tol (1 + |x|) holds by overflow.
+# A domain limit, not a tolerance.
+_MAX_ABS = 1e150
+
+
+def _in_domain(x: np.ndarray, name: str) -> np.ndarray:
+    """x, after the one entry test of every array the library accepts.
+
+    ``np.abs(x).max() <= _MAX_ABS`` costs what ``np.isfinite(x).all()`` does
+    and also fails on NaN and +-inf. The error's context carries the largest
+    magnitude (NaN if there is a NaN).
+    """
+    top = np.abs(x).max()
+    if not top <= _MAX_ABS:
+        detail = f"{name} has an entry that is not finite or exceeds {_MAX_ABS:g}"
+        raise DimensionMismatchError(detail, max_abs=float(top))
+    return x
+
+
 def check_finite_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """M as a float array, checked to be a nonempty 2-d array in the input domain."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionMismatchError(f"{name} must be a 2-d array, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise DimensionMismatchError(f"{name} has non-finite entries")
-    return M
+    return _in_domain(M, name)
+
+
+def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector") -> np.ndarray:
+    """x as a float array, checked to be a nonempty 1-d array in the input domain.
+
+    Its length must be n, unless n is None.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] < 1 or n is not None and x.shape[0] != n:
+        want = "nonempty" if n is None else f"length-{n}"
+        raise DimensionMismatchError(f"{name} must be a {want} 1-d array, got shape {x.shape}")
+    return _in_domain(x, name)
 
 
 def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:

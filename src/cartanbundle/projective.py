@@ -14,18 +14,24 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .grassmann import Plane, plane_from_frame
 from .liegroup import Motion, _half_angle_factor
-from .matcore import basis_vector
+from .matcore import basis_vector, check_finite_vector
 
 _UNIT_TOL = 1e-12  # |1 - |V|| of a unit vector, and |U[0]| of a direction
 
 
+def _unit_vector(V: np.ndarray, name: str) -> np.ndarray:
+    """V as a float array, checked to be a 1-d unit vector in the input domain."""
+    V = check_finite_vector(V, None, name)
+    if abs(np.linalg.norm(V) - 1.0) > _UNIT_TOL:
+        raise DimensionMismatchError(f"{name} must be a unit vector")
+    return V
+
+
 def unit_direction(U: np.ndarray) -> np.ndarray:
     """Validate a unit vector orthogonal to e_1."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 1 or U.shape[0] < 2:
+    U = _unit_vector(U, "direction")
+    if U.shape[0] < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
-    if not np.all(np.isfinite(U)) or abs(np.linalg.norm(U) - 1.0) > _UNIT_TOL:
-        raise DimensionMismatchError("direction must be a finite unit vector")
     if abs(U[0]) > _UNIT_TOL:
         raise DimensionMismatchError("direction must be orthogonal to e_1")
     return U
@@ -54,9 +60,7 @@ def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
 
 def reflection_about_hyperplane_normal(V: np.ndarray) -> np.ndarray:
     """Reflection I - 2 V V^T through the hyperplane orthogonal to unit V."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 1 or not abs(np.linalg.norm(V) - 1.0) <= _UNIT_TOL:
-        raise DimensionMismatchError("reflection normal must be a finite 1-d unit vector")
+    V = _unit_vector(V, "reflection normal")
     return np.eye(V.shape[0]) - 2.0 * np.outer(V, V)
 
 

@@ -18,6 +18,7 @@ from .config import Tolerances, default_tolerances
 from .errors import DimensionMismatchError
 from .grassmann import Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
+from .matcore import check_finite_matrix, check_finite_vector
 
 
 def mat_to_json(M: np.ndarray) -> dict:
@@ -34,19 +35,11 @@ def mat_from_json(obj: dict) -> np.ndarray:
         raise DimensionMismatchError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise DimensionMismatchError("matrix JSON dimensions do not match data length")
-    M = np.asarray(data, dtype=float).reshape(rows, cols)
-    if not np.all(np.isfinite(M)):
-        raise DimensionMismatchError("matrix JSON has non-finite entries")
-    return M
+    return check_finite_matrix(np.asarray(data, dtype=float).reshape(rows, cols), "matrix JSON")
 
 
 def vec_from_json(obj, n: int | None = None) -> np.ndarray:
-    v = np.asarray(obj, dtype=float)
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise DimensionMismatchError("vector JSON must be a flat list of finite doubles")
-    if n is not None and v.shape != (n,):
-        raise DimensionMismatchError(f"vector JSON must have length {n}")
-    return v
+    return check_finite_vector(obj, n, "vector JSON")
 
 
 def motion_to_json(g: Motion) -> dict:

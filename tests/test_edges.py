@@ -15,7 +15,10 @@ either side, clusters 1e-9 wide, zeros, angles down to 1e-8, and p = 1 or
 p = n - 1. The maps into S_p by construction (``tau``, ``rho_inv``,
 ``cartan_embed0``, ``dp_exp_full``, ``dp_exp``), which check nothing when
 their residual bounds meet the tolerances, are rebuilt by the public
-constructors on these inputs and on |B|_2 up to 3 pi.
+constructors on these inputs and on |B|_2 up to 3 pi. Translations, fibers
+and coefficient vectors log-uniform from 1 to 1e300, mostly past the input
+ceiling of 1e150, go through every map of the bundle: each call meets its
+relative bound or raises a typed error, and no off-model input is accepted.
 
 The decompositions are not unique on these inputs, so every assertion is on
 a product (exp of log, a reconstruction, a roundtrip) or on the typed error.
@@ -38,10 +41,12 @@ from cartanbundle import (
     CutLocusError,
     DpElement,
     DpGenerator,
+    GeometryError,
     Motion,
     Screw,
     Signature,
     SingularMapError,
+    bundle_act,
     bundle_point,
     canonical_rotation_form,
     cartan_embed0,
@@ -49,8 +54,11 @@ from cartanbundle import (
     dp_exp_full,
     dp_log0,
     dp_log_full,
+    find_transporter,
+    in_Q,
     plane_from_span,
     projector,
+    rho,
     rho_inv,
     se_exp,
     se_inv,
@@ -408,3 +416,77 @@ def test_outputs_in_s_p_by_construction_pass_the_public_check(case):
     out = build()
     checked = _recertified(out)  # raises if out misses S_p
     assert np.linalg.norm(projector(out._frame) - projector(checked._frame)) <= CARRIED
+
+
+# Magnitudes log-uniform from 1 to 1e300. Past the input ceiling of 1e150
+# (``matcore._MAX_ABS``) every entry point raises; below it, each residual
+# norm stays finite, so no bound tol (1 + |x|) can hold by overflow.
+magnitudes = st.floats(0.0, 300.0).map(lambda e: 10.0**e)
+scale_signatures = st.sampled_from([Signature(2, 2), Signature(3, 5), Signature(5, 27)])
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _rel(a, b):
+    """|a - b| / (1 + |b|), computed without overflow for |b| up to 1e300."""
+    scale = 1.0 + np.abs(b).max()
+    return np.linalg.norm((a - b) / scale) / (1.0 / scale + np.linalg.norm(b / scale))
+
+
+def _or_raises(call):
+    """call(), or None if it raises a typed error."""
+    try:
+        return call()
+    except GeometryError:
+        return None
+
+
+@settings(max_examples=60)
+@given(scale_signatures, magnitudes, magnitudes, magnitudes, seeds)
+def test_scale_meets_the_bounds_or_raises(sig, y_scale, x_scale, v_scale, seed):
+    n, p = sig.n, sig.p
+    rng = make_rng(seed, 4)
+    src, dst = (plane_from_span(rng.standard_normal((n, p))) for _ in range(2))
+    u, w = _vector(n, 1.0, seed), _vector(n, 1.0, seed + 1)
+    Y = y_scale * _unit(src.projector @ u)
+    off = 1e-3 * y_scale * _unit(w - src.projector @ w)
+
+    # An off-plane fiber and an off-model motion are never accepted.
+    with pytest.raises(GeometryError):
+        bundle_point(src, Y + off)
+    off_model = Motion(cartan_embed0(src).mat, Y + off)
+    with pytest.raises(GeometryError):
+        CartanMotion(off_model, sig)
+    assert _or_raises(lambda: in_Q(off_model, sig)) in (False, None)
+
+    b = _or_raises(lambda: bundle_point(src, Y))
+    if b is not None:
+        s = rho_inv(b)
+        CartanMotion(s.motion, sig)  # the public check passes
+        assert in_Q(s.motion, sig)
+        back = rho(s)
+        assert np.linalg.norm(back.plane.projector - src.projector) <= 1e-9
+        assert _rel(back.fiber, Y) <= 1e-9
+        target = _or_raises(lambda: bundle_point(dst, x_scale * _unit(dst.projector @ u)))
+        if target is not None:
+            acted = _or_raises(lambda: bundle_act(find_transporter(b, target), b, sig))
+            if acted is not None:
+                assert np.linalg.norm(acted.plane.projector - dst.projector) <= 1e-9
+                assert _rel(acted.fiber, target.fiber) <= 1e-9 * (1.0 + y_scale / (1.0 + x_scale))
+
+    t = _or_raises(lambda: tau(Motion(_basis(n, seed), _vector(n, x_scale, seed)), sig))
+    if t is not None:
+        assert _or_raises(lambda: in_Q(t.motion, sig)) in (True, None)
+        _or_raises(lambda: CartanMotion(t.motion, sig))  # passes, or is out of the domain
+
+    B = make_rng(seed, 5).standard_normal((sig.q, p))
+    B *= (math.pi - 0.1) / np.linalg.norm(B, 2)
+    xi = _or_raises(lambda: DpElement(DpGenerator(p=p, q=sig.q, B=B), _vector(p, v_scale, seed)))
+    if xi is not None:
+        s = dp_exp_full(xi)
+        CartanMotion(s.motion, sig)
+        back = dp_log_full(s)
+        assert np.linalg.norm(back.gen.B - B) <= 1e-8
+        assert _rel(back.v, xi.v) <= 1e-8

@@ -87,6 +87,7 @@ from .liegroup import (
     check_motion,
 )
 from .matcore import (
+    _MAX_ABS,
     _checked_rotation,
     _complete_frames,
     _eye,
@@ -294,6 +295,17 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     return Motion(core * j, X + A @ Y - core @ X)
 
 
+def _under_ceiling(X: np.ndarray) -> bool:
+    """Whether a translation computed from inputs in the domain is still in it.
+
+    tau's 2 P X and dp_exp_full's Y_omega v can reach 2 |X| and sqrt(p) |v|,
+    past the ``matcore`` ceiling. Such a motion goes through the public
+    constructor, which raises, so a certified motion always passes its
+    public check again (``copy``, ``pickle``, ``bundle_point`` of ``rho``).
+    """
+    return bool(np.abs(X).max() <= _MAX_ABS)
+
+
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
@@ -305,8 +317,9 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     |R^T R - I| and |S^2 - I| are at most (2 + e) e and det R = det(A^T A)
     is within exp(sqrt(n) e) - 1 of 1, all below 4 sqrt(n) e; the sigma and
     fiber residuals come from (I - S^2) X, at most that times |X|. When
-    these bounds make the result sure of its check (``_sure``), nothing
-    else is checked; otherwise it goes through the public constructor.
+    these bounds make the result sure of its check (``_sure``) and its
+    translation is in the input domain (``_under_ceiling``), nothing else is
+    checked; otherwise it goes through the public constructor.
     """
     tol = tol or default_tolerances()
     if g.n != sig.n:
@@ -315,7 +328,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     X, j = check_finite_vector(g.X, g.n, "translation"), sig._signs
     m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
-    if not _sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))):
+    if not (_sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))) and _under_ceiling(m.X)):
         return CartanMotion(m, sig, tol)
     m = Motion(_frozen(m.R), _frozen(m.X))
     return _trusted(CartanMotion, tol, motion=m, sig=sig, _frame=_read_only(A[:, : sig.p]))
@@ -370,6 +383,8 @@ def bundle_act(
     tol = tol or default_tolerances()
     if a.n != b.n or a.n != sig.n:
         raise DimensionMismatchError("operand dimensions differ")
+    check_finite_matrix(a.R, "rotation")
+    check_finite_vector(a.X, a.n, "translation")
     plane = rotate_plane(a.R, b.plane, tol)
     fiber = a.R @ b.fiber + 2.0 * (plane.projector @ a.X)
     return bundle_point(plane, fiber, tol)
@@ -416,7 +431,8 @@ def dp_exp_full(
     cosine-sine form, the translation pair by pair, and the frame of the
     plane, the cosine-sine form at half the angles (``_cs_frame``). Its
     residuals are rounding only, so nothing is checked unless ``tol`` is
-    below that (``_sure``); then the motion goes through the public
+    below that (``_sure``) or the translation leaves the input domain
+    (``_under_ceiling``); then the motion goes through the public
     constructor. ``verify`` passes these motions through the public
     constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
     """
@@ -425,7 +441,7 @@ def dp_exp_full(
     g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
     sig = Signature(xi.gen.p, xi.gen.q)
     rot = sig.n * _ROUND
-    if not _sure(tol, rot, rot):
+    if not (_sure(tol, rot, rot) and _under_ceiling(g.X)):
         return CartanMotion(g, sig, tol)
     g = Motion(_frozen(g.R), _frozen(g.X))
     return _trusted(CartanMotion, tol, motion=g, sig=sig, _frame=_cs_frame(V, 0.5 * s, U))

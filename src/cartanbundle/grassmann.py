@@ -461,24 +461,43 @@ def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_cs_frame(V, 0.5 * s, U))
 
 
+def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
+    """(V, phi, W): the principal angles phi between two planes, and their pairs.
+
+    ``top`` is Fa^T Fb and ``bottom`` is Fb - Fa (Fa^T Fb), or its nonzero
+    rows, for frames Fa and Fb of the planes. The cosines c come from one
+    SVD of the top block, top = V diag(c) W^T. Near c = 1, arccos(c) is
+    accurate to eps / phi only, and the right singular vectors of cosines
+    within eps of each other mix; beside zero angles, an angle of 1e-7
+    costs about 1e-7 in dp_exp(dp_log0(R)). So the angles below 1e-2 are
+    read off the sines instead, from one SVD of the bottom block on their
+    right singular subspace, which also turns those columns of W and V onto
+    the sine pairs; those angles come first, descending. Above 1e-2 the
+    cosine route keeps that round trip within about 1e-12 at n <= 32.
+    """
+    V, c, Wt = np.linalg.svd(top)
+    phi = np.arccos(np.clip(c, -1.0, 1.0))
+    W, m = Wt.T, int(np.count_nonzero(phi < 1e-2))
+    if m:
+        _, sines, Zt = np.linalg.svd(bottom @ W[:, :m])
+        W[:, :m] = W[:, :m] @ Zt.T
+        phi[:m] = 0.0
+        phi[: sines.size] = np.arcsin(np.minimum(sines, 1.0))
+        V[:, :m] = (top @ W[:, :m]) / np.cos(phi[:m])
+    return V, phi, W
+
+
 def principal_angles(a: Plane, b: Plane) -> np.ndarray:
     """Principal angles between two planes, ascending.
 
-    The cosines are the singular values of Fa^T Fb. Near c = 1, arccos(c) is
-    accurate to eps / phi only, so the angles below 1e-2 are read off the
-    sines instead: the singular values of (I - Pa) Fb = Fb - Fa (Fa^T Fb) on
-    their right singular subspace, as ``_principal_pairs`` reads them.
+    The cosines are the singular values of Fa^T Fb; the angles below 1e-2
+    are read off the sines, the singular values of (I - Pa) Fb =
+    Fb - Fa (Fa^T Fb), as ``_principal_pairs`` reads them (``_angle_pairs``).
     """
     if (a.n, a.p) != (b.n, b.p):
         raise DimensionMismatchError("planes must share (n, p)")
     M = a.frame.T @ b.frame
-    _, c, Wt = np.linalg.svd(M)
-    phi = np.arccos(np.clip(c, -1.0, 1.0))
-    m = int(np.count_nonzero(phi < 1e-2))
-    if m:
-        sines = np.linalg.svd((b.frame - a.frame @ M) @ Wt[:m].T, compute_uv=False)
-        phi[:m] = np.arcsin(np.minimum(sines[::-1], 1.0))
-    return phi
+    return np.sort(_angle_pairs(M, b.frame - a.frame @ M)[1])
 
 
 def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
@@ -486,32 +505,18 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
 
     The plane of exp(omega) is exp(omega/2) applied to the reference plane,
     so s is twice the principal angles phi between rho0(R) and the reference
-    plane; V (p x p) and U (q x p) hold the principal pairs. A pair with
+    plane, whose frame is the first p columns of I; V (p x p) and U (q x p)
+    hold the principal pairs. The top block is F[:p] and the nonzero rows of
+    the bottom block are F[p:] (``_angle_pairs``). A pair with
     sin(phi) <= tol.sing gets a zero U column. A principal angle at pi/2 is
     the cut locus.
-
-    The cosines c come from one SVD of the top block. Near c = 1, arccos(c)
-    is accurate to eps / phi only, and the right singular vectors of
-    cosines within eps of each other mix; beside zero angles, an angle of
-    1e-7 costs about 1e-7 in dp_exp(dp_log0(R)). So the angles below 1e-2
-    are read off the sines instead, from one SVD of the bottom block on
-    their right singular subspace. Above 1e-2 the cosine route keeps that
-    round trip within about 1e-12 at n <= 32.
     """
     p = F.shape[1]
-    V, c, Wt = np.linalg.svd(F[:p, :])
-    phi = np.arccos(np.clip(c, -1.0, 1.0))
+    V, phi, W = _angle_pairs(F[:p, :], F[p:, :])
     if np.any(phi >= 0.5 * math.pi - tol.branch):
         raise CutLocusError(
             "cut locus: generator not unique", max_principal_angle=float(phi.max())
         )
-    W, m = Wt.T, int(np.count_nonzero(phi < 1e-2))
-    if m:
-        _, sines, Zt = np.linalg.svd(F[p:, :] @ W[:, :m])
-        W[:, :m] = W[:, :m] @ Zt.T
-        phi[:m] = 0.0
-        phi[: sines.size] = np.arcsin(np.minimum(sines, 1.0))
-        V[:, :m] = (F[:p, :] @ W[:, :m]) / np.cos(phi[:m])
     sin_phi = np.sin(phi)
     inv_sin = np.divide(1.0, sin_phi, out=np.zeros(p), where=sin_phi > tol.sing)
     return V, 2.0 * phi, (F[p:, :] @ W) * inv_sin

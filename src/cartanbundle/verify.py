@@ -1,21 +1,31 @@
 """Randomized property harness.
 
 Every invariant of the library has a named property here; ``run_verification``
-evaluates them on seeded samples and aggregates a report. Each entry of
-``PROPERTIES`` is ``fn(cfg, rng) -> (samples, max_error, passed)`` and draws
-from its own stream, whose index is the entry's row.
+evaluates them on seeded samples and aggregates a report. Each row of
+``PROPERTIES`` is ``(name, fn, bound)`` and draws from its own stream, whose
+index is the row's. ``fn(cfg, rng) -> (samples, max_error, passed)`` is built
+from the row's check and ``bound`` by one runner, ``_judged``.
 
-A sampled property is written in two parts. ``draw(cfg, rng, count)``
-draws all of its samples at once, as stacks from ``sampling``, and
-``check(cfg, *sample) -> (error, ok)`` judges one: ``error`` is the sample's
-worst error, and ``ok`` holds its comparisons with the property's bounds and
-predicates, so a NaN error makes ``ok`` false. Sample i is index i of each
-stack, and ``check`` builds the library objects of that sample alone. One
-runner, ``_sampled``, draws ``cfg.samples`` samples, keeps the worst error
-(NaN if any is NaN) and passes only if every sample is ok. Because each
-property draws its samples grouped by kind, the samples of a run of N are in
-general not the first N samples of a longer run. The two properties that
-draw nothing, the wedge and the Moebius seam, are written out.
+A check returns only its errors: one float, or a tuple in a fixed order.
+``bound(cfg)`` gives the row's bound, or its tuple of bounds in the same
+order, so every bound is stated once, in the table. The runner is the only
+place where an error meets its bound: the row passes if every error is at
+most its bound, so a NaN fails, and ``max_error`` is the worst error. Two
+kinds of comparison are rewritten to fit that form. A library predicate that
+a check exercises (``in_Q0``, ``in_Q``, ``is_fixed_point``) enters as the
+error ``float(not holds)`` against bound 0, so a false predicate fails its
+row with a finite ``max_error``. A comparison scaled per sample, as by
+1 + |X|, enters as the relative error against a fixed bound.
+
+A sampled check is written in two parts. ``draw(cfg, rng, count)`` draws
+all of its samples at once, as stacks from ``sampling``, and
+``check(cfg, *sample)`` returns the errors of one. Sample i is index i of
+each stack, and ``check`` builds the library objects of that sample alone.
+``_sampled`` runs it on ``cfg.samples`` samples and keeps each error's worst
+(NaN if any is NaN). Because each property draws its samples grouped by
+kind, the samples of a run of N are in general not the first N samples of a
+longer run. The two checks that draw nothing, the wedge and the Moebius
+seam, are written out as ``(cfg, rng) -> (samples, errors)``.
 
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
@@ -126,27 +136,49 @@ def _worst(*errors: float) -> float:
     return worst
 
 
+def _errors(errors) -> tuple:
+    """A check's errors as a tuple: one error stands alone."""
+    return errors if isinstance(errors, tuple) else (errors,)
+
+
 def _sampled(draw):
-    """The property that runs ``check(cfg, *sample) -> (error, ok)`` on each sample.
+    """The check ``check(cfg, *sample) -> errors`` run on ``cfg.samples`` samples.
 
     ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from one
     stream, and returns a tuple of stacks (arrays or lists) whose index i is
-    sample i. The runner passes index i of each stack to ``check`` and
-    returns (samples, worst error, every sample ok).
+    sample i. The result, ``(cfg, rng) -> (samples, errors)``, passes index
+    i of each stack to ``check`` and keeps each error's worst over the
+    samples (NaN if any is NaN).
     """
 
-    def property_of(check):
+    def sampled(check):
         def run(cfg, rng):
-            worst, passed = 0.0, True
-            for sample in zip(*draw(cfg, rng, cfg.samples)):
-                error, ok = check(cfg, *sample)
-                worst = _worst(worst, error)
-                passed = passed and bool(ok)
-            return cfg.samples, worst, passed
+            errors = [_errors(check(cfg, *sample)) for sample in zip(*draw(cfg, rng, cfg.samples))]
+            return cfg.samples, tuple(_worst(*column) for column in zip(*errors))
 
         return run
 
-    return property_of
+    return sampled
+
+
+def _judged(check, bound):
+    """The property ``fn(cfg, rng) -> (samples, max_error, passed)`` of a table row.
+
+    ``check(cfg, rng) -> (samples, errors)`` and ``bound(cfg)`` give the
+    errors and their bounds, one bound per error, in the same order. This
+    is the one place where an error meets its bound: the property passes if
+    every error is at most its bound, so a NaN fails, and ``max_error`` is
+    the worst error. ``fn.check`` is ``check``.
+    """
+
+    def run(cfg, rng):
+        samples, errors = check(cfg, rng)
+        errors = _errors(errors)
+        passed = all(e <= b for e, b in zip(errors, _errors(bound(cfg)), strict=True))
+        return samples, _worst(*errors), passed
+
+    run.check = check
+    return run
 
 
 def _per_dimension(dims: np.ndarray, draw) -> tuple:
@@ -180,7 +212,7 @@ def _point(F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
     return bn.bundle_point(gr.plane_from_frame(F), Y)
 
 
-def _prop_wedge_antisymmetry(cfg, rng):
+def _wedge_antisymmetry(cfg, rng):
     err, count = 0.0, 0
     for nn in range(2, cfg.n + 1):
         for i in range(1, nn + 1):
@@ -188,72 +220,65 @@ def _prop_wedge_antisymmetry(cfg, rng):
                 W = mc.skew_wedge(i, j, nn)
                 err = max(err, float(np.linalg.norm(W + W.T)))
                 count += 1
-    return count, err, err == 0.0
+    return count, err
 
 
 @_sampled(_frames)
-def _prop_projector(cfg, F):
+def _projector(cfg, F):
     P = gr.plane_from_frame(F).projector
-    err = _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
-    return err, err <= 1e-12 * cfg.n
+    return _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
 
 
 @_sampled(lambda cfg, rng, count: _per_dimension(
     rng.integers(2, min(cfg.n, 8) + 1, size=count),
     lambda nn, k: (sp.sample_rotations(rng, nn, k),),
 ))
-def _prop_canonical_form(cfg, R):
+def _canonical_form(cfg, R):
     form = mc.canonical_rotation_form(R, cfg.tol)
-    err = float(np.linalg.norm(form.rotation_matrix() - R))
-    return err, err <= 1e-10
+    return float(np.linalg.norm(form.rotation_matrix() - R))
 
 
 @_sampled(_frames)
-def _prop_completion(cfg, F):
+def _completion(cfg, F):
     plane = gr.plane_from_frame(F)
     A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
-    err = _worst(
+    return _worst(
         abs(float(np.linalg.det(A)) - 1.0),
         float(np.linalg.norm(mc.projector(A[:, : cfg.p]) - plane.projector)),
     )
-    return err, err <= cfg.tol.orth * cfg.n
 
 
 @_sampled(_rotations)
-def _prop_involution_eigenspace(cfg, A):
+def _involution_eigenspace(cfg, A):
     S = A @ cfg.sig.matrix @ A.T
     F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
-    err = float(np.linalg.norm(S @ F + F))
-    return err, err <= 1e-10
+    return float(np.linalg.norm(S @ F + F))
 
 
 @_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))
-def _prop_group_axioms(cfg, R, X):
+def _group_axioms(cfg, R, X):
     g1, g2, g3 = map(Motion, R, X)
-    err = _worst(
+    return _worst(
         _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
         _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
     )
-    return err, err <= 1e-11 * cfg.n
 
 
 @_sampled(lambda cfg, rng, count: _per_dimension(
     rng.integers(2, min(cfg.n, 6) + 1, size=count),
     lambda nn, k: sp.sample_screws(rng, nn, k, norm_bound=4.0),
 ))
-def _prop_exp_series(cfg, omega, v):
+def _exp_series(cfg, omega, v):
     xi = Screw(omega, v)
-    err = float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
-    return err, err <= 1e-9
+    return float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
 
 
 @_sampled(lambda cfg, rng, count: (
     sp.sample_skews(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
 ))
-def _prop_y_omega_identity(cfg, omega, v):
+def _y_omega_identity(cfg, omega, v):
     Y = lg.y_omega(omega, v)
-    err = float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v))
-    return err, err <= 1e-10
+    return float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v))
 
 
 def _bounded_skews_and_vectors(max_angle: float):
@@ -264,42 +289,40 @@ def _bounded_skews_and_vectors(max_angle: float):
 
 
 @_sampled(_bounded_skews_and_vectors(math.pi))
-def _prop_y_omega_roundtrip(cfg, omega, v):
+def _y_omega_roundtrip(cfg, omega, v):
     v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
-    err = float(np.linalg.norm(v2 - v))
-    return err, err <= 1e-9
+    return float(np.linalg.norm(v2 - v))
 
 
 @_sampled(_bounded_skews_and_vectors(math.pi - 1e-3))
-def _prop_log_exp_roundtrip(cfg, omega, v):
+def _log_exp_roundtrip(cfg, omega, v):
     g = lg.se_exp(Screw(omega, v))
     xi = lg.se_log(g, cfg.tol)
-    err = _motion_dist(lg.se_exp(xi), g)
-    return err, err <= 1e-8
+    return _motion_dist(lg.se_exp(xi), g)
 
 
 @_sampled(lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))
-def _prop_sigma0_automorphism(cfg, R):
+def _sigma0_automorphism(cfg, R):
+    """(|sigma0(sigma0(R1)) - R1|, |sigma0(R1 R2) - sigma0(R1) sigma0(R2)|)."""
     sig = cfg.sig
     R1, R2 = R
-    err_invol = float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1))
-    err_hom = float(
-        np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))
+    return (
+        float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1)),
+        float(np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))),
     )
-    return _worst(err_invol, err_hom), err_invol == 0.0 and err_hom <= 1e-12 * cfg.n
 
 
 @_sampled(lambda cfg, rng, count: (
     sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count),
     sp.sample_rotations(rng, cfg.n, count),
 ))
-def _prop_q0_invariance(cfg, B, A):
+def _q0_invariance(cfg, B, A):
+    """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action on exp(B)."""
     sig = cfg.sig
     R = gr.dp_exp(gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), cfg.tol).mat
     acted = gr.twisted_act0(A, R, sig)
     M = acted @ sig.matrix
-    err = float(np.linalg.norm(M @ M - np.eye(cfg.n)))
-    return err, gr.in_Q0(acted, sig, cfg.tol) and err <= cfg.tol.invol
+    return float(not gr.in_Q0(acted, sig, cfg.tol)), float(np.linalg.norm(M @ M - np.eye(cfg.n)))
 
 
 def _frames_and_rotations(cfg, rng, count):
@@ -307,84 +330,91 @@ def _frames_and_rotations(cfg, rng, count):
 
 
 @_sampled(_frames_and_rotations)
-def _prop_grassmann_roundtrips(cfg, F, A):
+def _grassmann_roundtrips(cfg, F, A):
+    """(plane -> S_p0 -> plane, rotation -> plane -> S_p0).
+
+    Each output of ``cartan_embed0`` is read back through the public check.
+    """
     sig = cfg.sig
     plane = gr.plane_from_frame(F)
-    back = gr.rho0(gr.cartan_embed0(plane, cfg.tol))
-    err_plane = float(np.linalg.norm(back.projector - plane.projector))
+    embedded = gr.CartanRotation(gr.cartan_embed0(plane, cfg.tol).mat, sig, cfg.tol)
+    err_plane = float(np.linalg.norm(gr.rho0(embedded).projector - plane.projector))
     R = gr.twisted_act0(A, np.eye(cfg.n), sig)
     cr = gr.CartanRotation.certify(R, sig, cfg.tol)
     R2 = gr.cartan_embed0(gr.rho0(cr), cfg.tol).mat
-    err_rot = float(np.linalg.norm(R2 - R))
-    return _worst(err_plane, err_rot), err_plane <= cfg.tol.plane and err_rot <= 1e-9
+    return err_plane, float(np.linalg.norm(R2 - R))
 
 
 @_sampled(_frames_and_rotations)
-def _prop_rho0_equivariance(cfg, F, A):
+def _rho0_equivariance(cfg, F, A):
     sig = cfg.sig
     cr = gr.cartan_embed0(gr.plane_from_frame(F), cfg.tol)
     acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
     lhs = gr.rho0(acted)
     rhs = gr.rotate_plane(A, gr.rho0(cr), cfg.tol)
-    err = float(np.linalg.norm(lhs.projector - rhs.projector))
-    return err, err <= cfg.tol.plane
+    return float(np.linalg.norm(lhs.projector - rhs.projector))
 
 
 @_sampled(lambda cfg, rng, count: (
     sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
 ))
-def _prop_dp_log0_roundtrip(cfg, B):
+def _dp_log0_roundtrip(cfg, B):
     gen = gr.DpGenerator(cfg.p, cfg.n - cfg.p, B)
     cr = gr.dp_exp(gen, cfg.tol)
     gen2 = gr.dp_log0(cr, cfg.tol)
-    err = _worst(
+    return _worst(
         float(np.linalg.norm(gen2.B - gen.B)),
         float(np.linalg.norm(gr.dp_exp(gen2, cfg.tol).mat - cr.mat)),
     )
-    return err, err <= 1e-8
 
 
 def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
-    """(|sigma(g) - g|, whether it is twice the norm of g's off-block entries).
+    """(r, |r - 2 off| / (1 + r)) for r = |sigma(g) - g|.
 
-    The off-block entries are R[:p, p:], R[p:, :p] and X[:p]; the two
-    residuals must agree within 1e-12 (1 + r).
+    ``off`` is the norm of g's off-block entries R[:p, p:], R[p:, :p] and
+    X[:p]; r is exactly twice it, so the second entry is a rounding error.
     """
     p = sig.p
     r = float(np.linalg.norm(bn.sigma(g, sig).homogeneous() - g.homogeneous()))
     off = math.sqrt(
         np.linalg.norm(g.R[:p, p:]) ** 2 + np.linalg.norm(g.R[p:, :p]) ** 2 + np.linalg.norm(g.X[:p]) ** 2
     )
-    return r, abs(r - 2.0 * off) <= 1e-12 * (1.0 + r)
+    return r, abs(r - 2.0 * off) / (1.0 + r)
 
 
 @_sampled(lambda cfg, rng, count: (
     *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
 ))
-def _prop_fixed_point_characterization(cfg, R, X, Rh, Xh):
+def _fixed_points(cfg, R, X, Rh, Xh):
+    """(r of a fixed point g, r against 2 off on g and on a generic h, 1 if ``is_fixed_point`` errs).
+
+    r and off are as in ``_fixed_point_residual``.
+    """
     sig = cfg.sig
-    g = Motion(R, X)
+    g, h = Motion(R, X), Motion(Rh, Xh)
     r, agree = _fixed_point_residual(g, sig)
     # generic motions are not fixed
-    h = Motion(Rh, Xh)
-    ok = agree and bn.is_fixed_point(g, sig, cfg.tol)
-    ok = ok and _fixed_point_residual(h, sig)[1] and not bn.is_fixed_point(h, sig, cfg.tol)
-    return r, ok and r <= 1e-12 * cfg.n
+    sorted_ok = bn.is_fixed_point(g, sig, cfg.tol) and not bn.is_fixed_point(h, sig, cfg.tol)
+    return r, _worst(agree, _fixed_point_residual(h, sig)[1]), float(not sorted_ok)
 
 
 @_sampled(_motion_pairs)
-def _prop_q_invariance(cfg, R, X):
+def _q_invariance(cfg, R, X):
+    """(sigma residual of g' per 1 + |X'|, 1 if not ``in_Q``, routes to g' per 1 + |X| + |Y|).
+
+    g' = (R', X') is the twisted action of a = (A, X) on s = tau(...) = (S, Y),
+    in closed form and by plain group arithmetic.
+    """
     sig = cfg.sig
     s = bn.tau(Motion(R[0], X[0]), sig)
     a = Motion(R[1], X[1])
     acted = bn.twisted_act(a, s.motion, sig)
     diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
-    err = float(np.linalg.norm(diff))
+    err = float(np.linalg.norm(diff)) / (1.0 + np.linalg.norm(acted.X))
     # the closed form against plain group arithmetic
     generic = lg.se_mul(lg.se_mul(a, s.motion), bn.sigma(lg.se_inv(a), sig))
     scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
-    routes_ok = _motion_dist(acted, generic) <= 1e-11 * cfg.n * scale
-    return err, bn.in_Q(acted, sig, cfg.tol) and routes_ok
+    return err, float(not bn.in_Q(acted, sig, cfg.tol)), _motion_dist(acted, generic) / scale
 
 
 def _carried_frame_drift(s: bn.CartanMotion) -> float:
@@ -399,24 +429,22 @@ def _carried_frame_drift(s: bn.CartanMotion) -> float:
 
 
 @_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))
-def _prop_tau_properties(cfg, R, X):
+def _tau_properties(cfg, R, X):
     sig = cfg.sig
     t = bn.tau(Motion(R, X), sig, cfg.tol)
-    err = _worst(
+    return _worst(
         _motion_dist(bn.sigma(t.motion, sig), lg.se_inv(t.motion)), _carried_frame_drift(t)
     )
-    return err, err <= 1e-10
 
 
 @_sampled(lambda cfg, rng, count: (
     sp.sample_rotations(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
 ))
-def _prop_projection_identity(cfg, A, X):
+def _projection_identity(cfg, A, X):
     D = bn.double_projection(A, X, cfg.sig, cfg.tol)
     # twice the projection onto A.pi0, with the projector from an SVD
     P = svd_projector(A[:, : cfg.p])
-    err = float(np.linalg.norm(D - 2.0 * P @ X))
-    return err, err <= 1e-10
+    return float(np.linalg.norm(D - 2.0 * P @ X))
 
 
 def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
@@ -428,45 +456,46 @@ def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
 
 
 @_sampled(_motion_pairs)
-def _prop_rho_equivariance(cfg, R, X):
+def _rho_equivariance(cfg, R, X):
     sig = cfg.sig
     s = bn.tau(Motion(R[0], X[0]), sig)
     a = Motion(R[1], X[1])
     acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
-    err = _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig, cfg.tol))
-    return err, err <= 1e-9
+    return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig, cfg.tol))
 
 
 @_sampled(lambda cfg, rng, count: (
     *sp.sample_motions(rng, cfg.n, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
 ))
-def _prop_rho_bijectivity(cfg, R, X, F, Y):
+def _rho_bijectivity(cfg, R, X, F, Y):
+    """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
     s = bn.tau(Motion(R, X), cfg.sig)
     s2 = bn.rho_inv(bn.rho(s), cfg.tol)
     b = _point(F, Y)
     s3 = bn.rho_inv(b, cfg.tol)
-    drift = _worst(_carried_frame_drift(s2), _carried_frame_drift(s3))
-    err = _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b))
-    return _worst(err, drift), err <= 1e-9 and drift <= 1e-10
+    return (
+        _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
+        _worst(_carried_frame_drift(s2), _carried_frame_drift(s3)),
+    )
 
 
 @_sampled(lambda cfg, rng, count: (
     *_motion_pairs(cfg, rng, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
 ))
-def _prop_action_law(cfg, R, X, F, Y):
+def _action_law(cfg, R, X, F, Y):
     sig = cfg.sig
     a1, a2 = map(Motion, R, X)
     b = _point(F, Y)
     lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig, cfg.tol)
     rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig, cfg.tol), sig, cfg.tol)
-    err = _point_dist(lhs, rhs)
-    return err, err <= 1e-10
+    return _point_dist(lhs, rhs)
 
 
 @_sampled(lambda cfg, rng, count: sp.sample_dp_elements(
     rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
 ))
-def _prop_dp_full_routes(cfg, B, v):
+def _dp_full_routes(cfg, B, v):
+    """(routes to exp(xi) per 1 + |X|, dp_log_full round trip, carried frame drift)."""
     xi = bn.DpElement(gen=gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), v=v)
     s = bn.dp_exp_full(xi, cfg.tol)
     # the closed form against the generic eigh route of se_exp, and
@@ -474,9 +503,10 @@ def _prop_dp_full_routes(cfg, B, v):
     screw = xi.screw()
     g = lg.se_exp(screw)
     half = lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
-    routes_ok = _motion_dist(s.motion, g) <= 1e-10 * cfg.n * (1.0 + np.linalg.norm(g.X))
-    routes_ok = routes_ok and _motion_dist(s.motion, bn.tau(half, cfg.sig, cfg.tol).motion) <= (
-        1e-10 * cfg.n * (1.0 + np.linalg.norm(s.motion.X))
+    doubled = bn.tau(half, cfg.sig, cfg.tol).motion
+    routes = _worst(
+        _motion_dist(s.motion, g) / (1.0 + np.linalg.norm(g.X)),
+        _motion_dist(s.motion, doubled) / (1.0 + np.linalg.norm(s.motion.X)),
     )
     drift = _carried_frame_drift(s)
     xi2 = bn.dp_log_full(s, cfg.tol)
@@ -484,15 +514,14 @@ def _prop_dp_full_routes(cfg, B, v):
         float(np.linalg.norm(xi2.gen.B - xi.gen.B)),
         float(np.linalg.norm(xi2.v - xi.v)),
     )
-    return _worst(err, drift), routes_ok and err <= 1e-8 and drift <= 1e-10
+    return routes, err, drift
 
 
 @_sampled(lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))
-def _prop_transporter(cfg, F, Y):
+def _transporter(cfg, F, Y):
     src, dst = map(_point, F, Y)
     a = bn.find_transporter(src, dst)
-    err = _point_dist(bn.bundle_act(a, src, cfg.sig, cfg.tol), dst)
-    return err, err <= 1e-9
+    return _point_dist(bn.bundle_act(a, src, cfg.sig, cfg.tol), dst)
 
 
 def _directions(cfg, rng, count):
@@ -505,33 +534,31 @@ def _directions(cfg, rng, count):
 
 
 @_sampled(lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))
-def _prop_line_bundle_exp(cfg, U, theta, lam):
+def _line_bundle_exp(cfg, U, theta, lam):
     nn, theta, lam = len(U), float(theta), float(lam)
     m = pj.line_bundle_exp(theta, U, lam)
     E1 = mc.basis_vector(1, nn)
     xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
     # fiber sits on the half-angle line
     V = pj.half_angle_line(theta, U).frame[:, 0]
-    err = _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
-    return err, err <= 1e-10
+    return _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
 
 
 @_sampled(_directions)
-def _prop_half_angle_line(cfg, U, theta):
+def _half_angle_line(cfg, U, theta):
     theta, sig = float(theta), gr.Signature(1, len(U) - 1)
     cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
     plane = gr.rho0(cr)
-    err = float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))
-    return err, err <= cfg.tol.plane
+    return float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))
 
 
 def moebius_seam_check(num_theta: int = 128, num_lambda: int = 9, lambda_max: float = 2.0):
     """Seam property of the Moebius grid.
 
     Returns (pairs checked, max line-angle deviation, all orientation flips
-    observed). The last theta row must carry the same lines as theta = 0
-    within the grid resolution, with fiber orientation reversed relative to
-    the matching -lambda record.
+    observed, grid resolution 2 pi / num_theta). The last theta row must
+    carry the same lines as theta = 0 within the grid resolution, with fiber
+    orientation reversed relative to the matching -lambda record.
     """
     records = pj.moebius_grid(num_theta, num_lambda, lambda_max)
     per_theta = num_lambda
@@ -556,39 +583,49 @@ def moebius_seam_check(num_theta: int = 128, num_lambda: int = 9, lambda_max: fl
     return pairs, max_dev, flips_ok, resolution
 
 
-def _prop_moebius_seam(cfg, rng):
-    pairs, max_dev, flips_ok, resolution = moebius_seam_check()
-    return pairs, max_dev, flips_ok and max_dev <= resolution
+_SEAM_THETA = 128
 
 
-PROPERTIES = (
-    ("matcore.wedge_antisymmetry", _prop_wedge_antisymmetry),
-    ("matcore.projector_idempotent_symmetric", _prop_projector),
-    ("matcore.canonical_form_reconstruction", _prop_canonical_form),
-    ("matcore.frame_completion", _prop_completion),
-    ("matcore.involution_eigenspace", _prop_involution_eigenspace),
-    ("liegroup.group_axioms", _prop_group_axioms),
-    ("liegroup.exp_matches_series", _prop_exp_series),
-    ("liegroup.y_omega_identity", _prop_y_omega_identity),
-    ("liegroup.y_omega_roundtrip", _prop_y_omega_roundtrip),
-    ("liegroup.log_exp_roundtrip", _prop_log_exp_roundtrip),
-    ("grassmann.sigma0_automorphism", _prop_sigma0_automorphism),
-    ("grassmann.q0_invariance", _prop_q0_invariance),
-    ("grassmann.cartan_roundtrips", _prop_grassmann_roundtrips),
-    ("grassmann.rho0_equivariance", _prop_rho0_equivariance),
-    ("grassmann.dp_log0_roundtrip", _prop_dp_log0_roundtrip),
-    ("bundle.fixed_point_characterization", _prop_fixed_point_characterization),
-    ("bundle.q_invariance", _prop_q_invariance),
-    ("bundle.tau_properties", _prop_tau_properties),
-    ("bundle.projection_identity", _prop_projection_identity),
-    ("bundle.rho_equivariance", _prop_rho_equivariance),
-    ("bundle.rho_bijectivity", _prop_rho_bijectivity),
-    ("bundle.action_law", _prop_action_law),
-    ("bundle.dp_full_routes", _prop_dp_full_routes),
-    ("bundle.transporter", _prop_transporter),
-    ("projective.line_bundle_exp", _prop_line_bundle_exp),
-    ("projective.half_angle_line", _prop_half_angle_line),
-    ("projective.moebius_seam", _prop_moebius_seam),
+def _moebius_seam(cfg, rng):
+    """(max line-angle deviation, 1 if an orientation flip is missing) on the 128-row grid."""
+    pairs, max_dev, flips_ok, _ = moebius_seam_check(_SEAM_THETA)
+    return pairs, (max_dev, float(not flips_ok))
+
+
+# (name, check, bound): bound(cfg) is the bound of the check's one error, or
+# the tuple of bounds of its errors in their order. A predicate's error is 0
+# or 1, held to 0.
+PROPERTIES = tuple(
+    (name, _judged(check, bound), bound)
+    for name, check, bound in (
+        ("matcore.wedge_antisymmetry", _wedge_antisymmetry, lambda cfg: 0.0),
+        ("matcore.projector_idempotent_symmetric", _projector, lambda cfg: 1e-12 * cfg.n),
+        ("matcore.canonical_form_reconstruction", _canonical_form, lambda cfg: 1e-10),
+        ("matcore.frame_completion", _completion, lambda cfg: cfg.tol.orth * cfg.n),
+        ("matcore.involution_eigenspace", _involution_eigenspace, lambda cfg: 1e-10),
+        ("liegroup.group_axioms", _group_axioms, lambda cfg: 1e-11 * cfg.n),
+        ("liegroup.exp_matches_series", _exp_series, lambda cfg: 1e-9),
+        ("liegroup.y_omega_identity", _y_omega_identity, lambda cfg: 1e-10),
+        ("liegroup.y_omega_roundtrip", _y_omega_roundtrip, lambda cfg: 1e-9),
+        ("liegroup.log_exp_roundtrip", _log_exp_roundtrip, lambda cfg: 1e-8),
+        ("grassmann.sigma0_automorphism", _sigma0_automorphism, lambda cfg: (0.0, 1e-12 * cfg.n)),
+        ("grassmann.q0_invariance", _q0_invariance, lambda cfg: (0.0, cfg.tol.invol)),
+        ("grassmann.cartan_roundtrips", _grassmann_roundtrips, lambda cfg: (cfg.tol.plane, 1e-9)),
+        ("grassmann.rho0_equivariance", _rho0_equivariance, lambda cfg: cfg.tol.plane),
+        ("grassmann.dp_log0_roundtrip", _dp_log0_roundtrip, lambda cfg: 1e-8),
+        ("bundle.fixed_point_characterization", _fixed_points, lambda cfg: (1e-12 * cfg.n, 1e-12, 0.0)),
+        ("bundle.q_invariance", _q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n)),
+        ("bundle.tau_properties", _tau_properties, lambda cfg: 1e-10),
+        ("bundle.projection_identity", _projection_identity, lambda cfg: 1e-10),
+        ("bundle.rho_equivariance", _rho_equivariance, lambda cfg: 1e-9),
+        ("bundle.rho_bijectivity", _rho_bijectivity, lambda cfg: (1e-9, 1e-10)),
+        ("bundle.action_law", _action_law, lambda cfg: 1e-10),
+        ("bundle.dp_full_routes", _dp_full_routes, lambda cfg: (1e-10 * cfg.n, 1e-8, 1e-10)),
+        ("bundle.transporter", _transporter, lambda cfg: 1e-9),
+        ("projective.line_bundle_exp", _line_bundle_exp, lambda cfg: 1e-10),
+        ("projective.half_angle_line", _half_angle_line, lambda cfg: cfg.tol.plane),
+        ("projective.moebius_seam", _moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_THETA, 0.0)),
+    )
 )
 
 
@@ -596,7 +633,7 @@ def run_verification(cfg: VerifyConfig) -> VerifyReport:
     """Run every named property on independent seeded streams."""
     start = time.perf_counter()
     results = []
-    for stream, (name, fn) in enumerate(PROPERTIES):
+    for stream, (name, fn, _) in enumerate(PROPERTIES):
         rng = sp.make_rng(cfg.seed, stream)
         try:
             samples, max_error, passed = fn(cfg, rng)

@@ -22,8 +22,10 @@ from cartanbundle import (
     Motion,
     Screw,
     Signature,
+    bundle_act,
     bundle_point,
     double_projection,
+    dp_exp_full,
     identity_motion,
     in_Q,
     in_Q0,
@@ -38,10 +40,12 @@ from cartanbundle import (
 from cartanbundle.cli import main
 from cartanbundle.matcore import _MAX_ABS, check_finite_matrix, check_finite_vector
 from cartanbundle.projective import unit_direction
+from cartanbundle.sampling import make_rng, sample_rotation
 from cartanbundle.serialize import dumps, mat_from_json, mat_to_json, vec_from_json
 
 SIG = Signature(2, 2)
 PLANE = plane_from_frame(np.eye(4)[:, :2])
+POINT = bundle_point(PLANE, np.array([1.0, 2.0, 0.0, 0.0]))
 I4, Z4 = np.eye(4), np.zeros(4)
 
 
@@ -59,9 +63,11 @@ def _rot(bad):
     return R
 
 
-# One row per entry point whose own finiteness check was folded into the
-# matcore validators: name -> call(bad) with one entry of an input set to bad.
+# One row per entry point that checks its input with the matcore validators:
+# name -> call(bad) with one entry of an input set to bad.
 SITES = {
+    "bundle_act.rotation": lambda bad: bundle_act(Motion(_rot(bad), Z4), POINT, SIG),
+    "bundle_act.translation": lambda bad: bundle_act(Motion(I4, _vec(bad)), POINT, SIG),
     "bundle_point": lambda bad: bundle_point(PLANE, _vec(bad)),
     "DpElement": lambda bad: DpElement(DpGenerator(2, 2, np.zeros((2, 2))), _vec(bad, 2)),
     "double_projection": lambda bad: double_projection(I4, _vec(bad), SIG),
@@ -93,6 +99,16 @@ def test_every_entry_point_rejects_entries_outside_the_domain(site, bad):
     assert info.value.code == "dimension_mismatch"
     top = info.value.context["max_abs"]
     assert math.isnan(top) if math.isnan(bad) else top == abs(bad)
+
+
+@pytest.mark.parametrize("part, call", [
+    ("rotation", lambda: bundle_act(Motion(_rot(math.nan), Z4), POINT, SIG)),
+    ("translation", lambda: bundle_act(Motion(I4, _vec(math.nan)), POINT, SIG)),
+])
+def test_bundle_act_names_the_bad_part_of_the_motion(part, call):
+    # the motion is checked at entry, not blamed as the fiber it would give
+    with pytest.raises(DimensionMismatchError, match=part):
+        call()
 
 
 def test_the_ceiling_itself_is_inside():
@@ -142,3 +158,20 @@ def test_cli_exp_past_the_overflow_is_an_error(tmp_path, capsys):
     assert code == 1 and captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "dimension_mismatch"
+
+
+@pytest.mark.parametrize("make", [
+    # tau's translation 2 P X reaches 2 |X|; here max|X| is 2.6e150
+    lambda: tau(Motion(sample_rotation(make_rng(1, 0), 4), 1e150 * np.ones(4)), SIG),
+    # Y_omega v reaches sqrt(p) |v|; here one angle of 2.33 on (1, 1) / sqrt(2) gives 1.02e150
+    lambda: dp_exp_full(DpElement(
+        DpGenerator(2, 2, 2.33 * np.outer([1.0, 0.0], [0.5 ** 0.5, 0.5 ** 0.5])), 1e150 * np.ones(2)
+    )),
+])
+def test_certified_output_past_the_ceiling_is_rejected(make):
+    # Without the check, the motion was certified by construction with a
+    # translation past the ceiling, and then failed its own public check:
+    # the constructor, a pickle round trip and bundle_point of rho raised.
+    with pytest.raises(DimensionMismatchError) as info:
+        make()
+    assert info.value.context["max_abs"] > _MAX_ABS

@@ -1,5 +1,6 @@
 """The verify harness itself: a broken library function must fail its property."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,17 +18,22 @@ def _results(cfg=CFG):
 
 def _run_one(name, cfg=CFG):
     stream = [entry[0] for entry in PROPERTIES].index(name)
-    return dict(PROPERTIES)[name](cfg, sampling.make_rng(cfg.seed, stream))
+    return PROPERTIES[stream][1](cfg, sampling.make_rng(cfg.seed, stream))
 
 
 def test_table_shape():
     assert len(PROPERTIES) == 27
-    assert len({name for name, _ in PROPERTIES}) == 27
-    for stream, (name, fn) in enumerate(PROPERTIES):
+    assert len({name for name, _, _ in PROPERTIES}) == 27
+    for stream, (name, fn, bound) in enumerate(PROPERTIES):
         out = fn(CFG, sampling.make_rng(CFG.seed, stream))
         assert isinstance(out, tuple) and len(out) == 3, name
         samples, max_error, passed = out
         assert samples >= 1 and math.isfinite(max_error) and passed, name
+        # one bound per error, in the same order
+        _, errors = fn.check(CFG, sampling.make_rng(CFG.seed, stream))
+        bounds = bound(CFG)
+        arity = len(errors) if isinstance(errors, tuple) else 1
+        assert arity == (len(bounds) if isinstance(bounds, tuple) else 1), name
 
 
 def test_nan_answer_fails_its_property(monkeypatch):
@@ -78,3 +84,16 @@ def test_one_qr_per_property(monkeypatch):
         assert _run_one("bundle.tau_properties", VerifyConfig(n=4, p=2, samples=samples, seed=5))[2]
         counts.append(len(calls))
     assert counts[0] == counts[1] >= 1
+
+
+def test_tightened_bound_fails_exactly_the_rows_that_read_it():
+    # every plane comparison reads tol.plane; at 1e-30 only rounding is left to fail it
+    tol = dataclasses.replace(CFG.tol, plane=1e-30)
+    results = _results(dataclasses.replace(CFG, tol=tol))
+    failed = {name for name, r in results.items() if not r.passed}
+    assert failed == {
+        "grassmann.cartan_roundtrips",
+        "grassmann.rho0_equivariance",
+        "projective.half_angle_line",
+    }
+    assert all(math.isfinite(results[name].max_error) for name in failed)

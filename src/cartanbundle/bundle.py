@@ -6,11 +6,15 @@ is diffeomorphic, via rho, to the bundle of pairs (plane, vector in the
 plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
-J enters only as sign flips of rows, columns and entries. A motion that a
-caller hands to the public ``CartanMotion`` constructor is checked once, in
-one pass: SO(n) and a translation in the input domain of ``matcore``, then
-the shared S_p0 check of grassmann (one ``eigh``), then the sigma residual
-and the fiber condition.
+J enters only as sign flips of rows, columns and entries. The signature
+fixes the shape of every operand: each map that takes a motion (``sigma``,
+``in_Q``, ``is_fixed_point``, ``twisted_act``, ``bundle_act``, ``tau``,
+``CartanMotion``) reads its parts through ``liegroup._checked_motion``, an
+n x n rotation and an n-vector in the input domain of ``matcore``, for the
+n of the signature. A motion that a caller hands to the public
+``CartanMotion`` constructor is checked once, in one pass: SO(n) and a
+translation that way, then the shared S_p0 check of grassmann (one
+``eigh``), then the sigma residual and the fiber condition.
 The instance keeps read-only copies of R and X and the frame of the plane
 that the check found, so ``rho`` and ``dp_log_full`` check nothing again.
 
@@ -78,13 +82,13 @@ from .grassmann import (
     _ROUND,
     _sure,
     _trusted,
-    rotate_plane,
+    plane_from_frame,
 )
 from .liegroup import (
     Motion,
     Screw,
+    _checked_motion,
     _factors,
-    check_motion,
 )
 from .matcore import (
     _MAX_ABS,
@@ -92,9 +96,7 @@ from .matcore import (
     _complete_frames,
     _eye,
     _norm,
-    check_finite_matrix,
     check_finite_vector,
-    check_special_orthogonal,
 )
 
 
@@ -145,8 +147,9 @@ def bundle_point(
 class CartanMotion:
     """A motion in the Cartan model S_p, checked once, at construction.
 
-    The public constructor (``certify`` is an alias) checks SO(n) and a
-    translation in the input domain of ``matcore``, then S_p0, the sigma
+    The public constructor (``certify`` is an alias) checks an n x n
+    rotation in SO(n) and an n-vector translation in the input domain of
+    ``matcore``, for the n of the signature, then S_p0, the sigma
     residual and the fiber condition, each under the one bound that
     ``in_Q0``, ``in_Q`` and ``bundle_point`` also apply. The sigma residual
     comes from the S_p0 check's S = R J and |S^2 - I| as
@@ -171,8 +174,8 @@ class CartanMotion:
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        motion = check_motion(Motion(_read_only(self.motion.R), _read_only(self.motion.X)), tol)
-        # The S_p0 check first compares the dimension with the signature.
+        motion = Motion(_read_only(self.motion.R), _read_only(self.motion.X))
+        _checked_motion(motion, self.sig.n, tol)
         frame, S, invol = _cartan_frame(motion.R, self.sig, tol)
         object.__setattr__(self, "_frame", frame)
         Y = motion.X
@@ -223,11 +226,9 @@ class DpElement:
 
 
 def sigma(g: Motion, sig: Signature) -> Motion:
-    """The involution sigma(R, X) = (J R J, J X) on SE(n)."""
-    if g.n != sig.n:
-        raise DimensionMismatchError("motion dimension does not match signature")
-    j = sig._signs
-    return Motion(j[:, None] * g.R * j, j * g.X)
+    """The involution sigma(R, X) = (J R J, J X) on SE(n); g is checked against the signature."""
+    (R, X, _), j = _checked_motion(g, sig.n), sig._signs
+    return Motion(j[:, None] * R * j, j * X)
 
 
 def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
@@ -257,24 +258,20 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
     off-block entries, which ``verify`` checks.
     """
     tol = tol or default_tolerances()
-    check_finite_matrix(g.R, "rotation")
-    check_finite_vector(g.X, g.n, "translation")
-    r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())
+    r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())  # sigma checks g
     return bool(r_sigma <= tol.invol)
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q = {g : sigma(g) = g^{-1}}; a g outside the input domain raises.
+    """Membership in Q = {g : sigma(g) = g^{-1}}.
 
+    A g of the wrong shape for the signature or outside the input domain raises.
     The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
     """
-    check_finite_matrix(g.R, "rotation")
-    check_finite_vector(g.X, g.n, "translation")
-    if g.n != sig.n:
-        raise DimensionMismatchError("motion dimension does not match signature")
-    S = g.R * sig._signs
-    residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, g.X)
-    return _sigma_holds(residual, g.X, tol or default_tolerances())
+    R, X, _ = _checked_motion(g, sig.n)
+    S = R * sig._signs
+    residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, X)
+    return _sigma_holds(residual, X, tol or default_tolerances())
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
@@ -283,14 +280,7 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     The closed form is (A R J A^{-1} J, X + A Y - A R J A^{-1} X); ``verify``
     checks it against plain group arithmetic.
     """
-    if a.n != g.n or a.n != sig.n:
-        raise DimensionMismatchError("operand dimensions differ")
-    for m in (a, g):
-        check_finite_matrix(m.R, "rotation")
-        check_finite_vector(m.X, m.n, "translation")
-    j = sig._signs
-    A, X = a.R, a.X
-    R, Y = g.R, g.X
+    (A, X, _), (R, Y, _), j = _checked_motion(a, sig.n), _checked_motion(g, sig.n), sig._signs
     core = ((A @ R) * j) @ A.T
     return Motion(core * j, X + A @ Y - core @ X)
 
@@ -322,10 +312,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     checked; otherwise it goes through the public constructor.
     """
     tol = tol or default_tolerances()
-    if g.n != sig.n:
-        raise DimensionMismatchError("motion dimension does not match signature")
-    A, e = _checked_rotation(g.R, tol)
-    X, j = check_finite_vector(g.X, g.n, "translation"), sig._signs
+    (A, X, e), j = _checked_motion(g, sig.n, tol), sig._signs
     m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
     if not (_sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))) and _under_ceiling(m.X)):
@@ -338,10 +325,7 @@ def double_projection(
     A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances | None = None
 ) -> np.ndarray:
     """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
-    tol = tol or default_tolerances()
-    A = check_special_orthogonal(A, tol)
-    if A.shape != (sig.n, sig.n):
-        raise DimensionMismatchError("operand dimensions differ")
+    A = _checked_rotation(A, tol or default_tolerances(), sig.n)[0]
     X = check_finite_vector(X, sig.n, "vector")
     return X - (A * sig._signs) @ A.T @ X
 
@@ -379,15 +363,18 @@ def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
 def bundle_act(
     a: Motion, b: BundlePoint, sig: Signature, tol: Tolerances | None = None
 ) -> BundlePoint:
-    """The transitive action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X)."""
+    """The transitive action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
+
+    The motion is checked once, against the signature, and the point must
+    have its n. The plane A pi is checked as a frame, as ``rotate_plane``
+    checks it.
+    """
     tol = tol or default_tolerances()
-    if a.n != b.n or a.n != sig.n:
-        raise DimensionMismatchError("operand dimensions differ")
-    check_finite_matrix(a.R, "rotation")
-    check_finite_vector(a.X, a.n, "translation")
-    plane = rotate_plane(a.R, b.plane, tol)
-    fiber = a.R @ b.fiber + 2.0 * (plane.projector @ a.X)
-    return bundle_point(plane, fiber, tol)
+    R, X, _ = _checked_motion(a, sig.n)
+    if b.n != sig.n:
+        raise DimensionMismatchError("bundle point dimension does not match signature")
+    plane = plane_from_frame(R @ b.plane.frame, tol)
+    return bundle_point(plane, R @ b.fiber + 2.0 * (plane.projector @ X), tol)
 
 
 def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:

@@ -94,8 +94,6 @@ def _positive_int(text: str) -> int:
 def _signature(args) -> gr.Signature:
     if args.n is None or args.p is None:
         raise DimensionMismatchError("this command requires --n and --p")
-    if not 1 <= args.p < args.n:
-        raise DimensionMismatchError("require 1 <= p < n")
     return gr.Signature(args.p, args.n - args.p)
 
 

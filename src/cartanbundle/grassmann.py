@@ -6,6 +6,13 @@ a symmetric involution whose (-1)-eigenspace has dimension p, where
 J = diag(-I_p, I_q); the correspondence rho0 reads the plane off that
 eigenspace.
 
+The signature (p, q) fixes every operand's shape. ``Signature`` is the one
+check of (n, p): p and q are integers of at least 1, so 1 <= p < n. Each
+map checks its operands against it with the ``matcore`` validators: a
+rotation n x n (``sigma0``, ``in_Q0``, ``twisted_act0``,
+``CartanRotation``; ``rotate_plane`` takes n from the plane), a frame
+(n, p) and a projector n x n (``Plane``).
+
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
 private routine checks membership of a rotation already in SO(n): S = R J
@@ -50,12 +57,12 @@ from .errors import (
     NotInCartanModelError,
 )
 from .matcore import (
+    _checked_rotation,
     _eye,
     _norm,
     _symmetric_involution,
     check_finite_matrix,
     check_frame,
-    check_special_orthogonal,
     orthonormalize,
     projector,
 )
@@ -76,14 +83,21 @@ def _sign_arrays(p: int, q: int) -> tuple:
 
 @dataclass(frozen=True)
 class Signature:
-    """Block signature (p, q) with matrix J = diag(-I_p, I_q)."""
+    """Block signature (p, q) with matrix J = diag(-I_p, I_q), n = p + q.
+
+    The one check of (n, p): p and q must be integers (NumPy's too, not
+    bool) of at least 1, else ``DimensionMismatchError``.
+    """
 
     p: int
     q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise DimensionMismatchError("signature requires p >= 1 and q >= 1")
+        for k in (self.p, self.q):
+            if not (type(k) is int or isinstance(k, np.integer)) or k < 1:  # bool is not int
+                raise DimensionMismatchError(
+                    "signature requires integers p >= 1 and q >= 1", p=self.p, q=self.q
+                )
 
     @property
     def n(self) -> int:
@@ -185,12 +199,8 @@ def _checked_plane(n: int, p: int, P: np.ndarray, F: np.ndarray, tol: Tolerances
 
     The plane keeps F F^T, not the caller's P, which only has to agree with it.
     """
-    F = _read_only(check_frame(F, tol))
-    P = check_finite_matrix(P, "projector")
-    if F.shape != (n, p) or P.shape != (n, n):
-        raise DimensionMismatchError(
-            f"plane ({n}, {p}) has frame {F.shape} and projector {P.shape}"
-        )
+    F = _read_only(check_frame(F, tol, (n, p)))
+    P = check_finite_matrix(P, (n, n), "projector")
     FF = _frozen(projector(F))
     if not _same_projector(P, FF, tol):
         raise DegenerateSpanError("projector does not match the frame")
@@ -235,35 +245,30 @@ def _same_projector(Pa: np.ndarray, Pb: np.ndarray, tol: Tolerances) -> bool:
 
 
 def rotate_plane(A: np.ndarray, plane: Plane, tol: Tolerances | None = None) -> Plane:
-    """Image of a plane under A in SO(n)."""
-    if A.shape != (plane.n, plane.n):
-        raise DimensionMismatchError("rotation dimension does not match plane")
+    """Image of a plane under A in SO(n); A must be n x n for the plane's n."""
+    A = check_finite_matrix(A, (plane.n, plane.n), "rotation")
     return plane_from_frame(A @ plane.frame, tol)
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
-    """The involution sigma0(R) = J R J on SO(n)."""
-    if R.shape != (sig.n, sig.n):
-        raise DimensionMismatchError("rotation dimension does not match signature")
-    j = sig._signs
+    """The involution sigma0(R) = J R J on SO(n); R must be n x n and in the input domain."""
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation"), sig._signs
     return j[:, None] * R * j
 
 
 def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
-    """Membership in Q0 = {R : R J a symmetric involution}; an R outside the input domain raises.
+    """Membership in Q0 = {R : R J a symmetric involution}.
 
-    The test is the S_p0 check's, ``matcore._symmetric_involution``.
+    An R that is not n x n or lies outside the input domain raises. The test
+    is the S_p0 check's, ``matcore._symmetric_involution``.
     """
-    R = check_finite_matrix(R, "rotation")
-    if R.shape != (sig.n, sig.n):
-        raise DimensionMismatchError("rotation dimension does not match signature")
+    R = check_finite_matrix(R, (sig.n, sig.n), "rotation")
     return _symmetric_involution(R * sig._signs, tol or default_tolerances())[0] is None
 
 
 def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
-    """Twisted conjugation A . R . sigma0(A)^{-1}."""
-    if A.shape != R.shape:
-        raise DimensionMismatchError("operand dimensions differ")
+    """Twisted conjugation A . R . sigma0(A)^{-1}; A and R must be n x n, in the input domain."""
+    A, R = (check_finite_matrix(M, (sig.n, sig.n), "rotation") for M in (A, R))
     j = sig._signs
     return ((A @ R) * j) @ A.T * j
 
@@ -272,7 +277,8 @@ def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
 class CartanRotation:
     """A rotation in the Cartan model S_p0, checked once, at construction.
 
-    The constructor (``certify`` is an alias) checks SO(n) and then S_p0.
+    The constructor (``certify`` is an alias) checks that R is n x n for
+    the signature and lies in SO(n), and then S_p0.
     The instance keeps a read-only copy of R and the read-only frame of the
     (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
     ``dp_exp`` build theirs from a rotation that lies in S_p0 by
@@ -291,7 +297,7 @@ class CartanRotation:
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        mat = _read_only(check_special_orthogonal(self.mat, tol))
+        mat = _read_only(_checked_rotation(self.mat, tol, self.sig.n)[0])
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol)[0])
         object.__setattr__(self, "_tol", tol)
@@ -311,7 +317,7 @@ class CartanRotation:
 
 
 def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
-    """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n).
+    """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n), n x n for sig.
 
     Checks that S = R J is a symmetric involution (``_symmetric_involution``)
     whose (-1)-eigenspace has dimension p, raising ``NotInCartanModelError``
@@ -319,8 +325,6 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     S and the involution residual are returned for the sigma residual of a
     motion.
     """
-    if mat.shape != (sig.n, sig.n):
-        raise DimensionMismatchError("rotation dimension does not match signature")
     S = mat * sig._signs
     defect, invol = _symmetric_involution(S, tol)
     if defect:
@@ -382,17 +386,22 @@ def rho0(R: CartanRotation) -> Plane:
 
 @dataclass(frozen=True, eq=False)
 class DpGenerator:
-    """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity."""
+    """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity.
+
+    B must have shape (q, p); it is kept as a float array. Its entries are
+    checked where it is used (``dp_exp``, ``dp_exp_full``).
+    """
 
     p: int
     q: int
     B: np.ndarray
 
     def __post_init__(self):
-        if self.B.shape != (self.q, self.p):
+        if np.shape(self.B) != (self.q, self.p):
             raise DimensionMismatchError(
-                f"generator block must be {self.q} x {self.p}, got {self.B.shape}"
+                f"generator block must be {self.q} x {self.p}, got {np.shape(self.B)}"
             )
+        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
 
     @property
     def n(self) -> int:
@@ -438,7 +447,7 @@ def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def _generator_svd(gen: DpGenerator) -> tuple:
     """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block."""
-    B = check_finite_matrix(gen.B, "generator block")
+    B = check_finite_matrix(gen.B, name="generator block")
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     return Vt.T, s, U
 

@@ -25,7 +25,10 @@ exponential, for |omega|_2 <= pi the error stays within 1.4 times that of
 a Hermitian ``eigh`` of i omega at n = 4, 8 and 32; at |omega|_2 = 30 it
 is 3.5 to 6 times larger (1.8e-13 against 4.4e-14 at n = 32).
 
-Each call validates each input once: the matrix, then the vector.
+Each map validates each input once: the matrix, then the vector
+(``_checked_motion`` for a motion, against the n of a signature where one
+is given). Group arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and
+the value types ``Motion`` and ``Screw`` take their operands as given.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapError
-from .matcore import _rotation_log, check_finite_vector, check_skew, check_special_orthogonal
+from .matcore import (
+    _checked_rotation,
+    _rotation_log,
+    check_finite_matrix,
+    check_finite_vector,
+    check_skew,
+    check_special_orthogonal,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +94,22 @@ def identity_motion(n: int) -> Motion:
 
 
 def check_motion(g: Motion, tol: Tolerances | None = None) -> Motion:
-    check_special_orthogonal(g.R, tol)
-    check_finite_vector(g.X, g.n, "translation")
+    _checked_motion(g, None, tol or default_tolerances())
     return g
+
+
+def _checked_motion(g: Motion, n: int | None, tol: Tolerances | None = None) -> tuple:
+    """(R, X, e): the parts of g, checked against the dimension n, R first.
+
+    R must be an n x n matrix (square of any size if n is None) and X a
+    vector of its size, both in the input domain. With ``tol``, R must also
+    lie in SO(n) under it, and e is |R^T R - I|; without, e is None.
+    """
+    if tol is None:
+        R, e = check_finite_matrix(g.R, (n, n), "rotation"), None
+    else:
+        R, e = _checked_rotation(g.R, tol, n)
+    return R, check_finite_vector(g.X, len(R), "translation"), e
 
 
 def _same_n(a, b):

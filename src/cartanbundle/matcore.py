@@ -10,14 +10,19 @@ and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R. The principal log itself takes one
 symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
 
-Input domain. Every array the library accepts, matrix or vector, passes
-``check_finite_matrix`` or ``check_finite_vector``: the right shape, and
-every entry finite and at most ``_MAX_ABS`` = 1e150 in magnitude. Anything
-else raises ``DimensionMismatchError`` (code ``dimension_mismatch``), whose
-context carries the largest magnitude; this holds for the predicates
-``in_Q`` and ``in_Q0`` too. The ceiling keeps every residual norm finite:
-past about 1.3e154 a Frobenius norm overflows to inf, and a bound of the
-form tol (1 + |x|) would then hold for any x.
+Input domain. Every array the library's maps accept, matrix or vector,
+passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
+its signature or plane fixes (an n x n rotation, an n-vector, an (n, p)
+frame, for the n of the ``Signature`` or the ``Plane``; a square matrix
+where nothing fixes n), and every entry finite and at most ``_MAX_ABS`` =
+1e150 in magnitude. Anything else raises ``DimensionMismatchError`` (code
+``dimension_mismatch``), whose context carries the largest magnitude; this
+holds for the predicates ``in_Q`` and ``in_Q0`` too. The ceiling keeps every
+residual norm finite: past about 1.3e154 a Frobenius norm overflows to inf,
+and a bound of the form tol (1 + |x|) would then hold for any x. Group
+arithmetic (``se_mul``, ``se_inv``, ``se_bracket``), the kernel
+``projector`` and the value types ``Motion`` and ``Screw`` take their
+operands as given; each map that reads a motion or a screw checks it.
 
 The validation primitives (``check_finite_matrix``, ``check_finite_vector``,
 ``check_frame``, ``check_special_orthogonal``) run on every certified
@@ -106,11 +111,18 @@ def _in_domain(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def check_finite_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """M as a float array, checked to be a nonempty 2-d array in the input domain."""
+def check_finite_matrix(M: np.ndarray, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
+    """M as a float array, checked to be a nonempty 2-d array of ``shape`` in the input domain.
+
+    ``shape`` is (rows, cols), or (None, None) for a square matrix of any
+    size. Without a shape, any nonempty 2-d array passes.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise DimensionMismatchError(f"{name} must be a 2-d array, got shape {M.shape}")
+    if M.ndim == 2 and M.size and shape == (None, None):
+        shape = M.shape[:1] * 2  # square, of its number of rows
+    if M.ndim != 2 or not M.size or shape and M.shape != shape:
+        want = "nonempty" if not shape else "nonempty square" if shape[0] is None else "%d x %d" % shape
+        raise DimensionMismatchError(f"{name} must be a {want} 2-d array, got shape {M.shape}")
     return _in_domain(M, name)
 
 
@@ -133,7 +145,7 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
     column order, so the output is deterministic for identical input.
     """
     tol = tol or default_tolerances()
-    V = check_finite_matrix(vectors, "spanning set")
+    V = check_finite_matrix(vectors, name="spanning set")
     n, p = V.shape
     if p > n:
         raise DegenerateSpanError(f"{p} vectors cannot be independent in R^{n}")
@@ -152,10 +164,10 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
     return F
 
 
-def check_frame(F: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """Validate that F has orthonormal columns."""
+def check_frame(F: np.ndarray, tol: Tolerances | None = None, shape: tuple | None = None) -> np.ndarray:
+    """Validate that F has orthonormal columns, and the shape (n, p) if given."""
     tol = tol or default_tolerances()
-    F = check_finite_matrix(F, "frame")
+    F = check_finite_matrix(F, shape, "frame")
     n, p = F.shape
     if p > n:
         raise DimensionMismatchError(f"frame has {p} columns in dimension {n}")
@@ -242,12 +254,13 @@ def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np
     return _checked_rotation(R, tol or default_tolerances())[0]
 
 
-def _checked_rotation(R: np.ndarray, tol: Tolerances) -> tuple:
-    """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual."""
-    R = check_finite_matrix(R, "rotation")
+def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> tuple:
+    """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual.
+
+    R must be n x n, or square of any size if n is None.
+    """
+    R = check_finite_matrix(R, (n, n), "rotation")
     n = R.shape[0]
-    if R.shape[0] != R.shape[1]:
-        raise DimensionMismatchError("rotation must be square")
     defect = _norm(R.T @ R - _eye(n))
     if defect > tol.orth * max(1, n):
         raise IllConditionedSpectrumError("matrix is not orthogonal within tolerance")
@@ -260,11 +273,8 @@ _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1,
 
 
 def check_skew(W: np.ndarray) -> np.ndarray:
-    W = check_finite_matrix(W, "skew matrix")
-    n = W.shape[0]
-    if W.shape[0] != W.shape[1]:
-        raise DimensionMismatchError("skew matrix must be square")
-    if _norm(W + W.T) > _SKEW_TOL * n * max(1.0, _norm(W)):
+    W = check_finite_matrix(W, (None, None), "skew matrix")
+    if _norm(W + W.T) > _SKEW_TOL * len(W) * max(1.0, _norm(W)):
         raise IllConditionedSpectrumError("matrix is not skew-symmetric")
     return W
 
@@ -425,15 +435,14 @@ def eigenspace_of_symmetric_involution(
 ) -> np.ndarray:
     """Orthonormal frame spanning the (+1) or (-1) eigenspace of S.
 
-    S must be a symmetric involution (an orthogonal symmetry), as
-    ``_symmetric_involution`` tests it. The returned frame may have zero
-    columns.
+    S must be square, else ``DimensionMismatchError``, and a symmetric
+    involution (an orthogonal symmetry), as ``_symmetric_involution`` tests
+    it. The returned frame may have zero columns.
     """
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
-    S = check_finite_matrix(S, "symmetry")
-    square = S.shape[0] == S.shape[1]
-    defect = _symmetric_involution(S, tol or default_tolerances())[0] if square else "not square"
+    S = check_finite_matrix(S, (None, None), "symmetry")
+    defect = _symmetric_involution(S, tol or default_tolerances())[0]
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
     w, V = np.linalg.eigh(S)

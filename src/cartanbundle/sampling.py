@@ -109,10 +109,10 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count) -> np.ndarray
     """Orthonormal frames (*count, n, p) of uniform random p-planes.
 
     Each is the sign-fixed QR of a Gaussian (n, p) matrix: the Gram-Schmidt
-    frame of its columns, in their order, up to rounding.
+    frame of its columns, in their order, up to rounding. (n, p) is checked
+    by ``Signature``.
     """
-    if not 1 <= p < n:
-        raise DimensionMismatchError("plane sampling requires 1 <= p < n")
+    Signature(p, n - p)  # the (n, p) check
     return _sign_fixed_qr(rng.standard_normal((*_shape(count), n, p)))
 
 
@@ -127,9 +127,11 @@ def sample_unit_directions(rng: np.random.Generator, n: int, count) -> np.ndarra
 def sample_dp_generators(
     rng: np.random.Generator, p: int, q: int, count, bound: float | None = None
 ) -> np.ndarray:
-    """Generator blocks B (*count, q, p), Gaussian, or rescaled to |B|_2 <= bound."""
-    if min(p, q) < 1:
-        raise DimensionMismatchError("generator sampling requires p, q >= 1", p=p, q=q)
+    """Generator blocks B (*count, q, p), Gaussian, or rescaled to |B|_2 <= bound.
+
+    (p, q) is checked by ``Signature``.
+    """
+    Signature(p, q)  # the (p, q) check
     B = rng.standard_normal((*_shape(count), q, p))
     if bound is None:
         return B

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .bundle import BundlePoint, CartanMotion, bundle_point
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .errors import DimensionMismatchError
 from .grassmann import Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
@@ -28,14 +28,15 @@ def mat_to_json(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel(order="C").tolist()}
 
 
-def mat_from_json(obj: dict) -> np.ndarray:
+def mat_from_json(obj: dict, shape: tuple | None = None) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatchError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise DimensionMismatchError("matrix JSON dimensions do not match data length")
-    return check_finite_matrix(np.asarray(data, dtype=float).reshape(rows, cols), "matrix JSON")
+    M = np.asarray(data, dtype=float).reshape(rows, cols)
+    return check_finite_matrix(M, shape, "matrix JSON")
 
 
 def vec_from_json(obj, n: int | None = None) -> np.ndarray:
@@ -65,10 +66,7 @@ def plane_to_json(plane: Plane) -> dict:
 
 
 def plane_from_json(obj: dict, tol: Tolerances | None = None) -> Plane:
-    tol = tol or default_tolerances()
-    F = mat_from_json(obj["frame"])
-    if F.shape != (int(obj["n"]), int(obj["p"])):
-        raise DimensionMismatchError("plane JSON frame shape disagrees with (n, p)")
+    F = mat_from_json(obj["frame"], (int(obj["n"]), int(obj["p"])))
     return plane_from_frame(F, tol)  # projector recomputed and frame validated
 
 

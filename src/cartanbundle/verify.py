@@ -60,8 +60,7 @@ class VerifyConfig:
     tol: Tolerances = field(default_factory=default_tolerances)
 
     def __post_init__(self):
-        if not 1 <= self.p < self.n:
-            raise ValueError("config requires 1 <= p < n")
+        self.sig  # Signature checks (n, p)
         if self.samples < 1:
             raise ValueError("config requires samples >= 1")
 

@@ -284,6 +284,15 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(err)["error"] == "dimension_mismatch"
 
+    def test_twisted_act_with_a_non_square_rotation(self, tmp_path, capsys):
+        # A 4 x 3 rotation reached NumPy's matmul and exited as invalid_input.
+        a = {"R": mat_to_json(np.eye(4, 3)), "X": [0.0] * 4}
+        g = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
+        infile = write_json(tmp_path, "act.json", {"a": a, "g": g})
+        code, out, err = run_cli(capsys, "act", "--twisted", "--n", "4", "--p", "2", "--in", infile)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "dimension_mismatch"
+
 
 def _fresh_env():
     # A fresh interpreter that imports this checkout of the package.

@@ -1,6 +1,6 @@
 """The input domain: every array the library accepts has finite entries of
-magnitude at most 1e150 (``matcore._MAX_ABS``), else
-``DimensionMismatchError``.
+magnitude at most 1e150 (``matcore._MAX_ABS``) and the shape its signature or
+plane fixes, else ``DimensionMismatchError``.
 
 Below the ceiling no residual norm can overflow. Above it, a Frobenius norm
 reads inf past about 1.3e154, and every membership bound tol (1 + |x|) then
@@ -10,16 +10,19 @@ were accepted that way.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cartanbundle import (
     CartanMotion,
+    CartanRotation,
     DimensionMismatchError,
     DpElement,
     DpGenerator,
     Motion,
+    Plane,
     Screw,
     Signature,
     bundle_act,
@@ -32,16 +35,28 @@ from cartanbundle import (
     is_fixed_point,
     plane_from_frame,
     reflection_about_hyperplane_normal,
+    rotate_plane,
     se_exp,
+    sigma,
+    sigma0,
     tau,
     twisted_act,
+    twisted_act0,
     y_omega_solve,
 )
 from cartanbundle.cli import main
-from cartanbundle.matcore import _MAX_ABS, check_finite_matrix, check_finite_vector
+from cartanbundle.liegroup import check_motion
+from cartanbundle.matcore import (
+    _MAX_ABS,
+    check_finite_matrix,
+    check_finite_vector,
+    check_skew,
+    check_special_orthogonal,
+    eigenspace_of_symmetric_involution,
+)
 from cartanbundle.projective import unit_direction
 from cartanbundle.sampling import make_rng, sample_rotation
-from cartanbundle.serialize import dumps, mat_from_json, mat_to_json, vec_from_json
+from cartanbundle.serialize import dumps, mat_from_json, mat_to_json, plane_from_json, vec_from_json
 
 SIG = Signature(2, 2)
 PLANE = plane_from_frame(np.eye(4)[:, :2])
@@ -81,6 +96,9 @@ SITES = {
     "tau": lambda bad: tau(Motion(I4, _vec(bad)), SIG),
     "CartanMotion": lambda bad: CartanMotion(Motion(I4, _vec(bad, at=2)), SIG),
     "se_exp": lambda bad: se_exp(Screw(np.zeros((4, 4)), _vec(bad))),
+    "sigma": lambda bad: sigma(Motion(_rot(bad), Z4), SIG),
+    "sigma0": lambda bad: sigma0(_rot(bad), SIG),
+    "twisted_act0": lambda bad: twisted_act0(I4, _rot(bad), SIG),
     "y_omega_solve": lambda bad: y_omega_solve(np.zeros((4, 4)), _vec(bad)),
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
@@ -99,6 +117,102 @@ def test_every_entry_point_rejects_entries_outside_the_domain(site, bad):
     assert info.value.code == "dimension_mismatch"
     top = info.value.context["max_abs"]
     assert math.isnan(top) if math.isnan(bad) else top == abs(bad)
+
+
+# The shape rule: the signature (or the plane) fixes n, and every operand is
+# checked against it. name -> call(R, X) with a rotation R and a translation
+# X, or call(R) for the maps of a rotation alone; I4 and Z4 are good.
+MOTION_SITES = {
+    "sigma": lambda R, X: sigma(Motion(R, X), SIG),
+    "in_Q": lambda R, X: in_Q(Motion(R, X), SIG),
+    "is_fixed_point": lambda R, X: is_fixed_point(Motion(R, X), SIG),
+    "twisted_act.a": lambda R, X: twisted_act(Motion(R, X), identity_motion(4), SIG),
+    "twisted_act.g": lambda R, X: twisted_act(identity_motion(4), Motion(R, X), SIG),
+    "bundle_act": lambda R, X: bundle_act(Motion(R, X), POINT, SIG),
+    "tau": lambda R, X: tau(Motion(R, X), SIG),
+    "CartanMotion": lambda R, X: CartanMotion(Motion(R, X), SIG),
+    "double_projection": lambda R, X: double_projection(R, X, SIG),
+}
+ROTATION_SITES = {
+    "sigma0": lambda R: sigma0(R, SIG),
+    "in_Q0": lambda R: in_Q0(R, SIG),
+    "twisted_act0.A": lambda R: twisted_act0(R, I4, SIG),
+    "twisted_act0.R": lambda R: twisted_act0(I4, R, SIG),
+    "CartanRotation": lambda R: CartanRotation(R, SIG),
+    "rotate_plane": lambda R: rotate_plane(R, PLANE),
+}
+# Maps without a signature: only squareness is fixed.
+SQUARE_SITES = {
+    "check_special_orthogonal": check_special_orthogonal,
+    "check_skew": lambda W: check_skew(0.0 * W),
+    "check_motion": lambda R: check_motion(Motion(R, np.zeros(len(R)))),
+    "eigenspace_of_symmetric_involution": lambda S: eigenspace_of_symmetric_involution(S, 1),
+}
+WIDE, SMALL = np.eye(4, 3), np.eye(3)
+SHAPE_CASES = [
+    *(
+        pytest.param(partial(call, R, X), id=f"{name}-{label}")
+        for name, call in MOTION_SITES.items()
+        for label, R, X in [
+            ("rotation-4x3", WIDE, Z4),
+            ("rotation-3x3", SMALL, Z4),
+            ("translation-3", I4, np.zeros(3)),
+        ]
+    ),
+    *(
+        pytest.param(partial(call, R), id=f"{name}-{label}")
+        for name, call in ROTATION_SITES.items()
+        for label, R in [("rotation-4x3", WIDE), ("rotation-3x3", SMALL)]
+    ),
+    *(
+        pytest.param(partial(call, WIDE), id=f"{name}-matrix-4x3")
+        for name, call in SQUARE_SITES.items()
+    ),
+    pytest.param(lambda: Plane(4, 2, np.eye(4), np.eye(4, 3)), id="Plane-frame-4x3"),
+    pytest.param(lambda: Plane(4, 2, np.eye(3), np.eye(4, 2)), id="Plane-projector-3x3"),
+    pytest.param(
+        lambda: plane_from_json({"n": 4, "p": 2, "frame": mat_to_json(np.eye(4, 3))}),
+        id="plane_from_json-frame-4x3",
+    ),
+]
+
+
+@pytest.mark.parametrize("call", SHAPE_CASES)
+def test_every_operand_has_the_shape_its_signature_fixes(call):
+    with pytest.raises(DimensionMismatchError) as info:
+        call()
+    assert info.value.code == "dimension_mismatch"
+
+
+def test_the_good_operands_of_the_shape_table_pass():
+    for call in MOTION_SITES.values():
+        call(I4, Z4)
+    for call in (*ROTATION_SITES.values(), *SQUARE_SITES.values()):
+        call(I4)
+
+
+@pytest.mark.parametrize(
+    "p, q", [(2.5, 1.5), (True, 1), (1, False), (2.0, 2), ("2", 2), (0, 2), (2, -1)]
+)
+def test_signature_takes_positive_integers_only(p, q):
+    # Signature(2.5, 1.5) and Signature(True, 1) used to construct, and then
+    # .matrix raised a raw TypeError.
+    with pytest.raises(DimensionMismatchError) as info:
+        Signature(p, q)
+    assert info.value.code == "dimension_mismatch"
+
+
+def test_signature_takes_numpy_integers():
+    assert Signature(np.int64(2), np.int32(2)) == Signature(2, 2)
+    assert np.array_equal(Signature(np.int64(2), 2).matrix, np.diag([-1.0, -1, 1, 1]))
+
+
+def test_generator_block_from_a_list():
+    # The block's shape was read as B.shape, so a list raised AttributeError.
+    gen = DpGenerator(1, 1, [[0.5]])
+    assert gen.B.dtype == float and np.array_equal(gen.embed(), [[0.0, -0.5], [0.5, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        DpGenerator(1, 2, [[0.5]])
 
 
 @pytest.mark.parametrize("part, call", [

@@ -50,6 +50,16 @@ the routes together -- exp(xi) = tau(exp(xi/2)), the closed form of the
 twisted action, X - A J A^{-1} X as twice a projection, and the block form
 of the fixed points -- are checked by the ``verify`` properties, not on
 every call.
+
+The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``,
+``_dp_translation``), of ``dp_log_full`` (``_dp_log_full``) and of the
+``CartanMotion`` check (``_cartan_motion``) take arrays with a leading batch
+shape (see ``matcore``). The public maps pass their 2-D operands unchanged;
+``verify`` passes whole stacks. An element of a stack comes out bit for bit
+as its single call: the closed forms run on the whole stack, and an element
+that is not ``_sure`` of its check goes through the public check alone. One
+that fails raises its single call's error class with its ``index`` in the
+context.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from dataclasses import InitVar, dataclass, field
 from .config import Tolerances, default_tolerances
 from .errors import (
     DimensionMismatchError,
+    GeometryError,
     NearSingularIsomorphismError,
     NotInCartanModelError,
 )
@@ -75,6 +86,7 @@ from .grassmann import (
     _cs_rotation,
     _embed_matrix,
     _frozen,
+    _generator,
     _generator_svd,
     _plane,
     _principal_pairs,
@@ -92,10 +104,14 @@ from .liegroup import (
 )
 from .matcore import (
     _MAX_ABS,
+    _at,
     _checked_rotation,
     _complete_frames,
+    _each,
     _eye,
+    _hypot,
     _norm,
+    _require,
     check_finite_vector,
 )
 
@@ -174,20 +190,8 @@ class CartanMotion:
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        motion = Motion(_read_only(self.motion.R), _read_only(self.motion.X))
-        _checked_motion(motion, self.sig.n, tol)
-        frame, S, invol = _cartan_frame(motion.R, self.sig, tol)
+        motion, frame = _cartan_motion(self.motion, self.sig, tol)
         object.__setattr__(self, "_frame", frame)
-        Y = motion.X
-        residual = _sigma_residual(invol, S, Y)
-        if not _sigma_holds(residual, Y, tol):
-            raise NotInCartanModelError("sigma(g) != g^{-1}", residual=residual)
-        # Fiber condition J Y = -R^{-1} Y, equivalently Y in rho0(R).
-        fib = 0.5 * _norm(self.sig._signs * Y + motion.R.T @ Y)
-        if not _fiber_holds(fib, Y, tol):
-            raise NotInCartanModelError(
-                "translation is not in the carried plane", residual=float(fib)
-            )
         object.__setattr__(self, "motion", motion)
         object.__setattr__(self, "_tol", tol)
 
@@ -203,6 +207,39 @@ class CartanMotion:
     @property
     def n(self) -> int:
         return self.sig.n
+
+
+def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(motion, F): the check of a ``CartanMotion``, for g or stacks of the leading shape ``batch``.
+
+    The motion holds read-only copies of g's parts, and F is the frame of
+    the plane that the S_p0 check found.
+    """
+    motion = Motion(_read_only(g.R), _read_only(g.X))
+    R, X, _ = _checked_motion(motion, sig.n, tol, batch)
+    F, S, invol = _cartan_frame(R, sig, tol)
+    residual = _sigma_residual(invol, S, X)
+    _require(_sigma_holds(residual, X, tol), NotInCartanModelError, "sigma(g) != g^{-1}", residual=residual)
+    # Fiber condition J X = -R^{-1} X, equivalently X in rho0(R).
+    fib = 0.5 * _norm(sig._signs * X + np.matvec(R.mT, X), 1)
+    _require(_fiber_holds(fib, X, tol), NotInCartanModelError, "translation is not in the carried plane",
+             residual=fib)
+    return motion, F
+
+
+def _checked_where_unsure(sure, R: np.ndarray, X: np.ndarray, F: np.ndarray, sig: Signature, tol: Tolerances):
+    """F, with the frame the public check finds for each motion (R, X) that is not ``sure``.
+
+    Each such element goes through ``_cartan_motion`` alone, which raises as
+    for the same motion from a caller.
+    """
+    for i in _each(sure, False):
+        try:
+            F[i] = _cartan_motion(Motion(R[i], X[i]), sig, tol)[1]
+        except GeometryError as exc:
+            exc.context.update(_at(i))
+            raise
+    return F
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,22 +269,22 @@ def sigma(g: Motion, sig: Signature) -> Motion:
 
 
 def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
-    """|| sigma(g) g - I || over the homogeneous matrix of g = (R, X).
+    """|| sigma(g) g - I || over the homogeneous matrix of g = (R, X), or of each of a stack.
 
     S = R J and invol = |S^2 - I|; the two blocks of the residual are
     J (S^2 - I) J and J (X + S X), of the same norms.
     """
-    return math.hypot(invol, _norm(X + S @ X))
+    return _hypot(invol, _norm(X + np.matvec(S, X), 1))
 
 
 def _sigma_holds(residual: float, X: np.ndarray, tol: Tolerances) -> bool:
     """The one bound on the sigma residual of g = (R, X): ``tol.invol`` (1 + |X|)."""
-    return residual <= tol.invol * (1.0 + _norm(X))
+    return residual <= tol.invol * (1.0 + _norm(X, 1))
 
 
 def _fiber_holds(residual: float, Y: np.ndarray, tol: Tolerances) -> bool:
     """The one bound on |(I - P) Y|, the part of Y off its plane: ``tol.fiber`` (1 + |Y|)."""
-    return residual <= tol.fiber * (1.0 + _norm(Y))
+    return residual <= tol.fiber * (1.0 + _norm(Y, 1))
 
 
 def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
@@ -255,11 +292,15 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
 
     Fixed points are block-diagonal rotations diag(A, B) with no translation
     in the first p slots; the residual is exactly twice the norm of the
-    off-block entries, which ``verify`` checks.
+    off-block entries, which ``verify`` checks. It is the norm of the
+    homogeneous matrix of sigma(g) - g, built from g's checked parts.
     """
     tol = tol or default_tolerances()
-    r_sigma = np.linalg.norm(sigma(g, sig).homogeneous() - g.homogeneous())  # sigma checks g
-    return bool(r_sigma <= tol.invol)
+    (R, X, _), j = _checked_motion(g, sig.n), sig._signs
+    D = np.zeros((sig.n + 1, sig.n + 1))
+    D[:-1, :-1] = j[:, None] * R * j - R
+    D[:-1, -1] = j * X - X
+    return bool(_norm(D) <= tol.invol)
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
@@ -285,15 +326,15 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     return Motion(core * j, X + A @ Y - core @ X)
 
 
-def _under_ceiling(X: np.ndarray) -> bool:
-    """Whether a translation computed from inputs in the domain is still in it.
+def _under_ceiling(X: np.ndarray):
+    """Whether a translation computed from inputs in the domain is still in it, per element of a stack.
 
     tau's 2 P X and dp_exp_full's Y_omega v can reach 2 |X| and sqrt(p) |v|,
     past the ``matcore`` ceiling. Such a motion goes through the public
     constructor, which raises, so a certified motion always passes its
     public check again (``copy``, ``pickle``, ``bundle_point`` of ``rho``).
     """
-    return bool(np.abs(X).max() <= _MAX_ABS)
+    return np.abs(X).max(axis=-1) <= _MAX_ABS
 
 
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
@@ -312,13 +353,21 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     checked; otherwise it goes through the public constructor.
     """
     tol = tol or default_tolerances()
-    (A, X, e), j = _checked_motion(g, sig.n, tol), sig._signs
-    m = Motion(A @ (j[:, None] * A.T.copy() * j), X + A @ (j * -(A.T @ X)))
+    R, X, F = _tau(g, sig, tol)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
+
+
+def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(R, X, F): the kernel of ``tau``, for g or stacks of the leading shape ``batch``.
+
+    F is A[:, :p] where the bounds are ``_sure`` and the translation is in
+    the domain, else the frame the public check finds.
+    """
+    (A, X, e), j = _checked_motion(g, sig.n, tol, batch), sig._signs
+    R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
-    if not (_sure(tol, rot, rot * _norm(X) / (1.0 + _norm(m.X))) and _under_ceiling(m.X)):
-        return CartanMotion(m, sig, tol)
-    m = Motion(_frozen(m.R), _frozen(m.X))
-    return _trusted(CartanMotion, tol, motion=m, sig=sig, _frame=_read_only(A[:, : sig.p]))
+    sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1))) & _under_ceiling(Y)
+    return R, Y, _checked_where_unsure(sure, R, Y, A[..., : sig.p].copy(), sig, tol)
 
 
 def double_projection(
@@ -398,15 +447,15 @@ def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
 def _dp_translation(
     V: np.ndarray, s: np.ndarray, U: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Y_omega applied to (v, 0) for omega the embedding of B = U diag(s) V^T.
+    """Y_omega applied to (v, 0) for omega the embedding of B = U diag(s) V^T, or for each of a stack.
 
     Y_omega turns each principal pair (V_i, U_i) by s_i/2 and scales it by
     f_i = 2 sin(s_i/2)/s_i; the kernel of B passes through unchanged.
     """
     f = _factors(s)
-    a = V.T @ v
-    top = v + V @ ((f * np.cos(0.5 * s) - 1.0) * a)
-    return np.concatenate([top, U @ (f * np.sin(0.5 * s) * a)])
+    a = np.matvec(V.mT, v)
+    top = v + np.matvec(V, (f * np.cos(0.5 * s) - 1.0) * a)
+    return np.concatenate([top, np.matvec(U, f * np.sin(0.5 * s) * a)], axis=-1)
 
 
 def dp_exp_full(
@@ -423,15 +472,23 @@ def dp_exp_full(
     constructor. ``verify`` passes these motions through the public
     constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
     """
-    tol = tol or default_tolerances()
-    V, s, U = _generator_svd(xi.gen)
-    g = Motion(_cs_rotation(V, s, U), _dp_translation(V, s, U, xi.v))
-    sig = Signature(xi.gen.p, xi.gen.q)
+    tol, sig = tol or default_tolerances(), xi.gen._sig
+    R, X, F = _dp_exp_full(xi.gen.B, xi.v, sig, tol)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
+
+
+def _dp_exp_full(B: np.ndarray, v: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(R, X, F): the kernel of ``dp_exp_full``, for B, v or stacks of the leading shape ``batch``.
+
+    v is a checked coefficient vector (``DpElement``). F is the closed-form
+    frame where the motion is ``_sure`` of its check and its translation is
+    in the domain, else the frame the public check finds.
+    """
+    V, s, U = _generator_svd(B, batch)
+    R, X = _cs_rotation(V, s, U), _dp_translation(V, s, U, v)
     rot = sig.n * _ROUND
-    if not (_sure(tol, rot, rot) and _under_ceiling(g.X)):
-        return CartanMotion(g, sig, tol)
-    g = Motion(_frozen(g.R), _frozen(g.X))
-    return _trusted(CartanMotion, tol, motion=g, sig=sig, _frame=_cs_frame(V, 0.5 * s, U))
+    sure = _sure(tol, rot, rot) & _under_ceiling(X)
+    return R, X, _checked_where_unsure(sure, R, X, _cs_frame(V, 0.5 * s, U), sig, tol)
 
 
 def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
@@ -446,17 +503,21 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     check (``_fiber_holds``), here under ``tol``; a motion certified under
     looser tolerances can still fail it, and then the call raises.
     """
-    tol = tol or default_tolerances()
-    p = s.sig.p
-    V, angles, U = _principal_pairs(s._frame, tol)
-    X = s.motion.X
-    top = V.T @ X[:p]
-    f = _factors(angles)
-    w = (np.cos(0.5 * angles) * top + np.sin(0.5 * angles) * (U.T @ X[p:])) / f
-    v = X[:p] + V @ (w - top)
-    residual = _norm(_dp_translation(V, angles, U, v) - X)
-    if not _fiber_holds(residual, X, tol):
-        raise NearSingularIsomorphismError(
-            "restricted system residual too large", residual=float(residual)
-        )
-    return DpElement(gen=DpGenerator(p=p, q=s.sig.q, B=(U * angles) @ V.T), v=v)
+    B, v = _dp_log_full(s._frame, s.motion.X, s.sig, tol or default_tolerances())
+    return DpElement(gen=DpGenerator(p=s.sig.p, q=s.sig.q, B=B), v=v)
+
+
+def _dp_log_full(F: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """(B, v): the kernel of ``dp_log_full``, for the frame F and translation X of a certified motion.
+
+    F and X may be stacks of the frames and translations of such motions.
+    """
+    V, angles, U = _principal_pairs(F, tol)
+    top, bottom = X[..., : sig.p], X[..., sig.p :]
+    a, f = np.matvec(V.mT, top), _factors(angles)
+    w = (np.cos(0.5 * angles) * a + np.sin(0.5 * angles) * np.matvec(U.mT, bottom)) / f
+    v = top + np.matvec(V, w - a)
+    residual = _norm(_dp_translation(V, angles, U, v) - X, 1)
+    _require(_fiber_holds(residual, X, tol), NearSingularIsomorphismError,
+             "restricted system residual too large", residual=residual)
+    return _generator(V, angles, U), v

@@ -39,6 +39,15 @@ for the same matrix from a caller. A ``Plane`` is checked once, when
 constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
 its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
+
+The kernels of ``dp_exp`` (``_dp_exp``), of the S_p0 check
+(``_cartan_rotation``, ``_cartan_frame``) and of ``dp_log0``
+(``_principal_pairs``, ``_angle_pairs``), and the closed forms
+``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, take arrays with a
+leading batch shape (see ``matcore``). The public maps pass their 2-D
+operands unchanged; ``verify`` passes whole stacks. An element of a stack
+comes out bit for bit as its single call, and one that fails raises that
+call's error class with its ``index`` in the context.
 """
 
 from __future__ import annotations
@@ -57,9 +66,13 @@ from .errors import (
     NotInCartanModelError,
 )
 from .matcore import (
+    _at,
     _checked_rotation,
+    _each,
     _eye,
+    _fail_at,
     _norm,
+    _require,
     _symmetric_involution,
     check_finite_matrix,
     check_frame,
@@ -86,7 +99,8 @@ class Signature:
     """Block signature (p, q) with matrix J = diag(-I_p, I_q), n = p + q.
 
     The one check of (n, p): p and q must be integers (NumPy's too, not
-    bool) of at least 1, else ``DimensionMismatchError``.
+    bool) of at least 1, else ``DimensionMismatchError``. ``DpGenerator``
+    checks its (p, q) by it too.
     """
 
     p: int
@@ -158,9 +172,9 @@ def _sure(tol: Tolerances, rot: float, fib: float = 0.0) -> bool:
     inputs' residuals, so rot must also stay below 1e-6. A NaN fails. An
     output that is not sure of its check goes through the public
     constructor, which accepts or raises as it does for the same matrices
-    from a caller.
+    from a caller. For bounds over a stack, the answer is per element.
     """
-    return rot <= min(tol.orth, tol.invol, 1e-6) and fib <= tol.fiber and rot + 2.0 * fib <= tol.invol
+    return (rot <= min(tol.orth, tol.invol, 1e-6)) & (fib <= tol.fiber) & (rot + 2.0 * fib <= tol.invol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +311,9 @@ class CartanRotation:
 
     def __post_init__(self, tol):
         tol = tol or default_tolerances()
-        mat = _read_only(_checked_rotation(self.mat, tol, self.sig.n)[0])
+        mat, frame = _cartan_rotation(self.mat, self.sig, tol)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_frame", _cartan_frame(mat, self.sig, tol)[0])
+        object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_tol", tol)
 
     def __reduce__(self):
@@ -316,26 +330,36 @@ class CartanRotation:
         return self.sig.n
 
 
+def _cartan_rotation(R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(R, F): the check of a ``CartanRotation``, for R or a stack of the leading shape ``batch``.
+
+    R, read-only, is checked n x n for sig and in SO(n), then in S_p0; F is
+    the frame of its plane that the S_p0 check found.
+    """
+    R = _read_only(_checked_rotation(R, tol, sig.n, batch)[0])
+    return R, _cartan_frame(R, sig, tol)[0]
+
+
 def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n), n x n for sig.
 
     Checks that S = R J is a symmetric involution (``_symmetric_involution``)
     whose (-1)-eigenspace has dimension p, raising ``NotInCartanModelError``
-    if not. F is that eigenspace's frame, read-only, from the same ``eigh``;
-    S and the involution residual are returned for the sigma residual of a
-    motion.
+    if not. F is that eigenspace's frame, read-only, from the same ``eigh``:
+    its leading p columns, as ``eigh`` sorts the eigenvalues ascending. S
+    and the involution residual are returned for the sigma residual of a
+    motion. A stack of rotations is checked element by element.
     """
     S = mat * sig._signs
-    defect, invol = _symmetric_involution(S, tol)
-    if defect:
-        raise NotInCartanModelError(f"R J is {defect}")
+    i, defect, invol = _symmetric_involution(S, tol)
+    if i is not None:
+        raise NotInCartanModelError(f"R J is {defect}", **_at(i))
     w, V = np.linalg.eigh(S)
-    F = V[:, w < 0]
-    if F.shape[1] != sig.p:
-        raise NotInCartanModelError(
-            "not in the Cartan model: wrong eigenspace dimension",
-            eigenspace_dim=int(F.shape[1]),
-        )
+    i = _fail_at((w[..., sig.p - 1] < 0) & (w[..., sig.p] >= 0))  # exactly p negative, w ascending
+    if i is not None:
+        raise NotInCartanModelError("not in the Cartan model: wrong eigenspace dimension",
+                                    **_at(i, eigenspace_dim=np.count_nonzero(w[i] < 0)))
+    F = V[..., : sig.p].copy()
     F.flags.writeable = False
     return F, S, invol
 
@@ -388,6 +412,7 @@ def rho0(R: CartanRotation) -> Plane:
 class DpGenerator:
     """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity.
 
+    p and q are checked as a ``Signature``, which the generator keeps, and
     B must have shape (q, p); it is kept as a float array. Its entries are
     checked where it is used (``dp_exp``, ``dp_exp_full``).
     """
@@ -397,6 +422,7 @@ class DpGenerator:
     B: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "_sig", Signature(self.p, self.q))
         if np.shape(self.B) != (self.q, self.p):
             raise DimensionMismatchError(
                 f"generator block must be {self.q} x {self.p}, got {np.shape(self.B)}"
@@ -408,11 +434,23 @@ class DpGenerator:
         return self.p + self.q
 
     def embed(self) -> np.ndarray:
-        n, p = self.n, self.p
-        omega = np.zeros((n, n))
-        omega[p:, :p] = self.B
-        omega[:p, p:] = -self.B.T
-        return omega
+        return _embedded(self.B)
+
+
+def _embedded(B: np.ndarray) -> np.ndarray:
+    """omega = [[0, -B^T], [B, 0]] for a q x p block B, or for each of a stack."""
+    q, p = B.shape[-2:]
+    omega = np.zeros(B.shape[:-2] + (p + q, p + q))
+    omega[..., p:, :p] = B
+    omega[..., :p, p:] = -B.mT
+    return omega
+
+
+def _plus_identity(M: np.ndarray) -> np.ndarray:
+    """M + I in place, for a square M just computed, or a stack of them; returns M."""
+    n = M.shape[-1]
+    M.reshape(M.shape[:-2] + (n * n,))[..., :: n + 1] += 1.0
+    return M
 
 
 def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -421,35 +459,39 @@ def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
     Each principal pair (V_i, U_i) turns by s_i; the kernel of B and the
     complement of the range of B are fixed.
     """
-    p, n = V.shape[0], V.shape[0] + U.shape[0]
+    p, n, s = V.shape[-2], V.shape[-2] + U.shape[-2], s[..., None, :]
     c, sn = np.cos(s) - 1.0, np.sin(s)
-    R = np.empty((n, n))
-    R[:p, :p] = (V * c) @ V.T
-    R[:p, p:] = -(V * sn) @ U.T
-    R[p:, :p] = (U * sn) @ V.T
-    R[p:, p:] = (U * c) @ U.T
-    R.flat[:: n + 1] += 1.0
-    return R
+    R = np.empty(V.shape[:-2] + (n, n))
+    R[..., :p, :p] = (V * c) @ V.mT
+    R[..., :p, p:] = -(V * sn) @ U.mT
+    R[..., p:, :p] = (U * sn) @ V.mT
+    R[..., p:, p:] = (U * c) @ U.mT
+    return _plus_identity(R)
 
 
 def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The first p columns of ``_cs_rotation(V, t, U)``, read-only.
+    """The first p columns of ``_cs_rotation(V, t, U)``.
 
     They are [I_p + V diag(cos t - 1) V^T ; U diag(sin t) V^T]. The plane of
     exp(omega) is exp(omega/2) applied to the reference plane, so with
     t = s/2 this is an orthonormal frame of the plane of
     ``_cs_rotation(V, s, U)``.
     """
-    top = (V * (np.cos(t) - 1.0)) @ V.T
-    top.flat[:: V.shape[0] + 1] += 1.0
-    return _frozen(np.concatenate([top, (U * np.sin(t)) @ V.T]))
+    t = t[..., None, :]
+    top = _plus_identity((V * (np.cos(t) - 1.0)) @ V.mT)
+    return np.concatenate([top, (U * np.sin(t)) @ V.mT], axis=-2)
 
 
-def _generator_svd(gen: DpGenerator) -> tuple:
-    """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block."""
-    B = check_finite_matrix(gen.B, name="generator block")
+def _generator_svd(B: np.ndarray, batch: tuple = ()) -> tuple:
+    """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block, or of each of a stack."""
+    B = check_finite_matrix(B, name="generator block", batch=batch)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    return Vt.T, s, U
+    return Vt.mT, s, U
+
+
+def _generator(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The block B = U diag(s) V^T, or each of a stack."""
+    return (U * s[..., None, :]) @ V.mT
 
 
 def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
@@ -462,12 +504,22 @@ def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
     the public constructor. ``verify`` passes these rotations through the
     public constructor.
     """
-    tol = tol or default_tolerances()
-    V, s, U = _generator_svd(gen)
-    R, sig = _cs_rotation(V, s, U), Signature(gen.p, gen.q)
+    tol, sig = tol or default_tolerances(), gen._sig
+    R, F = _dp_exp(gen.B, sig, tol)
+    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_frozen(F))
+
+
+def _dp_exp(B: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(R, F): the kernel of ``dp_exp``, for B or a stack of the leading shape ``batch``.
+
+    F is the frame of the plane of R: in closed form when ``_sure``, else
+    the one the public check (``_cartan_rotation``) finds.
+    """
+    V, s, U = _generator_svd(B, batch)
+    R = _cs_rotation(V, s, U)
     if not _sure(tol, sig.n * _ROUND):
-        return CartanRotation(R, sig, tol)
-    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_cs_frame(V, 0.5 * s, U))
+        return _cartan_rotation(R, sig, tol, batch)
+    return R, _cs_frame(V, 0.5 * s, U)
 
 
 def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
@@ -486,13 +538,14 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
     """
     V, c, Wt = np.linalg.svd(top)
     phi = np.arccos(np.clip(c, -1.0, 1.0))
-    W, m = Wt.T, int(np.count_nonzero(phi < 1e-2))
-    if m:
-        _, sines, Zt = np.linalg.svd(bottom @ W[:, :m])
-        W[:, :m] = W[:, :m] @ Zt.T
-        phi[:m] = 0.0
-        phi[: sines.size] = np.arcsin(np.minimum(sines, 1.0))
-        V[:, :m] = (top @ W[:, :m]) / np.cos(phi[:m])
+    W = Wt.mT
+    for i in _each(phi[..., 0] < 1e-2):  # the sine branch, on each element with m small angles
+        Vi, phi_i, Wi, m = V[i], phi[i], W[i], int(np.count_nonzero(phi[i] < 1e-2))
+        _, sines, Zt = np.linalg.svd(bottom[i] @ Wi[:, :m])
+        Wi[:, :m] = Wi[:, :m] @ Zt.T
+        phi_i[:m] = 0.0
+        phi_i[: sines.size] = np.arcsin(np.minimum(sines, 1.0))
+        Vi[:, :m] = (top[i] @ Wi[:, :m]) / np.cos(phi_i[:m])
     return V, phi, W
 
 
@@ -520,19 +573,17 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     sin(phi) <= tol.sing gets a zero U column. A principal angle at pi/2 is
     the cut locus.
     """
-    p = F.shape[1]
-    V, phi, W = _angle_pairs(F[:p, :], F[p:, :])
-    if np.any(phi >= 0.5 * math.pi - tol.branch):
-        raise CutLocusError(
-            "cut locus: generator not unique", max_principal_angle=float(phi.max())
-        )
+    p = F.shape[-1]
+    V, phi, W = _angle_pairs(F[..., :p, :], F[..., p:, :])
+    top = phi.max(axis=-1)
+    _require(~(top >= 0.5 * math.pi - tol.branch), CutLocusError, "cut locus: generator not unique",
+             max_principal_angle=top)
     sin_phi = np.sin(phi)
-    inv_sin = np.divide(1.0, sin_phi, out=np.zeros(p), where=sin_phi > tol.sing)
-    return V, 2.0 * phi, (F[p:, :] @ W) * inv_sin
+    inv_sin = np.divide(1.0, sin_phi, out=np.zeros(phi.shape), where=sin_phi > tol.sing)
+    return V, 2.0 * phi, (F[..., p:, :] @ W) * inv_sin[..., None, :]
 
 
 def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
     """Generator with dp_exp(gen) = R, for planes in generic position."""
     tol = tol or default_tolerances()
-    V, s, U = _principal_pairs(R._frame, tol)
-    return DpGenerator(p=R.sig.p, q=R.sig.q, B=(U * s) @ V.T)
+    return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, tol)))

@@ -29,6 +29,13 @@ Each map validates each input once: the matrix, then the vector
 (``_checked_motion`` for a motion, against the n of a signature where one
 is given). Group arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and
 the value types ``Motion`` and ``Screw`` take their operands as given.
+
+The kernels ``_exp``, ``_log`` and ``_solve`` take arrays with a leading
+batch shape (see ``matcore``): ``se_exp``, ``y_omega``, ``se_log`` and
+``y_omega_solve`` pass their 2-D operands unchanged, and ``verify`` passes
+whole stacks with their ``batch``. An element of a stack comes out bit for
+bit as its single call, and one that fails raises that call's error class
+with its ``index`` in the context.
 """
 
 from __future__ import annotations
@@ -41,8 +48,12 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapError
 from .matcore import (
+    _at,
     _checked_rotation,
+    _fail_at,
+    _require,
     _rotation_log,
+    _scalar_formula,
     check_finite_matrix,
     check_finite_vector,
     check_skew,
@@ -59,14 +70,15 @@ class Motion:
 
     @property
     def n(self) -> int:
-        return self.R.shape[0]
+        return self.R.shape[-1]
 
     def homogeneous(self) -> np.ndarray:
-        """(n+1) x (n+1) block-matrix representation."""
+        """(n+1) x (n+1) block-matrix representation; of each motion if R and X are stacks."""
         n = self.n
-        H = np.eye(n + 1)
-        H[:n, :n] = self.R
-        H[:n, n] = self.X
+        H = np.zeros(self.R.shape[:-2] + (n + 1, n + 1))
+        H[..., :n, :n] = self.R
+        H[..., :n, n] = self.X
+        H[..., n, n] = 1.0
         return H
 
 
@@ -98,18 +110,19 @@ def check_motion(g: Motion, tol: Tolerances | None = None) -> Motion:
     return g
 
 
-def _checked_motion(g: Motion, n: int | None, tol: Tolerances | None = None) -> tuple:
+def _checked_motion(g: Motion, n: int | None, tol: Tolerances | None = None, batch: tuple = ()) -> tuple:
     """(R, X, e): the parts of g, checked against the dimension n, R first.
 
     R must be an n x n matrix (square of any size if n is None) and X a
     vector of its size, both in the input domain. With ``tol``, R must also
-    lie in SO(n) under it, and e is |R^T R - I|; without, e is None.
+    lie in SO(n) under it, and e is |R^T R - I|; without, e is None. With
+    ``batch``, g holds stacks of that leading shape.
     """
     if tol is None:
-        R, e = check_finite_matrix(g.R, (n, n), "rotation"), None
+        R, e = check_finite_matrix(g.R, (n, n), "rotation", batch), None
     else:
-        R, e = _checked_rotation(g.R, tol, n)
-    return R, check_finite_vector(g.X, len(R), "translation"), e
+        R, e = _checked_rotation(g.R, tol, n, batch)
+    return R, check_finite_vector(g.X, R.shape[-1], "translation", batch), e
 
 
 def _same_n(a, b):
@@ -123,7 +136,8 @@ def se_mul(g1: Motion, g2: Motion) -> Motion:
 
 
 def se_inv(g: Motion) -> Motion:
-    return Motion(g.R.T.copy(), -(g.R.T @ g.X))
+    """g^{-1} = (R^T, -R^T X); of each motion if R and X are stacks."""
+    return Motion(g.R.mT.copy(), -np.matvec(g.R.mT, g.X))
 
 
 def se_bracket(xi1: Screw, xi2: Screw) -> Screw:
@@ -134,19 +148,23 @@ def se_bracket(xi1: Screw, xi2: Screw) -> Screw:
     )
 
 
-def _spectrum(omega: np.ndarray) -> tuple:
+def _spectrum(omega: np.ndarray, batch: tuple = ()) -> tuple:
     """(omega, V, theta): omega checked skew and finite, omega^T omega = V diag(theta^2) V^T.
 
     An eigenvalue that rounds below zero (the kernel at odd n) gets theta = 0.
     """
-    omega = check_skew(omega)
-    lam, V = np.linalg.eigh(omega.T @ omega)
+    omega = check_skew(omega, batch)
+    lam, V = np.linalg.eigh(omega.mT @ omega)
     return omega, V, np.sqrt(np.maximum(lam, 0.0))
 
 
 def _rotation(V, theta, sinc, Vw) -> np.ndarray:
-    """e^omega = V (cos(theta) . V^T + sinc . V^T omega), each factor scaling rows."""
-    return V @ (np.cos(theta)[:, None] * V.T + sinc[:, None] * Vw)
+    """e^omega = V (cos(theta) . V^T + sinc . V^T omega), each factor scaling rows.
+
+    The sum is laid out row-major, one matrix or each of a stack, so every
+    element takes the product of its single call.
+    """
+    return V @ np.ascontiguousarray(np.cos(theta)[..., :, None] * V.mT + sinc[..., :, None] * Vw)
 
 
 def so_exp(omega: np.ndarray) -> np.ndarray:
@@ -156,14 +174,13 @@ def so_exp(omega: np.ndarray) -> np.ndarray:
     and sin(theta)/theta = f cos(theta/2) for the half-angle factor f.
     """
     omega, V, theta = _spectrum(omega)
-    return _rotation(V, theta, _factors(theta) * np.cos(0.5 * theta), V.T @ omega)
+    return _rotation(V, theta, _factors(theta) * np.cos(0.5 * theta), V.mT @ omega)
 
 
 def _check_branch(theta: np.ndarray, tol: Tolerances) -> None:
-    if math.pi - theta.max() <= tol.branch:
-        raise BranchAmbiguityError(
-            "log branch ambiguity: rotation angle at pi", angle=float(theta.max())
-        )
+    top = theta.max(axis=-1)
+    _require(~(math.pi - top <= tol.branch), BranchAmbiguityError,
+             "log branch ambiguity: rotation angle at pi", angle=top)
 
 
 def so_log(
@@ -189,22 +206,22 @@ def _half_angle_factor(theta: float) -> float:
     return 2.0 * math.sin(0.5 * theta) / theta
 
 
-def _factors(theta: np.ndarray) -> np.ndarray:
-    """The half-angle factor of each angle."""
-    return np.array([_half_angle_factor(t) for t in theta])
+# The half-angle factor of each angle, one ``_half_angle_factor`` per angle.
+_factors = _scalar_formula(_half_angle_factor)
 
 
 def _pull_back(V, theta, W, x, tol: Tolerances | None) -> np.ndarray:
     """Y_W^{-1} x = V (cos(theta/2) / f . V^T x) - W x / 2, for W^T W = V diag(theta^2) V^T.
 
     A half-angle factor f below ``tol.sing`` (default tolerances if None)
-    raises ``SingularMapError``.
+    raises ``SingularMapError``, with the first such angle.
     """
     f = _factors(theta)
     bad = np.abs(f) < (tol or default_tolerances()).sing
-    if bad.any():
-        raise SingularMapError("Y_omega singular", angle=float(abs(theta[bad][0])))
-    return V @ ((np.cos(0.5 * theta) * (1.0 / f)) * (V.T @ x)) - 0.5 * (W @ x)
+    i = _fail_at(~bad.any(axis=-1))
+    if i is not None:
+        raise SingularMapError("Y_omega singular", **_at(i, angle=abs(theta[i][bad[i]][0])))
+    return np.matvec(V, (np.cos(0.5 * theta) * (1.0 / f)) * np.matvec(V.mT, x)) - 0.5 * np.matvec(W, x)
 
 
 def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -215,7 +232,7 @@ def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     It is the translation of ``se_exp``, which also forms e^omega: two
     n x n products more than Y v alone needs.
     """
-    return se_exp(Screw(omega, v)).X
+    return _exp(omega, v)[1]
 
 
 def y_omega_solve(
@@ -230,8 +247,13 @@ def y_omega_solve(
     ``se_log``, v = V (cos(theta/2) / f . V^T Y) - omega Y / 2. The checks
     run in the order of ``se_log``: omega, then Y, then the factor.
     """
-    omega, V, theta = _spectrum(omega)
-    return _pull_back(V, theta, omega, check_finite_vector(Y, theta.size, "Y"), tol)
+    return _solve(omega, Y, tol)
+
+
+def _solve(omega: np.ndarray, Y: np.ndarray, tol: Tolerances | None, batch: tuple = ()) -> np.ndarray:
+    """The kernel of ``y_omega_solve``, for omega and Y with the leading shape ``batch``."""
+    omega, V, theta = _spectrum(omega, batch)
+    return _pull_back(V, theta, omega, check_finite_vector(Y, theta.shape[-1], "Y", batch), tol)
 
 
 def se_exp(xi: Screw) -> Motion:
@@ -244,11 +266,17 @@ def se_exp(xi: Screw) -> Motion:
     f cos(theta/2) = sin(theta)/theta and f^2/2 = (1 - cos(theta))/theta^2.
     omega is checked (skew, finite) before v (a finite n-vector).
     """
-    omega, V, theta = _spectrum(xi.omega)
-    v = check_finite_vector(xi.v, theta.size, "screw vector")
+    return Motion(*_exp(xi.omega, xi.v))
+
+
+def _exp(omega: np.ndarray, v: np.ndarray, batch: tuple = ()) -> tuple:
+    """(e^omega, Y_omega v): the kernel of ``se_exp``, for operands with the leading shape ``batch``."""
+    omega, V, theta = _spectrum(omega, batch)
+    v = check_finite_vector(v, theta.shape[-1], "screw vector", batch)
     f = _factors(theta)
-    sinc, Vw = f * np.cos(0.5 * theta), V.T @ omega
-    return Motion(_rotation(V, theta, sinc, Vw), V @ (sinc * (V.T @ v) + 0.5 * f * f * (Vw @ v)))
+    sinc, Vw = f * np.cos(0.5 * theta), V.mT @ omega
+    Y = np.matvec(V, sinc * np.matvec(V.mT, v) + 0.5 * f * f * np.matvec(Vw, v))
+    return _rotation(V, theta, sinc, Vw), Y
 
 
 def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> Screw:
@@ -259,9 +287,13 @@ def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> 
     V diag(cos(theta/2) / f(theta)) V^T X - L X / 2. The checks run in the
     order R in SO(n), then X a finite n-vector, then the branch at pi.
     """
-    tol = tol or default_tolerances()
-    L, V, theta = _rotation_log(check_special_orthogonal(g.R, tol))
-    check_finite_vector(g.X, theta.size, "translation")
+    return Screw(*_log(g.R, g.X, tol or default_tolerances(), allow_pi))
+
+
+def _log(R: np.ndarray, X: np.ndarray, tol: Tolerances, allow_pi: bool = False, batch: tuple = ()) -> tuple:
+    """(log R, Y_L^{-1} X): the kernel of ``se_log``, for operands with the leading shape ``batch``."""
+    L, V, theta = _rotation_log(_checked_rotation(R, tol, None, batch)[0])
+    X = check_finite_vector(X, theta.shape[-1], "translation", batch)
     if not allow_pi:
         _check_branch(theta, tol)
-    return Screw(L, _pull_back(V, theta, L, g.X, tol))
+    return L, _pull_back(V, theta, L, X, tol)

@@ -33,6 +33,16 @@ domain with one reduction (``_in_domain``), and take Frobenius norms through
 ``_norm``: NumPy's own fast path for the default norm,
 sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
 every residual stays bit-identical to ``np.linalg.norm``.
+
+Stacks. The kernels take a leading batch shape ``...`` before each
+operand's core shape (NumPy's gufunc convention): an n x n rotation may be a
+(k, n, n) stack of them. A public map passes its 2-D operands unchanged; only
+a caller that names a ``batch`` (verify's stacked checks) passes a stack, and
+the validators accept exactly that leading shape. Each element of a stack
+comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
+``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
+calls. An element that fails a check raises the error class of its single
+call, with its ``index`` in the stack in the error's context (``_require``).
 """
 
 from __future__ import annotations
@@ -52,10 +62,78 @@ from .errors import (
 )
 
 
-def _norm(x: np.ndarray) -> float:
-    """Frobenius (or 2-) norm of a float array, as ``np.linalg.norm`` computes it."""
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
+def _norm(x: np.ndarray, core: int | None = None):
+    """Frobenius (or 2-) norm of a float array, as ``np.linalg.norm`` computes it.
+
+    With ``core``, the norm of each element of a stack whose elements are its
+    trailing ``core`` axes: a float for one element, else an array over the
+    batch. ``vecdot`` sums each element as ``dot`` does, bit for bit.
+    """
+    if core is None or x.ndim == core:
+        x = x.ravel(order="K")
+        return math.sqrt(x.dot(x))
+    x = x.reshape(*x.shape[:-core], -1)
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _fail_at(ok):
+    """Where the test ``ok`` first fails: None if it holds, else the element's index.
+
+    ``ok`` is one test (a bool) for one operand, or a boolean array of tests
+    over a stack; a NaN compared into it fails. The index is () for one
+    operand.
+    """
+    if type(ok) is not np.ndarray:
+        return None if ok else ()
+    return None if ok.all() else tuple(int(k) for k in np.unravel_index(np.argmin(ok), ok.shape))
+
+
+def _at(i: tuple, **context) -> dict:
+    """The error context of element i: ``index`` in a stack, and each value at i.
+
+    ``context`` maps names to values, each over the stack or already the
+    element's (a scalar); each is read at i as a Python number.
+    """
+    context = {k: np.asarray(v)[i if np.ndim(v) else ()].item() for k, v in context.items()}
+    if i:
+        context["index"] = i[0] if len(i) == 1 else i
+    return context
+
+
+def _require(ok, error, detail: str, **context) -> None:
+    """Raise ``error(detail)`` where the test ``ok`` first fails, with that element's context (``_at``).
+
+    A test of one operand that holds (True, or NumPy's True) returns at once.
+    """
+    if ok is not True and ok is not np.True_ and (i := _fail_at(ok)) is not None:
+        raise error(detail, **_at(i, **context))
+
+
+def _each(mask, value: bool = True) -> list:
+    """The index of each element where ``mask`` is ``value``: () for one operand where it is."""
+    if type(mask) is not np.ndarray:
+        return [()] if bool(mask) is value else []
+    return [tuple(int(k) for k in i) for i in np.argwhere(mask if value else ~mask)]
+
+
+def _scalar_formula(fn):
+    """``fn``, a formula of floats, applied to each element of its equally shaped arguments.
+
+    Each element is computed by ``fn`` itself, on Python floats, so a stack
+    agrees bit for bit with one call per element. Scalars give a float,
+    arrays a float array of their shape.
+    """
+
+    def apply(x, *more):
+        if type(x) is not np.ndarray:
+            return fn(x, *more)
+        out = map(fn, x.ravel().tolist(), *(y.ravel().tolist() for y in more))
+        return np.fromiter(out, float, x.size).reshape(x.shape)
+
+    return apply
+
+
+_hypot = _scalar_formula(math.hypot)
 
 
 @lru_cache(maxsize=64)
@@ -97,45 +175,51 @@ def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
 _MAX_ABS = 1e150
 
 
-def _in_domain(x: np.ndarray, name: str) -> np.ndarray:
+def _in_domain(x: np.ndarray, name: str, core: int) -> np.ndarray:
     """x, after the one entry test of every array the library accepts.
 
-    ``np.abs(x).max() <= _MAX_ABS`` costs what ``np.isfinite(x).all()`` does
-    and also fails on NaN and +-inf. The error's context carries the largest
-    magnitude (NaN if there is a NaN).
+    Each element (the trailing ``core`` axes) passes
+    ``np.abs(x).max() <= _MAX_ABS``, which costs what ``np.isfinite`` does
+    and also fails on NaN and +-inf. The error's context carries the
+    element's largest magnitude (NaN if there is a NaN).
     """
-    top = np.abs(x).max()
-    if not top <= _MAX_ABS:
+    top = np.maximum.reduce(np.abs(x), axis=None if x.ndim == core else tuple(range(-core, 0)))
+    i = _fail_at(top <= _MAX_ABS)
+    if i is not None:
         detail = f"{name} has an entry that is not finite or exceeds {_MAX_ABS:g}"
-        raise DimensionMismatchError(detail, max_abs=float(top))
+        raise DimensionMismatchError(detail, **_at(i, max_abs=top))
     return x
 
 
-def check_finite_matrix(M: np.ndarray, shape: tuple | None = None, name: str = "matrix") -> np.ndarray:
+def check_finite_matrix(
+    M: np.ndarray, shape: tuple | None = None, name: str = "matrix", batch: tuple = ()
+) -> np.ndarray:
     """M as a float array, checked to be a nonempty 2-d array of ``shape`` in the input domain.
 
     ``shape`` is (rows, cols), or (None, None) for a square matrix of any
-    size. Without a shape, any nonempty 2-d array passes.
+    size. Without a shape, any nonempty 2-d array passes. With ``batch``, M
+    is a stack of such matrices with that leading shape.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2 and M.size and shape == (None, None):
-        shape = M.shape[:1] * 2  # square, of its number of rows
-    if M.ndim != 2 or not M.size or shape and M.shape != shape:
+    M, b = np.asarray(M, dtype=float), len(batch)
+    if M.ndim == b + 2 and shape == (None, None):
+        shape = M.shape[b : b + 1] * 2  # square, of its number of rows
+    if M.ndim != b + 2 or not M.size or shape and M.shape[b:] != shape or b and M.shape[:b] != batch:
         want = "nonempty" if not shape else "nonempty square" if shape[0] is None else "%d x %d" % shape
         raise DimensionMismatchError(f"{name} must be a {want} 2-d array, got shape {M.shape}")
-    return _in_domain(M, name)
+    return _in_domain(M, name, 2)
 
 
-def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector") -> np.ndarray:
+def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batch: tuple = ()) -> np.ndarray:
     """x as a float array, checked to be a nonempty 1-d array in the input domain.
 
-    Its length must be n, unless n is None.
+    Its length must be n, unless n is None. With ``batch``, x is a stack of
+    such vectors with that leading shape.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1 or n is not None and x.shape[0] != n:
+    x, b = np.asarray(x, dtype=float), len(batch)
+    if x.ndim != b + 1 or not x.shape[-1] or n is not None and x.shape[-1] != n or b and x.shape[:b] != batch:
         want = "nonempty" if n is None else f"length-{n}"
         raise DimensionMismatchError(f"{name} must be a {want} 1-d array, got shape {x.shape}")
-    return _in_domain(x, name)
+    return _in_domain(x, name, 1)
 
 
 def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -254,28 +338,28 @@ def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np
     return _checked_rotation(R, tol or default_tolerances())[0]
 
 
-def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> tuple:
+def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batch: tuple = ()) -> tuple:
     """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual.
 
-    R must be n x n, or square of any size if n is None.
+    R must be n x n, or square of any size if n is None; with ``batch``, a
+    stack of them, and the residual is one per element.
     """
-    R = check_finite_matrix(R, (n, n), "rotation")
-    n = R.shape[0]
-    defect = _norm(R.T @ R - _eye(n))
-    if defect > tol.orth * max(1, n):
-        raise IllConditionedSpectrumError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > tol.orth * max(1, n):
-        raise IllConditionedSpectrumError("matrix has determinant != +1")
+    R = check_finite_matrix(R, (n, n), "rotation", batch)
+    n = R.shape[-1]
+    defect, bound = _norm(R.mT @ R - _eye(n), 2), tol.orth * max(1, n)
+    _require(defect <= bound, IllConditionedSpectrumError, "matrix is not orthogonal within tolerance")
+    _require(abs(np.linalg.det(R) - 1.0) <= bound, IllConditionedSpectrumError,
+             "matrix has determinant != +1")
     return R, defect
 
 
 _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))
 
 
-def check_skew(W: np.ndarray) -> np.ndarray:
-    W = check_finite_matrix(W, (None, None), "skew matrix")
-    if _norm(W + W.T) > _SKEW_TOL * len(W) * max(1.0, _norm(W)):
-        raise IllConditionedSpectrumError("matrix is not skew-symmetric")
+def check_skew(W: np.ndarray, batch: tuple = ()) -> np.ndarray:
+    W = check_finite_matrix(W, (None, None), "skew matrix", batch)
+    skew = _norm(W + W.mT, 2) <= _SKEW_TOL * W.shape[-1] * np.maximum(1.0, _norm(W, 2))
+    _require(skew, IllConditionedSpectrumError, "matrix is not skew-symmetric")
     return W
 
 
@@ -299,34 +383,38 @@ def _skew_pairs(W: np.ndarray) -> tuple:
 
 
 def _rotation_log(R: np.ndarray) -> tuple:
-    """(L, V, theta) for R already checked to lie in SO(n).
+    """(L, V, theta) for R already checked to lie in SO(n), or for each of a stack.
 
     L is the principal log of R (the +pi resolution at angle pi), V an
     orthonormal eigenbasis of S = (R + R^T)/2 and theta the angle in [0, pi]
     of each column of V. S commutes with K = (R - R^T)/2 and equals
     cos(theta) on each turning plane. One ``eigh`` of S is split at the
-    widest gap of its spectrum inside [-3/4, -1/4]. Above the split,
+    widest gap of its spectrum inside [-3/4, -1/4], at m. Above the split,
     L = g(S) K with g = theta / sin(theta), which stays below 3.7 there.
     Below it g blows up near pi, so the pairs of K there give
-    theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi.
+    theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi;
+    this pairing tail runs only on the elements with m > 0.
     """
-    S, K = 0.5 * (R + R.T), 0.5 * (R - R.T)
+    S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
     c, V = np.linalg.eigh(S)
-    m = int(np.argmax(np.diff(np.concatenate([[-0.75], np.clip(c, -0.75, -0.25), [-0.25]]))))
-    if m % 2:
-        raise IllConditionedSpectrumError(
-            "ill-conditioned spectrum: odd count of angles near pi"
-        )
+    lo = np.clip(c, -0.75, -0.25)
+    gaps = [lo[..., :1] + 0.75, lo[..., 1:] - lo[..., :-1], -0.25 - lo[..., -1:]]  # of [-3/4, lo, -1/4]
+    m = np.argmax(np.concatenate(gaps, axis=-1), axis=-1)
+    _require(m % 2 == 0, IllConditionedSpectrumError, "ill-conditioned spectrum: odd count of angles near pi")
     theta = np.arccos(np.clip(c, -1.0, 1.0))
-    L = (V[:, m:] / np.sinc(theta[m:] / math.pi)) @ (V[:, m:].T @ K)
-    if m:
-        Q, s = _skew_pairs(V[:, :m].T @ K @ V[:, :m])
-        t = np.full(m // 2, math.pi)
+    paired = _each(m > 0)  # L is written over on each of them below
+    L = (np.empty_like(K) if len(paired) == m.size
+         else (V / np.sinc(theta / math.pi)[..., None, :]) @ (V.mT @ K))
+    for i in paired:  # the pairing tail, on one rotation, updating its V and theta
+        Vi, theta_i, k = V[i], theta[i], int(m[i])
+        L[i] = (Vi[:, k:] / np.sinc(theta_i[k:] / math.pi)) @ (Vi[:, k:].T @ K[i])
+        Q, s = _skew_pairs(Vi[:, :k].T @ K[i] @ Vi[:, :k])
+        t = np.full(k // 2, math.pi)
         t[: s.size] = math.pi - np.arcsin(np.minimum(s, 1.0))
-        V[:, :m] = V[:, :m] @ Q
-        A, B = V[:, 0:m:2], V[:, 1:m:2]
-        L += (B * t) @ A.T - (A * t) @ B.T
-        theta[:m] = np.repeat(t, 2)
+        Vi[:, :k] = Vi[:, :k] @ Q
+        A, B = Vi[:, 0:k:2], Vi[:, 1:k:2]
+        L[i] += (B * t) @ A.T - (A * t) @ B.T
+        theta_i[:k] = np.repeat(t, 2)
     return L, V, theta
 
 
@@ -416,18 +504,22 @@ def skew_canonical_form(
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:
-    """(defect, |S^2 - I|) for a square S.
+    """(i, defect, |S^2 - I|) for a square S, or for each of a stack.
 
     The one test of a symmetric involution: |S - S^T| and |S^2 - I| are each
-    held to ``tol.invol``, with no factor of n. ``defect`` names the first
-    that exceeds it, or is None. ``in_Q0``, the S_p0 check of
-    ``CartanRotation`` and ``CartanMotion``, and
+    held to ``tol.invol``, with no factor of n. i is where the test first
+    fails (``_fail_at``: None if it holds), and ``defect`` names the first
+    residual of that element that exceeds its bound. ``in_Q0``, the S_p0
+    check of ``CartanRotation`` and ``CartanMotion``, and
     ``eigenspace_of_symmetric_involution`` all read it, each raising its own
     error class.
     """
-    sym, invol = _norm(S - S.T), _norm(S @ S - _eye(S.shape[0]))
-    ok = sym <= tol.invol, invol <= tol.invol  # a NaN residual fails
-    return (None if all(ok) else "not an involution" if ok[0] else "not symmetric"), invol
+    sym, invol = _norm(S - S.mT, 2), _norm(S @ S - _eye(S.shape[-1]), 2)
+    sym_ok = sym <= tol.invol  # a NaN residual fails
+    i = _fail_at(sym_ok & (invol <= tol.invol))
+    if i is None:
+        return None, None, invol
+    return i, "not an involution" if np.asarray(sym_ok)[i] else "not symmetric", invol
 
 
 def eigenspace_of_symmetric_involution(
@@ -442,7 +534,7 @@ def eigenspace_of_symmetric_involution(
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
     S = check_finite_matrix(S, (None, None), "symmetry")
-    defect = _symmetric_involution(S, tol or default_tolerances())[0]
+    defect = _symmetric_involution(S, tol or default_tolerances())[1]
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
     w, V = np.linalg.eigh(S)

@@ -1,9 +1,12 @@
 """JSON wire formats for matrices, motions, screws, planes, and bundle points.
 
 Matrices serialize as {"rows": n, "cols": m, "data": [row-major doubles]};
-the other types compose that schema. Output is strict JSON: a non-finite
-float (a NaN or infinite ``max_error`` in a verify report, say) is written
-as null, never as the non-standard tokens NaN or Infinity.
+the other types compose that schema. Every dimension read (``rows``,
+``cols``, a plane's ``n`` and ``p``, a signature's ``p`` and ``q``) must be
+a JSON integer of at least 1, not a bool, float or string, else
+``DimensionMismatchError``. Output is strict JSON: a non-finite float (a NaN
+or infinite ``max_error`` in a verify report, say) is written as null, never
+as the non-standard tokens NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -28,12 +31,17 @@ def mat_to_json(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel(order="C").tolist()}
 
 
+def _dimension(obj: dict, key: str) -> int:
+    """obj[key], which must be an integer of at least 1 (not a bool, float or string)."""
+    k = obj.get(key) if isinstance(obj, dict) else None
+    if type(k) is not int or k < 1:
+        raise DimensionMismatchError(f"JSON {key} must be an integer of at least 1, got {k!r}")
+    return k
+
+
 def mat_from_json(obj: dict, shape: tuple | None = None) -> np.ndarray:
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatchError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1 or len(data) != rows * cols:
+    rows, cols, data = _dimension(obj, "rows"), _dimension(obj, "cols"), obj.get("data", ())
+    if len(data) != rows * cols:
         raise DimensionMismatchError("matrix JSON dimensions do not match data length")
     M = np.asarray(data, dtype=float).reshape(rows, cols)
     return check_finite_matrix(M, shape, "matrix JSON")
@@ -66,7 +74,7 @@ def plane_to_json(plane: Plane) -> dict:
 
 
 def plane_from_json(obj: dict, tol: Tolerances | None = None) -> Plane:
-    F = mat_from_json(obj["frame"], (int(obj["n"]), int(obj["p"])))
+    F = mat_from_json(obj["frame"], (_dimension(obj, "n"), _dimension(obj, "p")))
     return plane_from_frame(F, tol)  # projector recomputed and frame validated
 
 
@@ -88,7 +96,7 @@ def cartan_motion_to_json(s: CartanMotion) -> dict:
 
 def cartan_motion_from_json(obj: dict, tol: Tolerances | None = None) -> CartanMotion:
     motion = motion_from_json(obj)
-    sig = Signature(int(obj["p"]), int(obj["q"]))
+    sig = Signature(_dimension(obj, "p"), _dimension(obj, "q"))
     return CartanMotion.certify(motion, sig, tol)
 
 

@@ -18,14 +18,26 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound.
 
 A sampled check is written in two parts. ``draw(cfg, rng, count)`` draws
-all of its samples at once, as stacks from ``sampling``, and
-``check(cfg, *sample)`` returns the errors of one. Sample i is index i of
-each stack, and ``check`` builds the library objects of that sample alone.
-``_sampled`` runs it on ``cfg.samples`` samples and keeps each error's worst
-(NaN if any is NaN). Because each property draws its samples grouped by
-kind, the samples of a run of N are in general not the first N samples of a
-longer run. The two checks that draw nothing, the wedge and the Moebius
-seam, are written out as ``(cfg, rng) -> (samples, errors)``.
+all of its samples at once, as stacks from ``sampling``, and a stacked
+check ``check(cfg, *stacks)`` returns the errors of every sample, one array
+per error with entry i for sample i. ``_stacked`` runs it on
+``cfg.samples`` samples and keeps each error's worst (NaN if any is NaN).
+Because each property draws its samples grouped by kind, the samples of a
+run of N are in general not the first N samples of a longer run. The two
+checks that draw nothing, the wedge and the Moebius seam, are written out
+as ``(cfg, rng) -> (samples, errors)``.
+
+Six rows check whole stacks through the library's stacked kernels, the ones
+its public maps call with 2-D operands: ``liegroup.y_omega_identity``,
+``liegroup.y_omega_roundtrip``, ``liegroup.log_exp_roundtrip``,
+``grassmann.dp_log0_roundtrip``, ``bundle.tau_properties`` and
+``bundle.dp_full_routes``. Each element of a stack comes out bit for bit as
+its single call, with every check of that call (domain, skew, SO(n),
+branch, singular factor, ``_sure``, S_p and cut locus); an element that
+fails raises the single call's error class with its ``index`` in the
+context, and fails its row. The other rows check one sample at a time,
+``check(cfg, *sample)``, through one adapter, ``_sampled``, which runs the
+check on index i of each stack.
 
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
@@ -116,8 +128,9 @@ def svd_projector(vectors: np.ndarray) -> np.ndarray:
     return U[:, :r] @ U[:, :r].T
 
 
-def _motion_dist(a: Motion, b: Motion) -> float:
-    return float(np.linalg.norm(a.homogeneous() - b.homogeneous()))
+def _motion_dist(a: Motion, b: Motion):
+    """|H(a) - H(b)| for the homogeneous matrices, or one per motion of a stack."""
+    return mc._norm(a.homogeneous() - b.homogeneous(), 2)
 
 
 # ---------------------------------------------------------------- properties
@@ -140,22 +153,39 @@ def _errors(errors) -> tuple:
     return errors if isinstance(errors, tuple) else (errors,)
 
 
-def _sampled(draw):
-    """The check ``check(cfg, *sample) -> errors`` run on ``cfg.samples`` samples.
+def _stacked(draw):
+    """The stacked check ``check(cfg, *stacks) -> errors`` run on ``cfg.samples`` samples.
 
     ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from one
     stream, and returns a tuple of stacks (arrays or lists) whose index i is
-    sample i. The result, ``(cfg, rng) -> (samples, errors)``, passes index
-    i of each stack to ``check`` and keeps each error's worst over the
+    sample i. ``check`` gets the stacks and returns one error per sample,
+    or a tuple of such, each as a sequence in sample order. The result,
+    ``(cfg, rng) -> (samples, errors)``, keeps each error's worst over the
     samples (NaN if any is NaN).
     """
 
-    def sampled(check):
+    def stacked(check):
         def run(cfg, rng):
-            errors = [_errors(check(cfg, *sample)) for sample in zip(*draw(cfg, rng, cfg.samples))]
-            return cfg.samples, tuple(_worst(*column) for column in zip(*errors))
+            errors = _errors(check(cfg, *draw(cfg, rng, cfg.samples)))
+            return cfg.samples, tuple(_worst(*column) for column in errors)
 
         return run
+
+    return stacked
+
+
+def _sampled(draw):
+    """``_stacked`` for ``check(cfg, *sample) -> errors``, a check of one sample.
+
+    It passes index i of each stack to ``check``, which builds the library
+    objects of that sample alone.
+    """
+
+    def sampled(check):
+        def each(cfg, *stacks):
+            return tuple(zip(*(_errors(check(cfg, *sample)) for sample in zip(*stacks))))
+
+        return _stacked(draw)(each)
 
     return sampled
 
@@ -272,12 +302,13 @@ def _exp_series(cfg, omega, v):
     return float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
 
 
-@_sampled(lambda cfg, rng, count: (
+@_stacked(lambda cfg, rng, count: (
     sp.sample_skews(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
 ))
 def _y_omega_identity(cfg, omega, v):
-    Y = lg.y_omega(omega, v)
-    return float(np.linalg.norm(omega @ Y - (lg.so_exp(omega) - np.eye(cfg.n)) @ v))
+    """|omega Y - (e^omega - I) v| for (e^omega, Y) = exp(omega, v), per sample."""
+    R, Y = lg._exp(omega, v, omega.shape[:1])
+    return mc._norm(np.matvec(omega, Y) - np.matvec(R - np.eye(cfg.n), v), 1)
 
 
 def _bounded_skews_and_vectors(max_angle: float):
@@ -287,17 +318,18 @@ def _bounded_skews_and_vectors(max_angle: float):
     return draw
 
 
-@_sampled(_bounded_skews_and_vectors(math.pi))
+@_stacked(_bounded_skews_and_vectors(math.pi))
 def _y_omega_roundtrip(cfg, omega, v):
-    v2 = lg.y_omega_solve(omega, lg.y_omega(omega, v), cfg.tol)
-    return float(np.linalg.norm(v2 - v))
+    batch = omega.shape[:1]
+    return mc._norm(lg._solve(omega, lg._exp(omega, v, batch)[1], cfg.tol, batch) - v, 1)
 
 
-@_sampled(_bounded_skews_and_vectors(math.pi - 1e-3))
+@_stacked(_bounded_skews_and_vectors(math.pi - 1e-3))
 def _log_exp_roundtrip(cfg, omega, v):
-    g = lg.se_exp(Screw(omega, v))
-    xi = lg.se_log(g, cfg.tol)
-    return _motion_dist(lg.se_exp(xi), g)
+    batch = omega.shape[:1]
+    g = Motion(*lg._exp(omega, v, batch))
+    xi = lg._log(g.R, g.X, cfg.tol, False, batch)
+    return _motion_dist(Motion(*lg._exp(*xi, batch)), g)
 
 
 @_sampled(lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))
@@ -354,17 +386,16 @@ def _rho0_equivariance(cfg, F, A):
     return float(np.linalg.norm(lhs.projector - rhs.projector))
 
 
-@_sampled(lambda cfg, rng, count: (
+@_stacked(lambda cfg, rng, count: (
     sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
 ))
 def _dp_log0_roundtrip(cfg, B):
-    gen = gr.DpGenerator(cfg.p, cfg.n - cfg.p, B)
-    cr = gr.dp_exp(gen, cfg.tol)
-    gen2 = gr.dp_log0(cr, cfg.tol)
-    return _worst(
-        float(np.linalg.norm(gen2.B - gen.B)),
-        float(np.linalg.norm(gr.dp_exp(gen2, cfg.tol).mat - cr.mat)),
-    )
+    """The worse of |B' - B| and |dp_exp(B') - R| per sample, for R = dp_exp(B) and B' = dp_log0(R)."""
+    sig, batch = cfg.sig, B.shape[:1]
+    R, F = gr._dp_exp(B, sig, cfg.tol, batch)
+    B2 = gr._generator(*gr._principal_pairs(F, cfg.tol))
+    R2 = gr._dp_exp(B2, sig, cfg.tol, batch)[0]
+    return np.maximum(mc._norm(B2 - B, 2), mc._norm(R2 - R, 2))
 
 
 def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
@@ -416,24 +447,25 @@ def _q_invariance(cfg, R, X):
     return err, float(not bn.in_Q(acted, sig, cfg.tol)), _motion_dist(acted, generic) / scale
 
 
-def _carried_frame_drift(s: bn.CartanMotion) -> float:
-    """|P_carried - P_eigh| for a motion built in S_p by construction.
+def _frame_drift(g: Motion, F: np.ndarray, sig: gr.Signature, tol: Tolerances, batch: tuple = ()):
+    """|P_F - P_eigh| for a motion g built in S_p by construction with frame F, or for each of a stack.
 
-    The motion is passed through the public constructor under its own
-    tolerances, which raises if it misses S_p; the distance is between the
-    projectors of the frame it carries and of the frame that check finds.
+    g goes through the check of the public constructor (``bn._cartan_motion``),
+    which raises if it misses S_p, and P_eigh is the projector of the frame
+    that check finds.
     """
-    checked = bn.CartanMotion(s.motion, s.sig, s._tol)
-    return float(np.linalg.norm(mc.projector(s._frame) - mc.projector(checked._frame)))
+    checked = bn._cartan_motion(g, sig, tol, batch)[1]
+    return mc._norm(F @ F.mT - checked @ checked.mT, 2)
 
 
-@_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))
+@_stacked(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))
 def _tau_properties(cfg, R, X):
-    sig = cfg.sig
-    t = bn.tau(Motion(R, X), sig, cfg.tol)
-    return _worst(
-        _motion_dist(bn.sigma(t.motion, sig), lg.se_inv(t.motion)), _carried_frame_drift(t)
-    )
+    """The worse of |sigma(t) - t^{-1}| and the carried frame drift, for t = tau(R, X)."""
+    sig, batch, j = cfg.sig, R.shape[:1], cfg.sig._signs
+    Rt, Xt, F = bn._tau(Motion(R, X), sig, cfg.tol, batch)
+    t = Motion(Rt, Xt)
+    sigma = Motion(j[:, None] * Rt * j, j * Xt)  # (J R J, J X), as bn.sigma builds it
+    return np.maximum(_motion_dist(sigma, lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
 
 
 @_sampled(lambda cfg, rng, count: (
@@ -474,7 +506,7 @@ def _rho_bijectivity(cfg, R, X, F, Y):
     s3 = bn.rho_inv(b, cfg.tol)
     return (
         _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
-        _worst(_carried_frame_drift(s2), _carried_frame_drift(s3)),
+        _worst(*(_frame_drift(t.motion, t._frame, t.sig, t._tol) for t in (s2, s3))),
     )
 
 
@@ -490,30 +522,26 @@ def _action_law(cfg, R, X, F, Y):
     return _point_dist(lhs, rhs)
 
 
-@_sampled(lambda cfg, rng, count: sp.sample_dp_elements(
+@_stacked(lambda cfg, rng, count: sp.sample_dp_elements(
     rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
 ))
 def _dp_full_routes(cfg, B, v):
-    """(routes to exp(xi) per 1 + |X|, dp_log_full round trip, carried frame drift)."""
-    xi = bn.DpElement(gen=gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), v=v)
-    s = bn.dp_exp_full(xi, cfg.tol)
+    """(routes to exp(xi) per 1 + |X|, dp_log_full round trip, carried frame drift), per sample."""
+    sig, batch, tol = cfg.sig, B.shape[:1], cfg.tol
+    v = mc.check_finite_vector(v, cfg.p, "coefficient vector", batch)  # as DpElement checks it
+    R, X, F = bn._dp_exp_full(B, v, sig, tol, batch)
+    s = Motion(R, X)
     # the closed form against the generic eigh route of se_exp, and
     # against the doubling identity exp(xi) = tau(exp(xi/2))
-    screw = xi.screw()
-    g = lg.se_exp(screw)
-    half = lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v))
-    doubled = bn.tau(half, cfg.sig, cfg.tol).motion
-    routes = _worst(
-        _motion_dist(s.motion, g) / (1.0 + np.linalg.norm(g.X)),
-        _motion_dist(s.motion, doubled) / (1.0 + np.linalg.norm(s.motion.X)),
-    )
-    drift = _carried_frame_drift(s)
-    xi2 = bn.dp_log_full(s, cfg.tol)
-    err = _worst(
-        float(np.linalg.norm(xi2.gen.B - xi.gen.B)),
-        float(np.linalg.norm(xi2.v - xi.v)),
-    )
-    return routes, err, drift
+    omega, v_full = gr._embedded(B), np.zeros(batch + (cfg.n,))
+    v_full[:, : cfg.p] = v
+    g = Motion(*lg._exp(omega, v_full, batch))
+    doubled = Motion(*bn._tau(Motion(*lg._exp(0.5 * omega, 0.5 * v_full, batch)), sig, tol, batch)[:2])
+    routes = np.maximum(_motion_dist(s, g) / (1.0 + mc._norm(g.X, 1)),
+                        _motion_dist(s, doubled) / (1.0 + mc._norm(s.X, 1)))
+    drift = _frame_drift(s, F, sig, tol, batch)
+    B2, v2 = bn._dp_log_full(F, s.X, sig, tol)
+    return routes, np.maximum(mc._norm(B2 - B, 2), mc._norm(v2 - v, 1)), drift
 
 
 @_sampled(lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))

@@ -199,6 +199,14 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(err)["error"] == "invalid_input"
 
+    def test_float_matrix_dimension_is_dimension_mismatch(self, tmp_path, capsys):
+        # rows 2.7 used to be read as 2, and the matrix as the 2 x 2 identity
+        path = tmp_path / "w.json"
+        path.write_text('{"rows": 2.7, "cols": 2, "data": [0, -1, 1, 0]}')
+        code, out, err = run_cli(capsys, "exp", "--so", "--in", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "dimension_mismatch"
+
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -289,3 +289,21 @@ def test_certified_output_past_the_ceiling_is_rejected(make):
     with pytest.raises(DimensionMismatchError) as info:
         make()
     assert info.value.context["max_abs"] > _MAX_ABS
+
+
+def test_is_fixed_point_reads_a_list_rotation_as_in_Q_does():
+    # The residual is built from the checked parts, not from the value type,
+    # whose n reads R.shape; a list R used to raise a raw AttributeError.
+    g = Motion(np.eye(2).tolist(), [0.0, 0.0])
+    sig = Signature(1, 1)
+    assert in_Q(g, sig)
+    assert is_fixed_point(g, sig)
+    moved = Motion([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0])
+    assert not is_fixed_point(moved, sig)
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (2, 2.0), (True, 1), (0, 2), ("1", 1)])
+def test_dp_generator_checks_its_signature(p, q):
+    # (1.0, 1.0) used to construct, and embed() then raised a raw TypeError
+    with pytest.raises(DimensionMismatchError):
+        DpGenerator(p, q, [[0.5]])

@@ -60,6 +60,33 @@ def test_malformed_matrix_rejected(obj):
         mat_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(2.7, 2), (2.0, 2), ("2", True), (True, 1), (2, "2"), (None, 2), (-1, 2)],
+    ids=["float", "integral-float", "string-and-bool", "bool", "string", "null", "negative"],
+)
+def test_matrix_dimensions_must_be_integers(rows, cols):
+    # int() used to read 2.7 as 2 and "2", true as 2, 1
+    with pytest.raises(DimensionMismatchError):
+        mat_from_json({"rows": rows, "cols": cols, "data": [1.0, 0.0, 0.0, 1.0]})
+
+
+@pytest.mark.parametrize("key, value", [("n", 4.0), ("p", "2"), ("p", True)])
+def test_plane_dimensions_must_be_integers(rng, key, value):
+    obj = plane_to_json(sample_plane(rng, 4, 2))
+    obj[key] = value
+    with pytest.raises(DimensionMismatchError):
+        plane_from_json(obj)
+
+
+@pytest.mark.parametrize("key, value", [("p", 2.0), ("q", "2"), ("q", False)])
+def test_signature_dimensions_must_be_integers(rng, key, value):
+    obj = cartan_motion_to_json(sample_cartan_motion(rng, 4, 2))
+    obj[key] = value
+    with pytest.raises(DimensionMismatchError):
+        cartan_motion_from_json(obj)
+
+
 def test_motion_roundtrip(rng):
     g = sample_motion(rng, 4)
     g2 = motion_from_json(motion_to_json(g))

@@ -1,0 +1,273 @@
+"""The stacked kernels: a stack of k operands gives, element by element, the
+k single calls bit for bit, and a stack with one bad element raises the
+error class of that element's single call, with its ``index`` in the
+context.
+
+The stacks mix the hard inputs of each kernel: angles on both sides of the
+1e-4 Taylor switch of the half-angle factor, rotations with angles near pi
+(the pairing path of the log), and principal angles below 1e-2 (the sine
+branch of the principal pairs).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cartanbundle import bundle as bn
+from cartanbundle import grassmann as gr
+from cartanbundle import liegroup as lg
+from cartanbundle import matcore as mc
+from cartanbundle import (
+    CutLocusError,
+    DimensionMismatchError,
+    IllConditionedSpectrumError,
+    Motion,
+    NotInCartanModelError,
+    Signature,
+    Tolerances,
+)
+from cartanbundle.sampling import make_rng, sample_dp_generators, sample_motions, sample_rotations
+
+SHAPES = [(4, 2), (8, 3), (5, 2), (2, 1), (6, 5), (32, 5)]
+TOL = Tolerances()
+# angles of the turning planes: across the Taylor switch, generic, and near pi
+ANGLES = [0.0, 3e-5, 9.9e-5, 1.01e-4, 2e-4, 0.7, 2.0, math.pi - 1e-3, math.pi - 1e-9]
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(np.asarray(x, dtype=float)).tobytes()
+
+
+def _same(stacked: tuple, single, k: int) -> None:
+    """Each array of ``stacked`` at index i is bit for bit the array of ``single(i)``."""
+    for i in range(k):
+        one = single(i)
+        assert len(one) == len(stacked)
+        for j, (a, b) in enumerate(zip(stacked, one)):
+            assert _bits(a[i]) == _bits(b), (i, j)
+
+
+def _skews(rng, n: int, k: int) -> np.ndarray:
+    """k skew matrices whose turning angles are drawn from ``ANGLES``, in random planes."""
+    W = np.zeros((k, n, n))
+    for i, Q in enumerate(sample_rotations(rng, n, k)):
+        for b in range(n // 2):
+            t = ANGLES[rng.integers(len(ANGLES))]
+            W[i] += t * (np.outer(Q[:, 2 * b + 1], Q[:, 2 * b]) - np.outer(Q[:, 2 * b], Q[:, 2 * b + 1]))
+    return W
+
+
+def _generators(rng, p: int, q: int, k: int) -> np.ndarray:
+    """k blocks B whose singular values mix zeros, angles below 1e-2 and generic angles."""
+    B = sample_dp_generators(rng, p, q, k, bound=math.pi - 0.1)
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    small = rng.choice([0.0, 1e-9, 1e-5, 3e-3, 1.0], size=s.shape)
+    s = np.where(small < 1.0, small, s)
+    return (U * s[..., None, :]) @ Vt
+
+
+@pytest.fixture(params=SHAPES, ids=[f"{n}-{p}" for n, p in SHAPES])
+def shape(request):
+    return request.param
+
+
+K = 9
+
+
+class TestMatcore:
+    def test_validators(self, shape):
+        n, _ = shape
+        rng = make_rng(1, n)
+        R, X = sample_motions(rng, n, K)
+        _same((mc.check_finite_matrix(R, (n, n), batch=(K,)),), lambda i: (mc.check_finite_matrix(R[i], (n, n)),), K)
+        _same((mc.check_finite_vector(X, n, batch=(K,)),), lambda i: (mc.check_finite_vector(X[i], n),), K)
+        W = _skews(rng, n, K)
+        _same((mc.check_skew(W, (K,)),), lambda i: (mc.check_skew(W[i]),), K)
+        _same(mc._checked_rotation(R, TOL, n, (K,)), lambda i: mc._checked_rotation(R[i], TOL, n), K)
+
+    def test_norms(self, shape):
+        n, _ = shape
+        x = make_rng(2, n).standard_normal((K, 3, n, n))
+        norms = mc._norm(x, 2)
+        assert norms.shape == (K, 3)
+        for i in np.ndindex(K, 3):
+            assert _bits(norms[i]) == _bits(np.linalg.norm(x[i]))
+
+    def test_symmetric_involution(self, shape):
+        n, p = shape
+        R, _ = sample_motions(make_rng(3, n), n, K)
+        S = R @ Signature(p, n - p).matrix @ R.mT
+        i, defect, invol = mc._symmetric_involution(S, TOL)
+        assert i is None and defect is None
+        _same((invol,), lambda i: (mc._symmetric_involution(S[i], TOL)[2],), K)
+
+    def test_rotation_log(self, shape):
+        n, _ = shape
+        R = lg._exp(_skews(make_rng(4, n), n, K), np.zeros((K, n)), (K,))[0]
+        _same(mc._rotation_log(R), lambda i: mc._rotation_log(R[i]), K)
+
+
+class TestLiegroup:
+    def test_exp_log_solve(self, shape):
+        n, _ = shape
+        rng = make_rng(5, n)
+        W, v = _skews(rng, n, K), rng.standard_normal((K, n))
+        _same(lg._spectrum(W, (K,)), lambda i: lg._spectrum(W[i]), K)
+        R, Y = lg._exp(W, v, (K,))
+        _same((R, Y), lambda i: lg._exp(W[i], v[i]), K)
+        _same((R, Y), lambda i: (lg.so_exp(W[i]), lg.y_omega(W[i], v[i])), K)
+        _same((lg._solve(W, Y, TOL, (K,)),), lambda i: (lg._solve(W[i], Y[i], TOL),), K)
+        _same(lg._log(R, Y, TOL, True, (K,)), lambda i: lg._log(R[i], Y[i], TOL, True), K)
+        _same((lg._factors(W[:, 0]),), lambda i: (lg._factors(W[i, 0]),), K)
+
+    def test_log_pairs_the_angles_near_pi(self):
+        # a rotation by exactly pi in two planes takes the pairing path
+        n = 6
+        R, X = sample_motions(make_rng(6, 0), n, K)
+        D = np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
+        R[::2] = R[::2] @ D @ R[::2].mT
+        assert (mc._rotation_log(R)[2][::2, :4] == math.pi).all()
+        _same(lg._log(R, X, TOL, True, (K,)), lambda i: lg._log(R[i], X[i], TOL, True), K)
+
+
+class TestGrassmann:
+    def test_dp_exp_and_log0(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        B = _generators(make_rng(7, n), p, n - p, K)
+        _same(gr._generator_svd(B, (K,)), lambda i: gr._generator_svd(B[i]), K)
+        V, s, U = gr._generator_svd(B, (K,))
+        _same((gr._cs_rotation(V, s, U), gr._cs_frame(V, s, U)),
+              lambda i: (gr._cs_rotation(V[i], s[i], U[i]), gr._cs_frame(V[i], s[i], U[i])), K)
+        R, F = gr._dp_exp(B, sig, TOL, (K,))
+        _same((R, F), lambda i: gr._dp_exp(B[i], sig, TOL), K)
+        _same((R, F), lambda i: (gr.dp_exp(gr.DpGenerator(p, n - p, B[i])).mat,
+                                 gr.dp_exp(gr.DpGenerator(p, n - p, B[i]))._frame), K)
+        _same(gr._principal_pairs(F, TOL), lambda i: gr._principal_pairs(F[i], TOL), K)
+        _same(gr._cartan_rotation(R, sig, TOL, (K,)), lambda i: gr._cartan_rotation(R[i], sig, TOL), K)
+        _same(gr._cartan_frame(R, sig, TOL), lambda i: gr._cartan_frame(R[i], sig, TOL), K)
+
+    def test_sine_branch_runs_on_the_small_angles(self, shape):
+        n, p = shape
+        B = _generators(make_rng(8, n), p, n - p, K)
+        F = gr._dp_exp(B, Signature(p, n - p), TOL, (K,))[1]
+        top, bottom = F[:, :p], F[:, p:]
+        assert (gr._angle_pairs(top, bottom)[1] < 1e-2).any()
+        _same(gr._angle_pairs(top, bottom), lambda i: gr._angle_pairs(top[i], bottom[i]), K)
+
+
+def _parts(s) -> tuple:
+    """(R, X, frame) of a ``CartanMotion``."""
+    return s.motion.R, s.motion.X, s._frame
+
+
+def _checked(R, X, sig, batch=()) -> tuple:
+    """(R, X, frame) after the ``CartanMotion`` check of (R, X), or of each of a stack."""
+    motion, F = bn._cartan_motion(Motion(R, X), sig, TOL, batch)
+    return motion.R, motion.X, F
+
+
+class TestBundle:
+    def test_tau(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        R, X = sample_motions(make_rng(9, n), n, K, trans_scale=1e3)
+        out = bn._tau(Motion(R, X), sig, TOL, (K,))
+        _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, TOL), K)
+        _same(out, lambda i: _parts(bn.tau(Motion(R[i], X[i]), sig)), K)
+        _same(_checked(out[0], out[1], sig, (K,)), lambda i: _checked(out[0][i], out[1][i], sig), K)
+
+    def test_tau_where_some_elements_are_not_sure(self):
+        # under orth 1e-12, tau's bound (about 3e-12 for the scaled rotations,
+        # 2e-14 for the others) is sure of the unscaled elements only
+        n, p = 4, 2
+        sig = Signature(p, n - p)
+        R, X = sample_motions(make_rng(10, 0), n, K)
+        R[1::2] *= 1 + 1e-13
+        tol = TOL.with_overrides({"orth": 1e-12})
+        out = bn._tau(Motion(R, X), sig, tol, (K,))
+        _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, tol), K)
+        # the closed-form frame where sure, the checked frame elsewhere
+        closed = [np.array_equal(out[2][i], R[i][:, :p]) for i in range(K)]
+        assert closed == [i % 2 == 0 for i in range(K)]
+
+    def test_dp_exp_full_and_log_full(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        rng = make_rng(11, n)
+        B, v = _generators(rng, p, n - p, K), rng.standard_normal((K, p))
+        V, s, U = gr._generator_svd(B, (K,))
+        _same((bn._dp_translation(V, s, U, v),), lambda i: (bn._dp_translation(V[i], s[i], U[i], v[i]),), K)
+        R, X, F = bn._dp_exp_full(B, v, sig, TOL, (K,))
+        _same((R, X, F), lambda i: bn._dp_exp_full(B[i], v[i], sig, TOL), K)
+        _same(bn._dp_log_full(F, X, sig, TOL), lambda i: bn._dp_log_full(F[i], X[i], sig, TOL), K)
+        public = [bn.dp_log_full(bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[i]), v[i]))) for i in range(K)]
+        _same(bn._dp_log_full(F, X, sig, TOL), lambda i: (public[i].gen.B, public[i].v), K)
+
+
+# One bad element in a stack raises what its single call raises, with its index.
+
+
+def _raises_at(stacked, single, error, index):
+    with pytest.raises(error) as one:
+        single()
+    assert "index" not in one.value.context
+    with pytest.raises(error) as info:
+        stacked()
+    assert info.value.context["index"] == index
+    # the same context besides the index (repr, so that a NaN equals itself)
+    assert repr({k: v for k, v in info.value.context.items() if k != "index"}) == repr(one.value.context)
+
+
+def test_a_nan_entry_raises_at_its_index():
+    n = 4
+    rng = make_rng(12, 0)
+    W, v = _skews(rng, n, K), rng.standard_normal((K, n))
+    entry, W[5, 0, 1] = W[5, 0, 1], math.nan
+    _raises_at(lambda: lg._exp(W, v, (K,)), lambda: lg.se_exp(lg.Screw(W[5], v[5])), DimensionMismatchError, 5)
+    W[5, 0, 1], v[3, 2] = entry, math.nan
+    _raises_at(lambda: lg._exp(W, v, (K,)), lambda: lg.y_omega(W[3], v[3]), DimensionMismatchError, 3)
+
+
+def test_a_non_orthogonal_rotation_raises_at_its_index():
+    n, p = 5, 2
+    sig = Signature(p, n - p)
+    R, X = sample_motions(make_rng(13, 0), n, K)
+    R[6] *= 1.01
+    _raises_at(lambda: lg._log(R, X, TOL, False, (K,)), lambda: lg.se_log(Motion(R[6], X[6])),
+               IllConditionedSpectrumError, 6)
+    _raises_at(lambda: bn._tau(Motion(R, X), sig, TOL, (K,)), lambda: bn.tau(Motion(R[6], X[6]), sig),
+               IllConditionedSpectrumError, 6)
+
+
+def test_a_cut_locus_frame_raises_at_its_index():
+    n, p = 4, 2
+    sig = Signature(p, n - p)
+    rng = make_rng(14, 0)
+    B, v = sample_dp_generators(rng, p, n - p, K, bound=2.0), rng.standard_normal((K, p))
+    B[4] = [[math.pi, 0.0], [0.0, 0.5]]  # principal angle pi/2
+    R, X, F = bn._dp_exp_full(B, v, sig, TOL, (K,))
+    single = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[4]), v[4]))
+    _raises_at(lambda: bn._dp_log_full(F, X, sig, TOL), lambda: bn.dp_log_full(single), CutLocusError, 4)
+    _raises_at(lambda: gr._principal_pairs(F, TOL), lambda: gr.dp_log0(gr.dp_exp(gr.DpGenerator(p, n - p, B[4]))),
+               CutLocusError, 4)
+
+
+def test_an_element_off_the_model_raises_at_its_index():
+    n, p = 4, 2
+    sig = Signature(p, n - p)
+    R, X, _ = bn._tau(Motion(*sample_motions(make_rng(15, 0), n, K)), sig, TOL, (K,))
+    X = X.copy()
+    X[2] += 1e-3 * np.linalg.norm(X[2])
+    _raises_at(lambda: bn._cartan_motion(Motion(R, X), sig, TOL, (K,)),
+               lambda: bn.CartanMotion(Motion(R[2], X[2]), sig), NotInCartanModelError, 2)
+
+
+def test_a_single_call_takes_no_stack():
+    # the public maps pass their operands unchanged, so a stack is not a single operand
+    R, X = sample_motions(make_rng(16, 0), 4, 3)
+    with pytest.raises(DimensionMismatchError):
+        lg.se_log(Motion(R, X))
+    with pytest.raises(DimensionMismatchError):
+        bn.tau(Motion(R, X), Signature(2, 2))

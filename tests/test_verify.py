@@ -37,27 +37,32 @@ def test_table_shape():
 
 
 def test_nan_answer_fails_its_property(monkeypatch):
-    monkeypatch.setattr(liegroup, "y_omega", lambda omega, v: np.full(len(v), math.nan))
+    # Y_omega v, the translation of the exponential kernel, comes back NaN
+    exp = liegroup._exp
+    monkeypatch.setattr(
+        liegroup, "_exp", lambda omega, v, batch=(): (exp(omega, v, batch)[0], np.full(np.shape(v), math.nan))
+    )
     results = _results()
     for name in ("liegroup.y_omega_identity", "liegroup.y_omega_roundtrip"):
         assert not results[name].passed, name
     assert results["liegroup.group_axioms"].passed
 
 
-@pytest.mark.parametrize("bad_call", [0, 2, 4])
-def test_one_nan_sample_fails_the_run(monkeypatch, bad_call):
-    # a NaN in any one sample, first or later, is the reported error
+@pytest.mark.parametrize("bad_sample", [0, 2, 4])
+def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
+    # a NaN in any one sample of the stack, first or later, is the reported error
     calls = []
-    y_omega = liegroup.y_omega
+    exp = liegroup._exp
 
-    def flaky(omega, v):
-        calls.append(None)
-        Y = y_omega(omega, v)
-        return np.full_like(Y, math.nan) if len(calls) == bad_call + 1 else Y
+    def flaky(omega, v, batch=()):
+        calls.append(batch)
+        R, Y = exp(omega, v, batch)
+        Y[bad_sample] = math.nan
+        return R, Y
 
-    monkeypatch.setattr(liegroup, "y_omega", flaky)
+    monkeypatch.setattr(liegroup, "_exp", flaky)
     samples, max_error, passed = _run_one("liegroup.y_omega_identity")
-    assert len(calls) == samples == CFG.samples
+    assert calls == [(CFG.samples,)] and samples == CFG.samples  # one stacked call
     assert math.isnan(max_error) and not passed
 
 

@@ -19,8 +19,12 @@ subcommand accepts only the flags it reads:
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 ``--samples`` must be at least 1, a | joins mode switches that exclude each
-other, and a flag must be spelled out in full. Every command also takes
-tolerance overrides, ``--tol.<name> value``.
+other, and a flag must be spelled out in full. Every subcommand also takes
+one tolerance override ``--tol.<name> VALUE`` per ``Tolerances`` field, listed
+by its ``--help``. A ``--tol`` flag is an option of the subcommand like any
+other: an unknown name, a value that is not a number, or the flag before the
+subcommand is ``bad_arguments``; a value that is not a finite positive number
+is ``invalid_input``, as ``Tolerances`` rejects it.
 
 Exit codes: 0 success; 1 bad arguments or a domain error, with a
 machine-readable JSON object on stderr; 2 verification failure; 141 stdout was
@@ -31,6 +35,7 @@ closed before the output was written (128 + SIGPIPE, as a shell reports for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,7 +48,7 @@ from . import liegroup as lg
 from . import projective as pj
 from . import sampling as sp
 from . import serialize as sz
-from .config import default_tolerances
+from .config import Tolerances, default_tolerances
 from .errors import DimensionMismatchError, GeometryError
 from .verify import VerifyConfig, run_verification
 
@@ -55,33 +60,6 @@ class _CliArgumentError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliArgumentError(message)
-
-
-def _extract_tol_flags(argv):
-    """Pull ``--tol.<name> value`` pairs out of argv before argparse sees them."""
-    overrides = {}
-    rest = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            name = arg[len("--tol.") :]
-            value = None
-            if "=" in name:
-                name, value = name.split("=", 1)
-            elif i + 1 < len(argv):
-                i += 1
-                value = argv[i]
-            if value is None:
-                raise _CliArgumentError(f"missing value for --tol.{name}")
-            try:
-                overrides[name] = float(value)
-            except ValueError as exc:
-                raise _CliArgumentError(f"bad tolerance value for {name}: {value}") from exc
-        else:
-            rest.append(arg)
-        i += 1
-    return overrides, rest
 
 
 def _positive_int(text: str) -> int:
@@ -123,9 +101,13 @@ def _build_parser() -> _Parser:
         if reads_input:
             p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
-        modes = p.add_mutually_exclusive_group()
+        # argparse's help cannot format an empty group, so only a command with modes has one
+        modes = p.add_mutually_exclusive_group() if any(k is _MODE for k in flags.values()) else p
         for flag, keywords in flags.items():
             (modes if keywords is _MODE else p).add_argument("--" + flag.replace("_", "-"), **keywords)
+        for f in dataclasses.fields(Tolerances):  # dest "tol.<name>", set only when given
+            p.add_argument(f"--tol.{f.name}", type=float, default=argparse.SUPPRESS, metavar="VALUE",
+                           help=f"tolerance override (default {f.default:g})")
     return parser
 
 
@@ -268,8 +250,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        overrides, rest = _extract_tol_flags(list(argv))
-        args = _build_parser().parse_args(rest)
+        args = _build_parser().parse_args(argv)
+        overrides = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("tol.")}
         tol = default_tolerances().with_overrides(overrides)
         _, reads_input, _, handler = COMMANDS[args.command]
         obj = None

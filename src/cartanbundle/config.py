@@ -1,13 +1,17 @@
 """Numerical tolerances: one frozen default, overridable per call.
 
 Every numerical predicate reads its bounds from a ``Tolerances``. Callers pass
-their own (the CLI builds one from its ``--tol.NAME`` flags); otherwise the
-predicate uses ``default_tolerances()``.
+their own (the CLI builds one from the ``--tol.NAME`` flags of each
+subcommand, one per field); otherwise the predicate uses
+``default_tolerances()``. Every field is a finite positive number, checked
+once at construction, so a bound that no residual can exceed (NaN, +inf) or
+that every residual exceeds (0, negative) is never built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -28,14 +32,17 @@ class Tolerances:
     plane: float = 1e-8      # projector distance of planes and lines
     fiber: float = 1e-9      # |(I - P) Y| / (1 + |Y|): bundle_point, CartanMotion, dp_log_full
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:  # also false for NaN
+                raise ValueError(f"tolerance {f.name} must be a finite positive number, got {value!r}")
+
     def with_overrides(self, overrides: dict) -> "Tolerances":
         names = {f.name for f in dataclasses.fields(self)}
         unknown = set(overrides) - names
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        for name, value in overrides.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
         return dataclasses.replace(self, **overrides)
 
 

@@ -7,8 +7,11 @@ matrices, and eigenspace extraction for symmetric orthogonal involutions.
 Everything is NumPy. The canonical forms come from one private pairing
 routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
 and one complete QR makes the pairs orthonormal and adds the kernel. The
-rotation form is the pairs of log R. The principal log itself takes one
-symmetric ``eigh`` of (R + R^T)/2 and pairs only the angles near pi.
+rotation form is the pairs of log R, and one array routine
+(``_assemble_form``) orders and orients the pairs of either form. The
+principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
+only the angles near pi. ``orthonormalize`` is the sign-fixed QR
+(``_sign_fixed_qr``) that the samplers also draw their frames with.
 
 Input domain. Every array the library's maps accept, matrix or vector,
 passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
@@ -222,11 +225,23 @@ def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batc
     return _in_domain(x, name, 1)
 
 
+def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
+    """The Q of each matrix's QR, with the column signs that make R's diagonal positive.
+
+    For M of full column rank, this is the Gram-Schmidt frame of M's columns
+    in their order, up to rounding, and a pure function of M.
+    """
+    Q, R = np.linalg.qr(M)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
 def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     """Orthonormal frame with the same column span as ``vectors``.
 
-    Uses modified Gram-Schmidt with reorthogonalization and the natural
-    column order, so the output is deterministic for identical input.
+    The sign-fixed QR of the columns (``_sign_fixed_qr``): the Gram-Schmidt
+    frame in the natural column order, so the output is deterministic for
+    identical input. A set whose smallest singular value is at most
+    ``tol.rank`` max(1, largest) raises ``DegenerateSpanError``.
     """
     tol = tol or default_tolerances()
     V = check_finite_matrix(vectors, name="spanning set")
@@ -239,13 +254,7 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
             "degenerate spanning set",
             smallest_singular_value=float(svals[-1]),
         )
-    F = V.copy()
-    for k in range(p):
-        for _ in range(2):  # second pass kills roundoff leakage
-            for m in range(k):
-                F[:, k] -= (F[:, m] @ F[:, k]) * F[:, m]
-        F[:, k] /= np.linalg.norm(F[:, k])
-    return F
+    return _sign_fixed_qr(V)
 
 
 def check_frame(F: np.ndarray, tol: Tolerances | None = None, shape: tuple | None = None) -> np.ndarray:
@@ -418,51 +427,26 @@ def _rotation_log(R: np.ndarray) -> tuple:
     return L, V, theta
 
 
-def _assemble_form(Q, s, pi_blocks_swappable):
-    """Shared ordering / determinant / sign fixing for both canonical forms.
+def _assemble_form(Q, s, rotation: bool) -> CanonicalRotationForm:
+    """Both canonical forms from the pairs, angles and kernel (Q, s) of ``_skew_pairs``.
 
-    (Q, s) are the pairs, angles and kernel of ``_skew_pairs``.
+    ``eigh`` gives the angles ascending, so the pairs are reversed. If then
+    det Q < 0, the last kernel column is negated, or, with no kernel, the
+    columns of the smallest block are swapped and its angle negated. In a
+    rotation form an angle of exactly pi (the angles are clamped to pi) stays
+    pi, since a turn by pi is its own inverse.
     """
-    n, k = Q.shape[0], len(s)
-    blocks = [[float(t), Q[:, 2 * i], Q[:, 2 * i + 1]] for i, t in enumerate(s)]
-    fixed = list(Q[:, 2 * k :].T)
-    blocks.sort(key=lambda blk: -blk[0])
-
-    def columns():
-        cols = [c for blk in blocks for c in blk[1:]] + fixed
-        return np.column_stack(cols) if cols else np.zeros((n, 0))
-
-    Q = columns()
+    n, k = Q.shape[0], s.size
+    pairs = Q[:, : 2 * k].reshape(n, k, 2)[:, ::-1].reshape(n, 2 * k)
+    Q, angles = np.concatenate([pairs, Q[:, 2 * k :]], axis=1), s[::-1].copy()
     if np.linalg.det(Q) < 0:
-        if fixed:
-            fixed[-1] = -fixed[-1]
+        if 2 * k < n:
+            Q[:, -1] *= -1
         else:
-            # Flip the least significant block. A pi block absorbs the swap
-            # without changing its angle; otherwise the angle goes negative.
-            blk = blocks[-1]
-            for cand in blocks:
-                if pi_blocks_swappable and abs(cand[0] - math.pi) <= 1e-12:
-                    blk = cand
-                    break
-            blk[1], blk[2] = blk[2], blk[1]
-            if not (pi_blocks_swappable and abs(blk[0] - math.pi) <= 1e-12):
-                blk[0] = -blk[0]
-            blocks.sort(key=lambda b: -b[0])
-        Q = columns()
-    # Deterministic sign fix: make the first significant component of each
-    # block's first basis vector nonnegative (negating the pair preserves
-    # both the angle and the determinant).
-    for blk in blocks:
-        q1 = blk[1]
-        idx = np.flatnonzero(np.abs(q1) > 1e-9)
-        lead = q1[idx[0]] if idx.size else 0.0
-        if lead < 0:
-            blk[1] = -blk[1]
-            blk[2] = -blk[2]
-    Q = columns()
-    return CanonicalRotationForm(
-        Q=Q, angles=tuple(blk[0] for blk in blocks), fixed_dim=len(fixed)
-    )
+            Q[:, [-2, -1]] = Q[:, [-1, -2]]
+            if not (rotation and angles[-1] == math.pi):
+                angles[-1] = -angles[-1]
+    return CanonicalRotationForm(Q=Q, angles=tuple(angles.tolist()), fixed_dim=n - 2 * k)
 
 
 def canonical_rotation_form(
@@ -479,7 +463,7 @@ def canonical_rotation_form(
     R = check_special_orthogonal(R, tol)
     n = R.shape[0]
     Q, s = _skew_pairs(_rotation_log(R)[0])
-    form = _assemble_form(Q, np.minimum(s, math.pi), pi_blocks_swappable=True)
+    form = _assemble_form(Q, np.minimum(s, math.pi), rotation=True)
     if np.linalg.norm(form.rotation_matrix() - R) > tol.recon * max(1, n):
         raise IllConditionedSpectrumError(
             "ill-conditioned spectrum: reconstruction failed"
@@ -495,7 +479,7 @@ def skew_canonical_form(
     W = check_skew(W)
     n = W.shape[0]
     scale = max(1.0, np.linalg.norm(W))
-    form = _assemble_form(*_skew_pairs(W), pi_blocks_swappable=False)
+    form = _assemble_form(*_skew_pairs(W), rotation=False)
     if np.linalg.norm(form.skew_matrix() - W) > tol.recon * max(1, n) * scale:
         raise IllConditionedSpectrumError(
             "ill-conditioned spectrum: skew reconstruction failed"

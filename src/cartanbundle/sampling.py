@@ -7,7 +7,10 @@ across parallel workers.
 Each kind but Cartan motions (which ``tau`` builds from sampled motions)
 has a stacked sampler, ``sample_<kind>s(rng, ..., count)``. It draws the
 normals of every sample in one call and runs each kernel (``qr``, ``det``,
-the norms, the uniforms) once over the stack. It returns NumPy arrays whose
+the norms, the uniforms) once over the stack. The frames and rotations are
+``matcore._sign_fixed_qr``, the QR that ``orthonormalize`` takes, and the
+norms are ``matcore._norm`` over each sample, bit for bit
+``np.linalg.norm`` of that sample alone. It returns NumPy arrays whose
 leading axes are ``count``: an int, or a tuple for a grid of samples.
 Sample i is index i of each array. Draws are grouped by kind (all
 rotations, then all translations, then the uniforms), so a stack of N is in
@@ -18,14 +21,13 @@ type.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
+from .matcore import _norm, _sign_fixed_qr
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -40,23 +42,6 @@ def _shape(count) -> tuple:
 def _require(n: int, least: int, kind: str) -> None:
     if n < least:
         raise DimensionMismatchError(f"{kind} sampling requires n >= {least}", n=n)
-
-
-def _norms(x: np.ndarray, axes: int) -> np.ndarray:
-    """The 2-norms of ``x`` over its trailing ``axes`` axes, flattened.
-
-    Each is the square root of a row-by-column product, which NumPy takes
-    with the dot that ``np.linalg.norm`` of one flattened sample takes, so
-    the stack agrees with it bit for bit.
-    """
-    flat = x.reshape(*x.shape[: x.ndim - axes], 1, math.prod(x.shape[x.ndim - axes :]))
-    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
-
-
-def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
-    """The Q of each matrix's QR with the signs that make R's diagonal positive."""
-    Q, R = np.linalg.qr(M)
-    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _factors(top: np.ndarray, bound: float, rng) -> np.ndarray:
@@ -95,7 +80,7 @@ def sample_screws(rng: np.random.Generator, n: int, count, norm_bound: float = 4
     """Screws (omega, v), with homogeneous-block Frobenius norm at most norm_bound."""
     omega = sample_skews(rng, n, count)
     v = rng.standard_normal((*_shape(count), n))
-    factor = _factors(np.sqrt(_norms(omega, 2) ** 2 + _norms(v, 1) ** 2), norm_bound, rng)
+    factor = _factors(np.sqrt(_norm(omega, 2) ** 2 + _norm(v, 1) ** 2), norm_bound, rng)
     return omega * factor[..., None, None], v * factor[..., None]
 
 
@@ -121,7 +106,7 @@ def sample_unit_directions(rng: np.random.Generator, n: int, count) -> np.ndarra
     _require(n, 2, "unit direction")
     U = np.zeros((*_shape(count), n))
     U[..., 1:] = rng.standard_normal((*_shape(count), n - 1))
-    return U / _norms(U, 1)[..., None]
+    return U / _norm(U, 1)[..., None]
 
 
 def sample_dp_generators(

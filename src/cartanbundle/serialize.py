@@ -3,8 +3,9 @@
 Matrices serialize as {"rows": n, "cols": m, "data": [row-major doubles]};
 the other types compose that schema. Every dimension read (``rows``,
 ``cols``, a plane's ``n`` and ``p``, a signature's ``p`` and ``q``) must be
-a JSON integer of at least 1, not a bool, float or string, else
-``DimensionMismatchError``. Output is strict JSON: a non-finite float (a NaN
+a JSON integer of at least 1, not a bool, float or string, and a matrix's
+``data`` and every vector a flat list of JSON numbers (each an int or a
+float, not a bool), else ``DimensionMismatchError``. Output is strict JSON: a non-finite float (a NaN
 or infinite ``max_error`` in a verify report, say) is written as null, never
 as the non-standard tokens NaN or Infinity.
 """
@@ -21,7 +22,7 @@ from .config import Tolerances
 from .errors import DimensionMismatchError
 from .grassmann import Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import check_finite_matrix, check_finite_vector
+from .matcore import _MAX_ABS, check_finite_matrix, check_finite_vector
 
 
 def mat_to_json(M: np.ndarray) -> dict:
@@ -39,8 +40,23 @@ def _dimension(obj: dict, key: str) -> int:
     return k
 
 
+def _numbers(data, name: str) -> list:
+    """data, which must be a flat list of numbers (each an int or a float, not a bool).
+
+    An int past the input ceiling fails here, not in the domain check, since
+    NumPy cannot convert one past the float range.
+    """
+    if type(data) is not list or not all(
+        type(x) is float or type(x) is int and abs(x) <= _MAX_ABS for x in data
+    ):
+        want = f"a flat list of numbers (int or float, not bool; an int at most {_MAX_ABS:g})"
+        raise DimensionMismatchError(f"JSON {name} must be {want}, got {data!r:.80}")
+    return data
+
+
 def mat_from_json(obj: dict, shape: tuple | None = None) -> np.ndarray:
-    rows, cols, data = _dimension(obj, "rows"), _dimension(obj, "cols"), obj.get("data", ())
+    rows, cols = _dimension(obj, "rows"), _dimension(obj, "cols")
+    data = _numbers(obj.get("data"), "matrix data")
     if len(data) != rows * cols:
         raise DimensionMismatchError("matrix JSON dimensions do not match data length")
     M = np.asarray(data, dtype=float).reshape(rows, cols)
@@ -48,7 +64,7 @@ def mat_from_json(obj: dict, shape: tuple | None = None) -> np.ndarray:
 
 
 def vec_from_json(obj, n: int | None = None) -> np.ndarray:
-    return check_finite_vector(obj, n, "vector JSON")
+    return check_finite_vector(_numbers(obj, "vector"), n, "vector JSON")
 
 
 def motion_to_json(g: Motion) -> dict:

@@ -16,6 +16,17 @@ from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
 
 
+def gram_schmidt_oracle(V):
+    """Modified Gram-Schmidt with reorthogonalization, in the natural column order."""
+    F = np.array(V, dtype=float)
+    for k in range(F.shape[1]):
+        for _ in range(2):  # second pass kills roundoff leakage
+            for m in range(k):
+                F[:, k] -= (F[:, m] @ F[:, k]) * F[:, m]
+        F[:, k] /= np.linalg.norm(F[:, k])
+    return F
+
+
 def y_series_oracle(omega, v, terms=50):
     """Translation series v + omega v / 2! + omega^2 v / 3! + ..."""
     acc = np.zeros_like(v, dtype=float)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 import cartanbundle
 from cartanbundle import cli
 from cartanbundle.cli import main
+from cartanbundle.config import Tolerances
 from cartanbundle.serialize import dumps, mat_from_json, mat_to_json
 
 
@@ -226,12 +228,50 @@ class TestErrorHandling:
     def test_unknown_tol_name(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "--tol.eig", "1e-7")
         assert code == 1
-        assert json.loads(err)["error"] == "invalid_input"
+        assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bad_tol_value(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "--tol.recon", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
+
+    def test_tol_flag_before_the_subcommand(self, capsys):
+        code, out, err = run_cli(capsys, "--tol.orth", "1e-3", "moebius", "--num-theta", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tol_value_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        # The src frame [2, 0, 0] is not unit. Under a NaN orth bound the frame
+        # check passed, and transport printed a "motion" whose R had det 2.
+        def point(frame):
+            plane = {"n": 3, "p": 1, "frame": {"rows": 3, "cols": 1, "data": frame}}
+            return {"plane": plane, "fiber": [0, 0, 0]}
+
+        infile = write_json(tmp_path, "t.json", {"src": point([2, 0, 0]), "dst": point([0, 1, 0])})
+        code, out, err = run_cli(capsys, "transport", "--in", infile, "--tol.orth", value)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "invalid_input"
+        code, out, err = run_cli(capsys, "transport", "--in", infile)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "degenerate_spanning_set"  # the default bound holds
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_lists_every_tol_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = sorted(set(re.findall(r"--tol\.(\w+)", capsys.readouterr().out)))
+        assert listed == sorted(f.name for f in dataclasses.fields(Tolerances))
+        assert len(listed) == 8
+
+    def test_matrix_data_that_is_not_a_flat_list_of_numbers(self, tmp_path, capsys):
+        # ["a", 1] raised a raw ValueError, which exited as invalid_input
+        path = tmp_path / "w.json"
+        path.write_text('{"rows": 1, "cols": 2, "data": ["a", 1]}')
+        code, out, err = run_cli(capsys, "exp", "--so", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "dimension_mismatch"
 
     @pytest.mark.parametrize(
         "argv",

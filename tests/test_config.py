@@ -1,3 +1,8 @@
+import dataclasses
+import math
+
+import pytest
+
 from cartanbundle.config import Tolerances, default_tolerances
 
 
@@ -6,3 +11,28 @@ def test_environment_does_not_scale_the_defaults(monkeypatch):
     monkeypatch.setenv("CARTAN_BUNDLE_TOL_SCALE", "2")
     assert default_tolerances() == Tolerances()
     assert default_tolerances() is default_tolerances()
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_every_way_to_build_a_tolerance_rejects_a_bad_value(name, value):
+    # residual > NaN is never true, so a NaN bound passed every check it held
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        default_tolerances().with_overrides({name: value})
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(default_tolerances(), **{name: value})
+
+
+def test_with_overrides_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="eig"):
+        Tolerances().with_overrides({"eig": 1e-7})
+
+
+def test_finite_positive_values_are_kept():
+    tol = Tolerances().with_overrides({"orth": 1e-300, "branch": 1e300})
+    assert (tol.orth, tol.branch) == (1e-300, 1e300)

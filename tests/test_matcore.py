@@ -19,9 +19,10 @@ from cartanbundle.matcore import (
     skew_canonical_form,
     skew_wedge,
 )
-from cartanbundle.sampling import sample_rotation, sample_skew
+from cartanbundle import matcore as mc
+from cartanbundle.sampling import make_rng, sample_rotation, sample_skew
 
-from oracles import series_exp_oracle, svd_projector_oracle
+from oracles import gram_schmidt_oracle, series_exp_oracle, svd_projector_oracle
 
 
 class TestSkewWedge:
@@ -84,6 +85,12 @@ class TestOrthonormalize:
         V = np.array([[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(DegenerateSpanError):
             orthonormalize(V)
+
+    @pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (32, 5), (5, 5)])
+    def test_matches_gram_schmidt(self, n, p):
+        for seed in range(20):
+            V = make_rng(seed, n).standard_normal((n, p))
+            assert np.max(np.abs(orthonormalize(V) - gram_schmidt_oracle(V))) <= 1e-13
 
 
 class TestProjector:
@@ -180,6 +187,90 @@ class TestCanonicalRotationForm:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(IllConditionedSpectrumError):
             canonical_rotation_form(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def _assert_form_contract(form, M, rotation):
+    """Q in SO(n); angles nonzero and descending, in (-pi, pi] for a rotation; M rebuilt."""
+    n = M.shape[0]
+    Q, angles = form.Q, np.asarray(form.angles)
+    assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-12)
+    assert abs(np.linalg.det(Q) - 1.0) < 1e-12
+    assert 2 * angles.size + form.fixed_dim == n
+    assert np.all(angles != 0) and np.all(angles[:-1] >= angles[1:])
+    if rotation:
+        assert np.all((-math.pi < angles) & (angles <= math.pi))
+        assert np.linalg.norm(form.rotation_matrix() - M) <= 1e-10 * n
+    else:
+        assert np.linalg.norm(form.skew_matrix() - M) <= 1e-10 * n * max(1.0, np.linalg.norm(M))
+
+
+def _flipped_draw(draw, rotation, keep=lambda s: True):
+    """(M, Q, s): the first draw M over seeds whose turning pairs (Q, s) have det -1.
+
+    (Q, s) are ``_skew_pairs`` of M, or of log M for a rotation, with the
+    angles of a rotation clamped to pi; ``keep(s)`` must hold too. The form
+    reverses the order of the pairs, an even permutation of the columns, so
+    such a draw takes a determinant branch of ``_assemble_form``.
+    """
+    for seed in range(64):
+        M = draw(make_rng(seed, 0))
+        Q, s = mc._skew_pairs(mc._rotation_log(M)[0] if rotation else M)
+        s = np.minimum(s, math.pi) if rotation else s
+        if np.linalg.det(Q) < 0 and keep(s):
+            return M, Q, s
+    pytest.fail("no draw has turning pairs with det -1")
+
+
+class TestDeterminantBranches:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_skew_with_a_kernel_negates_its_last_column(self, n):
+        W, Q, s = _flipped_draw(lambda rng: sample_skew(rng, n), rotation=False)
+        form = skew_canonical_form(W)
+        _assert_form_contract(form, W, rotation=False)
+        assert np.array_equal(form.Q[:, -1], -Q[:, -1])
+        assert form.angles == tuple(s[::-1].tolist())
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rotation_with_a_kernel_negates_its_last_column(self, n):
+        R, Q, s = _flipped_draw(lambda rng: sample_rotation(rng, n), rotation=True)
+        form = canonical_rotation_form(R)
+        _assert_form_contract(form, R, rotation=True)
+        assert np.array_equal(form.Q[:, -1], -Q[:, -1])
+        assert form.angles == tuple(s[::-1].tolist())
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_skew_without_a_kernel_swaps_and_negates_the_smallest_block(self, n):
+        W, Q, s = _flipped_draw(lambda rng: sample_skew(rng, n), rotation=False)
+        form = skew_canonical_form(W)
+        _assert_form_contract(form, W, rotation=False)
+        assert form.fixed_dim == 0 and form.angles[-1] == -s[0]
+        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_rotation_without_a_kernel_swaps_and_negates_the_smallest_block(self, n):
+        R, Q, s = _flipped_draw(lambda rng: sample_rotation(rng, n), rotation=True)
+        form = canonical_rotation_form(R)
+        _assert_form_contract(form, R, rotation=True)
+        assert form.fixed_dim == 0 and form.angles[-1] == -s[0]
+        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_all_pi_rotation(self, n):
+        form = canonical_rotation_form(-np.eye(n))
+        _assert_form_contract(form, -np.eye(n), rotation=True)
+        assert form.angles == (math.pi,) * (n // 2)
+
+    def test_all_pi_rotation_keeps_pi_when_its_smallest_block_is_swapped(self):
+        # a turn by pi is its own inverse, so the swap leaves the angle at pi
+        def draw(rng):
+            A = sample_rotation(rng, 4)
+            return -(A @ A.T)  # -I, up to rounding
+
+        R, Q, _ = _flipped_draw(draw, rotation=True, keep=lambda s: np.all(s == math.pi))
+        form = canonical_rotation_form(R)
+        _assert_form_contract(form, R, rotation=True)
+        assert form.angles == (math.pi, math.pi)
+        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
 
 
 class TestSkewCanonicalForm:

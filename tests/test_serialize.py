@@ -26,6 +26,7 @@ from cartanbundle.serialize import (
     plane_to_json,
     screw_from_json,
     screw_to_json,
+    vec_from_json,
 )
 
 
@@ -69,6 +70,49 @@ def test_matrix_dimensions_must_be_integers(rows, cols):
     # int() used to read 2.7 as 2 and "2", true as 2, 1
     with pytest.raises(DimensionMismatchError):
         mat_from_json({"rows": rows, "cols": cols, "data": [1.0, 0.0, 0.0, 1.0]})
+
+
+NOT_NUMBER_LISTS = {
+    "string": ["a", 1],  # a raw ValueError before
+    "nested": [[1, 2]],  # a raw ValueError from the reshape before
+    "scalar": 5,  # a raw TypeError before
+    "bool": [True, 1],  # read as [1, 1] before
+    "null": [None, 1],
+    "object": {"0": 1, "1": 2},
+    "string-of-digits": "12",
+    "int-past-the-float-range": [10**400, 1],  # a raw OverflowError before
+}
+
+
+@pytest.mark.parametrize("data", NOT_NUMBER_LISTS.values(), ids=NOT_NUMBER_LISTS.keys())
+def test_matrix_data_must_be_a_flat_list_of_numbers(data):
+    with pytest.raises(DimensionMismatchError):
+        mat_from_json({"rows": 1, "cols": 2, "data": data})
+
+
+@pytest.mark.parametrize("data", NOT_NUMBER_LISTS.values(), ids=NOT_NUMBER_LISTS.keys())
+def test_vector_must_be_a_flat_list_of_numbers(data):
+    with pytest.raises(DimensionMismatchError):
+        vec_from_json(data, 2)
+
+
+def test_missing_matrix_data_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        mat_from_json({"rows": 1, "cols": 1})
+
+
+def test_ints_and_floats_are_read_as_floats():
+    M = mat_from_json({"rows": 1, "cols": 3, "data": [1, -2.5, -(10**149)]})
+    assert M.dtype == float and M.tolist() == [[1.0, -2.5, -1e149]]
+    assert vec_from_json([0, 1.5], 2).tolist() == [0.0, 1.5]
+
+
+@pytest.mark.parametrize("fiber", [[0, True, 0, 0], [0, "0", 0, 0], 0])
+def test_bundle_point_fiber_must_be_numbers(rng, fiber):
+    obj = bundle_point_to_json(sample_bundle_point(rng, 4, 2))
+    obj["fiber"] = fiber
+    with pytest.raises(DimensionMismatchError):
+        bundle_point_from_json(obj)
 
 
 @pytest.mark.parametrize("key, value", [("n", 4.0), ("p", "2"), ("p", True)])

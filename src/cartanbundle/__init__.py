@@ -7,6 +7,8 @@ Numerical realization of the correspondence between the bundle of
 SE(n) action on the bundle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bundle import (
     BundlePoint,
     CartanMotion,
@@ -86,86 +88,11 @@ from .projective import (
     half_angle_line,
     line_bundle_exp,
     moebius_grid,
-    reflection_about_hyperplane_normal,
     rotation_in_plane,
 )
 from .verify import VerifyConfig, VerifyReport, run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchAmbiguityError",
-    "BundlePoint",
-    "CanonicalRotationForm",
-    "CartanMotion",
-    "CartanRotation",
-    "CutLocusError",
-    "DegenerateSpanError",
-    "DimensionMismatchError",
-    "DpElement",
-    "DpGenerator",
-    "GeometryError",
-    "IllConditionedSpectrumError",
-    "Motion",
-    "NearSingularIsomorphismError",
-    "NotInCartanModelError",
-    "NotOrthogonalSymmetryError",
-    "Plane",
-    "Screw",
-    "Signature",
-    "SingularMapError",
-    "Tolerances",
-    "VerifyConfig",
-    "VerifyReport",
-    "basis_vector",
-    "bundle_act",
-    "bundle_point",
-    "canonical_rotation_form",
-    "cartan_embed0",
-    "complete_to_special_orthogonal",
-    "coordinate_plane",
-    "default_tolerances",
-    "double_projection",
-    "dp_exp",
-    "dp_exp_full",
-    "dp_log0",
-    "dp_log_full",
-    "eigenspace_of_symmetric_involution",
-    "find_transporter",
-    "half_angle_line",
-    "identity_motion",
-    "in_Q",
-    "in_Q0",
-    "is_fixed_point",
-    "line_bundle_exp",
-    "moebius_grid",
-    "orthonormalize",
-    "plane_equal",
-    "plane_from_frame",
-    "plane_from_span",
-    "principal_angles",
-    "projector",
-    "reflection_about_hyperplane_normal",
-    "rho",
-    "rho0",
-    "rho_inv",
-    "rotate_plane",
-    "rotation_in_plane",
-    "run_verification",
-    "se_bracket",
-    "se_exp",
-    "se_inv",
-    "se_log",
-    "se_mul",
-    "sigma",
-    "sigma0",
-    "skew_canonical_form",
-    "skew_wedge",
-    "so_exp",
-    "so_log",
-    "tau",
-    "twisted_act",
-    "twisted_act0",
-    "y_omega",
-    "y_omega_solve",
-]
+# Every public name bound above, less the submodules that the imports bind.
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

@@ -340,8 +340,9 @@ def _under_ceiling(X: np.ndarray):
 def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
-    g is checked to lie in SE(n) under ``tol``, as ``check_motion`` checks
-    it. For g = (A, X) the result is (A J A^T J, X - A J A^T X), computed as
+    g is checked to lie in SE(n) under ``tol``: R n x n and in SO(n) as
+    ``check_special_orthogonal`` tests it, then X an n-vector. For
+    g = (A, X) the result is (A J A^T J, X - A J A^T X), computed as
     se_mul(g, sigma(se_inv(g))) computes it, product for product, so it is
     bit-identical to that route. It lies in S_p by construction, and the
     frame of its plane is A[:, :p]. With e = |A^T A - I| and S = A J A^T,

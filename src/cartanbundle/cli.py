@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         overrides = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("tol.")}
-        tol = default_tolerances().with_overrides(overrides)
+        tol = dataclasses.replace(default_tolerances(), **overrides)
         _, reads_input, _, handler = COMMANDS[args.command]
         obj = None
         if reads_input and args.infile:

@@ -1,8 +1,11 @@
 """Numerical tolerances: one frozen default, overridable per call.
 
 Every numerical predicate reads its bounds from a ``Tolerances``. Callers pass
-their own (the CLI builds one from the ``--tol.NAME`` flags of each
-subcommand, one per field); otherwise the predicate uses
+their own, built as ``Tolerances(orth=...)`` or
+``dataclasses.replace(default_tolerances(), orth=...)``; an unknown name is
+a ``TypeError`` of either. The CLI builds one the second way from the
+``--tol.NAME`` flags of each subcommand, one per field, which argparse has
+already checked by name. Otherwise the predicate uses
 ``default_tolerances()``. Every field is a finite positive number, checked
 once at construction, so a bound that no residual can exceed (NaN, +inf) or
 that every residual exceeds (0, negative) is never built.
@@ -37,13 +40,6 @@ class Tolerances:
             value = getattr(self, f.name)
             if not 0 < value < math.inf:  # also false for NaN
                 raise ValueError(f"tolerance {f.name} must be a finite positive number, got {value!r}")
-
-    def with_overrides(self, overrides: dict) -> "Tolerances":
-        names = {f.name for f in dataclasses.fields(self)}
-        unknown = set(overrides) - names
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        return dataclasses.replace(self, **overrides)
 
 
 _DEFAULT = Tolerances()

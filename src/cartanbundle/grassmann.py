@@ -71,6 +71,7 @@ from .matcore import (
     _each,
     _eye,
     _fail_at,
+    _is_int,
     _norm,
     _require,
     _symmetric_involution,
@@ -98,8 +99,8 @@ def _sign_arrays(p: int, q: int) -> tuple:
 class Signature:
     """Block signature (p, q) with matrix J = diag(-I_p, I_q), n = p + q.
 
-    The one check of (n, p): p and q must be integers (NumPy's too, not
-    bool) of at least 1, else ``DimensionMismatchError``. ``DpGenerator``
+    The one check of (n, p): p and q must be integers (``matcore._is_int``)
+    of at least 1, else ``DimensionMismatchError``. ``DpGenerator``
     checks its (p, q) by it too.
     """
 
@@ -108,7 +109,7 @@ class Signature:
 
     def __post_init__(self):
         for k in (self.p, self.q):
-            if not (type(k) is int or isinstance(k, np.integer)) or k < 1:  # bool is not int
+            if not _is_int(k) or k < 1:
                 raise DimensionMismatchError(
                     "signature requires integers p >= 1 and q >= 1", p=self.p, q=self.q
                 )

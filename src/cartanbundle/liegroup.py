@@ -105,24 +105,18 @@ def identity_motion(n: int) -> Motion:
     return Motion(np.eye(n), np.zeros(n))
 
 
-def check_motion(g: Motion, tol: Tolerances | None = None) -> Motion:
-    _checked_motion(g, None, tol or default_tolerances())
-    return g
-
-
-def _checked_motion(g: Motion, n: int | None, tol: Tolerances | None = None, batch: tuple = ()) -> tuple:
+def _checked_motion(g: Motion, n: int, tol: Tolerances | None = None, batch: tuple = ()) -> tuple:
     """(R, X, e): the parts of g, checked against the dimension n, R first.
 
-    R must be an n x n matrix (square of any size if n is None) and X a
-    vector of its size, both in the input domain. With ``tol``, R must also
-    lie in SO(n) under it, and e is |R^T R - I|; without, e is None. With
-    ``batch``, g holds stacks of that leading shape.
+    R must be an n x n matrix and X an n-vector, both in the input domain.
+    With ``tol``, R must also lie in SO(n) under it, and e is |R^T R - I|;
+    without, e is None. With ``batch``, g holds stacks of that leading shape.
     """
     if tol is None:
         R, e = check_finite_matrix(g.R, (n, n), "rotation", batch), None
     else:
         R, e = _checked_rotation(g.R, tol, n, batch)
-    return R, check_finite_vector(g.X, R.shape[-1], "translation", batch), e
+    return R, check_finite_vector(g.X, n, "translation", batch), e
 
 
 def _same_n(a, b):

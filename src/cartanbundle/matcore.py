@@ -18,11 +18,15 @@ passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
 its signature or plane fixes (an n x n rotation, an n-vector, an (n, p)
 frame, for the n of the ``Signature`` or the ``Plane``; a square matrix
 where nothing fixes n), and every entry finite and at most ``_MAX_ABS`` =
-1e150 in magnitude. Anything else raises ``DimensionMismatchError`` (code
-``dimension_mismatch``), whose context carries the largest magnitude; this
-holds for the predicates ``in_Q`` and ``in_Q0`` too. The ceiling keeps every
-residual norm finite: past about 1.3e154 a Frobenius norm overflows to inf,
-and a bound of the form tol (1 + |x|) would then hold for any x. Group
+1e150 in magnitude. Every real scalar they accept (an angle, a fiber
+coordinate, a grid bound) passes the same entry test, ``check_finite_scalar``.
+The sizes and indices of ``basis_vector``, ``skew_wedge``, ``Signature`` and
+``moebius_grid`` are integers (``_is_int``). Anything else raises
+``DimensionMismatchError`` (code ``dimension_mismatch``), whose context
+carries the largest magnitude; this holds for the predicates ``in_Q`` and
+``in_Q0`` too. The ceiling keeps every residual norm finite: past about
+1.3e154 a Frobenius norm overflows to inf, and a bound of the form
+tol (1 + |x|) would then hold for any x. Group
 arithmetic (``se_mul``, ``se_inv``, ``se_bracket``), the kernel
 ``projector`` and the value types ``Motion`` and ``Screw`` take their
 operands as given; each map that reads a motion or a screw checks it.
@@ -147,10 +151,19 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+def _is_int(k) -> bool:
+    """Whether k is an integer: a Python or NumPy integer, not a bool.
+
+    The one integer test of sizes, indices, signatures, sample counts and
+    seeds; each caller raises its own error where it fails.
+    """
+    return type(k) is int or isinstance(k, np.integer)  # type(True) is bool, not int
+
+
 def basis_vector(i: int, n: int) -> np.ndarray:
     """Standard basis vector e_i of R^n, 1-indexed."""
-    if not 1 <= i <= n:
-        raise DimensionMismatchError(f"basis index {i} out of range for dimension {n}")
+    if not (_is_int(i) and _is_int(n) and 1 <= i <= n):
+        raise DimensionMismatchError(f"basis index {i!r} must be an integer in [1, {n!r}]")
     e = np.zeros(n)
     e[i - 1] = 1.0
     return e
@@ -158,12 +171,10 @@ def basis_vector(i: int, n: int) -> np.ndarray:
 
 def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
     """Wedge generator e_i ^ e_j = e_i e_j^T - e_j e_i^T (1-indexed, i < j)."""
-    if i == j:
-        raise DimensionMismatchError("wedge indices must differ")
-    if not (1 <= i < j <= n):
-        raise DimensionMismatchError(
-            f"wedge indices ({i}, {j}) out of range for dimension {n}"
-        )
+    if not (_is_int(i) and _is_int(j) and _is_int(n) and 1 <= min(i, j) and max(i, j) <= n):
+        raise DimensionMismatchError(f"wedge indices ({i!r}, {j!r}) must be integers in [1, {n!r}]")
+    if i >= j:
+        raise DimensionMismatchError(f"wedge indices ({i}, {j}) must satisfy i < j")
     w = np.zeros((n, n))
     w[i - 1, j - 1] = 1.0
     w[j - 1, i - 1] = -1.0
@@ -223,6 +234,21 @@ def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batc
         want = "nonempty" if n is None else f"length-{n}"
         raise DimensionMismatchError(f"{name} must be a {want} 1-d array, got shape {x.shape}")
     return _in_domain(x, name, 1)
+
+
+def check_finite_scalar(x: float, name: str) -> float:
+    """x as a float, checked as each entry of an array is: finite and at most ``_MAX_ABS`` in magnitude.
+
+    Anything else, or an x that is not a real number, raises
+    ``DimensionMismatchError``, whose context carries |x| as ``max_abs``.
+    """
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DimensionMismatchError(f"{name} must be a real number") from None
+    if not abs(x) <= _MAX_ABS:  # also true for NaN
+        raise DimensionMismatchError(f"{name} is not finite or exceeds {_MAX_ABS:g}", max_abs=abs(x))
+    return x
 
 
 def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:

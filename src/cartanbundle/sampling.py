@@ -1,8 +1,8 @@
 """Seeded deterministic samplers for every domain type, drawn as stacks.
 
 Streams are derived from a counter-based Philox generator keyed by
-(seed, stream id), so samples are reproducible across runs and independent
-across parallel workers.
+(seed mod 2^64, stream id), so samples are reproducible across runs and
+independent across parallel workers.
 
 Each kind but Cartan motions (which ``tau`` builds from sampled motions)
 has a stacked sampler, ``sample_<kind>s(rng, ..., count)``. It draws the
@@ -17,9 +17,17 @@ rotations, then all translations, then the uniforms), so a stack of N is in
 general not the first N of a stack of more. Each single sampler,
 ``sample_<kind>(rng, ...)``, is the stack of one, wrapped in its library
 type.
+
+Every scale is fixed: Gaussian entries (the skew part of a Gaussian matrix
+for a skew), and screws rescaled to a homogeneous-block Frobenius norm of at
+most 4. A caller sets only the two bounds that it uses with more than one
+value: ``bound`` on |B|_2 of a d_p generator, and ``max_angle`` of a
+bounded skew.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -31,8 +39,13 @@ from .matcore import _norm, _sign_fixed_qr
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Deterministic counter-based generator for (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    """Deterministic counter-based generator for (seed, stream).
+
+    Philox is keyed by the exact uint64 pair (seed mod 2^64, stream); seed is
+    any integer, a NumPy one too.
+    """
+    key = np.array([operator.index(seed) & (2**64 - 1), stream], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _shape(count) -> tuple:
@@ -61,11 +74,11 @@ def sample_rotations(rng: np.random.Generator, n: int, count) -> np.ndarray:
     return Q
 
 
-def sample_skews(rng: np.random.Generator, n: int, count, scale: float = 1.0) -> np.ndarray:
-    """Skew matrices (*count, n, n), the skew parts of Gaussian matrices times ``scale``."""
+def sample_skews(rng: np.random.Generator, n: int, count) -> np.ndarray:
+    """Skew matrices (*count, n, n), the skew parts of Gaussian matrices."""
     _require(n, 1, "skew")
     A = rng.standard_normal((*_shape(count), n, n))
-    return scale * 0.5 * (A - A.swapaxes(-1, -2))
+    return 0.5 * (A - A.swapaxes(-1, -2))
 
 
 def sample_skews_bounded(
@@ -76,18 +89,18 @@ def sample_skews_bounded(
     return W * _factors(np.linalg.norm(W, 2, axis=(-2, -1)), max_angle, rng)[..., None, None]
 
 
-def sample_screws(rng: np.random.Generator, n: int, count, norm_bound: float = 4.0) -> tuple:
-    """Screws (omega, v), with homogeneous-block Frobenius norm at most norm_bound."""
+def sample_screws(rng: np.random.Generator, n: int, count) -> tuple:
+    """Screws (omega, v), with homogeneous-block Frobenius norm at most 4."""
     omega = sample_skews(rng, n, count)
     v = rng.standard_normal((*_shape(count), n))
-    factor = _factors(np.sqrt(_norm(omega, 2) ** 2 + _norm(v, 1) ** 2), norm_bound, rng)
+    factor = _factors(np.sqrt(_norm(omega, 2) ** 2 + _norm(v, 1) ** 2), 4.0, rng)
     return omega * factor[..., None, None], v * factor[..., None]
 
 
-def sample_motions(rng: np.random.Generator, n: int, count, trans_scale: float = 1.0) -> tuple:
-    """Motions (R, X): Haar rotations, then Gaussian translations times ``trans_scale``."""
+def sample_motions(rng: np.random.Generator, n: int, count) -> tuple:
+    """Motions (R, X): Haar rotations, then Gaussian translations."""
     R = sample_rotations(rng, n, count)
-    return R, trans_scale * rng.standard_normal((*_shape(count), n))
+    return R, rng.standard_normal((*_shape(count), n))
 
 
 def sample_frames(rng: np.random.Generator, n: int, p: int, count) -> np.ndarray:
@@ -124,16 +137,11 @@ def sample_dp_generators(
 
 
 def sample_dp_elements(
-    rng: np.random.Generator,
-    p: int,
-    q: int,
-    count,
-    bound: float | None = None,
-    v_scale: float = 1.0,
+    rng: np.random.Generator, p: int, q: int, count, bound: float | None = None
 ) -> tuple:
-    """Elements (B, v) of d_p: generator blocks, then Gaussian v times ``v_scale``."""
+    """Elements (B, v) of d_p: generator blocks, then Gaussian v."""
     B = sample_dp_generators(rng, p, q, count, bound)
-    return B, v_scale * rng.standard_normal((*_shape(count), p))
+    return B, rng.standard_normal((*_shape(count), p))
 
 
 def sample_bundle_points(rng: np.random.Generator, n: int, p: int, count) -> tuple:
@@ -168,9 +176,9 @@ def sample_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return sample_rotations(rng, n, 1)[0]
 
 
-def sample_skew(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def sample_skew(rng: np.random.Generator, n: int) -> np.ndarray:
     """Skew matrix: the stack of one of ``sample_skews``."""
-    return sample_skews(rng, n, 1, scale)[0]
+    return sample_skews(rng, n, 1)[0]
 
 
 def sample_skew_bounded(rng: np.random.Generator, n: int, max_angle: float) -> np.ndarray:
@@ -178,14 +186,14 @@ def sample_skew_bounded(rng: np.random.Generator, n: int, max_angle: float) -> n
     return sample_skews_bounded(rng, n, 1, max_angle)[0]
 
 
-def sample_screw(rng: np.random.Generator, n: int, norm_bound: float = 4.0) -> Screw:
-    """Screw with homogeneous-block Frobenius norm at most norm_bound."""
-    return Screw(*_one(sample_screws(rng, n, 1, norm_bound)))
+def sample_screw(rng: np.random.Generator, n: int) -> Screw:
+    """Screw: the stack of one of ``sample_screws``."""
+    return Screw(*_one(sample_screws(rng, n, 1)))
 
 
-def sample_motion(rng: np.random.Generator, n: int, trans_scale: float = 1.0) -> Motion:
+def sample_motion(rng: np.random.Generator, n: int) -> Motion:
     """Motion: the stack of one of ``sample_motions``."""
-    return Motion(*_one(sample_motions(rng, n, 1, trans_scale)))
+    return Motion(*_one(sample_motions(rng, n, 1)))
 
 
 def sample_plane(rng: np.random.Generator, n: int, p: int) -> Plane:
@@ -206,14 +214,10 @@ def sample_dp_generator(
 
 
 def sample_dp_element(
-    rng: np.random.Generator,
-    p: int,
-    q: int,
-    bound: float | None = None,
-    v_scale: float = 1.0,
+    rng: np.random.Generator, p: int, q: int, bound: float | None = None
 ) -> DpElement:
     """Element of d_p: the stack of one of ``sample_dp_elements``."""
-    B, v = _one(sample_dp_elements(rng, p, q, 1, bound, v_scale))
+    B, v = _one(sample_dp_elements(rng, p, q, 1, bound))
     return DpElement(gen=DpGenerator(p=p, q=q, B=B), v=v)
 
 

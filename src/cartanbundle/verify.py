@@ -73,8 +73,8 @@ class VerifyConfig:
 
     def __post_init__(self):
         self.sig  # Signature checks (n, p)
-        if self.samples < 1:
-            raise ValueError("config requires samples >= 1")
+        if not (mc._is_int(self.samples) and self.samples >= 1 and mc._is_int(self.seed)):
+            raise ValueError(f"config requires integers samples >= 1 and seed: {self.samples!r}, {self.seed!r}")
 
     @property
     def sig(self) -> gr.Signature:
@@ -295,7 +295,7 @@ def _group_axioms(cfg, R, X):
 
 @_sampled(lambda cfg, rng, count: _per_dimension(
     rng.integers(2, min(cfg.n, 6) + 1, size=count),
-    lambda nn, k: sp.sample_screws(rng, nn, k, norm_bound=4.0),
+    lambda nn, k: sp.sample_screws(rng, nn, k),
 ))
 def _exp_series(cfg, omega, v):
     xi = Screw(omega, v)

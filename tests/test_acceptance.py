@@ -65,7 +65,7 @@ def test_exponential_matches_series_oracle():
     worst = 0.0
     for i in range(1000):
         n = 2 + i % 5
-        xi = sample_screw(rng, n, norm_bound=4.0)
+        xi = sample_screw(rng, n)
         g = se_exp(xi)
         H = homogeneous_exp_oracle(xi.omega, xi.v)
         worst = max(worst, float(np.max(np.abs(g.homogeneous() - H))))

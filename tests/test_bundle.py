@@ -465,7 +465,7 @@ class TestDpFull:
         # The fiber leaks 3e-8 out of the reference plane: certified only
         # under loose tolerances, but outside the fiber bound that
         # dp_log_full applies at the default tolerances.
-        loose = Tolerances().with_overrides({"invol": 1e-6, "fiber": 1e-6})
+        loose = Tolerances(invol=1e-6, fiber=1e-6)
         s = CartanMotion.certify(Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), SIG22, loose)
         with pytest.raises(NearSingularIsomorphismError):
             dp_log_full(s)
@@ -612,7 +612,7 @@ class TestCertificate:
         # R is 1e-7 off SO(n): certified only under the loose tolerances,
         # which a copy must check against again.
         R = sample_cartan_motion(rng, 4, 2).motion.R + 1e-7 * rng.standard_normal((4, 4))
-        loose = Tolerances().with_overrides({"orth": 1e-4, "invol": 1e-4})
+        loose = Tolerances(orth=1e-4, invol=1e-4)
         with pytest.raises(IllConditionedSpectrumError):
             CartanMotion(Motion(R, np.zeros(4)), SIG22)
         s = CartanMotion(Motion(R, np.zeros(4)), SIG22, loose)
@@ -747,7 +747,7 @@ CLONES = [
 
 CLONE_TOLS = [
     pytest.param(Tolerances(), id="default"),
-    pytest.param(Tolerances().with_overrides({"orth": 1e-7, "invol": 1e-6, "fiber": 1e-7}), id="loose"),
+    pytest.param(Tolerances(orth=1e-7, invol=1e-6, fiber=1e-7), id="loose"),
 ]
 
 
@@ -824,9 +824,7 @@ def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n,
         for name, build in _sure_cases(rng, n, p, c, scale):
             build(Tolerances())
             rot, fib = seen[-1]
-            tight = Tolerances().with_overrides(
-                {"orth": rot, "invol": rot + 2.0 * fib, "fiber": fib or 1.0}
-            )
+            tight = Tolerances(orth=rot, invol=rot + 2.0 * fib, fiber=fib or 1.0)
             checked.clear()
             out = build(tight)
             assert not checked, name
@@ -839,7 +837,7 @@ def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n,
 def test_copies_of_a_plane_keep_its_tolerances(rng):
     # |F^T F - I| = 4e-8 passes only the loose frame check.
     F = (1 + 1e-8) * sample_rotation(rng, 4)[:, :2]
-    loose = Tolerances().with_overrides({"orth": 1e-7})
+    loose = Tolerances(orth=1e-7)
     with pytest.raises(DegenerateSpanError):
         plane_from_frame(F)
     plane = plane_from_frame(F, loose)
@@ -852,7 +850,7 @@ def test_copies_of_a_plane_keep_its_tolerances(rng):
 # The certificate reads the sigma residual off the S_p0 check (S = R J and
 # |S^2 - I|) instead of building sigma(g); these pin it to the built formula.
 PARITY_SHAPES = [(2, 1), (4, 2), (8, 3), (32, 5)]
-LOOSE = Tolerances().with_overrides({"orth": 1e-3, "invol": 1e-3, "fiber": 1e-3})
+LOOSE = Tolerances(orth=1e-3, invol=1e-3, fiber=1e-3)
 
 
 def _parity_motions(rng, n, p):
@@ -912,7 +910,7 @@ def test_error_class_straddling_each_bound(rng, bound):
             continue
         outcomes = []
         for side in (1.0 - 1e-9, 1.0 + 1e-9):
-            tol = LOOSE.with_overrides({field: residual / factor / side})
+            tol = dataclasses.replace(LOOSE, **{field: residual / factor / side})
             expected = certificate_error_oracle(g, sig, tol)
             if expected is None:
                 CartanMotion(g, sig, tol)
@@ -930,7 +928,8 @@ def test_tau_is_bit_identical_to_group_arithmetic(rng, n, p):
     sig = Signature(p, n - p)
     for scale in (1.0, 1e6):
         for _ in range(10):
-            g = sample_motion(rng, n, trans_scale=scale)
+            g = sample_motion(rng, n)
+            g = Motion(g.R, scale * g.X)
             expected = se_mul(g, sigma(se_inv(g), sig))
             got = tau(g, sig).motion
             assert np.array_equal(got.R, expected.R) and np.array_equal(got.X, expected.X)

@@ -192,6 +192,14 @@ class TestMoebius:
         assert len(records) == 12
         assert "line_angle" in records[0]
 
+    @pytest.mark.parametrize("lambda_max", ["inf", "nan", "1e200"])
+    def test_lambda_max_outside_the_domain(self, capsys, lambda_max):
+        # inf raised two RuntimeWarnings in linspace first, and 1e200 wrote
+        # records that motion_from_json rejects
+        code, out, err = run_cli(capsys, "moebius", "--lambda-max", lambda_max)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "dimension_mismatch"
+
 
 class TestErrorHandling:
     def test_bad_json_input(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The input domain: every array the library accepts has finite entries of
 magnitude at most 1e150 (``matcore._MAX_ABS``) and the shape its signature or
-plane fixes, else ``DimensionMismatchError``.
+plane fixes, every real scalar passes the same entry test, and every size or
+index is an integer, else ``DimensionMismatchError``.
 
 Below the ceiling no residual norm can overflow. Above it, a Frobenius norm
 reads inf past about 1.3e154, and every membership bound tol (1 + |x|) then
@@ -27,25 +28,30 @@ from cartanbundle import (
     Signature,
     bundle_act,
     bundle_point,
+    basis_vector,
     double_projection,
     dp_exp_full,
+    half_angle_line,
     identity_motion,
     in_Q,
     in_Q0,
     is_fixed_point,
+    line_bundle_exp,
+    moebius_grid,
     plane_from_frame,
-    reflection_about_hyperplane_normal,
     rotate_plane,
+    rotation_in_plane,
     se_exp,
+    se_log,
     sigma,
     sigma0,
+    skew_wedge,
     tau,
     twisted_act,
     twisted_act0,
     y_omega_solve,
 )
 from cartanbundle.cli import main
-from cartanbundle.liegroup import check_motion
 from cartanbundle.matcore import (
     _MAX_ABS,
     check_finite_matrix,
@@ -62,6 +68,7 @@ SIG = Signature(2, 2)
 PLANE = plane_from_frame(np.eye(4)[:, :2])
 POINT = bundle_point(PLANE, np.array([1.0, 2.0, 0.0, 0.0]))
 I4, Z4 = np.eye(4), np.zeros(4)
+E2 = np.array([0.0, 1.0])
 
 
 def _vec(bad, n=4, at=0):
@@ -103,9 +110,12 @@ SITES = {
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
     "unit_direction": lambda bad: unit_direction(_vec(bad, 3, at=1)),
-    "reflection_about_hyperplane_normal": (
-        lambda bad: reflection_about_hyperplane_normal(_vec(bad, 3))
-    ),
+    # the real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299
+    "rotation_in_plane.theta": lambda bad: rotation_in_plane(bad, E2),
+    "half_angle_line.theta": lambda bad: half_angle_line(bad, E2),
+    "line_bundle_exp.theta": lambda bad: line_bundle_exp(bad, E2, 1.0),
+    "line_bundle_exp.lam": lambda bad: line_bundle_exp(1.0, E2, bad),
+    "moebius_grid.lambda_max": lambda bad: moebius_grid(2, 3, bad),
 }
 
 
@@ -145,7 +155,7 @@ ROTATION_SITES = {
 SQUARE_SITES = {
     "check_special_orthogonal": check_special_orthogonal,
     "check_skew": lambda W: check_skew(0.0 * W),
-    "check_motion": lambda R: check_motion(Motion(R, np.zeros(len(R)))),
+    "se_log": lambda R: se_log(Motion(R, np.zeros(len(R)))),
     "eigenspace_of_symmetric_involution": lambda S: eigenspace_of_symmetric_involution(S, 1),
 }
 WIDE, SMALL = np.eye(4, 3), np.eye(3)
@@ -200,6 +210,34 @@ def test_signature_takes_positive_integers_only(p, q):
     with pytest.raises(DimensionMismatchError) as info:
         Signature(p, q)
     assert info.value.code == "dimension_mismatch"
+
+
+@pytest.mark.parametrize("i, n", [(1.5, 3), (True, 3), (1.0, 3), (1, 3.0), (0, 3), (4, 3)])
+def test_basis_vector_takes_an_integer_index_in_range(i, n):
+    # basis_vector(1.5, 3) raised a raw IndexError, basis_vector(1, 3.0) a TypeError
+    with pytest.raises(DimensionMismatchError):
+        basis_vector(i, n)
+
+
+@pytest.mark.parametrize(
+    "i, j, n", [(1.0, 2, 3), (1, 2.5, 4), (True, 2, 3), (1, 2, 3.0), (0, 2, 3), (1, 4, 3)]
+)
+def test_skew_wedge_takes_integer_indices_in_range(i, j, n):
+    # skew_wedge(1.0, 2, 3) raised a raw IndexError
+    with pytest.raises(DimensionMismatchError, match="integers in"):
+        skew_wedge(i, j, n)
+
+
+@pytest.mark.parametrize("i, j", [(2, 1), (2, 2)])
+def test_skew_wedge_names_indices_out_of_order(i, j):
+    # skew_wedge(2, 1, 4) said "out of range" for indices in range
+    with pytest.raises(DimensionMismatchError, match="i < j"):
+        skew_wedge(i, j, 4)
+
+
+def test_numpy_indices_are_integers():
+    assert np.array_equal(basis_vector(np.int64(2), np.int32(3)), [0.0, 1.0, 0.0])
+    assert np.array_equal(skew_wedge(np.int64(1), 2, np.int64(2)), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_signature_takes_numpy_integers():

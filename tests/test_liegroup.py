@@ -117,7 +117,7 @@ class TestSoExpLog:
     def test_exp_matches_series(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            W = sample_skew(rng, n, scale=float(rng.uniform(0.1, 2)))
+            W = float(rng.uniform(0.1, 2)) * sample_skew(rng, n)
             assert np.linalg.norm(so_exp(W) - series_exp_oracle(W)) <= 1e-9
 
     def test_log_identity(self):
@@ -168,14 +168,14 @@ class TestYOmega:
     def test_matches_series(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            W = sample_skew(rng, n, scale=float(rng.uniform(0.1, 2)))
+            W = float(rng.uniform(0.1, 2)) * sample_skew(rng, n)
             v = rng.standard_normal(n)
             assert np.linalg.norm(y_omega(W, v) - y_series_oracle(W, v)) <= 1e-9
 
     def test_defining_identity(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            W = sample_skew(rng, n, scale=float(rng.uniform(0.1, 3)))
+            W = float(rng.uniform(0.1, 3)) * sample_skew(rng, n)
             v = rng.standard_normal(n)
             lhs = W @ y_omega(W, v)
             rhs = (so_exp(W) - np.eye(n)) @ v
@@ -221,7 +221,7 @@ class TestSeExpLog:
     def test_matches_block_series(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            xi = sample_screw(rng, n, norm_bound=4.0)
+            xi = sample_screw(rng, n)
             H = se_exp(xi).homogeneous()
             assert np.linalg.norm(H - homogeneous_exp_oracle(xi.omega, xi.v)) <= 1e-9
 

@@ -277,7 +277,7 @@ class TestSkewCanonicalForm:
     def test_reconstruction(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            W = sample_skew(rng, n, scale=float(rng.uniform(0.1, 5)))
+            W = float(rng.uniform(0.1, 5)) * sample_skew(rng, n)
             form = skew_canonical_form(W)
             assert np.linalg.norm(form.skew_matrix() - W) <= 1e-10 * n * max(
                 1.0, np.linalg.norm(W)

@@ -11,7 +11,6 @@ from cartanbundle import (
     half_angle_line,
     line_bundle_exp,
     moebius_grid,
-    reflection_about_hyperplane_normal,
     rho0,
     rotation_in_plane,
     se_exp,
@@ -52,6 +51,13 @@ class TestRotationInPlane:
         with pytest.raises(DimensionMismatchError):
             rotation_in_plane(1.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("U", [[0.0, 0.6, 0.6], [0.0, 2.0], [[0.0, 1.0]]],
+                             ids=["short", "long", "row-matrix"])
+    def test_rejects_a_direction_that_is_no_unit_vector(self, U):
+        # a direction is a 1-d array of norm 1, within 1e-12
+        with pytest.raises(DimensionMismatchError):
+            rotation_in_plane(1.0, np.array(U))
+
     @pytest.mark.parametrize(
         "theta, U",
         [
@@ -81,29 +87,22 @@ def test_scalar_direction_is_a_dimension_mismatch(call):
         call(5.0)
 
 
-class TestReflection:
-    def test_e1_is_signature(self):
-        S = reflection_about_hyperplane_normal(np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(S, np.diag([-1.0, 1.0, 1.0]))
-
-    def test_e2_in_plane(self):
-        S = reflection_about_hyperplane_normal(np.array([0.0, 1.0]))
-        assert np.allclose(S, np.diag([1.0, -1.0]))
-
-    def test_involution(self, rng):
-        for _ in range(20):
-            V = rng.standard_normal(4)
-            V /= np.linalg.norm(V)
-            S = reflection_about_hyperplane_normal(V)
-            assert np.allclose(S @ S, np.eye(4), atol=1e-12)
-            assert np.allclose(S @ V, -V, atol=1e-12)
-            assert np.isclose(np.linalg.det(S), -1.0)
-
-    @pytest.mark.parametrize("V", [[math.nan, 0.0], [math.inf, 0.0], [0.6, 0.6], [[0.6, 0.8]], 1.0],
-                             ids=["nan", "inf", "not-unit", "row-matrix", "scalar"])
-    def test_rejects_non_unit_normal(self, V):
-        with pytest.raises(DimensionMismatchError):
-            reflection_about_hyperplane_normal(np.array(V))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: rotation_in_plane(x, np.array([0.0, 1.0])),
+        lambda x: half_angle_line(x, np.array([0.0, 1.0])),
+        lambda x: line_bundle_exp(x, np.array([0.0, 1.0]), 1.0),
+        lambda x: line_bundle_exp(1.0, np.array([0.0, 1.0]), x),
+        lambda x: moebius_grid(2, 3, x),
+    ],
+    ids=["rotation_in_plane", "half_angle_line", "line_bundle_exp.theta", "line_bundle_exp.lam",
+         "moebius_grid"],
+)
+@pytest.mark.parametrize("x", ["a", None, [1.0, 2.0], 1j], ids=["str", "None", "list", "complex"])
+def test_a_scalar_that_is_no_real_number_is_a_dimension_mismatch(call, x):
+    with pytest.raises(DimensionMismatchError):
+        call(x)
 
 
 def two_reflections_residual(theta, U):
@@ -111,7 +110,7 @@ def two_reflections_residual(theta, U):
     n = len(U)
     J = np.diag([-1.0] + [1.0] * (n - 1))
     V = half_angle_line(theta, U).frame[:, 0]
-    return np.linalg.norm(rotation_in_plane(theta, U) @ J - reflection_about_hyperplane_normal(V))
+    return np.linalg.norm(rotation_in_plane(theta, U) @ J - (np.eye(n) - 2.0 * np.outer(V, V)))
 
 
 class TestTwoReflections:
@@ -202,6 +201,29 @@ class TestMoebiusGrid:
         records = moebius_grid(8, 5, 1.5)
         assert len(records) == 40
         assert set(records[0]) == set(MOEBIUS_COLUMNS)
+
+    def test_each_column_holds_its_value(self):
+        # theta, lambda, R row-major, X, theta/2 and X again, bit for bit
+        num_theta, lambdas = 7, np.linspace(-1.5, 1.5, 4)
+        records = moebius_grid(num_theta, 4, 1.5)
+        e2 = np.array([0.0, 1.0])
+        for k, rec in enumerate(records):
+            theta, lam = 2.0 * math.pi * (k // 4) / num_theta, float(lambdas[k % 4])
+            m = line_bundle_exp(theta, e2, lam)
+            X = m.X.tolist()
+            assert tuple(rec) == MOEBIUS_COLUMNS
+            assert list(rec.values()) == [theta, lam, *m.R.ravel().tolist(), *X, theta / 2, *X]
+
+    @pytest.mark.parametrize(
+        "num_theta, num_lambda", [(2.5, 3), (2, 3.0), (True, 3), (2, "3"), (0, 3), (2, -1)]
+    )
+    def test_sizes_are_positive_integers(self, num_theta, num_lambda):
+        # moebius_grid(2.5, 3, 1.0) raised a raw TypeError, and True ran as 1
+        with pytest.raises(DimensionMismatchError):
+            moebius_grid(num_theta, num_lambda, 1.0)
+
+    def test_numpy_sizes_give_the_same_records(self):
+        assert moebius_grid(np.int64(3), np.int32(2), 1.0) == moebius_grid(3, 2, 1.0)
 
     def test_records_in_q_with_fiber_on_line(self):
         from cartanbundle import Motion, Signature, in_Q

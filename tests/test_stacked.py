@@ -172,7 +172,8 @@ class TestBundle:
     def test_tau(self, shape):
         n, p = shape
         sig = Signature(p, n - p)
-        R, X = sample_motions(make_rng(9, n), n, K, trans_scale=1e3)
+        R, X = sample_motions(make_rng(9, n), n, K)
+        X = 1e3 * X
         out = bn._tau(Motion(R, X), sig, TOL, (K,))
         _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, TOL), K)
         _same(out, lambda i: _parts(bn.tau(Motion(R[i], X[i]), sig)), K)
@@ -185,7 +186,7 @@ class TestBundle:
         sig = Signature(p, n - p)
         R, X = sample_motions(make_rng(10, 0), n, K)
         R[1::2] *= 1 + 1e-13
-        tol = TOL.with_overrides({"orth": 1e-12})
+        tol = Tolerances(orth=1e-12)
         out = bn._tau(Motion(R, X), sig, tol, (K,))
         _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, tol), K)
         # the closed-form frame where sure, the checked frame elsewhere

@@ -102,3 +102,18 @@ def test_tightened_bound_fails_exactly_the_rows_that_read_it():
         "projective.half_angle_line",
     }
     assert all(math.isfinite(results[name].max_error) for name in failed)
+
+
+@pytest.mark.parametrize(
+    "samples, seed", [(2.5, 5), (True, 5), ("5", 5), (0, 5), (5, 1.5), (5, None), (5, False)]
+)
+def test_samples_and_seed_are_integers(samples, seed):
+    # samples=2.5 let a raw TypeError escape run_verification, and True ran as 1
+    with pytest.raises(ValueError, match="integers"):
+        VerifyConfig(n=4, p=2, samples=samples, seed=seed)
+
+
+def test_numpy_samples_and_seed_run_as_their_values():
+    cfg = VerifyConfig(n=2, p=1, samples=np.int64(3), seed=np.int32(5))
+    report, same = run_verification(cfg), run_verification(VerifyConfig(n=2, p=1, samples=3, seed=5))
+    assert report.passed and report.properties == same.properties

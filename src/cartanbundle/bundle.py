@@ -31,6 +31,14 @@ when constructed, as a ``CartanMotion`` is. ``verify`` passes these outputs
 through the public constructor (``tau_properties``, ``rho_bijectivity``,
 ``dp_full_routes``).
 
+A tolerance is given where a value is first checked from raw arrays:
+``CartanMotion``, ``tau`` and ``dp_exp_full`` take ``tol``, as do the
+predicates ``in_Q`` and ``is_fixed_point`` and ``double_projection``. A
+``BundlePoint`` is checked under its plane's tolerances and has none of its
+own. Each map of certified values (``bundle_point``, ``rho``, ``rho_inv``,
+``bundle_act``, ``dp_log_full``) reads the tolerances of its operand and
+certifies its output under them.
+
 Each condition has one bound, which every test of it reads: the sigma
 residual is held to ``tol.invol`` (1 + |X|) by ``in_Q`` and
 ``CartanMotion`` (``_sigma_holds``), and the part (I - P) Y of a fiber
@@ -122,12 +130,13 @@ class BundlePoint:
 
     The plane is a certified ``Plane``. The fiber must be an n-vector in
     the input domain of ``matcore`` (entries finite, at most 1e150) and in
-    the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``.
-    The instance keeps a read-only copy of it. ``bundle_point`` checks under
-    its ``tol``; the constructor under the defaults. ``rho`` builds its
-    point from a certified motion and checks nothing. ``copy`` and
-    ``pickle`` run the check again under the tolerances of the original,
-    ``dataclasses.replace`` under the defaults. ``==`` is identity.
+    the plane: |P Y - Y| is held to the fiber bound, ``_fiber_holds``,
+    under the plane's tolerances. The point has no tolerances of its own:
+    its ``_tol`` is its plane's. The instance keeps a read-only copy of the
+    fiber. The constructor is ``bundle_point``. ``rho`` builds its point
+    from a certified motion and checks nothing. ``copy``, ``pickle`` and
+    ``dataclasses.replace`` run the check again under the plane's
+    tolerances. ``==`` is identity.
     """
 
     plane: Plane
@@ -138,25 +147,22 @@ class BundlePoint:
         self.__dict__.update(bundle_point(self.plane, self.fiber).__dict__)
 
     def __reduce__(self):
-        return bundle_point, (self.plane, self.fiber, self._tol)
+        return bundle_point, (self.plane, self.fiber)
 
     @property
     def n(self) -> int:
         return self.plane.n
 
 
-def bundle_point(
-    plane: Plane, fiber: np.ndarray, tol: Tolerances | None = None
-) -> BundlePoint:
-    """The certified bundle point (plane, fiber), checked under ``tol``."""
-    tol = tol or default_tolerances()
+def bundle_point(plane: Plane, fiber: np.ndarray) -> BundlePoint:
+    """The certified bundle point (plane, fiber), checked under the plane's tolerances."""
     fiber = check_finite_vector(_read_only(fiber), plane.n, "fiber")
     residual = _norm(plane.projector @ fiber - fiber)
-    if not _fiber_holds(residual, fiber, tol):
+    if not _fiber_holds(residual, fiber, plane._tol):
         raise NotInCartanModelError(
             "fiber vector does not lie in the plane", residual=float(residual)
         )
-    return _trusted(BundlePoint, tol, plane=plane, fiber=fiber)
+    return _trusted(BundlePoint, plane._tol, plane=plane, fiber=fiber)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,17 +397,18 @@ def rho(s: CartanMotion) -> BundlePoint:
     return _trusted(BundlePoint, s._tol, plane=_plane(s._frame, s._tol), fiber=s.motion.X)
 
 
-def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
+def rho_inv(b: BundlePoint) -> CartanMotion:
     """Inverse of rho: embed the plane as (I - 2 P) J, keep the fiber as translation.
 
     The motion lies in S_p by construction, with ``b.plane.frame`` the frame
     of its plane. Its rotation is bounded as ``cartan_embed0``'s; with
     S = I - 2 P, its sigma and fiber residuals are 2 |(I - P) Y| and
     |(I - P) Y|, measured here. When these make the motion sure of its
-    check (``_sure``), nothing is checked; otherwise it goes through the
-    public constructor.
+    check (``_sure``) under the point's tolerances, nothing is checked;
+    otherwise it goes through the public constructor under them. Either
+    way the motion carries the point's tolerances.
     """
-    tol = tol or default_tolerances()
+    tol = b._tol
     R, sig, rot = _embed_matrix(b.plane)
     Y = b.fiber
     fib = _norm(b.plane.projector @ Y - Y) / (1.0 + _norm(Y)) + sig.n * _ROUND
@@ -410,21 +417,19 @@ def rho_inv(b: BundlePoint, tol: Tolerances | None = None) -> CartanMotion:
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=b.plane.frame)
 
 
-def bundle_act(
-    a: Motion, b: BundlePoint, sig: Signature, tol: Tolerances | None = None
-) -> BundlePoint:
+def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     """The transitive action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
     The motion is checked once, against the signature, and the point must
     have its n. The plane A pi is checked as a frame, as ``rotate_plane``
-    checks it.
+    checks it, and the new point as ``bundle_point`` checks it, both under
+    the point's tolerances, which the result carries.
     """
-    tol = tol or default_tolerances()
     R, X, _ = _checked_motion(a, sig.n)
     if b.n != sig.n:
         raise DimensionMismatchError("bundle point dimension does not match signature")
-    plane = plane_from_frame(R @ b.plane.frame, tol)
-    return bundle_point(plane, R @ b.fiber + 2.0 * (plane.projector @ X), tol)
+    plane = plane_from_frame(R @ b.plane.frame, b._tol)
+    return bundle_point(plane, R @ b.fiber + 2.0 * (plane.projector @ X))
 
 
 def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
@@ -492,7 +497,7 @@ def _dp_exp_full(B: np.ndarray, v: np.ndarray, sig: Signature, tol: Tolerances, 
     return R, X, _checked_where_unsure(sure, R, X, _cs_frame(V, 0.5 * s, U), sig, tol)
 
 
-def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
+def dp_log_full(s: CartanMotion) -> DpElement:
     """Inverse of dp_exp_full on generic Cartan-model motions.
 
     The frame of the plane, kept by s from its construction check, fixes
@@ -501,10 +506,11 @@ def dp_log_full(s: CartanMotion, tol: Tolerances | None = None) -> DpElement:
     dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i, which lies in
     (2/pi, 1] inside the cut locus. The residual of that pull-back is the
     part of X off the plane, held to the fiber bound of the construction
-    check (``_fiber_holds``), here under ``tol``; a motion certified under
-    looser tolerances can still fail it, and then the call raises.
+    check (``_fiber_holds``). That bound and the cut-locus and
+    singular-factor tests, which ``dp_log0`` shares, read the tolerances s
+    carries.
     """
-    B, v = _dp_log_full(s._frame, s.motion.X, s.sig, tol or default_tolerances())
+    B, v = _dp_log_full(s._frame, s.motion.X, s.sig, s._tol)
     return DpElement(gen=DpGenerator(p=s.sig.p, q=s.sig.q, B=B), v=v)
 
 

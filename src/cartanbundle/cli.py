@@ -8,23 +8,25 @@ subcommand accepts only the flags it reads:
 
     command    flags
     exp        --in --out --se | --so
-    log        --in --out --se | --so --allow-pi
-    embed      --in --out
-    project    --in --out --n --p
-    act        --in --out --n --p --twisted | --bundle
-    transport  --in --out
-    tau        --in --out --n --p
+    log        --in --out --se | --so --allow-pi --tol.*
+    embed      --in --out --tol.*
+    project    --in --out --n --p --tol.*
+    act        --in --out --n --p --twisted | --bundle --tol.*
+    transport  --in --out --tol.*
+    tau        --in --out --n --p --tol.*
     sample     --out --n --p --seed --samples --kind
-    verify     --out --n --p --seed --samples
+    verify     --out --n --p --seed --samples --tol.*
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 ``--samples`` must be at least 1, a | joins mode switches that exclude each
-other, and a flag must be spelled out in full. Every subcommand also takes
-one tolerance override ``--tol.<name> VALUE`` per ``Tolerances`` field, listed
-by its ``--help``. A ``--tol`` flag is an option of the subcommand like any
-other: an unknown name, a value that is not a number, or the flag before the
-subcommand is ``bad_arguments``; a value that is not a finite positive number
-is ``invalid_input``, as ``Tolerances`` rejects it.
+other, and a flag must be spelled out in full. ``--tol.*`` is the group of
+tolerance overrides ``--tol.<name> VALUE``, one per ``Tolerances`` field,
+listed by the command's ``--help``; the commands that check a value under a
+tolerance take it, the others do not. A ``--tol`` flag is an option of the
+subcommand like any other: an unknown name, a value that is not a number, the
+flag on a command that reads no tolerance, or before the subcommand is
+``bad_arguments``; a value that is not a finite positive number is
+``invalid_input``, as ``Tolerances`` rejects it.
 
 Exit codes: 0 success; 1 bad arguments or a domain error, with a
 machine-readable JSON object on stderr; 2 verification failure; 141 stdout was
@@ -80,6 +82,11 @@ _SWITCH = {"action": "store_true"}
 _MODE = {"action": "store_true"}  # a switch that excludes the other modes of its command
 _DIMS = {"n": {"type": int}, "p": {"type": int}}
 _DRAWS = {"seed": {"type": int, "default": 0}, "samples": {"type": _positive_int, "default": 500}}
+_TOL = {  # dest "tol.<name>", set only when given
+    f"tol.{f.name}": {"type": float, "default": argparse.SUPPRESS, "metavar": "VALUE",
+                      "help": f"tolerance override (default {f.default:g})"}
+    for f in dataclasses.fields(Tolerances)
+}
 
 # name -> (help, reads --in, flags, handler(args, input JSON, tol) -> (JSON or text, exit code))
 COMMANDS = {}
@@ -105,9 +112,6 @@ def _build_parser() -> _Parser:
         modes = p.add_mutually_exclusive_group() if any(k is _MODE for k in flags.values()) else p
         for flag, keywords in flags.items():
             (modes if keywords is _MODE else p).add_argument("--" + flag.replace("_", "-"), **keywords)
-        for f in dataclasses.fields(Tolerances):  # dest "tol.<name>", set only when given
-            p.add_argument(f"--tol.{f.name}", type=float, default=argparse.SUPPRESS, metavar="VALUE",
-                           help=f"tolerance override (default {f.default:g})")
     return parser
 
 
@@ -120,7 +124,7 @@ def _exp(args, obj, tol):
 
 @_command(
     "log", "logarithm of a motion (--se) or rotation (--so)", True,
-    se=_MODE, so=_MODE, allow_pi=_SWITCH,
+    se=_MODE, so=_MODE, allow_pi=_SWITCH, **_TOL,
 )
 def _log(args, obj, tol):
     if args.so:
@@ -128,15 +132,15 @@ def _log(args, obj, tol):
     return sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi)), 0
 
 
-@_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True)
+@_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True, **_TOL)
 def _embed(args, obj, tol):
     if "fiber" in obj:
-        return sz.cartan_motion_to_json(bn.rho_inv(sz.bundle_point_from_json(obj, tol), tol)), 0
-    cr = gr.cartan_embed0(sz.plane_from_json(obj, tol), tol)
+        return sz.cartan_motion_to_json(bn.rho_inv(sz.bundle_point_from_json(obj, tol))), 0
+    cr = gr.cartan_embed0(sz.plane_from_json(obj, tol))
     return {"R": sz.mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}, 0
 
 
-@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS)
+@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS, **_TOL)
 def _project(args, obj, tol):
     if "X" in obj:
         return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol))), 0
@@ -147,25 +151,25 @@ def _project(args, obj, tol):
 
 @_command(
     "act", "twisted conjugation (--twisted) or bundle action (--bundle)", True,
-    **_DIMS, twisted=_MODE, bundle=_MODE,
+    **_DIMS, twisted=_MODE, bundle=_MODE, **_TOL,
 )
 def _act(args, obj, tol):
     sig = _signature(args)
     a = sz.motion_from_json(obj["a"])
     if args.bundle:
         b = sz.bundle_point_from_json(obj["b"], tol)
-        return sz.bundle_point_to_json(bn.bundle_act(a, b, sig, tol)), 0
+        return sz.bundle_point_to_json(bn.bundle_act(a, b, sig)), 0
     return sz.motion_to_json(bn.twisted_act(a, sz.motion_from_json(obj["g"]), sig)), 0
 
 
-@_command("transport", "motion carrying one bundle point to another", True)
+@_command("transport", "motion carrying one bundle point to another", True, **_TOL)
 def _transport(args, obj, tol):
     src = sz.bundle_point_from_json(obj["src"], tol)
     dst = sz.bundle_point_from_json(obj["dst"], tol)
     return sz.motion_to_json(bn.find_transporter(src, dst)), 0
 
 
-@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS)
+@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS, **_TOL)
 def _tau(args, obj, tol):
     sig = _signature(args)
     return sz.cartan_motion_to_json(bn.tau(sz.motion_from_json(obj), sig, tol)), 0
@@ -221,7 +225,7 @@ def _sample(args, obj, tol):
     return {"kind": args.kind, "seed": args.seed, "values": values}, 0
 
 
-@_command("verify", "run the full property harness", False, **_DIMS, **_DRAWS)
+@_command("verify", "run the full property harness", False, **_DIMS, **_DRAWS, **_TOL)
 def _verify(args, obj, tol):
     sig = _signature(args)
     cfg = VerifyConfig(n=sig.n, p=sig.p, samples=args.samples, seed=args.seed, tol=tol)

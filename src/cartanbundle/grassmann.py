@@ -10,8 +10,15 @@ The signature (p, q) fixes every operand's shape. ``Signature`` is the one
 check of (n, p): p and q are integers of at least 1, so 1 <= p < n. Each
 map checks its operands against it with the ``matcore`` validators: a
 rotation n x n (``sigma0``, ``in_Q0``, ``twisted_act0``,
-``CartanRotation``; ``rotate_plane`` takes n from the plane), a frame
-(n, p) and a projector n x n (``Plane``).
+``CartanRotation``; ``rotate_plane`` takes n from the plane). A ``Plane``
+takes n and p from its frame.
+
+A tolerance is given where a value is first checked from raw arrays: the
+constructors (``plane_from_frame``, ``plane_from_span``, ``CartanRotation``,
+``dp_exp``) and the predicates (``in_Q0``, ``plane_equal``) take ``tol``. A
+certified value keeps the tolerances of its check, and each map of
+certified values (``cartan_embed0``, ``rho0``, ``dp_log0``,
+``rotate_plane``) reads its operand's and certifies its output under them.
 
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
@@ -61,7 +68,6 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import (
     CutLocusError,
-    DegenerateSpanError,
     DimensionMismatchError,
     NotInCartanModelError,
 )
@@ -182,44 +188,30 @@ def _sure(tol: Tolerances, rot: float, fib: float = 0.0) -> bool:
 class Plane:
     """A p-dimensional subspace of R^n: projector plus a representative frame.
 
-    Checked once, at construction: the frame is finite, of shape (n, p) and
-    orthonormal within ``tol.orth`` n (``check_frame``), and the projector
-    lies within ``tol.plane`` of F F^T. The instance keeps read-only copies
-    of both. ``plane_from_frame`` checks under its ``tol``; the constructor
-    under the defaults. Planes whose frame is orthonormal by construction
-    (``rho0``, ``rho``, whose frames come from ``eigh`` or a closed form)
-    skip the check. The projector kept is F F^T, not the caller's. ``copy``
-    and ``pickle`` run the check again under the tolerances of the
-    original, ``dataclasses.replace`` under the defaults. ``==`` is
-    identity; ``plane_equal`` compares planes.
+    ``Plane(frame)`` is ``plane_from_frame(frame)``: the frame is checked
+    once, finite and orthonormal within ``tol.orth`` n (``check_frame``),
+    and n, p and the projector F F^T are derived from it. The instance keeps
+    read-only copies of frame and projector, and the tolerances of the
+    check, which every map of the plane reuses. ``plane_from_frame`` checks
+    under its ``tol``; the constructor under the defaults. Planes whose
+    frame is orthonormal by construction (``rho0``, ``rho``, whose frames
+    come from ``eigh`` or a closed form) skip the check. ``copy`` and
+    ``pickle`` run the check again under the tolerances of the original,
+    ``dataclasses.replace`` under the defaults. ``==`` is identity;
+    ``plane_equal`` compares planes.
     """
 
-    n: int
-    p: int
-    projector: np.ndarray
+    n: int = field(init=False)
+    p: int = field(init=False)
+    projector: np.ndarray = field(init=False)
     frame: np.ndarray
     _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.__dict__.update(_checked_plane(
-            self.n, self.p, self.projector, self.frame, default_tolerances()
-        ).__dict__)
+        self.__dict__.update(plane_from_frame(self.frame).__dict__)
 
     def __reduce__(self):
-        return _checked_plane, (self.n, self.p, self.projector, self.frame, self._tol)
-
-
-def _checked_plane(n: int, p: int, P: np.ndarray, F: np.ndarray, tol: Tolerances) -> Plane:
-    """The check of a ``Plane`` under ``tol``, and the certified plane.
-
-    The plane keeps F F^T, not the caller's P, which only has to agree with it.
-    """
-    F = _read_only(check_frame(F, tol, (n, p)))
-    P = check_finite_matrix(P, (n, n), "projector")
-    FF = _frozen(projector(F))
-    if not _same_projector(P, FF, tol):
-        raise DegenerateSpanError("projector does not match the frame")
-    return _trusted(Plane, tol, n=n, p=p, projector=FF, frame=F)
+        return plane_from_frame, (self.frame, self._tol)
 
 
 def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
@@ -240,7 +232,8 @@ def plane_from_span(vectors: np.ndarray, tol: Tolerances | None = None) -> Plane
 
 
 def coordinate_plane(n: int, p: int) -> Plane:
-    """The reference plane spanned by the first p basis vectors."""
+    """The reference plane spanned by the first p basis vectors; (n, p) is checked as a ``Signature``."""
+    Signature(p, n - p)
     return plane_from_frame(np.eye(n, p))
 
 
@@ -251,18 +244,13 @@ def plane_equal(a: Plane, b: Plane, tol: Tolerances | None = None) -> bool:
         raise DimensionMismatchError(
             f"plane dimension mismatch: ({a.n},{a.p}) vs ({b.n},{b.p})"
         )
-    return _same_projector(a.projector, b.projector, tol)
+    return _norm(a.projector - b.projector) <= tol.plane
 
 
-def _same_projector(Pa: np.ndarray, Pb: np.ndarray, tol: Tolerances) -> bool:
-    """The one plane-equality test: |Pa - Pb| <= ``tol.plane``."""
-    return _norm(Pa - Pb) <= tol.plane
-
-
-def rotate_plane(A: np.ndarray, plane: Plane, tol: Tolerances | None = None) -> Plane:
-    """Image of a plane under A in SO(n); A must be n x n for the plane's n."""
+def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
+    """Image of a plane under A in SO(n), checked under the plane's tolerances; A must be n x n for its n."""
     A = check_finite_matrix(A, (plane.n, plane.n), "rotation")
-    return plane_from_frame(A @ plane.frame, tol)
+    return plane_from_frame(A @ plane.frame, plane._tol)
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
@@ -382,17 +370,17 @@ def _embed_matrix(plane: Plane) -> tuple:
     return (np.eye(n) - 2.0 * plane.projector) * sig._signs, sig, rot
 
 
-def cartan_embed0(plane: Plane, tol: Tolerances | None = None) -> CartanRotation:
+def cartan_embed0(plane: Plane) -> CartanRotation:
     """Embed a plane into S_p0 as R = (I - 2 P) J, P its projector.
 
     This is A J A^{-1} J for any A in SO(n) whose leading p columns span the
     plane, so the result depends on the plane only through its projector.
     R lies in S_p0 by construction, with ``plane.frame`` the frame of its
     (-1)-eigenspace. When the orthonormality residual of that frame makes R
-    sure of its check (``_sure``), nothing is checked; otherwise R goes
-    through the public constructor.
+    sure of its check (``_sure``) under the plane's tolerances, nothing is
+    checked; otherwise R goes through the public constructor under them.
     """
-    tol = tol or default_tolerances()
+    tol = plane._tol
     R, sig, rot = _embed_matrix(plane)
     if not _sure(tol, rot):
         return CartanRotation(R, sig, tol)
@@ -584,7 +572,6 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     return V, 2.0 * phi, (F[..., p:, :] @ W) * inv_sin[..., None, :]
 
 
-def dp_log0(R: CartanRotation, tol: Tolerances | None = None) -> DpGenerator:
-    """Generator with dp_exp(gen) = R, for planes in generic position."""
-    tol = tol or default_tolerances()
-    return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, tol)))
+def dp_log0(R: CartanRotation) -> DpGenerator:
+    """Generator with dp_exp(gen) = R, for planes in generic position, under R's tolerances."""
+    return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, R._tol)))

@@ -51,6 +51,7 @@ from .matcore import (
     _at,
     _checked_rotation,
     _fail_at,
+    _is_int,
     _require,
     _rotation_log,
     _scalar_formula,
@@ -102,6 +103,9 @@ class Screw:
 
 
 def identity_motion(n: int) -> Motion:
+    """The identity of SE(n); n must be an integer (``matcore._is_int``) of at least 1."""
+    if not _is_int(n) or n < 1:
+        raise DimensionMismatchError("identity motion requires an integer n >= 1", n=n)
     return Motion(np.eye(n), np.zeros(n))
 
 
@@ -178,7 +182,7 @@ def _check_branch(theta: np.ndarray, tol: Tolerances) -> None:
 
 
 def so_log(
-    omega_or_R: np.ndarray, tol: Tolerances | None = None, allow_pi: bool = False
+    R: np.ndarray, tol: Tolerances | None = None, allow_pi: bool = False
 ) -> np.ndarray:
     """Principal logarithm of a rotation, angles in (-pi, pi).
 
@@ -186,7 +190,7 @@ def so_log(
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
     tol = tol or default_tolerances()
-    L, _, theta = _rotation_log(check_special_orthogonal(omega_or_R, tol))
+    L, _, theta = _rotation_log(check_special_orthogonal(R, tol))
     if not allow_pi:
         _check_branch(theta, tol)
     return L

@@ -35,7 +35,7 @@ from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import _norm, _sign_fixed_qr
+from .matcore import _is_int, _norm, _sign_fixed_qr
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -53,8 +53,9 @@ def _shape(count) -> tuple:
 
 
 def _require(n: int, least: int, kind: str) -> None:
-    if n < least:
-        raise DimensionMismatchError(f"{kind} sampling requires n >= {least}", n=n)
+    """n must be an integer (``matcore._is_int``) of at least ``least``."""
+    if not _is_int(n) or n < least:
+        raise DimensionMismatchError(f"{kind} sampling requires an integer n >= {least}", n=n)
 
 
 def _factors(top: np.ndarray, bound: float, rng) -> np.ndarray:

@@ -100,7 +100,7 @@ def bundle_point_to_json(b: BundlePoint) -> dict:
 
 def bundle_point_from_json(obj: dict, tol: Tolerances | None = None) -> BundlePoint:
     plane = plane_from_json(obj["plane"], tol)
-    return bundle_point(plane, vec_from_json(obj["fiber"], plane.n), tol)
+    return bundle_point(plane, vec_from_json(obj["fiber"], plane.n))
 
 
 def cartan_motion_to_json(s: CartanMotion) -> dict:

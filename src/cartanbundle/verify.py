@@ -39,6 +39,11 @@ context, and fails its row. The other rows check one sample at a time,
 ``check(cfg, *sample)``, through one adapter, ``_sampled``, which runs the
 check on index i of each stack.
 
+Every certified value a check builds from raw samples (its planes, bundle
+points, ``tau`` outputs and Cartan rotations and motions) is checked under
+``cfg.tol``; the maps of certified values reuse it. So an override of any
+tolerance reaches every check that reads it.
+
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
 real symmetric ``eigh``, of omega^T omega.
@@ -237,8 +242,8 @@ def _motion_pairs(cfg, rng, count):
     return sp.sample_motions(rng, cfg.n, (count, 2))
 
 
-def _point(F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
-    return bn.bundle_point(gr.plane_from_frame(F), Y)
+def _point(cfg, F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
+    return bn.bundle_point(gr.plane_from_frame(F, cfg.tol), Y)
 
 
 def _wedge_antisymmetry(cfg, rng):
@@ -254,7 +259,7 @@ def _wedge_antisymmetry(cfg, rng):
 
 @_sampled(_frames)
 def _projector(cfg, F):
-    P = gr.plane_from_frame(F).projector
+    P = gr.plane_from_frame(F, cfg.tol).projector
     return _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
 
 
@@ -269,7 +274,7 @@ def _canonical_form(cfg, R):
 
 @_sampled(_frames)
 def _completion(cfg, F):
-    plane = gr.plane_from_frame(F)
+    plane = gr.plane_from_frame(F, cfg.tol)
     A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
     return _worst(
         abs(float(np.linalg.det(A)) - 1.0),
@@ -367,22 +372,22 @@ def _grassmann_roundtrips(cfg, F, A):
     Each output of ``cartan_embed0`` is read back through the public check.
     """
     sig = cfg.sig
-    plane = gr.plane_from_frame(F)
-    embedded = gr.CartanRotation(gr.cartan_embed0(plane, cfg.tol).mat, sig, cfg.tol)
+    plane = gr.plane_from_frame(F, cfg.tol)
+    embedded = gr.CartanRotation(gr.cartan_embed0(plane).mat, sig, cfg.tol)
     err_plane = float(np.linalg.norm(gr.rho0(embedded).projector - plane.projector))
     R = gr.twisted_act0(A, np.eye(cfg.n), sig)
     cr = gr.CartanRotation.certify(R, sig, cfg.tol)
-    R2 = gr.cartan_embed0(gr.rho0(cr), cfg.tol).mat
+    R2 = gr.cartan_embed0(gr.rho0(cr)).mat
     return err_plane, float(np.linalg.norm(R2 - R))
 
 
 @_sampled(_frames_and_rotations)
 def _rho0_equivariance(cfg, F, A):
     sig = cfg.sig
-    cr = gr.cartan_embed0(gr.plane_from_frame(F), cfg.tol)
+    cr = gr.cartan_embed0(gr.plane_from_frame(F, cfg.tol))
     acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
     lhs = gr.rho0(acted)
-    rhs = gr.rotate_plane(A, gr.rho0(cr), cfg.tol)
+    rhs = gr.rotate_plane(A, gr.rho0(cr))
     return float(np.linalg.norm(lhs.projector - rhs.projector))
 
 
@@ -436,7 +441,7 @@ def _q_invariance(cfg, R, X):
     in closed form and by plain group arithmetic.
     """
     sig = cfg.sig
-    s = bn.tau(Motion(R[0], X[0]), sig)
+    s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
     a = Motion(R[1], X[1])
     acted = bn.twisted_act(a, s.motion, sig)
     diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
@@ -489,10 +494,10 @@ def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
 @_sampled(_motion_pairs)
 def _rho_equivariance(cfg, R, X):
     sig = cfg.sig
-    s = bn.tau(Motion(R[0], X[0]), sig)
+    s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
     a = Motion(R[1], X[1])
     acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
-    return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig, cfg.tol))
+    return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig))
 
 
 @_sampled(lambda cfg, rng, count: (
@@ -500,10 +505,10 @@ def _rho_equivariance(cfg, R, X):
 ))
 def _rho_bijectivity(cfg, R, X, F, Y):
     """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
-    s = bn.tau(Motion(R, X), cfg.sig)
-    s2 = bn.rho_inv(bn.rho(s), cfg.tol)
-    b = _point(F, Y)
-    s3 = bn.rho_inv(b, cfg.tol)
+    s = bn.tau(Motion(R, X), cfg.sig, cfg.tol)
+    s2 = bn.rho_inv(bn.rho(s))
+    b = _point(cfg, F, Y)
+    s3 = bn.rho_inv(b)
     return (
         _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
         _worst(*(_frame_drift(t.motion, t._frame, t.sig, t._tol) for t in (s2, s3))),
@@ -516,9 +521,9 @@ def _rho_bijectivity(cfg, R, X, F, Y):
 def _action_law(cfg, R, X, F, Y):
     sig = cfg.sig
     a1, a2 = map(Motion, R, X)
-    b = _point(F, Y)
-    lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig, cfg.tol)
-    rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig, cfg.tol), sig, cfg.tol)
+    b = _point(cfg, F, Y)
+    lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig)
+    rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig), sig)
     return _point_dist(lhs, rhs)
 
 
@@ -546,9 +551,9 @@ def _dp_full_routes(cfg, B, v):
 
 @_sampled(lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))
 def _transporter(cfg, F, Y):
-    src, dst = map(_point, F, Y)
+    src, dst = (_point(cfg, *sample) for sample in zip(F, Y))
     a = bn.find_transporter(src, dst)
-    return _point_dist(bn.bundle_act(a, src, cfg.sig, cfg.tol), dst)
+    return _point_dist(bn.bundle_act(a, src, cfg.sig), dst)
 
 
 def _directions(cfg, rng, count):

@@ -38,6 +38,7 @@ from cartanbundle import (
     rho,
     rho0,
     rho_inv,
+    rotate_plane,
     se_inv,
     se_mul,
     sigma,
@@ -462,11 +463,17 @@ class TestDpFull:
             CartanMotion(Motion(np.eye(4), np.array(X)), SIG22)
 
     def test_log_rejects_fiber_outside_image(self):
-        # The fiber leaks 3e-8 out of the reference plane: certified only
-        # under loose tolerances, but outside the fiber bound that
-        # dp_log_full applies at the default tolerances.
+        # The fiber leaks 3e-8 out of the reference plane: outside the fiber
+        # bound of the default tolerances, inside that of loose ones.
+        # dp_log_full holds it to the bound of the tolerances the motion
+        # carries; a motion certified under the defaults that carries such a
+        # fiber can only come from the trusted path.
+        g, frame = Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), np.eye(4, 2)
         loose = Tolerances(invol=1e-6, fiber=1e-6)
-        s = CartanMotion.certify(Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), SIG22, loose)
+        assert np.allclose(dp_log_full(CartanMotion.certify(g, SIG22, loose)).v, [1.0, 0])
+        with pytest.raises(NotInCartanModelError):
+            CartanMotion.certify(g, SIG22)
+        s = grassmann_module._trusted(CartanMotion, Tolerances(), motion=g, sig=SIG22, _frame=frame)
         with pytest.raises(NearSingularIsomorphismError):
             dp_log_full(s)
 
@@ -636,22 +643,16 @@ class TestTrustedPath:
     def test_non_orthonormal_frame(self):
         F = 1.01 * self.F
         with pytest.raises(DegenerateSpanError):
-            cartan_embed0(Plane(4, 2, projector(F), F))
+            cartan_embed0(Plane(F))
         with pytest.raises(DegenerateSpanError):
-            rho_inv(BundlePoint(Plane(4, 2, projector(F), F), np.zeros(4)))
-
-    def test_projector_that_disagrees_with_its_frame(self):
-        other = np.diag([0.0, 0, 1, 1])
-        with pytest.raises(DegenerateSpanError):
-            cartan_embed0(Plane(4, 2, other, self.F))
+            rho_inv(BundlePoint(Plane(F), np.zeros(4)))
 
     def test_plane_keeps_the_projector_of_its_frame(self, rng):
-        # Within tol.plane of F F^T, but |P - P^T| = 1.3e-8 > tol.invol: a
-        # plane that kept it would embed as a rotation off S_p0.
+        # n, p and the projector are derived from the frame: F F^T exactly,
+        # which embeds as a rotation in S_p0.
         F = sample_rotation(rng, 4)[:, :2]
-        P = projector(F)
-        P[0, 2] += 9e-9
-        plane = Plane(4, 2, P, F)
+        plane = Plane(F)
+        assert (plane.n, plane.p) == (4, 2)
         assert np.array_equal(plane.projector, projector(F))
         CartanRotation(cartan_embed0(plane).mat, SIG22)
         s = rho_inv(BundlePoint(plane, np.zeros(4)))
@@ -690,11 +691,11 @@ class TestTrustedPath:
                 CartanRotation(out.mat, out.sig)
         assert raised == (3 if c >= 1 + 6e-10 else 0)
 
-    @pytest.mark.parametrize("n, p, P", [(4, 3, np.diag([1.0, 1, 0, 0])), (4, 2, np.eye(3))],
-                             ids=["frame", "projector"])
-    def test_plane_arrays_of_the_wrong_shape(self, n, p, P):
+    @pytest.mark.parametrize("F", [np.eye(4, 2).T, np.ones(4), np.ones((2, 4, 2))],
+                             ids=["frame", "frame-1d", "frame-3d"])
+    def test_plane_arrays_of_the_wrong_shape(self, F):
         with pytest.raises(DimensionMismatchError):
-            Plane(n, p, P, self.F)
+            Plane(F)
 
     def test_nan_fiber(self):
         with pytest.raises(DimensionMismatchError):
@@ -723,13 +724,13 @@ def _by_construction(rng, tol):
     """(name, output) of every map that builds its output without a check, under ``tol``."""
     s = tau(sample_motion(rng, 4), SIG22, tol)
     plane = plane_from_frame(sample_rotation(rng, 4)[:, :2], tol)
-    b = bundle_point(plane, plane.projector @ rng.standard_normal(4), tol)
+    b = bundle_point(plane, plane.projector @ rng.standard_normal(4))
     gen = DpGenerator(p=2, q=2, B=0.5 * rng.standard_normal((2, 2)))
     return [
         ("tau", s),
-        ("rho_inv", rho_inv(b, tol)),
+        ("rho_inv", rho_inv(b)),
         ("dp_exp_full", dp_exp_full(DpElement(gen, rng.standard_normal(2)), tol)),
-        ("cartan_embed0", cartan_embed0(b.plane, tol)),
+        ("cartan_embed0", cartan_embed0(b.plane)),
         ("dp_exp", dp_exp(gen, tol)),
         ("plane", b.plane),
         ("bundle_point", b),
@@ -757,7 +758,8 @@ def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clon
     """Each copy runs its class's check: the S_p0 eigh of a Cartan type, the
     frame check of a plane, the fiber bound of a bundle point. ``copy``,
     ``deepcopy`` and ``pickle`` check under the original's tolerances;
-    ``dataclasses.replace`` under the defaults."""
+    ``dataclasses.replace`` under the defaults, except for a bundle point,
+    which is checked under its plane's."""
     calls = []
 
     def counting(module, name):
@@ -780,20 +782,39 @@ def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clon
         assert calls.count(checks[type(out)]) == 1, name
         assert type(twin) is type(out) and twin is not out
         assert out._tol == tol
-        assert twin._tol == (Tolerances() if clone is dataclasses.replace else tol)
+        kept = clone is not dataclasses.replace or type(out) is BundlePoint
+        assert twin._tol == (tol if kept else Tolerances())
+
+
+@pytest.mark.parametrize("tol", CLONE_TOLS)
+def test_maps_of_certified_values_carry_the_tolerances_of_their_operand(rng, tol):
+    plane = plane_from_frame(sample_rotation(rng, 4)[:, :2], tol)
+    b = bundle_point(plane, plane.projector @ rng.standard_normal(4))
+    moved = bundle_act(sample_motion(rng, 4), b, SIG22)
+    for out in (b, rho_inv(b), moved, moved.plane, cartan_embed0(plane), rotate_plane(np.eye(4), plane)):
+        assert out._tol == tol, type(out).__name__
+
+
+def test_dp_log_full_reads_the_tolerances_of_its_motion(rng):
+    # A branch margin of 1.5 puts every principal angle above pi/2 - 1.5 on
+    # the cut locus; the motion carries it from its check.
+    g = sample_cartan_motion(rng, 4, 2).motion
+    dp_log_full(CartanMotion(g, SIG22))
+    with pytest.raises(CutLocusError):
+        dp_log_full(CartanMotion(g, SIG22, Tolerances(branch=1.5)))
 
 
 def _sure_cases(rng, n, p, c, scale):
     """(name, build(tol)) for each map that trusts its output when ``_sure``."""
     sig = Signature(p, n - p)
-    plane = plane_from_frame(c * sample_rotation(rng, n)[:, :p])
-    b = bundle_point(plane, scale * plane.projector @ rng.standard_normal(n))
+    F = c * sample_rotation(rng, n)[:, :p]  # off-orthonormal for c > 1: a trusted plane
+    Y = scale * projector(F) @ rng.standard_normal(n)
     g = Motion(c * sample_rotation(rng, n), scale * rng.standard_normal(n))
     xi = DpElement(DpGenerator(p=p, q=n - p, B=rng.standard_normal((n - p, p))),
                    scale * rng.standard_normal(p))
     return [
-        ("cartan_embed0", lambda tol: cartan_embed0(plane, tol)),
-        ("rho_inv", lambda tol: rho_inv(b, tol)),
+        ("cartan_embed0", lambda tol: cartan_embed0(grassmann_module._plane(F, tol))),
+        ("rho_inv", lambda tol: rho_inv(bundle_point(grassmann_module._plane(F, tol), Y))),
         ("tau", lambda tol: tau(g, sig, tol)),
         ("dp_exp", lambda tol: dp_exp(xi.gen, tol)),
         ("dp_exp_full", lambda tol: dp_exp_full(xi, tol)),

@@ -25,6 +25,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+TOL_COMMANDS = {"log", "embed", "project", "act", "transport", "tau", "verify"}
+
 PINNED = json.loads((Path(__file__).parent / "data" / "sample_streams.json").read_text())
 
 
@@ -148,6 +150,16 @@ class TestVerify:
         assert report["pass"] is True
         assert all(r["pass"] for r in report["properties"])
 
+    def test_an_orthonormality_override_reaches_the_sampled_planes(self, capsys):
+        # the projector row's planes are checked under --tol.orth, not the defaults
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "4", "--p", "2", "--samples", "20", "--seed", "5",
+            "--tol.orth", "1e-20",
+        )
+        assert code == 2
+        rows = {r["name"]: r for r in json.loads(out)["properties"]}
+        assert rows["matcore.projector_idempotent_symmetric"]["pass"] is False
+
     def test_verify_fails_with_absurd_tolerance(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--p", "2", "--samples", "10",
@@ -234,17 +246,27 @@ class TestErrorHandling:
         assert code == 0
 
     def test_unknown_tol_name(self, capsys):
-        code, _, err = run_cli(capsys, "moebius", "--tol.eig", "1e-7")
+        code, _, err = run_cli(capsys, "log", "--se", "--tol.eig", "1e-7")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bad_tol_value(self, capsys):
-        code, _, err = run_cli(capsys, "moebius", "--tol.recon", "abc")
+        code, _, err = run_cli(capsys, "log", "--se", "--tol.invol", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_tol_flag_before_the_subcommand(self, capsys):
-        code, out, err = run_cli(capsys, "--tol.orth", "1e-3", "moebius", "--num-theta", "2")
+        code, out, err = run_cli(capsys, "--tol.orth", "1e-3", "log", "--se")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize("argv", [
+        ["exp", "--so"],
+        ["sample", "--kind", "rotation", "--n", "3"],
+        ["moebius"],
+    ], ids=["exp", "sample", "moebius"])
+    def test_a_command_that_reads_no_tolerance_takes_no_tol_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--tol.orth", "1e-9")
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
@@ -266,12 +288,16 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_help_lists_every_tol_flag(self, capsys, command):
+        # the commands that check a value under a tolerance take all eight; the others none
         with pytest.raises(SystemExit) as info:
             main([command, "--help"])
         assert info.value.code == 0
         listed = sorted(set(re.findall(r"--tol\.(\w+)", capsys.readouterr().out)))
-        assert listed == sorted(f.name for f in dataclasses.fields(Tolerances))
-        assert len(listed) == 8
+        if command in TOL_COMMANDS:
+            assert listed == sorted(f.name for f in dataclasses.fields(Tolerances))
+            assert len(listed) == 8
+        else:
+            assert listed == []
 
     def test_matrix_data_that_is_not_a_flat_list_of_numbers(self, tmp_path, capsys):
         # ["a", 1] raised a raw ValueError, which exited as invalid_input

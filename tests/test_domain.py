@@ -29,6 +29,7 @@ from cartanbundle import (
     bundle_act,
     bundle_point,
     basis_vector,
+    coordinate_plane,
     double_projection,
     dp_exp_full,
     half_angle_line,
@@ -61,7 +62,7 @@ from cartanbundle.matcore import (
     eigenspace_of_symmetric_involution,
 )
 from cartanbundle.projective import unit_direction
-from cartanbundle.sampling import make_rng, sample_rotation
+from cartanbundle.sampling import make_rng, sample_motion, sample_rotation, sample_skew, sample_unit_direction
 from cartanbundle.serialize import dumps, mat_from_json, mat_to_json, plane_from_json, vec_from_json
 
 SIG = Signature(2, 2)
@@ -178,8 +179,8 @@ SHAPE_CASES = [
         pytest.param(partial(call, WIDE), id=f"{name}-matrix-4x3")
         for name, call in SQUARE_SITES.items()
     ),
-    pytest.param(lambda: Plane(4, 2, np.eye(4), np.eye(4, 3)), id="Plane-frame-4x3"),
-    pytest.param(lambda: Plane(4, 2, np.eye(3), np.eye(4, 2)), id="Plane-projector-3x3"),
+    # a plane takes (n, p) from its frame, which may not have more columns than rows
+    pytest.param(lambda: Plane(WIDE.T), id="Plane-frame-3x4"),
     pytest.param(
         lambda: plane_from_json({"n": 4, "p": 2, "frame": mat_to_json(np.eye(4, 3))}),
         id="plane_from_json-frame-4x3",
@@ -233,6 +234,36 @@ def test_skew_wedge_names_indices_out_of_order(i, j):
     # skew_wedge(2, 1, 4) said "out of range" for indices in range
     with pytest.raises(DimensionMismatchError, match="i < j"):
         skew_wedge(i, j, 4)
+
+
+@pytest.mark.parametrize("n, p", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (3, 3)])
+def test_coordinate_plane_checks_its_signature(n, p):
+    # coordinate_plane(2.5, 1) raised a raw TypeError, and (3, 3) built a
+    # p = n plane that no Signature admits
+    with pytest.raises(DimensionMismatchError):
+        coordinate_plane(n, p)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, 0, -1])
+def test_identity_motion_takes_an_integer_of_at_least_one(n):
+    # identity_motion(2.5) raised a raw TypeError, and identity_motion(0)
+    # returned a 0-dimensional motion
+    with pytest.raises(DimensionMismatchError):
+        identity_motion(n)
+
+
+@pytest.mark.parametrize("sampler", [sample_rotation, sample_skew, sample_motion, sample_unit_direction])
+@pytest.mark.parametrize("n", [2.5, 4.0, True])
+def test_samplers_take_an_integer_n(sampler, n):
+    # sample_rotation(make_rng(0), 2.5) raised a raw TypeError, and True ran as 1
+    with pytest.raises(DimensionMismatchError):
+        sampler(make_rng(0), n)
+
+
+def test_integer_sizes_may_be_numpy_integers():
+    assert coordinate_plane(np.int64(4), np.int32(2)).frame.shape == (4, 2)
+    assert identity_motion(np.int64(3)).R.shape == (3, 3)
+    assert sample_rotation(make_rng(0), np.int64(3)).shape == (3, 3)
 
 
 def test_numpy_indices_are_integers():

@@ -104,6 +104,27 @@ def test_tightened_bound_fails_exactly_the_rows_that_read_it():
     assert all(math.isfinite(results[name].max_error) for name in failed)
 
 
+FIBER_ROWS = {
+    "bundle.action_law", "bundle.dp_full_routes", "bundle.q_invariance", "bundle.rho_bijectivity",
+    "bundle.rho_equivariance", "bundle.tau_properties", "bundle.transporter",
+}
+
+
+def test_a_fiber_bound_no_fiber_meets_fails_every_row_that_builds_a_bundle_value():
+    # Every plane, bundle point and tau output a row builds is certified under
+    # cfg.tol, so q_invariance, whose tau output was certified under the
+    # defaults, fails with the rest.
+    results = _results(dataclasses.replace(CFG, tol=dataclasses.replace(CFG.tol, fiber=1e-20)))
+    assert {name for name, r in results.items() if not r.passed} == FIBER_ROWS
+
+
+def test_an_orthonormality_bound_no_frame_meets_fails_the_projector_row():
+    # its planes are checked under cfg.tol, not under the defaults
+    results = _results(dataclasses.replace(CFG, tol=dataclasses.replace(CFG.tol, orth=1e-20)))
+    assert not results["matcore.projector_idempotent_symmetric"].passed
+    assert not results["bundle.q_invariance"].passed
+
+
 @pytest.mark.parametrize(
     "samples, seed", [(2.5, 5), (True, 5), ("5", 5), (0, 5), (5, 1.5), (5, None), (5, False)]
 )

@@ -20,7 +20,7 @@ def main():
     records = moebius_grid(num_theta=128, num_lambda=9, lambda_max=2.0)
     print(f"sampled {len(records)} points on the band")
 
-    pairs, max_dev, flips_ok, resolution = moebius_seam_check(128, 9, 2.0)
+    pairs, max_dev, flips_ok, resolution = moebius_seam_check()
     print(f"seam pairs matched: {pairs}")
     print(f"max line deviation across the seam: {max_dev:.4f}"
           f" (grid resolution {resolution:.4f})")

@@ -8,23 +8,24 @@ subcommand accepts only the flags it reads:
 
     command    flags
     exp        --in --out --se | --so
-    log        --in --out --se | --so --allow-pi --tol.*
-    embed      --in --out --tol.*
-    project    --in --out --n --p --tol.*
-    act        --in --out --n --p --twisted | --bundle --tol.*
-    transport  --in --out --tol.*
-    tau        --in --out --n --p --tol.*
+    log        --in --out --se | --so --allow-pi --tol.{orth,branch,sing}
+    embed      --in --out --tol.{orth,invol,fiber}
+    project    --in --out --n --p --tol.{orth,invol,fiber}
+    act        --in --out --n --p --twisted | --bundle --tol.{orth,fiber}
+    transport  --in --out --tol.{orth,fiber}
+    tau        --in --out --n --p --tol.{orth,invol,fiber}
     sample     --out --n --p --seed --samples --kind
-    verify     --out --n --p --seed --samples --tol.*
+    verify     --out --n --p --seed --samples --tol.{orth,invol,recon,branch,sing,plane,fiber}
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 ``--samples`` must be at least 1, a | joins mode switches that exclude each
-other, and a flag must be spelled out in full. ``--tol.*`` is the group of
-tolerance overrides ``--tol.<name> VALUE``, one per ``Tolerances`` field,
-listed by the command's ``--help``; the commands that check a value under a
-tolerance take it, the others do not. A ``--tol`` flag is an option of the
-subcommand like any other: an unknown name, a value that is not a number, the
-flag on a command that reads no tolerance, or before the subcommand is
+other, and a flag must be spelled out in full. ``--tol.NAME VALUE`` overrides
+the ``Tolerances`` field NAME; a command takes the flags of exactly the
+fields its maps read, listed by its ``--help``. ``rank``, read only by
+``orthonormalize`` and ``plane_from_span``, which no command calls, is set
+only through the library. A ``--tol`` flag is an option of the subcommand
+like any other: an unknown name, a value that is not a number, a field the
+command does not read, or the flag before the subcommand is
 ``bad_arguments``; a value that is not a finite positive number is
 ``invalid_input``, as ``Tolerances`` rejects it.
 
@@ -82,11 +83,19 @@ _SWITCH = {"action": "store_true"}
 _MODE = {"action": "store_true"}  # a switch that excludes the other modes of its command
 _DIMS = {"n": {"type": int}, "p": {"type": int}}
 _DRAWS = {"seed": {"type": int, "default": 0}, "samples": {"type": _positive_int, "default": 500}}
-_TOL = {  # dest "tol.<name>", set only when given
-    f"tol.{f.name}": {"type": float, "default": argparse.SUPPRESS, "metavar": "VALUE",
-                      "help": f"tolerance override (default {f.default:g})"}
+_TOL = {  # Tolerances field -> flag "--tol.<name>", dest "tol.<name>", set only when given
+    f.name: {"type": float, "default": argparse.SUPPRESS, "metavar": "VALUE",
+             "help": f"tolerance override (default {f.default:g})"}
     for f in dataclasses.fields(Tolerances)
 }
+
+
+def _tol(*names) -> dict:
+    """The ``--tol.*`` flags of the named ``Tolerances`` fields: those a command's maps read."""
+    return {f"tol.{name}": _TOL[name] for name in names}
+
+
+_MEMBERSHIP = _tol("orth", "invol", "fiber")  # S_p0 / S_p membership and the bundle point's fiber
 
 # name -> (help, reads --in, flags, handler(args, input JSON, tol) -> (JSON or text, exit code))
 COMMANDS = {}
@@ -124,7 +133,7 @@ def _exp(args, obj, tol):
 
 @_command(
     "log", "logarithm of a motion (--se) or rotation (--so)", True,
-    se=_MODE, so=_MODE, allow_pi=_SWITCH, **_TOL,
+    se=_MODE, so=_MODE, allow_pi=_SWITCH, **_tol("orth", "branch", "sing"),
 )
 def _log(args, obj, tol):
     if args.so:
@@ -132,7 +141,7 @@ def _log(args, obj, tol):
     return sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi)), 0
 
 
-@_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True, **_TOL)
+@_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True, **_MEMBERSHIP)
 def _embed(args, obj, tol):
     if "fiber" in obj:
         return sz.cartan_motion_to_json(bn.rho_inv(sz.bundle_point_from_json(obj, tol))), 0
@@ -140,7 +149,7 @@ def _embed(args, obj, tol):
     return {"R": sz.mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}, 0
 
 
-@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS, **_TOL)
+@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS, **_MEMBERSHIP)
 def _project(args, obj, tol):
     if "X" in obj:
         return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol))), 0
@@ -151,7 +160,7 @@ def _project(args, obj, tol):
 
 @_command(
     "act", "twisted conjugation (--twisted) or bundle action (--bundle)", True,
-    **_DIMS, twisted=_MODE, bundle=_MODE, **_TOL,
+    **_DIMS, twisted=_MODE, bundle=_MODE, **_tol("orth", "fiber"),
 )
 def _act(args, obj, tol):
     sig = _signature(args)
@@ -162,14 +171,14 @@ def _act(args, obj, tol):
     return sz.motion_to_json(bn.twisted_act(a, sz.motion_from_json(obj["g"]), sig)), 0
 
 
-@_command("transport", "motion carrying one bundle point to another", True, **_TOL)
+@_command("transport", "motion carrying one bundle point to another", True, **_tol("orth", "fiber"))
 def _transport(args, obj, tol):
     src = sz.bundle_point_from_json(obj["src"], tol)
     dst = sz.bundle_point_from_json(obj["dst"], tol)
     return sz.motion_to_json(bn.find_transporter(src, dst)), 0
 
 
-@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS, **_TOL)
+@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS, **_MEMBERSHIP)
 def _tau(args, obj, tol):
     sig = _signature(args)
     return sz.cartan_motion_to_json(bn.tau(sz.motion_from_json(obj), sig, tol)), 0
@@ -225,7 +234,10 @@ def _sample(args, obj, tol):
     return {"kind": args.kind, "seed": args.seed, "values": values}, 0
 
 
-@_command("verify", "run the full property harness", False, **_DIMS, **_DRAWS, **_TOL)
+@_command(
+    "verify", "run the full property harness", False,
+    **_DIMS, **_DRAWS, **_tol("orth", "invol", "recon", "branch", "sing", "plane", "fiber"),
+)
 def _verify(args, obj, tol):
     sig = _signature(args)
     cfg = VerifyConfig(n=sig.n, p=sig.p, samples=args.samples, seed=args.seed, tol=tol)

@@ -11,7 +11,7 @@ check of (n, p): p and q are integers of at least 1, so 1 <= p < n. Each
 map checks its operands against it with the ``matcore`` validators: a
 rotation n x n (``sigma0``, ``in_Q0``, ``twisted_act0``,
 ``CartanRotation``; ``rotate_plane`` takes n from the plane). A ``Plane``
-takes n and p from its frame.
+takes n and p from its frame and checks them as a ``Signature``.
 
 A tolerance is given where a value is first checked from raw arrays: the
 constructors (``plane_from_frame``, ``plane_from_span``, ``CartanRotation``,
@@ -190,15 +190,15 @@ class Plane:
 
     ``Plane(frame)`` is ``plane_from_frame(frame)``: the frame is checked
     once, finite and orthonormal within ``tol.orth`` n (``check_frame``),
-    and n, p and the projector F F^T are derived from it. The instance keeps
-    read-only copies of frame and projector, and the tolerances of the
-    check, which every map of the plane reuses. ``plane_from_frame`` checks
-    under its ``tol``; the constructor under the defaults. Planes whose
-    frame is orthonormal by construction (``rho0``, ``rho``, whose frames
-    come from ``eigh`` or a closed form) skip the check. ``copy`` and
-    ``pickle`` run the check again under the tolerances of the original,
-    ``dataclasses.replace`` under the defaults. ``==`` is identity;
-    ``plane_equal`` compares planes.
+    and n, p (checked as a ``Signature``) and the projector F F^T are
+    derived from it. The instance keeps read-only copies of frame and
+    projector, and the tolerances of the check, which every map of the
+    plane reuses. ``plane_from_frame`` checks under its ``tol``; the
+    constructor under the defaults. Planes whose frame is orthonormal by
+    construction (``rho0``, ``rho``, whose frames come from ``eigh`` or a
+    closed form) skip the check. ``copy`` and ``pickle`` run the check
+    again under the tolerances of the original, ``dataclasses.replace``
+    under the defaults. ``==`` is identity; ``plane_equal`` compares planes.
     """
 
     n: int = field(init=False)
@@ -215,9 +215,14 @@ class Plane:
 
 
 def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
-    """The plane of a frame, checked orthonormal under ``tol``; it keeps a read-only copy."""
+    """The plane of a frame, checked orthonormal under ``tol``; it keeps a read-only copy.
+
+    The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n.
+    """
     tol = tol or default_tolerances()
-    return _plane(_read_only(check_frame(F, tol)), tol)
+    F = check_frame(F, tol)
+    Signature(F.shape[1], F.shape[0] - F.shape[1])
+    return _plane(_read_only(F), tol)
 
 
 def _plane(F: np.ndarray, tol: Tolerances) -> Plane:

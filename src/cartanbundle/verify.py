@@ -116,11 +116,11 @@ class VerifyReport:
         }
 
 
-def series_exp(M: np.ndarray, terms: int = 50) -> np.ndarray:
-    """Truncated power-series matrix exponential (verification oracle only)."""
+def series_exp(M: np.ndarray) -> np.ndarray:
+    """Power-series matrix exponential to 50 terms (verification oracle only)."""
     acc = np.eye(M.shape[0])
     term = np.eye(M.shape[0])
-    for k in range(1, terms + 1):
+    for k in range(1, 51):
         term = term @ M / k
         acc = acc + term
     return acc
@@ -584,18 +584,21 @@ def _half_angle_line(cfg, U, theta):
     return float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))
 
 
-def moebius_seam_check(num_theta: int = 128, num_lambda: int = 9, lambda_max: float = 2.0):
-    """Seam property of the Moebius grid.
+_SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
+
+
+def moebius_seam_check():
+    """Seam property of the 128 x 9 Moebius grid with lambda up to 2.
 
     Returns (pairs checked, max line-angle deviation, all orientation flips
-    observed, grid resolution 2 pi / num_theta). The last theta row must
-    carry the same lines as theta = 0 within the grid resolution, with fiber
+    observed, grid resolution 2 pi / 128). The last theta row must carry the
+    same lines as theta = 0 within the grid resolution, with fiber
     orientation reversed relative to the matching -lambda record.
     """
-    records = pj.moebius_grid(num_theta, num_lambda, lambda_max)
-    per_theta = num_lambda
-    first = records[:per_theta]
-    last = records[-per_theta:]
+    num_theta, num_lambda, _ = _SEAM_GRID
+    records = pj.moebius_grid(*_SEAM_GRID)
+    first = records[:num_lambda]
+    last = records[-num_lambda:]
     resolution = 2.0 * math.pi / num_theta
     max_dev = 0.0
     flips_ok = True
@@ -615,12 +618,9 @@ def moebius_seam_check(num_theta: int = 128, num_lambda: int = 9, lambda_max: fl
     return pairs, max_dev, flips_ok, resolution
 
 
-_SEAM_THETA = 128
-
-
 def _moebius_seam(cfg, rng):
     """(max line-angle deviation, 1 if an orientation flip is missing) on the 128-row grid."""
-    pairs, max_dev, flips_ok, _ = moebius_seam_check(_SEAM_THETA)
+    pairs, max_dev, flips_ok, _ = moebius_seam_check()
     return pairs, (max_dev, float(not flips_ok))
 
 
@@ -656,7 +656,7 @@ PROPERTIES = tuple(
         ("bundle.transporter", _transporter, lambda cfg: 1e-9),
         ("projective.line_bundle_exp", _line_bundle_exp, lambda cfg: 1e-10),
         ("projective.half_angle_line", _half_angle_line, lambda cfg: cfg.tol.plane),
-        ("projective.moebius_seam", _moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_THETA, 0.0)),
+        ("projective.moebius_seam", _moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0)),
     )
 )
 

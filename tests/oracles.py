@@ -37,13 +37,13 @@ def y_series_oracle(omega, v, terms=50):
     return acc
 
 
-def homogeneous_exp_oracle(omega, v, terms=50):
+def homogeneous_exp_oracle(omega, v):
     """Series exponential of the (n+1) x (n+1) screw block matrix."""
     n = omega.shape[0]
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = omega
     M[:n, n] = v
-    return series_exp_oracle(M, terms)
+    return series_exp_oracle(M)
 
 
 def dp_log_v_oracle(omega, X, p):

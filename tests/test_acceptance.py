@@ -296,7 +296,7 @@ def test_generator_log_round_trip():
 
 
 def test_moebius_seam():
-    pairs, max_dev, flips_ok, resolution = moebius_seam_check(128, 9, 2.0)
+    pairs, max_dev, flips_ok, resolution = moebius_seam_check()
     ok = pairs == 9 and flips_ok and max_dev <= resolution
     report(
         "Moebius seam: line coincidence within grid resolution and orientation reversal",

@@ -13,10 +13,19 @@ import numpy as np
 import pytest
 
 import cartanbundle
-from cartanbundle import cli
+from cartanbundle import cli, grassmann, sampling
 from cartanbundle.cli import main
 from cartanbundle.config import Tolerances
-from cartanbundle.serialize import dumps, mat_from_json, mat_to_json
+from cartanbundle.serialize import (
+    bundle_point_to_json,
+    cartan_motion_to_json,
+    dumps,
+    mat_from_json,
+    mat_to_json,
+    motion_to_json,
+    plane_to_json,
+    screw_to_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -25,7 +34,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-TOL_COMMANDS = {"log", "embed", "project", "act", "transport", "tau", "verify"}
+# command -> the Tolerances fields its maps read, the --tol.* flags it takes
+TOL_FIELDS = {
+    "exp": set(),
+    "log": {"orth", "branch", "sing"},
+    "embed": {"orth", "invol", "fiber"},
+    "project": {"orth", "invol", "fiber"},
+    "act": {"orth", "fiber"},
+    "transport": {"orth", "fiber"},
+    "tau": {"orth", "invol", "fiber"},
+    "sample": set(),
+    "verify": {"orth", "invol", "recon", "branch", "sing", "plane", "fiber"},
+    "moebius": set(),
+}
 
 PINNED = json.loads((Path(__file__).parent / "data" / "sample_streams.json").read_text())
 
@@ -102,6 +123,12 @@ class TestEmbedProject:
         frame = mat_from_json(json.loads(out)["frame"])
         V = np.array([math.cos(theta / 2), math.sin(theta / 2)])
         assert np.linalg.norm(np.outer(frame[:, 0], frame[:, 0]) - np.outer(V, V)) <= 1e-10
+
+    def test_embed_of_a_plane_with_p_equal_to_n(self, tmp_path, capsys):
+        infile = write_json(tmp_path, "plane.json", {"n": 3, "p": 3, "frame": mat_to_json(np.eye(3))})
+        code, out, err = run_cli(capsys, "embed", "--in", infile)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "dimension_mismatch"
 
 
 class TestSample:
@@ -251,7 +278,7 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bad_tol_value(self, capsys):
-        code, _, err = run_cli(capsys, "log", "--se", "--tol.invol", "abc")
+        code, _, err = run_cli(capsys, "log", "--se", "--tol.sing", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
@@ -261,12 +288,21 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "bad_arguments"
 
     @pytest.mark.parametrize("argv", [
-        ["exp", "--so"],
-        ["sample", "--kind", "rotation", "--n", "3"],
-        ["moebius"],
-    ], ids=["exp", "sample", "moebius"])
+        ["exp", "--so", "--tol.orth"],
+        ["sample", "--kind", "rotation", "--n", "3", "--tol.orth"],
+        ["moebius", "--tol.orth"],
+        ["log", "--se", "--tol.invol"],
+        ["embed", "--tol.recon"],
+        ["project", "--n", "4", "--p", "2", "--tol.sing"],
+        ["act", "--twisted", "--n", "4", "--p", "2", "--tol.plane"],
+        ["transport", "--tol.invol"],
+        ["tau", "--n", "4", "--p", "2", "--tol.branch"],
+        ["verify", "--n", "4", "--p", "2", "--tol.rank"],
+    ], ids=["exp", "sample", "moebius", "log-invol", "embed-recon", "project-sing",
+            "act-plane", "transport-invol", "tau-branch", "verify-rank"])
     def test_a_command_that_reads_no_tolerance_takes_no_tol_flag(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv, "--tol.orth", "1e-9")
+        # a command takes only the --tol.* flags of the fields its maps read
+        code, out, err = run_cli(capsys, *argv, "1e-9")
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
@@ -288,16 +324,11 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_help_lists_every_tol_flag(self, capsys, command):
-        # the commands that check a value under a tolerance take all eight; the others none
+        # each command lists the --tol.* flags of the fields its maps read, and no other
         with pytest.raises(SystemExit) as info:
             main([command, "--help"])
         assert info.value.code == 0
-        listed = sorted(set(re.findall(r"--tol\.(\w+)", capsys.readouterr().out)))
-        if command in TOL_COMMANDS:
-            assert listed == sorted(f.name for f in dataclasses.fields(Tolerances))
-            assert len(listed) == 8
-        else:
-            assert listed == []
+        assert set(re.findall(r"--tol\.(\w+)", capsys.readouterr().out)) == TOL_FIELDS[command]
 
     def test_matrix_data_that_is_not_a_flat_list_of_numbers(self, tmp_path, capsys):
         # ["a", 1] raised a raw ValueError, which exited as invalid_input
@@ -374,6 +405,56 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "act", "--twisted", "--n", "4", "--p", "2", "--in", infile)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "dimension_mismatch"
+
+
+_TOL_NAMES = {f.name for f in dataclasses.fields(Tolerances)}
+
+
+class _RecordingTolerances(Tolerances):
+    """Tolerances that record which fields are read, once ``_reads`` is set after construction."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None and name in _TOL_NAMES:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _mode_inputs() -> dict:
+    """command -> [(argv after the command, input JSON)], covering each of its modes."""
+    rng, dims = sampling.make_rng(7, 0), ["--n", "4", "--p", "2"]
+    plane = sampling.sample_plane(rng, 4, 2)
+    point, other = (bundle_point_to_json(sampling.sample_bundle_point(rng, 4, 2)) for _ in range(2))
+    g, h = (motion_to_json(sampling.sample_motion(rng, 4)) for _ in range(2))
+    return {
+        "exp": [(["--se"], screw_to_json(sampling.sample_screw(rng, 4))),
+                (["--so"], mat_to_json(sampling.sample_skew(rng, 4)))],
+        "log": [(["--se"], g), (["--so"], mat_to_json(sampling.sample_rotation(rng, 4)))],
+        "embed": [([], plane_to_json(plane)), ([], point)],
+        "project": [(dims, mat_to_json(grassmann.cartan_embed0(plane).mat)),
+                    ([], cartan_motion_to_json(sampling.sample_cartan_motion(rng, 4, 2)))],
+        "act": [(["--twisted", *dims], {"a": g, "g": h}), (["--bundle", *dims], {"a": g, "b": point})],
+        "transport": [([], {"src": point, "dst": other})],
+        "tau": [(dims, g)],
+        "sample": [(["--kind", kind, *dims, "--samples", "1"], None) for kind in cli.SAMPLERS],
+        "verify": [([*dims, "--samples", "2"], None)],
+        "moebius": [(["--num-theta", "4", "--num-lambda", "3"], None)],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_takes_the_tol_flags_of_exactly_the_fields_it_reads(command):
+    # Each mode's handler runs under tolerances that record every field read
+    # after construction; the fields read over all modes are the command's flags.
+    parser, (_, _, flags, handler) = cli._build_parser(), cli.COMMANDS[command]
+    read = set()
+    for argv, obj in _mode_inputs()[command]:
+        tol = _RecordingTolerances()
+        object.__setattr__(tol, "_reads", set())
+        assert handler(parser.parse_args([command, *argv]), obj, tol)[1] == 0
+        read |= tol._reads
+    assert read == {flag[len("tol."):] for flag in flags if flag.startswith("tol.")}
+    assert read == TOL_FIELDS[command]
 
 
 def _fresh_env():

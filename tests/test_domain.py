@@ -40,6 +40,7 @@ from cartanbundle import (
     line_bundle_exp,
     moebius_grid,
     plane_from_frame,
+    plane_from_span,
     rotate_plane,
     rotation_in_plane,
     se_exp,
@@ -242,6 +243,14 @@ def test_coordinate_plane_checks_its_signature(n, p):
     # p = n plane that no Signature admits
     with pytest.raises(DimensionMismatchError):
         coordinate_plane(n, p)
+
+
+@pytest.mark.parametrize("build", [plane_from_frame, Plane, plane_from_span])
+def test_a_plane_from_raw_arrays_checks_its_signature(build):
+    # plane_from_frame(np.eye(3)) built a p = n plane that no Signature
+    # admits; the error surfaced only later, from cartan_embed0
+    with pytest.raises(DimensionMismatchError, match="signature"):
+        build(np.eye(3))
 
 
 @pytest.mark.parametrize("n", [2.5, 4.0, True, 0, -1])

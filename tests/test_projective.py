@@ -248,7 +248,7 @@ class TestMoebiusGrid:
     def test_seam_reversal(self):
         from cartanbundle.verify import moebius_seam_check
 
-        pairs, max_dev, flips_ok, resolution = moebius_seam_check(128, 9, 2.0)
+        pairs, max_dev, flips_ok, resolution = moebius_seam_check()
         assert pairs == 9
         assert flips_ok
         assert max_dev <= resolution

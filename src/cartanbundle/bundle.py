@@ -169,7 +169,7 @@ def bundle_point(plane: Plane, fiber: np.ndarray) -> BundlePoint:
 class CartanMotion:
     """A motion in the Cartan model S_p, checked once, at construction.
 
-    The public constructor (``certify`` is an alias) checks an n x n
+    ``certify``, which the public constructor runs, checks an n x n
     rotation in SO(n) and an n-vector translation in the input domain of
     ``matcore``, for the n of the signature, then S_p0, the sigma
     residual and the fiber condition, each under the one bound that
@@ -195,20 +195,16 @@ class CartanMotion:
     _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self, tol):
-        tol = tol or default_tolerances()
-        motion, frame = _cartan_motion(self.motion, self.sig, tol)
-        object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "motion", motion)
-        object.__setattr__(self, "_tol", tol)
+        self.__dict__.update(self.certify(self.motion, self.sig, tol).__dict__)
 
     def __reduce__(self):
-        return type(self), (self.motion, self.sig, self._tol)
+        return self.certify, (self.motion, self.sig, self._tol)
 
     @classmethod
-    def certify(
-        cls, motion: Motion, sig: Signature, tol: Tolerances | None = None
-    ) -> "CartanMotion":
-        return cls(motion, sig, tol)
+    def certify(cls, motion: Motion, sig: Signature, tol: Tolerances | None = None) -> "CartanMotion":
+        tol = tol or default_tolerances()
+        motion, frame = _cartan_motion(motion, sig, tol)
+        return _trusted(cls, tol, motion=motion, sig=sig, _frame=frame)
 
     @property
     def n(self) -> int:

@@ -4,24 +4,30 @@ Each subcommand is one row of ``COMMANDS``: its help text, whether it reads
 JSON input, the flags it reads and a handler. ``main`` reads the input (from
 ``--in``, else stdin), runs the handler, writes its output (to ``--out``, else
 stdout) and maps errors to exit codes, the same way for every command. A
-subcommand accepts only the flags it reads:
+subcommand accepts only the flags it reads, and takes n and p from its input
+where the input carries them:
 
     command    flags
     exp        --in --out --se | --so
     log        --in --out --se | --so --allow-pi --tol.{orth,branch,sing}
     embed      --in --out --tol.{orth,invol,fiber}
-    project    --in --out --n --p --tol.{orth,invol,fiber}
-    act        --in --out --n --p --twisted | --bundle --tol.{orth,fiber}
+    project    --in --out --tol.{orth,invol,fiber}
+    act        --in --out --p --twisted | --bundle --tol.{orth,fiber}
     transport  --in --out --tol.{orth,fiber}
-    tau        --in --out --n --p --tol.{orth,invol,fiber}
+    tau        --in --out --p --tol.{orth,invol,fiber}
     sample     --out --n --p --seed --samples --kind
     verify     --out --n --p --seed --samples --tol.{orth,invol,recon,branch,sing,plane,fiber}
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 ``--samples`` must be at least 1, a | joins mode switches that exclude each
-other, and a flag must be spelled out in full. ``--tol.NAME VALUE`` overrides
-the ``Tolerances`` field NAME; a command takes the flags of exactly the
-fields its maps read, listed by its ``--help``. ``rank``, read only by
+other, and a flag must be spelled out in full. ``project`` reads n and p
+from its input. ``act --twisted`` and ``tau`` read n from the input motion
+(``a`` for ``act``) and p from ``--p``; a missing ``--p`` is
+``dimension_mismatch``. ``act --bundle`` reads the signature from the
+bundle point, so ``--p`` there is ``bad_arguments``, as it is on a
+``sample`` kind that does not read it. ``--tol.NAME VALUE`` overrides the
+``Tolerances`` field NAME; a command takes the flags of exactly the fields
+its maps read, listed by its ``--help``. ``rank``, read only by
 ``orthonormalize`` and ``plane_from_span``, which no command calls, is set
 only through the library. A ``--tol`` flag is an option of the subcommand
 like any other: an unknown name, a value that is not a number, a field the
@@ -72,10 +78,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _signature(args) -> gr.Signature:
-    if args.n is None or args.p is None:
-        raise DimensionMismatchError("this command requires --n and --p")
-    return gr.Signature(args.p, args.n - args.p)
+def _signature(n, p) -> gr.Signature:
+    """(p, n - p), for n and p each from a flag or the input; a flag not given is None."""
+    missing = [f"--{k}" for k, v in (("n", n), ("p", p)) if v is None]
+    if missing:
+        raise DimensionMismatchError(f"this command requires {' and '.join(missing)}")
+    return gr.Signature(p, n - p)
 
 
 # Flag name (underscores become dashes) -> add_argument keywords.
@@ -145,30 +153,29 @@ def _log(args, obj, tol):
 def _embed(args, obj, tol):
     if "fiber" in obj:
         return sz.cartan_motion_to_json(bn.rho_inv(sz.bundle_point_from_json(obj, tol))), 0
-    cr = gr.cartan_embed0(sz.plane_from_json(obj, tol))
-    return {"R": sz.mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}, 0
+    return sz.cartan_rotation_to_json(gr.cartan_embed0(sz.plane_from_json(obj, tol))), 0
 
 
-@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_DIMS, **_MEMBERSHIP)
+@_command("project", "Cartan rotation -> plane, Cartan motion -> bundle point", True, **_MEMBERSHIP)
 def _project(args, obj, tol):
     if "X" in obj:
         return sz.bundle_point_to_json(bn.rho(sz.cartan_motion_from_json(obj, tol))), 0
-    sig = _signature(args)
-    cr = gr.CartanRotation.certify(sz.mat_from_json(obj), sig, tol)
-    return sz.plane_to_json(gr.rho0(cr)), 0
+    return sz.plane_to_json(gr.rho0(sz.cartan_rotation_from_json(obj, tol))), 0
 
 
 @_command(
-    "act", "twisted conjugation (--twisted) or bundle action (--bundle)", True,
-    **_DIMS, twisted=_MODE, bundle=_MODE, **_tol("orth", "fiber"),
+    "act", "twisted conjugation (--twisted, with --p) or bundle action (--bundle)", True,
+    p=_DIMS["p"], twisted=_MODE, bundle=_MODE, **_tol("orth", "fiber"),
 )
 def _act(args, obj, tol):
-    sig = _signature(args)
+    if args.bundle and args.p is not None:
+        raise _CliArgumentError("act --bundle reads its signature from the point, not from --p")
     a = sz.motion_from_json(obj["a"])
     if args.bundle:
         b = sz.bundle_point_from_json(obj["b"], tol)
-        return sz.bundle_point_to_json(bn.bundle_act(a, b, sig)), 0
-    return sz.motion_to_json(bn.twisted_act(a, sz.motion_from_json(obj["g"]), sig)), 0
+        return sz.bundle_point_to_json(bn.bundle_act(a, b, _signature(b.n, b.plane.p))), 0
+    g = sz.motion_from_json(obj["g"])
+    return sz.motion_to_json(bn.twisted_act(a, g, _signature(a.n, args.p))), 0
 
 
 @_command("transport", "motion carrying one bundle point to another", True, **_tol("orth", "fiber"))
@@ -178,10 +185,10 @@ def _transport(args, obj, tol):
     return sz.motion_to_json(bn.find_transporter(src, dst)), 0
 
 
-@_command("tau", "orbit map g -> g sigma(g^-1)", True, **_DIMS, **_MEMBERSHIP)
+@_command("tau", "orbit map g -> g sigma(g^-1)", True, p=_DIMS["p"], **_MEMBERSHIP)
 def _tau(args, obj, tol):
-    sig = _signature(args)
-    return sz.cartan_motion_to_json(bn.tau(sz.motion_from_json(obj), sig, tol)), 0
+    g = sz.motion_from_json(obj)
+    return sz.cartan_motion_to_json(bn.tau(g, _signature(g.n, args.p), tol)), 0
 
 
 def _dp_json(x) -> dict:
@@ -226,7 +233,9 @@ SAMPLERS = {
 def _sample(args, obj, tol):
     needs_p, draw = SAMPLERS[args.kind]
     if needs_p:
-        _signature(args)
+        _signature(args.n, args.p)
+    elif args.p is not None:
+        raise _CliArgumentError(f"sample --kind {args.kind} does not read --p")
     elif args.n is None:
         raise DimensionMismatchError("sampling requires --n")
     rng = sp.make_rng(args.seed, 0)
@@ -239,7 +248,7 @@ def _sample(args, obj, tol):
     **_DIMS, **_DRAWS, **_tol("orth", "invol", "recon", "branch", "sing", "plane", "fiber"),
 )
 def _verify(args, obj, tol):
-    sig = _signature(args)
+    sig = _signature(args.n, args.p)
     cfg = VerifyConfig(n=sig.n, p=sig.p, samples=args.samples, seed=args.seed, tol=tol)
     report = run_verification(cfg)
     return report.to_json(), (0 if report.passed else 2)

@@ -285,7 +285,7 @@ def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
 class CartanRotation:
     """A rotation in the Cartan model S_p0, checked once, at construction.
 
-    The constructor (``certify`` is an alias) checks that R is n x n for
+    ``certify``, which the constructor runs, checks that R is n x n for
     the signature and lies in SO(n), and then S_p0.
     The instance keeps a read-only copy of R and the read-only frame of the
     (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
@@ -304,20 +304,16 @@ class CartanRotation:
     _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self, tol):
-        tol = tol or default_tolerances()
-        mat, frame = _cartan_rotation(self.mat, self.sig, tol)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "_tol", tol)
+        self.__dict__.update(self.certify(self.mat, self.sig, tol).__dict__)
 
     def __reduce__(self):
-        return type(self), (self.mat, self.sig, self._tol)
+        return self.certify, (self.mat, self.sig, self._tol)
 
     @classmethod
-    def certify(
-        cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None
-    ) -> "CartanRotation":
-        return cls(mat, sig, tol)
+    def certify(cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> "CartanRotation":
+        tol = tol or default_tolerances()
+        mat, frame = _cartan_rotation(mat, sig, tol)
+        return _trusted(cls, tol, mat=mat, sig=sig, _frame=frame)
 
     @property
     def n(self) -> int:

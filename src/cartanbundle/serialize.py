@@ -1,7 +1,10 @@
-"""JSON wire formats for matrices, motions, screws, planes, and bundle points.
+"""JSON wire formats for matrices, motions, screws, planes, bundle points and Cartan values.
 
 Matrices serialize as {"rows": n, "cols": m, "data": [row-major doubles]};
-the other types compose that schema. Every dimension read (``rows``,
+the other types compose that schema. A Cartan rotation is {"R", "p", "q"}
+and a Cartan motion {"R", "X", "p", "q"}: the matrix or motion with its
+signature, which is checked as a ``Signature`` before the value is
+certified under the caller's tolerances. Every dimension read (``rows``,
 ``cols``, a plane's ``n`` and ``p``, a signature's ``p`` and ``q``) must be
 a JSON integer of at least 1, not a bool, float or string, and a matrix's
 ``data`` and every vector a flat list of JSON numbers (each an int or a
@@ -20,7 +23,7 @@ import numpy as np
 from .bundle import BundlePoint, CartanMotion, bundle_point
 from .config import Tolerances
 from .errors import DimensionMismatchError
-from .grassmann import Plane, Signature, plane_from_frame
+from .grassmann import CartanRotation, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
 from .matcore import _MAX_ABS, check_finite_matrix, check_finite_vector
 
@@ -103,11 +106,18 @@ def bundle_point_from_json(obj: dict, tol: Tolerances | None = None) -> BundlePo
     return bundle_point(plane, vec_from_json(obj["fiber"], plane.n))
 
 
+def cartan_rotation_to_json(cr: CartanRotation) -> dict:
+    return {"R": mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}
+
+
+def cartan_rotation_from_json(obj: dict, tol: Tolerances | None = None) -> CartanRotation:
+    R = mat_from_json(obj["R"])
+    sig = Signature(_dimension(obj, "p"), _dimension(obj, "q"))
+    return CartanRotation.certify(R, sig, tol)
+
+
 def cartan_motion_to_json(s: CartanMotion) -> dict:
-    out = motion_to_json(s.motion)
-    out["p"] = s.sig.p
-    out["q"] = s.sig.q
-    return out
+    return {**motion_to_json(s.motion), "p": s.sig.p, "q": s.sig.q}
 
 
 def cartan_motion_from_json(obj: dict, tol: Tolerances | None = None) -> CartanMotion:

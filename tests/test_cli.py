@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -19,6 +20,7 @@ from cartanbundle.config import Tolerances
 from cartanbundle.serialize import (
     bundle_point_to_json,
     cartan_motion_to_json,
+    cartan_rotation_to_json,
     dumps,
     mat_from_json,
     mat_to_json,
@@ -47,6 +49,9 @@ TOL_FIELDS = {
     "verify": {"orth", "invol", "recon", "branch", "sing", "plane", "fiber"},
     "moebius": set(),
 }
+
+# command -> the dimension flags it takes: those whose value nothing in its input carries
+DIM_FLAGS = {"act": {"p"}, "tau": {"p"}, "sample": {"n", "p"}, "verify": {"n", "p"}}
 
 PINNED = json.loads((Path(__file__).parent / "data" / "sample_streams.json").read_text())
 
@@ -117,12 +122,30 @@ class TestEmbedProject:
     def test_project_rotation(self, tmp_path, capsys):
         theta = 1.2
         c, s = math.cos(theta), math.sin(theta)
-        infile = write_json(tmp_path, "r.json", mat_to_json(np.array([[c, -s], [s, c]])))
-        code, out, _ = run_cli(capsys, "project", "--n", "2", "--p", "1", "--in", infile)
+        infile = write_json(tmp_path, "r.json", {"R": mat_to_json(np.array([[c, -s], [s, c]])), "p": 1, "q": 1})
+        code, out, _ = run_cli(capsys, "project", "--in", infile)
         assert code == 0
         frame = mat_from_json(json.loads(out)["frame"])
         V = np.array([math.cos(theta / 2), math.sin(theta / 2)])
         assert np.linalg.norm(np.outer(frame[:, 0], frame[:, 0]) - np.outer(V, V)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["plane", "bundle_point"])
+    def test_project_reads_what_embed_writes(self, tmp_path, capsys, kind):
+        # project took a bare matrix with --n --p, and exited 1 on embed's {"R", "p", "q"}
+        code, out, _ = run_cli(capsys, "sample", "--kind", kind, "--n", "4", "--p", "2", "--samples", "1")
+        assert code == 0
+        value = json.loads(out)["values"][0]
+        code, embedded, _ = run_cli(capsys, "embed", "--in", write_json(tmp_path, "in.json", value))
+        assert code == 0
+        code, out, err = run_cli(capsys, "project", "--in", write_json(tmp_path, "embedded.json", json.loads(embedded)))
+        assert (code, err) == (0, "")
+        back = json.loads(out)
+        if kind == "bundle_point":
+            assert np.linalg.norm(np.subtract(back["fiber"], value["fiber"])) <= 1e-12
+            value, back = value["plane"], back["plane"]
+        assert (back["n"], back["p"]) == (4, 2)
+        F, G = mat_from_json(value["frame"]), mat_from_json(back["frame"])
+        assert np.linalg.norm(F @ F.T - G @ G.T) <= 1e-12
 
     def test_embed_of_a_plane_with_p_equal_to_n(self, tmp_path, capsys):
         infile = write_json(tmp_path, "plane.json", {"n": 3, "p": 3, "frame": mat_to_json(np.eye(3))})
@@ -160,7 +183,11 @@ class TestSample:
     def test_streams_are_pinned(self, capsys, kind):
         # Planes and bundle points are pinned within rounding: their pinned
         # frames came from Gram-Schmidt, today's from a sign-fixed QR.
-        code, out, _ = run_cli(capsys, "sample", "--kind", kind, *PINNED["argv"][1:])
+        argv = PINNED["argv"][1:]
+        if not cli.SAMPLERS[kind][0]:  # a kind that does not read --p is not given it
+            i = argv.index("--p")
+            argv = argv[:i] + argv[i + 2:]
+        code, out, _ = run_cli(capsys, "sample", "--kind", kind, *argv)
         assert code == 0
         if kind in PINNED["sha256"]:
             assert hashlib.sha256(out.encode()).hexdigest() == PINNED["sha256"][kind]
@@ -293,10 +320,10 @@ class TestErrorHandling:
         ["moebius", "--tol.orth"],
         ["log", "--se", "--tol.invol"],
         ["embed", "--tol.recon"],
-        ["project", "--n", "4", "--p", "2", "--tol.sing"],
-        ["act", "--twisted", "--n", "4", "--p", "2", "--tol.plane"],
+        ["project", "--tol.sing"],
+        ["act", "--twisted", "--p", "2", "--tol.plane"],
         ["transport", "--tol.invol"],
-        ["tau", "--n", "4", "--p", "2", "--tol.branch"],
+        ["tau", "--p", "2", "--tol.branch"],
         ["verify", "--n", "4", "--p", "2", "--tol.rank"],
     ], ids=["exp", "sample", "moebius", "log-invol", "embed-recon", "project-sing",
             "act-plane", "transport-invol", "tau-branch", "verify-rank"])
@@ -346,6 +373,11 @@ class TestErrorHandling:
             ("verify", "--in", "x.json"),
             ("moebius", "--n", "4"),
             ("transport", "--samples", "2"),
+            ("sample", "--kind", "rotation", "--n", "3", "--p", "2"),
+            ("sample", "--kind", "unit_direction", "--n", "3", "--p", "1"),
+            ("project", "--n", "4", "--p", "2"),
+            ("tau", "--n", "4", "--p", "2"),
+            ("act", "--twisted", "--n", "4", "--p", "2"),
         ],
         ids=" ".join,
     )
@@ -359,7 +391,7 @@ class TestErrorHandling:
         [
             ("exp", "--se", "--so"),
             ("log", "--so", "--se", "--allow-pi"),
-            ("act", "--n", "4", "--p", "2", "--twisted", "--bundle"),
+            ("act", "--p", "2", "--twisted", "--bundle"),
         ],
         ids=" ".join,
     )
@@ -392,6 +424,25 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
+    def test_bundle_act_takes_no_p(self, tmp_path, capsys):
+        # act --bundle reads the signature from the point; it required --p and ignored it
+        a = motion_to_json(sampling.sample_motion(sampling.make_rng(3, 0), 4))
+        b = bundle_point_to_json(sampling.sample_bundle_point(sampling.make_rng(3, 1), 4, 2))
+        infile = write_json(tmp_path, "pair.json", {"a": a, "b": b})
+        assert run_cli(capsys, "act", "--bundle", "--in", infile)[0] == 0
+        code, out, err = run_cli(capsys, "act", "--bundle", "--p", "2", "--in", infile)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize("argv", [("act", "--twisted"), ("tau",)], ids=" ".join)
+    def test_a_missing_p_is_a_dimension_mismatch(self, tmp_path, capsys, argv):
+        I4 = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
+        infile = write_json(tmp_path, "in.json", {"a": I4, "g": I4, **I4})
+        code, out, err = run_cli(capsys, *argv, "--in", infile)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "dimension_mismatch" and "--p" in error["detail"]
+
     def test_verify_dimensions_checked_like_every_command(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "4", "--p", "4")
         assert code == 1
@@ -402,7 +453,7 @@ class TestErrorHandling:
         a = {"R": mat_to_json(np.eye(4, 3)), "X": [0.0] * 4}
         g = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
         infile = write_json(tmp_path, "act.json", {"a": a, "g": g})
-        code, out, err = run_cli(capsys, "act", "--twisted", "--n", "4", "--p", "2", "--in", infile)
+        code, out, err = run_cli(capsys, "act", "--twisted", "--p", "2", "--in", infile)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "dimension_mismatch"
 
@@ -422,7 +473,7 @@ class _RecordingTolerances(Tolerances):
 
 def _mode_inputs() -> dict:
     """command -> [(argv after the command, input JSON)], covering each of its modes."""
-    rng, dims = sampling.make_rng(7, 0), ["--n", "4", "--p", "2"]
+    rng, p = sampling.make_rng(7, 0), ["--p", "2"]
     plane = sampling.sample_plane(rng, 4, 2)
     point, other = (bundle_point_to_json(sampling.sample_bundle_point(rng, 4, 2)) for _ in range(2))
     g, h = (motion_to_json(sampling.sample_motion(rng, 4)) for _ in range(2))
@@ -431,13 +482,14 @@ def _mode_inputs() -> dict:
                 (["--so"], mat_to_json(sampling.sample_skew(rng, 4)))],
         "log": [(["--se"], g), (["--so"], mat_to_json(sampling.sample_rotation(rng, 4)))],
         "embed": [([], plane_to_json(plane)), ([], point)],
-        "project": [(dims, mat_to_json(grassmann.cartan_embed0(plane).mat)),
+        "project": [([], cartan_rotation_to_json(grassmann.cartan_embed0(plane))),
                     ([], cartan_motion_to_json(sampling.sample_cartan_motion(rng, 4, 2)))],
-        "act": [(["--twisted", *dims], {"a": g, "g": h}), (["--bundle", *dims], {"a": g, "b": point})],
+        "act": [(["--twisted", *p], {"a": g, "g": h}), (["--bundle"], {"a": g, "b": point})],
         "transport": [([], {"src": point, "dst": other})],
-        "tau": [(dims, g)],
-        "sample": [(["--kind", kind, *dims, "--samples", "1"], None) for kind in cli.SAMPLERS],
-        "verify": [([*dims, "--samples", "2"], None)],
+        "tau": [(p, g)],
+        "sample": [(["--kind", kind, "--n", "4", *(p if needs_p else []), "--samples", "1"], None)
+                   for kind, (needs_p, _) in cli.SAMPLERS.items()],
+        "verify": [(["--n", "4", *p, "--samples", "2"], None)],
         "moebius": [(["--num-theta", "4", "--num-lambda", "3"], None)],
     }
 
@@ -455,6 +507,34 @@ def test_a_command_takes_the_tol_flags_of_exactly_the_fields_it_reads(command):
         read |= tol._reads
     assert read == {flag[len("tol."):] for flag in flags if flag.startswith("tol.")}
     assert read == TOL_FIELDS[command]
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """Parsed arguments that record ``n`` and ``p`` read with a value (given), once ``_reads`` is set."""
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None and name in ("n", "p") and value is not None:
+            reads.add(name)
+        return value
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_reads_each_dimension_flag_it_is_given(command):
+    # A mode is given exactly the --n/--p its handler reads, and the modes
+    # together use every dimension flag the command takes: none is ignored.
+    parser, (_, _, flags, handler) = cli._build_parser(), cli.COMMANDS[command]
+    used = set()
+    for argv, obj in _mode_inputs()[command]:
+        args = parser.parse_args([command, *argv], namespace=_RecordingNamespace())
+        args._reads = set()
+        assert handler(args, obj, Tolerances())[1] == 0
+        given = {flag[2:] for flag in argv if flag in ("--n", "--p")}
+        assert args._reads == given, argv
+        used |= given
+    assert used == {flag for flag in flags if flag in ("n", "p")}
+    assert used == DIM_FLAGS.get(command, set())
 
 
 def _fresh_env():

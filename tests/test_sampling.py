@@ -245,3 +245,17 @@ def test_every_integer_seed_keys_its_own_stream():
 def test_a_seed_that_is_no_integer_raises():
     with pytest.raises(TypeError):
         make_rng(1.5)
+
+
+@pytest.mark.parametrize("stream", [1.5, True, -1, 2**64, "1", None])
+def test_a_stream_that_is_no_integer_in_range_raises(stream):
+    # 1.5 and True gave stream 1's generator; -1 and 2^64 raised NumPy's OverflowError
+    with pytest.raises(DimensionMismatchError):
+        make_rng(0, stream)
+
+
+def test_every_stream_in_range_keys_its_own_generator():
+    draws = {stream: make_rng(0, stream).standard_normal() for stream in (0, 1, 2**63, 2**64 - 1)}
+    assert len(set(draws.values())) == 4
+    assert make_rng(0, np.uint64(2**64 - 1)).standard_normal() == draws[2**64 - 1]
+    assert make_rng(0, np.int8(1)).standard_normal() == draws[1]

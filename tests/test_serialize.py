@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanbundle import DimensionMismatchError, GeometryError
+from cartanbundle import DimensionMismatchError, GeometryError, cartan_embed0
 from cartanbundle.sampling import (
     make_rng,
     sample_bundle_point,
@@ -17,6 +17,8 @@ from cartanbundle.serialize import (
     bundle_point_to_json,
     cartan_motion_from_json,
     cartan_motion_to_json,
+    cartan_rotation_from_json,
+    cartan_rotation_to_json,
     dumps,
     mat_from_json,
     mat_to_json,
@@ -190,6 +192,28 @@ def test_cartan_motion_validates_membership(rng):
     obj["p"], obj["q"] = 2, 2
     with pytest.raises(GeometryError):
         cartan_motion_from_json(obj)
+
+
+def test_cartan_rotation_roundtrip(rng):
+    cr = cartan_embed0(sample_plane(rng, 4, 2))
+    obj = cartan_rotation_to_json(cr)
+    assert (obj["p"], obj["q"]) == (2, 2)
+    cr2 = cartan_rotation_from_json(obj)
+    assert np.array_equal(cr2.mat, cr.mat) and cr2.sig == cr.sig
+
+
+def test_cartan_rotation_validates_membership(rng):
+    obj = {"R": mat_to_json(sample_motion(rng, 4).R), "p": 2, "q": 2}
+    with pytest.raises(GeometryError):
+        cartan_rotation_from_json(obj)
+
+
+@pytest.mark.parametrize("key, value", [("p", 2.0), ("q", "2"), ("q", False), ("p", None), ("q", 0)])
+def test_cartan_rotation_signature_must_be_integers(rng, key, value):
+    obj = cartan_rotation_to_json(cartan_embed0(sample_plane(rng, 4, 2)))
+    obj[key] = value
+    with pytest.raises(DimensionMismatchError):
+        cartan_rotation_from_json(obj)
 
 
 def test_dumps_is_canonical():

@@ -4,34 +4,39 @@ Each subcommand is one row of ``COMMANDS``: its help text, whether it reads
 JSON input, the flags it reads and a handler. ``main`` reads the input (from
 ``--in``, else stdin), runs the handler, writes its output (to ``--out``, else
 stdout) and maps errors to exit codes, the same way for every command. A
-subcommand accepts only the flags it reads, and takes n and p from its input
-where the input carries them:
+subcommand accepts only the flags it reads, picks its map by the form of its
+input, and takes n and p from its input where the input carries them:
 
     command    flags
-    exp        --in --out --se | --so
-    log        --in --out --se | --so --allow-pi --tol.{orth,branch,sing}
+    exp        --in --out
+    log        --in --out --allow-pi --tol.{orth,branch,sing}
     embed      --in --out --tol.{orth,invol,fiber}
     project    --in --out --tol.{orth,invol,fiber}
-    act        --in --out --p --twisted | --bundle --tol.{orth,fiber}
+    act        --in --out --p --tol.{orth,fiber}
     transport  --in --out --tol.{orth,fiber}
     tau        --in --out --p --tol.{orth,invol,fiber}
     sample     --out --n --p --seed --samples --kind
     verify     --out --n --p --seed --samples --tol.{orth,invol,recon,branch,sing,plane,fiber}
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
-``--samples`` must be at least 1, a | joins mode switches that exclude each
-other, and a flag must be spelled out in full. ``project`` reads n and p
-from its input. ``act --twisted`` and ``tau`` read n from the input motion
-(``a`` for ``act``) and p from ``--p``; a missing ``--p`` is
-``dimension_mismatch``. ``act --bundle`` reads the signature from the
-bundle point, so ``--p`` there is ``bad_arguments``, as it is on a
-``sample`` kind that does not read it. ``--tol.NAME VALUE`` overrides the
-``Tolerances`` field NAME; a command takes the flags of exactly the fields
-its maps read, listed by its ``--help``. ``rank``, read only by
-``orthonormalize`` and ``plane_from_span``, which no command calls, is set
-only through the library. A ``--tol`` flag is an option of the subcommand
-like any other: an unknown name, a value that is not a number, a field the
-command does not read, or the flag before the subcommand is
+A command with two maps tells its input forms apart by one key, and reads
+any value without it as the other form: ``exp`` a screw (``omega``) or a
+skew matrix, ``log`` a motion (``X``) or a rotation matrix, ``embed`` a
+bundle point (``fiber``) or a plane, ``project`` a Cartan motion (``X``) or
+a Cartan rotation, ``act`` a pair ``{a, b}`` with a bundle point (``b``) or
+``{a, g}``. The input is read before a flag is checked against it.
+``--samples`` must be at least 1, and a flag must be spelled out in full.
+``project`` reads n and p from its input. ``act`` on ``{a, g}`` and ``tau``
+read n from the input motion (``a`` for ``act``) and p from ``--p``; a
+missing ``--p`` is ``dimension_mismatch``. ``act`` on ``{a, b}`` reads the
+signature from the bundle point, so ``--p`` there is ``bad_arguments``, as
+it is on a ``sample`` kind that does not read it. ``--tol.NAME VALUE``
+overrides the ``Tolerances`` field NAME; a command takes the flags of
+exactly the fields its maps read, listed by its ``--help``. ``rank``, read
+only by ``orthonormalize`` and ``plane_from_span``, which no command calls,
+is set only through the library. A ``--tol`` flag is an option of the
+subcommand like any other: an unknown name, a value that is not a number, a
+field the command does not read, or the flag before the subcommand is
 ``bad_arguments``; a value that is not a finite positive number is
 ``invalid_input``, as ``Tolerances`` rejects it.
 
@@ -87,8 +92,6 @@ def _signature(n, p) -> gr.Signature:
 
 
 # Flag name (underscores become dashes) -> add_argument keywords.
-_SWITCH = {"action": "store_true"}
-_MODE = {"action": "store_true"}  # a switch that excludes the other modes of its command
 _DIMS = {"n": {"type": int}, "p": {"type": int}}
 _DRAWS = {"seed": {"type": int, "default": 0}, "samples": {"type": _positive_int, "default": 500}}
 _TOL = {  # Tolerances field -> flag "--tol.<name>", dest "tol.<name>", set only when given
@@ -125,28 +128,26 @@ def _build_parser() -> _Parser:
         if reads_input:
             p.add_argument("--in", dest="infile")
         p.add_argument("--out", dest="outfile")
-        # argparse's help cannot format an empty group, so only a command with modes has one
-        modes = p.add_mutually_exclusive_group() if any(k is _MODE for k in flags.values()) else p
         for flag, keywords in flags.items():
-            (modes if keywords is _MODE else p).add_argument("--" + flag.replace("_", "-"), **keywords)
+            p.add_argument("--" + flag.replace("_", "-"), **keywords)
     return parser
 
 
-@_command("exp", "exponential of a screw (--se) or skew matrix (--so)", True, se=_MODE, so=_MODE)
+@_command("exp", "exponential of a screw {omega, v} or a skew matrix", True)
 def _exp(args, obj, tol):
-    if args.so:
-        return sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj))), 0
-    return sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj))), 0
+    if "omega" in obj:
+        return sz.motion_to_json(lg.se_exp(sz.screw_from_json(obj))), 0
+    return sz.mat_to_json(lg.so_exp(sz.mat_from_json(obj))), 0
 
 
 @_command(
-    "log", "logarithm of a motion (--se) or rotation (--so)", True,
-    se=_MODE, so=_MODE, allow_pi=_SWITCH, **_tol("orth", "branch", "sing"),
+    "log", "logarithm of a motion {R, X} or a rotation matrix", True,
+    allow_pi={"action": "store_true"}, **_tol("orth", "branch", "sing"),
 )
 def _log(args, obj, tol):
-    if args.so:
-        return sz.mat_to_json(lg.so_log(sz.mat_from_json(obj), tol, allow_pi=args.allow_pi)), 0
-    return sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi)), 0
+    if "X" in obj:
+        return sz.screw_to_json(lg.se_log(sz.motion_from_json(obj), tol, allow_pi=args.allow_pi)), 0
+    return sz.mat_to_json(lg.so_log(sz.mat_from_json(obj), tol, allow_pi=args.allow_pi)), 0
 
 
 @_command("embed", "plane -> Cartan rotation, bundle point -> Cartan motion", True, **_MEMBERSHIP)
@@ -164,14 +165,14 @@ def _project(args, obj, tol):
 
 
 @_command(
-    "act", "twisted conjugation (--twisted, with --p) or bundle action (--bundle)", True,
-    p=_DIMS["p"], twisted=_MODE, bundle=_MODE, **_tol("orth", "fiber"),
+    "act", "twisted conjugation of {a, g} (with --p) or bundle action on {a, b}", True,
+    p=_DIMS["p"], **_tol("orth", "fiber"),
 )
 def _act(args, obj, tol):
-    if args.bundle and args.p is not None:
-        raise _CliArgumentError("act --bundle reads its signature from the point, not from --p")
+    if "b" in obj and args.p is not None:
+        raise _CliArgumentError("act reads the signature from the bundle point b, not from --p")
     a = sz.motion_from_json(obj["a"])
-    if args.bundle:
+    if "b" in obj:
         b = sz.bundle_point_from_json(obj["b"], tol)
         return sz.bundle_point_to_json(bn.bundle_act(a, b, _signature(b.n, b.plane.p))), 0
     g = sz.motion_from_json(obj["g"])

@@ -283,10 +283,10 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
     return _sign_fixed_qr(V)
 
 
-def check_frame(F: np.ndarray, tol: Tolerances | None = None, shape: tuple | None = None) -> np.ndarray:
-    """Validate that F has orthonormal columns, and the shape (n, p) if given."""
+def check_frame(F: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+    """Validate that F has orthonormal columns."""
     tol = tol or default_tolerances()
-    F = check_finite_matrix(F, shape, "frame")
+    F = check_finite_matrix(F, name="frame")
     n, p = F.shape
     if p > n:
         raise DimensionMismatchError(f"frame has {p} columns in dimension {n}")

@@ -27,8 +27,6 @@ bounded skew.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
@@ -41,13 +39,15 @@ from .matcore import _is_int, _norm, _sign_fixed_qr
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic counter-based generator for (seed, stream).
 
-    Philox is keyed by the exact uint64 pair (seed mod 2^64, stream); seed is
-    any integer, a NumPy one too. stream must be an integer (``_is_int``)
-    with 0 <= stream < 2^64, else ``DimensionMismatchError``.
+    Philox is keyed by the exact uint64 pair (seed mod 2^64, stream). seed
+    is any integer (``_is_int``: a NumPy one too, not a bool), and stream an
+    integer with 0 <= stream < 2^64, else ``DimensionMismatchError``.
     """
+    if not _is_int(seed):
+        raise DimensionMismatchError("a seed must be an integer", seed=seed)
     if not _is_int(stream) or not 0 <= stream < 2**64:
         raise DimensionMismatchError("a stream must be an integer with 0 <= stream < 2^64", stream=stream)
-    key = np.array([operator.index(seed) & (2**64 - 1), stream], np.uint64)
+    key = np.array([int(seed) & (2**64 - 1), stream], np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -29,9 +29,10 @@ from .matcore import _MAX_ABS, check_finite_matrix, check_finite_vector
 
 
 def mat_to_json(M: np.ndarray) -> dict:
+    """A 2-D array as {"rows", "cols", "data"}; any other ndim is ``DimensionMismatchError``."""
     M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
+    if M.ndim != 2:
+        raise DimensionMismatchError(f"a matrix to write must be 2-D, got shape {M.shape}")
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel(order="C").tolist()}
 
 

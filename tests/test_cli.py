@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -76,7 +77,7 @@ class TestExpLog:
         infile = write_json(
             tmp_path, "w.json", mat_to_json(np.array([[0.0, -math.pi / 2], [math.pi / 2, 0.0]]))
         )
-        code, out, err = run_cli(capsys, "exp", "--so", "--in", infile)
+        code, out, err = run_cli(capsys, "exp", "--in", infile)
         assert code == 0 and err == ""
         R = mat_from_json(json.loads(out))
         assert np.allclose(R, [[0, -1], [1, 0]], atol=1e-12)
@@ -88,9 +89,9 @@ class TestExpLog:
         }
         infile = write_json(tmp_path, "xi.json", screw)
         outfile = str(tmp_path / "g.json")
-        code, _, _ = run_cli(capsys, "exp", "--se", "--in", infile, "--out", outfile)
+        code, _, _ = run_cli(capsys, "exp", "--in", infile, "--out", outfile)
         assert code == 0
-        code, out, err = run_cli(capsys, "log", "--se", "--in", outfile)
+        code, out, err = run_cli(capsys, "log", "--in", outfile)
         assert code == 0
         back = json.loads(out)
         assert np.allclose(mat_from_json(back["omega"]), [[0, -0.9], [0.9, 0]], atol=1e-10)
@@ -98,11 +99,11 @@ class TestExpLog:
 
     def test_log_branch_error(self, tmp_path, capsys):
         infile = write_json(tmp_path, "r.json", mat_to_json(-np.eye(2)))
-        code, out, err = run_cli(capsys, "log", "--so", "--in", infile)
+        code, out, err = run_cli(capsys, "log", "--in", infile)
         assert code == 1
         msg = json.loads(err)
         assert msg["error"] == "log_branch_ambiguity"
-        code, out, _ = run_cli(capsys, "log", "--so", "--allow-pi", "--in", infile)
+        code, out, _ = run_cli(capsys, "log", "--allow-pi", "--in", infile)
         assert code == 0
 
 
@@ -271,7 +272,7 @@ class TestErrorHandling:
     def test_bad_json_input(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        code, _, err = run_cli(capsys, "exp", "--so", "--in", str(path))
+        code, _, err = run_cli(capsys, "exp", "--in", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "invalid_input"
 
@@ -279,7 +280,7 @@ class TestErrorHandling:
         # rows 2.7 used to be read as 2, and the matrix as the 2 x 2 identity
         path = tmp_path / "w.json"
         path.write_text('{"rows": 2.7, "cols": 2, "data": [0, -1, 1, 0]}')
-        code, out, err = run_cli(capsys, "exp", "--so", "--in", str(path))
+        code, out, err = run_cli(capsys, "exp", "--in", str(path))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "dimension_mismatch"
 
@@ -293,35 +294,35 @@ class TestErrorHandling:
         c, s = math.cos(0.9), math.sin(0.9)
         motion = {"R": mat_to_json(np.array([[c, -s], [s, c]])), "X": [0.3, -0.7]}
         infile = write_json(tmp_path, "g.json", motion)
-        code, out, err = run_cli(capsys, "log", "--se", "--in", infile, "--tol.sing=10.0")
+        code, out, err = run_cli(capsys, "log", "--in", infile, "--tol.sing=10.0")
         assert code == 1
         assert json.loads(err)["error"] == "y_omega_singular"
-        code, out, err = run_cli(capsys, "log", "--se", "--in", infile)
+        code, out, err = run_cli(capsys, "log", "--in", infile)
         assert code == 0
 
     def test_unknown_tol_name(self, capsys):
-        code, _, err = run_cli(capsys, "log", "--se", "--tol.eig", "1e-7")
+        code, _, err = run_cli(capsys, "log", "--tol.eig", "1e-7")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bad_tol_value(self, capsys):
-        code, _, err = run_cli(capsys, "log", "--se", "--tol.sing", "abc")
+        code, _, err = run_cli(capsys, "log", "--tol.sing", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_tol_flag_before_the_subcommand(self, capsys):
-        code, out, err = run_cli(capsys, "--tol.orth", "1e-3", "log", "--se")
+        code, out, err = run_cli(capsys, "--tol.orth", "1e-3", "log")
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
     @pytest.mark.parametrize("argv", [
-        ["exp", "--so", "--tol.orth"],
+        ["exp", "--tol.orth"],
         ["sample", "--kind", "rotation", "--n", "3", "--tol.orth"],
         ["moebius", "--tol.orth"],
-        ["log", "--se", "--tol.invol"],
+        ["log", "--tol.invol"],
         ["embed", "--tol.recon"],
         ["project", "--tol.sing"],
-        ["act", "--twisted", "--p", "2", "--tol.plane"],
+        ["act", "--p", "2", "--tol.plane"],
         ["transport", "--tol.invol"],
         ["tau", "--p", "2", "--tol.branch"],
         ["verify", "--n", "4", "--p", "2", "--tol.rank"],
@@ -361,7 +362,7 @@ class TestErrorHandling:
         # ["a", 1] raised a raw ValueError, which exited as invalid_input
         path = tmp_path / "w.json"
         path.write_text('{"rows": 1, "cols": 2, "data": ["a", 1]}')
-        code, out, err = run_cli(capsys, "exp", "--so", "--in", str(path))
+        code, out, err = run_cli(capsys, "exp", "--in", str(path))
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "dimension_mismatch"
 
@@ -377,7 +378,7 @@ class TestErrorHandling:
             ("sample", "--kind", "unit_direction", "--n", "3", "--p", "1"),
             ("project", "--n", "4", "--p", "2"),
             ("tau", "--n", "4", "--p", "2"),
-            ("act", "--twisted", "--n", "4", "--p", "2"),
+            ("act", "--n", "4", "--p", "2"),
         ],
         ids=" ".join,
     )
@@ -405,7 +406,7 @@ class TestErrorHandling:
         [
             ("moebius", "--num-t", "2", "--num-l", "1"),
             ("verify", "--n", "4", "--p", "2", "--samp", "5"),
-            ("log", "--so", "--allow", "--in", "r.json"),
+            ("log", "--allow", "--in", "r.json"),
         ],
         ids=" ".join,
     )
@@ -425,16 +426,16 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bundle_act_takes_no_p(self, tmp_path, capsys):
-        # act --bundle reads the signature from the point; it required --p and ignored it
+        # act on {a, b} reads the signature from the point, where --p would be ignored
         a = motion_to_json(sampling.sample_motion(sampling.make_rng(3, 0), 4))
         b = bundle_point_to_json(sampling.sample_bundle_point(sampling.make_rng(3, 1), 4, 2))
         infile = write_json(tmp_path, "pair.json", {"a": a, "b": b})
-        assert run_cli(capsys, "act", "--bundle", "--in", infile)[0] == 0
-        code, out, err = run_cli(capsys, "act", "--bundle", "--p", "2", "--in", infile)
+        assert run_cli(capsys, "act", "--in", infile)[0] == 0
+        code, out, err = run_cli(capsys, "act", "--p", "2", "--in", infile)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "bad_arguments"
 
-    @pytest.mark.parametrize("argv", [("act", "--twisted"), ("tau",)], ids=" ".join)
+    @pytest.mark.parametrize("argv", [("act",), ("tau",)], ids=" ".join)
     def test_a_missing_p_is_a_dimension_mismatch(self, tmp_path, capsys, argv):
         I4 = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
         infile = write_json(tmp_path, "in.json", {"a": I4, "g": I4, **I4})
@@ -442,6 +443,34 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         error = json.loads(err)
         assert error["error"] == "dimension_mismatch" and "--p" in error["detail"]
+
+    @pytest.mark.parametrize(
+        "argv", ["exp --se", "exp --so", "log --se", "log --so", "act --twisted", "act --bundle"]
+    )
+    def test_the_input_form_replaces_the_mode_switch(self, capsys, argv):
+        # exp, log and act pick their map by the form of their input, so no switch selects it
+        command, switch = argv.split()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert switch not in capsys.readouterr().out
+        code, out, err = run_cli(capsys, command, switch)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_arguments"
+
+    @pytest.mark.parametrize("argv, stdin, error", [
+        (("act", "--p", "2"), "", "invalid_input"),
+        (("act", "--p", "2"), "{a, b}", "bad_arguments"),
+        (("tau",), "{}", "invalid_input"),
+    ], ids=["act --p 2 on nothing", "act --p 2 on {a, b}", "tau on {}"])
+    def test_the_input_is_read_before_a_flag_is_checked_against_it(
+        self, capsys, monkeypatch, argv, stdin, error
+    ):
+        # whether --p is wrong (a bundle point) or missing (a motion) is read from the input
+        text = dumps(_mode_inputs()["act"]["{a, b}"][1]) if stdin == "{a, b}" else stdin
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
 
     def test_verify_dimensions_checked_like_every_command(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "4", "--p", "4")
@@ -453,7 +482,7 @@ class TestErrorHandling:
         a = {"R": mat_to_json(np.eye(4, 3)), "X": [0.0] * 4}
         g = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
         infile = write_json(tmp_path, "act.json", {"a": a, "g": g})
-        code, out, err = run_cli(capsys, "act", "--twisted", "--p", "2", "--in", infile)
+        code, out, err = run_cli(capsys, "act", "--p", "2", "--in", infile)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "dimension_mismatch"
 
@@ -472,26 +501,50 @@ class _RecordingTolerances(Tolerances):
 
 
 def _mode_inputs() -> dict:
-    """command -> [(argv after the command, input JSON)], covering each of its modes."""
+    """command -> {input form: (argv after the command, input JSON)}, covering each of its maps."""
     rng, p = sampling.make_rng(7, 0), ["--p", "2"]
     plane = sampling.sample_plane(rng, 4, 2)
     point, other = (bundle_point_to_json(sampling.sample_bundle_point(rng, 4, 2)) for _ in range(2))
     g, h = (motion_to_json(sampling.sample_motion(rng, 4)) for _ in range(2))
     return {
-        "exp": [(["--se"], screw_to_json(sampling.sample_screw(rng, 4))),
-                (["--so"], mat_to_json(sampling.sample_skew(rng, 4)))],
-        "log": [(["--se"], g), (["--so"], mat_to_json(sampling.sample_rotation(rng, 4)))],
-        "embed": [([], plane_to_json(plane)), ([], point)],
-        "project": [([], cartan_rotation_to_json(grassmann.cartan_embed0(plane))),
-                    ([], cartan_motion_to_json(sampling.sample_cartan_motion(rng, 4, 2)))],
-        "act": [(["--twisted", *p], {"a": g, "g": h}), (["--bundle"], {"a": g, "b": point})],
-        "transport": [([], {"src": point, "dst": other})],
-        "tau": [(p, g)],
-        "sample": [(["--kind", kind, "--n", "4", *(p if needs_p else []), "--samples", "1"], None)
-                   for kind, (needs_p, _) in cli.SAMPLERS.items()],
-        "verify": [(["--n", "4", *p, "--samples", "2"], None)],
-        "moebius": [(["--num-theta", "4", "--num-lambda", "3"], None)],
+        "exp": {"screw": ([], screw_to_json(sampling.sample_screw(rng, 4))),
+                "matrix": ([], mat_to_json(sampling.sample_skew(rng, 4)))},
+        "log": {"motion": ([], g), "matrix": ([], mat_to_json(sampling.sample_rotation(rng, 4))),
+                "matrix at pi": (["--allow-pi"], mat_to_json(np.diag([-1.0, -1.0, 1.0, 1.0])))},
+        "embed": {"plane": ([], plane_to_json(plane)), "bundle point": ([], point)},
+        "project": {"Cartan rotation": ([], cartan_rotation_to_json(grassmann.cartan_embed0(plane))),
+                    "Cartan motion": ([], cartan_motion_to_json(sampling.sample_cartan_motion(rng, 4, 2)))},
+        "act": {"{a, g}": (p, {"a": g, "g": h}), "{a, b}": ([], {"a": g, "b": point})},
+        "transport": {"{src, dst}": ([], {"src": point, "dst": other})},
+        "tau": {"motion": (p, g)},
+        "sample": {kind: (["--kind", kind, "--n", "4", *(p if needs_p else []), "--samples", "1"], None)
+                   for kind, (needs_p, _) in cli.SAMPLERS.items()},
+        "verify": {"none": (["--n", "4", *p, "--samples", "2"], None)},
+        "moebius": {"none": (["--num-theta", "4", "--num-lambda", "3"], None)},
     }
+
+
+# (command, input form of _mode_inputs()) -> sha256 of the output, as printed when
+# exp and log took --se or --so and act took --twisted or --bundle to pick the map
+SWITCHED_SHA256 = {
+    ("exp", "screw"): "3898b479820343859b9de91077dc4fa189b3646ffd917aa0e19a308a17101159",
+    ("exp", "matrix"): "80be6e4fcd88626a9f2b89913debb30b5d9740da77634cd2b47d762254162fe8",
+    ("log", "motion"): "69bbeba750988794e91d2a4c60ab9c1543e47c95506591e3236ffc78a59fe1ae",
+    ("log", "matrix"): "8d8ef31b8b346333326c7c80ea5a50e9ffb2a6b20078bba33c01af777f45d903",
+    ("log", "matrix at pi"): "1209be9a95b7b856162910e62eeb3c82f736426171bc1a806d126ef886eca4c8",
+    ("act", "{a, g}"): "b2168c662b71986903e6bcbbad74dd036ea6d53dea0f1562524fec3350a4c1f2",
+    ("act", "{a, b}"): "f92049362a2ef606c0fef6c73adaa9f8aad6a62866115a3f5afa6fa26b05b3a4",
+}
+
+
+@pytest.mark.parametrize(
+    "command, form", sorted(SWITCHED_SHA256), ids=[" ".join(key) for key in sorted(SWITCHED_SHA256)]
+)
+def test_the_input_form_picks_the_map(tmp_path, capsys, command, form):
+    argv, obj = _mode_inputs()[command][form]
+    code, out, err = run_cli(capsys, command, *argv, "--in", write_json(tmp_path, "in.json", obj))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWITCHED_SHA256[command, form]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -500,7 +553,7 @@ def test_a_command_takes_the_tol_flags_of_exactly_the_fields_it_reads(command):
     # after construction; the fields read over all modes are the command's flags.
     parser, (_, _, flags, handler) = cli._build_parser(), cli.COMMANDS[command]
     read = set()
-    for argv, obj in _mode_inputs()[command]:
+    for argv, obj in _mode_inputs()[command].values():
         tol = _RecordingTolerances()
         object.__setattr__(tol, "_reads", set())
         assert handler(parser.parse_args([command, *argv]), obj, tol)[1] == 0
@@ -526,7 +579,7 @@ def test_a_command_reads_each_dimension_flag_it_is_given(command):
     # together use every dimension flag the command takes: none is ignored.
     parser, (_, _, flags, handler) = cli._build_parser(), cli.COMMANDS[command]
     used = set()
-    for argv, obj in _mode_inputs()[command]:
+    for argv, obj in _mode_inputs()[command].values():
         args = parser.parse_args([command, *argv], namespace=_RecordingNamespace())
         args._reads = set()
         assert handler(args, obj, Tolerances())[1] == 0

@@ -345,7 +345,7 @@ def test_cli_exp_past_the_overflow_is_an_error(tmp_path, capsys):
     omega = np.array([[0.0, -1e200], [1e200, 0.0]])
     path = tmp_path / "xi.json"
     path.write_text(dumps({"omega": mat_to_json(omega), "v": [0.0, 0.0]}))
-    code = main(["exp", "--se", "--in", str(path)])
+    code = main(["exp", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     err = json.loads(captured.err)

@@ -242,9 +242,11 @@ def test_every_integer_seed_keys_its_own_stream():
     assert make_rng(np.uint64(5), 3).standard_normal() == make_rng(5, 3).standard_normal()
 
 
-def test_a_seed_that_is_no_integer_raises():
-    with pytest.raises(TypeError):
-        make_rng(1.5)
+@pytest.mark.parametrize("seed", [1.5, "3", None, True])
+def test_a_seed_that_is_no_integer_raises(seed):
+    # the integer rule of matcore._is_int, as for the stream: a bool is no seed
+    with pytest.raises(DimensionMismatchError):
+        make_rng(seed)
 
 
 @pytest.mark.parametrize("stream", [1.5, True, -1, 2**64, "1", None])

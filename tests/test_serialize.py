@@ -49,6 +49,13 @@ def test_matrix_row_major_layout():
     assert obj["data"] == [1.0, 2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3,), ()])
+def test_only_a_2d_array_is_written_as_a_matrix(shape):
+    # rows and cols describe a 2-D array: a (2, 2, 2) stack's 8 numbers do not fit a 2 x 2 matrix
+    with pytest.raises(DimensionMismatchError):
+        mat_to_json(np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     "obj",
     [

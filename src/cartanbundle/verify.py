@@ -1,14 +1,23 @@
 """Randomized property harness.
 
 Every invariant of the library has a named property here; ``run_verification``
-evaluates them on seeded samples and aggregates a report. Each row of
-``PROPERTIES`` is ``(name, fn, bound)`` and draws from its own stream, whose
-index is the row's. ``fn(cfg, rng) -> (samples, max_error, passed)`` is built
-from the row's check and ``bound`` by one runner, ``_judged``.
+evaluates them on seeded samples and aggregates a report. Each property is a
+``Row`` of ``PROPERTIES``, listed as ``(name, row, row.bound)``, and draws
+from its own stream, whose index is the row's.
 
-A check returns only its errors: one float, or a tuple in a fixed order.
+A row is a check, a bound and, for a sampled check, a draw.
+``draw(cfg, rng, count)`` draws all of the row's samples at once, as stacks
+from ``sampling`` whose index i is sample i. A check returns only its
+errors: one, or a tuple in a fixed order. ``Row.errors`` draws
+``cfg.samples`` samples and keeps every one of their errors, one column per
+error with entry i for sample i. Because each property draws its samples
+grouped by kind, the samples of a run of N are in general not the first N
+samples of a longer run. The two checks that draw nothing, the wedge and the
+Moebius seam, are written out as ``(cfg, rng) -> (samples, errors)``.
+
 ``bound(cfg)`` gives the row's bound, or its tuple of bounds in the same
-order, so every bound is stated once, in the table. The runner is the only
+order as the errors, so every bound is stated once, in the table. Calling
+the row, ``row(cfg, rng) -> (samples, max_error, passed)``, is the only
 place where an error meets its bound: the row passes if every error is at
 most its bound, so a NaN fails, and ``max_error`` is the worst error. Two
 kinds of comparison are rewritten to fit that form. A library predicate that
@@ -17,27 +26,17 @@ error ``float(not holds)`` against bound 0, so a false predicate fails its
 row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound.
 
-A sampled check is written in two parts. ``draw(cfg, rng, count)`` draws
-all of its samples at once, as stacks from ``sampling``, and a stacked
-check ``check(cfg, *stacks)`` returns the errors of every sample, one array
-per error with entry i for sample i. ``_stacked`` runs it on
-``cfg.samples`` samples and keeps each error's worst (NaN if any is NaN).
-Because each property draws its samples grouped by kind, the samples of a
-run of N are in general not the first N samples of a longer run. The two
-checks that draw nothing, the wedge and the Moebius seam, are written out
-as ``(cfg, rng) -> (samples, errors)``.
-
-Six rows check whole stacks through the library's stacked kernels, the ones
-its public maps call with 2-D operands: ``liegroup.y_omega_identity``,
-``liegroup.y_omega_roundtrip``, ``liegroup.log_exp_roundtrip``,
-``grassmann.dp_log0_roundtrip``, ``bundle.tau_properties`` and
-``bundle.dp_full_routes``. Each element of a stack comes out bit for bit as
-its single call, with every check of that call (domain, skew, SO(n),
-branch, singular factor, ``_sure``, S_p and cut locus); an element that
-fails raises the single call's error class with its ``index`` in the
-context, and fails its row. The other rows check one sample at a time,
-``check(cfg, *sample)``, through one adapter, ``_sampled``, which runs the
-check on index i of each stack.
+Six rows check whole stacks, ``check(cfg, *stacks)``, through the library's
+stacked kernels, the ones its public maps call with 2-D operands:
+``liegroup.y_omega_identity``, ``liegroup.y_omega_roundtrip``,
+``liegroup.log_exp_roundtrip``, ``grassmann.dp_log0_roundtrip``,
+``bundle.tau_properties`` and ``bundle.dp_full_routes``. Each element of a
+stack comes out bit for bit as its single call, with every check of that
+call (domain, skew, SO(n), branch, singular factor, ``_sure``, S_p and cut
+locus); an element that fails raises the single call's error class with its
+``index`` in the context, and fails its row. The other rows (``each``) check
+one sample at a time, ``check(cfg, *sample)`` on index i of each stack, and
+an error raised there gets the sample's ``index`` in its context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +80,8 @@ class VerifyConfig:
         self.sig  # Signature checks (n, p)
         if not (mc._is_int(self.samples) and self.samples >= 1 and mc._is_int(self.seed)):
             raise ValueError(f"config requires integers samples >= 1 and seed: {self.samples!r}, {self.seed!r}")
+        if not isinstance(self.tol, Tolerances):
+            raise ValueError(f"config requires a Tolerances for tol, got {self.tol!r}")
 
     @property
     def sig(self) -> gr.Signature:
@@ -158,61 +160,56 @@ def _errors(errors) -> tuple:
     return errors if isinstance(errors, tuple) else (errors,)
 
 
-def _stacked(draw):
-    """The stacked check ``check(cfg, *stacks) -> errors`` run on ``cfg.samples`` samples.
+@dataclass(frozen=True)
+class Row:
+    """One property: its check, its bound and, if it samples, its draw.
 
-    ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from one
-    stream, and returns a tuple of stacks (arrays or lists) whose index i is
-    sample i. ``check`` gets the stacks and returns one error per sample,
-    or a tuple of such, each as a sequence in sample order. The result,
-    ``(cfg, rng) -> (samples, errors)``, keeps each error's worst over the
-    samples (NaN if any is NaN).
+    ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from the
+    row's stream, as a tuple of stacks (arrays or lists) whose index i is
+    sample i. A stacked check, ``check(cfg, *stacks)``, gets the whole
+    stacks; a one-sample check (``each``), ``check(cfg, *sample)``, gets
+    index i of each stack. A row with no draw has the check
+    ``check(cfg, rng) -> (samples, errors)``. ``bound(cfg)`` gives one bound
+    per error, in the same order.
     """
 
-    def stacked(check):
-        def run(cfg, rng):
-            errors = _errors(check(cfg, *draw(cfg, rng, cfg.samples)))
-            return cfg.samples, tuple(_worst(*column) for column in errors)
+    check: Callable
+    bound: Callable
+    draw: Callable | None = None
+    each: bool = False
 
-        return run
+    def errors(self, cfg: VerifyConfig, rng) -> tuple:
+        """``(samples, columns)``: one column per error, entry i from sample i.
 
-    return stacked
+        A row with no draw gives a column of one entry, its error over all of
+        its samples. A ``GeometryError`` raised by a one-sample check gets
+        the sample's ``index`` in its context, as the stacked kernels give it.
+        """
+        if self.draw is None:
+            samples, errors = self.check(cfg, rng)
+            return samples, tuple((e,) for e in _errors(errors))
+        stacks = self.draw(cfg, rng, cfg.samples)
+        if not self.each:
+            return cfg.samples, _errors(self.check(cfg, *stacks))
+        per_sample = []
+        for i, sample in enumerate(zip(*stacks)):
+            try:
+                per_sample.append(_errors(self.check(cfg, *sample)))
+            except GeometryError as e:
+                e.context.setdefault("index", i)
+                raise
+        return cfg.samples, tuple(zip(*per_sample))
 
+    def __call__(self, cfg: VerifyConfig, rng) -> tuple:
+        """``(samples, max_error, passed)``, the one place where an error meets its bound.
 
-def _sampled(draw):
-    """``_stacked`` for ``check(cfg, *sample) -> errors``, a check of one sample.
-
-    It passes index i of each stack to ``check``, which builds the library
-    objects of that sample alone.
-    """
-
-    def sampled(check):
-        def each(cfg, *stacks):
-            return tuple(zip(*(_errors(check(cfg, *sample)) for sample in zip(*stacks))))
-
-        return _stacked(draw)(each)
-
-    return sampled
-
-
-def _judged(check, bound):
-    """The property ``fn(cfg, rng) -> (samples, max_error, passed)`` of a table row.
-
-    ``check(cfg, rng) -> (samples, errors)`` and ``bound(cfg)`` give the
-    errors and their bounds, one bound per error, in the same order. This
-    is the one place where an error meets its bound: the property passes if
-    every error is at most its bound, so a NaN fails, and ``max_error`` is
-    the worst error. ``fn.check`` is ``check``.
-    """
-
-    def run(cfg, rng):
-        samples, errors = check(cfg, rng)
-        errors = _errors(errors)
-        passed = all(e <= b for e, b in zip(errors, _errors(bound(cfg)), strict=True))
-        return samples, _worst(*errors), passed
-
-    run.check = check
-    return run
+        The row passes if every error is at most its bound, so a NaN fails,
+        and ``max_error`` is the worst error (NaN if any is NaN).
+        """
+        samples, columns = self.errors(cfg, rng)
+        worst = tuple(_worst(*column) for column in columns)
+        passed = all(e <= b for e, b in zip(worst, _errors(self.bound(cfg)), strict=True))
+        return samples, _worst(*worst), passed
 
 
 def _per_dimension(dims: np.ndarray, draw) -> tuple:
@@ -257,22 +254,16 @@ def _wedge_antisymmetry(cfg, rng):
     return count, err
 
 
-@_sampled(_frames)
 def _projector(cfg, F):
     P = gr.plane_from_frame(F, cfg.tol).projector
     return _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
 
 
-@_sampled(lambda cfg, rng, count: _per_dimension(
-    rng.integers(2, min(cfg.n, 8) + 1, size=count),
-    lambda nn, k: (sp.sample_rotations(rng, nn, k),),
-))
 def _canonical_form(cfg, R):
     form = mc.canonical_rotation_form(R, cfg.tol)
     return float(np.linalg.norm(form.rotation_matrix() - R))
 
 
-@_sampled(_frames)
 def _completion(cfg, F):
     plane = gr.plane_from_frame(F, cfg.tol)
     A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
@@ -282,14 +273,12 @@ def _completion(cfg, F):
     )
 
 
-@_sampled(_rotations)
 def _involution_eigenspace(cfg, A):
     S = A @ cfg.sig.matrix @ A.T
     F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
     return float(np.linalg.norm(S @ F + F))
 
 
-@_sampled(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))
 def _group_axioms(cfg, R, X):
     g1, g2, g3 = map(Motion, R, X)
     return _worst(
@@ -298,38 +287,31 @@ def _group_axioms(cfg, R, X):
     )
 
 
-@_sampled(lambda cfg, rng, count: _per_dimension(
-    rng.integers(2, min(cfg.n, 6) + 1, size=count),
-    lambda nn, k: sp.sample_screws(rng, nn, k),
-))
 def _exp_series(cfg, omega, v):
     xi = Screw(omega, v)
     return float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
 
 
-@_stacked(lambda cfg, rng, count: (
-    sp.sample_skews(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
-))
 def _y_omega_identity(cfg, omega, v):
     """|omega Y - (e^omega - I) v| for (e^omega, Y) = exp(omega, v), per sample."""
     R, Y = lg._exp(omega, v, omega.shape[:1])
     return mc._norm(np.matvec(omega, Y) - np.matvec(R - np.eye(cfg.n), v), 1)
 
 
-def _bounded_skews_and_vectors(max_angle: float):
+def _and_vectors(sample, *args):
+    """The draw of ``sample(rng, n, count, *args)`` and ``count`` standard normal vectors of R^n."""
+
     def draw(cfg, rng, count):
-        return sp.sample_skews_bounded(rng, cfg.n, count, max_angle), rng.standard_normal((count, cfg.n))
+        return sample(rng, cfg.n, count, *args), rng.standard_normal((count, cfg.n))
 
     return draw
 
 
-@_stacked(_bounded_skews_and_vectors(math.pi))
 def _y_omega_roundtrip(cfg, omega, v):
     batch = omega.shape[:1]
     return mc._norm(lg._solve(omega, lg._exp(omega, v, batch)[1], cfg.tol, batch) - v, 1)
 
 
-@_stacked(_bounded_skews_and_vectors(math.pi - 1e-3))
 def _log_exp_roundtrip(cfg, omega, v):
     batch = omega.shape[:1]
     g = Motion(*lg._exp(omega, v, batch))
@@ -337,7 +319,6 @@ def _log_exp_roundtrip(cfg, omega, v):
     return _motion_dist(Motion(*lg._exp(*xi, batch)), g)
 
 
-@_sampled(lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))
 def _sigma0_automorphism(cfg, R):
     """(|sigma0(sigma0(R1)) - R1|, |sigma0(R1 R2) - sigma0(R1) sigma0(R2)|)."""
     sig = cfg.sig
@@ -348,10 +329,6 @@ def _sigma0_automorphism(cfg, R):
     )
 
 
-@_sampled(lambda cfg, rng, count: (
-    sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count),
-    sp.sample_rotations(rng, cfg.n, count),
-))
 def _q0_invariance(cfg, B, A):
     """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action on exp(B)."""
     sig = cfg.sig
@@ -365,7 +342,6 @@ def _frames_and_rotations(cfg, rng, count):
     return _frames(cfg, rng, count) + _rotations(cfg, rng, count)
 
 
-@_sampled(_frames_and_rotations)
 def _grassmann_roundtrips(cfg, F, A):
     """(plane -> S_p0 -> plane, rotation -> plane -> S_p0).
 
@@ -381,7 +357,6 @@ def _grassmann_roundtrips(cfg, F, A):
     return err_plane, float(np.linalg.norm(R2 - R))
 
 
-@_sampled(_frames_and_rotations)
 def _rho0_equivariance(cfg, F, A):
     sig = cfg.sig
     cr = gr.cartan_embed0(gr.plane_from_frame(F, cfg.tol))
@@ -391,9 +366,6 @@ def _rho0_equivariance(cfg, F, A):
     return float(np.linalg.norm(lhs.projector - rhs.projector))
 
 
-@_stacked(lambda cfg, rng, count: (
-    sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
-))
 def _dp_log0_roundtrip(cfg, B):
     """The worse of |B' - B| and |dp_exp(B') - R| per sample, for R = dp_exp(B) and B' = dp_log0(R)."""
     sig, batch = cfg.sig, B.shape[:1]
@@ -417,9 +389,6 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     return r, abs(r - 2.0 * off) / (1.0 + r)
 
 
-@_sampled(lambda cfg, rng, count: (
-    *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
-))
 def _fixed_points(cfg, R, X, Rh, Xh):
     """(r of a fixed point g, r against 2 off on g and on a generic h, 1 if ``is_fixed_point`` errs).
 
@@ -433,7 +402,6 @@ def _fixed_points(cfg, R, X, Rh, Xh):
     return r, _worst(agree, _fixed_point_residual(h, sig)[1]), float(not sorted_ok)
 
 
-@_sampled(_motion_pairs)
 def _q_invariance(cfg, R, X):
     """(sigma residual of g' per 1 + |X'|, 1 if not ``in_Q``, routes to g' per 1 + |X| + |Y|).
 
@@ -463,7 +431,6 @@ def _frame_drift(g: Motion, F: np.ndarray, sig: gr.Signature, tol: Tolerances, b
     return mc._norm(F @ F.mT - checked @ checked.mT, 2)
 
 
-@_stacked(lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))
 def _tau_properties(cfg, R, X):
     """The worse of |sigma(t) - t^{-1}| and the carried frame drift, for t = tau(R, X)."""
     sig, batch, j = cfg.sig, R.shape[:1], cfg.sig._signs
@@ -473,9 +440,6 @@ def _tau_properties(cfg, R, X):
     return np.maximum(_motion_dist(sigma, lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
 
 
-@_sampled(lambda cfg, rng, count: (
-    sp.sample_rotations(rng, cfg.n, count), rng.standard_normal((count, cfg.n))
-))
 def _projection_identity(cfg, A, X):
     D = bn.double_projection(A, X, cfg.sig, cfg.tol)
     # twice the projection onto A.pi0, with the projector from an SVD
@@ -491,7 +455,6 @@ def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
     )
 
 
-@_sampled(_motion_pairs)
 def _rho_equivariance(cfg, R, X):
     sig = cfg.sig
     s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
@@ -500,9 +463,6 @@ def _rho_equivariance(cfg, R, X):
     return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig))
 
 
-@_sampled(lambda cfg, rng, count: (
-    *sp.sample_motions(rng, cfg.n, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
-))
 def _rho_bijectivity(cfg, R, X, F, Y):
     """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
     s = bn.tau(Motion(R, X), cfg.sig, cfg.tol)
@@ -515,9 +475,6 @@ def _rho_bijectivity(cfg, R, X, F, Y):
     )
 
 
-@_sampled(lambda cfg, rng, count: (
-    *_motion_pairs(cfg, rng, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
-))
 def _action_law(cfg, R, X, F, Y):
     sig = cfg.sig
     a1, a2 = map(Motion, R, X)
@@ -527,9 +484,6 @@ def _action_law(cfg, R, X, F, Y):
     return _point_dist(lhs, rhs)
 
 
-@_stacked(lambda cfg, rng, count: sp.sample_dp_elements(
-    rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
-))
 def _dp_full_routes(cfg, B, v):
     """(routes to exp(xi) per 1 + |X|, dp_log_full round trip, carried frame drift), per sample."""
     sig, batch, tol = cfg.sig, B.shape[:1], cfg.tol
@@ -549,7 +503,6 @@ def _dp_full_routes(cfg, B, v):
     return routes, np.maximum(mc._norm(B2 - B, 2), mc._norm(v2 - v, 1)), drift
 
 
-@_sampled(lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))
 def _transporter(cfg, F, Y):
     src, dst = (_point(cfg, *sample) for sample in zip(F, Y))
     a = bn.find_transporter(src, dst)
@@ -565,7 +518,6 @@ def _directions(cfg, rng, count):
     return U, rng.uniform(0.0, 2.0 * math.pi, count)
 
 
-@_sampled(lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))
 def _line_bundle_exp(cfg, U, theta, lam):
     nn, theta, lam = len(U), float(theta), float(lam)
     m = pj.line_bundle_exp(theta, U, lam)
@@ -576,7 +528,6 @@ def _line_bundle_exp(cfg, U, theta, lam):
     return _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
 
 
-@_sampled(_directions)
 def _half_angle_line(cfg, U, theta):
     theta, sig = float(theta), gr.Signature(1, len(U) - 1)
     cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
@@ -624,62 +575,89 @@ def _moebius_seam(cfg, rng):
     return pairs, (max_dev, float(not flips_ok))
 
 
-# (name, check, bound): bound(cfg) is the bound of the check's one error, or
-# the tuple of bounds of its errors in their order. A predicate's error is 0
-# or 1, held to 0.
-PROPERTIES = tuple(
-    (name, _judged(check, bound), bound)
-    for name, check, bound in (
-        ("matcore.wedge_antisymmetry", _wedge_antisymmetry, lambda cfg: 0.0),
-        ("matcore.projector_idempotent_symmetric", _projector, lambda cfg: 1e-12 * cfg.n),
-        ("matcore.canonical_form_reconstruction", _canonical_form, lambda cfg: 1e-10),
-        ("matcore.frame_completion", _completion, lambda cfg: cfg.tol.orth * cfg.n),
-        ("matcore.involution_eigenspace", _involution_eigenspace, lambda cfg: 1e-10),
-        ("liegroup.group_axioms", _group_axioms, lambda cfg: 1e-11 * cfg.n),
-        ("liegroup.exp_matches_series", _exp_series, lambda cfg: 1e-9),
-        ("liegroup.y_omega_identity", _y_omega_identity, lambda cfg: 1e-10),
-        ("liegroup.y_omega_roundtrip", _y_omega_roundtrip, lambda cfg: 1e-9),
-        ("liegroup.log_exp_roundtrip", _log_exp_roundtrip, lambda cfg: 1e-8),
-        ("grassmann.sigma0_automorphism", _sigma0_automorphism, lambda cfg: (0.0, 1e-12 * cfg.n)),
-        ("grassmann.q0_invariance", _q0_invariance, lambda cfg: (0.0, cfg.tol.invol)),
-        ("grassmann.cartan_roundtrips", _grassmann_roundtrips, lambda cfg: (cfg.tol.plane, 1e-9)),
-        ("grassmann.rho0_equivariance", _rho0_equivariance, lambda cfg: cfg.tol.plane),
-        ("grassmann.dp_log0_roundtrip", _dp_log0_roundtrip, lambda cfg: 1e-8),
-        ("bundle.fixed_point_characterization", _fixed_points, lambda cfg: (1e-12 * cfg.n, 1e-12, 0.0)),
-        ("bundle.q_invariance", _q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n)),
-        ("bundle.tau_properties", _tau_properties, lambda cfg: 1e-10),
-        ("bundle.projection_identity", _projection_identity, lambda cfg: 1e-10),
-        ("bundle.rho_equivariance", _rho_equivariance, lambda cfg: 1e-9),
-        ("bundle.rho_bijectivity", _rho_bijectivity, lambda cfg: (1e-9, 1e-10)),
-        ("bundle.action_law", _action_law, lambda cfg: 1e-10),
-        ("bundle.dp_full_routes", _dp_full_routes, lambda cfg: (1e-10 * cfg.n, 1e-8, 1e-10)),
-        ("bundle.transporter", _transporter, lambda cfg: 1e-9),
-        ("projective.line_bundle_exp", _line_bundle_exp, lambda cfg: 1e-10),
-        ("projective.half_angle_line", _half_angle_line, lambda cfg: cfg.tol.plane),
-        ("projective.moebius_seam", _moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0)),
-    )
-)
+# (name, row, bound), with row = Row(check, bound, draw, each): bound(cfg) is
+# the bound of the check's one error, or the tuple of bounds of its errors in
+# their order. A predicate's error is 0 or 1, held to 0.
+PROPERTIES = tuple((name, row, row.bound) for name, row in (
+    ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0)),
+    ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames, each=True)),
+    ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10, each=True,
+        draw=lambda cfg, rng, count: _per_dimension(
+            rng.integers(2, min(cfg.n, 8) + 1, size=count),
+            lambda nn, k: (sp.sample_rotations(rng, nn, k),),
+        ))),
+    ("matcore.frame_completion", Row(_completion, lambda cfg: cfg.tol.orth * cfg.n, _frames, each=True)),
+    ("matcore.involution_eigenspace", Row(_involution_eigenspace, lambda cfg: 1e-10, _rotations, each=True)),
+    ("liegroup.group_axioms", Row(_group_axioms, lambda cfg: 1e-11 * cfg.n, each=True,
+        draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))),
+    ("liegroup.exp_matches_series", Row(_exp_series, lambda cfg: 1e-9, each=True,
+        draw=lambda cfg, rng, count: _per_dimension(
+            rng.integers(2, min(cfg.n, 6) + 1, size=count),
+            lambda nn, k: sp.sample_screws(rng, nn, k),
+        ))),
+    ("liegroup.y_omega_identity", Row(_y_omega_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_skews))),
+    ("liegroup.y_omega_roundtrip", Row(
+        _y_omega_roundtrip, lambda cfg: 1e-9, _and_vectors(sp.sample_skews_bounded, math.pi))),
+    ("liegroup.log_exp_roundtrip", Row(
+        _log_exp_roundtrip, lambda cfg: 1e-8, _and_vectors(sp.sample_skews_bounded, math.pi - 1e-3))),
+    ("grassmann.sigma0_automorphism", Row(_sigma0_automorphism, lambda cfg: (0.0, 1e-12 * cfg.n), each=True,
+        draw=lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))),
+    ("grassmann.q0_invariance", Row(_q0_invariance, lambda cfg: (0.0, cfg.tol.invol), each=True,
+        draw=lambda cfg, rng, count: (
+            sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count), sp.sample_rotations(rng, cfg.n, count),
+        ))),
+    ("grassmann.cartan_roundtrips", Row(_grassmann_roundtrips, lambda cfg: (cfg.tol.plane, 1e-9), each=True,
+        draw=_frames_and_rotations)),
+    ("grassmann.rho0_equivariance", Row(_rho0_equivariance, lambda cfg: cfg.tol.plane, each=True,
+        draw=_frames_and_rotations)),
+    ("grassmann.dp_log0_roundtrip", Row(_dp_log0_roundtrip, lambda cfg: 1e-8,
+        draw=lambda cfg, rng, count: (
+            sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
+        ))),
+    ("bundle.fixed_point_characterization", Row(_fixed_points, lambda cfg: (1e-12 * cfg.n, 1e-12, 0.0),
+        each=True, draw=lambda cfg, rng, count: (
+            *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
+        ))),
+    ("bundle.q_invariance", Row(_q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n), each=True,
+        draw=_motion_pairs)),
+    ("bundle.tau_properties", Row(_tau_properties, lambda cfg: 1e-10,
+        draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))),
+    ("bundle.projection_identity", Row(
+        _projection_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_rotations), each=True)),
+    ("bundle.rho_equivariance", Row(_rho_equivariance, lambda cfg: 1e-9, _motion_pairs, each=True)),
+    ("bundle.rho_bijectivity", Row(_rho_bijectivity, lambda cfg: (1e-9, 1e-10), each=True,
+        draw=lambda cfg, rng, count: (
+            *sp.sample_motions(rng, cfg.n, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
+        ))),
+    ("bundle.action_law", Row(_action_law, lambda cfg: 1e-10, each=True,
+        draw=lambda cfg, rng, count: (
+            *_motion_pairs(cfg, rng, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
+        ))),
+    ("bundle.dp_full_routes", Row(_dp_full_routes, lambda cfg: (1e-10 * cfg.n, 1e-8, 1e-10),
+        draw=lambda cfg, rng, count: sp.sample_dp_elements(
+            rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
+        ))),
+    ("bundle.transporter", Row(_transporter, lambda cfg: 1e-9, each=True,
+        draw=lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))),
+    ("projective.line_bundle_exp", Row(_line_bundle_exp, lambda cfg: 1e-10, each=True,
+        draw=lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))),
+    ("projective.half_angle_line", Row(_half_angle_line, lambda cfg: cfg.tol.plane, _directions, each=True)),
+    ("projective.moebius_seam", Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0))),
+))
 
 
 def run_verification(cfg: VerifyConfig) -> VerifyReport:
     """Run every named property on independent seeded streams."""
     start = time.perf_counter()
     results = []
-    for stream, (name, fn, _) in enumerate(PROPERTIES):
+    for stream, (name, row, _) in enumerate(PROPERTIES):
         rng = sp.make_rng(cfg.seed, stream)
         try:
-            samples, max_error, passed = fn(cfg, rng)
+            samples, max_error, passed = row(cfg, rng)
         except GeometryError:
             # a domain error raised mid-check is a failed property, not a crash
             samples, max_error, passed = 0, float("inf"), False
-        results.append(
-            PropertyResult(
-                name=name,
-                samples=int(samples),
-                max_error=float(max_error),
-                passed=bool(passed),
-            )
-        )
+        results.append(PropertyResult(name, int(samples), float(max_error), bool(passed)))
     return VerifyReport(
         properties=tuple(results),
         passed=all(r.passed for r in results),

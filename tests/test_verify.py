@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cartanbundle import bundle, liegroup, sampling
+from cartanbundle.errors import DegenerateSpanError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
 
 CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
@@ -30,10 +31,9 @@ def test_table_shape():
         samples, max_error, passed = out
         assert samples >= 1 and math.isfinite(max_error) and passed, name
         # one bound per error, in the same order
-        _, errors = fn.check(CFG, sampling.make_rng(CFG.seed, stream))
+        _, columns = fn.errors(CFG, sampling.make_rng(CFG.seed, stream))
         bounds = bound(CFG)
-        arity = len(errors) if isinstance(errors, tuple) else 1
-        assert arity == (len(bounds) if isinstance(bounds, tuple) else 1), name
+        assert len(columns) == (len(bounds) if isinstance(bounds, tuple) else 1), name
 
 
 def test_nan_answer_fails_its_property(monkeypatch):
@@ -64,6 +64,54 @@ def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
     samples, max_error, passed = _run_one("liegroup.y_omega_identity")
     assert calls == [(CFG.samples,)] and samples == CFG.samples  # one stacked call
     assert math.isnan(max_error) and not passed
+
+
+@pytest.mark.parametrize("stream", range(len(PROPERTIES)), ids=[entry[0] for entry in PROPERTIES])
+def test_every_sample_keeps_its_errors_until_the_bound(stream):
+    _, row, bound = PROPERTIES[stream]
+    samples, columns = row.errors(CFG, sampling.make_rng(CFG.seed, stream))
+    bounds = bound(CFG)
+    assert len(columns) == (len(bounds) if isinstance(bounds, tuple) else 1)
+    if row.draw is not None:
+        assert samples == CFG.samples and [len(c) for c in columns] == [CFG.samples] * len(columns)
+    errors = [float(e) for column in columns for e in column]
+    worst = math.nan if any(map(math.isnan, errors)) else max([0.0, *errors])
+    assert row(CFG, sampling.make_rng(CFG.seed, stream))[1] == worst
+
+
+def test_a_nan_error_stays_at_its_sample(monkeypatch):
+    exp = liegroup._exp
+
+    def flaky(omega, v, batch=()):
+        R, Y = exp(omega, v, batch)
+        Y[3] = math.nan
+        return R, Y
+
+    monkeypatch.setattr(liegroup, "_exp", flaky)
+    stream = [entry[0] for entry in PROPERTIES].index("liegroup.y_omega_identity")
+    (column,) = PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))[1]
+    assert [math.isnan(e) for e in column] == [False, False, False, True, False]
+
+
+def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
+    find, calls = bundle.find_transporter, []
+
+    def third_raises(src, dst):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DegenerateSpanError("third transporter")
+        return find(src, dst)
+
+    monkeypatch.setattr(bundle, "find_transporter", third_raises)
+    stream = [entry[0] for entry in PROPERTIES].index("bundle.transporter")
+    with pytest.raises(DegenerateSpanError) as raised:
+        PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
+    assert raised.value.context["index"] == 2
+    # in a run, the raise fails that row alone
+    calls.clear()
+    results = _results()
+    assert (results["bundle.transporter"].samples, results["bundle.transporter"].passed) == (0, False)
+    assert all(r.passed for name, r in results.items() if name != "bundle.transporter")
 
 
 def test_false_predicate_fails_its_property(monkeypatch):
@@ -132,6 +180,15 @@ def test_samples_and_seed_are_integers(samples, seed):
     # samples=2.5 let a raw TypeError escape run_verification, and True ran as 1
     with pytest.raises(ValueError, match="integers"):
         VerifyConfig(n=4, p=2, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "tol", [None, {"orth": 1e-9}, 1e-9, dataclasses.asdict(CFG.tol)], ids=["None", "dict", "float", "asdict"]
+)
+def test_tol_is_a_tolerances(tol):
+    # tol=None raised a raw AttributeError from inside the first row that read it
+    with pytest.raises(ValueError, match="Tolerances"):
+        VerifyConfig(n=4, p=2, samples=2, tol=tol)
 
 
 def test_numpy_samples_and_seed_run_as_their_values():

@@ -7,13 +7,14 @@ plane). The twisted conjugation action on S_p transports to the transitive
 SE(n) action (A, X) * (pi, Y) = (A pi, A Y + 2 pr_{A pi} X).
 
 J enters only as sign flips of rows, columns and entries. The signature
-fixes the shape of every operand: each map that takes a motion (``sigma``,
-``in_Q``, ``is_fixed_point``, ``twisted_act``, ``bundle_act``, ``tau``,
-``CartanMotion``) reads its parts through ``liegroup._checked_motion``, an
+fixes the shape of every operand: each map that takes a motion reads an
 n x n rotation and an n-vector in the input domain of ``matcore``, for the
-n of the signature. A motion that a caller hands to the public
-``CartanMotion`` constructor is checked once, in one pass: SO(n) and a
-translation that way, then the shared S_p0 check of grassmann (one
+n of the signature. ``tau`` and ``CartanMotion`` check the rotation in
+SO(n) (``matcore._checked_rotation``) and then the translation; ``sigma``,
+``in_Q``, ``is_fixed_point``, ``twisted_act`` and ``bundle_act`` check
+shape and domain only (``liegroup._checked_motion``). A motion that a
+caller hands to the public ``CartanMotion`` constructor is checked once,
+in one pass: SO(n) and a translation that way, then the shared S_p0 check of grassmann (one
 ``eigh``), then the sigma residual and the fiber condition.
 The instance keeps read-only copies of R and X and the frame of the plane
 that the check found, so ``rho`` and ``dp_log_full`` check nothing again.
@@ -190,7 +191,7 @@ class CartanMotion:
 
     motion: Motion
     sig: Signature
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = default_tolerances()
     _frame: np.ndarray = field(init=False, repr=False)
     _tol: Tolerances = field(init=False, repr=False)
 
@@ -201,8 +202,7 @@ class CartanMotion:
         return self.certify, (self.motion, self.sig, self._tol)
 
     @classmethod
-    def certify(cls, motion: Motion, sig: Signature, tol: Tolerances | None = None) -> "CartanMotion":
-        tol = tol or default_tolerances()
+    def certify(cls, motion: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> "CartanMotion":
         motion, frame = _cartan_motion(motion, sig, tol)
         return _trusted(cls, tol, motion=motion, sig=sig, _frame=frame)
 
@@ -218,7 +218,8 @@ def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()
     the plane that the S_p0 check found.
     """
     motion = Motion(_read_only(g.R), _read_only(g.X))
-    R, X, _ = _checked_motion(motion, sig.n, tol, batch)
+    R = _checked_rotation(motion.R, tol, sig.n, batch)[0]
+    X = check_finite_vector(motion.X, sig.n, "translation", batch)
     F, S, invol = _cartan_frame(R, sig, tol)
     residual = _sigma_residual(invol, S, X)
     _require(_sigma_holds(residual, X, tol), NotInCartanModelError, "sigma(g) != g^{-1}", residual=residual)
@@ -266,7 +267,7 @@ class DpElement:
 
 def sigma(g: Motion, sig: Signature) -> Motion:
     """The involution sigma(R, X) = (J R J, J X) on SE(n); g is checked against the signature."""
-    (R, X, _), j = _checked_motion(g, sig.n), sig._signs
+    (R, X), j = _checked_motion(g, sig.n), sig._signs
     return Motion(j[:, None] * R * j, j * X)
 
 
@@ -289,7 +290,7 @@ def _fiber_holds(residual: float, Y: np.ndarray, tol: Tolerances) -> bool:
     return residual <= tol.fiber * (1.0 + _norm(Y, 1))
 
 
-def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
+def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> bool:
     """Whether g is fixed by sigma: |sigma(g) - g| <= ``tol.invol``.
 
     Fixed points are block-diagonal rotations diag(A, B) with no translation
@@ -297,24 +298,23 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances | None = None) -> 
     off-block entries, which ``verify`` checks. It is the norm of the
     homogeneous matrix of sigma(g) - g, built from g's checked parts.
     """
-    tol = tol or default_tolerances()
-    (R, X, _), j = _checked_motion(g, sig.n), sig._signs
+    (R, X), j = _checked_motion(g, sig.n), sig._signs
     D = np.zeros((sig.n + 1, sig.n + 1))
     D[:-1, :-1] = j[:, None] * R * j - R
     D[:-1, -1] = j * X - X
     return bool(_norm(D) <= tol.invol)
 
 
-def in_Q(g: Motion, sig: Signature, tol: Tolerances | None = None) -> bool:
+def in_Q(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> bool:
     """Membership in Q = {g : sigma(g) = g^{-1}}.
 
     A g of the wrong shape for the signature or outside the input domain raises.
     The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
     """
-    R, X, _ = _checked_motion(g, sig.n)
+    R, X = _checked_motion(g, sig.n)
     S = R * sig._signs
     residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, X)
-    return _sigma_holds(residual, X, tol or default_tolerances())
+    return _sigma_holds(residual, X, tol)
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
@@ -323,7 +323,7 @@ def twisted_act(a: Motion, g: Motion, sig: Signature) -> Motion:
     The closed form is (A R J A^{-1} J, X + A Y - A R J A^{-1} X); ``verify``
     checks it against plain group arithmetic.
     """
-    (A, X, _), (R, Y, _), j = _checked_motion(a, sig.n), _checked_motion(g, sig.n), sig._signs
+    (A, X), (R, Y), j = _checked_motion(a, sig.n), _checked_motion(g, sig.n), sig._signs
     core = ((A @ R) * j) @ A.T
     return Motion(core * j, X + A @ Y - core @ X)
 
@@ -339,7 +339,7 @@ def _under_ceiling(X: np.ndarray):
     return np.abs(X).max(axis=-1) <= _MAX_ABS
 
 
-def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotion:
+def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
     g is checked to lie in SE(n) under ``tol``: R n x n and in SO(n) as
@@ -355,7 +355,6 @@ def tau(g: Motion, sig: Signature, tol: Tolerances | None = None) -> CartanMotio
     translation is in the input domain (``_under_ceiling``), nothing else is
     checked; otherwise it goes through the public constructor.
     """
-    tol = tol or default_tolerances()
     R, X, F = _tau(g, sig, tol)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
 
@@ -366,7 +365,8 @@ def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple
     F is A[:, :p] where the bounds are ``_sure`` and the translation is in
     the domain, else the frame the public check finds.
     """
-    (A, X, e), j = _checked_motion(g, sig.n, tol, batch), sig._signs
+    A, e = _checked_rotation(g.R, tol, sig.n, batch)
+    X, j = check_finite_vector(g.X, sig.n, "translation", batch), sig._signs
     R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
     sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1))) & _under_ceiling(Y)
@@ -374,10 +374,10 @@ def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple
 
 
 def double_projection(
-    A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances | None = None
+    A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
     """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
-    A = _checked_rotation(A, tol or default_tolerances(), sig.n)[0]
+    A = _checked_rotation(A, tol, sig.n)[0]
     X = check_finite_vector(X, sig.n, "vector")
     return X - (A * sig._signs) @ A.T @ X
 
@@ -421,7 +421,7 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     checks it, and the new point as ``bundle_point`` checks it, both under
     the point's tolerances, which the result carries.
     """
-    R, X, _ = _checked_motion(a, sig.n)
+    R, X = _checked_motion(a, sig.n)
     if b.n != sig.n:
         raise DimensionMismatchError("bundle point dimension does not match signature")
     plane = plane_from_frame(R @ b.plane.frame, b._tol)
@@ -461,7 +461,7 @@ def _dp_translation(
 
 
 def dp_exp_full(
-    xi: DpElement, tol: Tolerances | None = None
+    xi: DpElement, tol: Tolerances = default_tolerances()
 ) -> CartanMotion:
     """Exponential of a d_p element, in closed form and in S_p by construction.
 
@@ -474,7 +474,7 @@ def dp_exp_full(
     constructor. ``verify`` passes these motions through the public
     constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
     """
-    tol, sig = tol or default_tolerances(), xi.gen._sig
+    sig = xi.gen._sig
     R, X, F = _dp_exp_full(xi.gen.B, xi.v, sig, tol)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
 

@@ -5,9 +5,9 @@ their own, built as ``Tolerances(orth=...)`` or
 ``dataclasses.replace(default_tolerances(), orth=...)``; an unknown name is
 a ``TypeError`` of either. The CLI builds one the second way from the
 ``--tol.NAME`` flags of each subcommand, one per field its maps read, which
-argparse has already checked by name. Otherwise the predicate uses
-``default_tolerances()``. Every field is a finite positive number, checked
-once at construction, so a bound that no residual can exceed (NaN, +inf) or
+argparse has already checked by name. Every ``tol`` is a ``Tolerances``: a
+``tol`` left out is the shared ``default_tolerances()``, and ``None`` is not
+one. Every field is a finite positive number, checked once at construction, so a bound that no residual can exceed (NaN, +inf) or
 that every residual exceeds (0, negative) is never built.
 """
 

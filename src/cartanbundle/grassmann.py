@@ -214,12 +214,11 @@ class Plane:
         return plane_from_frame, (self.frame, self._tol)
 
 
-def plane_from_frame(F: np.ndarray, tol: Tolerances | None = None) -> Plane:
+def plane_from_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:
     """The plane of a frame, checked orthonormal under ``tol``; it keeps a read-only copy.
 
     The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n.
     """
-    tol = tol or default_tolerances()
     F = check_frame(F, tol)
     Signature(F.shape[1], F.shape[0] - F.shape[1])
     return _plane(_read_only(F), tol)
@@ -231,7 +230,7 @@ def _plane(F: np.ndarray, tol: Tolerances) -> Plane:
     return _trusted(Plane, tol, n=n, p=p, projector=_frozen(projector(F)), frame=F)
 
 
-def plane_from_span(vectors: np.ndarray, tol: Tolerances | None = None) -> Plane:
+def plane_from_span(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:
     """Canonical plane spanned by the (independent) columns of ``vectors``."""
     return plane_from_frame(orthonormalize(vectors, tol), tol)
 
@@ -242,9 +241,8 @@ def coordinate_plane(n: int, p: int) -> Plane:
     return plane_from_frame(np.eye(n, p))
 
 
-def plane_equal(a: Plane, b: Plane, tol: Tolerances | None = None) -> bool:
+def plane_equal(a: Plane, b: Plane, tol: Tolerances = default_tolerances()) -> bool:
     """Frame-independent equality via projector comparison."""
-    tol = tol or default_tolerances()
     if (a.n, a.p) != (b.n, b.p):
         raise DimensionMismatchError(
             f"plane dimension mismatch: ({a.n},{a.p}) vs ({b.n},{b.p})"
@@ -264,14 +262,14 @@ def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
     return j[:, None] * R * j
 
 
-def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> bool:
+def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()) -> bool:
     """Membership in Q0 = {R : R J a symmetric involution}.
 
     An R that is not n x n or lies outside the input domain raises. The test
     is the S_p0 check's, ``matcore._symmetric_involution``.
     """
     R = check_finite_matrix(R, (sig.n, sig.n), "rotation")
-    return _symmetric_involution(R * sig._signs, tol or default_tolerances())[0] is None
+    return _symmetric_involution(R * sig._signs, tol)[0] is None
 
 
 def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
@@ -299,7 +297,7 @@ class CartanRotation:
 
     mat: np.ndarray
     sig: Signature
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = default_tolerances()
     _frame: np.ndarray = field(init=False, repr=False)
     _tol: Tolerances = field(init=False, repr=False)
 
@@ -310,8 +308,7 @@ class CartanRotation:
         return self.certify, (self.mat, self.sig, self._tol)
 
     @classmethod
-    def certify(cls, mat: np.ndarray, sig: Signature, tol: Tolerances | None = None) -> "CartanRotation":
-        tol = tol or default_tolerances()
+    def certify(cls, mat: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()) -> "CartanRotation":
         mat, frame = _cartan_rotation(mat, sig, tol)
         return _trusted(cls, tol, mat=mat, sig=sig, _frame=frame)
 
@@ -484,7 +481,7 @@ def _generator(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (U * s[..., None, :]) @ V.mT
 
 
-def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
+def dp_exp(gen: DpGenerator, tol: Tolerances = default_tolerances()) -> CartanRotation:
     """Exponential of a d_p0 generator, in S_p0 by construction.
 
     One thin SVD B = U diag(s) V^T gives the rotation in cosine-sine form
@@ -494,7 +491,7 @@ def dp_exp(gen: DpGenerator, tol: Tolerances | None = None) -> CartanRotation:
     the public constructor. ``verify`` passes these rotations through the
     public constructor.
     """
-    tol, sig = tol or default_tolerances(), gen._sig
+    sig = gen._sig
     R, F = _dp_exp(gen.B, sig, tol)
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_frozen(F))
 

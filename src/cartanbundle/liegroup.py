@@ -25,9 +25,10 @@ exponential, for |omega|_2 <= pi the error stays within 1.4 times that of
 a Hermitian ``eigh`` of i omega at n = 4, 8 and 32; at |omega|_2 = 30 it
 is 3.5 to 6 times larger (1.8e-13 against 4.4e-14 at n = 32).
 
-Each map validates each input once: the matrix, then the vector
-(``_checked_motion`` for a motion, against the n of a signature where one
-is given). Group arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and
+Each map validates each input once: the matrix, then the vector. A map
+that needs R in SO(n) checks it with ``matcore._checked_rotation`` and then
+X, as ``se_log`` does; ``_checked_motion`` checks only the shape and domain
+of a motion's parts, against the n of a signature where one is given. Group arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and
 the value types ``Motion`` and ``Screw`` take their operands as given.
 
 The kernels ``_exp``, ``_log`` and ``_solve`` take arrays with a leading
@@ -109,18 +110,14 @@ def identity_motion(n: int) -> Motion:
     return Motion(np.eye(n), np.zeros(n))
 
 
-def _checked_motion(g: Motion, n: int, tol: Tolerances | None = None, batch: tuple = ()) -> tuple:
-    """(R, X, e): the parts of g, checked against the dimension n, R first.
+def _checked_motion(g: Motion, n: int) -> tuple:
+    """(R, X): the parts of g, checked against the dimension n, R first.
 
     R must be an n x n matrix and X an n-vector, both in the input domain.
-    With ``tol``, R must also lie in SO(n) under it, and e is |R^T R - I|;
-    without, e is None. With ``batch``, g holds stacks of that leading shape.
+    Only shape and domain are checked; a map that needs R in SO(n) checks
+    it with ``_checked_rotation`` and then X, as ``_log`` does.
     """
-    if tol is None:
-        R, e = check_finite_matrix(g.R, (n, n), "rotation", batch), None
-    else:
-        R, e = _checked_rotation(g.R, tol, n, batch)
-    return R, check_finite_vector(g.X, n, "translation", batch), e
+    return check_finite_matrix(g.R, (n, n), "rotation"), check_finite_vector(g.X, n, "translation")
 
 
 def _same_n(a, b):
@@ -182,14 +179,13 @@ def _check_branch(theta: np.ndarray, tol: Tolerances) -> None:
 
 
 def so_log(
-    R: np.ndarray, tol: Tolerances | None = None, allow_pi: bool = False
+    R: np.ndarray, tol: Tolerances = default_tolerances(), allow_pi: bool = False
 ) -> np.ndarray:
     """Principal logarithm of a rotation, angles in (-pi, pi).
 
     An angle within ``tol.branch`` of pi makes the log non-unique; this
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
-    tol = tol or default_tolerances()
     L, _, theta = _rotation_log(check_special_orthogonal(R, tol))
     if not allow_pi:
         _check_branch(theta, tol)
@@ -208,14 +204,13 @@ def _half_angle_factor(theta: float) -> float:
 _factors = _scalar_formula(_half_angle_factor)
 
 
-def _pull_back(V, theta, W, x, tol: Tolerances | None) -> np.ndarray:
+def _pull_back(V, theta, W, x, tol: Tolerances) -> np.ndarray:
     """Y_W^{-1} x = V (cos(theta/2) / f . V^T x) - W x / 2, for W^T W = V diag(theta^2) V^T.
 
-    A half-angle factor f below ``tol.sing`` (default tolerances if None)
-    raises ``SingularMapError``, with the first such angle.
+    A half-angle factor f below ``tol.sing`` raises ``SingularMapError``, with the first such angle.
     """
     f = _factors(theta)
-    bad = np.abs(f) < (tol or default_tolerances()).sing
+    bad = np.abs(f) < tol.sing
     i = _fail_at(~bad.any(axis=-1))
     if i is not None:
         raise SingularMapError("Y_omega singular", **_at(i, angle=abs(theta[i][bad[i]][0])))
@@ -234,7 +229,7 @@ def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def y_omega_solve(
-    omega: np.ndarray, Y: np.ndarray, tol: Tolerances | None = None
+    omega: np.ndarray, Y: np.ndarray, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
     """Inverse of ``y_omega`` in its first argument: v with Y_omega(v) = Y.
 
@@ -248,7 +243,7 @@ def y_omega_solve(
     return _solve(omega, Y, tol)
 
 
-def _solve(omega: np.ndarray, Y: np.ndarray, tol: Tolerances | None, batch: tuple = ()) -> np.ndarray:
+def _solve(omega: np.ndarray, Y: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
     """The kernel of ``y_omega_solve``, for omega and Y with the leading shape ``batch``."""
     omega, V, theta = _spectrum(omega, batch)
     return _pull_back(V, theta, omega, check_finite_vector(Y, theta.shape[-1], "Y", batch), tol)
@@ -277,7 +272,7 @@ def _exp(omega: np.ndarray, v: np.ndarray, batch: tuple = ()) -> tuple:
     return _rotation(V, theta, sinc, Vw), Y
 
 
-def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> Screw:
+def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = False) -> Screw:
     """Principal logarithm on SE(n); branch restrictions as in ``so_log``.
 
     One ``eigh`` of (R + R^T)/2 gives L = log R, an eigenbasis V and the
@@ -285,7 +280,7 @@ def se_log(g: Motion, tol: Tolerances | None = None, allow_pi: bool = False) -> 
     V diag(cos(theta/2) / f(theta)) V^T X - L X / 2. The checks run in the
     order R in SO(n), then X a finite n-vector, then the branch at pi.
     """
-    return Screw(*_log(g.R, g.X, tol or default_tolerances(), allow_pi))
+    return Screw(*_log(g.R, g.X, tol, allow_pi))
 
 
 def _log(R: np.ndarray, X: np.ndarray, tol: Tolerances, allow_pi: bool = False, batch: tuple = ()) -> tuple:

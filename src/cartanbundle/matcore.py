@@ -261,7 +261,7 @@ def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def orthonormalize(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
     """Orthonormal frame with the same column span as ``vectors``.
 
     The sign-fixed QR of the columns (``_sign_fixed_qr``): the Gram-Schmidt
@@ -269,7 +269,6 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
     identical input. A set whose smallest singular value is at most
     ``tol.rank`` max(1, largest) raises ``DegenerateSpanError``.
     """
-    tol = tol or default_tolerances()
     V = check_finite_matrix(vectors, name="spanning set")
     n, p = V.shape
     if p > n:
@@ -283,9 +282,8 @@ def orthonormalize(vectors: np.ndarray, tol: Tolerances | None = None) -> np.nda
     return _sign_fixed_qr(V)
 
 
-def check_frame(F: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def check_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
     """Validate that F has orthonormal columns."""
-    tol = tol or default_tolerances()
     F = check_finite_matrix(F, name="frame")
     n, p = F.shape
     if p > n:
@@ -302,7 +300,7 @@ def projector(F: np.ndarray) -> np.ndarray:
 
 
 def complete_to_special_orthogonal(
-    F: np.ndarray, tol: Tolerances | None = None
+    F: np.ndarray, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
     """Extend a frame to a full matrix in SO(n) with F as its leading block.
 
@@ -312,7 +310,7 @@ def complete_to_special_orthogonal(
     complement to negate, so a frame with det F < 0 raises
     ``IllConditionedSpectrumError``, as ``check_special_orthogonal`` does.
     """
-    F = check_frame(F, tol or default_tolerances())
+    F = check_frame(F, tol)
     if F.shape[0] == F.shape[1] and np.linalg.det(F) < 0:
         raise IllConditionedSpectrumError("a frame with det -1 has no completion in SO(n)")
     return _complete_frames(F)
@@ -369,8 +367,8 @@ class CanonicalRotationForm:
         return self.Q @ self.skew_blocks() @ self.Q.T
 
 
-def check_special_orthogonal(R: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    return _checked_rotation(R, tol or default_tolerances())[0]
+def check_special_orthogonal(R: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
+    return _checked_rotation(R, tol)[0]
 
 
 def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batch: tuple = ()) -> tuple:
@@ -476,7 +474,7 @@ def _assemble_form(Q, s, rotation: bool) -> CanonicalRotationForm:
 
 
 def canonical_rotation_form(
-    R: np.ndarray, tol: Tolerances | None = None
+    R: np.ndarray, tol: Tolerances = default_tolerances()
 ) -> CanonicalRotationForm:
     """Canonical planar-rotation decomposition of R in SO(n).
 
@@ -485,7 +483,6 @@ def canonical_rotation_form(
     The blocks are the turning pairs of log R, with the +pi resolution at
     angle pi.
     """
-    tol = tol or default_tolerances()
     R = check_special_orthogonal(R, tol)
     n = R.shape[0]
     Q, s = _skew_pairs(_rotation_log(R)[0])
@@ -498,10 +495,9 @@ def canonical_rotation_form(
 
 
 def skew_canonical_form(
-    W: np.ndarray, tol: Tolerances | None = None
+    W: np.ndarray, tol: Tolerances = default_tolerances()
 ) -> CanonicalRotationForm:
     """Canonical Pi-block decomposition of a skew matrix, from its turning pairs."""
-    tol = tol or default_tolerances()
     W = check_skew(W)
     n = W.shape[0]
     scale = max(1.0, np.linalg.norm(W))
@@ -533,7 +529,7 @@ def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:
 
 
 def eigenspace_of_symmetric_involution(
-    S: np.ndarray, eigenvalue: int, tol: Tolerances | None = None
+    S: np.ndarray, eigenvalue: int, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
     """Orthonormal frame spanning the (+1) or (-1) eigenspace of S.
 
@@ -544,7 +540,7 @@ def eigenspace_of_symmetric_involution(
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
     S = check_finite_matrix(S, (None, None), "symmetry")
-    defect = _symmetric_involution(S, tol or default_tolerances())[1]
+    defect = _symmetric_involution(S, tol)[1]
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
     w, V = np.linalg.eigh(S)

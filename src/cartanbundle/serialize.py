@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .bundle import BundlePoint, CartanMotion, bundle_point
-from .config import Tolerances
+from .config import Tolerances, default_tolerances
 from .errors import DimensionMismatchError
 from .grassmann import CartanRotation, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
@@ -93,7 +93,7 @@ def plane_to_json(plane: Plane) -> dict:
     return {"n": plane.n, "p": plane.p, "frame": mat_to_json(plane.frame)}
 
 
-def plane_from_json(obj: dict, tol: Tolerances | None = None) -> Plane:
+def plane_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> Plane:
     F = mat_from_json(obj["frame"], (_dimension(obj, "n"), _dimension(obj, "p")))
     return plane_from_frame(F, tol)  # projector recomputed and frame validated
 
@@ -102,7 +102,7 @@ def bundle_point_to_json(b: BundlePoint) -> dict:
     return {"plane": plane_to_json(b.plane), "fiber": b.fiber.tolist()}
 
 
-def bundle_point_from_json(obj: dict, tol: Tolerances | None = None) -> BundlePoint:
+def bundle_point_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> BundlePoint:
     plane = plane_from_json(obj["plane"], tol)
     return bundle_point(plane, vec_from_json(obj["fiber"], plane.n))
 
@@ -111,7 +111,7 @@ def cartan_rotation_to_json(cr: CartanRotation) -> dict:
     return {"R": mat_to_json(cr.mat), "p": cr.sig.p, "q": cr.sig.q}
 
 
-def cartan_rotation_from_json(obj: dict, tol: Tolerances | None = None) -> CartanRotation:
+def cartan_rotation_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> CartanRotation:
     R = mat_from_json(obj["R"])
     sig = Signature(_dimension(obj, "p"), _dimension(obj, "q"))
     return CartanRotation.certify(R, sig, tol)
@@ -121,7 +121,7 @@ def cartan_motion_to_json(s: CartanMotion) -> dict:
     return {**motion_to_json(s.motion), "p": s.sig.p, "q": s.sig.q}
 
 
-def cartan_motion_from_json(obj: dict, tol: Tolerances | None = None) -> CartanMotion:
+def cartan_motion_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> CartanMotion:
     motion = motion_from_json(obj)
     sig = Signature(_dimension(obj, "p"), _dimension(obj, "q"))
     return CartanMotion.certify(motion, sig, tol)

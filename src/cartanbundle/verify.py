@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class VerifyConfig:
     p: int = 2
     samples: int = 500
     seed: int = 0
-    tol: Tolerances = field(default_factory=default_tolerances)
+    tol: Tolerances = default_tolerances()
 
     def __post_init__(self):
         self.sig  # Signature checks (n, p)

@@ -1,0 +1,119 @@
+"""One canonical form per call: the decompositions each public map runs at (4, 2).
+
+Each map is called once on generic inputs (rotation angles below 2 pi / 3,
+principal angles above 1e-2), with ``np.linalg.eigh``, ``svd``, ``qr`` and
+``det`` counted. The inputs are built before counting starts.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from cartanbundle import (
+    CartanMotion,
+    CartanRotation,
+    DpElement,
+    DpGenerator,
+    Screw,
+    Signature,
+    bundle_act,
+    bundle_point,
+    cartan_embed0,
+    coordinate_plane,
+    dp_exp,
+    dp_exp_full,
+    dp_log0,
+    dp_log_full,
+    find_transporter,
+    principal_angles,
+    rho,
+    rho0,
+    rho_inv,
+    se_exp,
+    se_log,
+    so_exp,
+    so_log,
+    tau,
+    y_omega,
+    y_omega_solve,
+)
+
+SIG = Signature(2, 2)
+COUNTED = ("eigh", "svd", "qr", "det")
+
+# public map -> the decompositions of one call
+EXPECTED = {
+    "se_exp": {"eigh": 1},
+    "so_exp": {"eigh": 1},
+    "y_omega": {"eigh": 1},
+    "y_omega_solve": {"eigh": 1},
+    "se_log": {"eigh": 1, "det": 1},
+    "so_log": {"eigh": 1, "det": 1},
+    "CartanRotation.certify": {"eigh": 1, "det": 1},
+    "CartanMotion.certify": {"eigh": 1, "det": 1},
+    "dp_exp": {"svd": 1},
+    "dp_log0": {"svd": 1},
+    "dp_exp_full": {"svd": 1},
+    "dp_log_full": {"svd": 1},
+    "tau": {"det": 1},
+    "find_transporter": {"qr": 1, "det": 1},
+    "cartan_embed0": {},
+    "rho0": {},
+    "rho_inv": {},
+    "rho": {},
+    "bundle_act": {},
+}
+
+
+@pytest.fixture(scope="module")
+def calls():
+    """public map -> a call of it on generic (4, 2) inputs."""
+    omega = np.zeros((4, 4))
+    omega[0, 1], omega[0, 2], omega[1, 3], omega[2, 3] = 0.9, -0.4, 0.5, 1.1
+    omega -= omega.T
+    v = np.array([0.3, -1.2, 0.7, 0.4])
+    xi = Screw(omega, v)
+    g = se_exp(xi)
+    assert np.sqrt(np.linalg.eigvalsh(omega.T @ omega)).max() < 2 * math.pi / 3
+    gen = DpGenerator(p=2, q=2, B=np.array([[0.7, 0.2], [-0.1, 0.4]]))
+    el = DpElement(gen, np.array([0.5, -0.8]))
+    cr, cm = dp_exp(gen), dp_exp_full(el)
+    src = bundle_point(coordinate_plane(4, 2), np.array([1.0, -2.0, 0.0, 0.0]))
+    dst = rho(cm)
+    assert principal_angles(src.plane, dst.plane).min() > 1e-2
+    return {
+        "se_exp": lambda: se_exp(xi),
+        "so_exp": lambda: so_exp(omega),
+        "y_omega": lambda: y_omega(omega, v),
+        "y_omega_solve": lambda: y_omega_solve(omega, g.X),
+        "se_log": lambda: se_log(g),
+        "so_log": lambda: so_log(g.R),
+        "CartanRotation.certify": lambda: CartanRotation.certify(cr.mat, SIG),
+        "CartanMotion.certify": lambda: CartanMotion.certify(cm.motion, SIG),
+        "dp_exp": lambda: dp_exp(gen),
+        "dp_log0": lambda: dp_log0(cr),
+        "dp_exp_full": lambda: dp_exp_full(el),
+        "dp_log_full": lambda: dp_log_full(cm),
+        "tau": lambda: tau(g, SIG),
+        "find_transporter": lambda: find_transporter(src, dst),
+        "cartan_embed0": lambda: cartan_embed0(dst.plane),
+        "rho0": lambda: rho0(cr),
+        "rho_inv": lambda: rho_inv(dst),
+        "rho": lambda: rho(cm),
+        "bundle_act": lambda: bundle_act(g, src, SIG),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_one_canonical_form_per_call(monkeypatch, calls, name):
+    counts = Counter()
+    for fn in COUNTED:
+        def counted(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, counted)
+    calls[name]()
+    assert counts == Counter(EXPECTED[name]), name

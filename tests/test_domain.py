@@ -32,6 +32,7 @@ from cartanbundle import (
     coordinate_plane,
     double_projection,
     dp_exp_full,
+    find_transporter,
     half_angle_line,
     identity_motion,
     in_Q,
@@ -41,6 +42,7 @@ from cartanbundle import (
     moebius_grid,
     plane_from_frame,
     plane_from_span,
+    principal_angles,
     rotate_plane,
     rotation_in_plane,
     se_exp,
@@ -69,6 +71,7 @@ from cartanbundle.serialize import dumps, mat_from_json, mat_to_json, plane_from
 SIG = Signature(2, 2)
 PLANE = plane_from_frame(np.eye(4)[:, :2])
 POINT = bundle_point(PLANE, np.array([1.0, 2.0, 0.0, 0.0]))
+POINT_5_2 = bundle_point(coordinate_plane(5, 2), np.zeros(5))
 I4, Z4 = np.eye(4), np.zeros(4)
 E2 = np.array([0.0, 1.0])
 
@@ -186,6 +189,14 @@ SHAPE_CASES = [
         lambda: plane_from_json({"n": 4, "p": 2, "frame": mat_to_json(np.eye(4, 3))}),
         id="plane_from_json-frame-4x3",
     ),
+    # operands that must share (n, p), and arguments of the wrong size
+    pytest.param(lambda: bundle_act(identity_motion(4), POINT_5_2, SIG), id="bundle_act-point-5-2"),
+    pytest.param(lambda: find_transporter(POINT, POINT_5_2), id="find_transporter-5-2"),
+    pytest.param(lambda: find_transporter(POINT, bundle_point(coordinate_plane(4, 1), Z4)), id="find_transporter-4-1"),
+    pytest.param(lambda: principal_angles(PLANE, POINT_5_2.plane), id="principal_angles-5-2"),
+    pytest.param(lambda: principal_angles(PLANE, coordinate_plane(4, 1)), id="principal_angles-4-1"),
+    pytest.param(lambda: eigenspace_of_symmetric_involution(SMALL, 0), id="eigenspace_of_symmetric_involution-0"),
+    pytest.param(lambda: rotation_in_plane(0.3, [1.0]), id="rotation_in_plane-direction-1"),
 ]
 
 

@@ -86,6 +86,11 @@ class TestOrthonormalize:
         with pytest.raises(DegenerateSpanError):
             orthonormalize(V)
 
+    def test_more_vectors_than_dimensions(self):
+        with pytest.raises(DegenerateSpanError) as info:
+            orthonormalize(np.ones((2, 3)))
+        assert info.value.code == "degenerate_spanning_set"
+
     @pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (32, 5), (5, 5)])
     def test_matches_gram_schmidt(self, n, p):
         for seed in range(20):

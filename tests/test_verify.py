@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanbundle import bundle, liegroup, sampling
+from cartanbundle import bundle, liegroup, projective, sampling
 from cartanbundle.errors import DegenerateSpanError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
 
@@ -137,6 +137,21 @@ def test_one_qr_per_property(monkeypatch):
         assert _run_one("bundle.tau_properties", VerifyConfig(n=4, p=2, samples=samples, seed=5))[2]
         counts.append(len(calls))
     assert counts[0] == counts[1] >= 1
+
+
+def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
+    # the last theta row of the grid carries its fibers unflipped across the seam
+    grid = projective.moebius_grid
+
+    def unflipped(num_theta, num_lambda, lambda_max):
+        records = grid(num_theta, num_lambda, lambda_max)
+        for rec in records[-num_lambda:]:
+            rec["y0"] = -rec["y0"]
+        return records
+
+    monkeypatch.setattr(projective, "moebius_grid", unflipped)
+    samples, max_error, passed = _run_one("projective.moebius_seam")
+    assert samples >= 1 and math.isfinite(max_error) and not passed
 
 
 def test_tightened_bound_fails_exactly_the_rows_that_read_it():

@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     GeometryError,
     IllConditionedSpectrumError,
-    NearSingularIsomorphismError,
     NotInCartanModelError,
     NotOrthogonalSymmetryError,
     SingularMapError,

@@ -16,7 +16,7 @@ input, and takes n and p from its input where the input carries them:
     transport  --in --out --tol.{orth,fiber}
     tau        --in --out --p --tol.{orth,invol,fiber}
     sample     --out --n --p --seed --samples --kind
-    verify     --out --n --p --seed --samples --tol.{orth,invol,recon,branch,sing,plane,fiber}
+    verify     --out --n --p --seed --samples --tol.{orth,invol,branch,sing,plane,fiber}
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 A command with two maps tells its input forms apart by one key, and reads
@@ -32,9 +32,11 @@ missing ``--p`` is ``dimension_mismatch``. ``act`` on ``{a, b}`` reads the
 signature from the bundle point, so ``--p`` there is ``bad_arguments``, as
 it is on a ``sample`` kind that does not read it. ``--tol.NAME VALUE``
 overrides the ``Tolerances`` field NAME; a command takes the flags of
-exactly the fields its maps read, listed by its ``--help``. ``rank``, read
-only by ``orthonormalize`` and ``plane_from_span``, which no command calls,
-is set only through the library. A ``--tol`` flag is an option of the
+exactly the fields its maps read, listed by its ``--help``. ``act`` reads
+``--tol.orth`` on both input forms: the frame check of the plane of b, and
+the SO(n) check of a on ``{a, g}``. ``rank``, read only by
+``orthonormalize`` and ``plane_from_span``, which no command calls, is set
+only through the library. A ``--tol`` flag is an option of the
 subcommand like any other: an unknown name, a value that is not a number, a
 field the command does not read, or the flag before the subcommand is
 ``bad_arguments``; a value that is not a finite positive number is
@@ -176,7 +178,7 @@ def _act(args, obj, tol):
         b = sz.bundle_point_from_json(obj["b"], tol)
         return sz.bundle_point_to_json(bn.bundle_act(a, b, _signature(b.n, b.plane.p))), 0
     g = sz.motion_from_json(obj["g"])
-    return sz.motion_to_json(bn.twisted_act(a, g, _signature(a.n, args.p))), 0
+    return sz.motion_to_json(bn.twisted_act(a, g, _signature(a.n, args.p), tol)), 0
 
 
 @_command("transport", "motion carrying one bundle point to another", True, **_tol("orth", "fiber"))
@@ -246,7 +248,7 @@ def _sample(args, obj, tol):
 
 @_command(
     "verify", "run the full property harness", False,
-    **_DIMS, **_DRAWS, **_tol("orth", "invol", "recon", "branch", "sing", "plane", "fiber"),
+    **_DIMS, **_DRAWS, **_tol("orth", "invol", "branch", "sing", "plane", "fiber"),
 )
 def _verify(args, obj, tol):
     sig = _signature(args.n, args.p)

@@ -1,7 +1,11 @@
 """Exception hierarchy with machine-readable error codes.
 
 Every domain error carries a stable ``code`` string so the CLI can emit
-structured error JSON without string-matching messages.
+structured error JSON without string-matching messages. Each is raised by a
+check that a value meets a condition (the input domain, SO(n), a Cartan
+model, distance from a branch or a singularity), never by a map comparing
+its result with a second route to it: ``verify`` checks those identities
+and reports them as failed properties.
 """
 
 from __future__ import annotations
@@ -60,8 +64,3 @@ class CutLocusError(GeometryError):
     """Principal angle at pi/2: the subspace-geodesic generator is not unique."""
 
     code = "cut_locus"
-
-
-class NearSingularIsomorphismError(GeometryError):
-    code = "near_singular_isomorphism"
-

@@ -10,14 +10,16 @@ The signature (p, q) fixes every operand's shape. ``Signature`` is the one
 check of (n, p): p and q are integers of at least 1, so 1 <= p < n. Each
 map checks its operands against it with the ``matcore`` validators: a
 rotation n x n (``sigma0``, ``in_Q0``, ``twisted_act0``,
-``CartanRotation``; ``rotate_plane`` takes n from the plane). A ``Plane``
-takes n and p from its frame and checks them as a ``Signature``.
+``CartanRotation``; ``rotate_plane`` takes n from the plane), and in SO(n)
+where the map inverts it (the A of ``twisted_act0``) or certifies it
+(``CartanRotation``). A ``Plane`` takes n and p from its frame and checks
+them as a ``Signature``.
 
 A tolerance is given where a value is first checked from raw arrays: the
 constructors (``plane_from_frame``, ``plane_from_span``, ``CartanRotation``,
-``dp_exp``) and the predicates (``in_Q0``, ``plane_equal``) take ``tol``. A
-certified value keeps the tolerances of its check, and each map of
-certified values (``cartan_embed0``, ``rho0``, ``dp_log0``,
+``dp_exp``), the predicates (``in_Q0``, ``plane_equal``) and ``twisted_act0``
+take ``tol``. A certified value keeps the tolerances of its check, and each
+map of certified values (``cartan_embed0``, ``rho0``, ``dp_log0``,
 ``rotate_plane``) reads its operand's and certifies its output under them.
 
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
@@ -272,10 +274,16 @@ def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances())
     return _symmetric_involution(R * sig._signs, tol)[0] is None
 
 
-def twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature) -> np.ndarray:
-    """Twisted conjugation A . R . sigma0(A)^{-1}; A and R must be n x n, in the input domain."""
-    A, R = (check_finite_matrix(M, (sig.n, sig.n), "rotation") for M in (A, R))
-    j = sig._signs
+def twisted_act0(
+    A: np.ndarray, R: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()
+) -> np.ndarray:
+    """Twisted conjugation A . R . sigma0(A)^{-1}.
+
+    A is checked to lie in SO(n) under ``tol``, since the closed form writes
+    A^{-1} as A^T; R must be n x n, in the input domain.
+    """
+    A = _checked_rotation(A, tol, sig.n)[0]
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation"), sig._signs
     return ((A @ R) * j) @ A.T * j
 
 

@@ -8,7 +8,10 @@ Everything is NumPy. The canonical forms come from one private pairing
 routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
 and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R, and one array routine
-(``_assemble_form``) orders and orients the pairs of either form. The
+(``_assemble_form``) orders and orients the pairs of either form. Each form
+checks its input (R in SO(n), W skew) and computes the one route it returns;
+that the rotation form rebuilds R is checked by ``verify``
+(``matcore.canonical_form_reconstruction``), not on every call. The
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
 only the angles near pi. ``orthonormalize`` is the sign-fixed QR
 (``_sign_fixed_qr``) that the samplers also draw their frames with.
@@ -481,32 +484,21 @@ def canonical_rotation_form(
     Returns Q in SO(n), angles in (-pi, pi] \\ {0} sorted descending, and the
     dimension of the fixed subspace, with Q blockdiag(R(theta_i), I) Q^T = R.
     The blocks are the turning pairs of log R, with the +pi resolution at
-    angle pi.
+    angle pi. Only R is checked, in SO(n) under ``tol``; the reconstruction
+    Q blockdiag(R(theta_i), I) Q^T = R is checked by ``verify``
+    (``matcore.canonical_form_reconstruction``), not on every call.
     """
-    R = check_special_orthogonal(R, tol)
-    n = R.shape[0]
-    Q, s = _skew_pairs(_rotation_log(R)[0])
-    form = _assemble_form(Q, np.minimum(s, math.pi), rotation=True)
-    if np.linalg.norm(form.rotation_matrix() - R) > tol.recon * max(1, n):
-        raise IllConditionedSpectrumError(
-            "ill-conditioned spectrum: reconstruction failed"
-        )
-    return form
+    Q, s = _skew_pairs(_rotation_log(check_special_orthogonal(R, tol))[0])
+    return _assemble_form(Q, np.minimum(s, math.pi), rotation=True)
 
 
-def skew_canonical_form(
-    W: np.ndarray, tol: Tolerances = default_tolerances()
-) -> CanonicalRotationForm:
-    """Canonical Pi-block decomposition of a skew matrix, from its turning pairs."""
-    W = check_skew(W)
-    n = W.shape[0]
-    scale = max(1.0, np.linalg.norm(W))
-    form = _assemble_form(*_skew_pairs(W), rotation=False)
-    if np.linalg.norm(form.skew_matrix() - W) > tol.recon * max(1, n) * scale:
-        raise IllConditionedSpectrumError(
-            "ill-conditioned spectrum: skew reconstruction failed"
-        )
-    return form
+def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
+    """Canonical Pi-block decomposition of a skew matrix, from its turning pairs.
+
+    Only W is checked, as skew (``check_skew``); the form rebuilds W within
+    1e-10 n max(1, |W|), which the tests hold it to.
+    """
+    return _assemble_form(*_skew_pairs(check_skew(W)), rotation=False)
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:

@@ -40,8 +40,9 @@ an error raised there gets the sample's ``index`` in its context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
-``cfg.tol``; the maps of certified values reuse it. So an override of any
-tolerance reaches every check that reads it.
+``cfg.tol``, as is the acting rotation of each twisted action
+(``twisted_act``, ``twisted_act0``); the maps of certified values reuse
+it. So an override of any tolerance reaches every check that reads it.
 
 The truncated matrix-power-series exponential lives here purely as a
 verification oracle -- the production exponential is a function of one
@@ -333,7 +334,7 @@ def _q0_invariance(cfg, B, A):
     """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action on exp(B)."""
     sig = cfg.sig
     R = gr.dp_exp(gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), cfg.tol).mat
-    acted = gr.twisted_act0(A, R, sig)
+    acted = gr.twisted_act0(A, R, sig, cfg.tol)
     M = acted @ sig.matrix
     return float(not gr.in_Q0(acted, sig, cfg.tol)), float(np.linalg.norm(M @ M - np.eye(cfg.n)))
 
@@ -351,7 +352,7 @@ def _grassmann_roundtrips(cfg, F, A):
     plane = gr.plane_from_frame(F, cfg.tol)
     embedded = gr.CartanRotation(gr.cartan_embed0(plane).mat, sig, cfg.tol)
     err_plane = float(np.linalg.norm(gr.rho0(embedded).projector - plane.projector))
-    R = gr.twisted_act0(A, np.eye(cfg.n), sig)
+    R = gr.twisted_act0(A, np.eye(cfg.n), sig, cfg.tol)
     cr = gr.CartanRotation.certify(R, sig, cfg.tol)
     R2 = gr.cartan_embed0(gr.rho0(cr)).mat
     return err_plane, float(np.linalg.norm(R2 - R))
@@ -360,7 +361,7 @@ def _grassmann_roundtrips(cfg, F, A):
 def _rho0_equivariance(cfg, F, A):
     sig = cfg.sig
     cr = gr.cartan_embed0(gr.plane_from_frame(F, cfg.tol))
-    acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig), sig, cfg.tol)
+    acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig, cfg.tol), sig, cfg.tol)
     lhs = gr.rho0(acted)
     rhs = gr.rotate_plane(A, gr.rho0(cr))
     return float(np.linalg.norm(lhs.projector - rhs.projector))
@@ -411,7 +412,7 @@ def _q_invariance(cfg, R, X):
     sig = cfg.sig
     s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
     a = Motion(R[1], X[1])
-    acted = bn.twisted_act(a, s.motion, sig)
+    acted = bn.twisted_act(a, s.motion, sig, cfg.tol)
     diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
     err = float(np.linalg.norm(diff)) / (1.0 + np.linalg.norm(acted.X))
     # the closed form against plain group arithmetic
@@ -459,7 +460,7 @@ def _rho_equivariance(cfg, R, X):
     sig = cfg.sig
     s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
     a = Motion(R[1], X[1])
-    acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig), sig, cfg.tol)
+    acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig, cfg.tol), sig, cfg.tol)
     return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig))
 
 

@@ -17,7 +17,6 @@ from cartanbundle import (
     GeometryError,
     IllConditionedSpectrumError,
     Motion,
-    NearSingularIsomorphismError,
     NotInCartanModelError,
     Plane,
     Signature,
@@ -33,6 +32,7 @@ from cartanbundle import (
     dp_log0,
     dp_log_full,
     find_transporter,
+    identity_motion,
     in_Q,
     is_fixed_point,
     rho,
@@ -45,6 +45,7 @@ from cartanbundle import (
     so_exp,
     tau,
     twisted_act,
+    twisted_act0,
     coordinate_plane,
     in_Q0,
     plane_equal,
@@ -214,6 +215,25 @@ class TestTwistedAction:
                      (Motion(_with_entry(np.eye(4), (1, 2), bad), np.zeros(4)), e)):
             with pytest.raises(DimensionMismatchError):
                 twisted_act(a, g, SIG22)
+
+    def test_rejects_an_acting_matrix_outside_so_n(self):
+        # The closed forms invert A by A^T. Unchecked, A = 2 I gave an R of
+        # norm 8 from both maps, which no rotation has.
+        g = tau(identity_motion(4), SIG22).motion
+        with pytest.raises(IllConditionedSpectrumError):
+            twisted_act(Motion(2.0 * np.eye(4), np.zeros(4)), g, SIG22)
+        with pytest.raises(IllConditionedSpectrumError):
+            twisted_act0(2.0 * np.eye(4), np.eye(4), SIG22)
+
+    def test_checks_the_acting_rotation_under_the_tolerances_it_is_given(self):
+        # |A^T A - I| is about 1e-7: outside 4 tol.orth at the default, inside at 1e-6
+        A, loose = np.eye(4), Tolerances(orth=1e-6)
+        A[0, 1] = 1e-7
+        g = tau(identity_motion(4), SIG22).motion
+        for act, args in ((twisted_act, (Motion(A, np.zeros(4)), g)), (twisted_act0, (A, g.R))):
+            with pytest.raises(IllConditionedSpectrumError):
+                act(*args, SIG22)
+            act(*args, SIG22, loose)
 
 
 class TestTau:
@@ -464,18 +484,15 @@ class TestDpFull:
 
     def test_log_rejects_fiber_outside_image(self):
         # The fiber leaks 3e-8 out of the reference plane: outside the fiber
-        # bound of the default tolerances, inside that of loose ones.
-        # dp_log_full holds it to the bound of the tolerances the motion
-        # carries; a motion certified under the defaults that carries such a
-        # fiber can only come from the trusted path.
-        g, frame = Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0])), np.eye(4, 2)
+        # bound of the default tolerances, inside that of loose ones. The
+        # CartanMotion certificate is the one check of the fiber: dp_log_full
+        # reads a motion certified under loose tolerances, and no motion
+        # carrying such a fiber is certified under the defaults.
+        g = Motion(np.eye(4), np.array([1.0, 0, 3e-8, 0]))
         loose = Tolerances(invol=1e-6, fiber=1e-6)
         assert np.allclose(dp_log_full(CartanMotion.certify(g, SIG22, loose)).v, [1.0, 0])
         with pytest.raises(NotInCartanModelError):
             CartanMotion.certify(g, SIG22)
-        s = grassmann_module._trusted(CartanMotion, Tolerances(), motion=g, sig=SIG22, _frame=frame)
-        with pytest.raises(NearSingularIsomorphismError):
-            dp_log_full(s)
 
     def test_roundtrip(self, rng):
         for _ in range(50):

@@ -47,7 +47,7 @@ TOL_FIELDS = {
     "transport": {"orth", "fiber"},
     "tau": {"orth", "invol", "fiber"},
     "sample": set(),
-    "verify": {"orth", "invol", "recon", "branch", "sing", "plane", "fiber"},
+    "verify": {"orth", "invol", "branch", "sing", "plane", "fiber"},
     "moebius": set(),
 }
 
@@ -218,7 +218,7 @@ class TestVerify:
     def test_verify_fails_with_absurd_tolerance(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--p", "2", "--samples", "10",
-            "--tol.recon", "1e-30",
+            "--tol.invol", "1e-30",
         )
         assert code == 2
         assert json.loads(out)["pass"] is False
@@ -320,13 +320,13 @@ class TestErrorHandling:
         ["sample", "--kind", "rotation", "--n", "3", "--tol.orth"],
         ["moebius", "--tol.orth"],
         ["log", "--tol.invol"],
-        ["embed", "--tol.recon"],
+        ["embed", "--tol.sing"],
         ["project", "--tol.sing"],
         ["act", "--p", "2", "--tol.plane"],
         ["transport", "--tol.invol"],
         ["tau", "--p", "2", "--tol.branch"],
         ["verify", "--n", "4", "--p", "2", "--tol.rank"],
-    ], ids=["exp", "sample", "moebius", "log-invol", "embed-recon", "project-sing",
+    ], ids=["exp", "sample", "moebius", "log-invol", "embed-sing", "project-sing",
             "act-plane", "transport-invol", "tau-branch", "verify-rank"])
     def test_a_command_that_reads_no_tolerance_takes_no_tol_flag(self, capsys, argv):
         # a command takes only the --tol.* flags of the fields its maps read
@@ -485,6 +485,18 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "act", "--p", "2", "--in", infile)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "dimension_mismatch"
+
+    def test_twisted_act_checks_a_in_so_n_under_tol_orth(self, tmp_path, capsys):
+        # A = 2 I printed an R of norm 8; A = I + 1e-7 e_1 e_2^T passes only a looser --tol.orth
+        g = {"R": mat_to_json(np.eye(4)), "X": [0.0] * 4}
+        near = np.eye(4)
+        near[0, 1] = 1e-7
+        for A, flags, want in ((2.0 * np.eye(4), (), 1), (near, (), 1), (near, ("--tol.orth", "1e-6"), 0)):
+            infile = write_json(tmp_path, "act.json", {"a": {"R": mat_to_json(A), "X": [0.0] * 4}, "g": g})
+            code, out, err = run_cli(capsys, "act", "--p", "2", *flags, "--in", infile)
+            assert code == want
+            if want:
+                assert out == "" and json.loads(err)["error"] == "ill_conditioned_spectrum"
 
 
 _TOL_NAMES = {f.name for f in dataclasses.fields(Tolerances)}

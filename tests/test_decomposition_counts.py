@@ -36,6 +36,8 @@ from cartanbundle import (
     so_exp,
     so_log,
     tau,
+    twisted_act,
+    twisted_act0,
     y_omega,
     y_omega_solve,
 )
@@ -64,6 +66,8 @@ EXPECTED = {
     "rho_inv": {},
     "rho": {},
     "bundle_act": {},
+    "twisted_act": {"det": 1},
+    "twisted_act0": {"det": 1},
 }
 
 
@@ -103,6 +107,8 @@ def calls():
         "rho_inv": lambda: rho_inv(dst),
         "rho": lambda: rho(cm),
         "bundle_act": lambda: bundle_act(g, src, SIG),
+        "twisted_act": lambda: twisted_act(g, cm.motion, SIG),
+        "twisted_act0": lambda: twisted_act0(g.R, cr.mat, SIG),
     }
 
 

@@ -191,6 +191,7 @@ SHAPE_CASES = [
     ),
     # operands that must share (n, p), and arguments of the wrong size
     pytest.param(lambda: bundle_act(identity_motion(4), POINT_5_2, SIG), id="bundle_act-point-5-2"),
+    pytest.param(lambda: bundle_act(identity_motion(4), POINT, Signature(1, 3)), id="bundle_act-point-4-2-sig-1-3"),
     pytest.param(lambda: find_transporter(POINT, POINT_5_2), id="find_transporter-5-2"),
     pytest.param(lambda: find_transporter(POINT, bundle_point(coordinate_plane(4, 1), Z4)), id="find_transporter-4-1"),
     pytest.param(lambda: principal_angles(PLANE, POINT_5_2.plane), id="principal_angles-5-2"),

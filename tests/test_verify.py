@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanbundle import bundle, liegroup, projective, sampling
+from cartanbundle import bundle, liegroup, matcore, projective, sampling
 from cartanbundle.errors import DegenerateSpanError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
 
@@ -152,6 +152,43 @@ def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
     monkeypatch.setattr(projective, "moebius_grid", unflipped)
     samples, max_error, passed = _run_one("projective.moebius_seam")
     assert samples >= 1 and math.isfinite(max_error) and not passed
+
+
+def _failed(results):
+    return {name for name, r in results.items() if not r.passed}
+
+
+def test_a_canonical_form_off_its_rotation_fails_the_reconstruction_row(monkeypatch):
+    # canonical_rotation_form does not check that its form rebuilds R; this
+    # row does, on every sample. Q turned by 1e-6 in the (1, 2) plane gives
+    # the form of G R G^T instead of R.
+    assemble = matcore._assemble_form
+
+    def turned(Q, s, rotation):
+        G = np.eye(len(Q))
+        G[:2, :2] = [[math.cos(1e-6), -math.sin(1e-6)], [math.sin(1e-6), math.cos(1e-6)]]
+        return assemble(G @ Q, s, rotation)
+
+    monkeypatch.setattr(matcore, "_assemble_form", turned)
+    results = _results()
+    row = results["matcore.canonical_form_reconstruction"]
+    assert _failed(results) == {row.name}
+    assert row.samples == CFG.samples and math.isfinite(row.max_error)
+
+
+def test_a_dp_log_full_off_its_exponential_fails_the_dp_full_routes_row(monkeypatch):
+    # dp_log_full does not map its v forward again; this row checks the round trip
+    log_full = bundle._dp_log_full
+
+    def scaled(F, X, sig, tol):
+        B, v = log_full(F, X, sig, tol)
+        return B, v * (1.0 + 1e-6)
+
+    monkeypatch.setattr(bundle, "_dp_log_full", scaled)
+    results = _results()
+    row = results["bundle.dp_full_routes"]
+    assert _failed(results) == {row.name}
+    assert row.samples == CFG.samples and math.isfinite(row.max_error)
 
 
 def test_tightened_bound_fails_exactly_the_rows_that_read_it():

@@ -426,6 +426,13 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     two points. The plane A pi is checked as a frame, as ``rotate_plane``
     checks it, and the new point as ``bundle_point`` checks it, both under
     the point's tolerances, which the result carries.
+
+    A is read only through A pi and A Y, Y in pi, and is not checked in
+    SO(n). The frame check of A pi certifies that A maps pi isometrically,
+    so an A that does not (2 I) raises ``DegenerateSpanError``. An A that
+    does acts as every rotation that agrees with it on pi (one exists, since
+    p < n): a reflection A acts as H A, for H the reflection across a
+    hyperplane that contains A pi.
     """
     R, X = _checked_motion(a, sig.n)
     if (b.n, b.plane.p) != (sig.n, sig.p):

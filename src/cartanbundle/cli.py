@@ -34,13 +34,16 @@ it is on a ``sample`` kind that does not read it. ``--tol.NAME VALUE``
 overrides the ``Tolerances`` field NAME; a command takes the flags of
 exactly the fields its maps read, listed by its ``--help``. ``act`` reads
 ``--tol.orth`` on both input forms: the frame check of the plane of b, and
-the SO(n) check of a on ``{a, g}``. ``rank``, read only by
-``orthonormalize`` and ``plane_from_span``, which no command calls, is set
-only through the library. A ``--tol`` flag is an option of the
-subcommand like any other: an unknown name, a value that is not a number, a
-field the command does not read, or the flag before the subcommand is
-``bad_arguments``; a value that is not a finite positive number is
-``invalid_input``, as ``Tolerances`` rejects it.
+the SO(n) check of a on ``{a, g}``. On ``{a, b}`` the rotation A of a is
+read only on the plane pi of b, and that frame check certifies that A maps
+pi isometrically: a = (2 I, 0) is ``degenerate_spanning_set``, and a
+reflection acts as the rotation that agrees with it on pi (H A, for H the
+reflection across a hyperplane that contains A pi). A ``--tol`` flag is an
+option of the subcommand like any other: an unknown name (``--tol.rank``
+too, since the rank cutoff of ``orthonormalize`` is a fixed constant), a
+value that is not a number, a field the command does not read, or the flag
+before the subcommand is ``bad_arguments``; a value that is not a finite
+positive number is ``invalid_input``, as ``Tolerances`` rejects it.
 
 Exit codes: 0 success; 1 bad arguments or a domain error, with a
 machine-readable JSON object on stderr; 2 verification failure; 141 stdout was

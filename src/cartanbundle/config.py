@@ -6,6 +6,8 @@ bounds a condition that an input or a certified value must meet: membership
 singularity. None bounds the agreement of two routes to one value (a canonical
 form rebuilding its matrix, ``dp_log_full`` inverting ``dp_exp_full``); no
 map tests that on each call, and ``verify`` checks it under its own bounds.
+The rank cutoff of ``orthonormalize`` is not a field either: it is the
+fixed constant ``matcore._RANK_TOL``.
 Callers pass their own, built as ``Tolerances(orth=...)`` or
 ``dataclasses.replace(default_tolerances(), orth=...)``; an unknown name is
 a ``TypeError`` of either. The CLI builds one the second way from the
@@ -30,7 +32,6 @@ class Tolerances:
 
     orth: float = 1e-9       # orthogonality / determinant checks
     invol: float = 1e-8      # |S - S^T|, |S^2 - I| of S = R J; sigma residual / (1 + |X|)
-    rank: float = 1e-9       # relative smallest-singular-value cutoff
     branch: float = 1e-6     # distance from the log branch boundary at pi
     sing: float = 1e-9       # singularity cutoff for the half-angle factor
     plane: float = 1e-8      # projector distance of planes and lines

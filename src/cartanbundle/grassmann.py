@@ -233,8 +233,12 @@ def _plane(F: np.ndarray, tol: Tolerances) -> Plane:
 
 
 def plane_from_span(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:
-    """Canonical plane spanned by the (independent) columns of ``vectors``."""
-    return plane_from_frame(orthonormalize(vectors, tol), tol)
+    """Canonical plane spanned by the (independent) columns of ``vectors``.
+
+    Independence is ``orthonormalize``'s, to its fixed cutoff; ``tol`` checks
+    the frame and is the plane's.
+    """
+    return plane_from_frame(orthonormalize(vectors), tol)
 
 
 def coordinate_plane(n: int, p: int) -> Plane:
@@ -253,7 +257,14 @@ def plane_equal(a: Plane, b: Plane, tol: Tolerances = default_tolerances()) -> b
 
 
 def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
-    """Image of a plane under A in SO(n), checked under the plane's tolerances; A must be n x n for its n."""
+    """Image of a plane under A in SO(n), checked under the plane's tolerances; A must be n x n for its n.
+
+    A is read only through A pi and is not checked in SO(n). The frame check
+    of A pi certifies that A maps pi isometrically, so an A that does not
+    (2 I) raises ``DegenerateSpanError``; one that does gives the image under
+    every rotation that agrees with it on pi (for a reflection A, under H A,
+    H the reflection across a hyperplane that contains A pi).
+    """
     A = check_finite_matrix(A, (plane.n, plane.n), "rotation")
     return plane_from_frame(A @ plane.frame, plane._tol)
 

@@ -264,20 +264,23 @@ def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def orthonormalize(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
+_RANK_TOL = 1e-9  # relative smallest-singular-value cutoff of orthonormalize
+
+
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal frame with the same column span as ``vectors``.
 
     The sign-fixed QR of the columns (``_sign_fixed_qr``): the Gram-Schmidt
     frame in the natural column order, so the output is deterministic for
     identical input. A set whose smallest singular value is at most
-    ``tol.rank`` max(1, largest) raises ``DegenerateSpanError``.
+    ``_RANK_TOL`` max(1, largest) raises ``DegenerateSpanError``.
     """
     V = check_finite_matrix(vectors, name="spanning set")
     n, p = V.shape
     if p > n:
         raise DegenerateSpanError(f"{p} vectors cannot be independent in R^{n}")
     svals = np.linalg.svd(V, compute_uv=False)
-    if svals[-1] <= tol.rank * max(1.0, svals[0]):
+    if svals[-1] <= _RANK_TOL * max(1.0, svals[0]):
         raise DegenerateSpanError(
             "degenerate spanning set",
             smallest_singular_value=float(svals[-1]),

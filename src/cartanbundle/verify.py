@@ -2,18 +2,19 @@
 
 Every invariant of the library has a named property here; ``run_verification``
 evaluates them on seeded samples and aggregates a report. Each property is a
-``Row`` of ``PROPERTIES``, listed as ``(name, row, row.bound)``, and draws
-from its own stream, whose index is the row's.
+``Row`` of ``PROPERTIES``, listed as ``(name, row)``, and draws from its own
+stream, whose index is the row's.
 
-A row is a check, a bound and, for a sampled check, a draw.
-``draw(cfg, rng, count)`` draws all of the row's samples at once, as stacks
-from ``sampling`` whose index i is sample i. A check returns only its
-errors: one, or a tuple in a fixed order. ``Row.errors`` draws
-``cfg.samples`` samples and keeps every one of their errors, one column per
-error with entry i for sample i. Because each property draws its samples
-grouped by kind, the samples of a run of N are in general not the first N
-samples of a longer run. The two checks that draw nothing, the wedge and the
-Moebius seam, are written out as ``(cfg, rng) -> (samples, errors)``.
+A row is a check, a bound and a draw. ``draw(cfg, rng, count)`` draws all of
+the row's samples at once, as stacks whose index i is sample i: for a
+random row, ``count`` = ``cfg.samples`` samples from ``sampling``; the wedge
+and the Moebius seam rows draw a fixed set (every wedge index triple, the 9
+record pairs across the seam) and read neither ``rng`` nor ``count``. A
+check returns only its errors: one, or a tuple in a fixed order.
+``Row.errors`` keeps every sample's errors, one column per error with entry
+i for sample i. Because each property draws its samples grouped by kind,
+the samples of a run of N are in general not the first N samples of a
+longer run.
 
 ``bound(cfg)`` gives the row's bound, or its tuple of bounds in the same
 order as the errors, so every bound is stated once, in the table. Calling
@@ -24,7 +25,8 @@ kinds of comparison are rewritten to fit that form. A library predicate that
 a check exercises (``in_Q0``, ``in_Q``, ``is_fixed_point``) enters as the
 error ``float(not holds)`` against bound 0, so a false predicate fails its
 row with a finite ``max_error``. A comparison scaled per sample, as by
-1 + |X|, enters as the relative error against a fixed bound.
+1 + |X|, enters as the relative error against a fixed bound. Errors are
+combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
 Six rows check whole stacks, ``check(cfg, *stacks)``, through the library's
 stacked kernels, the ones its public maps call with 2-D operands:
@@ -144,18 +146,6 @@ def _motion_dist(a: Motion, b: Motion):
 # ---------------------------------------------------------------- properties
 
 
-def _worst(*errors: float) -> float:
-    """The largest error, or NaN if any is NaN.
-
-    ``max(0.0, nan)`` is 0.0, so a plain ``max`` would hide a NaN answer.
-    """
-    worst = 0.0
-    for e in errors:
-        if e > worst or e != e:
-            worst = e
-    return worst
-
-
 def _errors(errors) -> tuple:
     """A check's errors as a tuple: one error stands alone."""
     return errors if isinstance(errors, tuple) else (errors,)
@@ -163,35 +153,32 @@ def _errors(errors) -> tuple:
 
 @dataclass(frozen=True)
 class Row:
-    """One property: its check, its bound and, if it samples, its draw.
+    """One property: its check, its bound and its draw.
 
-    ``draw(cfg, rng, count)`` draws all ``count`` samples at once, from the
-    row's stream, as a tuple of stacks (arrays or lists) whose index i is
-    sample i. A stacked check, ``check(cfg, *stacks)``, gets the whole
-    stacks; a one-sample check (``each``), ``check(cfg, *sample)``, gets
-    index i of each stack. A row with no draw has the check
-    ``check(cfg, rng) -> (samples, errors)``. ``bound(cfg)`` gives one bound
-    per error, in the same order.
+    ``draw(cfg, rng, count)`` draws all of the row's samples at once, from
+    the row's stream, as a tuple of stacks (arrays or lists) whose index i
+    is sample i: ``count`` samples, except for the wedge and the Moebius
+    seam draws, which return a fixed set and do not read ``count``. A
+    stacked check, ``check(cfg, *stacks)``, gets the whole stacks; a
+    one-sample check (``each``), ``check(cfg, *sample)``, gets index i of
+    each stack. ``bound(cfg)`` gives one bound per error, in the same order.
     """
 
     check: Callable
     bound: Callable
-    draw: Callable | None = None
+    draw: Callable
     each: bool = False
 
     def errors(self, cfg: VerifyConfig, rng) -> tuple:
-        """``(samples, columns)``: one column per error, entry i from sample i.
+        """``(samples, columns)``: the number drawn, and one column per error, entry i from sample i.
 
-        A row with no draw gives a column of one entry, its error over all of
-        its samples. A ``GeometryError`` raised by a one-sample check gets
-        the sample's ``index`` in its context, as the stacked kernels give it.
+        A ``GeometryError`` raised by a one-sample check gets the sample's
+        ``index`` in its context, as the stacked kernels give it.
         """
-        if self.draw is None:
-            samples, errors = self.check(cfg, rng)
-            return samples, tuple((e,) for e in _errors(errors))
         stacks = self.draw(cfg, rng, cfg.samples)
+        samples = len(stacks[0])
         if not self.each:
-            return cfg.samples, _errors(self.check(cfg, *stacks))
+            return samples, _errors(self.check(cfg, *stacks))
         per_sample = []
         for i, sample in enumerate(zip(*stacks)):
             try:
@@ -199,7 +186,7 @@ class Row:
             except GeometryError as e:
                 e.context.setdefault("index", i)
                 raise
-        return cfg.samples, tuple(zip(*per_sample))
+        return samples, tuple(zip(*per_sample))
 
     def __call__(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, max_error, passed)``, the one place where an error meets its bound.
@@ -208,9 +195,9 @@ class Row:
         and ``max_error`` is the worst error (NaN if any is NaN).
         """
         samples, columns = self.errors(cfg, rng)
-        worst = tuple(_worst(*column) for column in columns)
+        worst = tuple(np.max(column) for column in columns)
         passed = all(e <= b for e, b in zip(worst, _errors(self.bound(cfg)), strict=True))
-        return samples, _worst(*worst), passed
+        return samples, np.max(worst), passed
 
 
 def _per_dimension(dims: np.ndarray, draw) -> tuple:
@@ -244,20 +231,21 @@ def _point(cfg, F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
     return bn.bundle_point(gr.plane_from_frame(F, cfg.tol), Y)
 
 
-def _wedge_antisymmetry(cfg, rng):
-    err, count = 0.0, 0
-    for nn in range(2, cfg.n + 1):
-        for i in range(1, nn + 1):
-            for j in range(i + 1, nn + 1):
-                W = mc.skew_wedge(i, j, nn)
-                err = max(err, float(np.linalg.norm(W + W.T)))
-                count += 1
-    return count, err
+def _wedge_triples(cfg, rng, count):
+    """Every index triple (i, j, nn), 1 <= i < j <= nn, 2 <= nn <= n: C(n + 1, 3) samples."""
+    return tuple(zip(*(
+        (i, j, nn) for nn in range(2, cfg.n + 1) for i in range(1, nn + 1) for j in range(i + 1, nn + 1)
+    )))
+
+
+def _wedge_antisymmetry(cfg, i, j, nn):
+    W = mc.skew_wedge(i, j, nn)
+    return float(np.linalg.norm(W + W.T))
 
 
 def _projector(cfg, F):
     P = gr.plane_from_frame(F, cfg.tol).projector
-    return _worst(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
+    return np.maximum(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
 
 
 def _canonical_form(cfg, R):
@@ -268,7 +256,7 @@ def _canonical_form(cfg, R):
 def _completion(cfg, F):
     plane = gr.plane_from_frame(F, cfg.tol)
     A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
-    return _worst(
+    return np.maximum(
         abs(float(np.linalg.det(A)) - 1.0),
         float(np.linalg.norm(mc.projector(A[:, : cfg.p]) - plane.projector)),
     )
@@ -282,7 +270,7 @@ def _involution_eigenspace(cfg, A):
 
 def _group_axioms(cfg, R, X):
     g1, g2, g3 = map(Motion, R, X)
-    return _worst(
+    return np.maximum(
         _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
         _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
     )
@@ -400,7 +388,7 @@ def _fixed_points(cfg, R, X, Rh, Xh):
     r, agree = _fixed_point_residual(g, sig)
     # generic motions are not fixed
     sorted_ok = bn.is_fixed_point(g, sig, cfg.tol) and not bn.is_fixed_point(h, sig, cfg.tol)
-    return r, _worst(agree, _fixed_point_residual(h, sig)[1]), float(not sorted_ok)
+    return r, np.maximum(agree, _fixed_point_residual(h, sig)[1]), float(not sorted_ok)
 
 
 def _q_invariance(cfg, R, X):
@@ -450,7 +438,7 @@ def _projection_identity(cfg, A, X):
 
 def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
     """The worse of the plane and the fiber distance between two bundle points."""
-    return _worst(
+    return np.maximum(
         float(np.linalg.norm(a.plane.projector - b.plane.projector)),
         float(np.linalg.norm(a.fiber - b.fiber)),
     )
@@ -471,8 +459,8 @@ def _rho_bijectivity(cfg, R, X, F, Y):
     b = _point(cfg, F, Y)
     s3 = bn.rho_inv(b)
     return (
-        _worst(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
-        _worst(*(_frame_drift(t.motion, t._frame, t.sig, t._tol) for t in (s2, s3))),
+        np.maximum(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
+        np.maximum(*(_frame_drift(t.motion, t._frame, t.sig, t._tol) for t in (s2, s3))),
     )
 
 
@@ -526,7 +514,7 @@ def _line_bundle_exp(cfg, U, theta, lam):
     xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
     # fiber sits on the half-angle line
     V = pj.half_angle_line(theta, U).frame[:, 0]
-    return _worst(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
+    return np.maximum(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
 
 
 def _half_angle_line(cfg, U, theta):
@@ -539,48 +527,52 @@ def _half_angle_line(cfg, U, theta):
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
 
 
+def _seam_pairs(cfg, rng, count):
+    """The 9 (last, first) record pairs across the seam of the 128 x 9 Moebius grid.
+
+    Each record of the last theta row is paired with the theta = 0 record
+    of the opposite lambda.
+    """
+    num_lambda, records = _SEAM_GRID[1], pj.moebius_grid(*_SEAM_GRID)
+    first, last = records[:num_lambda], records[-num_lambda:]
+    return last, [min(first, key=lambda r: abs(r["lambda"] + rec["lambda"])) for rec in last]
+
+
+def _line_angle(rec: dict) -> float:
+    """The angle of the line that a record's rotation carries: half its rotation angle."""
+    return 0.5 * math.atan2(rec["r10"], rec["r00"])
+
+
+def _moebius_seam(cfg, last: dict, first: dict):
+    """(line-angle deviation modulo pi, 1 if the fiber along e_1 keeps its orientation) across the seam."""
+    d = (_line_angle(last) - _line_angle(first)) % math.pi
+    lam = last["lambda"]
+    flipped = abs(lam) <= 1e-12 or math.copysign(1.0, last["y0"]) == math.copysign(1.0, -lam)
+    return min(d, math.pi - d), float(not flipped)
+
+
+_SEAM = Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0), _seam_pairs, each=True)
+
+
 def moebius_seam_check():
     """Seam property of the 128 x 9 Moebius grid with lambda up to 2.
 
     Returns (pairs checked, max line-angle deviation, all orientation flips
-    observed, grid resolution 2 pi / 128). The last theta row must carry the
-    same lines as theta = 0 within the grid resolution, with fiber
-    orientation reversed relative to the matching -lambda record.
+    observed, grid resolution 2 pi / 128), from the check that the
+    ``projective.moebius_seam`` row runs on each of its 9 pairs. The line
+    that the last theta row's rotations carry must be the line of theta = 0
+    within the grid resolution, with fiber orientation reversed relative to
+    the matching -lambda record.
     """
-    num_theta, num_lambda, _ = _SEAM_GRID
-    records = pj.moebius_grid(*_SEAM_GRID)
-    first = records[:num_lambda]
-    last = records[-num_lambda:]
-    resolution = 2.0 * math.pi / num_theta
-    max_dev = 0.0
-    flips_ok = True
-    pairs = 0
-    for rec_last in last:
-        lam = rec_last["lambda"]
-        rec_first = min(first, key=lambda r: abs(r["lambda"] - (-lam)))
-        # line coincidence modulo pi
-        d = (rec_last["line_angle"] - rec_first["line_angle"]) % math.pi
-        dev = min(d, math.pi - d)
-        max_dev = max(max_dev, dev)
-        if abs(lam) > 1e-12:
-            # fiber direction along e_1 must reverse across the seam
-            if math.copysign(1.0, rec_last["y0"]) != math.copysign(1.0, -lam):
-                flips_ok = False
-        pairs += 1
-    return pairs, max_dev, flips_ok, resolution
+    pairs, (deviations, kept) = _SEAM.errors(VerifyConfig(), None)
+    return pairs, max(deviations), not any(kept), 2.0 * math.pi / _SEAM_GRID[0]
 
 
-def _moebius_seam(cfg, rng):
-    """(max line-angle deviation, 1 if an orientation flip is missing) on the 128-row grid."""
-    pairs, max_dev, flips_ok, _ = moebius_seam_check()
-    return pairs, (max_dev, float(not flips_ok))
-
-
-# (name, row, bound), with row = Row(check, bound, draw, each): bound(cfg) is
-# the bound of the check's one error, or the tuple of bounds of its errors in
+# (name, row), with row = Row(check, bound, draw, each): bound(cfg) is the
+# bound of the check's one error, or the tuple of bounds of its errors in
 # their order. A predicate's error is 0 or 1, held to 0.
-PROPERTIES = tuple((name, row, row.bound) for name, row in (
-    ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0)),
+PROPERTIES = (
+    ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_triples, each=True)),
     ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames, each=True)),
     ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10, each=True,
         draw=lambda cfg, rng, count: _per_dimension(
@@ -643,15 +635,15 @@ PROPERTIES = tuple((name, row, row.bound) for name, row in (
     ("projective.line_bundle_exp", Row(_line_bundle_exp, lambda cfg: 1e-10, each=True,
         draw=lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))),
     ("projective.half_angle_line", Row(_half_angle_line, lambda cfg: cfg.tol.plane, _directions, each=True)),
-    ("projective.moebius_seam", Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0))),
-))
+    ("projective.moebius_seam", _SEAM),
+)
 
 
 def run_verification(cfg: VerifyConfig) -> VerifyReport:
     """Run every named property on independent seeded streams."""
     start = time.perf_counter()
     results = []
-    for stream, (name, row, _) in enumerate(PROPERTIES):
+    for stream, (name, row) in enumerate(PROPERTIES):
         rng = sp.make_rng(cfg.seed, stream)
         try:
             samples, max_error, passed = row(cfg, rng)

@@ -369,6 +369,23 @@ class TestBundleAction:
             assert np.linalg.norm(lhs.plane.projector - rhs.plane.projector) <= 1e-10
             assert np.linalg.norm(lhs.fiber - rhs.fiber) <= 1e-10
 
+    def test_reads_a_only_on_the_plane(self, rng):
+        # A is read only through A pi, whose frame check certifies that A maps
+        # pi isometrically: 2 I is rejected there, and a reflection acts as
+        # the rotation H A that agrees with it on pi, for H the reflection
+        # across a hyperplane that contains A pi.
+        b = sample_bundle_point(rng, 4, 2)
+        X = rng.standard_normal(4)
+        with pytest.raises(DegenerateSpanError):
+            bundle_act(Motion(2.0 * np.eye(4), X), b, SIG22)
+        A = np.diag([-1.0, 1.0, 1.0, 1.0])
+        u = np.linalg.qr(A @ b.plane.frame, mode="complete")[0][:, -1]  # a unit normal of A pi
+        HA = (np.eye(4) - 2.0 * np.outer(u, u)) @ A
+        assert abs(np.linalg.det(HA) - 1.0) <= 1e-14
+        reflected, rotated = bundle_act(Motion(A, X), b, SIG22), bundle_act(Motion(HA, X), b, SIG22)
+        assert np.linalg.norm(reflected.plane.projector - rotated.plane.projector) <= 1e-14
+        assert np.linalg.norm(reflected.fiber - rotated.fiber) <= 1e-14
+
 
 class TestTransporter:
     def test_fixed_point_case(self):

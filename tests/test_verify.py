@@ -24,15 +24,15 @@ def _run_one(name, cfg=CFG):
 
 def test_table_shape():
     assert len(PROPERTIES) == 27
-    assert len({name for name, _, _ in PROPERTIES}) == 27
-    for stream, (name, fn, bound) in enumerate(PROPERTIES):
-        out = fn(CFG, sampling.make_rng(CFG.seed, stream))
+    assert len({name for name, _ in PROPERTIES}) == 27
+    for stream, (name, row) in enumerate(PROPERTIES):
+        out = row(CFG, sampling.make_rng(CFG.seed, stream))
         assert isinstance(out, tuple) and len(out) == 3, name
         samples, max_error, passed = out
         assert samples >= 1 and math.isfinite(max_error) and passed, name
         # one bound per error, in the same order
-        _, columns = fn.errors(CFG, sampling.make_rng(CFG.seed, stream))
-        bounds = bound(CFG)
+        _, columns = row.errors(CFG, sampling.make_rng(CFG.seed, stream))
+        bounds = row.bound(CFG)
         assert len(columns) == (len(bounds) if isinstance(bounds, tuple) else 1), name
 
 
@@ -66,14 +66,20 @@ def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
     assert math.isnan(max_error) and not passed
 
 
+# the rows whose draw is a fixed set, and its size at CFG: every wedge index
+# triple, and the record pairs across the Moebius seam
+FIXED_DRAWS = {"matcore.wedge_antisymmetry": math.comb(CFG.n + 1, 3), "projective.moebius_seam": 9}
+
+
 @pytest.mark.parametrize("stream", range(len(PROPERTIES)), ids=[entry[0] for entry in PROPERTIES])
 def test_every_sample_keeps_its_errors_until_the_bound(stream):
-    _, row, bound = PROPERTIES[stream]
+    name, row = PROPERTIES[stream]
     samples, columns = row.errors(CFG, sampling.make_rng(CFG.seed, stream))
-    bounds = bound(CFG)
+    bounds = row.bound(CFG)
     assert len(columns) == (len(bounds) if isinstance(bounds, tuple) else 1)
-    if row.draw is not None:
-        assert samples == CFG.samples and [len(c) for c in columns] == [CFG.samples] * len(columns)
+    # one error per sample, each random row drawing cfg.samples of them
+    assert [len(c) for c in columns] == [samples] * len(columns)
+    assert samples == FIXED_DRAWS.get(name, CFG.samples)
     errors = [float(e) for column in columns for e in column]
     worst = math.nan if any(map(math.isnan, errors)) else max([0.0, *errors])
     assert row(CFG, sampling.make_rng(CFG.seed, stream))[1] == worst
@@ -156,6 +162,19 @@ def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
 
 def _failed(results):
     return {name for name, r in results.items() if not r.passed}
+
+
+def test_a_rotation_at_half_the_angle_fails_the_seam_row(monkeypatch):
+    # moebius_grid writes its line_angle column as theta / 2 whatever the
+    # rotation is; the seam row reads the line from each record's rotation.
+    # Turned by theta / 2, the last theta row carries a line about pi / 2
+    # away from the line of theta = 0.
+    rotation = projective._plane_rotation
+    monkeypatch.setattr(projective, "_plane_rotation", lambda theta, U: rotation(0.5 * theta, U))
+    results = _results()
+    row = results["projective.moebius_seam"]
+    assert _failed(results) == {"projective.line_bundle_exp", "projective.half_angle_line", row.name}
+    assert row.samples == 9 and math.isfinite(row.max_error)
 
 
 def test_a_canonical_form_off_its_rotation_fails_the_reconstruction_row(monkeypatch):

@@ -35,6 +35,16 @@ def test_an_unknown_tolerance_name_is_rejected():
         dataclasses.replace(Tolerances(), eig=1e-7)
 
 
+def test_rank_is_not_a_tolerance():
+    # the rank cutoff of orthonormalize is the constant matcore._RANK_TOL
+    assert [f.name for f in dataclasses.fields(Tolerances)] == [
+        "orth", "invol", "branch", "sing", "plane", "fiber"]
+    with pytest.raises(TypeError, match="rank"):
+        Tolerances(rank=1e-9)
+    with pytest.raises(TypeError, match="rank"):
+        dataclasses.replace(default_tolerances(), rank=1e-9)
+
+
 def test_finite_positive_values_are_kept():
     tol = dataclasses.replace(Tolerances(), orth=1e-300, branch=1e300)
     assert (tol.orth, tol.branch) == (1e-300, 1e300)

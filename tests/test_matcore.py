@@ -86,6 +86,20 @@ class TestOrthonormalize:
         with pytest.raises(DegenerateSpanError):
             orthonormalize(V)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_rank_cutoff_is_relative_to_max_one_and_the_largest(self, scale):
+        # the cutoff is the fixed _RANK_TOL max(1, largest singular value):
+        # absolute for a span smaller than 1, relative for a larger one
+        cutoff = mc._RANK_TOL * max(1.0, scale)
+        assert orthonormalize(np.diag([scale, 2.0 * cutoff])).shape == (2, 2)
+        with pytest.raises(DegenerateSpanError):
+            orthonormalize(np.diag([scale, 0.5 * cutoff]))
+
+    def test_takes_no_rank_tolerance(self):
+        # the rank cutoff is a constant, not a setting
+        with pytest.raises(TypeError, match="tol"):
+            orthonormalize(np.eye(2), tol=1e-3)
+
     def test_more_vectors_than_dimensions(self):
         with pytest.raises(DegenerateSpanError) as info:
             orthonormalize(np.ones((2, 3)))

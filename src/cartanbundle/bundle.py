@@ -24,11 +24,14 @@ check found, so ``rho`` and ``dp_log_full`` check nothing again.
 Three maps land in S_p by the paper's construction, and each also gives the
 frame of its plane in closed form: ``tau`` (frame A[:, :p] of g = (A, X),
 which is checked to lie in SE(n) on entry), ``rho_inv`` (the frame of the
-point's plane) and ``dp_exp_full`` (the first p columns of exp(omega/2)).
-Each bounds the residuals of its motion from those of its input, measured
-on the way, and rounding; when the bounds meet the tolerances
+point's plane) and ``dp_exp_full`` (the first p columns of exp(omega/2),
+which also give its translation). Each bounds the residuals of its motion
+from those of its input, measured on the way, and rounding. When the bounds
+meet the tolerances and the translation the input ceiling
 (``grassmann._sure``), the motion is certified by construction and checks
-nothing, and otherwise it goes through the public constructor. The inputs
+nothing; otherwise it goes through the public check ``_cartan_motion``
+(``_motion_check``), by the fallback that ``grassmann``'s two maps share
+(``grassmann._checked_where_unsure``). The inputs
 carry the rest of the proof: a ``Plane`` and a ``BundlePoint`` are checked
 when constructed, as a ``CartanMotion`` is. ``verify`` passes these outputs
 through the public constructor (``tau_properties``, ``rho_bijectivity``,
@@ -62,14 +65,14 @@ of dp_exp_full, the closed form of the twisted action, X - A J A^{-1} X as
 twice a projection, and the block form of the fixed points -- are checked
 by the ``verify`` properties, not on every call.
 
-The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``,
-``_dp_translation``), of ``dp_log_full`` (``_dp_log_full``) and of the
-``CartanMotion`` check (``_cartan_motion``) take arrays with a leading batch
-shape (see ``matcore``). The public maps pass their 2-D operands unchanged;
-``verify`` passes whole stacks. An element of a stack comes out bit for bit
-as its single call: the closed forms run on the whole stack, and an element
-that is not ``_sure`` of its check goes through the public check alone. One
-that fails raises its single call's error class with its ``index`` in the
+The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``),
+of ``dp_log_full`` (``_dp_log_full``) and of the ``CartanMotion`` check
+(``_cartan_motion``) take arrays with a leading batch shape (see
+``matcore``). The public maps pass their 2-D operands unchanged; ``verify``
+passes whole stacks. An element of a stack comes out bit for bit as its
+single call: the closed forms run on the whole stack, and an element that
+is not ``_sure`` of its check goes through the public check alone. One that
+fails raises its single call's error class with its ``index`` in the
 context.
 """
 
@@ -82,16 +85,13 @@ import numpy as np
 from dataclasses import InitVar, dataclass, field
 
 from .config import Tolerances, default_tolerances
-from .errors import (
-    DimensionMismatchError,
-    GeometryError,
-    NotInCartanModelError,
-)
+from .errors import DimensionMismatchError, NotInCartanModelError
 from .grassmann import (
     DpGenerator,
     Plane,
     Signature,
     _cartan_frame,
+    _checked_where_unsure,
     _cs_frame,
     _cs_rotation,
     _embed_matrix,
@@ -113,11 +113,8 @@ from .liegroup import (
     _factors,
 )
 from .matcore import (
-    _MAX_ABS,
-    _at,
     _checked_rotation,
     _complete_frames,
-    _each,
     _eye,
     _hypot,
     _norm,
@@ -231,19 +228,9 @@ def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()
     return motion, F
 
 
-def _checked_where_unsure(sure, R: np.ndarray, X: np.ndarray, F: np.ndarray, sig: Signature, tol: Tolerances):
-    """F, with the frame the public check finds for each motion (R, X) that is not ``sure``.
-
-    Each such element goes through ``_cartan_motion`` alone, which raises as
-    for the same motion from a caller.
-    """
-    for i in _each(sure, False):
-        try:
-            F[i] = _cartan_motion(Motion(R[i], X[i]), sig, tol)[1]
-        except GeometryError as exc:
-            exc.context.update(_at(i))
-            raise
-    return F
+def _motion_check(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """``_cartan_motion`` of the motion (R, X), as ``grassmann._checked_where_unsure`` calls it."""
+    return _cartan_motion(Motion(R, X), sig, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,17 +320,6 @@ def twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances = default_
     return Motion(core * j, X + A @ Y - core @ X)
 
 
-def _under_ceiling(X: np.ndarray):
-    """Whether a translation computed from inputs in the domain is still in it, per element of a stack.
-
-    tau's 2 P X and dp_exp_full's Y_omega v can reach 2 |X| and sqrt(p) |v|,
-    past the ``matcore`` ceiling. Such a motion goes through the public
-    constructor, which raises, so a certified motion always passes its
-    public check again (``copy``, ``pickle``, ``bundle_point`` of ``rho``).
-    """
-    return np.abs(X).max(axis=-1) <= _MAX_ABS
-
-
 def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> CartanMotion:
     """Orbit map tau(g) = g sigma(g^{-1}), landing in S_p.
 
@@ -356,9 +332,9 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
     |R^T R - I| and |S^2 - I| are at most (2 + e) e and det R = det(A^T A)
     is within exp(sqrt(n) e) - 1 of 1, all below 4 sqrt(n) e; the sigma and
     fiber residuals come from (I - S^2) X, at most that times |X|. When
-    these bounds make the result sure of its check (``_sure``) and its
-    translation is in the input domain (``_under_ceiling``), nothing else is
-    checked; otherwise it goes through the public constructor.
+    these bounds make the result sure of its check and its translation is
+    in the input domain (``_sure``), nothing else is checked; otherwise it
+    goes through the public check (``_checked_where_unsure``).
     """
     R, X, F = _tau(g, sig, tol)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
@@ -367,15 +343,15 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
 def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
     """(R, X, F): the kernel of ``tau``, for g or stacks of the leading shape ``batch``.
 
-    F is A[:, :p] where the bounds are ``_sure`` and the translation is in
-    the domain, else the frame the public check finds.
+    F is a copy of A[:, :p] where the result is ``_sure``, else the frame
+    the public check finds.
     """
     A, e = _checked_rotation(g.R, tol, sig.n, batch)
     X, j = check_finite_vector(g.X, sig.n, "translation", batch), sig._signs
     R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
-    sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1))) & _under_ceiling(Y)
-    return R, Y, _checked_where_unsure(sure, R, Y, A[..., : sig.p].copy(), sig, tol)
+    sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1)), Y)
+    return R, Y, _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
 
 
 def double_projection(
@@ -406,16 +382,16 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     S = I - 2 P, its sigma and fiber residuals are 2 |(I - P) Y| and
     |(I - P) Y|, measured here. When these make the motion sure of its
     check (``_sure``) under the point's tolerances, nothing is checked;
-    otherwise it goes through the public constructor under them. Either
-    way the motion carries the point's tolerances.
+    otherwise it goes through the public check under them
+    (``_checked_where_unsure``). Either way the motion carries the point's
+    tolerances.
     """
     tol = b._tol
     R, sig, rot = _embed_matrix(b.plane)
     Y = b.fiber
     fib = _norm(b.plane.projector @ Y - Y) / (1.0 + _norm(Y)) + sig.n * _ROUND
-    if not _sure(tol, rot, fib):
-        return CartanMotion(Motion(R, Y), sig, tol)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=b.plane.frame)
+    F = _checked_where_unsure(_sure(tol, rot, fib), b.plane.frame, _motion_check, sig, tol, R, Y)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=F)
 
 
 def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
@@ -459,33 +435,22 @@ def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
     return Motion(A, X)
 
 
-def _dp_translation(
-    V: np.ndarray, s: np.ndarray, U: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Y_omega applied to (v, 0) for omega the embedding of B = U diag(s) V^T, or for each of a stack.
-
-    Y_omega turns each principal pair (V_i, U_i) by s_i/2 and scales it by
-    f_i = 2 sin(s_i/2)/s_i; the kernel of B passes through unchanged.
-    """
-    f = _factors(s)
-    a = np.matvec(V.mT, v)
-    top = v + np.matvec(V, (f * np.cos(0.5 * s) - 1.0) * a)
-    return np.concatenate([top, np.matvec(U, f * np.sin(0.5 * s) * a)], axis=-1)
-
-
 def dp_exp_full(
     xi: DpElement, tol: Tolerances = default_tolerances()
 ) -> CartanMotion:
     """Exponential of a d_p element, in closed form and in S_p by construction.
 
-    One thin SVD B = U diag(s) V^T gives exp(xi): the rotation in
-    cosine-sine form, the translation pair by pair, and the frame of the
-    plane, the cosine-sine form at half the angles (``_cs_frame``). Its
-    residuals are rounding only, so nothing is checked unless ``tol`` is
-    below that (``_sure``) or the translation leaves the input domain
-    (``_under_ceiling``); then the motion goes through the public
-    constructor. ``verify`` passes these motions through the public
-    constructor and checks the doubling identity exp(xi) = tau(exp(xi/2)).
+    One thin SVD B = U diag(s) V^T gives exp(xi). The rotation is the
+    cosine-sine form (``_cs_rotation``). The frame F of its plane is the
+    cosine-sine form at half the angles (``_cs_frame``): exp(omega/2) turns
+    each principal pair by s_i/2. Y_omega turns it so too and also scales
+    it by f_i = 2 sin(s_i/2)/s_i, so the translation comes from that frame,
+    Y_omega (v, 0) = F (v + V ((f - 1) V^T v)). The residuals are rounding
+    only, so nothing is checked unless ``tol`` is below that or the
+    translation leaves the input domain (``_sure``); then the motion goes
+    through the public check (``_checked_where_unsure``). ``verify`` passes
+    these motions through the public constructor and checks the doubling
+    identity exp(xi) = tau(exp(xi/2)).
     """
     sig = xi.gen._sig
     R, X, F = _dp_exp_full(xi.gen.B, xi.v, sig, tol)
@@ -496,14 +461,14 @@ def _dp_exp_full(B: np.ndarray, v: np.ndarray, sig: Signature, tol: Tolerances, 
     """(R, X, F): the kernel of ``dp_exp_full``, for B, v or stacks of the leading shape ``batch``.
 
     v is a checked coefficient vector (``DpElement``). F is the closed-form
-    frame where the motion is ``_sure`` of its check and its translation is
-    in the domain, else the frame the public check finds.
+    frame where the motion is ``_sure`` of its check, else the frame the
+    public check finds; X is computed from the closed-form frame either way.
     """
     V, s, U = _generator_svd(B, batch)
-    R, X = _cs_rotation(V, s, U), _dp_translation(V, s, U, v)
+    F = _cs_frame(V, 0.5 * s, U)
+    R, X = _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v)))
     rot = sig.n * _ROUND
-    sure = _sure(tol, rot, rot) & _under_ceiling(X)
-    return R, X, _checked_where_unsure(sure, R, X, _cs_frame(V, 0.5 * s, U), sig, tol)
+    return R, X, _checked_where_unsure(_sure(tol, rot, rot, X), F, _motion_check, sig, tol, R, X)
 
 
 def dp_log_full(s: CartanMotion) -> DpElement:

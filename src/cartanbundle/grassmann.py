@@ -37,26 +37,32 @@ skips the frame check. The routine also returns S and |S^2 - I|: the sigma
 residual of a motion (R, X) has blocks J (S^2 - I) J and J (X + S X), so the
 ``CartanMotion`` check finishes from them in the same pass.
 
-Two maps land in S_p0 by construction and give the frame of their plane in
-closed form: ``cartan_embed0``, R = (I - 2 P) J with the frame of the plane,
-and ``dp_exp``, whose frame is the first p columns of exp(omega/2)
-(``_cs_frame``). Each bounds the residuals of its R from the residuals of
-its input, measured on the way, and rounding (``_ROUND``). When those
-bounds meet the tolerances (``_sure``), it checks nothing (``_trusted``);
-otherwise R goes through the public constructor, which accepts or raises as
-for the same matrix from a caller. A ``Plane`` is checked once, when
+Five maps land in the Cartan model by construction and give the frame of
+their plane in closed form: here ``cartan_embed0``, R = (I - 2 P) J with
+the frame of the plane, and ``dp_exp``, whose frame is the first p columns
+of exp(omega/2) (``_cs_frame``); in ``bundle``, ``rho_inv``, ``tau`` and
+``dp_exp_full``. Each bounds the residuals of its output from the residuals
+of its input, measured on the way, and rounding (``_ROUND``), and asks
+``_sure`` whether those bounds meet the tolerances and its translation, if
+any, the input ceiling. All five then call one fallback,
+``_checked_where_unsure``: an output that is sure keeps its closed-form
+frame and checks nothing (``_trusted``); any other goes, element by
+element, through its public check (``_cartan_rotation``, or
+``bundle._cartan_motion``), which accepts or raises as for the same matrix
+from a caller. A ``Plane`` is checked once, when
 constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
 its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
 
 The kernels of ``dp_exp`` (``_dp_exp``), of the S_p0 check
 (``_cartan_rotation``, ``_cartan_frame``) and of ``dp_log0``
-(``_principal_pairs``, ``_angle_pairs``), and the closed forms
-``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, take arrays with a
-leading batch shape (see ``matcore``). The public maps pass their 2-D
-operands unchanged; ``verify`` passes whole stacks. An element of a stack
-comes out bit for bit as its single call, and one that fails raises that
-call's error class with its ``index`` in the context.
+(``_principal_pairs``, ``_angle_pairs``), the closed forms
+``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the fallback
+``_checked_where_unsure`` take arrays with a leading batch shape (see
+``matcore``). The public maps pass their 2-D operands unchanged; ``verify``
+passes whole stacks. An element of a stack comes out bit for bit as its
+single call, and one that fails raises that call's error class with its
+``index`` in the context.
 """
 
 from __future__ import annotations
@@ -71,9 +77,11 @@ from .config import Tolerances, default_tolerances
 from .errors import (
     CutLocusError,
     DimensionMismatchError,
+    GeometryError,
     NotInCartanModelError,
 )
 from .matcore import (
+    _MAX_ABS,
     _at,
     _checked_rotation,
     _each,
@@ -165,25 +173,59 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Rounding allowance per dimension. The worst residual of a by-construction
-# output with orthonormal inputs, over 3000 random cases at n <= 32 with
-# |B|_2 up to 3 pi and translations up to 1e6, was 6.4 n eps.
+# Rounding allowance per dimension. tools/round_sweep.py measures what each
+# residual of the five by-construction outputs needs beyond the part of its
+# bound measured from the input: over 30000 random cases (seeds 0 to 9) at
+# n <= 32, with |B|_2 up to 3 pi and translations up to 1e6, the worst was
+# 5.96 n eps, the orthogonality residual of dp_exp at n = 3.
 _ROUND = 16 * np.finfo(float).eps
 
 
-def _sure(tol: Tolerances, rot: float, fib: float = 0.0) -> bool:
+def _sure(tol: Tolerances, rot: float, fib: float | None = None, X: np.ndarray | None = None) -> bool:
     """Whether a by-construction output passes its public check under ``tol``.
 
     ``rot`` bounds the output's orthogonality, determinant, symmetry and
-    involution residuals, and ``fib`` its fiber residual per 1 + |Y|; its
-    sigma residual is then at most (rot + 2 fib)(1 + |Y|). Each is held to
-    its tolerance without the factor n. The bounds are first order in the
-    inputs' residuals, so rot must also stay below 1e-6. A NaN fails. An
-    output that is not sure of its check goes through the public
-    constructor, which accepts or raises as it does for the same matrices
-    from a caller. For bounds over a stack, the answer is per element.
+    involution residuals. A motion also gives ``fib``, which bounds its
+    fiber residual per 1 + |Y|; its sigma residual is then at most
+    (rot + 2 fib)(1 + |Y|). Each is held to its tolerance without the
+    factor n. The bounds are first order in the inputs' residuals, so rot
+    must also stay below 1e-6. A translation ``X`` computed from inputs in
+    the domain can leave it (tau's 2 P X reaches 2 |X|, dp_exp_full's
+    Y_omega v reaches sqrt(p) |v|), so it must also be within the
+    ``matcore`` ceiling, as the public check requires. A NaN fails. For
+    bounds over a stack, the answer is per element; an output that is not
+    sure goes to ``_checked_where_unsure``.
     """
-    return (rot <= min(tol.orth, tol.invol, 1e-6)) & (fib <= tol.fiber) & (rot + 2.0 * fib <= tol.invol)
+    sure = (rot <= tol.orth) & (rot <= tol.invol) & (rot <= 1e-6)
+    if fib is not None:
+        sure = sure & (fib <= tol.fiber) & (rot + 2.0 * fib <= tol.invol)
+    return sure if X is None else sure & (np.abs(X).max(axis=-1) <= _MAX_ABS)
+
+
+def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Tolerances, *parts) -> np.ndarray:
+    """F, the closed-form frame of a by-construction output, where ``sure``; elsewhere the checked frame.
+
+    ``check`` is the public check, ``_cartan_rotation`` on R or
+    ``bundle._motion_check`` on (R, X), given as ``parts``. Each element i
+    that is not sure goes through ``check(*parts[i], sig, tol)`` alone,
+    which accepts or raises as for the same value from a caller; a raise
+    gets the element's ``index``. A single output (i = ()) takes the frame
+    of its check; a stack's F, writeable, takes it in place. This is the one
+    place where the five maps that land in the Cartan model by construction
+    fall back to the check. A single output that is sure returns at once.
+    """
+    if sure is True or sure is np.True_:
+        return F
+    for i in _each(sure, False):
+        try:
+            found = check(*(a[i] for a in parts), sig, tol)[1]
+        except GeometryError as exc:
+            exc.context.update(_at(i))
+            raise
+        if not i:
+            return found
+        F[i] = found
+    return F
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +350,8 @@ class CartanRotation:
     (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
     ``dp_exp`` build theirs from a rotation that lies in S_p0 by
     construction, with the frame of its plane in closed form, and check
-    nothing when their bounds are sure of the check (``_sure``).
+    nothing when their bounds are sure of the check (``_sure``); otherwise
+    the rotation goes through ``_cartan_rotation`` (``_checked_where_unsure``).
     ``copy`` and ``pickle`` of any instance run the check again under the
     same tolerances, ``dataclasses.replace`` under the defaults. ``==`` is
     identity.
@@ -395,13 +438,13 @@ def cartan_embed0(plane: Plane) -> CartanRotation:
     R lies in S_p0 by construction, with ``plane.frame`` the frame of its
     (-1)-eigenspace. When the orthonormality residual of that frame makes R
     sure of its check (``_sure``) under the plane's tolerances, nothing is
-    checked; otherwise R goes through the public constructor under them.
+    checked; otherwise R goes through the public check under them
+    (``_checked_where_unsure``).
     """
     tol = plane._tol
     R, sig, rot = _embed_matrix(plane)
-    if not _sure(tol, rot):
-        return CartanRotation(R, sig, tol)
-    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=plane.frame)
+    F = _checked_where_unsure(_sure(tol, rot), plane.frame, _cartan_rotation, sig, tol, R)
+    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=F)
 
 
 def rho0(R: CartanRotation) -> Plane:
@@ -507,8 +550,8 @@ def dp_exp(gen: DpGenerator, tol: Tolerances = default_tolerances()) -> CartanRo
     and the frame of its plane, the same form at half the angles
     (``_cs_frame``). Its residuals are rounding only, so nothing is checked
     unless ``tol`` is below that (``_sure``); then the rotation goes through
-    the public constructor. ``verify`` passes these rotations through the
-    public constructor.
+    the public check (``_checked_where_unsure``). ``verify`` passes these
+    rotations through the public constructor.
     """
     sig = gen._sig
     R, F = _dp_exp(gen.B, sig, tol)
@@ -518,14 +561,15 @@ def dp_exp(gen: DpGenerator, tol: Tolerances = default_tolerances()) -> CartanRo
 def _dp_exp(B: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
     """(R, F): the kernel of ``dp_exp``, for B or a stack of the leading shape ``batch``.
 
-    F is the frame of the plane of R: in closed form when ``_sure``, else
-    the one the public check (``_cartan_rotation``) finds.
+    F is the frame of the plane of R: in closed form where ``_sure``, else
+    the one the public check (``_cartan_rotation``) finds. ``_sure`` does
+    not depend on the element, so a stack is sure of every element or of
+    none.
     """
     V, s, U = _generator_svd(B, batch)
-    R = _cs_rotation(V, s, U)
-    if not _sure(tol, sig.n * _ROUND):
-        return _cartan_rotation(R, sig, tol, batch)
-    return R, _cs_frame(V, 0.5 * s, U)
+    R, sure = _cs_rotation(V, s, U), _sure(tol, sig.n * _ROUND)
+    sure = np.full(batch, sure) if batch else sure
+    return R, _checked_where_unsure(sure, _cs_frame(V, 0.5 * s, U), _cartan_rotation, sig, tol, R)
 
 
 def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:

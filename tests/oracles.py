@@ -46,6 +46,26 @@ def homogeneous_exp_oracle(omega, v):
     return series_exp_oracle(M)
 
 
+def longdouble_exp_oracle(M):
+    """exp(M) in ``np.longdouble``: a Taylor series of M / 2^k, squared k times.
+
+    k brings |M / 2^k| down to 1/2 or less, where 30 terms leave a remainder
+    below 1e-40. Only ``matmul`` runs, which NumPy evaluates in long double;
+    ``np.linalg`` would not.
+    """
+    M = np.asarray(M, dtype=np.longdouble)
+    size = float(np.sqrt((M * M).sum()))
+    k = max(0, math.ceil(math.log2(2.0 * size))) if size > 0 else 0
+    A = M / np.longdouble(2) ** k
+    E = term = np.eye(M.shape[0], dtype=np.longdouble)
+    for j in range(1, 31):
+        term = term @ A / j
+        E = E + term
+    for _ in range(k):
+        E = E @ E
+    return E
+
+
 def dp_log_v_oracle(omega, X, p):
     """Least-squares pull-back of X through Y_omega restricted to span(e_1..e_p).
 

@@ -54,6 +54,7 @@ from cartanbundle import (
     skew_wedge,
 )
 from cartanbundle.sampling import (
+    make_rng,
     sample_bundle_point,
     sample_cartan_motion,
     sample_dp_element,
@@ -69,6 +70,7 @@ from oracles import (
     certificate_error_oracle,
     certificate_residuals_oracle,
     dp_log_v_oracle,
+    longdouble_exp_oracle,
     sigma_residual_oracle,
     svd_projector_oracle,
 )
@@ -864,9 +866,9 @@ def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n,
     1 + 1e-11 so that the bounds' first-order terms dominate."""
     seen, checked = [], []
 
-    def recorded(tol, rot, fib=0.0, _real=grassmann_module._sure):
+    def recorded(tol, rot, fib=0.0, X=None, _real=grassmann_module._sure):
         seen.append((rot, fib))
-        return _real(tol, rot, fib)
+        return _real(tol, rot, fib, X)
 
     def counted(*args, _real=grassmann_module._cartan_frame):
         checked.append(1)
@@ -887,6 +889,89 @@ def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n,
                 CartanMotion(out.motion, out.sig, tight)
             else:
                 CartanRotation(out.mat, out.sig, tight)
+
+
+def _parts_of(out) -> tuple:
+    """The arrays a certified output keeps: R and X of a motion, or R of a rotation, then its frame."""
+    if isinstance(out, CartanMotion):
+        return out.motion.R, out.motion.X, out._frame
+    return out.mat, out._frame
+
+
+def _public(out, tol):
+    """The public constructor's certificate of the same matrices as ``out``."""
+    if isinstance(out, CartanMotion):
+        return CartanMotion(out.motion, out.sig, tol)
+    return CartanRotation(out.mat, out.sig, tol)
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (4, 2), (8, 3), (32, 5)])
+def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
+    """Each of the five maps that land in the Cartan model by construction
+    sends an output that is not ``_sure`` to ``_checked_where_unsure``, one
+    public check per element, and keeps what that check finds. Under
+    ``tol.orth`` at half of n ``_ROUND``, below every map's rotation bound,
+    nothing is sure, yet the public check passes."""
+    rechecked = []
+
+    def counted(sure, F, check, sig, tol, *parts, _real=grassmann_module._checked_where_unsure):
+        def once(*args):
+            rechecked.append(args[0].shape)
+            return check(*args)
+        return _real(sure, F, once, sig, tol, *parts)
+
+    for module in (grassmann_module, bundle_module):
+        monkeypatch.setattr(module, "_checked_where_unsure", counted)
+    unsure = Tolerances(orth=0.5 * n * grassmann_module._ROUND)
+    for name, build in _sure_cases(rng, n, p, 1.0, 1e3):
+        build(Tolerances())
+        assert rechecked == [], name
+        out = build(unsure)
+        assert rechecked == [(n, n)], name
+        rechecked.clear()
+        for a, b in zip(_parts_of(out), _parts_of(_public(out, unsure)), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+
+    # a stack: each element goes through the public check once, alone, and
+    # keeps the frame that check finds
+    K, sig = 5, Signature(p, n - p)
+    B, v = rng.standard_normal((K, n - p, p)), rng.standard_normal((K, p))
+    R = np.stack([sample_rotation(rng, n) for _ in range(K)])
+    X = rng.standard_normal((K, n))
+    for kernel in (lambda: grassmann_module._dp_exp(B, sig, unsure, (K,)),
+                   lambda: bundle_module._tau(Motion(R, X), sig, unsure, (K,)),
+                   lambda: bundle_module._dp_exp_full(B, v, sig, unsure, (K,))):
+        out = kernel()
+        assert rechecked == [(n, n)] * K
+        rechecked.clear()
+        for i in range(K):
+            if len(out) == 2:
+                one = grassmann_module._cartan_rotation(out[0][i], sig, unsure)[1]
+            else:
+                one = bundle_module._cartan_motion(Motion(out[0][i], out[1][i]), sig, unsure)[1]
+            assert one.tobytes() == out[-1][i].tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("n, p", [(2, 1), (5, 1), (5, 4), (16, 1), (16, 15)])
+@pytest.mark.parametrize("size", [0.0, 1e-8, 1.0, math.pi - 0.1, 3 * math.pi])
+def test_dp_exp_full_matches_a_long_double_reference(n, p, size):
+    """exp(xi) of a d_p element, against the long-double exponential of its
+    homogeneous block, for |B|_2 from 0 past the cut locus: R within
+    32 n eps and X within 4 n eps (1 + |v|)."""
+    rng = make_rng(20261019, 10 * n + p)
+    B = rng.standard_normal((n - p, p))
+    B *= size / np.linalg.norm(B, 2)
+    v = rng.standard_normal(p)
+    xi = DpElement(DpGenerator(p=p, q=n - p, B=B), v)
+    out = dp_exp_full(xi)
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = xi.gen.embed()
+    M[:p, n] = v
+    E = longdouble_exp_oracle(M)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm((out.motion.R - E[:n, :n]).astype(float)) <= 32 * n * eps
+    assert np.linalg.norm((out.motion.X - E[:n, n]).astype(float)) <= 4 * n * eps * (1 + np.linalg.norm(v))
 
 
 def test_copies_of_a_plane_keep_its_tolerances(rng):

@@ -198,8 +198,6 @@ class TestBundle:
         sig = Signature(p, n - p)
         rng = make_rng(11, n)
         B, v = _generators(rng, p, n - p, K), rng.standard_normal((K, p))
-        V, s, U = gr._generator_svd(B, (K,))
-        _same((bn._dp_translation(V, s, U, v),), lambda i: (bn._dp_translation(V[i], s[i], U[i], v[i]),), K)
         R, X, F = bn._dp_exp_full(B, v, sig, TOL, (K,))
         _same((R, X, F), lambda i: bn._dp_exp_full(B[i], v[i], sig, TOL), K)
         _same(bn._dp_log_full(F, X, sig, TOL), lambda i: bn._dp_log_full(F[i], X[i], sig, TOL), K)

@@ -89,6 +89,7 @@ from .matcore import (
     _fail_at,
     _is_int,
     _norm,
+    _real,
     _require,
     _symmetric_involution,
     check_finite_matrix,
@@ -284,7 +285,12 @@ def plane_from_span(vectors: np.ndarray, tol: Tolerances = default_tolerances())
 
 
 def coordinate_plane(n: int, p: int) -> Plane:
-    """The reference plane spanned by the first p basis vectors; (n, p) is checked as a ``Signature``."""
+    """The reference plane spanned by the first p basis vectors; (n, p) is checked as a ``Signature``.
+
+    n and p are checked to be integers before n - p is formed.
+    """
+    if not (_is_int(n) and _is_int(p)):
+        raise DimensionMismatchError(f"coordinate plane dimensions ({n!r}, {p!r}) must be integers")
     Signature(p, n - p)
     return plane_from_frame(np.eye(n, p))
 
@@ -462,8 +468,9 @@ class DpGenerator:
     """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity.
 
     p and q are checked as a ``Signature``, which the generator keeps, and
-    B must have shape (q, p); it is kept as a float array. Its entries are
-    checked where it is used (``dp_exp``, ``dp_exp_full``).
+    B must have shape (q, p) and a real numeric dtype (``matcore._real``);
+    it is kept as a float array. Its entries are checked where it is used
+    (``dp_exp``, ``dp_exp_full``).
     """
 
     p: int
@@ -476,7 +483,7 @@ class DpGenerator:
             raise DimensionMismatchError(
                 f"generator block must be {self.q} x {self.p}, got {np.shape(self.B)}"
             )
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
+        object.__setattr__(self, "B", _real(self.B, "generator block"))
 
     @property
     def n(self) -> int:

@@ -20,10 +20,12 @@ Input domain. Every array the library's maps accept, matrix or vector,
 passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
 its signature or plane fixes (an n x n rotation, an n-vector, an (n, p)
 frame, for the n of the ``Signature`` or the ``Plane``; a square matrix
-where nothing fixes n), and every entry finite and at most ``_MAX_ABS`` =
-1e150 in magnitude. Every real scalar they accept (an angle, a fiber
-coordinate, a grid bound) passes the same entry test, ``check_finite_scalar``.
-The sizes and indices of ``basis_vector``, ``skew_wedge``, ``Signature`` and
+where nothing fixes n), a real numeric dtype (bool, integer or float: a
+complex array is not cast to its real part, nor a string parsed), and every
+entry finite and at most ``_MAX_ABS`` = 1e150 in magnitude. Every real
+scalar they accept (an angle, a fiber coordinate, a grid bound) passes the
+same entry test, ``check_finite_scalar``. The sizes and indices of
+``basis_vector``, ``skew_wedge``, ``Signature``, ``coordinate_plane`` and
 ``moebius_grid`` are integers (``_is_int``). Anything else raises
 ``DimensionMismatchError`` (code ``dimension_mismatch``), whose context
 carries the largest magnitude; this holds for the predicates ``in_Q`` and
@@ -208,16 +210,31 @@ def _in_domain(x: np.ndarray, name: str, core: int) -> np.ndarray:
     return x
 
 
+def _real(x, name: str) -> np.ndarray:
+    """x as a float array, if its dtype is real numeric (bool, integer or float), else ``DimensionMismatchError``.
+
+    A complex array is not cast to its real part, strings are not parsed,
+    and a ragged nesting of lists is no array.
+    """
+    try:
+        x = np.asarray(x)
+    except ValueError:  # an inhomogeneous shape
+        raise DimensionMismatchError(f"{name} must be a rectangular array") from None
+    if x.dtype.kind not in "biuf":
+        raise DimensionMismatchError(f"{name} must have real numeric entries, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def check_finite_matrix(
     M: np.ndarray, shape: tuple | None = None, name: str = "matrix", batch: tuple = ()
 ) -> np.ndarray:
-    """M as a float array, checked to be a nonempty 2-d array of ``shape`` in the input domain.
+    """M as a float array, checked to be a nonempty real 2-d array of ``shape`` in the input domain (``_real``).
 
     ``shape`` is (rows, cols), or (None, None) for a square matrix of any
     size. Without a shape, any nonempty 2-d array passes. With ``batch``, M
     is a stack of such matrices with that leading shape.
     """
-    M, b = np.asarray(M, dtype=float), len(batch)
+    M, b = _real(M, name), len(batch)
     if M.ndim == b + 2 and shape == (None, None):
         shape = M.shape[b : b + 1] * 2  # square, of its number of rows
     if M.ndim != b + 2 or not M.size or shape and M.shape[b:] != shape or b and M.shape[:b] != batch:
@@ -227,12 +244,12 @@ def check_finite_matrix(
 
 
 def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batch: tuple = ()) -> np.ndarray:
-    """x as a float array, checked to be a nonempty 1-d array in the input domain.
+    """x as a float array, checked to be a nonempty real 1-d array in the input domain (``_real``).
 
     Its length must be n, unless n is None. With ``batch``, x is a stack of
     such vectors with that leading shape.
     """
-    x, b = np.asarray(x, dtype=float), len(batch)
+    x, b = _real(x, name), len(batch)
     if x.ndim != b + 1 or not x.shape[-1] or n is not None and x.shape[-1] != n or b and x.shape[:b] != batch:
         want = "nonempty" if n is None else f"length-{n}"
         raise DimensionMismatchError(f"{name} must be a {want} 1-d array, got shape {x.shape}")
@@ -243,10 +260,13 @@ def check_finite_scalar(x: float, name: str) -> float:
     """x as a float, checked as each entry of an array is: finite and at most ``_MAX_ABS`` in magnitude.
 
     Anything else, or an x that is not a real number, raises
-    ``DimensionMismatchError``, whose context carries |x| as ``max_abs``.
+    ``DimensionMismatchError``, whose context carries |x| as ``max_abs``
+    (inf for an integer past the float range, such as 10**400).
     """
     try:
         x = float(x)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
     except (TypeError, ValueError):
         raise DimensionMismatchError(f"{name} must be a real number") from None
     if not abs(x) <= _MAX_ABS:  # also true for NaN

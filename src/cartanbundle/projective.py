@@ -1,11 +1,16 @@
-"""Closed forms for lines (p = 1): planar rotations, the half-angle
-correspondence, the line-bundle exponential, and Moebius-band sampling for
-n = 2.
+"""Lines (p = 1): planar rotations, the half-angle correspondence, the
+line-bundle exponential, and Moebius-band sampling for n = 2.
 
 A line is a ``Plane`` with p = 1: G(n, 1) is the Grassmannian at p = 1, and
-C(n, 1) is its tautological line bundle (the Moebius band at n = 2). Every
-angle theta and fiber coordinate lam passes ``matcore.check_finite_scalar``,
-the entry test of the arrays the library accepts."""
+C(n, 1) is its tautological line bundle (the Moebius band at n = 2). So each
+map here is a map of ``grassmann`` or ``bundle`` at the signature
+(1, n - 1), for the generator whose q x 1 block is B = theta U[1:]: the
+rotation by theta in the plane of e_1 and a unit direction U orthogonal to
+e_1. The rotation is ``dp_exp`` of it, its line ``rho0`` of that, and the
+line-bundle exponential ``dp_exp_full``, each from one SVD of B; the
+Moebius grid is one stacked call of the ``dp_exp_full`` kernel. Every angle
+theta and fiber coordinate lam passes ``matcore.check_finite_scalar``, the
+entry test of the arrays the library accepts."""
 
 from __future__ import annotations
 
@@ -13,10 +18,12 @@ import math
 
 import numpy as np
 
+from .bundle import DpElement, _dp_exp_full, dp_exp_full
+from .config import default_tolerances
 from .errors import DimensionMismatchError
-from .grassmann import Plane, plane_from_frame
-from .liegroup import Motion, _half_angle_factor
-from .matcore import _is_int, basis_vector, check_finite_scalar, check_finite_vector
+from .grassmann import DpGenerator, Plane, Signature, dp_exp, rho0
+from .liegroup import Motion
+from .matcore import _is_int, check_finite_scalar, check_finite_vector
 
 _UNIT_TOL = 1e-12  # |1 - |U|| of a unit direction, and |U[0]|
 
@@ -33,69 +40,52 @@ def unit_direction(U: np.ndarray) -> np.ndarray:
     return U
 
 
+def _line_block(theta, U: np.ndarray) -> np.ndarray:
+    """B = theta U[1:], the q x 1 generator block of exp(-theta e_1 ^ U); for an array theta, one per entry."""
+    return np.multiply.outer(theta, U[1:, None])
+
+
+def _line_generator(theta: float, U: np.ndarray) -> DpGenerator:
+    """The generator of the rotation by theta in the plane of e_1 and U; U is checked first, then theta."""
+    U = unit_direction(U)
+    return DpGenerator(1, len(U) - 1, _line_block(check_finite_scalar(theta, "rotation angle"), U))
+
+
 def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
-    """Rotation by theta in the plane of e_1 and U: exp(-theta e_1 ^ U).
+    """Rotation by theta in the plane of e_1 and U: exp(-theta e_1 ^ U), read-only.
 
     Sends e_1 to cos(theta) e_1 + sin(theta) U and fixes the orthogonal
-    complement of span(e_1, U). With K = -(e_1 ^ U), K^2 is minus the
-    projector onto that plane, so Rodrigues' closed form
-    I + sin(theta) K + (1 - cos(theta)) K^2 is the exponential exactly; no
-    canonical form is computed.
+    complement of span(e_1, U). It is ``dp_exp`` of the generator with
+    B = theta U[1:] at the signature (1, n - 1).
     """
-    U = unit_direction(U)
-    return _plane_rotation(check_finite_scalar(theta, "rotation angle"), U)
-
-
-def _plane_rotation(theta: float, U: np.ndarray) -> np.ndarray:
-    """``rotation_in_plane`` for a validated angle and direction."""
-    E1 = basis_vector(1, len(U))
-    K = np.outer(U, E1) - np.outer(E1, U)
-    return np.eye(len(U)) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
-
-
-def _half_angle_vector(theta: float, U: np.ndarray) -> np.ndarray:
-    """cos(theta/2) e_1 + sin(theta/2) U for a validated direction U."""
-    return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+    return dp_exp(_line_generator(theta, U)).mat
 
 
 def half_angle_line(theta: float, U: np.ndarray) -> Plane:
     """The line carried by R_{theta,U}: [cos(theta/2) e_1 + sin(theta/2) U].
 
-    Returned as the ``Plane`` (p = 1) of the normalised half-angle vector V.
-    With J of ``Signature(1, n - 1)``, R_{theta,U} J = I - 2 V V^T.
+    It is ``rho0`` of ``dp_exp``, whose frame is that half-angle vector in
+    closed form. With J of ``Signature(1, n - 1)``, R_{theta,U} J = I - 2 V V^T
+    for V the unit vector of the line.
     """
-    U = unit_direction(U)
-    V = _half_angle_vector(check_finite_scalar(theta, "rotation angle"), U)
-    return plane_from_frame((V / np.linalg.norm(V))[:, None])
+    return rho0(dp_exp(_line_generator(theta, U)))
 
 
 def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
-    """Explicit exponential of the line-bundle generator (-theta e_1 ^ U, lam e_1).
+    """Exponential of the line-bundle generator (-theta e_1 ^ U, lam e_1), read-only.
 
-    The translation part is lam (2 sin(theta/2)/theta) times the half-angle
-    direction; the theta -> 0 limit is lam e_1. A theta or lam outside the
-    input domain raises ``DimensionMismatchError``.
+    It is the motion of ``dp_exp_full`` at v = [lam]: the translation is lam
+    (2 sin(theta/2)/theta) times the half-angle vector, with the theta -> 0
+    limit lam e_1. U is checked first, then theta, then lam; a value outside
+    the input domain raises ``DimensionMismatchError``.
     """
-    U = unit_direction(U)
-    theta = check_finite_scalar(theta, "rotation angle")
+    gen = _line_generator(theta, U)
     lam = check_finite_scalar(lam, "fiber coordinate lam")
-    R = _plane_rotation(theta, U)
-    return Motion(R, lam * _half_angle_factor(theta) * _half_angle_vector(theta, U))
+    return dp_exp_full(DpElement(gen, np.array([lam]))).motion
 
 
-MOEBIUS_COLUMNS = (
-    "theta",
-    "lambda",
-    "r00",
-    "r01",
-    "r10",
-    "r11",
-    "x0",
-    "x1",
-    "line_angle",
-    "y0",
-    "y1",
-)
+# theta, lambda; R row-major; X; the carried line angle theta/2; the fiber (X again)
+MOEBIUS_COLUMNS = ("theta", "lambda", "r00", "r01", "r10", "r11", "x0", "x1", "line_angle", "y0", "y1")
 
 
 def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
@@ -104,19 +94,19 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     Records cover theta in [0, 2 pi) times lambda in [-lambda_max, lambda_max]
     and carry, in the order of ``MOEBIUS_COLUMNS``: theta, lambda, the
     rotation R row-major, the translation X, the carried line angle theta/2,
-    and the fiber (X again). The sizes must be integers of at least 1 and
-    lambda_max must be in the input domain, else ``DimensionMismatchError``.
+    and the fiber (X again). Each record is ``line_bundle_exp(theta, e_2,
+    lambda)``, bit for bit, from one stacked call of its kernel over the
+    whole grid. The sizes must be integers of at least 1 and lambda_max
+    must be in the input domain, else ``DimensionMismatchError``.
     """
     if not all(_is_int(k) and k >= 1 for k in (num_theta, num_lambda)):
         raise DimensionMismatchError("grid sizes must be integers >= 1")
     lambda_max = check_finite_scalar(lambda_max, "lambda_max")
-    lambdas = np.linspace(-lambda_max, lambda_max, num_lambda).tolist()
-    U = np.array([0.0, 1.0])
-    records = []
-    for theta in (2.0 * math.pi * np.arange(num_theta) / num_theta).tolist():
-        for lam in lambdas:
-            m = line_bundle_exp(theta, U, lam)
-            X = m.X.tolist()
-            values = (theta, lam, *m.R.ravel().tolist(), *X, 0.5 * theta, *X)
-            records.append(dict(zip(MOEBIUS_COLUMNS, values)))
-    return records
+    grid = (num_theta, num_lambda)
+    theta = np.broadcast_to((2.0 * math.pi * np.arange(num_theta) / num_theta)[:, None], grid)
+    lam = np.broadcast_to(np.linspace(-lambda_max, lambda_max, num_lambda), grid)
+    B = _line_block(theta, np.array([0.0, 1.0]))
+    R, X, _ = _dp_exp_full(B, lam[..., None], Signature(1, 1), default_tolerances(), grid)
+    X = X.reshape(-1, 2)
+    values = np.column_stack([theta.ravel(), lam.ravel(), R.reshape(-1, 4), X, 0.5 * theta.ravel(), X])
+    return [dict(zip(MOEBIUS_COLUMNS, row)) for row in values.tolist()]

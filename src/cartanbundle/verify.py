@@ -507,21 +507,26 @@ def _directions(cfg, rng, count):
     return U, rng.uniform(0.0, 2.0 * math.pi, count)
 
 
+def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
+    """The paper's half-angle vector cos(theta/2) e_1 + sin(theta/2) U: the oracle of the line rows."""
+    return math.cos(0.5 * theta) * mc.basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
 def _line_bundle_exp(cfg, U, theta, lam):
     nn, theta, lam = len(U), float(theta), float(lam)
     m = pj.line_bundle_exp(theta, U, lam)
     E1 = mc.basis_vector(1, nn)
     xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
     # fiber sits on the half-angle line
-    V = pj.half_angle_line(theta, U).frame[:, 0]
+    V = _paper_line(theta, U)
     return np.maximum(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
 
 
 def _half_angle_line(cfg, U, theta):
+    """The line of rotation_in_plane (certified under cfg.tol) and half_angle_line, each against the paper's."""
     theta, sig = float(theta), gr.Signature(1, len(U) - 1)
-    cr = gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
-    plane = gr.rho0(cr)
-    return float(np.linalg.norm(plane.projector - pj.half_angle_line(theta, U).projector))
+    V, cr = _paper_line(theta, U), gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
+    return max(mc._norm(plane.projector - np.outer(V, V)) for plane in (gr.rho0(cr), pj.half_angle_line(theta, U)))
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max

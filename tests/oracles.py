@@ -66,6 +66,28 @@ def longdouble_exp_oracle(M):
     return E
 
 
+def longdouble_line_oracle(theta, U, lam):
+    """(R, X) of the line-bundle exponential of (-theta e_1 ^ U, lam e_1), in ``np.longdouble``.
+
+    U has U[0] = 0 and enters with its own norm r: the generator turns the
+    plane of e_1 and u = U / r by phi = theta r. So R is Rodrigues'
+    I + sin(phi) K + (1 - cos(phi)) K^2 for K = u e_1^T - e_1 u^T, and X is
+    lam (2 sin(phi/2) / phi) (cos(phi/2) e_1 + sin(phi/2) u), the paper's
+    half-angle vector scaled, with the limit lam e_1 at phi = 0. ``np.sin``
+    and ``np.cos`` of a long double are long-double accurate.
+    """
+    U = np.asarray(U, dtype=np.longdouble)
+    assert U[0] == 0
+    r = np.sqrt((U * U).sum())
+    u, phi, half = U / r, np.longdouble(theta) * r, np.longdouble(theta) * r / 2
+    E1 = np.zeros(len(U), dtype=np.longdouble)
+    E1[0] = 1
+    K = np.outer(u, E1) - np.outer(E1, u)
+    R = np.eye(len(U), dtype=np.longdouble) + np.sin(phi) * K + (1 - np.cos(phi)) * (K @ K)
+    factor = np.sin(half) / half if phi != 0 else np.longdouble(1)
+    return R, np.longdouble(lam) * factor * (np.cos(half) * E1 + np.sin(half) * u)
+
+
 def dp_log_v_oracle(omega, X, p):
     """Least-squares pull-back of X through Y_omega restricted to span(e_1..e_p).
 

@@ -2,7 +2,9 @@
 
 Each map is called once on generic inputs (rotation angles below 2 pi / 3,
 principal angles above 1e-2), with ``np.linalg.eigh``, ``svd``, ``qr`` and
-``det`` counted. The inputs are built before counting starts.
+``det`` counted. The inputs are built before counting starts. The line maps
+run at (4, 1), and ``moebius_grid`` builds its whole 128 x 9 grid from one
+stacked SVD.
 """
 
 import math
@@ -27,10 +29,14 @@ from cartanbundle import (
     dp_log0,
     dp_log_full,
     find_transporter,
+    half_angle_line,
+    line_bundle_exp,
+    moebius_grid,
     principal_angles,
     rho,
     rho0,
     rho_inv,
+    rotation_in_plane,
     se_exp,
     se_log,
     so_exp,
@@ -68,6 +74,10 @@ EXPECTED = {
     "bundle_act": {},
     "twisted_act": {"det": 1},
     "twisted_act0": {"det": 1},
+    "rotation_in_plane": {"svd": 1},
+    "half_angle_line": {"svd": 1},
+    "line_bundle_exp": {"svd": 1},
+    "moebius_grid": {"svd": 1},
 }
 
 
@@ -87,6 +97,7 @@ def calls():
     src = bundle_point(coordinate_plane(4, 2), np.array([1.0, -2.0, 0.0, 0.0]))
     dst = rho(cm)
     assert principal_angles(src.plane, dst.plane).min() > 1e-2
+    U = np.array([0.0, 0.6, 0.8, 0.0])
     return {
         "se_exp": lambda: se_exp(xi),
         "so_exp": lambda: so_exp(omega),
@@ -109,6 +120,10 @@ def calls():
         "bundle_act": lambda: bundle_act(g, src, SIG),
         "twisted_act": lambda: twisted_act(g, cm.motion, SIG),
         "twisted_act0": lambda: twisted_act0(g.R, cr.mat, SIG),
+        "rotation_in_plane": lambda: rotation_in_plane(1.3, U),
+        "half_angle_line": lambda: half_angle_line(1.3, U),
+        "line_bundle_exp": lambda: line_bundle_exp(1.3, U, 0.7),
+        "moebius_grid": lambda: moebius_grid(128, 9, 2.0),
     }
 
 

@@ -1,7 +1,8 @@
-"""The input domain: every array the library accepts has finite entries of
-magnitude at most 1e150 (``matcore._MAX_ABS``) and the shape its signature or
-plane fixes, every real scalar passes the same entry test, and every size or
-index is an integer, else ``DimensionMismatchError``.
+"""The input domain: every array the library accepts has a real numeric
+dtype, finite entries of magnitude at most 1e150 (``matcore._MAX_ABS``) and
+the shape its signature or plane fixes, every real scalar passes the same
+entry test, and every size or index is an integer, else
+``DimensionMismatchError``.
 
 Below the ceiling no residual norm can overflow. Above it, a Frobenius norm
 reads inf past about 1.3e154, and every membership bound tol (1 + |x|) then
@@ -50,6 +51,7 @@ from cartanbundle import (
     sigma,
     sigma0,
     skew_wedge,
+    so_exp,
     tau,
     twisted_act,
     twisted_act0,
@@ -115,13 +117,17 @@ SITES = {
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
     "unit_direction": lambda bad: unit_direction(_vec(bad, 3, at=1)),
-    # the real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299
+}
+
+# The real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299.
+SCALAR_SITES = {
     "rotation_in_plane.theta": lambda bad: rotation_in_plane(bad, E2),
     "half_angle_line.theta": lambda bad: half_angle_line(bad, E2),
     "line_bundle_exp.theta": lambda bad: line_bundle_exp(bad, E2, 1.0),
     "line_bundle_exp.lam": lambda bad: line_bundle_exp(1.0, E2, bad),
     "moebius_grid.lambda_max": lambda bad: moebius_grid(2, 3, bad),
 }
+SITES.update(SCALAR_SITES)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e151, -1e151])
@@ -132,6 +138,56 @@ def test_every_entry_point_rejects_entries_outside_the_domain(site, bad):
     assert info.value.code == "dimension_mismatch"
     top = info.value.context["max_abs"]
     assert math.isnan(top) if math.isnan(bad) else top == abs(bad)
+
+
+@pytest.mark.parametrize("bad", [10**400, -10**400])
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_a_scalar_past_the_float_range_is_outside_the_domain(site, bad):
+    # float(10**400) raised a raw OverflowError out of check_finite_scalar
+    with pytest.raises(DimensionMismatchError) as info:
+        SCALAR_SITES[site](bad)
+    assert info.value.context["max_abs"] == math.inf
+
+
+# name -> call(bad) with one array operand replaced by bad, an array whose
+# dtype is not real numeric.
+DTYPE_SITES = {
+    "so_exp": lambda bad: so_exp(bad),
+    "se_exp": lambda bad: se_exp(Screw(bad, Z4)),
+    "tau.translation": lambda bad: tau(Motion(I4, bad[0]), SIG),
+    "plane_from_frame": lambda bad: plane_from_frame(bad[:, :2]),
+    "rotation_in_plane.U": lambda bad: rotation_in_plane(0.3, bad[1]),
+    "DpGenerator": lambda bad: DpGenerator(2, 2, bad[:2, :2]),
+    "check_finite_vector": lambda bad: check_finite_vector(bad[0], 4),
+}
+
+
+@pytest.mark.parametrize("dtype", [complex, str, object])
+@pytest.mark.parametrize("site", sorted(DTYPE_SITES))
+def test_an_array_that_is_not_real_numeric_is_a_dimension_mismatch(site, dtype):
+    # so_exp of a complex skew returned the exponential of its real part with
+    # only a ComplexWarning, and rotation_in_plane(0.3, ["0", "1"]) parsed the
+    # strings. W is skew, its first two columns are a frame and its second
+    # row a unit direction orthogonal to e_1, so every site accepts it as floats.
+    W = skew_wedge(1, 4, 4) + skew_wedge(2, 3, 4)
+    DTYPE_SITES[site](W)
+    with pytest.raises(DimensionMismatchError, match="real numeric"):
+        DTYPE_SITES[site](W * (1 + 0.5j) if dtype is complex else W.astype(dtype))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: so_exp([[0.0, 1.0], [-1.0]]),
+        lambda: rotation_in_plane(0.3, [0.0, [1.0, 0.0]]),
+        lambda: check_finite_matrix([[1.0], [2.0, 3.0]]),
+    ],
+    ids=["so_exp", "rotation_in_plane", "check_finite_matrix"],
+)
+def test_a_ragged_array_is_a_dimension_mismatch(call):
+    # NumPy's "inhomogeneous shape" ValueError escaped raw
+    with pytest.raises(DimensionMismatchError, match="rectangular"):
+        call()
 
 
 # The shape rule: the signature (or the plane) fixes n, and every operand is
@@ -249,10 +305,10 @@ def test_skew_wedge_names_indices_out_of_order(i, j):
         skew_wedge(i, j, 4)
 
 
-@pytest.mark.parametrize("n, p", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (3, 3)])
+@pytest.mark.parametrize("n, p", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (3, 3), (4, None), (None, 2), ("4", 2)])
 def test_coordinate_plane_checks_its_signature(n, p):
-    # coordinate_plane(2.5, 1) raised a raw TypeError, and (3, 3) built a
-    # p = n plane that no Signature admits
+    # coordinate_plane(2.5, 1) and (4, None) raised a raw TypeError, and
+    # (3, 3) built a p = n plane that no Signature admits
     with pytest.raises(DimensionMismatchError):
         coordinate_plane(n, p)
 

@@ -12,8 +12,6 @@ from cartanbundle import (
     SingularMapError,
     Tolerances,
     identity_motion,
-    line_bundle_exp,
-    rotation_in_plane,
     se_bracket,
     se_exp,
     se_inv,
@@ -279,12 +277,6 @@ class TestOneFormPerCall:
         g = se_exp(Screw((math.pi - 0.1) * _unit_skew(rng, n), rng.standard_normal(n)))
         se_log(g)
         assert len(eigh_calls) == 3
-
-    def test_line_layer_runs_no_eigh(self, rng, eigh_calls):
-        U = np.array([0.0, 0.6, 0.8])
-        rotation_in_plane(1.3, U)
-        line_bundle_exp(1.3, U, 0.7)
-        assert eigh_calls == []
 
 
 @pytest.mark.parametrize("n", [3, 8])

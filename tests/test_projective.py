@@ -16,7 +16,8 @@ from cartanbundle import (
     se_exp,
 )
 from cartanbundle.projective import MOEBIUS_COLUMNS
-from cartanbundle.sampling import sample_unit_direction
+from cartanbundle.sampling import make_rng, sample_unit_direction
+from oracles import longdouble_line_oracle
 
 
 def rot2(theta):
@@ -222,6 +223,14 @@ class TestMoebiusGrid:
         with pytest.raises(DimensionMismatchError):
             moebius_grid(num_theta, num_lambda, 1.0)
 
+    def test_each_record_is_its_single_call_bit_for_bit(self):
+        # the grid is one stacked call of line_bundle_exp's kernel
+        U = np.array([0.0, 1.0])
+        for rec in moebius_grid(16, 5, 3.0):
+            m = line_bundle_exp(rec["theta"], U, rec["lambda"])
+            assert m.R.ravel().tolist() == [rec["r00"], rec["r01"], rec["r10"], rec["r11"]]
+            assert m.X.tolist() == [rec["x0"], rec["x1"]] == [rec["y0"], rec["y1"]]
+
     def test_numpy_sizes_give_the_same_records(self):
         assert moebius_grid(np.int64(3), np.int32(2), 1.0) == moebius_grid(3, 2, 1.0)
 
@@ -252,3 +261,30 @@ class TestMoebiusGrid:
         assert pairs == 9
         assert flips_ok
         assert max_dev <= resolution
+
+
+ANGLES = {
+    "uniform": lambda rng, k: rng.uniform(0.0, 2.0 * math.pi, k),
+    "below-1e-4": lambda rng, k: rng.uniform(0.0, 1e-4, k),
+    "near-2pi": lambda rng, k: 2.0 * math.pi + rng.uniform(-1e-6, 1e-6, k),
+    "wide": lambda rng, k: rng.uniform(-7.0, 7.0, k),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("angles", sorted(ANGLES))
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_line_maps_match_a_long_double_reference(n, angles):
+    """rotation_in_plane and line_bundle_exp against the long-double Rodrigues
+    and half-angle forms, with |lam| from 1e-3 to 2e6: R within 32 n eps and
+    X within 4 n eps (1 + |lam|), the bounds of dp_exp_full's reference test."""
+    rng = make_rng(20261019, n)
+    eps = np.finfo(float).eps
+    for theta in ANGLES[angles](rng, 50).tolist():
+        U = sample_unit_direction(rng, n)
+        lam = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, math.log10(2e6)))
+        R, X = longdouble_line_oracle(theta, U, lam)
+        m = line_bundle_exp(theta, U, lam)
+        for rotation in (rotation_in_plane(theta, U), m.R):
+            assert np.linalg.norm((rotation - R).astype(float)) <= 32 * n * eps
+        assert np.linalg.norm((m.X - X).astype(float)) <= 4 * n * eps * (1 + abs(lam))

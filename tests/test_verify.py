@@ -169,8 +169,8 @@ def test_a_rotation_at_half_the_angle_fails_the_seam_row(monkeypatch):
     # rotation is; the seam row reads the line from each record's rotation.
     # Turned by theta / 2, the last theta row carries a line about pi / 2
     # away from the line of theta = 0.
-    rotation = projective._plane_rotation
-    monkeypatch.setattr(projective, "_plane_rotation", lambda theta, U: rotation(0.5 * theta, U))
+    block = projective._line_block
+    monkeypatch.setattr(projective, "_line_block", lambda theta, U: block(0.5 * theta, U))
     results = _results()
     row = results["projective.moebius_seam"]
     assert _failed(results) == {"projective.line_bundle_exp", "projective.half_angle_line", row.name}

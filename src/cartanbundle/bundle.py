@@ -66,8 +66,11 @@ twice a projection, and the block form of the fixed points -- are checked
 by the ``verify`` properties, not on every call.
 
 The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``),
-of ``dp_log_full`` (``_dp_log_full``) and of the ``CartanMotion`` check
-(``_cartan_motion``) take arrays with a leading batch shape (see
+of ``dp_log_full`` (``_dp_log_full``), of the ``CartanMotion`` check
+(``_cartan_motion``), of the ``bundle_point`` check (``_fiber``), of
+``rho_inv`` (``_rho_inv``), ``bundle_act`` (``_bundle_act``),
+``find_transporter`` (``_transporter``), ``twisted_act`` (``_twisted_act``)
+and ``in_Q`` (``_in_Q``) take arrays with a leading batch shape (see
 ``matcore``). The public maps pass their 2-D operands unchanged; ``verify``
 passes whole stacks. An element of a stack comes out bit for bit as its
 single call: the closed forms run on the whole stack, and an element that
@@ -104,7 +107,6 @@ from .grassmann import (
     _ROUND,
     _sure,
     _trusted,
-    plane_from_frame,
 )
 from .liegroup import (
     Motion,
@@ -113,6 +115,7 @@ from .liegroup import (
     _factors,
 )
 from .matcore import (
+    _checked_frame,
     _checked_rotation,
     _complete_frames,
     _eye,
@@ -120,6 +123,7 @@ from .matcore import (
     _norm,
     _require,
     check_finite_vector,
+    projector,
 )
 
 
@@ -155,13 +159,22 @@ class BundlePoint:
 
 def bundle_point(plane: Plane, fiber: np.ndarray) -> BundlePoint:
     """The certified bundle point (plane, fiber), checked under the plane's tolerances."""
-    fiber = check_finite_vector(_read_only(fiber), plane.n, "fiber")
-    residual = _norm(plane.projector @ fiber - fiber)
-    if not _fiber_holds(residual, fiber, plane._tol):
-        raise NotInCartanModelError(
-            "fiber vector does not lie in the plane", residual=float(residual)
-        )
+    fiber = _fiber(plane.projector, _read_only(fiber), plane._tol)
     return _trusted(BundlePoint, plane._tol, plane=plane, fiber=fiber)
+
+
+def _fiber(P: np.ndarray, Y: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
+    """Y after the check of ``bundle_point`` against the plane's projector P, or of stacks of the leading shape ``batch``.
+
+    Y must be an n-vector in the input domain, and its part off the plane
+    within the fiber bound (``_fiber_holds``).
+    """
+    Y = check_finite_vector(Y, P.shape[-1], "fiber", batch)
+    residual = _norm(np.matvec(P, Y) - Y, 1)
+    holds = _fiber_holds(residual, Y, tol)
+    if holds is not True:  # a stack, or one fiber off its plane; the context is built only here
+        _require(holds, NotInCartanModelError, "fiber vector does not lie in the plane", residual=residual)
+    return Y
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,9 +312,14 @@ def in_Q(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> b
     A g of the wrong shape for the signature or outside the input domain raises.
     The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
     """
-    R, X = _checked_motion(g, sig.n)
+    return _in_Q(g, sig, tol)
+
+
+def _in_Q(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()):
+    """The kernel of ``in_Q``, for g or stacks of the leading shape ``batch``: a bool, or one per motion."""
+    R, X = _checked_motion(g, sig.n, batch)
     S = R * sig._signs
-    residual = _sigma_residual(_norm(S @ S - _eye(sig.n)), S, X)
+    residual = _sigma_residual(_norm(S @ S - _eye(sig.n), 2), S, X)
     return _sigma_holds(residual, X, tol)
 
 
@@ -314,10 +332,16 @@ def twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances = default_
     (A R J A^{-1} J, X + A Y - A R J A^{-1} X); ``verify`` checks it against
     plain group arithmetic.
     """
-    A = _checked_rotation(a.R, tol, sig.n)[0]
-    X, (R, Y), j = check_finite_vector(a.X, sig.n, "translation"), _checked_motion(g, sig.n), sig._signs
-    core = ((A @ R) * j) @ A.T
-    return Motion(core * j, X + A @ Y - core @ X)
+    return Motion(*_twisted_act(a, g, sig, tol))
+
+
+def _twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(R', X'): the kernel of ``twisted_act``, for a and g or stacks of the leading shape ``batch``."""
+    A = _checked_rotation(a.R, tol, sig.n, batch)[0]
+    X = check_finite_vector(a.X, sig.n, "translation", batch)
+    (R, Y), j = _checked_motion(g, sig.n, batch), sig._signs
+    core = ((A @ R) * j) @ A.mT
+    return core * j, X + np.matvec(A, Y) - np.matvec(core, X)
 
 
 def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> CartanMotion:
@@ -387,11 +411,19 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     tolerances.
     """
     tol = b._tol
-    R, sig, rot = _embed_matrix(b.plane)
-    Y = b.fiber
-    fib = _norm(b.plane.projector @ Y - Y) / (1.0 + _norm(Y)) + sig.n * _ROUND
-    F = _checked_where_unsure(_sure(tol, rot, fib), b.plane.frame, _motion_check, sig, tol, R, Y)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=F)
+    R, sig, F = _rho_inv(b.plane.frame, b.plane.projector, b.fiber, tol)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), b.fiber), sig=sig, _frame=F)
+
+
+def _rho_inv(F: np.ndarray, P: np.ndarray, Y: np.ndarray, tol: Tolerances) -> tuple:
+    """(R, sig, F): the kernel of ``rho_inv``, for a point's frame F, projector P and fiber Y, or stacks.
+
+    F is the point's frame where the motion (R, Y) is ``_sure`` of its
+    check, else the frame the public check finds.
+    """
+    R, sig, rot = _embed_matrix(F, P)
+    fib = _norm(np.matvec(P, Y) - Y, 1) / (1.0 + _norm(Y, 1)) + sig.n * _ROUND
+    return R, sig, _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
 
 
 def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
@@ -413,8 +445,23 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     R, X = _checked_motion(a, sig.n)
     if (b.n, b.plane.p) != (sig.n, sig.p):
         raise DimensionMismatchError("bundle point (n, p) does not match the signature")
-    plane = plane_from_frame(R @ b.plane.frame, b._tol)
-    return bundle_point(plane, R @ b.fiber + 2.0 * (plane.projector @ X))
+    F, P, Y = _bundle_act(R, X, b.plane.frame, b.fiber, b._tol)
+    return _trusted(BundlePoint, b._tol, plane=_plane(F, b._tol, P), fiber=_frozen(Y))
+
+
+def _bundle_act(R: np.ndarray, X: np.ndarray, F: np.ndarray, Y: np.ndarray, tol: Tolerances,
+                batch: tuple = ()) -> tuple:
+    """(F', P', Y'): the kernel of ``bundle_act``, the moved point's frame, projector and fiber.
+
+    (R, X) is a motion checked for shape and domain and (F, Y) a point's
+    frame and fiber, or stacks of the leading shape ``batch``. F' = R F,
+    read-only, is checked as ``plane_from_frame`` checks a frame (it has
+    the point's (n, p)) and Y' as ``bundle_point`` checks a fiber, under
+    ``tol``.
+    """
+    F = _frozen(_checked_frame(R @ F, tol, batch))
+    P = projector(F)
+    return F, P, _fiber(P, np.matvec(R, Y) + 2.0 * np.matvec(P, X), tol, batch)
 
 
 def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
@@ -429,10 +476,14 @@ def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
     """
     if (src.n, src.plane.p) != (dst.n, dst.plane.p):
         raise DimensionMismatchError("bundle points must share (n, p)")
-    C = _complete_frames(np.stack([dst.plane.frame, src.plane.frame]))
-    A = C[0] @ C[1].T
-    X = 0.5 * (dst.fiber - A @ src.fiber)
-    return Motion(A, X)
+    return Motion(*_transporter(src.plane.frame, src.fiber, dst.plane.frame, dst.fiber))
+
+
+def _transporter(Fs: np.ndarray, Ys: np.ndarray, Fd: np.ndarray, Yd: np.ndarray) -> tuple:
+    """(A, X): the kernel of ``find_transporter``, for the checked frames and fibers of two points, or stacks."""
+    C = _complete_frames(np.stack([Fd, Fs]))
+    A = C[0] @ C[1].mT
+    return A, 0.5 * (Yd - np.matvec(A, Ys))
 
 
 def dp_exp_full(

@@ -55,14 +55,19 @@ its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
 
 The kernels of ``dp_exp`` (``_dp_exp``), of the S_p0 check
-(``_cartan_rotation``, ``_cartan_frame``) and of ``dp_log0``
-(``_principal_pairs``, ``_angle_pairs``), the closed forms
-``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the fallback
-``_checked_where_unsure`` take arrays with a leading batch shape (see
-``matcore``). The public maps pass their 2-D operands unchanged; ``verify``
-passes whole stacks. An element of a stack comes out bit for bit as its
-single call, and one that fails raises that call's error class with its
-``index`` in the context.
+(``_cartan_rotation``, ``_cartan_frame``), of ``dp_log0``
+(``_principal_pairs``, ``_angle_pairs``), of ``cartan_embed0``
+(``_cartan_embed0``, with ``_embed_matrix``), of ``twisted_act0``
+(``_twisted_act0``) and of ``rotate_plane`` (``_rotated_frame``), the
+closed forms ``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the
+fallback ``_checked_where_unsure`` take arrays with a leading batch shape
+(see ``matcore``); ``plane_from_frame`` checks its frame with the batched
+``matcore._checked_frame``. The public maps pass their 2-D operands
+unchanged; ``verify`` passes whole stacks. An element of a stack comes out
+bit for bit as its single call, and one that fails raises that call's error
+class with its ``index`` in the context. The fallback replaces the frames of
+a stack's unsure elements in a copy, so the frames it was given stay as
+they were.
 """
 
 from __future__ import annotations
@@ -82,7 +87,9 @@ from .errors import (
 )
 from .matcore import (
     _MAX_ABS,
+    _MAX_DIM,
     _at,
+    _checked_frame,
     _checked_rotation,
     _each,
     _eye,
@@ -93,7 +100,6 @@ from .matcore import (
     _require,
     _symmetric_involution,
     check_finite_matrix,
-    check_frame,
     orthonormalize,
     projector,
 )
@@ -117,19 +123,20 @@ class Signature:
     """Block signature (p, q) with matrix J = diag(-I_p, I_q), n = p + q.
 
     The one check of (n, p): p and q must be integers (``matcore._is_int``)
-    of at least 1, else ``DimensionMismatchError``. ``DpGenerator``
-    checks its (p, q) by it too.
+    of at least 1 with n at most ``matcore._MAX_DIM``, else
+    ``DimensionMismatchError``. ``DpGenerator`` checks its (p, q) by it too.
     """
 
     p: int
     q: int
 
     def __post_init__(self):
-        for k in (self.p, self.q):
-            if not _is_int(k) or k < 1:
-                raise DimensionMismatchError(
-                    "signature requires integers p >= 1 and q >= 1", p=self.p, q=self.q
-                )
+        p, q = self.p, self.q
+        # q is bounded by _MAX_DIM - p, so no sum of NumPy integers can wrap
+        if not (_is_int(p) and _is_int(q) and 1 <= p <= _MAX_DIM and 1 <= q <= _MAX_DIM - p):
+            raise DimensionMismatchError(
+                "signature requires integers p >= 1 and q >= 1 with p + q a dimension", p=self.p, q=self.q
+            )
 
     @property
     def n(self) -> int:
@@ -211,13 +218,16 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     that is not sure goes through ``check(*parts[i], sig, tol)`` alone,
     which accepts or raises as for the same value from a caller; a raise
     gets the element's ``index``. A single output (i = ()) takes the frame
-    of its check; a stack's F, writeable, takes it in place. This is the one
-    place where the five maps that land in the Cartan model by construction
-    fall back to the check. A single output that is sure returns at once.
+    of its check; a stack takes it in a copy of F. This is the one place
+    where the five maps that land in the Cartan model by construction fall
+    back to the check. A single output that is sure returns at once.
     """
     if sure is True or sure is np.True_:
         return F
-    for i in _each(sure, False):
+    unsure = _each(sure, False)
+    if unsure and unsure[0]:  # a stack with an element to replace
+        F = F.copy()
+    for i in unsure:
         try:
             found = check(*(a[i] for a in parts), sig, tol)[1]
         except GeometryError as exc:
@@ -264,15 +274,18 @@ def plane_from_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> P
 
     The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n.
     """
-    F = check_frame(F, tol)
+    F = _checked_frame(F, tol)
     Signature(F.shape[1], F.shape[0] - F.shape[1])
     return _plane(_read_only(F), tol)
 
 
-def _plane(F: np.ndarray, tol: Tolerances) -> Plane:
-    """The plane of a read-only frame already known to be orthonormal; nothing is checked."""
+def _plane(F: np.ndarray, tol: Tolerances, P: np.ndarray | None = None) -> Plane:
+    """The plane of a read-only frame already known to be orthonormal; nothing is checked.
+
+    P is its projector F F^T, if the caller has computed it.
+    """
     n, p = F.shape
-    return _trusted(Plane, tol, n=n, p=p, projector=_frozen(projector(F)), frame=F)
+    return _trusted(Plane, tol, n=n, p=p, projector=_frozen(projector(F) if P is None else P), frame=F)
 
 
 def plane_from_span(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:
@@ -313,8 +326,16 @@ def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
     every rotation that agrees with it on pi (for a reflection A, under H A,
     H the reflection across a hyperplane that contains A pi).
     """
-    A = check_finite_matrix(A, (plane.n, plane.n), "rotation")
-    return plane_from_frame(A @ plane.frame, plane._tol)
+    return _plane(_rotated_frame(A, plane.frame, plane._tol), plane._tol)
+
+
+def _rotated_frame(A: np.ndarray, F: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
+    """The frame A F of ``rotate_plane``, checked and read-only, for A and F or stacks of the shape ``batch``.
+
+    F is the frame of a plane, so A F has its (n, p).
+    """
+    n = F.shape[-2]
+    return _frozen(_checked_frame(check_finite_matrix(A, (n, n), "rotation", batch) @ F, tol, batch))
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
@@ -341,9 +362,14 @@ def twisted_act0(
     A is checked to lie in SO(n) under ``tol``, since the closed form writes
     A^{-1} as A^T; R must be n x n, in the input domain.
     """
-    A = _checked_rotation(A, tol, sig.n)[0]
-    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation"), sig._signs
-    return ((A @ R) * j) @ A.T * j
+    return _twisted_act0(A, R, sig, tol)
+
+
+def _twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
+    """The kernel of ``twisted_act0``, for A and R or stacks of the leading shape ``batch``."""
+    A = _checked_rotation(A, tol, sig.n, batch)[0]
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch), sig._signs
+    return ((A @ R) * j) @ A.mT * j
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,8 +445,8 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     return F, S, invol
 
 
-def _embed_matrix(plane: Plane) -> tuple:
-    """(R, sig, rot): R = (I - 2 P) J for P = F F^T the projector of the plane.
+def _embed_matrix(F: np.ndarray, P: np.ndarray) -> tuple:
+    """(R, sig, rot): R = (I - 2 P) J for P = F F^T the projector of a plane's frame F, or for each of a stack.
 
     ``rot`` bounds the residuals of R for ``_sure``. With E = F^T F - I and
     e = |E|, S = R J = I - 2 P has S^2 - I = 4 F E F^T, so |R^T R - I| and
@@ -429,11 +455,11 @@ def _embed_matrix(plane: Plane) -> tuple:
     exp(2 sqrt(p) e) - 1 of 1. Both are below 4 sqrt(n) e while that is
     below 1e-6; the rest is rounding.
     """
-    F, n = plane.frame, plane.n
-    sig = Signature(plane.p, n - plane.p)
-    e = _norm(F.T @ F - _eye(plane.p))
+    n, p = F.shape[-2:]
+    sig = Signature(p, n - p)
+    e = _norm(F.mT @ F - _eye(p), 2)
     rot = 4.0 * math.sqrt(n) * e + n * _ROUND
-    return (np.eye(n) - 2.0 * plane.projector) * sig._signs, sig, rot
+    return (_eye(n) - 2.0 * P) * sig._signs, sig, rot
 
 
 def cartan_embed0(plane: Plane) -> CartanRotation:
@@ -448,9 +474,18 @@ def cartan_embed0(plane: Plane) -> CartanRotation:
     (``_checked_where_unsure``).
     """
     tol = plane._tol
-    R, sig, rot = _embed_matrix(plane)
-    F = _checked_where_unsure(_sure(tol, rot), plane.frame, _cartan_rotation, sig, tol, R)
+    R, sig, F = _cartan_embed0(plane.frame, plane.projector, tol)
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=F)
+
+
+def _cartan_embed0(F: np.ndarray, P: np.ndarray, tol: Tolerances) -> tuple:
+    """(R, sig, F): the kernel of ``cartan_embed0``, for a plane's frame F and projector P or stacks of them.
+
+    F is the plane's frame where R is ``_sure`` of its check, else the frame
+    the public check finds.
+    """
+    R, sig, rot = _embed_matrix(F, P)
+    return R, sig, _checked_where_unsure(_sure(tol, rot), F, _cartan_rotation, sig, tol, R)
 
 
 def rho0(R: CartanRotation) -> Plane:

@@ -52,7 +52,7 @@ from .matcore import (
     _at,
     _checked_rotation,
     _fail_at,
-    _is_int,
+    _is_dim,
     _require,
     _rotation_log,
     _scalar_formula,
@@ -104,20 +104,20 @@ class Screw:
 
 
 def identity_motion(n: int) -> Motion:
-    """The identity of SE(n); n must be an integer (``matcore._is_int``) of at least 1."""
-    if not _is_int(n) or n < 1:
-        raise DimensionMismatchError("identity motion requires an integer n >= 1", n=n)
+    """The identity of SE(n); n must be a dimension (``matcore._is_dim``): an integer from 1 to ``_MAX_DIM``."""
+    if not _is_dim(n):
+        raise DimensionMismatchError("identity motion requires an integer n from 1 to matcore._MAX_DIM", n=n)
     return Motion(np.eye(n), np.zeros(n))
 
 
-def _checked_motion(g: Motion, n: int) -> tuple:
-    """(R, X): the parts of g, checked against the dimension n, R first.
+def _checked_motion(g: Motion, n: int, batch: tuple = ()) -> tuple:
+    """(R, X): the parts of g, checked against the dimension n, R first; or of each motion of stacks.
 
     R must be an n x n matrix and X an n-vector, both in the input domain.
     Only shape and domain are checked; a map that needs R in SO(n) checks
     it with ``_checked_rotation`` and then X, as ``_log`` does.
     """
-    return check_finite_matrix(g.R, (n, n), "rotation"), check_finite_vector(g.X, n, "translation")
+    return check_finite_matrix(g.R, (n, n), "rotation", batch), check_finite_vector(g.X, n, "translation", batch)
 
 
 def _same_n(a, b):
@@ -126,8 +126,9 @@ def _same_n(a, b):
 
 
 def se_mul(g1: Motion, g2: Motion) -> Motion:
+    """g1 g2 = (R1 R2, X1 + R1 X2); of each pair of motions if R and X are stacks."""
     _same_n(g1, g2)
-    return Motion(g1.R @ g2.R, g1.X + g1.R @ g2.X)
+    return Motion(g1.R @ g2.R, g1.X + np.matvec(g1.R, g2.X))
 
 
 def se_inv(g: Motion) -> Motion:

@@ -24,9 +24,13 @@ where nothing fixes n), a real numeric dtype (bool, integer or float: a
 complex array is not cast to its real part, nor a string parsed), and every
 entry finite and at most ``_MAX_ABS`` = 1e150 in magnitude. Every real
 scalar they accept (an angle, a fiber coordinate, a grid bound) passes the
-same entry test, ``check_finite_scalar``. The sizes and indices of
-``basis_vector``, ``skew_wedge``, ``Signature``, ``coordinate_plane`` and
-``moebius_grid`` are integers (``_is_int``). Anything else raises
+same tests, ``check_finite_scalar``: a Python or NumPy bool, integer or
+float (a string is not parsed, nor a complex number cast), finite and at
+most ``_MAX_ABS``. The sizes and indices of ``basis_vector``,
+``skew_wedge``, ``Signature``, ``coordinate_plane``, ``identity_motion``,
+the samplers and ``moebius_grid`` are integers (``_is_int``), and each size
+is at most ``_MAX_DIM`` (``_is_dim``), tested before any array is made.
+Anything else raises
 ``DimensionMismatchError`` (code ``dimension_mismatch``), whose context
 carries the largest magnitude; this holds for the predicates ``in_Q`` and
 ``in_Q0`` too. The ceiling keeps every residual norm finite: past about
@@ -53,8 +57,9 @@ a caller that names a ``batch`` (verify's stacked checks) passes a stack, and
 the validators accept exactly that leading shape. Each element of a stack
 comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
 ``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
-calls. An element that fails a check raises the error class of its single
-call, with its ``index`` in the stack in the error's context (``_require``).
+calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
+element that fails a check raises the error class of its single call, with
+its ``index`` in the stack in the error's context (``_require``).
 """
 
 from __future__ import annotations
@@ -160,14 +165,28 @@ def _is_int(k) -> bool:
     """Whether k is an integer: a Python or NumPy integer, not a bool.
 
     The one integer test of sizes, indices, signatures, sample counts and
-    seeds; each caller raises its own error where it fails.
+    seeds; each caller raises its own error where it fails. A dimension is
+    also held to ``_MAX_DIM`` (``_is_dim``).
     """
     return type(k) is int or isinstance(k, np.integer)  # type(True) is bool, not int
 
 
+# The largest dimension n. SE(n) acts through (n + 1) x (n + 1) homogeneous
+# matrices, and NumPy indexes an array by a signed 64-bit byte count, so
+# (n + 1)^2 float64 entries must fit in 2^63 - 1 bytes. Past it, np.eye and
+# np.zeros raise NumPy's raw "Maximum allowed dimension exceeded" ValueError
+# (at 10**400) or try to allocate; the test runs before any array is made.
+_MAX_DIM = math.isqrt((2**63 - 1) // 8) - 1
+
+
+def _is_dim(n) -> bool:
+    """Whether n is a dimension: an integer (``_is_int``) from 1 to ``_MAX_DIM``."""
+    return _is_int(n) and 1 <= n <= _MAX_DIM
+
+
 def basis_vector(i: int, n: int) -> np.ndarray:
     """Standard basis vector e_i of R^n, 1-indexed."""
-    if not (_is_int(i) and _is_int(n) and 1 <= i <= n):
+    if not (_is_int(i) and _is_dim(n) and 1 <= i <= n):
         raise DimensionMismatchError(f"basis index {i!r} must be an integer in [1, {n!r}]")
     e = np.zeros(n)
     e[i - 1] = 1.0
@@ -176,7 +195,7 @@ def basis_vector(i: int, n: int) -> np.ndarray:
 
 def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
     """Wedge generator e_i ^ e_j = e_i e_j^T - e_j e_i^T (1-indexed, i < j)."""
-    if not (_is_int(i) and _is_int(j) and _is_int(n) and 1 <= min(i, j) and max(i, j) <= n):
+    if not (_is_int(i) and _is_int(j) and _is_dim(n) and 1 <= min(i, j) and max(i, j) <= n):
         raise DimensionMismatchError(f"wedge indices ({i!r}, {j!r}) must be integers in [1, {n!r}]")
     if i >= j:
         raise DimensionMismatchError(f"wedge indices ({i}, {j}) must satisfy i < j")
@@ -256,19 +275,26 @@ def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batc
     return _in_domain(x, name, 1)
 
 
-def check_finite_scalar(x: float, name: str) -> float:
-    """x as a float, checked as each entry of an array is: finite and at most ``_MAX_ABS`` in magnitude.
+# The real scalars: those whose NumPy dtype ``_real`` accepts (bool, integer
+# or float), as Python or NumPy numbers. bool is an int.
+_REAL_SCALARS = (float, int, np.floating, np.integer, np.bool_)
 
-    Anything else, or an x that is not a real number, raises
-    ``DimensionMismatchError``, whose context carries |x| as ``max_abs``
-    (inf for an integer past the float range, such as 10**400).
+
+def check_finite_scalar(x: float, name: str) -> float:
+    """x as a float, checked as each entry of an array is: real, finite and at most ``_MAX_ABS`` in magnitude.
+
+    x must be a Python or NumPy bool, integer or float (``_REAL_SCALARS``),
+    as ``_real`` requires of an array's dtype: a string or bytes is not
+    parsed, nor a complex number cast to its real part. Anything else raises
+    ``DimensionMismatchError``; past the ceiling its context carries |x| as
+    ``max_abs`` (inf for an integer past the float range, such as 10**400).
     """
+    if not isinstance(x, _REAL_SCALARS):
+        raise DimensionMismatchError(f"{name} must be a real number, got {type(x).__name__}")
     try:
         x = float(x)
     except OverflowError:  # an integer past the float range
         x = math.inf
-    except (TypeError, ValueError):
-        raise DimensionMismatchError(f"{name} must be a real number") from None
     if not abs(x) <= _MAX_ABS:  # also true for NaN
         raise DimensionMismatchError(f"{name} is not finite or exceeds {_MAX_ABS:g}", max_abs=abs(x))
     return x
@@ -309,20 +335,26 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def check_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
-    """Validate that F has orthonormal columns."""
-    F = check_finite_matrix(F, name="frame")
-    n, p = F.shape
+    """Validate that F has orthonormal columns: |F^T F - I| at most ``tol.orth`` max(1, n)."""
+    return _checked_frame(F, tol)
+
+
+def _checked_frame(F: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
+    """``check_frame`` of F, or of each frame of a stack of the leading shape ``batch``."""
+    F = check_finite_matrix(F, name="frame", batch=batch)
+    n, p = F.shape[-2:]
     if p > n:
         raise DimensionMismatchError(f"frame has {p} columns in dimension {n}")
-    if _norm(F.T @ F - _eye(p)) > tol.orth * max(1, n):
-        raise DegenerateSpanError("frame columns are not orthonormal")
+    orthonormal = _norm(F.mT @ F - _eye(p), 2) <= tol.orth * max(1, n)
+    if orthonormal is not True:  # a stack, or one frame that fails
+        _require(orthonormal, DegenerateSpanError, "frame columns are not orthonormal")
     return F
 
 
 def projector(F: np.ndarray) -> np.ndarray:
-    """Orthogonal projector F F^T onto the column span of a frame."""
+    """Orthogonal projector F F^T onto the column span of a frame, or of each of a stack."""
     F = np.asarray(F, dtype=float)
-    return F @ F.T
+    return F @ F.mT
 
 
 def complete_to_special_orthogonal(

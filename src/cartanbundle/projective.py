@@ -10,7 +10,9 @@ e_1. The rotation is ``dp_exp`` of it, its line ``rho0`` of that, and the
 line-bundle exponential ``dp_exp_full``, each from one SVD of B; the
 Moebius grid is one stacked call of the ``dp_exp_full`` kernel. Every angle
 theta and fiber coordinate lam passes ``matcore.check_finite_scalar``, the
-entry test of the arrays the library accepts."""
+entry test of the arrays the library accepts. ``unit_direction``
+(``_unit_direction``) and ``_line_block`` also take stacks of directions,
+which ``verify``'s line rows pass."""
 
 from __future__ import annotations
 
@@ -23,26 +25,33 @@ from .config import default_tolerances
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, dp_exp, rho0
 from .liegroup import Motion
-from .matcore import _is_int, check_finite_scalar, check_finite_vector
+from .matcore import _is_dim, _norm, _require, check_finite_scalar, check_finite_vector
 
 _UNIT_TOL = 1e-12  # |1 - |U|| of a unit direction, and |U[0]|
 
 
 def unit_direction(U: np.ndarray) -> np.ndarray:
     """Validate a unit vector orthogonal to e_1."""
-    U = check_finite_vector(U, None, "direction")
-    if abs(np.linalg.norm(U) - 1.0) > _UNIT_TOL:
-        raise DimensionMismatchError("direction must be a unit vector")
-    if U.shape[0] < 2:
+    return _unit_direction(U)
+
+
+def _unit_direction(U: np.ndarray, batch: tuple = ()) -> np.ndarray:
+    """The check of ``unit_direction``, for U or each of a stack of the leading shape ``batch``."""
+    U = check_finite_vector(U, None, "direction", batch)
+    _require(abs(_norm(U, 1) - 1.0) <= _UNIT_TOL, DimensionMismatchError, "direction must be a unit vector")
+    if U.shape[-1] < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
-    if abs(U[0]) > _UNIT_TOL:
-        raise DimensionMismatchError("direction must be orthogonal to e_1")
+    _require(abs(U[..., 0]) <= _UNIT_TOL, DimensionMismatchError, "direction must be orthogonal to e_1")
     return U
 
 
 def _line_block(theta, U: np.ndarray) -> np.ndarray:
-    """B = theta U[1:], the q x 1 generator block of exp(-theta e_1 ^ U); for an array theta, one per entry."""
-    return np.multiply.outer(theta, U[1:, None])
+    """B = theta U[1:], the q x 1 generator block of exp(-theta e_1 ^ U).
+
+    For an array theta, one per entry; a stack of directions U goes with a
+    theta of its leading shape.
+    """
+    return np.asarray(theta)[..., None, None] * U[..., 1:, None]
 
 
 def _line_generator(theta: float, U: np.ndarray) -> DpGenerator:
@@ -96,11 +105,12 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     rotation R row-major, the translation X, the carried line angle theta/2,
     and the fiber (X again). Each record is ``line_bundle_exp(theta, e_2,
     lambda)``, bit for bit, from one stacked call of its kernel over the
-    whole grid. The sizes must be integers of at least 1 and lambda_max
-    must be in the input domain, else ``DimensionMismatchError``.
+    whole grid. The sizes must be integers from 1 to ``matcore._MAX_DIM``
+    and lambda_max must be in the input domain, else
+    ``DimensionMismatchError``.
     """
-    if not all(_is_int(k) and k >= 1 for k in (num_theta, num_lambda)):
-        raise DimensionMismatchError("grid sizes must be integers >= 1")
+    if not all(_is_dim(k) for k in (num_theta, num_lambda)):
+        raise DimensionMismatchError("grid sizes must be integers from 1 to matcore._MAX_DIM")
     lambda_max = check_finite_scalar(lambda_max, "lambda_max")
     grid = (num_theta, num_lambda)
     theta = np.broadcast_to((2.0 * math.pi * np.arange(num_theta) / num_theta)[:, None], grid)

@@ -33,7 +33,7 @@ from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import _is_int, _norm, _sign_fixed_qr
+from .matcore import _is_dim, _is_int, _norm, _sign_fixed_qr
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -56,9 +56,9 @@ def _shape(count) -> tuple:
 
 
 def _require(n: int, least: int, kind: str) -> None:
-    """n must be an integer (``matcore._is_int``) of at least ``least``."""
-    if not _is_int(n) or n < least:
-        raise DimensionMismatchError(f"{kind} sampling requires an integer n >= {least}", n=n)
+    """n must be a dimension (``matcore._is_dim``) of at least ``least``."""
+    if not _is_dim(n) or n < least:
+        raise DimensionMismatchError(f"{kind} sampling requires an integer n from {least} to matcore._MAX_DIM", n=n)
 
 
 def _factors(top: np.ndarray, bound: float, rng) -> np.ndarray:

@@ -28,17 +28,28 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound. Errors are
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
-Six rows check whole stacks, ``check(cfg, *stacks)``, through the library's
-stacked kernels, the ones its public maps call with 2-D operands:
+Fifteen rows check whole stacks, ``check(cfg, *stacks)``, through the
+library's stacked kernels, the ones its public maps call with 2-D operands:
 ``liegroup.y_omega_identity``, ``liegroup.y_omega_roundtrip``,
-``liegroup.log_exp_roundtrip``, ``grassmann.dp_log0_roundtrip``,
-``bundle.tau_properties`` and ``bundle.dp_full_routes``. Each element of a
-stack comes out bit for bit as its single call, with every check of that
-call (domain, skew, SO(n), branch, singular factor, ``_sure``, S_p and cut
-locus); an element that fails raises the single call's error class with its
-``index`` in the context, and fails its row. The other rows (``each``) check
-one sample at a time, ``check(cfg, *sample)`` on index i of each stack, and
-an error raised there gets the sample's ``index`` in its context too.
+``liegroup.log_exp_roundtrip``, ``grassmann.cartan_roundtrips``,
+``grassmann.rho0_equivariance``, ``grassmann.dp_log0_roundtrip``,
+``bundle.q_invariance``, ``bundle.tau_properties``,
+``bundle.rho_equivariance``, ``bundle.rho_bijectivity``,
+``bundle.action_law``, ``bundle.dp_full_routes``, ``bundle.transporter``,
+``projective.line_bundle_exp`` and ``projective.half_angle_line``. Each
+element of a stack comes out bit for bit as its single call, with every
+check of that call (domain, skew, SO(n), frame, fiber, unit direction,
+branch, singular factor, ``_sure`` and its one fallback, S_p and cut locus);
+an element that fails raises the single call's error class with its
+``index`` in the context, and fails its row. The two line rows draw
+directions of several dimensions and run one kernel call per dimension
+(``_by_dimension``), under the default tolerances, which the public line
+maps read. ``tests/test_verify.py`` keeps the checks of the nine rows that
+run the Cartan maps, the actions and the line maps one sample at a time, on
+the public maps, and requires the same errors bit for bit. The other rows
+(``each``) check one sample at a time, ``check(cfg, *sample)`` on index i of
+each stack, and an error raised there gets the sample's ``index`` in its
+context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -227,8 +238,21 @@ def _motion_pairs(cfg, rng, count):
     return sp.sample_motions(rng, cfg.n, (count, 2))
 
 
-def _point(cfg, F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
-    return bn.bundle_point(gr.plane_from_frame(F, cfg.tol), Y)
+def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
+    """(F, P, Y): the frame, projector and fiber of each bundle point (plane_from_frame(F), Y), under cfg.tol.
+
+    The frames have the (n, p) of cfg.sig, so only their frame check runs.
+    """
+    batch = F.shape[:1]
+    F = mc._checked_frame(F, cfg.tol, batch)
+    P = mc.projector(F)
+    return F, P, bn._fiber(P, Y, cfg.tol, batch)
+
+
+def _sigma(g: Motion, sig: gr.Signature) -> Motion:
+    """sigma(g) = (J R J, J X), as ``bn.sigma`` builds it, for each motion of a stack."""
+    j = sig._signs
+    return Motion(j[:, None] * g.R * j, j * g.X)
 
 
 def _wedge_triples(cfg, rng, count):
@@ -334,25 +358,28 @@ def _frames_and_rotations(cfg, rng, count):
 def _grassmann_roundtrips(cfg, F, A):
     """(plane -> S_p0 -> plane, rotation -> plane -> S_p0).
 
-    Each output of ``cartan_embed0`` is read back through the public check.
+    Each output of ``cartan_embed0`` is read back through the public check
+    (``_cartan_rotation``).
     """
-    sig = cfg.sig
-    plane = gr.plane_from_frame(F, cfg.tol)
-    embedded = gr.CartanRotation(gr.cartan_embed0(plane).mat, sig, cfg.tol)
-    err_plane = float(np.linalg.norm(gr.rho0(embedded).projector - plane.projector))
-    R = gr.twisted_act0(A, np.eye(cfg.n), sig, cfg.tol)
-    cr = gr.CartanRotation.certify(R, sig, cfg.tol)
-    R2 = gr.cartan_embed0(gr.rho0(cr)).mat
-    return err_plane, float(np.linalg.norm(R2 - R))
+    sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
+    F = mc._checked_frame(F, tol, batch)  # the frame check of plane_from_frame; F has the (n, p) of sig
+    P = mc.projector(F)
+    embedded = gr._cartan_rotation(gr._cartan_embed0(F, P, tol)[0], sig, tol, batch)[1]
+    err_plane = mc._norm(mc.projector(embedded) - P, 2)
+    R = gr._twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol, batch)
+    Fc = gr._cartan_rotation(R, sig, tol, batch)[1]
+    R2 = gr._cartan_embed0(Fc, mc.projector(Fc), tol)[0]
+    return err_plane, mc._norm(R2 - R, 2)
 
 
 def _rho0_equivariance(cfg, F, A):
-    sig = cfg.sig
-    cr = gr.cartan_embed0(gr.plane_from_frame(F, cfg.tol))
-    acted = gr.CartanRotation.certify(gr.twisted_act0(A, cr.mat, sig, cfg.tol), sig, cfg.tol)
-    lhs = gr.rho0(acted)
-    rhs = gr.rotate_plane(A, gr.rho0(cr))
-    return float(np.linalg.norm(lhs.projector - rhs.projector))
+    """|rho0(A . R) - A rho0(R)| for R = cartan_embed0(F) and the twisted action, A . R checked."""
+    sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
+    F = mc._checked_frame(F, tol, batch)
+    R, _, Fr = gr._cartan_embed0(F, mc.projector(F), tol)
+    lhs = gr._cartan_rotation(gr._twisted_act0(A, R, sig, tol, batch), sig, tol, batch)[1]
+    rhs = gr._rotated_frame(A, Fr, tol, batch)
+    return mc._norm(mc.projector(lhs) - mc.projector(rhs), 2)
 
 
 def _dp_log0_roundtrip(cfg, B):
@@ -395,18 +422,19 @@ def _q_invariance(cfg, R, X):
     """(sigma residual of g' per 1 + |X'|, 1 if not ``in_Q``, routes to g' per 1 + |X| + |Y|).
 
     g' = (R', X') is the twisted action of a = (A, X) on s = tau(...) = (S, Y),
-    in closed form and by plain group arithmetic.
+    in closed form and by plain group arithmetic. R and X hold the pairs.
     """
-    sig = cfg.sig
-    s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
-    a = Motion(R[1], X[1])
-    acted = bn.twisted_act(a, s.motion, sig, cfg.tol)
-    diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
-    err = float(np.linalg.norm(diff)) / (1.0 + np.linalg.norm(acted.X))
+    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
+    s = Motion(*bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)[:2])
+    a = Motion(R[:, 1], X[:, 1])
+    acted = Motion(*bn._twisted_act(a, s, sig, tol, batch))
+    diff = lg.se_mul(_sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
+    err = mc._norm(diff, 2) / (1.0 + mc._norm(acted.X, 1))
     # the closed form against plain group arithmetic
-    generic = lg.se_mul(lg.se_mul(a, s.motion), bn.sigma(lg.se_inv(a), sig))
-    scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
-    return err, float(not bn.in_Q(acted, sig, cfg.tol)), _motion_dist(acted, generic) / scale
+    generic = lg.se_mul(lg.se_mul(a, s), _sigma(lg.se_inv(a), sig))
+    scale = 1.0 + mc._norm(a.X, 1) + mc._norm(s.X, 1)
+    outside = np.where(bn._in_Q(acted, sig, tol, batch), 0.0, 1.0)
+    return err, outside, _motion_dist(acted, generic) / scale
 
 
 def _frame_drift(g: Motion, F: np.ndarray, sig: gr.Signature, tol: Tolerances, batch: tuple = ()):
@@ -422,11 +450,10 @@ def _frame_drift(g: Motion, F: np.ndarray, sig: gr.Signature, tol: Tolerances, b
 
 def _tau_properties(cfg, R, X):
     """The worse of |sigma(t) - t^{-1}| and the carried frame drift, for t = tau(R, X)."""
-    sig, batch, j = cfg.sig, R.shape[:1], cfg.sig._signs
+    sig, batch = cfg.sig, R.shape[:1]
     Rt, Xt, F = bn._tau(Motion(R, X), sig, cfg.tol, batch)
     t = Motion(Rt, Xt)
-    sigma = Motion(j[:, None] * Rt * j, j * Xt)  # (J R J, J X), as bn.sigma builds it
-    return np.maximum(_motion_dist(sigma, lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
+    return np.maximum(_motion_dist(_sigma(t, sig), lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
 
 
 def _projection_identity(cfg, A, X):
@@ -436,41 +463,49 @@ def _projection_identity(cfg, A, X):
     return float(np.linalg.norm(D - 2.0 * P @ X))
 
 
-def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint) -> float:
-    """The worse of the plane and the fiber distance between two bundle points."""
-    return np.maximum(
-        float(np.linalg.norm(a.plane.projector - b.plane.projector)),
-        float(np.linalg.norm(a.fiber - b.fiber)),
-    )
+def _point_dist(Pa: np.ndarray, Ya: np.ndarray, Pb: np.ndarray, Yb: np.ndarray):
+    """The worse of the plane and the fiber distance between bundle points (P, Y), for each of stacks."""
+    return np.maximum(mc._norm(Pa - Pb, 2), mc._norm(Ya - Yb, 1))
+
+
+def _act(cfg, a: Motion, F: np.ndarray, Y: np.ndarray) -> tuple:
+    """(F', P', Y'): ``bundle_act`` of each motion of a on each point (F, Y), the motion checked first."""
+    batch = F.shape[:1]
+    return bn._bundle_act(*lg._checked_motion(a, cfg.n, batch), F, Y, cfg.tol, batch)
 
 
 def _rho_equivariance(cfg, R, X):
-    sig = cfg.sig
-    s = bn.tau(Motion(R[0], X[0]), sig, cfg.tol)
-    a = Motion(R[1], X[1])
-    acted = bn.CartanMotion.certify(bn.twisted_act(a, s.motion, sig, cfg.tol), sig, cfg.tol)
-    return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig))
+    """|rho(a . s) - a * rho(s)| for s = tau(...), the twisted action a . s, checked, and the bundle action *."""
+    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
+    Rs, Xs, Fs = bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)
+    a = Motion(R[:, 1], X[:, 1])
+    acted, F = bn._cartan_motion(Motion(*bn._twisted_act(a, Motion(Rs, Xs), sig, tol, batch)), sig, tol, batch)
+    _, P, Y = _act(cfg, a, Fs, Xs)
+    return _point_dist(mc.projector(F), acted.X, P, Y)
 
 
 def _rho_bijectivity(cfg, R, X, F, Y):
     """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
-    s = bn.tau(Motion(R, X), cfg.sig, cfg.tol)
-    s2 = bn.rho_inv(bn.rho(s))
-    b = _point(cfg, F, Y)
-    s3 = bn.rho_inv(b)
+    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
+    Rs, Xs, Fs = bn._tau(Motion(R, X), sig, tol, batch)
+    R2, _, F2 = bn._rho_inv(Fs, mc.projector(Fs), Xs, tol)  # rho_inv(rho(s))
+    Fb, Pb, Yb = _points(cfg, F, Y)
+    R3, _, F3 = bn._rho_inv(Fb, Pb, Yb, tol)
+    s2, s3 = Motion(R2, Xs), Motion(R3, Yb)
     return (
-        np.maximum(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
-        np.maximum(*(_frame_drift(t.motion, t._frame, t.sig, t._tol) for t in (s2, s3))),
+        np.maximum(_motion_dist(s2, Motion(Rs, Xs)), _point_dist(mc.projector(F3), Yb, Pb, Yb)),
+        np.maximum(_frame_drift(s2, F2, sig, tol, batch), _frame_drift(s3, F3, sig, tol, batch)),
     )
 
 
 def _action_law(cfg, R, X, F, Y):
-    sig = cfg.sig
-    a1, a2 = map(Motion, R, X)
-    b = _point(cfg, F, Y)
-    lhs = bn.bundle_act(lg.se_mul(a1, a2), b, sig)
-    rhs = bn.bundle_act(a1, bn.bundle_act(a2, b, sig), sig)
-    return _point_dist(lhs, rhs)
+    """|(a1 a2) * b - a1 * (a2 * b)| for the bundle action *; R and X hold the pairs (a1, a2)."""
+    a1, a2 = Motion(R[:, 0], X[:, 0]), Motion(R[:, 1], X[:, 1])
+    Fb, _, Yb = _points(cfg, F, Y)
+    lhs = _act(cfg, lg.se_mul(a1, a2), Fb, Yb)
+    F2, _, Y2 = _act(cfg, a2, Fb, Yb)
+    rhs = _act(cfg, a1, F2, Y2)
+    return _point_dist(lhs[1], lhs[2], rhs[1], rhs[2])
 
 
 def _dp_full_routes(cfg, B, v):
@@ -493,9 +528,10 @@ def _dp_full_routes(cfg, B, v):
 
 
 def _transporter(cfg, F, Y):
-    src, dst = (_point(cfg, *sample) for sample in zip(F, Y))
-    a = bn.find_transporter(src, dst)
-    return _point_dist(bn.bundle_act(a, src, cfg.sig), dst)
+    """|a * src - dst| for a = find_transporter(src, dst); F and Y hold the pairs (src, dst)."""
+    (Fs, _, Ys), (Fd, Pd, Yd) = _points(cfg, F[:, 0], Y[:, 0]), _points(cfg, F[:, 1], Y[:, 1])
+    _, P, Y = _act(cfg, Motion(*bn._transporter(Fs, Ys, Fd, Yd)), Fs, Ys)
+    return _point_dist(P, Y, Pd, Yd)
 
 
 def _directions(cfg, rng, count):
@@ -507,26 +543,77 @@ def _directions(cfg, rng, count):
     return U, rng.uniform(0.0, 2.0 * math.pi, count)
 
 
-def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
-    """The paper's half-angle vector cos(theta/2) e_1 + sin(theta/2) U: the oracle of the line rows."""
-    return math.cos(0.5 * theta) * mc.basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+_cos, _sin = mc._scalar_formula(math.cos), mc._scalar_formula(math.sin)
+
+
+def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The paper's half-angle vectors cos(theta/2) e_1 + sin(theta/2) U: the oracle of the line rows.
+
+    One per entry of theta and row of U, with ``math.cos`` and ``math.sin``.
+    """
+    half = 0.5 * theta
+    return _cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + _sin(half)[:, None] * U
+
+
+def _by_dimension(check, U, *stacks) -> tuple:
+    """The error columns of ``check(U, *stacks)``, run once per dimension of the directions U.
+
+    U holds one direction per sample, of lengths that vary; the samples of
+    each length go to one call as stacks, and their errors to their places.
+    A raise gets the sample's ``index``.
+    """
+    dims, columns = np.array([len(u) for u in U]), None
+    for nn in np.unique(dims):
+        at = np.flatnonzero(dims == nn)
+        try:
+            errors = _errors(check(np.stack([U[i] for i in at]), *(s[at] for s in stacks)))
+        except GeometryError as e:
+            if "index" in e.context:
+                e.context["index"] = int(at[e.context["index"]])
+            raise
+        columns = columns or tuple(np.empty(len(U)) for _ in errors)
+        for column, error in zip(columns, errors):
+            column[at] = error
+    return columns
+
+
+def _line_inputs(U: np.ndarray, theta: np.ndarray) -> tuple:
+    """(U, theta, sig): U and theta checked per element as the line maps check them, and sig = (1, n - 1)."""
+    batch = theta.shape
+    U = pj._unit_direction(U, batch)
+    theta = mc.check_finite_vector(theta[:, None], 1, "rotation angle", batch)[:, 0]
+    return U, theta, gr.Signature(1, U.shape[-1] - 1)
 
 
 def _line_bundle_exp(cfg, U, theta, lam):
-    nn, theta, lam = len(U), float(theta), float(lam)
-    m = pj.line_bundle_exp(theta, U, lam)
-    E1 = mc.basis_vector(1, nn)
-    xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
-    # fiber sits on the half-angle line
-    V = _paper_line(theta, U)
-    return np.maximum(_motion_dist(m, lg.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X))))
+    """|line_bundle_exp - se_exp|, and the fiber off the paper's half-angle line; the maps read the defaults."""
+
+    def check(U, theta, lam):
+        U, theta, sig = _line_inputs(U, theta)
+        lam = mc.check_finite_vector(lam[:, None], 1, "fiber coordinate lam", theta.shape)
+        m = Motion(*bn._dp_exp_full(pj._line_block(theta, U), lam, sig, default_tolerances(), theta.shape)[:2])
+        E1 = mc.basis_vector(1, sig.n)
+        omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
+        g = Motion(*lg._exp(omega, lam * E1, theta.shape))
+        # fiber sits on the half-angle line
+        V = _paper_lines(theta, U)
+        return np.maximum(_motion_dist(m, g), mc._norm(m.X - V * np.vecdot(V, m.X)[:, None], 1))
+
+    return _by_dimension(check, U, theta, lam)
 
 
 def _half_angle_line(cfg, U, theta):
     """The line of rotation_in_plane (certified under cfg.tol) and half_angle_line, each against the paper's."""
-    theta, sig = float(theta), gr.Signature(1, len(U) - 1)
-    V, cr = _paper_line(theta, U), gr.CartanRotation.certify(pj.rotation_in_plane(theta, U), sig, cfg.tol)
-    return max(mc._norm(plane.projector - np.outer(V, V)) for plane in (gr.rho0(cr), pj.half_angle_line(theta, U)))
+
+    def check(U, theta):
+        U, theta, sig = _line_inputs(U, theta)
+        R, F = gr._dp_exp(pj._line_block(theta, U), sig, default_tolerances(), theta.shape)
+        certified = gr._cartan_rotation(R, sig, cfg.tol, theta.shape)[1]
+        V = _paper_lines(theta, U)
+        VV = V[:, :, None] * V[:, None, :]
+        return np.maximum(mc._norm(mc.projector(certified) - VV, 2), mc._norm(mc.projector(F) - VV, 2))
+
+    return _by_dimension(check, U, theta)
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
@@ -604,10 +691,9 @@ PROPERTIES = (
         draw=lambda cfg, rng, count: (
             sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count), sp.sample_rotations(rng, cfg.n, count),
         ))),
-    ("grassmann.cartan_roundtrips", Row(_grassmann_roundtrips, lambda cfg: (cfg.tol.plane, 1e-9), each=True,
-        draw=_frames_and_rotations)),
-    ("grassmann.rho0_equivariance", Row(_rho0_equivariance, lambda cfg: cfg.tol.plane, each=True,
-        draw=_frames_and_rotations)),
+    ("grassmann.cartan_roundtrips", Row(_grassmann_roundtrips, lambda cfg: (cfg.tol.plane, 1e-9),
+        _frames_and_rotations)),
+    ("grassmann.rho0_equivariance", Row(_rho0_equivariance, lambda cfg: cfg.tol.plane, _frames_and_rotations)),
     ("grassmann.dp_log0_roundtrip", Row(_dp_log0_roundtrip, lambda cfg: 1e-8,
         draw=lambda cfg, rng, count: (
             sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
@@ -616,18 +702,17 @@ PROPERTIES = (
         each=True, draw=lambda cfg, rng, count: (
             *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
         ))),
-    ("bundle.q_invariance", Row(_q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n), each=True,
-        draw=_motion_pairs)),
+    ("bundle.q_invariance", Row(_q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n), _motion_pairs)),
     ("bundle.tau_properties", Row(_tau_properties, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))),
     ("bundle.projection_identity", Row(
         _projection_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_rotations), each=True)),
-    ("bundle.rho_equivariance", Row(_rho_equivariance, lambda cfg: 1e-9, _motion_pairs, each=True)),
-    ("bundle.rho_bijectivity", Row(_rho_bijectivity, lambda cfg: (1e-9, 1e-10), each=True,
+    ("bundle.rho_equivariance", Row(_rho_equivariance, lambda cfg: 1e-9, _motion_pairs)),
+    ("bundle.rho_bijectivity", Row(_rho_bijectivity, lambda cfg: (1e-9, 1e-10),
         draw=lambda cfg, rng, count: (
             *sp.sample_motions(rng, cfg.n, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
         ))),
-    ("bundle.action_law", Row(_action_law, lambda cfg: 1e-10, each=True,
+    ("bundle.action_law", Row(_action_law, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: (
             *_motion_pairs(cfg, rng, count), *sp.sample_bundle_points(rng, cfg.n, cfg.p, count)
         ))),
@@ -635,11 +720,11 @@ PROPERTIES = (
         draw=lambda cfg, rng, count: sp.sample_dp_elements(
             rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1
         ))),
-    ("bundle.transporter", Row(_transporter, lambda cfg: 1e-9, each=True,
+    ("bundle.transporter", Row(_transporter, lambda cfg: 1e-9,
         draw=lambda cfg, rng, count: sp.sample_bundle_points(rng, cfg.n, cfg.p, (count, 2)))),
-    ("projective.line_bundle_exp", Row(_line_bundle_exp, lambda cfg: 1e-10, each=True,
+    ("projective.line_bundle_exp", Row(_line_bundle_exp, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))),
-    ("projective.half_angle_line", Row(_half_angle_line, lambda cfg: cfg.tol.plane, _directions, each=True)),
+    ("projective.half_angle_line", Row(_half_angle_line, lambda cfg: cfg.tol.plane, _directions)),
     ("projective.moebius_seam", _SEAM),
 )
 

@@ -806,11 +806,11 @@ def test_clones_of_unchecked_outputs_run_the_public_check(rng, monkeypatch, clon
 
     for module in (grassmann_module, bundle_module):
         counting(module, "_cartan_frame")
-    counting(grassmann_module, "check_frame")
+    counting(grassmann_module, "_checked_frame")
     counting(bundle_module, "_fiber_holds")
     checks = {
         CartanMotion: "_cartan_frame", CartanRotation: "_cartan_frame",
-        Plane: "check_frame", BundlePoint: "_fiber_holds",
+        Plane: "_checked_frame", BundlePoint: "_fiber_holds",
     }
     for name, out in _by_construction(rng, tol):
         calls.clear()
@@ -1088,9 +1088,9 @@ def test_transporter_completes_each_frame_as_alone(rng):
 LINALG_CALLS = [
     pytest.param(lambda s, b, b2: CartanMotion(s.motion, s.sig), {"eigh": 1, "det": 1},
                  id="CartanMotion"),
-    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1, "check_frame": 0},
+    pytest.param(lambda s, b, b2: find_transporter(b, b2), {"qr": 1, "det": 1, "_checked_frame": 0},
                  id="find_transporter"),
-    pytest.param(lambda s, b, b2: rho(s), {"eigh": 0, "check_frame": 0}, id="rho"),
+    pytest.param(lambda s, b, b2: rho(s), {"eigh": 0, "_checked_frame": 0}, id="rho"),
 ]
 
 
@@ -1107,8 +1107,8 @@ def test_linalg_calls_per_call(rng, monkeypatch, op, expected):
     for name in ("eigh", "eigvalsh", "det", "qr"):
         counting(np.linalg, name)
     for module in (matcore_module, grassmann_module, bundle_module):
-        if hasattr(module, "check_frame"):
-            counting(module, "check_frame")
+        if hasattr(module, "_checked_frame"):
+            counting(module, "_checked_frame")
     s = sample_cartan_motion(rng, 4, 2)
     b, b2 = sample_bundle_point(rng, 4, 2), sample_bundle_point(rng, 4, 2)
     calls.clear()

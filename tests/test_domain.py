@@ -12,6 +12,7 @@ were accepted that way.
 
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -60,6 +61,8 @@ from cartanbundle import (
 from cartanbundle.cli import main
 from cartanbundle.matcore import (
     _MAX_ABS,
+    _MAX_DIM,
+    _is_dim,
     check_finite_matrix,
     check_finite_vector,
     check_skew,
@@ -147,6 +150,67 @@ def test_a_scalar_past_the_float_range_is_outside_the_domain(site, bad):
     with pytest.raises(DimensionMismatchError) as info:
         SCALAR_SITES[site](bad)
     assert info.value.context["max_abs"] == math.inf
+
+
+@pytest.mark.parametrize("bad", ["0.3", b"0.3", np.str_("0.3"), 0.3 + 0j, np.complex128(0.3), np.complex64(0.3)],
+                         ids=["str", "bytes", "numpy-str", "complex", "complex128", "complex64"])
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_a_scalar_that_is_not_a_real_number_is_a_dimension_mismatch(site, bad):
+    # rotation_in_plane("0.3", e_2) parsed the string and returned a rotation,
+    # and a NumPy complex lam ran with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="real number"):
+            SCALAR_SITES[site](bad)
+
+
+@pytest.mark.parametrize("good", [0.3, 1, True, np.float32(0.3), np.float64(0.3), np.int64(1), np.bool_(True)],
+                         ids=["float", "int", "bool", "float32", "float64", "int64", "numpy-bool"])
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_a_real_scalar_of_any_numeric_type_is_accepted(site, good):
+    SCALAR_SITES[site](good)
+
+
+# name -> call(n) with one dimension set to n.
+DIMENSION_SITES = {
+    "coordinate_plane": lambda n: coordinate_plane(n, 2),
+    "identity_motion": identity_motion,
+    "skew_wedge": lambda n: skew_wedge(1, 2, n),
+    "basis_vector": lambda n: basis_vector(1, n),
+    "Signature": lambda n: Signature(1, n),
+    "sample_rotation": lambda n, rng=make_rng(0): sample_rotation(rng, n),
+    "moebius_grid": lambda n: moebius_grid(n, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [10**400, 2**40], ids=["10**400", "2**40"])
+@pytest.mark.parametrize("site", sorted(DIMENSION_SITES))
+def test_a_dimension_past_the_largest_is_rejected_before_any_array_is_made(monkeypatch, site, n):
+    # coordinate_plane(10**400, 2) raised NumPy's raw "Maximum allowed
+    # dimension exceeded" ValueError out of np.eye, and 2**40 would ask for
+    # a 2**40 x 2**40 array
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was made")
+
+    for name in ("zeros", "eye", "empty", "ones", "arange", "concatenate"):
+        monkeypatch.setattr(np, name, no_array)
+    with pytest.raises(DimensionMismatchError):
+        DIMENSION_SITES[site](n)
+
+
+def test_a_signature_whose_numpy_sum_would_wrap_is_rejected():
+    # 2**62 + 2**62 wraps to a negative int64, which is below any upper limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError):
+            Signature(np.int64(2**62), np.int64(2**62))
+
+
+def test_the_largest_dimension_is_the_largest_numpy_can_index():
+    # an (n + 1) x (n + 1) float64 array needs 8 (n + 1)^2 bytes, at most 2^63 - 1
+    assert 8 * (_MAX_DIM + 1) ** 2 <= 2**63 - 1 < 8 * (_MAX_DIM + 2) ** 2
+    assert _is_dim(_MAX_DIM) and _is_dim(np.int64(_MAX_DIM)) and _is_dim(1)
+    assert not any(_is_dim(k) for k in (_MAX_DIM + 1, 0, True, 2.0))
 
 
 # name -> call(bad) with one array operand replaced by bad, an array whose

@@ -18,8 +18,10 @@ from cartanbundle import bundle as bn
 from cartanbundle import grassmann as gr
 from cartanbundle import liegroup as lg
 from cartanbundle import matcore as mc
+from cartanbundle import projective as pj
 from cartanbundle import (
     CutLocusError,
+    DegenerateSpanError,
     DimensionMismatchError,
     IllConditionedSpectrumError,
     Motion,
@@ -27,7 +29,14 @@ from cartanbundle import (
     Signature,
     Tolerances,
 )
-from cartanbundle.sampling import make_rng, sample_dp_generators, sample_motions, sample_rotations
+from cartanbundle.sampling import (
+    make_rng,
+    sample_bundle_points,
+    sample_dp_generators,
+    sample_motions,
+    sample_rotations,
+    sample_unit_directions,
+)
 
 SHAPES = [(4, 2), (8, 3), (5, 2), (2, 1), (6, 5), (32, 5)]
 TOL = Tolerances()
@@ -156,6 +165,35 @@ class TestGrassmann:
         assert (gr._angle_pairs(top, bottom)[1] < 1e-2).any()
         _same(gr._angle_pairs(top, bottom), lambda i: gr._angle_pairs(top[i], bottom[i]), K)
 
+    def test_planes_embed_and_twisted_act0(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        rng = make_rng(17, n)
+        F, _ = sample_bundle_points(rng, n, p, K)
+        A = sample_rotations(rng, n, K)
+        F = mc._checked_frame(F, TOL, (K,))
+        _same((F,), lambda i: (mc.check_frame(F[i], TOL),), K)
+        P = mc.projector(F)
+        planes = [gr.plane_from_frame(F[i], TOL) for i in range(K)]
+        _same((F, P), lambda i: (planes[i].frame, planes[i].projector), K)
+        R, _, Fe = gr._cartan_embed0(F, P, TOL)
+        _same((R, Fe), lambda i: (gr.cartan_embed0(planes[i]).mat, gr.cartan_embed0(planes[i])._frame), K)
+        acted = gr._twisted_act0(A, R, sig, TOL, (K,))
+        _same((acted,), lambda i: (gr.twisted_act0(A[i], R[i], sig, TOL),), K)
+        _same((gr._rotated_frame(A, F, TOL, (K,)),), lambda i: (gr.rotate_plane(A[i], planes[i]).frame,), K)
+
+    def test_embed_where_some_elements_are_not_sure(self):
+        # under orth 1e-12, the bound of a frame off by 1e-13 is not sure of its check
+        n, p = 4, 2
+        F, _ = sample_bundle_points(make_rng(18, 0), n, p, K)
+        F[1::2] *= 1 + 1e-13
+        F.flags.writeable = False
+        tol = Tolerances(orth=1e-12)
+        R, _, Fe = gr._cartan_embed0(F, mc.projector(F), tol)
+        _same((R, Fe), lambda i: gr._cartan_embed0(F[i], mc.projector(F[i]), tol)[::2], K)
+        # the plane's frame where sure, the checked frame elsewhere
+        assert [np.array_equal(Fe[i], F[i]) for i in range(K)] == [i % 2 == 0 for i in range(K)]
+
 
 def _parts(s) -> tuple:
     """(R, X, frame) of a ``CartanMotion``."""
@@ -203,6 +241,43 @@ class TestBundle:
         _same(bn._dp_log_full(F, X, sig, TOL), lambda i: bn._dp_log_full(F[i], X[i], sig, TOL), K)
         public = [bn.dp_log_full(bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[i]), v[i]))) for i in range(K)]
         _same(bn._dp_log_full(F, X, sig, TOL), lambda i: (public[i].gen.B, public[i].v), K)
+
+    def test_points_rho_inv_and_actions(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        rng = make_rng(19, n)
+        F, Y = sample_bundle_points(rng, n, p, (K, 2))
+        R, X = sample_motions(rng, n, K)
+        F, Y = mc._checked_frame(F, TOL, (K, 2)), 10.0 * Y
+        P = mc.projector(F)
+        Y = bn._fiber(P, Y, TOL, (K, 2))
+        points = [[bn.bundle_point(gr.plane_from_frame(F[i, k], TOL), Y[i, k]) for k in (0, 1)] for i in range(K)]
+        _same((Y,), lambda i: (np.stack([b.fiber for b in points[i]]),), K)
+        src, dst = (F[:, 0], P[:, 0], Y[:, 0]), (F[:, 1], P[:, 1], Y[:, 1])
+        Rs, _, Fs = bn._rho_inv(*src, TOL)
+        _same((Rs, Fs), lambda i: (bn.rho_inv(points[i][0]).motion.R, bn.rho_inv(points[i][0])._frame), K)
+        moved = bn._bundle_act(R, X, src[0], src[2], TOL, (K,))
+        _same(moved, lambda i: (lambda b: (b.plane.frame, b.plane.projector, b.fiber))(
+            bn.bundle_act(Motion(R[i], X[i]), points[i][0], sig)), K)
+        A, T = bn._transporter(src[0], src[2], dst[0], dst[2])
+        _same((A, T), lambda i: (lambda a: (a.R, a.X))(bn.find_transporter(*points[i])), K)
+        s = Motion(*bn._tau(Motion(R, X), sig, TOL, (K,))[:2])
+        a = Motion(A, T)
+        acted = bn._twisted_act(a, s, sig, TOL, (K,))
+        _same(acted, lambda i: (lambda g: (g.R, g.X))(
+            bn.twisted_act(Motion(A[i], T[i]), Motion(s.R[i], s.X[i]), sig)), K)
+        inside = bn._in_Q(Motion(*acted), sig, TOL, (K,))
+        assert list(inside) == [bn.in_Q(Motion(acted[0][i], acted[1][i]), sig) for i in range(K)]
+        assert inside.all() and not bn._in_Q(Motion(R, X), sig, TOL, (K,)).any()
+
+
+class TestProjective:
+    def test_unit_directions_and_line_blocks(self, shape):
+        n, _ = shape
+        rng = make_rng(20, n)
+        U, theta = sample_unit_directions(rng, n, K), rng.uniform(-7.0, 7.0, K)
+        _same((pj._unit_direction(U, (K,)),), lambda i: (pj.unit_direction(U[i]),), K)
+        _same((pj._line_block(theta, U),), lambda i: (pj._line_block(float(theta[i]), U[i]),), K)
 
 
 # One bad element in a stack raises what its single call raises, with its index.
@@ -261,6 +336,54 @@ def test_an_element_off_the_model_raises_at_its_index():
     X[2] += 1e-3 * np.linalg.norm(X[2])
     _raises_at(lambda: bn._cartan_motion(Motion(R, X), sig, TOL, (K,)),
                lambda: bn.CartanMotion(Motion(R[2], X[2]), sig), NotInCartanModelError, 2)
+
+
+def _with(stack, i, bad):
+    """A copy of ``stack`` with element i set to ``bad``."""
+    stack = stack.copy()
+    stack[i] = bad
+    return stack
+
+
+def test_a_nan_fiber_raises_at_its_index():
+    n, p = 4, 2
+    F, Y = sample_bundle_points(make_rng(21, 0), n, p, K)
+    P = mc.projector(F)
+    Y = _with(Y, 5, math.nan)
+    _raises_at(lambda: bn._fiber(P, Y, TOL, (K,)), lambda: bn.bundle_point(gr.plane_from_frame(F[5]), Y[5]),
+               DimensionMismatchError, 5)
+
+
+def test_a_non_orthonormal_frame_raises_at_its_index():
+    n, p = 5, 2
+    F, _ = sample_bundle_points(make_rng(22, 0), n, p, K)
+    F = _with(F, 3, 1.01 * F[3])
+    _raises_at(lambda: mc._checked_frame(F, TOL, (K,)), lambda: gr.plane_from_frame(F[3]), DegenerateSpanError, 3)
+    # a rotation moves it to a frame that is not orthonormal either
+    A = sample_rotations(make_rng(23, 0), n, K)
+    _raises_at(lambda: bn._bundle_act(A, np.zeros((K, n)), F, np.zeros((K, n)), TOL, (K,)),
+               lambda: gr.rotate_plane(A[3], gr._plane(F[3], TOL)), DegenerateSpanError, 3)
+
+
+def test_a_fiber_off_its_plane_raises_at_its_index():
+    n, p = 4, 2
+    F, Y = sample_bundle_points(make_rng(24, 0), n, p, K)
+    P = mc.projector(F)
+    off = (np.eye(n) - P[7]) @ make_rng(25, 0).standard_normal(n)
+    Y = _with(Y, 7, Y[7] + 1e-3 * off)
+    _raises_at(lambda: bn._fiber(P, Y, TOL, (K,)), lambda: bn.bundle_point(gr.plane_from_frame(F[7]), Y[7]),
+               NotInCartanModelError, 7)
+
+
+def test_a_twisted_action_by_twice_the_identity_raises_at_its_index():
+    n, p = 4, 2
+    sig = Signature(p, n - p)
+    R, X = sample_motions(make_rng(26, 0), n, K)
+    A = _with(R, 4, 2.0 * np.eye(n))
+    _raises_at(lambda: gr._twisted_act0(A, R, sig, TOL, (K,)), lambda: gr.twisted_act0(A[4], R[4], sig),
+               IllConditionedSpectrumError, 4)
+    _raises_at(lambda: bn._twisted_act(Motion(A, X), Motion(R, X), sig, TOL, (K,)),
+               lambda: bn.twisted_act(Motion(A[4], X[4]), Motion(R[4], X[4]), sig), IllConditionedSpectrumError, 4)
 
 
 def test_a_single_call_takes_no_stack():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cartanbundle import bundle, liegroup, matcore, projective, sampling
+from cartanbundle import Motion, Screw, basis_vector
+from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
 from cartanbundle.errors import DegenerateSpanError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
 
@@ -100,29 +101,30 @@ def test_a_nan_error_stays_at_its_sample(monkeypatch):
 
 
 def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
-    find, calls = bundle.find_transporter, []
+    project, calls = bundle.double_projection, []
 
-    def third_raises(src, dst):
+    def third_raises(A, X, sig, tol):
         calls.append(None)
         if len(calls) == 3:
-            raise DegenerateSpanError("third transporter")
-        return find(src, dst)
+            raise DegenerateSpanError("third projection")
+        return project(A, X, sig, tol)
 
-    monkeypatch.setattr(bundle, "find_transporter", third_raises)
-    stream = [entry[0] for entry in PROPERTIES].index("bundle.transporter")
+    monkeypatch.setattr(bundle, "double_projection", third_raises)
+    stream = [entry[0] for entry in PROPERTIES].index("bundle.projection_identity")
     with pytest.raises(DegenerateSpanError) as raised:
         PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
     assert raised.value.context["index"] == 2
     # in a run, the raise fails that row alone
     calls.clear()
     results = _results()
-    assert (results["bundle.transporter"].samples, results["bundle.transporter"].passed) == (0, False)
-    assert all(r.passed for name, r in results.items() if name != "bundle.transporter")
+    row = results["bundle.projection_identity"]
+    assert (row.samples, row.passed) == (0, False)
+    assert all(r.passed for name, r in results.items() if name != row.name)
 
 
 def test_false_predicate_fails_its_property(monkeypatch):
     assert _run_one("bundle.q_invariance")[2]
-    monkeypatch.setattr(bundle, "in_Q", lambda g, sig, tol=None: False)
+    monkeypatch.setattr(bundle, "_in_Q", lambda g, sig, tol, batch=(): np.zeros(batch, bool))
     samples, max_error, passed = _run_one("bundle.q_invariance")
     assert samples == CFG.samples and math.isfinite(max_error) and not passed
 
@@ -266,3 +268,139 @@ def test_numpy_samples_and_seed_run_as_their_values():
     cfg = VerifyConfig(n=2, p=1, samples=np.int64(3), seed=np.int32(5))
     report, same = run_verification(cfg), run_verification(VerifyConfig(n=2, p=1, samples=3, seed=5))
     assert report.passed and report.properties == same.properties
+
+
+# The one-sample checks of the nine rows that check whole stacks through the
+# library's kernels. Each calls only public maps, once per sample; the rows
+# must give these errors, sample by sample and bit for bit.
+
+
+def _dist(a: Motion, b: Motion) -> float:
+    return float(np.linalg.norm(a.homogeneous() - b.homogeneous()))
+
+
+def _point(cfg, F, Y):
+    return bundle.bundle_point(grassmann.plane_from_frame(F, cfg.tol), Y)
+
+
+def _point_dist(a, b) -> float:
+    plane = float(np.linalg.norm(a.plane.projector - b.plane.projector))
+    return max(plane, float(np.linalg.norm(a.fiber - b.fiber)))
+
+
+def _frame_drift(cfg, s) -> float:
+    """|P - P'| for P the projector of the plane s carries, P' that of the plane its public check finds."""
+    checked = bundle.CartanMotion(s.motion, s.sig, cfg.tol)
+    return float(np.linalg.norm(bundle.rho(s).plane.projector - bundle.rho(checked).plane.projector))
+
+
+def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
+    return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
+def _grassmann_roundtrips(cfg, F, A):
+    sig = cfg.sig
+    plane = grassmann.plane_from_frame(F, cfg.tol)
+    embedded = grassmann.CartanRotation(grassmann.cartan_embed0(plane).mat, sig, cfg.tol)
+    err_plane = float(np.linalg.norm(grassmann.rho0(embedded).projector - plane.projector))
+    R = grassmann.twisted_act0(A, np.eye(cfg.n), sig, cfg.tol)
+    cr = grassmann.CartanRotation.certify(R, sig, cfg.tol)
+    return err_plane, float(np.linalg.norm(grassmann.cartan_embed0(grassmann.rho0(cr)).mat - R))
+
+
+def _rho0_equivariance(cfg, F, A):
+    sig = cfg.sig
+    cr = grassmann.cartan_embed0(grassmann.plane_from_frame(F, cfg.tol))
+    acted = grassmann.CartanRotation.certify(grassmann.twisted_act0(A, cr.mat, sig, cfg.tol), sig, cfg.tol)
+    rhs = grassmann.rotate_plane(A, grassmann.rho0(cr))
+    return (float(np.linalg.norm(grassmann.rho0(acted).projector - rhs.projector)),)
+
+
+def _q_invariance(cfg, R, X):
+    sig = cfg.sig
+    s = bundle.tau(Motion(R[0], X[0]), sig, cfg.tol)
+    a = Motion(R[1], X[1])
+    acted = bundle.twisted_act(a, s.motion, sig, cfg.tol)
+    diff = liegroup.se_mul(bundle.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
+    err = float(np.linalg.norm(diff)) / (1.0 + np.linalg.norm(acted.X))
+    generic = liegroup.se_mul(liegroup.se_mul(a, s.motion), bundle.sigma(liegroup.se_inv(a), sig))
+    scale = 1.0 + np.linalg.norm(a.X) + np.linalg.norm(s.motion.X)
+    return err, float(not bundle.in_Q(acted, sig, cfg.tol)), _dist(acted, generic) / scale
+
+
+def _rho_equivariance(cfg, R, X):
+    sig = cfg.sig
+    s = bundle.tau(Motion(R[0], X[0]), sig, cfg.tol)
+    a = Motion(R[1], X[1])
+    acted = bundle.CartanMotion.certify(bundle.twisted_act(a, s.motion, sig, cfg.tol), sig, cfg.tol)
+    return (_point_dist(bundle.rho(acted), bundle.bundle_act(a, bundle.rho(s), sig)),)
+
+
+def _rho_bijectivity(cfg, R, X, F, Y):
+    s = bundle.tau(Motion(R, X), cfg.sig, cfg.tol)
+    s2 = bundle.rho_inv(bundle.rho(s))
+    b = _point(cfg, F, Y)
+    s3 = bundle.rho_inv(b)
+    return (
+        max(_dist(s2.motion, s.motion), _point_dist(bundle.rho(s3), b)),
+        max(_frame_drift(cfg, s2), _frame_drift(cfg, s3)),
+    )
+
+
+def _action_law(cfg, R, X, F, Y):
+    sig = cfg.sig
+    a1, a2 = map(Motion, R, X)
+    b = _point(cfg, F, Y)
+    lhs = bundle.bundle_act(liegroup.se_mul(a1, a2), b, sig)
+    return (_point_dist(lhs, bundle.bundle_act(a1, bundle.bundle_act(a2, b, sig), sig)),)
+
+
+def _transporter(cfg, F, Y):
+    src, dst = (_point(cfg, *sample) for sample in zip(F, Y))
+    a = bundle.find_transporter(src, dst)
+    return (_point_dist(bundle.bundle_act(a, src, cfg.sig), dst),)
+
+
+def _line_bundle_exp(cfg, U, theta, lam):
+    nn, theta, lam = len(U), float(theta), float(lam)
+    m = projective.line_bundle_exp(theta, U, lam)
+    E1 = basis_vector(1, nn)
+    xi = Screw(-theta * (np.outer(E1, U) - np.outer(U, E1)), lam * E1)
+    V = _paper_line(theta, U)
+    return (max(_dist(m, liegroup.se_exp(xi)), float(np.linalg.norm(m.X - V * (V @ m.X)))),)
+
+
+def _half_angle_line(cfg, U, theta):
+    theta, sig = float(theta), grassmann.Signature(1, len(U) - 1)
+    V = _paper_line(theta, U)
+    cr = grassmann.CartanRotation.certify(projective.rotation_in_plane(theta, U), sig, cfg.tol)
+    planes = (grassmann.rho0(cr), projective.half_angle_line(theta, U))
+    return (max(float(np.linalg.norm(plane.projector - np.outer(V, V))) for plane in planes),)
+
+
+ONE_SAMPLE_CHECKS = {
+    "grassmann.cartan_roundtrips": _grassmann_roundtrips,
+    "grassmann.rho0_equivariance": _rho0_equivariance,
+    "bundle.q_invariance": _q_invariance,
+    "bundle.rho_equivariance": _rho_equivariance,
+    "bundle.rho_bijectivity": _rho_bijectivity,
+    "bundle.action_law": _action_law,
+    "bundle.transporter": _transporter,
+    "projective.line_bundle_exp": _line_bundle_exp,
+    "projective.half_angle_line": _half_angle_line,
+}
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (2, 1), (6, 5), (8, 1)])
+@pytest.mark.parametrize("name", sorted(ONE_SAMPLE_CHECKS))
+def test_a_stacked_row_gives_the_errors_of_its_one_sample_check(name, n, p):
+    cfg = VerifyConfig(n=n, p=p, samples=20, seed=5)
+    stream = [entry[0] for entry in PROPERTIES].index(name)
+    row = PROPERTIES[stream][1]
+    assert not row.each
+    samples, columns = row.errors(cfg, sampling.make_rng(cfg.seed, stream))
+    stacks = row.draw(cfg, sampling.make_rng(cfg.seed, stream), cfg.samples)
+    for i in range(samples):
+        expected = ONE_SAMPLE_CHECKS[name](cfg, *(stack[i] for stack in stacks))
+        got = np.array([column[i] for column in columns], dtype=float)
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes(), (i, got, expected)

@@ -69,14 +69,15 @@ The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``),
 of ``dp_log_full`` (``_dp_log_full``), of the ``CartanMotion`` check
 (``_cartan_motion``), of the ``bundle_point`` check (``_fiber``), of
 ``rho_inv`` (``_rho_inv``), ``bundle_act`` (``_bundle_act``),
-``find_transporter`` (``_transporter``), ``twisted_act`` (``_twisted_act``)
-and ``in_Q`` (``_in_Q``) take arrays with a leading batch shape (see
-``matcore``). The public maps pass their 2-D operands unchanged; ``verify``
-passes whole stacks. An element of a stack comes out bit for bit as its
-single call: the closed forms run on the whole stack, and an element that
-is not ``_sure`` of its check goes through the public check alone. One that
-fails raises its single call's error class with its ``index`` in the
-context.
+``find_transporter`` (``_transporter``), ``twisted_act`` (``_twisted_act``),
+``in_Q`` (``_in_Q``), ``sigma`` (``_sigma``), ``is_fixed_point``
+(``_is_fixed_point``) and ``double_projection`` (``_double_projection``)
+take arrays with a leading batch shape (see ``matcore``). The public maps
+pass their 2-D operands unchanged; ``verify`` passes whole stacks. An
+element of a stack comes out bit for bit as its single call: the closed
+forms run on the whole stack, and an element that is not ``_sure`` of its
+check goes through the public check alone. One that fails raises its single
+call's error class with its ``index`` in the context.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class BundlePoint:
 
 def bundle_point(plane: Plane, fiber: np.ndarray) -> BundlePoint:
     """The certified bundle point (plane, fiber), checked under the plane's tolerances."""
-    fiber = _fiber(plane.projector, _read_only(fiber), plane._tol)
+    fiber = _read_only(_fiber(plane.projector, fiber, plane._tol))
     return _trusted(BundlePoint, plane._tol, plane=plane, fiber=fiber)
 
 
@@ -268,8 +269,13 @@ class DpElement:
 
 def sigma(g: Motion, sig: Signature) -> Motion:
     """The involution sigma(R, X) = (J R J, J X) on SE(n); g is checked against the signature."""
-    (R, X), j = _checked_motion(g, sig.n), sig._signs
-    return Motion(j[:, None] * R * j, j * X)
+    return Motion(*_sigma(g, sig))
+
+
+def _sigma(g: Motion, sig: Signature, batch: tuple = ()) -> tuple:
+    """(J R J, J X): the kernel of ``sigma``, for g or stacks of the leading shape ``batch``."""
+    (R, X), j = _checked_motion(g, sig.n, batch), sig._signs
+    return j[:, None] * R * j, j * X
 
 
 def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
@@ -299,11 +305,16 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances = default_toleranc
     off-block entries, which ``verify`` checks. It is the norm of the
     homogeneous matrix of sigma(g) - g, built from g's checked parts.
     """
-    (R, X), j = _checked_motion(g, sig.n), sig._signs
-    D = np.zeros((sig.n + 1, sig.n + 1))
-    D[:-1, :-1] = j[:, None] * R * j - R
-    D[:-1, -1] = j * X - X
-    return bool(_norm(D) <= tol.invol)
+    return bool(_is_fixed_point(g, sig, tol))
+
+
+def _is_fixed_point(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()):
+    """The kernel of ``is_fixed_point``, for g or stacks of the leading shape ``batch``: one test per motion."""
+    (R, X), j = _checked_motion(g, sig.n, batch), sig._signs
+    D = np.zeros(batch + (sig.n + 1, sig.n + 1))
+    D[..., :-1, :-1] = j[:, None] * R * j - R
+    D[..., :-1, -1] = j * X - X
+    return _norm(D, 2) <= tol.invol
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> bool:
@@ -382,9 +393,14 @@ def double_projection(
     A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
     """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
-    A = _checked_rotation(A, tol, sig.n)[0]
-    X = check_finite_vector(X, sig.n, "vector")
-    return X - (A * sig._signs) @ A.T @ X
+    return _double_projection(A, X, sig, tol)
+
+
+def _double_projection(A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()):
+    """The kernel of ``double_projection``, for A and X or stacks of the leading shape ``batch``."""
+    A = _checked_rotation(A, tol, sig.n, batch)[0]
+    X = check_finite_vector(X, sig.n, "vector", batch)
+    return X - np.matvec((A * sig._signs) @ A.mT, X)
 
 
 def rho(s: CartanMotion) -> BundlePoint:

@@ -58,10 +58,12 @@ The kernels of ``dp_exp`` (``_dp_exp``), of the S_p0 check
 (``_cartan_rotation``, ``_cartan_frame``), of ``dp_log0``
 (``_principal_pairs``, ``_angle_pairs``), of ``cartan_embed0``
 (``_cartan_embed0``, with ``_embed_matrix``), of ``twisted_act0``
-(``_twisted_act0``) and of ``rotate_plane`` (``_rotated_frame``), the
-closed forms ``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the
-fallback ``_checked_where_unsure`` take arrays with a leading batch shape
-(see ``matcore``); ``plane_from_frame`` checks its frame with the batched
+(``_twisted_act0``), of ``rotate_plane`` (``_rotated_frame``), of
+``sigma0`` (``_sigma0``), of ``in_Q0`` (``_in_Q0``) and of the
+``DpGenerator`` block check (``_block``), the closed forms
+``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the fallback
+``_checked_where_unsure`` take arrays with a leading batch shape (see
+``matcore``); ``plane_from_frame`` checks its frame with the batched
 ``matcore._checked_frame``. The public maps pass their 2-D operands
 unchanged; ``verify`` passes whole stacks. An element of a stack comes out
 bit for bit as its single call, and one that fails raises that call's error
@@ -340,7 +342,12 @@ def _rotated_frame(A: np.ndarray, F: np.ndarray, tol: Tolerances, batch: tuple =
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
     """The involution sigma0(R) = J R J on SO(n); R must be n x n and in the input domain."""
-    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation"), sig._signs
+    return _sigma0(R, sig)
+
+
+def _sigma0(R: np.ndarray, sig: Signature, batch: tuple = ()) -> np.ndarray:
+    """The kernel of ``sigma0``, for R or a stack of the leading shape ``batch``."""
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch), sig._signs
     return j[:, None] * R * j
 
 
@@ -350,8 +357,13 @@ def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances())
     An R that is not n x n or lies outside the input domain raises. The test
     is the S_p0 check's, ``matcore._symmetric_involution``.
     """
-    R = check_finite_matrix(R, (sig.n, sig.n), "rotation")
-    return _symmetric_involution(R * sig._signs, tol)[0] is None
+    return _in_Q0(R, sig, tol)
+
+
+def _in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()):
+    """The kernel of ``in_Q0``, for R or a stack of the leading shape ``batch``: a bool, or one per rotation."""
+    R = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch)
+    return _symmetric_involution(R * sig._signs, tol)[0]
 
 
 def twisted_act0(
@@ -432,7 +444,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     motion. A stack of rotations is checked element by element.
     """
     S = mat * sig._signs
-    i, defect, invol = _symmetric_involution(S, tol)
+    _, i, defect, invol = _symmetric_involution(S, tol)
     if i is not None:
         raise NotInCartanModelError(f"R J is {defect}", **_at(i))
     w, V = np.linalg.eigh(S)
@@ -514,11 +526,7 @@ class DpGenerator:
 
     def __post_init__(self):
         object.__setattr__(self, "_sig", Signature(self.p, self.q))
-        if np.shape(self.B) != (self.q, self.p):
-            raise DimensionMismatchError(
-                f"generator block must be {self.q} x {self.p}, got {np.shape(self.B)}"
-            )
-        object.__setattr__(self, "B", _real(self.B, "generator block"))
+        object.__setattr__(self, "B", _block(self.B, self._sig))
 
     @property
     def n(self) -> int:
@@ -526,6 +534,16 @@ class DpGenerator:
 
     def embed(self) -> np.ndarray:
         return _embedded(self.B)
+
+
+def _block(B: np.ndarray, sig: Signature, batch: tuple = ()) -> np.ndarray:
+    """B as a float array, checked as ``DpGenerator`` checks its block: q x p for sig, real numeric dtype.
+
+    With ``batch``, B is a stack of such blocks with that leading shape.
+    """
+    if np.shape(B) != batch + (sig.q, sig.p):
+        raise DimensionMismatchError(f"generator block must be {sig.q} x {sig.p}, got {np.shape(B)}")
+    return _real(B, "generator block")
 
 
 def _embedded(B: np.ndarray) -> np.ndarray:

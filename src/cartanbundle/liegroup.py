@@ -36,7 +36,9 @@ batch shape (see ``matcore``): ``se_exp``, ``y_omega``, ``se_log`` and
 ``y_omega_solve`` pass their 2-D operands unchanged, and ``verify`` passes
 whole stacks with their ``batch``. An element of a stack comes out bit for
 bit as its single call, and one that fails raises that call's error class
-with its ``index`` in the context.
+with its ``index`` in the context. ``se_mul``, ``se_inv``,
+``Motion.homogeneous`` and ``Screw.matrix`` read stacks of motions and
+screws as they are.
 """
 
 from __future__ import annotations
@@ -93,13 +95,14 @@ class Screw:
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        return self.omega.shape[-1]
 
     def matrix(self) -> np.ndarray:
+        """(n+1) x (n+1) block-matrix representation; of each screw if omega and v are stacks."""
         n = self.n
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = self.omega
-        M[:n, n] = self.v
+        M = np.zeros(self.omega.shape[:-2] + (n + 1, n + 1))
+        M[..., :n, :n] = self.omega
+        M[..., :n, n] = self.v
         return M
 
 

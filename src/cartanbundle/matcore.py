@@ -557,22 +557,23 @@ def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:
-    """(i, defect, |S^2 - I|) for a square S, or for each of a stack.
+    """(holds, i, defect, |S^2 - I|) for a square S, or for each of a stack.
 
     The one test of a symmetric involution: |S - S^T| and |S^2 - I| are each
-    held to ``tol.invol``, with no factor of n. i is where the test first
-    fails (``_fail_at``: None if it holds), and ``defect`` names the first
-    residual of that element that exceeds its bound. ``in_Q0``, the S_p0
-    check of ``CartanRotation`` and ``CartanMotion``, and
-    ``eigenspace_of_symmetric_involution`` all read it, each raising its own
-    error class.
+    held to ``tol.invol``, with no factor of n. ``holds`` is the test, a
+    bool or one per element; i is where it first fails (``_fail_at``: None
+    if it holds), and ``defect`` names the first residual of that element
+    that exceeds its bound. ``in_Q0``, the S_p0 check of ``CartanRotation``
+    and ``CartanMotion``, and ``eigenspace_of_symmetric_involution`` all
+    read it, each raising its own error class.
     """
     sym, invol = _norm(S - S.mT, 2), _norm(S @ S - _eye(S.shape[-1]), 2)
     sym_ok = sym <= tol.invol  # a NaN residual fails
-    i = _fail_at(sym_ok & (invol <= tol.invol))
+    holds = sym_ok & (invol <= tol.invol)
+    i = _fail_at(holds)
     if i is None:
-        return None, None, invol
-    return i, "not an involution" if np.asarray(sym_ok)[i] else "not symmetric", invol
+        return holds, None, None, invol
+    return holds, i, "not an involution" if np.asarray(sym_ok)[i] else "not symmetric", invol
 
 
 def eigenspace_of_symmetric_involution(
@@ -587,7 +588,7 @@ def eigenspace_of_symmetric_involution(
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
     S = check_finite_matrix(S, (None, None), "symmetry")
-    defect = _symmetric_involution(S, tol)[1]
+    defect = _symmetric_involution(S, tol)[2]
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
     w, V = np.linalg.eigh(S)

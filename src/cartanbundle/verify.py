@@ -28,28 +28,35 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound. Errors are
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
-Fifteen rows check whole stacks, ``check(cfg, *stacks)``, through the
+Twenty-three rows check whole stacks, ``check(cfg, *stacks)``, through the
 library's stacked kernels, the ones its public maps call with 2-D operands:
+``matcore.projector_idempotent_symmetric``, ``matcore.frame_completion``,
+``liegroup.group_axioms``, ``liegroup.exp_matches_series``,
 ``liegroup.y_omega_identity``, ``liegroup.y_omega_roundtrip``,
-``liegroup.log_exp_roundtrip``, ``grassmann.cartan_roundtrips``,
+``liegroup.log_exp_roundtrip``, ``grassmann.sigma0_automorphism``,
+``grassmann.q0_invariance``, ``grassmann.cartan_roundtrips``,
 ``grassmann.rho0_equivariance``, ``grassmann.dp_log0_roundtrip``,
-``bundle.q_invariance``, ``bundle.tau_properties``,
+``bundle.fixed_point_characterization``, ``bundle.q_invariance``,
+``bundle.tau_properties``, ``bundle.projection_identity``,
 ``bundle.rho_equivariance``, ``bundle.rho_bijectivity``,
 ``bundle.action_law``, ``bundle.dp_full_routes``, ``bundle.transporter``,
 ``projective.line_bundle_exp`` and ``projective.half_angle_line``. Each
 element of a stack comes out bit for bit as its single call, with every
-check of that call (domain, skew, SO(n), frame, fiber, unit direction,
-branch, singular factor, ``_sure`` and its one fallback, S_p and cut locus);
-an element that fails raises the single call's error class with its
-``index`` in the context, and fails its row. The two line rows draw
-directions of several dimensions and run one kernel call per dimension
-(``_by_dimension``), under the default tolerances, which the public line
-maps read. ``tests/test_verify.py`` keeps the checks of the nine rows that
-run the Cartan maps, the actions and the line maps one sample at a time, on
-the public maps, and requires the same errors bit for bit. The other rows
-(``each``) check one sample at a time, ``check(cfg, *sample)`` on index i of
-each stack, and an error raised there gets the sample's ``index`` in its
-context too.
+check of that call (domain, skew, SO(n), frame, fiber, generator block,
+unit direction, branch, singular factor, ``_sure`` and its one fallback,
+S_p and cut locus); an element that fails raises the single call's error
+class with its ``index`` in the context, and fails its row. The series row
+and the two line rows draw samples of several dimensions and run one kernel
+call per dimension (``_by_dimension``); the line rows run under the default
+tolerances, which the public line maps read. The oracles ``series_exp`` and
+``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank of
+each matrix. ``tests/test_verify.py`` keeps the checks of seventeen of
+these rows one sample at a time, on the public maps, and requires the same
+errors bit for bit. The other four rows (``each``: ``wedge_antisymmetry``,
+``canonical_form_reconstruction``, ``involution_eigenspace`` and
+``moebius_seam``) check one sample at a time, ``check(cfg, *sample)`` on
+index i of each stack, and an error raised there gets the sample's
+``index`` in its context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -133,9 +140,9 @@ class VerifyReport:
 
 
 def series_exp(M: np.ndarray) -> np.ndarray:
-    """Power-series matrix exponential to 50 terms (verification oracle only)."""
-    acc = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
+    """Power-series matrix exponential to 50 terms, of M or of each of a stack (verification oracle only)."""
+    acc = np.eye(M.shape[-1])
+    term = np.eye(M.shape[-1])
     for k in range(1, 51):
         term = term @ M / k
         acc = acc + term
@@ -143,10 +150,20 @@ def series_exp(M: np.ndarray) -> np.ndarray:
 
 
 def svd_projector(vectors: np.ndarray) -> np.ndarray:
-    """Independent projector oracle via SVD range extraction."""
+    """Independent projector oracle via SVD range extraction, of a matrix or of each of a stack.
+
+    Each matrix keeps its own rank r, the count of singular values above
+    1e-12 max(1, largest): the matrices of each r share one product of
+    their first r left singular vectors.
+    """
     U, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    r = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return U[:, :r] @ U[:, :r].T
+    r, m = np.sum(s > 1e-12 * np.maximum(1.0, s[..., :1]), axis=-1), U.shape[-2]
+    P = np.empty(U.shape[:-2] + (m, m))
+    for k in np.unique(r):
+        at = r == k  # for one matrix, a 0-d mask that selects it as a stack of one
+        Uk = U[at][..., :k]
+        P[at] = Uk @ Uk.mT
+    return P
 
 
 def _motion_dist(a: Motion, b: Motion):
@@ -238,21 +255,24 @@ def _motion_pairs(cfg, rng, count):
     return sp.sample_motions(rng, cfg.n, (count, 2))
 
 
-def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
-    """(F, P, Y): the frame, projector and fiber of each bundle point (plane_from_frame(F), Y), under cfg.tol.
+def _planes(cfg, F: np.ndarray) -> tuple:
+    """(F, P): the frame and projector of each plane_from_frame(F), under cfg.tol.
 
     The frames have the (n, p) of cfg.sig, so only their frame check runs.
     """
-    batch = F.shape[:1]
-    F = mc._checked_frame(F, cfg.tol, batch)
-    P = mc.projector(F)
-    return F, P, bn._fiber(P, Y, cfg.tol, batch)
+    F = mc._checked_frame(F, cfg.tol, F.shape[:1])
+    return F, mc.projector(F)
+
+
+def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
+    """(F, P, Y): the frame, projector and fiber of each bundle point (plane_from_frame(F), Y), under cfg.tol."""
+    F, P = _planes(cfg, F)
+    return F, P, bn._fiber(P, Y, cfg.tol, F.shape[:1])
 
 
 def _sigma(g: Motion, sig: gr.Signature) -> Motion:
-    """sigma(g) = (J R J, J X), as ``bn.sigma`` builds it, for each motion of a stack."""
-    j = sig._signs
-    return Motion(j[:, None] * g.R * j, j * g.X)
+    """sigma(g) for each motion of stacks, g checked as ``bn.sigma`` checks it."""
+    return Motion(*bn._sigma(g, sig, g.R.shape[:1]))
 
 
 def _wedge_triples(cfg, rng, count):
@@ -268,8 +288,9 @@ def _wedge_antisymmetry(cfg, i, j, nn):
 
 
 def _projector(cfg, F):
-    P = gr.plane_from_frame(F, cfg.tol).projector
-    return np.maximum(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T)))
+    """The worse of |P P - P| and |P - P^T| for P the projector of each plane_from_frame(F)."""
+    P = _planes(cfg, F)[1]
+    return np.maximum(mc._norm(P @ P - P, 2), mc._norm(P - P.mT, 2))
 
 
 def _canonical_form(cfg, R):
@@ -278,12 +299,15 @@ def _canonical_form(cfg, R):
 
 
 def _completion(cfg, F):
-    plane = gr.plane_from_frame(F, cfg.tol)
-    A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
-    return np.maximum(
-        abs(float(np.linalg.det(A)) - 1.0),
-        float(np.linalg.norm(mc.projector(A[:, : cfg.p]) - plane.projector)),
-    )
+    """The worse of |det A - 1| and |P_A - P| for A the completion to SO(n) of each plane's frame.
+
+    P is the plane's projector and P_A that of the first p columns of A. The
+    frames have p < n, so ``complete_to_special_orthogonal`` has only its
+    frame check, which the plane has run.
+    """
+    F, P = _planes(cfg, F)
+    A = mc._complete_frames(F)
+    return np.maximum(np.abs(np.linalg.det(A) - 1.0), mc._norm(mc.projector(A[..., : cfg.p]) - P, 2))
 
 
 def _involution_eigenspace(cfg, A):
@@ -293,7 +317,8 @@ def _involution_eigenspace(cfg, A):
 
 
 def _group_axioms(cfg, R, X):
-    g1, g2, g3 = map(Motion, R, X)
+    """The worse of |(g1 g2) g3 - g1 (g2 g3)| and |g1 g1^{-1} - e|; R and X hold the triples."""
+    g1, g2, g3 = (Motion(R[:, k], X[:, k]) for k in range(3))
     return np.maximum(
         _motion_dist(lg.se_mul(lg.se_mul(g1, g2), g3), lg.se_mul(g1, lg.se_mul(g2, g3))),
         _motion_dist(lg.se_mul(g1, lg.se_inv(g1)), lg.identity_motion(cfg.n)),
@@ -301,8 +326,13 @@ def _group_axioms(cfg, R, X):
 
 
 def _exp_series(cfg, omega, v):
-    xi = Screw(omega, v)
-    return float(np.linalg.norm(lg.se_exp(xi).homogeneous() - series_exp(xi.matrix())))
+    """|exp(xi) - series_exp(xi)| for the screws xi = (omega, v) of several dimensions."""
+
+    def check(omega, v):
+        g = Motion(*lg._exp(omega, v, omega.shape[:1]))
+        return mc._norm(g.homogeneous() - series_exp(Screw(omega, v).matrix()), 2)
+
+    return _by_dimension(check, omega, v)
 
 
 def _y_omega_identity(cfg, omega, v):
@@ -333,22 +363,26 @@ def _log_exp_roundtrip(cfg, omega, v):
 
 
 def _sigma0_automorphism(cfg, R):
-    """(|sigma0(sigma0(R1)) - R1|, |sigma0(R1 R2) - sigma0(R1) sigma0(R2)|)."""
-    sig = cfg.sig
-    R1, R2 = R
-    return (
-        float(np.linalg.norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1)),
-        float(np.linalg.norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig))),
-    )
+    """(|sigma0(sigma0(R1)) - R1|, |sigma0(R1 R2) - sigma0(R1) sigma0(R2)|); R holds the pairs (R1, R2)."""
+    sig, batch = cfg.sig, R.shape[:1]
+    R1, R2 = R[:, 0], R[:, 1]
+
+    def sigma0(M):
+        return gr._sigma0(M, sig, batch)
+
+    return mc._norm(sigma0(sigma0(R1)) - R1, 2), mc._norm(sigma0(R1 @ R2) - sigma0(R1) @ sigma0(R2), 2)
 
 
 def _q0_invariance(cfg, B, A):
-    """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action on exp(B)."""
-    sig = cfg.sig
-    R = gr.dp_exp(gr.DpGenerator(cfg.p, cfg.n - cfg.p, B), cfg.tol).mat
-    acted = gr.twisted_act0(A, R, sig, cfg.tol)
+    """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action of A on exp(B).
+
+    B is checked as ``DpGenerator`` checks its block before ``dp_exp`` runs.
+    """
+    sig, tol, batch = cfg.sig, cfg.tol, A.shape[:1]
+    R = gr._dp_exp(gr._block(B, sig, batch), sig, tol, batch)[0]
+    acted = gr._twisted_act0(A, R, sig, tol, batch)
     M = acted @ sig.matrix
-    return float(not gr.in_Q0(acted, sig, cfg.tol)), float(np.linalg.norm(M @ M - np.eye(cfg.n)))
+    return np.where(gr._in_Q0(acted, sig, tol, batch), 0.0, 1.0), mc._norm(M @ M - mc._eye(cfg.n), 2)
 
 
 def _frames_and_rotations(cfg, rng, count):
@@ -362,8 +396,7 @@ def _grassmann_roundtrips(cfg, F, A):
     (``_cartan_rotation``).
     """
     sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
-    F = mc._checked_frame(F, tol, batch)  # the frame check of plane_from_frame; F has the (n, p) of sig
-    P = mc.projector(F)
+    F, P = _planes(cfg, F)
     embedded = gr._cartan_rotation(gr._cartan_embed0(F, P, tol)[0], sig, tol, batch)[1]
     err_plane = mc._norm(mc.projector(embedded) - P, 2)
     R = gr._twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol, batch)
@@ -375,8 +408,8 @@ def _grassmann_roundtrips(cfg, F, A):
 def _rho0_equivariance(cfg, F, A):
     """|rho0(A . R) - A rho0(R)| for R = cartan_embed0(F) and the twisted action, A . R checked."""
     sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
-    F = mc._checked_frame(F, tol, batch)
-    R, _, Fr = gr._cartan_embed0(F, mc.projector(F), tol)
+    F, P = _planes(cfg, F)
+    R, _, Fr = gr._cartan_embed0(F, P, tol)
     lhs = gr._cartan_rotation(gr._twisted_act0(A, R, sig, tol, batch), sig, tol, batch)[1]
     rhs = gr._rotated_frame(A, Fr, tol, batch)
     return mc._norm(mc.projector(lhs) - mc.projector(rhs), 2)
@@ -391,18 +424,23 @@ def _dp_log0_roundtrip(cfg, B):
     return np.maximum(mc._norm(B2 - B, 2), mc._norm(R2 - R, 2))
 
 
+# sqrt(a^2 + b^2 + c^2) on floats, with Python's ** (C pow), which x * x does not always match
+_root_sum_squares = mc._scalar_formula(lambda a, b, c: math.sqrt(a**2 + b**2 + c**2))
+
+
 def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
-    """(r, |r - 2 off| / (1 + r)) for r = |sigma(g) - g|.
+    """(r, |r - 2 off| / (1 + r)) for r = |sigma(g) - g|, for each motion of stacks.
 
     ``off`` is the norm of g's off-block entries R[:p, p:], R[p:, :p] and
     X[:p]; r is exactly twice it, so the second entry is a rounding error.
     """
     p = sig.p
-    r = float(np.linalg.norm(bn.sigma(g, sig).homogeneous() - g.homogeneous()))
-    off = math.sqrt(
-        np.linalg.norm(g.R[:p, p:]) ** 2 + np.linalg.norm(g.R[p:, :p]) ** 2 + np.linalg.norm(g.X[:p]) ** 2
-    )
-    return r, abs(r - 2.0 * off) / (1.0 + r)
+    r = _motion_dist(_sigma(g, sig), g)
+    # each block contiguous, as np.linalg.norm copies one: at p = 1, R[:, p:, :p]
+    # would flatten to strided rows, which vecdot sums in another order
+    blocks = (np.ascontiguousarray(g.R[:, :p, p:]), np.ascontiguousarray(g.R[:, p:, :p]))
+    off = _root_sum_squares(*(mc._norm(b, 2) for b in blocks), mc._norm(g.X[:, :p], 1))
+    return r, np.abs(r - 2.0 * off) / (1.0 + r)
 
 
 def _fixed_points(cfg, R, X, Rh, Xh):
@@ -410,12 +448,12 @@ def _fixed_points(cfg, R, X, Rh, Xh):
 
     r and off are as in ``_fixed_point_residual``.
     """
-    sig = cfg.sig
+    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
     g, h = Motion(R, X), Motion(Rh, Xh)
     r, agree = _fixed_point_residual(g, sig)
     # generic motions are not fixed
-    sorted_ok = bn.is_fixed_point(g, sig, cfg.tol) and not bn.is_fixed_point(h, sig, cfg.tol)
-    return r, np.maximum(agree, _fixed_point_residual(h, sig)[1]), float(not sorted_ok)
+    sorted_ok = bn._is_fixed_point(g, sig, tol, batch) & ~bn._is_fixed_point(h, sig, tol, batch)
+    return r, np.maximum(agree, _fixed_point_residual(h, sig)[1]), np.where(sorted_ok, 0.0, 1.0)
 
 
 def _q_invariance(cfg, R, X):
@@ -457,10 +495,11 @@ def _tau_properties(cfg, R, X):
 
 
 def _projection_identity(cfg, A, X):
-    D = bn.double_projection(A, X, cfg.sig, cfg.tol)
+    """|D - 2 P X| for D = double_projection(A, X) and P the SVD projector onto A.pi0."""
+    D = bn._double_projection(A, X, cfg.sig, cfg.tol, A.shape[:1])
     # twice the projection onto A.pi0, with the projector from an SVD
-    P = svd_projector(A[:, : cfg.p])
-    return float(np.linalg.norm(D - 2.0 * P @ X))
+    P = svd_projector(A[:, :, : cfg.p])
+    return mc._norm(D - np.matvec(2.0 * P, X), 1)
 
 
 def _point_dist(Pa: np.ndarray, Ya: np.ndarray, Pb: np.ndarray, Yb: np.ndarray):
@@ -555,23 +594,24 @@ def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + _sin(half)[:, None] * U
 
 
-def _by_dimension(check, U, *stacks) -> tuple:
-    """The error columns of ``check(U, *stacks)``, run once per dimension of the directions U.
+def _by_dimension(check, *stacks) -> tuple:
+    """The error columns of ``check(*stacks)``, run once per dimension of the samples.
 
-    U holds one direction per sample, of lengths that vary; the samples of
-    each length go to one call as stacks, and their errors to their places.
-    A raise gets the sample's ``index``.
+    Entry i of each stack is sample i's; the entries of the first have a
+    length, the sample's dimension, that varies. The samples of each
+    dimension go to one call, each stack as one array, and their errors to
+    their places. A raise gets the sample's ``index``.
     """
-    dims, columns = np.array([len(u) for u in U]), None
+    dims, columns = np.array([len(x) for x in stacks[0]]), None
     for nn in np.unique(dims):
         at = np.flatnonzero(dims == nn)
         try:
-            errors = _errors(check(np.stack([U[i] for i in at]), *(s[at] for s in stacks)))
+            errors = _errors(check(*(np.stack([s[i] for i in at]) for s in stacks)))
         except GeometryError as e:
             if "index" in e.context:
                 e.context["index"] = int(at[e.context["index"]])
             raise
-        columns = columns or tuple(np.empty(len(U)) for _ in errors)
+        columns = columns or tuple(np.empty(len(dims)) for _ in errors)
         for column, error in zip(columns, errors):
             column[at] = error
     return columns
@@ -665,17 +705,17 @@ def moebius_seam_check():
 # their order. A predicate's error is 0 or 1, held to 0.
 PROPERTIES = (
     ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_triples, each=True)),
-    ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames, each=True)),
+    ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames)),
     ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10, each=True,
         draw=lambda cfg, rng, count: _per_dimension(
             rng.integers(2, min(cfg.n, 8) + 1, size=count),
             lambda nn, k: (sp.sample_rotations(rng, nn, k),),
         ))),
-    ("matcore.frame_completion", Row(_completion, lambda cfg: cfg.tol.orth * cfg.n, _frames, each=True)),
+    ("matcore.frame_completion", Row(_completion, lambda cfg: cfg.tol.orth * cfg.n, _frames)),
     ("matcore.involution_eigenspace", Row(_involution_eigenspace, lambda cfg: 1e-10, _rotations, each=True)),
-    ("liegroup.group_axioms", Row(_group_axioms, lambda cfg: 1e-11 * cfg.n, each=True,
+    ("liegroup.group_axioms", Row(_group_axioms, lambda cfg: 1e-11 * cfg.n,
         draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))),
-    ("liegroup.exp_matches_series", Row(_exp_series, lambda cfg: 1e-9, each=True,
+    ("liegroup.exp_matches_series", Row(_exp_series, lambda cfg: 1e-9,
         draw=lambda cfg, rng, count: _per_dimension(
             rng.integers(2, min(cfg.n, 6) + 1, size=count),
             lambda nn, k: sp.sample_screws(rng, nn, k),
@@ -685,9 +725,9 @@ PROPERTIES = (
         _y_omega_roundtrip, lambda cfg: 1e-9, _and_vectors(sp.sample_skews_bounded, math.pi))),
     ("liegroup.log_exp_roundtrip", Row(
         _log_exp_roundtrip, lambda cfg: 1e-8, _and_vectors(sp.sample_skews_bounded, math.pi - 1e-3))),
-    ("grassmann.sigma0_automorphism", Row(_sigma0_automorphism, lambda cfg: (0.0, 1e-12 * cfg.n), each=True,
+    ("grassmann.sigma0_automorphism", Row(_sigma0_automorphism, lambda cfg: (0.0, 1e-12 * cfg.n),
         draw=lambda cfg, rng, count: (sp.sample_rotations(rng, cfg.n, (count, 2)),))),
-    ("grassmann.q0_invariance", Row(_q0_invariance, lambda cfg: (0.0, cfg.tol.invol), each=True,
+    ("grassmann.q0_invariance", Row(_q0_invariance, lambda cfg: (0.0, cfg.tol.invol),
         draw=lambda cfg, rng, count: (
             sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count), sp.sample_rotations(rng, cfg.n, count),
         ))),
@@ -699,14 +739,14 @@ PROPERTIES = (
             sp.sample_dp_generators(rng, cfg.p, cfg.n - cfg.p, count, bound=math.pi - 0.1),
         ))),
     ("bundle.fixed_point_characterization", Row(_fixed_points, lambda cfg: (1e-12 * cfg.n, 1e-12, 0.0),
-        each=True, draw=lambda cfg, rng, count: (
+        draw=lambda cfg, rng, count: (
             *sp.sample_fixed_points(rng, cfg.sig, count), *sp.sample_motions(rng, cfg.n, count)
         ))),
     ("bundle.q_invariance", Row(_q_invariance, lambda cfg: (cfg.tol.invol, 0.0, 1e-11 * cfg.n), _motion_pairs)),
     ("bundle.tau_properties", Row(_tau_properties, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, count))),
     ("bundle.projection_identity", Row(
-        _projection_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_rotations), each=True)),
+        _projection_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_rotations))),
     ("bundle.rho_equivariance", Row(_rho_equivariance, lambda cfg: 1e-9, _motion_pairs)),
     ("bundle.rho_bijectivity", Row(_rho_bijectivity, lambda cfg: (1e-9, 1e-10),
         draw=lambda cfg, rng, count: (

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cartanbundle import (
+    BundlePoint,
     CartanMotion,
     CartanRotation,
     DimensionMismatchError,
@@ -237,6 +238,18 @@ def test_an_array_that_is_not_real_numeric_is_a_dimension_mismatch(site, dtype):
     DTYPE_SITES[site](W)
     with pytest.raises(DimensionMismatchError, match="real numeric"):
         DTYPE_SITES[site](W * (1 + 0.5j) if dtype is complex else W.astype(dtype))
+
+
+@pytest.mark.parametrize("fiber", [["1", "0", "0", "0"], np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)],
+                         ids=["str", "complex128"])
+@pytest.mark.parametrize("make", [bundle_point, BundlePoint], ids=["bundle_point", "BundlePoint"])
+def test_a_fiber_that_is_not_real_numeric_is_a_dimension_mismatch(make, fiber):
+    # the fiber was copied as floats before its check: the strings were
+    # parsed to the fiber e_1, and the complex fiber ran with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="real numeric"):
+            make(coordinate_plane(4, 2), fiber)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from cartanbundle import grassmann as gr
 from cartanbundle import liegroup as lg
 from cartanbundle import matcore as mc
 from cartanbundle import projective as pj
+from cartanbundle import verify as vf
 from cartanbundle import (
     CutLocusError,
     DegenerateSpanError,
@@ -33,6 +34,7 @@ from cartanbundle.sampling import (
     make_rng,
     sample_bundle_points,
     sample_dp_generators,
+    sample_fixed_points,
     sample_motions,
     sample_rotations,
     sample_unit_directions,
@@ -107,14 +109,19 @@ class TestMatcore:
         n, p = shape
         R, _ = sample_motions(make_rng(3, n), n, K)
         S = R @ Signature(p, n - p).matrix @ R.mT
-        i, defect, invol = mc._symmetric_involution(S, TOL)
-        assert i is None and defect is None
-        _same((invol,), lambda i: (mc._symmetric_involution(S[i], TOL)[2],), K)
+        holds, i, defect, invol = mc._symmetric_involution(S, TOL)
+        assert holds.all() and i is None and defect is None
+        _same((invol,), lambda i: (mc._symmetric_involution(S[i], TOL)[3],), K)
 
     def test_rotation_log(self, shape):
         n, _ = shape
         R = lg._exp(_skews(make_rng(4, n), n, K), np.zeros((K, n)), (K,))[0]
         _same(mc._rotation_log(R), lambda i: mc._rotation_log(R[i]), K)
+
+    def test_frame_completion(self, shape):
+        n, p = shape
+        F, _ = sample_bundle_points(make_rng(27, n), n, p, K)
+        _same((mc._complete_frames(F),), lambda i: (mc.complete_to_special_orthogonal(F[i]),), K)
 
 
 class TestLiegroup:
@@ -129,6 +136,23 @@ class TestLiegroup:
         _same((lg._solve(W, Y, TOL, (K,)),), lambda i: (lg._solve(W[i], Y[i], TOL),), K)
         _same(lg._log(R, Y, TOL, True, (K,)), lambda i: lg._log(R[i], Y[i], TOL, True), K)
         _same((lg._factors(W[:, 0]),), lambda i: (lg._factors(W[i, 0]),), K)
+
+    def test_group_law_and_series(self, shape):
+        n, _ = shape
+        rng = make_rng(28, n)
+        R, X = sample_motions(rng, n, (K, 2))
+        a, b = Motion(R[:, 0], X[:, 0]), Motion(R[:, 1], X[:, 1])
+        prod, inv = lg.se_mul(a, b), lg.se_inv(a)
+
+        def single(i):
+            ai, bi = Motion(R[i, 0], X[i, 0]), Motion(R[i, 1], X[i, 1])
+            prod_i, inv_i = lg.se_mul(ai, bi), lg.se_inv(ai)
+            return prod_i.R, prod_i.X, inv_i.R, inv_i.X
+
+        _same((prod.R, prod.X, inv.R, inv.X), single, K)
+        W, v = _skews(rng, n, K), rng.standard_normal((K, n))
+        M = lg.Screw(W, v).matrix()
+        _same((M, vf.series_exp(M)), lambda i: (lambda Mi: (Mi, vf.series_exp(Mi)))(lg.Screw(W[i], v[i]).matrix()), K)
 
     def test_log_pairs_the_angles_near_pi(self):
         # a rotation by exactly pi in two planes takes the pairing path
@@ -181,6 +205,21 @@ class TestGrassmann:
         acted = gr._twisted_act0(A, R, sig, TOL, (K,))
         _same((acted,), lambda i: (gr.twisted_act0(A[i], R[i], sig, TOL),), K)
         _same((gr._rotated_frame(A, F, TOL, (K,)),), lambda i: (gr.rotate_plane(A[i], planes[i]).frame,), K)
+
+    def test_sigma0_in_Q0_and_blocks(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        rng = make_rng(29, n)
+        R = sample_rotations(rng, n, K)
+        _same((gr._sigma0(R, sig, (K,)),), lambda i: (gr.sigma0(R[i], sig),), K)
+        B = _generators(rng, p, n - p, K)
+        _same((gr._block(B, sig, (K,)),), lambda i: (gr.DpGenerator(p, n - p, B[i]).B,), K)
+        # the twisted actions on exp(B) lie in Q0; a generic rotation does not, except at n = 2
+        acted = gr._twisted_act0(R, gr._dp_exp(B, sig, TOL, (K,))[0], sig, TOL, (K,))
+        mixed = np.where((np.arange(K) % 2 == 0)[:, None, None], acted, R)
+        inside = gr._in_Q0(mixed, sig, TOL, (K,))
+        assert list(inside) == [gr.in_Q0(mixed[i], sig) for i in range(K)]
+        assert inside[::2].all() and (n == 2 or not inside[1::2].any())
 
     def test_embed_where_some_elements_are_not_sure(self):
         # under orth 1e-12, the bound of a frame off by 1e-13 is not sure of its check
@@ -269,6 +308,41 @@ class TestBundle:
         inside = bn._in_Q(Motion(*acted), sig, TOL, (K,))
         assert list(inside) == [bn.in_Q(Motion(acted[0][i], acted[1][i]), sig) for i in range(K)]
         assert inside.all() and not bn._in_Q(Motion(R, X), sig, TOL, (K,)).any()
+
+    def test_sigma_fixed_points_and_double_projection(self, shape):
+        n, p = shape
+        sig = Signature(p, n - p)
+        rng = make_rng(30, n)
+        R, X = sample_fixed_points(rng, sig, K)
+        Rh, Xh = sample_motions(rng, n, K)
+        R[1::2], X[1::2] = Rh[1::2], Xh[1::2]  # generic motions, not fixed
+
+        def single(i):
+            s = bn.sigma(Motion(R[i], X[i]), sig)
+            return s.R, s.X
+
+        _same(bn._sigma(Motion(R, X), sig, (K,)), single, K)
+        fixed = bn._is_fixed_point(Motion(R, X), sig, TOL, (K,))
+        assert list(fixed) == [bn.is_fixed_point(Motion(R[i], X[i]), sig) for i in range(K)]
+        assert list(fixed) == [i % 2 == 0 for i in range(K)]
+        _same((bn._double_projection(Rh, Xh, sig, TOL, (K,)),), lambda i: (bn.double_projection(Rh[i], Xh[i], sig),), K)
+
+
+def _projector_of_rank(V: np.ndarray) -> np.ndarray:
+    """The SVD projector of one matrix: U[:, :r] U[:, :r]^T for its r singular values above 1e-12 max(1, largest)."""
+    U, s, _ = np.linalg.svd(V, full_matrices=False)
+    r = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+    return U[:, :r] @ U[:, :r].T
+
+
+def test_the_svd_projector_keeps_the_rank_of_each_matrix(shape):
+    # ranks p, p - 1 and p - 2 (at least 0) in one stack; each product keeps its own number of columns
+    n, p = shape
+    V = sample_rotations(make_rng(31, n), n, K)[:, :, :p].copy()
+    V[1::3, :, -1:] = 0.0
+    V[2::3, :, -2:] = 0.0
+    _same((vf.svd_projector(V),), lambda i: (_projector_of_rank(V[i]),), K)
+    _same((vf.svd_projector(V),), lambda i: (vf.svd_projector(V[i]),), K)
 
 
 class TestProjective:
@@ -384,6 +458,40 @@ def test_a_twisted_action_by_twice_the_identity_raises_at_its_index():
                IllConditionedSpectrumError, 4)
     _raises_at(lambda: bn._twisted_act(Motion(A, X), Motion(R, X), sig, TOL, (K,)),
                lambda: bn.twisted_act(Motion(A[4], X[4]), Motion(R[4], X[4]), sig), IllConditionedSpectrumError, 4)
+
+
+def test_a_nan_motion_raises_at_its_index():
+    n, p = 4, 2
+    sig = Signature(p, n - p)
+    R, X = sample_fixed_points(make_rng(32, 0), sig, K)
+    X = _with(X, 5, math.nan)
+    _raises_at(lambda: bn._is_fixed_point(Motion(R, X), sig, TOL, (K,)),
+               lambda: bn.is_fixed_point(Motion(R[5], X[5]), sig), DimensionMismatchError, 5)
+    _raises_at(lambda: bn._sigma(Motion(R, X), sig, (K,)), lambda: bn.sigma(Motion(R[5], X[5]), sig),
+               DimensionMismatchError, 5)
+
+
+def test_a_double_projection_by_a_non_rotation_raises_at_its_index():
+    n, p = 5, 2
+    sig = Signature(p, n - p)
+    A, X = sample_motions(make_rng(33, 0), n, K)
+    A = _with(A, 3, 1.01 * A[3])
+    _raises_at(lambda: bn._double_projection(A, X, sig, TOL, (K,)), lambda: bn.double_projection(A[3], X[3], sig),
+               IllConditionedSpectrumError, 3)
+
+
+def test_a_non_skew_screw_raises_at_its_index_in_the_series_row():
+    # the row runs one kernel call per dimension, so the index is mapped back to the sample's
+    cfg = vf.VerifyConfig(n=8, p=3, samples=12, seed=5)
+    stream = [name for name, _ in vf.PROPERTIES].index("liegroup.exp_matches_series")
+    row = vf.PROPERTIES[stream][1]
+    omega, v = row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)
+    i = cfg.samples - 1
+    omega = list(omega)
+    omega[i] = omega[i] + np.eye(len(omega[i]))
+    assert sum(len(w) == len(omega[i]) for w in omega) < cfg.samples  # not all of one dimension
+    _raises_at(lambda: row.check(cfg, omega, v), lambda: lg.se_exp(lg.Screw(omega[i], v[i])),
+               IllConditionedSpectrumError, i)
 
 
 def test_a_single_call_takes_no_stack():

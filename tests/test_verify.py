@@ -8,8 +8,8 @@ import pytest
 
 from cartanbundle import Motion, Screw, basis_vector
 from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
-from cartanbundle.errors import DegenerateSpanError
-from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification
+from cartanbundle.errors import DegenerateSpanError, IllConditionedSpectrumError
+from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification, series_exp, svd_projector
 
 CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
 
@@ -101,21 +101,44 @@ def test_a_nan_error_stays_at_its_sample(monkeypatch):
 
 
 def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
-    project, calls = bundle.double_projection, []
+    eigenspace, calls = matcore.eigenspace_of_symmetric_involution, []
 
-    def third_raises(A, X, sig, tol):
+    def third_raises(S, eigenvalue, tol):
         calls.append(None)
         if len(calls) == 3:
-            raise DegenerateSpanError("third projection")
-        return project(A, X, sig, tol)
+            raise DegenerateSpanError("third eigenspace")
+        return eigenspace(S, eigenvalue, tol)
 
-    monkeypatch.setattr(bundle, "double_projection", third_raises)
-    stream = [entry[0] for entry in PROPERTIES].index("bundle.projection_identity")
+    monkeypatch.setattr(matcore, "eigenspace_of_symmetric_involution", third_raises)
+    stream = [entry[0] for entry in PROPERTIES].index("matcore.involution_eigenspace")
+    assert PROPERTIES[stream][1].each
     with pytest.raises(DegenerateSpanError) as raised:
         PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
     assert raised.value.context["index"] == 2
     # in a run, the raise fails that row alone
     calls.clear()
+    results = _results()
+    row = results["matcore.involution_eigenspace"]
+    assert (row.samples, row.passed) == (0, False)
+    assert all(r.passed for name, r in results.items() if name != row.name)
+
+
+def test_a_raise_in_a_stacked_kernel_carries_the_sample_index(monkeypatch):
+    # the third rotation of the projection row, doubled, fails the SO(n) check of the kernel
+    project = bundle._double_projection
+
+    def third_doubled(A, X, sig, tol, batch=()):
+        A = A.copy()
+        A[2] *= 2.0
+        return project(A, X, sig, tol, batch)
+
+    monkeypatch.setattr(bundle, "_double_projection", third_doubled)
+    stream = [entry[0] for entry in PROPERTIES].index("bundle.projection_identity")
+    assert not PROPERTIES[stream][1].each
+    with pytest.raises(IllConditionedSpectrumError) as raised:
+        PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
+    assert raised.value.context["index"] == 2
+    # in a run, the raise fails that row alone
     results = _results()
     row = results["bundle.projection_identity"]
     assert (row.samples, row.passed) == (0, False)
@@ -270,9 +293,9 @@ def test_numpy_samples_and_seed_run_as_their_values():
     assert report.passed and report.properties == same.properties
 
 
-# The one-sample checks of the nine rows that check whole stacks through the
-# library's kernels. Each calls only public maps, once per sample; the rows
-# must give these errors, sample by sample and bit for bit.
+# The one-sample checks of the seventeen rows that check whole stacks through
+# the library's kernels. Each calls only public maps, once per sample; the
+# rows must give these errors, sample by sample and bit for bit.
 
 
 def _dist(a: Motion, b: Motion) -> float:
@@ -296,6 +319,69 @@ def _frame_drift(cfg, s) -> float:
 
 def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
     return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
+def _projector(cfg, F):
+    P = grassmann.plane_from_frame(F, cfg.tol).projector
+    return (max(float(np.linalg.norm(P @ P - P)), float(np.linalg.norm(P - P.T))),)
+
+
+def _completion(cfg, F):
+    plane = grassmann.plane_from_frame(F, cfg.tol)
+    A = matcore.complete_to_special_orthogonal(plane.frame, cfg.tol)
+    frame = float(np.linalg.norm(matcore.projector(A[:, : cfg.p]) - plane.projector))
+    return (max(abs(float(np.linalg.det(A)) - 1.0), frame),)
+
+
+def _group_axioms(cfg, R, X):
+    g1, g2, g3 = map(Motion, R, X)
+    mul = liegroup.se_mul
+    identity = liegroup.identity_motion(cfg.n)
+    return (max(_dist(mul(mul(g1, g2), g3), mul(g1, mul(g2, g3))), _dist(mul(g1, liegroup.se_inv(g1)), identity)),)
+
+
+def _exp_series(cfg, omega, v):
+    xi = Screw(omega, v)
+    return (float(np.linalg.norm(liegroup.se_exp(xi).homogeneous() - series_exp(xi.matrix()))),)
+
+
+def _sigma0_automorphism(cfg, R):
+    R1, R2 = R
+
+    def sigma0(M):
+        return grassmann.sigma0(M, cfg.sig)
+
+    involution = float(np.linalg.norm(sigma0(sigma0(R1)) - R1))
+    return involution, float(np.linalg.norm(sigma0(R1 @ R2) - sigma0(R1) @ sigma0(R2)))
+
+
+def _q0_invariance(cfg, B, A):
+    sig = cfg.sig
+    R = grassmann.dp_exp(grassmann.DpGenerator(cfg.p, cfg.n - cfg.p, B), cfg.tol).mat
+    acted = grassmann.twisted_act0(A, R, sig, cfg.tol)
+    M = acted @ sig.matrix
+    return float(not grassmann.in_Q0(acted, sig, cfg.tol)), float(np.linalg.norm(M @ M - np.eye(cfg.n)))
+
+
+def _fixed_points(cfg, R, X, Rh, Xh):
+    sig, p = cfg.sig, cfg.p
+
+    def residual(g):
+        r = _dist(bundle.sigma(g, sig), g)
+        off = math.sqrt(
+            np.linalg.norm(g.R[:p, p:]) ** 2 + np.linalg.norm(g.R[p:, :p]) ** 2 + np.linalg.norm(g.X[:p]) ** 2
+        )
+        return r, abs(r - 2.0 * off) / (1.0 + r)
+
+    g, h = Motion(R, X), Motion(Rh, Xh)
+    r, agree = residual(g)
+    sorted_ok = bundle.is_fixed_point(g, sig, cfg.tol) and not bundle.is_fixed_point(h, sig, cfg.tol)
+    return r, max(agree, residual(h)[1]), float(not sorted_ok)
+
+
+def _projection_identity(cfg, A, X):
+    D = bundle.double_projection(A, X, cfg.sig, cfg.tol)
+    return (float(np.linalg.norm(D - 2.0 * svd_projector(A[:, : cfg.p]) @ X)),)
 
 
 def _grassmann_roundtrips(cfg, F, A):
@@ -379,6 +465,14 @@ def _half_angle_line(cfg, U, theta):
 
 
 ONE_SAMPLE_CHECKS = {
+    "matcore.projector_idempotent_symmetric": _projector,
+    "matcore.frame_completion": _completion,
+    "liegroup.group_axioms": _group_axioms,
+    "liegroup.exp_matches_series": _exp_series,
+    "grassmann.sigma0_automorphism": _sigma0_automorphism,
+    "grassmann.q0_invariance": _q0_invariance,
+    "bundle.fixed_point_characterization": _fixed_points,
+    "bundle.projection_identity": _projection_identity,
     "grassmann.cartan_roundtrips": _grassmann_roundtrips,
     "grassmann.rho0_equivariance": _rho0_equivariance,
     "bundle.q_invariance": _q_invariance,

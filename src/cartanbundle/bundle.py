@@ -545,11 +545,10 @@ def dp_log_full(s: CartanMotion) -> DpElement:
     the principal pairs (V_i, U_i) and angles s_i; no membership check or
     eigen decomposition runs here. The fiber is pulled back pair by pair,
     dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i, which lies in
-    (2/pi, 1] inside the cut locus. The cut-locus and singular-factor
-    tests, which ``dp_log0`` shares, read the tolerances s carries. The
-    fiber of s lies in its plane by its certificate, so v is not mapped
-    forward again; ``verify`` checks the round trip
-    (``bundle.dp_full_routes``).
+    (2/pi, 1] inside the cut locus. The cut-locus test, which ``dp_log0``
+    shares, reads the tolerances s carries. The fiber of s lies in its
+    plane by its certificate, so v is not mapped forward again; ``verify``
+    checks the round trip (``bundle.dp_full_routes``).
     """
     B, v = _dp_log_full(s._frame, s.motion.X, s.sig, s._tol)
     return DpElement(gen=DpGenerator(p=s.sig.p, q=s.sig.q, B=B), v=v)

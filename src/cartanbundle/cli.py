@@ -9,14 +9,14 @@ input, and takes n and p from its input where the input carries them:
 
     command    flags
     exp        --in --out
-    log        --in --out --allow-pi --tol.{orth,branch,sing}
+    log        --in --out --allow-pi --tol.{orth,branch}
     embed      --in --out --tol.{orth,invol,fiber}
     project    --in --out --tol.{orth,invol,fiber}
     act        --in --out --p --tol.{orth,fiber}
     transport  --in --out --tol.{orth,fiber}
     tau        --in --out --p --tol.{orth,invol,fiber}
     sample     --out --n --p --seed --samples --kind
-    verify     --out --n --p --seed --samples --tol.{orth,invol,branch,sing,plane,fiber}
+    verify     --out --n --p --seed --samples --tol.{orth,invol,branch,plane,fiber}
     moebius    --out --num-theta --num-lambda --lambda-max --format
 
 A command with two maps tells its input forms apart by one key, and reads
@@ -40,7 +40,8 @@ pi isometrically: a = (2 I, 0) is ``degenerate_spanning_set``, and a
 reflection acts as the rotation that agrees with it on pi (H A, for H the
 reflection across a hyperplane that contains A pi). A ``--tol`` flag is an
 option of the subcommand like any other: an unknown name (``--tol.rank``
-too, since the rank cutoff of ``orthonormalize`` is a fixed constant), a
+and ``--tol.sing`` too, since the rank cutoff of ``orthonormalize`` and the
+singular cutoffs of ``y_omega_solve`` and ``dp_log0`` are fixed constants), a
 value that is not a number, a field the command does not read, or the flag
 before the subcommand is ``bad_arguments``; a value that is not a finite
 positive number is ``invalid_input``, as ``Tolerances`` rejects it.
@@ -147,7 +148,7 @@ def _exp(args, obj, tol):
 
 @_command(
     "log", "logarithm of a motion {R, X} or a rotation matrix", True,
-    allow_pi={"action": "store_true"}, **_tol("orth", "branch", "sing"),
+    allow_pi={"action": "store_true"}, **_tol("orth", "branch"),
 )
 def _log(args, obj, tol):
     if "X" in obj:
@@ -251,7 +252,7 @@ def _sample(args, obj, tol):
 
 @_command(
     "verify", "run the full property harness", False,
-    **_DIMS, **_DRAWS, **_tol("orth", "invol", "branch", "sing", "plane", "fiber"),
+    **_DIMS, **_DRAWS, **_tol("orth", "invol", "branch", "plane", "fiber"),
 )
 def _verify(args, obj, tol):
     sig = _signature(args.n, args.p)

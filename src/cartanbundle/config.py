@@ -1,13 +1,18 @@
 """Numerical tolerances: one frozen default, overridable per call.
 
-Every numerical predicate reads its bounds from a ``Tolerances``. A field
-bounds a condition that an input or a certified value must meet: membership
-(SO(n), S_p, a fiber in its plane) or distance from a branch or a
-singularity. None bounds the agreement of two routes to one value (a canonical
-form rebuilding its matrix, ``dp_log_full`` inverting ``dp_exp_full``); no
-map tests that on each call, and ``verify`` checks it under its own bounds.
-The rank cutoff of ``orthonormalize`` is not a field either: it is the
-fixed constant ``matcore._RANK_TOL``.
+Every numerical predicate reads its bounds from a ``Tolerances``. Most
+fields bound a condition that an input or a certified value must meet:
+membership (SO(n), S_p, a fiber in its plane) or distance from a branch.
+One bounds the agreement of two routes to one value: ``plane`` bounds the
+projector distance of ``plane_equal`` and of three ``verify`` rows
+(``grassmann.cartan_roundtrips``, ``grassmann.rho0_equivariance`` and
+``projective.half_angle_line``). Other such agreements (a canonical form
+rebuilding its matrix, ``dp_log_full`` inverting ``dp_exp_full``) are
+tested by no map on each call; ``verify`` checks them under its own bounds.
+Three cutoffs are fixed constants, not fields: the rank cutoff of
+``orthonormalize`` (``matcore._RANK_TOL``), the half-angle factor below
+which ``y_omega_solve`` is singular (``liegroup._FACTOR_TOL``) and the sine
+below which a principal pair gets no U column (``grassmann._SINE_TOL``).
 Callers pass their own, built as ``Tolerances(orth=...)`` or
 ``dataclasses.replace(default_tolerances(), orth=...)``; an unknown name is
 a ``TypeError`` of either. The CLI builds one the second way from the
@@ -33,7 +38,6 @@ class Tolerances:
     orth: float = 1e-9       # orthogonality / determinant checks
     invol: float = 1e-8      # |S - S^T|, |S^2 - I| of S = R J; sigma residual / (1 + |X|)
     branch: float = 1e-6     # distance from the log branch boundary at pi
-    sing: float = 1e-9       # singularity cutoff for the half-angle factor
     plane: float = 1e-8      # projector distance of planes and lines
     fiber: float = 1e-9      # |(I - P) Y| / (1 + |Y|): bundle_point, CartanMotion
 

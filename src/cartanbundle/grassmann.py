@@ -672,6 +672,12 @@ def principal_angles(a: Plane, b: Plane) -> np.ndarray:
     return np.sort(_angle_pairs(M, b.frame - a.frame @ M)[1])
 
 
+# The sine of a principal angle at or below which its pair gets a zero U
+# column, rather than its bottom-block column, which is then rounding,
+# divided by that sine.
+_SINE_TOL = 1e-9
+
+
 def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     """(V, s, U) with dp_exp(U diag(s) V^T) = R, for F a frame of rho0(R).
 
@@ -680,8 +686,8 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     plane, whose frame is the first p columns of I; V (p x p) and U (q x p)
     hold the principal pairs. The top block is F[:p] and the nonzero rows of
     the bottom block are F[p:] (``_angle_pairs``). A pair with
-    sin(phi) <= tol.sing gets a zero U column. A principal angle at pi/2 is
-    the cut locus.
+    sin(phi) <= ``_SINE_TOL`` gets a zero U column. A principal angle within
+    ``tol.branch`` of pi/2 is the cut locus and raises ``CutLocusError``.
     """
     p = F.shape[-1]
     V, phi, W = _angle_pairs(F[..., :p, :], F[..., p:, :])
@@ -689,7 +695,7 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     _require(~(top >= 0.5 * math.pi - tol.branch), CutLocusError, "cut locus: generator not unique",
              max_principal_angle=top)
     sin_phi = np.sin(phi)
-    inv_sin = np.divide(1.0, sin_phi, out=np.zeros(phi.shape), where=sin_phi > tol.sing)
+    inv_sin = np.divide(1.0, sin_phi, out=np.zeros(phi.shape), where=sin_phi > _SINE_TOL)
     return V, 2.0 * phi, (F[..., p:, :] @ W) * inv_sin[..., None, :]
 
 

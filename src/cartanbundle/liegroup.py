@@ -208,16 +208,11 @@ def _half_angle_factor(theta: float) -> float:
 _factors = _scalar_formula(_half_angle_factor)
 
 
-def _pull_back(V, theta, W, x, tol: Tolerances) -> np.ndarray:
+def _pull_back(V, theta, f, W, x) -> np.ndarray:
     """Y_W^{-1} x = V (cos(theta/2) / f . V^T x) - W x / 2, for W^T W = V diag(theta^2) V^T.
 
-    A half-angle factor f below ``tol.sing`` raises ``SingularMapError``, with the first such angle.
+    f holds the half-angle factors of theta; no factor is checked here.
     """
-    f = _factors(theta)
-    bad = np.abs(f) < tol.sing
-    i = _fail_at(~bad.any(axis=-1))
-    if i is not None:
-        raise SingularMapError("Y_omega singular", **_at(i, angle=abs(theta[i][bad[i]][0])))
     return np.matvec(V, (np.cos(0.5 * theta) * (1.0 / f)) * np.matvec(V.mT, x)) - 0.5 * np.matvec(W, x)
 
 
@@ -232,25 +227,36 @@ def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _exp(omega, v)[1]
 
 
-def y_omega_solve(
-    omega: np.ndarray, Y: np.ndarray, tol: Tolerances = default_tolerances()
-) -> np.ndarray:
+def y_omega_solve(omega: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Inverse of ``y_omega`` in its first argument: v with Y_omega(v) = Y.
 
     On each turning plane of omega, Y is turned back by theta/2 and divided
-    by 2 sin(theta/2)/theta; an angle where that factor is below ``tol.sing``
-    (theta near a nonzero multiple of 2 pi) raises ``SingularMapError``.
-    With omega^T omega = V diag(theta^2) V^T this is the pull-back of
-    ``se_log``, v = V (cos(theta/2) / f . V^T Y) - omega Y / 2. The checks
-    run in the order of ``se_log``: omega, then Y, then the factor.
+    by f = 2 sin(theta/2)/theta; an angle where f is below the fixed
+    ``_FACTOR_TOL`` (theta near a nonzero multiple of 2 pi) raises
+    ``SingularMapError`` with that angle. With
+    omega^T omega = V diag(theta^2) V^T this is the pull-back of ``se_log``,
+    v = V (cos(theta/2) / f . V^T Y) - omega Y / 2. The checks run in the
+    order omega, then Y, then the factor.
     """
-    return _solve(omega, Y, tol)
+    return _solve(omega, Y)
 
 
-def _solve(omega: np.ndarray, Y: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
+# The half-angle factor below which Y_omega counts as singular. On the
+# principal branch of ``se_log`` every factor is at least 2/pi, so only
+# ``y_omega_solve``, whose omega may turn by 2 pi or more, tests it.
+_FACTOR_TOL = 1e-9
+
+
+def _solve(omega: np.ndarray, Y: np.ndarray, batch: tuple = ()) -> np.ndarray:
     """The kernel of ``y_omega_solve``, for omega and Y with the leading shape ``batch``."""
     omega, V, theta = _spectrum(omega, batch)
-    return _pull_back(V, theta, omega, check_finite_vector(Y, theta.shape[-1], "Y", batch), tol)
+    Y = check_finite_vector(Y, theta.shape[-1], "Y", batch)
+    f = _factors(theta)
+    bad = np.abs(f) < _FACTOR_TOL
+    i = _fail_at(~bad.any(axis=-1))
+    if i is not None:
+        raise SingularMapError("Y_omega singular", **_at(i, angle=abs(theta[i][bad[i]][0])))
+    return _pull_back(V, theta, f, omega, Y)
 
 
 def se_exp(xi: Screw) -> Motion:
@@ -282,7 +288,9 @@ def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = F
     One ``eigh`` of (R + R^T)/2 gives L = log R, an eigenbasis V and the
     angle theta of each eigenvector; X is pulled back as
     V diag(cos(theta/2) / f(theta)) V^T X - L X / 2. The checks run in the
-    order R in SO(n), then X a finite n-vector, then the branch at pi.
+    order R in SO(n), then X a finite n-vector, then the branch at pi. Every
+    angle is in [0, pi], so f is in [2/pi, 1] and the pull-back, unlike
+    ``y_omega_solve``, cannot meet a singular factor.
     """
     return Screw(*_log(g.R, g.X, tol, allow_pi))
 
@@ -293,4 +301,4 @@ def _log(R: np.ndarray, X: np.ndarray, tol: Tolerances, allow_pi: bool = False, 
     X = check_finite_vector(X, theta.shape[-1], "translation", batch)
     if not allow_pi:
         _check_branch(theta, tol)
-    return L, _pull_back(V, theta, L, X, tol)
+    return L, _pull_back(V, theta, _factors(theta), L, X)

@@ -20,13 +20,14 @@ Input domain. Every array the library's maps accept, matrix or vector,
 passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
 its signature or plane fixes (an n x n rotation, an n-vector, an (n, p)
 frame, for the n of the ``Signature`` or the ``Plane``; a square matrix
-where nothing fixes n), a real numeric dtype (bool, integer or float: a
-complex array is not cast to its real part, nor a string parsed), and every
-entry finite and at most ``_MAX_ABS`` = 1e150 in magnitude. Every real
-scalar they accept (an angle, a fiber coordinate, a grid bound) passes the
-same tests, ``check_finite_scalar``: a Python or NumPy bool, integer or
-float (a string is not parsed, nor a complex number cast), finite and at
-most ``_MAX_ABS``. The sizes and indices of ``basis_vector``,
+where nothing fixes n), a real numeric dtype (integer or float: a bool
+array is not read as 0 and 1, a complex array is not cast to its real
+part, nor a string parsed), and every entry finite and at most
+``_MAX_ABS`` = 1e150 in magnitude. Every real scalar they accept (an
+angle, a fiber coordinate, a grid bound) passes the same tests,
+``check_finite_scalar``: a Python or NumPy integer or float, not a bool (a
+string is not parsed, nor a complex number cast), finite and at most
+``_MAX_ABS``. The sizes and indices of ``basis_vector``,
 ``skew_wedge``, ``Signature``, ``coordinate_plane``, ``identity_motion``,
 the samplers and ``moebius_grid`` are integers (``_is_int``), and each size
 is at most ``_MAX_DIM`` (``_is_dim``), tested before any array is made.
@@ -84,12 +85,16 @@ def _norm(x: np.ndarray, core: int | None = None):
 
     With ``core``, the norm of each element of a stack whose elements are its
     trailing ``core`` axes: a float for one element, else an array over the
-    batch. ``vecdot`` sums each element as ``dot`` does, bit for bit.
+    batch. ``vecdot`` sums each contiguous row as ``dot`` does, bit for bit,
+    but a strided row in another order, so a non-contiguous stack (such as
+    the blocks ``R[:, 1:, :1]``) is summed from a C-ordered copy. That
+    copy reads a stack of transposes row by row, where ``np.linalg.norm``
+    of one such element reads it in memory order.
     """
     if core is None or x.ndim == core:
         x = x.ravel(order="K")
         return math.sqrt(x.dot(x))
-    x = x.reshape(*x.shape[:-core], -1)
+    x = np.ascontiguousarray(x).reshape(*x.shape[:-core], -1)
     return np.sqrt(np.vecdot(x, x))
 
 
@@ -230,16 +235,17 @@ def _in_domain(x: np.ndarray, name: str, core: int) -> np.ndarray:
 
 
 def _real(x, name: str) -> np.ndarray:
-    """x as a float array, if its dtype is real numeric (bool, integer or float), else ``DimensionMismatchError``.
+    """x as a float array, if its dtype is real numeric (integer or float), else ``DimensionMismatchError``.
 
-    A complex array is not cast to its real part, strings are not parsed,
-    and a ragged nesting of lists is no array.
+    A bool array is not read as 0 and 1, a complex array is not cast to its
+    real part, strings are not parsed, and a ragged nesting of lists is no
+    array.
     """
     try:
         x = np.asarray(x)
     except ValueError:  # an inhomogeneous shape
         raise DimensionMismatchError(f"{name} must be a rectangular array") from None
-    if x.dtype.kind not in "biuf":
+    if x.dtype.kind not in "iuf":
         raise DimensionMismatchError(f"{name} must have real numeric entries, got dtype {x.dtype}")
     return x.astype(float, copy=False)
 
@@ -275,21 +281,23 @@ def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batc
     return _in_domain(x, name, 1)
 
 
-# The real scalars: those whose NumPy dtype ``_real`` accepts (bool, integer
-# or float), as Python or NumPy numbers. bool is an int.
-_REAL_SCALARS = (float, int, np.floating, np.integer, np.bool_)
+# The real scalars: those whose NumPy dtype ``_real`` accepts (integer or
+# float), as Python or NumPy numbers. Python's bool is an int, so
+# ``check_finite_scalar`` refuses it by name.
+_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def check_finite_scalar(x: float, name: str) -> float:
     """x as a float, checked as each entry of an array is: real, finite and at most ``_MAX_ABS`` in magnitude.
 
-    x must be a Python or NumPy bool, integer or float (``_REAL_SCALARS``),
-    as ``_real`` requires of an array's dtype: a string or bytes is not
-    parsed, nor a complex number cast to its real part. Anything else raises
+    x must be a Python or NumPy integer or float (``_REAL_SCALARS``), as
+    ``_real`` requires of an array's dtype: a bool (Python's is an int) is
+    not read as 0 or 1, a string or bytes is not parsed, nor a complex
+    number cast to its real part. Anything else raises
     ``DimensionMismatchError``; past the ceiling its context carries |x| as
     ``max_abs`` (inf for an integer past the float range, such as 10**400).
     """
-    if not isinstance(x, _REAL_SCALARS):
+    if isinstance(x, bool) or not isinstance(x, _REAL_SCALARS):
         raise DimensionMismatchError(f"{name} must be a real number, got {type(x).__name__}")
     try:
         x = float(x)

@@ -28,35 +28,25 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound. Errors are
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
-Twenty-three rows check whole stacks, ``check(cfg, *stacks)``, through the
-library's stacked kernels, the ones its public maps call with 2-D operands:
-``matcore.projector_idempotent_symmetric``, ``matcore.frame_completion``,
-``liegroup.group_axioms``, ``liegroup.exp_matches_series``,
-``liegroup.y_omega_identity``, ``liegroup.y_omega_roundtrip``,
-``liegroup.log_exp_roundtrip``, ``grassmann.sigma0_automorphism``,
-``grassmann.q0_invariance``, ``grassmann.cartan_roundtrips``,
-``grassmann.rho0_equivariance``, ``grassmann.dp_log0_roundtrip``,
-``bundle.fixed_point_characterization``, ``bundle.q_invariance``,
-``bundle.tau_properties``, ``bundle.projection_identity``,
-``bundle.rho_equivariance``, ``bundle.rho_bijectivity``,
-``bundle.action_law``, ``bundle.dp_full_routes``, ``bundle.transporter``,
-``projective.line_bundle_exp`` and ``projective.half_angle_line``. Each
-element of a stack comes out bit for bit as its single call, with every
-check of that call (domain, skew, SO(n), frame, fiber, generator block,
-unit direction, branch, singular factor, ``_sure`` and its one fallback,
-S_p and cut locus); an element that fails raises the single call's error
-class with its ``index`` in the context, and fails its row. The series row
-and the two line rows draw samples of several dimensions and run one kernel
-call per dimension (``_by_dimension``); the line rows run under the default
-tolerances, which the public line maps read. The oracles ``series_exp`` and
-``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank of
-each matrix. ``tests/test_verify.py`` keeps the checks of seventeen of
-these rows one sample at a time, on the public maps, and requires the same
-errors bit for bit. The other four rows (``each``: ``wedge_antisymmetry``,
-``canonical_form_reconstruction``, ``involution_eigenspace`` and
-``moebius_seam``) check one sample at a time, ``check(cfg, *sample)`` on
-index i of each stack, and an error raised there gets the sample's
-``index`` in its context too.
+A row checks whole stacks unless it is marked ``each``: its check,
+``check(cfg, *stacks)``, runs the library's stacked kernels, the ones its
+public maps call with 2-D operands. Each element of a stack comes out bit
+for bit as its single call, with every check of that call (domain, skew,
+SO(n), frame, fiber, generator block, unit direction, branch, singular
+factor, ``_sure`` and its one fallback, S_p and cut locus); an element
+that fails raises the single call's error class with its ``index`` in the
+context, and fails its row. A row that draws samples of several
+dimensions runs one kernel call per dimension (``_by_dimension``); the two
+``projective`` line rows run under the default tolerances, which the
+public line maps read. The oracles ``series_exp`` and ``svd_projector``
+take stacks too, and ``svd_projector`` keeps the rank of each matrix.
+``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
+most stacked rows, and requires the same errors bit for bit. Four rows
+are ``each``: ``matcore.wedge_antisymmetry``,
+``matcore.canonical_form_reconstruction``, ``matcore.involution_eigenspace``
+and ``projective.moebius_seam``. They check one sample at a time,
+``check(cfg, *sample)`` on index i of each stack, and an error raised there
+gets the sample's ``index`` in its context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -352,7 +342,7 @@ def _and_vectors(sample, *args):
 
 def _y_omega_roundtrip(cfg, omega, v):
     batch = omega.shape[:1]
-    return mc._norm(lg._solve(omega, lg._exp(omega, v, batch)[1], cfg.tol, batch) - v, 1)
+    return mc._norm(lg._solve(omega, lg._exp(omega, v, batch)[1], batch) - v, 1)
 
 
 def _log_exp_roundtrip(cfg, omega, v):
@@ -436,10 +426,7 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     """
     p = sig.p
     r = _motion_dist(_sigma(g, sig), g)
-    # each block contiguous, as np.linalg.norm copies one: at p = 1, R[:, p:, :p]
-    # would flatten to strided rows, which vecdot sums in another order
-    blocks = (np.ascontiguousarray(g.R[:, :p, p:]), np.ascontiguousarray(g.R[:, p:, :p]))
-    off = _root_sum_squares(*(mc._norm(b, 2) for b in blocks), mc._norm(g.X[:, :p], 1))
+    off = _root_sum_squares(mc._norm(g.R[:, :p, p:], 2), mc._norm(g.R[:, p:, :p], 2), mc._norm(g.X[:, :p], 1))
     return r, np.abs(r - 2.0 * off) / (1.0 + r)
 
 

@@ -40,14 +40,14 @@ def run_cli(capsys, *argv):
 # command -> the Tolerances fields its maps read, the --tol.* flags it takes
 TOL_FIELDS = {
     "exp": set(),
-    "log": {"orth", "branch", "sing"},
+    "log": {"orth", "branch"},
     "embed": {"orth", "invol", "fiber"},
     "project": {"orth", "invol", "fiber"},
     "act": {"orth", "fiber"},
     "transport": {"orth", "fiber"},
     "tau": {"orth", "invol", "fiber"},
     "sample": set(),
-    "verify": {"orth", "invol", "branch", "sing", "plane", "fiber"},
+    "verify": {"orth", "invol", "branch", "plane", "fiber"},
     "moebius": set(),
 }
 
@@ -290,13 +290,14 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_tol_override_flag(self, tmp_path, capsys):
-        # an absurd singularity cutoff makes the translation solve refuse any angle
-        c, s = math.cos(0.9), math.sin(0.9)
+        # a wider branch bound makes the log refuse an angle near pi that the default allows
+        angle = math.pi - 1e-5
+        c, s = math.cos(angle), math.sin(angle)
         motion = {"R": mat_to_json(np.array([[c, -s], [s, c]])), "X": [0.3, -0.7]}
         infile = write_json(tmp_path, "g.json", motion)
-        code, out, err = run_cli(capsys, "log", "--in", infile, "--tol.sing=10.0")
+        code, out, err = run_cli(capsys, "log", "--in", infile, "--tol.branch=1e-3")
         assert code == 1
-        assert json.loads(err)["error"] == "y_omega_singular"
+        assert json.loads(err)["error"] == "log_branch_ambiguity"
         code, out, err = run_cli(capsys, "log", "--in", infile)
         assert code == 0
 
@@ -306,7 +307,7 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "bad_arguments"
 
     def test_bad_tol_value(self, capsys):
-        code, _, err = run_cli(capsys, "log", "--tol.sing", "abc")
+        code, _, err = run_cli(capsys, "log", "--tol.orth", "abc")
         assert code == 1
         assert json.loads(err)["error"] == "bad_arguments"
 
@@ -572,6 +573,54 @@ def test_a_command_takes_the_tol_flags_of_exactly_the_fields_it_reads(command):
         read |= tol._reads
     assert read == {flag[len("tol."):] for flag in flags if flag.startswith("tol.")}
     assert read == TOL_FIELDS[command]
+
+
+# (command, tolerance, value, input form of _mode_inputs()): under the flag
+# --tol.NAME VALUE the run exits with another code or error than without it.
+# "near pi" is a rotation by pi - 1e-7, inside the default branch bound 1e-6.
+LIVE_TOL_FLAGS = [
+    ("log", "orth", "1e-30", "matrix"),
+    ("log", "branch", "1e-9", "near pi"),
+    ("embed", "orth", "1e-30", "plane"),
+    ("embed", "invol", "1e-30", "plane"),
+    ("embed", "fiber", "1e-30", "bundle point"),
+    ("project", "orth", "1e-30", "Cartan rotation"),
+    ("project", "invol", "1e-30", "Cartan rotation"),
+    ("project", "fiber", "1e-30", "Cartan motion"),
+    ("act", "orth", "1e-30", "{a, g}"),
+    ("act", "fiber", "1e-30", "{a, b}"),
+    ("transport", "orth", "1e-30", "{src, dst}"),
+    ("transport", "fiber", "1e-30", "{src, dst}"),
+    ("tau", "orth", "1e-30", "motion"),
+    ("tau", "invol", "1e-30", "motion"),
+    ("tau", "fiber", "1e-30", "motion"),
+    ("verify", "orth", "1e-30", "none"),
+    ("verify", "invol", "1e-30", "none"),
+    ("verify", "branch", "0.5", "none"),
+    ("verify", "plane", "1e-30", "none"),
+    ("verify", "fiber", "1e-30", "none"),
+]
+
+
+def test_the_live_flag_table_covers_every_tol_flag():
+    pairs = sorted((command, name) for command, names in TOL_FIELDS.items() for name in names)
+    assert sorted((command, name) for command, name, _, _ in LIVE_TOL_FLAGS) == pairs
+    assert len(pairs) == 20
+
+
+@pytest.mark.parametrize("command, name, value, form", LIVE_TOL_FLAGS,
+                         ids=[f"{command}-{name}" for command, name, _, _ in LIVE_TOL_FLAGS])
+def test_every_tol_flag_changes_the_outcome_of_some_run(tmp_path, capsys, command, name, value, form):
+    angle = math.pi - 1e-7
+    near_pi = mat_to_json(np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]))
+    argv, obj = {**_mode_inputs()[command], "near pi": ([], near_pi)}[form]
+    infile = [] if obj is None else ["--in", write_json(tmp_path, "in.json", obj)]
+
+    def outcome(*flag):
+        code, _, err = run_cli(capsys, command, *argv, *infile, *flag)
+        return code, json.loads(err)["error"] if err else None
+
+    assert outcome(f"--tol.{name}", value) != outcome()
 
 
 class _RecordingNamespace(argparse.Namespace):

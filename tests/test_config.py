@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cartanbundle import grassmann, liegroup
 from cartanbundle.config import Tolerances, default_tolerances
 
 
@@ -37,12 +38,22 @@ def test_an_unknown_tolerance_name_is_rejected():
 
 def test_rank_is_not_a_tolerance():
     # the rank cutoff of orthonormalize is the constant matcore._RANK_TOL
-    assert [f.name for f in dataclasses.fields(Tolerances)] == [
-        "orth", "invol", "branch", "sing", "plane", "fiber"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["orth", "invol", "branch", "plane", "fiber"]
     with pytest.raises(TypeError, match="rank"):
         Tolerances(rank=1e-9)
     with pytest.raises(TypeError, match="rank"):
         dataclasses.replace(default_tolerances(), rank=1e-9)
+
+
+def test_the_singular_cutoff_is_not_a_tolerance():
+    # y_omega_solve cuts off the half-angle factor and dp_log0 the principal
+    # sines at fixed constants; no factor on the principal branch of se_log
+    # is below 2/pi, so se_log has no cutoff at all
+    assert liegroup._FACTOR_TOL == grassmann._SINE_TOL == 1e-9
+    with pytest.raises(TypeError, match="sing"):
+        Tolerances(sing=1e-9)
+    with pytest.raises(TypeError, match="sing"):
+        dataclasses.replace(default_tolerances(), sing=1e-9)
 
 
 def test_finite_positive_values_are_kept():

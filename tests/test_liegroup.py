@@ -203,6 +203,18 @@ class TestYOmega:
         with pytest.raises(SingularMapError):
             y_omega_solve(pi2(2 * math.pi), np.array([1.0, 0.0]))
 
+    def test_the_singular_cutoff_is_fixed(self):
+        # the cutoff is a constant: y_omega_solve takes (omega, Y) only, and
+        # at theta = 2 pi still names the angle; Y is checked before the factor
+        with pytest.raises(TypeError):
+            y_omega_solve(pi2(1.0), np.array([1.0, 0.0]), Tolerances())
+        with pytest.raises(SingularMapError) as info:
+            y_omega_solve(pi2(2 * math.pi), np.array([1.0, 0.0]))
+        assert info.value.code == "y_omega_singular"
+        assert info.value.context["angle"] == pytest.approx(2 * math.pi)
+        with pytest.raises(DimensionMismatchError):
+            y_omega_solve(pi2(2 * math.pi), np.array([math.nan, 0.0]))
+
 
 class TestSeExpLog:
     def test_pure_translation(self, rng):

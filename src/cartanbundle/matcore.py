@@ -8,9 +8,10 @@ Everything is NumPy. The canonical forms come from one private pairing
 routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
 and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R, and one array routine
-(``_assemble_form``) orders and orients the pairs of either form. Each form
-checks its input (R in SO(n), W skew) and computes the one route it returns;
-that the rotation form rebuilds R is checked by ``verify``
+(``_assemble_form``) orders and orients the pairs of either form; ``_blocks``
+builds their block-diagonal matrices. Each form checks its input (R in
+SO(n), W skew) and computes the one route it returns; that the rotation
+form rebuilds R is checked by ``verify``
 (``matcore.canonical_form_reconstruction``), not on every call. The
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
 only the angles near pi. ``orthonormalize`` is the sign-fixed QR
@@ -60,7 +61,10 @@ comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
 ``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
 calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
 element that fails a check raises the error class of its single call, with
-its ``index`` in the stack in the error's context (``_require``).
+its ``index`` in the stack in the error's context (``_require``). Where the
+elements of a stack differ in a count (the pairs of a skew matrix, the
+split of a log, the angles of a form), they are grouped by it
+(``_groups``), and each group runs as one stack.
 """
 
 from __future__ import annotations
@@ -87,13 +91,16 @@ def _norm(x: np.ndarray, core: int | None = None):
     trailing ``core`` axes: a float for one element, else an array over the
     batch. ``vecdot`` sums each contiguous row as ``dot`` does, bit for bit,
     but a strided row in another order, so a non-contiguous stack (such as
-    the blocks ``R[:, 1:, :1]``) is summed from a C-ordered copy. That
-    copy reads a stack of transposes row by row, where ``np.linalg.norm``
-    of one such element reads it in memory order.
+    the blocks ``R[:, 1:, :1]``) is summed from a C-ordered copy. A stack
+    of matrices that lie in memory column by column (such as ``R.mT`` or
+    ``R[::2, 1:].mT``) is copied through its transposes, so that each is
+    summed in memory order, as ``np.linalg.norm`` reads one such matrix.
     """
     if core is None or x.ndim == core:
         x = x.ravel(order="K")
         return math.sqrt(x.dot(x))
+    if core == 2 and abs(x.strides[-2]) < abs(x.strides[-1]):
+        x = x.mT
     x = np.ascontiguousarray(x).reshape(*x.shape[:-core], -1)
     return np.sqrt(np.vecdot(x, x))
 
@@ -136,6 +143,17 @@ def _each(mask, value: bool = True) -> list:
     if type(mask) is not np.ndarray:
         return [()] if bool(mask) is value else []
     return [tuple(int(k) for k in i) for i in np.argwhere(mask if value else ~mask)]
+
+
+def _groups(key) -> list:
+    """(k, at) for each distinct value k of ``key`` over a stack, ``at`` the mask of its elements.
+
+    For one operand (a 0-d key) there is one group, and ``at`` is ``...``,
+    which indexes the operand itself: a view, and no copy.
+    """
+    if key.ndim == 0:
+        return [(key, ...)]
+    return [(k, key == k) for k in np.unique(key)]
 
 
 def _scalar_formula(fn):
@@ -394,14 +412,35 @@ def _complete_frames(F: np.ndarray) -> np.ndarray:
     return A
 
 
+_cos, _sin = _scalar_formula(math.cos), _scalar_formula(math.sin)
+
+
+def _blocks(angles: np.ndarray, n: int, rotation: bool) -> np.ndarray:
+    """blockdiag(B(theta_1), ..., B(theta_k), I or 0), n x n, for the k angles of one form or of each of a stack.
+
+    B(theta) is the planar rotation [[cos, -sin], [sin, cos]] (``math.cos``
+    and ``math.sin``) for a rotation form, Pi(theta) = [[0, -theta],
+    [theta, 0]] for a skew form; the trailing coordinates get 1 or 0. An
+    angle of 0, which a stacked form holds past its count, gives the block
+    of fixed coordinates: its off-diagonal entries are 0 - 0 = +0.
+    """
+    c, s = (_cos(angles), _sin(angles)) if rotation else (np.zeros_like(angles), angles)
+    D, i = np.zeros(angles.shape[:-1] + (n, n)), np.arange(n)
+    D[..., i, i] = float(rotation)
+    j = i[: 2 * angles.shape[-1] : 2]  # the first row of each block
+    D[..., j, j] = D[..., j + 1, j + 1] = c
+    D[..., j + 1, j], D[..., j, j + 1] = s, 0.0 - s
+    return D
+
+
 @dataclass(frozen=True)
 class CanonicalRotationForm:
     """Block decomposition Q . blockdiag(B(theta_1), ..., B(theta_k), 0 or I) . Q^T.
 
     For rotations the blocks are planar rotations R(theta); for skew matrices
-    they are Pi(theta) = [[0, -theta], [theta, 0]]. ``angles`` is sorted
-    descending; the trailing ``fixed_dim`` coordinates are fixed (rotation)
-    or annihilated (skew).
+    they are Pi(theta) = [[0, -theta], [theta, 0]] (``_blocks``). ``angles``
+    is sorted descending; the trailing ``fixed_dim`` coordinates are fixed
+    (rotation) or annihilated (skew).
     """
 
     Q: np.ndarray
@@ -413,18 +452,10 @@ class CanonicalRotationForm:
         return self.Q.shape[0]
 
     def rotation_blocks(self) -> np.ndarray:
-        D = np.eye(self.n)
-        for i, theta in enumerate(self.angles):
-            c, s = math.cos(theta), math.sin(theta)
-            D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
-        return D
+        return _blocks(np.array(self.angles, dtype=float), self.n, rotation=True)
 
     def skew_blocks(self) -> np.ndarray:
-        D = np.zeros((self.n, self.n))
-        for i, theta in enumerate(self.angles):
-            D[2 * i, 2 * i + 1] = -theta
-            D[2 * i + 1, 2 * i] = theta
-        return D
+        return _blocks(np.array(self.angles, dtype=float), self.n, rotation=False)
 
     def rotation_matrix(self) -> np.ndarray:
         return self.Q @ self.rotation_blocks() @ self.Q.T
@@ -463,22 +494,47 @@ def check_skew(W: np.ndarray, batch: tuple = ()) -> np.ndarray:
 
 
 def _skew_pairs(W: np.ndarray) -> tuple:
-    """(Q, s): the turning pairs and kernel of a real skew matrix W.
+    """(Q, s): the turning pairs and kernel of a real skew matrix W, or of each of a stack.
 
-    Q is orthogonal; for each angle s_i > 0, W Q[:, 2i] = s_i Q[:, 2i+1] and
-    W Q[:, 2i+1] = -s_i Q[:, 2i], and the trailing columns span the kernel.
-    An eigenvector u of the Hermitian i W with eigenvalue s > 0 gives the
-    pair (Re u, Im u); one complete QR makes the pairs orthonormal, keeping
-    their signs, and completes them by the kernel. Eigenvalues at most
-    1e-14 max(1, |W|) count as kernel.
+    Q is orthogonal; for each of the c angles s_i > 0, W Q[:, 2i] =
+    s_i Q[:, 2i+1] and W Q[:, 2i+1] = -s_i Q[:, 2i], and the trailing columns
+    span the kernel. s holds n // 2 entries: the c angles ascending, then
+    zeros. An eigenvector u of the Hermitian i W with eigenvalue s > 0 gives
+    the pair (Re u, Im u); one complete QR makes the pairs orthonormal,
+    keeping their signs, and completes them by the kernel. Eigenvalues at
+    most 1e-14 max(1, |W|) count as kernel, so the c angles are the last c
+    eigenvalues. A stack takes one ``eigh``, and its elements are grouped
+    by their count c: each group takes one complete QR and one sign fix.
     """
+    n = W.shape[-1]
     w, U = np.linalg.eigh(1j * W)
-    pos = w > 1e-14 * max(1.0, _norm(W))
-    U = U[:, pos]
-    pairs = np.stack([U.real, U.imag], axis=2).reshape(W.shape[0], -1)
-    Q, T = np.linalg.qr(pairs, mode="complete")
-    Q[:, : pairs.shape[1]] *= np.copysign(1.0, T.diagonal())
-    return Q, w[pos]
+    count = (w > 1e-14 * np.maximum(1.0, _norm(W, 2))[..., None]).sum(axis=-1)
+    Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
+    for c, at in _groups(count):
+        pairs = U[at][..., n - c :].view(np.float64)  # the columns Re u, Im u of each eigenvector u, interleaved
+        Q_c, T = np.linalg.qr(pairs, mode="complete")
+        Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(T, axis1=-2, axis2=-1))[..., None, :]
+        Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
+    return Q, s
+
+
+def _pairing_tail(V: np.ndarray, theta: np.ndarray, K: np.ndarray, k: int) -> np.ndarray:
+    """L = log R for rotations whose split in ``_rotation_log`` is k, one or a stack; V and theta are updated in place.
+
+    Above the split, L = g(S) K on the columns V[:, k:]. The k columns below
+    it span the turning planes whose angle is near pi: the pairs of K
+    restricted to them (``_skew_pairs``) give each plane and its angle
+    pi - arcsin(sin theta), and a kernel there, an exact -1 eigenspace of R,
+    is paired at pi (a padded angle 0 gives pi - arcsin 0 = pi).
+    """
+    L = (V[..., k:] / np.sinc(theta[..., k:] / math.pi)[..., None, :]) @ (V[..., k:].mT @ K)
+    Q, s = _skew_pairs(V[..., :k].mT @ K @ V[..., :k])
+    t = math.pi - np.arcsin(np.minimum(s, 1.0))
+    V[..., :k] = V[..., :k] @ Q
+    A, B, tt = V[..., 0:k:2], V[..., 1:k:2], t[..., None, :]
+    L += (B * tt) @ A.mT - (A * tt) @ B.mT
+    theta[..., :k] = np.repeat(t, 2, axis=-1)
+    return L
 
 
 def _rotation_log(R: np.ndarray) -> tuple:
@@ -491,8 +547,9 @@ def _rotation_log(R: np.ndarray) -> tuple:
     widest gap of its spectrum inside [-3/4, -1/4], at m. Above the split,
     L = g(S) K with g = theta / sin(theta), which stays below 3.7 there.
     Below it g blows up near pi, so the pairs of K there give
-    theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi;
-    this pairing tail runs only on the elements with m > 0.
+    theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi
+    (``_pairing_tail``). The tail runs only on the elements with m > 0, as
+    one stack per split m.
     """
     S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
     c, V = np.linalg.eigh(S)
@@ -501,42 +558,58 @@ def _rotation_log(R: np.ndarray) -> tuple:
     m = np.argmax(np.concatenate(gaps, axis=-1), axis=-1)
     _require(m % 2 == 0, IllConditionedSpectrumError, "ill-conditioned spectrum: odd count of angles near pi")
     theta = np.arccos(np.clip(c, -1.0, 1.0))
-    paired = _each(m > 0)  # L is written over on each of them below
-    L = (np.empty_like(K) if len(paired) == m.size
+    splits = _groups(m)  # the smallest first: if it is above 0, every element has a tail
+    L = (np.empty_like(K) if splits[0][0]
          else (V / np.sinc(theta / math.pi)[..., None, :]) @ (V.mT @ K))
-    for i in paired:  # the pairing tail, on one rotation, updating its V and theta
-        Vi, theta_i, k = V[i], theta[i], int(m[i])
-        L[i] = (Vi[:, k:] / np.sinc(theta_i[k:] / math.pi)) @ (Vi[:, k:].T @ K[i])
-        Q, s = _skew_pairs(Vi[:, :k].T @ K[i] @ Vi[:, :k])
-        t = np.full(k // 2, math.pi)
-        t[: s.size] = math.pi - np.arcsin(np.minimum(s, 1.0))
-        Vi[:, :k] = Vi[:, :k] @ Q
-        A, B = Vi[:, 0:k:2], Vi[:, 1:k:2]
-        L[i] += (B * t) @ A.T - (A * t) @ B.T
-        theta_i[:k] = np.repeat(t, 2)
+    for k, at in splits:
+        if k:
+            V_k, theta_k = V[at], theta[at]
+            L[at] = _pairing_tail(V_k, theta_k, K[at], int(k))
+            V[at], theta[at] = V_k, theta_k
     return L, V, theta
 
 
-def _assemble_form(Q, s, rotation: bool) -> CanonicalRotationForm:
-    """Both canonical forms from the pairs, angles and kernel (Q, s) of ``_skew_pairs``.
+def _assemble_form(Q: np.ndarray, s: np.ndarray, rotation: bool) -> tuple:
+    """(Q, angles) of both canonical forms, from pairs and angles (Q, s) of ``_skew_pairs`` that share a count.
 
-    ``eigh`` gives the angles ascending, so the pairs are reversed. If then
-    det Q < 0, the last kernel column is negated, or, with no kernel, the
-    columns of the smallest block are swapped and its angle negated. In a
-    rotation form an angle of exactly pi (the angles are clamped to pi) stays
-    pi, since a turn by pi is its own inverse.
+    Q is one matrix or a stack, and s holds its c angles, ascending, as
+    ``eigh`` gives them. So the pairs are reversed. If then det Q < 0, the
+    last kernel column is negated, or, with no kernel, the columns of the
+    smallest block are swapped and its angle negated. In a rotation form an
+    angle of exactly pi (the angles are clamped to pi) stays pi, since a
+    turn by pi is its own inverse.
     """
-    n, k = Q.shape[0], s.size
-    pairs = Q[:, : 2 * k].reshape(n, k, 2)[:, ::-1].reshape(n, 2 * k)
-    Q, angles = np.concatenate([pairs, Q[:, 2 * k :]], axis=1), s[::-1].copy()
-    if np.linalg.det(Q) < 0:
-        if 2 * k < n:
-            Q[:, -1] *= -1
-        else:
-            Q[:, [-2, -1]] = Q[:, [-1, -2]]
-            if not (rotation and angles[-1] == math.pi):
-                angles[-1] = -angles[-1]
-    return CanonicalRotationForm(Q=Q, angles=tuple(angles.tolist()), fixed_dim=n - 2 * k)
+    n, k = Q.shape[-1], s.shape[-1]
+    pairs = Q[..., : 2 * k].reshape(*Q.shape[:-1], k, 2)[..., ::-1, :].reshape(*Q.shape[:-1], 2 * k)
+    Q, angles = np.concatenate([pairs, Q[..., 2 * k :]], axis=-1), s[..., ::-1].copy()
+    neg = np.linalg.det(Q) < 0
+    if not neg.any():
+        return Q, angles
+    if 2 * k < n:
+        Q[..., -1] *= np.where(neg, -1.0, 1.0)[..., None]
+    else:
+        Q[..., -2:] = np.where(neg[..., None, None], Q[..., :-3:-1], Q[..., -2:])
+        angles[..., -1] *= np.where(neg & ~(rotation & (angles[..., -1] == math.pi)), -1.0, 1.0)
+    return Q, angles
+
+
+def _forms(Q: np.ndarray, s: np.ndarray, rotation: bool) -> tuple:
+    """(Q, angles): ``_assemble_form`` of the pairs (Q, s) of ``_skew_pairs``, one or a stack.
+
+    For one form, angles holds its c angles, descending. The elements of a
+    stack are grouped by their count of angles, and angles holds n // 2
+    entries per element, its angles descending and then zeros, as s does.
+    """
+    if s.ndim == 1:
+        return _assemble_form(Q, s[: np.count_nonzero(s)], rotation)
+    count, angles = (s > 0).sum(axis=-1), np.zeros_like(s)
+    for c, at in _groups(count):
+        Q[at], angles[at, :c] = _assemble_form(Q[at], s[at, :c], rotation)
+    return Q, angles
+
+
+def _as_form(Q: np.ndarray, angles: np.ndarray) -> CanonicalRotationForm:
+    return CanonicalRotationForm(Q=Q, angles=tuple(angles.tolist()), fixed_dim=Q.shape[0] - 2 * angles.size)
 
 
 def canonical_rotation_form(
@@ -551,8 +624,17 @@ def canonical_rotation_form(
     Q blockdiag(R(theta_i), I) Q^T = R is checked by ``verify``
     (``matcore.canonical_form_reconstruction``), not on every call.
     """
-    Q, s = _skew_pairs(_rotation_log(check_special_orthogonal(R, tol))[0])
-    return _assemble_form(Q, np.minimum(s, math.pi), rotation=True)
+    return _as_form(*_rotation_form(R, tol))
+
+
+def _rotation_form(R: np.ndarray, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(Q, angles): the kernel of ``canonical_rotation_form``, for R with the leading shape ``batch``.
+
+    angles holds the angles of one form, or of each of a stack padded with
+    zeros (``_forms``); ``_blocks`` of them rebuilds each form's blocks.
+    """
+    Q, s = _skew_pairs(_rotation_log(_checked_rotation(R, tol, None, batch)[0])[0])
+    return _forms(Q, np.minimum(s, math.pi), rotation=True)
 
 
 def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
@@ -561,7 +643,7 @@ def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
     Only W is checked, as skew (``check_skew``); the form rebuilds W within
     1e-10 n max(1, |W|), which the tests hold it to.
     """
-    return _assemble_form(*_skew_pairs(check_skew(W)), rotation=False)
+    return _as_form(*_forms(*_skew_pairs(check_skew(W)), rotation=False))
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:
@@ -593,11 +675,22 @@ def eigenspace_of_symmetric_involution(
     involution (an orthogonal symmetry), as ``_symmetric_involution`` tests
     it. The returned frame may have zero columns.
     """
+    V, keep = _eigenspace(S, eigenvalue, tol)
+    return V[:, keep]
+
+
+def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances, batch: tuple = ()) -> tuple:
+    """(V, keep): the kernel of ``eigenspace_of_symmetric_involution``, for S with the leading shape ``batch``.
+
+    V is an eigenbasis of each S, and ``keep`` marks its columns whose
+    eigenvalue is within 1/2 of ``eigenvalue``: the frame of an element is
+    V[..., keep] of that element.
+    """
     if eigenvalue not in (1, -1):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
-    S = check_finite_matrix(S, (None, None), "symmetry")
-    defect = _symmetric_involution(S, tol)[2]
+    S = check_finite_matrix(S, (None, None), "symmetry", batch)
+    _, i, defect, _ = _symmetric_involution(S, tol)
     if defect:
-        raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}")
+        raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}", **_at(i))
     w, V = np.linalg.eigh(S)
-    return V[:, np.abs(w - eigenvalue) < 0.5]
+    return V, np.abs(w - eigenvalue) < 0.5

@@ -32,21 +32,23 @@ A row checks whole stacks unless it is marked ``each``: its check,
 ``check(cfg, *stacks)``, runs the library's stacked kernels, the ones its
 public maps call with 2-D operands. Each element of a stack comes out bit
 for bit as its single call, with every check of that call (domain, skew,
-SO(n), frame, fiber, generator block, unit direction, branch, singular
-factor, ``_sure`` and its one fallback, S_p and cut locus); an element
-that fails raises the single call's error class with its ``index`` in the
-context, and fails its row. A row that draws samples of several
-dimensions runs one kernel call per dimension (``_by_dimension``); the two
-``projective`` line rows run under the default tolerances, which the
-public line maps read. The oracles ``series_exp`` and ``svd_projector``
-take stacks too, and ``svd_projector`` keeps the rank of each matrix.
+SO(n), symmetric involution, frame, fiber, generator block, unit
+direction, branch, singular factor, ``_sure`` and its one fallback, S_p
+and cut locus); an element that fails raises the single call's error
+class with its ``index`` in the context, and fails its row. A row that
+draws samples of several dimensions runs one kernel call per dimension
+(``_by_dimension``); the two ``projective`` line rows run under the
+default tolerances, which the public line maps read. The oracles
+``series_exp`` and ``svd_projector`` take stacks too, and
+``svd_projector`` keeps the rank of each matrix; the canonical forms and
+the involution eigenspaces of a stack vary in their count of angles and
+their dimension, and their products are grouped by it.
 ``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
-most stacked rows, and requires the same errors bit for bit. Four rows
-are ``each``: ``matcore.wedge_antisymmetry``,
-``matcore.canonical_form_reconstruction``, ``matcore.involution_eigenspace``
-and ``projective.moebius_seam``. They check one sample at a time,
-``check(cfg, *sample)`` on index i of each stack, and an error raised there
-gets the sample's ``index`` in its context too.
+most stacked rows, and requires the same errors bit for bit. Two rows
+are ``each``, ``matcore.wedge_antisymmetry`` and
+``projective.moebius_seam``, whose draws are fixed sets. They check one
+sample at a time, ``check(cfg, *sample)`` on index i of each stack, and an
+error raised there gets the sample's ``index`` in its context too.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -149,8 +151,7 @@ def svd_projector(vectors: np.ndarray) -> np.ndarray:
     U, s, _ = np.linalg.svd(vectors, full_matrices=False)
     r, m = np.sum(s > 1e-12 * np.maximum(1.0, s[..., :1]), axis=-1), U.shape[-2]
     P = np.empty(U.shape[:-2] + (m, m))
-    for k in np.unique(r):
-        at = r == k  # for one matrix, a 0-d mask that selects it as a stack of one
+    for k, at in mc._groups(r):
         Uk = U[at][..., :k]
         P[at] = Uk @ Uk.mT
     return P
@@ -284,8 +285,13 @@ def _projector(cfg, F):
 
 
 def _canonical_form(cfg, R):
-    form = mc.canonical_rotation_form(R, cfg.tol)
-    return float(np.linalg.norm(form.rotation_matrix() - R))
+    """|Q blockdiag(R(theta_i), I) Q^T - R| for the canonical form of each rotation, of several dimensions."""
+
+    def check(R):
+        Q, angles = mc._rotation_form(R, cfg.tol, R.shape[:1])
+        return mc._norm(Q @ mc._blocks(angles, R.shape[-1], rotation=True) @ Q.mT - R, 2)
+
+    return _by_dimension(check, R)
 
 
 def _completion(cfg, F):
@@ -301,9 +307,15 @@ def _completion(cfg, F):
 
 
 def _involution_eigenspace(cfg, A):
-    S = A @ cfg.sig.matrix @ A.T
-    F = mc.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
-    return float(np.linalg.norm(S @ F + F))
+    """|S F + F| for F the -1 eigenspace of each S = A J A^T; the frames that keep the same columns share one product."""
+    S = A @ cfg.sig.matrix @ A.mT
+    V, keep = mc._eigenspace(S, -1, cfg.tol, A.shape[:1])
+    errors = np.empty(len(A))
+    for cols in np.unique(keep, axis=0):
+        at = (keep == cols).all(axis=-1)
+        F = V[at][..., cols]
+        errors[at] = mc._norm(S[at] @ F + F, 2)
+    return errors
 
 
 def _group_axioms(cfg, R, X):
@@ -569,16 +581,13 @@ def _directions(cfg, rng, count):
     return U, rng.uniform(0.0, 2.0 * math.pi, count)
 
 
-_cos, _sin = mc._scalar_formula(math.cos), mc._scalar_formula(math.sin)
-
-
 def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The paper's half-angle vectors cos(theta/2) e_1 + sin(theta/2) U: the oracle of the line rows.
 
     One per entry of theta and row of U, with ``math.cos`` and ``math.sin``.
     """
     half = 0.5 * theta
-    return _cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + _sin(half)[:, None] * U
+    return mc._cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + mc._sin(half)[:, None] * U
 
 
 def _by_dimension(check, *stacks) -> tuple:
@@ -693,13 +702,13 @@ def moebius_seam_check():
 PROPERTIES = (
     ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_triples, each=True)),
     ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames)),
-    ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10, each=True,
+    ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: _per_dimension(
             rng.integers(2, min(cfg.n, 8) + 1, size=count),
             lambda nn, k: (sp.sample_rotations(rng, nn, k),),
         ))),
     ("matcore.frame_completion", Row(_completion, lambda cfg: cfg.tol.orth * cfg.n, _frames)),
-    ("matcore.involution_eigenspace", Row(_involution_eigenspace, lambda cfg: 1e-10, _rotations, each=True)),
+    ("matcore.involution_eigenspace", Row(_involution_eigenspace, lambda cfg: 1e-10, _rotations)),
     ("liegroup.group_axioms", Row(_group_axioms, lambda cfg: 1e-11 * cfg.n,
         draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))),
     ("liegroup.exp_matches_series", Row(_exp_series, lambda cfg: 1e-9,

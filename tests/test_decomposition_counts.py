@@ -4,7 +4,9 @@ Each map is called once on generic inputs (rotation angles below 2 pi / 3,
 principal angles above 1e-2), with ``np.linalg.eigh``, ``svd``, ``qr`` and
 ``det`` counted. The inputs are built before counting starts. The line maps
 run at (4, 1), and ``moebius_grid`` builds its whole 128 x 9 grid from one
-stacked SVD.
+stacked SVD. The logs also run on a rotation with two angles above 3 pi / 4,
+which takes the pairing tail of ``matcore._rotation_log``: one ``eigh`` of
+the skew block below its split and one complete QR more, as one call.
 """
 
 import math
@@ -18,6 +20,7 @@ from cartanbundle import (
     CartanRotation,
     DpElement,
     DpGenerator,
+    Motion,
     Screw,
     Signature,
     bundle_act,
@@ -59,6 +62,8 @@ EXPECTED = {
     "y_omega_solve": {"eigh": 1},
     "se_log": {"eigh": 1, "det": 1},
     "so_log": {"eigh": 1, "det": 1},
+    "se_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
+    "so_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
     "CartanRotation.certify": {"eigh": 1, "det": 1},
     "CartanMotion.certify": {"eigh": 1, "det": 1},
     "dp_exp": {"svd": 1},
@@ -98,6 +103,11 @@ def calls():
     dst = rho(cm)
     assert principal_angles(src.plane, dst.plane).min() > 1e-2
     U = np.array([0.0, 0.6, 0.8, 0.0])
+    # turning angles 2.6 and 2.9 in the planes of g.R: every eigenvalue of (R + R^T)/2 is below -3/4
+    wide = np.zeros((4, 4))
+    wide[1, 0], wide[3, 2] = 2.6, 2.9
+    tail = g.R @ so_exp(wide - wide.T) @ g.R.T
+    assert (np.linalg.eigvalsh(0.5 * (tail + tail.T)) < -0.75).all()
     return {
         "se_exp": lambda: se_exp(xi),
         "so_exp": lambda: so_exp(omega),
@@ -105,6 +115,8 @@ def calls():
         "y_omega_solve": lambda: y_omega_solve(omega, g.X),
         "se_log": lambda: se_log(g),
         "so_log": lambda: so_log(g.R),
+        "se_log (pairing tail)": lambda: se_log(Motion(tail, v)),
+        "so_log (pairing tail)": lambda: so_log(tail),
         "CartanRotation.certify": lambda: CartanRotation.certify(cr.mat, SIG),
         "CartanMotion.certify": lambda: CartanMotion.certify(cm.motion, SIG),
         "dp_exp": lambda: dp_exp(gen),

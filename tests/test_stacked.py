@@ -5,7 +5,8 @@ context.
 
 The stacks mix the hard inputs of each kernel: angles on both sides of the
 1e-4 Taylor switch of the half-angle factor, rotations with angles near pi
-(the pairing path of the log), and principal angles below 1e-2 (the sine
+(the pairing path of the log, with splits m = 0, 2 and 4 and exact -1
+eigenspaces in one stack), and principal angles below 1e-2 (the sine
 branch of the principal pairs).
 """
 
@@ -27,6 +28,7 @@ from cartanbundle import (
     IllConditionedSpectrumError,
     Motion,
     NotInCartanModelError,
+    NotOrthogonalSymmetryError,
     Signature,
     Tolerances,
 )
@@ -78,6 +80,29 @@ def _generators(rng, p: int, q: int, k: int) -> np.ndarray:
     return (U * s[..., None, :]) @ Vt
 
 
+# the turning angles of each rotation of ``_tail_rotations``, one per plane; pi
+# turns a plane by exactly diag(-1, -1), an exact -1 eigenspace. Above 3 pi / 4
+# a plane falls below the split of ``_rotation_log``, so the splits m are
+# 0, 2, 2, 4, 4, 4, 2, 4, 2, and the pairing tail's skew block has a kernel
+# (fewer pairs than m / 2) at elements 2, 4, 5 and 8.
+TAIL_TURNS = [
+    (0.7, 0.3), (math.pi - 1e-3, 0.7), (math.pi, 0.7), (2.9, math.pi - 1e-9), (math.pi, math.pi - 1e-3),
+    (math.pi, math.pi), (0.3, 2.9), (math.pi - 1e-9, math.pi - 1e-9), (0.7, math.pi),
+]
+
+
+def _tail_rotations(n: int) -> np.ndarray:
+    """One rotation per entry of ``TAIL_TURNS``, in the planes of a random frame; any further plane turns by 0.7."""
+    R = np.zeros((len(TAIL_TURNS), n, n))
+    for i, (Q, turns) in enumerate(zip(sample_rotations(make_rng(40, n), n, len(R)), TAIL_TURNS)):
+        B = np.eye(n)
+        for b, t in enumerate(turns + (0.7,) * (n // 2 - 2)):
+            c, s = (-1.0, 0.0) if t == math.pi else (math.cos(t), math.sin(t))
+            B[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = [[c, -s], [s, c]]
+        R[i] = Q @ B @ Q.T
+    return R
+
+
 @pytest.fixture(params=SHAPES, ids=[f"{n}-{p}" for n, p in SHAPES])
 def shape(request):
     return request.param
@@ -126,6 +151,67 @@ class TestMatcore:
         n, _ = shape
         R = lg._exp(_skews(make_rng(4, n), n, K), np.zeros((K, n)), (K,))[0]
         _same(mc._rotation_log(R), lambda i: mc._rotation_log(R[i]), K)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_rotation_log_pairing_tail(self, n):
+        R = _tail_rotations(n)
+        k = len(R)
+        S = 0.5 * (R + R.mT)
+        assert (np.linalg.eigvalsh(S) < -0.75).sum(axis=-1).tolist() == [0, 2, 2, 4, 4, 4, 2, 4, 2]
+        _same(mc._rotation_log(R), lambda i: mc._rotation_log(R[i]), k)
+        # the skew blocks of the tail below the split: kernels, and counts that differ within a split
+        V = np.linalg.eigh(S)[1][..., :4]
+        W = V.mT @ (0.5 * (R - R.mT)) @ V
+        Q, s = mc._skew_pairs(W)
+        assert (s > 0).sum(axis=-1)[[3, 4, 5]].tolist() == [2, 1, 0]
+        _same((Q, s), lambda i: mc._skew_pairs(W[i]), k)
+
+    def test_skew_pairs_of_mixed_counts(self, shape):
+        n, _ = shape
+        W = _skews(make_rng(41, n), n, K)
+        W[0] = 0.0  # no pairs at all
+        Q, s = mc._skew_pairs(W)
+        assert s.shape == (K, n // 2) and len(set((s > 0).sum(axis=-1).tolist())) > 1
+        _same((Q, s), lambda i: mc._skew_pairs(W[i]), K)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_canonical_forms(self, n):
+        # each form of a stack: its Q, its angles padded with zeros, its blocks and its rebuilt matrix
+        R, W = _tail_rotations(n), _skews(make_rng(42, n), n, len(TAIL_TURNS))
+        for M, (Q, angles), single, rotation in (
+            (R, mc._rotation_form(R, TOL, R.shape[:1]), mc.canonical_rotation_form, True),
+            (W, mc._forms(*mc._skew_pairs(mc.check_skew(W, W.shape[:1])), rotation=False),
+             mc.skew_canonical_form, False),
+        ):
+            D = mc._blocks(angles, n, rotation)
+            rebuilt = Q @ D @ Q.mT
+            for i, form in enumerate(map(single, M)):
+                k = len(form.angles)
+                assert _bits(Q[i]) == _bits(form.Q)
+                assert angles[i, :k].tolist() == list(form.angles) and not angles[i, k:].any()
+                blocks, matrix = (form.rotation_blocks(), form.rotation_matrix()) if rotation else (
+                    form.skew_blocks(), form.skew_matrix())
+                assert _bits(D[i]) == _bits(blocks) and _bits(rebuilt[i]) == _bits(matrix)
+
+    @pytest.mark.parametrize("eigenvalue", [1, -1])
+    def test_eigenspace(self, shape, eigenvalue):
+        # the signatures vary along the stack, so the eigenspaces differ in dimension
+        n, _ = shape
+        A = sample_rotations(make_rng(43, n), n, K)
+        S = np.stack([a @ Signature(1 + i % (n - 1), n - 1 - i % (n - 1)).matrix @ a.T for i, a in enumerate(A)])
+        V, keep = mc._eigenspace(S, eigenvalue, TOL, (K,))
+        for i in range(K):
+            assert _bits(V[i][:, keep[i]]) == _bits(mc.eigenspace_of_symmetric_involution(S[i], eigenvalue))
+
+    @pytest.mark.parametrize("n", [8, 5])
+    def test_norms_of_transposed_stacks(self, n):
+        # R.mT: np.linalg.norm reads each transposed element in memory order;
+        # a row-by-row copy summed 632 of 4000 norms differently at n = 8
+        R = sample_rotations(make_rng(5, 0), n, 4000)
+        for stack in (R.mT, R[::2].mT, R[:, 1:].mT, R[:, :, 1:].mT):
+            assert _bits(mc._norm(stack, 2)) == _bits([np.linalg.norm(r) for r in stack])
+        pairs = R.reshape(2000, 2, n, n)
+        assert _bits(mc._norm(pairs.mT, 2)) == _bits([[np.linalg.norm(r.T) for r in pair] for pair in pairs])
 
     def test_frame_completion(self, shape):
         n, p = shape
@@ -487,6 +573,24 @@ def test_a_double_projection_by_a_non_rotation_raises_at_its_index():
     A = _with(A, 3, 1.01 * A[3])
     _raises_at(lambda: bn._double_projection(A, X, sig, TOL, (K,)), lambda: bn.double_projection(A[3], X[3], sig),
                IllConditionedSpectrumError, 3)
+
+
+def test_an_odd_count_of_angles_near_pi_raises_at_its_index():
+    # a reflection in one direction: (R + R^T)/2 has one eigenvalue -1
+    R = _tail_rotations(5)
+    Q = R[4]
+    R = _with(R, 4, Q @ np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]) @ Q.T)
+    _raises_at(lambda: mc._rotation_log(R), lambda: mc._rotation_log(R[4]), IllConditionedSpectrumError, 4)
+
+
+def test_a_bad_canonical_form_or_eigenspace_input_raises_at_its_index():
+    R = _tail_rotations(5)
+    _raises_at(lambda: mc._rotation_form(_with(R, 6, 1.01 * R[6]), TOL, R.shape[:1]),
+               lambda: mc.canonical_rotation_form(1.01 * R[6]), IllConditionedSpectrumError, 6)
+    S = R @ Signature(2, 3).matrix @ R.mT
+    S = _with(S, 3, R[3])  # a rotation, not an involution
+    _raises_at(lambda: mc._eigenspace(S, -1, TOL, S.shape[:1]),
+               lambda: mc.eigenspace_of_symmetric_involution(S[3], -1), NotOrthogonalSymmetryError, 3)
 
 
 def test_a_non_skew_screw_raises_at_its_index_in_the_series_row():

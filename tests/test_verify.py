@@ -101,16 +101,16 @@ def test_a_nan_error_stays_at_its_sample(monkeypatch):
 
 
 def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
-    eigenspace, calls = matcore.eigenspace_of_symmetric_involution, []
+    wedge, calls = matcore.skew_wedge, []
 
-    def third_raises(S, eigenvalue, tol):
+    def third_raises(i, j, n):
         calls.append(None)
         if len(calls) == 3:
-            raise DegenerateSpanError("third eigenspace")
-        return eigenspace(S, eigenvalue, tol)
+            raise DegenerateSpanError("third wedge")
+        return wedge(i, j, n)
 
-    monkeypatch.setattr(matcore, "eigenspace_of_symmetric_involution", third_raises)
-    stream = [entry[0] for entry in PROPERTIES].index("matcore.involution_eigenspace")
+    monkeypatch.setattr(matcore, "skew_wedge", third_raises)
+    stream = [entry[0] for entry in PROPERTIES].index("matcore.wedge_antisymmetry")
     assert PROPERTIES[stream][1].each
     with pytest.raises(DegenerateSpanError) as raised:
         PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
@@ -118,7 +118,7 @@ def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
     # in a run, the raise fails that row alone
     calls.clear()
     results = _results()
-    row = results["matcore.involution_eigenspace"]
+    row = results["matcore.wedge_antisymmetry"]
     assert (row.samples, row.passed) == (0, False)
     assert all(r.passed for name, r in results.items() if name != row.name)
 
@@ -209,7 +209,7 @@ def test_a_canonical_form_off_its_rotation_fails_the_reconstruction_row(monkeypa
     assemble = matcore._assemble_form
 
     def turned(Q, s, rotation):
-        G = np.eye(len(Q))
+        G = np.eye(Q.shape[-1])
         G[:2, :2] = [[math.cos(1e-6), -math.sin(1e-6)], [math.sin(1e-6), math.cos(1e-6)]]
         return assemble(G @ Q, s, rotation)
 
@@ -293,7 +293,7 @@ def test_numpy_samples_and_seed_run_as_their_values():
     assert report.passed and report.properties == same.properties
 
 
-# The one-sample checks of the seventeen rows that check whole stacks through
+# The one-sample checks of the nineteen rows that check whole stacks through
 # the library's kernels. Each calls only public maps, once per sample; the
 # rows must give these errors, sample by sample and bit for bit.
 
@@ -319,6 +319,17 @@ def _frame_drift(cfg, s) -> float:
 
 def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
     return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
+def _canonical_form(cfg, R):
+    form = matcore.canonical_rotation_form(R, cfg.tol)
+    return (float(np.linalg.norm(form.rotation_matrix() - R)),)
+
+
+def _involution_eigenspace(cfg, A):
+    S = A @ cfg.sig.matrix @ A.T
+    F = matcore.eigenspace_of_symmetric_involution(S, -1, cfg.tol)
+    return (float(np.linalg.norm(S @ F + F)),)
 
 
 def _projector(cfg, F):
@@ -466,6 +477,8 @@ def _half_angle_line(cfg, U, theta):
 
 ONE_SAMPLE_CHECKS = {
     "matcore.projector_idempotent_symmetric": _projector,
+    "matcore.canonical_form_reconstruction": _canonical_form,
+    "matcore.involution_eigenspace": _involution_eigenspace,
     "matcore.frame_completion": _completion,
     "liegroup.group_axioms": _group_axioms,
     "liegroup.exp_matches_series": _exp_series,

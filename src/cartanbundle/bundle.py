@@ -122,9 +122,9 @@ from .matcore import (
     _eye,
     _hypot,
     _norm,
+    _projector,
     _require,
     check_finite_vector,
-    projector,
 )
 
 
@@ -476,7 +476,7 @@ def _bundle_act(R: np.ndarray, X: np.ndarray, F: np.ndarray, Y: np.ndarray, tol:
     ``tol``.
     """
     F = _frozen(_checked_frame(R @ F, tol, batch))
-    P = projector(F)
+    P = _projector(F)
     return F, P, _fiber(P, np.matvec(R, Y) + 2.0 * np.matvec(P, X), tol, batch)
 
 

@@ -98,12 +98,12 @@ from .matcore import (
     _fail_at,
     _is_int,
     _norm,
+    _projector,
     _real,
     _require,
     _symmetric_involution,
     check_finite_matrix,
     orthonormalize,
-    projector,
 )
 
 
@@ -287,7 +287,7 @@ def _plane(F: np.ndarray, tol: Tolerances, P: np.ndarray | None = None) -> Plane
     P is its projector F F^T, if the caller has computed it.
     """
     n, p = F.shape
-    return _trusted(Plane, tol, n=n, p=p, projector=_frozen(projector(F) if P is None else P), frame=F)
+    return _trusted(Plane, tol, n=n, p=p, projector=_frozen(_projector(F) if P is None else P), frame=F)
 
 
 def plane_from_span(vectors: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:

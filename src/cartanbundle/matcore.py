@@ -37,10 +37,13 @@ Anything else raises
 carries the largest magnitude; this holds for the predicates ``in_Q`` and
 ``in_Q0`` too. The ceiling keeps every residual norm finite: past about
 1.3e154 a Frobenius norm overflows to inf, and a bound of the form
-tol (1 + |x|) would then hold for any x. Group
-arithmetic (``se_mul``, ``se_inv``, ``se_bracket``), the kernel
-``projector`` and the value types ``Motion`` and ``Screw`` take their
-operands as given; each map that reads a motion or a screw checks it.
+tol (1 + |x|) would then hold for any x. ``projector`` checks its frame as
+``check_finite_matrix`` does, or each frame of a stack, but not that its
+columns are orthonormal; the library's own callers, whose frames are
+checked, call its kernel ``_projector``. Group
+arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and the value types
+``Motion`` and ``Screw`` take their operands as given; each map that reads
+a motion or a screw checks it.
 
 The validation primitives (``check_finite_matrix``, ``check_finite_vector``,
 ``check_frame``, ``check_special_orthogonal``) run on every certified
@@ -222,10 +225,17 @@ def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"wedge indices ({i!r}, {j!r}) must be integers in [1, {n!r}]")
     if i >= j:
         raise DimensionMismatchError(f"wedge indices ({i}, {j}) must satisfy i < j")
-    w = np.zeros((n, n))
-    w[i - 1, j - 1] = 1.0
-    w[j - 1, i - 1] = -1.0
-    return w
+    return _wedge(i, j, n)
+
+
+def _wedge(i, j, n: int) -> np.ndarray:
+    """The kernel of ``skew_wedge``: e_i ^ e_j for checked indices, or one per entry of index arrays i and j.
+
+    e_i and e_j are one-hot rows, so each entry of the outer products is 1
+    or +0: the wedge has 1 at (i, j), -1 at (j, i) and +0 elsewhere.
+    """
+    e_i, e_j = ((np.arange(n) == np.asarray(k)[..., None] - 1).astype(float) for k in (i, j))
+    return e_i[..., :, None] * e_j[..., None, :] - e_j[..., :, None] * e_i[..., None, :]
 
 
 # The input domain: every entry of an accepted array is at most this in
@@ -378,8 +388,18 @@ def _checked_frame(F: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndar
 
 
 def projector(F: np.ndarray) -> np.ndarray:
-    """Orthogonal projector F F^T onto the column span of a frame, or of each of a stack."""
-    F = np.asarray(F, dtype=float)
+    """Orthogonal projector F F^T onto the column span of a frame, or of each of a stack.
+
+    F is checked as ``check_finite_matrix`` checks a matrix, or each matrix
+    of a stack: a real numeric array in the input domain. Its columns are
+    not checked to be orthonormal; F F^T is a projector only if they are.
+    """
+    F = _real(F, "frame")
+    return _projector(check_finite_matrix(F, None, "frame", F.shape[:-2]))
+
+
+def _projector(F: np.ndarray) -> np.ndarray:
+    """The kernel of ``projector``: F F^T for a checked float frame, or for each of a stack."""
     return F @ F.mT
 
 
@@ -671,9 +691,11 @@ def eigenspace_of_symmetric_involution(
 ) -> np.ndarray:
     """Orthonormal frame spanning the (+1) or (-1) eigenspace of S.
 
-    S must be square, else ``DimensionMismatchError``, and a symmetric
-    involution (an orthogonal symmetry), as ``_symmetric_involution`` tests
-    it. The returned frame may have zero columns.
+    ``eigenvalue`` must be a real number (``check_finite_scalar``: not a
+    bool, nor an array) equal to +1 or -1, and S square, else
+    ``DimensionMismatchError``; S must be a symmetric involution (an
+    orthogonal symmetry), as ``_symmetric_involution`` tests it. The
+    returned frame may have zero columns.
     """
     V, keep = _eigenspace(S, eigenvalue, tol)
     return V[:, keep]
@@ -686,7 +708,7 @@ def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances, batch: tuple = 
     eigenvalue is within 1/2 of ``eigenvalue``: the frame of an element is
     V[..., keep] of that element.
     """
-    if eigenvalue not in (1, -1):
+    if check_finite_scalar(eigenvalue, "eigenvalue") not in (1.0, -1.0):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
     S = check_finite_matrix(S, (None, None), "symmetry", batch)
     _, i, defect, _ = _symmetric_involution(S, tol)

@@ -6,11 +6,12 @@ evaluates them on seeded samples and aggregates a report. Each property is a
 stream, whose index is the row's.
 
 A row is a check, a bound and a draw. ``draw(cfg, rng, count)`` draws all of
-the row's samples at once, as stacks whose index i is sample i: for a
-random row, ``count`` = ``cfg.samples`` samples from ``sampling``; the wedge
-and the Moebius seam rows draw a fixed set (every wedge index triple, the 9
-record pairs across the seam) and read neither ``rng`` nor ``count``. A
-check returns only its errors: one, or a tuple in a fixed order.
+the row's samples at once, as stacks whose index i is sample i: ``count`` =
+``cfg.samples`` samples (the wedge row draws index pairs, uniform over the
+C(n, 2) pairs), except for the Moebius seam row, whose draw is the one
+fixed set (the 9 record pairs across the seam) and reads neither ``rng``
+nor ``count``. A check returns only its errors: one, or a tuple in a
+fixed order.
 ``Row.errors`` keeps every sample's errors, one column per error with entry
 i for sample i. Because each property draws its samples grouped by kind,
 the samples of a run of N are in general not the first N samples of a
@@ -28,27 +29,24 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound. Errors are
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
-A row checks whole stacks unless it is marked ``each``: its check,
-``check(cfg, *stacks)``, runs the library's stacked kernels, the ones its
-public maps call with 2-D operands. Each element of a stack comes out bit
-for bit as its single call, with every check of that call (domain, skew,
-SO(n), symmetric involution, frame, fiber, generator block, unit
-direction, branch, singular factor, ``_sure`` and its one fallback, S_p
-and cut locus); an element that fails raises the single call's error
-class with its ``index`` in the context, and fails its row. A row that
-draws samples of several dimensions runs one kernel call per dimension
-(``_by_dimension``); the two ``projective`` line rows run under the
-default tolerances, which the public line maps read. The oracles
-``series_exp`` and ``svd_projector`` take stacks too, and
-``svd_projector`` keeps the rank of each matrix; the canonical forms and
-the involution eigenspaces of a stack vary in their count of angles and
-their dimension, and their products are grouped by it.
+Every row checks whole stacks: its check, ``check(cfg, *stacks)``, runs the
+library's stacked kernels, the ones its public maps call with 2-D
+operands. Each element of a stack comes out bit for bit as its single
+call, with every check of that call (domain, skew, SO(n), symmetric
+involution, frame, fiber, generator block, unit direction, branch,
+singular factor, ``_sure`` and its one fallback, S_p and cut locus); an
+element that fails raises the single call's error class with its
+``index`` in the context, and fails its row. A row that draws samples of
+several dimensions runs one kernel call per dimension (``_by_dimension``);
+the two ``projective`` line rows run under the default tolerances, which
+the public line maps read. The oracles ``series_exp`` and
+``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank
+of each matrix; the canonical forms and the involution eigenspaces of a
+stack vary in their count of angles and their dimension, and their
+products are grouped by it. The seam row reads its records' rotations
+through ``math.atan2``, per element (``matcore._scalar_formula``).
 ``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
-most stacked rows, and requires the same errors bit for bit. Two rows
-are ``each``, ``matcore.wedge_antisymmetry`` and
-``projective.moebius_seam``, whose draws are fixed sets. They check one
-sample at a time, ``check(cfg, *sample)`` on index i of each stack, and an
-error raised there gets the sample's ``index`` in its context too.
+most rows, and requires the same errors bit for bit.
 
 Every certified value a check builds from raw samples (its planes, bundle
 points, ``tau`` outputs and Cartan rotations and motions) is checked under
@@ -176,36 +174,20 @@ class Row:
 
     ``draw(cfg, rng, count)`` draws all of the row's samples at once, from
     the row's stream, as a tuple of stacks (arrays or lists) whose index i
-    is sample i: ``count`` samples, except for the wedge and the Moebius
-    seam draws, which return a fixed set and do not read ``count``. A
-    stacked check, ``check(cfg, *stacks)``, gets the whole stacks; a
-    one-sample check (``each``), ``check(cfg, *sample)``, gets index i of
-    each stack. ``bound(cfg)`` gives one bound per error, in the same order.
+    is sample i: ``count`` samples, except for the Moebius seam draw, which
+    returns its fixed set and does not read ``count``. The check,
+    ``check(cfg, *stacks)``, gets the whole stacks. ``bound(cfg)`` gives
+    one bound per error, in the same order.
     """
 
     check: Callable
     bound: Callable
     draw: Callable
-    each: bool = False
 
     def errors(self, cfg: VerifyConfig, rng) -> tuple:
-        """``(samples, columns)``: the number drawn, and one column per error, entry i from sample i.
-
-        A ``GeometryError`` raised by a one-sample check gets the sample's
-        ``index`` in its context, as the stacked kernels give it.
-        """
+        """``(samples, columns)``: the number drawn, and one column per error, entry i from sample i."""
         stacks = self.draw(cfg, rng, cfg.samples)
-        samples = len(stacks[0])
-        if not self.each:
-            return samples, _errors(self.check(cfg, *stacks))
-        per_sample = []
-        for i, sample in enumerate(zip(*stacks)):
-            try:
-                per_sample.append(_errors(self.check(cfg, *sample)))
-            except GeometryError as e:
-                e.context.setdefault("index", i)
-                raise
-        return samples, tuple(zip(*per_sample))
+        return len(stacks[0]), _errors(self.check(cfg, *stacks))
 
     def __call__(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, max_error, passed)``, the one place where an error meets its bound.
@@ -252,7 +234,7 @@ def _planes(cfg, F: np.ndarray) -> tuple:
     The frames have the (n, p) of cfg.sig, so only their frame check runs.
     """
     F = mc._checked_frame(F, cfg.tol, F.shape[:1])
-    return F, mc.projector(F)
+    return F, mc._projector(F)
 
 
 def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
@@ -266,16 +248,17 @@ def _sigma(g: Motion, sig: gr.Signature) -> Motion:
     return Motion(*bn._sigma(g, sig, g.R.shape[:1]))
 
 
-def _wedge_triples(cfg, rng, count):
-    """Every index triple (i, j, nn), 1 <= i < j <= nn, 2 <= nn <= n: C(n + 1, 3) samples."""
-    return tuple(zip(*(
-        (i, j, nn) for nn in range(2, cfg.n + 1) for i in range(1, nn + 1) for j in range(i + 1, nn + 1)
-    )))
+def _wedge_pairs(cfg, rng, count):
+    """``count`` index pairs (i, j), 1 <= i < j <= n, each uniform over the C(n, 2) pairs."""
+    i, j = np.triu_indices(cfg.n, 1)
+    at = rng.integers(0, len(i), count)
+    return i[at] + 1, j[at] + 1
 
 
-def _wedge_antisymmetry(cfg, i, j, nn):
-    W = mc.skew_wedge(i, j, nn)
-    return float(np.linalg.norm(W + W.T))
+def _wedge_antisymmetry(cfg, i, j):
+    """|W + W^T| for each wedge W = e_i ^ e_j of R^n."""
+    W = mc._wedge(i, j, cfg.n)
+    return mc._norm(W + W.mT, 2)
 
 
 def _projector(cfg, F):
@@ -303,7 +286,7 @@ def _completion(cfg, F):
     """
     F, P = _planes(cfg, F)
     A = mc._complete_frames(F)
-    return np.maximum(np.abs(np.linalg.det(A) - 1.0), mc._norm(mc.projector(A[..., : cfg.p]) - P, 2))
+    return np.maximum(np.abs(np.linalg.det(A) - 1.0), mc._norm(mc._projector(A[..., : cfg.p]) - P, 2))
 
 
 def _involution_eigenspace(cfg, A):
@@ -400,10 +383,10 @@ def _grassmann_roundtrips(cfg, F, A):
     sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
     F, P = _planes(cfg, F)
     embedded = gr._cartan_rotation(gr._cartan_embed0(F, P, tol)[0], sig, tol, batch)[1]
-    err_plane = mc._norm(mc.projector(embedded) - P, 2)
+    err_plane = mc._norm(mc._projector(embedded) - P, 2)
     R = gr._twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol, batch)
     Fc = gr._cartan_rotation(R, sig, tol, batch)[1]
-    R2 = gr._cartan_embed0(Fc, mc.projector(Fc), tol)[0]
+    R2 = gr._cartan_embed0(Fc, mc._projector(Fc), tol)[0]
     return err_plane, mc._norm(R2 - R, 2)
 
 
@@ -414,7 +397,7 @@ def _rho0_equivariance(cfg, F, A):
     R, _, Fr = gr._cartan_embed0(F, P, tol)
     lhs = gr._cartan_rotation(gr._twisted_act0(A, R, sig, tol, batch), sig, tol, batch)[1]
     rhs = gr._rotated_frame(A, Fr, tol, batch)
-    return mc._norm(mc.projector(lhs) - mc.projector(rhs), 2)
+    return mc._norm(mc._projector(lhs) - mc._projector(rhs), 2)
 
 
 def _dp_log0_roundtrip(cfg, B):
@@ -519,19 +502,19 @@ def _rho_equivariance(cfg, R, X):
     a = Motion(R[:, 1], X[:, 1])
     acted, F = bn._cartan_motion(Motion(*bn._twisted_act(a, Motion(Rs, Xs), sig, tol, batch)), sig, tol, batch)
     _, P, Y = _act(cfg, a, Fs, Xs)
-    return _point_dist(mc.projector(F), acted.X, P, Y)
+    return _point_dist(mc._projector(F), acted.X, P, Y)
 
 
 def _rho_bijectivity(cfg, R, X, F, Y):
     """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
     sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
     Rs, Xs, Fs = bn._tau(Motion(R, X), sig, tol, batch)
-    R2, _, F2 = bn._rho_inv(Fs, mc.projector(Fs), Xs, tol)  # rho_inv(rho(s))
+    R2, _, F2 = bn._rho_inv(Fs, mc._projector(Fs), Xs, tol)  # rho_inv(rho(s))
     Fb, Pb, Yb = _points(cfg, F, Y)
     R3, _, F3 = bn._rho_inv(Fb, Pb, Yb, tol)
     s2, s3 = Motion(R2, Xs), Motion(R3, Yb)
     return (
-        np.maximum(_motion_dist(s2, Motion(Rs, Xs)), _point_dist(mc.projector(F3), Yb, Pb, Yb)),
+        np.maximum(_motion_dist(s2, Motion(Rs, Xs)), _point_dist(mc._projector(F3), Yb, Pb, Yb)),
         np.maximum(_frame_drift(s2, F2, sig, tol, batch), _frame_drift(s3, F3, sig, tol, batch)),
     )
 
@@ -647,39 +630,43 @@ def _half_angle_line(cfg, U, theta):
         certified = gr._cartan_rotation(R, sig, cfg.tol, theta.shape)[1]
         V = _paper_lines(theta, U)
         VV = V[:, :, None] * V[:, None, :]
-        return np.maximum(mc._norm(mc.projector(certified) - VV, 2), mc._norm(mc.projector(F) - VV, 2))
+        return np.maximum(mc._norm(mc._projector(certified) - VV, 2), mc._norm(mc._projector(F) - VV, 2))
 
     return _by_dimension(check, U, theta)
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
+_SEAM_COLUMNS = ("r00", "r10", "lambda", "y0")  # the columns of a record that the seam row reads
 
 
 def _seam_pairs(cfg, rng, count):
-    """The 9 (last, first) record pairs across the seam of the 128 x 9 Moebius grid.
+    """(last, first): the 9 record pairs across the seam of the 128 x 9 Moebius grid.
 
     Each record of the last theta row is paired with the theta = 0 record
-    of the opposite lambda.
+    of the opposite lambda. Row k of each array holds the ``_SEAM_COLUMNS``
+    of pair k's record.
     """
     num_lambda, records = _SEAM_GRID[1], pj.moebius_grid(*_SEAM_GRID)
     first, last = records[:num_lambda], records[-num_lambda:]
-    return last, [min(first, key=lambda r: abs(r["lambda"] + rec["lambda"])) for rec in last]
+    first = [min(first, key=lambda r: abs(r["lambda"] + rec["lambda"])) for rec in last]
+    return tuple(np.array([[rec[c] for c in _SEAM_COLUMNS] for rec in side]) for side in (last, first))
 
 
-def _line_angle(rec: dict) -> float:
-    """The angle of the line that a record's rotation carries: half its rotation angle."""
-    return 0.5 * math.atan2(rec["r10"], rec["r00"])
+_atan2 = mc._scalar_formula(math.atan2)
 
 
-def _moebius_seam(cfg, last: dict, first: dict):
-    """(line-angle deviation modulo pi, 1 if the fiber along e_1 keeps its orientation) across the seam."""
-    d = (_line_angle(last) - _line_angle(first)) % math.pi
-    lam = last["lambda"]
-    flipped = abs(lam) <= 1e-12 or math.copysign(1.0, last["y0"]) == math.copysign(1.0, -lam)
-    return min(d, math.pi - d), float(not flipped)
+def _moebius_seam(cfg, last, first):
+    """(line-angle deviation modulo pi, 1 if the fiber along e_1 keeps its orientation) across the seam, per pair.
+
+    The line that a record's rotation carries is at half its rotation angle.
+    """
+    d = (0.5 * _atan2(last[:, 1], last[:, 0]) - 0.5 * _atan2(first[:, 1], first[:, 0])) % math.pi
+    lam, y0 = last[:, 2], last[:, 3]
+    flipped = (np.abs(lam) <= 1e-12) | (np.copysign(1.0, y0) == np.copysign(1.0, -lam))
+    return np.minimum(d, math.pi - d), np.where(flipped, 0.0, 1.0)
 
 
-_SEAM = Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0), _seam_pairs, each=True)
+_SEAM = Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0), _seam_pairs)
 
 
 def moebius_seam_check():
@@ -693,14 +680,14 @@ def moebius_seam_check():
     the matching -lambda record.
     """
     pairs, (deviations, kept) = _SEAM.errors(VerifyConfig(), None)
-    return pairs, max(deviations), not any(kept), 2.0 * math.pi / _SEAM_GRID[0]
+    return pairs, float(np.max(deviations)), not kept.any(), 2.0 * math.pi / _SEAM_GRID[0]
 
 
-# (name, row), with row = Row(check, bound, draw, each): bound(cfg) is the
+# (name, row), with row = Row(check, bound, draw): bound(cfg) is the
 # bound of the check's one error, or the tuple of bounds of its errors in
 # their order. A predicate's error is 0 or 1, held to 0.
 PROPERTIES = (
-    ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_triples, each=True)),
+    ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_pairs)),
     ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames)),
     ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: _per_dimension(

@@ -69,6 +69,7 @@ from cartanbundle.matcore import (
     check_skew,
     check_special_orthogonal,
     eigenspace_of_symmetric_involution,
+    projector,
 )
 from cartanbundle.projective import unit_direction
 from cartanbundle.sampling import make_rng, sample_motion, sample_rotation, sample_skew, sample_unit_direction
@@ -121,6 +122,7 @@ SITES = {
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
     "unit_direction": lambda bad: unit_direction(_vec(bad, 3, at=1)),
+    "projector": lambda bad: projector(_vec(bad)[:, None]),
 }
 
 # The real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299.
@@ -225,6 +227,7 @@ DTYPE_SITES = {
     "rotation_in_plane.U": lambda bad: rotation_in_plane(0.3, bad[1]),
     "DpGenerator": lambda bad: DpGenerator(2, 2, bad[:2, :2]),
     "check_finite_vector": lambda bad: check_finite_vector(bad[0], 4),
+    "projector": lambda bad: projector(bad[:, :2]),
 }
 
 
@@ -532,3 +535,49 @@ def test_dp_generator_checks_its_signature(p, q):
     # (1.0, 1.0) used to construct, and embed() then raised a raw TypeError
     with pytest.raises(DimensionMismatchError):
         DpGenerator(p, q, [[0.5]])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [np.array(1.0), None, np.eye(4, 2) * (1 + 0.5j), [["1", "0"], ["0", "1"]], np.full((4, 2), 1e300),
+     [[10**400], [0]], {"frame": np.eye(4, 2)}, np.eye(4, 2, dtype=bool)],
+    ids=["0-d", "None", "complex", "str", "1e300", "10**400", "dict", "bool"],
+)
+def test_projector_checks_its_frame_as_a_matrix(frame):
+    # projector raised a raw ValueError on a 0-d array or None, a TypeError on
+    # a dict and an OverflowError at 10**400; it cast a complex frame with a
+    # ComplexWarning, overflowed to inf at 1e300 and parsed the strings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError) as info:
+            projector(frame)
+    assert info.value.code == "dimension_mismatch"
+
+
+def test_projector_takes_a_stack_and_any_real_frame():
+    # orthonormality is not checked: a scaled frame gives its F F^T
+    F = np.stack([np.eye(4, 2), 2.0 * np.eye(4)[:, 1:3]])
+    P = projector(F)
+    for i in range(2):
+        assert P[i].tobytes() == (F[i] @ F[i].T).tobytes()
+    assert np.array_equal(projector([[1], [0]]), [[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "eigenvalue",
+    [np.array([1.0, -1.0]), np.array(-1.0), True, np.bool_(True), 1 + 0j, "1", 10**400, math.nan, 0.5],
+    ids=["array", "0-d", "bool", "numpy-bool", "complex", "str", "10**400", "nan", "0.5"],
+)
+def test_the_eigenvalue_of_an_eigenspace_is_a_real_number_of_plus_or_minus_one(eigenvalue):
+    # an array eigenvalue raised NumPy's raw "truth value ... is ambiguous"
+    # ValueError, and True (and a 0-d array of -1) were read as numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError):
+            eigenspace_of_symmetric_involution(np.eye(3), eigenvalue)
+
+
+@pytest.mark.parametrize("eigenvalue", [1, -1, 1.0, np.int64(-1), np.float32(1.0)])
+def test_a_real_eigenvalue_of_plus_or_minus_one_is_accepted(eigenvalue):
+    F = eigenspace_of_symmetric_involution(np.diag([1.0, -1.0, 1.0]), eigenvalue)
+    assert F.shape == (3, 2 if eigenvalue == 1 else 1)

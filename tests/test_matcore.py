@@ -47,6 +47,15 @@ class TestSkewWedge:
                     W = skew_wedge(i, j, n)
                     assert np.array_equal(W, -W.T)
 
+    def test_entries_exact(self):
+        # 1 at (i, j), -1 at (j, i) and +0 elsewhere, bit for bit
+        for n in range(2, 12):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    expected = np.zeros((n, n))
+                    expected[i - 1, j - 1], expected[j - 1, i - 1] = 1.0, -1.0
+                    assert skew_wedge(i, j, n).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("i,j,n", [(0, 1, 3), (2, 2, 3), (1, 4, 3), (3, 1, 3)])
     def test_bad_indices(self, i, j, n):
         with pytest.raises(DimensionMismatchError):

@@ -203,6 +203,14 @@ class TestMatcore:
         for i in range(K):
             assert _bits(V[i][:, keep[i]]) == _bits(mc.eigenspace_of_symmetric_involution(S[i], eigenvalue))
 
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    def test_wedges(self, n):
+        # every pair i < j, and the stack of pairs shuffled and repeated
+        i, j = np.triu_indices(n, 1)
+        at = make_rng(44, n).permutation(np.repeat(np.arange(len(i)), 2))
+        i, j = i[at] + 1, j[at] + 1
+        _same((mc._wedge(i, j, n),), lambda k: (mc.skew_wedge(int(i[k]), int(j[k]), n),), len(i))
+
     @pytest.mark.parametrize("n", [8, 5])
     def test_norms_of_transposed_stacks(self, n):
         # R.mT: np.linalg.norm reads each transposed element in memory order;

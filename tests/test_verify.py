@@ -8,7 +8,7 @@ import pytest
 
 from cartanbundle import Motion, Screw, basis_vector
 from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
-from cartanbundle.errors import DegenerateSpanError, IllConditionedSpectrumError
+from cartanbundle.errors import IllConditionedSpectrumError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification, series_exp, svd_projector
 
 CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
@@ -67,9 +67,8 @@ def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
     assert math.isnan(max_error) and not passed
 
 
-# the rows whose draw is a fixed set, and its size at CFG: every wedge index
-# triple, and the record pairs across the Moebius seam
-FIXED_DRAWS = {"matcore.wedge_antisymmetry": math.comb(CFG.n + 1, 3), "projective.moebius_seam": 9}
+# the row whose draw is a fixed set, and its size: the record pairs across the Moebius seam
+FIXED_DRAWS = {"projective.moebius_seam": 9}
 
 
 @pytest.mark.parametrize("stream", range(len(PROPERTIES)), ids=[entry[0] for entry in PROPERTIES])
@@ -100,29 +99,6 @@ def test_a_nan_error_stays_at_its_sample(monkeypatch):
     assert [math.isnan(e) for e in column] == [False, False, False, True, False]
 
 
-def test_a_raise_in_a_one_sample_check_carries_the_sample_index(monkeypatch):
-    wedge, calls = matcore.skew_wedge, []
-
-    def third_raises(i, j, n):
-        calls.append(None)
-        if len(calls) == 3:
-            raise DegenerateSpanError("third wedge")
-        return wedge(i, j, n)
-
-    monkeypatch.setattr(matcore, "skew_wedge", third_raises)
-    stream = [entry[0] for entry in PROPERTIES].index("matcore.wedge_antisymmetry")
-    assert PROPERTIES[stream][1].each
-    with pytest.raises(DegenerateSpanError) as raised:
-        PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
-    assert raised.value.context["index"] == 2
-    # in a run, the raise fails that row alone
-    calls.clear()
-    results = _results()
-    row = results["matcore.wedge_antisymmetry"]
-    assert (row.samples, row.passed) == (0, False)
-    assert all(r.passed for name, r in results.items() if name != row.name)
-
-
 def test_a_raise_in_a_stacked_kernel_carries_the_sample_index(monkeypatch):
     # the third rotation of the projection row, doubled, fails the SO(n) check of the kernel
     project = bundle._double_projection
@@ -134,7 +110,6 @@ def test_a_raise_in_a_stacked_kernel_carries_the_sample_index(monkeypatch):
 
     monkeypatch.setattr(bundle, "_double_projection", third_doubled)
     stream = [entry[0] for entry in PROPERTIES].index("bundle.projection_identity")
-    assert not PROPERTIES[stream][1].each
     with pytest.raises(IllConditionedSpectrumError) as raised:
         PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
     assert raised.value.context["index"] == 2
@@ -200,6 +175,22 @@ def test_a_rotation_at_half_the_angle_fails_the_seam_row(monkeypatch):
     row = results["projective.moebius_seam"]
     assert _failed(results) == {"projective.line_bundle_exp", "projective.half_angle_line", row.name}
     assert row.samples == 9 and math.isfinite(row.max_error)
+
+
+def test_a_symmetric_wedge_fails_the_wedge_row(monkeypatch):
+    # the third wedge of the stack gets +1 at both of its entries, so W + W^T is not 0
+    wedge = matcore._wedge
+
+    def third_symmetric(i, j, n):
+        W = wedge(i, j, n)
+        W[2] = np.abs(W[2])
+        return W
+
+    monkeypatch.setattr(matcore, "_wedge", third_symmetric)
+    results = _results()
+    row = results["matcore.wedge_antisymmetry"]
+    assert _failed(results) == {row.name}
+    assert row.samples == CFG.samples and row.max_error == math.sqrt(8.0)
 
 
 def test_a_canonical_form_off_its_rotation_fails_the_reconstruction_row(monkeypatch):
@@ -293,9 +284,9 @@ def test_numpy_samples_and_seed_run_as_their_values():
     assert report.passed and report.properties == same.properties
 
 
-# The one-sample checks of the nineteen rows that check whole stacks through
-# the library's kernels. Each calls only public maps, once per sample; the
-# rows must give these errors, sample by sample and bit for bit.
+# The one-sample checks of twenty-one of the rows, which check whole stacks
+# through the library's kernels. Each calls only public maps, once per
+# sample; the rows must give these errors, sample by sample and bit for bit.
 
 
 def _dist(a: Motion, b: Motion) -> float:
@@ -319,6 +310,11 @@ def _frame_drift(cfg, s) -> float:
 
 def _paper_line(theta: float, U: np.ndarray) -> np.ndarray:
     return math.cos(0.5 * theta) * basis_vector(1, len(U)) + math.sin(0.5 * theta) * U
+
+
+def _wedge_antisymmetry(cfg, i, j):
+    W = matcore.skew_wedge(i, j, cfg.n)
+    return (float(np.linalg.norm(W + W.T)),)
 
 
 def _canonical_form(cfg, R):
@@ -475,7 +471,16 @@ def _half_angle_line(cfg, U, theta):
     return (max(float(np.linalg.norm(plane.projector - np.outer(V, V))) for plane in planes),)
 
 
+def _moebius_seam(cfg, last, first):
+    # each record pair's columns (r00, r10, lambda, y0); a line's angle is half its rotation's
+    r00, r10, lam, y0 = map(float, last)
+    d = (0.5 * math.atan2(r10, r00) - 0.5 * math.atan2(float(first[1]), float(first[0]))) % math.pi
+    flipped = abs(lam) <= 1e-12 or math.copysign(1.0, y0) == math.copysign(1.0, -lam)
+    return min(d, math.pi - d), float(not flipped)
+
+
 ONE_SAMPLE_CHECKS = {
+    "matcore.wedge_antisymmetry": _wedge_antisymmetry,
     "matcore.projector_idempotent_symmetric": _projector,
     "matcore.canonical_form_reconstruction": _canonical_form,
     "matcore.involution_eigenspace": _involution_eigenspace,
@@ -495,6 +500,7 @@ ONE_SAMPLE_CHECKS = {
     "bundle.transporter": _transporter,
     "projective.line_bundle_exp": _line_bundle_exp,
     "projective.half_angle_line": _half_angle_line,
+    "projective.moebius_seam": _moebius_seam,
 }
 
 
@@ -504,7 +510,6 @@ def test_a_stacked_row_gives_the_errors_of_its_one_sample_check(name, n, p):
     cfg = VerifyConfig(n=n, p=p, samples=20, seed=5)
     stream = [entry[0] for entry in PROPERTIES].index(name)
     row = PROPERTIES[stream][1]
-    assert not row.each
     samples, columns = row.errors(cfg, sampling.make_rng(cfg.seed, stream))
     stacks = row.draw(cfg, sampling.make_rng(cfg.seed, stream), cfg.samples)
     for i in range(samples):

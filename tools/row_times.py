@@ -4,9 +4,8 @@
 
 runs each row of ``verify.PROPERTIES`` ``--repeat`` times, draw and check,
 on the stream ``run_verification`` gives it, and prints one line per row in
-table order: its name, ``each`` (one sample at a time) or ``stack`` (whole
-stacks), and the best CPU time in ms; then the total of those times. It only
-reads and times: nothing passes or fails on a time.
+table order: its name and its best CPU time in ms; then the total of those
+times. It only reads and times: nothing passes or fails on a time.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from cartanbundle.verify import PROPERTIES, VerifyConfig
 
 
 def row_times(cfg: VerifyConfig, repeat: int) -> list:
-    """(name, "each" or "stack", best CPU ms) for each row of the table, in its order."""
+    """(name, best CPU ms) for each row of the table, in its order."""
     times = []
     for stream, (name, row) in enumerate(PROPERTIES):
         best = float("inf")
@@ -29,7 +28,7 @@ def row_times(cfg: VerifyConfig, repeat: int) -> list:
             start = time.process_time()
             row(cfg, rng)
             best = min(best, time.process_time() - start)
-        times.append((name, "each" if row.each else "stack", 1e3 * best))
+        times.append((name, 1e3 * best))
     return times
 
 
@@ -39,9 +38,9 @@ def main(argv: list) -> int:
         parser.add_argument(flag, type=int, default=default)
     args = parser.parse_args(argv)
     times = row_times(VerifyConfig(n=args.n, p=args.p, samples=args.samples, seed=args.seed), args.repeat)
-    for name, kind, ms in times:
-        print(f"{name:45} {kind:5} {ms:9.2f}")
-    print(f"{'total':45} {'':5} {sum(ms for _, _, ms in times):9.2f}")
+    for name, ms in times:
+        print(f"{name:45} {ms:9.2f}")
+    print(f"{'total':45} {sum(ms for _, ms in times):9.2f}")
     return 0
 
 

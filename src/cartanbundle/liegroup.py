@@ -67,7 +67,11 @@ from .matcore import (
 
 @dataclass(frozen=True, eq=False)
 class Motion:
-    """Euclidean motion g = (R, X), i.e. x -> R x + X; ``==`` is identity."""
+    """Euclidean motion g = (R, X), i.e. x -> R x + X; ``==`` is identity.
+
+    An unchecked record: its fields are taken as given, and each map that
+    reads them checks them.
+    """
 
     R: np.ndarray
     X: np.ndarray
@@ -88,7 +92,11 @@ class Motion:
 
 @dataclass(frozen=True, eq=False)
 class Screw:
-    """Lie-algebra element xi = (omega, v) of se(n); ``==`` is identity."""
+    """Lie-algebra element xi = (omega, v) of se(n); ``==`` is identity.
+
+    An unchecked record: its fields are taken as given, and each map that
+    reads them checks them.
+    """
 
     omega: np.ndarray
     v: np.ndarray

@@ -68,6 +68,17 @@ its ``index`` in the stack in the error's context (``_require``). Where the
 elements of a stack differ in a count (the pairs of a skew matrix, the
 split of a log, the angles of a form), they are grouped by it
 (``_groups``), and each group runs as one stack.
+
+Scalar formulas. ``_scalar_formula`` computes a formula of Python floats
+once per element of a stack, so that the stack agrees with its single
+calls bit for bit. It serves only where NumPy's bits differ from the
+scalar formula's: ``_hypot`` (``np.hypot`` is not ``math.hypot``),
+verify's ``_atan2`` and ``_root_sum_squares`` (whose ``**`` is C ``pow``,
+which ``x * x`` does not always match), and the half-angle factor
+``liegroup._factors``, which stays scalar because its NumPy form makes a
+single call dearer. ``np.cos`` and ``np.sin`` give the bits of
+``math.cos`` and ``math.sin``, so ``_blocks`` calls them on the whole
+array; ``tests/test_stacked.py`` pins that.
 """
 
 from __future__ import annotations
@@ -432,19 +443,17 @@ def _complete_frames(F: np.ndarray) -> np.ndarray:
     return A
 
 
-_cos, _sin = _scalar_formula(math.cos), _scalar_formula(math.sin)
-
-
 def _blocks(angles: np.ndarray, n: int, rotation: bool) -> np.ndarray:
     """blockdiag(B(theta_1), ..., B(theta_k), I or 0), n x n, for the k angles of one form or of each of a stack.
 
-    B(theta) is the planar rotation [[cos, -sin], [sin, cos]] (``math.cos``
-    and ``math.sin``) for a rotation form, Pi(theta) = [[0, -theta],
-    [theta, 0]] for a skew form; the trailing coordinates get 1 or 0. An
-    angle of 0, which a stacked form holds past its count, gives the block
-    of fixed coordinates: its off-diagonal entries are 0 - 0 = +0.
+    B(theta) is the planar rotation [[cos, -sin], [sin, cos]] (``np.cos``
+    and ``np.sin``, whose bits are libm's) for a rotation form,
+    Pi(theta) = [[0, -theta], [theta, 0]] for a skew form; the trailing
+    coordinates get 1 or 0. An angle of 0, which a stacked form holds past
+    its count, gives the block of fixed coordinates: its off-diagonal
+    entries are 0 - 0 = +0.
     """
-    c, s = (_cos(angles), _sin(angles)) if rotation else (np.zeros_like(angles), angles)
+    c, s = (np.cos(angles), np.sin(angles)) if rotation else (np.zeros_like(angles), angles)
     D, i = np.zeros(angles.shape[:-1] + (n, n)), np.arange(n)
     D[..., i, i] = float(rotation)
     j = i[: 2 * angles.shape[-1] : 2]  # the first row of each block
@@ -461,6 +470,9 @@ class CanonicalRotationForm:
     they are Pi(theta) = [[0, -theta], [theta, 0]] (``_blocks``). ``angles``
     is sorted descending; the trailing ``fixed_dim`` coordinates are fixed
     (rotation) or annihilated (skew).
+
+    An unchecked record: its fields are taken as given, and each map that
+    reads them checks them.
     """
 
     Q: np.ndarray

@@ -36,15 +36,20 @@ call, with every check of that call (domain, skew, SO(n), symmetric
 involution, frame, fiber, generator block, unit direction, branch,
 singular factor, ``_sure`` and its one fallback, S_p and cut locus); an
 element that fails raises the single call's error class with its
-``index`` in the context, and fails its row. A row that draws samples of
-several dimensions runs one kernel call per dimension (``_by_dimension``);
-the two ``projective`` line rows run under the default tolerances, which
-the public line maps read. The oracles ``series_exp`` and
+``index`` in the context, and fails its row. Every check sees one
+dimension: a row that draws samples of several dimensions
+(``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
+the check once per dimension and maps a raise's ``index`` back to the
+sample's index in the full draw (``_by_dimension``). The two
+``projective`` line rows run under the default tolerances, which the public
+line maps read. The oracles ``series_exp`` and
 ``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank
 of each matrix; the canonical forms and the involution eigenspaces of a
 stack vary in their count of angles and their dimension, and their
 products are grouped by it. The seam row reads its records' rotations
-through ``math.atan2``, per element (``matcore._scalar_formula``).
+through ``math.atan2``, per element (``matcore._scalar_formula``); the
+line rows' oracle (``_paper_lines``) takes ``np.cos`` and ``np.sin``,
+whose bits are those of ``math.cos`` and ``math.sin``.
 ``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
 most rows, and requires the same errors bit for bit.
 
@@ -101,6 +106,12 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class PropertyResult:
+    """One row's outcome: its name, samples drawn, worst error and verdict.
+
+    An unchecked record: its fields are taken as given, and each map that
+    reads them checks them.
+    """
+
     name: str
     samples: int
     max_error: float
@@ -117,6 +128,12 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Every row's ``PropertyResult``, in table order, whether all passed, and the wall time.
+
+    An unchecked record: its fields are taken as given, and each map that
+    reads them checks them.
+    """
+
     properties: tuple
     passed: bool
     wall_time_s: float
@@ -173,11 +190,15 @@ class Row:
     """One property: its check, its bound and its draw.
 
     ``draw(cfg, rng, count)`` draws all of the row's samples at once, from
-    the row's stream, as a tuple of stacks (arrays or lists) whose index i
-    is sample i: ``count`` samples, except for the Moebius seam draw, which
-    returns its fixed set and does not read ``count``. The check,
-    ``check(cfg, *stacks)``, gets the whole stacks. ``bound(cfg)`` gives
-    one bound per error, in the same order.
+    the row's stream, as a tuple of stacks whose index i is sample i:
+    ``count`` samples, except for the Moebius seam draw, which returns its
+    fixed set and does not read ``count``. The check, ``check(cfg,
+    *stacks)``, gets arrays of one dimension. Where the draw's first stack
+    is an array, it gets the whole stacks; where it is ``_per_dimension``'s
+    sequence of per-sample arrays, a mixed draw, ``errors`` groups the
+    samples by dimension and calls the check once per group
+    (``_by_dimension``). ``bound(cfg)`` gives one bound per error, in the
+    same order.
     """
 
     check: Callable
@@ -187,7 +208,9 @@ class Row:
     def errors(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, columns)``: the number drawn, and one column per error, entry i from sample i."""
         stacks = self.draw(cfg, rng, cfg.samples)
-        return len(stacks[0]), _errors(self.check(cfg, *stacks))
+        if isinstance(stacks[0], np.ndarray):
+            return len(stacks[0]), _errors(self.check(cfg, *stacks))
+        return len(stacks[0]), _by_dimension(self.check, cfg, *stacks)
 
     def __call__(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, max_error, passed)``, the one place where an error meets its bound.
@@ -214,6 +237,31 @@ def _per_dimension(dims: np.ndarray, draw) -> tuple:
         for i, sample in zip(at, zip(*draw(int(nn), len(at)))):
             samples[i] = sample
     return tuple(zip(*samples))
+
+
+def _by_dimension(check, cfg, *stacks) -> tuple:
+    """The error columns of a check on a mixed draw, run once per dimension of the samples (``Row.errors``).
+
+    Entry i of each stack is sample i's; the entries of the first are the
+    per-sample arrays of ``_per_dimension``, whose length, the sample's
+    dimension, varies. The samples of each dimension go to one call,
+    ``check(cfg, *stacks)`` with each stack as one array of one dimension,
+    and their errors to their places. A raise gets the sample's ``index``
+    in the full draw.
+    """
+    dims, columns = np.array([len(x) for x in stacks[0]]), None
+    for nn in np.unique(dims):
+        at = np.flatnonzero(dims == nn)
+        try:
+            errors = _errors(check(cfg, *(np.stack([s[i] for i in at]) for s in stacks)))
+        except GeometryError as e:
+            if "index" in e.context:
+                e.context["index"] = int(at[e.context["index"]])
+            raise
+        columns = columns or tuple(np.empty(len(dims)) for _ in errors)
+        for column, error in zip(columns, errors):
+            column[at] = error
+    return columns
 
 
 def _frames(cfg, rng, count):
@@ -268,13 +316,9 @@ def _projector(cfg, F):
 
 
 def _canonical_form(cfg, R):
-    """|Q blockdiag(R(theta_i), I) Q^T - R| for the canonical form of each rotation, of several dimensions."""
-
-    def check(R):
-        Q, angles = mc._rotation_form(R, cfg.tol, R.shape[:1])
-        return mc._norm(Q @ mc._blocks(angles, R.shape[-1], rotation=True) @ Q.mT - R, 2)
-
-    return _by_dimension(check, R)
+    """|Q blockdiag(R(theta_i), I) Q^T - R| for the canonical form of each rotation."""
+    Q, angles = mc._rotation_form(R, cfg.tol, R.shape[:1])
+    return mc._norm(Q @ mc._blocks(angles, R.shape[-1], rotation=True) @ Q.mT - R, 2)
 
 
 def _completion(cfg, F):
@@ -311,13 +355,9 @@ def _group_axioms(cfg, R, X):
 
 
 def _exp_series(cfg, omega, v):
-    """|exp(xi) - series_exp(xi)| for the screws xi = (omega, v) of several dimensions."""
-
-    def check(omega, v):
-        g = Motion(*lg._exp(omega, v, omega.shape[:1]))
-        return mc._norm(g.homogeneous() - series_exp(Screw(omega, v).matrix()), 2)
-
-    return _by_dimension(check, omega, v)
+    """|exp(xi) - series_exp(xi)| for the screws xi = (omega, v)."""
+    g = Motion(*lg._exp(omega, v, omega.shape[:1]))
+    return mc._norm(g.homogeneous() - series_exp(Screw(omega, v).matrix()), 2)
 
 
 def _y_omega_identity(cfg, omega, v):
@@ -567,33 +607,11 @@ def _directions(cfg, rng, count):
 def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The paper's half-angle vectors cos(theta/2) e_1 + sin(theta/2) U: the oracle of the line rows.
 
-    One per entry of theta and row of U, with ``math.cos`` and ``math.sin``.
+    One per entry of theta and row of U, with ``np.cos`` and ``np.sin``,
+    whose bits are libm's (``math.cos`` and ``math.sin``).
     """
     half = 0.5 * theta
-    return mc._cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + mc._sin(half)[:, None] * U
-
-
-def _by_dimension(check, *stacks) -> tuple:
-    """The error columns of ``check(*stacks)``, run once per dimension of the samples.
-
-    Entry i of each stack is sample i's; the entries of the first have a
-    length, the sample's dimension, that varies. The samples of each
-    dimension go to one call, each stack as one array, and their errors to
-    their places. A raise gets the sample's ``index``.
-    """
-    dims, columns = np.array([len(x) for x in stacks[0]]), None
-    for nn in np.unique(dims):
-        at = np.flatnonzero(dims == nn)
-        try:
-            errors = _errors(check(*(np.stack([s[i] for i in at]) for s in stacks)))
-        except GeometryError as e:
-            if "index" in e.context:
-                e.context["index"] = int(at[e.context["index"]])
-            raise
-        columns = columns or tuple(np.empty(len(dims)) for _ in errors)
-        for column, error in zip(columns, errors):
-            column[at] = error
-    return columns
+    return np.cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + np.sin(half)[:, None] * U
 
 
 def _line_inputs(U: np.ndarray, theta: np.ndarray) -> tuple:
@@ -606,33 +624,25 @@ def _line_inputs(U: np.ndarray, theta: np.ndarray) -> tuple:
 
 def _line_bundle_exp(cfg, U, theta, lam):
     """|line_bundle_exp - se_exp|, and the fiber off the paper's half-angle line; the maps read the defaults."""
-
-    def check(U, theta, lam):
-        U, theta, sig = _line_inputs(U, theta)
-        lam = mc.check_finite_vector(lam[:, None], 1, "fiber coordinate lam", theta.shape)
-        m = Motion(*bn._dp_exp_full(pj._line_block(theta, U), lam, sig, default_tolerances(), theta.shape)[:2])
-        E1 = mc.basis_vector(1, sig.n)
-        omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
-        g = Motion(*lg._exp(omega, lam * E1, theta.shape))
-        # fiber sits on the half-angle line
-        V = _paper_lines(theta, U)
-        return np.maximum(_motion_dist(m, g), mc._norm(m.X - V * np.vecdot(V, m.X)[:, None], 1))
-
-    return _by_dimension(check, U, theta, lam)
+    U, theta, sig = _line_inputs(U, theta)
+    lam = mc.check_finite_vector(lam[:, None], 1, "fiber coordinate lam", theta.shape)
+    m = Motion(*bn._dp_exp_full(pj._line_block(theta, U), lam, sig, default_tolerances(), theta.shape)[:2])
+    E1 = mc.basis_vector(1, sig.n)
+    omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
+    g = Motion(*lg._exp(omega, lam * E1, theta.shape))
+    # fiber sits on the half-angle line
+    V = _paper_lines(theta, U)
+    return np.maximum(_motion_dist(m, g), mc._norm(m.X - V * np.vecdot(V, m.X)[:, None], 1))
 
 
 def _half_angle_line(cfg, U, theta):
     """The line of rotation_in_plane (certified under cfg.tol) and half_angle_line, each against the paper's."""
-
-    def check(U, theta):
-        U, theta, sig = _line_inputs(U, theta)
-        R, F = gr._dp_exp(pj._line_block(theta, U), sig, default_tolerances(), theta.shape)
-        certified = gr._cartan_rotation(R, sig, cfg.tol, theta.shape)[1]
-        V = _paper_lines(theta, U)
-        VV = V[:, :, None] * V[:, None, :]
-        return np.maximum(mc._norm(mc._projector(certified) - VV, 2), mc._norm(mc._projector(F) - VV, 2))
-
-    return _by_dimension(check, U, theta)
+    U, theta, sig = _line_inputs(U, theta)
+    R, F = gr._dp_exp(pj._line_block(theta, U), sig, default_tolerances(), theta.shape)
+    certified = gr._cartan_rotation(R, sig, cfg.tol, theta.shape)[1]
+    V = _paper_lines(theta, U)
+    VV = V[:, :, None] * V[:, None, :]
+    return np.maximum(mc._norm(mc._projector(certified) - VV, 2), mc._norm(mc._projector(F) - VV, 2))
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max

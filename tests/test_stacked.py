@@ -193,6 +193,17 @@ class TestMatcore:
                     form.skew_blocks(), form.skew_matrix())
                 assert _bits(D[i]) == _bits(blocks) and _bits(rebuilt[i]) == _bits(matrix)
 
+    def test_rotation_blocks_hold_the_math_cos_and_sin(self):
+        # the blocks take np.cos and np.sin of the whole array; this fails where those are not libm's bits
+        edges = [0.0, 1e-9, math.pi / 2, math.pi - 1e-7, math.pi]
+        angles = np.concatenate([edges, make_rng(45, 0).uniform(0.0, math.pi, 10_000)]).reshape(-1, 5)
+        D = mc._blocks(angles, 11, rotation=True)
+        j = 2 * np.arange(5)
+        cos = [[math.cos(t) for t in row] for row in angles.tolist()]
+        sin = [[math.sin(t) for t in row] for row in angles.tolist()]
+        assert _bits(D[:, j, j]) == _bits(cos) and _bits(D[:, j + 1, j + 1]) == _bits(cos)
+        assert _bits(D[:, j + 1, j]) == _bits(sin) and _bits(D[:, j, j + 1]) == _bits(0.0 - np.array(sin))
+
     @pytest.mark.parametrize("eigenvalue", [1, -1])
     def test_eigenspace(self, shape, eigenvalue):
         # the signatures vary along the stack, so the eigenspaces differ in dimension
@@ -602,7 +613,7 @@ def test_a_bad_canonical_form_or_eigenspace_input_raises_at_its_index():
 
 
 def test_a_non_skew_screw_raises_at_its_index_in_the_series_row():
-    # the row runs one kernel call per dimension, so the index is mapped back to the sample's
+    # the row runs its check once per dimension, so the index is mapped back to the sample's
     cfg = vf.VerifyConfig(n=8, p=3, samples=12, seed=5)
     stream = [name for name, _ in vf.PROPERTIES].index("liegroup.exp_matches_series")
     row = vf.PROPERTIES[stream][1]
@@ -611,8 +622,40 @@ def test_a_non_skew_screw_raises_at_its_index_in_the_series_row():
     omega = list(omega)
     omega[i] = omega[i] + np.eye(len(omega[i]))
     assert sum(len(w) == len(omega[i]) for w in omega) < cfg.samples  # not all of one dimension
-    _raises_at(lambda: row.check(cfg, omega, v), lambda: lg.se_exp(lg.Screw(omega[i], v[i])),
+    edited = vf.Row(row.check, row.bound, lambda cfg, rng, count: (omega, v))
+    _raises_at(lambda: edited.errors(cfg, None), lambda: lg.se_exp(lg.Screw(omega[i], v[i])),
                IllConditionedSpectrumError, i)
+
+
+# the rows whose draws mix dimensions (``_per_dimension``)
+MIXED_ROWS = [
+    "matcore.canonical_form_reconstruction",
+    "liegroup.exp_matches_series",
+    "projective.line_bundle_exp",
+    "projective.half_angle_line",
+]
+
+
+@pytest.mark.parametrize("name", MIXED_ROWS)
+def test_a_mixed_row_checks_one_dimension_per_call(name):
+    cfg = vf.VerifyConfig(n=8, p=3, samples=40, seed=5)
+    stream = [entry[0] for entry in vf.PROPERTIES].index(name)
+    row = vf.PROPERTIES[stream][1]
+    dims = sorted({len(x) for x in row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)[0]})
+    assert len(dims) > 1
+    calls = []
+
+    def recording(cfg, *stacks):
+        calls.append(stacks)
+        return row.check(cfg, *stacks)
+
+    samples, columns = vf.Row(recording, row.bound, row.draw).errors(cfg, make_rng(cfg.seed, stream))
+    assert samples == cfg.samples and all(len(c) == cfg.samples for c in columns)
+    # once per dimension, each stack one array of that dimension
+    assert [len(stacks[0][0]) for stacks in calls] == dims
+    for nn, stacks in zip(dims, calls):
+        for s in stacks:
+            assert isinstance(s, np.ndarray) and len(s) == len(stacks[0]) and set(s.shape[1:]) <= {nn}
 
 
 def test_a_single_call_takes_no_stack():

@@ -65,19 +65,21 @@ of dp_exp_full, the closed form of the twisted action, X - A J A^{-1} X as
 twice a projection, and the block form of the fixed points -- are checked
 by the ``verify`` properties, not on every call.
 
-The kernels of ``tau`` (``_tau``), of ``dp_exp_full`` (``_dp_exp_full``),
-of ``dp_log_full`` (``_dp_log_full``), of the ``CartanMotion`` check
-(``_cartan_motion``), of the ``bundle_point`` check (``_fiber``), of
-``rho_inv`` (``_rho_inv``), ``bundle_act`` (``_bundle_act``),
-``find_transporter`` (``_transporter``), ``twisted_act`` (``_twisted_act``),
-``in_Q`` (``_in_Q``), ``sigma`` (``_sigma``), ``is_fixed_point``
-(``_is_fixed_point``) and ``double_projection`` (``_double_projection``)
-take arrays with a leading batch shape (see ``matcore``). The public maps
-pass their 2-D operands unchanged; ``verify`` passes whole stacks. An
-element of a stack comes out bit for bit as its single call: the closed
-forms run on the whole stack, and an element that is not ``_sure`` of its
-check goes through the public check alone. One that fails raises its single
-call's error class with its ``index`` in the context.
+``sigma``, ``in_Q``, ``is_fixed_point``, ``twisted_act`` and
+``double_projection`` take one motion (or A and X) or stacks (see
+``matcore``): each reads the leading shape of its first rotation, and every
+other operand must have it; a predicate then gives a boolean array. The
+maps of certified values take one operand, and their kernels take a
+leading batch shape, which ``verify`` passes: those of ``tau`` (``_tau``),
+of ``dp_exp_full`` (``_dp_exp_full``), of ``dp_log_full``
+(``_dp_log_full``), of the ``CartanMotion`` check (``_cartan_motion``), of
+the ``bundle_point`` check (``_fiber``), of ``rho_inv`` (``_rho_inv``),
+``bundle_act`` (``_bundle_act``) and ``find_transporter``
+(``_transporter``). An element of a stack comes out bit for bit as its
+single call: the closed forms run on the whole stack, and an element that
+is not ``_sure`` of its check goes through the public check alone. One that
+fails raises its single call's error class with its ``index`` in the
+context.
 """
 
 from __future__ import annotations
@@ -268,14 +270,12 @@ class DpElement:
 
 
 def sigma(g: Motion, sig: Signature) -> Motion:
-    """The involution sigma(R, X) = (J R J, J X) on SE(n); g is checked against the signature."""
-    return Motion(*_sigma(g, sig))
+    """The involution sigma(R, X) = (J R J, J X) on SE(n), of g or of each motion of stacks.
 
-
-def _sigma(g: Motion, sig: Signature, batch: tuple = ()) -> tuple:
-    """(J R J, J X): the kernel of ``sigma``, for g or stacks of the leading shape ``batch``."""
-    (R, X), j = _checked_motion(g, sig.n, batch), sig._signs
-    return j[:, None] * R * j, j * X
+    g is checked against the signature.
+    """
+    (R, X), j = _checked_motion(g, sig.n, None), sig._signs
+    return Motion(j[:, None] * R * j, j * X)
 
 
 def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
@@ -303,32 +303,25 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances = default_toleranc
     Fixed points are block-diagonal rotations diag(A, B) with no translation
     in the first p slots; the residual is exactly twice the norm of the
     off-block entries, which ``verify`` checks. It is the norm of the
-    homogeneous matrix of sigma(g) - g, built from g's checked parts.
+    homogeneous matrix of sigma(g) - g, built from g's checked parts. For
+    stacks of motions, a boolean array: one test per motion.
     """
-    return bool(_is_fixed_point(g, sig, tol))
-
-
-def _is_fixed_point(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()):
-    """The kernel of ``is_fixed_point``, for g or stacks of the leading shape ``batch``: one test per motion."""
-    (R, X), j = _checked_motion(g, sig.n, batch), sig._signs
-    D = np.zeros(batch + (sig.n + 1, sig.n + 1))
+    (R, X), j = _checked_motion(g, sig.n, None), sig._signs
+    D = np.zeros(R.shape[:-2] + (sig.n + 1, sig.n + 1))
     D[..., :-1, :-1] = j[:, None] * R * j - R
     D[..., :-1, -1] = j * X - X
-    return _norm(D, 2) <= tol.invol
+    fixed = _norm(D, 2) <= tol.invol
+    return fixed if R.ndim > 2 else bool(fixed)
 
 
 def in_Q(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> bool:
     """Membership in Q = {g : sigma(g) = g^{-1}}.
 
     A g of the wrong shape for the signature or outside the input domain raises.
-    The bound is the one ``CartanMotion`` applies, ``_sigma_holds``.
+    The bound is the one ``CartanMotion`` applies, ``_sigma_holds``. For
+    stacks of motions, a boolean array: one test per motion.
     """
-    return _in_Q(g, sig, tol)
-
-
-def _in_Q(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()):
-    """The kernel of ``in_Q``, for g or stacks of the leading shape ``batch``: a bool, or one per motion."""
-    R, X = _checked_motion(g, sig.n, batch)
+    R, X = _checked_motion(g, sig.n, None)
     S = R * sig._signs
     residual = _sigma_residual(_norm(S @ S - _eye(sig.n), 2), S, X)
     return _sigma_holds(residual, X, tol)
@@ -341,18 +334,14 @@ def twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances = default_
     checks its motion, since the closed form writes A^{-1} as A^T; g is
     checked for shape and domain. The closed form is
     (A R J A^{-1} J, X + A Y - A R J A^{-1} X); ``verify`` checks it against
-    plain group arithmetic.
+    plain group arithmetic. a may be stacks of motions, and g then stacks
+    of a's leading shape.
     """
-    return Motion(*_twisted_act(a, g, sig, tol))
-
-
-def _twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(R', X'): the kernel of ``twisted_act``, for a and g or stacks of the leading shape ``batch``."""
-    A = _checked_rotation(a.R, tol, sig.n, batch)[0]
-    X = check_finite_vector(a.X, sig.n, "translation", batch)
-    (R, Y), j = _checked_motion(g, sig.n, batch), sig._signs
+    A = _checked_rotation(a.R, tol, sig.n, None)[0]
+    X = check_finite_vector(a.X, sig.n, "translation", A.shape[:-2])
+    (R, Y), j = _checked_motion(g, sig.n, A.shape[:-2]), sig._signs
     core = ((A @ R) * j) @ A.mT
-    return core * j, X + np.matvec(A, Y) - np.matvec(core, X)
+    return Motion(core * j, X + np.matvec(A, Y) - np.matvec(core, X))
 
 
 def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> CartanMotion:
@@ -392,14 +381,12 @@ def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple
 def double_projection(
     A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
-    """X - A J A^{-1} X, which is twice the projection of X onto A.pi0."""
-    return _double_projection(A, X, sig, tol)
+    """X - A J A^{-1} X, which is twice the projection of X onto A.pi0.
 
-
-def _double_projection(A: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()):
-    """The kernel of ``double_projection``, for A and X or stacks of the leading shape ``batch``."""
-    A = _checked_rotation(A, tol, sig.n, batch)[0]
-    X = check_finite_vector(X, sig.n, "vector", batch)
+    A may be a stack of rotations, and X then a stack of its leading shape.
+    """
+    A = _checked_rotation(A, tol, sig.n, None)[0]
+    X = check_finite_vector(X, sig.n, "vector", A.shape[:-2])
     return X - np.matvec((A * sig._signs) @ A.mT, X)
 
 

@@ -54,22 +54,22 @@ constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
 its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
 
-The kernels of ``dp_exp`` (``_dp_exp``), of the S_p0 check
-(``_cartan_rotation``, ``_cartan_frame``), of ``dp_log0``
-(``_principal_pairs``, ``_angle_pairs``), of ``cartan_embed0``
-(``_cartan_embed0``, with ``_embed_matrix``), of ``twisted_act0``
-(``_twisted_act0``), of ``rotate_plane`` (``_rotated_frame``), of
-``sigma0`` (``_sigma0``), of ``in_Q0`` (``_in_Q0``) and of the
+``sigma0``, ``in_Q0`` and ``twisted_act0`` take one rotation or a stack
+(see ``matcore``), and the R of ``twisted_act0`` must have the leading
+shape of its A. The maps of certified values take one operand, and their
+kernels take a leading batch shape, which ``verify`` passes: those of
+``dp_exp`` (``_dp_exp``), of the S_p0 check (``_cartan_rotation``,
+``_cartan_frame``), of ``dp_log0`` (``_principal_pairs``,
+``_angle_pairs``), of ``cartan_embed0`` (``_cartan_embed0``, with
+``_embed_matrix``), of ``rotate_plane`` (``_rotated_frame``) and of the
 ``DpGenerator`` block check (``_block``), the closed forms
 ``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the fallback
-``_checked_where_unsure`` take arrays with a leading batch shape (see
-``matcore``); ``plane_from_frame`` checks its frame with the batched
-``matcore._checked_frame``. The public maps pass their 2-D operands
-unchanged; ``verify`` passes whole stacks. An element of a stack comes out
-bit for bit as its single call, and one that fails raises that call's error
-class with its ``index`` in the context. The fallback replaces the frames of
-a stack's unsure elements in a copy, so the frames it was given stay as
-they were.
+``_checked_where_unsure``; ``plane_from_frame`` checks its frame with the
+batched ``matcore._checked_frame``. An element of a stack comes out bit for
+bit as its single call, and one that fails raises that call's error class
+with its ``index`` in the context. The fallback replaces the frames of a
+stack's unsure elements in a copy, so the frames it was given stay as they
+were.
 """
 
 from __future__ import annotations
@@ -341,13 +341,8 @@ def _rotated_frame(A: np.ndarray, F: np.ndarray, tol: Tolerances, batch: tuple =
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
-    """The involution sigma0(R) = J R J on SO(n); R must be n x n and in the input domain."""
-    return _sigma0(R, sig)
-
-
-def _sigma0(R: np.ndarray, sig: Signature, batch: tuple = ()) -> np.ndarray:
-    """The kernel of ``sigma0``, for R or a stack of the leading shape ``batch``."""
-    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch), sig._signs
+    """The involution sigma0(R) = J R J on SO(n); R must be n x n and in the input domain, or a stack of them."""
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", None), sig._signs
     return j[:, None] * R * j
 
 
@@ -355,14 +350,10 @@ def in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances = default_tolerances())
     """Membership in Q0 = {R : R J a symmetric involution}.
 
     An R that is not n x n or lies outside the input domain raises. The test
-    is the S_p0 check's, ``matcore._symmetric_involution``.
+    is the S_p0 check's, ``matcore._symmetric_involution``. A stack of
+    rotations gives a boolean array, one test per rotation.
     """
-    return _in_Q0(R, sig, tol)
-
-
-def _in_Q0(R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()):
-    """The kernel of ``in_Q0``, for R or a stack of the leading shape ``batch``: a bool, or one per rotation."""
-    R = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch)
+    R = check_finite_matrix(R, (sig.n, sig.n), "rotation", None)
     return _symmetric_involution(R * sig._signs, tol)[0]
 
 
@@ -372,15 +363,11 @@ def twisted_act0(
     """Twisted conjugation A . R . sigma0(A)^{-1}.
 
     A is checked to lie in SO(n) under ``tol``, since the closed form writes
-    A^{-1} as A^T; R must be n x n, in the input domain.
+    A^{-1} as A^T; R must be n x n, in the input domain. A may be a stack,
+    and R then a stack of its leading shape.
     """
-    return _twisted_act0(A, R, sig, tol)
-
-
-def _twisted_act0(A: np.ndarray, R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
-    """The kernel of ``twisted_act0``, for A and R or stacks of the leading shape ``batch``."""
-    A = _checked_rotation(A, tol, sig.n, batch)[0]
-    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", batch), sig._signs
+    A = _checked_rotation(A, tol, sig.n, None)[0]
+    R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", A.shape[:-2]), sig._signs
     return ((A @ R) * j) @ A.mT * j
 
 

@@ -28,17 +28,17 @@ is 3.5 to 6 times larger (1.8e-13 against 4.4e-14 at n = 32).
 Each map validates each input once: the matrix, then the vector. A map
 that needs R in SO(n) checks it with ``matcore._checked_rotation`` and then
 X, as ``se_log`` does; ``_checked_motion`` checks only the shape and domain
-of a motion's parts, against the n of a signature where one is given. Group arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and
-the value types ``Motion`` and ``Screw`` take their operands as given.
+of a motion's parts, against the n of a signature where one is given. Group
+arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and the value types
+``Motion`` and ``Screw`` take their operands as given.
 
-The kernels ``_exp``, ``_log`` and ``_solve`` take arrays with a leading
-batch shape (see ``matcore``): ``se_exp``, ``y_omega``, ``se_log`` and
-``y_omega_solve`` pass their 2-D operands unchanged, and ``verify`` passes
-whole stacks with their ``batch``. An element of a stack comes out bit for
-bit as its single call, and one that fails raises that call's error class
-with its ``index`` in the context. ``se_mul``, ``se_inv``,
-``Motion.homogeneous`` and ``Screw.matrix`` read stacks of motions and
-screws as they are.
+Every map here takes one operand or a stack (see ``matcore``): ``se_exp``,
+``y_omega``, ``y_omega_solve``, ``so_exp``, ``se_log`` and ``so_log`` read
+the leading shape of omega or R, and the vector must have it. An element of
+a stack comes out bit for bit as its single call, and one that fails raises
+that call's error class with its ``index`` in the context. ``se_mul``,
+``se_inv``, ``se_bracket``, ``Motion.homogeneous`` and ``Screw.matrix`` read
+stacks of motions and screws as they are.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .matcore import (
     check_finite_matrix,
     check_finite_vector,
     check_skew,
-    check_special_orthogonal,
 )
 
 
@@ -121,14 +120,17 @@ def identity_motion(n: int) -> Motion:
     return Motion(np.eye(n), np.zeros(n))
 
 
-def _checked_motion(g: Motion, n: int, batch: tuple = ()) -> tuple:
+def _checked_motion(g: Motion, n: int, batch: tuple | None = ()) -> tuple:
     """(R, X): the parts of g, checked against the dimension n, R first; or of each motion of stacks.
 
-    R must be an n x n matrix and X an n-vector, both in the input domain.
-    Only shape and domain are checked; a map that needs R in SO(n) checks
-    it with ``_checked_rotation`` and then X, as ``_log`` does.
+    R must be an n x n matrix, or a stack of the leading shape ``batch``
+    (None: of its own), and X an n-vector or a stack of R's leading shape,
+    both in the input domain. Only shape and domain are checked; a map that
+    needs R in SO(n) checks it with ``_checked_rotation`` and then X, as
+    ``se_log`` does.
     """
-    return check_finite_matrix(g.R, (n, n), "rotation", batch), check_finite_vector(g.X, n, "translation", batch)
+    R = check_finite_matrix(g.R, (n, n), "rotation", batch)
+    return R, check_finite_vector(g.X, n, "translation", R.shape[:-2])
 
 
 def _same_n(a, b):
@@ -148,19 +150,20 @@ def se_inv(g: Motion) -> Motion:
 
 
 def se_bracket(xi1: Screw, xi2: Screw) -> Screw:
+    """[xi1, xi2] = (omega1 omega2 - omega2 omega1, omega1 v2 - omega2 v1); of each pair if they are stacks."""
     _same_n(xi1, xi2)
     return Screw(
         xi1.omega @ xi2.omega - xi2.omega @ xi1.omega,
-        xi1.omega @ xi2.v - xi2.omega @ xi1.v,
+        np.matvec(xi1.omega, xi2.v) - np.matvec(xi2.omega, xi1.v),
     )
 
 
-def _spectrum(omega: np.ndarray, batch: tuple = ()) -> tuple:
-    """(omega, V, theta): omega checked skew and finite, omega^T omega = V diag(theta^2) V^T.
+def _spectrum(omega: np.ndarray) -> tuple:
+    """(omega, V, theta): omega checked skew and finite, omega^T omega = V diag(theta^2) V^T; or each of a stack.
 
     An eigenvalue that rounds below zero (the kernel at odd n) gets theta = 0.
     """
-    omega = check_skew(omega, batch)
+    omega = check_skew(omega)
     lam, V = np.linalg.eigh(omega.mT @ omega)
     return omega, V, np.sqrt(np.maximum(lam, 0.0))
 
@@ -198,7 +201,7 @@ def so_log(
     An angle within ``tol.branch`` of pi makes the log non-unique; this
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
-    L, _, theta = _rotation_log(check_special_orthogonal(R, tol))
+    L, _, theta = _rotation_log(_checked_rotation(R, tol, None, None)[0])
     if not allow_pi:
         _check_branch(theta, tol)
     return L
@@ -232,7 +235,13 @@ def y_omega(omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     It is the translation of ``se_exp``, which also forms e^omega: two
     n x n products more than Y v alone needs.
     """
-    return _exp(omega, v)[1]
+    return se_exp(Screw(omega, v)).X
+
+
+# The half-angle factor below which Y_omega counts as singular. On the
+# principal branch of ``se_log`` every factor is at least 2/pi, so only
+# ``y_omega_solve``, whose omega may turn by 2 pi or more, tests it.
+_FACTOR_TOL = 1e-9
 
 
 def y_omega_solve(omega: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -246,19 +255,8 @@ def y_omega_solve(omega: np.ndarray, Y: np.ndarray) -> np.ndarray:
     v = V (cos(theta/2) / f . V^T Y) - omega Y / 2. The checks run in the
     order omega, then Y, then the factor.
     """
-    return _solve(omega, Y)
-
-
-# The half-angle factor below which Y_omega counts as singular. On the
-# principal branch of ``se_log`` every factor is at least 2/pi, so only
-# ``y_omega_solve``, whose omega may turn by 2 pi or more, tests it.
-_FACTOR_TOL = 1e-9
-
-
-def _solve(omega: np.ndarray, Y: np.ndarray, batch: tuple = ()) -> np.ndarray:
-    """The kernel of ``y_omega_solve``, for omega and Y with the leading shape ``batch``."""
-    omega, V, theta = _spectrum(omega, batch)
-    Y = check_finite_vector(Y, theta.shape[-1], "Y", batch)
+    omega, V, theta = _spectrum(omega)
+    Y = check_finite_vector(Y, theta.shape[-1], "Y", theta.shape[:-1])
     f = _factors(theta)
     bad = np.abs(f) < _FACTOR_TOL
     i = _fail_at(~bad.any(axis=-1))
@@ -277,17 +275,12 @@ def se_exp(xi: Screw) -> Motion:
     f cos(theta/2) = sin(theta)/theta and f^2/2 = (1 - cos(theta))/theta^2.
     omega is checked (skew, finite) before v (a finite n-vector).
     """
-    return Motion(*_exp(xi.omega, xi.v))
-
-
-def _exp(omega: np.ndarray, v: np.ndarray, batch: tuple = ()) -> tuple:
-    """(e^omega, Y_omega v): the kernel of ``se_exp``, for operands with the leading shape ``batch``."""
-    omega, V, theta = _spectrum(omega, batch)
-    v = check_finite_vector(v, theta.shape[-1], "screw vector", batch)
+    omega, V, theta = _spectrum(xi.omega)
+    v = check_finite_vector(xi.v, theta.shape[-1], "screw vector", theta.shape[:-1])
     f = _factors(theta)
     sinc, Vw = f * np.cos(0.5 * theta), V.mT @ omega
     Y = np.matvec(V, sinc * np.matvec(V.mT, v) + 0.5 * f * f * np.matvec(Vw, v))
-    return _rotation(V, theta, sinc, Vw), Y
+    return Motion(_rotation(V, theta, sinc, Vw), Y)
 
 
 def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = False) -> Screw:
@@ -300,13 +293,8 @@ def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = F
     angle is in [0, pi], so f is in [2/pi, 1] and the pull-back, unlike
     ``y_omega_solve``, cannot meet a singular factor.
     """
-    return Screw(*_log(g.R, g.X, tol, allow_pi))
-
-
-def _log(R: np.ndarray, X: np.ndarray, tol: Tolerances, allow_pi: bool = False, batch: tuple = ()) -> tuple:
-    """(log R, Y_L^{-1} X): the kernel of ``se_log``, for operands with the leading shape ``batch``."""
-    L, V, theta = _rotation_log(_checked_rotation(R, tol, None, batch)[0])
-    X = check_finite_vector(X, theta.shape[-1], "translation", batch)
+    L, V, theta = _rotation_log(_checked_rotation(g.R, tol, None, None)[0])
+    X = check_finite_vector(g.X, theta.shape[-1], "translation", theta.shape[:-1])
     if not allow_pi:
         _check_branch(theta, tol)
-    return L, _pull_back(V, theta, _factors(theta), L, X)
+    return Screw(L, _pull_back(V, theta, _factors(theta), L, X))

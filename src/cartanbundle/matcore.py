@@ -55,11 +55,21 @@ domain with one reduction (``_in_domain``), and take Frobenius norms through
 sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
 every residual stays bit-identical to ``np.linalg.norm``.
 
-Stacks. The kernels take a leading batch shape ``...`` before each
-operand's core shape (NumPy's gufunc convention): an n x n rotation may be a
-(k, n, n) stack of them. A public map passes its 2-D operands unchanged; only
-a caller that names a ``batch`` (verify's stacked checks) passes a stack, and
-the validators accept exactly that leading shape. Each element of a stack
+Stacks. An operand may carry a leading batch shape ``...`` before its core
+shape (NumPy's gufunc convention): an n x n rotation may be a (k, n, n)
+stack of them. One rule says which maps take stacks. A map that returns an
+array, a motion, a screw or a bool reads its stack shape from its first
+operand (the validators' ``batch=None``) and checks every other operand
+against that leading shape: ``check_skew``, ``projector``, the exponentials
+and logarithms of ``liegroup``, ``sigma0``, ``in_Q0``, ``twisted_act0``,
+``sigma``, ``in_Q``, ``is_fixed_point``, ``twisted_act``,
+``double_projection`` and ``unit_direction``. A map that returns a
+certified value, or one record of one operand (a canonical form, a line
+generator), takes one operand: a stack raises ``DimensionMismatchError``
+(from its validators' default ``batch=()``, or from ``_one`` after a check
+that takes stacks). Its kernel takes a ``batch``, the leading shape it accepts,
+which only ``verify``'s stacked checks pass. Group arithmetic and the
+records' matrices read stacks as they are. Each element of a stack
 comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
 ``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
 calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
@@ -289,35 +299,57 @@ def _real(x, name: str) -> np.ndarray:
     return x.astype(float, copy=False)
 
 
+def _in_stack(batch: tuple) -> str:
+    """The words that name a leading shape in a shape error, none for one operand."""
+    return f" in a stack of leading shape {batch}" if batch else ""
+
+
 def check_finite_matrix(
-    M: np.ndarray, shape: tuple | None = None, name: str = "matrix", batch: tuple = ()
+    M: np.ndarray, shape: tuple | None = None, name: str = "matrix", batch: tuple | None = ()
 ) -> np.ndarray:
     """M as a float array, checked to be a nonempty real 2-d array of ``shape`` in the input domain (``_real``).
 
     ``shape`` is (rows, cols), or (None, None) for a square matrix of any
     size. Without a shape, any nonempty 2-d array passes. With ``batch``, M
-    is a stack of such matrices with that leading shape.
+    is a stack of such matrices with that leading shape; with None, a stack
+    of its own leading shape, or one matrix.
     """
-    M, b = _real(M, name), len(batch)
+    M = _real(M, name)
+    batch = M.shape[:-2] if batch is None else batch
+    b = len(batch)
     if M.ndim == b + 2 and shape == (None, None):
         shape = M.shape[b : b + 1] * 2  # square, of its number of rows
     if M.ndim != b + 2 or not M.size or shape and M.shape[b:] != shape or b and M.shape[:b] != batch:
         want = "nonempty" if not shape else "nonempty square" if shape[0] is None else "%d x %d" % shape
-        raise DimensionMismatchError(f"{name} must be a {want} 2-d array, got shape {M.shape}")
+        raise DimensionMismatchError(f"{name} must be a {want} 2-d array{_in_stack(batch)}, got shape {M.shape}")
     return _in_domain(M, name, 2)
 
 
-def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batch: tuple = ()) -> np.ndarray:
+def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batch: tuple | None = ()) -> np.ndarray:
     """x as a float array, checked to be a nonempty real 1-d array in the input domain (``_real``).
 
     Its length must be n, unless n is None. With ``batch``, x is a stack of
-    such vectors with that leading shape.
+    such vectors with that leading shape; with None, a stack of its own
+    leading shape, or one vector.
     """
-    x, b = _real(x, name), len(batch)
+    x = _real(x, name)
+    batch = x.shape[:-1] if batch is None else batch
+    b = len(batch)
     if x.ndim != b + 1 or not x.shape[-1] or n is not None and x.shape[-1] != n or b and x.shape[:b] != batch:
         want = "nonempty" if n is None else f"length-{n}"
-        raise DimensionMismatchError(f"{name} must be a {want} 1-d array, got shape {x.shape}")
+        raise DimensionMismatchError(f"{name} must be a {want} 1-d array{_in_stack(batch)}, got shape {x.shape}")
     return _in_domain(x, name, 1)
+
+
+def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
+    """x, a checked operand of ``core`` axes or a stack of them, if it is one operand, else ``DimensionMismatchError``.
+
+    For a map that reads its operand through a check that takes stacks, but
+    returns one record (a canonical form, a line generator).
+    """
+    if x.ndim != core:
+        raise DimensionMismatchError(f"{name} must be one {core}-d array, not a stack, got shape {x.shape}")
+    return x
 
 
 # The real scalars: those whose NumPy dtype ``_real`` accepts (integer or
@@ -405,8 +437,7 @@ def projector(F: np.ndarray) -> np.ndarray:
     of a stack: a real numeric array in the input domain. Its columns are
     not checked to be orthonormal; F F^T is a projector only if they are.
     """
-    F = _real(F, "frame")
-    return _projector(check_finite_matrix(F, None, "frame", F.shape[:-2]))
+    return _projector(check_finite_matrix(F, None, "frame", None))
 
 
 def _projector(F: np.ndarray) -> np.ndarray:
@@ -500,11 +531,12 @@ def check_special_orthogonal(R: np.ndarray, tol: Tolerances = default_tolerances
     return _checked_rotation(R, tol)[0]
 
 
-def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batch: tuple = ()) -> tuple:
+def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batch: tuple | None = ()) -> tuple:
     """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual.
 
     R must be n x n, or square of any size if n is None; with ``batch``, a
-    stack of them, and the residual is one per element.
+    stack of them of that leading shape (None: of its own), and the
+    residual is one per element.
     """
     R = check_finite_matrix(R, (n, n), "rotation", batch)
     n = R.shape[-1]
@@ -518,8 +550,12 @@ def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batc
 _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))
 
 
-def check_skew(W: np.ndarray, batch: tuple = ()) -> np.ndarray:
-    W = check_finite_matrix(W, (None, None), "skew matrix", batch)
+def check_skew(W: np.ndarray) -> np.ndarray:
+    """W, checked to be a real square matrix in the input domain and skew, or each matrix of a stack.
+
+    |W + W^T| is held to ``_SKEW_TOL`` n max(1, |W|).
+    """
+    W = check_finite_matrix(W, (None, None), "skew matrix", None)
     skew = _norm(W + W.mT, 2) <= _SKEW_TOL * W.shape[-1] * np.maximum(1.0, _norm(W, 2))
     _require(skew, IllConditionedSpectrumError, "matrix is not skew-symmetric")
     return W
@@ -675,7 +711,7 @@ def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
     Only W is checked, as skew (``check_skew``); the form rebuilds W within
     1e-10 n max(1, |W|), which the tests hold it to.
     """
-    return _as_form(*_forms(*_skew_pairs(check_skew(W)), rotation=False))
+    return _as_form(*_forms(*_skew_pairs(_one(check_skew(W), "skew matrix", 2)), rotation=False))
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:

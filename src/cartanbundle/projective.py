@@ -10,9 +10,10 @@ e_1. The rotation is ``dp_exp`` of it, its line ``rho0`` of that, and the
 line-bundle exponential ``dp_exp_full``, each from one SVD of B; the
 Moebius grid is one stacked call of the ``dp_exp_full`` kernel. Every angle
 theta and fiber coordinate lam passes ``matcore.check_finite_scalar``, the
-entry test of the arrays the library accepts. ``unit_direction``
-(``_unit_direction``) and ``_line_block`` also take stacks of directions,
-which ``verify``'s line rows pass."""
+entry test of the arrays the library accepts. ``unit_direction`` and
+``_line_block`` also take stacks of directions, which ``verify``'s line rows
+pass; the line maps take one direction, and a stack fails the direction
+check."""
 
 from __future__ import annotations
 
@@ -25,19 +26,14 @@ from .config import default_tolerances
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, dp_exp, rho0
 from .liegroup import Motion
-from .matcore import _is_dim, _norm, _require, check_finite_scalar, check_finite_vector
+from .matcore import _is_dim, _norm, _one, _require, check_finite_scalar, check_finite_vector
 
 _UNIT_TOL = 1e-12  # |1 - |U|| of a unit direction, and |U[0]|
 
 
 def unit_direction(U: np.ndarray) -> np.ndarray:
-    """Validate a unit vector orthogonal to e_1."""
-    return _unit_direction(U)
-
-
-def _unit_direction(U: np.ndarray, batch: tuple = ()) -> np.ndarray:
-    """The check of ``unit_direction``, for U or each of a stack of the leading shape ``batch``."""
-    U = check_finite_vector(U, None, "direction", batch)
+    """Validate a unit vector orthogonal to e_1, or each of a stack."""
+    U = check_finite_vector(U, None, "direction", None)
     _require(abs(_norm(U, 1) - 1.0) <= _UNIT_TOL, DimensionMismatchError, "direction must be a unit vector")
     if U.shape[-1] < 2:
         raise DimensionMismatchError("direction must be a vector in dimension >= 2")
@@ -55,8 +51,8 @@ def _line_block(theta, U: np.ndarray) -> np.ndarray:
 
 
 def _line_generator(theta: float, U: np.ndarray) -> DpGenerator:
-    """The generator of the rotation by theta in the plane of e_1 and U; U is checked first, then theta."""
-    U = unit_direction(U)
+    """The generator of the rotation by theta in the plane of e_1 and one direction U; U is checked first, then theta."""
+    U = _one(unit_direction(U), "direction", 1)
     return DpGenerator(1, len(U) - 1, _line_block(check_finite_scalar(theta, "rotation angle"), U))
 
 

@@ -29,16 +29,19 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 1 + |X|, enters as the relative error against a fixed bound. Errors are
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
-Every row checks whole stacks: its check, ``check(cfg, *stacks)``, runs the
-library's stacked kernels, the ones its public maps call with 2-D
-operands. Each element of a stack comes out bit for bit as its single
-call, with every check of that call (domain, skew, SO(n), symmetric
-involution, frame, fiber, generator block, unit direction, branch,
-singular factor, ``_sure`` and its one fallback, S_p and cut locus); an
-element that fails raises the single call's error class with its
-``index`` in the context, and fails its row. Every check sees one
-dimension: a row that draws samples of several dimensions
-(``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
+Every row checks whole stacks: its check, ``check(cfg, *stacks)``, calls
+the public maps that take stacks (the exponentials and logarithms,
+``sigma0``, ``in_Q0``, ``twisted_act0``, ``sigma``, ``in_Q``,
+``is_fixed_point``, ``twisted_act``, ``double_projection``,
+``unit_direction``), and, with the stacks' ``batch``, the kernels of the
+maps that build certified values, which take one operand. Each element of
+a stack comes out bit for bit as its single call, with every check of that
+call (domain, skew, SO(n), symmetric involution, frame, fiber, generator
+block, unit direction, branch, singular factor, ``_sure`` and its one
+fallback, S_p and cut locus); an element that fails raises the single
+call's error class with its ``index`` in the context, and fails its row.
+Every check sees one dimension: a row that draws samples of several
+dimensions (``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
 the check once per dimension and maps a raise's ``index`` back to the
 sample's index in the full draw (``_by_dimension``). The two
 ``projective`` line rows run under the default tolerances, which the public
@@ -291,11 +294,6 @@ def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
     return F, P, bn._fiber(P, Y, cfg.tol, F.shape[:1])
 
 
-def _sigma(g: Motion, sig: gr.Signature) -> Motion:
-    """sigma(g) for each motion of stacks, g checked as ``bn.sigma`` checks it."""
-    return Motion(*bn._sigma(g, sig, g.R.shape[:1]))
-
-
 def _wedge_pairs(cfg, rng, count):
     """``count`` index pairs (i, j), 1 <= i < j <= n, each uniform over the C(n, 2) pairs."""
     i, j = np.triu_indices(cfg.n, 1)
@@ -356,14 +354,13 @@ def _group_axioms(cfg, R, X):
 
 def _exp_series(cfg, omega, v):
     """|exp(xi) - series_exp(xi)| for the screws xi = (omega, v)."""
-    g = Motion(*lg._exp(omega, v, omega.shape[:1]))
-    return mc._norm(g.homogeneous() - series_exp(Screw(omega, v).matrix()), 2)
+    return mc._norm(lg.se_exp(Screw(omega, v)).homogeneous() - series_exp(Screw(omega, v).matrix()), 2)
 
 
 def _y_omega_identity(cfg, omega, v):
     """|omega Y - (e^omega - I) v| for (e^omega, Y) = exp(omega, v), per sample."""
-    R, Y = lg._exp(omega, v, omega.shape[:1])
-    return mc._norm(np.matvec(omega, Y) - np.matvec(R - np.eye(cfg.n), v), 1)
+    g = lg.se_exp(Screw(omega, v))
+    return mc._norm(np.matvec(omega, g.X) - np.matvec(g.R - np.eye(cfg.n), v), 1)
 
 
 def _and_vectors(sample, *args):
@@ -376,26 +373,19 @@ def _and_vectors(sample, *args):
 
 
 def _y_omega_roundtrip(cfg, omega, v):
-    batch = omega.shape[:1]
-    return mc._norm(lg._solve(omega, lg._exp(omega, v, batch)[1], batch) - v, 1)
+    return mc._norm(lg.y_omega_solve(omega, lg.y_omega(omega, v)) - v, 1)
 
 
 def _log_exp_roundtrip(cfg, omega, v):
-    batch = omega.shape[:1]
-    g = Motion(*lg._exp(omega, v, batch))
-    xi = lg._log(g.R, g.X, cfg.tol, False, batch)
-    return _motion_dist(Motion(*lg._exp(*xi, batch)), g)
+    g = lg.se_exp(Screw(omega, v))
+    return _motion_dist(lg.se_exp(lg.se_log(g, cfg.tol)), g)
 
 
 def _sigma0_automorphism(cfg, R):
     """(|sigma0(sigma0(R1)) - R1|, |sigma0(R1 R2) - sigma0(R1) sigma0(R2)|); R holds the pairs (R1, R2)."""
-    sig, batch = cfg.sig, R.shape[:1]
-    R1, R2 = R[:, 0], R[:, 1]
-
-    def sigma0(M):
-        return gr._sigma0(M, sig, batch)
-
-    return mc._norm(sigma0(sigma0(R1)) - R1, 2), mc._norm(sigma0(R1 @ R2) - sigma0(R1) @ sigma0(R2), 2)
+    R1, R2, sig = R[:, 0], R[:, 1], cfg.sig
+    return (mc._norm(gr.sigma0(gr.sigma0(R1, sig), sig) - R1, 2),
+            mc._norm(gr.sigma0(R1 @ R2, sig) - gr.sigma0(R1, sig) @ gr.sigma0(R2, sig), 2))
 
 
 def _q0_invariance(cfg, B, A):
@@ -405,9 +395,9 @@ def _q0_invariance(cfg, B, A):
     """
     sig, tol, batch = cfg.sig, cfg.tol, A.shape[:1]
     R = gr._dp_exp(gr._block(B, sig, batch), sig, tol, batch)[0]
-    acted = gr._twisted_act0(A, R, sig, tol, batch)
+    acted = gr.twisted_act0(A, R, sig, tol)
     M = acted @ sig.matrix
-    return np.where(gr._in_Q0(acted, sig, tol, batch), 0.0, 1.0), mc._norm(M @ M - mc._eye(cfg.n), 2)
+    return np.where(gr.in_Q0(acted, sig, tol), 0.0, 1.0), mc._norm(M @ M - mc._eye(cfg.n), 2)
 
 
 def _frames_and_rotations(cfg, rng, count):
@@ -424,7 +414,7 @@ def _grassmann_roundtrips(cfg, F, A):
     F, P = _planes(cfg, F)
     embedded = gr._cartan_rotation(gr._cartan_embed0(F, P, tol)[0], sig, tol, batch)[1]
     err_plane = mc._norm(mc._projector(embedded) - P, 2)
-    R = gr._twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol, batch)
+    R = gr.twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol)
     Fc = gr._cartan_rotation(R, sig, tol, batch)[1]
     R2 = gr._cartan_embed0(Fc, mc._projector(Fc), tol)[0]
     return err_plane, mc._norm(R2 - R, 2)
@@ -435,7 +425,7 @@ def _rho0_equivariance(cfg, F, A):
     sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
     F, P = _planes(cfg, F)
     R, _, Fr = gr._cartan_embed0(F, P, tol)
-    lhs = gr._cartan_rotation(gr._twisted_act0(A, R, sig, tol, batch), sig, tol, batch)[1]
+    lhs = gr._cartan_rotation(gr.twisted_act0(A, R, sig, tol), sig, tol, batch)[1]
     rhs = gr._rotated_frame(A, Fr, tol, batch)
     return mc._norm(mc._projector(lhs) - mc._projector(rhs), 2)
 
@@ -460,7 +450,7 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     X[:p]; r is exactly twice it, so the second entry is a rounding error.
     """
     p = sig.p
-    r = _motion_dist(_sigma(g, sig), g)
+    r = _motion_dist(bn.sigma(g, sig), g)
     off = _root_sum_squares(mc._norm(g.R[:, :p, p:], 2), mc._norm(g.R[:, p:, :p], 2), mc._norm(g.X[:, :p], 1))
     return r, np.abs(r - 2.0 * off) / (1.0 + r)
 
@@ -470,11 +460,11 @@ def _fixed_points(cfg, R, X, Rh, Xh):
 
     r and off are as in ``_fixed_point_residual``.
     """
-    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
+    sig, tol = cfg.sig, cfg.tol
     g, h = Motion(R, X), Motion(Rh, Xh)
     r, agree = _fixed_point_residual(g, sig)
     # generic motions are not fixed
-    sorted_ok = bn._is_fixed_point(g, sig, tol, batch) & ~bn._is_fixed_point(h, sig, tol, batch)
+    sorted_ok = bn.is_fixed_point(g, sig, tol) & ~bn.is_fixed_point(h, sig, tol)
     return r, np.maximum(agree, _fixed_point_residual(h, sig)[1]), np.where(sorted_ok, 0.0, 1.0)
 
 
@@ -487,13 +477,13 @@ def _q_invariance(cfg, R, X):
     sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
     s = Motion(*bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)[:2])
     a = Motion(R[:, 1], X[:, 1])
-    acted = Motion(*bn._twisted_act(a, s, sig, tol, batch))
-    diff = lg.se_mul(_sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
+    acted = bn.twisted_act(a, s, sig, tol)
+    diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
     err = mc._norm(diff, 2) / (1.0 + mc._norm(acted.X, 1))
     # the closed form against plain group arithmetic
-    generic = lg.se_mul(lg.se_mul(a, s), _sigma(lg.se_inv(a), sig))
+    generic = lg.se_mul(lg.se_mul(a, s), bn.sigma(lg.se_inv(a), sig))
     scale = 1.0 + mc._norm(a.X, 1) + mc._norm(s.X, 1)
-    outside = np.where(bn._in_Q(acted, sig, tol, batch), 0.0, 1.0)
+    outside = np.where(bn.in_Q(acted, sig, tol), 0.0, 1.0)
     return err, outside, _motion_dist(acted, generic) / scale
 
 
@@ -513,12 +503,12 @@ def _tau_properties(cfg, R, X):
     sig, batch = cfg.sig, R.shape[:1]
     Rt, Xt, F = bn._tau(Motion(R, X), sig, cfg.tol, batch)
     t = Motion(Rt, Xt)
-    return np.maximum(_motion_dist(_sigma(t, sig), lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
+    return np.maximum(_motion_dist(bn.sigma(t, sig), lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
 
 
 def _projection_identity(cfg, A, X):
     """|D - 2 P X| for D = double_projection(A, X) and P the SVD projector onto A.pi0."""
-    D = bn._double_projection(A, X, cfg.sig, cfg.tol, A.shape[:1])
+    D = bn.double_projection(A, X, cfg.sig, cfg.tol)
     # twice the projection onto A.pi0, with the projector from an SVD
     P = svd_projector(A[:, :, : cfg.p])
     return mc._norm(D - np.matvec(2.0 * P, X), 1)
@@ -540,7 +530,7 @@ def _rho_equivariance(cfg, R, X):
     sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
     Rs, Xs, Fs = bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)
     a = Motion(R[:, 1], X[:, 1])
-    acted, F = bn._cartan_motion(Motion(*bn._twisted_act(a, Motion(Rs, Xs), sig, tol, batch)), sig, tol, batch)
+    acted, F = bn._cartan_motion(bn.twisted_act(a, Motion(Rs, Xs), sig, tol), sig, tol, batch)
     _, P, Y = _act(cfg, a, Fs, Xs)
     return _point_dist(mc._projector(F), acted.X, P, Y)
 
@@ -579,8 +569,8 @@ def _dp_full_routes(cfg, B, v):
     # against the doubling identity exp(xi) = tau(exp(xi/2))
     omega, v_full = gr._embedded(B), np.zeros(batch + (cfg.n,))
     v_full[:, : cfg.p] = v
-    g = Motion(*lg._exp(omega, v_full, batch))
-    doubled = Motion(*bn._tau(Motion(*lg._exp(0.5 * omega, 0.5 * v_full, batch)), sig, tol, batch)[:2])
+    g = lg.se_exp(Screw(omega, v_full))
+    doubled = Motion(*bn._tau(lg.se_exp(Screw(0.5 * omega, 0.5 * v_full)), sig, tol, batch)[:2])
     routes = np.maximum(_motion_dist(s, g) / (1.0 + mc._norm(g.X, 1)),
                         _motion_dist(s, doubled) / (1.0 + mc._norm(s.X, 1)))
     drift = _frame_drift(s, F, sig, tol, batch)
@@ -616,9 +606,8 @@ def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def _line_inputs(U: np.ndarray, theta: np.ndarray) -> tuple:
     """(U, theta, sig): U and theta checked per element as the line maps check them, and sig = (1, n - 1)."""
-    batch = theta.shape
-    U = pj._unit_direction(U, batch)
-    theta = mc.check_finite_vector(theta[:, None], 1, "rotation angle", batch)[:, 0]
+    U = pj.unit_direction(U)
+    theta = mc.check_finite_vector(theta[:, None], 1, "rotation angle", U.shape[:-1])[:, 0]
     return U, theta, gr.Signature(1, U.shape[-1] - 1)
 
 
@@ -629,7 +618,7 @@ def _line_bundle_exp(cfg, U, theta, lam):
     m = Motion(*bn._dp_exp_full(pj._line_block(theta, U), lam, sig, default_tolerances(), theta.shape)[:2])
     E1 = mc.basis_vector(1, sig.n)
     omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
-    g = Motion(*lg._exp(omega, lam * E1, theta.shape))
+    g = lg.se_exp(Screw(omega, lam * E1))
     # fiber sits on the half-angle line
     V = _paper_lines(theta, U)
     return np.maximum(_motion_dist(m, g), mc._norm(m.X - V * np.vecdot(V, m.X)[:, None], 1))

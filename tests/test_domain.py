@@ -57,6 +57,7 @@ from cartanbundle import (
     tau,
     twisted_act,
     twisted_act0,
+    y_omega,
     y_omega_solve,
 )
 from cartanbundle.cli import main
@@ -302,6 +303,23 @@ SQUARE_SITES = {
     "eigenspace_of_symmetric_involution": lambda S: eigenspace_of_symmetric_involution(S, 1),
 }
 WIDE, SMALL = np.eye(4, 3), np.eye(3)
+# A map that takes stacks reads their leading shape from its first operand. name -> call(M, x) with its
+# first operand M, a matrix or a stack of them, and a second operand x of the leading shape that M fixes.
+STACK_SITES = {
+    "se_exp": lambda W, v: se_exp(Screw(0.0 * W, v)),
+    "y_omega": lambda W, v: y_omega(0.0 * W, v),
+    "y_omega_solve": lambda W, Y: y_omega_solve(0.0 * W, Y),
+    "se_log": lambda R, X: se_log(Motion(R, X)),
+    "sigma": lambda R, X: sigma(Motion(R, X), SIG),
+    "in_Q": lambda R, X: in_Q(Motion(R, X), SIG),
+    "is_fixed_point": lambda R, X: is_fixed_point(Motion(R, X), SIG),
+    "twisted_act.a": lambda R, X: twisted_act(Motion(R, X), Motion(R, np.zeros(R.shape[:-1])), SIG),
+    "twisted_act.g": lambda R, X: twisted_act(Motion(R, np.zeros(R.shape[:-1])),
+                                              Motion(np.tile(I4, X.shape[:-1] + (1, 1)), X), SIG),
+    "twisted_act0": lambda A, x: twisted_act0(A, np.tile(I4, x.shape[:-1] + (1, 1)), SIG),
+    "double_projection": lambda A, X: double_projection(A, X, SIG),
+}
+I4S, Z4S, Z4S2 = np.tile(I4, (3, 1, 1)), np.zeros((3, 4)), np.zeros((2, 4))
 SHAPE_CASES = [
     *(
         pytest.param(partial(call, R, X), id=f"{name}-{label}")
@@ -336,6 +354,13 @@ SHAPE_CASES = [
     pytest.param(lambda: principal_angles(PLANE, coordinate_plane(4, 1)), id="principal_angles-4-1"),
     pytest.param(lambda: eigenspace_of_symmetric_involution(SMALL, 0), id="eigenspace_of_symmetric_involution-0"),
     pytest.param(lambda: rotation_in_plane(0.3, [1.0]), id="rotation_in_plane-direction-1"),
+    # a second operand of another leading shape than the first's, and one vector beside a stack of matrices
+    *(
+        pytest.param(partial(call, M, x), id=f"{name}-{label}")
+        for name, call in STACK_SITES.items()
+        for label, M, x in [("stack-3-beside-stack-2", I4S, Z4S2), ("stack-3-beside-one", I4S, Z4),
+                            ("one-beside-stack-3", I4, Z4S)]
+    ),
 ]
 
 
@@ -351,6 +376,13 @@ def test_the_good_operands_of_the_shape_table_pass():
         call(I4, Z4)
     for call in (*ROTATION_SITES.values(), *SQUARE_SITES.values()):
         call(I4)
+
+
+def test_the_good_operands_of_the_stack_table_pass():
+    # each stack case of the shape table fails by its shapes alone
+    for call in STACK_SITES.values():
+        call(I4S, Z4S)
+        call(I4, Z4)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ branch of the principal pairs).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from cartanbundle import (
     NotInCartanModelError,
     NotOrthogonalSymmetryError,
     Signature,
+    SingularMapError,
     Tolerances,
+    skew_wedge,
 )
 from cartanbundle.sampling import (
     make_rng,
@@ -59,6 +62,11 @@ def _same(stacked: tuple, single, k: int) -> None:
         assert len(one) == len(stacked)
         for j, (a, b) in enumerate(zip(stacked, one)):
             assert _bits(a[i]) == _bits(b), (i, j)
+
+
+def _fields(value) -> tuple:
+    """The arrays of a ``Motion`` (R, X) or a ``Screw`` (omega, v)."""
+    return tuple(vars(value).values())
 
 
 def _skews(rng, n: int, k: int) -> np.ndarray:
@@ -119,7 +127,7 @@ class TestMatcore:
         _same((mc.check_finite_matrix(R, (n, n), batch=(K,)),), lambda i: (mc.check_finite_matrix(R[i], (n, n)),), K)
         _same((mc.check_finite_vector(X, n, batch=(K,)),), lambda i: (mc.check_finite_vector(X[i], n),), K)
         W = _skews(rng, n, K)
-        _same((mc.check_skew(W, (K,)),), lambda i: (mc.check_skew(W[i]),), K)
+        _same((mc.check_skew(W),), lambda i: (mc.check_skew(W[i]),), K)
         _same(mc._checked_rotation(R, TOL, n, (K,)), lambda i: mc._checked_rotation(R[i], TOL, n), K)
 
     def test_norms(self, shape):
@@ -149,7 +157,7 @@ class TestMatcore:
 
     def test_rotation_log(self, shape):
         n, _ = shape
-        R = lg._exp(_skews(make_rng(4, n), n, K), np.zeros((K, n)), (K,))[0]
+        R = lg.se_exp(lg.Screw(_skews(make_rng(4, n), n, K), np.zeros((K, n)))).R
         _same(mc._rotation_log(R), lambda i: mc._rotation_log(R[i]), K)
 
     @pytest.mark.parametrize("n", [4, 5, 7])
@@ -180,7 +188,7 @@ class TestMatcore:
         R, W = _tail_rotations(n), _skews(make_rng(42, n), n, len(TAIL_TURNS))
         for M, (Q, angles), single, rotation in (
             (R, mc._rotation_form(R, TOL, R.shape[:1]), mc.canonical_rotation_form, True),
-            (W, mc._forms(*mc._skew_pairs(mc.check_skew(W, W.shape[:1])), rotation=False),
+            (W, mc._forms(*mc._skew_pairs(mc.check_skew(W)), rotation=False),
              mc.skew_canonical_form, False),
         ):
             D = mc._blocks(angles, n, rotation)
@@ -243,12 +251,13 @@ class TestLiegroup:
         n, _ = shape
         rng = make_rng(5, n)
         W, v = _skews(rng, n, K), rng.standard_normal((K, n))
-        _same(lg._spectrum(W, (K,)), lambda i: lg._spectrum(W[i]), K)
-        R, Y = lg._exp(W, v, (K,))
-        _same((R, Y), lambda i: lg._exp(W[i], v[i]), K)
+        _same(lg._spectrum(W), lambda i: lg._spectrum(W[i]), K)
+        R, Y = _fields(lg.se_exp(lg.Screw(W, v)))
+        _same((R, Y), lambda i: _fields(lg.se_exp(lg.Screw(W[i], v[i]))), K)
         _same((R, Y), lambda i: (lg.so_exp(W[i]), lg.y_omega(W[i], v[i])), K)
-        _same((lg._solve(W, Y, (K,)),), lambda i: (lg._solve(W[i], Y[i]),), K)
-        _same(lg._log(R, Y, TOL, True, (K,)), lambda i: lg._log(R[i], Y[i], TOL, True), K)
+        _same((lg.y_omega_solve(W, Y),), lambda i: (lg.y_omega_solve(W[i], Y[i]),), K)
+        _same(_fields(lg.se_log(Motion(R, Y), TOL, True)),
+              lambda i: _fields(lg.se_log(Motion(R[i], Y[i]), TOL, True)), K)
         _same((lg._factors(W[:, 0]),), lambda i: (lg._factors(W[i, 0]),), K)
 
     def test_group_law_and_series(self, shape):
@@ -275,7 +284,8 @@ class TestLiegroup:
         D = np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
         R[::2] = R[::2] @ D @ R[::2].mT
         assert (mc._rotation_log(R)[2][::2, :4] == math.pi).all()
-        _same(lg._log(R, X, TOL, True, (K,)), lambda i: lg._log(R[i], X[i], TOL, True), K)
+        _same(_fields(lg.se_log(Motion(R, X), TOL, True)),
+              lambda i: _fields(lg.se_log(Motion(R[i], X[i]), TOL, True)), K)
 
 
 class TestGrassmann:
@@ -316,7 +326,7 @@ class TestGrassmann:
         _same((F, P), lambda i: (planes[i].frame, planes[i].projector), K)
         R, _, Fe = gr._cartan_embed0(F, P, TOL)
         _same((R, Fe), lambda i: (gr.cartan_embed0(planes[i]).mat, gr.cartan_embed0(planes[i])._frame), K)
-        acted = gr._twisted_act0(A, R, sig, TOL, (K,))
+        acted = gr.twisted_act0(A, R, sig, TOL)
         _same((acted,), lambda i: (gr.twisted_act0(A[i], R[i], sig, TOL),), K)
         _same((gr._rotated_frame(A, F, TOL, (K,)),), lambda i: (gr.rotate_plane(A[i], planes[i]).frame,), K)
 
@@ -325,13 +335,13 @@ class TestGrassmann:
         sig = Signature(p, n - p)
         rng = make_rng(29, n)
         R = sample_rotations(rng, n, K)
-        _same((gr._sigma0(R, sig, (K,)),), lambda i: (gr.sigma0(R[i], sig),), K)
+        _same((gr.sigma0(R, sig),), lambda i: (gr.sigma0(R[i], sig),), K)
         B = _generators(rng, p, n - p, K)
         _same((gr._block(B, sig, (K,)),), lambda i: (gr.DpGenerator(p, n - p, B[i]).B,), K)
         # the twisted actions on exp(B) lie in Q0; a generic rotation does not, except at n = 2
-        acted = gr._twisted_act0(R, gr._dp_exp(B, sig, TOL, (K,))[0], sig, TOL, (K,))
+        acted = gr.twisted_act0(R, gr._dp_exp(B, sig, TOL, (K,))[0], sig, TOL)
         mixed = np.where((np.arange(K) % 2 == 0)[:, None, None], acted, R)
-        inside = gr._in_Q0(mixed, sig, TOL, (K,))
+        inside = gr.in_Q0(mixed, sig, TOL)
         assert list(inside) == [gr.in_Q0(mixed[i], sig) for i in range(K)]
         assert inside[::2].all() and (n == 2 or not inside[1::2].any())
 
@@ -416,12 +426,12 @@ class TestBundle:
         _same((A, T), lambda i: (lambda a: (a.R, a.X))(bn.find_transporter(*points[i])), K)
         s = Motion(*bn._tau(Motion(R, X), sig, TOL, (K,))[:2])
         a = Motion(A, T)
-        acted = bn._twisted_act(a, s, sig, TOL, (K,))
-        _same(acted, lambda i: (lambda g: (g.R, g.X))(
+        acted = bn.twisted_act(a, s, sig, TOL)
+        _same(_fields(acted), lambda i: (lambda g: (g.R, g.X))(
             bn.twisted_act(Motion(A[i], T[i]), Motion(s.R[i], s.X[i]), sig)), K)
-        inside = bn._in_Q(Motion(*acted), sig, TOL, (K,))
-        assert list(inside) == [bn.in_Q(Motion(acted[0][i], acted[1][i]), sig) for i in range(K)]
-        assert inside.all() and not bn._in_Q(Motion(R, X), sig, TOL, (K,)).any()
+        inside = bn.in_Q(acted, sig, TOL)
+        assert list(inside) == [bn.in_Q(Motion(acted.R[i], acted.X[i]), sig) for i in range(K)]
+        assert inside.all() and not bn.in_Q(Motion(R, X), sig, TOL).any()
 
     def test_sigma_fixed_points_and_double_projection(self, shape):
         n, p = shape
@@ -435,11 +445,11 @@ class TestBundle:
             s = bn.sigma(Motion(R[i], X[i]), sig)
             return s.R, s.X
 
-        _same(bn._sigma(Motion(R, X), sig, (K,)), single, K)
-        fixed = bn._is_fixed_point(Motion(R, X), sig, TOL, (K,))
+        _same(_fields(bn.sigma(Motion(R, X), sig)), single, K)
+        fixed = bn.is_fixed_point(Motion(R, X), sig, TOL)
         assert list(fixed) == [bn.is_fixed_point(Motion(R[i], X[i]), sig) for i in range(K)]
         assert list(fixed) == [i % 2 == 0 for i in range(K)]
-        _same((bn._double_projection(Rh, Xh, sig, TOL, (K,)),), lambda i: (bn.double_projection(Rh[i], Xh[i], sig),), K)
+        _same((bn.double_projection(Rh, Xh, sig, TOL),), lambda i: (bn.double_projection(Rh[i], Xh[i], sig),), K)
 
 
 def _projector_of_rank(V: np.ndarray) -> np.ndarray:
@@ -464,8 +474,162 @@ class TestProjective:
         n, _ = shape
         rng = make_rng(20, n)
         U, theta = sample_unit_directions(rng, n, K), rng.uniform(-7.0, 7.0, K)
-        _same((pj._unit_direction(U, (K,)),), lambda i: (pj.unit_direction(U[i]),), K)
+        _same((pj.unit_direction(U),), lambda i: (pj.unit_direction(U[i]),), K)
         _same((pj._line_block(theta, U),), lambda i: (pj._line_block(float(theta[i]), U[i]),), K)
+
+
+# The stack contract: a map that returns an array, a motion, a screw or a bool
+# reads its stack shape from its first operand, and each other operand must
+# have that leading shape. Each map is drawn at (5, 2) on a stack or a grid.
+N, P = 5, 2
+SIG = Signature(P, N - P)
+GRIDS = [(K,), (2, 3)]
+
+
+def _draw_screws(rng, shape):
+    """Skews across the Taylor switch and near pi, and vectors."""
+    return _skews(rng, N, math.prod(shape)).reshape(shape + (N, N)), rng.standard_normal(shape + (N,))
+
+
+def _draw_motions(rng, shape):
+    """Motions: one in three lies in S_p (a ``tau`` output), one in three is fixed by sigma, the rest are generic."""
+    k = math.prod(shape)
+    R, X = sample_motions(rng, N, k)
+    Rt, Xt, _ = bn._tau(Motion(R, X), SIG, TOL, (k,))
+    Rf, Xf = sample_fixed_points(rng, SIG, k)
+    kind = (np.arange(k) % 3)[:, None]
+    R = np.where(kind[..., None] == 0, Rt, np.where(kind[..., None] == 1, Rf, R))
+    X = np.where(kind == 0, Xt, np.where(kind == 1, Xf, X))
+    return R.reshape(shape + (N, N)), X.reshape(shape + (N,))
+
+
+def _draw_motion_pairs(rng, shape):
+    return _draw_motions(rng, shape) + _draw_motions(rng, shape)
+
+
+def _nonskew(W):
+    return W + np.eye(N)
+
+
+def _scaled(R):
+    return 1.01 * R
+
+
+def _nan(x):
+    return np.full_like(x, math.nan)
+
+
+# name -> (draw(rng, shape) -> operands, call(*operands), type of a single call's output,
+# (operand, edit, error): one element's operand edited, and its single call's error class)
+STACK_MAPS = {
+    "se_exp": (_draw_screws, lambda W, v: lg.se_exp(lg.Screw(W, v)), Motion,
+               (0, _nonskew, IllConditionedSpectrumError)),
+    "y_omega": (_draw_screws, lg.y_omega, np.ndarray, (1, _nan, DimensionMismatchError)),
+    "so_exp": (lambda rng, shape: _draw_screws(rng, shape)[:1], lg.so_exp, np.ndarray,
+               (0, _nonskew, IllConditionedSpectrumError)),
+    "y_omega_solve": (_draw_screws, lg.y_omega_solve, np.ndarray,
+                      (0, lambda W: 2 * math.pi * skew_wedge(1, 2, N), SingularMapError)),
+    # the tau outputs and the fixed points turn planes by pi, the +pi resolution
+    "se_log": (_draw_motions, lambda R, X: lg.se_log(Motion(R, X), TOL, True), lg.Screw,
+               (0, _scaled, IllConditionedSpectrumError)),
+    "so_log": (lambda rng, shape: _draw_motions(rng, shape)[:1], lambda R: lg.so_log(R, TOL, True), np.ndarray,
+               (0, _scaled, IllConditionedSpectrumError)),
+    "sigma0": (lambda rng, shape: _draw_motions(rng, shape)[:1], lambda R: gr.sigma0(R, SIG), np.ndarray,
+               (0, _nan, DimensionMismatchError)),
+    "in_Q0": (lambda rng, shape: _draw_motions(rng, shape)[:1], lambda R: gr.in_Q0(R, SIG), bool,
+              (0, _nan, DimensionMismatchError)),
+    "twisted_act0": (lambda rng, shape: _draw_motion_pairs(rng, shape)[::2], lambda A, R: gr.twisted_act0(A, R, SIG),
+                     np.ndarray, (0, _scaled, IllConditionedSpectrumError)),
+    "sigma": (_draw_motions, lambda R, X: bn.sigma(Motion(R, X), SIG), Motion, (1, _nan, DimensionMismatchError)),
+    "in_Q": (_draw_motions, lambda R, X: bn.in_Q(Motion(R, X), SIG), bool, (0, _nan, DimensionMismatchError)),
+    "is_fixed_point": (_draw_motions, lambda R, X: bn.is_fixed_point(Motion(R, X), SIG), bool,
+                       (1, _nan, DimensionMismatchError)),
+    "twisted_act": (_draw_motion_pairs, lambda A, X, R, Y: bn.twisted_act(Motion(A, X), Motion(R, Y), SIG), Motion,
+                    (0, _scaled, IllConditionedSpectrumError)),
+    "double_projection": (_draw_motions, lambda A, X: bn.double_projection(A, X, SIG), np.ndarray,
+                          (0, _scaled, IllConditionedSpectrumError)),
+    "unit_direction": (lambda rng, shape: (sample_unit_directions(rng, N, shape),), pj.unit_direction, np.ndarray,
+                       (0, lambda U: 2.0 * U, DimensionMismatchError)),
+    "check_skew": (lambda rng, shape: _draw_screws(rng, shape)[:1], mc.check_skew, np.ndarray,
+                   (0, _nonskew, IllConditionedSpectrumError)),
+}
+
+
+def _outputs(out) -> tuple:
+    """The arrays of a map's output: the fields of a motion or a screw, else the output itself."""
+    return _fields(out) if isinstance(out, (Motion, lg.Screw)) else (out,)
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["stack", "grid"])
+@pytest.mark.parametrize("name", sorted(STACK_MAPS))
+def test_a_stack_gives_its_single_calls_bit_for_bit(name, shape):
+    draw, call, single_type, _ = STACK_MAPS[name]
+    operands = draw(make_rng(50, len(shape)), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = call(*operands)
+        assert type(stacked) is (np.ndarray if single_type is bool else single_type)
+        for i in np.ndindex(shape):
+            single = call(*(x[i] for x in operands))
+            assert type(single) is single_type
+            assert [_bits(a[i]) for a in _outputs(stacked)] == [_bits(b) for b in _outputs(single)], i
+    if single_type is bool:  # the draw mixes both answers
+        assert 0 < np.count_nonzero(stacked) < stacked.size
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["stack", "grid"])
+@pytest.mark.parametrize("name", sorted(STACK_MAPS))
+def test_a_bad_element_raises_its_single_calls_error_at_its_index(name, shape):
+    draw, call, _, (k, edit, error) = STACK_MAPS[name]
+    operands = list(draw(make_rng(51, len(shape)), shape))
+    i = tuple(s - 1 for s in shape)  # the last element
+    operands[k] = _with(operands[k], i, edit(operands[k][i]))
+    index = i[0] if len(i) == 1 else i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _raises_at(lambda: call(*operands), lambda: call(*(x[i] for x in operands)), error, index)
+
+
+def test_a_bracket_of_stacks_gives_its_single_brackets(shape):
+    # the vector part (omega1 v2 - omega2 v1) is one matvec per element
+    n, _ = shape
+    rng = make_rng(52, n)
+    for grid in GRIDS:
+        k = math.prod(grid)
+        W1, W2 = (_skews(rng, n, k).reshape(grid + (n, n)) for _ in range(2))
+        v1, v2 = rng.standard_normal(grid + (n,)), rng.standard_normal(grid + (n,))
+        stacked = lg.se_bracket(lg.Screw(W1, v1), lg.Screw(W2, v2))
+        for i in np.ndindex(grid):
+            single = lg.se_bracket(lg.Screw(W1[i], v1[i]), lg.Screw(W2[i], v2[i]))
+            assert [_bits(a[i]) for a in _fields(stacked)] == [_bits(b) for b in _fields(single)], i
+
+
+# A map that returns a certified value, or a record built on one, takes one operand.
+ONE_OPERAND_MAPS = {
+    "tau": lambda R, X, U: bn.tau(Motion(R, X), SIG),
+    "bundle_act": lambda R, X, U: bn.bundle_act(Motion(R, X), bn.bundle_point(gr.coordinate_plane(N, P), np.zeros(N)),
+                                                SIG),
+    "CartanRotation": lambda R, X, U: gr.CartanRotation(bn._tau(Motion(R, X), SIG, TOL, R.shape[:-2])[0], SIG),
+    "DpGenerator": lambda R, X, U: gr.DpGenerator(P, N - P, R[..., P:, :P]),
+    "plane_from_frame": lambda R, X, U: gr.plane_from_frame(R[..., :P]),
+    "skew_canonical_form": lambda R, X, U: mc.skew_canonical_form(R - R.mT),
+    "rotation_in_plane": lambda R, X, U: pj.rotation_in_plane(0.3, U),
+    "half_angle_line": lambda R, X, U: pj.half_angle_line(0.3, U),
+    "line_bundle_exp": lambda R, X, U: pj.line_bundle_exp(0.3, U, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OPERAND_MAPS))
+def test_a_map_of_a_certified_value_takes_no_stack(name):
+    rng = make_rng(53, 0)
+    R, X = sample_motions(rng, N, 3)
+    U = sample_unit_directions(rng, N, 3)
+    ONE_OPERAND_MAPS[name](R[0], X[0], U[0])  # one operand passes
+    with pytest.raises(DimensionMismatchError) as info:
+        ONE_OPERAND_MAPS[name](R, X, U)
+    if name in ("rotation_in_plane", "half_angle_line", "line_bundle_exp"):
+        # a stack of directions fails in the direction check, not later in the generator block
+        assert str(info.value).startswith("direction must be one 1-d array")
 
 
 # One bad element in a stack raises what its single call raises, with its index.
@@ -487,9 +651,9 @@ def test_a_nan_entry_raises_at_its_index():
     rng = make_rng(12, 0)
     W, v = _skews(rng, n, K), rng.standard_normal((K, n))
     entry, W[5, 0, 1] = W[5, 0, 1], math.nan
-    _raises_at(lambda: lg._exp(W, v, (K,)), lambda: lg.se_exp(lg.Screw(W[5], v[5])), DimensionMismatchError, 5)
+    _raises_at(lambda: lg.se_exp(lg.Screw(W, v)), lambda: lg.se_exp(lg.Screw(W[5], v[5])), DimensionMismatchError, 5)
     W[5, 0, 1], v[3, 2] = entry, math.nan
-    _raises_at(lambda: lg._exp(W, v, (K,)), lambda: lg.y_omega(W[3], v[3]), DimensionMismatchError, 3)
+    _raises_at(lambda: lg.se_exp(lg.Screw(W, v)), lambda: lg.y_omega(W[3], v[3]), DimensionMismatchError, 3)
 
 
 def test_a_non_orthogonal_rotation_raises_at_its_index():
@@ -497,7 +661,7 @@ def test_a_non_orthogonal_rotation_raises_at_its_index():
     sig = Signature(p, n - p)
     R, X = sample_motions(make_rng(13, 0), n, K)
     R[6] *= 1.01
-    _raises_at(lambda: lg._log(R, X, TOL, False, (K,)), lambda: lg.se_log(Motion(R[6], X[6])),
+    _raises_at(lambda: lg.se_log(Motion(R, X), TOL), lambda: lg.se_log(Motion(R[6], X[6])),
                IllConditionedSpectrumError, 6)
     _raises_at(lambda: bn._tau(Motion(R, X), sig, TOL, (K,)), lambda: bn.tau(Motion(R[6], X[6]), sig),
                IllConditionedSpectrumError, 6)
@@ -568,9 +732,9 @@ def test_a_twisted_action_by_twice_the_identity_raises_at_its_index():
     sig = Signature(p, n - p)
     R, X = sample_motions(make_rng(26, 0), n, K)
     A = _with(R, 4, 2.0 * np.eye(n))
-    _raises_at(lambda: gr._twisted_act0(A, R, sig, TOL, (K,)), lambda: gr.twisted_act0(A[4], R[4], sig),
+    _raises_at(lambda: gr.twisted_act0(A, R, sig, TOL), lambda: gr.twisted_act0(A[4], R[4], sig),
                IllConditionedSpectrumError, 4)
-    _raises_at(lambda: bn._twisted_act(Motion(A, X), Motion(R, X), sig, TOL, (K,)),
+    _raises_at(lambda: bn.twisted_act(Motion(A, X), Motion(R, X), sig, TOL),
                lambda: bn.twisted_act(Motion(A[4], X[4]), Motion(R[4], X[4]), sig), IllConditionedSpectrumError, 4)
 
 
@@ -579,9 +743,9 @@ def test_a_nan_motion_raises_at_its_index():
     sig = Signature(p, n - p)
     R, X = sample_fixed_points(make_rng(32, 0), sig, K)
     X = _with(X, 5, math.nan)
-    _raises_at(lambda: bn._is_fixed_point(Motion(R, X), sig, TOL, (K,)),
+    _raises_at(lambda: bn.is_fixed_point(Motion(R, X), sig, TOL),
                lambda: bn.is_fixed_point(Motion(R[5], X[5]), sig), DimensionMismatchError, 5)
-    _raises_at(lambda: bn._sigma(Motion(R, X), sig, (K,)), lambda: bn.sigma(Motion(R[5], X[5]), sig),
+    _raises_at(lambda: bn.sigma(Motion(R, X), sig), lambda: bn.sigma(Motion(R[5], X[5]), sig),
                DimensionMismatchError, 5)
 
 
@@ -590,7 +754,7 @@ def test_a_double_projection_by_a_non_rotation_raises_at_its_index():
     sig = Signature(p, n - p)
     A, X = sample_motions(make_rng(33, 0), n, K)
     A = _with(A, 3, 1.01 * A[3])
-    _raises_at(lambda: bn._double_projection(A, X, sig, TOL, (K,)), lambda: bn.double_projection(A[3], X[3], sig),
+    _raises_at(lambda: bn.double_projection(A, X, sig, TOL), lambda: bn.double_projection(A[3], X[3], sig),
                IllConditionedSpectrumError, 3)
 
 
@@ -659,9 +823,8 @@ def test_a_mixed_row_checks_one_dimension_per_call(name):
 
 
 def test_a_single_call_takes_no_stack():
-    # the public maps pass their operands unchanged, so a stack is not a single operand
+    # a map that returns a certified value takes one operand; se_log reads its stack shape from its operand
     R, X = sample_motions(make_rng(16, 0), 4, 3)
-    with pytest.raises(DimensionMismatchError):
-        lg.se_log(Motion(R, X))
+    _same(_fields(lg.se_log(Motion(R, X))), lambda i: _fields(lg.se_log(Motion(R[i], X[i]))), 3)
     with pytest.raises(DimensionMismatchError):
         bn.tau(Motion(R, X), Signature(2, 2))

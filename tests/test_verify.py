@@ -38,11 +38,9 @@ def test_table_shape():
 
 
 def test_nan_answer_fails_its_property(monkeypatch):
-    # Y_omega v, the translation of the exponential kernel, comes back NaN
-    exp = liegroup._exp
-    monkeypatch.setattr(
-        liegroup, "_exp", lambda omega, v, batch=(): (exp(omega, v, batch)[0], np.full(np.shape(v), math.nan))
-    )
+    # Y_omega v, the translation of the exponential, comes back NaN
+    exp = liegroup.se_exp
+    monkeypatch.setattr(liegroup, "se_exp", lambda xi: Motion(exp(xi).R, np.full(np.shape(xi.v), math.nan)))
     results = _results()
     for name in ("liegroup.y_omega_identity", "liegroup.y_omega_roundtrip"):
         assert not results[name].passed, name
@@ -53,15 +51,15 @@ def test_nan_answer_fails_its_property(monkeypatch):
 def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
     # a NaN in any one sample of the stack, first or later, is the reported error
     calls = []
-    exp = liegroup._exp
+    exp = liegroup.se_exp
 
-    def flaky(omega, v, batch=()):
-        calls.append(batch)
-        R, Y = exp(omega, v, batch)
-        Y[bad_sample] = math.nan
-        return R, Y
+    def flaky(xi):
+        calls.append(np.shape(xi.omega)[:-2])
+        g = exp(xi)
+        g.X[bad_sample] = math.nan
+        return g
 
-    monkeypatch.setattr(liegroup, "_exp", flaky)
+    monkeypatch.setattr(liegroup, "se_exp", flaky)
     samples, max_error, passed = _run_one("liegroup.y_omega_identity")
     assert calls == [(CFG.samples,)] and samples == CFG.samples  # one stacked call
     assert math.isnan(max_error) and not passed
@@ -86,29 +84,29 @@ def test_every_sample_keeps_its_errors_until_the_bound(stream):
 
 
 def test_a_nan_error_stays_at_its_sample(monkeypatch):
-    exp = liegroup._exp
+    exp = liegroup.se_exp
 
-    def flaky(omega, v, batch=()):
-        R, Y = exp(omega, v, batch)
-        Y[3] = math.nan
-        return R, Y
+    def flaky(xi):
+        g = exp(xi)
+        g.X[3] = math.nan
+        return g
 
-    monkeypatch.setattr(liegroup, "_exp", flaky)
+    monkeypatch.setattr(liegroup, "se_exp", flaky)
     stream = [entry[0] for entry in PROPERTIES].index("liegroup.y_omega_identity")
     (column,) = PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))[1]
     assert [math.isnan(e) for e in column] == [False, False, False, True, False]
 
 
 def test_a_raise_in_a_stacked_kernel_carries_the_sample_index(monkeypatch):
-    # the third rotation of the projection row, doubled, fails the SO(n) check of the kernel
-    project = bundle._double_projection
+    # the third rotation of the projection row, doubled, fails the SO(n) check of the map
+    project = bundle.double_projection
 
-    def third_doubled(A, X, sig, tol, batch=()):
+    def third_doubled(A, X, sig, tol):
         A = A.copy()
         A[2] *= 2.0
-        return project(A, X, sig, tol, batch)
+        return project(A, X, sig, tol)
 
-    monkeypatch.setattr(bundle, "_double_projection", third_doubled)
+    monkeypatch.setattr(bundle, "double_projection", third_doubled)
     stream = [entry[0] for entry in PROPERTIES].index("bundle.projection_identity")
     with pytest.raises(IllConditionedSpectrumError) as raised:
         PROPERTIES[stream][1].errors(CFG, sampling.make_rng(CFG.seed, stream))
@@ -122,7 +120,7 @@ def test_a_raise_in_a_stacked_kernel_carries_the_sample_index(monkeypatch):
 
 def test_false_predicate_fails_its_property(monkeypatch):
     assert _run_one("bundle.q_invariance")[2]
-    monkeypatch.setattr(bundle, "_in_Q", lambda g, sig, tol, batch=(): np.zeros(batch, bool))
+    monkeypatch.setattr(bundle, "in_Q", lambda g, sig, tol: np.zeros(np.shape(g.R)[:-2], bool))
     samples, max_error, passed = _run_one("bundle.q_invariance")
     assert samples == CFG.samples and math.isfinite(max_error) and not passed
 

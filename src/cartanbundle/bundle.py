@@ -65,19 +65,19 @@ of dp_exp_full, the closed form of the twisted action, X - A J A^{-1} X as
 twice a projection, and the block form of the fixed points -- are checked
 by the ``verify`` properties, not on every call.
 
-``sigma``, ``in_Q``, ``is_fixed_point``, ``twisted_act`` and
-``double_projection`` take one motion (or A and X) or stacks (see
-``matcore``): each reads the leading shape of its first rotation, and every
-other operand must have it; a predicate then gives a boolean array. The
-maps of certified values take one operand, and their kernels take a
-leading batch shape, which ``verify`` passes: those of ``tau`` (``_tau``),
-of ``dp_exp_full`` (``_dp_exp_full``), of ``dp_log_full``
-(``_dp_log_full``), of the ``CartanMotion`` check (``_cartan_motion``), of
-the ``bundle_point`` check (``_fiber``), of ``rho_inv`` (``_rho_inv``),
-``bundle_act`` (``_bundle_act``) and ``find_transporter``
-(``_transporter``). An element of a stack comes out bit for bit as its
-single call: the closed forms run on the whole stack, and an element that
-is not ``_sure`` of its check goes through the public check alone. One that
+Every map here takes one operand or a stack (see ``matcore``). A stack of
+certified values is one ``BundlePoint``, ``CartanMotion`` or ``DpElement``
+whose arrays carry a leading batch shape: n, p and the signature are read
+from the trailing axes, and the whole stack shares one ``_tol``. Each map
+reads its stack shape from its first operand (the rotation of a motion)
+and checks every other operand against it: the translation, the acted-on
+motion of ``twisted_act``, the fiber of a point against its plane
+(``_fiber``), the v of a ``DpElement`` against its B, the point of
+``bundle_act`` against the motion and the dst of ``find_transporter``
+against the src (``matcore._stacked_like``). A predicate then gives a
+boolean array. An element of a stack comes out bit for bit as its single
+call: the closed forms run on the whole stack, and an element that is not
+``_sure`` of its check goes through the public check alone. One that
 fails raises its single call's error class with its ``index`` in the
 context.
 """
@@ -126,13 +126,14 @@ from .matcore import (
     _norm,
     _projector,
     _require,
+    _stacked_like,
     check_finite_vector,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class BundlePoint:
-    """A point (plane, fiber vector) of the canonical vector bundle, checked once, at construction.
+    """A point (plane, fiber vector) of the canonical vector bundle, checked once, at construction; or a stack.
 
     The plane is a certified ``Plane``. The fiber must be an n-vector in
     the input domain of ``matcore`` (entries finite, at most 1e150) and in
@@ -142,7 +143,8 @@ class BundlePoint:
     fiber. The constructor is ``bundle_point``. ``rho`` builds its point
     from a certified motion and checks nothing. ``copy``, ``pickle`` and
     ``dataclasses.replace`` run the check again under the plane's
-    tolerances. ``==`` is identity.
+    tolerances. ``==`` is identity. A stack of points is one
+    ``BundlePoint`` of a stacked plane and a fiber of its leading shape.
     """
 
     plane: Plane
@@ -161,18 +163,21 @@ class BundlePoint:
 
 
 def bundle_point(plane: Plane, fiber: np.ndarray) -> BundlePoint:
-    """The certified bundle point (plane, fiber), checked under the plane's tolerances."""
+    """The certified bundle point (plane, fiber), checked under the plane's tolerances.
+
+    For a stacked plane, the fiber must have its leading shape.
+    """
     fiber = _read_only(_fiber(plane.projector, fiber, plane._tol))
     return _trusted(BundlePoint, plane._tol, plane=plane, fiber=fiber)
 
 
-def _fiber(P: np.ndarray, Y: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
-    """Y after the check of ``bundle_point`` against the plane's projector P, or of stacks of the leading shape ``batch``.
+def _fiber(P: np.ndarray, Y: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Y after the check of ``bundle_point`` against the plane's projector P, or of stacks.
 
-    Y must be an n-vector in the input domain, and its part off the plane
-    within the fiber bound (``_fiber_holds``).
+    Y must be an n-vector in the input domain, of P's leading shape, and its
+    part off the plane within the fiber bound (``_fiber_holds``).
     """
-    Y = check_finite_vector(Y, P.shape[-1], "fiber", batch)
+    Y = check_finite_vector(Y, P.shape[-1], "fiber", P.shape[:-2])
     residual = _norm(np.matvec(P, Y) - Y, 1)
     holds = _fiber_holds(residual, Y, tol)
     if holds is not True:  # a stack, or one fiber off its plane; the context is built only here
@@ -182,7 +187,7 @@ def _fiber(P: np.ndarray, Y: np.ndarray, tol: Tolerances, batch: tuple = ()) -> 
 
 @dataclass(frozen=True, eq=False)
 class CartanMotion:
-    """A motion in the Cartan model S_p, checked once, at construction.
+    """A motion in the Cartan model S_p, checked once, at construction; or a stack of them.
 
     ``certify``, which the public constructor runs, checks an n x n
     rotation in SO(n) and an n-vector translation in the input domain of
@@ -200,7 +205,9 @@ class CartanMotion:
     nothing when their bounds are sure of the check (``_sure``). ``copy``
     and ``pickle`` of any instance run the public check again under the
     same tolerances, ``dataclasses.replace`` under the defaults. ``==`` is
-    identity.
+    identity. A stack of motions is one ``CartanMotion`` whose R, X and
+    frame carry a leading batch shape; its ``sig`` fixes the trailing axes,
+    and the whole stack shares one ``_tol``.
     """
 
     motion: Motion
@@ -225,15 +232,15 @@ class CartanMotion:
         return self.sig.n
 
 
-def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(motion, F): the check of a ``CartanMotion``, for g or stacks of the leading shape ``batch``.
+def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances) -> tuple:
+    """(motion, F): the check of a ``CartanMotion``, for g or stacks; X must have the leading shape of R.
 
     The motion holds read-only copies of g's parts, and F is the frame of
     the plane that the S_p0 check found.
     """
     motion = Motion(_read_only(g.R), _read_only(g.X))
-    R = _checked_rotation(motion.R, tol, sig.n, batch)[0]
-    X = check_finite_vector(motion.X, sig.n, "translation", batch)
+    R = _checked_rotation(motion.R, tol, sig.n)[0]
+    X = check_finite_vector(motion.X, sig.n, "translation", R.shape[:-2])
     F, S, invol = _cartan_frame(R, sig, tol)
     residual = _sigma_residual(invol, S, X)
     _require(_sigma_holds(residual, X, tol), NotInCartanModelError, "sigma(g) != g^{-1}", residual=residual)
@@ -251,21 +258,26 @@ def _motion_check(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances)
 
 @dataclass(frozen=True, eq=False)
 class DpElement:
-    """Element (generator, v) of the (-1)-eigenspace d_p of the involution; ``==`` is identity."""
+    """Element (generator, v) of the (-1)-eigenspace d_p of the involution; ``==`` is identity.
+
+    v must be a p-vector in the input domain. A stack of elements is one
+    ``DpElement`` of a stacked generator and a v of its B's leading shape,
+    and its ``screw`` is a stacked ``Screw``.
+    """
 
     gen: DpGenerator
     v: np.ndarray
 
     def __post_init__(self):
-        check_finite_vector(self.v, self.gen.p, "coefficient vector")
+        check_finite_vector(self.v, self.gen.p, "coefficient vector", self.gen.B.shape[:-2])
 
     @property
     def n(self) -> int:
         return self.gen.n
 
     def screw(self) -> Screw:
-        v_full = np.zeros(self.n)
-        v_full[: self.gen.p] = self.v
+        v_full = np.zeros(self.gen.B.shape[:-2] + (self.n,))
+        v_full[..., : self.gen.p] = self.v
         return Screw(self.gen.embed(), v_full)
 
 
@@ -337,7 +349,7 @@ def twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances = default_
     plain group arithmetic. a may be stacks of motions, and g then stacks
     of a's leading shape.
     """
-    A = _checked_rotation(a.R, tol, sig.n, None)[0]
+    A = _checked_rotation(a.R, tol, sig.n)[0]
     X = check_finite_vector(a.X, sig.n, "translation", A.shape[:-2])
     (R, Y), j = _checked_motion(g, sig.n, A.shape[:-2]), sig._signs
     core = ((A @ R) * j) @ A.mT
@@ -358,24 +370,17 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
     fiber residuals come from (I - S^2) X, at most that times |X|. When
     these bounds make the result sure of its check and its translation is
     in the input domain (``_sure``), nothing else is checked; otherwise it
-    goes through the public check (``_checked_where_unsure``).
+    goes through the public check (``_checked_where_unsure``). The frame is
+    then a copy of A[:, :p] where the result is sure, else the frame the
+    public check finds. Stacks of motions give a stacked ``CartanMotion``.
     """
-    R, X, F = _tau(g, sig, tol)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
-
-
-def _tau(g: Motion, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(R, X, F): the kernel of ``tau``, for g or stacks of the leading shape ``batch``.
-
-    F is a copy of A[:, :p] where the result is ``_sure``, else the frame
-    the public check finds.
-    """
-    A, e = _checked_rotation(g.R, tol, sig.n, batch)
-    X, j = check_finite_vector(g.X, sig.n, "translation", batch), sig._signs
+    A, e = _checked_rotation(g.R, tol, sig.n)
+    X, j = check_finite_vector(g.X, sig.n, "translation", A.shape[:-2]), sig._signs
     R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
     rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
     sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1)), Y)
-    return R, Y, _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
+    F = _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(Y)), sig=sig, _frame=_frozen(F))
 
 
 def double_projection(
@@ -385,7 +390,7 @@ def double_projection(
 
     A may be a stack of rotations, and X then a stack of its leading shape.
     """
-    A = _checked_rotation(A, tol, sig.n, None)[0]
+    A = _checked_rotation(A, tol, sig.n)[0]
     X = check_finite_vector(X, sig.n, "vector", A.shape[:-2])
     return X - np.matvec((A * sig._signs) @ A.mT, X)
 
@@ -410,23 +415,15 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     |(I - P) Y|, measured here. When these make the motion sure of its
     check (``_sure``) under the point's tolerances, nothing is checked;
     otherwise it goes through the public check under them
-    (``_checked_where_unsure``). Either way the motion carries the point's
-    tolerances.
+    (``_checked_where_unsure``), and the motion takes the frame that check
+    finds. Either way the motion carries the point's tolerances. A stacked
+    point gives a stacked motion.
     """
-    tol = b._tol
-    R, sig, F = _rho_inv(b.plane.frame, b.plane.projector, b.fiber, tol)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), b.fiber), sig=sig, _frame=F)
-
-
-def _rho_inv(F: np.ndarray, P: np.ndarray, Y: np.ndarray, tol: Tolerances) -> tuple:
-    """(R, sig, F): the kernel of ``rho_inv``, for a point's frame F, projector P and fiber Y, or stacks.
-
-    F is the point's frame where the motion (R, Y) is ``_sure`` of its
-    check, else the frame the public check finds.
-    """
+    tol, F, P, Y = b._tol, b.plane.frame, b.plane.projector, b.fiber
     R, sig, rot = _embed_matrix(F, P)
     fib = _norm(np.matvec(P, Y) - Y, 1) / (1.0 + _norm(Y, 1)) + sig.n * _ROUND
-    return R, sig, _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
+    F = _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=F)
 
 
 def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
@@ -436,7 +433,8 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     and the point must have its (n, p), as ``find_transporter`` checks its
     two points. The plane A pi is checked as a frame, as ``rotate_plane``
     checks it, and the new point as ``bundle_point`` checks it, both under
-    the point's tolerances, which the result carries.
+    the point's tolerances, which the result carries. The motion may be
+    stacks, and the point then a stacked point of their leading shape.
 
     A is read only through A pi and A Y, Y in pi, and is not checked in
     SO(n). The frame check of A pi certifies that A maps pi isometrically,
@@ -445,26 +443,15 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
     p < n): a reflection A acts as H A, for H the reflection across a
     hyperplane that contains A pi.
     """
-    R, X = _checked_motion(a, sig.n)
+    R, X = _checked_motion(a, sig.n, None)
     if (b.n, b.plane.p) != (sig.n, sig.p):
         raise DimensionMismatchError("bundle point (n, p) does not match the signature")
-    F, P, Y = _bundle_act(R, X, b.plane.frame, b.fiber, b._tol)
-    return _trusted(BundlePoint, b._tol, plane=_plane(F, b._tol, P), fiber=_frozen(Y))
-
-
-def _bundle_act(R: np.ndarray, X: np.ndarray, F: np.ndarray, Y: np.ndarray, tol: Tolerances,
-                batch: tuple = ()) -> tuple:
-    """(F', P', Y'): the kernel of ``bundle_act``, the moved point's frame, projector and fiber.
-
-    (R, X) is a motion checked for shape and domain and (F, Y) a point's
-    frame and fiber, or stacks of the leading shape ``batch``. F' = R F,
-    read-only, is checked as ``plane_from_frame`` checks a frame (it has
-    the point's (n, p)) and Y' as ``bundle_point`` checks a fiber, under
-    ``tol``.
-    """
-    F = _frozen(_checked_frame(R @ F, tol, batch))
+    _stacked_like(b.fiber, 1, R.shape[:-2], "bundle point")
+    tol = b._tol
+    F = _frozen(_checked_frame(R @ b.plane.frame, tol))
     P = _projector(F)
-    return F, P, _fiber(P, np.matvec(R, Y) + 2.0 * np.matvec(P, X), tol, batch)
+    Y = _fiber(P, np.matvec(R, b.fiber) + 2.0 * np.matvec(P, X), tol)
+    return _trusted(BundlePoint, tol, plane=_plane(F, tol, P), fiber=_frozen(Y))
 
 
 def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
@@ -475,18 +462,15 @@ def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
     doubled projection reproduces the fiber exactly. Both frames were
     checked when their planes were constructed; they are completed to SO(n)
     by one stacked complete QR and one stacked ``det``, each exactly as
-    ``complete_to_special_orthogonal`` completes it.
+    ``complete_to_special_orthogonal`` completes it. For stacked points, dst
+    must have the leading shape of src, and each pair gets its motion.
     """
     if (src.n, src.plane.p) != (dst.n, dst.plane.p):
         raise DimensionMismatchError("bundle points must share (n, p)")
-    return Motion(*_transporter(src.plane.frame, src.fiber, dst.plane.frame, dst.fiber))
-
-
-def _transporter(Fs: np.ndarray, Ys: np.ndarray, Fd: np.ndarray, Yd: np.ndarray) -> tuple:
-    """(A, X): the kernel of ``find_transporter``, for the checked frames and fibers of two points, or stacks."""
-    C = _complete_frames(np.stack([Fd, Fs]))
+    _stacked_like(dst.fiber, 1, src.fiber.shape[:-1], "bundle point")
+    C = _complete_frames(np.stack([dst.plane.frame, src.plane.frame]))
     A = C[0] @ C[1].mT
-    return A, 0.5 * (Yd - np.matvec(A, Ys))
+    return Motion(A, 0.5 * (dst.fiber - np.matvec(A, src.fiber)))
 
 
 def dp_exp_full(
@@ -504,25 +488,18 @@ def dp_exp_full(
     translation leaves the input domain (``_sure``); then the motion goes
     through the public check (``_checked_where_unsure``). ``verify`` passes
     these motions through the public constructor and checks the doubling
-    identity exp(xi) = tau(exp(xi/2)).
+    identity exp(xi) = tau(exp(xi/2)). The motion's frame is the closed-form
+    one where it is sure, else the frame the public check finds; X comes
+    from the closed-form frame either way. A stacked element gives a
+    stacked motion.
     """
-    sig = xi.gen._sig
-    R, X, F = _dp_exp_full(xi.gen.B, xi.v, sig, tol)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
-
-
-def _dp_exp_full(B: np.ndarray, v: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(R, X, F): the kernel of ``dp_exp_full``, for B, v or stacks of the leading shape ``batch``.
-
-    v is a checked coefficient vector (``DpElement``). F is the closed-form
-    frame where the motion is ``_sure`` of its check, else the frame the
-    public check finds; X is computed from the closed-form frame either way.
-    """
-    V, s, U = _generator_svd(B, batch)
+    sig, v = xi.gen._sig, xi.v
+    V, s, U = _generator_svd(xi.gen.B)
     F = _cs_frame(V, 0.5 * s, U)
     R, X = _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v)))
     rot = sig.n * _ROUND
-    return R, X, _checked_where_unsure(_sure(tol, rot, rot, X), F, _motion_check, sig, tol, R, X)
+    F = _checked_where_unsure(_sure(tol, rot, rot, X), F, _motion_check, sig, tol, R, X)
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
 
 
 def dp_log_full(s: CartanMotion) -> DpElement:
@@ -535,19 +512,12 @@ def dp_log_full(s: CartanMotion) -> DpElement:
     (2/pi, 1] inside the cut locus. The cut-locus test, which ``dp_log0``
     shares, reads the tolerances s carries. The fiber of s lies in its
     plane by its certificate, so v is not mapped forward again; ``verify``
-    checks the round trip (``bundle.dp_full_routes``).
+    checks the round trip (``bundle.dp_full_routes``). A stacked motion
+    gives a stacked element.
     """
-    B, v = _dp_log_full(s._frame, s.motion.X, s.sig, s._tol)
-    return DpElement(gen=DpGenerator(p=s.sig.p, q=s.sig.q, B=B), v=v)
-
-
-def _dp_log_full(F: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
-    """(B, v): the kernel of ``dp_log_full``, for the frame F and translation X of a certified motion.
-
-    F and X may be stacks of the frames and translations of such motions.
-    """
-    V, angles, U = _principal_pairs(F, tol)
+    sig, X = s.sig, s.motion.X
+    V, angles, U = _principal_pairs(s._frame, s._tol)
     top, bottom = X[..., : sig.p], X[..., sig.p :]
     a, f = np.matvec(V.mT, top), _factors(angles)
     w = (np.cos(0.5 * angles) * a + np.sin(0.5 * angles) * np.matvec(U.mT, bottom)) / f
-    return _generator(V, angles, U), top + np.matvec(V, w - a)
+    return DpElement(gen=DpGenerator(p=sig.p, q=sig.q, B=_generator(V, angles, U)), v=top + np.matvec(V, w - a))

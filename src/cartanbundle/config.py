@@ -21,7 +21,12 @@ argparse has already checked by name. Every ``tol`` is a ``Tolerances``: a
 ``tol`` left out is the shared ``default_tolerances()``, and ``None`` is not
 one. Every field is a finite positive number, checked once at construction,
 so a bound that no residual can exceed (NaN, +inf) or that every residual
-exceeds (0, negative) is never built.
+exceeds (0, negative) is never built. A field must be a real number by the
+rule of ``matcore.check_finite_scalar`` (``_REAL_SCALARS``: a Python or
+NumPy int or float, not a bool, nor a string, a complex number or an
+array), else ``ValueError``, and is kept as a Python float: so a test of
+one operand against it gives a Python ``bool``, whatever number it was
+given as.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+# The real scalars: those whose NumPy dtype ``matcore._real`` accepts
+# (integer or float), as Python or NumPy numbers. Python's bool is an int,
+# so each test of a real scalar refuses it by name.
+_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -43,9 +55,16 @@ class Tolerances:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            given = getattr(self, f.name)
+            try:
+                real = isinstance(given, _REAL_SCALARS) and not isinstance(given, bool)
+                value = float(given) if real else math.nan
+            except OverflowError:  # an integer past the float range
+                value = math.inf
             if not 0 < value < math.inf:  # also false for NaN
-                raise ValueError(f"tolerance {f.name} must be a finite positive number, got {value!r}")
+                raise ValueError(f"tolerance {f.name} must be a finite positive int or float, not a bool, "
+                                 f"got {given!r}")
+            object.__setattr__(self, f.name, value)
 
 
 _DEFAULT = Tolerances()

@@ -54,22 +54,23 @@ constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
 its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
 
-``sigma0``, ``in_Q0`` and ``twisted_act0`` take one rotation or a stack
-(see ``matcore``), and the R of ``twisted_act0`` must have the leading
-shape of its A. The maps of certified values take one operand, and their
-kernels take a leading batch shape, which ``verify`` passes: those of
-``dp_exp`` (``_dp_exp``), of the S_p0 check (``_cartan_rotation``,
-``_cartan_frame``), of ``dp_log0`` (``_principal_pairs``,
-``_angle_pairs``), of ``cartan_embed0`` (``_cartan_embed0``, with
-``_embed_matrix``), of ``rotate_plane`` (``_rotated_frame``) and of the
-``DpGenerator`` block check (``_block``), the closed forms
-``_generator_svd``, ``_cs_rotation`` and ``_cs_frame``, and the fallback
-``_checked_where_unsure``; ``plane_from_frame`` checks its frame with the
-batched ``matcore._checked_frame``. An element of a stack comes out bit for
-bit as its single call, and one that fails raises that call's error class
-with its ``index`` in the context. The fallback replaces the frames of a
-stack's unsure elements in a copy, so the frames it was given stay as they
-were.
+Every map here takes one operand or a stack (see ``matcore``). A stack of
+certified values is one ``Plane``, ``CartanRotation`` or ``DpGenerator``
+whose arrays carry a leading batch shape: n, p and the signature are read
+from the trailing axes, and the whole stack shares one ``_tol``. Each map
+reads its stack shape from its first operand and checks every other
+operand against it: the R of ``twisted_act0`` must have the leading shape
+of its A, the plane of ``rotate_plane`` that of its A, and the second plane
+of ``plane_equal`` and ``principal_angles`` that of the first
+(``matcore._stacked_like``). Each map is its own kernel: the closed forms
+(``_embed_matrix``, ``_generator_svd``, ``_cs_rotation``, ``_cs_frame``),
+the S_p0 check (``_cartan_rotation``, ``_cartan_frame``), the principal
+pairs (``_principal_pairs``, ``_angle_pairs``) and the fallback
+``_checked_where_unsure`` run on whole stacks. An element of a stack comes
+out bit for bit as its single call, and one that fails raises that call's
+error class with its ``index`` in the context. The fallback replaces the
+frames of a stack's unsure elements in a read-only copy, so the frames it
+was given stay as they were.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ from .matcore import (
     _projector,
     _real,
     _require,
+    _stacked_like,
     _symmetric_involution,
     check_finite_matrix,
     orthonormalize,
@@ -216,16 +218,20 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     """F, the closed-form frame of a by-construction output, where ``sure``; elsewhere the checked frame.
 
     ``check`` is the public check, ``_cartan_rotation`` on R or
-    ``bundle._motion_check`` on (R, X), given as ``parts``. Each element i
-    that is not sure goes through ``check(*parts[i], sig, tol)`` alone,
-    which accepts or raises as for the same value from a caller; a raise
-    gets the element's ``index``. A single output (i = ()) takes the frame
-    of its check; a stack takes it in a copy of F. This is the one place
-    where the five maps that land in the Cartan model by construction fall
-    back to the check. A single output that is sure returns at once.
+    ``bundle._motion_check`` on (R, X), given as ``parts``. ``sure`` is one
+    answer per element, or one for the whole stack. Each element i that is
+    not sure goes through ``check(*parts[i], sig, tol)`` alone, which
+    accepts or raises as for the same value from a caller; a raise gets the
+    element's ``index``. A single output (i = ()) takes the frame of its
+    check; a stack takes it in a read-only copy of F, so the frames it was
+    given stay as they were. This is the one place where the five maps that
+    land in the Cartan model by construction fall back to the check. A
+    single output that is sure returns at once.
     """
     if sure is True or sure is np.True_:
         return F
+    if F.ndim > 2 and type(sure) is not np.ndarray:  # one answer for a whole stack
+        sure = np.full(F.shape[:-2], sure)
     unsure = _each(sure, False)
     if unsure and unsure[0]:  # a stack with an element to replace
         F = F.copy()
@@ -238,19 +244,21 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
         if not i:
             return found
         F[i] = found
-    return F
+    return _frozen(F)
 
 
 @dataclass(frozen=True, eq=False)
 class Plane:
-    """A p-dimensional subspace of R^n: projector plus a representative frame.
+    """A p-dimensional subspace of R^n: projector plus a representative frame; or a stack of them.
 
     ``Plane(frame)`` is ``plane_from_frame(frame)``: the frame is checked
     once, finite and orthonormal within ``tol.orth`` n (``check_frame``),
     and n, p (checked as a ``Signature``) and the projector F F^T are
-    derived from it. The instance keeps read-only copies of frame and
-    projector, and the tolerances of the check, which every map of the
-    plane reuses. ``plane_from_frame`` checks under its ``tol``; the
+    derived from it. A stack of planes is one ``Plane`` whose frame and
+    projector carry a leading batch shape: n and p are read from the
+    frame's trailing axes, and the whole stack shares one ``_tol``. The
+    instance keeps read-only copies of frame and projector, and the
+    tolerances of the check, which every map of the plane reuses. ``plane_from_frame`` checks under its ``tol``; the
     constructor under the defaults. Planes whose frame is orthonormal by
     construction (``rho0``, ``rho``, whose frames come from ``eigh`` or a
     closed form) skip the check. ``copy`` and ``pickle`` run the check
@@ -274,19 +282,20 @@ class Plane:
 def plane_from_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> Plane:
     """The plane of a frame, checked orthonormal under ``tol``; it keeps a read-only copy.
 
-    The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n.
+    The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n. A stack
+    of frames gives one stacked ``Plane``.
     """
     F = _checked_frame(F, tol)
-    Signature(F.shape[1], F.shape[0] - F.shape[1])
+    Signature(F.shape[-1], F.shape[-2] - F.shape[-1])
     return _plane(_read_only(F), tol)
 
 
 def _plane(F: np.ndarray, tol: Tolerances, P: np.ndarray | None = None) -> Plane:
-    """The plane of a read-only frame already known to be orthonormal; nothing is checked.
+    """The plane of a read-only frame already known to be orthonormal, or of a stack; nothing is checked.
 
     P is its projector F F^T, if the caller has computed it.
     """
-    n, p = F.shape
+    n, p = F.shape[-2:]
     return _trusted(Plane, tol, n=n, p=p, projector=_frozen(_projector(F) if P is None else P), frame=F)
 
 
@@ -311,12 +320,16 @@ def coordinate_plane(n: int, p: int) -> Plane:
 
 
 def plane_equal(a: Plane, b: Plane, tol: Tolerances = default_tolerances()) -> bool:
-    """Frame-independent equality via projector comparison."""
+    """Frame-independent equality via projector comparison; for stacks, one bool per pair.
+
+    b must have the (n, p) and the leading shape of a.
+    """
     if (a.n, a.p) != (b.n, b.p):
         raise DimensionMismatchError(
             f"plane dimension mismatch: ({a.n},{a.p}) vs ({b.n},{b.p})"
         )
-    return _norm(a.projector - b.projector) <= tol.plane
+    _stacked_like(b.frame, 2, a.frame.shape[:-2], "plane")
+    return _norm(a.projector - b.projector, 2) <= tol.plane
 
 
 def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
@@ -326,18 +339,13 @@ def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
     of A pi certifies that A maps pi isometrically, so an A that does not
     (2 I) raises ``DegenerateSpanError``; one that does gives the image under
     every rotation that agrees with it on pi (for a reflection A, under H A,
-    H the reflection across a hyperplane that contains A pi).
+    H the reflection across a hyperplane that contains A pi). A may be a
+    stack, and the plane then a stack of its leading shape.
     """
-    return _plane(_rotated_frame(A, plane.frame, plane._tol), plane._tol)
-
-
-def _rotated_frame(A: np.ndarray, F: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
-    """The frame A F of ``rotate_plane``, checked and read-only, for A and F or stacks of the shape ``batch``.
-
-    F is the frame of a plane, so A F has its (n, p).
-    """
-    n = F.shape[-2]
-    return _frozen(_checked_frame(check_finite_matrix(A, (n, n), "rotation", batch) @ F, tol, batch))
+    F, tol = plane.frame, plane._tol
+    A = check_finite_matrix(A, (F.shape[-2], F.shape[-2]), "rotation", None)
+    _stacked_like(F, 2, A.shape[:-2], "plane")
+    return _plane(_frozen(_checked_frame(A @ F, tol)), tol)
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:
@@ -366,17 +374,20 @@ def twisted_act0(
     A^{-1} as A^T; R must be n x n, in the input domain. A may be a stack,
     and R then a stack of its leading shape.
     """
-    A = _checked_rotation(A, tol, sig.n, None)[0]
+    A = _checked_rotation(A, tol, sig.n)[0]
     R, j = check_finite_matrix(R, (sig.n, sig.n), "rotation", A.shape[:-2]), sig._signs
     return ((A @ R) * j) @ A.mT * j
 
 
 @dataclass(frozen=True, eq=False)
 class CartanRotation:
-    """A rotation in the Cartan model S_p0, checked once, at construction.
+    """A rotation in the Cartan model S_p0, checked once, at construction; or a stack of them.
 
     ``certify``, which the constructor runs, checks that R is n x n for
-    the signature and lies in SO(n), and then S_p0.
+    the signature and lies in SO(n), and then S_p0. A stack of rotations
+    is one ``CartanRotation`` whose matrix and frame carry a leading batch
+    shape; its ``sig`` fixes the trailing axes, and the whole stack shares
+    one ``_tol``.
     The instance keeps a read-only copy of R and the read-only frame of the
     (-1)-eigenspace of R J that the check found. ``cartan_embed0`` and
     ``dp_exp`` build theirs from a rotation that lies in S_p0 by
@@ -410,13 +421,13 @@ class CartanRotation:
         return self.sig.n
 
 
-def _cartan_rotation(R: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(R, F): the check of a ``CartanRotation``, for R or a stack of the leading shape ``batch``.
+def _cartan_rotation(R: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """(R, F): the check of a ``CartanRotation``, for R or a stack.
 
     R, read-only, is checked n x n for sig and in SO(n), then in S_p0; F is
     the frame of its plane that the S_p0 check found.
     """
-    R = _read_only(_checked_rotation(R, tol, sig.n, batch)[0])
+    R = _read_only(_checked_rotation(R, tol, sig.n)[0])
     return R, _cartan_frame(R, sig, tol)[0]
 
 
@@ -470,21 +481,12 @@ def cartan_embed0(plane: Plane) -> CartanRotation:
     (-1)-eigenspace. When the orthonormality residual of that frame makes R
     sure of its check (``_sure``) under the plane's tolerances, nothing is
     checked; otherwise R goes through the public check under them
-    (``_checked_where_unsure``).
+    (``_checked_where_unsure``). A stacked plane gives a stacked rotation.
     """
     tol = plane._tol
-    R, sig, F = _cartan_embed0(plane.frame, plane.projector, tol)
+    R, sig, rot = _embed_matrix(plane.frame, plane.projector)
+    F = _checked_where_unsure(_sure(tol, rot), plane.frame, _cartan_rotation, sig, tol, R)
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=F)
-
-
-def _cartan_embed0(F: np.ndarray, P: np.ndarray, tol: Tolerances) -> tuple:
-    """(R, sig, F): the kernel of ``cartan_embed0``, for a plane's frame F and projector P or stacks of them.
-
-    F is the plane's frame where R is ``_sure`` of its check, else the frame
-    the public check finds.
-    """
-    R, sig, rot = _embed_matrix(F, P)
-    return R, sig, _checked_where_unsure(_sure(tol, rot), F, _cartan_rotation, sig, tol, R)
 
 
 def rho0(R: CartanRotation) -> Plane:
@@ -502,9 +504,10 @@ class DpGenerator:
     """Generator in the (-1)-eigenspace d_p0: omega = [[0, -B^T], [B, 0]]; ``==`` is identity.
 
     p and q are checked as a ``Signature``, which the generator keeps, and
-    B must have shape (q, p) and a real numeric dtype (``matcore._real``);
-    it is kept as a float array. Its entries are checked where it is used
-    (``dp_exp``, ``dp_exp_full``).
+    B must have a real numeric dtype (``matcore._real``) and shape (q, p);
+    it is kept as a float array. A stack of generators is one
+    ``DpGenerator`` whose B has a leading batch shape before (q, p). Its
+    entries are checked where it is used (``dp_exp``, ``dp_exp_full``).
     """
 
     p: int
@@ -523,14 +526,12 @@ class DpGenerator:
         return _embedded(self.B)
 
 
-def _block(B: np.ndarray, sig: Signature, batch: tuple = ()) -> np.ndarray:
-    """B as a float array, checked as ``DpGenerator`` checks its block: q x p for sig, real numeric dtype.
-
-    With ``batch``, B is a stack of such blocks with that leading shape.
-    """
-    if np.shape(B) != batch + (sig.q, sig.p):
-        raise DimensionMismatchError(f"generator block must be {sig.q} x {sig.p}, got {np.shape(B)}")
-    return _real(B, "generator block")
+def _block(B: np.ndarray, sig: Signature) -> np.ndarray:
+    """B as a float array, checked as ``DpGenerator`` checks it: real numeric dtype, q x p for sig, or a stack."""
+    B = _real(B, "generator block")
+    if B.shape[-2:] != (sig.q, sig.p):
+        raise DimensionMismatchError(f"generator block must be {sig.q} x {sig.p}, got {B.shape}")
+    return B
 
 
 def _embedded(B: np.ndarray) -> np.ndarray:
@@ -578,9 +579,9 @@ def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.concatenate([top, (U * np.sin(t)) @ V.mT], axis=-2)
 
 
-def _generator_svd(B: np.ndarray, batch: tuple = ()) -> tuple:
+def _generator_svd(B: np.ndarray) -> tuple:
     """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block, or of each of a stack."""
-    B = check_finite_matrix(B, name="generator block", batch=batch)
+    B = check_finite_matrix(B, name="generator block", batch=None)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     return Vt.mT, s, U
 
@@ -597,26 +598,15 @@ def dp_exp(gen: DpGenerator, tol: Tolerances = default_tolerances()) -> CartanRo
     and the frame of its plane, the same form at half the angles
     (``_cs_frame``). Its residuals are rounding only, so nothing is checked
     unless ``tol`` is below that (``_sure``); then the rotation goes through
-    the public check (``_checked_where_unsure``). ``verify`` passes these
-    rotations through the public constructor.
+    the public check (``_checked_where_unsure``). ``_sure`` does not depend
+    on the element, so a stacked generator is sure of every element or of
+    none. ``verify`` passes these rotations through the public constructor.
     """
     sig = gen._sig
-    R, F = _dp_exp(gen.B, sig, tol)
-    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_frozen(F))
-
-
-def _dp_exp(B: np.ndarray, sig: Signature, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(R, F): the kernel of ``dp_exp``, for B or a stack of the leading shape ``batch``.
-
-    F is the frame of the plane of R: in closed form where ``_sure``, else
-    the one the public check (``_cartan_rotation``) finds. ``_sure`` does
-    not depend on the element, so a stack is sure of every element or of
-    none.
-    """
-    V, s, U = _generator_svd(B, batch)
+    V, s, U = _generator_svd(gen.B)
     R, sure = _cs_rotation(V, s, U), _sure(tol, sig.n * _ROUND)
-    sure = np.full(batch, sure) if batch else sure
-    return R, _checked_where_unsure(sure, _cs_frame(V, 0.5 * s, U), _cartan_rotation, sig, tol, R)
+    F = _checked_where_unsure(sure, _cs_frame(V, 0.5 * s, U), _cartan_rotation, sig, tol, R)
+    return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_frozen(F))
 
 
 def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
@@ -647,15 +637,17 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
 
 
 def principal_angles(a: Plane, b: Plane) -> np.ndarray:
-    """Principal angles between two planes, ascending.
+    """Principal angles between two planes, ascending; or between each pair of two stacks.
 
     The cosines are the singular values of Fa^T Fb; the angles below 1e-2
     are read off the sines, the singular values of (I - Pa) Fb =
     Fb - Fa (Fa^T Fb), as ``_principal_pairs`` reads them (``_angle_pairs``).
+    b must have the (n, p) and the leading shape of a.
     """
     if (a.n, a.p) != (b.n, b.p):
         raise DimensionMismatchError("planes must share (n, p)")
-    M = a.frame.T @ b.frame
+    _stacked_like(b.frame, 2, a.frame.shape[:-2], "plane")
+    M = a.frame.mT @ b.frame
     return np.sort(_angle_pairs(M, b.frame - a.frame @ M)[1])
 
 

@@ -201,7 +201,7 @@ def so_log(
     An angle within ``tol.branch`` of pi makes the log non-unique; this
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
-    L, _, theta = _rotation_log(_checked_rotation(R, tol, None, None)[0])
+    L, _, theta = _rotation_log(_checked_rotation(R, tol)[0])
     if not allow_pi:
         _check_branch(theta, tol)
     return L
@@ -293,7 +293,7 @@ def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = F
     angle is in [0, pi], so f is in [2/pi, 1] and the pull-back, unlike
     ``y_omega_solve``, cannot meet a singular factor.
     """
-    L, V, theta = _rotation_log(_checked_rotation(g.R, tol, None, None)[0])
+    L, V, theta = _rotation_log(_checked_rotation(g.R, tol)[0])
     X = check_finite_vector(g.X, theta.shape[-1], "translation", theta.shape[:-1])
     if not allow_pi:
         _check_branch(theta, tol)

@@ -57,19 +57,21 @@ every residual stays bit-identical to ``np.linalg.norm``.
 
 Stacks. An operand may carry a leading batch shape ``...`` before its core
 shape (NumPy's gufunc convention): an n x n rotation may be a (k, n, n)
-stack of them. One rule says which maps take stacks. A map that returns an
-array, a motion, a screw or a bool reads its stack shape from its first
-operand (the validators' ``batch=None``) and checks every other operand
-against that leading shape: ``check_skew``, ``projector``, the exponentials
-and logarithms of ``liegroup``, ``sigma0``, ``in_Q0``, ``twisted_act0``,
-``sigma``, ``in_Q``, ``is_fixed_point``, ``twisted_act``,
-``double_projection`` and ``unit_direction``. A map that returns a
-certified value, or one record of one operand (a canonical form, a line
-generator), takes one operand: a stack raises ``DimensionMismatchError``
-(from its validators' default ``batch=()``, or from ``_one`` after a check
-that takes stacks). Its kernel takes a ``batch``, the leading shape it accepts,
-which only ``verify``'s stacked checks pass. Group arithmetic and the
-records' matrices read stacks as they are. Each element of a stack
+stack of them. One rule says which maps take stacks: every map reads its
+stack shape from its first operand (the validators' ``batch=None``) and
+checks every other operand against that leading shape, with the
+validators' ``batch`` for a raw array and ``_stacked_like`` for the
+arrays of a certified value. A stack of certified values is one
+certified value (a ``Plane``, ``BundlePoint``, ``CartanRotation``,
+``CartanMotion``, ``DpGenerator`` or ``DpElement``) whose arrays carry the
+leading shape; n, p and the signature are read from the trailing axes,
+and the whole stack shares one ``_tol``. Each map is its own kernel, with
+no twin that takes a ``batch``. Only the maps that return one record, or
+read Python scalars, take one operand: the canonical forms, the
+involution eigenspace and the three line maps raise
+``DimensionMismatchError`` for a stack (``_one``, after a check that takes
+stacks). Group arithmetic and the records' matrices read stacks as they
+are. Each element of a stack
 comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
 ``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
 calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
@@ -99,7 +101,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Tolerances, default_tolerances
+from .config import _REAL_SCALARS, Tolerances, default_tolerances
 from .errors import (
     DegenerateSpanError,
     DimensionMismatchError,
@@ -341,6 +343,18 @@ def check_finite_vector(x: np.ndarray, n: int | None, name: str = "vector", batc
     return _in_domain(x, name, 1)
 
 
+def _stacked_like(x: np.ndarray, core: int, lead: tuple, name: str) -> None:
+    """Raise ``DimensionMismatchError`` unless x, of ``core`` axes or a stack of them, has the leading shape ``lead``.
+
+    For an operand that a certificate has checked (the frame of a plane, the
+    fiber of a point) beside the first operand, whose leading shape is
+    ``lead``; only its leading shape is read.
+    """
+    if x.shape[: x.ndim - core] != lead:
+        raise DimensionMismatchError(f"{name} must have the leading shape {lead} of the first operand, "
+                                     f"got shape {x.shape}")
+
+
 def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
     """x, a checked operand of ``core`` axes or a stack of them, if it is one operand, else ``DimensionMismatchError``.
 
@@ -350,12 +364,6 @@ def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
     if x.ndim != core:
         raise DimensionMismatchError(f"{name} must be one {core}-d array, not a stack, got shape {x.shape}")
     return x
-
-
-# The real scalars: those whose NumPy dtype ``_real`` accepts (integer or
-# float), as Python or NumPy numbers. Python's bool is an int, so
-# ``check_finite_scalar`` refuses it by name.
-_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def check_finite_scalar(x: float, name: str) -> float:
@@ -414,13 +422,13 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def check_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
-    """Validate that F has orthonormal columns: |F^T F - I| at most ``tol.orth`` max(1, n)."""
+    """Validate that F has orthonormal columns: |F^T F - I| at most ``tol.orth`` max(1, n), or each frame of a stack."""
     return _checked_frame(F, tol)
 
 
-def _checked_frame(F: np.ndarray, tol: Tolerances, batch: tuple = ()) -> np.ndarray:
-    """``check_frame`` of F, or of each frame of a stack of the leading shape ``batch``."""
-    F = check_finite_matrix(F, name="frame", batch=batch)
+def _checked_frame(F: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``check_frame`` of F or of a stack, under a ``tol`` that the caller gives."""
+    F = check_finite_matrix(F, name="frame", batch=None)
     n, p = F.shape[-2:]
     if p > n:
         raise DimensionMismatchError(f"frame has {p} columns in dimension {n}")
@@ -448,7 +456,7 @@ def _projector(F: np.ndarray) -> np.ndarray:
 def complete_to_special_orthogonal(
     F: np.ndarray, tol: Tolerances = default_tolerances()
 ) -> np.ndarray:
-    """Extend a frame to a full matrix in SO(n) with F as its leading block.
+    """Extend a frame to a full matrix in SO(n) with F as its leading block, or each frame of a stack.
 
     The complement is the trailing n - p columns of the complete QR
     factorization of F, so the result is a pure function of F. The last
@@ -457,8 +465,8 @@ def complete_to_special_orthogonal(
     ``IllConditionedSpectrumError``, as ``check_special_orthogonal`` does.
     """
     F = check_frame(F, tol)
-    if F.shape[0] == F.shape[1] and np.linalg.det(F) < 0:
-        raise IllConditionedSpectrumError("a frame with det -1 has no completion in SO(n)")
+    if F.shape[-2] == F.shape[-1]:
+        _require(~(np.linalg.det(F) < 0), IllConditionedSpectrumError, "a frame with det -1 has no completion in SO(n)")
     return _complete_frames(F)
 
 
@@ -528,17 +536,17 @@ class CanonicalRotationForm:
 
 
 def check_special_orthogonal(R: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
+    """R, checked to be a real square matrix in the input domain and in SO(n) under ``tol``, or each of a stack."""
     return _checked_rotation(R, tol)[0]
 
 
-def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None, batch: tuple | None = ()) -> tuple:
+def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> tuple:
     """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual.
 
-    R must be n x n, or square of any size if n is None; with ``batch``, a
-    stack of them of that leading shape (None: of its own), and the
-    residual is one per element.
+    R must be n x n, or square of any size if n is None, or a stack of
+    them, and the residual is then one per element.
     """
-    R = check_finite_matrix(R, (n, n), "rotation", batch)
+    R = check_finite_matrix(R, (n, n), "rotation", None)
     n = R.shape[-1]
     defect, bound = _norm(R.mT @ R - _eye(n), 2), tol.orth * max(1, n)
     _require(defect <= bound, IllConditionedSpectrumError, "matrix is not orthogonal within tolerance")
@@ -690,18 +698,19 @@ def canonical_rotation_form(
     The blocks are the turning pairs of log R, with the +pi resolution at
     angle pi. Only R is checked, in SO(n) under ``tol``; the reconstruction
     Q blockdiag(R(theta_i), I) Q^T = R is checked by ``verify``
-    (``matcore.canonical_form_reconstruction``), not on every call.
+    (``matcore.canonical_form_reconstruction``), not on every call. It
+    returns one record, so R must be one rotation, not a stack.
     """
-    return _as_form(*_rotation_form(R, tol))
+    return _as_form(*_rotation_form(_one(check_special_orthogonal(R, tol), "rotation", 2)))
 
 
-def _rotation_form(R: np.ndarray, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(Q, angles): the kernel of ``canonical_rotation_form``, for R with the leading shape ``batch``.
+def _rotation_form(R: np.ndarray) -> tuple:
+    """(Q, angles): the kernel of ``canonical_rotation_form``, for R checked in SO(n), or a stack of them.
 
     angles holds the angles of one form, or of each of a stack padded with
     zeros (``_forms``); ``_blocks`` of them rebuilds each form's blocks.
     """
-    Q, s = _skew_pairs(_rotation_log(_checked_rotation(R, tol, None, batch)[0])[0])
+    Q, s = _skew_pairs(_rotation_log(R)[0])
     return _forms(Q, np.minimum(s, math.pi), rotation=True)
 
 
@@ -709,7 +718,8 @@ def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
     """Canonical Pi-block decomposition of a skew matrix, from its turning pairs.
 
     Only W is checked, as skew (``check_skew``); the form rebuilds W within
-    1e-10 n max(1, |W|), which the tests hold it to.
+    1e-10 n max(1, |W|), which the tests hold it to. It returns one record,
+    so W must be one matrix, not a stack.
     """
     return _as_form(*_forms(*_skew_pairs(_one(check_skew(W), "skew matrix", 2)), rotation=False))
 
@@ -743,14 +753,15 @@ def eigenspace_of_symmetric_involution(
     bool, nor an array) equal to +1 or -1, and S square, else
     ``DimensionMismatchError``; S must be a symmetric involution (an
     orthogonal symmetry), as ``_symmetric_involution`` tests it. The
-    returned frame may have zero columns.
+    returned frame may have zero columns. The frames of a stack differ in
+    their count of columns, so S must be one matrix, not a stack.
     """
     V, keep = _eigenspace(S, eigenvalue, tol)
-    return V[:, keep]
+    return _one(V, "symmetry", 2)[:, keep]
 
 
-def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances, batch: tuple = ()) -> tuple:
-    """(V, keep): the kernel of ``eigenspace_of_symmetric_involution``, for S with the leading shape ``batch``.
+def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances) -> tuple:
+    """(V, keep): the kernel of ``eigenspace_of_symmetric_involution``, for S or a stack.
 
     V is an eigenbasis of each S, and ``keep`` marks its columns whose
     eigenvalue is within 1/2 of ``eigenvalue``: the frame of an element is
@@ -758,7 +769,7 @@ def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances, batch: tuple = 
     """
     if check_finite_scalar(eigenvalue, "eigenvalue") not in (1.0, -1.0):
         raise DimensionMismatchError("eigenvalue must be +1 or -1")
-    S = check_finite_matrix(S, (None, None), "symmetry", batch)
+    S = check_finite_matrix(S, (None, None), "symmetry", None)
     _, i, defect, _ = _symmetric_involution(S, tol)
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}", **_at(i))

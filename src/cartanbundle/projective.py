@@ -8,12 +8,13 @@ map here is a map of ``grassmann`` or ``bundle`` at the signature
 rotation by theta in the plane of e_1 and a unit direction U orthogonal to
 e_1. The rotation is ``dp_exp`` of it, its line ``rho0`` of that, and the
 line-bundle exponential ``dp_exp_full``, each from one SVD of B; the
-Moebius grid is one stacked call of the ``dp_exp_full`` kernel. Every angle
-theta and fiber coordinate lam passes ``matcore.check_finite_scalar``, the
-entry test of the arrays the library accepts. ``unit_direction`` and
-``_line_block`` also take stacks of directions, which ``verify``'s line rows
-pass; the line maps take one direction, and a stack fails the direction
-check."""
+Moebius grid is one call of ``dp_exp_full`` on the stacked element of the
+whole grid. Every angle theta and fiber coordinate lam passes
+``matcore.check_finite_scalar``, the entry test of the arrays the library
+accepts. ``unit_direction`` and ``_line_block`` also take stacks of
+directions, which ``verify``'s line rows pass; the line maps return one
+record each and read their angle and lam as Python scalars, so they take
+one direction, and a stack fails the direction check (``matcore._one``)."""
 
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ import math
 
 import numpy as np
 
-from .bundle import DpElement, _dp_exp_full, dp_exp_full
-from .config import default_tolerances
+from .bundle import DpElement, dp_exp_full
 from .errors import DimensionMismatchError
-from .grassmann import DpGenerator, Plane, Signature, dp_exp, rho0
+from .grassmann import DpGenerator, Plane, dp_exp, rho0
 from .liegroup import Motion
 from .matcore import _is_dim, _norm, _one, _require, check_finite_scalar, check_finite_vector
 
@@ -100,8 +100,8 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     and carry, in the order of ``MOEBIUS_COLUMNS``: theta, lambda, the
     rotation R row-major, the translation X, the carried line angle theta/2,
     and the fiber (X again). Each record is ``line_bundle_exp(theta, e_2,
-    lambda)``, bit for bit, from one stacked call of its kernel over the
-    whole grid. The sizes must be integers from 1 to ``matcore._MAX_DIM``
+    lambda)``, bit for bit, from one call of ``dp_exp_full`` on the stacked
+    element of the whole grid. The sizes must be integers from 1 to ``matcore._MAX_DIM``
     and lambda_max must be in the input domain, else
     ``DimensionMismatchError``.
     """
@@ -111,8 +111,8 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     grid = (num_theta, num_lambda)
     theta = np.broadcast_to((2.0 * math.pi * np.arange(num_theta) / num_theta)[:, None], grid)
     lam = np.broadcast_to(np.linspace(-lambda_max, lambda_max, num_lambda), grid)
-    B = _line_block(theta, np.array([0.0, 1.0]))
-    R, X, _ = _dp_exp_full(B, lam[..., None], Signature(1, 1), default_tolerances(), grid)
-    X = X.reshape(-1, 2)
+    gen = DpGenerator(1, 1, _line_block(theta, np.array([0.0, 1.0])))
+    motion = dp_exp_full(DpElement(gen, lam[..., None])).motion
+    R, X = motion.R, motion.X.reshape(-1, 2)
     values = np.column_stack([theta.ravel(), lam.ravel(), R.reshape(-1, 4), X, 0.5 * theta.ravel(), X])
     return [dict(zip(MOEBIUS_COLUMNS, row)) for row in values.tolist()]

@@ -30,16 +30,20 @@ row with a finite ``max_error``. A comparison scaled per sample, as by
 combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
 Every row checks whole stacks: its check, ``check(cfg, *stacks)``, calls
-the public maps that take stacks (the exponentials and logarithms,
-``sigma0``, ``in_Q0``, ``twisted_act0``, ``sigma``, ``in_Q``,
-``is_fixed_point``, ``twisted_act``, ``double_projection``,
-``unit_direction``), and, with the stacks' ``batch``, the kernels of the
-maps that build certified values, which take one operand. Each element of
-a stack comes out bit for bit as its single call, with every check of that
-call (domain, skew, SO(n), symmetric involution, frame, fiber, generator
-block, unit direction, branch, singular factor, ``_sure`` and its one
-fallback, S_p and cut locus); an element that fails raises the single
-call's error class with its ``index`` in the context, and fails its row.
+the public maps on them, and names no private attribute of ``bundle``,
+``grassmann`` or ``liegroup``. A stack of certified values is one
+``Plane``, ``BundlePoint``, ``CartanRotation``, ``CartanMotion``,
+``DpGenerator`` or ``DpElement`` whose arrays carry the stacks' leading
+shape, so the constructors and the maps of certified values take the
+stacks as the exponentials and the predicates do. Each element of a stack
+comes out bit for bit as its single call, with every check of that call
+(domain, skew, SO(n), symmetric involution, frame, fiber, generator block,
+unit direction, branch, singular factor, ``_sure`` and its one fallback,
+S_p and cut locus); an element that fails raises the single call's error
+class with its ``index`` in the context, and fails its row. Besides the
+public maps, the checks read ``matcore``'s kernels of the one-record
+canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
+and wedge, and ``projective``'s line block.
 Every check sees one dimension: a row that draws samples of several
 dimensions (``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
 the check once per dimension and maps a raise's ``index`` back to the
@@ -279,19 +283,9 @@ def _motion_pairs(cfg, rng, count):
     return sp.sample_motions(rng, cfg.n, (count, 2))
 
 
-def _planes(cfg, F: np.ndarray) -> tuple:
-    """(F, P): the frame and projector of each plane_from_frame(F), under cfg.tol.
-
-    The frames have the (n, p) of cfg.sig, so only their frame check runs.
-    """
-    F = mc._checked_frame(F, cfg.tol, F.shape[:1])
-    return F, mc._projector(F)
-
-
-def _points(cfg, F: np.ndarray, Y: np.ndarray) -> tuple:
-    """(F, P, Y): the frame, projector and fiber of each bundle point (plane_from_frame(F), Y), under cfg.tol."""
-    F, P = _planes(cfg, F)
-    return F, P, bn._fiber(P, Y, cfg.tol, F.shape[:1])
+def _point(cfg, F: np.ndarray, Y: np.ndarray) -> bn.BundlePoint:
+    """The stacked bundle point (plane_from_frame(F), Y), certified under cfg.tol."""
+    return bn.bundle_point(gr.plane_from_frame(F, cfg.tol), Y)
 
 
 def _wedge_pairs(cfg, rng, count):
@@ -309,32 +303,30 @@ def _wedge_antisymmetry(cfg, i, j):
 
 def _projector(cfg, F):
     """The worse of |P P - P| and |P - P^T| for P the projector of each plane_from_frame(F)."""
-    P = _planes(cfg, F)[1]
+    P = gr.plane_from_frame(F, cfg.tol).projector
     return np.maximum(mc._norm(P @ P - P, 2), mc._norm(P - P.mT, 2))
 
 
 def _canonical_form(cfg, R):
     """|Q blockdiag(R(theta_i), I) Q^T - R| for the canonical form of each rotation."""
-    Q, angles = mc._rotation_form(R, cfg.tol, R.shape[:1])
+    Q, angles = mc._rotation_form(mc.check_special_orthogonal(R, cfg.tol))
     return mc._norm(Q @ mc._blocks(angles, R.shape[-1], rotation=True) @ Q.mT - R, 2)
 
 
 def _completion(cfg, F):
     """The worse of |det A - 1| and |P_A - P| for A the completion to SO(n) of each plane's frame.
 
-    P is the plane's projector and P_A that of the first p columns of A. The
-    frames have p < n, so ``complete_to_special_orthogonal`` has only its
-    frame check, which the plane has run.
+    P is the plane's projector and P_A that of the first p columns of A.
     """
-    F, P = _planes(cfg, F)
-    A = mc._complete_frames(F)
-    return np.maximum(np.abs(np.linalg.det(A) - 1.0), mc._norm(mc._projector(A[..., : cfg.p]) - P, 2))
+    plane = gr.plane_from_frame(F, cfg.tol)
+    A = mc.complete_to_special_orthogonal(plane.frame, cfg.tol)
+    return np.maximum(np.abs(np.linalg.det(A) - 1.0), mc._norm(mc._projector(A[..., : cfg.p]) - plane.projector, 2))
 
 
 def _involution_eigenspace(cfg, A):
     """|S F + F| for F the -1 eigenspace of each S = A J A^T; the frames that keep the same columns share one product."""
     S = A @ cfg.sig.matrix @ A.mT
-    V, keep = mc._eigenspace(S, -1, cfg.tol, A.shape[:1])
+    V, keep = mc._eigenspace(S, -1, cfg.tol)
     errors = np.empty(len(A))
     for cols in np.unique(keep, axis=0):
         at = (keep == cols).all(axis=-1)
@@ -389,12 +381,9 @@ def _sigma0_automorphism(cfg, R):
 
 
 def _q0_invariance(cfg, B, A):
-    """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action of A on exp(B).
-
-    B is checked as ``DpGenerator`` checks its block before ``dp_exp`` runs.
-    """
-    sig, tol, batch = cfg.sig, cfg.tol, A.shape[:1]
-    R = gr._dp_exp(gr._block(B, sig, batch), sig, tol, batch)[0]
+    """(1 if not ``in_Q0``, |(R' J)^2 - I|) for R' the twisted action of A on exp(B)."""
+    sig, tol = cfg.sig, cfg.tol
+    R = gr.dp_exp(gr.DpGenerator(sig.p, sig.q, B), tol).mat
     acted = gr.twisted_act0(A, R, sig, tol)
     M = acted @ sig.matrix
     return np.where(gr.in_Q0(acted, sig, tol), 0.0, 1.0), mc._norm(M @ M - mc._eye(cfg.n), 2)
@@ -407,36 +396,32 @@ def _frames_and_rotations(cfg, rng, count):
 def _grassmann_roundtrips(cfg, F, A):
     """(plane -> S_p0 -> plane, rotation -> plane -> S_p0).
 
-    Each output of ``cartan_embed0`` is read back through the public check
-    (``_cartan_rotation``).
+    The plane's embedding is read back through the public constructor, and
+    each rotation goes through it before its plane is embedded again.
     """
-    sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
-    F, P = _planes(cfg, F)
-    embedded = gr._cartan_rotation(gr._cartan_embed0(F, P, tol)[0], sig, tol, batch)[1]
-    err_plane = mc._norm(mc._projector(embedded) - P, 2)
+    sig, tol = cfg.sig, cfg.tol
+    plane = gr.plane_from_frame(F, tol)
+    back = gr.rho0(gr.CartanRotation(gr.cartan_embed0(plane).mat, sig, tol))
     R = gr.twisted_act0(A, np.broadcast_to(np.eye(cfg.n), A.shape), sig, tol)
-    Fc = gr._cartan_rotation(R, sig, tol, batch)[1]
-    R2 = gr._cartan_embed0(Fc, mc._projector(Fc), tol)[0]
-    return err_plane, mc._norm(R2 - R, 2)
+    R2 = gr.cartan_embed0(gr.rho0(gr.CartanRotation(R, sig, tol))).mat
+    return mc._norm(back.projector - plane.projector, 2), mc._norm(R2 - R, 2)
 
 
 def _rho0_equivariance(cfg, F, A):
     """|rho0(A . R) - A rho0(R)| for R = cartan_embed0(F) and the twisted action, A . R checked."""
-    sig, tol, batch = cfg.sig, cfg.tol, F.shape[:1]
-    F, P = _planes(cfg, F)
-    R, _, Fr = gr._cartan_embed0(F, P, tol)
-    lhs = gr._cartan_rotation(gr.twisted_act0(A, R, sig, tol), sig, tol, batch)[1]
-    rhs = gr._rotated_frame(A, Fr, tol, batch)
-    return mc._norm(mc._projector(lhs) - mc._projector(rhs), 2)
+    sig, tol = cfg.sig, cfg.tol
+    R = gr.cartan_embed0(gr.plane_from_frame(F, tol))
+    lhs = gr.rho0(gr.CartanRotation(gr.twisted_act0(A, R.mat, sig, tol), sig, tol))
+    rhs = gr.rotate_plane(A, gr.rho0(R))
+    return mc._norm(lhs.projector - rhs.projector, 2)
 
 
 def _dp_log0_roundtrip(cfg, B):
     """The worse of |B' - B| and |dp_exp(B') - R| per sample, for R = dp_exp(B) and B' = dp_log0(R)."""
-    sig, batch = cfg.sig, B.shape[:1]
-    R, F = gr._dp_exp(B, sig, cfg.tol, batch)
-    B2 = gr._generator(*gr._principal_pairs(F, cfg.tol))
-    R2 = gr._dp_exp(B2, sig, cfg.tol, batch)[0]
-    return np.maximum(mc._norm(B2 - B, 2), mc._norm(R2 - R, 2))
+    sig, tol = cfg.sig, cfg.tol
+    R = gr.dp_exp(gr.DpGenerator(sig.p, sig.q, B), tol)
+    back = gr.dp_log0(R)
+    return np.maximum(mc._norm(back.B - B, 2), mc._norm(gr.dp_exp(back, tol).mat - R.mat, 2))
 
 
 # sqrt(a^2 + b^2 + c^2) on floats, with Python's ** (C pow), which x * x does not always match
@@ -474,8 +459,8 @@ def _q_invariance(cfg, R, X):
     g' = (R', X') is the twisted action of a = (A, X) on s = tau(...) = (S, Y),
     in closed form and by plain group arithmetic. R and X hold the pairs.
     """
-    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
-    s = Motion(*bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)[:2])
+    sig, tol = cfg.sig, cfg.tol
+    s = bn.tau(Motion(R[:, 0], X[:, 0]), sig, tol).motion
     a = Motion(R[:, 1], X[:, 1])
     acted = bn.twisted_act(a, s, sig, tol)
     diff = lg.se_mul(bn.sigma(acted, sig), acted).homogeneous() - np.eye(cfg.n + 1)
@@ -487,23 +472,21 @@ def _q_invariance(cfg, R, X):
     return err, outside, _motion_dist(acted, generic) / scale
 
 
-def _frame_drift(g: Motion, F: np.ndarray, sig: gr.Signature, tol: Tolerances, batch: tuple = ()):
-    """|P_F - P_eigh| for a motion g built in S_p by construction with frame F, or for each of a stack.
+def _frame_drift(cfg, s: bn.CartanMotion):
+    """|P_s - P_eigh| for a motion s built in S_p by construction, or for each of a stack.
 
-    g goes through the check of the public constructor (``bn._cartan_motion``),
-    which raises if it misses S_p, and P_eigh is the projector of the frame
-    that check finds.
+    P_s is the projector of the plane that s carries. Its motion goes
+    through the public constructor under cfg.tol, which raises if it misses
+    S_p, and P_eigh is the projector of the plane that check finds.
     """
-    checked = bn._cartan_motion(g, sig, tol, batch)[1]
-    return mc._norm(F @ F.mT - checked @ checked.mT, 2)
+    checked = bn.CartanMotion(s.motion, cfg.sig, cfg.tol)
+    return mc._norm(bn.rho(s).plane.projector - bn.rho(checked).plane.projector, 2)
 
 
 def _tau_properties(cfg, R, X):
     """The worse of |sigma(t) - t^{-1}| and the carried frame drift, for t = tau(R, X)."""
-    sig, batch = cfg.sig, R.shape[:1]
-    Rt, Xt, F = bn._tau(Motion(R, X), sig, cfg.tol, batch)
-    t = Motion(Rt, Xt)
-    return np.maximum(_motion_dist(bn.sigma(t, sig), lg.se_inv(t)), _frame_drift(t, F, sig, cfg.tol, batch))
+    t = bn.tau(Motion(R, X), cfg.sig, cfg.tol)
+    return np.maximum(_motion_dist(bn.sigma(t.motion, cfg.sig), lg.se_inv(t.motion)), _frame_drift(cfg, t))
 
 
 def _projection_identity(cfg, A, X):
@@ -514,75 +497,60 @@ def _projection_identity(cfg, A, X):
     return mc._norm(D - np.matvec(2.0 * P, X), 1)
 
 
-def _point_dist(Pa: np.ndarray, Ya: np.ndarray, Pb: np.ndarray, Yb: np.ndarray):
-    """The worse of the plane and the fiber distance between bundle points (P, Y), for each of stacks."""
-    return np.maximum(mc._norm(Pa - Pb, 2), mc._norm(Ya - Yb, 1))
-
-
-def _act(cfg, a: Motion, F: np.ndarray, Y: np.ndarray) -> tuple:
-    """(F', P', Y'): ``bundle_act`` of each motion of a on each point (F, Y), the motion checked first."""
-    batch = F.shape[:1]
-    return bn._bundle_act(*lg._checked_motion(a, cfg.n, batch), F, Y, cfg.tol, batch)
+def _point_dist(a: bn.BundlePoint, b: bn.BundlePoint):
+    """The worse of the plane and the fiber distance between bundle points, for each pair of stacks."""
+    return np.maximum(mc._norm(a.plane.projector - b.plane.projector, 2), mc._norm(a.fiber - b.fiber, 1))
 
 
 def _rho_equivariance(cfg, R, X):
     """|rho(a . s) - a * rho(s)| for s = tau(...), the twisted action a . s, checked, and the bundle action *."""
-    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
-    Rs, Xs, Fs = bn._tau(Motion(R[:, 0], X[:, 0]), sig, tol, batch)
+    sig, tol = cfg.sig, cfg.tol
+    s = bn.tau(Motion(R[:, 0], X[:, 0]), sig, tol)
     a = Motion(R[:, 1], X[:, 1])
-    acted, F = bn._cartan_motion(bn.twisted_act(a, Motion(Rs, Xs), sig, tol), sig, tol, batch)
-    _, P, Y = _act(cfg, a, Fs, Xs)
-    return _point_dist(mc._projector(F), acted.X, P, Y)
+    acted = bn.CartanMotion(bn.twisted_act(a, s.motion, sig, tol), sig, tol)
+    return _point_dist(bn.rho(acted), bn.bundle_act(a, bn.rho(s), sig))
 
 
 def _rho_bijectivity(cfg, R, X, F, Y):
     """(round trips through rho and rho_inv, carried frame drift of the rho_inv outputs)."""
-    sig, tol, batch = cfg.sig, cfg.tol, R.shape[:1]
-    Rs, Xs, Fs = bn._tau(Motion(R, X), sig, tol, batch)
-    R2, _, F2 = bn._rho_inv(Fs, mc._projector(Fs), Xs, tol)  # rho_inv(rho(s))
-    Fb, Pb, Yb = _points(cfg, F, Y)
-    R3, _, F3 = bn._rho_inv(Fb, Pb, Yb, tol)
-    s2, s3 = Motion(R2, Xs), Motion(R3, Yb)
+    s = bn.tau(Motion(R, X), cfg.sig, cfg.tol)
+    s2 = bn.rho_inv(bn.rho(s))
+    b = _point(cfg, F, Y)
+    s3 = bn.rho_inv(b)
     return (
-        np.maximum(_motion_dist(s2, Motion(Rs, Xs)), _point_dist(mc._projector(F3), Yb, Pb, Yb)),
-        np.maximum(_frame_drift(s2, F2, sig, tol, batch), _frame_drift(s3, F3, sig, tol, batch)),
+        np.maximum(_motion_dist(s2.motion, s.motion), _point_dist(bn.rho(s3), b)),
+        np.maximum(_frame_drift(cfg, s2), _frame_drift(cfg, s3)),
     )
 
 
 def _action_law(cfg, R, X, F, Y):
     """|(a1 a2) * b - a1 * (a2 * b)| for the bundle action *; R and X hold the pairs (a1, a2)."""
-    a1, a2 = Motion(R[:, 0], X[:, 0]), Motion(R[:, 1], X[:, 1])
-    Fb, _, Yb = _points(cfg, F, Y)
-    lhs = _act(cfg, lg.se_mul(a1, a2), Fb, Yb)
-    F2, _, Y2 = _act(cfg, a2, Fb, Yb)
-    rhs = _act(cfg, a1, F2, Y2)
-    return _point_dist(lhs[1], lhs[2], rhs[1], rhs[2])
+    a1, a2, sig = Motion(R[:, 0], X[:, 0]), Motion(R[:, 1], X[:, 1]), cfg.sig
+    b = _point(cfg, F, Y)
+    return _point_dist(bn.bundle_act(lg.se_mul(a1, a2), b, sig), bn.bundle_act(a1, bn.bundle_act(a2, b, sig), sig))
 
 
 def _dp_full_routes(cfg, B, v):
     """(routes to exp(xi) per 1 + |X|, dp_log_full round trip, carried frame drift), per sample."""
-    sig, batch, tol = cfg.sig, B.shape[:1], cfg.tol
-    v = mc.check_finite_vector(v, cfg.p, "coefficient vector", batch)  # as DpElement checks it
-    R, X, F = bn._dp_exp_full(B, v, sig, tol, batch)
-    s = Motion(R, X)
+    sig, tol = cfg.sig, cfg.tol
+    xi = bn.DpElement(gr.DpGenerator(sig.p, sig.q, B), v)
+    s = bn.dp_exp_full(xi, tol)
     # the closed form against the generic eigh route of se_exp, and
     # against the doubling identity exp(xi) = tau(exp(xi/2))
-    omega, v_full = gr._embedded(B), np.zeros(batch + (cfg.n,))
-    v_full[:, : cfg.p] = v
-    g = lg.se_exp(Screw(omega, v_full))
-    doubled = Motion(*bn._tau(lg.se_exp(Screw(0.5 * omega, 0.5 * v_full)), sig, tol, batch)[:2])
-    routes = np.maximum(_motion_dist(s, g) / (1.0 + mc._norm(g.X, 1)),
-                        _motion_dist(s, doubled) / (1.0 + mc._norm(s.X, 1)))
-    drift = _frame_drift(s, F, sig, tol, batch)
-    B2, v2 = bn._dp_log_full(F, s.X, sig, tol)
-    return routes, np.maximum(mc._norm(B2 - B, 2), mc._norm(v2 - v, 1)), drift
+    screw = xi.screw()
+    g = lg.se_exp(screw)
+    doubled = bn.tau(lg.se_exp(Screw(0.5 * screw.omega, 0.5 * screw.v)), sig, tol).motion
+    routes = np.maximum(_motion_dist(s.motion, g) / (1.0 + mc._norm(g.X, 1)),
+                        _motion_dist(s.motion, doubled) / (1.0 + mc._norm(s.motion.X, 1)))
+    drift = _frame_drift(cfg, s)
+    back = bn.dp_log_full(s)
+    return routes, np.maximum(mc._norm(back.gen.B - B, 2), mc._norm(back.v - v, 1)), drift
 
 
 def _transporter(cfg, F, Y):
     """|a * src - dst| for a = find_transporter(src, dst); F and Y hold the pairs (src, dst)."""
-    (Fs, _, Ys), (Fd, Pd, Yd) = _points(cfg, F[:, 0], Y[:, 0]), _points(cfg, F[:, 1], Y[:, 1])
-    _, P, Y = _act(cfg, Motion(*bn._transporter(Fs, Ys, Fd, Yd)), Fs, Ys)
-    return _point_dist(P, Y, Pd, Yd)
+    src, dst = _point(cfg, F[:, 0], Y[:, 0]), _point(cfg, F[:, 1], Y[:, 1])
+    return _point_dist(bn.bundle_act(bn.find_transporter(src, dst), src, cfg.sig), dst)
 
 
 def _directions(cfg, rng, count):
@@ -615,7 +583,7 @@ def _line_bundle_exp(cfg, U, theta, lam):
     """|line_bundle_exp - se_exp|, and the fiber off the paper's half-angle line; the maps read the defaults."""
     U, theta, sig = _line_inputs(U, theta)
     lam = mc.check_finite_vector(lam[:, None], 1, "fiber coordinate lam", theta.shape)
-    m = Motion(*bn._dp_exp_full(pj._line_block(theta, U), lam, sig, default_tolerances(), theta.shape)[:2])
+    m = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(sig.p, sig.q, pj._line_block(theta, U)), lam)).motion
     E1 = mc.basis_vector(1, sig.n)
     omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
     g = lg.se_exp(Screw(omega, lam * E1))
@@ -627,28 +595,34 @@ def _line_bundle_exp(cfg, U, theta, lam):
 def _half_angle_line(cfg, U, theta):
     """The line of rotation_in_plane (certified under cfg.tol) and half_angle_line, each against the paper's."""
     U, theta, sig = _line_inputs(U, theta)
-    R, F = gr._dp_exp(pj._line_block(theta, U), sig, default_tolerances(), theta.shape)
-    certified = gr._cartan_rotation(R, sig, cfg.tol, theta.shape)[1]
+    R = gr.dp_exp(gr.DpGenerator(sig.p, sig.q, pj._line_block(theta, U)))
+    certified = gr.rho0(gr.CartanRotation(R.mat, sig, cfg.tol)).projector
     V = _paper_lines(theta, U)
     VV = V[:, :, None] * V[:, None, :]
-    return np.maximum(mc._norm(mc._projector(certified) - VV, 2), mc._norm(mc._projector(F) - VV, 2))
+    return np.maximum(mc._norm(certified - VV, 2), mc._norm(gr.rho0(R).projector - VV, 2))
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
-_SEAM_COLUMNS = ("r00", "r10", "lambda", "y0")  # the columns of a record that the seam row reads
 
 
 def _seam_pairs(cfg, rng, count):
     """(last, first): the 9 record pairs across the seam of the 128 x 9 Moebius grid.
 
-    Each record of the last theta row is paired with the theta = 0 record
-    of the opposite lambda. Row k of each array holds the ``_SEAM_COLUMNS``
-    of pair k's record.
+    Only the two theta rows that meet at the seam are computed, theta = 0
+    and the last, with ``moebius_grid``'s expressions for theta and lambda,
+    as one stacked ``dp_exp_full`` call: each record is the grid's, bit for
+    bit. Each record of the last theta row is paired with the theta = 0
+    record of the opposite lambda (the first one nearest it). Row k of each
+    array holds the columns r00, r10, lambda and y0 of pair k's record.
     """
-    num_lambda, records = _SEAM_GRID[1], pj.moebius_grid(*_SEAM_GRID)
-    first, last = records[:num_lambda], records[-num_lambda:]
-    first = [min(first, key=lambda r: abs(r["lambda"] + rec["lambda"])) for rec in last]
-    return tuple(np.array([[rec[c] for c in _SEAM_COLUMNS] for rec in side]) for side in (last, first))
+    num_theta, num_lambda, lambda_max = _SEAM_GRID
+    grid = (2, num_lambda)
+    theta = np.broadcast_to((2.0 * math.pi * np.array([0, num_theta - 1]) / num_theta)[:, None], grid)
+    lam = np.linspace(-lambda_max, lambda_max, num_lambda)
+    gen = gr.DpGenerator(1, 1, pj._line_block(theta, np.array([0.0, 1.0])))
+    m = bn.dp_exp_full(bn.DpElement(gen, np.broadcast_to(lam, grid)[..., None])).motion
+    first, last = np.stack([m.R[..., 0, 0], m.R[..., 1, 0], np.broadcast_to(lam, grid), m.X[..., 0]], axis=-1)
+    return last, first[np.abs(lam[:, None] + lam).argmin(axis=1)]
 
 
 _atan2 = mc._scalar_formula(math.atan2)

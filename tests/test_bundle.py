@@ -727,8 +727,8 @@ class TestTrustedPath:
                 CartanRotation(out.mat, out.sig)
         assert raised == (3 if c >= 1 + 6e-10 else 0)
 
-    @pytest.mark.parametrize("F", [np.eye(4, 2).T, np.ones(4), np.ones((2, 4, 2))],
-                             ids=["frame", "frame-1d", "frame-3d"])
+    @pytest.mark.parametrize("F", [np.eye(4, 2).T, np.ones(4), np.ones((2, 4, 5))],
+                             ids=["frame", "frame-1d", "frame-stack"])
     def test_plane_arrays_of_the_wrong_shape(self, F):
         with pytest.raises(DimensionMismatchError):
             Plane(F)
@@ -938,10 +938,10 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
     B, v = rng.standard_normal((K, n - p, p)), rng.standard_normal((K, p))
     R = np.stack([sample_rotation(rng, n) for _ in range(K)])
     X = rng.standard_normal((K, n))
-    for kernel in (lambda: grassmann_module._dp_exp(B, sig, unsure, (K,)),
-                   lambda: bundle_module._tau(Motion(R, X), sig, unsure, (K,)),
-                   lambda: bundle_module._dp_exp_full(B, v, sig, unsure, (K,))):
-        out = kernel()
+    gen = DpGenerator(p=p, q=n - p, B=B)
+    for stacked in (lambda: dp_exp(gen, unsure), lambda: tau(Motion(R, X), sig, unsure),
+                    lambda: dp_exp_full(DpElement(gen, v), unsure)):
+        out = _parts_of(stacked())
         assert rechecked == [(n, n)] * K
         rechecked.clear()
         for i in range(K):

@@ -10,8 +10,12 @@ eigenspaces in one stack), and principal angles below 1e-2 (the sine
 branch of the principal pairs).
 """
 
+import ast
+import copy
 import math
+import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +25,13 @@ from cartanbundle import grassmann as gr
 from cartanbundle import liegroup as lg
 from cartanbundle import matcore as mc
 from cartanbundle import projective as pj
+from cartanbundle import serialize as sz
 from cartanbundle import verify as vf
 from cartanbundle import (
     CutLocusError,
     DegenerateSpanError,
     DimensionMismatchError,
+    GeometryError,
     IllConditionedSpectrumError,
     Motion,
     NotInCartanModelError,
@@ -67,6 +73,11 @@ def _same(stacked: tuple, single, k: int) -> None:
 def _fields(value) -> tuple:
     """The arrays of a ``Motion`` (R, X) or a ``Screw`` (omega, v)."""
     return tuple(vars(value).values())
+
+
+def _rotation_parts(r) -> tuple:
+    """(R, frame) of a ``CartanRotation``."""
+    return r.mat, r._frame
 
 
 def _skews(rng, n: int, k: int) -> np.ndarray:
@@ -128,7 +139,7 @@ class TestMatcore:
         _same((mc.check_finite_vector(X, n, batch=(K,)),), lambda i: (mc.check_finite_vector(X[i], n),), K)
         W = _skews(rng, n, K)
         _same((mc.check_skew(W),), lambda i: (mc.check_skew(W[i]),), K)
-        _same(mc._checked_rotation(R, TOL, n, (K,)), lambda i: mc._checked_rotation(R[i], TOL, n), K)
+        _same(mc._checked_rotation(R, TOL, n), lambda i: mc._checked_rotation(R[i], TOL, n), K)
 
     def test_norms(self, shape):
         n, _ = shape
@@ -187,7 +198,7 @@ class TestMatcore:
         # each form of a stack: its Q, its angles padded with zeros, its blocks and its rebuilt matrix
         R, W = _tail_rotations(n), _skews(make_rng(42, n), n, len(TAIL_TURNS))
         for M, (Q, angles), single, rotation in (
-            (R, mc._rotation_form(R, TOL, R.shape[:1]), mc.canonical_rotation_form, True),
+            (R, mc._rotation_form(mc.check_special_orthogonal(R, TOL)), mc.canonical_rotation_form, True),
             (W, mc._forms(*mc._skew_pairs(mc.check_skew(W)), rotation=False),
              mc.skew_canonical_form, False),
         ):
@@ -218,7 +229,7 @@ class TestMatcore:
         n, _ = shape
         A = sample_rotations(make_rng(43, n), n, K)
         S = np.stack([a @ Signature(1 + i % (n - 1), n - 1 - i % (n - 1)).matrix @ a.T for i, a in enumerate(A)])
-        V, keep = mc._eigenspace(S, eigenvalue, TOL, (K,))
+        V, keep = mc._eigenspace(S, eigenvalue, TOL)
         for i in range(K):
             assert _bits(V[i][:, keep[i]]) == _bits(mc.eigenspace_of_symmetric_involution(S[i], eigenvalue))
 
@@ -293,22 +304,22 @@ class TestGrassmann:
         n, p = shape
         sig = Signature(p, n - p)
         B = _generators(make_rng(7, n), p, n - p, K)
-        _same(gr._generator_svd(B, (K,)), lambda i: gr._generator_svd(B[i]), K)
-        V, s, U = gr._generator_svd(B, (K,))
+        _same(gr._generator_svd(B), lambda i: gr._generator_svd(B[i]), K)
+        V, s, U = gr._generator_svd(B)
         _same((gr._cs_rotation(V, s, U), gr._cs_frame(V, s, U)),
               lambda i: (gr._cs_rotation(V[i], s[i], U[i]), gr._cs_frame(V[i], s[i], U[i])), K)
-        R, F = gr._dp_exp(B, sig, TOL, (K,))
-        _same((R, F), lambda i: gr._dp_exp(B[i], sig, TOL), K)
+        R, F = _rotation_parts(gr.dp_exp(gr.DpGenerator(p, n - p, B), TOL))
+        _same((R, F), lambda i: _rotation_parts(gr.dp_exp(gr.DpGenerator(p, n - p, B[i]), TOL)), K)
         _same((R, F), lambda i: (gr.dp_exp(gr.DpGenerator(p, n - p, B[i])).mat,
                                  gr.dp_exp(gr.DpGenerator(p, n - p, B[i]))._frame), K)
         _same(gr._principal_pairs(F, TOL), lambda i: gr._principal_pairs(F[i], TOL), K)
-        _same(gr._cartan_rotation(R, sig, TOL, (K,)), lambda i: gr._cartan_rotation(R[i], sig, TOL), K)
+        _same(gr._cartan_rotation(R, sig, TOL), lambda i: gr._cartan_rotation(R[i], sig, TOL), K)
         _same(gr._cartan_frame(R, sig, TOL), lambda i: gr._cartan_frame(R[i], sig, TOL), K)
 
     def test_sine_branch_runs_on_the_small_angles(self, shape):
         n, p = shape
         B = _generators(make_rng(8, n), p, n - p, K)
-        F = gr._dp_exp(B, Signature(p, n - p), TOL, (K,))[1]
+        F = gr.dp_exp(gr.DpGenerator(p, n - p, B), TOL)._frame
         top, bottom = F[:, :p], F[:, p:]
         assert (gr._angle_pairs(top, bottom)[1] < 1e-2).any()
         _same(gr._angle_pairs(top, bottom), lambda i: gr._angle_pairs(top[i], bottom[i]), K)
@@ -319,16 +330,17 @@ class TestGrassmann:
         rng = make_rng(17, n)
         F, _ = sample_bundle_points(rng, n, p, K)
         A = sample_rotations(rng, n, K)
-        F = mc._checked_frame(F, TOL, (K,))
+        F = mc.check_frame(F, TOL)
         _same((F,), lambda i: (mc.check_frame(F[i], TOL),), K)
         P = mc.projector(F)
         planes = [gr.plane_from_frame(F[i], TOL) for i in range(K)]
         _same((F, P), lambda i: (planes[i].frame, planes[i].projector), K)
-        R, _, Fe = gr._cartan_embed0(F, P, TOL)
+        plane = gr.plane_from_frame(F, TOL)
+        R, Fe = _rotation_parts(gr.cartan_embed0(plane))
         _same((R, Fe), lambda i: (gr.cartan_embed0(planes[i]).mat, gr.cartan_embed0(planes[i])._frame), K)
         acted = gr.twisted_act0(A, R, sig, TOL)
         _same((acted,), lambda i: (gr.twisted_act0(A[i], R[i], sig, TOL),), K)
-        _same((gr._rotated_frame(A, F, TOL, (K,)),), lambda i: (gr.rotate_plane(A[i], planes[i]).frame,), K)
+        _same((gr.rotate_plane(A, plane).frame,), lambda i: (gr.rotate_plane(A[i], planes[i]).frame,), K)
 
     def test_sigma0_in_Q0_and_blocks(self, shape):
         n, p = shape
@@ -337,9 +349,9 @@ class TestGrassmann:
         R = sample_rotations(rng, n, K)
         _same((gr.sigma0(R, sig),), lambda i: (gr.sigma0(R[i], sig),), K)
         B = _generators(rng, p, n - p, K)
-        _same((gr._block(B, sig, (K,)),), lambda i: (gr.DpGenerator(p, n - p, B[i]).B,), K)
+        _same((gr.DpGenerator(p, n - p, B).B,), lambda i: (gr.DpGenerator(p, n - p, B[i]).B,), K)
         # the twisted actions on exp(B) lie in Q0; a generic rotation does not, except at n = 2
-        acted = gr.twisted_act0(R, gr._dp_exp(B, sig, TOL, (K,))[0], sig, TOL)
+        acted = gr.twisted_act0(R, gr.dp_exp(gr.DpGenerator(p, n - p, B), TOL).mat, sig, TOL)
         mixed = np.where((np.arange(K) % 2 == 0)[:, None, None], acted, R)
         inside = gr.in_Q0(mixed, sig, TOL)
         assert list(inside) == [gr.in_Q0(mixed[i], sig) for i in range(K)]
@@ -352,8 +364,8 @@ class TestGrassmann:
         F[1::2] *= 1 + 1e-13
         F.flags.writeable = False
         tol = Tolerances(orth=1e-12)
-        R, _, Fe = gr._cartan_embed0(F, mc.projector(F), tol)
-        _same((R, Fe), lambda i: gr._cartan_embed0(F[i], mc.projector(F[i]), tol)[::2], K)
+        R, Fe = _rotation_parts(gr.cartan_embed0(gr._plane(F, tol)))
+        _same((R, Fe), lambda i: _rotation_parts(gr.cartan_embed0(gr._plane(F[i], tol))), K)
         # the plane's frame where sure, the checked frame elsewhere
         assert [np.array_equal(Fe[i], F[i]) for i in range(K)] == [i % 2 == 0 for i in range(K)]
 
@@ -363,10 +375,9 @@ def _parts(s) -> tuple:
     return s.motion.R, s.motion.X, s._frame
 
 
-def _checked(R, X, sig, batch=()) -> tuple:
+def _checked(R, X, sig) -> tuple:
     """(R, X, frame) after the ``CartanMotion`` check of (R, X), or of each of a stack."""
-    motion, F = bn._cartan_motion(Motion(R, X), sig, TOL, batch)
-    return motion.R, motion.X, F
+    return _parts(bn.CartanMotion(Motion(R, X), sig, TOL))
 
 
 class TestBundle:
@@ -375,10 +386,10 @@ class TestBundle:
         sig = Signature(p, n - p)
         R, X = sample_motions(make_rng(9, n), n, K)
         X = 1e3 * X
-        out = bn._tau(Motion(R, X), sig, TOL, (K,))
-        _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, TOL), K)
+        out = _parts(bn.tau(Motion(R, X), sig, TOL))
+        _same(out, lambda i: _parts(bn.tau(Motion(R[i], X[i]), sig, TOL)), K)
         _same(out, lambda i: _parts(bn.tau(Motion(R[i], X[i]), sig)), K)
-        _same(_checked(out[0], out[1], sig, (K,)), lambda i: _checked(out[0][i], out[1][i], sig), K)
+        _same(_checked(out[0], out[1], sig), lambda i: _checked(out[0][i], out[1][i], sig), K)
 
     def test_tau_where_some_elements_are_not_sure(self):
         # under orth 1e-12, tau's bound (about 3e-12 for the scaled rotations,
@@ -388,8 +399,8 @@ class TestBundle:
         R, X = sample_motions(make_rng(10, 0), n, K)
         R[1::2] *= 1 + 1e-13
         tol = Tolerances(orth=1e-12)
-        out = bn._tau(Motion(R, X), sig, tol, (K,))
-        _same(out, lambda i: bn._tau(Motion(R[i], X[i]), sig, tol), K)
+        out = _parts(bn.tau(Motion(R, X), sig, tol))
+        _same(out, lambda i: _parts(bn.tau(Motion(R[i], X[i]), sig, tol)), K)
         # the closed-form frame where sure, the checked frame elsewhere
         closed = [np.array_equal(out[2][i], R[i][:, :p]) for i in range(K)]
         assert closed == [i % 2 == 0 for i in range(K)]
@@ -399,11 +410,13 @@ class TestBundle:
         sig = Signature(p, n - p)
         rng = make_rng(11, n)
         B, v = _generators(rng, p, n - p, K), rng.standard_normal((K, p))
-        R, X, F = bn._dp_exp_full(B, v, sig, TOL, (K,))
-        _same((R, X, F), lambda i: bn._dp_exp_full(B[i], v[i], sig, TOL), K)
-        _same(bn._dp_log_full(F, X, sig, TOL), lambda i: bn._dp_log_full(F[i], X[i], sig, TOL), K)
+        s = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B), v), TOL)
+        singles = [bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[i]), v[i]), TOL) for i in range(K)]
+        _same(_parts(s), lambda i: _parts(singles[i]), K)
+        back = bn.dp_log_full(s)
+        _same((back.gen.B, back.v), lambda i: (lambda e: (e.gen.B, e.v))(bn.dp_log_full(singles[i])), K)
         public = [bn.dp_log_full(bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[i]), v[i]))) for i in range(K)]
-        _same(bn._dp_log_full(F, X, sig, TOL), lambda i: (public[i].gen.B, public[i].v), K)
+        _same((back.gen.B, back.v), lambda i: (public[i].gen.B, public[i].v), K)
 
     def test_points_rho_inv_and_actions(self, shape):
         n, p = shape
@@ -411,20 +424,19 @@ class TestBundle:
         rng = make_rng(19, n)
         F, Y = sample_bundle_points(rng, n, p, (K, 2))
         R, X = sample_motions(rng, n, K)
-        F, Y = mc._checked_frame(F, TOL, (K, 2)), 10.0 * Y
-        P = mc.projector(F)
-        Y = bn._fiber(P, Y, TOL, (K, 2))
+        F, Y = mc.check_frame(F, TOL), 10.0 * Y
+        Y = bn.bundle_point(gr.plane_from_frame(F, TOL), Y).fiber
         points = [[bn.bundle_point(gr.plane_from_frame(F[i, k], TOL), Y[i, k]) for k in (0, 1)] for i in range(K)]
         _same((Y,), lambda i: (np.stack([b.fiber for b in points[i]]),), K)
-        src, dst = (F[:, 0], P[:, 0], Y[:, 0]), (F[:, 1], P[:, 1], Y[:, 1])
-        Rs, _, Fs = bn._rho_inv(*src, TOL)
+        src, dst = (bn.bundle_point(gr.plane_from_frame(F[:, k], TOL), Y[:, k]) for k in (0, 1))
+        Rs, _, Fs = _parts(bn.rho_inv(src))
         _same((Rs, Fs), lambda i: (bn.rho_inv(points[i][0]).motion.R, bn.rho_inv(points[i][0])._frame), K)
-        moved = bn._bundle_act(R, X, src[0], src[2], TOL, (K,))
+        moved = (lambda b: (b.plane.frame, b.plane.projector, b.fiber))(bn.bundle_act(Motion(R, X), src, sig))
         _same(moved, lambda i: (lambda b: (b.plane.frame, b.plane.projector, b.fiber))(
             bn.bundle_act(Motion(R[i], X[i]), points[i][0], sig)), K)
-        A, T = bn._transporter(src[0], src[2], dst[0], dst[2])
+        A, T = _fields(bn.find_transporter(src, dst))
         _same((A, T), lambda i: (lambda a: (a.R, a.X))(bn.find_transporter(*points[i])), K)
-        s = Motion(*bn._tau(Motion(R, X), sig, TOL, (K,))[:2])
+        s = bn.tau(Motion(R, X), sig, TOL).motion
         a = Motion(A, T)
         acted = bn.twisted_act(a, s, sig, TOL)
         _same(_fields(acted), lambda i: (lambda g: (g.R, g.X))(
@@ -495,7 +507,8 @@ def _draw_motions(rng, shape):
     """Motions: one in three lies in S_p (a ``tau`` output), one in three is fixed by sigma, the rest are generic."""
     k = math.prod(shape)
     R, X = sample_motions(rng, N, k)
-    Rt, Xt, _ = bn._tau(Motion(R, X), SIG, TOL, (k,))
+    t = bn.tau(Motion(R, X), SIG, TOL).motion
+    Rt, Xt = t.R, t.X
     Rf, Xf = sample_fixed_points(rng, SIG, k)
     kind = (np.arange(k) % 3)[:, None]
     R = np.where(kind[..., None] == 0, Rt, np.where(kind[..., None] == 1, Rf, R))
@@ -604,15 +617,13 @@ def test_a_bracket_of_stacks_gives_its_single_brackets(shape):
             assert [_bits(a[i]) for a in _fields(stacked)] == [_bits(b) for b in _fields(single)], i
 
 
-# A map that returns a certified value, or a record built on one, takes one operand.
+# A map that returns one record (a canonical form, an eigenspace frame) or
+# reads Python scalars (the line maps) takes one operand.
 ONE_OPERAND_MAPS = {
-    "tau": lambda R, X, U: bn.tau(Motion(R, X), SIG),
-    "bundle_act": lambda R, X, U: bn.bundle_act(Motion(R, X), bn.bundle_point(gr.coordinate_plane(N, P), np.zeros(N)),
-                                                SIG),
-    "CartanRotation": lambda R, X, U: gr.CartanRotation(bn._tau(Motion(R, X), SIG, TOL, R.shape[:-2])[0], SIG),
-    "DpGenerator": lambda R, X, U: gr.DpGenerator(P, N - P, R[..., P:, :P]),
-    "plane_from_frame": lambda R, X, U: gr.plane_from_frame(R[..., :P]),
     "skew_canonical_form": lambda R, X, U: mc.skew_canonical_form(R - R.mT),
+    "canonical_rotation_form": lambda R, X, U: mc.canonical_rotation_form(R),
+    "eigenspace_of_symmetric_involution": lambda R, X, U: mc.eigenspace_of_symmetric_involution(
+        R @ SIG.matrix @ R.mT, -1),
     "rotation_in_plane": lambda R, X, U: pj.rotation_in_plane(0.3, U),
     "half_angle_line": lambda R, X, U: pj.half_angle_line(0.3, U),
     "line_bundle_exp": lambda R, X, U: pj.line_bundle_exp(0.3, U, 1.0),
@@ -620,7 +631,7 @@ ONE_OPERAND_MAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(ONE_OPERAND_MAPS))
-def test_a_map_of_a_certified_value_takes_no_stack(name):
+def test_a_map_that_returns_one_record_takes_no_stack(name):
     rng = make_rng(53, 0)
     R, X = sample_motions(rng, N, 3)
     U = sample_unit_directions(rng, N, 3)
@@ -663,7 +674,7 @@ def test_a_non_orthogonal_rotation_raises_at_its_index():
     R[6] *= 1.01
     _raises_at(lambda: lg.se_log(Motion(R, X), TOL), lambda: lg.se_log(Motion(R[6], X[6])),
                IllConditionedSpectrumError, 6)
-    _raises_at(lambda: bn._tau(Motion(R, X), sig, TOL, (K,)), lambda: bn.tau(Motion(R[6], X[6]), sig),
+    _raises_at(lambda: bn.tau(Motion(R, X), sig, TOL), lambda: bn.tau(Motion(R[6], X[6]), sig),
                IllConditionedSpectrumError, 6)
 
 
@@ -673,20 +684,20 @@ def test_a_cut_locus_frame_raises_at_its_index():
     rng = make_rng(14, 0)
     B, v = sample_dp_generators(rng, p, n - p, K, bound=2.0), rng.standard_normal((K, p))
     B[4] = [[math.pi, 0.0], [0.0, 0.5]]  # principal angle pi/2
-    R, X, F = bn._dp_exp_full(B, v, sig, TOL, (K,))
+    s = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B), v), TOL)
     single = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(p, n - p, B[4]), v[4]))
-    _raises_at(lambda: bn._dp_log_full(F, X, sig, TOL), lambda: bn.dp_log_full(single), CutLocusError, 4)
-    _raises_at(lambda: gr._principal_pairs(F, TOL), lambda: gr.dp_log0(gr.dp_exp(gr.DpGenerator(p, n - p, B[4]))),
-               CutLocusError, 4)
+    _raises_at(lambda: bn.dp_log_full(s), lambda: bn.dp_log_full(single), CutLocusError, 4)
+    _raises_at(lambda: gr._principal_pairs(s._frame, TOL),
+               lambda: gr.dp_log0(gr.dp_exp(gr.DpGenerator(p, n - p, B[4]))), CutLocusError, 4)
 
 
 def test_an_element_off_the_model_raises_at_its_index():
     n, p = 4, 2
     sig = Signature(p, n - p)
-    R, X, _ = bn._tau(Motion(*sample_motions(make_rng(15, 0), n, K)), sig, TOL, (K,))
+    R, X, _ = _parts(bn.tau(Motion(*sample_motions(make_rng(15, 0), n, K)), sig, TOL))
     X = X.copy()
     X[2] += 1e-3 * np.linalg.norm(X[2])
-    _raises_at(lambda: bn._cartan_motion(Motion(R, X), sig, TOL, (K,)),
+    _raises_at(lambda: bn.CartanMotion(Motion(R, X), sig, TOL),
                lambda: bn.CartanMotion(Motion(R[2], X[2]), sig), NotInCartanModelError, 2)
 
 
@@ -700,20 +711,20 @@ def _with(stack, i, bad):
 def test_a_nan_fiber_raises_at_its_index():
     n, p = 4, 2
     F, Y = sample_bundle_points(make_rng(21, 0), n, p, K)
-    P = mc.projector(F)
     Y = _with(Y, 5, math.nan)
-    _raises_at(lambda: bn._fiber(P, Y, TOL, (K,)), lambda: bn.bundle_point(gr.plane_from_frame(F[5]), Y[5]),
-               DimensionMismatchError, 5)
+    _raises_at(lambda: bn.bundle_point(gr.plane_from_frame(F), Y),
+               lambda: bn.bundle_point(gr.plane_from_frame(F[5]), Y[5]), DimensionMismatchError, 5)
 
 
 def test_a_non_orthonormal_frame_raises_at_its_index():
     n, p = 5, 2
     F, _ = sample_bundle_points(make_rng(22, 0), n, p, K)
     F = _with(F, 3, 1.01 * F[3])
-    _raises_at(lambda: mc._checked_frame(F, TOL, (K,)), lambda: gr.plane_from_frame(F[3]), DegenerateSpanError, 3)
+    _raises_at(lambda: gr.plane_from_frame(F, TOL), lambda: gr.plane_from_frame(F[3]), DegenerateSpanError, 3)
     # a rotation moves it to a frame that is not orthonormal either
     A = sample_rotations(make_rng(23, 0), n, K)
-    _raises_at(lambda: bn._bundle_act(A, np.zeros((K, n)), F, np.zeros((K, n)), TOL, (K,)),
+    points = bn.bundle_point(gr._plane(F, TOL), np.zeros((K, n)))
+    _raises_at(lambda: bn.bundle_act(Motion(A, np.zeros((K, n))), points, Signature(p, n - p)),
                lambda: gr.rotate_plane(A[3], gr._plane(F[3], TOL)), DegenerateSpanError, 3)
 
 
@@ -723,8 +734,8 @@ def test_a_fiber_off_its_plane_raises_at_its_index():
     P = mc.projector(F)
     off = (np.eye(n) - P[7]) @ make_rng(25, 0).standard_normal(n)
     Y = _with(Y, 7, Y[7] + 1e-3 * off)
-    _raises_at(lambda: bn._fiber(P, Y, TOL, (K,)), lambda: bn.bundle_point(gr.plane_from_frame(F[7]), Y[7]),
-               NotInCartanModelError, 7)
+    _raises_at(lambda: bn.bundle_point(gr.plane_from_frame(F), Y),
+               lambda: bn.bundle_point(gr.plane_from_frame(F[7]), Y[7]), NotInCartanModelError, 7)
 
 
 def test_a_twisted_action_by_twice_the_identity_raises_at_its_index():
@@ -768,11 +779,11 @@ def test_an_odd_count_of_angles_near_pi_raises_at_its_index():
 
 def test_a_bad_canonical_form_or_eigenspace_input_raises_at_its_index():
     R = _tail_rotations(5)
-    _raises_at(lambda: mc._rotation_form(_with(R, 6, 1.01 * R[6]), TOL, R.shape[:1]),
+    _raises_at(lambda: mc._rotation_form(mc.check_special_orthogonal(_with(R, 6, 1.01 * R[6]), TOL)),
                lambda: mc.canonical_rotation_form(1.01 * R[6]), IllConditionedSpectrumError, 6)
     S = R @ Signature(2, 3).matrix @ R.mT
     S = _with(S, 3, R[3])  # a rotation, not an involution
-    _raises_at(lambda: mc._eigenspace(S, -1, TOL, S.shape[:1]),
+    _raises_at(lambda: mc._eigenspace(S, -1, TOL),
                lambda: mc.eigenspace_of_symmetric_involution(S[3], -1), NotOrthogonalSymmetryError, 3)
 
 
@@ -822,9 +833,316 @@ def test_a_mixed_row_checks_one_dimension_per_call(name):
             assert isinstance(s, np.ndarray) and len(s) == len(stacks[0]) and set(s.shape[1:]) <= {nn}
 
 
-def test_a_single_call_takes_no_stack():
-    # a map that returns a certified value takes one operand; se_log reads its stack shape from its operand
-    R, X = sample_motions(make_rng(16, 0), 4, 3)
-    _same(_fields(lg.se_log(Motion(R, X))), lambda i: _fields(lg.se_log(Motion(R[i], X[i]))), 3)
+
+# The certified stack contract: a stack of certified values is one Plane,
+# BundlePoint, CartanRotation, CartanMotion, DpGenerator or DpElement whose
+# arrays carry a leading batch shape. Each map and constructor of them
+# reads its stack shape from its first operand, and a stack gives its single
+# calls bit for bit in every field, ``_frame`` and ``_tol`` too.
+Q = N - P
+
+
+def _plane(F):
+    return gr.plane_from_frame(F, TOL)
+
+
+def _point(F, Y):
+    return bn.bundle_point(gr.plane_from_frame(F, TOL), Y)
+
+
+def _gen(B):
+    return gr.DpGenerator(P, Q, B)
+
+
+def _element(B, v):
+    return bn.DpElement(_gen(B), v)
+
+
+def _draw_frames(rng, shape):
+    return sample_bundle_points(rng, N, P, shape)[:1]
+
+
+def _draw_points(rng, shape):
+    F, Y = sample_bundle_points(rng, N, P, shape)
+    return F, 10.0 * Y
+
+
+def _draw_rotations(rng, shape):
+    return (sample_rotations(rng, N, shape),)
+
+
+def _draw_cartan_rotations(rng, shape):
+    """Rotations in S_p0: exponentials of generators whose singular values mix zeros, small and generic angles."""
+    return (gr.dp_exp(_gen(_draw_generators(rng, shape)[0])).mat,)
+
+
+def _draw_cartan_motions(rng, shape):
+    R, X = sample_motions(rng, N, shape)
+    t = bn.tau(Motion(R, 1e3 * X), SIG).motion
+    return t.R, t.X
+
+
+def _draw_generators(rng, shape):
+    return (_generators(rng, P, Q, math.prod(shape)).reshape(shape + (Q, P)),)
+
+
+def _draw_elements(rng, shape):
+    return _draw_generators(rng, shape) + (rng.standard_normal(shape + (P,)),)
+
+
+def _draw_plane_pairs(rng, shape):
+    """Frame pairs (F1, F2): the same plane in another frame at every other element, else another plane."""
+    F1, F2 = _draw_frames(rng, shape)[0], _draw_frames(rng, shape)[0]
+    turn = sample_rotations(rng, P, shape)
+    same = (np.arange(math.prod(shape)) % 2 == 0).reshape(shape)[..., None, None]
+    return F1, np.where(same, F1 @ turn, F2)
+
+
+def _cut_locus(B):
+    """A generator whose principal angle is pi / 2."""
+    return np.array([[math.pi, 0.0], [0.0, 0.5], [0.0, 0.0]])
+
+
+def _off_model(R):
+    """A rotation in the plane of e_1 and e_2, which mixes the -1 block of J: R J is not symmetric."""
+    return lg.so_exp(0.5 * skew_wedge(1, 2, N))
+
+
+# name -> (draw(rng, shape) -> operands, call(*operands),
+# (operand, edit, error) of one bad element, or None where no element of an array can fail)
+CERTIFIED_MAPS = {
+    "plane_from_frame": (_draw_frames, _plane, (0, _scaled, DegenerateSpanError)),
+    "Plane": (_draw_frames, gr.Plane, (0, _nan, DimensionMismatchError)),
+    "check_frame": (_draw_frames, lambda F: mc.check_frame(F, TOL), (0, _scaled, DegenerateSpanError)),
+    "complete_to_special_orthogonal": (_draw_frames, lambda F: mc.complete_to_special_orthogonal(F, TOL),
+                                       (0, _scaled, DegenerateSpanError)),
+    "check_special_orthogonal": (_draw_rotations, lambda R: mc.check_special_orthogonal(R, TOL),
+                                 (0, _scaled, IllConditionedSpectrumError)),
+    "bundle_point": (_draw_points, _point, (1, _nan, DimensionMismatchError)),
+    "BundlePoint": (_draw_points, lambda F, Y: bn.BundlePoint(gr.Plane(F), Y),
+                    (1, lambda Y: Y + 1.0, NotInCartanModelError)),
+    "CartanRotation.certify": (_draw_cartan_rotations, lambda R: gr.CartanRotation.certify(R, SIG, TOL),
+                               (0, _off_model, NotInCartanModelError)),
+    "CartanRotation": (_draw_cartan_rotations, lambda R: gr.CartanRotation(R, SIG),
+                       (0, _scaled, IllConditionedSpectrumError)),
+    "CartanMotion.certify": (_draw_cartan_motions, lambda R, X: bn.CartanMotion.certify(Motion(R, X), SIG, TOL),
+                             (1, lambda X: X + 1.0, NotInCartanModelError)),
+    "CartanMotion": (_draw_cartan_motions, lambda R, X: bn.CartanMotion(Motion(R, X), SIG),
+                     (0, _scaled, IllConditionedSpectrumError)),
+    "DpGenerator": (_draw_generators, _gen, None),
+    "DpElement": (_draw_elements, _element, (1, _nan, DimensionMismatchError)),
+    "DpElement.screw": (_draw_elements, lambda B, v: _element(B, v).screw(), (1, _nan, DimensionMismatchError)),
+    "tau": (_draw_motions, lambda R, X: bn.tau(Motion(R, X), SIG, TOL), (0, _scaled, IllConditionedSpectrumError)),
+    "rho": (_draw_cartan_motions, lambda R, X: bn.rho(bn.CartanMotion(Motion(R, X), SIG, TOL)),
+            (1, lambda X: X + 1.0, NotInCartanModelError)),
+    "rho_inv": (_draw_points, lambda F, Y: bn.rho_inv(_point(F, Y)), (0, _scaled, DegenerateSpanError)),
+    "rho0": (_draw_cartan_rotations, lambda R: gr.rho0(gr.CartanRotation(R, SIG, TOL)),
+             (0, _off_model, NotInCartanModelError)),
+    "cartan_embed0": (_draw_frames, lambda F: gr.cartan_embed0(_plane(F)), (0, _nan, DimensionMismatchError)),
+    "rotate_plane": (lambda rng, shape: _draw_rotations(rng, shape) + _draw_frames(rng, shape),
+                     lambda A, F: gr.rotate_plane(A, _plane(F)), (0, lambda A: 2.0 * A, DegenerateSpanError)),
+    "dp_exp": (_draw_generators, lambda B: gr.dp_exp(_gen(B), TOL), (0, _nan, DimensionMismatchError)),
+    "dp_log0": (_draw_generators, lambda B: gr.dp_log0(gr.dp_exp(_gen(B), TOL)), (0, _cut_locus, CutLocusError)),
+    "dp_exp_full": (_draw_elements, lambda B, v: bn.dp_exp_full(_element(B, v), TOL),
+                    (0, _nan, DimensionMismatchError)),
+    "dp_log_full": (_draw_elements, lambda B, v: bn.dp_log_full(bn.dp_exp_full(_element(B, v), TOL)),
+                    (0, _cut_locus, CutLocusError)),
+    "bundle_act": (lambda rng, shape: sample_motions(rng, N, shape) + _draw_points(rng, shape),
+                   lambda R, X, F, Y: bn.bundle_act(Motion(R, X), _point(F, Y), SIG),
+                   (0, lambda R: 2.0 * R, DegenerateSpanError)),
+    "find_transporter": (lambda rng, shape: _draw_points(rng, shape) + _draw_points(rng, shape),
+                         lambda Fs, Ys, Fd, Yd: bn.find_transporter(_point(Fs, Ys), _point(Fd, Yd)),
+                         (3, _nan, DimensionMismatchError)),
+    "plane_equal": (_draw_plane_pairs, lambda F1, F2: gr.plane_equal(_plane(F1), _plane(F2), TOL),
+                    (1, _scaled, DegenerateSpanError)),
+    "principal_angles": (_draw_plane_pairs, lambda F1, F2: gr.principal_angles(_plane(F1), _plane(F2)),
+                         (0, _nan, DimensionMismatchError)),
+}
+
+
+def _leaves(value) -> list:
+    """(path, leaf) for every field of a value, through its nested values: arrays, and the rest as they are."""
+    if isinstance(value, (np.ndarray, bool, int, Signature, Tolerances)):
+        return [("", value)]
+    return [(f"{name}.{path}", leaf) for name, field in sorted(vars(value).items()) for path, leaf in _leaves(field)]
+
+
+def _same_leaves(stacked, single, i) -> None:
+    """Element i of each array of ``stacked`` is the array of ``single`` bit for bit, of its type and
+    writeability; every other field (n, p, sig, ``_tol``) is equal."""
+    pairs = list(zip(_leaves(stacked), _leaves(single), strict=True))
+    for (path, a), (path_b, b) in pairs:
+        assert path == path_b
+        if isinstance(a, np.ndarray) and type(b) is not np.ndarray:  # a predicate's bool
+            assert type(b) is bool and a[i] == b, (path, i)
+        elif isinstance(a, np.ndarray):
+            assert _bits(a[i]) == _bits(b) and a.flags.writeable == b.flags.writeable, (path, i)
+        else:
+            assert type(a) is type(b) and a == b, (path, i)
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["stack", "grid"])
+@pytest.mark.parametrize("name", sorted(CERTIFIED_MAPS))
+def test_a_certified_stack_gives_its_single_calls_bit_for_bit(name, shape):
+    draw, call, _ = CERTIFIED_MAPS[name]
+    operands = draw(make_rng(54, len(shape)), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = call(*operands)
+        for i in np.ndindex(shape):
+            single = call(*(x[i] for x in operands))
+            assert type(single) is (bool if isinstance(stacked, np.ndarray) and stacked.dtype == bool
+                                    else type(stacked))
+            _same_leaves(stacked, single, i)
+    if name == "plane_equal":  # the draw mixes both answers
+        assert 0 < np.count_nonzero(stacked) < stacked.size
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["stack", "grid"])
+@pytest.mark.parametrize("name", sorted(k for k, v in CERTIFIED_MAPS.items() if v[2]))
+def test_a_bad_element_of_a_certified_stack_raises_its_single_calls_error_at_its_index(name, shape):
+    draw, call, (k, edit, error) = CERTIFIED_MAPS[name]
+    operands = list(draw(make_rng(55, len(shape)), shape))
+    i = tuple(s - 1 for s in shape)  # the last element
+    operands[k] = _with(operands[k], i, edit(operands[k][i]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _raises_at(lambda: call(*operands), lambda: call(*(x[i] for x in operands)), error,
+                   i[0] if len(i) == 1 else i)
+
+
+def _points_of(shape) -> bn.BundlePoint:
+    return _point(*_draw_points(make_rng(56, len(shape)), shape))
+
+
+def _planes_of(shape) -> gr.Plane:
+    return _plane(*_draw_frames(make_rng(57, len(shape)), shape))
+
+
+# A second operand of another leading shape than the first's
+LEADING_SHAPE_MISMATCHES = {
+    "bundle_act-motions-3-point-stack-2": lambda: bn.bundle_act(Motion(*sample_motions(make_rng(58, 0), N, 3)),
+                                                                _points_of((2,)), SIG),
+    "bundle_act-one-motion-point-stack-2": lambda: bn.bundle_act(Motion(np.eye(N), np.zeros(N)), _points_of((2,)), SIG),
+    "find_transporter-stack-3-one": lambda: bn.find_transporter(_points_of((3,)), _points_of(())),
+    "find_transporter-one-stack-3": lambda: bn.find_transporter(_points_of(()), _points_of((3,))),
+    "plane_equal-stack-3-stack-2": lambda: gr.plane_equal(_planes_of((3,)), _planes_of((2,))),
+    "principal_angles-stack-3-one": lambda: gr.principal_angles(_planes_of((3,)), _planes_of(())),
+    "rotate_plane-rotations-3-plane-stack-2": lambda: gr.rotate_plane(sample_rotations(make_rng(59, 0), N, 3),
+                                                                      _planes_of((2,))),
+    "bundle_point-planes-3-one-fiber": lambda: bn.bundle_point(_planes_of((3,)), np.zeros(N)),
+    "DpElement-generators-3-one-v": lambda: bn.DpElement(_gen(np.zeros((3, Q, P))), np.zeros(P)),
+    "CartanMotion-rotations-3-translations-2": lambda: bn.CartanMotion(
+        Motion(np.tile(np.eye(N), (3, 1, 1)), np.zeros((2, N))), SIG),
+    "tau-rotations-3-one-translation": lambda: bn.tau(Motion(np.tile(np.eye(N), (3, 1, 1)), np.zeros(N)), SIG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEADING_SHAPE_MISMATCHES))
+def test_a_second_certified_operand_of_another_leading_shape_is_a_dimension_mismatch(name):
     with pytest.raises(DimensionMismatchError):
-        bn.tau(Motion(R, X), Signature(2, 2))
+        LEADING_SHAPE_MISMATCHES[name]()
+
+
+def _stacked_values() -> dict:
+    """One stacked value of each certified class, of leading shape (2, 3)."""
+    rng = make_rng(60, 0)
+    points = _point(*_draw_points(rng, (2, 3)))
+    return {
+        "Plane": points.plane,
+        "BundlePoint": points,
+        "CartanRotation": gr.CartanRotation(_draw_cartan_rotations(rng, (2, 3))[0], SIG, TOL),
+        "CartanMotion": bn.CartanMotion(Motion(*_draw_cartan_motions(rng, (2, 3))), SIG, TOL),
+    }
+
+
+def _tampered(name, value):
+    """A trusted copy of a stacked value whose element (1, 2) fails its class's check; nothing is checked."""
+    def bad(a):
+        return _with(a, (1, 2), 1.01 * a[1, 2])
+
+    if name == "Plane":
+        return gr._plane(bad(value.frame), TOL)
+    if name == "BundlePoint":
+        fiber = _with(value.fiber, (1, 2), value.fiber[1, 2] + 1.0)
+        return gr._trusted(bn.BundlePoint, TOL, plane=value.plane, fiber=fiber)
+    if name == "CartanRotation":
+        return gr._trusted(gr.CartanRotation, TOL, mat=bad(value.mat), sig=SIG, _frame=value._frame)
+    return gr._trusted(bn.CartanMotion, TOL, motion=Motion(bad(value.motion.R), value.motion.X), sig=SIG,
+                       _frame=value._frame)
+
+
+CLONES = {"copy": copy.copy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("clone", sorted(CLONES))
+@pytest.mark.parametrize("name", ["Plane", "BundlePoint", "CartanRotation", "CartanMotion"])
+def test_a_copy_of_a_certified_stack_runs_its_check_again(name, clone):
+    value = _stacked_values()[name]
+    twin = CLONES[clone](value)
+    assert type(twin) is type(value) and twin is not value
+    for (path, a), (_, b) in zip(_leaves(twin), _leaves(value), strict=True):
+        assert _bits(a) == _bits(b) if isinstance(a, np.ndarray) else a == b, path
+    with pytest.raises(GeometryError) as info:
+        CLONES[clone](_tampered(name, value))
+    assert info.value.context["index"] == (1, 2)
+
+
+SERIALIZERS = {
+    "Plane": sz.plane_to_json,
+    "BundlePoint": sz.bundle_point_to_json,
+    "CartanRotation": sz.cartan_rotation_to_json,
+    "CartanMotion": sz.cartan_motion_to_json,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZERS))
+def test_json_holds_one_certified_value_not_a_stack(name):
+    value = _stacked_values()[name]
+    with pytest.raises(DimensionMismatchError):
+        SERIALIZERS[name](value)
+    with pytest.raises(DimensionMismatchError):
+        sz.motion_to_json(Motion(np.tile(np.eye(N), (3, 1, 1)), np.zeros((3, N))))
+    with pytest.raises(DimensionMismatchError):
+        sz.screw_to_json(_element(*_draw_elements(make_rng(61, 0), (3,))).screw())
+
+
+# The validators that check a later operand against the first one's leading
+# shape, and the one that words their shape errors, are the only functions
+# with a ``batch``; every other map reads its stack shape from its operand.
+BATCH_FUNCTIONS = {
+    ("matcore", "check_finite_matrix"),
+    ("matcore", "check_finite_vector"),
+    ("matcore", "_in_stack"),
+    ("liegroup", "_checked_motion"),
+}
+PACKAGE = Path(bn.__file__).parent
+
+
+def test_only_the_validators_take_a_batch():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "batch" in names:
+                    found.add((path.stem, getattr(node, "name", "<lambda>")))
+    assert found == BATCH_FUNCTIONS
+
+
+def test_verify_names_no_private_attribute_of_bundle_grassmann_or_liegroup():
+    private = {"bundle", "grassmann", "liegroup"}
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module in private:  # from .bundle import name
+                    assert not alias.name.startswith("_"), alias.name
+                elif node.module is None and alias.name in private:  # from . import bundle as bn
+                    aliases.add(alias.asname or alias.name)
+    assert aliases == {"bn", "gr", "lg"}
+    named = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    assert named and not [name for name in named if name.split(".")[1].startswith("_")]

@@ -145,15 +145,15 @@ def test_one_qr_per_property(monkeypatch):
 
 def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
     # the last theta row of the grid carries its fibers unflipped across the seam
-    grid = projective.moebius_grid
+    exp_full = bundle.dp_exp_full
 
-    def unflipped(num_theta, num_lambda, lambda_max):
-        records = grid(num_theta, num_lambda, lambda_max)
-        for rec in records[-num_lambda:]:
-            rec["y0"] = -rec["y0"]
-        return records
+    def unflipped(xi, tol=bundle.default_tolerances()):
+        s = exp_full(xi, tol)
+        X = s.motion.X.copy()
+        X[-1] = -X[-1]  # the seam row's stack holds the theta = 0 row, then the last
+        return bundle.CartanMotion(Motion(s.motion.R, X), s.sig, tol)
 
-    monkeypatch.setattr(projective, "moebius_grid", unflipped)
+    monkeypatch.setattr(bundle, "dp_exp_full", unflipped)
     samples, max_error, passed = _run_one("projective.moebius_seam")
     assert samples >= 1 and math.isfinite(max_error) and not passed
 
@@ -211,13 +211,13 @@ def test_a_canonical_form_off_its_rotation_fails_the_reconstruction_row(monkeypa
 
 def test_a_dp_log_full_off_its_exponential_fails_the_dp_full_routes_row(monkeypatch):
     # dp_log_full does not map its v forward again; this row checks the round trip
-    log_full = bundle._dp_log_full
+    log_full = bundle.dp_log_full
 
-    def scaled(F, X, sig, tol):
-        B, v = log_full(F, X, sig, tol)
-        return B, v * (1.0 + 1e-6)
+    def scaled(s):
+        xi = log_full(s)
+        return bundle.DpElement(xi.gen, xi.v * (1.0 + 1e-6))
 
-    monkeypatch.setattr(bundle, "_dp_log_full", scaled)
+    monkeypatch.setattr(bundle, "dp_log_full", scaled)
     results = _results()
     row = results["bundle.dp_full_routes"]
     assert _failed(results) == {row.name}

@@ -76,10 +76,11 @@ motion of ``twisted_act``, the fiber of a point against its plane
 ``bundle_act`` against the motion and the dst of ``find_transporter``
 against the src (``matcore._stacked_like``). A predicate then gives a
 boolean array. An element of a stack comes out bit for bit as its single
-call: the closed forms run on the whole stack, and an element that is not
-``_sure`` of its check goes through the public check alone. One that
-fails raises its single call's error class with its ``index`` in the
-context.
+call: the closed forms run on the whole stack, and the elements that are
+not ``_sure`` of their check go through the public check as one stack.
+One that fails raises its single call's error class with its ``index`` in
+the context; of two that fail, the raise is the check's on the whole
+output stack (``grassmann._checked_where_unsure``).
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def _motion_check(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances)
 class DpElement:
     """Element (generator, v) of the (-1)-eigenspace d_p of the involution; ``==`` is identity.
 
-    v must be a p-vector in the input domain. A stack of elements is one
+    v must be a p-vector in the input domain; it is kept as a float array,
+    as the generator keeps B. A stack of elements is one
     ``DpElement`` of a stacked generator and a v of its B's leading shape,
     and its ``screw`` is a stacked ``Screw``.
     """
@@ -269,7 +271,8 @@ class DpElement:
     v: np.ndarray
 
     def __post_init__(self):
-        check_finite_vector(self.v, self.gen.p, "coefficient vector", self.gen.B.shape[:-2])
+        v = check_finite_vector(self.v, self.gen.p, "coefficient vector", self.gen.B.shape[:-2])
+        object.__setattr__(self, "v", v)
 
     @property
     def n(self) -> int:

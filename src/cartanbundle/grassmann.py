@@ -46,10 +46,10 @@ of its input, measured on the way, and rounding (``_ROUND``), and asks
 ``_sure`` whether those bounds meet the tolerances and its translation, if
 any, the input ceiling. All five then call one fallback,
 ``_checked_where_unsure``: an output that is sure keeps its closed-form
-frame and checks nothing (``_trusted``); any other goes, element by
-element, through its public check (``_cartan_rotation``, or
-``bundle._cartan_motion``), which accepts or raises as for the same matrix
-from a caller. A ``Plane`` is checked once, when
+frame and checks nothing (``_trusted``); the others go through their
+public check (``_cartan_rotation``, or ``bundle._cartan_motion``), the
+unsure elements of a stack as one stack, which accepts or raises as for
+the same matrices from a caller. A ``Plane`` is checked once, when
 constructed (``plane_from_frame`` or the constructor), and keeps F F^T as
 its projector; the frames that are orthonormal by construction skip that
 check (``_plane``).
@@ -66,11 +66,13 @@ of ``plane_equal`` and ``principal_angles`` that of the first
 (``_embed_matrix``, ``_generator_svd``, ``_cs_rotation``, ``_cs_frame``),
 the S_p0 check (``_cartan_rotation``, ``_cartan_frame``), the principal
 pairs (``_principal_pairs``, ``_angle_pairs``) and the fallback
-``_checked_where_unsure`` run on whole stacks. An element of a stack comes
-out bit for bit as its single call, and one that fails raises that call's
-error class with its ``index`` in the context. The fallback replaces the
-frames of a stack's unsure elements in a read-only copy, so the frames it
-was given stay as they were.
+``_checked_where_unsure`` run on whole stacks; where elements differ in
+their count of small principal angles, each count runs as one stack
+(``matcore._groups``). An element of a stack comes out bit for bit as its
+single call, and one that fails raises that call's error class with its
+``index`` in the context. The fallback replaces the frames of a stack's
+unsure elements in a read-only copy, so the frames it was given stay as
+they were.
 """
 
 from __future__ import annotations
@@ -94,9 +96,9 @@ from .matcore import (
     _at,
     _checked_frame,
     _checked_rotation,
-    _each,
     _eye,
     _fail_at,
+    _groups,
     _is_int,
     _norm,
     _projector,
@@ -219,31 +221,31 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
 
     ``check`` is the public check, ``_cartan_rotation`` on R or
     ``bundle._motion_check`` on (R, X), given as ``parts``. ``sure`` is one
-    answer per element, or one for the whole stack. Each element i that is
-    not sure goes through ``check(*parts[i], sig, tol)`` alone, which
-    accepts or raises as for the same value from a caller; a raise gets the
-    element's ``index``. A single output (i = ()) takes the frame of its
-    check; a stack takes it in a read-only copy of F, so the frames it was
-    given stay as they were. This is the one place where the five maps that
-    land in the Cartan model by construction fall back to the check. A
-    single output that is sure returns at once.
+    answer per element, or one for the whole stack. A single output that is
+    sure returns F at once; one that is not takes the frame of
+    ``check(*parts, sig, tol)``, which accepts or raises as for the same
+    value from a caller. The unsure elements of a stack go through one
+    check, as one stack, and their frames replace theirs in a read-only
+    copy of F, so the frames it was given stay as they were. A raise gets
+    the element's ``index`` in the whole stack. The sure elements pass every
+    condition, so the raise is the one that check gives on the whole output
+    stack: the first failing condition in the check's order, and its first
+    failing element in C order. This is the one place where the five maps
+    that land in the Cartan model by construction fall back to the check.
     """
-    if sure is True or sure is np.True_:
+    if F.ndim == 2:
+        return F if sure else check(*parts, sig, tol)[1]
+    unsure = ~np.broadcast_to(sure, F.shape[:-2])
+    if not unsure.any():
         return F
-    if F.ndim > 2 and type(sure) is not np.ndarray:  # one answer for a whole stack
-        sure = np.full(F.shape[:-2], sure)
-    unsure = _each(sure, False)
-    if unsure and unsure[0]:  # a stack with an element to replace
-        F = F.copy()
-    for i in unsure:
-        try:
-            found = check(*(a[i] for a in parts), sig, tol)[1]
-        except GeometryError as exc:
-            exc.context.update(_at(i))
-            raise
-        if not i:
-            return found
-        F[i] = found
+    try:
+        found = check(*(a[unsure] for a in parts), sig, tol)[1]
+    except GeometryError as exc:
+        if "index" in exc.context:
+            exc.context.update(_at(tuple(int(k) for k in np.argwhere(unsure)[exc.context["index"]])))
+        raise
+    F = F.copy()
+    F[unsure] = found
     return _frozen(F)
 
 
@@ -439,7 +441,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     if not. F is that eigenspace's frame, read-only, from the same ``eigh``:
     its leading p columns, as ``eigh`` sorts the eigenvalues ascending. S
     and the involution residual are returned for the sigma residual of a
-    motion. A stack of rotations is checked element by element.
+    motion. A stack of rotations is checked as one stack.
     """
     S = mat * sig._signs
     _, i, defect, invol = _symmetric_involution(S, tol)
@@ -621,18 +623,26 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
     read off the sines instead, from one SVD of the bottom block on their
     right singular subspace, which also turns those columns of W and V onto
     the sine pairs; those angles come first, descending. Above 1e-2 the
-    cosine route keeps that round trip within about 1e-12 at n <= 32.
+    cosine route keeps that round trip within about 1e-12 at n <= 32. The
+    elements of a stack are grouped by m, their count of angles below 1e-2
+    (``_groups``), and each group with m > 0 runs one stacked SVD of the
+    bottom block on those m columns. A single call with no small angle
+    makes one test.
     """
     V, c, Wt = np.linalg.svd(top)
     phi = np.arccos(np.clip(c, -1.0, 1.0))
-    W = Wt.mT
-    for i in _each(phi[..., 0] < 1e-2):  # the sine branch, on each element with m small angles
-        Vi, phi_i, Wi, m = V[i], phi[i], W[i], int(np.count_nonzero(phi[i] < 1e-2))
-        _, sines, Zt = np.linalg.svd(bottom[i] @ Wi[:, :m])
-        Wi[:, :m] = Wi[:, :m] @ Zt.T
-        phi_i[:m] = 0.0
-        phi_i[: sines.size] = np.arcsin(np.minimum(sines, 1.0))
-        Vi[:, :m] = (top[i] @ Wi[:, :m]) / np.cos(phi_i[:m])
+    W, small = Wt.mT, phi[..., 0] < 1e-2  # phi ascends
+    if small is np.False_ or not small.any():  # no sine branch: one test for a single call
+        return V, phi, W
+    for m, at in _groups(np.count_nonzero(phi < 1e-2, axis=-1)):  # the sine branch, per count m of small angles
+        if m:
+            V_m, phi_m, W_m = V[at], phi[at], W[at]
+            _, sines, Zt = np.linalg.svd(bottom[at] @ W_m[..., :m])
+            W_m[..., :m] = W_m[..., :m] @ Zt.mT
+            phi_m[..., :m] = 0.0
+            phi_m[..., : sines.shape[-1]] = np.arcsin(np.minimum(sines, 1.0))
+            V_m[..., :m] = (top[at] @ W_m[..., :m]) / np.cos(phi_m[..., None, :m])
+            V[at], phi[at], W[at] = V_m, phi_m, W_m
     return V, phi, W
 
 

@@ -78,8 +78,9 @@ calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
 element that fails a check raises the error class of its single call, with
 its ``index`` in the stack in the error's context (``_require``). Where the
 elements of a stack differ in a count (the pairs of a skew matrix, the
-split of a log, the angles of a form), they are grouped by it
-(``_groups``), and each group runs as one stack.
+split of a log, the angles of a form, the small principal angles of two
+planes), they are grouped by it (``_groups``), and each group runs as one
+stack; no map loops over the elements of a stack one by one.
 
 Scalar formulas. ``_scalar_formula`` computes a formula of Python floats
 once per element of a stack, so that the stack agrees with its single
@@ -162,13 +163,6 @@ def _require(ok, error, detail: str, **context) -> None:
     """
     if ok is not True and ok is not np.True_ and (i := _fail_at(ok)) is not None:
         raise error(detail, **_at(i, **context))
-
-
-def _each(mask, value: bool = True) -> list:
-    """The index of each element where ``mask`` is ``value``: () for one operand where it is."""
-    if type(mask) is not np.ndarray:
-        return [()] if bool(mask) is value else []
-    return [tuple(int(k) for k in i) for i in np.argwhere(mask if value else ~mask)]
 
 
 def _groups(key) -> list:

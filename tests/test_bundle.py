@@ -909,9 +909,9 @@ def _public(out, tol):
 def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
     """Each of the five maps that land in the Cartan model by construction
     sends an output that is not ``_sure`` to ``_checked_where_unsure``, one
-    public check per element, and keeps what that check finds. Under
-    ``tol.orth`` at half of n ``_ROUND``, below every map's rotation bound,
-    nothing is sure, yet the public check passes."""
+    public check on the stack of unsure elements, and keeps what that check
+    finds. Under ``tol.orth`` at half of n ``_ROUND``, below every map's
+    rotation bound, nothing is sure, yet the public check passes."""
     rechecked = []
 
     def counted(sure, F, check, sig, tol, *parts, _real=grassmann_module._checked_where_unsure):
@@ -932,8 +932,8 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
         for a, b in zip(_parts_of(out), _parts_of(_public(out, unsure)), strict=True):
             assert a.tobytes() == b.tobytes(), name
 
-    # a stack: each element goes through the public check once, alone, and
-    # keeps the frame that check finds
+    # a stack: its unsure elements go through one public check, as one stack,
+    # and each keeps the frame that check finds
     K, sig = 5, Signature(p, n - p)
     B, v = rng.standard_normal((K, n - p, p)), rng.standard_normal((K, p))
     R = np.stack([sample_rotation(rng, n) for _ in range(K)])
@@ -942,7 +942,7 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
     for stacked in (lambda: dp_exp(gen, unsure), lambda: tau(Motion(R, X), sig, unsure),
                     lambda: dp_exp_full(DpElement(gen, v), unsure)):
         out = _parts_of(stacked())
-        assert rechecked == [(n, n)] * K
+        assert rechecked == [(K, n, n)]
         rechecked.clear()
         for i in range(K):
             if len(out) == 2:
@@ -950,6 +950,81 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
             else:
                 one = bundle_module._cartan_motion(Motion(out[0][i], out[1][i]), sig, unsure)[1]
             assert one.tobytes() == out[-1][i].tobytes()
+
+
+GRID = (2, 3)
+
+
+def _grid_motions(rng, n, identity=()):
+    """A (2, 3) grid of motions: Haar rotations, or the identity at the indices ``identity``, and normal X."""
+    A = np.stack([np.eye(n) if i in identity else sample_rotation(rng, n) for i in np.ndindex(GRID)])
+    return A.reshape(GRID + (n, n)), rng.standard_normal(GRID + (n,))
+
+
+def _raised(build) -> tuple:
+    """The class, detail and context of the ``GeometryError`` that ``build()`` raises."""
+    with pytest.raises(GeometryError) as info:
+        build()
+    return type(info.value), info.value.detail, info.value.context
+
+
+def test_a_mixed_grid_checks_only_its_unsure_elements(rng):
+    """Under ``tol.orth`` just above n ``_ROUND``, tau of an identity rotation
+    (e = 0) is sure and keeps A[:, :p] as its frame; tau of a Haar rotation
+    is not, and takes the frame of the public check. Either way each element
+    is its single call bit for bit."""
+    n, p, sig = 4, 2, Signature(2, 2)
+    tol = Tolerances(orth=n * grassmann_module._ROUND * (1 + 1e-9))
+    identity = {(0, 0), (0, 2), (1, 1)}
+    A, X = _grid_motions(rng, n, identity)
+    out = tau(Motion(A, X), sig, tol)
+    for i in np.ndindex(GRID):
+        one = tau(Motion(A[i], X[i]), sig, tol)
+        for a, b in zip(_parts_of(out), _parts_of(one), strict=True):
+            assert a[i].tobytes() == b.tobytes(), i
+        assert np.array_equal(out._frame[i], A[i][:, :p]) == (i in identity), i
+
+
+def test_one_failing_element_raises_its_single_calls_error(rng):
+    """A 1e150 translation along A's plane doubles in tau, out of the input
+    domain: the grid raises that element's single-call error, with its
+    ``index`` in the grid, and a 1-d stack with its int index."""
+    n, sig = 4, Signature(2, 2)
+    A, X = _grid_motions(rng, n)
+    X[1, 2] = 1e150 * A[1, 2][:, 0]
+    cls, detail, context = _raised(lambda: tau(Motion(A[1, 2], X[1, 2]), sig))
+    assert cls is DimensionMismatchError and "index" not in context
+    assert _raised(lambda: tau(Motion(A, X), sig)) == (cls, detail, {**context, "index": (1, 2)})
+    flat = Motion(A.reshape(-1, n, n), X.reshape(-1, n))
+    assert _raised(lambda: tau(flat, sig)) == (cls, detail, {**context, "index": 5})
+
+
+def test_two_failing_elements_raise_as_the_check_of_the_whole_stack(rng):
+    """tau of A = (1 + d) Q, Q a rotation, has R = (1 + d)^2 Q J Q^T J, whose
+    orthogonality residual is about twice that of A. Element (0, 1), at
+    d = 1e-9, fails only the fiber condition; element (1, 2), at d = 0.9e-8,
+    fails orthogonality, which the check tests first. The raise is the
+    public constructor's on the whole output stack: the first failing
+    condition, then its first failing element in C order."""
+    n, sig = 4, Signature(2, 2)
+    tol = Tolerances(orth=1e-8, invol=1e-6, fiber=1e-12)
+    A, X = _grid_motions(rng, n)
+    A[0, 1] *= 1 + 1e-9
+    A[1, 2] *= 1 + 0.9e-8
+    assert _raised(lambda: tau(Motion(A[0, 1], X[0, 1]), sig, tol))[0] is NotInCartanModelError
+    g = Motion(A, X)
+    whole = _raised(lambda: CartanMotion(se_mul(g, sigma(se_inv(g), sig)), sig, tol))
+    assert whole[0] is IllConditionedSpectrumError and whole[2]["index"] == (1, 2)
+    assert _raised(lambda: tau(g, sig, tol)) == whole
+
+
+@pytest.mark.parametrize("v", [[1, 2], np.array([1, 2])])
+def test_a_dp_element_keeps_v_as_a_float_array(v):
+    from cartanbundle.cli import _dp_json
+
+    xi = DpElement(DpGenerator(2, 2, np.eye(2)), v)
+    assert type(xi.v) is np.ndarray and xi.v.dtype == np.float64
+    assert _dp_json(xi)["v"] == [1.0, 2.0]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")

@@ -96,6 +96,7 @@ from .matcore import (
     _at,
     _checked_frame,
     _checked_rotation,
+    _eigh,
     _eye,
     _fail_at,
     _groups,
@@ -105,6 +106,7 @@ from .matcore import (
     _real,
     _require,
     _stacked_like,
+    _svd,
     _symmetric_involution,
     check_finite_matrix,
     orthonormalize,
@@ -447,7 +449,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     _, i, defect, invol = _symmetric_involution(S, tol)
     if i is not None:
         raise NotInCartanModelError(f"R J is {defect}", **_at(i))
-    w, V = np.linalg.eigh(S)
+    w, V = _eigh(S)
     i = _fail_at((w[..., sig.p - 1] < 0) & (w[..., sig.p] >= 0))  # exactly p negative, w ascending
     if i is not None:
         raise NotInCartanModelError("not in the Cartan model: wrong eigenspace dimension",
@@ -584,7 +586,7 @@ def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
 def _generator_svd(B: np.ndarray) -> tuple:
     """(V, s, U) from one thin SVD B = U diag(s) V^T of a finite generator block, or of each of a stack."""
     B = check_finite_matrix(B, name="generator block", batch=None)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    U, s, Vt = _svd(B)
     return Vt.mT, s, U
 
 
@@ -629,7 +631,7 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
     bottom block on those m columns. A single call with no small angle
     makes one test.
     """
-    V, c, Wt = np.linalg.svd(top)
+    V, c, Wt = _svd(top, full=True)
     phi = np.arccos(np.clip(c, -1.0, 1.0))
     W, small = Wt.mT, phi[..., 0] < 1e-2  # phi ascends
     if small is np.False_ or not small.any():  # no sine branch: one test for a single call
@@ -637,7 +639,7 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
     for m, at in _groups(np.count_nonzero(phi < 1e-2, axis=-1)):  # the sine branch, per count m of small angles
         if m:
             V_m, phi_m, W_m = V[at], phi[at], W[at]
-            _, sines, Zt = np.linalg.svd(bottom[at] @ W_m[..., :m])
+            _, sines, Zt = _svd(bottom[at] @ W_m[..., :m], full=True)
             W_m[..., :m] = W_m[..., :m] @ Zt.mT
             phi_m[..., :m] = 0.0
             phi_m[..., : sines.shape[-1]] = np.arcsin(np.minimum(sines, 1.0))

@@ -53,6 +53,7 @@ from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapErr
 from .matcore import (
     _at,
     _checked_rotation,
+    _eigh,
     _fail_at,
     _is_dim,
     _require,
@@ -164,7 +165,7 @@ def _spectrum(omega: np.ndarray) -> tuple:
     An eigenvalue that rounds below zero (the kernel at odd n) gets theta = 0.
     """
     omega = check_skew(omega)
-    lam, V = np.linalg.eigh(omega.mT @ omega)
+    lam, V = _eigh(omega.mT @ omega)
     return omega, V, np.sqrt(np.maximum(lam, 0.0))
 
 

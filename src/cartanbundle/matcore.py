@@ -17,6 +17,27 @@ principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
 only the angles near pi. ``orthonormalize`` is the sign-fixed QR
 (``_sign_fixed_qr``) that the samplers also draw their frames with.
 
+The LAPACK boundary. Every decomposition the library runs goes through one
+kernel here: ``_eigh`` (real symmetric or complex Hermitian), ``_svd``
+(thin or full), ``_singular_values``, ``_qr`` (reduced or complete, with
+the raw factor whose diagonal is R's), ``_sign_fixed_qr`` and ``_det``.
+Each calls the gufunc of NumPy's private module
+``numpy.linalg._umath_linalg`` that ``numpy.linalg`` calls, with the same
+signature, so its outputs equal ``numpy.linalg``'s bit for bit. What it
+skips is ``numpy.linalg``'s per-call wrapper (type promotion, shape
+asserts, an input copy, ``triu``, a named tuple), which at n <= 8 costs
+about as much as LAPACK does. ``_qr`` copies its operand, since LAPACK
+overwrites it. ``_eigh``, ``_svd`` and ``_qr`` keep ``numpy.linalg``'s
+floating-point policy (``_lapack_policy``), except that a LAPACK failure
+to converge raises ``IllConditionedSpectrumError`` where ``numpy.linalg``
+raises ``LinAlgError``; ``_det``, like ``np.linalg.det``, sets none. Each kernel looks its gufunc up at call time, so a patch
+of one gufunc sees every call (the tests count decompositions that way).
+No other module names a ``numpy.linalg`` decomposition, except ``verify``'s
+independent oracles, which keep the public functions on purpose. The gufunc
+names are private; they were checked on NumPy 2.4.6, and CI runs the kernel
+tests on the oldest NumPy that the package allows. The module is imported
+by ``import numpy``, so taking it costs no import time.
+
 Input domain. Every array the library's maps accept, matrix or vector,
 passes ``check_finite_matrix`` or ``check_finite_vector``: the shape that
 its signature or plane fixes (an n x n rotation, an n-vector, an (n, p)
@@ -101,6 +122,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .config import _REAL_SCALARS, Tolerances, default_tolerances
 from .errors import (
@@ -381,14 +403,75 @@ def check_finite_scalar(x: float, name: str) -> float:
     return x
 
 
+def _lapack_policy(name: str) -> np.errstate:
+    """``np.linalg``'s floating-point policy around the gufunc calls of one decomposition, as a decorator.
+
+    A gufunc whose LAPACK routine fails to converge fills its outputs with
+    NaN and raises the invalid flag. That flag raises
+    ``IllConditionedSpectrumError``, with ``decomposition=name`` in its
+    context, where ``np.linalg`` raises ``LinAlgError``; over, divide and
+    under are ignored. The decorator form sets the policy per call, so it
+    holds across threads.
+    """
+
+    def failed(err, flag):
+        raise IllConditionedSpectrumError(f"LAPACK {name} did not converge", decomposition=name)
+
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack_policy("eigh")
+def _eigh(a: np.ndarray) -> tuple:
+    """(w, V) = ``np.linalg.eigh(a)``: a real symmetric or complex Hermitian float array, or a stack."""
+    return _lapack.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+@_lapack_policy("svd")
+def _svd(a: np.ndarray, full: bool = False) -> tuple:
+    """(U, s, V^T) = ``np.linalg.svd(a, full_matrices=full)`` of a real float array, or a stack."""
+    return (_lapack.svd_f if full else _lapack.svd_s)(a, signature="d->ddd")
+
+
+@_lapack_policy("svd")
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """s = ``np.linalg.svd(a, compute_uv=False)`` of a real float array, or a stack: descending."""
+    return _lapack.svd(a, signature="d->d")
+
+
+@_lapack_policy("qr")
+def _qr(a: np.ndarray, complete: bool = False) -> tuple:
+    """(Q, H): the Q of ``np.linalg.qr(a)`` or, with ``complete``, of ``mode="complete"``; a real array or a stack.
+
+    H is the raw factor, a float copy of a that LAPACK overwrites with its
+    Householder QR: R lies on and above its diagonal (``np.linalg.qr``'s R
+    is the upper triangle of its leading rows), so R's diagonal is H's.
+    For an m x n operand a reduced Q is m x min(m, n) and a complete Q is
+    m x m; for m <= n they agree, and the reduced gufunc runs, as
+    ``np.linalg.qr`` picks.
+    """
+    H = a.astype(np.float64)  # a copy: qr_r_raw overwrites its operand
+    tau = _lapack.qr_r_raw(H, signature="d->d")
+    m, n = a.shape[-2:]
+    return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H
+
+
+def _det(a: np.ndarray):
+    """``np.linalg.det(a)`` of a real square float array, or a stack.
+
+    An LU factorization cannot fail to converge (a singular matrix gives 0),
+    so, as in ``np.linalg.det``, no policy is set around it.
+    """
+    return _lapack.det(a, signature="d->d")
+
+
 def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
     """The Q of each matrix's QR, with the column signs that make R's diagonal positive.
 
     For M of full column rank, this is the Gram-Schmidt frame of M's columns
     in their order, up to rounding, and a pure function of M.
     """
-    Q, R = np.linalg.qr(M)
-    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    Q, H = _qr(M)
+    return Q * np.sign(np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
 
 
 _RANK_TOL = 1e-9  # relative smallest-singular-value cutoff of orthonormalize
@@ -406,7 +489,7 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     n, p = V.shape
     if p > n:
         raise DegenerateSpanError(f"{p} vectors cannot be independent in R^{n}")
-    svals = np.linalg.svd(V, compute_uv=False)
+    svals = _singular_values(V)
     if svals[-1] <= _RANK_TOL * max(1.0, svals[0]):
         raise DegenerateSpanError(
             "degenerate spanning set",
@@ -460,7 +543,7 @@ def complete_to_special_orthogonal(
     """
     F = check_frame(F, tol)
     if F.shape[-2] == F.shape[-1]:
-        _require(~(np.linalg.det(F) < 0), IllConditionedSpectrumError, "a frame with det -1 has no completion in SO(n)")
+        _require(~(_det(F) < 0), IllConditionedSpectrumError, "a frame with det -1 has no completion in SO(n)")
     return _complete_frames(F)
 
 
@@ -471,8 +554,8 @@ def _complete_frames(F: np.ndarray) -> np.ndarray:
     every sign; each matrix comes out as it would alone.
     """
     p = F.shape[-1]
-    A = np.concatenate([F, np.linalg.qr(F, mode="complete")[0][..., p:]], axis=-1)
-    A[..., -1] *= np.where(np.linalg.det(A) < 0, -1.0, 1.0)[..., None]
+    A = np.concatenate([F, _qr(F, complete=True)[0][..., p:]], axis=-1)
+    A[..., -1] *= np.where(_det(A) < 0, -1.0, 1.0)[..., None]
     return A
 
 
@@ -544,7 +627,7 @@ def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> t
     n = R.shape[-1]
     defect, bound = _norm(R.mT @ R - _eye(n), 2), tol.orth * max(1, n)
     _require(defect <= bound, IllConditionedSpectrumError, "matrix is not orthogonal within tolerance")
-    _require(abs(np.linalg.det(R) - 1.0) <= bound, IllConditionedSpectrumError,
+    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError,
              "matrix has determinant != +1")
     return R, defect
 
@@ -577,13 +660,13 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     by their count c: each group takes one complete QR and one sign fix.
     """
     n = W.shape[-1]
-    w, U = np.linalg.eigh(1j * W)
+    w, U = _eigh(1j * W)
     count = (w > 1e-14 * np.maximum(1.0, _norm(W, 2))[..., None]).sum(axis=-1)
     Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
     for c, at in _groups(count):
         pairs = U[at][..., n - c :].view(np.float64)  # the columns Re u, Im u of each eigenvector u, interleaved
-        Q_c, T = np.linalg.qr(pairs, mode="complete")
-        Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(T, axis1=-2, axis2=-1))[..., None, :]
+        Q_c, H = _qr(pairs, complete=True)
+        Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
         Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
     return Q, s
 
@@ -622,7 +705,7 @@ def _rotation_log(R: np.ndarray) -> tuple:
     one stack per split m.
     """
     S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
-    c, V = np.linalg.eigh(S)
+    c, V = _eigh(S)
     lo = np.clip(c, -0.75, -0.25)
     gaps = [lo[..., :1] + 0.75, lo[..., 1:] - lo[..., :-1], -0.25 - lo[..., -1:]]  # of [-3/4, lo, -1/4]
     m = np.argmax(np.concatenate(gaps, axis=-1), axis=-1)
@@ -652,7 +735,7 @@ def _assemble_form(Q: np.ndarray, s: np.ndarray, rotation: bool) -> tuple:
     n, k = Q.shape[-1], s.shape[-1]
     pairs = Q[..., : 2 * k].reshape(*Q.shape[:-1], k, 2)[..., ::-1, :].reshape(*Q.shape[:-1], 2 * k)
     Q, angles = np.concatenate([pairs, Q[..., 2 * k :]], axis=-1), s[..., ::-1].copy()
-    neg = np.linalg.det(Q) < 0
+    neg = _det(Q) < 0
     if not neg.any():
         return Q, angles
     if 2 * k < n:
@@ -767,5 +850,5 @@ def _eigenspace(S: np.ndarray, eigenvalue: int, tol: Tolerances) -> tuple:
     _, i, defect, _ = _symmetric_involution(S, tol)
     if defect:
         raise NotOrthogonalSymmetryError(f"not an orthogonal symmetry: {defect}", **_at(i))
-    w, V = np.linalg.eigh(S)
+    w, V = _eigh(S)
     return V, np.abs(w - eigenvalue) < 0.5

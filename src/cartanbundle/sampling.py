@@ -10,8 +10,10 @@ normals of every sample in one call and runs each kernel (``qr``, ``det``,
 the norms, the uniforms) once over the stack. The frames and rotations are
 ``matcore._sign_fixed_qr``, the QR that ``orthonormalize`` takes, and the
 norms are ``matcore._norm`` over each sample, bit for bit
-``np.linalg.norm`` of that sample alone. It returns NumPy arrays whose
-leading axes are ``count``: an int, or a tuple for a grid of samples.
+``np.linalg.norm`` of that sample alone; a spectral norm is the largest of
+``matcore._singular_values``, as ``np.linalg.norm(x, 2)`` takes it. It
+returns NumPy arrays whose leading axes are ``count``: an int, or a tuple
+for a grid of samples.
 Sample i is index i of each array. Draws are grouped by kind (all
 rotations, then all translations, then the uniforms), so a stack of N is in
 general not the first N of a stack of more. Each single sampler,
@@ -33,7 +35,7 @@ from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import _is_dim, _is_int, _norm, _sign_fixed_qr
+from .matcore import _det, _is_dim, _is_int, _norm, _sign_fixed_qr, _singular_values
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -74,7 +76,7 @@ def sample_rotations(rng: np.random.Generator, n: int, count) -> np.ndarray:
     """
     _require(n, 1, "rotation")
     Q = _sign_fixed_qr(rng.standard_normal((*_shape(count), n, n)))
-    Q[np.linalg.det(Q) < 0, :, -1] *= -1
+    Q[_det(Q) < 0, :, -1] *= -1
     return Q
 
 
@@ -90,7 +92,7 @@ def sample_skews_bounded(
 ) -> np.ndarray:
     """Skew matrices with spectral norm (largest canonical angle) <= max_angle."""
     W = sample_skews(rng, n, count)
-    return W * _factors(np.linalg.norm(W, 2, axis=(-2, -1)), max_angle, rng)[..., None, None]
+    return W * _factors(_singular_values(W)[..., 0], max_angle, rng)[..., None, None]
 
 
 def sample_screws(rng: np.random.Generator, n: int, count) -> tuple:
@@ -137,7 +139,7 @@ def sample_dp_generators(
     B = rng.standard_normal((*_shape(count), q, p))
     if bound is None:
         return B
-    return B * _factors(np.linalg.norm(B, 2, axis=(-2, -1)), bound, rng)[..., None, None]
+    return B * _factors(_singular_values(B)[..., 0], bound, rng)[..., None, None]
 
 
 def sample_dp_elements(

@@ -66,6 +66,7 @@ from cartanbundle.sampling import (
 import cartanbundle.bundle as bundle_module
 import cartanbundle.grassmann as grassmann_module
 import cartanbundle.matcore as matcore_module
+from lapack_spy import spy
 from oracles import (
     certificate_error_oracle,
     certificate_residuals_oracle,
@@ -597,11 +598,7 @@ EIGH_CALLS = [
 def test_one_eigen_decomposition_per_call(rng, monkeypatch, op, expected):
     """Only construction runs the S_p0 check; its eigh also gives the frame."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _real=getattr(np.linalg, name), **kwargs):
-            calls.append(_real.__name__)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    spy(monkeypatch, lambda decomposition, a: calls.append(decomposition), ("eigh", "eigvalsh"))
     s = dp_exp_full(sample_dp_element(rng, 2, 2, bound=2.0))
     cr = CartanRotation(s.motion.R, s.sig)
     calls.clear()
@@ -1179,8 +1176,7 @@ def test_linalg_calls_per_call(rng, monkeypatch, op, expected):
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("eigh", "eigvalsh", "det", "qr"):
-        counting(np.linalg, name)
+    spy(monkeypatch, lambda decomposition, a: calls.append(decomposition), ("eigh", "eigvalsh", "det", "qr"))
     for module in (matcore_module, grassmann_module, bundle_module):
         if hasattr(module, "_checked_frame"):
             counting(module, "_checked_frame")

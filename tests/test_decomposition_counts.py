@@ -1,8 +1,9 @@
 """One canonical form per call: the decompositions each public map runs at (4, 2).
 
 Each map is called once on generic inputs (rotation angles below 2 pi / 3,
-principal angles above 1e-2), with ``np.linalg.eigh``, ``svd``, ``qr`` and
-``det`` counted. The inputs are built before counting starts. The line maps
+principal angles above 1e-2), with every LAPACK decomposition counted at its
+gufunc (``lapack_spy``): ``eigh``, ``eigvalsh``, ``svd``, ``qr``, ``det``
+and ``slogdet``. The inputs are built before counting starts. The line maps
 run at (4, 1), and ``moebius_grid`` builds its whole 128 x 9 grid from one
 stacked SVD. The logs also run on a rotation with two angles above 3 pi / 4,
 which takes the pairing tail of ``matcore._rotation_log``: one ``eigh`` of
@@ -50,9 +51,9 @@ from cartanbundle import (
     y_omega,
     y_omega_solve,
 )
+from lapack_spy import spy
 
 SIG = Signature(2, 2)
-COUNTED = ("eigh", "svd", "qr", "det")
 
 # public map -> the decompositions of one call
 EXPECTED = {
@@ -142,11 +143,6 @@ def calls():
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_one_canonical_form_per_call(monkeypatch, calls, name):
     counts = Counter()
-    for fn in COUNTED:
-        def counted(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, fn, counted)
+    spy(monkeypatch, lambda decomposition, a: counts.update([decomposition]))
     calls[name]()
     assert counts == Counter(EXPECTED[name]), name

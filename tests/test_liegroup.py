@@ -31,6 +31,7 @@ from cartanbundle.sampling import (
     sample_skew_bounded,
 )
 
+from lapack_spy import spy
 from oracles import homogeneous_exp_oracle, series_exp_oracle, y_series_oracle
 
 
@@ -262,14 +263,9 @@ class TestSeExpLog:
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
+    """The operand of each eigh run, counted at its LAPACK gufunc."""
     calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spy(monkeypatch, lambda decomposition, a: calls.append(a), ("eigh",))
     return calls
 
 

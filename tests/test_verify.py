@@ -10,6 +10,7 @@ from cartanbundle import Motion, Screw, basis_vector
 from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
 from cartanbundle.errors import IllConditionedSpectrumError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification, series_exp, svd_projector
+from lapack_spy import spy
 
 CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
 
@@ -127,14 +128,8 @@ def test_false_predicate_fails_its_property(monkeypatch):
 
 def test_one_qr_per_property(monkeypatch):
     # the samples are drawn as one stack, so the QR count does not grow with them
-    qr = np.linalg.qr
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    spy(monkeypatch, lambda decomposition, a: calls.append(a), ("qr",))
     counts = []
     for samples in (5, 50):
         calls.clear()

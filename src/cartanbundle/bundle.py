@@ -123,7 +123,6 @@ from .matcore import (
     _checked_rotation,
     _complete_frames,
     _eye,
-    _hypot,
     _norm,
     _projector,
     _require,
@@ -299,7 +298,7 @@ def _sigma_residual(invol: float, S: np.ndarray, X: np.ndarray) -> float:
     S = R J and invol = |S^2 - I|; the two blocks of the residual are
     J (S^2 - I) J and J (X + S X), of the same norms.
     """
-    return _hypot(invol, _norm(X + np.matvec(S, X), 1))
+    return np.hypot(invol, _norm(X + np.matvec(S, X), 1))
 
 
 def _sigma_holds(residual: float, X: np.ndarray, tol: Tolerances) -> bool:
@@ -338,8 +337,8 @@ def in_Q(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> b
     """
     R, X = _checked_motion(g, sig.n, None)
     S = R * sig._signs
-    residual = _sigma_residual(_norm(S @ S - _eye(sig.n), 2), S, X)
-    return _sigma_holds(residual, X, tol)
+    held = _sigma_holds(_sigma_residual(_norm(S @ S - _eye(sig.n), 2), S, X), X, tol)
+    return held if R.ndim > 2 else bool(held)
 
 
 def twisted_act(a: Motion, g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Motion:

@@ -103,16 +103,17 @@ split of a log, the angles of a form, the small principal angles of two
 planes), they are grouped by it (``_groups``), and each group runs as one
 stack; no map loops over the elements of a stack one by one.
 
-Scalar formulas. ``_scalar_formula`` computes a formula of Python floats
-once per element of a stack, so that the stack agrees with its single
-calls bit for bit. It serves only where NumPy's bits differ from the
-scalar formula's: ``_hypot`` (``np.hypot`` is not ``math.hypot``),
-verify's ``_atan2`` and ``_root_sum_squares`` (whose ``**`` is C ``pow``,
-which ``x * x`` does not always match), and the half-angle factor
-``liegroup._factors``, which stays scalar because its NumPy form makes a
-single call dearer. ``np.cos`` and ``np.sin`` give the bits of
-``math.cos`` and ``math.sin``, so ``_blocks`` calls them on the whole
-array; ``tests/test_stacked.py`` pins that.
+Elementwise formulas. Every formula of floats (the half-angle factor
+``liegroup._factors``, the hypotenuse of ``bundle._sigma_residual``,
+verify's ``np.arctan2`` and root sum of squares) is one NumPy expression,
+on one operand and on a stack alike, so a stack agrees with its single
+calls by construction; no formula runs per element on Python floats.
+Their bits are NumPy's, which need not be ``math``'s: ``np.hypot``,
+``np.arctan2`` and ``x * x`` each differ from ``math.hypot``,
+``math.atan2`` and C ``pow(x, 2)`` in the last bit on some inputs.
+``tests/test_stacked.py`` pins that ``np.cos`` and ``np.sin``, which
+``_blocks`` calls on the whole array, give the bits of ``math.cos`` and
+``math.sin``.
 """
 
 from __future__ import annotations
@@ -196,26 +197,6 @@ def _groups(key) -> list:
     if key.ndim == 0:
         return [(key, ...)]
     return [(k, key == k) for k in np.unique(key)]
-
-
-def _scalar_formula(fn):
-    """``fn``, a formula of floats, applied to each element of its equally shaped arguments.
-
-    Each element is computed by ``fn`` itself, on Python floats, so a stack
-    agrees bit for bit with one call per element. Scalars give a float,
-    arrays a float array of their shape.
-    """
-
-    def apply(x, *more):
-        if type(x) is not np.ndarray:
-            return fn(x, *more)
-        out = map(fn, x.ravel().tolist(), *(y.ravel().tolist() for y in more))
-        return np.fromiter(out, float, x.size).reshape(x.shape)
-
-    return apply
-
-
-_hypot = _scalar_formula(math.hypot)
 
 
 @lru_cache(maxsize=64)

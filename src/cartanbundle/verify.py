@@ -54,9 +54,9 @@ line maps read. The oracles ``series_exp`` and
 of each matrix; the canonical forms and the involution eigenspaces of a
 stack vary in their count of angles and their dimension, and their
 products are grouped by it. The seam row reads its records' rotations
-through ``math.atan2``, per element (``matcore._scalar_formula``); the
-line rows' oracle (``_paper_lines``) takes ``np.cos`` and ``np.sin``,
-whose bits are those of ``math.cos`` and ``math.sin``.
+through ``np.arctan2``, on the whole stack of pairs; the line rows' oracle
+(``_paper_lines``) takes ``np.cos`` and ``np.sin``, whose bits are those
+of ``math.cos`` and ``math.sin``.
 ``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
 most rows, and requires the same errors bit for bit.
 
@@ -424,10 +424,6 @@ def _dp_log0_roundtrip(cfg, B):
     return np.maximum(mc._norm(back.B - B, 2), mc._norm(gr.dp_exp(back, tol).mat - R.mat, 2))
 
 
-# sqrt(a^2 + b^2 + c^2) on floats, with Python's ** (C pow), which x * x does not always match
-_root_sum_squares = mc._scalar_formula(lambda a, b, c: math.sqrt(a**2 + b**2 + c**2))
-
-
 def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     """(r, |r - 2 off| / (1 + r)) for r = |sigma(g) - g|, for each motion of stacks.
 
@@ -436,7 +432,8 @@ def _fixed_point_residual(g: Motion, sig: gr.Signature) -> tuple:
     """
     p = sig.p
     r = _motion_dist(bn.sigma(g, sig), g)
-    off = _root_sum_squares(mc._norm(g.R[:, :p, p:], 2), mc._norm(g.R[:, p:, :p], 2), mc._norm(g.X[:, :p], 1))
+    a, b, c = mc._norm(g.R[:, :p, p:], 2), mc._norm(g.R[:, p:, :p], 2), mc._norm(g.X[:, :p], 1)
+    off = np.sqrt(a * a + b * b + c * c)
     return r, np.abs(r - 2.0 * off) / (1.0 + r)
 
 
@@ -625,15 +622,12 @@ def _seam_pairs(cfg, rng, count):
     return last, first[np.abs(lam[:, None] + lam).argmin(axis=1)]
 
 
-_atan2 = mc._scalar_formula(math.atan2)
-
-
 def _moebius_seam(cfg, last, first):
     """(line-angle deviation modulo pi, 1 if the fiber along e_1 keeps its orientation) across the seam, per pair.
 
     The line that a record's rotation carries is at half its rotation angle.
     """
-    d = (0.5 * _atan2(last[:, 1], last[:, 0]) - 0.5 * _atan2(first[:, 1], first[:, 0])) % math.pi
+    d = (0.5 * np.arctan2(last[:, 1], last[:, 0]) - 0.5 * np.arctan2(first[:, 1], first[:, 0])) % math.pi
     lam, y0 = last[:, 2], last[:, 3]
     flipped = (np.abs(lam) <= 1e-12) | (np.copysign(1.0, y0) == np.copysign(1.0, -lam))
     return np.minimum(d, math.pi - d), np.where(flipped, 0.0, 1.0)

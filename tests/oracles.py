@@ -100,9 +100,9 @@ def dp_log_v_oracle(omega, X, p):
 
 
 def sigma_residual_oracle(g, sig):
-    """|| sigma(g) g - I || from sigma(g) built as a motion, block by block."""
+    """|| sigma(g) g - I || from sigma(g) built as a motion, block by block, combined by ``np.hypot`` as the library does."""
     h = sigma(g, sig)
-    return math.hypot(
+    return np.hypot(
         np.linalg.norm(h.R @ g.R - np.eye(sig.n)), np.linalg.norm(h.X + h.R @ g.X)
     )
 

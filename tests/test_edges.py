@@ -1,8 +1,8 @@
 """Adversarial spectra for exp/log on SE(n), the canonical forms and the bundle.
 
 Each case builds a screw or a rotation from chosen angles in a seeded random
-basis, so the hard inputs are hit on purpose: angles across the 1e-4 Taylor
-switch of the half-angle factor, repeated angles and clusters 1e-9 wide
+basis, so the hard inputs are hit on purpose: small angles, below 1e-4, and
+just above it, repeated angles and clusters 1e-9 wide
 (one of them at cos(theta) = -1/2), angles just inside and just outside
 ``tol.branch`` of pi, exactly pi, angles near 2 pi for ``y_omega_solve``,
 angles beyond pi up to 8 pi, translations from 1e6 to 1e9, and n up to 32.
@@ -119,7 +119,7 @@ def spectra(draw, top):
     n = draw(st.integers(2, 32))
     k = draw(st.integers(1, n // 2))
     family = draw(st.sampled_from(["taylor", "repeated", "cluster", "generic"]))
-    if family == "taylor":  # across the 1e-4 switch
+    if family == "taylor":  # small angles, below 1e-4, and just above
         angles = draw(st.lists(st.floats(5e-5, 2e-4), min_size=1, max_size=k))
     elif family == "generic":
         angles = draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=k))

@@ -22,8 +22,10 @@ from cartanbundle import (
     y_omega,
     y_omega_solve,
 )
+from cartanbundle.liegroup import _factors
 from cartanbundle.matcore import skew_wedge
 from cartanbundle.sampling import (
+    make_rng,
     sample_motion,
     sample_rotation,
     sample_screw,
@@ -317,8 +319,8 @@ class TestTwoFormRouteOracle:
 
     @pytest.mark.parametrize("scale", [0.5e-4, 2e-4, 1.0, 3.0])
     def test_exp_and_log(self, rng, n, scale):
-        # the largest angle is `scale`; at 2e-4 the smaller ones straddle
-        # the 1e-4 Taylor switch of the half-angle factor
+        # the largest angle is `scale`; at 2e-4 the smaller ones reach
+        # small angles, below 1e-4
         omega = scale * _unit_skew(rng, n)
         v = rng.standard_normal(n)
         g = se_exp(Screw(omega, v))
@@ -385,3 +387,36 @@ _I2, _O2, _NAN = np.eye(2), np.zeros((2, 2)), math.nan
 def test_invalid_input_error_class(call, error):
     with pytest.raises(error):
         call()
+
+
+def _factor_angles():
+    """Seeded angles: uniform and log-uniform below 1e-4 (down to 1e-300), [1e-4, 7], negatives, 2 pi +- 1e-6."""
+    rng = make_rng(20261020, 0)
+    return np.concatenate([
+        rng.uniform(0.0, 1e-4, 20_000),
+        10.0 ** rng.uniform(-300.0, -4.0, 20_000),
+        rng.uniform(1e-4, 7.0, 20_000),
+        -rng.uniform(0.0, 7.0, 20_000),
+        -(10.0 ** rng.uniform(-300.0, -4.0, 5_000)),
+        2.0 * math.pi + rng.uniform(-1e-6, 1e-6, 20_000),
+    ])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+def test_half_angle_factor_is_within_one_eps_of_a_long_double_reference():
+    theta = _factor_angles()
+    h = theta.astype(np.longdouble) / 2
+    reference = np.sin(h) / h
+    assert np.all(np.abs((_factors(theta) - reference) / reference) <= np.finfo(float).eps)
+
+
+def test_half_angle_factor_keeps_its_bits_from_1e_4_up():
+    theta = _factor_angles()
+    theta = theta[np.abs(theta) >= 1e-4]
+    expected = [2.0 * math.sin(0.5 * t) / t for t in theta.tolist()]
+    assert _factors(theta).tobytes() == np.array(expected).tobytes()
+
+
+def test_half_angle_factor_is_one_at_zero():
+    f = _factors(np.array([0.0, -0.0]))
+    assert f.tolist() == [1.0, 1.0] and f.dtype == np.float64

@@ -3,8 +3,8 @@ k single calls bit for bit, and a stack with one bad element raises the
 error class of that element's single call, with its ``index`` in the
 context.
 
-The stacks mix the hard inputs of each kernel: angles on both sides of the
-1e-4 Taylor switch of the half-angle factor, rotations with angles near pi
+The stacks mix the hard inputs of each kernel: small angles, below 1e-4,
+and angles just above it, rotations with angles near pi
 (the pairing path of the log, with splits m = 0, 2 and 4 and exact -1
 eigenspaces in one stack), and principal angles below 1e-2 (the sine
 branch of the principal pairs).
@@ -53,7 +53,7 @@ from cartanbundle.sampling import (
 
 SHAPES = [(4, 2), (8, 3), (5, 2), (2, 1), (6, 5), (32, 5)]
 TOL = Tolerances()
-# angles of the turning planes: across the Taylor switch, generic, and near pi
+# angles of the turning planes: small angles, below 1e-4, and just above, generic, and near pi
 ANGLES = [0.0, 3e-5, 9.9e-5, 1.01e-4, 2e-4, 0.7, 2.0, math.pi - 1e-3, math.pi - 1e-9]
 
 
@@ -499,7 +499,7 @@ GRIDS = [(K,), (2, 3)]
 
 
 def _draw_screws(rng, shape):
-    """Skews across the Taylor switch and near pi, and vectors."""
+    """Skews with small angles, below 1e-4, and angles near pi, and vectors."""
     return _skews(rng, N, math.prod(shape)).reshape(shape + (N, N)), rng.standard_normal(shape + (N,))
 
 

@@ -368,9 +368,8 @@ def _fixed_points(cfg, R, X, Rh, Xh):
 
     def residual(g):
         r = _dist(bundle.sigma(g, sig), g)
-        off = math.sqrt(
-            np.linalg.norm(g.R[:p, p:]) ** 2 + np.linalg.norm(g.R[p:, :p]) ** 2 + np.linalg.norm(g.X[:p]) ** 2
-        )
+        a, b, c = np.linalg.norm(g.R[:p, p:]), np.linalg.norm(g.R[p:, :p]), np.linalg.norm(g.X[:p])
+        off = math.sqrt(a * a + b * b + c * c)  # squared as x * x, as verify squares
         return r, abs(r - 2.0 * off) / (1.0 + r)
 
     g, h = Motion(R, X), Motion(Rh, Xh)
@@ -467,7 +466,7 @@ def _half_angle_line(cfg, U, theta):
 def _moebius_seam(cfg, last, first):
     # each record pair's columns (r00, r10, lambda, y0); a line's angle is half its rotation's
     r00, r10, lam, y0 = map(float, last)
-    d = (0.5 * math.atan2(r10, r00) - 0.5 * math.atan2(float(first[1]), float(first[0]))) % math.pi
+    d = (0.5 * np.arctan2(r10, r00) - 0.5 * np.arctan2(float(first[1]), float(first[0]))) % math.pi
     flipped = abs(lam) <= 1e-12 or math.copysign(1.0, y0) == math.copysign(1.0, -lam)
     return min(d, math.pi - d), float(not flipped)
 

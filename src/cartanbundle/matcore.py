@@ -87,21 +87,23 @@ certified value (a ``Plane``, ``BundlePoint``, ``CartanRotation``,
 ``CartanMotion``, ``DpGenerator`` or ``DpElement``) whose arrays carry the
 leading shape; n, p and the signature are read from the trailing axes,
 and the whole stack shares one ``_tol``. Each map is its own kernel, with
-no twin that takes a ``batch``. Only the maps that return one record, or
-read Python scalars, take one operand: the canonical forms, the
-involution eigenspace and the three line maps raise
+no twin that takes a ``batch``. Only the maps that return one record
+take one operand: the canonical forms and the involution eigenspace raise
 ``DimensionMismatchError`` for a stack (``_one``, after a check that takes
-stacks). Group arithmetic and the records' matrices read stacks as they
-are. Each element of a stack
-comes out bit for bit as it would alone, since stacked ``eigh``, ``svd``,
-``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot`` equal their per-slice
-calls, and ``matvec`` and ``vecdot`` of one operand equal its ``@``. An
-element that fails a check raises the error class of its single call, with
-its ``index`` in the stack in the error's context (``_require``). Where the
-elements of a stack differ in a count (the pairs of a skew matrix, the
-split of a log, the angles of a form, the small principal angles of two
-planes), they are grouped by it (``_groups``), and each group runs as one
-stack; no map loops over the elements of a stack one by one.
+stacks). The line maps read their stack shape from the direction U, their
+second operand: the angle and fiber coordinate are real scalars for one
+direction, and arrays of the directions' leading shape for a stack.
+Group arithmetic and the records' matrices read stacks as they are. Each
+element of a stack comes out bit for bit as it would alone, since stacked
+``eigh``, ``svd``, ``qr``, ``det``, ``matmul``, ``matvec`` and ``vecdot``
+equal their per-slice calls, and ``matvec`` and ``vecdot`` of one operand
+equal its ``@``. An element that fails a check raises the error class of
+its single call, with its ``index`` in the stack in the error's context
+(``_require``). Where the elements of a stack differ in a count (the pairs
+of a skew matrix, the split of a log, the angles of a form, the small
+principal angles of two planes), they are grouped by it (``_groups``), and
+each group runs as one stack; no map loops over the elements of a stack one
+by one.
 
 Elementwise formulas. Every formula of floats (the half-angle factor
 ``liegroup._factors``, the hypotenuse of ``bundle._sigma_residual``,
@@ -356,7 +358,7 @@ def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
     """x, a checked operand of ``core`` axes or a stack of them, if it is one operand, else ``DimensionMismatchError``.
 
     For a map that reads its operand through a check that takes stacks, but
-    returns one record (a canonical form, a line generator).
+    returns one record (a canonical form, an eigenspace frame).
     """
     if x.ndim != core:
         raise DimensionMismatchError(f"{name} must be one {core}-d array, not a stack, got shape {x.shape}")

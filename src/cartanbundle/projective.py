@@ -8,13 +8,15 @@ map here is a map of ``grassmann`` or ``bundle`` at the signature
 rotation by theta in the plane of e_1 and a unit direction U orthogonal to
 e_1. The rotation is ``dp_exp`` of it, its line ``rho0`` of that, and the
 line-bundle exponential ``dp_exp_full``, each from one SVD of B; the
-Moebius grid is one call of ``dp_exp_full`` on the stacked element of the
-whole grid. Every angle theta and fiber coordinate lam passes
-``matcore.check_finite_scalar``, the entry test of the arrays the library
-accepts. ``unit_direction`` and ``_line_block`` also take stacks of
-directions, which ``verify``'s line rows pass; the line maps return one
-record each and read their angle and lam as Python scalars, so they take
-one direction, and a stack fails the direction check (``matcore._one``)."""
+Moebius grid is one call of ``line_bundle_exp`` on the whole grid.
+
+The line maps take one direction U or a stack of them, and read the stack
+shape once, from U (checked first, by ``unit_direction``). For one U, the
+angle theta and the fiber coordinate lam are real scalars and pass
+``matcore.check_finite_scalar``; for a stack, each is an array of U's
+leading shape, checked per element as an array entry is, and an element
+that fails raises its single call's error class with its ``index``. Each
+element comes out bit for bit as its single call."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .bundle import DpElement, dp_exp_full
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, dp_exp, rho0
 from .liegroup import Motion
-from .matcore import _is_dim, _norm, _one, _require, check_finite_scalar, check_finite_vector
+from .matcore import _in_domain, _is_dim, _norm, _real, _require, check_finite_scalar, check_finite_vector
 
 _UNIT_TOL = 1e-12  # |1 - |U|| of a unit direction, and |U[0]|
 
@@ -50,13 +52,30 @@ def _line_block(theta, U: np.ndarray) -> np.ndarray:
     return np.asarray(theta)[..., None, None] * U[..., 1:, None]
 
 
-def _line_generator(theta: float, U: np.ndarray) -> DpGenerator:
-    """The generator of the rotation by theta in the plane of e_1 and one direction U; U is checked first, then theta."""
-    U = _one(unit_direction(U), "direction", 1)
-    return DpGenerator(1, len(U) - 1, _line_block(check_finite_scalar(theta, "rotation angle"), U))
+def _per_line(x, lead: tuple, name: str):
+    """x, an angle or a fiber coordinate, checked as the directions' leading shape ``lead`` asks.
+
+    For one direction (``lead`` is ()), x is a real scalar; for a stack, an
+    array of shape ``lead``, each element checked as an array entry is.
+    """
+    if not lead:
+        return check_finite_scalar(x, name)
+    x = _real(x, name)
+    if x.shape != lead:
+        raise DimensionMismatchError(f"{name} must have the directions' leading shape {lead}, got shape {x.shape}")
+    return _in_domain(x, name, 0)
 
 
-def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
+def _line_generator(theta, U: np.ndarray) -> DpGenerator:
+    """The generator of the rotation by theta in the plane of e_1 and U; U is checked first, then theta.
+
+    For a stack of directions, one generator per direction, as one stack.
+    """
+    U = unit_direction(U)
+    return DpGenerator(1, U.shape[-1] - 1, _line_block(_per_line(theta, U.shape[:-1], "rotation angle"), U))
+
+
+def rotation_in_plane(theta: float | np.ndarray, U: np.ndarray) -> np.ndarray:
     """Rotation by theta in the plane of e_1 and U: exp(-theta e_1 ^ U), read-only.
 
     Sends e_1 to cos(theta) e_1 + sin(theta) U and fixes the orthogonal
@@ -66,7 +85,7 @@ def rotation_in_plane(theta: float, U: np.ndarray) -> np.ndarray:
     return dp_exp(_line_generator(theta, U)).mat
 
 
-def half_angle_line(theta: float, U: np.ndarray) -> Plane:
+def half_angle_line(theta: float | np.ndarray, U: np.ndarray) -> Plane:
     """The line carried by R_{theta,U}: [cos(theta/2) e_1 + sin(theta/2) U].
 
     It is ``rho0`` of ``dp_exp``, whose frame is that half-angle vector in
@@ -76,7 +95,7 @@ def half_angle_line(theta: float, U: np.ndarray) -> Plane:
     return rho0(dp_exp(_line_generator(theta, U)))
 
 
-def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
+def line_bundle_exp(theta: float | np.ndarray, U: np.ndarray, lam: float | np.ndarray) -> Motion:
     """Exponential of the line-bundle generator (-theta e_1 ^ U, lam e_1), read-only.
 
     It is the motion of ``dp_exp_full`` at v = [lam]: the translation is lam
@@ -85,8 +104,8 @@ def line_bundle_exp(theta: float, U: np.ndarray, lam: float) -> Motion:
     the input domain raises ``DimensionMismatchError``.
     """
     gen = _line_generator(theta, U)
-    lam = check_finite_scalar(lam, "fiber coordinate lam")
-    return dp_exp_full(DpElement(gen, np.array([lam]))).motion
+    lam = _per_line(lam, gen.B.shape[:-2], "fiber coordinate lam")
+    return dp_exp_full(DpElement(gen, np.asarray(lam)[..., None])).motion
 
 
 # theta, lambda; R row-major; X; the carried line angle theta/2; the fiber (X again)
@@ -100,10 +119,9 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     and carry, in the order of ``MOEBIUS_COLUMNS``: theta, lambda, the
     rotation R row-major, the translation X, the carried line angle theta/2,
     and the fiber (X again). Each record is ``line_bundle_exp(theta, e_2,
-    lambda)``, bit for bit, from one call of ``dp_exp_full`` on the stacked
-    element of the whole grid. The sizes must be integers from 1 to ``matcore._MAX_DIM``
-    and lambda_max must be in the input domain, else
-    ``DimensionMismatchError``.
+    lambda)``, bit for bit, from one call of it on the grid. The sizes must
+    be integers from 1 to ``matcore._MAX_DIM`` and lambda_max must be in the
+    input domain, else ``DimensionMismatchError``.
     """
     if not all(_is_dim(k) for k in (num_theta, num_lambda)):
         raise DimensionMismatchError("grid sizes must be integers from 1 to matcore._MAX_DIM")
@@ -111,8 +129,7 @@ def moebius_grid(num_theta: int, num_lambda: int, lambda_max: float) -> list:
     grid = (num_theta, num_lambda)
     theta = np.broadcast_to((2.0 * math.pi * np.arange(num_theta) / num_theta)[:, None], grid)
     lam = np.broadcast_to(np.linspace(-lambda_max, lambda_max, num_lambda), grid)
-    gen = DpGenerator(1, 1, _line_block(theta, np.array([0.0, 1.0])))
-    motion = dp_exp_full(DpElement(gen, lam[..., None])).motion
+    motion = line_bundle_exp(theta, np.broadcast_to([0.0, 1.0], grid + (2,)), lam)
     R, X = motion.R, motion.X.reshape(-1, 2)
     values = np.column_stack([theta.ravel(), lam.ravel(), R.reshape(-1, 4), X, 0.5 * theta.ravel(), X])
     return [dict(zip(MOEBIUS_COLUMNS, row)) for row in values.tolist()]

@@ -31,8 +31,8 @@ combined with ``np.maximum`` and ``np.max``, which keep a NaN.
 
 Every row checks whole stacks: its check, ``check(cfg, *stacks)``, calls
 the public maps on them, and names no private attribute of ``bundle``,
-``grassmann`` or ``liegroup``. A stack of certified values is one
-``Plane``, ``BundlePoint``, ``CartanRotation``, ``CartanMotion``,
+``grassmann``, ``liegroup`` or ``projective``. A stack of certified values
+is one ``Plane``, ``BundlePoint``, ``CartanRotation``, ``CartanMotion``,
 ``DpGenerator`` or ``DpElement`` whose arrays carry the stacks' leading
 shape, so the constructors and the maps of certified values take the
 stacks as the exponentials and the predicates do. Each element of a stack
@@ -43,7 +43,8 @@ S_p and cut locus); an element that fails raises the single call's error
 class with its ``index`` in the context, and fails its row. Besides the
 public maps, the checks read ``matcore``'s kernels of the one-record
 canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
-and wedge, and ``projective``'s line block.
+and wedge. The line rows and the seam draw call the public line maps on
+their stacks; the seam draw is one ``line_bundle_exp`` on a 2 x 9 grid.
 Every check sees one dimension: a row that draws samples of several
 dimensions (``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
 the check once per dimension and maps a raise's ``index`` back to the
@@ -569,21 +570,12 @@ def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + np.sin(half)[:, None] * U
 
 
-def _line_inputs(U: np.ndarray, theta: np.ndarray) -> tuple:
-    """(U, theta, sig): U and theta checked per element as the line maps check them, and sig = (1, n - 1)."""
-    U = pj.unit_direction(U)
-    theta = mc.check_finite_vector(theta[:, None], 1, "rotation angle", U.shape[:-1])[:, 0]
-    return U, theta, gr.Signature(1, U.shape[-1] - 1)
-
-
 def _line_bundle_exp(cfg, U, theta, lam):
     """|line_bundle_exp - se_exp|, and the fiber off the paper's half-angle line; the maps read the defaults."""
-    U, theta, sig = _line_inputs(U, theta)
-    lam = mc.check_finite_vector(lam[:, None], 1, "fiber coordinate lam", theta.shape)
-    m = bn.dp_exp_full(bn.DpElement(gr.DpGenerator(sig.p, sig.q, pj._line_block(theta, U)), lam)).motion
-    E1 = mc.basis_vector(1, sig.n)
+    m = pj.line_bundle_exp(theta, U, lam)
+    E1 = mc.basis_vector(1, U.shape[-1])
     omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
-    g = lg.se_exp(Screw(omega, lam * E1))
+    g = lg.se_exp(Screw(omega, lam[:, None] * E1))
     # fiber sits on the half-angle line
     V = _paper_lines(theta, U)
     return np.maximum(_motion_dist(m, g), mc._norm(m.X - V * np.vecdot(V, m.X)[:, None], 1))
@@ -591,12 +583,10 @@ def _line_bundle_exp(cfg, U, theta, lam):
 
 def _half_angle_line(cfg, U, theta):
     """The line of rotation_in_plane (certified under cfg.tol) and half_angle_line, each against the paper's."""
-    U, theta, sig = _line_inputs(U, theta)
-    R = gr.dp_exp(gr.DpGenerator(sig.p, sig.q, pj._line_block(theta, U)))
-    certified = gr.rho0(gr.CartanRotation(R.mat, sig, cfg.tol)).projector
+    R = gr.CartanRotation(pj.rotation_in_plane(theta, U), gr.Signature(1, U.shape[-1] - 1), cfg.tol)
     V = _paper_lines(theta, U)
     VV = V[:, :, None] * V[:, None, :]
-    return np.maximum(mc._norm(certified - VV, 2), mc._norm(gr.rho0(R).projector - VV, 2))
+    return np.maximum(mc._norm(gr.rho0(R).projector - VV, 2), mc._norm(pj.half_angle_line(theta, U).projector - VV, 2))
 
 
 _SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
@@ -607,17 +597,17 @@ def _seam_pairs(cfg, rng, count):
 
     Only the two theta rows that meet at the seam are computed, theta = 0
     and the last, with ``moebius_grid``'s expressions for theta and lambda,
-    as one stacked ``dp_exp_full`` call: each record is the grid's, bit for
-    bit. Each record of the last theta row is paired with the theta = 0
-    record of the opposite lambda (the first one nearest it). Row k of each
-    array holds the columns r00, r10, lambda and y0 of pair k's record.
+    as one ``line_bundle_exp`` call on that 2 x 9 grid: each record is the
+    grid's, bit for bit. Each record of the last theta row is paired with
+    the theta = 0 record of the opposite lambda (the first one nearest it).
+    Row k of each array holds the columns r00, r10, lambda and y0 of pair
+    k's record.
     """
     num_theta, num_lambda, lambda_max = _SEAM_GRID
     grid = (2, num_lambda)
     theta = np.broadcast_to((2.0 * math.pi * np.array([0, num_theta - 1]) / num_theta)[:, None], grid)
     lam = np.linspace(-lambda_max, lambda_max, num_lambda)
-    gen = gr.DpGenerator(1, 1, pj._line_block(theta, np.array([0.0, 1.0])))
-    m = bn.dp_exp_full(bn.DpElement(gen, np.broadcast_to(lam, grid)[..., None])).motion
+    m = pj.line_bundle_exp(theta, np.broadcast_to([0.0, 1.0], grid + (2,)), np.broadcast_to(lam, grid))
     first, last = np.stack([m.R[..., 0, 0], m.R[..., 1, 0], np.broadcast_to(lam, grid), m.X[..., 0]], axis=-1)
     return last, first[np.abs(lam[:, None] + lam).argmin(axis=1)]
 

@@ -617,16 +617,12 @@ def test_a_bracket_of_stacks_gives_its_single_brackets(shape):
             assert [_bits(a[i]) for a in _fields(stacked)] == [_bits(b) for b in _fields(single)], i
 
 
-# A map that returns one record (a canonical form, an eigenspace frame) or
-# reads Python scalars (the line maps) takes one operand.
+# A map that returns one record (a canonical form, an eigenspace frame) takes one operand.
 ONE_OPERAND_MAPS = {
-    "skew_canonical_form": lambda R, X, U: mc.skew_canonical_form(R - R.mT),
-    "canonical_rotation_form": lambda R, X, U: mc.canonical_rotation_form(R),
-    "eigenspace_of_symmetric_involution": lambda R, X, U: mc.eigenspace_of_symmetric_involution(
+    "skew_canonical_form": lambda R, X: mc.skew_canonical_form(R - R.mT),
+    "canonical_rotation_form": lambda R, X: mc.canonical_rotation_form(R),
+    "eigenspace_of_symmetric_involution": lambda R, X: mc.eigenspace_of_symmetric_involution(
         R @ SIG.matrix @ R.mT, -1),
-    "rotation_in_plane": lambda R, X, U: pj.rotation_in_plane(0.3, U),
-    "half_angle_line": lambda R, X, U: pj.half_angle_line(0.3, U),
-    "line_bundle_exp": lambda R, X, U: pj.line_bundle_exp(0.3, U, 1.0),
 }
 
 
@@ -634,13 +630,9 @@ ONE_OPERAND_MAPS = {
 def test_a_map_that_returns_one_record_takes_no_stack(name):
     rng = make_rng(53, 0)
     R, X = sample_motions(rng, N, 3)
-    U = sample_unit_directions(rng, N, 3)
-    ONE_OPERAND_MAPS[name](R[0], X[0], U[0])  # one operand passes
-    with pytest.raises(DimensionMismatchError) as info:
-        ONE_OPERAND_MAPS[name](R, X, U)
-    if name in ("rotation_in_plane", "half_angle_line", "line_bundle_exp"):
-        # a stack of directions fails in the direction check, not later in the generator block
-        assert str(info.value).startswith("direction must be one 1-d array")
+    ONE_OPERAND_MAPS[name](R[0], X[0])  # one operand passes
+    with pytest.raises(DimensionMismatchError):
+        ONE_OPERAND_MAPS[name](R, X)
 
 
 # One bad element in a stack raises what its single call raises, with its index.
@@ -898,6 +890,12 @@ def _draw_plane_pairs(rng, shape):
     return F1, np.where(same, F1 @ turn, F2)
 
 
+def _draw_lines(rng, shape):
+    """(theta, U, lam): angles that mix ``ANGLES`` with generic ones of either sign, unit directions, and lams."""
+    theta = np.where(rng.random(shape) < 0.5, rng.choice(ANGLES, size=shape), rng.uniform(-7.0, 7.0, shape))
+    return theta, sample_unit_directions(rng, N, shape), rng.standard_normal(shape)
+
+
 def _cut_locus(B):
     """A generator whose principal angle is pi / 2."""
     return np.array([[math.pi, 0.0], [0.0, 0.5], [0.0, 0.0]])
@@ -957,6 +955,12 @@ CERTIFIED_MAPS = {
                     (1, _scaled, DegenerateSpanError)),
     "principal_angles": (_draw_plane_pairs, lambda F1, F2: gr.principal_angles(_plane(F1), _plane(F2)),
                          (0, _nan, DimensionMismatchError)),
+    # the line maps read their stack shape from U, their second operand
+    "rotation_in_plane": (_draw_lines, lambda theta, U, lam: pj.rotation_in_plane(theta, U),
+                          (1, lambda U: 2.0 * U, DimensionMismatchError)),
+    "half_angle_line": (_draw_lines, lambda theta, U, lam: pj.half_angle_line(theta, U),
+                        (0, _nan, DimensionMismatchError)),
+    "line_bundle_exp": (_draw_lines, pj.line_bundle_exp, (2, _nan, DimensionMismatchError)),
 }
 
 
@@ -1019,7 +1023,12 @@ def _planes_of(shape) -> gr.Plane:
     return _plane(*_draw_frames(make_rng(57, len(shape)), shape))
 
 
-# A second operand of another leading shape than the first's
+def _directions_of(shape) -> np.ndarray:
+    return sample_unit_directions(make_rng(62, len(shape)), N, shape)
+
+
+# An operand of another leading shape than the operand the map reads its stack
+# shape from: the first, or the direction U of a line map
 LEADING_SHAPE_MISMATCHES = {
     "bundle_act-motions-3-point-stack-2": lambda: bn.bundle_act(Motion(*sample_motions(make_rng(58, 0), N, 3)),
                                                                 _points_of((2,)), SIG),
@@ -1035,6 +1044,11 @@ LEADING_SHAPE_MISMATCHES = {
     "CartanMotion-rotations-3-translations-2": lambda: bn.CartanMotion(
         Motion(np.tile(np.eye(N), (3, 1, 1)), np.zeros((2, N))), SIG),
     "tau-rotations-3-one-translation": lambda: bn.tau(Motion(np.tile(np.eye(N), (3, 1, 1)), np.zeros(N)), SIG),
+    "rotation_in_plane-directions-3-thetas-2": lambda: pj.rotation_in_plane(np.zeros(2), _directions_of((3,))),
+    "half_angle_line-directions-3-one-theta": lambda: pj.half_angle_line(0.3, _directions_of((3,))),
+    "half_angle_line-directions-2x3-thetas-3": lambda: pj.half_angle_line(np.zeros(3), _directions_of((2, 3))),
+    "line_bundle_exp-directions-3-lams-2": lambda: pj.line_bundle_exp(np.zeros(3), _directions_of((3,)), np.zeros(2)),
+    "line_bundle_exp-one-direction-lams-2": lambda: pj.line_bundle_exp(0.3, _directions_of((1,))[0], np.zeros(2)),
 }
 
 
@@ -1131,8 +1145,8 @@ def test_only_the_validators_take_a_batch():
     assert found == BATCH_FUNCTIONS
 
 
-def test_verify_names_no_private_attribute_of_bundle_grassmann_or_liegroup():
-    private = {"bundle", "grassmann", "liegroup"}
+def test_verify_names_no_private_attribute_of_bundle_grassmann_liegroup_or_projective():
+    private = {"bundle", "grassmann", "liegroup", "projective"}
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     aliases = set()
     for node in ast.walk(tree):
@@ -1142,7 +1156,7 @@ def test_verify_names_no_private_attribute_of_bundle_grassmann_or_liegroup():
                     assert not alias.name.startswith("_"), alias.name
                 elif node.module is None and alias.name in private:  # from . import bundle as bn
                     aliases.add(alias.asname or alias.name)
-    assert aliases == {"bn", "gr", "lg"}
+    assert aliases == {"bn", "gr", "lg", "pj"}
     named = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases}
     assert named and not [name for name in named if name.split(".")[1].startswith("_")]

@@ -140,7 +140,8 @@ def test_one_qr_per_property(monkeypatch):
 
 def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
     # the last theta row of the grid carries its fibers unflipped across the seam
-    exp_full = bundle.dp_exp_full
+    # line_bundle_exp, which the seam draw calls, reaches dp_exp_full through projective's name
+    exp_full = projective.dp_exp_full
 
     def unflipped(xi, tol=bundle.default_tolerances()):
         s = exp_full(xi, tol)
@@ -148,7 +149,7 @@ def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
         X[-1] = -X[-1]  # the seam row's stack holds the theta = 0 row, then the last
         return bundle.CartanMotion(Motion(s.motion.R, X), s.sig, tol)
 
-    monkeypatch.setattr(bundle, "dp_exp_full", unflipped)
+    monkeypatch.setattr(projective, "dp_exp_full", unflipped)
     samples, max_error, passed = _run_one("projective.moebius_seam")
     assert samples >= 1 and math.isfinite(max_error) and not passed
 

@@ -101,6 +101,7 @@ from .grassmann import (
     _checked_where_unsure,
     _cs_frame,
     _cs_rotation,
+    _dp_generator,
     _embed_matrix,
     _frozen,
     _generator,
@@ -379,8 +380,8 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
     A, e = _checked_rotation(g.R, tol, sig.n)
     X, j = check_finite_vector(g.X, sig.n, "translation", A.shape[:-2]), sig._signs
     R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
-    rot = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND
-    sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + _norm(Y, 1)), Y)
+    rot, size = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND, _norm(Y, 1)
+    sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + size), Y, size)
     F = _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(Y)), sig=sig, _frame=_frozen(F))
 
@@ -470,7 +471,7 @@ def find_transporter(src: BundlePoint, dst: BundlePoint) -> Motion:
     if (src.n, src.plane.p) != (dst.n, dst.plane.p):
         raise DimensionMismatchError("bundle points must share (n, p)")
     _stacked_like(dst.fiber, 1, src.fiber.shape[:-1], "bundle point")
-    C = _complete_frames(np.stack([dst.plane.frame, src.plane.frame]))
+    C = _complete_frames(np.array([dst.plane.frame, src.plane.frame]))  # one copy, without np.stack's Python wrapper
     A = C[0] @ C[1].mT
     return Motion(A, 0.5 * (dst.fiber - np.matvec(A, src.fiber)))
 
@@ -482,13 +483,15 @@ def dp_exp_full(
 
     One thin SVD B = U diag(s) V^T gives exp(xi). The rotation is the
     cosine-sine form (``_cs_rotation``). The frame F of its plane is the
-    cosine-sine form at half the angles (``_cs_frame``): exp(omega/2) turns
-    each principal pair by s_i/2. Y_omega turns it so too and also scales
-    it by f_i = 2 sin(s_i/2)/s_i, so the translation comes from that frame,
-    Y_omega (v, 0) = F (v + V ((f - 1) V^T v)). The residuals are rounding
-    only, so nothing is checked unless ``tol`` is below that or the
-    translation leaves the input domain (``_sure``); then the motion goes
-    through the public check (``_checked_where_unsure``). ``verify`` passes
+    cosine-sine form at half the angles t = s/2 (``_cs_frame``): exp(omega/2)
+    turns each principal pair by t_i. Y_omega turns it so too and also
+    scales it by f_i = sin(t_i)/t_i, so the translation comes from that
+    frame, Y_omega (v, 0) = F (v + V ((f - 1) V^T v)). cos t and sin t are
+    computed once, and the factor reuses sin t (``_factors``), the same
+    value it would compute. The residuals are rounding only, so nothing is
+    checked unless ``tol`` is below that or the translation leaves the
+    input domain (``_sure``, given |X|); then the motion goes through the
+    public check (``_checked_where_unsure``). ``verify`` passes
     these motions through the public constructor and checks the doubling
     identity exp(xi) = tau(exp(xi/2)). The motion's frame is the closed-form
     one where it is sure, else the frame the public check finds; X comes
@@ -497,10 +500,12 @@ def dp_exp_full(
     """
     sig, v = xi.gen._sig, xi.v
     V, s, U = _generator_svd(xi.gen.B)
-    F = _cs_frame(V, 0.5 * s, U)
-    R, X = _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v)))
+    t = 0.5 * s
+    sin_t = np.sin(t)
+    F = _cs_frame(V, np.cos(t), sin_t, U)
+    R, X = _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s, sin_t) - 1.0) * np.matvec(V.mT, v)))
     rot = sig.n * _ROUND
-    F = _checked_where_unsure(_sure(tol, rot, rot, X), F, _motion_check, sig, tol, R, X)
+    F = _checked_where_unsure(_sure(tol, rot, rot, X, _norm(X, 1)), F, _motion_check, sig, tol, R, X)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
 
 
@@ -508,18 +513,23 @@ def dp_log_full(s: CartanMotion) -> DpElement:
     """Inverse of dp_exp_full on generic Cartan-model motions.
 
     The frame of the plane, kept by s from its construction check, fixes
-    the principal pairs (V_i, U_i) and angles s_i; no membership check or
-    eigen decomposition runs here. The fiber is pulled back pair by pair,
-    dividing by the half-angle factor f_i = 2 sin(s_i/2)/s_i, which lies in
-    (2/pi, 1] inside the cut locus. The cut-locus test, which ``dp_log0``
-    shares, reads the tolerances s carries. The fiber of s lies in its
-    plane by its certificate, so v is not mapped forward again; ``verify``
-    checks the round trip (``bundle.dp_full_routes``). A stacked motion
-    gives a stacked element.
+    the principal pairs (V_i, U_i) and angles s_i = 2 phi_i; no membership
+    check or eigen decomposition runs here. The fiber is pulled back pair
+    by pair, turned back by phi_i and divided by the half-angle factor
+    f_i = sin(phi_i)/phi_i, which lies in (2/pi, 1] inside the cut locus.
+    cos phi is computed once, and the turn and the factor reuse the sines
+    of phi that ``_principal_pairs`` computed. The cut-locus test, which
+    ``dp_log0`` shares, reads the tolerances s carries. The generator is
+    built from s's signature and a block computed here, with no check
+    (``grassmann._dp_generator``); v is checked as every ``DpElement``'s,
+    since it can leave the input domain. The fiber of s lies in its plane
+    by its certificate, so v is not mapped forward again; ``verify`` checks
+    the round trip (``bundle.dp_full_routes``). A stacked motion gives a
+    stacked element.
     """
     sig, X = s.sig, s.motion.X
-    V, angles, U = _principal_pairs(s._frame, s._tol)
+    V, angles, U, phi, sin_phi = _principal_pairs(s._frame, s._tol)
     top, bottom = X[..., : sig.p], X[..., sig.p :]
-    a, f = np.matvec(V.mT, top), _factors(angles)
-    w = (np.cos(0.5 * angles) * a + np.sin(0.5 * angles) * np.matvec(U.mT, bottom)) / f
-    return DpElement(gen=DpGenerator(p=sig.p, q=sig.q, B=_generator(V, angles, U)), v=top + np.matvec(V, w - a))
+    a, f = np.matvec(V.mT, top), _factors(angles, sin_phi)
+    w = (np.cos(phi) * a + sin_phi * np.matvec(U.mT, bottom)) / f
+    return DpElement(gen=_dp_generator(_generator(V, angles, U), sig), v=top + np.matvec(V, w - a))

@@ -167,12 +167,11 @@ def _trusted(cls, tol: Tolerances, **fields):
     Nothing is checked: the caller vouches for every field and passes only
     read-only arrays that no caller of the library can write to. ``tol`` is
     kept as the instance's ``_tol``, so a copy reruns the public check under
-    it.
+    it. The fields go into the instance's ``__dict__`` in one update, past
+    the frozen dataclass's ``__setattr__``.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    object.__setattr__(obj, "_tol", tol)
+    obj.__dict__.update(fields, _tol=tol)
     return obj
 
 
@@ -197,7 +196,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _ROUND = 16 * np.finfo(float).eps
 
 
-def _sure(tol: Tolerances, rot: float, fib: float | None = None, X: np.ndarray | None = None) -> bool:
+def _sure(tol: Tolerances, rot: float, fib: float | None = None, X: np.ndarray | None = None,
+          size: float | None = None) -> bool:
     """Whether a by-construction output passes its public check under ``tol``.
 
     ``rot`` bounds the output's orthogonality, determinant, symmetry and
@@ -208,14 +208,24 @@ def _sure(tol: Tolerances, rot: float, fib: float | None = None, X: np.ndarray |
     must also stay below 1e-6. A translation ``X`` computed from inputs in
     the domain can leave it (tau's 2 P X reaches 2 |X|, dp_exp_full's
     Y_omega v reaches sqrt(p) |v|), so it must also be within the
-    ``matcore`` ceiling, as the public check requires. A NaN fails. For
+    ``matcore`` ceiling, as the public check requires. The caller gives
+    ``size``, the 2-norm of X (of each element of a stack), which it has
+    computed anyway. No entry exceeds the norm, so where every norm is at
+    most half the ceiling (the half covers the rounding of the norm) the
+    ceiling holds with no pass over X; otherwise each entry is tested, as
+    the public check tests it, and the answer is the same. A NaN fails. For
     bounds over a stack, the answer is per element; an output that is not
     sure goes to ``_checked_where_unsure``.
     """
     sure = (rot <= tol.orth) & (rot <= tol.invol) & (rot <= 1e-6)
     if fib is not None:
         sure = sure & (fib <= tol.fiber) & (rot + 2.0 * fib <= tol.invol)
-    return sure if X is None else sure & (np.abs(X).max(axis=-1) <= _MAX_ABS)
+    if X is None:
+        return sure
+    fits = size <= 0.5 * _MAX_ABS  # a bool for one norm, else an array; False for a NaN
+    if fits is True or fits is not False and fits.all():
+        return sure
+    return sure & (np.abs(X).max(axis=-1) <= _MAX_ABS)
 
 
 def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Tolerances, *parts) -> np.ndarray:
@@ -459,6 +469,12 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     return F, S, invol
 
 
+@lru_cache(maxsize=32)
+def _signature(p: int, q: int) -> Signature:
+    """The ``Signature`` (p, q), built once for each (p, q) read off a frame's shape."""
+    return Signature(p, q)
+
+
 def _embed_matrix(F: np.ndarray, P: np.ndarray) -> tuple:
     """(R, sig, rot): R = (I - 2 P) J for P = F F^T the projector of a plane's frame F, or for each of a stack.
 
@@ -470,7 +486,7 @@ def _embed_matrix(F: np.ndarray, P: np.ndarray) -> tuple:
     below 1e-6; the rest is rounding.
     """
     n, p = F.shape[-2:]
-    sig = Signature(p, n - p)
+    sig = _signature(p, n - p)
     e = _norm(F.mT @ F - _eye(p), 2)
     rot = 4.0 * math.sqrt(n) * e + n * _ROUND
     return (_eye(n) - 2.0 * P) * sig._signs, sig, rot
@@ -530,6 +546,18 @@ class DpGenerator:
         return _embedded(self.B)
 
 
+def _dp_generator(B: np.ndarray, sig: Signature) -> DpGenerator:
+    """The ``DpGenerator`` of a q x p float block B for sig, or a stack; nothing is checked.
+
+    For a B just computed from a certified value of that signature: the
+    fields are those of ``DpGenerator(sig.p, sig.q, B)``, with sig itself
+    kept, and B kept as it is, as the constructor keeps a float array.
+    """
+    gen = object.__new__(DpGenerator)
+    gen.__dict__.update(p=sig.p, q=sig.q, B=B, _sig=sig)
+    return gen
+
+
 def _block(B: np.ndarray, sig: Signature) -> np.ndarray:
     """B as a float array, checked as ``DpGenerator`` checks it: real numeric dtype, q x p for sig, or a stack."""
     B = _real(B, "generator block")
@@ -570,17 +598,17 @@ def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _plus_identity(R)
 
 
-def _cs_frame(V: np.ndarray, t: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The first p columns of ``_cs_rotation(V, t, U)``.
+def _cs_frame(V: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The first p columns of ``_cs_rotation(V, t, U)``, given cos t and sin t.
 
     They are [I_p + V diag(cos t - 1) V^T ; U diag(sin t) V^T]. The plane of
     exp(omega) is exp(omega/2) applied to the reference plane, so with
     t = s/2 this is an orthonormal frame of the plane of
-    ``_cs_rotation(V, s, U)``.
+    ``_cs_rotation(V, s, U)``. The caller computes the cosines and sines, so
+    that ``dp_exp_full`` can reuse sin t.
     """
-    t = t[..., None, :]
-    top = _plus_identity((V * (np.cos(t) - 1.0)) @ V.mT)
-    return np.concatenate([top, (U * np.sin(t)) @ V.mT], axis=-2)
+    top = _plus_identity((V * (cos_t[..., None, :] - 1.0)) @ V.mT)
+    return np.concatenate([top, (U * sin_t[..., None, :]) @ V.mT], axis=-2)
 
 
 def _generator_svd(B: np.ndarray) -> tuple:
@@ -608,8 +636,8 @@ def dp_exp(gen: DpGenerator, tol: Tolerances = default_tolerances()) -> CartanRo
     """
     sig = gen._sig
     V, s, U = _generator_svd(gen.B)
-    R, sure = _cs_rotation(V, s, U), _sure(tol, sig.n * _ROUND)
-    F = _checked_where_unsure(sure, _cs_frame(V, 0.5 * s, U), _cartan_rotation, sig, tol, R)
+    R, sure, t = _cs_rotation(V, s, U), _sure(tol, sig.n * _ROUND), 0.5 * s
+    F = _checked_where_unsure(sure, _cs_frame(V, np.cos(t), np.sin(t), U), _cartan_rotation, sig, tol, R)
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=_frozen(F))
 
 
@@ -670,7 +698,7 @@ _SINE_TOL = 1e-9
 
 
 def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
-    """(V, s, U) with dp_exp(U diag(s) V^T) = R, for F a frame of rho0(R).
+    """(V, s, U, phi, sin phi) with dp_exp(U diag(s) V^T) = R, for F a frame of rho0(R).
 
     The plane of exp(omega) is exp(omega/2) applied to the reference plane,
     so s is twice the principal angles phi between rho0(R) and the reference
@@ -679,6 +707,9 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
     the bottom block are F[p:] (``_angle_pairs``). A pair with
     sin(phi) <= ``_SINE_TOL`` gets a zero U column. A principal angle within
     ``tol.branch`` of pi/2 is the cut locus and raises ``CutLocusError``.
+    phi and its sines, which this computes anyway, are returned too:
+    0.5 s is phi exactly, so ``dp_log_full`` reads its half-angle factors
+    and its turn back by s/2 off them with no sine computed again.
     """
     p = F.shape[-1]
     V, phi, W = _angle_pairs(F[..., :p, :], F[..., p:, :])
@@ -687,9 +718,13 @@ def _principal_pairs(F: np.ndarray, tol: Tolerances) -> tuple:
              max_principal_angle=top)
     sin_phi = np.sin(phi)
     inv_sin = np.divide(1.0, sin_phi, out=np.zeros(phi.shape), where=sin_phi > _SINE_TOL)
-    return V, 2.0 * phi, (F[..., p:, :] @ W) * inv_sin[..., None, :]
+    return V, 2.0 * phi, (F[..., p:, :] @ W) * inv_sin[..., None, :], phi, sin_phi
 
 
 def dp_log0(R: CartanRotation) -> DpGenerator:
-    """Generator with dp_exp(gen) = R, for planes in generic position, under R's tolerances."""
-    return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, R._tol)))
+    """Generator with dp_exp(gen) = R, for planes in generic position, under R's tolerances.
+
+    The generator is built from R's signature and a block computed here,
+    which pass its check by construction (``_dp_generator``).
+    """
+    return _dp_generator(_generator(*_principal_pairs(R._frame, R._tol)[:3]), R.sig)

@@ -214,15 +214,16 @@ def so_log(
     return L
 
 
-def _factors(theta: np.ndarray) -> np.ndarray:
+def _factors(theta: np.ndarray, sin_h: np.ndarray | None = None) -> np.ndarray:
     """The half-angle factor 2 sin(theta/2) / theta of each angle: sin(h)/h for h = theta/2, and 1 at h = 0.
 
     z = [h = 0] is added to both sides: (0 + 1)/(0 + 1) at h = 0, and
-    adding 0 elsewhere is exact.
+    adding 0 elsewhere is exact. A caller that already holds sin(h), as
+    ``np.sin`` gives it for this h, passes it as ``sin_h``.
     """
     h = 0.5 * theta
     z = h == 0
-    return (np.sin(h) + z) / (h + z)
+    return ((np.sin(h) if sin_h is None else sin_h) + z) / (h + z)
 
 
 def _pull_back(V, theta, f, W, x) -> np.ndarray:

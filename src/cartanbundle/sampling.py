@@ -121,11 +121,11 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count) -> np.ndarray
 
 
 def sample_unit_directions(rng: np.random.Generator, n: int, count) -> np.ndarray:
-    """Unit vectors (*count, n) orthogonal to e_1."""
+    """Unit vectors (*count, n) orthogonal to e_1; one (n,) vector for ``count=()``."""
     _require(n, 2, "unit direction")
     U = np.zeros((*_shape(count), n))
     U[..., 1:] = rng.standard_normal((*_shape(count), n - 1))
-    return U / _norm(U, 1)[..., None]
+    return U / np.expand_dims(_norm(U, 1), -1)  # the norm of one vector is a float
 
 
 def sample_dp_generators(

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from cartanbundle.bundle import sigma
+from cartanbundle.bundle import DpElement, sigma
 from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
-from cartanbundle.liegroup import y_omega
+from cartanbundle.grassmann import DpGenerator, _cs_rotation, _generator, _generator_svd, _principal_pairs
+from cartanbundle.liegroup import _factors, y_omega
 from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
 
@@ -134,3 +135,40 @@ def certificate_error_oracle(g, sig, tol):
         if name == "involution" and (np.linalg.eigvalsh(g.R @ sig.matrix) < 0).sum() != sig.p:
             return NotInCartanModelError
     return None
+
+
+# The desk maps with nothing shared: each cosine, sine and half-angle factor
+# is computed where it is used, and each generator goes through the public
+# constructor. The maps, which share them, must equal these bit for bit.
+
+
+def cs_frame_oracle(V, t, U):
+    """The first p columns of the cosine-sine form at angles t, cos t and sin t computed here."""
+    t = t[..., None, :]
+    top = (V * (np.cos(t) - 1.0)) @ V.mT
+    p = top.shape[-1]
+    top[..., range(p), range(p)] += 1.0
+    return np.concatenate([top, (U * np.sin(t)) @ V.mT], axis=-2)
+
+
+def dp_exp_full_oracle(xi):
+    """(R, X, F) of ``dp_exp_full(xi)`` where it is sure: the frame at s/2, then ``_factors(s)`` afresh."""
+    v = xi.v
+    V, s, U = _generator_svd(xi.gen.B)
+    F = cs_frame_oracle(V, 0.5 * s, U)
+    return _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v))), F
+
+
+def dp_log_full_oracle(s):
+    """``dp_log_full(s)`` with cos and sin of half the angles and ``_factors(angles)`` afresh, through the public constructors."""
+    sig, X = s.sig, s.motion.X
+    V, angles, U = _principal_pairs(s._frame, s._tol)[:3]
+    top, bottom = X[..., : sig.p], X[..., sig.p :]
+    a, f = np.matvec(V.mT, top), _factors(angles)
+    w = (np.cos(0.5 * angles) * a + np.sin(0.5 * angles) * np.matvec(U.mT, bottom)) / f
+    return DpElement(gen=DpGenerator(p=sig.p, q=sig.q, B=_generator(V, angles, U)), v=top + np.matvec(V, w - a))
+
+
+def dp_log0_oracle(R):
+    """``dp_log0(R)`` through the public ``DpGenerator`` constructor."""
+    return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, R._tol)[:3]))

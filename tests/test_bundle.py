@@ -863,9 +863,9 @@ def test_sure_outputs_pass_the_public_check_at_their_bounds(rng, monkeypatch, n,
     1 + 1e-11 so that the bounds' first-order terms dominate."""
     seen, checked = [], []
 
-    def recorded(tol, rot, fib=0.0, X=None, _real=grassmann_module._sure):
+    def recorded(tol, rot, fib=0.0, X=None, size=None, _real=grassmann_module._sure):
         seen.append((rot, fib))
-        return _real(tol, rot, fib, X)
+        return _real(tol, rot, fib, X, size)
 
     def counted(*args, _real=grassmann_module._cartan_frame):
         checked.append(1)

@@ -261,3 +261,10 @@ def test_every_stream_in_range_keys_its_own_generator():
     assert len(set(draws.values())) == 4
     assert make_rng(0, np.uint64(2**64 - 1)).standard_normal() == draws[2**64 - 1]
     assert make_rng(0, np.int8(1)).standard_normal() == draws[1]
+
+
+@pytest.mark.parametrize("draw", [sample_rotations, sample_skews, sample_unit_directions])
+def test_an_empty_count_draws_one_value_as_the_stack_of_one(draw):
+    """count=() gives one value, bit for bit index 0 of the stack of one."""
+    one, stack = draw(make_rng(15, 0), 5, ()), draw(make_rng(15, 0), 5, 1)
+    assert one.shape == stack.shape[1:] and one.tobytes() == stack[0].tobytes()

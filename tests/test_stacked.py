@@ -306,8 +306,9 @@ class TestGrassmann:
         B = _generators(make_rng(7, n), p, n - p, K)
         _same(gr._generator_svd(B), lambda i: gr._generator_svd(B[i]), K)
         V, s, U = gr._generator_svd(B)
-        _same((gr._cs_rotation(V, s, U), gr._cs_frame(V, s, U)),
-              lambda i: (gr._cs_rotation(V[i], s[i], U[i]), gr._cs_frame(V[i], s[i], U[i])), K)
+        c, sn = np.cos(s), np.sin(s)
+        _same((gr._cs_rotation(V, s, U), gr._cs_frame(V, c, sn, U)),
+              lambda i: (gr._cs_rotation(V[i], s[i], U[i]), gr._cs_frame(V[i], c[i], sn[i], U[i])), K)
         R, F = _rotation_parts(gr.dp_exp(gr.DpGenerator(p, n - p, B), TOL))
         _same((R, F), lambda i: _rotation_parts(gr.dp_exp(gr.DpGenerator(p, n - p, B[i]), TOL)), K)
         _same((R, F), lambda i: (gr.dp_exp(gr.DpGenerator(p, n - p, B[i])).mat,

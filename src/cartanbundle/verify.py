@@ -6,7 +6,8 @@ evaluates them on seeded samples and aggregates a report. Each property is a
 stream, whose index is the row's.
 
 A row is a check, a bound and a draw. ``draw(cfg, rng, count)`` draws all of
-the row's samples at once, as stacks whose index i is sample i: ``count`` =
+the row's samples at once, as stacks whose index i is sample i, or, for
+samples of several dimensions, as one stack per dimension: ``count`` =
 ``cfg.samples`` samples (the wedge row draws index pairs, uniform over the
 C(n, 2) pairs), except for the Moebius seam row, whose draw is the one
 fixed set (the 9 record pairs across the seam) and reads neither ``rng``
@@ -46,9 +47,12 @@ canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
 and wedge. The line rows and the seam draw call the public line maps on
 their stacks; the seam draw is one ``line_bundle_exp`` on a 2 x 9 grid.
 Every check sees one dimension: a row that draws samples of several
-dimensions (``_per_dimension``) is grouped by dimension in ``Row.errors``, which runs
-the check once per dimension and maps a raise's ``index`` back to the
-sample's index in the full draw (``_by_dimension``). The two
+dimensions keeps the stack that its sampler returns for each dimension,
+with the indices of that dimension's samples in the draw
+(``_per_dimension``, a ``_Mixed``), and is never regrouped per sample.
+``Row.errors`` runs the check once per dimension, scatters its errors to
+those indices, and maps a raise's ``index`` back to the sample's index in
+the full draw (``_by_dimension``). The two
 ``projective`` line rows run under the default tolerances, which the public
 line maps read. The oracles ``series_exp`` and
 ``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank
@@ -201,12 +205,14 @@ class Row:
     the row's stream, as a tuple of stacks whose index i is sample i:
     ``count`` samples, except for the Moebius seam draw, which returns its
     fixed set and does not read ``count``. The check, ``check(cfg,
-    *stacks)``, gets arrays of one dimension. Where the draw's first stack
-    is an array, it gets the whole stacks; where it is ``_per_dimension``'s
-    sequence of per-sample arrays, a mixed draw, ``errors`` groups the
-    samples by dimension and calls the check once per group
-    (``_by_dimension``). ``bound(cfg)`` gives one bound per error, in the
-    same order.
+    *stacks)``, gets arrays of one dimension. Where the draw's first entry
+    is an array, it gets the whole stacks. Where it is a ``_Mixed`` of
+    ``_per_dimension``, a mixed draw, that entry holds the stacks of each
+    dimension as they were drawn, with their samples' indices; ``errors``
+    calls the check once per dimension, on those stacks and the entries of
+    the other stacks at those indices, and scatters its errors into the
+    columns (``_by_dimension``). ``bound(cfg)`` gives one bound per error,
+    in the same order.
     """
 
     check: Callable
@@ -216,9 +222,9 @@ class Row:
     def errors(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, columns)``: the number drawn, and one column per error, entry i from sample i."""
         stacks = self.draw(cfg, rng, cfg.samples)
-        if isinstance(stacks[0], np.ndarray):
-            return len(stacks[0]), _errors(self.check(cfg, *stacks))
-        return len(stacks[0]), _by_dimension(self.check, cfg, *stacks)
+        if isinstance(stacks[0], _Mixed):
+            return len(stacks[0]), _by_dimension(self.check, cfg, *stacks)
+        return len(stacks[0]), _errors(self.check(cfg, *stacks))
 
     def __call__(self, cfg: VerifyConfig, rng) -> tuple:
         """``(samples, max_error, passed)``, the one place where an error meets its bound.
@@ -232,41 +238,55 @@ class Row:
         return samples, np.max(worst), passed
 
 
-def _per_dimension(dims: np.ndarray, draw) -> tuple:
-    """Stacks for samples whose dimension is ``dims[i]``: one ``draw(nn, count)`` per dimension.
+class _Mixed:
+    """Samples of several dimensions, as drawn: ``groups`` holds (at, stacks) per dimension, ascending.
+
+    ``at`` holds the indices in the draw of that dimension's samples,
+    ascending, and ``stacks`` their tuple of stacks, entry j for sample
+    ``at[j]``. Its length is the number of samples. A plain class: a
+    dataclass would take 0.4 ms at import.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple):
+        self.groups = groups
+
+    def __len__(self) -> int:
+        return sum(len(at) for at, _ in self.groups)
+
+
+def _per_dimension(dims: np.ndarray, draw) -> _Mixed:
+    """Samples whose dimension is ``dims[i]``: one ``draw(nn, count)`` per dimension, ascending.
 
     ``draw`` returns a tuple of stacks for ``count`` samples of dimension
-    ``nn``; the result holds, for each of them, the tuple of every sample's
-    entry in sample order.
+    ``nn``, which the result keeps as they are.
     """
-    samples = [None] * len(dims)
-    for nn in np.unique(dims):
+    groups = []
+    for nn in mc._distinct(dims):
         at = np.flatnonzero(dims == nn)
-        for i, sample in zip(at, zip(*draw(int(nn), len(at)))):
-            samples[i] = sample
-    return tuple(zip(*samples))
+        groups.append((at, draw(int(nn), len(at))))
+    return _Mixed(tuple(groups))
 
 
-def _by_dimension(check, cfg, *stacks) -> tuple:
+def _by_dimension(check, cfg, mixed: _Mixed, *stacks) -> tuple:
     """The error columns of a check on a mixed draw, run once per dimension of the samples (``Row.errors``).
 
-    Entry i of each stack is sample i's; the entries of the first are the
-    per-sample arrays of ``_per_dimension``, whose length, the sample's
-    dimension, varies. The samples of each dimension go to one call,
-    ``check(cfg, *stacks)`` with each stack as one array of one dimension,
-    and their errors to their places. A raise gets the sample's ``index``
-    in the full draw.
+    Each group of ``mixed`` goes to one call, ``check(cfg, *group_stacks,
+    *(s[at] for s in stacks))``: its own stacks, of one dimension, then the
+    entries of the draw's other stacks, whose entry i is sample i's, at its
+    indices. Its errors go to those indices of the columns. A raise gets
+    the sample's ``index`` in the full draw.
     """
-    dims, columns = np.array([len(x) for x in stacks[0]]), None
-    for nn in np.unique(dims):
-        at = np.flatnonzero(dims == nn)
+    columns = None
+    for at, group in mixed.groups:
         try:
-            errors = _errors(check(cfg, *(np.stack([s[i] for i in at]) for s in stacks)))
+            errors = _errors(check(cfg, *group, *(s[at] for s in stacks)))
         except GeometryError as e:
             if "index" in e.context:
                 e.context["index"] = int(at[e.context["index"]])
             raise
-        columns = columns or tuple(np.empty(len(dims)) for _ in errors)
+        columns = columns or tuple(np.empty(len(mixed)) for _ in errors)
         for column, error in zip(columns, errors):
             column[at] = error
     return columns
@@ -325,13 +345,19 @@ def _completion(cfg, F):
 
 
 def _involution_eigenspace(cfg, A):
-    """|S F + F| for F the -1 eigenspace of each S = A J A^T; the frames that keep the same columns share one product."""
+    """|S F + F| for F the -1 eigenspace of each S = A J A^T; the frames of one dimension, k, share one product.
+
+    ``eigh`` orders the eigenvalues ascending, so the kept columns, those
+    near -1, are the first k of V, for k their count. They are taken with a
+    mask, not a slice: the mask's copy holds column-major matrices, and
+    ``matmul`` on a row-major view of the same values differs in the last
+    bits from n = 32 on.
+    """
     S = A @ cfg.sig.matrix @ A.mT
     V, keep = mc._eigenspace(S, -1, cfg.tol)
-    errors = np.empty(len(A))
-    for cols in np.unique(keep, axis=0):
-        at = (keep == cols).all(axis=-1)
-        F = V[at][..., cols]
+    errors, cols = np.empty(len(A)), np.arange(A.shape[-1])
+    for k, at in mc._groups(np.count_nonzero(keep, axis=-1)):
+        F = V[at][..., cols < k]
         errors[at] = mc._norm(S[at] @ F + F, 2)
     return errors
 
@@ -552,8 +578,8 @@ def _transporter(cfg, F, Y):
 
 
 def _directions(cfg, rng, count):
-    """Unit directions U of dimensions 2 to min(n, 5), and angles theta in [0, 2 pi)."""
-    (U,) = _per_dimension(
+    """Unit directions U of dimensions 2 to min(n, 5), a mixed draw, and angles theta in [0, 2 pi)."""
+    U = _per_dimension(
         rng.integers(2, min(cfg.n, 5) + 1, size=count),
         lambda nn, k: (sp.sample_unit_directions(rng, nn, k),),
     )
@@ -647,19 +673,19 @@ PROPERTIES = (
     ("matcore.wedge_antisymmetry", Row(_wedge_antisymmetry, lambda cfg: 0.0, _wedge_pairs)),
     ("matcore.projector_idempotent_symmetric", Row(_projector, lambda cfg: 1e-12 * cfg.n, _frames)),
     ("matcore.canonical_form_reconstruction", Row(_canonical_form, lambda cfg: 1e-10,
-        draw=lambda cfg, rng, count: _per_dimension(
+        draw=lambda cfg, rng, count: (_per_dimension(
             rng.integers(2, min(cfg.n, 8) + 1, size=count),
             lambda nn, k: (sp.sample_rotations(rng, nn, k),),
-        ))),
+        ),))),
     ("matcore.frame_completion", Row(_completion, lambda cfg: cfg.tol.orth * cfg.n, _frames)),
     ("matcore.involution_eigenspace", Row(_involution_eigenspace, lambda cfg: 1e-10, _rotations)),
     ("liegroup.group_axioms", Row(_group_axioms, lambda cfg: 1e-11 * cfg.n,
         draw=lambda cfg, rng, count: sp.sample_motions(rng, cfg.n, (count, 3)))),
     ("liegroup.exp_matches_series", Row(_exp_series, lambda cfg: 1e-9,
-        draw=lambda cfg, rng, count: _per_dimension(
+        draw=lambda cfg, rng, count: (_per_dimension(
             rng.integers(2, min(cfg.n, 6) + 1, size=count),
             lambda nn, k: sp.sample_screws(rng, nn, k),
-        ))),
+        ),))),
     ("liegroup.y_omega_identity", Row(_y_omega_identity, lambda cfg: 1e-10, _and_vectors(sp.sample_skews))),
     ("liegroup.y_omega_roundtrip", Row(
         _y_omega_roundtrip, lambda cfg: 1e-9, _and_vectors(sp.sample_skews_bounded, math.pi))),

@@ -708,3 +708,28 @@ def test_cli_import_loads_no_scipy():
     probe = "import sys, cartanbundle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _numpy_ma_imports(args) -> list:
+    """The numpy.ma modules that a fresh ``python -X importtime ARGS`` imports, read from its import report."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=_fresh_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    modules = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")]
+    assert "cartanbundle" in modules  # the report is read
+    return [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+def test_a_cold_verify_imports_no_numpy_ma():
+    # NumPy 2.4's np.unique imports numpy.ma on its first call, about 10 ms of a cold verify
+    assert _numpy_ma_imports(["-m", "cartanbundle.cli", "verify", "--n", "4", "--p", "2",
+                              "--samples", "20", "--seed", "5"]) == []
+
+
+def test_a_cold_stacked_dp_log_full_imports_no_numpy_ma():
+    # at p = 5, q = 3 the stack groups its elements by their count of small principal angles (matcore._groups)
+    probe = (
+        "from cartanbundle import bundle, grassmann, sampling\n"
+        "B, v = sampling.sample_dp_elements(sampling.make_rng(5), 5, 3, 64)\n"
+        "bundle.dp_log_full(bundle.dp_exp_full(bundle.DpElement(grassmann.DpGenerator(5, 3, B), v)))\n"
+    )
+    assert _numpy_ma_imports(["-c", probe]) == []

@@ -1,8 +1,12 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cartanbundle
 from cartanbundle import (
     DegenerateSpanError,
     DimensionMismatchError,
@@ -23,6 +27,8 @@ from cartanbundle import matcore as mc
 from cartanbundle.sampling import make_rng, sample_rotation, sample_skew
 
 from oracles import gram_schmidt_oracle, series_exp_oracle, svd_projector_oracle
+
+SRC = Path(cartanbundle.__file__).parent
 
 
 class TestSkewWedge:
@@ -342,3 +348,74 @@ def test_basis_vector():
     assert basis_vector(2, 3).tolist() == [0, 1, 0]
     with pytest.raises(DimensionMismatchError):
         basis_vector(4, 3)
+
+
+# Grouping without np.unique: _distinct and _groups give np.unique's values, in its ascending order.
+KEYS = {
+    "random": make_rng(46, 0).integers(0, 7, 200),
+    "one element": np.array([4]),
+    "all equal": np.full(30, 3),
+    "negatives": np.array([-3, 5, -3, 0, -7, 5, -1]),
+    "2-d": make_rng(46, 1).integers(-2, 3, (4, 5)),
+    "0-d": np.array(6),
+}
+
+
+@pytest.mark.parametrize("key", KEYS.values(), ids=KEYS.keys())
+def test_distinct_is_numpy_unique(key):
+    got, expected = mc._distinct(key), np.unique(key)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("key", KEYS.values(), ids=KEYS.keys())
+def test_groups_take_numpy_unique_values_in_order(key):
+    groups = mc._groups(key)
+    if key.ndim == 0:  # one operand: one group, which indexes the operand itself
+        assert len(groups) == 1 and groups[0][0] == key and groups[0][1] is Ellipsis
+        return
+    assert [k for k, _ in groups] == np.unique(key).tolist()
+    for k, at in groups:
+        assert np.array_equal(at, key == k)
+
+
+def test_distinct_of_no_keys_is_empty():
+    assert mc._distinct(np.array([], dtype=np.int64)).tolist() == []
+
+
+def _signed_permutations(n):
+    """Every n x n matrix with one entry +-1 per row and column: the coordinate frames, the identity among them."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            M = np.zeros((n, n))
+            M[np.arange(n), perm] = signs
+            out.append(M)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qr_parity_is_the_sign_of_det_where_lapack_sets_tau_to_zero(n):
+    """On coordinate frames LAPACK skips reflectors (tau = 0); the parity still gives the sign of det."""
+    M = _signed_permutations(n)
+    assert not mc._qr(np.eye(n))[2].any()  # the identity takes no reflector
+    assert (mc._qr(M)[2] == 0).any()
+    Q, odd = mc._sign_fixed_qr_parity(M)
+    assert Q.tobytes() == mc._sign_fixed_qr(M).tobytes()
+    assert np.array_equal(odd, np.linalg.det(Q) < 0)
+    for i in range(len(M)):  # one matrix alone, as in a stack
+        Qi, odd_i = mc._sign_fixed_qr_parity(M[i])
+        assert Qi.tobytes() == Q[i].tobytes() and odd_i == odd[i]
+
+
+def test_no_module_calls_numpy_unique():
+    """NumPy 2.4's np.unique imports numpy.ma on its first call, about 10 ms; the package groups with _distinct."""
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "unique" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                calls.add((path.stem, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                calls.update((path.stem, node.lineno) for alias in node.names if alias.name == "unique")
+    assert calls == set()

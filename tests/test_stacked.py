@@ -785,13 +785,14 @@ def test_a_non_skew_screw_raises_at_its_index_in_the_series_row():
     cfg = vf.VerifyConfig(n=8, p=3, samples=12, seed=5)
     stream = [name for name, _ in vf.PROPERTIES].index("liegroup.exp_matches_series")
     row = vf.PROPERTIES[stream][1]
-    omega, v = row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)
+    (mixed,) = row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)
+    assert len(mixed.groups) > 1  # not all of one dimension
     i = cfg.samples - 1
-    omega = list(omega)
-    omega[i] = omega[i] + np.eye(len(omega[i]))
-    assert sum(len(w) == len(omega[i]) for w in omega) < cfg.samples  # not all of one dimension
-    edited = vf.Row(row.check, row.bound, lambda cfg, rng, count: (omega, v))
-    _raises_at(lambda: edited.errors(cfg, None), lambda: lg.se_exp(lg.Screw(omega[i], v[i])),
+    at, (omega, v) = next(group for group in mixed.groups if i in group[0])
+    j = int(np.flatnonzero(at == i)[0])
+    omega[j] += np.eye(omega.shape[-1])
+    edited = vf.Row(row.check, row.bound, lambda cfg, rng, count: (mixed,))
+    _raises_at(lambda: edited.errors(cfg, None), lambda: lg.se_exp(lg.Screw(omega[j], v[j])),
                IllConditionedSpectrumError, i)
 
 
@@ -809,8 +810,13 @@ def test_a_mixed_row_checks_one_dimension_per_call(name):
     cfg = vf.VerifyConfig(n=8, p=3, samples=40, seed=5)
     stream = [entry[0] for entry in vf.PROPERTIES].index(name)
     row = vf.PROPERTIES[stream][1]
-    dims = sorted({len(x) for x in row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)[0]})
-    assert len(dims) > 1
+    mixed, *rest = row.draw(cfg, make_rng(cfg.seed, stream), cfg.samples)
+    assert len(mixed) == cfg.samples and len(mixed.groups) > 1
+    # the groups split the samples' indices, ascending in dimension and in index
+    dims = [stacks[0].shape[-1] for _, stacks in mixed.groups]
+    assert dims == sorted(set(dims))
+    assert all(np.all(np.diff(at) > 0) for at, _ in mixed.groups)
+    assert np.array_equal(np.sort(np.concatenate([at for at, _ in mixed.groups])), np.arange(cfg.samples))
     calls = []
 
     def recording(cfg, *stacks):
@@ -819,12 +825,14 @@ def test_a_mixed_row_checks_one_dimension_per_call(name):
 
     samples, columns = vf.Row(recording, row.bound, row.draw).errors(cfg, make_rng(cfg.seed, stream))
     assert samples == cfg.samples and all(len(c) == cfg.samples for c in columns)
-    # once per dimension, each stack one array of that dimension
-    assert [len(stacks[0][0]) for stacks in calls] == dims
-    for nn, stacks in zip(dims, calls):
-        for s in stacks:
-            assert isinstance(s, np.ndarray) and len(s) == len(stacks[0]) and set(s.shape[1:]) <= {nn}
-
+    # once per dimension, on the stacks the samplers drew and the other stacks' entries at the group's indices
+    assert len(calls) == len(mixed.groups)
+    for (at, stacks), got in zip(mixed.groups, calls):
+        expected = (*stacks, *(s[at] for s in rest))
+        assert len(got) == len(expected)
+        assert all(isinstance(g, np.ndarray) and np.array_equal(g, e) for g, e in zip(got, expected))
+        nn = stacks[0].shape[-1]
+        assert all(len(s) == len(at) and set(s.shape[1:]) <= {nn} for s in got)
 
 
 # The certified stack contract: a stack of certified values is one Plane,

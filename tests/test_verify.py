@@ -9,7 +9,7 @@ import pytest
 from cartanbundle import Motion, Screw, basis_vector
 from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
 from cartanbundle.errors import IllConditionedSpectrumError
-from cartanbundle.verify import PROPERTIES, VerifyConfig, run_verification, series_exp, svd_projector
+from cartanbundle.verify import PROPERTIES, VerifyConfig, _Mixed, run_verification, series_exp, svd_projector
 from lapack_spy import spy
 
 CFG = VerifyConfig(n=4, p=2, samples=5, seed=5)
@@ -497,6 +497,17 @@ ONE_SAMPLE_CHECKS = {
 }
 
 
+def _per_sample(stacks) -> list:
+    """Entry i of a draw's stacks for each sample i; a mixed draw's first entry holds one stack per dimension."""
+    if not isinstance(stacks[0], _Mixed):
+        return list(zip(*stacks))
+    samples = [None] * len(stacks[0])
+    for at, group in stacks[0].groups:
+        for i, entries in zip(at, zip(*group)):
+            samples[i] = (*entries, *(s[i] for s in stacks[1:]))
+    return samples
+
+
 @pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (2, 1), (6, 5), (8, 1)])
 @pytest.mark.parametrize("name", sorted(ONE_SAMPLE_CHECKS))
 def test_a_stacked_row_gives_the_errors_of_its_one_sample_check(name, n, p):
@@ -504,8 +515,27 @@ def test_a_stacked_row_gives_the_errors_of_its_one_sample_check(name, n, p):
     stream = [entry[0] for entry in PROPERTIES].index(name)
     row = PROPERTIES[stream][1]
     samples, columns = row.errors(cfg, sampling.make_rng(cfg.seed, stream))
-    stacks = row.draw(cfg, sampling.make_rng(cfg.seed, stream), cfg.samples)
-    for i in range(samples):
-        expected = ONE_SAMPLE_CHECKS[name](cfg, *(stack[i] for stack in stacks))
+    draw = _per_sample(row.draw(cfg, sampling.make_rng(cfg.seed, stream), cfg.samples))
+    assert len(draw) == samples
+    for i, sample in enumerate(draw):
+        expected = ONE_SAMPLE_CHECKS[name](cfg, *sample)
         got = np.array([column[i] for column in columns], dtype=float)
         assert got.tobytes() == np.array(expected, dtype=float).tobytes(), (i, got, expected)
+
+
+@pytest.mark.parametrize("n, p", [(8, 3), (5, 2), (6, 5), (2, 1), (32, 5)])
+def test_involution_eigenspace_groups_by_count_as_by_kept_columns(n, p):
+    """The kept columns of each frame are a prefix of eigh's, so grouping by their count gives the errors of grouping by the columns."""
+    cfg = VerifyConfig(n=n, p=p, samples=50, seed=5)
+    stream = [entry[0] for entry in PROPERTIES].index("matcore.involution_eigenspace")
+    (A,) = PROPERTIES[stream][1].draw(cfg, sampling.make_rng(cfg.seed, stream), cfg.samples)
+    S = A @ cfg.sig.matrix @ A.mT
+    V, keep = matcore._eigenspace(S, -1, cfg.tol)
+    assert np.array_equal(keep, np.arange(n) < np.count_nonzero(keep, axis=-1)[:, None])  # each keep is a prefix
+    expected = np.empty(len(A))
+    for cols in np.unique(keep, axis=0):
+        at = (keep == cols).all(axis=-1)
+        F = V[at][..., cols]
+        expected[at] = matcore._norm(S[at] @ F + F, 2)
+    got = PROPERTIES[stream][1].errors(cfg, sampling.make_rng(cfg.seed, stream))[1][0]
+    assert got.tobytes() == expected.tobytes()

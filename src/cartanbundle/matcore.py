@@ -20,9 +20,7 @@ only the angles near pi. ``orthonormalize`` is the sign-fixed QR
 The LAPACK boundary. Every decomposition the library runs goes through one
 kernel here: ``_eigh`` (real symmetric or complex Hermitian), ``_svd``
 (thin or full), ``_singular_values``, ``_qr`` (reduced or complete, with
-the raw factor whose diagonal is R's and the Householder scalars),
-``_sign_fixed_qr`` (and ``_sign_fixed_qr_parity``, which also gives the
-sign of det Q) and ``_det``.
+the raw factor whose diagonal is R's), ``_sign_fixed_qr`` and ``_det``.
 Each calls the gufunc of NumPy's private module
 ``numpy.linalg._umath_linalg`` that ``numpy.linalg`` calls, with the same
 signature, so its outputs equal ``numpy.linalg``'s bit for bit. What it
@@ -442,14 +440,11 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 @_lapack_policy("qr")
 def _qr(a: np.ndarray, complete: bool = False) -> tuple:
-    """(Q, H, tau): the Q of ``np.linalg.qr(a)`` or, with ``complete``, of ``mode="complete"``; a real array or a stack.
+    """(Q, H): the Q of ``np.linalg.qr(a)`` or, with ``complete``, of ``mode="complete"``; a real array or a stack.
 
     H is the raw factor, a float copy of a that LAPACK overwrites with its
     Householder QR: R lies on and above its diagonal (``np.linalg.qr``'s R
     is the upper triangle of its leading rows), so R's diagonal is H's.
-    tau holds the scalars of its min(m, n) Householder reflectors
-    I - tau v v^T; a reflector with tau = 0 is I (LAPACK's choice where the
-    column below the diagonal is already 0), any other has det -1.
     For an m x n operand a reduced Q is m x min(m, n) and a complete Q is
     m x m; for m <= n they agree, and the reduced gufunc runs, as
     ``np.linalg.qr`` picks.
@@ -457,7 +452,7 @@ def _qr(a: np.ndarray, complete: bool = False) -> tuple:
     H = a.astype(np.float64)  # a copy: qr_r_raw overwrites its operand
     tau = _lapack.qr_r_raw(H, signature="d->d")
     m, n = a.shape[-2:]
-    return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H, tau
+    return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H
 
 
 def _det(a: np.ndarray):
@@ -475,21 +470,8 @@ def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
     For M of full column rank, this is the Gram-Schmidt frame of M's columns
     in their order, up to rounding, and a pure function of M.
     """
-    Q, H, _ = _qr(M)
+    Q, H = _qr(M)
     return Q * np.sign(np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
-
-
-def _sign_fixed_qr_parity(M: np.ndarray) -> tuple:
-    """(Q, odd): ``_sign_fixed_qr`` of a square matrix or a stack, and whether det Q = -1, from the same QR.
-
-    The QR's Q is the product of its reflectors, with det -1 for each
-    nonzero tau, and the sign fix negates one column per negative entry of
-    R's diagonal: det Q is -1 to the sum of the two counts. So the sign of
-    det Q takes no LU, as ``_det`` would.
-    """
-    Q, H, tau = _qr(M)
-    d = np.diagonal(H, axis1=-2, axis2=-1)
-    return Q * np.sign(d)[..., None, :], (np.count_nonzero(tau, axis=-1) + np.count_nonzero(d < 0, axis=-1)) % 2 == 1
 
 
 _RANK_TOL = 1e-9  # relative smallest-singular-value cutoff of orthonormalize
@@ -683,7 +665,7 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
     for c, at in _groups(count):
         pairs = U[at][..., n - c :].view(np.float64)  # the columns Re u, Im u of each eigenvector u, interleaved
-        Q_c, H, _ = _qr(pairs, complete=True)
+        Q_c, H = _qr(pairs, complete=True)
         Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
         Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
     return Q, s

@@ -6,8 +6,8 @@ independent across parallel workers.
 
 Each kind but Cartan motions (which ``tau`` builds from sampled motions)
 has a stacked sampler, ``sample_<kind>s(rng, ..., count)``. It draws the
-normals of every sample in one call and runs each kernel (``qr``, the
-norms, the uniforms) once over the stack. The frames and rotations are
+normals of every sample in one call and runs each kernel (``qr``, ``det``,
+the norms, the uniforms) once over the stack. The frames and rotations are
 ``matcore._sign_fixed_qr``, the QR that ``orthonormalize`` takes, and the
 norms are ``matcore._norm`` over each sample, bit for bit
 ``np.linalg.norm`` of that sample alone; a spectral norm is the largest of
@@ -35,7 +35,7 @@ from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import _is_dim, _is_int, _norm, _sign_fixed_qr, _sign_fixed_qr_parity, _singular_values
+from .matcore import _det, _is_dim, _is_int, _norm, _sign_fixed_qr, _singular_values
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -72,12 +72,11 @@ def sample_rotations(rng: np.random.Generator, n: int, count) -> np.ndarray:
     """Haar rotations (*count, n, n).
 
     Each is the sign-fixed QR of a Gaussian matrix, with its last column
-    negated where the determinant is -1. That sign is read from the same
-    QR (``matcore._sign_fixed_qr_parity``), with no LU.
+    negated where the determinant is -1.
     """
     _require(n, 1, "rotation")
-    Q, odd = _sign_fixed_qr_parity(rng.standard_normal((*_shape(count), n, n)))
-    Q[odd, :, -1] *= -1
+    Q = _sign_fixed_qr(rng.standard_normal((*_shape(count), n, n)))
+    Q[_det(Q) < 0, :, -1] *= -1
     return Q
 
 

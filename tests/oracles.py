@@ -13,7 +13,6 @@ from cartanbundle.bundle import DpElement, sigma
 from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
 from cartanbundle.grassmann import DpGenerator, _cs_rotation, _generator, _generator_svd, _principal_pairs
 from cartanbundle.liegroup import _factors, y_omega
-from cartanbundle.matcore import _sign_fixed_qr
 from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
 
@@ -173,14 +172,3 @@ def dp_log_full_oracle(s):
 def dp_log0_oracle(R):
     """``dp_log0(R)`` through the public ``DpGenerator`` constructor."""
     return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, R._tol)[:3]))
-
-
-def lu_rotations_oracle(rng, n, count):
-    """Haar rotations drawn as ``sample_rotations`` draws them, with det's sign from one LU per rotation.
-
-    The sign-fixed QR of a Gaussian matrix, its last column negated where
-    ``np.linalg.det`` is negative.
-    """
-    Q = _sign_fixed_qr(rng.standard_normal((*(count if isinstance(count, tuple) else (count,)), n, n)))
-    Q[np.linalg.det(Q) < 0, :, -1] *= -1
-    return Q

@@ -121,12 +121,10 @@ def test_singular_values_are_numpy_svd_values(lead, m, n):
 @pytest.mark.parametrize("complete", [False, True], ids=["reduced", "complete"])
 def test_qr_is_numpy_qr(lead, m, n, complete):
     for layout, a in _operands(lead, m, n).items():
-        Q, H, tau = _unchanged(mc._qr, a, complete)
+        Q, H = _unchanged(mc._qr, a, complete)
         Q_np, R_np = np.linalg.qr(a, mode="complete" if complete else "reduced")
         assert same_bits(Q, Q_np), layout
         assert same_bits(np.triu(H[..., : Q.shape[-1], :]), R_np), layout  # R is the raw factor's upper triangle
-        H_raw, tau_raw = np.linalg.qr(a, mode="raw")  # H_raw is H transposed
-        assert same_bits(H, np.ascontiguousarray(H_raw.mT)) and same_bits(tau, tau_raw), layout
 
 
 @pytest.mark.parametrize("lead", LEADS)

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 from pathlib import Path
 
@@ -381,31 +380,6 @@ def test_groups_take_numpy_unique_values_in_order(key):
 
 def test_distinct_of_no_keys_is_empty():
     assert mc._distinct(np.array([], dtype=np.int64)).tolist() == []
-
-
-def _signed_permutations(n):
-    """Every n x n matrix with one entry +-1 per row and column: the coordinate frames, the identity among them."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            M = np.zeros((n, n))
-            M[np.arange(n), perm] = signs
-            out.append(M)
-    return np.array(out)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_qr_parity_is_the_sign_of_det_where_lapack_sets_tau_to_zero(n):
-    """On coordinate frames LAPACK skips reflectors (tau = 0); the parity still gives the sign of det."""
-    M = _signed_permutations(n)
-    assert not mc._qr(np.eye(n))[2].any()  # the identity takes no reflector
-    assert (mc._qr(M)[2] == 0).any()
-    Q, odd = mc._sign_fixed_qr_parity(M)
-    assert Q.tobytes() == mc._sign_fixed_qr(M).tobytes()
-    assert np.array_equal(odd, np.linalg.det(Q) < 0)
-    for i in range(len(M)):  # one matrix alone, as in a stack
-        Qi, odd_i = mc._sign_fixed_qr_parity(M[i])
-        assert Qi.tobytes() == Q[i].tobytes() and odd_i == odd[i]
 
 
 def test_no_module_calls_numpy_unique():

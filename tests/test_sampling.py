@@ -42,8 +42,6 @@ from cartanbundle.sampling import (
     sample_unit_directions,
 )
 
-from oracles import lu_rotations_oracle
-
 
 def test_seed_determinism():
     a = sample_rotation(make_rng(42, 0), 5)
@@ -270,13 +268,3 @@ def test_an_empty_count_draws_one_value_as_the_stack_of_one(draw):
     """count=() gives one value, bit for bit index 0 of the stack of one."""
     one, stack = draw(make_rng(15, 0), 5, ()), draw(make_rng(15, 0), 5, 1)
     assert one.shape == stack.shape[1:] and one.tobytes() == stack[0].tobytes()
-
-
-@pytest.mark.parametrize("n", [*range(1, 10), 16, 32])
-@pytest.mark.parametrize("count", [40, (4, 5), ()], ids=["int", "tuple", "one"])
-def test_rotations_are_the_lu_det_draw_bit_for_bit(n, count):
-    """The sign of det read from the QR negates the same last columns as one LU per rotation."""
-    for seed in range(5):
-        got = sample_rotations(make_rng(seed, n), n, count)
-        expected = lu_rotations_oracle(make_rng(seed, n), n, count)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), seed

@@ -539,3 +539,16 @@ def test_involution_eigenspace_groups_by_count_as_by_kept_columns(n, p):
         expected[at] = matcore._norm(S[at] @ F + F, 2)
     got = PROPERTIES[stream][1].errors(cfg, sampling.make_rng(cfg.seed, stream))[1][0]
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (8, 4), (8, 3)])
+def test_involution_eigenspace_fails_where_keep_marks_the_wrong_columns(n, p, monkeypatch):
+    """A keep of the +1 eigenvectors fails the row, also at p = q, where it keeps as many columns as the -1 one."""
+    cfg = VerifyConfig(n=n, p=p, samples=20, seed=5)
+    stream = [entry[0] for entry in PROPERTIES].index("matcore.involution_eigenspace")
+    row = PROPERTIES[stream][1]
+    assert row(cfg, sampling.make_rng(cfg.seed, stream))[2]
+    eigenspace = matcore._eigenspace
+    monkeypatch.setattr(matcore, "_eigenspace", lambda S, eigenvalue, tol: eigenspace(S, -eigenvalue, tol))
+    _, max_error, passed = row(cfg, sampling.make_rng(cfg.seed, stream))
+    assert not passed and max_error >= 1.0

@@ -664,7 +664,7 @@ def _angle_pairs(top: np.ndarray, bottom: np.ndarray) -> tuple:
     W, small = Wt.mT, phi[..., 0] < 1e-2  # phi ascends
     if small is np.False_ or not small.any():  # no sine branch: one test for a single call
         return V, phi, W
-    for m, at in _groups(np.count_nonzero(phi < 1e-2, axis=-1)):  # the sine branch, per count m of small angles
+    for m, at in _groups((phi < 1e-2).sum(axis=-1)):  # the sine branch, per count m of small angles
         if m:
             V_m, phi_m, W_m = V[at], phi[at], W[at]
             _, sines, Zt = _svd(bottom[at] @ W_m[..., :m], full=True)

@@ -654,33 +654,57 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     span the kernel. s holds n // 2 entries: the c angles ascending, then
     zeros. An eigenvector u of the Hermitian i W with eigenvalue s > 0 gives
     the pair (Re u, Im u); one complete QR makes the pairs orthonormal,
-    keeping their signs, and completes them by the kernel. Eigenvalues at
-    most 1e-14 max(1, |W|) count as kernel, so the c angles are the last c
-    eigenvalues. A stack takes one ``eigh``, and its elements are grouped
-    by their count c: each group takes one complete QR and one sign fix.
+    keeping their signs, and completes them by the kernel (``_pair_frame``).
+    Eigenvalues at most 1e-14 max(1, |W|) count as kernel, so the c angles
+    are the last c eigenvalues. One matrix takes no grouping: its count is
+    one Python comparison and one sum. A stack takes one ``eigh``, and its
+    elements are grouped by their count c: each group takes one complete QR
+    and one sign fix.
     """
     n = W.shape[-1]
     w, U = _eigh(1j * W)
+    s = np.zeros(W.shape[:-2] + (n // 2,))
+    if W.ndim == 2:
+        c = int((w > 1e-14 * max(1.0, _norm(W, 2))).sum())
+        s[:c] = w[n - c :]
+        return _pair_frame(U[:, n - c :]), s
     count = (w > 1e-14 * np.maximum(1.0, _norm(W, 2))[..., None]).sum(axis=-1)
-    Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
+    Q = np.empty(W.shape)
     for c, at in _groups(count):
-        pairs = U[at][..., n - c :].view(np.float64)  # the columns Re u, Im u of each eigenvector u, interleaved
-        Q_c, H = _qr(pairs, complete=True)
-        Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
-        Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
+        Q[at], s[at, :c] = _pair_frame(U[at][..., n - c :]), w[at][..., n - c :]
     return Q, s
+
+
+def _pair_frame(U: np.ndarray) -> np.ndarray:
+    """The orthonormal pairs (Re u, Im u) of the c eigenvectors u of ``_skew_pairs``, completed by the kernel.
+
+    U holds the c columns of one matrix or of each of a stack. Its complete
+    QR keeps each pair's signs: a column whose diagonal entry in the
+    triangular factor is negative is negated.
+    """
+    Q, H = _qr(U.view(np.float64), complete=True)  # the columns Re u, Im u of each u, interleaved
+    Q[..., : H.shape[-1]] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
+    return Q
+
+
+def _log_above_split(V: np.ndarray, theta: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """g(S) K = V diag(theta / sin theta) V^T K on the eigenvectors V of angles theta, as ``_rotation_log`` takes it above its split."""
+    return (V / np.sinc(theta / math.pi)[..., None, :]) @ (V.mT @ K)
 
 
 def _pairing_tail(V: np.ndarray, theta: np.ndarray, K: np.ndarray, k: int) -> np.ndarray:
     """L = log R for rotations whose split in ``_rotation_log`` is k, one or a stack; V and theta are updated in place.
 
-    Above the split, L = g(S) K on the columns V[:, k:]. The k columns below
-    it span the turning planes whose angle is near pi: the pairs of K
-    restricted to them (``_skew_pairs``) give each plane and its angle
-    pi - arcsin(sin theta), and a kernel there, an exact -1 eigenspace of R,
-    is paired at pi (a padded angle 0 gives pi - arcsin 0 = pi).
+    Above the split, L = g(S) K on the columns V[:, k:] (``_log_above_split``).
+    The k columns below it span the turning planes whose angle is near pi:
+    the pairs of K restricted to them (``_skew_pairs``) give each plane and
+    its angle pi - arcsin(sin theta), and a kernel there, an exact -1
+    eigenspace of R, is paired at pi (a padded angle 0 gives
+    pi - arcsin 0 = pi). One rotation runs it on its own V, theta and K,
+    with no grouping; a stack runs it once per split k, on the elements
+    of that split, whose skew blocks ``_skew_pairs`` groups by count.
     """
-    L = (V[..., k:] / np.sinc(theta[..., k:] / math.pi)[..., None, :]) @ (V[..., k:].mT @ K)
+    L = _log_above_split(V[..., k:], theta[..., k:], K)
     Q, s = _skew_pairs(V[..., :k].mT @ K @ V[..., :k])
     t = math.pi - np.arcsin(np.minimum(s, 1.0))
     V[..., :k] = V[..., :k] @ Q
@@ -697,23 +721,27 @@ def _rotation_log(R: np.ndarray) -> tuple:
     orthonormal eigenbasis of S = (R + R^T)/2 and theta the angle in [0, pi]
     of each column of V. S commutes with K = (R - R^T)/2 and equals
     cos(theta) on each turning plane. One ``eigh`` of S is split at the
-    widest gap of its spectrum inside [-3/4, -1/4], at m. Above the split,
-    L = g(S) K with g = theta / sin(theta), which stays below 3.7 there.
-    Below it g blows up near pi, so the pairs of K there give
+    widest gap of its spectrum inside [-3/4, -1/4], at m: the gaps are the
+    differences of one array, -3/4, the clipped spectrum, then -1/4. Above
+    the split, L = g(S) K with g = theta / sin(theta), which stays below 3.7
+    there. Below it g blows up near pi, so the pairs of K there give
     theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi
-    (``_pairing_tail``). The tail runs only on the elements with m > 0, as
-    one stack per split m.
+    (``_pairing_tail``). One rotation takes no grouping: it runs the tail
+    if m > 0, on its own arrays. A stack runs the tail only on the elements
+    with m > 0, as one stack per split m.
     """
     S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
     c, V = _eigh(S)
-    lo = np.clip(c, -0.75, -0.25)
-    gaps = [lo[..., :1] + 0.75, lo[..., 1:] - lo[..., :-1], -0.25 - lo[..., -1:]]  # of [-3/4, lo, -1/4]
-    m = np.argmax(np.concatenate(gaps, axis=-1), axis=-1)
+    edges = np.empty(c.shape[:-1] + (c.shape[-1] + 2,))
+    edges[..., 0], edges[..., -1] = -0.75, -0.25
+    c.clip(-0.75, -0.25, out=edges[..., 1:-1])
+    m = (edges[..., 1:] - edges[..., :-1]).argmax(axis=-1)
     _require(m % 2 == 0, IllConditionedSpectrumError, "ill-conditioned spectrum: odd count of angles near pi")
-    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    theta = np.arccos(c.clip(-1.0, 1.0))
+    if R.ndim == 2:
+        return (_pairing_tail(V, theta, K, int(m)) if m else _log_above_split(V, theta, K)), V, theta
     splits = _groups(m)  # the smallest first: if it is above 0, every element has a tail
-    L = (np.empty_like(K) if splits[0][0]
-         else (V / np.sinc(theta / math.pi)[..., None, :]) @ (V.mT @ K))
+    L = np.empty_like(K) if splits[0][0] else _log_above_split(V, theta, K)
     for k, at in splits:
         if k:
             V_k, theta_k = V[at], theta[at]

@@ -355,7 +355,7 @@ def _involution_eigenspace(cfg, A):
     S = A @ cfg.sig.matrix @ A.mT
     V, keep = mc._eigenspace(S, -1, cfg.tol)
     errors, cols = np.empty(len(A)), np.arange(A.shape[-1])
-    for k, at in mc._groups(np.count_nonzero(keep, axis=-1)):
+    for k, at in mc._groups(keep.sum(axis=-1)):
         F = V[at][..., cols < k]
         errors[at] = np.maximum(mc._norm(S[at] @ F + F, 2), (keep[at] != (cols < k)).any(axis=-1))
     return errors

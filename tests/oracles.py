@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from cartanbundle import matcore as mc
 from cartanbundle.bundle import DpElement, sigma
 from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
 from cartanbundle.grassmann import DpGenerator, _cs_rotation, _generator, _generator_svd, _principal_pairs
@@ -172,3 +173,54 @@ def dp_log_full_oracle(s):
 def dp_log0_oracle(R):
     """``dp_log0(R)`` through the public ``DpGenerator`` constructor."""
     return DpGenerator(p=R.sig.p, q=R.sig.q, B=_generator(*_principal_pairs(R._frame, R._tol)[:3]))
+
+
+# The log of SO(n) as one route for one rotation and for stacks: every element
+# grouped by its split and every skew block by its count, written back through
+# masks. The kernels, whose one rotation takes no grouping, must equal it bit
+# for bit.
+
+
+def skew_pairs_oracle(W):
+    """(Q, s) of ``matcore._skew_pairs``, grouped by count for one matrix too."""
+    n = W.shape[-1]
+    w, U = mc._eigh(1j * W)
+    count = (w > 1e-14 * np.maximum(1.0, mc._norm(W, 2))[..., None]).sum(axis=-1)
+    Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
+    for c, at in mc._groups(count):
+        pairs = U[at][..., n - c :].view(np.float64)
+        Q_c, H = mc._qr(pairs, complete=True)
+        Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
+        Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
+    return Q, s
+
+
+def _pairing_tail_oracle(V, theta, K, k):
+    L = (V[..., k:] / np.sinc(theta[..., k:] / math.pi)[..., None, :]) @ (V[..., k:].mT @ K)
+    Q, s = skew_pairs_oracle(V[..., :k].mT @ K @ V[..., :k])
+    t = math.pi - np.arcsin(np.minimum(s, 1.0))
+    V[..., :k] = V[..., :k] @ Q
+    A, B, tt = V[..., 0:k:2], V[..., 1:k:2], t[..., None, :]
+    L += (B * tt) @ A.mT - (A * tt) @ B.mT
+    theta[..., :k] = np.repeat(t, 2, axis=-1)
+    return L
+
+
+def rotation_log_oracle(R):
+    """(L, V, theta) of ``matcore._rotation_log`` for R in SO(n) or a stack, grouped by split for one rotation too."""
+    S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
+    c, V = mc._eigh(S)
+    lo = np.clip(c, -0.75, -0.25)
+    gaps = [lo[..., :1] + 0.75, lo[..., 1:] - lo[..., :-1], -0.25 - lo[..., -1:]]
+    m = np.argmax(np.concatenate(gaps, axis=-1), axis=-1)
+    assert (m % 2 == 0).all()
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    splits = mc._groups(m)
+    L = (np.empty_like(K) if splits[0][0]
+         else (V / np.sinc(theta / math.pi)[..., None, :]) @ (V.mT @ K))
+    for k, at in splits:
+        if k:
+            V_k, theta_k = V[at], theta[at]
+            L[at] = _pairing_tail_oracle(V_k, theta_k, K[at], int(k))
+            V[at], theta[at] = V_k, theta_k
+    return L, V, theta

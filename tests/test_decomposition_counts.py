@@ -7,7 +7,10 @@ and ``slogdet``. The inputs are built before counting starts. The line maps
 run at (4, 1), and ``moebius_grid`` builds its whole 128 x 9 grid from one
 stacked SVD. The logs also run on a rotation with two angles above 3 pi / 4,
 which takes the pairing tail of ``matcore._rotation_log``: one ``eigh`` of
-the skew block below its split and one complete QR more, as one call.
+the skew block below its split and one complete QR more, as one call. At
+the benchmark's screw shape, n = 32, a rotation that turns three planes past
+its split of 6 takes the same calls, the second ``eigh`` and the QR on
+6 x 6 operands.
 """
 
 import math
@@ -65,6 +68,8 @@ EXPECTED = {
     "so_log": {"eigh": 1, "det": 1},
     "se_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
     "so_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
+    "se_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1, "det": 1},
+    "so_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1, "det": 1},
     "CartanRotation.certify": {"eigh": 1, "det": 1},
     "CartanMotion.certify": {"eigh": 1, "det": 1},
     "dp_exp": {"svd": 1},
@@ -85,6 +90,16 @@ EXPECTED = {
     "line_bundle_exp": {"svd": 1},
     "moebius_grid": {"svd": 1},
 }
+
+
+def _split_six() -> np.ndarray:
+    """A 32 x 32 rotation that turns three planes by 2.6, 2.9 and 3.1 and the others by at most 1.2: its split is 6."""
+    omega = np.zeros((32, 32))
+    omega[range(1, 32, 2), range(0, 32, 2)] = [2.6, 2.9, 3.1] + list(np.linspace(0.1, 1.2, 13))
+    Q = np.linalg.qr(np.sin(np.arange(32 * 32).reshape(32, 32)))[0]
+    R = Q @ so_exp(omega - omega.T) @ Q.T
+    assert (np.linalg.eigvalsh(0.5 * (R + R.T)) < -0.75).sum() == 6
+    return R
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +124,7 @@ def calls():
     wide[1, 0], wide[3, 2] = 2.6, 2.9
     tail = g.R @ so_exp(wide - wide.T) @ g.R.T
     assert (np.linalg.eigvalsh(0.5 * (tail + tail.T)) < -0.75).all()
+    wide32, v32 = _split_six(), np.linspace(-1.0, 1.0, 32)
     return {
         "se_exp": lambda: se_exp(xi),
         "so_exp": lambda: so_exp(omega),
@@ -118,6 +134,8 @@ def calls():
         "so_log": lambda: so_log(g.R),
         "se_log (pairing tail)": lambda: se_log(Motion(tail, v)),
         "so_log (pairing tail)": lambda: so_log(tail),
+        "se_log (pairing tail, n = 32)": lambda: se_log(Motion(wide32, v32)),
+        "so_log (pairing tail, n = 32)": lambda: so_log(wide32),
         "CartanRotation.certify": lambda: CartanRotation.certify(cr.mat, SIG),
         "CartanMotion.certify": lambda: CartanMotion.certify(cm.motion, SIG),
         "dp_exp": lambda: dp_exp(gen),
@@ -146,3 +164,12 @@ def test_one_canonical_form_per_call(monkeypatch, calls, name):
     spy(monkeypatch, lambda decomposition, a: counts.update([decomposition]))
     calls[name]()
     assert counts == Counter(EXPECTED[name]), name
+
+
+@pytest.mark.parametrize("name", ["se_log (pairing tail, n = 32)", "so_log (pairing tail, n = 32)"])
+def test_the_screw_shape_tail_decomposes_its_6_x_6_block(monkeypatch, calls, name):
+    """The second ``eigh`` and the QR run on the skew block below the split, 6 x 6; det and the first ``eigh`` on R."""
+    shapes = []
+    spy(monkeypatch, lambda decomposition, a: shapes.append((decomposition, a.shape)))
+    calls[name]()
+    assert sorted(shapes) == [("det", (32, 32)), ("eigh", (6, 6)), ("eigh", (32, 32)), ("qr", (6, 6))]

@@ -109,12 +109,11 @@ in NumPy 2.4: about 10 ms of a cold ``verify``.
 
 Elementwise formulas. Every formula of floats (the half-angle factor
 ``liegroup._factors``, the hypotenuse of ``bundle._sigma_residual``,
-verify's ``np.arctan2`` and root sum of squares) is one NumPy expression,
-on one operand and on a stack alike, so a stack agrees with its single
-calls by construction; no formula runs per element on Python floats.
-Their bits are NumPy's, which need not be ``math``'s: ``np.hypot``,
-``np.arctan2`` and ``x * x`` each differ from ``math.hypot``,
-``math.atan2`` and C ``pow(x, 2)`` in the last bit on some inputs.
+verify's root sum of squares) is one NumPy expression, on one operand and
+on a stack alike, so a stack agrees with its single calls by construction;
+no formula runs per element on Python floats. Their bits are NumPy's,
+which need not be ``math``'s: ``np.hypot`` and ``x * x`` each differ from
+``math.hypot`` and C ``pow(x, 2)`` in the last bit on some inputs.
 ``tests/test_stacked.py`` pins that ``np.cos`` and ``np.sin``, which
 ``_blocks`` calls on the whole array, give the bits of ``math.cos`` and
 ``math.sin``.
@@ -464,14 +463,18 @@ def _det(a: np.ndarray):
     return _lapack.det(a, signature="d->d")
 
 
-def _sign_fixed_qr(M: np.ndarray) -> np.ndarray:
-    """The Q of each matrix's QR, with the column signs that make R's diagonal positive.
+def _sign_fixed_qr(M: np.ndarray, complete: bool = False) -> np.ndarray:
+    """The Q of each matrix's QR (``_qr``), with the column signs that make R's diagonal positive.
 
     For M of full column rank, this is the Gram-Schmidt frame of M's columns
-    in their order, up to rounding, and a pure function of M.
+    in their order, up to rounding, and a pure function of M. Each of the
+    first columns, one per entry of R's diagonal, is negated where that
+    entry is negative (``np.copysign``); with ``complete``, the columns past
+    them complete the frame and keep the signs of Q.
     """
-    Q, H = _qr(M)
-    return Q * np.sign(np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
+    Q, H = _qr(M, complete)
+    Q[..., : H.shape[-1]] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
+    return Q
 
 
 _RANK_TOL = 1e-9  # relative smallest-singular-value cutoff of orthonormalize
@@ -653,8 +656,9 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     s_i Q[:, 2i+1] and W Q[:, 2i+1] = -s_i Q[:, 2i], and the trailing columns
     span the kernel. s holds n // 2 entries: the c angles ascending, then
     zeros. An eigenvector u of the Hermitian i W with eigenvalue s > 0 gives
-    the pair (Re u, Im u); one complete QR makes the pairs orthonormal,
-    keeping their signs, and completes them by the kernel (``_pair_frame``).
+    the pair (Re u, Im u); one complete QR of the columns Re u, Im u of each
+    u, interleaved (``U.view(np.float64)``), makes the pairs orthonormal,
+    keeping their signs, and completes them by the kernel (``_sign_fixed_qr``).
     Eigenvalues at most 1e-14 max(1, |W|) count as kernel, so the c angles
     are the last c eigenvalues. One matrix takes no grouping: its count is
     one Python comparison and one sum. A stack takes one ``eigh``, and its
@@ -667,24 +671,13 @@ def _skew_pairs(W: np.ndarray) -> tuple:
     if W.ndim == 2:
         c = int((w > 1e-14 * max(1.0, _norm(W, 2))).sum())
         s[:c] = w[n - c :]
-        return _pair_frame(U[:, n - c :]), s
+        return _sign_fixed_qr(U[:, n - c :].view(np.float64), complete=True), s
     count = (w > 1e-14 * np.maximum(1.0, _norm(W, 2))[..., None]).sum(axis=-1)
     Q = np.empty(W.shape)
     for c, at in _groups(count):
-        Q[at], s[at, :c] = _pair_frame(U[at][..., n - c :]), w[at][..., n - c :]
+        Q[at] = _sign_fixed_qr(U[at][..., n - c :].view(np.float64), complete=True)
+        s[at, :c] = w[at][..., n - c :]
     return Q, s
-
-
-def _pair_frame(U: np.ndarray) -> np.ndarray:
-    """The orthonormal pairs (Re u, Im u) of the c eigenvectors u of ``_skew_pairs``, completed by the kernel.
-
-    U holds the c columns of one matrix or of each of a stack. Its complete
-    QR keeps each pair's signs: a column whose diagonal entry in the
-    triangular factor is negative is negated.
-    """
-    Q, H = _qr(U.view(np.float64), complete=True)  # the columns Re u, Im u of each u, interleaved
-    Q[..., : H.shape[-1]] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
-    return Q
 
 
 def _log_above_split(V: np.ndarray, theta: np.ndarray, K: np.ndarray) -> np.ndarray:

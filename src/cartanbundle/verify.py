@@ -9,10 +9,8 @@ A row is a check, a bound and a draw. ``draw(cfg, rng, count)`` draws all of
 the row's samples at once, as stacks whose index i is sample i, or, for
 samples of several dimensions, as one stack per dimension: ``count`` =
 ``cfg.samples`` samples (the wedge row draws index pairs, uniform over the
-C(n, 2) pairs), except for the Moebius seam row, whose draw is the one
-fixed set (the 9 record pairs across the seam) and reads neither ``rng``
-nor ``count``. A check returns only its errors: one, or a tuple in a
-fixed order.
+C(n, 2) pairs, and the Moebius seam row windings). A check returns only
+its errors: one, or a tuple in a fixed order.
 ``Row.errors`` keeps every sample's errors, one column per error with entry
 i for sample i. Because each property draws its samples grouped by kind,
 the samples of a run of N are in general not the first N samples of a
@@ -44,24 +42,23 @@ S_p and cut locus); an element that fails raises the single call's error
 class with its ``index`` in the context, and fails its row. Besides the
 public maps, the checks read ``matcore``'s kernels of the one-record
 canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
-and wedge. The line rows and the seam draw call the public line maps on
-their stacks; the seam draw is one ``line_bundle_exp`` on a 2 x 9 grid.
+and wedge. The line rows and the seam row call the public line maps on
+their stacks.
 Every check sees one dimension: a row that draws samples of several
 dimensions keeps the stack that its sampler returns for each dimension,
 with the indices of that dimension's samples in the draw
 (``_per_dimension``, a ``_Mixed``), and is never regrouped per sample.
 ``Row.errors`` runs the check once per dimension, scatters its errors to
 those indices, and maps a raise's ``index`` back to the sample's index in
-the full draw (``_by_dimension``). The two
-``projective`` line rows run under the default tolerances, which the public
+the full draw (``_by_dimension``). The three
+``projective`` rows run under the default tolerances, which the public
 line maps read. The oracles ``series_exp`` and
 ``svd_projector`` take stacks too, and ``svd_projector`` keeps the rank
 of each matrix; the canonical forms and the involution eigenspaces of a
 stack vary in their count of angles and their dimension, and their
-products are grouped by it. The seam row reads its records' rotations
-through ``np.arctan2``, on the whole stack of pairs; the line rows' oracle
-(``_paper_lines``) takes ``np.cos`` and ``np.sin``, whose bits are those
-of ``math.cos`` and ``math.sin``.
+products are grouped by it. The line rows' oracle (``_paper_lines``)
+takes ``np.cos`` and ``np.sin``, whose bits are those of ``math.cos`` and
+``math.sin``.
 ``tests/test_verify.py`` keeps one-sample checks, on the public maps, of
 most rows, and requires the same errors bit for bit.
 
@@ -203,10 +200,9 @@ class Row:
 
     ``draw(cfg, rng, count)`` draws all of the row's samples at once, from
     the row's stream, as a tuple of stacks whose index i is sample i:
-    ``count`` samples, except for the Moebius seam draw, which returns its
-    fixed set and does not read ``count``. The check, ``check(cfg,
-    *stacks)``, gets arrays of one dimension. Where the draw's first entry
-    is an array, it gets the whole stacks. Where it is a ``_Mixed`` of
+    ``count`` samples. The check, ``check(cfg, *stacks)``, gets arrays of
+    one dimension. Where the draw's first entry is an array, it gets the
+    whole stacks. Where it is a ``_Mixed`` of
     ``_per_dimension``, a mixed draw, that entry holds the stacks of each
     dimension as they were drawn, with their samples' indices; ``errors``
     calls the check once per dimension, on those stacks and the entries of
@@ -614,55 +610,22 @@ def _half_angle_line(cfg, U, theta):
     return np.maximum(mc._norm(gr.rho0(R).projector - VV, 2), mc._norm(pj.half_angle_line(theta, U).projector - VV, 2))
 
 
-_SEAM_GRID = (128, 9, 2.0)  # num_theta, num_lambda, lambda_max
+def _windings(cfg, rng, count):
+    """``count`` windings m in {1, 2, 3} and fiber coordinates lam in [-2, 2)."""
+    return rng.integers(1, 4, count), rng.uniform(-2.0, 2.0, count)
 
 
-def _seam_pairs(cfg, rng, count):
-    """(last, first): the 9 record pairs across the seam of the 128 x 9 Moebius grid.
+def _moebius_seam(cfg, m, lam):
+    """(|line_bundle_exp - (I, 0)| per 1 + |lam|, |half_angle_line frame - (-1)^m e_1|) at theta = 2 pi m, U = e_2.
 
-    Only the two theta rows that meet at the seam are computed, theta = 0
-    and the last, with ``moebius_grid``'s expressions for theta and lambda,
-    as one ``line_bundle_exp`` call on that 2 x 9 grid: each record is the
-    grid's, bit for bit. Each record of the last theta row is paired with
-    the theta = 0 record of the opposite lambda (the first one nearest it).
-    Row k of each array holds the columns r00, r10, lambda and y0 of pair
-    k's record.
+    The Moebius band is C(2, 1): its line geodesic closes at theta = 2 pi m,
+    and the frame it carries comes back as (-1)^m e_1, so an odd winding
+    turns it over. The maps read the defaults.
     """
-    num_theta, num_lambda, lambda_max = _SEAM_GRID
-    grid = (2, num_lambda)
-    theta = np.broadcast_to((2.0 * math.pi * np.array([0, num_theta - 1]) / num_theta)[:, None], grid)
-    lam = np.linspace(-lambda_max, lambda_max, num_lambda)
-    m = pj.line_bundle_exp(theta, np.broadcast_to([0.0, 1.0], grid + (2,)), np.broadcast_to(lam, grid))
-    first, last = np.stack([m.R[..., 0, 0], m.R[..., 1, 0], np.broadcast_to(lam, grid), m.X[..., 0]], axis=-1)
-    return last, first[np.abs(lam[:, None] + lam).argmin(axis=1)]
-
-
-def _moebius_seam(cfg, last, first):
-    """(line-angle deviation modulo pi, 1 if the fiber along e_1 keeps its orientation) across the seam, per pair.
-
-    The line that a record's rotation carries is at half its rotation angle.
-    """
-    d = (0.5 * np.arctan2(last[:, 1], last[:, 0]) - 0.5 * np.arctan2(first[:, 1], first[:, 0])) % math.pi
-    lam, y0 = last[:, 2], last[:, 3]
-    flipped = (np.abs(lam) <= 1e-12) | (np.copysign(1.0, y0) == np.copysign(1.0, -lam))
-    return np.minimum(d, math.pi - d), np.where(flipped, 0.0, 1.0)
-
-
-_SEAM = Row(_moebius_seam, lambda cfg: (2.0 * math.pi / _SEAM_GRID[0], 0.0), _seam_pairs)
-
-
-def moebius_seam_check():
-    """Seam property of the 128 x 9 Moebius grid with lambda up to 2.
-
-    Returns (pairs checked, max line-angle deviation, all orientation flips
-    observed, grid resolution 2 pi / 128), from the check that the
-    ``projective.moebius_seam`` row runs on each of its 9 pairs. The line
-    that the last theta row's rotations carry must be the line of theta = 0
-    within the grid resolution, with fiber orientation reversed relative to
-    the matching -lambda record.
-    """
-    pairs, (deviations, kept) = _SEAM.errors(VerifyConfig(), None)
-    return pairs, float(np.max(deviations)), not kept.any(), 2.0 * math.pi / _SEAM_GRID[0]
+    theta, U = 2.0 * math.pi * m, np.broadcast_to(mc.basis_vector(2, 2), (len(m), 2))
+    closure = _motion_dist(pj.line_bundle_exp(theta, U, lam), lg.identity_motion(2)) / (1.0 + np.abs(lam))
+    F = pj.half_angle_line(theta, U).frame[..., 0]
+    return closure, mc._norm(F - (-1.0) ** m[:, None] * mc.basis_vector(1, 2), 1)
 
 
 # (name, row), with row = Row(check, bound, draw): bound(cfg) is the
@@ -730,7 +693,7 @@ PROPERTIES = (
     ("projective.line_bundle_exp", Row(_line_bundle_exp, lambda cfg: 1e-10,
         draw=lambda cfg, rng, count: (*_directions(cfg, rng, count), rng.uniform(-2.0, 2.0, count)))),
     ("projective.half_angle_line", Row(_half_angle_line, lambda cfg: cfg.tol.plane, _directions)),
-    ("projective.moebius_seam", _SEAM),
+    ("projective.moebius_seam", Row(_moebius_seam, lambda cfg: (1e-12, 1e-12), _windings)),
 )
 
 

@@ -46,7 +46,6 @@ from cartanbundle.sampling import (
     sample_skew_bounded,
     sample_unit_direction,
 )
-from cartanbundle.verify import moebius_seam_check
 
 from oracles import homogeneous_exp_oracle, svd_projector_oracle
 
@@ -296,10 +295,17 @@ def test_generator_log_round_trip():
 
 
 def test_moebius_seam():
-    pairs, max_dev, flips_ok, resolution = moebius_seam_check()
-    ok = pairs == 9 and flips_ok and max_dev <= resolution
+    # C(2, 1): the line geodesic closes at theta = 2 pi m, and the frame it
+    # carries comes back as (-1)^m e_1
+    U, closure, frame = np.array([0.0, 1.0]), 0.0, 0.0
+    for m in (1, 2):
+        theta = 2.0 * math.pi * m
+        for lam in (-2.0, 0.5, 2.0):
+            dist = np.linalg.norm(line_bundle_exp(theta, U, lam).homogeneous() - np.eye(3))
+            closure = max(closure, float(dist) / (1.0 + abs(lam)))
+        frame = max(frame, float(np.linalg.norm(half_angle_line(theta, U).frame[:, 0] - [(-1.0) ** m, 0.0])))
     report(
-        "Moebius seam: line coincidence within grid resolution and orientation reversal",
-        ok,
-        f"{pairs} seam pairs, max line deviation {max_dev:.2e} <= {resolution:.2e}",
+        "Moebius seam: the geodesic closes at 2 pi and 4 pi, and its frame comes back as -e_1, then +e_1",
+        max(closure, frame) <= 1e-14,
+        f"closure {closure:.2e}, frame {frame:.2e}",
     )

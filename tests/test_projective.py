@@ -255,12 +255,14 @@ class TestMoebiusGrid:
         assert np.isclose(rec["y1"], 2 / math.pi)
 
     def test_seam_reversal(self):
-        from cartanbundle.verify import moebius_seam_check
-
-        pairs, max_dev, flips_ok, resolution = moebius_seam_check()
-        assert pairs == 9
-        assert flips_ok
-        assert max_dev <= resolution
+        # the Moebius twist: the line geodesic closes at theta = 2 pi and 4 pi,
+        # and the frame it carries comes back as -e_1, then +e_1
+        U = np.array([0.0, 1.0])
+        for theta, sign in ((2.0 * math.pi, -1.0), (4.0 * math.pi, 1.0)):
+            assert np.linalg.norm(half_angle_line(theta, U).frame[:, 0] - [sign, 0.0]) <= 1e-15
+            for lam in (-2.0, 0.5, 2.0):
+                m = line_bundle_exp(theta, U, lam)
+                assert np.linalg.norm(m.R - np.eye(2)) <= 1e-15 and np.linalg.norm(m.X) <= 1e-15 * (1.0 + abs(lam))
 
 
 ANGLES = {

@@ -66,19 +66,15 @@ def test_one_nan_sample_fails_the_run(monkeypatch, bad_sample):
     assert math.isnan(max_error) and not passed
 
 
-# the row whose draw is a fixed set, and its size: the record pairs across the Moebius seam
-FIXED_DRAWS = {"projective.moebius_seam": 9}
-
-
 @pytest.mark.parametrize("stream", range(len(PROPERTIES)), ids=[entry[0] for entry in PROPERTIES])
 def test_every_sample_keeps_its_errors_until_the_bound(stream):
-    name, row = PROPERTIES[stream]
+    row = PROPERTIES[stream][1]
     samples, columns = row.errors(CFG, sampling.make_rng(CFG.seed, stream))
     bounds = row.bound(CFG)
     assert len(columns) == (len(bounds) if isinstance(bounds, tuple) else 1)
-    # one error per sample, each random row drawing cfg.samples of them
+    # one error per sample, each row drawing cfg.samples of them
     assert [len(c) for c in columns] == [samples] * len(columns)
-    assert samples == FIXED_DRAWS.get(name, CFG.samples)
+    assert samples == CFG.samples
     errors = [float(e) for column in columns for e in column]
     worst = math.nan if any(map(math.isnan, errors)) else max([0.0, *errors])
     assert row(CFG, sampling.make_rng(CFG.seed, stream))[1] == worst
@@ -138,37 +134,45 @@ def test_one_qr_per_property(monkeypatch):
     assert counts[0] == counts[1] >= 1
 
 
-def test_a_seam_that_keeps_the_fiber_orientation_fails(monkeypatch):
-    # the last theta row of the grid carries its fibers unflipped across the seam
-    # line_bundle_exp, which the seam draw calls, reaches dp_exp_full through projective's name
-    exp_full = projective.dp_exp_full
-
-    def unflipped(xi, tol=bundle.default_tolerances()):
-        s = exp_full(xi, tol)
-        X = s.motion.X.copy()
-        X[-1] = -X[-1]  # the seam row's stack holds the theta = 0 row, then the last
-        return bundle.CartanMotion(Motion(s.motion.R, X), s.sig, tol)
-
-    monkeypatch.setattr(projective, "dp_exp_full", unflipped)
-    samples, max_error, passed = _run_one("projective.moebius_seam")
-    assert samples >= 1 and math.isfinite(max_error) and not passed
-
-
 def _failed(results):
     return {name for name, r in results.items() if not r.passed}
 
 
 def test_a_rotation_at_half_the_angle_fails_the_seam_row(monkeypatch):
     # moebius_grid writes its line_angle column as theta / 2 whatever the
-    # rotation is; the seam row reads the line from each record's rotation.
-    # Turned by theta / 2, the last theta row carries a line about pi / 2
-    # away from the line of theta = 0.
+    # rotation is; the seam row reads the motion and the frame. Turned by
+    # theta / 2, an odd winding ends at -I, and m = 2 carries its frame to
+    # -e_1, not +e_1.
     block = projective._line_block
     monkeypatch.setattr(projective, "_line_block", lambda theta, U: block(0.5 * theta, U))
     results = _results()
     row = results["projective.moebius_seam"]
     assert _failed(results) == {"projective.line_bundle_exp", "projective.half_angle_line", row.name}
-    assert row.samples == 9 and math.isfinite(row.max_error)
+    assert row.samples == CFG.samples and math.isfinite(row.max_error)
+
+
+def test_upright_frames_fail_the_seam_row(monkeypatch):
+    # frames flipped to keep F[0] >= 0 span the same lines, so only the seam
+    # row, which reads the frame an odd winding turns over, sees them
+    plane_of = projective.rho0
+
+    def upright(R):
+        F = plane_of(R).frame
+        return grassmann.plane_from_frame(F * np.copysign(1.0, F[..., :1, :]))
+
+    monkeypatch.setattr(projective, "rho0", upright)
+    results = _results()
+    row = results["projective.moebius_seam"]
+    assert _failed(results) == {row.name}
+    assert row.samples == CFG.samples and row.max_error >= 1.0
+
+
+def test_a_unit_half_angle_factor_fails_the_seam_row(monkeypatch):
+    # with f = 1 for sin(t) / t, the translation is lam times the carried
+    # frame, so the geodesic does not close at theta = 2 pi m
+    monkeypatch.setattr(bundle, "_factors", lambda s, sin_t: np.ones_like(s))
+    samples, max_error, passed = _run_one("projective.moebius_seam")
+    assert samples == CFG.samples and math.isfinite(max_error) and not passed
 
 
 def test_a_symmetric_wedge_fails_the_wedge_row(monkeypatch):
@@ -464,12 +468,12 @@ def _half_angle_line(cfg, U, theta):
     return (max(float(np.linalg.norm(plane.projector - np.outer(V, V))) for plane in planes),)
 
 
-def _moebius_seam(cfg, last, first):
-    # each record pair's columns (r00, r10, lambda, y0); a line's angle is half its rotation's
-    r00, r10, lam, y0 = map(float, last)
-    d = (0.5 * np.arctan2(r10, r00) - 0.5 * np.arctan2(float(first[1]), float(first[0]))) % math.pi
-    flipped = abs(lam) <= 1e-12 or math.copysign(1.0, y0) == math.copysign(1.0, -lam)
-    return min(d, math.pi - d), float(not flipped)
+def _moebius_seam(cfg, m, lam):
+    # one winding m: the geodesic closes at theta = 2 pi m and carries its frame back as (-1)^m e_1
+    theta, U = 2.0 * math.pi * int(m), basis_vector(2, 2)
+    closure = _dist(projective.line_bundle_exp(theta, U, lam), liegroup.identity_motion(2)) / (1.0 + abs(lam))
+    F = projective.half_angle_line(theta, U).frame[:, 0]
+    return closure, float(np.linalg.norm(F - (-1.0) ** int(m) * basis_vector(1, 2)))
 
 
 ONE_SAMPLE_CHECKS = {

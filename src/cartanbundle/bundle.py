@@ -19,7 +19,8 @@ n of the signature. ``tau``, ``CartanMotion``, ``double_projection`` and
 translation that way, then the shared S_p0 check of grassmann (one
 ``eigh``), then the sigma residual and the fiber condition. The instance
 keeps read-only copies of R and X and the frame of the plane that the
-check found, so ``rho`` and ``dp_log_full`` check nothing again.
+check found. ``rho`` and ``dp_log_full`` read only that frame and X (the
+private ``_X``), never R, and check nothing again.
 
 Three maps land in S_p by the paper's construction, and each also gives the
 frame of its plane in closed form: ``tau`` (frame A[:, :p] of g = (A, X),
@@ -36,6 +37,16 @@ carry the rest of the proof: a ``Plane`` and a ``BundlePoint`` are checked
 when constructed, as a ``CartanMotion`` is. ``verify`` passes these outputs
 through the public constructor (``tau_properties``, ``rho_bijectivity``,
 ``dp_full_routes``).
+
+A motion is given by its frame and its translation, so ``rho_inv`` and
+``dp_exp_full`` defer their n x n R: each keeps the arrays it would build R
+from (the point's projector P for (I - 2 P) J, ``_embed_rotation``; the SVD
+parts for ``_cs_rotation``), and the first read of ``motion`` builds R by
+that expression, read-only, and caches it in the instance. The desk chains
+``rho(rho_inv(b))`` and ``dp_log_full(dp_exp_full(xi))`` build no R. An
+output that is not sure has R built by the fallback, for its check, and
+again on its first read.
+``tau`` and the public constructor keep R as they build or check it.
 
 A tolerance is given where a value is first checked from raw arrays:
 ``CartanMotion``, ``tau`` and ``dp_exp_full`` take ``tol``, as do the
@@ -86,6 +97,7 @@ output stack (``grassmann._checked_where_unsure``).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -102,7 +114,8 @@ from .grassmann import (
     _cs_frame,
     _cs_rotation,
     _dp_generator,
-    _embed_matrix,
+    _embed_bound,
+    _embed_rotation,
     _frozen,
     _generator,
     _generator_svd,
@@ -203,9 +216,13 @@ class CartanMotion:
     the carried plane that the S_p0 check found. ``tau``, ``rho_inv`` and
     ``dp_exp_full`` build theirs from a motion that lies in S_p by
     construction, with the frame of its plane in closed form, and check
-    nothing when their bounds are sure of the check (``_sure``). ``copy``
-    and ``pickle`` of any instance run the public check again under the
-    same tolerances, ``dataclasses.replace`` under the defaults. ``==`` is
+    nothing when their bounds are sure of the check (``_sure``). ``rho_inv``
+    and ``dp_exp_full`` keep X and a recipe for R (``_rotation``); the
+    first read of ``motion`` builds R from it, read-only, and caches the
+    motion, one for every reader, also when threads make that read at once.
+    ``copy``, ``deepcopy`` and ``pickle`` of any instance run the public
+    check again under the same tolerances, ``dataclasses.replace`` under
+    the defaults; each reads ``motion``, as ``repr`` does. ``==`` is
     identity. A stack of motions is one ``CartanMotion`` whose R, X and
     frame carry a leading batch shape; its ``sig`` fixes the trailing axes,
     and the whole stack shares one ``_tol``.
@@ -215,6 +232,7 @@ class CartanMotion:
     sig: Signature
     tol: InitVar[Tolerances] = default_tolerances()
     _frame: np.ndarray = field(init=False, repr=False)
+    _X: np.ndarray = field(init=False, repr=False)
     _tol: Tolerances = field(init=False, repr=False)
 
     def __post_init__(self, tol):
@@ -223,10 +241,17 @@ class CartanMotion:
     def __reduce__(self):
         return self.certify, (self.motion, self.sig, self._tol)
 
+    def __getattr__(self, name):
+        # Only the first read of a deferred motion gets here; setdefault keeps one motion for every reader.
+        build = self.__dict__.get("_rotation") if name == "motion" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault("motion", Motion(_frozen(build()), self._X))
+
     @classmethod
     def certify(cls, motion: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> "CartanMotion":
         motion, frame = _cartan_motion(motion, sig, tol)
-        return _trusted(cls, tol, motion=motion, sig=sig, _frame=frame)
+        return _trusted(cls, tol, motion=motion, sig=sig, _frame=frame, _X=motion.X)
 
     @property
     def n(self) -> int:
@@ -383,7 +408,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
     rot, size = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND, _norm(Y, 1)
     sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + size), Y, size)
     F = _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(Y)), sig=sig, _frame=_frozen(F))
+    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(Y)), sig=sig, _frame=_frozen(F), _X=Y)
 
 
 def double_projection(
@@ -404,9 +429,10 @@ def rho(s: CartanMotion) -> BundlePoint:
     The plane's frame is the one s carries, orthonormal from the ``eigh``
     of its construction check or from the closed form it was built by, and
     Y lies in that plane; no membership or frame check and no eigen
-    decomposition runs here.
+    decomposition runs here, and s's R is not read, so a deferred one stays
+    unbuilt.
     """
-    return _trusted(BundlePoint, s._tol, plane=_plane(s._frame, s._tol), fiber=s.motion.X)
+    return _trusted(BundlePoint, s._tol, plane=_plane(s._frame, s._tol), fiber=s._X)
 
 
 def rho_inv(b: BundlePoint) -> CartanMotion:
@@ -419,14 +445,17 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     check (``_sure``) under the point's tolerances, nothing is checked;
     otherwise it goes through the public check under them
     (``_checked_where_unsure``), and the motion takes the frame that check
-    finds. Either way the motion carries the point's tolerances. A stacked
-    point gives a stacked motion.
+    finds. Either way the motion carries the point's tolerances. R is
+    deferred: the motion keeps the point's P and builds (I - 2 P) J on the
+    first read of ``motion`` (``_embed_rotation``), or in the fallback if
+    the motion is not sure. A stacked point gives a stacked motion.
     """
     tol, F, P, Y = b._tol, b.plane.frame, b.plane.projector, b.fiber
-    R, sig, rot = _embed_matrix(F, P)
+    sig, rot = _embed_bound(F)
+    R = partial(_embed_rotation, P, sig)
     fib = _norm(np.matvec(P, Y) - Y, 1) / (1.0 + _norm(Y, 1)) + sig.n * _ROUND
     F = _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), Y), sig=sig, _frame=F)
+    return _trusted(CartanMotion, tol, sig=sig, _frame=F, _X=Y, _rotation=R)
 
 
 def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
@@ -482,7 +511,9 @@ def dp_exp_full(
     """Exponential of a d_p element, in closed form and in S_p by construction.
 
     One thin SVD B = U diag(s) V^T gives exp(xi). The rotation is the
-    cosine-sine form (``_cs_rotation``). The frame F of its plane is the
+    cosine-sine form (``_cs_rotation``), deferred: the motion keeps V, s
+    and U and builds it on the first read of ``motion``, or in the fallback
+    if the motion is not sure. The frame F of its plane is the
     cosine-sine form at half the angles t = s/2 (``_cs_frame``): exp(omega/2)
     turns each principal pair by t_i. Y_omega turns it so too and also
     scales it by f_i = sin(t_i)/t_i, so the translation comes from that
@@ -503,10 +534,10 @@ def dp_exp_full(
     t = 0.5 * s
     sin_t = np.sin(t)
     F = _cs_frame(V, np.cos(t), sin_t, U)
-    R, X = _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s, sin_t) - 1.0) * np.matvec(V.mT, v)))
-    rot = sig.n * _ROUND
+    X = np.matvec(F, v + np.matvec(V, (_factors(s, sin_t) - 1.0) * np.matvec(V.mT, v)))
+    R, rot = partial(_cs_rotation, V, s, U), sig.n * _ROUND
     F = _checked_where_unsure(_sure(tol, rot, rot, X, _norm(X, 1)), F, _motion_check, sig, tol, R, X)
-    return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(X)), sig=sig, _frame=_frozen(F))
+    return _trusted(CartanMotion, tol, sig=sig, _frame=_frozen(F), _X=_frozen(X), _rotation=R)
 
 
 def dp_log_full(s: CartanMotion) -> DpElement:
@@ -514,7 +545,7 @@ def dp_log_full(s: CartanMotion) -> DpElement:
 
     The frame of the plane, kept by s from its construction check, fixes
     the principal pairs (V_i, U_i) and angles s_i = 2 phi_i; no membership
-    check or eigen decomposition runs here. The fiber is pulled back pair
+    check or eigen decomposition runs here, and s's R is not read. The fiber is pulled back pair
     by pair, turned back by phi_i and divided by the half-angle factor
     f_i = sin(phi_i)/phi_i, which lies in (2/pi, 1] inside the cut locus.
     cos phi is computed once, and the turn and the factor reuse the sines
@@ -527,7 +558,7 @@ def dp_log_full(s: CartanMotion) -> DpElement:
     the round trip (``bundle.dp_full_routes``). A stacked motion gives a
     stacked element.
     """
-    sig, X = s.sig, s.motion.X
+    sig, X = s.sig, s._X
     V, angles, U, phi, sin_phi = _principal_pairs(s._frame, s._tol)
     top, bottom = X[..., : sig.p], X[..., sig.p :]
     a, f = np.matvec(V.mT, top), _factors(angles, sin_phi)

@@ -63,9 +63,10 @@ operand against it: the R of ``twisted_act0`` must have the leading shape
 of its A, the plane of ``rotate_plane`` that of its A, and the second plane
 of ``plane_equal`` and ``principal_angles`` that of the first
 (``matcore._stacked_like``). Each map is its own kernel: the closed forms
-(``_embed_matrix``, ``_generator_svd``, ``_cs_rotation``, ``_cs_frame``),
-the S_p0 check (``_cartan_rotation``, ``_cartan_frame``), the principal
-pairs (``_principal_pairs``, ``_angle_pairs``) and the fallback
+(``_embed_bound``, ``_embed_rotation``, ``_generator_svd``,
+``_cs_rotation``, ``_cs_frame``), the S_p0 check (``_cartan_rotation``,
+``_cartan_frame``), the principal pairs (``_principal_pairs``,
+``_angle_pairs``) and the fallback
 ``_checked_where_unsure`` run on whole stacks; where elements differ in
 their count of small principal angles, each count runs as one stack
 (``matcore._groups``). An element of a stack comes out bit for bit as its
@@ -232,7 +233,9 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     """F, the closed-form frame of a by-construction output, where ``sure``; elsewhere the checked frame.
 
     ``check`` is the public check, ``_cartan_rotation`` on R or
-    ``bundle._motion_check`` on (R, X), given as ``parts``. ``sure`` is one
+    ``bundle._motion_check`` on (R, X), given as ``parts``. R may be given
+    as the function that builds it (``rho_inv`` and ``dp_exp_full`` defer
+    their R), which is called only if an element is unsure. ``sure`` is one
     answer per element, or one for the whole stack. A single output that is
     sure returns F at once; one that is not takes the frame of
     ``check(*parts, sig, tol)``, which accepts or raises as for the same
@@ -246,12 +249,12 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     that land in the Cartan model by construction fall back to the check.
     """
     if F.ndim == 2:
-        return F if sure else check(*parts, sig, tol)[1]
+        return F if sure else check(*_built(parts), sig, tol)[1]
     unsure = ~np.broadcast_to(sure, F.shape[:-2])
     if not unsure.any():
         return F
     try:
-        found = check(*(a[unsure] for a in parts), sig, tol)[1]
+        found = check(*(a[unsure] for a in _built(parts)), sig, tol)[1]
     except GeometryError as exc:
         if "index" in exc.context:
             exc.context.update(_at(tuple(int(k) for k in np.argwhere(unsure)[exc.context["index"]])))
@@ -259,6 +262,11 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     F = F.copy()
     F[unsure] = found
     return _frozen(F)
+
+
+def _built(parts: tuple) -> tuple:
+    """``parts`` with R, the first, built if it was given as the function that builds it."""
+    return (parts[0]() if callable(parts[0]) else parts[0],) + parts[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,8 +483,8 @@ def _signature(p: int, q: int) -> Signature:
     return Signature(p, q)
 
 
-def _embed_matrix(F: np.ndarray, P: np.ndarray) -> tuple:
-    """(R, sig, rot): R = (I - 2 P) J for P = F F^T the projector of a plane's frame F, or for each of a stack.
+def _embed_bound(F: np.ndarray) -> tuple:
+    """(sig, rot) of R = (I - 2 P) J for P = F F^T the projector of a plane's frame F, or for each of a stack.
 
     ``rot`` bounds the residuals of R for ``_sure``. With E = F^T F - I and
     e = |E|, S = R J = I - 2 P has S^2 - I = 4 F E F^T, so |R^T R - I| and
@@ -488,8 +496,12 @@ def _embed_matrix(F: np.ndarray, P: np.ndarray) -> tuple:
     n, p = F.shape[-2:]
     sig = _signature(p, n - p)
     e = _norm(F.mT @ F - _eye(p), 2)
-    rot = 4.0 * math.sqrt(n) * e + n * _ROUND
-    return (_eye(n) - 2.0 * P) * sig._signs, sig, rot
+    return sig, 4.0 * math.sqrt(n) * e + n * _ROUND
+
+
+def _embed_rotation(P: np.ndarray, sig: Signature) -> np.ndarray:
+    """R = (I - 2 P) J for a plane's projector P, or for each of a stack."""
+    return (_eye(sig.n) - 2.0 * P) * sig._signs
 
 
 def cartan_embed0(plane: Plane) -> CartanRotation:
@@ -503,8 +515,8 @@ def cartan_embed0(plane: Plane) -> CartanRotation:
     checked; otherwise R goes through the public check under them
     (``_checked_where_unsure``). A stacked plane gives a stacked rotation.
     """
-    tol = plane._tol
-    R, sig, rot = _embed_matrix(plane.frame, plane.projector)
+    tol, (sig, rot) = plane._tol, _embed_bound(plane.frame)
+    R = _embed_rotation(plane.projector, sig)
     F = _checked_where_unsure(_sure(tol, rot), plane.frame, _cartan_rotation, sig, tol, R)
     return _trusted(CartanRotation, tol, mat=_frozen(R), sig=sig, _frame=F)
 

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -56,8 +58,10 @@ from cartanbundle import (
 from cartanbundle.sampling import (
     make_rng,
     sample_bundle_point,
+    sample_bundle_points,
     sample_cartan_motion,
     sample_dp_element,
+    sample_dp_elements,
     sample_fixed_point,
     sample_motion,
     sample_rotation,
@@ -70,6 +74,7 @@ from lapack_spy import spy
 from oracles import (
     certificate_error_oracle,
     certificate_residuals_oracle,
+    dp_exp_full_oracle,
     dp_log_v_oracle,
     longdouble_exp_oracle,
     sigma_residual_oracle,
@@ -606,6 +611,86 @@ def test_one_eigen_decomposition_per_call(rng, monkeypatch, op, expected):
     assert len(calls) == expected
 
 
+def _count_rotation_builds(monkeypatch) -> list:
+    """From here on, one entry per call of an n x n R builder of ``rho_inv`` or ``dp_exp_full``: the
+    cosine-sine form, or (I - 2 P) J."""
+    built = []
+    for name in ("_cs_rotation", "_embed_rotation"):
+        def counted(*args, _real=getattr(grassmann_module, name), _name=name):
+            built.append(_name)
+            return _real(*args)
+
+        for module in (grassmann_module, bundle_module):
+            monkeypatch.setattr(module, name, counted)
+    return built
+
+
+def _desk_operands(n, p, lead) -> tuple:
+    """A bundle point and a d_p element at (n, p), or stacks of them of leading shape ``lead``."""
+    rng, count = make_rng(20261020, n), math.prod(lead)
+    F, Y = sample_bundle_points(rng, n, p, count)
+    B, v = sample_dp_elements(rng, p, n - p, count, math.pi - 0.1)
+    F, Y, B, v = (a.reshape(lead + a.shape[1:]) for a in (F, Y, B, v))
+    return bundle_point(plane_from_frame(F), Y), DpElement(DpGenerator(p, n - p, B), v)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (32, 5)], ids=str)
+@pytest.mark.parametrize("chain", ["rho_inv", "dp_exp_full"])
+def test_a_desk_chain_builds_no_rotation_it_does_not_return(monkeypatch, chain, n, p, lead):
+    """rho(rho_inv(b)) and dp_log_full(dp_exp_full(xi)) read the frame and the translation of the motion
+    between them, never its n x n R, so no R is built. The first read of ``motion`` builds R once, bit
+    for bit the expression the map used to build it with, read-only; a second read returns that motion."""
+    b, xi = _desk_operands(n, p, lead)
+    forward, back, expected = {
+        "rho_inv": (lambda: rho_inv(b), rho,
+                    lambda: (np.eye(n) - 2.0 * b.plane.projector) * np.diag(Signature(p, n - p).matrix)),
+        "dp_exp_full": (lambda: dp_exp_full(xi), dp_log_full, lambda: dp_exp_full_oracle(xi)[0]),
+    }[chain]
+    built = _count_rotation_builds(monkeypatch)
+    back(forward())
+    assert built == []
+    s = forward()
+    motion = s.motion
+    assert len(built) == 1
+    assert motion.R.shape == lead + (n, n) and motion.R.tobytes() == expected().tobytes()
+    assert not motion.R.flags.writeable and motion.X is s._X
+    assert s.motion is motion and len(built) == 1
+
+
+def test_first_reads_at_once_get_one_motion(monkeypatch):
+    """Four threads, more than the cores of a small machine, make the first read of a deferred motion
+    together, all inside the build of R at once and with a short switch interval. Each gets the same
+    motion, whose R is the eager one bit for bit."""
+    readers = 4
+    all_inside = threading.Barrier(readers, timeout=10)
+
+    def build(*args, _real=grassmann_module._cs_rotation):
+        all_inside.wait()
+        return _real(*args)
+
+    monkeypatch.setattr(bundle_module, "_cs_rotation", build)
+    xi = _desk_operands(4, 2, ())[1]
+    s, read = dp_exp_full(xi), [None] * readers
+
+    def first_read(k):
+        read[k] = s.motion
+
+    threads = [threading.Thread(target=first_read, args=(k,)) for k in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(motion is s.motion for motion in read)
+    assert s.motion.R.tobytes() == dp_exp_full_oracle(xi)[0].tobytes()
+
+
 class TestCertificate:
     """A certified instance cannot be changed into an unchecked one."""
 
@@ -636,15 +721,34 @@ class TestCertificate:
             with pytest.raises(ValueError):
                 a[0] = 2.0
 
-    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
-                             ids=["copy", "deepcopy", "pickle"])
-    def test_copies_rebuild_through_the_check(self, rng, clone):
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+                                       dataclasses.replace], ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_copies_rebuild_through_the_check(self, rng, monkeypatch, clone):
+        """A copy runs the public check once and keeps the bits, read-only; so does the copy of a motion
+        from ``rho_inv`` or ``dp_exp_full`` taken before its R is built, whose repr is the copy's."""
+        checked = []
+
+        def counted(*args, _real=bundle_module._cartan_motion):
+            checked.append(1)
+            return _real(*args)
+
         s = sample_cartan_motion(rng, 4, 2)
         cr = CartanRotation(s.motion.R, SIG22)
-        s2, cr2 = clone(s), clone(cr)
-        assert np.array_equal(s2.motion.R, s.motion.R) and np.array_equal(s2.motion.X, s.motion.X)
+        xi = sample_dp_element(rng, 2, 2, bound=2.0)
+        monkeypatch.setattr(bundle_module, "_cartan_motion", counted)
+        for make in (lambda: s, lambda: rho_inv(rho(s)), lambda: dp_exp_full(xi)):
+            text, one = repr(make()), make()
+            s2 = clone(one)
+            assert checked == [1] and repr(s2) == text
+            checked.clear()
+            assert s2.motion.R.tobytes() == one.motion.R.tobytes()
+            assert s2.motion.X.tobytes() == one.motion.X.tobytes()
+            for a in (s2.motion.R, s2.motion.X, s2._frame):
+                with pytest.raises(ValueError):
+                    a[...] = 5.0
+        cr2 = clone(cr)
         assert np.array_equal(cr2.mat, cr.mat)
-        for a in (s2.motion.R, s2.motion.X, s2._frame, cr2.mat, cr2._frame):
+        for a in (cr2.mat, cr2._frame):
             with pytest.raises(ValueError):
                 a[...] = 5.0
 
@@ -908,7 +1012,8 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
     sends an output that is not ``_sure`` to ``_checked_where_unsure``, one
     public check on the stack of unsure elements, and keeps what that check
     finds. Under ``tol.orth`` at half of n ``_ROUND``, below every map's
-    rotation bound, nothing is sure, yet the public check passes."""
+    rotation bound, nothing is sure, yet the public check passes. The
+    fallback builds the R that ``rho_inv`` and ``dp_exp_full`` defer."""
     rechecked = []
 
     def counted(sure, F, check, sig, tol, *parts, _real=grassmann_module._checked_where_unsure):
@@ -936,8 +1041,10 @@ def test_unsure_outputs_take_the_one_fallback(rng, monkeypatch, n, p):
     R = np.stack([sample_rotation(rng, n) for _ in range(K)])
     X = rng.standard_normal((K, n))
     gen = DpGenerator(p=p, q=n - p, B=B)
+    F, Y = sample_bundle_points(rng, n, p, K)
     for stacked in (lambda: dp_exp(gen, unsure), lambda: tau(Motion(R, X), sig, unsure),
-                    lambda: dp_exp_full(DpElement(gen, v), unsure)):
+                    lambda: dp_exp_full(DpElement(gen, v), unsure),
+                    lambda: rho_inv(bundle_point(plane_from_frame(F, unsure), Y))):
         out = _parts_of(stacked())
         assert rechecked == [(K, n, n)]
         rechecked.clear()
@@ -982,18 +1089,39 @@ def test_a_mixed_grid_checks_only_its_unsure_elements(rng):
         assert np.array_equal(out._frame[i], A[i][:, :p]) == (i in identity), i
 
 
-def test_one_failing_element_raises_its_single_calls_error(rng):
-    """A 1e150 translation along A's plane doubles in tau, out of the input
-    domain: the grid raises that element's single-call error, with its
-    ``index`` in the grid, and a 1-d stack with its int index."""
+def _one_failing_grid(rng, name) -> tuple:
+    """(call, operands, error class): a (2, 3) grid of ``name``'s operands at (4, 2) whose element (1, 2)
+    fails the public check that the map falls back to."""
     n, sig = 4, Signature(2, 2)
     A, X = _grid_motions(rng, n)
-    X[1, 2] = 1e150 * A[1, 2][:, 0]
-    cls, detail, context = _raised(lambda: tau(Motion(A[1, 2], X[1, 2]), sig))
-    assert cls is DimensionMismatchError and "index" not in context
-    assert _raised(lambda: tau(Motion(A, X), sig)) == (cls, detail, {**context, "index": (1, 2)})
-    flat = Motion(A.reshape(-1, n, n), X.reshape(-1, n))
-    assert _raised(lambda: tau(flat, sig)) == (cls, detail, {**context, "index": 5})
+    if name == "tau":
+        X[1, 2] = 1e150 * A[1, 2][:, 0]
+        return lambda A, X: tau(Motion(A, X), sig), (A, X), DimensionMismatchError
+    if name == "rho_inv":
+        F = A[..., :2].copy()
+        F[1, 2] *= 1 + 1e-9
+        return (lambda F, Y: rho_inv(bundle_point(plane_from_frame(F), Y)), (F, np.zeros(GRID + (n,))),
+                IllConditionedSpectrumError)
+    B, v = 0.1 * rng.standard_normal(GRID + (2, 2)), rng.standard_normal(GRID + (2,))
+    B[1, 2] = 2.33 * np.outer([1.0, 0], [1.0, 1]) / math.sqrt(2)
+    v[1, 2] = 1e150
+    return lambda B, v: dp_exp_full(DpElement(DpGenerator(2, 2, B), v)), (B, v), DimensionMismatchError
+
+
+@pytest.mark.parametrize("name", ["tau", "rho_inv", "dp_exp_full"])
+def test_one_failing_element_raises_its_single_calls_error(rng, name):
+    """The grid raises that element's single-call error, with its ``index``
+    in the grid, and a 1-d stack with its int index. tau doubles a 1e150
+    translation along A's plane, out of the input domain; rho_inv embeds a
+    frame scaled by 1 + 1e-9, which passes the frame check, off SO(n); and
+    dp_exp_full turns v = (1e150, 1e150) by 1.165 rad onto one axis, out of
+    the input domain."""
+    call, operands, error = _one_failing_grid(rng, name)
+    cls, detail, context = _raised(lambda: call(*(a[1, 2] for a in operands)))
+    assert cls is error and "index" not in context
+    assert _raised(lambda: call(*operands)) == (cls, detail, {**context, "index": (1, 2)})
+    flat = (a.reshape((-1,) + a.shape[2:]) for a in operands)
+    assert _raised(lambda: call(*flat)) == (cls, detail, {**context, "index": 5})
 
 
 def test_two_failing_elements_raise_as_the_check_of_the_whole_stack(rng):

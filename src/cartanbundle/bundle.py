@@ -45,7 +45,8 @@ parts for ``_cs_rotation``), and the first read of ``motion`` builds R by
 that expression, read-only, and caches it in the instance. The desk chains
 ``rho(rho_inv(b))`` and ``dp_log_full(dp_exp_full(xi))`` build no R. An
 output that is not sure has R built by the fallback, for its check, and
-again on its first read.
+its first read returns that R (``grassmann._Deferred``): one build either
+way.
 ``tau`` and the public constructor keep R as they build or check it.
 
 A tolerance is given where a value is first checked from raw arrays:
@@ -97,7 +98,6 @@ output stack (``grassmann._checked_where_unsure``).
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -113,6 +113,7 @@ from .grassmann import (
     _checked_where_unsure,
     _cs_frame,
     _cs_rotation,
+    _Deferred,
     _dp_generator,
     _embed_bound,
     _embed_rotation,
@@ -218,7 +219,8 @@ class CartanMotion:
     construction, with the frame of its plane in closed form, and check
     nothing when their bounds are sure of the check (``_sure``). ``rho_inv``
     and ``dp_exp_full`` keep X and a recipe for R (``_rotation``); the
-    first read of ``motion`` builds R from it, read-only, and caches the
+    first read of ``motion`` builds R from it, or takes the R that the
+    fallback check of an unsure output built, read-only, and caches the
     motion, one for every reader, also when threads make that read at once.
     ``copy``, ``deepcopy`` and ``pickle`` of any instance run the public
     check again under the same tolerances, ``dataclasses.replace`` under
@@ -452,7 +454,7 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     """
     tol, F, P, Y = b._tol, b.plane.frame, b.plane.projector, b.fiber
     sig, rot = _embed_bound(F)
-    R = partial(_embed_rotation, P, sig)
+    R = _Deferred(_embed_rotation, P, sig)
     fib = _norm(np.matvec(P, Y) - Y, 1) / (1.0 + _norm(Y, 1)) + sig.n * _ROUND
     F = _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
     return _trusted(CartanMotion, tol, sig=sig, _frame=F, _X=Y, _rotation=R)
@@ -535,7 +537,7 @@ def dp_exp_full(
     sin_t = np.sin(t)
     F = _cs_frame(V, np.cos(t), sin_t, U)
     X = np.matvec(F, v + np.matvec(V, (_factors(s, sin_t) - 1.0) * np.matvec(V.mT, v)))
-    R, rot = partial(_cs_rotation, V, s, U), sig.n * _ROUND
+    R, rot = _Deferred(_cs_rotation, V, s, U), sig.n * _ROUND
     F = _checked_where_unsure(_sure(tol, rot, rot, X, _norm(X, 1)), F, _motion_check, sig, tol, R, X)
     return _trusted(CartanMotion, tol, sig=sig, _frame=_frozen(F), _X=_frozen(X), _rotation=R)
 

@@ -47,7 +47,7 @@ _REAL_SCALARS = (float, int, np.floating, np.integer)
 class Tolerances:
     """Tolerance bundle threaded through every numerical predicate."""
 
-    orth: float = 1e-9       # orthogonality / determinant checks
+    orth: float = 1e-9       # |R^T R - I|, |det R - 1| per n; the logs may take det's sign from their split
     invol: float = 1e-8      # |S - S^T|, |S^2 - I| of S = R J; sigma residual / (1 + |X|)
     branch: float = 1e-6     # distance from the log branch boundary at pi
     plane: float = 1e-8      # projector distance of planes and lines

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -235,7 +235,8 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     ``check`` is the public check, ``_cartan_rotation`` on R or
     ``bundle._motion_check`` on (R, X), given as ``parts``. R may be given
     as the function that builds it (``rho_inv`` and ``dp_exp_full`` defer
-    their R), which is called only if an element is unsure. ``sure`` is one
+    their R as a ``_Deferred``), which is called only if an element is
+    unsure, and keeps what it built for the first read of ``motion``. ``sure`` is one
     answer per element, or one for the whole stack. A single output that is
     sure returns F at once; one that is not takes the frame of
     ``check(*parts, sig, tol)``, which accepts or raises as for the same
@@ -267,6 +268,25 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
 def _built(parts: tuple) -> tuple:
     """``parts`` with R, the first, built if it was given as the function that builds it."""
     return (parts[0]() if callable(parts[0]) else parts[0],) + parts[1:]
+
+
+class _Deferred(partial):
+    """``partial(build, *args)`` that builds once: its first call keeps the value, and every later call returns it.
+
+    ``rho_inv`` and ``dp_exp_full`` defer their R as one, so the fallback
+    (``_checked_where_unsure``) and the first read of ``motion`` share one
+    build. Two first calls at once may each build; each value is the same
+    expression of the same arrays.
+    """
+
+    __slots__ = ("_value",)
+
+    def __call__(self):
+        try:
+            return self._value
+        except AttributeError:
+            self._value = value = super().__call__()
+            return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,10 +32,19 @@ exponential, for |omega|_2 <= pi the error stays within 1.4 times that of
 a Hermitian ``eigh`` of i omega at n = 4, 8 and 32; at |omega|_2 = 30 it
 is 3.5 to 6 times larger (1.8e-13 against 4.4e-14 at n = 32).
 
-Each map validates each input once: the matrix, then the vector. A map
-that needs R in SO(n) checks it with ``matcore._checked_rotation`` and then
-X, as ``se_log`` does; ``_checked_motion`` checks only the shape and domain
-of a motion's parts, against the n of a signature where one is given. Group
+Each map validates each input once: the matrix, then the vector. The
+logs test R in SO(n) with ``matcore._checked_log``, then X: R in the
+domain, then |R^T R - I| and |det R - 1|, each held to
+``tol.orth`` max(1, n), as ``check_special_orthogonal`` holds them. Where
+that orthogonality residual decides the determinant test
+(``matcore._split_decides_det``: at the default tolerances, wherever
+|R^T R - I| is below about 5e-10 sqrt(n), as for a rotation computed in
+floating point), the sign of det R is read off the ``eigh`` the log
+runs anyway, as the parity of its count of eigenvalues below its split,
+and no LU runs; elsewhere the LU ``det`` runs first, as the check does.
+Both accept the same R and raise the same error. ``_checked_motion``
+checks only the shape and domain of a motion's parts, against the n of a
+signature where one is given. Group
 arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and the value types
 ``Motion`` and ``Screw`` take their operands as given.
 
@@ -59,12 +68,11 @@ from .config import Tolerances, default_tolerances
 from .errors import BranchAmbiguityError, DimensionMismatchError, SingularMapError
 from .matcore import (
     _at,
-    _checked_rotation,
+    _checked_log,
     _eigh,
     _fail_at,
     _is_dim,
     _require,
-    _rotation_log,
     check_finite_matrix,
     check_finite_vector,
     check_skew,
@@ -133,8 +141,8 @@ def _checked_motion(g: Motion, n: int, batch: tuple | None = ()) -> tuple:
     R must be an n x n matrix, or a stack of the leading shape ``batch``
     (None: of its own), and X an n-vector or a stack of R's leading shape,
     both in the input domain. Only shape and domain are checked; a map that
-    needs R in SO(n) checks it with ``_checked_rotation`` and then X, as
-    ``se_log`` does.
+    needs R in SO(n) checks it (``_checked_rotation``, or ``_checked_log``
+    in the logs) and then X.
     """
     R = check_finite_matrix(g.R, (n, n), "rotation", batch)
     return R, check_finite_vector(g.X, n, "translation", R.shape[:-2])
@@ -205,10 +213,13 @@ def so_log(
 ) -> np.ndarray:
     """Principal logarithm of a rotation, angles in (-pi, pi).
 
-    An angle within ``tol.branch`` of pi makes the log non-unique; this
+    R is checked in SO(n) under ``tol.orth`` as ``check_special_orthogonal``
+    checks it, and the sign of det R comes from the log's own split where
+    the orthogonality residual decides it (``matcore._checked_log``). An
+    angle within ``tol.branch`` of pi makes the log non-unique; this
     raises unless ``allow_pi`` explicitly requests the +pi resolution.
     """
-    L, _, theta = _rotation_log(_checked_rotation(R, tol)[0])
+    L, _, theta = _checked_log(R, tol)
     if not allow_pi:
         _check_branch(theta, tol)
     return L
@@ -296,11 +307,12 @@ def se_log(g: Motion, tol: Tolerances = default_tolerances(), allow_pi: bool = F
     One ``eigh`` of (R + R^T)/2 gives L = log R, an eigenbasis V and the
     angle theta of each eigenvector; X is pulled back as
     V diag(cos(theta/2) / f(theta)) V^T X - L X / 2. The checks run in the
-    order R in SO(n), then X a finite n-vector, then the branch at pi. Every
-    angle is in [0, pi], so f is in [2/pi, 1] and the pull-back, unlike
-    ``y_omega_solve``, cannot meet a singular factor.
+    order R in SO(n) (as in ``so_log``: det R's sign from the split where
+    the residual decides it), then X a finite n-vector, then the branch at
+    pi. Every angle is in [0, pi], so f is in [2/pi, 1] and the pull-back,
+    unlike ``y_omega_solve``, cannot meet a singular factor.
     """
-    L, V, theta = _rotation_log(_checked_rotation(g.R, tol)[0])
+    L, V, theta = _checked_log(g.R, tol)
     X = check_finite_vector(g.X, theta.shape[-1], "translation", theta.shape[:-1])
     if not allow_pi:
         _check_branch(theta, tol)

@@ -14,7 +14,9 @@ SO(n), W skew) and computes the one route it returns; that the rotation
 form rebuilds R is checked by ``verify``
 (``matcore.canonical_form_reconstruction``), not on every call. The
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
-only the angles near pi. ``orthonormalize`` is the sign-fixed QR
+only the angles near pi. The logs check R in SO(n) through ``_checked_log``,
+which reads the sign of det R off that ``eigh``'s split, with no LU,
+wherever the orthogonality residual decides it (``_split_decides_det``). ``orthonormalize`` is the sign-fixed QR
 (``_sign_fixed_qr``) that the samplers also draw their frames with.
 
 The LAPACK boundary. Every decomposition the library runs goes through one
@@ -624,15 +626,67 @@ def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> t
     """(R, |R^T R - I|): ``check_special_orthogonal``, also returning its orthogonality residual.
 
     R must be n x n, or square of any size if n is None, or a stack of
-    them, and the residual is then one per element.
+    them, and the residual is then one per element. R is orthogonal
+    (``_orthogonal``), and then |det R - 1| is held to the same bound.
+    """
+    R, defect, bound = _orthogonal(R, tol, n)
+    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError, _NOT_SPECIAL)
+    return R, defect
+
+
+_NOT_SPECIAL = "matrix has determinant != +1"
+_EPS = float(np.finfo(float).eps)
+
+
+def _orthogonal(R: np.ndarray, tol: Tolerances, n: int | None) -> tuple:
+    """(R, d, b): R checked in the input domain, n x n and orthogonal, d = |R^T R - I| <= b = ``tol.orth`` max(1, n).
+
+    The first two checks of ``_checked_rotation``, for one R or a stack.
     """
     R = check_finite_matrix(R, (n, n), "rotation", None)
     n = R.shape[-1]
     defect, bound = _norm(R.mT @ R - _eye(n), 2), tol.orth * max(1, n)
     _require(defect <= bound, IllConditionedSpectrumError, "matrix is not orthogonal within tolerance")
-    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError,
-             "matrix has determinant != +1")
-    return R, defect
+    return R, defect, bound
+
+
+def _checked_log(R: np.ndarray, tol: Tolerances) -> tuple:
+    """``_rotation_log`` of R checked in SO(n) under ``tol``, as ``_checked_rotation`` checks it; or of a stack.
+
+    The determinant check of ``_checked_rotation`` runs only where the
+    residual does not decide it (``_split_decides_det``); elsewhere the
+    log's own split gives the sign of det R: an odd count below it raises
+    the determinant's error, with the same ``index``, before the log is
+    formed.
+    """
+    R, defect, bound = _orthogonal(R, tol, None)
+    if _split_decides_det(defect, bound, R.shape[-1]):
+        return _rotation_log(R, _NOT_SPECIAL)
+    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError, _NOT_SPECIAL)
+    return _rotation_log(R)
+
+
+def _split_decides_det(defect, bound: float, n: int) -> bool:
+    """Whether, for every element, |det R - 1| <= ``bound`` holds exactly when the split of ``_rotation_log`` is even.
+
+    Let d bound the residual |R^T R - I| of each element, with rounding:
+    the computed one plus n^2 eps, which covers the rounding of R^T R and
+    of its norm, and leaves the ``eigh`` of the log its share. Write
+    R = Q H, Q orthogonal and H = (R^T R)^(1/2). Since |det R|^2 =
+    det(I + R^T R - I), ||det R| - 1| <= sqrt(n) d, so 2 sqrt(n) d <= b
+    leaves b/2 for the rounding of the LU determinant, and b < 1 puts a
+    negative det R far outside the bound. (R + R^T)/2 is within d of
+    (Q + Q^T)/2, whose spectrum is each cos(theta) of a turning plane
+    twice, a -1 for each -1 eigenvalue of Q and a +1 for each +1. The split
+    sits at the widest of n + 1 gaps that sum to 1/2, at least
+    1/(2 (n + 1)), and with 4 (n + 1) d < 1 no pair, within 2d of itself,
+    spans it; each -1 lies below it and each +1 above. So the count below
+    the split is even exactly when Q has an even count of -1 eigenvalues,
+    when det R > 0. Where all three hold for every element, the split
+    decides; otherwise the LU runs.
+    """
+    d = (defect if type(defect) is float else float(defect.max())) + n * n * _EPS
+    return bound < 1.0 and 2.0 * math.sqrt(n) * d <= bound and 4.0 * (n + 1) * d < 1.0
 
 
 _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))
@@ -707,7 +761,7 @@ def _pairing_tail(V: np.ndarray, theta: np.ndarray, K: np.ndarray, k: int) -> np
     return L
 
 
-def _rotation_log(R: np.ndarray) -> tuple:
+def _rotation_log(R: np.ndarray, odd: str = "ill-conditioned spectrum: odd count of angles near pi") -> tuple:
     """(L, V, theta) for R already checked to lie in SO(n), or for each of a stack.
 
     L is the principal log of R (the +pi resolution at angle pi), V an
@@ -721,7 +775,9 @@ def _rotation_log(R: np.ndarray) -> tuple:
     theta = pi - arcsin(sin theta), and an exact -1 kernel is paired at pi
     (``_pairing_tail``). One rotation takes no grouping: it runs the tail
     if m > 0, on its own arrays. A stack runs the tail only on the elements
-    with m > 0, as one stack per split m.
+    with m > 0, as one stack per split m. An odd m, which no pairing
+    resolves, raises ``IllConditionedSpectrumError`` with the message
+    ``odd``, at the first such element, before any log is formed.
     """
     S, K = 0.5 * (R + R.mT), 0.5 * (R - R.mT)
     c, V = _eigh(S)
@@ -729,7 +785,7 @@ def _rotation_log(R: np.ndarray) -> tuple:
     edges[..., 0], edges[..., -1] = -0.75, -0.25
     c.clip(-0.75, -0.25, out=edges[..., 1:-1])
     m = (edges[..., 1:] - edges[..., :-1]).argmax(axis=-1)
-    _require(m % 2 == 0, IllConditionedSpectrumError, "ill-conditioned spectrum: odd count of angles near pi")
+    _require(m % 2 == 0, IllConditionedSpectrumError, odd)
     theta = np.arccos(c.clip(-1.0, 1.0))
     if R.ndim == 2:
         return (_pairing_tail(V, theta, K, int(m)) if m else _log_above_split(V, theta, K)), V, theta

@@ -13,7 +13,7 @@ from cartanbundle import matcore as mc
 from cartanbundle.bundle import DpElement, sigma
 from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
 from cartanbundle.grassmann import DpGenerator, _cs_rotation, _generator, _generator_svd, _principal_pairs
-from cartanbundle.liegroup import _factors, y_omega
+from cartanbundle.liegroup import _factors, _pull_back, y_omega
 from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
 
@@ -224,3 +224,16 @@ def rotation_log_oracle(R):
             L[at] = _pairing_tail_oracle(V_k, theta_k, K[at], int(k))
             V[at], theta[at] = V_k, theta_k
     return L, V, theta
+
+
+def checked_logs_oracle(R, X, tol):
+    """(L, v): ``so_log`` and ``se_log`` of (R, X) with ``allow_pi``, by the rule that tests det R with an LU.
+
+    R is checked by ``check_special_orthogonal`` (orthogonality, then
+    |det R - 1| from ``np.linalg.det``'s gufunc), and then ``_rotation_log``
+    rejects an odd count below its split with its own message; X is
+    checked last. R may be a stack, and X then a stack of its leading shape.
+    """
+    L, V, theta = mc._rotation_log(mc.check_special_orthogonal(R, tol))
+    X = mc.check_finite_vector(X, theta.shape[-1], "translation", theta.shape[:-1])
+    return L, _pull_back(V, theta, _factors(theta), L, X)

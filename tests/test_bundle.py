@@ -691,6 +691,28 @@ def test_first_reads_at_once_get_one_motion(monkeypatch):
     assert s.motion.R.tobytes() == dp_exp_full_oracle(xi)[0].tobytes()
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("n, p", [(4, 2), (8, 3)], ids=str)
+@pytest.mark.parametrize("chain", ["rho_inv", "dp_exp_full"])
+def test_an_unsure_output_builds_its_deferred_rotation_once(monkeypatch, chain, n, p, lead):
+    """Under tol.orth at half of n ``_ROUND`` no output of ``rho_inv`` or ``dp_exp_full`` is sure, so the fallback
+    builds R for the public check. The first read of ``motion`` returns that R, read-only and bit for bit the
+    expression the map builds it with, and builds none."""
+    unsure = Tolerances(orth=0.5 * n * grassmann_module._ROUND)
+    b, xi = _desk_operands(n, p, lead)
+    forward, expected = {
+        "rho_inv": (lambda: rho_inv(bundle_point(plane_from_frame(b.plane.frame, unsure), b.fiber)),
+                    lambda: (np.eye(n) - 2.0 * b.plane.projector) * np.diag(Signature(p, n - p).matrix)),
+        "dp_exp_full": (lambda: dp_exp_full(xi, unsure), lambda: dp_exp_full_oracle(xi)[0]),
+    }[chain]
+    built = _count_rotation_builds(monkeypatch)
+    s = forward()
+    assert len(built) == 1
+    motion = s.motion
+    assert len(built) == 1 and s.motion is motion
+    assert motion.R.tobytes() == expected().tobytes() and not motion.R.flags.writeable
+
+
 class TestCertificate:
     """A certified instance cannot be changed into an unchecked one."""
 

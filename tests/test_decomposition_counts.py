@@ -10,7 +10,10 @@ which takes the pairing tail of ``matcore._rotation_log``: one ``eigh`` of
 the skew block below its split and one complete QR more, as one call. At
 the benchmark's screw shape, n = 32, a rotation that turns three planes past
 its split of 6 takes the same calls, the second ``eigh`` and the QR on
-6 x 6 operands.
+6 x 6 operands. The logs take the sign of det R from their split, with no
+LU ``det``, wherever the orthogonality residual decides it; under
+``tol.orth`` = 1 it does not, and the ``det`` runs. On 64 motions drawn
+as the benchmark's n = 32 screws are, no log runs a ``det``.
 """
 
 import math
@@ -27,6 +30,7 @@ from cartanbundle import (
     Motion,
     Screw,
     Signature,
+    Tolerances,
     bundle_act,
     bundle_point,
     cartan_embed0,
@@ -64,12 +68,13 @@ EXPECTED = {
     "so_exp": {"eigh": 1},
     "y_omega": {"eigh": 1},
     "y_omega_solve": {"eigh": 1},
-    "se_log": {"eigh": 1, "det": 1},
-    "so_log": {"eigh": 1, "det": 1},
-    "se_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
-    "so_log (pairing tail)": {"eigh": 2, "qr": 1, "det": 1},
-    "se_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1, "det": 1},
-    "so_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1, "det": 1},
+    "se_log": {"eigh": 1},
+    "so_log": {"eigh": 1},
+    "se_log (pairing tail)": {"eigh": 2, "qr": 1},
+    "so_log (pairing tail)": {"eigh": 2, "qr": 1},
+    "se_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1},
+    "so_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1},
+    "so_log (tol.orth = 1)": {"eigh": 1, "det": 1},
     "CartanRotation.certify": {"eigh": 1, "det": 1},
     "CartanMotion.certify": {"eigh": 1, "det": 1},
     "dp_exp": {"svd": 1},
@@ -136,6 +141,7 @@ def calls():
         "so_log (pairing tail)": lambda: so_log(tail),
         "se_log (pairing tail, n = 32)": lambda: se_log(Motion(wide32, v32)),
         "so_log (pairing tail, n = 32)": lambda: so_log(wide32),
+        "so_log (tol.orth = 1)": lambda: so_log(g.R, Tolerances(orth=1.0)),
         "CartanRotation.certify": lambda: CartanRotation.certify(cr.mat, SIG),
         "CartanMotion.certify": lambda: CartanMotion.certify(cm.motion, SIG),
         "dp_exp": lambda: dp_exp(gen),
@@ -168,8 +174,28 @@ def test_one_canonical_form_per_call(monkeypatch, calls, name):
 
 @pytest.mark.parametrize("name", ["se_log (pairing tail, n = 32)", "so_log (pairing tail, n = 32)"])
 def test_the_screw_shape_tail_decomposes_its_6_x_6_block(monkeypatch, calls, name):
-    """The second ``eigh`` and the QR run on the skew block below the split, 6 x 6; det and the first ``eigh`` on R."""
+    """The second ``eigh`` and the QR run on the skew block below the split, 6 x 6; the first ``eigh`` on R."""
     shapes = []
     spy(monkeypatch, lambda decomposition, a: shapes.append((decomposition, a.shape)))
     calls[name]()
-    assert sorted(shapes) == [("det", (32, 32)), ("eigh", (6, 6)), ("eigh", (32, 32)), ("qr", (6, 6))]
+    assert sorted(shapes) == [("eigh", (6, 6)), ("eigh", (32, 32)), ("qr", (6, 6))]
+
+
+def test_the_logs_run_no_lu_on_screw_shape_inputs(monkeypatch):
+    """64 motions at n = 32 drawn as the benchmark's screws are: a random skew scaled to a largest angle up to
+    pi - 1e-3, every 8th to one of about 2e-4. Under the default tolerances no ``se_log`` or ``so_log`` of them
+    runs an LU ``det``: each residual decides the sign of det R. (Those with planes turned past the split also
+    run the pairing tail's ``eigh`` and QR.)"""
+    rng = np.random.default_rng(50)
+    motions = []
+    for i in range(64):
+        A = rng.standard_normal((32, 32))
+        omega = 0.5 * (A - A.T)
+        top = 3e-4 * rng.uniform(0.5, 1.0) if i % 8 == 7 else (math.pi - 1e-3) * rng.uniform(0.05, 1.0)
+        motions.append(se_exp(Screw(omega * (top / np.linalg.norm(omega, 2)), rng.standard_normal(32))))
+    counts = Counter()
+    spy(monkeypatch, lambda decomposition, a: counts.update([decomposition]))
+    for g in motions:
+        se_log(g)
+        so_log(g.R)
+    assert counts["det"] == 0 and counts["eigh"] >= 128, counts

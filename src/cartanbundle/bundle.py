@@ -17,7 +17,10 @@ n of the signature. ``tau``, ``CartanMotion``, ``double_projection`` and
 (``liegroup._checked_motion``). A motion that a caller hands to the public
 ``CartanMotion`` constructor is checked once, in one pass: SO(n) and a
 translation that way, then the shared S_p0 check of grassmann (one
-``eigh``), then the sigma residual and the fiber condition. The instance
+``eigh``), then the sigma residual and the fiber condition. The count of
+that ``eigh`` gives the sign of det R wherever the orthogonality residual
+decides its size, so no LU runs there
+(``grassmann._special_unless_counted``). The instance
 keeps read-only copies of R and X and the frame of the plane that the
 check found. ``rho`` and ``dp_log_full`` read only that frame and X (the
 private ``_X``), never R, and check nothing again.
@@ -98,6 +101,7 @@ output stack (``grassmann._checked_where_unsure``).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -124,6 +128,7 @@ from .grassmann import (
     _principal_pairs,
     _read_only,
     _ROUND,
+    _special_unless_counted,
     _sure,
     _trusted,
 )
@@ -139,6 +144,7 @@ from .matcore import (
     _complete_frames,
     _eye,
     _norm,
+    _orthogonal,
     _projector,
     _require,
     _stacked_like,
@@ -208,7 +214,11 @@ class CartanMotion:
     rotation in SO(n) and an n-vector translation in the input domain of
     ``matcore``, for the n of the signature, then S_p0, the sigma
     residual and the fiber condition, each under the one bound that
-    ``in_Q0``, ``in_Q`` and ``bundle_point`` also apply. The sigma residual
+    ``in_Q0``, ``in_Q`` and ``bundle_point`` also apply. As for a
+    ``CartanRotation``, the sign of det R comes from the S_p0 check's
+    ``eigh`` wherever the residual decides its size, with no LU, and every
+    motion is accepted or raises as with the LU checked first
+    (``grassmann._special_unless_counted``). The sigma residual
     comes from the S_p0 check's S = R J and |S^2 - I| as
     hypot(|S^2 - I|, |X + S X|) (see the module docstring); no sigma(g) is
     built. The fiber residual is |(I - P) Y| computed as
@@ -264,19 +274,31 @@ def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances) -> tuple:
     """(motion, F): the check of a ``CartanMotion``, for g or stacks; X must have the leading shape of R.
 
     The motion holds read-only copies of g's parts, and F is the frame of
-    the plane that the S_p0 check found.
+    the plane that the S_p0 check found. The determinant of R is checked
+    as ``grassmann._special_unless_counted`` does, before the translation's
+    check.
     """
     motion = Motion(_read_only(g.R), _read_only(g.X))
-    R = _checked_rotation(motion.R, tol, sig.n)[0]
-    X = check_finite_vector(motion.X, sig.n, "translation", R.shape[:-2])
-    F, S, invol = _cartan_frame(R, sig, tol)
+    R, defect, bound = _orthogonal(motion.R, tol, sig.n)
+    return motion, _special_unless_counted(R, defect, bound, tol, partial(_in_sp, R, motion.X, sig, tol))[0]
+
+
+def _in_sp(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """(F, w): the checks of ``_cartan_motion`` after SO(n), for R orthogonal, or stacks.
+
+    X is an n-vector in the input domain of R's leading shape; then the
+    S_p0 check of R (``_cartan_frame``: its frame F and eigenvalues w), the
+    sigma residual and the fiber condition.
+    """
+    X = check_finite_vector(X, sig.n, "translation", R.shape[:-2])
+    F, S, invol, w = _cartan_frame(R, sig, tol)
     residual = _sigma_residual(invol, S, X)
     _require(_sigma_holds(residual, X, tol), NotInCartanModelError, "sigma(g) != g^{-1}", residual=residual)
     # Fiber condition J X = -R^{-1} X, equivalently X in rho0(R).
     fib = 0.5 * _norm(sig._signs * X + np.matvec(R.mT, X), 1)
     _require(_fiber_holds(fib, X, tol), NotInCartanModelError, "translation is not in the carried plane",
              residual=fib)
-    return motion, F
+    return F, w
 
 
 def _motion_check(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:

@@ -46,10 +46,11 @@ value that is not a number, a field the command does not read, or the flag
 before the subcommand is ``bad_arguments``; a value that is not a finite
 positive number is ``invalid_input``, as ``Tolerances`` rejects it.
 
-Exit codes: 0 success; 1 bad arguments or a domain error, with a
-machine-readable JSON object on stderr; 2 verification failure; 141 stdout was
-closed before the output was written (128 + SIGPIPE, as a shell reports for
-``yes | head``), with nothing on stderr.
+Exit codes: 0 success; 1 bad arguments, invalid input (malformed JSON,
+JSON nested too deeply to read, a value of the wrong form) or a domain
+error, with a machine-readable JSON object on stderr; 2 verification
+failure; 141 stdout was closed before the output was written (128 +
+SIGPIPE, as a shell reports for ``yes | head``), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -274,6 +275,22 @@ def _moebius(args, obj, tol):
     return "\n".join(sz.dumps(rec) for rec in records), 0
 
 
+def _read_json(path):
+    """The JSON value read from ``path``, or from stdin if it is None.
+
+    JSON nested past Python's recursion limit makes ``json.load`` raise
+    ``RecursionError``; it is invalid input, a ``ValueError`` here, as
+    malformed JSON is.
+    """
+    try:
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _emit_error(code: str, detail: str, context=None):
     sys.stderr.write(sz.dumps({"error": code, "detail": detail, "context": context or {}}) + "\n")
 
@@ -286,12 +303,7 @@ def main(argv=None) -> int:
         overrides = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("tol.")}
         tol = dataclasses.replace(default_tolerances(), **overrides)
         _, reads_input, _, handler = COMMANDS[args.command]
-        obj = None
-        if reads_input and args.infile:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        elif reads_input:
-            obj = json.load(sys.stdin)
+        obj = _read_json(args.infile) if reads_input else None
         out, code = handler(args, obj, tol)
         text = (out if isinstance(out, str) else sz.dumps(out)) + "\n"
         if args.outfile:

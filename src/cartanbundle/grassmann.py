@@ -24,12 +24,17 @@ map of certified values (``cartan_embed0``, ``rho0``, ``dp_log0``,
 
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
 sign flips by the diagonal of J; J is built once per (p, q), read-only. One
-private routine checks membership of a rotation already in SO(n): S = R J
+private routine checks membership of an orthogonal rotation: S = R J
 a symmetric involution, with |S - S^T| and |S^2 - I| each at most
 ``tol.invol`` (``matcore._symmetric_involution``, the test ``in_Q0`` also
 reads), and one ``eigh`` of S giving the (-1)-eigenspace dimension and its
-frame. It runs once, when a caller hands a matrix to the public
-``CartanRotation`` or ``CartanMotion`` constructor; the instance keeps
+frame. Exactly p negative eigenvalues also give det R > 0, since
+det((I - 2 P) J) = (-1)^rank P (-1)^p; wherever the orthogonality residual
+decides the size of det R and the eigenvalues its sign, that count stands
+for SO(n)'s determinant check, and no LU runs
+(``_special_unless_counted``). The routine runs once, when a caller hands
+a matrix to the public ``CartanRotation`` or ``CartanMotion``
+constructor; the instance keeps
 read-only copies of its matrices and that frame, so ``rho0``, ``dp_log0``,
 ``rho`` and ``dp_log_full`` read the frame and check nothing again. The
 eigenvectors of ``eigh`` are orthonormal, so the plane built from that frame
@@ -97,15 +102,18 @@ from .matcore import (
     _at,
     _checked_frame,
     _checked_rotation,
+    _count_decides_det,
     _eigh,
     _eye,
     _fail_at,
     _groups,
     _is_int,
     _norm,
+    _orthogonal,
     _projector,
     _real,
     _require,
+    _special,
     _stacked_like,
     _svd,
     _symmetric_involution,
@@ -426,7 +434,11 @@ class CartanRotation:
     """A rotation in the Cartan model S_p0, checked once, at construction; or a stack of them.
 
     ``certify``, which the constructor runs, checks that R is n x n for
-    the signature and lies in SO(n), and then S_p0. A stack of rotations
+    the signature and lies in SO(n), and then S_p0. The sign of det R is
+    read off the count of the S_p0 check's ``eigh`` wherever the
+    orthogonality residual decides its size, with no LU; every R is
+    accepted or raises as with the LU (``_special_unless_counted``). A
+    stack of rotations
     is one ``CartanRotation`` whose matrix and frame carry a leading batch
     shape; its ``sig`` fixes the trailing axes, and the whole stack shares
     one ``_tol``.
@@ -467,21 +479,46 @@ def _cartan_rotation(R: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
     """(R, F): the check of a ``CartanRotation``, for R or a stack.
 
     R, read-only, is checked n x n for sig and in SO(n), then in S_p0; F is
-    the frame of its plane that the S_p0 check found.
+    the frame of its plane that the S_p0 check found. The determinant is
+    checked as ``_special_unless_counted`` does.
     """
-    R = _read_only(_checked_rotation(R, tol, sig.n)[0])
-    return R, _cartan_frame(R, sig, tol)[0]
+    R, defect, bound = _orthogonal(R, tol, sig.n)
+    R = _read_only(R)
+    return R, _special_unless_counted(R, defect, bound, tol, partial(_cartan_frame, R, sig, tol))[0]
+
+
+def _special_unless_counted(R: np.ndarray, defect, bound: float, tol: Tolerances, check) -> tuple:
+    """check(): the checks of a Cartan certificate that follow SO(n), for R that has passed ``_orthogonal``.
+
+    SO(n) ends with |det R - 1| <= ``bound``, an LU ``det``
+    (``matcore._special``). On S_p0 that test is redundant where the
+    residual decides the size of det R and the S_p0 check's ``eigh`` its
+    sign (``matcore._count_decides_det``, on w, the last value ``check``
+    returns): there no LU runs. Elsewhere the LU runs after ``check``
+    passes, and whenever ``check`` raises, it runs first, so that a
+    determinant that fails raises before the later check's error: each
+    error is the one that checking det R first gives, with its ``index``.
+    """
+    try:
+        out = check()
+    except GeometryError:
+        _special(R, bound)
+        raise
+    if not _count_decides_det(defect, bound, out[-1], tol.invol):
+        _special(R, bound)
+    return out
 
 
 def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
-    """(F, S, |S^2 - I|) for a rotation R already checked to lie in SO(n), n x n for sig.
+    """(F, S, |S^2 - I|, w) for a rotation R already checked to be orthogonal, n x n for sig.
 
     Checks that S = R J is a symmetric involution (``_symmetric_involution``)
     whose (-1)-eigenspace has dimension p, raising ``NotInCartanModelError``
     if not. F is that eigenspace's frame, read-only, from the same ``eigh``:
-    its leading p columns, as ``eigh`` sorts the eigenvalues ascending. S
+    its leading p columns, as ``eigh`` sorts the eigenvalues w ascending. S
     and the involution residual are returned for the sigma residual of a
-    motion. A stack of rotations is checked as one stack.
+    motion, and w for the sign of det R (``_special_unless_counted``). A
+    stack of rotations is checked as one stack.
     """
     S = mat * sig._signs
     _, i, defect, invol = _symmetric_involution(S, tol)
@@ -494,7 +531,7 @@ def _cartan_frame(mat: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
                                     **_at(i, eigenspace_dim=np.count_nonzero(w[i] < 0)))
     F = V[..., : sig.p].copy()
     F.flags.writeable = False
-    return F, S, invol
+    return F, S, invol, w
 
 
 @lru_cache(maxsize=32)

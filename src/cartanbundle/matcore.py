@@ -16,24 +16,31 @@ form rebuilds R is checked by ``verify``
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
 only the angles near pi. The logs check R in SO(n) through ``_checked_log``,
 which reads the sign of det R off that ``eigh``'s split, with no LU,
-wherever the orthogonality residual decides it (``_split_decides_det``). ``orthonormalize`` is the sign-fixed QR
-(``_sign_fixed_qr``) that the samplers also draw their frames with.
+wherever the orthogonality residual decides it (``_split_decides_det``);
+the Cartan certificates read it off the count of their S_p0 check's
+``eigh`` in the same way (``_count_decides_det``). ``orthonormalize`` is
+the sign-fixed QR (``_sign_fixed_qr``) that the samplers also draw their
+frames with; the Haar rotations read the sign of their determinant off
+that QR's reflectors.
 
 The LAPACK boundary. Every decomposition the library runs goes through one
 kernel here: ``_eigh`` (real symmetric or complex Hermitian), ``_svd``
-(thin or full), ``_singular_values``, ``_qr`` (reduced or complete, with
-the raw factor whose diagonal is R's), ``_sign_fixed_qr`` and ``_det``.
+(thin or full), ``_singular_values``, ``_householder_qr`` (reduced or
+complete, with the raw factor whose diagonal is R's and the reflectors'
+tau; ``_qr`` drops tau), ``_sign_fixed_qr`` and ``_det``.
 Each calls the gufunc of NumPy's private module
 ``numpy.linalg._umath_linalg`` that ``numpy.linalg`` calls, with the same
 signature, so its outputs equal ``numpy.linalg``'s bit for bit. What it
 skips is ``numpy.linalg``'s per-call wrapper (type promotion, shape
 asserts, an input copy, ``triu``, a named tuple), which at n <= 8 costs
-about as much as LAPACK does. ``_qr`` copies its operand, since LAPACK
-overwrites it. ``_eigh``, ``_svd`` and ``_qr`` keep ``numpy.linalg``'s
-floating-point policy (``_lapack_policy``), except that a LAPACK failure
-to converge raises ``IllConditionedSpectrumError`` where ``numpy.linalg``
-raises ``LinAlgError``; ``_det``, like ``np.linalg.det``, sets none. Each kernel looks its gufunc up at call time, so a patch
-of one gufunc sees every call (the tests count decompositions that way).
+about as much as LAPACK does. ``_householder_qr`` copies its operand,
+since LAPACK overwrites it. ``_eigh``, ``_svd`` and ``_householder_qr``
+keep ``numpy.linalg``'s floating-point policy (``_lapack_policy``), except
+that a LAPACK failure to converge raises ``IllConditionedSpectrumError``
+where ``numpy.linalg`` raises ``LinAlgError``; ``_det``, like
+``np.linalg.det``, sets none. Each kernel looks its gufunc up at call
+time, so a patch of one gufunc sees every call (the tests count
+decompositions that way).
 No other module names a ``numpy.linalg`` decomposition, except ``verify``'s
 independent oracles, which keep the public functions on purpose. The gufunc
 names are private; they were checked on NumPy 2.4.6, and CI runs the kernel
@@ -73,7 +80,8 @@ The validation primitives (``check_finite_matrix``, ``check_finite_vector``,
 construction, and ``check_skew`` on every exponential. On a 4x4 check,
 NumPy's Python-level dispatch costs more than the arithmetic, so they read a
 cached read-only identity per n (``_eye``) instead of building one, test the
-domain with one reduction (``_in_domain``), and take Frobenius norms through
+domain with one reduction (``_in_domain``, over a whole stack at once), and
+take Frobenius norms through
 ``_norm``: NumPy's own fast path for the default norm,
 sqrt(x.ravel(order="K").dot(x)), without the argument handling around it, so
 every residual stays bit-identical to ``np.linalg.norm``.
@@ -292,9 +300,15 @@ def _in_domain(x: np.ndarray, name: str, core: int) -> np.ndarray:
     Each element (the trailing ``core`` axes) passes
     ``np.abs(x).max() <= _MAX_ABS``, which costs what ``np.isfinite`` does
     and also fails on NaN and +-inf. The error's context carries the
-    element's largest magnitude (NaN if there is a NaN).
+    element's largest magnitude (NaN if there is a NaN). A stack is tested
+    by its largest magnitude, in one reduction; only a stack that fails it
+    is reduced per element, to find the first element that fails and its
+    largest magnitude.
     """
-    top = np.maximum.reduce(np.abs(x), axis=None if x.ndim == core else tuple(range(-core, 0)))
+    a = np.abs(x)
+    if x.ndim > core and np.maximum.reduce(a, axis=None, initial=0.0) <= _MAX_ABS:  # 0: an empty stack passes
+        return x
+    top = np.maximum.reduce(a, axis=None if x.ndim == core else tuple(range(-core, 0)))
     i = _fail_at(top <= _MAX_ABS)
     if i is not None:
         detail = f"{name} has an entry that is not finite or exceeds {_MAX_ABS:g}"
@@ -440,20 +454,27 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 
 @_lapack_policy("qr")
-def _qr(a: np.ndarray, complete: bool = False) -> tuple:
-    """(Q, H): the Q of ``np.linalg.qr(a)`` or, with ``complete``, of ``mode="complete"``; a real array or a stack.
+def _householder_qr(a: np.ndarray, complete: bool = False) -> tuple:
+    """(Q, H, tau): the Q of ``np.linalg.qr(a)`` or, with ``complete``, of ``mode="complete"``; a real array or a stack.
 
     H is the raw factor, a float copy of a that LAPACK overwrites with its
     Householder QR: R lies on and above its diagonal (``np.linalg.qr``'s R
     is the upper triangle of its leading rows), so R's diagonal is H's.
-    For an m x n operand a reduced Q is m x min(m, n) and a complete Q is
-    m x m; for m <= n they agree, and the reduced gufunc runs, as
-    ``np.linalg.qr`` picks.
+    tau holds one scale per reflector, min(m, n) of them: Q is the product
+    of the reflectors I - tau v v^T, each a reflection (det -1) where its
+    tau is nonzero and the identity where it is 0. For an m x n operand a
+    reduced Q is m x min(m, n) and a complete Q is m x m; for m <= n they
+    agree, and the reduced gufunc runs, as ``np.linalg.qr`` picks.
     """
     H = a.astype(np.float64)  # a copy: qr_r_raw overwrites its operand
     tau = _lapack.qr_r_raw(H, signature="d->d")
     m, n = a.shape[-2:]
-    return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H
+    return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H, tau
+
+
+def _qr(a: np.ndarray, complete: bool = False) -> tuple:
+    """(Q, H) of ``_householder_qr``: the Q of ``np.linalg.qr(a)``, or of ``mode="complete"``, and the raw factor."""
+    return _householder_qr(a, complete)[:2]
 
 
 def _det(a: np.ndarray):
@@ -465,17 +486,26 @@ def _det(a: np.ndarray):
     return _lapack.det(a, signature="d->d")
 
 
-def _sign_fixed_qr(M: np.ndarray, complete: bool = False) -> np.ndarray:
-    """The Q of each matrix's QR (``_qr``), with the column signs that make R's diagonal positive.
+def _sign_fixed_qr(M: np.ndarray, complete: bool = False, special: bool = False) -> np.ndarray:
+    """The Q of each matrix's QR (``_householder_qr``), with the column signs that make R's diagonal positive.
 
     For M of full column rank, this is the Gram-Schmidt frame of M's columns
     in their order, up to rounding, and a pure function of M. Each of the
     first columns, one per entry of R's diagonal, is negated where that
     entry is negative (``np.copysign``); with ``complete``, the columns past
-    them complete the frame and keep the signs of Q.
+    them complete the frame and keep the signs of Q. With ``special``, each
+    square Q is then put in SO(n): its last column is negated where
+    det Q = -1, a sign read off the QR with no LU. Each nonzero tau is one
+    reflection, and the fix negates one column per entry of R's diagonal
+    whose sign bit is set (``np.copysign`` reads the sign bit, so a -0.0
+    counts, hence ``np.signbit`` and not < 0): det Q is -1 to the sum of
+    both counts.
     """
-    Q, H = _qr(M, complete)
-    Q[..., : H.shape[-1]] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
+    Q, H, tau = _householder_qr(M, complete)
+    r = np.diagonal(H, axis1=-2, axis2=-1)
+    Q[..., : H.shape[-1]] *= np.copysign(1.0, r)[..., None, :]
+    if special:
+        Q[(np.count_nonzero(tau, axis=-1) + np.count_nonzero(np.signbit(r), axis=-1)) % 2 == 1, :, -1] *= -1
     return Q
 
 
@@ -627,15 +657,26 @@ def _checked_rotation(R: np.ndarray, tol: Tolerances, n: int | None = None) -> t
 
     R must be n x n, or square of any size if n is None, or a stack of
     them, and the residual is then one per element. R is orthogonal
-    (``_orthogonal``), and then |det R - 1| is held to the same bound.
+    (``_orthogonal``), and then |det R - 1| is held to the same bound by
+    an LU ``det`` (``_special``). This is the SO(n) check of the maps that
+    have no decomposition of R to read det's sign from. The logs
+    (``_checked_log``) and the Cartan certificates
+    (``grassmann._special_unless_counted``) run the same two checks, but
+    read that sign off their own ``eigh`` wherever the residual decides
+    the size of det R, and accept and raise exactly as this does.
     """
     R, defect, bound = _orthogonal(R, tol, n)
-    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError, _NOT_SPECIAL)
+    _special(R, bound)
     return R, defect
 
 
 _NOT_SPECIAL = "matrix has determinant != +1"
 _EPS = float(np.finfo(float).eps)
+
+
+def _special(R: np.ndarray, bound: float) -> None:
+    """The determinant check of ``_checked_rotation``: |det R - 1| <= ``bound`` by an LU ``det``, for R or a stack."""
+    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError, _NOT_SPECIAL)
 
 
 def _orthogonal(R: np.ndarray, tol: Tolerances, n: int | None) -> tuple:
@@ -662,31 +703,63 @@ def _checked_log(R: np.ndarray, tol: Tolerances) -> tuple:
     R, defect, bound = _orthogonal(R, tol, None)
     if _split_decides_det(defect, bound, R.shape[-1]):
         return _rotation_log(R, _NOT_SPECIAL)
-    _require(abs(_det(R) - 1.0) <= bound, IllConditionedSpectrumError, _NOT_SPECIAL)
+    _special(R, bound)
     return _rotation_log(R)
+
+
+def _decided_defect(defect, bound: float, n: int) -> float:
+    """d, the largest residual |R^T R - I| of R or a stack, with rounding, where it decides the size of det R; else inf.
+
+    d is the computed residual plus n^2 eps, which covers the rounding of
+    R^T R and of its norm, and leaves an ``eigh`` its share. Write R = Q H,
+    Q orthogonal and H = (R^T R)^(1/2). Since |det R|^2 =
+    det(I + R^T R - I), ||det R| - 1| <= sqrt(n) d, so 2 sqrt(n) d <= b
+    leaves b/2 for the rounding of the LU determinant, and b < 1 puts a
+    negative det R far outside the bound. Where both hold, the sign of
+    det R decides |det R - 1| <= b; inf fails every bound a caller puts on
+    d. Two callers know the sign without an LU: the split of a log
+    (``_split_decides_det``) and the count of the S_p0 check
+    (``_count_decides_det``).
+    """
+    d = (defect if type(defect) is float else float(defect.max())) + n * n * _EPS
+    return d if bound < 1.0 and 2.0 * math.sqrt(n) * d <= bound else math.inf
 
 
 def _split_decides_det(defect, bound: float, n: int) -> bool:
     """Whether, for every element, |det R - 1| <= ``bound`` holds exactly when the split of ``_rotation_log`` is even.
 
-    Let d bound the residual |R^T R - I| of each element, with rounding:
-    the computed one plus n^2 eps, which covers the rounding of R^T R and
-    of its norm, and leaves the ``eigh`` of the log its share. Write
-    R = Q H, Q orthogonal and H = (R^T R)^(1/2). Since |det R|^2 =
-    det(I + R^T R - I), ||det R| - 1| <= sqrt(n) d, so 2 sqrt(n) d <= b
-    leaves b/2 for the rounding of the LU determinant, and b < 1 puts a
-    negative det R far outside the bound. (R + R^T)/2 is within d of
-    (Q + Q^T)/2, whose spectrum is each cos(theta) of a turning plane
-    twice, a -1 for each -1 eigenvalue of Q and a +1 for each +1. The split
-    sits at the widest of n + 1 gaps that sum to 1/2, at least
-    1/(2 (n + 1)), and with 4 (n + 1) d < 1 no pair, within 2d of itself,
-    spans it; each -1 lies below it and each +1 above. So the count below
-    the split is even exactly when Q has an even count of -1 eigenvalues,
-    when det R > 0. Where all three hold for every element, the split
-    decides; otherwise the LU runs.
+    The residual must decide the size of det R (``_decided_defect``: d).
+    (R + R^T)/2 is within d of (Q + Q^T)/2, for R = Q H as there, whose
+    spectrum is each cos(theta) of a turning plane twice, a -1 for each -1
+    eigenvalue of Q and a +1 for each +1. The split sits at the widest of
+    n + 1 gaps that sum to 1/2, at least 1/(2 (n + 1)), and with
+    4 (n + 1) d < 1 no pair, within 2d of itself, spans it; each -1 lies
+    below it and each +1 above. So the count below the split is even
+    exactly when Q has an even count of -1 eigenvalues, when det R > 0.
+    Where all three bounds hold for every element, the split decides;
+    otherwise the LU runs.
     """
-    d = (defect if type(defect) is float else float(defect.max())) + n * n * _EPS
-    return bound < 1.0 and 2.0 * math.sqrt(n) * d <= bound and 4.0 * (n + 1) * d < 1.0
+    return 4.0 * (n + 1) * _decided_defect(defect, bound, n) < 1.0
+
+
+def _count_decides_det(defect, bound: float, w: np.ndarray, invol: float) -> bool:
+    """Whether, for every element, |det R - 1| <= ``bound`` holds, given that R J has exactly p negative eigenvalues w.
+
+    The S_p0 check of a Cartan certificate runs one ``eigh`` of S = R J,
+    and passes only an R whose w (ascending) has exactly p negative
+    entries. The residual must decide the size of det R
+    (``_decided_defect``). ``eigh`` reads the lower triangle of S, a
+    symmetric S_l with |S - S_l|_2 <= |S - S^T| / sqrt(2); the check has
+    held |S - S^T| to ``invol``, which stands in for it here. Each of w is
+    within about n^2 eps max|w| of an eigenvalue of S_l. So where every |w|
+    exceeds ``invol`` plus twice that, the smallest singular value of S_l
+    exceeds |S - S_l|_2, and no matrix on the segment from S_l to S is
+    singular: det S has the sign of det S_l, (-1)^p. With
+    det J = (-1)^p, det R > 0.
+    """
+    a = np.abs(w)
+    return _decided_defect(defect, bound, w.shape[-1]) < math.inf and bool(
+        a.min() > invol + 2.0 * w.shape[-1] ** 2 * _EPS * a.max())
 
 
 _SKEW_TOL = 1e-12  # relative skew residual per dimension, |W + W^T| / (n max(1, |W|))

@@ -6,9 +6,10 @@ independent across parallel workers.
 
 Each kind but Cartan motions (which ``tau`` builds from sampled motions)
 has a stacked sampler, ``sample_<kind>s(rng, ..., count)``. It draws the
-normals of every sample in one call and runs each kernel (``qr``, ``det``,
-the norms, the uniforms) once over the stack. The frames and rotations are
-``matcore._sign_fixed_qr``, the QR that ``orthonormalize`` takes, and the
+normals of every sample in one call and runs each kernel (``qr``, the
+norms, the uniforms) once over the stack. The frames and rotations are
+``matcore._sign_fixed_qr``, the QR that ``orthonormalize`` takes; a
+rotation reads the sign of its determinant off that QR, with no LU. The
 norms are ``matcore._norm`` over each sample, bit for bit
 ``np.linalg.norm`` of that sample alone; a spectral norm is the largest of
 ``matcore._singular_values``, as ``np.linalg.norm(x, 2)`` takes it. It
@@ -35,7 +36,7 @@ from .bundle import BundlePoint, CartanMotion, DpElement, bundle_point, tau
 from .errors import DimensionMismatchError
 from .grassmann import DpGenerator, Plane, Signature, plane_from_frame
 from .liegroup import Motion, Screw
-from .matcore import _det, _is_dim, _is_int, _norm, _sign_fixed_qr, _singular_values
+from .matcore import _is_dim, _is_int, _norm, _sign_fixed_qr, _singular_values
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -71,13 +72,16 @@ def _factors(top: np.ndarray, bound: float, rng) -> np.ndarray:
 def sample_rotations(rng: np.random.Generator, n: int, count) -> np.ndarray:
     """Haar rotations (*count, n, n).
 
-    Each is the sign-fixed QR of a Gaussian matrix, with its last column
-    negated where the determinant is -1.
+    Each is the sign-fixed QR of a Gaussian matrix, Haar on O(n), with its
+    last column negated where the determinant is -1 (Mezzadri, "How to
+    generate random matrices from the classical compact groups", Notices
+    AMS 54(5), 2007). The sign of the determinant is read off the QR, with
+    no LU (``_sign_fixed_qr`` with ``special``): the parity of its nonzero
+    tau and of the sign bits of R's diagonal. It is the sign that an LU
+    ``det`` of Q gives, so the draws are those of that rule, bit for bit.
     """
     _require(n, 1, "rotation")
-    Q = _sign_fixed_qr(rng.standard_normal((*_shape(count), n, n)))
-    Q[_det(Q) < 0, :, -1] *= -1
-    return Q
+    return _sign_fixed_qr(rng.standard_normal((*_shape(count), n, n)), special=True)
 
 
 def sample_skews(rng: np.random.Generator, n: int, count) -> np.ndarray:

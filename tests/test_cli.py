@@ -657,6 +657,21 @@ def _fresh_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+@pytest.mark.parametrize("source", ["stdin", "--in"])
+def test_json_nested_too_deeply_is_invalid_input(tmp_path, source):
+    # json.load raised RecursionError at 100 000 levels, which escaped main as a raw traceback. The input goes to a
+    # fresh interpreter, so this process does not recurse.
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    argv, stdin = (["--in", str(path)], "") if source == "--in" else ([], deep)
+    run = subprocess.run([sys.executable, "-m", "cartanbundle.cli", "log", *argv], input=stdin,
+                         env=_fresh_env(), capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert json.loads(run.stderr) == {"error": "invalid_input", "detail": "ValueError: JSON input is nested too deeply",
+                                      "context": {}}
+
+
 def test_closed_stdout_exits_141_quietly():
     # The read end is closed before the child has even imported the package,
     # so its one write always finds no reader.

@@ -13,7 +13,11 @@ its split of 6 takes the same calls, the second ``eigh`` and the QR on
 6 x 6 operands. The logs take the sign of det R from their split, with no
 LU ``det``, wherever the orthogonality residual decides it; under
 ``tol.orth`` = 1 it does not, and the ``det`` runs. On 64 motions drawn
-as the benchmark's n = 32 screws are, no log runs a ``det``.
+as the benchmark's n = 32 screws are, no log runs a ``det``. The two
+certificates take the sign of det R from the count of their S_p0 check's
+``eigh`` in the same way, with the same fallback under ``tol.orth`` = 1.
+``sample_rotations`` draws a stack of eight rotations from one QR, which
+also gives the sign of each determinant, with no ``det``.
 """
 
 import math
@@ -58,6 +62,7 @@ from cartanbundle import (
     y_omega,
     y_omega_solve,
 )
+from cartanbundle.sampling import make_rng, sample_rotations
 from lapack_spy import spy
 
 SIG = Signature(2, 2)
@@ -75,8 +80,11 @@ EXPECTED = {
     "se_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1},
     "so_log (pairing tail, n = 32)": {"eigh": 2, "qr": 1},
     "so_log (tol.orth = 1)": {"eigh": 1, "det": 1},
-    "CartanRotation.certify": {"eigh": 1, "det": 1},
-    "CartanMotion.certify": {"eigh": 1, "det": 1},
+    "CartanRotation.certify": {"eigh": 1},
+    "CartanMotion.certify": {"eigh": 1},
+    "CartanRotation.certify (tol.orth = 1)": {"eigh": 1, "det": 1},
+    "CartanMotion.certify (tol.orth = 1)": {"eigh": 1, "det": 1},
+    "sample_rotations": {"qr": 1},
     "dp_exp": {"svd": 1},
     "dp_log0": {"svd": 1},
     "dp_exp_full": {"svd": 1},
@@ -144,6 +152,9 @@ def calls():
         "so_log (tol.orth = 1)": lambda: so_log(g.R, Tolerances(orth=1.0)),
         "CartanRotation.certify": lambda: CartanRotation.certify(cr.mat, SIG),
         "CartanMotion.certify": lambda: CartanMotion.certify(cm.motion, SIG),
+        "CartanRotation.certify (tol.orth = 1)": lambda: CartanRotation.certify(cr.mat, SIG, Tolerances(orth=1.0)),
+        "CartanMotion.certify (tol.orth = 1)": lambda: CartanMotion.certify(cm.motion, SIG, Tolerances(orth=1.0)),
+        "sample_rotations": lambda: sample_rotations(make_rng(51, 0), 4, 8),
         "dp_exp": lambda: dp_exp(gen),
         "dp_log0": lambda: dp_log0(cr),
         "dp_exp_full": lambda: dp_exp_full(el),

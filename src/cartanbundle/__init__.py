@@ -73,15 +73,11 @@ from .liegroup import (
     y_omega_solve,
 )
 from .matcore import (
-    CanonicalRotationForm,
-    basis_vector,
     canonical_rotation_form,
     complete_to_special_orthogonal,
     eigenspace_of_symmetric_involution,
     orthonormalize,
-    projector,
     skew_canonical_form,
-    skew_wedge,
 )
 from .projective import (
     half_angle_line,

@@ -24,7 +24,11 @@ any value without it as the other form: ``exp`` a screw (``omega``) or a
 skew matrix, ``log`` a motion (``X``) or a rotation matrix, ``embed`` a
 bundle point (``fiber``) or a plane, ``project`` a Cartan motion (``X``) or
 a Cartan rotation, ``act`` a pair ``{a, b}`` with a bundle point (``b``) or
-``{a, g}``. The input is read before a flag is checked against it.
+``{a, g}``. Every command that reads input reads one JSON object; any
+other JSON value, a missing field, or a motion, plane or bundle point that
+is not an object is invalid input, whose detail names the field and the
+JSON type it must have (``serialize._field``). The input is read before a
+flag is checked against it.
 ``--samples`` must be at least 1, and a flag must be spelled out in full.
 ``project`` reads n and p from its input. ``act`` on ``{a, g}`` and ``tau``
 read n from the input motion (``a`` for ``act``) and p from ``--p``; a
@@ -47,10 +51,11 @@ before the subcommand is ``bad_arguments``; a value that is not a finite
 positive number is ``invalid_input``, as ``Tolerances`` rejects it.
 
 Exit codes: 0 success; 1 bad arguments, invalid input (malformed JSON,
-JSON nested too deeply to read, a value of the wrong form) or a domain
-error, with a machine-readable JSON object on stderr; 2 verification
-failure; 141 stdout was closed before the output was written (128 +
-SIGPIPE, as a shell reports for ``yes | head``), with nothing on stderr.
+JSON nested too deeply to read, a value of the wrong JSON type or form)
+or a domain error, with a machine-readable JSON object on stderr; 2
+verification failure; 141 stdout was closed before the output was written
+(128 + SIGPIPE, as a shell reports for ``yes | head``), with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -178,18 +183,18 @@ def _project(args, obj, tol):
 def _act(args, obj, tol):
     if "b" in obj and args.p is not None:
         raise _CliArgumentError("act reads the signature from the bundle point b, not from --p")
-    a = sz.motion_from_json(obj["a"])
+    a = sz.motion_from_json(sz._field(obj, "a", "input"))
     if "b" in obj:
-        b = sz.bundle_point_from_json(obj["b"], tol)
+        b = sz.bundle_point_from_json(sz._field(obj, "b", "input"), tol)
         return sz.bundle_point_to_json(bn.bundle_act(a, b, _signature(b.n, b.plane.p))), 0
-    g = sz.motion_from_json(obj["g"])
+    g = sz.motion_from_json(sz._field(obj, "g", "input"))
     return sz.motion_to_json(bn.twisted_act(a, g, _signature(a.n, args.p), tol)), 0
 
 
 @_command("transport", "motion carrying one bundle point to another", True, **_tol("orth", "fiber"))
 def _transport(args, obj, tol):
-    src = sz.bundle_point_from_json(obj["src"], tol)
-    dst = sz.bundle_point_from_json(obj["dst"], tol)
+    src = sz.bundle_point_from_json(sz._field(obj, "src", "input"), tol)
+    dst = sz.bundle_point_from_json(sz._field(obj, "dst", "input"), tol)
     return sz.motion_to_json(bn.find_transporter(src, dst)), 0
 
 
@@ -303,7 +308,7 @@ def main(argv=None) -> int:
         overrides = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("tol.")}
         tol = dataclasses.replace(default_tolerances(), **overrides)
         _, reads_input, _, handler = COMMANDS[args.command]
-        obj = _read_json(args.infile) if reads_input else None
+        obj = sz._object(_read_json(args.infile), "input") if reads_input else None
         out, code = handler(args, obj, tol)
         text = (out if isinstance(out, str) else sz.dumps(out)) + "\n"
         if args.outfile:

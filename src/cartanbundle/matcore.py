@@ -1,17 +1,18 @@
 """Dense linear-algebra kernels for small ambient dimensions.
 
-Wedge generators, orthonormal frames, projectors, frame completion to SO(n)
-by a complete QR factorization, canonical block forms of rotations and skew
-matrices, and eigenspace extraction for symmetric orthogonal involutions.
+Orthonormal frames, frame completion to SO(n) by a complete QR
+factorization, canonical block forms of rotations and skew matrices, and
+eigenspace extraction for symmetric orthogonal involutions.
 
 Everything is NumPy. The canonical forms come from one private pairing
 routine: the Hermitian ``eigh`` of i W pairs the turning planes of a skew W,
 and one complete QR makes the pairs orthonormal and adds the kernel. The
 rotation form is the pairs of log R, and one array routine
-(``_assemble_form``) orders and orients the pairs of either form; ``_blocks``
-builds their block-diagonal matrices. Each form checks its input (R in
-SO(n), W skew) and computes the one route it returns; that the rotation
-form rebuilds R is checked by ``verify``
+(``_assemble_form``) orders and orients the pairs of either form. Each form
+is the pair (Q, angles) of arrays, with no record around it; ``_blocks``
+builds the block-diagonal matrix of its angles. Each form checks its input
+(R in SO(n), W skew) and computes the one route it returns; that the
+rotation form rebuilds R is checked by ``verify``
 (``matcore.canonical_form_reconstruction``), not on every call. The
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
 only the angles near pi. The logs check R in SO(n) through ``_checked_log``,
@@ -58,19 +59,19 @@ part, nor a string parsed), and every entry finite and at most
 angle, a fiber coordinate, a grid bound) passes the same tests,
 ``check_finite_scalar``: a Python or NumPy integer or float, not a bool (a
 string is not parsed, nor a complex number cast), finite and at most
-``_MAX_ABS``. The sizes and indices of ``basis_vector``,
-``skew_wedge``, ``Signature``, ``coordinate_plane``, ``identity_motion``,
-the samplers and ``moebius_grid`` are integers (``_is_int``), and each size
-is at most ``_MAX_DIM`` (``_is_dim``), tested before any array is made.
+``_MAX_ABS``. The sizes of ``Signature``, ``coordinate_plane``,
+``identity_motion``, the samplers and ``moebius_grid`` are integers
+(``_is_int``), and each size is at most ``_MAX_DIM`` (``_is_dim``), tested
+before any array is made.
 Anything else raises
 ``DimensionMismatchError`` (code ``dimension_mismatch``), whose context
 carries the largest magnitude; this holds for the predicates ``in_Q`` and
 ``in_Q0`` too. The ceiling keeps every residual norm finite: past about
 1.3e154 a Frobenius norm overflows to inf, and a bound of the form
-tol (1 + |x|) would then hold for any x. ``projector`` checks its frame as
-``check_finite_matrix`` does, or each frame of a stack, but not that its
-columns are orthonormal; the library's own callers, whose frames are
-checked, call its kernel ``_projector``. Group
+tol (1 + |x|) would then hold for any x. The wedge generators
+(``_wedge``) and projectors F F^T (``_projector``) are private kernels
+that the library and ``verify`` call on indices and frames they have
+checked. Group
 arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and the value types
 ``Motion`` and ``Screw`` take their operands as given; each map that reads
 a motion or a screw checks it.
@@ -97,8 +98,9 @@ certified value (a ``Plane``, ``BundlePoint``, ``CartanRotation``,
 ``CartanMotion``, ``DpGenerator`` or ``DpElement``) whose arrays carry the
 leading shape; n, p and the signature are read from the trailing axes,
 and the whole stack shares one ``_tol``. Each map is its own kernel, with
-no twin that takes a ``batch``. Only the maps that return one record
-take one operand: the canonical forms and the involution eigenspace raise
+no twin that takes a ``batch``. Only the maps whose results differ in
+size between elements take one operand: the canonical forms (whose count
+of angles varies) and the involution eigenspace raise
 ``DimensionMismatchError`` for a stack (``_one``, after a check that takes
 stacks). The line maps read their stack shape from the direction U, their
 second operand: the angle and fiber coordinate are real scalars for one
@@ -132,7 +134,6 @@ which need not be ``math``'s: ``np.hypot`` and ``x * x`` each differ from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -238,7 +239,7 @@ def _eye(n: int) -> np.ndarray:
 def _is_int(k) -> bool:
     """Whether k is an integer: a Python or NumPy integer, not a bool.
 
-    The one integer test of sizes, indices, signatures, sample counts and
+    The one integer test of sizes, signatures, sample counts, streams and
     seeds; each caller raises its own error where it fails. A dimension is
     also held to ``_MAX_DIM`` (``_is_dim``).
     """
@@ -258,26 +259,8 @@ def _is_dim(n) -> bool:
     return _is_int(n) and 1 <= n <= _MAX_DIM
 
 
-def basis_vector(i: int, n: int) -> np.ndarray:
-    """Standard basis vector e_i of R^n, 1-indexed."""
-    if not (_is_int(i) and _is_dim(n) and 1 <= i <= n):
-        raise DimensionMismatchError(f"basis index {i!r} must be an integer in [1, {n!r}]")
-    e = np.zeros(n)
-    e[i - 1] = 1.0
-    return e
-
-
-def skew_wedge(i: int, j: int, n: int) -> np.ndarray:
-    """Wedge generator e_i ^ e_j = e_i e_j^T - e_j e_i^T (1-indexed, i < j)."""
-    if not (_is_int(i) and _is_int(j) and _is_dim(n) and 1 <= min(i, j) and max(i, j) <= n):
-        raise DimensionMismatchError(f"wedge indices ({i!r}, {j!r}) must be integers in [1, {n!r}]")
-    if i >= j:
-        raise DimensionMismatchError(f"wedge indices ({i}, {j}) must satisfy i < j")
-    return _wedge(i, j, n)
-
-
 def _wedge(i, j, n: int) -> np.ndarray:
-    """The kernel of ``skew_wedge``: e_i ^ e_j for checked indices, or one per entry of index arrays i and j.
+    """e_i ^ e_j = e_i e_j^T - e_j e_i^T in R^n (1-indexed, i < j), or one per entry of index arrays i and j.
 
     e_i and e_j are one-hot rows, so each entry of the outer products is 1
     or +0: the wedge has 1 at (i, j), -1 at (j, i) and +0 elsewhere.
@@ -390,7 +373,8 @@ def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
     """x, a checked operand of ``core`` axes or a stack of them, if it is one operand, else ``DimensionMismatchError``.
 
     For a map that reads its operand through a check that takes stacks, but
-    returns one record (a canonical form, an eigenspace frame).
+    whose results differ in size between the elements of a stack (the angles
+    of a canonical form, an eigenspace frame).
     """
     if x.ndim != core:
         raise DimensionMismatchError(f"{name} must be one {core}-d array, not a stack, got shape {x.shape}")
@@ -550,18 +534,8 @@ def _checked_frame(F: np.ndarray, tol: Tolerances) -> np.ndarray:
     return F
 
 
-def projector(F: np.ndarray) -> np.ndarray:
-    """Orthogonal projector F F^T onto the column span of a frame, or of each of a stack.
-
-    F is checked as ``check_finite_matrix`` checks a matrix, or each matrix
-    of a stack: a real numeric array in the input domain. Its columns are
-    not checked to be orthonormal; F F^T is a projector only if they are.
-    """
-    return _projector(check_finite_matrix(F, None, "frame", None))
-
-
 def _projector(F: np.ndarray) -> np.ndarray:
-    """The kernel of ``projector``: F F^T for a checked float frame, or for each of a stack."""
+    """The orthogonal projector F F^T onto the span of a checked float frame, or of each of a stack."""
     return F @ F.mT
 
 
@@ -611,40 +585,6 @@ def _blocks(angles: np.ndarray, n: int, rotation: bool) -> np.ndarray:
     D[..., j, j] = D[..., j + 1, j + 1] = c
     D[..., j + 1, j], D[..., j, j + 1] = s, 0.0 - s
     return D
-
-
-@dataclass(frozen=True)
-class CanonicalRotationForm:
-    """Block decomposition Q . blockdiag(B(theta_1), ..., B(theta_k), 0 or I) . Q^T.
-
-    For rotations the blocks are planar rotations R(theta); for skew matrices
-    they are Pi(theta) = [[0, -theta], [theta, 0]] (``_blocks``). ``angles``
-    is sorted descending; the trailing ``fixed_dim`` coordinates are fixed
-    (rotation) or annihilated (skew).
-
-    An unchecked record: its fields are taken as given, and each map that
-    reads them checks them.
-    """
-
-    Q: np.ndarray
-    angles: tuple
-    fixed_dim: int
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
-    def rotation_blocks(self) -> np.ndarray:
-        return _blocks(np.array(self.angles, dtype=float), self.n, rotation=True)
-
-    def skew_blocks(self) -> np.ndarray:
-        return _blocks(np.array(self.angles, dtype=float), self.n, rotation=False)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return self.Q @ self.rotation_blocks() @ self.Q.T
-
-    def skew_matrix(self) -> np.ndarray:
-        return self.Q @ self.skew_blocks() @ self.Q.T
 
 
 def check_special_orthogonal(R: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
@@ -911,24 +851,20 @@ def _forms(Q: np.ndarray, s: np.ndarray, rotation: bool) -> tuple:
     return Q, angles
 
 
-def _as_form(Q: np.ndarray, angles: np.ndarray) -> CanonicalRotationForm:
-    return CanonicalRotationForm(Q=Q, angles=tuple(angles.tolist()), fixed_dim=Q.shape[0] - 2 * angles.size)
+def canonical_rotation_form(R: np.ndarray, tol: Tolerances = default_tolerances()) -> tuple:
+    """(Q, angles): the canonical planar-rotation decomposition of R in SO(n).
 
-
-def canonical_rotation_form(
-    R: np.ndarray, tol: Tolerances = default_tolerances()
-) -> CanonicalRotationForm:
-    """Canonical planar-rotation decomposition of R in SO(n).
-
-    Returns Q in SO(n), angles in (-pi, pi] \\ {0} sorted descending, and the
-    dimension of the fixed subspace, with Q blockdiag(R(theta_i), I) Q^T = R.
-    The blocks are the turning pairs of log R, with the +pi resolution at
-    angle pi. Only R is checked, in SO(n) under ``tol``; the reconstruction
-    Q blockdiag(R(theta_i), I) Q^T = R is checked by ``verify``
-    (``matcore.canonical_form_reconstruction``), not on every call. It
-    returns one record, so R must be one rotation, not a stack.
+    Q is in SO(n), and angles, a 1-d array, holds the k angles in
+    (-pi, pi] \\ {0}, descending; the trailing n - 2k coordinates are fixed,
+    and Q blockdiag(R(theta_1), ..., R(theta_k), I) Q^T = R (``_blocks``
+    builds the middle factor). The blocks are the turning pairs of log R,
+    with the +pi resolution at angle pi. Only R is checked, in SO(n) under
+    ``tol``; the reconstruction is checked by ``verify``
+    (``matcore.canonical_form_reconstruction``), not on every call. The
+    forms of a stack differ in their count of angles, so R must be one
+    rotation, not a stack.
     """
-    return _as_form(*_rotation_form(_one(check_special_orthogonal(R, tol), "rotation", 2)))
+    return _rotation_form(_one(check_special_orthogonal(R, tol), "rotation", 2))
 
 
 def _rotation_form(R: np.ndarray) -> tuple:
@@ -941,14 +877,17 @@ def _rotation_form(R: np.ndarray) -> tuple:
     return _forms(Q, np.minimum(s, math.pi), rotation=True)
 
 
-def skew_canonical_form(W: np.ndarray) -> CanonicalRotationForm:
-    """Canonical Pi-block decomposition of a skew matrix, from its turning pairs.
+def skew_canonical_form(W: np.ndarray) -> tuple:
+    """(Q, angles): the canonical Pi-block decomposition of a skew matrix W, from its turning pairs.
 
+    Q is in SO(n), and angles, a 1-d array, holds the k nonzero angles,
+    descending; Q blockdiag(Pi(theta_1), ..., Pi(theta_k), 0) Q^T = W
+    (``_blocks``), with the trailing n - 2k coordinates in the kernel.
     Only W is checked, as skew (``check_skew``); the form rebuilds W within
-    1e-10 n max(1, |W|), which the tests hold it to. It returns one record,
-    so W must be one matrix, not a stack.
+    1e-10 n max(1, |W|), which the tests hold it to. The forms of a stack
+    differ in their count of angles, so W must be one matrix, not a stack.
     """
-    return _as_form(*_forms(*_skew_pairs(_one(check_skew(W), "skew matrix", 2)), rotation=False))
+    return _forms(*_skew_pairs(_one(check_skew(W), "skew matrix", 2)), rotation=False)
 
 
 def _symmetric_involution(S: np.ndarray, tol: Tolerances) -> tuple:

@@ -8,9 +8,14 @@ certified under the caller's tolerances. Every dimension read (``rows``,
 ``cols``, a plane's ``n`` and ``p``, a signature's ``p`` and ``q``) must be
 a JSON integer of at least 1, not a bool, float or string, and a matrix's
 ``data`` and every vector a flat list of JSON numbers (each an int or a
-float, not a bool), else ``DimensionMismatchError``. Output is strict JSON: a non-finite float (a NaN
-or infinite ``max_error`` in a verify report, say) is written as null, never
-as the non-standard tokens NaN or Infinity.
+float, not a bool), else ``DimensionMismatchError``. Every other field is
+read by one reader, ``_field``: the value that holds it must be a JSON
+object that has it, and a field that holds a motion, a bundle point or a
+plane must be an object too, else ``ValueError`` (``invalid_input`` at the
+command line) names the field and the JSON type it must have. Output is
+strict JSON: a non-finite float (a NaN or infinite ``max_error`` in a
+verify report, say) is written as null, never as the non-standard tokens
+NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -58,6 +63,32 @@ def _numbers(data, name: str) -> list:
     return data
 
 
+# The JSON type of each parsed value, as a detail names it.
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+_OBJECT, _MATRIX, _NUMBERS = "an object", 'a matrix object {"rows", "cols", "data"}', "an array of numbers"
+
+
+def _object(value, name: str) -> dict:
+    """value, which must be a JSON object, read as ``name``; else ``ValueError`` naming its JSON type."""
+    if type(value) is not dict:
+        raise ValueError(f"JSON {name} must be an object, got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _field(obj, key: str, name: str, kind: str = _OBJECT):
+    """obj[key], for obj read as the JSON object ``name`` (``_object``): the one reader of a field.
+
+    ``kind`` is the JSON type the field must have, named in the detail if
+    it is missing. A field of ``kind`` ``_OBJECT`` is checked to be an
+    object here; a matrix (``_MATRIX``) and a vector (``_NUMBERS``) are
+    checked by their own readers, ``mat_from_json`` and ``_numbers``.
+    """
+    if key not in _object(obj, name):
+        raise ValueError(f'JSON {name} has no field "{key}", which must be {kind}')
+    return _object(obj[key], f'{name} field "{key}"') if kind == _OBJECT else obj[key]
+
+
 def mat_from_json(obj: dict, shape: tuple | None = None) -> np.ndarray:
     rows, cols = _dimension(obj, "rows"), _dimension(obj, "cols")
     data = _numbers(obj.get("data"), "matrix data")
@@ -76,8 +107,8 @@ def motion_to_json(g: Motion) -> dict:
 
 
 def motion_from_json(obj: dict) -> Motion:
-    R = mat_from_json(obj["R"])
-    return Motion(R, vec_from_json(obj["X"], R.shape[0]))
+    R = mat_from_json(_field(obj, "R", "motion", _MATRIX))
+    return Motion(R, vec_from_json(_field(obj, "X", "motion", _NUMBERS), R.shape[0]))
 
 
 def screw_to_json(xi: Screw) -> dict:
@@ -85,8 +116,8 @@ def screw_to_json(xi: Screw) -> dict:
 
 
 def screw_from_json(obj: dict) -> Screw:
-    omega = mat_from_json(obj["omega"])
-    return Screw(omega, vec_from_json(obj["v"], omega.shape[0]))
+    omega = mat_from_json(_field(obj, "omega", "screw", _MATRIX))
+    return Screw(omega, vec_from_json(_field(obj, "v", "screw", _NUMBERS), omega.shape[0]))
 
 
 def plane_to_json(plane: Plane) -> dict:
@@ -94,7 +125,7 @@ def plane_to_json(plane: Plane) -> dict:
 
 
 def plane_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> Plane:
-    F = mat_from_json(obj["frame"], (_dimension(obj, "n"), _dimension(obj, "p")))
+    F = mat_from_json(_field(obj, "frame", "plane", _MATRIX), (_dimension(obj, "n"), _dimension(obj, "p")))
     return plane_from_frame(F, tol)  # projector recomputed and frame validated
 
 
@@ -103,8 +134,8 @@ def bundle_point_to_json(b: BundlePoint) -> dict:
 
 
 def bundle_point_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> BundlePoint:
-    plane = plane_from_json(obj["plane"], tol)
-    return bundle_point(plane, vec_from_json(obj["fiber"], plane.n))
+    plane = plane_from_json(_field(obj, "plane", "bundle point"), tol)
+    return bundle_point(plane, vec_from_json(_field(obj, "fiber", "bundle point", _NUMBERS), plane.n))
 
 
 def cartan_rotation_to_json(cr: CartanRotation) -> dict:
@@ -112,7 +143,7 @@ def cartan_rotation_to_json(cr: CartanRotation) -> dict:
 
 
 def cartan_rotation_from_json(obj: dict, tol: Tolerances = default_tolerances()) -> CartanRotation:
-    R = mat_from_json(obj["R"])
+    R = mat_from_json(_field(obj, "R", "Cartan rotation", _MATRIX))
     sig = Signature(_dimension(obj, "p"), _dimension(obj, "q"))
     return CartanRotation.certify(R, sig, tol)
 

@@ -40,7 +40,7 @@ comes out bit for bit as its single call, with every check of that call
 unit direction, branch, singular factor, ``_sure`` and its one fallback,
 S_p and cut locus); an element that fails raises the single call's error
 class with its ``index`` in the context, and fails its row. Besides the
-public maps, the checks read ``matcore``'s kernels of the one-record
+public maps, the checks read ``matcore``'s kernels of the one-operand
 canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
 and wedge. The line rows and the seam row call the public line maps on
 their stacks.
@@ -588,13 +588,13 @@ def _paper_lines(theta: np.ndarray, U: np.ndarray) -> np.ndarray:
     whose bits are libm's (``math.cos`` and ``math.sin``).
     """
     half = 0.5 * theta
-    return np.cos(half)[:, None] * mc.basis_vector(1, U.shape[-1]) + np.sin(half)[:, None] * U
+    return np.cos(half)[:, None] * np.eye(U.shape[-1])[0] + np.sin(half)[:, None] * U
 
 
 def _line_bundle_exp(cfg, U, theta, lam):
     """|line_bundle_exp - se_exp|, and the fiber off the paper's half-angle line; the maps read the defaults."""
     m = pj.line_bundle_exp(theta, U, lam)
-    E1 = mc.basis_vector(1, U.shape[-1])
+    E1 = np.eye(U.shape[-1])[0]
     omega = -theta[:, None, None] * (E1[:, None] * U[:, None, :] - U[:, :, None] * E1)
     g = lg.se_exp(Screw(omega, lam[:, None] * E1))
     # fiber sits on the half-angle line
@@ -622,10 +622,10 @@ def _moebius_seam(cfg, m, lam):
     and the frame it carries comes back as (-1)^m e_1, so an odd winding
     turns it over. The maps read the defaults.
     """
-    theta, U = 2.0 * math.pi * m, np.broadcast_to(mc.basis_vector(2, 2), (len(m), 2))
+    theta, U = 2.0 * math.pi * m, np.broadcast_to(np.eye(2)[1], (len(m), 2))
     closure = _motion_dist(pj.line_bundle_exp(theta, U, lam), lg.identity_motion(2)) / (1.0 + np.abs(lam))
     F = pj.half_angle_line(theta, U).frame[..., 0]
-    return closure, mc._norm(F - (-1.0) ** m[:, None] * mc.basis_vector(1, 2), 1)
+    return closure, mc._norm(F - (-1.0) ** m[:, None] * np.eye(2)[0], 1)
 
 
 # (name, row), with row = Row(check, bound, draw): bound(cfg) is the

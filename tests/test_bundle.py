@@ -52,9 +52,8 @@ from cartanbundle import (
     in_Q0,
     plane_equal,
     plane_from_frame,
-    projector,
-    skew_wedge,
 )
+from cartanbundle.matcore import _projector, _wedge
 from cartanbundle.sampling import (
     make_rng,
     sample_bundle_point,
@@ -812,7 +811,7 @@ class TestTrustedPath:
         F = sample_rotation(rng, 4)[:, :2]
         plane = Plane(F)
         assert (plane.n, plane.p) == (4, 2)
-        assert np.array_equal(plane.projector, projector(F))
+        assert np.array_equal(plane.projector, _projector(F))
         CartanRotation(cartan_embed0(plane).mat, SIG22)
         s = rho_inv(BundlePoint(plane, np.zeros(4)))
         CartanMotion(s.motion, s.sig)
@@ -825,7 +824,7 @@ class TestTrustedPath:
         """The output passes the public check, or the call raises what the
         public constructor raises on the same matrices."""
         Q = sample_rotation(rng, 4)
-        R = (np.eye(4) - 2.0 * projector(c * Q[:, :2])) * SIG22._signs
+        R = (np.eye(4) - 2.0 * _projector(c * Q[:, :2])) * SIG22._signs
         plane = plane_from_frame(c * Q[:, :2])
         g = Motion(c * Q, rng.standard_normal(4))
         cases = [
@@ -967,7 +966,7 @@ def _sure_cases(rng, n, p, c, scale):
     """(name, build(tol)) for each map that trusts its output when ``_sure``."""
     sig = Signature(p, n - p)
     F = c * sample_rotation(rng, n)[:, :p]  # off-orthonormal for c > 1: a trusted plane
-    Y = scale * projector(F) @ rng.standard_normal(n)
+    Y = scale * _projector(F) @ rng.standard_normal(n)
     g = Motion(c * sample_rotation(rng, n), scale * rng.standard_normal(n))
     xi = DpElement(DpGenerator(p=p, q=n - p, B=rng.standard_normal((n - p, p))),
                    scale * rng.standard_normal(p))
@@ -1383,7 +1382,7 @@ def test_certificate_rejects_what_in_q_rejects():
 
 
 def test_certificate_rejects_what_in_q0_rejects():
-    R = so_exp(1e-8 * skew_wedge(1, 2, 4))
+    R = so_exp(1e-8 * _wedge(1, 2, 4))
     assert not in_Q0(R, SIG22)
     with pytest.raises(NotInCartanModelError):
         CartanRotation(R, SIG22)

@@ -672,6 +672,44 @@ def test_json_nested_too_deeply_is_invalid_input(tmp_path, source):
                                       "context": {}}
 
 
+# (command, stdin) -> (error, detail). A value of the wrong JSON type gave Python's own detail ("TypeError: 'int'
+# object is not subscriptable", "KeyError: 'src'"); the detail names the field and the JSON type it must have. log
+# reads an object without "X" as a matrix, whose missing rows stay a dimension_mismatch. An array read as the input
+# was a dimension_mismatch for log and exp only, where it was read as a matrix.
+NO_ROWS = "JSON rows must be an integer of at least 1, got None"
+NO_R = 'ValueError: JSON motion has no field "R", which must be a matrix object {"rows", "cols", "data"}'
+WRONG_TYPES = {
+    ("log", "null"): ("invalid_input", "ValueError: JSON input must be an object, got null"),
+    ("log", '{"a": null, "b": null}'): ("dimension_mismatch", NO_ROWS),
+    ("log", '{"src": 1, "dst": 2}'): ("dimension_mismatch", NO_ROWS),
+    ("log", "[0, 1]"): ("invalid_input", "ValueError: JSON input must be an object, got an array"),
+    ("act", "null"): ("invalid_input", "ValueError: JSON input must be an object, got null"),
+    ("act", '{"a": null, "b": null}'): (
+        "invalid_input", 'ValueError: JSON input field "a" must be an object, got null'),
+    ("act", '{"src": 1, "dst": 2}'): (
+        "invalid_input", 'ValueError: JSON input has no field "a", which must be an object'),
+    ("transport", "null"): ("invalid_input", "ValueError: JSON input must be an object, got null"),
+    ("transport", '{"a": null, "b": null}'): (
+        "invalid_input", 'ValueError: JSON input has no field "src", which must be an object'),
+    ("transport", '{"src": 1, "dst": 2}'): (
+        "invalid_input", 'ValueError: JSON input field "src" must be an object, got a number'),
+    ("transport", '{"src": {"plane": "x", "fiber": [0]}, "dst": 2}'): (
+        "invalid_input", 'ValueError: JSON bundle point field "plane" must be an object, got a string'),
+    ("tau", "null"): ("invalid_input", "ValueError: JSON input must be an object, got null"),
+    ("tau", '{"a": null, "b": null}'): ("invalid_input", NO_R),
+    ("tau", '{"src": 1, "dst": 2}'): ("invalid_input", NO_R),
+}
+
+
+@pytest.mark.parametrize("command, stdin", list(WRONG_TYPES), ids=[" ".join(k) for k in WRONG_TYPES])
+def test_a_value_of_the_wrong_json_type_names_its_field(capsys, monkeypatch, command, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (1, "")
+    error, detail = WRONG_TYPES[command, stdin]
+    assert json.loads(err) == {"error": error, "detail": detail, "context": {}}
+
+
 def test_closed_stdout_exits_141_quietly():
     # The read end is closed before the child has even imported the package,
     # so its one write always finds no reader.

@@ -31,7 +31,6 @@ from cartanbundle import (
     Signature,
     bundle_act,
     bundle_point,
-    basis_vector,
     coordinate_plane,
     double_projection,
     dp_exp_full,
@@ -52,7 +51,6 @@ from cartanbundle import (
     se_log,
     sigma,
     sigma0,
-    skew_wedge,
     so_exp,
     tau,
     twisted_act,
@@ -65,12 +63,13 @@ from cartanbundle.matcore import (
     _MAX_ABS,
     _MAX_DIM,
     _is_dim,
+    _projector,
+    _wedge,
     check_finite_matrix,
     check_finite_vector,
     check_skew,
     check_special_orthogonal,
     eigenspace_of_symmetric_involution,
-    projector,
 )
 from cartanbundle.projective import unit_direction
 from cartanbundle.sampling import make_rng, sample_motion, sample_rotation, sample_skew, sample_unit_direction
@@ -123,7 +122,6 @@ SITES = {
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
     "unit_direction": lambda bad: unit_direction(_vec(bad, 3, at=1)),
-    "projector": lambda bad: projector(_vec(bad)[:, None]),
 }
 
 # The real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299.
@@ -180,8 +178,6 @@ def test_a_real_scalar_of_any_numeric_type_is_accepted(site, good):
 DIMENSION_SITES = {
     "coordinate_plane": lambda n: coordinate_plane(n, 2),
     "identity_motion": identity_motion,
-    "skew_wedge": lambda n: skew_wedge(1, 2, n),
-    "basis_vector": lambda n: basis_vector(1, n),
     "Signature": lambda n: Signature(1, n),
     "sample_rotation": lambda n, rng=make_rng(0): sample_rotation(rng, n),
     "moebius_grid": lambda n: moebius_grid(n, 2, 1.0),
@@ -228,7 +224,6 @@ DTYPE_SITES = {
     "rotation_in_plane.U": lambda bad: rotation_in_plane(0.3, bad[1]),
     "DpGenerator": lambda bad: DpGenerator(2, 2, bad[:2, :2]),
     "check_finite_vector": lambda bad: check_finite_vector(bad[0], 4),
-    "projector": lambda bad: projector(bad[:, :2]),
 }
 
 
@@ -240,7 +235,7 @@ def test_an_array_that_is_not_real_numeric_is_a_dimension_mismatch(site, dtype):
     # strings, and a bool array was read as 0 and 1. W is skew, its first two
     # columns are a frame and its second row a unit direction orthogonal to
     # e_1, so every site accepts it as floats.
-    W = skew_wedge(1, 4, 4) + skew_wedge(2, 3, 4)
+    W = _wedge(1, 4, 4) + _wedge(2, 3, 4)
     DTYPE_SITES[site](W)
     with pytest.raises(DimensionMismatchError, match="real numeric"):
         DTYPE_SITES[site](W * (1 + 0.5j) if dtype is complex else W.astype(dtype))
@@ -396,29 +391,6 @@ def test_signature_takes_positive_integers_only(p, q):
     assert info.value.code == "dimension_mismatch"
 
 
-@pytest.mark.parametrize("i, n", [(1.5, 3), (True, 3), (1.0, 3), (1, 3.0), (0, 3), (4, 3)])
-def test_basis_vector_takes_an_integer_index_in_range(i, n):
-    # basis_vector(1.5, 3) raised a raw IndexError, basis_vector(1, 3.0) a TypeError
-    with pytest.raises(DimensionMismatchError):
-        basis_vector(i, n)
-
-
-@pytest.mark.parametrize(
-    "i, j, n", [(1.0, 2, 3), (1, 2.5, 4), (True, 2, 3), (1, 2, 3.0), (0, 2, 3), (1, 4, 3)]
-)
-def test_skew_wedge_takes_integer_indices_in_range(i, j, n):
-    # skew_wedge(1.0, 2, 3) raised a raw IndexError
-    with pytest.raises(DimensionMismatchError, match="integers in"):
-        skew_wedge(i, j, n)
-
-
-@pytest.mark.parametrize("i, j", [(2, 1), (2, 2)])
-def test_skew_wedge_names_indices_out_of_order(i, j):
-    # skew_wedge(2, 1, 4) said "out of range" for indices in range
-    with pytest.raises(DimensionMismatchError, match="i < j"):
-        skew_wedge(i, j, 4)
-
-
 @pytest.mark.parametrize("n, p", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (3, 3), (4, None), (None, 2), ("4", 2)])
 def test_coordinate_plane_checks_its_signature(n, p):
     # coordinate_plane(2.5, 1) and (4, None) raised a raw TypeError, and
@@ -455,11 +427,6 @@ def test_integer_sizes_may_be_numpy_integers():
     assert coordinate_plane(np.int64(4), np.int32(2)).frame.shape == (4, 2)
     assert identity_motion(np.int64(3)).R.shape == (3, 3)
     assert sample_rotation(make_rng(0), np.int64(3)).shape == (3, 3)
-
-
-def test_numpy_indices_are_integers():
-    assert np.array_equal(basis_vector(np.int64(2), np.int32(3)), [0.0, 1.0, 0.0])
-    assert np.array_equal(skew_wedge(np.int64(1), 2, np.int64(2)), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_signature_takes_numpy_integers():
@@ -569,30 +536,12 @@ def test_dp_generator_checks_its_signature(p, q):
         DpGenerator(p, q, [[0.5]])
 
 
-@pytest.mark.parametrize(
-    "frame",
-    [np.array(1.0), None, np.eye(4, 2) * (1 + 0.5j), [["1", "0"], ["0", "1"]], np.full((4, 2), 1e300),
-     [[10**400], [0]], {"frame": np.eye(4, 2)}, np.eye(4, 2, dtype=bool)],
-    ids=["0-d", "None", "complex", "str", "1e300", "10**400", "dict", "bool"],
-)
-def test_projector_checks_its_frame_as_a_matrix(frame):
-    # projector raised a raw ValueError on a 0-d array or None, a TypeError on
-    # a dict and an OverflowError at 10**400; it cast a complex frame with a
-    # ComplexWarning, overflowed to inf at 1e300 and parsed the strings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DimensionMismatchError) as info:
-            projector(frame)
-    assert info.value.code == "dimension_mismatch"
-
-
 def test_projector_takes_a_stack_and_any_real_frame():
     # orthonormality is not checked: a scaled frame gives its F F^T
     F = np.stack([np.eye(4, 2), 2.0 * np.eye(4)[:, 1:3]])
-    P = projector(F)
+    P = _projector(F)
     for i in range(2):
         assert P[i].tobytes() == (F[i] @ F[i].T).tobytes()
-    assert np.array_equal(projector([[1], [0]]), [[1.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from cartanbundle import (
     y_omega_solve,
 )
 from cartanbundle.liegroup import _factors
-from cartanbundle.matcore import skew_wedge
+from cartanbundle.matcore import _wedge
 from cartanbundle.sampling import (
     make_rng,
     sample_motion,
@@ -112,7 +112,7 @@ class TestSoExpLog:
         assert np.allclose(so_exp(np.zeros((3, 3))), np.eye(3))
 
     def test_exp_convention(self):
-        R = so_exp(-(math.pi / 2) * skew_wedge(1, 2, 2))
+        R = so_exp(-(math.pi / 2) * _wedge(1, 2, 2))
         assert np.allclose(R @ [1, 0], [0, 1], atol=1e-12)
 
     def test_exp_matches_series(self, rng):
@@ -227,7 +227,7 @@ class TestSeExpLog:
 
     def test_line_bundle_value(self):
         # angle pi, unit coefficient: translation lands at (0, 2/pi)
-        g = se_exp(Screw(-math.pi * skew_wedge(1, 2, 2), np.array([1.0, 0.0])))
+        g = se_exp(Screw(-math.pi * _wedge(1, 2, 2), np.array([1.0, 0.0])))
         assert np.allclose(g.R, -np.eye(2), atol=1e-12)
         assert np.allclose(g.X, [0.0, 2 / math.pi], atol=1e-14)
 

@@ -95,10 +95,11 @@ def test_the_canonical_forms_of_one_rotation_equal_their_grouped_oracle(n, case)
     for R, _ in _operands(n, (), case):
         L = rotation_log_oracle(R)[0]
         Q, s = skew_pairs_oracle(L)
-        for form, (Q_f, angles) in ((canonical_rotation_form(R), mc._forms(Q.copy(), np.minimum(s, math.pi), True)),
-                                    (skew_canonical_form(L), mc._forms(Q, s, False))):
-            _same(form.Q, Q_f)
-            assert form.angles == tuple(angles.tolist())
+        for (Q_got, angles_got), (Q_f, angles) in (
+                (canonical_rotation_form(R), mc._forms(Q.copy(), np.minimum(s, math.pi), True)),
+                (skew_canonical_form(L), mc._forms(Q, s, False))):
+            _same(Q_got, Q_f)
+            _same(angles_got, angles)
 
 
 @pytest.mark.parametrize("n", [8, 32])

@@ -8,19 +8,15 @@ import pytest
 import cartanbundle
 from cartanbundle import (
     DegenerateSpanError,
-    DimensionMismatchError,
     IllConditionedSpectrumError,
     NotOrthogonalSymmetryError,
 )
 from cartanbundle.matcore import (
-    basis_vector,
     canonical_rotation_form,
     complete_to_special_orthogonal,
     eigenspace_of_symmetric_involution,
     orthonormalize,
-    projector,
     skew_canonical_form,
-    skew_wedge,
 )
 from cartanbundle import matcore as mc
 from cartanbundle.sampling import make_rng, sample_rotation, sample_skew
@@ -32,24 +28,24 @@ SRC = Path(cartanbundle.__file__).parent
 
 class TestSkewWedge:
     def test_two_by_two(self):
-        assert skew_wedge(1, 2, 2).tolist() == [[0, 1], [-1, 0]]
+        assert mc._wedge(1, 2, 2).tolist() == [[0, 1], [-1, 0]]
 
     def test_three_by_three(self):
-        W = skew_wedge(1, 2, 3)
+        W = mc._wedge(1, 2, 3)
         expected = np.zeros((3, 3))
         expected[0, 1], expected[1, 0] = 1, -1
         assert np.array_equal(W, expected)
 
     def test_rotation_convention(self):
         # exp(-theta e_1 ^ e_2) sends e_1 to cos(theta) e_1 + sin(theta) e_2
-        R = series_exp_oracle(-(math.pi / 2) * skew_wedge(1, 2, 2))
+        R = series_exp_oracle(-(math.pi / 2) * mc._wedge(1, 2, 2))
         assert np.allclose(R @ [1, 0], [0, 1], atol=1e-12)
 
     def test_antisymmetry_exact(self):
         for n in range(2, 7):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    W = skew_wedge(i, j, n)
+                    W = mc._wedge(i, j, n)
                     assert np.array_equal(W, -W.T)
 
     def test_entries_exact(self):
@@ -59,12 +55,7 @@ class TestSkewWedge:
                 for j in range(i + 1, n + 1):
                     expected = np.zeros((n, n))
                     expected[i - 1, j - 1], expected[j - 1, i - 1] = 1.0, -1.0
-                    assert skew_wedge(i, j, n).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("i,j,n", [(0, 1, 3), (2, 2, 3), (1, 4, 3), (3, 1, 3)])
-    def test_bad_indices(self, i, j, n):
-        with pytest.raises(DimensionMismatchError):
-            skew_wedge(i, j, n)
+                    assert mc._wedge(i, j, n).tobytes() == expected.tobytes()
 
 
 class TestOrthonormalize:
@@ -80,7 +71,7 @@ class TestOrthonormalize:
         V = np.array([[1.0, 0.0], [1.0, 1.0]])
         F = orthonormalize(V)
         assert np.allclose(F.T @ F, np.eye(2), atol=1e-12)
-        assert np.allclose(projector(F), svd_projector_oracle(V), atol=1e-12)
+        assert np.allclose(mc._projector(F), svd_projector_oracle(V), atol=1e-12)
 
     def test_random_spans(self, rng):
         for _ in range(50):
@@ -89,7 +80,7 @@ class TestOrthonormalize:
             V = rng.standard_normal((n, p))
             F = orthonormalize(V)
             assert np.allclose(F.T @ F, np.eye(p), atol=1e-12)
-            assert np.allclose(projector(F), svd_projector_oracle(V), atol=1e-10)
+            assert np.allclose(mc._projector(F), svd_projector_oracle(V), atol=1e-10)
 
     def test_deterministic(self, rng):
         V = rng.standard_normal((5, 3))
@@ -128,14 +119,14 @@ class TestOrthonormalize:
 
 class TestProjector:
     def test_axis(self):
-        assert np.array_equal(projector(np.array([[1.0], [0.0]])), np.diag([1.0, 0.0]))
+        assert np.array_equal(mc._projector(np.array([[1.0], [0.0]])), np.diag([1.0, 0.0]))
 
     def test_full_space(self):
-        assert np.allclose(projector(np.eye(2)), np.eye(2))
+        assert np.allclose(mc._projector(np.eye(2)), np.eye(2))
 
     def test_diagonal_line(self):
         F = np.array([[1.0], [1.0]]) / math.sqrt(2)
-        assert np.allclose(projector(F), [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(mc._projector(F), [[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestCompletion:
@@ -163,7 +154,7 @@ class TestCompletion:
                 continue
             A = complete_to_special_orthogonal(F)
             assert abs(np.linalg.det(A) - 1.0) < 1e-10
-            assert np.allclose(projector(A[:, :p]), projector(F), atol=1e-9)
+            assert np.allclose(mc._projector(A[:, :p]), mc._projector(F), atol=1e-9)
             assert np.array_equal(A[:, :p], F)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -184,38 +175,42 @@ def rot2(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _rebuilt(Q, angles, rotation):
+    """Q blockdiag(blocks of angles, I or 0) Q^T, as the ``matcore.canonical_form_reconstruction`` row builds it."""
+    return Q @ mc._blocks(angles, Q.shape[0], rotation) @ Q.T
+
+
 class TestCanonicalRotationForm:
     def test_identity(self):
-        form = canonical_rotation_form(np.eye(3))
-        assert form.angles == ()
-        assert form.fixed_dim == 3
+        Q, angles = canonical_rotation_form(np.eye(3))
+        assert angles.shape == (0,)
+        assert Q.shape == (3, 3)
 
     def test_already_canonical(self):
         R = np.eye(3)
         R[:2, :2] = rot2(math.pi / 2)
-        form = canonical_rotation_form(R)
-        assert form.fixed_dim == 1
-        assert np.allclose(form.angles, [math.pi / 2])
-        assert np.allclose(form.rotation_matrix(), R, atol=1e-12)
+        Q, angles = canonical_rotation_form(R)
+        assert angles.shape == (1,)
+        assert np.allclose(angles, [math.pi / 2])
+        assert np.allclose(_rebuilt(Q, angles, True), R, atol=1e-12)
 
     def test_minus_identity(self):
-        form = canonical_rotation_form(-np.eye(2))
-        assert np.allclose(form.angles, [math.pi])
-        assert np.allclose(form.rotation_matrix(), -np.eye(2), atol=1e-12)
+        Q, angles = canonical_rotation_form(-np.eye(2))
+        assert np.allclose(angles, [math.pi])
+        assert np.allclose(_rebuilt(Q, angles, True), -np.eye(2), atol=1e-12)
 
     def test_random_reconstruction(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
             R = sample_rotation(rng, n)
-            form = canonical_rotation_form(R)
-            assert np.linalg.norm(form.rotation_matrix() - R) <= 1e-10
-            assert abs(np.linalg.det(form.Q) - 1.0) < 1e-10
-            assert np.allclose(form.Q.T @ form.Q, np.eye(n), atol=1e-12)
-            angles = np.asarray(form.angles)
+            Q, angles = canonical_rotation_form(R)
+            assert np.linalg.norm(_rebuilt(Q, angles, True) - R) <= 1e-10
+            assert abs(np.linalg.det(Q) - 1.0) < 1e-10
+            assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-12)
             assert np.all(angles[:-1] >= angles[1:] - 1e-15)
             assert np.all(np.abs(angles) <= math.pi)
             assert np.all(angles != 0)
-            assert 2 * len(angles) + form.fixed_dim == n
+            assert angles.ndim == 1 and 2 * angles.size <= n
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(IllConditionedSpectrumError):
@@ -225,16 +220,16 @@ class TestCanonicalRotationForm:
 def _assert_form_contract(form, M, rotation):
     """Q in SO(n); angles nonzero and descending, in (-pi, pi] for a rotation; M rebuilt."""
     n = M.shape[0]
-    Q, angles = form.Q, np.asarray(form.angles)
+    Q, angles = form
     assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-12)
     assert abs(np.linalg.det(Q) - 1.0) < 1e-12
-    assert 2 * angles.size + form.fixed_dim == n
+    assert Q.shape == (n, n) and angles.ndim == 1 and 2 * angles.size <= n
     assert np.all(angles != 0) and np.all(angles[:-1] >= angles[1:])
     if rotation:
         assert np.all((-math.pi < angles) & (angles <= math.pi))
-        assert np.linalg.norm(form.rotation_matrix() - M) <= 1e-10 * n
+        assert np.linalg.norm(_rebuilt(Q, angles, True) - M) <= 1e-10 * n
     else:
-        assert np.linalg.norm(form.skew_matrix() - M) <= 1e-10 * n * max(1.0, np.linalg.norm(M))
+        assert np.linalg.norm(_rebuilt(Q, angles, False) - M) <= 1e-10 * n * max(1.0, np.linalg.norm(M))
 
 
 def _flipped_draw(draw, rotation, keep=lambda s: True):
@@ -260,38 +255,38 @@ class TestDeterminantBranches:
         W, Q, s = _flipped_draw(lambda rng: sample_skew(rng, n), rotation=False)
         form = skew_canonical_form(W)
         _assert_form_contract(form, W, rotation=False)
-        assert np.array_equal(form.Q[:, -1], -Q[:, -1])
-        assert form.angles == tuple(s[::-1].tolist())
+        assert np.array_equal(form[0][:, -1], -Q[:, -1])
+        assert form[1].tolist() == s[::-1].tolist()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_rotation_with_a_kernel_negates_its_last_column(self, n):
         R, Q, s = _flipped_draw(lambda rng: sample_rotation(rng, n), rotation=True)
         form = canonical_rotation_form(R)
         _assert_form_contract(form, R, rotation=True)
-        assert np.array_equal(form.Q[:, -1], -Q[:, -1])
-        assert form.angles == tuple(s[::-1].tolist())
+        assert np.array_equal(form[0][:, -1], -Q[:, -1])
+        assert form[1].tolist() == s[::-1].tolist()
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_skew_without_a_kernel_swaps_and_negates_the_smallest_block(self, n):
         W, Q, s = _flipped_draw(lambda rng: sample_skew(rng, n), rotation=False)
         form = skew_canonical_form(W)
         _assert_form_contract(form, W, rotation=False)
-        assert form.fixed_dim == 0 and form.angles[-1] == -s[0]
-        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
+        assert 2 * form[1].size == n and form[1][-1] == -s[0]
+        assert np.array_equal(form[0][:, -2:], Q[:, 1::-1])
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_rotation_without_a_kernel_swaps_and_negates_the_smallest_block(self, n):
         R, Q, s = _flipped_draw(lambda rng: sample_rotation(rng, n), rotation=True)
         form = canonical_rotation_form(R)
         _assert_form_contract(form, R, rotation=True)
-        assert form.fixed_dim == 0 and form.angles[-1] == -s[0]
-        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
+        assert 2 * form[1].size == n and form[1][-1] == -s[0]
+        assert np.array_equal(form[0][:, -2:], Q[:, 1::-1])
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_all_pi_rotation(self, n):
         form = canonical_rotation_form(-np.eye(n))
         _assert_form_contract(form, -np.eye(n), rotation=True)
-        assert form.angles == (math.pi,) * (n // 2)
+        assert form[1].tolist() == [math.pi] * (n // 2)
 
     def test_all_pi_rotation_keeps_pi_when_its_smallest_block_is_swapped(self):
         # a turn by pi is its own inverse, so the swap leaves the angle at pi
@@ -302,8 +297,8 @@ class TestDeterminantBranches:
         R, Q, _ = _flipped_draw(draw, rotation=True, keep=lambda s: np.all(s == math.pi))
         form = canonical_rotation_form(R)
         _assert_form_contract(form, R, rotation=True)
-        assert form.angles == (math.pi, math.pi)
-        assert np.array_equal(form.Q[:, -2:], Q[:, 1::-1])
+        assert form[1].tolist() == [math.pi, math.pi]
+        assert np.array_equal(form[0][:, -2:], Q[:, 1::-1])
 
 
 class TestSkewCanonicalForm:
@@ -311,11 +306,11 @@ class TestSkewCanonicalForm:
         for _ in range(100):
             n = int(rng.integers(2, 9))
             W = float(rng.uniform(0.1, 5)) * sample_skew(rng, n)
-            form = skew_canonical_form(W)
-            assert np.linalg.norm(form.skew_matrix() - W) <= 1e-10 * n * max(
+            Q, angles = skew_canonical_form(W)
+            assert np.linalg.norm(_rebuilt(Q, angles, False) - W) <= 1e-10 * n * max(
                 1.0, np.linalg.norm(W)
             )
-            assert series_exp_oracle(W).shape == form.rotation_matrix().shape
+            assert series_exp_oracle(W).shape == _rebuilt(Q, angles, True).shape
 
 
 class TestEigenspaceOfSymmetricInvolution:
@@ -323,7 +318,7 @@ class TestEigenspaceOfSymmetricInvolution:
         J = np.diag([-1.0, -1.0, 1.0, 1.0])
         F = eigenspace_of_symmetric_involution(J, -1)
         assert F.shape == (4, 2)
-        assert np.allclose(projector(F), np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert np.allclose(mc._projector(F), np.diag([1.0, 1.0, 0.0, 0.0]))
 
     def test_empty_eigenspace(self):
         F = eigenspace_of_symmetric_involution(np.eye(3), -1)
@@ -341,12 +336,6 @@ class TestEigenspaceOfSymmetricInvolution:
     def test_rejects_non_symmetry(self, rng):
         with pytest.raises(NotOrthogonalSymmetryError):
             eigenspace_of_symmetric_involution(rot2(0.3), -1)
-
-
-def test_basis_vector():
-    assert basis_vector(2, 3).tolist() == [0, 1, 0]
-    with pytest.raises(DimensionMismatchError):
-        basis_vector(4, 3)
 
 
 # Grouping without np.unique: _distinct and _groups give np.unique's values, in its ascending order.

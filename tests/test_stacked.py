@@ -39,7 +39,6 @@ from cartanbundle import (
     Signature,
     SingularMapError,
     Tolerances,
-    skew_wedge,
 )
 from cartanbundle.sampling import (
     make_rng,
@@ -204,13 +203,12 @@ class TestMatcore:
         ):
             D = mc._blocks(angles, n, rotation)
             rebuilt = Q @ D @ Q.mT
-            for i, form in enumerate(map(single, M)):
-                k = len(form.angles)
-                assert _bits(Q[i]) == _bits(form.Q)
-                assert angles[i, :k].tolist() == list(form.angles) and not angles[i, k:].any()
-                blocks, matrix = (form.rotation_blocks(), form.rotation_matrix()) if rotation else (
-                    form.skew_blocks(), form.skew_matrix())
-                assert _bits(D[i]) == _bits(blocks) and _bits(rebuilt[i]) == _bits(matrix)
+            for i, (Q_i, angles_i) in enumerate(map(single, M)):
+                k = angles_i.size
+                assert _bits(Q[i]) == _bits(Q_i)
+                assert angles[i, :k].tolist() == angles_i.tolist() and not angles[i, k:].any()
+                blocks = mc._blocks(angles_i, n, rotation)
+                assert _bits(D[i]) == _bits(blocks) and _bits(rebuilt[i]) == _bits(Q_i @ blocks @ Q_i.T)
 
     def test_rotation_blocks_hold_the_math_cos_and_sin(self):
         # the blocks take np.cos and np.sin of the whole array; this fails where those are not libm's bits
@@ -239,7 +237,7 @@ class TestMatcore:
         i, j = np.triu_indices(n, 1)
         at = make_rng(44, n).permutation(np.repeat(np.arange(len(i)), 2))
         i, j = i[at] + 1, j[at] + 1
-        _same((mc._wedge(i, j, n),), lambda k: (mc.skew_wedge(int(i[k]), int(j[k]), n),), len(i))
+        _same((mc._wedge(i, j, n),), lambda k: (mc._wedge(int(i[k]), int(j[k]), n),), len(i))
 
     @pytest.mark.parametrize("n", [8, 5])
     def test_norms_of_transposed_stacks(self, n):
@@ -333,7 +331,7 @@ class TestGrassmann:
         A = sample_rotations(rng, n, K)
         F = mc.check_frame(F, TOL)
         _same((F,), lambda i: (mc.check_frame(F[i], TOL),), K)
-        P = mc.projector(F)
+        P = mc._projector(F)
         planes = [gr.plane_from_frame(F[i], TOL) for i in range(K)]
         _same((F, P), lambda i: (planes[i].frame, planes[i].projector), K)
         plane = gr.plane_from_frame(F, TOL)
@@ -542,7 +540,7 @@ STACK_MAPS = {
     "so_exp": (lambda rng, shape: _draw_screws(rng, shape)[:1], lg.so_exp, np.ndarray,
                (0, _nonskew, IllConditionedSpectrumError)),
     "y_omega_solve": (_draw_screws, lg.y_omega_solve, np.ndarray,
-                      (0, lambda W: 2 * math.pi * skew_wedge(1, 2, N), SingularMapError)),
+                      (0, lambda W: 2 * math.pi * mc._wedge(1, 2, N), SingularMapError)),
     # the tau outputs and the fixed points turn planes by pi, the +pi resolution
     "se_log": (_draw_motions, lambda R, X: lg.se_log(Motion(R, X), TOL, True), lg.Screw,
                (0, _scaled, IllConditionedSpectrumError)),
@@ -618,7 +616,7 @@ def test_a_bracket_of_stacks_gives_its_single_brackets(shape):
             assert [_bits(a[i]) for a in _fields(stacked)] == [_bits(b) for b in _fields(single)], i
 
 
-# A map that returns one record (a canonical form, an eigenspace frame) takes one operand.
+# A map whose results differ in size along a stack (a canonical form's angles, an eigenspace frame) takes one operand.
 ONE_OPERAND_MAPS = {
     "skew_canonical_form": lambda R, X: mc.skew_canonical_form(R - R.mT),
     "canonical_rotation_form": lambda R, X: mc.canonical_rotation_form(R),
@@ -724,7 +722,7 @@ def test_a_non_orthonormal_frame_raises_at_its_index():
 def test_a_fiber_off_its_plane_raises_at_its_index():
     n, p = 4, 2
     F, Y = sample_bundle_points(make_rng(24, 0), n, p, K)
-    P = mc.projector(F)
+    P = mc._projector(F)
     off = (np.eye(n) - P[7]) @ make_rng(25, 0).standard_normal(n)
     Y = _with(Y, 7, Y[7] + 1e-3 * off)
     _raises_at(lambda: bn.bundle_point(gr.plane_from_frame(F), Y),
@@ -912,7 +910,7 @@ def _cut_locus(B):
 
 def _off_model(R):
     """A rotation in the plane of e_1 and e_2, which mixes the -1 block of J: R J is not symmetric."""
-    return lg.so_exp(0.5 * skew_wedge(1, 2, N))
+    return lg.so_exp(0.5 * mc._wedge(1, 2, N))
 
 
 # name -> (draw(rng, shape) -> operands, call(*operands),

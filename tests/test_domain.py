@@ -69,7 +69,9 @@ from cartanbundle.matcore import (
     check_finite_vector,
     check_skew,
     check_special_orthogonal,
+    complete_to_special_orthogonal,
     eigenspace_of_symmetric_involution,
+    orthonormalize,
 )
 from cartanbundle.projective import unit_direction
 from cartanbundle.sampling import make_rng, sample_motion, sample_rotation, sample_skew, sample_unit_direction
@@ -122,6 +124,8 @@ SITES = {
     "mat_from_json": lambda bad: mat_from_json({"rows": 2, "cols": 2, "data": [bad, 0, 0, 1]}),
     "vec_from_json": lambda bad: vec_from_json([bad, 0.0], 2),
     "unit_direction": lambda bad: unit_direction(_vec(bad, 3, at=1)),
+    "orthonormalize": lambda bad: orthonormalize(_vec(bad)[:, None]),
+    "complete_to_special_orthogonal": lambda bad: complete_to_special_orthogonal(_vec(bad)[:, None]),
 }
 
 # The real scalars; line_bundle_exp(1.0, e_2, 1e300) gave an X of 8.4e299.
@@ -180,6 +184,9 @@ DIMENSION_SITES = {
     "identity_motion": identity_motion,
     "Signature": lambda n: Signature(1, n),
     "sample_rotation": lambda n, rng=make_rng(0): sample_rotation(rng, n),
+    "sample_skew": lambda n, rng=make_rng(0): sample_skew(rng, n),
+    "sample_motion": lambda n, rng=make_rng(0): sample_motion(rng, n),
+    "sample_unit_direction": lambda n, rng=make_rng(0): sample_unit_direction(rng, n),
     "moebius_grid": lambda n: moebius_grid(n, 2, 1.0),
 }
 
@@ -224,6 +231,8 @@ DTYPE_SITES = {
     "rotation_in_plane.U": lambda bad: rotation_in_plane(0.3, bad[1]),
     "DpGenerator": lambda bad: DpGenerator(2, 2, bad[:2, :2]),
     "check_finite_vector": lambda bad: check_finite_vector(bad[0], 4),
+    "orthonormalize": lambda bad: orthonormalize(bad[:, :2]),
+    "complete_to_special_orthogonal": lambda bad: complete_to_special_orthogonal(bad[:, :2]),
 }
 
 
@@ -534,6 +543,25 @@ def test_dp_generator_checks_its_signature(p, q):
     # (1.0, 1.0) used to construct, and embed() then raised a raw TypeError
     with pytest.raises(DimensionMismatchError):
         DpGenerator(p, q, [[0.5]])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [np.array(1.0), None, np.eye(4, 2) * (1 + 0.5j), [["1", "0"], ["0", "1"]], np.full((4, 2), 1e300),
+     [[10**400], [0]], {"frame": np.eye(4, 2)}, np.eye(4, 2, dtype=bool)],
+    ids=["0-d", "None", "complex", "str", "1e300", "10**400", "dict", "bool"],
+)
+@pytest.mark.parametrize("take", [orthonormalize, complete_to_special_orthogonal],
+                         ids=["orthonormalize", "complete_to_special_orthogonal"])
+def test_a_frame_is_checked_as_a_matrix(take, frame):
+    # no raw ValueError on a 0-d array or None, TypeError on a dict or
+    # OverflowError at 10**400; no ComplexWarning, no inf at 1e300 and no
+    # parsed strings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError) as info:
+            take(frame)
+    assert info.value.code == "dimension_mismatch"
 
 
 def test_projector_takes_a_stack_and_any_real_frame():

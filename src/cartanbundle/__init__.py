@@ -85,7 +85,6 @@ from .projective import (
     moebius_grid,
     rotation_in_plane,
 )
-from .verify import VerifyConfig, VerifyReport, run_verification
 
 __version__ = "0.1.0"
 

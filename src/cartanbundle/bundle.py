@@ -33,8 +33,8 @@ which also give its translation). Each bounds the residuals of its motion
 from those of its input, measured on the way, and rounding. When the bounds
 meet the tolerances and the translation the input ceiling
 (``grassmann._sure``), the motion is certified by construction and checks
-nothing; otherwise it goes through the public check ``_cartan_motion``
-(``_motion_check``), by the fallback that ``grassmann``'s two maps share
+nothing; otherwise it goes through the public check ``_cartan_motion``,
+by the fallback that ``grassmann``'s two maps share
 (``grassmann._checked_where_unsure``). The inputs
 carry the rest of the proof: a ``Plane`` and a ``BundlePoint`` are checked
 when constructed, as a ``CartanMotion`` is. ``verify`` passes these outputs
@@ -139,7 +139,6 @@ from .liegroup import (
     _factors,
 )
 from .matcore import (
-    _checked_frame,
     _checked_rotation,
     _complete_frames,
     _eye,
@@ -149,6 +148,7 @@ from .matcore import (
     _require,
     _stacked_like,
     check_finite_vector,
+    check_frame,
 )
 
 
@@ -262,7 +262,7 @@ class CartanMotion:
 
     @classmethod
     def certify(cls, motion: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> "CartanMotion":
-        motion, frame = _cartan_motion(motion, sig, tol)
+        motion, frame = _cartan_motion(motion.R, motion.X, sig, tol)
         return _trusted(cls, tol, motion=motion, sig=sig, _frame=frame, _X=motion.X)
 
     @property
@@ -270,15 +270,15 @@ class CartanMotion:
         return self.sig.n
 
 
-def _cartan_motion(g: Motion, sig: Signature, tol: Tolerances) -> tuple:
-    """(motion, F): the check of a ``CartanMotion``, for g or stacks; X must have the leading shape of R.
+def _cartan_motion(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
+    """(motion, F): the check of a ``CartanMotion`` (R, X), or of stacks; X must have the leading shape of R.
 
-    The motion holds read-only copies of g's parts, and F is the frame of
+    The motion holds read-only copies of R and X, and F is the frame of
     the plane that the S_p0 check found. The determinant of R is checked
     as ``grassmann._special_unless_counted`` does, before the translation's
     check.
     """
-    motion = Motion(_read_only(g.R), _read_only(g.X))
+    motion = Motion(_read_only(R), _read_only(X))
     R, defect, bound = _orthogonal(motion.R, tol, sig.n)
     return motion, _special_unless_counted(R, defect, bound, tol, partial(_in_sp, R, motion.X, sig, tol))[0]
 
@@ -299,11 +299,6 @@ def _in_sp(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tup
     _require(_fiber_holds(fib, X, tol), NotInCartanModelError, "translation is not in the carried plane",
              residual=fib)
     return F, w
-
-
-def _motion_check(R: np.ndarray, X: np.ndarray, sig: Signature, tol: Tolerances) -> tuple:
-    """``_cartan_motion`` of the motion (R, X), as ``grassmann._checked_where_unsure`` calls it."""
-    return _cartan_motion(Motion(R, X), sig, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,7 +426,7 @@ def tau(g: Motion, sig: Signature, tol: Tolerances = default_tolerances()) -> Ca
     R, Y = A @ (j[:, None] * A.mT.copy() * j), X + np.matvec(A, j * -np.matvec(A.mT, X))
     rot, size = 4.0 * math.sqrt(sig.n) * e + sig.n * _ROUND, _norm(Y, 1)
     sure = _sure(tol, rot, rot * _norm(X, 1) / (1.0 + size), Y, size)
-    F = _checked_where_unsure(sure, A[..., : sig.p].copy(), _motion_check, sig, tol, R, Y)
+    F = _checked_where_unsure(sure, A[..., : sig.p].copy(), _cartan_motion, sig, tol, R, Y)
     return _trusted(CartanMotion, tol, motion=Motion(_frozen(R), _frozen(Y)), sig=sig, _frame=_frozen(F), _X=Y)
 
 
@@ -478,7 +473,7 @@ def rho_inv(b: BundlePoint) -> CartanMotion:
     sig, rot = _embed_bound(F)
     R = _Deferred(_embed_rotation, P, sig)
     fib = _norm(np.matvec(P, Y) - Y, 1) / (1.0 + _norm(Y, 1)) + sig.n * _ROUND
-    F = _checked_where_unsure(_sure(tol, rot, fib), F, _motion_check, sig, tol, R, Y)
+    F = _checked_where_unsure(_sure(tol, rot, fib), F, _cartan_motion, sig, tol, R, Y)
     return _trusted(CartanMotion, tol, sig=sig, _frame=F, _X=Y, _rotation=R)
 
 
@@ -504,7 +499,7 @@ def bundle_act(a: Motion, b: BundlePoint, sig: Signature) -> BundlePoint:
         raise DimensionMismatchError("bundle point (n, p) does not match the signature")
     _stacked_like(b.fiber, 1, R.shape[:-2], "bundle point")
     tol = b._tol
-    F = _frozen(_checked_frame(R @ b.plane.frame, tol))
+    F = _frozen(check_frame(R @ b.plane.frame, tol))
     P = _projector(F)
     Y = _fiber(P, np.matvec(R, b.fiber) + 2.0 * np.matvec(P, X), tol)
     return _trusted(BundlePoint, tol, plane=_plane(F, tol, P), fiber=_frozen(Y))
@@ -560,7 +555,7 @@ def dp_exp_full(
     F = _cs_frame(V, np.cos(t), sin_t, U)
     X = np.matvec(F, v + np.matvec(V, (_factors(s, sin_t) - 1.0) * np.matvec(V.mT, v)))
     R, rot = _Deferred(_cs_rotation, V, s, U), sig.n * _ROUND
-    F = _checked_where_unsure(_sure(tol, rot, rot, X, _norm(X, 1)), F, _motion_check, sig, tol, R, X)
+    F = _checked_where_unsure(_sure(tol, rot, rot, X, _norm(X, 1)), F, _cartan_motion, sig, tol, R, X)
     return _trusted(CartanMotion, tol, sig=sig, _frame=_frozen(F), _X=_frozen(X), _rotation=R)
 
 

@@ -22,11 +22,11 @@ argparse has already checked by name. Every ``tol`` is a ``Tolerances``: a
 one. Every field is a finite positive number, checked once at construction,
 so a bound that no residual can exceed (NaN, +inf) or that every residual
 exceeds (0, negative) is never built. A field must be a real number by the
-rule of ``matcore.check_finite_scalar`` (``_REAL_SCALARS``: a Python or
-NumPy int or float, not a bool, nor a string, a complex number or an
-array), else ``ValueError``, and is kept as a Python float: so a test of
-one operand against it gives a Python ``bool``, whatever number it was
-given as.
+rule of ``matcore.check_finite_scalar``, which one reader holds for both
+(``_real_scalar``: a Python or NumPy int or float, not a bool, nor a
+string, a complex number or an array), else ``ValueError``, and is kept
+as a Python float: so a test of one operand against it gives a Python
+``bool``, whatever number it was given as.
 """
 
 from __future__ import annotations
@@ -37,10 +37,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The real scalars: those whose NumPy dtype ``matcore._real`` accepts
-# (integer or float), as Python or NumPy numbers. Python's bool is an int,
-# so each test of a real scalar refuses it by name.
-_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+def _real_scalar(x) -> float | None:
+    """x as a Python float if it is a real scalar, else None; an integer past the float range is inf.
+
+    The one reader of a real scalar, for ``Tolerances`` and
+    ``matcore.check_finite_scalar``, each of which raises its own error
+    where it gives None. The real scalars are the Python and NumPy ints and
+    floats, whose NumPy dtype ``matcore._real`` accepts; Python's bool is
+    an int, so it is refused by name.
+    """
+    if isinstance(x, bool) or not isinstance(x, (float, int, np.floating, np.integer)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:  # an integer past the float range, such as 10**400
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -56,12 +68,8 @@ class Tolerances:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             given = getattr(self, f.name)
-            try:
-                real = isinstance(given, _REAL_SCALARS) and not isinstance(given, bool)
-                value = float(given) if real else math.nan
-            except OverflowError:  # an integer past the float range
-                value = math.inf
-            if not 0 < value < math.inf:  # also false for NaN
+            value = _real_scalar(given)
+            if value is None or not 0 < value < math.inf:  # also false for NaN
                 raise ValueError(f"tolerance {f.name} must be a finite positive int or float, not a bool, "
                                  f"got {given!r}")
             object.__setattr__(self, f.name, value)

@@ -100,7 +100,6 @@ from .matcore import (
     _MAX_ABS,
     _MAX_DIM,
     _at,
-    _checked_frame,
     _checked_rotation,
     _count_decides_det,
     _eigh,
@@ -118,6 +117,7 @@ from .matcore import (
     _svd,
     _symmetric_involution,
     check_finite_matrix,
+    check_frame,
     orthonormalize,
 )
 
@@ -241,7 +241,7 @@ def _checked_where_unsure(sure, F: np.ndarray, check, sig: Signature, tol: Toler
     """F, the closed-form frame of a by-construction output, where ``sure``; elsewhere the checked frame.
 
     ``check`` is the public check, ``_cartan_rotation`` on R or
-    ``bundle._motion_check`` on (R, X), given as ``parts``. R may be given
+    ``bundle._cartan_motion`` on (R, X), given as ``parts``. R may be given
     as the function that builds it (``rho_inv`` and ``dp_exp_full`` defer
     their R as a ``_Deferred``), which is called only if an element is
     unsure, and keeps what it built for the first read of ``motion``. ``sure`` is one
@@ -335,7 +335,7 @@ def plane_from_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> P
     The frame's (n, p) is checked as a ``Signature``, so 1 <= p < n. A stack
     of frames gives one stacked ``Plane``.
     """
-    F = _checked_frame(F, tol)
+    F = check_frame(F, tol)
     Signature(F.shape[-1], F.shape[-2] - F.shape[-1])
     return _plane(_read_only(F), tol)
 
@@ -395,7 +395,7 @@ def rotate_plane(A: np.ndarray, plane: Plane) -> Plane:
     F, tol = plane.frame, plane._tol
     A = check_finite_matrix(A, (F.shape[-2], F.shape[-2]), "rotation", None)
     _stacked_like(F, 2, A.shape[:-2], "plane")
-    return _plane(_frozen(_checked_frame(A @ F, tol)), tol)
+    return _plane(_frozen(check_frame(A @ F, tol)), tol)
 
 
 def sigma0(R: np.ndarray, sig: Signature) -> np.ndarray:

@@ -11,7 +11,8 @@ rotation form is the pairs of log R, and one array routine
 (``_assemble_form``) orders and orients the pairs of either form. Each form
 is the pair (Q, angles) of arrays, with no record around it; ``_blocks``
 builds the block-diagonal matrix of its angles. Each form checks its input
-(R in SO(n), W skew) and computes the one route it returns; that the
+(W skew; R in SO(n) as the logs check it, by ``_checked_log``, whose log
+the rotation form pairs) and computes the one route it returns; that the
 rotation form rebuilds R is checked by ``verify``
 (``matcore.canonical_form_reconstruction``), not on every call. The
 principal log itself takes one symmetric ``eigh`` of (R + R^T)/2 and pairs
@@ -28,7 +29,7 @@ The LAPACK boundary. Every decomposition the library runs goes through one
 kernel here: ``_eigh`` (real symmetric or complex Hermitian), ``_svd``
 (thin or full), ``_singular_values``, ``_householder_qr`` (reduced or
 complete, with the raw factor whose diagonal is R's and the reflectors'
-tau; ``_qr`` drops tau), ``_sign_fixed_qr`` and ``_det``.
+tau), ``_sign_fixed_qr`` and ``_det``.
 Each calls the gufunc of NumPy's private module
 ``numpy.linalg._umath_linalg`` that ``numpy.linalg`` calls, with the same
 signature, so its outputs equal ``numpy.linalg``'s bit for bit. What it
@@ -77,7 +78,8 @@ arithmetic (``se_mul``, ``se_inv``, ``se_bracket``) and the value types
 a motion or a screw checks it.
 
 The validation primitives (``check_finite_matrix``, ``check_finite_vector``,
-``check_frame``, ``check_special_orthogonal``) run on every certified
+``check_frame``, the one frame check, which every plane runs under its
+``tol``, and ``check_special_orthogonal``) run on every certified
 construction, and ``check_skew`` on every exponential. On a 4x4 check,
 NumPy's Python-level dispatch costs more than the arithmetic, so they read a
 cached read-only identity per n (``_eye``) instead of building one, test the
@@ -139,7 +141,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
-from .config import _REAL_SCALARS, Tolerances, default_tolerances
+from .config import Tolerances, _real_scalar, default_tolerances
 from .errors import (
     DegenerateSpanError,
     DimensionMismatchError,
@@ -384,22 +386,20 @@ def _one(x: np.ndarray, name: str, core: int) -> np.ndarray:
 def check_finite_scalar(x: float, name: str) -> float:
     """x as a float, checked as each entry of an array is: real, finite and at most ``_MAX_ABS`` in magnitude.
 
-    x must be a Python or NumPy integer or float (``_REAL_SCALARS``), as
-    ``_real`` requires of an array's dtype: a bool (Python's is an int) is
-    not read as 0 or 1, a string or bytes is not parsed, nor a complex
-    number cast to its real part. Anything else raises
-    ``DimensionMismatchError``; past the ceiling its context carries |x| as
-    ``max_abs`` (inf for an integer past the float range, such as 10**400).
+    x must be a Python or NumPy integer or float, read by the one reader
+    of a real scalar (``config._real_scalar``), as ``_real`` requires of an
+    array's dtype: a bool (Python's is an int) is not read as 0 or 1, a
+    string or bytes is not parsed, nor a complex number cast to its real
+    part. Anything else raises ``DimensionMismatchError``; past the ceiling
+    its context carries |x| as ``max_abs`` (inf for an integer past the
+    float range, such as 10**400).
     """
-    if isinstance(x, bool) or not isinstance(x, _REAL_SCALARS):
+    value = _real_scalar(x)
+    if value is None:
         raise DimensionMismatchError(f"{name} must be a real number, got {type(x).__name__}")
-    try:
-        x = float(x)
-    except OverflowError:  # an integer past the float range
-        x = math.inf
-    if not abs(x) <= _MAX_ABS:  # also true for NaN
-        raise DimensionMismatchError(f"{name} is not finite or exceeds {_MAX_ABS:g}", max_abs=abs(x))
-    return x
+    if not abs(value) <= _MAX_ABS:  # also true for NaN
+        raise DimensionMismatchError(f"{name} is not finite or exceeds {_MAX_ABS:g}", max_abs=abs(value))
+    return value
 
 
 def _lapack_policy(name: str) -> np.errstate:
@@ -454,11 +454,6 @@ def _householder_qr(a: np.ndarray, complete: bool = False) -> tuple:
     tau = _lapack.qr_r_raw(H, signature="d->d")
     m, n = a.shape[-2:]
     return (_lapack.qr_complete if complete and m > n else _lapack.qr_reduced)(H, tau, signature="dd->d"), H, tau
-
-
-def _qr(a: np.ndarray, complete: bool = False) -> tuple:
-    """(Q, H) of ``_householder_qr``: the Q of ``np.linalg.qr(a)``, or of ``mode="complete"``, and the raw factor."""
-    return _householder_qr(a, complete)[:2]
 
 
 def _det(a: np.ndarray):
@@ -519,11 +514,6 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
 
 def check_frame(F: np.ndarray, tol: Tolerances = default_tolerances()) -> np.ndarray:
     """Validate that F has orthonormal columns: |F^T F - I| at most ``tol.orth`` max(1, n), or each frame of a stack."""
-    return _checked_frame(F, tol)
-
-
-def _checked_frame(F: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``check_frame`` of F or of a stack, under a ``tol`` that the caller gives."""
     F = check_finite_matrix(F, name="frame", batch=None)
     n, p = F.shape[-2:]
     if p > n:
@@ -563,7 +553,7 @@ def _complete_frames(F: np.ndarray) -> np.ndarray:
     every sign; each matrix comes out as it would alone.
     """
     p = F.shape[-1]
-    A = np.concatenate([F, _qr(F, complete=True)[0][..., p:]], axis=-1)
+    A = np.concatenate([F, _householder_qr(F, complete=True)[0][..., p:]], axis=-1)
     A[..., -1] *= np.where(_det(A) < 0, -1.0, 1.0)[..., None]
     return A
 
@@ -859,21 +849,22 @@ def canonical_rotation_form(R: np.ndarray, tol: Tolerances = default_tolerances(
     and Q blockdiag(R(theta_1), ..., R(theta_k), I) Q^T = R (``_blocks``
     builds the middle factor). The blocks are the turning pairs of log R,
     with the +pi resolution at angle pi. Only R is checked, in SO(n) under
-    ``tol``; the reconstruction is checked by ``verify``
+    ``tol``, as the logs check it (``_checked_log``, which also gives log R);
+    the reconstruction is checked by ``verify``
     (``matcore.canonical_form_reconstruction``), not on every call. The
     forms of a stack differ in their count of angles, so R must be one
     rotation, not a stack.
     """
-    return _rotation_form(_one(check_special_orthogonal(R, tol), "rotation", 2))
+    return _rotation_form(_one(_checked_log(R, tol)[0], "rotation", 2))
 
 
-def _rotation_form(R: np.ndarray) -> tuple:
-    """(Q, angles): the kernel of ``canonical_rotation_form``, for R checked in SO(n), or a stack of them.
+def _rotation_form(L: np.ndarray) -> tuple:
+    """(Q, angles): the kernel of ``canonical_rotation_form``, from L = log R (``_checked_log``), or a stack of them.
 
     angles holds the angles of one form, or of each of a stack padded with
     zeros (``_forms``); ``_blocks`` of them rebuilds each form's blocks.
     """
-    Q, s = _skew_pairs(_rotation_log(R)[0])
+    Q, s = _skew_pairs(L)
     return _forms(Q, np.minimum(s, math.pi), rotation=True)
 
 

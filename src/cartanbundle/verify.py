@@ -41,9 +41,10 @@ unit direction, branch, singular factor, ``_sure`` and its one fallback,
 S_p and cut locus); an element that fails raises the single call's error
 class with its ``index`` in the context, and fails its row. Besides the
 public maps, the checks read ``matcore``'s kernels of the one-operand
-canonical forms (``_rotation_form``, ``_eigenspace``), its norm, projector
-and wedge. The line rows and the seam row call the public line maps on
-their stacks.
+canonical forms (the canonical row checks and logs its rotations with
+``_checked_log`` and pairs the logs with ``_rotation_form``;
+``_eigenspace``), its norm, projector and wedge. The line rows and the
+seam row call the public line maps on their stacks.
 Every check sees one dimension: a row that draws samples of several
 dimensions keeps the stack that its sampler returns for each dimension,
 with the indices of that dimension's samples in the draw
@@ -323,7 +324,7 @@ def _projector(cfg, F):
 
 def _canonical_form(cfg, R):
     """|Q blockdiag(R(theta_i), I) Q^T - R| for the canonical form of each rotation."""
-    Q, angles = mc._rotation_form(mc.check_special_orthogonal(R, cfg.tol))
+    Q, angles = mc._rotation_form(mc._checked_log(R, cfg.tol)[0])
     return mc._norm(Q @ mc._blocks(angles, R.shape[-1], rotation=True) @ Q.mT - R, 2)
 
 

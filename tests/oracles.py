@@ -189,7 +189,7 @@ def skew_pairs_oracle(W):
     Q, s = np.empty(W.shape), np.zeros(W.shape[:-2] + (n // 2,))
     for c, at in mc._groups(count):
         pairs = U[at][..., n - c :].view(np.float64)
-        Q_c, H = mc._qr(pairs, complete=True)
+        Q_c, H = mc._householder_qr(pairs, complete=True)[:2]
         Q_c[..., : 2 * c] *= np.copysign(1.0, np.diagonal(H, axis1=-2, axis2=-1))[..., None, :]
         Q[at], s[at, :c] = Q_c, w[at][..., n - c :]
     return Q, s

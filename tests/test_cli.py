@@ -763,6 +763,15 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_package_root_loads_no_harness():
+    # verify and the samplers are imported from their own modules; the root re-exports neither
+    probe = ("import sys, cartanbundle\n"
+             "print(sorted(m for m in ('cartanbundle.verify', 'cartanbundle.sampling') if m in sys.modules))\n"
+             "from cartanbundle.verify import VerifyConfig, VerifyReport, run_verification\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _numpy_ma_imports(args) -> list:
     """The numpy.ma modules that a fresh ``python -X importtime ARGS`` imports, read from its import report."""
     run = subprocess.run([sys.executable, "-X", "importtime", *args], env=_fresh_env(), capture_output=True, text=True)

@@ -17,7 +17,10 @@ as the benchmark's n = 32 screws are, no log runs a ``det``. The two
 certificates take the sign of det R from the count of their S_p0 check's
 ``eigh`` in the same way, with the same fallback under ``tol.orth`` = 1.
 ``sample_rotations`` draws a stack of eight rotations from one QR, which
-also gives the sign of each determinant, with no ``det``.
+also gives the sign of each determinant, with no ``det``. The canonical
+forms pair a skew matrix with one ``eigh`` and one complete QR and orient
+the pairs with one ``det``; the rotation form pairs log R, which it takes
+as the logs do, with no LU to check R in SO(n).
 """
 
 import math
@@ -37,6 +40,7 @@ from cartanbundle import (
     Tolerances,
     bundle_act,
     bundle_point,
+    canonical_rotation_form,
     cartan_embed0,
     coordinate_plane,
     dp_exp,
@@ -54,6 +58,7 @@ from cartanbundle import (
     rotation_in_plane,
     se_exp,
     se_log,
+    skew_canonical_form,
     so_exp,
     so_log,
     tau,
@@ -85,6 +90,8 @@ EXPECTED = {
     "CartanRotation.certify (tol.orth = 1)": {"eigh": 1, "det": 1},
     "CartanMotion.certify (tol.orth = 1)": {"eigh": 1, "det": 1},
     "sample_rotations": {"qr": 1},
+    "canonical_rotation_form": {"eigh": 2, "qr": 1, "det": 1},
+    "skew_canonical_form": {"eigh": 1, "qr": 1, "det": 1},
     "dp_exp": {"svd": 1},
     "dp_log0": {"svd": 1},
     "dp_exp_full": {"svd": 1},
@@ -155,6 +162,8 @@ def calls():
         "CartanRotation.certify (tol.orth = 1)": lambda: CartanRotation.certify(cr.mat, SIG, Tolerances(orth=1.0)),
         "CartanMotion.certify (tol.orth = 1)": lambda: CartanMotion.certify(cm.motion, SIG, Tolerances(orth=1.0)),
         "sample_rotations": lambda: sample_rotations(make_rng(51, 0), 4, 8),
+        "canonical_rotation_form": lambda: canonical_rotation_form(g.R),
+        "skew_canonical_form": lambda: skew_canonical_form(omega),
         "dp_exp": lambda: dp_exp(gen),
         "dp_log0": lambda: dp_log0(cr),
         "dp_exp_full": lambda: dp_exp_full(el),

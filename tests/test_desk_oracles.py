@@ -110,12 +110,12 @@ def test_a_translation_past_half_the_ceiling_is_tested_entry_by_entry(monkeypatc
         sizes.append(size)
         return _real(tol, rot, fib, X, size)
 
-    def counted(*args, _real=bn._motion_check):
+    def counted(*args, _real=bn._cartan_motion):
         checked.append(1)
         return _real(*args)
 
     monkeypatch.setattr(bn, "_sure", recorded)
-    monkeypatch.setattr(bn, "_motion_check", counted)
+    monkeypatch.setattr(bn, "_cartan_motion", counted)
     g, sig = _motion_with_translation(np.full(lead + (2,), 0.3e150))
     t = tau(g, sig)
     assert np.all(np.asarray(sizes[-1]) > 0.5 * gr._MAX_ABS) and not checked

@@ -29,6 +29,7 @@ from cartanbundle import (
     Plane,
     Screw,
     Signature,
+    Tolerances,
     bundle_act,
     bundle_point,
     coordinate_plane,
@@ -156,6 +157,13 @@ def test_a_scalar_past_the_float_range_is_outside_the_domain(site, bad):
     with pytest.raises(DimensionMismatchError) as info:
         SCALAR_SITES[site](bad)
     assert info.value.context["max_abs"] == math.inf
+
+
+@pytest.mark.parametrize("bad", [10**400, -10**400])
+def test_a_tolerance_past_the_float_range_is_rejected(bad):
+    # Tolerances reads its fields as check_finite_scalar reads a scalar: 10**400 is inf, not a raw OverflowError
+    with pytest.raises(ValueError, match="tolerance orth must be a finite positive"):
+        Tolerances(orth=bad)
 
 
 @pytest.mark.parametrize("bad", ["0.3", b"0.3", np.str_("0.3"), 0.3 + 0j, np.complex128(0.3), np.complex64(0.3),

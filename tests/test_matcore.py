@@ -10,6 +10,7 @@ from cartanbundle import (
     DegenerateSpanError,
     IllConditionedSpectrumError,
     NotOrthogonalSymmetryError,
+    Tolerances,
 )
 from cartanbundle.matcore import (
     canonical_rotation_form,
@@ -215,6 +216,18 @@ class TestCanonicalRotationForm:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(IllConditionedSpectrumError):
             canonical_rotation_form(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_a_reflection_is_rejected_as_the_logs_reject_it(self):
+        # det R = -1: the default bound takes its sign from the log's split; under tol.orth = 1 the LU passes
+        # R, and the odd count below the split raises
+        Q = sample_rotation(make_rng(53, 1), 4)
+        R = Q @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ Q.T
+        with pytest.raises(IllConditionedSpectrumError) as info:
+            canonical_rotation_form(R)
+        assert info.value.detail == "matrix has determinant != +1" and info.value.context == {}
+        with pytest.raises(IllConditionedSpectrumError) as info:
+            canonical_rotation_form(R, Tolerances(orth=1.0))
+        assert info.value.detail == "ill-conditioned spectrum: odd count of angles near pi"
 
 
 def _assert_form_contract(form, M, rotation):

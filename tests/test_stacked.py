@@ -197,7 +197,7 @@ class TestMatcore:
         # each form of a stack: its Q, its angles padded with zeros, its blocks and its rebuilt matrix
         R, W = _tail_rotations(n), _skews(make_rng(42, n), n, len(TAIL_TURNS))
         for M, (Q, angles), single, rotation in (
-            (R, mc._rotation_form(mc.check_special_orthogonal(R, TOL)), mc.canonical_rotation_form, True),
+            (R, mc._rotation_form(mc._checked_log(R, TOL)[0]), mc.canonical_rotation_form, True),
             (W, mc._forms(*mc._skew_pairs(mc.check_skew(W)), rotation=False),
              mc.skew_canonical_form, False),
         ):
@@ -768,9 +768,19 @@ def test_an_odd_count_of_angles_near_pi_raises_at_its_index():
     _raises_at(lambda: mc._rotation_log(R), lambda: mc._rotation_log(R[4]), IllConditionedSpectrumError, 4)
 
 
+def test_a_reflection_in_a_stack_of_canonical_forms_raises_at_its_index():
+    # the canonical row's kernel: det R = -1 at index 4 raises what canonical_rotation_form raises for it
+    R = _tail_rotations(5)
+    R = _with(R, 4, R[4] @ np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]) @ R[4].T)
+    _raises_at(lambda: mc._rotation_form(mc._checked_log(R, TOL)[0]), lambda: mc.canonical_rotation_form(R[4]),
+               IllConditionedSpectrumError, 4)
+    with pytest.raises(IllConditionedSpectrumError, match=r"^matrix has determinant != \+1$"):
+        mc._rotation_form(mc._checked_log(R, TOL)[0])
+
+
 def test_a_bad_canonical_form_or_eigenspace_input_raises_at_its_index():
     R = _tail_rotations(5)
-    _raises_at(lambda: mc._rotation_form(mc.check_special_orthogonal(_with(R, 6, 1.01 * R[6]), TOL)),
+    _raises_at(lambda: mc._rotation_form(mc._checked_log(_with(R, 6, 1.01 * R[6]), TOL)[0]),
                lambda: mc.canonical_rotation_form(1.01 * R[6]), IllConditionedSpectrumError, 6)
     S = R @ Signature(2, 3).matrix @ R.mT
     S = _with(S, 3, R[3])  # a rotation, not an involution

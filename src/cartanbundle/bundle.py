@@ -135,6 +135,7 @@ from .grassmann import (
 from .liegroup import (
     Motion,
     Screw,
+    _block_matrix,
     _checked_motion,
     _factors,
 )
@@ -362,14 +363,12 @@ def is_fixed_point(g: Motion, sig: Signature, tol: Tolerances = default_toleranc
     Fixed points are block-diagonal rotations diag(A, B) with no translation
     in the first p slots; the residual is exactly twice the norm of the
     off-block entries, which ``verify`` checks. It is the norm of the
-    homogeneous matrix of sigma(g) - g, built from g's checked parts. For
+    homogeneous matrix of sigma(g) - g, built from g's checked parts
+    (``liegroup._block_matrix``). For
     stacks of motions, a boolean array: one test per motion.
     """
     (R, X), j = _checked_motion(g, sig.n, None), sig._signs
-    D = np.zeros(R.shape[:-2] + (sig.n + 1, sig.n + 1))
-    D[..., :-1, :-1] = j[:, None] * R * j - R
-    D[..., :-1, -1] = j * X - X
-    fixed = _norm(D, 2) <= tol.invol
+    fixed = _norm(_block_matrix(j[:, None] * R * j - R, j * X - X, 0.0), 2) <= tol.invol
     return fixed if R.ndim > 2 else bool(fixed)
 
 

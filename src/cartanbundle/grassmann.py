@@ -23,7 +23,8 @@ map of certified values (``cartan_embed0``, ``rho0``, ``dp_log0``,
 ``rotate_plane``) reads its operand's and certifies its output under them.
 
 J is diagonal, so R J, J R J and J X are column, row-and-column and entry
-sign flips by the diagonal of J; J is built once per (p, q), read-only. One
+sign flips by the diagonal of J, which is built once per (p, q),
+read-only; J itself is built only if ``Signature.matrix`` is read. One
 private routine checks membership of an orthogonal rotation: S = R J
 a symmetric involution, with |S - S^T| and |S^2 - I| each at most
 ``tol.invol`` (``matcore._symmetric_involution``, the test ``in_Q0`` also
@@ -123,16 +124,19 @@ from .matcore import (
 
 
 @lru_cache(maxsize=32)
-def _sign_arrays(p: int, q: int) -> tuple:
-    """(j, J): the diagonal of J = diag(-I_p, I_q) and J itself, read-only.
+def _sign_diagonal(p: int, q: int) -> np.ndarray:
+    """j, the diagonal of J = diag(-I_p, I_q), read-only.
 
     Shared by every Signature of the same (p, q); read-only because every
-    caller gets the same arrays.
+    caller gets the same array. Every map reads J as j alone.
     """
-    j = np.concatenate([-np.ones(p), np.ones(q)])
-    J = np.diag(j)
-    j.flags.writeable = J.flags.writeable = False
-    return j, J
+    return _frozen(np.concatenate([-np.ones(p), np.ones(q)]))
+
+
+@lru_cache(maxsize=32)
+def _sign_matrix(p: int, q: int) -> np.ndarray:
+    """J = diag(-I_p, I_q) itself, read-only and shared as ``_sign_diagonal`` is; built on its first read."""
+    return _frozen(np.diag(_sign_diagonal(p, q)))
 
 
 @dataclass(frozen=True)
@@ -161,13 +165,17 @@ class Signature:
 
     @property
     def matrix(self) -> np.ndarray:
-        """J, read-only."""
-        return _sign_arrays(self.p, self.q)[1]
+        """J, read-only: one n x n array per (p, q), built on its first read.
+
+        The maps read only its diagonal (``_signs``); two ``verify`` rows
+        and callers read J.
+        """
+        return _sign_matrix(self.p, self.q)
 
     @property
     def _signs(self) -> np.ndarray:
         """The diagonal of J, read-only: M * j is M J, j[:, None] * M is J M."""
-        return _sign_arrays(self.p, self.q)[0]
+        return _sign_diagonal(self.p, self.q)
 
 
 def _trusted(cls, tol: Tolerances, **fields):
@@ -652,25 +660,23 @@ def _plus_identity(M: np.ndarray) -> np.ndarray:
 
 
 def _cs_rotation(V: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """exp of [[0, -B^T], [B, 0]] for B = U diag(s) V^T, in cosine-sine form.
+    """exp of [[0, -B^T], [B, 0]] for B = U diag(s) V^T, in cosine-sine form; or of each of a stack.
 
     Each principal pair (V_i, U_i) turns by s_i; the kernel of B and the
-    complement of the range of B are fixed.
+    complement of the range of B are fixed. The first p columns are
+    ``_cs_frame(V, cos s, sin s, U)``; the last q are
+    [-V diag(sin s) U^T ; I_q + U diag(cos s - 1) U^T].
     """
-    p, n, s = V.shape[-2], V.shape[-2] + U.shape[-2], s[..., None, :]
-    c, sn = np.cos(s) - 1.0, np.sin(s)
-    R = np.empty(V.shape[:-2] + (n, n))
-    R[..., :p, :p] = (V * c) @ V.mT
-    R[..., :p, p:] = -(V * sn) @ U.mT
-    R[..., p:, :p] = (U * sn) @ V.mT
-    R[..., p:, p:] = (U * c) @ U.mT
-    return _plus_identity(R)
+    cos_s, sin_s = np.cos(s), np.sin(s)
+    right = [-(V * sin_s[..., None, :]) @ U.mT, _plus_identity((U * (cos_s[..., None, :] - 1.0)) @ U.mT)]
+    return np.concatenate([_cs_frame(V, cos_s, sin_s, U), np.concatenate(right, axis=-2)], axis=-1)
 
 
 def _cs_frame(V: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The first p columns of ``_cs_rotation(V, t, U)``, given cos t and sin t.
+    """The first p columns of ``_cs_rotation(V, t, U)``, given cos t and sin t; or of each of a stack.
 
-    They are [I_p + V diag(cos t - 1) V^T ; U diag(sin t) V^T]. The plane of
+    They are [I_p + V diag(cos t - 1) V^T ; U diag(sin t) V^T], and
+    ``_cs_rotation`` builds its own first p columns here. The plane of
     exp(omega) is exp(omega/2) applied to the reference plane, so with
     t = s/2 this is an orthonormal frame of the plane of
     ``_cs_rotation(V, s, U)``. The caller computes the cosines and sines, so

@@ -55,6 +55,11 @@ a stack comes out bit for bit as its single call, and one that fails raises
 that call's error class with its ``index`` in the context. ``se_mul``,
 ``se_inv``, ``se_bracket``, ``Motion.homogeneous`` and ``Screw.matrix`` read
 stacks of motions and screws as they are.
+
+Every (n+1) x (n+1) block matrix [[A, x], [0, c]] is built by one routine,
+``_block_matrix``: the homogeneous matrix of a motion (c = 1), the matrix of
+a screw (c = 0), and ``bundle.is_fixed_point``'s residual sigma(g) - g
+(c = 0).
 """
 
 from __future__ import annotations
@@ -79,6 +84,17 @@ from .matcore import (
 )
 
 
+def _block_matrix(A: np.ndarray, x: np.ndarray, corner: float) -> np.ndarray:
+    """The (n+1) x (n+1) block matrix [[A, x], [0, corner]] of an n x n A and an n-vector x; or of each of stacks.
+
+    The leading shape is A's; x is assigned into the last column as it is.
+    """
+    n = A.shape[-1]
+    M = np.zeros(A.shape[:-2] + (n + 1, n + 1))
+    M[..., :n, :n], M[..., :n, n], M[..., n, n] = A, x, corner
+    return M
+
+
 @dataclass(frozen=True, eq=False)
 class Motion:
     """Euclidean motion g = (R, X), i.e. x -> R x + X; ``==`` is identity.
@@ -95,13 +111,8 @@ class Motion:
         return self.R.shape[-1]
 
     def homogeneous(self) -> np.ndarray:
-        """(n+1) x (n+1) block-matrix representation; of each motion if R and X are stacks."""
-        n = self.n
-        H = np.zeros(self.R.shape[:-2] + (n + 1, n + 1))
-        H[..., :n, :n] = self.R
-        H[..., :n, n] = self.X
-        H[..., n, n] = 1.0
-        return H
+        """(n+1) x (n+1) block-matrix representation [[R, X], [0, 1]]; of each motion if R and X are stacks."""
+        return _block_matrix(self.R, self.X, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +131,8 @@ class Screw:
         return self.omega.shape[-1]
 
     def matrix(self) -> np.ndarray:
-        """(n+1) x (n+1) block-matrix representation; of each screw if omega and v are stacks."""
-        n = self.n
-        M = np.zeros(self.omega.shape[:-2] + (n + 1, n + 1))
-        M[..., :n, :n] = self.omega
-        M[..., :n, n] = self.v
-        return M
+        """(n+1) x (n+1) block-matrix representation [[omega, v], [0, 0]]; of each screw if omega and v are stacks."""
+        return _block_matrix(self.omega, self.v, 0.0)
 
 
 def identity_motion(n: int) -> Motion:

@@ -39,7 +39,9 @@ comes out bit for bit as its single call, with every check of that call
 (domain, skew, SO(n), symmetric involution, frame, fiber, generator block,
 unit direction, branch, singular factor, ``_sure`` and its one fallback,
 S_p and cut locus); an element that fails raises the single call's error
-class with its ``index`` in the context, and fails its row. Besides the
+class with its ``index`` in the context, and fails its row, which keeps
+the error's code, detail and context as its ``error``
+(``run_verification``; "error" in the row's JSON). Besides the
 public maps, the checks read ``matcore``'s kernels of the one-operand
 canonical forms (the canonical row checks and logs its rotations with
 ``_checked_log`` and pairs the logs with ``_rotation_form``;
@@ -118,22 +120,27 @@ class VerifyConfig:
 class PropertyResult:
     """One row's outcome: its name, samples drawn, worst error and verdict.
 
-    An unchecked record: its fields are taken as given, and each map that
-    reads them checks them.
+    A row that raised a ``GeometryError`` also keeps that error, as
+    {"code", "detail", "context"} (``error``; None for every other row),
+    and its JSON gains the key "error"; the JSON of a row that did not
+    raise has no such key. An unchecked record: its fields are taken as
+    given, and each map that reads them checks them.
     """
 
     name: str
     samples: int
     max_error: float
     passed: bool
+    error: dict | None = None
 
     def to_json(self) -> dict:
-        return {
+        row = {
             "name": self.name,
             "samples": self.samples,
             "max_error": self.max_error,
             "pass": self.passed,
         }
+        return row if self.error is None else row | {"error": self.error}
 
 
 @dataclass(frozen=True)
@@ -699,17 +706,24 @@ PROPERTIES = (
 
 
 def run_verification(cfg: VerifyConfig) -> VerifyReport:
-    """Run every named property on independent seeded streams."""
+    """Run every named property on independent seeded streams.
+
+    A ``GeometryError`` raised inside a row fails that row alone: it reports
+    ``samples`` 0 and an infinite ``max_error`` (null in JSON), and keeps the
+    error's code, detail and context, whose ``index`` is the failing
+    sample's in the row's draw.
+    """
     start = time.perf_counter()
     results = []
     for stream, (name, row) in enumerate(PROPERTIES):
         rng = sp.make_rng(cfg.seed, stream)
         try:
             samples, max_error, passed = row(cfg, rng)
-        except GeometryError:
+            results.append(PropertyResult(name, int(samples), float(max_error), bool(passed)))
+        except GeometryError as e:
             # a domain error raised mid-check is a failed property, not a crash
-            samples, max_error, passed = 0, float("inf"), False
-        results.append(PropertyResult(name, int(samples), float(max_error), bool(passed)))
+            error = {"code": e.code, "detail": e.detail, "context": dict(e.context)}
+            results.append(PropertyResult(name, 0, math.inf, False, error))
     return VerifyReport(
         properties=tuple(results),
         passed=all(r.passed for r in results),

@@ -12,7 +12,7 @@ import numpy as np
 from cartanbundle import matcore as mc
 from cartanbundle.bundle import DpElement, sigma
 from cartanbundle.errors import IllConditionedSpectrumError, NotInCartanModelError
-from cartanbundle.grassmann import DpGenerator, _cs_rotation, _generator, _generator_svd, _principal_pairs
+from cartanbundle.grassmann import DpGenerator, _generator, _generator_svd, _principal_pairs
 from cartanbundle.liegroup import _factors, _pull_back, y_omega
 from cartanbundle.verify import series_exp as series_exp_oracle
 from cartanbundle.verify import svd_projector as svd_projector_oracle  # noqa: F401
@@ -138,6 +138,54 @@ def certificate_error_oracle(g, sig, tol):
     return None
 
 
+# The (n+1) x (n+1) block matrices and the cosine-sine rotation, each with
+# its own zeros-and-assign, as the library built them before one builder
+# and the rotation's own frame served them all. The library must equal
+# these bit for bit.
+
+
+def homogeneous_oracle(g):
+    """[[R, X], [0, 1]] of a motion, or of each of stacks."""
+    n = g.R.shape[-1]
+    H = np.zeros(g.R.shape[:-2] + (n + 1, n + 1))
+    H[..., :n, :n] = g.R
+    H[..., :n, n] = g.X
+    H[..., n, n] = 1.0
+    return H
+
+
+def screw_matrix_oracle(xi):
+    """[[omega, v], [0, 0]] of a screw, or of each of stacks."""
+    n = xi.omega.shape[-1]
+    M = np.zeros(xi.omega.shape[:-2] + (n + 1, n + 1))
+    M[..., :n, :n] = xi.omega
+    M[..., :n, n] = xi.v
+    return M
+
+
+def fixed_point_oracle(g, sig, tol):
+    """Whether |sigma(g) - g| <= ``tol.invol``, from [[J R J - R, J X - X], [0, 0]], for a valid motion g."""
+    R, X, j = np.asarray(g.R, dtype=float), np.asarray(g.X, dtype=float), sig._signs
+    D = np.zeros(R.shape[:-2] + (sig.n + 1, sig.n + 1))
+    D[..., :-1, :-1] = j[:, None] * R * j - R
+    D[..., :-1, -1] = j * X - X
+    fixed = mc._norm(D, 2) <= tol.invol
+    return fixed if R.ndim > 2 else bool(fixed)
+
+
+def cs_rotation_oracle(V, s, U):
+    """exp of [[0, -B^T], [B, 0]] for B = U diag(s) V^T, its four blocks written out."""
+    p, n, s = V.shape[-2], V.shape[-2] + U.shape[-2], s[..., None, :]
+    c, sn = np.cos(s) - 1.0, np.sin(s)
+    R = np.empty(V.shape[:-2] + (n, n))
+    R[..., :p, :p] = (V * c) @ V.mT
+    R[..., :p, p:] = -(V * sn) @ U.mT
+    R[..., p:, :p] = (U * sn) @ V.mT
+    R[..., p:, p:] = (U * c) @ U.mT
+    R.reshape(R.shape[:-2] + (n * n,))[..., :: n + 1] += 1.0
+    return R
+
+
 # The desk maps with nothing shared: each cosine, sine and half-angle factor
 # is computed where it is used, and each generator goes through the public
 # constructor. The maps, which share them, must equal these bit for bit.
@@ -157,7 +205,7 @@ def dp_exp_full_oracle(xi):
     v = xi.v
     V, s, U = _generator_svd(xi.gen.B)
     F = cs_frame_oracle(V, 0.5 * s, U)
-    return _cs_rotation(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v))), F
+    return cs_rotation_oracle(V, s, U), np.matvec(F, v + np.matvec(V, (_factors(s) - 1.0) * np.matvec(V.mT, v))), F
 
 
 def dp_log_full_oracle(s):

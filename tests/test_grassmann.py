@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cartanbundle import (
     sigma0,
     twisted_act0,
 )
+from cartanbundle import grassmann as gr
 from cartanbundle.sampling import sample_dp_generator, sample_plane, sample_rotation
 
 from oracles import svd_projector_oracle
@@ -76,6 +78,20 @@ def test_signature_matrix_is_shared_and_read_only():
     assert Signature(2, 2).matrix is J
     with pytest.raises(ValueError):
         J[0, 0] = 1.0
+
+
+def test_reading_the_signs_builds_no_n_by_n_matrix():
+    """The first read of j at n = 4096 allocates j alone, not the 134 MB of J = diag(j)."""
+    gr._sign_diagonal.cache_clear()
+    tracemalloc.start()
+    try:
+        j = Signature(8, 4088)._signs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert j.shape == (4096,) and not j.flags.writeable
+    assert j[:8].tolist() == [-1.0] * 8 and (j[8:] == 1.0).all()
 
 
 class TestSigma0:

@@ -1,13 +1,14 @@
 """The verify harness itself: a broken library function must fail its property."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cartanbundle import Motion, Screw
-from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling
+from cartanbundle import bundle, grassmann, liegroup, matcore, projective, sampling, serialize
 from cartanbundle.errors import IllConditionedSpectrumError
 from cartanbundle.verify import PROPERTIES, VerifyConfig, _Mixed, run_verification, series_exp, svd_projector
 from lapack_spy import spy
@@ -256,6 +257,50 @@ def test_an_orthonormality_bound_no_frame_meets_fails_the_projector_row():
     results = _results(dataclasses.replace(CFG, tol=dataclasses.replace(CFG.tol, orth=1e-20)))
     assert not results["matcore.projector_idempotent_symmetric"].passed
     assert not results["bundle.q_invariance"].passed
+
+
+# Each row that raises at (8, 3), 10 samples, seed 5 and tol.orth 1e-20, with
+# its error code and the index of its failing sample in the row's draw.
+ORTH_RAISES = {
+    "matcore.projector_idempotent_symmetric": ("degenerate_spanning_set", 0),
+    "matcore.canonical_form_reconstruction": ("ill_conditioned_spectrum", 7),
+    "matcore.frame_completion": ("degenerate_spanning_set", 0),
+    "liegroup.log_exp_roundtrip": ("ill_conditioned_spectrum", 0),
+    "grassmann.q0_invariance": ("ill_conditioned_spectrum", 0),
+    "grassmann.cartan_roundtrips": ("degenerate_spanning_set", 0),
+    "grassmann.rho0_equivariance": ("degenerate_spanning_set", 0),
+    "grassmann.dp_log0_roundtrip": ("ill_conditioned_spectrum", 0),
+    "bundle.q_invariance": ("ill_conditioned_spectrum", 0),
+    "bundle.tau_properties": ("ill_conditioned_spectrum", 0),
+    "bundle.projection_identity": ("ill_conditioned_spectrum", 0),
+    "bundle.rho_equivariance": ("ill_conditioned_spectrum", 0),
+    "bundle.rho_bijectivity": ("ill_conditioned_spectrum", 0),
+    "bundle.action_law": ("degenerate_spanning_set", 0),
+    "bundle.dp_full_routes": ("ill_conditioned_spectrum", 0),
+    "bundle.transporter": ("degenerate_spanning_set", 0),
+    "projective.half_angle_line": ("ill_conditioned_spectrum", 4),
+}
+
+
+def test_a_row_that_raises_keeps_its_error_code_and_sample_index():
+    """Only a row that raised carries "error"; its code, detail and context survive into strict JSON."""
+    cfg = VerifyConfig(n=8, p=3, samples=10, seed=5, tol=dataclasses.replace(CFG.tol, orth=1e-20))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(serialize.dumps(run_verification(cfg).to_json()), parse_constant=reject)
+    raised = {}
+    for row in report["properties"]:
+        if "error" not in row:
+            assert row["pass"] and list(row) == ["max_error", "name", "pass", "samples"]
+            continue
+        error = row["error"]
+        assert (row["samples"], row["max_error"], row["pass"]) == (0, None, False)
+        assert sorted(error) == ["code", "context", "detail"] and error["detail"]
+        raised[row["name"]] = (error["code"], error["context"]["index"])
+    assert raised == ORTH_RAISES
+    assert sorted(code for code, _ in raised.values()).count("degenerate_spanning_set") == 6
 
 
 @pytest.mark.parametrize(

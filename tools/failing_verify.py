@@ -5,8 +5,9 @@
 runs ``python -m cartanbundle.cli verify VERIFY-ARGS`` and exits non-zero
 unless: the command exits 2; its report is strict JSON (no NaN or Infinity
 token); the rows that fail are exactly the comma-separated ROWs; and, with
-``--raised``, each failing row reads ``samples`` 0 and ``max_error`` null,
-as a row that raised is reported.
+``--raised``, each failing row reads ``samples`` 0 and ``max_error`` null
+and carries an ``error`` object whose ``code`` is a string, as a row that
+raised is reported.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ def check(rows: list, raised: bool, verify_args: list) -> str | None:
     reported = [(r["name"], r["samples"], r["max_error"]) for r in failing]
     if raised and any(row[1:] != (0, None) for row in reported):
         return f"failed rows {reported}, expected samples 0 and max_error null"
+    uncoded = [r["name"] for r in failing
+               if type(r.get("error")) is not dict or type(r["error"].get("code")) is not str]
+    if raised and uncoded:
+        return f"failed rows {uncoded} carry no error object with a string code"
     return None
 
 
